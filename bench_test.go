@@ -1,5 +1,6 @@
-// One benchmark per experiment in the per-experiment index of DESIGN.md
-// (the paper's figures and claims), plus micro-benchmarks used as
+// One benchmark per experiment in the index of
+// internal/experiments/runner.go (the paper's figures and claims; measured
+// rows are kept in EXPERIMENTS.md), plus micro-benchmarks used as
 // ablations for the design choices the scheduler relies on. Regenerate
 // EXPERIMENTS.md rows with:
 //
@@ -127,8 +128,8 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // BenchmarkLevelPriorityAblation compares the paper's level priority
-// against FIFO ordering on the same cluster — the design choice DESIGN.md
-// calls out (list scheduling priority).
+// against FIFO ordering on the same cluster — the list-scheduling
+// priority the paper's Fig. 3 algorithm relies on.
 func BenchmarkLevelPriorityAblation(b *testing.B) {
 	for _, prio := range []struct {
 		name string
@@ -246,7 +247,7 @@ func BenchmarkKNearestAblation(b *testing.B) {
 }
 
 // BenchmarkBlendAblation sweeps the prediction model's measured-history
-// weight — the calibration design choice (DESIGN.md S5). It reports the
+// weight — the calibration design choice E8 exercises. It reports the
 // absolute prediction error against a synthetic ground truth where the
 // catalog over-estimates host speed by 2x.
 func BenchmarkBlendAblation(b *testing.B) {

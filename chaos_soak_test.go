@@ -199,13 +199,6 @@ func TestChaosSoakKillAndRecoverUnderConcurrentSubmissions(t *testing.T) {
 		t.Error("no job surfaced failed_hosts despite mid-run kills")
 	}
 
-	// The detector must have confirmed the kills...
-	_, confirmations, _, _ := env.Detector.Stats()
-	if int(confirmations) < kills {
-		t.Errorf("detector confirmed %d deaths, want >= %d", confirmations, kills)
-	}
-	// ...and the recovered hosts must rejoin: repository up again and the
-	// detector reporting them alive, within the heartbeat cadence.
 	waitFor := func(cond func() bool) bool {
 		end := time.Now().Add(10 * time.Second)
 		for time.Now().Before(end) {
@@ -216,6 +209,19 @@ func TestChaosSoakKillAndRecoverUnderConcurrentSubmissions(t *testing.T) {
 		}
 		return cond()
 	}
+	// The detector must confirm the kills. It does so a suspicion timeout
+	// plus a quorum of ticks after the kill, on its own clock: the wave —
+	// whose tasks the local watchdogs move off a crashed host within
+	// milliseconds — can drain before that.
+	if !waitFor(func() bool {
+		_, confirmations, _, _ := env.Detector.Stats()
+		return int(confirmations) >= kills
+	}) {
+		_, confirmations, _, _ := env.Detector.Stats()
+		t.Errorf("detector confirmed %d deaths, want >= %d", confirmations, kills)
+	}
+	// ...and the recovered hosts must rejoin: repository up again and the
+	// detector reporting them alive, within the heartbeat cadence.
 	for _, h := range victims[:recovers] {
 		host := h
 		if !waitFor(func() bool {

@@ -22,7 +22,6 @@ type appController struct {
 	app  *appRun
 	task *afg.Task
 	spec *tasklib.Spec
-	dm   *dataManager
 }
 
 func newAppController(run *appRun, task *afg.Task) (*appController, error) {
@@ -30,16 +29,11 @@ func newAppController(run *appRun, task *afg.Task) (*appController, error) {
 	if err != nil {
 		return nil, err
 	}
-	dm, err := newDataManager(run, task)
-	if err != nil {
-		return nil, err
-	}
-	return &appController{app: run, task: task, spec: spec, dm: dm}, nil
+	return &appController{app: run, task: task, spec: spec}, nil
 }
 
 // run executes the controller's lifecycle to completion.
 func (ac *appController) run(ctx context.Context) error {
-	defer ac.dm.close()
 	e := ac.app.engine
 
 	// Console service: a suspended application dispatches no new tasks.
@@ -50,11 +44,8 @@ func (ac *appController) run(ctx context.Context) error {
 	}
 
 	// Receive dataflow inputs (blocks until parents deliver).
-	in, err := ac.dm.receiveInputs()
+	in, err := ac.receiveInputs(ctx)
 	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
 		return err
 	}
 	if e.Console != nil { // re-check after possibly long waits
@@ -71,7 +62,7 @@ func (ac *appController) run(ctx context.Context) error {
 		return fmt.Errorf("exec: produced %d outputs, declared %d", len(outs), ac.task.OutPorts)
 	}
 	ac.app.storeOutputs(ac.task.ID, outs)
-	return ac.dm.sendOutputs(outs)
+	return ac.sendOutputs(outs)
 }
 
 // executeWithRescheduling runs the task, moving it to a new host when

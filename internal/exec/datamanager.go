@@ -1,140 +1,489 @@
 package exec
 
 import (
-	"encoding/gob"
+	"bufio"
+	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"vdce/internal/afg"
-	"vdce/internal/protocol"
+	"vdce/internal/store"
 	"vdce/internal/tasklib"
 )
 
-// dataManager is one task's endpoint of the socket-based point-to-point
-// communication system: a TCP listener for its dataflow inputs and
-// dialers toward its children.
-type dataManager struct {
-	run  *appRun
-	task *afg.Task
-	ln   net.Listener // nil when the task has no dataflow inputs
+// Every edge delivery is one frame in the layout of the WAL records in
+// internal/store/record.go — a 4-byte little-endian payload length, a
+// 4-byte CRC-32 (IEEE) of the payload, the payload — decoded with that
+// package's DecodeWALRecord and bounded by its MaxRecordSize. The
+// payload is a routing header (run sequence, to-task, to-port) followed
+// by the value in tasklib's wire form, whose first byte is the type tag.
+const (
+	frameHeader = 8
+	routeHeader = 16 // run uint64, to-task uint32, to-port uint32
+)
 
-	mu     sync.Mutex
-	closed bool
+// ErrEngineClosed is returned by Execute after Close, and fails every
+// run that is in flight when Close is called.
+var ErrEngineClosed = errors.New("exec: engine closed")
+
+// TransferStats is a snapshot of the engine's Data Manager tallies.
+type TransferStats struct {
+	// Frames and Bytes count edge deliveries written to a stream and the
+	// encoded value bytes they carried.
+	Frames, Bytes int64
+	// Dropped counts frames that arrived for a run no longer (or never)
+	// registered: deliveries in flight when their run was aborted.
+	Dropped int64
+	// Redials counts streams re-established after a failed write.
+	Redials int64
+	// Listening, Streams and Readers describe what the endpoint holds
+	// right now: its listener, the per-source-host connections dialed
+	// to it, and the goroutines reading the accepted ends. All are zero
+	// before the first run with dataflow edges and after Close.
+	Listening        bool
+	Streams, Readers int
 }
 
-// newDataManager sets up the communication endpoint for a task: the
-// paper's "communication proxy" activation plus channel setup. Opening
-// the listener and publishing its address is the acknowledgment.
-func newDataManager(run *appRun, task *afg.Task) (*dataManager, error) {
-	dm := &dataManager{run: run, task: task}
-	if len(run.g.InEdges(task.ID)) > 0 {
+// transferTallies are the counters behind TransferStats. They live in
+// the Engine, not the endpoint, so they survive Close.
+type transferTallies struct {
+	frames, bytes, dropped, redials atomic.Int64
+	listening                       atomic.Bool
+	streams, readers                atomic.Int32
+}
+
+// TransferStats reports the Data Manager tallies.
+func (e *Engine) TransferStats() TransferStats {
+	t := &e.transfer
+	return TransferStats{
+		Frames: t.frames.Load(), Bytes: t.bytes.Load(),
+		Dropped: t.dropped.Load(), Redials: t.redials.Load(),
+		Listening: t.listening.Load(),
+		Streams:   int(t.streams.Load()), Readers: int(t.readers.Load()),
+	}
+}
+
+// endpoint is the engine's Data Manager: one loopback listener every
+// run's deliveries arrive at, one persistent stream per source host
+// dialed to it, and the demux table that routes an arriving frame to
+// the input slot of the run and task it is addressed to.
+type endpoint struct {
+	tallies *transferTallies
+	ln      net.Listener
+	wg      sync.WaitGroup // the accept loop and every reader
+
+	mu      sync.Mutex
+	closed  bool
+	runs    map[uint64]*runInputs // the demux table, by run sequence
+	streams map[string]*stream    // by source host
+	conns   map[net.Conn]struct{} // accepted ends, for close
+}
+
+// dataManager returns the engine's endpoint, opening it on first use.
+func (e *Engine) dataManager() (*endpoint, error) {
+	e.dmMu.Lock()
+	defer e.dmMu.Unlock()
+	if e.closed.Load() {
+		return nil, ErrEngineClosed
+	}
+	if e.dm == nil {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, fmt.Errorf("exec: data manager listen for task %d: %w", task.ID, err)
+			return nil, fmt.Errorf("exec: data manager listen: %w", err)
 		}
-		dm.ln = ln
-		run.addrs.Store(task.ID, ln.Addr().String())
+		ep := &endpoint{
+			tallies: &e.transfer,
+			ln:      ln,
+			runs:    make(map[uint64]*runInputs),
+			streams: make(map[string]*stream),
+			conns:   make(map[net.Conn]struct{}),
+		}
+		e.transfer.listening.Store(true)
+		ep.wg.Add(1)
+		go ep.accept()
+		e.dm = ep
 	}
-	return dm, nil
+	return e.dm, nil
 }
 
-func (dm *dataManager) close() {
-	dm.mu.Lock()
-	defer dm.mu.Unlock()
-	if dm.closed {
+// Close releases the Data Manager endpoint: the listener, every stream
+// and every reader goroutine are gone when it returns. Runs still in
+// flight fail with ErrEngineClosed, and so does every later Execute.
+// Close is idempotent.
+func (e *Engine) Close() {
+	e.dmMu.Lock()
+	ep := e.dm
+	e.dm = nil
+	e.closed.Store(true)
+	e.dmMu.Unlock()
+	if ep != nil {
+		ep.close()
+	}
+}
+
+func (ep *endpoint) close() {
+	ep.mu.Lock()
+	ep.closed = true
+	runs, streams, conns := ep.runs, ep.streams, ep.conns
+	ep.runs, ep.streams, ep.conns = nil, nil, nil
+	ep.mu.Unlock()
+	// Runs fail first, so that ErrEngineClosed and not a sender's broken
+	// pipe is the error they report. With the listener gone no stream can
+	// redial once its connection is dropped.
+	for _, ri := range runs {
+		ri.fail(ErrEngineClosed)
+	}
+	ep.ln.Close()
+	for _, s := range streams {
+		s.mu.Lock()
+		s.drop()
+		s.mu.Unlock()
+	}
+	for c := range conns {
+		c.Close()
+	}
+	ep.wg.Wait()
+	ep.tallies.listening.Store(false)
+}
+
+func (ep *endpoint) accept() {
+	defer ep.wg.Done()
+	for {
+		conn, err := ep.ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
+		if err != nil {
+			// Out of descriptors, most likely: streams dialed meanwhile
+			// wait in the backlog until one frees up.
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		ep.mu.Lock()
+		if ep.closed {
+			ep.mu.Unlock()
+			conn.Close()
+			return
+		}
+		ep.conns[conn] = struct{}{}
+		ep.wg.Add(1)
+		ep.mu.Unlock()
+		go ep.read(conn)
+	}
+}
+
+// read is the receiving end of one stream. Any framing fault — a frame
+// cut short, a length beyond store.MaxRecordSize or too small to hold a
+// routing header, a checksum mismatch — tears the stream down: past it
+// no frame boundary can be trusted. The sender's next write fails and
+// redials.
+func (ep *endpoint) read(conn net.Conn) {
+	ep.tallies.readers.Add(1)
+	defer func() {
+		conn.Close()
+		ep.mu.Lock()
+		delete(ep.conns, conn)
+		ep.mu.Unlock()
+		ep.tallies.readers.Add(-1)
+		ep.wg.Done()
+	}()
+	br := bufio.NewReaderSize(conn, 32<<10)
+	var buf []byte
+	for {
+		var hdr [frameHeader]byte
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return
+		}
+		n := int(binary.LittleEndian.Uint32(hdr[0:4]))
+		if n > store.MaxRecordSize || n <= routeHeader {
+			return
+		}
+		if cap(buf) < frameHeader+n {
+			buf = make([]byte, frameHeader+n)
+		}
+		frame := buf[:frameHeader+n]
+		copy(frame, hdr[:])
+		if _, err := io.ReadFull(br, frame[frameHeader:]); err != nil {
+			return
+		}
+		payload, _, err := store.DecodeWALRecord(frame)
+		if err != nil {
+			return
+		}
+		ep.deliver(payload)
+	}
+}
+
+// deliver routes one checked payload to its input slot. It never
+// blocks: a slot is filled at most once, and a second delivery to it
+// fails the run instead of waiting for room.
+func (ep *endpoint) deliver(payload []byte) {
+	seq := binary.LittleEndian.Uint64(payload[0:8])
+	task := int(binary.LittleEndian.Uint32(payload[8:12]))
+	port := int(binary.LittleEndian.Uint32(payload[12:16]))
+	ep.mu.Lock()
+	ri := ep.runs[seq]
+	ep.mu.Unlock()
+	if ri == nil {
+		ep.tallies.dropped.Add(1)
 		return
 	}
-	dm.closed = true
-	if dm.ln != nil {
-		dm.ln.Close()
+	slot := ri.slot(task, port)
+	if slot == nil || slot.ready == nil {
+		ri.fail(fmt.Errorf("exec: task %d got unexpected port %d", task, port))
+		return
+	}
+	if !slot.filled.CompareAndSwap(false, true) {
+		ri.fail(fmt.Errorf("exec: task %d got port %d twice", task, port))
+		return
+	}
+	val, err := tasklib.DecodeValue(payload[routeHeader:])
+	if err != nil {
+		ri.fail(fmt.Errorf("exec: task %d payload: %w", task, err))
+		return
+	}
+	slot.val = val
+	close(slot.ready)
+}
+
+// register enters a run's input slots in the demux table. Doing so for
+// the whole run before any task starts is the paper's channel set-up
+// and acknowledgment: once the startup signal is given, every channel a
+// producer will write to already has its receiving end.
+func (ep *endpoint) register(ri *runInputs) error {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.closed {
+		return ErrEngineClosed
+	}
+	ep.runs[ri.seq] = ri
+	return nil
+}
+
+func (ep *endpoint) unregister(seq uint64) {
+	ep.mu.Lock()
+	delete(ep.runs, seq)
+	ep.mu.Unlock()
+}
+
+// streamFor returns the source host's stream, creating it (undialed) on
+// first use; nil once the endpoint is closed.
+func (ep *endpoint) streamFor(host string) *stream {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.closed {
+		return nil
+	}
+	s := ep.streams[host]
+	if s == nil {
+		s = &stream{ep: ep}
+		ep.streams[host] = s
+	}
+	return s
+}
+
+// runInputs is one run's entry in the demux table: a slot per input
+// port of every task, of which those with an in-edge expect a delivery.
+type runInputs struct {
+	seq   uint64
+	base  []int    // base[t] is the index in slots of task t's port 0
+	slots []inSlot // len(slots) == base[len(tasks)]
+	fail  func(error)
+}
+
+// inSlot is the receiving end of one edge: a one-value buffer the
+// reader fills and the consuming task's controller waits on.
+type inSlot struct {
+	ready  chan struct{} // closed once val is set; nil if no edge feeds the port
+	filled atomic.Bool   // claimed by the first delivery
+	val    tasklib.Value
+}
+
+// newRunInputs lays out the slots for g's edges.
+func newRunInputs(seq uint64, g *afg.Graph, fail func(error)) (*runInputs, error) {
+	ri := &runInputs{seq: seq, base: make([]int, len(g.Tasks)+1), fail: fail}
+	for i, t := range g.Tasks {
+		ri.base[i+1] = ri.base[i] + t.InPorts
+	}
+	ri.slots = make([]inSlot, ri.base[len(g.Tasks)])
+	for _, e := range g.Edges {
+		slot := ri.slot(int(e.To), e.ToPort)
+		if slot == nil || slot.ready != nil {
+			return nil, fmt.Errorf("exec: edge %d:%d -> %d:%d has no free input port to land on",
+				e.From, e.FromPort, e.To, e.ToPort)
+		}
+		slot.ready = make(chan struct{})
+	}
+	return ri, nil
+}
+
+// slot returns the slot of (task, port), or nil if the task has no such
+// port. A slot no edge feeds has a nil ready channel.
+func (ri *runInputs) slot(task, port int) *inSlot {
+	if task < 0 || task >= len(ri.base)-1 || port < 0 || port >= ri.base[task+1]-ri.base[task] {
+		return nil
+	}
+	return &ri.slots[ri.base[task]+port]
+}
+
+// inputsOf returns the slots of one task, indexed by port.
+func (ri *runInputs) inputsOf(task afg.TaskID) []inSlot {
+	return ri.slots[ri.base[task]:ri.base[task+1]]
+}
+
+// stream is one source host's persistent connection to the endpoint.
+// Tasks on a host run one at a time but deliver after releasing the
+// host, so writes are serialized by mu; buf is the frame under
+// construction, reused from send to send.
+type stream struct {
+	ep *endpoint
+
+	mu   sync.Mutex
+	conn net.Conn // nil until the first send and after a failed write
+	buf  []byte
+}
+
+// maxIdleFrameBuf caps the frame buffer a stream keeps between sends,
+// so one bulk transfer does not pin its size on every host for good.
+const maxIdleFrameBuf = 1 << 20
+
+// send delivers outs along edges (all leaving one task of run seq):
+// each out-port is encoded once into the stream's frame buffer, and the
+// routing header and checksum are rewritten in place for every edge
+// that fans out from it.
+func (s *stream) send(seq uint64, edges []afg.Edge, outs []tasklib.Value) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer func() {
+		if cap(s.buf) > maxIdleFrameBuf {
+			s.buf = nil
+		}
+	}()
+	for i, e := range edges {
+		if sentEarlier(edges[:i], e.FromPort) {
+			continue
+		}
+		if e.FromPort < 0 || e.FromPort >= len(outs) {
+			return fmt.Errorf("exec: task %d produced no output for port %d", e.From, e.FromPort)
+		}
+		frame := append(s.buf[:0], make([]byte, frameHeader+routeHeader)...)
+		frame, err := tasklib.AppendValue(frame, outs[e.FromPort])
+		s.buf = frame
+		if err != nil {
+			return err
+		}
+		payload := frame[frameHeader:]
+		if len(payload) > store.MaxRecordSize {
+			return fmt.Errorf("exec: task %d port %d: %d-byte value exceeds the %d-byte frame limit",
+				e.From, e.FromPort, len(payload)-routeHeader, store.MaxRecordSize-routeHeader)
+		}
+		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint64(payload[0:8], seq)
+		for _, f := range edges[i:] {
+			if f.FromPort != e.FromPort {
+				continue
+			}
+			binary.LittleEndian.PutUint32(payload[8:12], uint32(f.To))
+			binary.LittleEndian.PutUint32(payload[12:16], uint32(f.ToPort))
+			binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+			if err := s.write(frame); err != nil {
+				return fmt.Errorf("exec: send to child %d: %w", f.To, err)
+			}
+			s.ep.tallies.frames.Add(1)
+			s.ep.tallies.bytes.Add(int64(len(payload) - routeHeader))
+		}
+	}
+	return nil
+}
+
+func sentEarlier(edges []afg.Edge, port int) bool {
+	for _, e := range edges {
+		if e.FromPort == port {
+			return true
+		}
+	}
+	return false
+}
+
+// write puts one frame on the wire, dialing if the stream is down. A
+// failed write closes the connection and is retried once on a fresh
+// one; the second failure is the caller's error.
+func (s *stream) write(frame []byte) error {
+	for attempt := 0; ; attempt++ {
+		if s.conn == nil {
+			conn, err := net.Dial("tcp", s.ep.ln.Addr().String())
+			if err != nil {
+				return err
+			}
+			s.conn = conn
+			s.ep.tallies.streams.Add(1)
+		}
+		_, err := s.conn.Write(frame)
+		if err == nil {
+			return nil
+		}
+		s.drop()
+		if attempt == 1 {
+			return err
+		}
+		s.ep.tallies.redials.Add(1)
 	}
 }
 
-// receiveInputs accepts one connection per in-edge and returns the
-// decoded values indexed by input port. It blocks until all inputs have
-// arrived or the listener is closed (cancellation path).
-func (dm *dataManager) receiveInputs() ([]tasklib.Value, error) {
-	in := make([]tasklib.Value, dm.task.InPorts)
-	edges := dm.run.g.InEdges(dm.task.ID)
-	if len(edges) == 0 {
+// drop closes the connection, if any. The caller holds mu.
+func (s *stream) drop() {
+	if s.conn != nil {
+		s.conn.Close()
+		s.conn = nil
+		s.ep.tallies.streams.Add(-1)
+	}
+}
+
+// receiveInputs waits for the task's dataflow inputs and returns them
+// indexed by input port; ports no edge feeds stay nil. It gives up only
+// when the run is canceled — by the caller, by a failing sibling, or by
+// the endpoint rejecting a delivery addressed to this run.
+func (ac *appController) receiveInputs(ctx context.Context) ([]tasklib.Value, error) {
+	in := make([]tasklib.Value, ac.task.InPorts)
+	if ac.app.inputs == nil {
 		return in, nil
 	}
-	expect := make(map[int]bool, len(edges))
-	for _, e := range edges {
-		expect[e.ToPort] = true
-	}
-	for received := 0; received < len(edges); received++ {
-		conn, err := dm.ln.Accept()
-		if err != nil {
-			return nil, fmt.Errorf("exec: task %d input channel: %w", dm.task.ID, err)
+	slots := ac.app.inputs.inputsOf(ac.task.ID)
+	for port := range slots {
+		s := &slots[port]
+		if s.ready == nil {
+			continue
 		}
-		var env protocol.DataEnvelope
-		err = gob.NewDecoder(conn).Decode(&env)
-		conn.Close()
-		if err != nil {
-			return nil, fmt.Errorf("exec: task %d decode: %w", dm.task.ID, err)
+		select {
+		case <-s.ready:
+			in[port] = s.val
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		if env.AppID != dm.run.appID {
-			return nil, fmt.Errorf("exec: task %d got payload for app %q", dm.task.ID, env.AppID)
-		}
-		if !expect[env.ToPort] {
-			return nil, fmt.Errorf("exec: task %d got unexpected port %d", dm.task.ID, env.ToPort)
-		}
-		expect[env.ToPort] = false
-		val, err := tasklib.DecodeValue(env.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("exec: task %d payload: %w", dm.task.ID, err)
-		}
-		in[env.ToPort] = val
 	}
 	return in, nil
 }
 
-// sendOutputs dials each child's data manager and delivers the produced
-// values, one envelope per out-edge.
-func (dm *dataManager) sendOutputs(outs []tasklib.Value) error {
-	// Encode each out-port once; fan-out edges reuse the bytes.
-	encoded := make(map[int][]byte)
-	for _, e := range dm.run.g.OutEdges(dm.task.ID) {
-		payload, ok := encoded[e.FromPort]
-		if !ok {
-			if e.FromPort >= len(outs) {
-				return fmt.Errorf("exec: task %d produced no output for port %d", dm.task.ID, e.FromPort)
-			}
-			var err error
-			payload, err = tasklib.EncodeValue(outs[e.FromPort])
-			if err != nil {
-				return err
-			}
-			encoded[e.FromPort] = payload
-		}
-		addrVal, ok := dm.run.addrs.Load(e.To)
-		if !ok {
-			return fmt.Errorf("exec: task %d has no channel address for child %d", dm.task.ID, e.To)
-		}
-		if err := dm.sendOne(addrVal.(string), e, payload); err != nil {
-			return err
-		}
+// sendOutputs delivers the produced values to the task's children over
+// the stream of the host the task ran on.
+func (ac *appController) sendOutputs(outs []tasklib.Value) error {
+	if ac.app.inputs == nil {
+		return nil // a graph without edges has no Data Manager
 	}
-	return nil
-}
-
-func (dm *dataManager) sendOne(addr string, e afg.Edge, payload []byte) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("exec: dial child %d: %w", e.To, err)
+	edges := ac.app.g.OutEdges(ac.task.ID)
+	if len(edges) == 0 {
+		return nil
 	}
-	defer conn.Close()
-	env := protocol.DataEnvelope{
-		AppID:    dm.run.appID,
-		FromTask: int(e.From),
-		ToTask:   int(e.To),
-		ToPort:   e.ToPort,
-		Payload:  payload,
+	s := ac.app.dm.streamFor(ac.app.placement(ac.task.ID).Hosts[0])
+	if s == nil {
+		return ErrEngineClosed
 	}
-	if err := gob.NewEncoder(conn).Encode(&env); err != nil {
-		return fmt.Errorf("exec: send to child %d: %w", e.To, err)
-	}
-	return nil
+	return s.send(ac.app.inputs.seq, edges, outs)
 }

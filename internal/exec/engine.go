@@ -4,12 +4,20 @@
 // when a machine's load crosses the threshold; and the Data Manager, the
 // socket-based point-to-point communication system for inter-task data.
 //
-// The lifecycle follows §4 exactly: Data Managers create listening
-// sockets for every task with dataflow inputs, acknowledgments are
-// collected, the execution startup signal is broadcast, tasks run and
-// stream their outputs to their children over TCP, and each completed
+// The lifecycle follows §4. An Engine has one Data Manager endpoint — a
+// loopback TCP listener opened by the first run that has dataflow edges
+// and released by Close — and one persistent stream to it per source
+// host, so connections number O(hosts) however many runs, tasks and
+// edges pass through. Channel set-up for a run is entering its input
+// slots, one per in-edge, in the endpoint's demux table; when all are
+// entered (the acknowledgment) the execution startup signal is given.
+// Tasks run, each output crosses TCP as one length-prefixed, checksummed
+// frame addressed to (run, task, port), the endpoint's readers decode it
+// into the slot the consuming controller waits on, and each completed
 // execution is reported so the Site Manager can update the
-// task-performance database.
+// task-performance database. Leaving the run removes its slots: frames
+// still in flight for it are counted and dropped. A run whose graph has
+// no edges never touches the endpoint.
 package exec
 
 import (
@@ -92,9 +100,17 @@ type Engine struct {
 	liveMu sync.RWMutex
 	dead   map[string]bool
 
-	// appSeq disambiguates app IDs of same-named graphs submitted within
-	// the same nanosecond.
-	appSeq atomic.Int64
+	// dmMu guards dm, the Data Manager endpoint (datamanager.go): nil
+	// until a run with dataflow edges needs it and again after Close.
+	dmMu     sync.Mutex
+	dm       *endpoint
+	closed   atomic.Bool
+	transfer transferTallies
+
+	// appSeq numbers the runs: it disambiguates app IDs of same-named
+	// graphs submitted within the same nanosecond and is the run sequence
+	// data frames are addressed to.
+	appSeq atomic.Uint64
 	// inFlight/peakInFlight gauge how many applications execute
 	// simultaneously.
 	inFlight     atomic.Int32
@@ -107,22 +123,17 @@ type Engine struct {
 // sorted order so multi-host (parallel) tasks cannot deadlock against
 // each other. The returned function releases them.
 func (e *Engine) lockHosts(hosts []string) func() {
+	if len(hosts) == 1 {
+		l := e.hostLock(hosts[0])
+		l.Lock()
+		return l.Unlock
+	}
 	sorted := append([]string(nil), hosts...)
 	sort.Strings(sorted)
-	locks := make([]*sync.Mutex, 0, len(sorted))
-	e.lockMu.Lock()
-	if e.hostLocks == nil {
-		e.hostLocks = make(map[string]*sync.Mutex)
+	locks := make([]*sync.Mutex, len(sorted))
+	for i, h := range sorted {
+		locks[i] = e.hostLock(h)
 	}
-	for _, h := range sorted {
-		l, ok := e.hostLocks[h]
-		if !ok {
-			l = &sync.Mutex{}
-			e.hostLocks[h] = l
-		}
-		locks = append(locks, l)
-	}
-	e.lockMu.Unlock()
 	for _, l := range locks {
 		l.Lock()
 	}
@@ -131,6 +142,21 @@ func (e *Engine) lockHosts(hosts []string) func() {
 			locks[i].Unlock()
 		}
 	}
+}
+
+// hostLock returns the machine's lock, creating it on first use.
+func (e *Engine) hostLock(host string) *sync.Mutex {
+	e.lockMu.Lock()
+	defer e.lockMu.Unlock()
+	l, ok := e.hostLocks[host]
+	if !ok {
+		if e.hostLocks == nil {
+			e.hostLocks = make(map[string]*sync.Mutex)
+		}
+		l = &sync.Mutex{}
+		e.hostLocks[host] = l
+	}
+	return l
 }
 
 // PeakConcurrency reports the maximum number of applications the engine
@@ -313,6 +339,9 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	if e.Reg == nil || e.TB == nil {
 		return nil, errors.New("exec: engine needs Reg and TB")
 	}
+	if e.closed.Load() {
+		return nil, ErrEngineClosed
+	}
 	if err := table.Validate(g); err != nil {
 		return nil, err
 	}
@@ -338,7 +367,10 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	for _, opt := range opts {
 		opt(&eo)
 	}
-	appID := fmt.Sprintf("%s-%d-%d", g.Name, time.Now().UnixNano(), e.appSeq.Add(1))
+	seq := e.appSeq.Add(1)
+	appID := fmt.Sprintf("%s-%d-%d", g.Name, time.Now().UnixNano(), seq)
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	run := &appRun{
 		engine:      e,
 		g:           g,
@@ -346,6 +378,7 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		maxAttempts: maxAttempts,
 		checkPeriod: checkPeriod,
 		sink:        eo.sink,
+		cancel:      cancel,
 		placements:  make(map[afg.TaskID]*core.Placement, len(table.Entries)),
 		outputs:     make(map[afg.TaskID][]tasklib.Value, len(g.Tasks)),
 		failedSeen:  make(map[string]bool),
@@ -354,54 +387,51 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		p := table.Entries[i]
 		run.placements[p.Task] = &p
 	}
-
-	// Phase 1 (Data Manager setup): every task with dataflow inputs
-	// opens its listening socket; the "resource allocation information,
-	// including the socket number [and] IP address" is assembled for the
-	// producers. Socket setup completing for all tasks is the paper's
-	// acknowledgment collection.
 	controllers := make([]*appController, 0, len(g.Tasks))
 	for _, task := range g.Tasks {
 		ac, err := newAppController(run, task)
 		if err != nil {
-			run.closeAll(controllers)
 			return nil, err
 		}
 		controllers = append(controllers, ac)
 	}
 
-	// Phase 2: the execution startup signal.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Cancellation path: controllers parked in receiveInputs block in
-	// Accept and never observe the context, so close every listener the
-	// moment the run is canceled (a task failure or a caller abort).
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-runCtx.Done():
-			run.closeAll(controllers)
-		case <-watchDone:
+	// Phase 1 (Data Manager set-up): every in-edge of the run gets its
+	// input slot in the endpoint's demux table — the receiving end of the
+	// channel, addressed by (run sequence, task, port), which is this
+	// transport's "socket number [and] IP address". All slots being
+	// registered is the paper's acknowledgment collection.
+	if len(g.Edges) > 0 {
+		dm, err := e.dataManager()
+		if err != nil {
+			return nil, err
 		}
-	}()
+		inputs, err := newRunInputs(seq, g, run.fail)
+		if err != nil {
+			return nil, err
+		}
+		if err := dm.register(inputs); err != nil {
+			return nil, err
+		}
+		defer dm.unregister(seq)
+		run.dm, run.inputs = dm, inputs
+	}
+
+	// Phase 2: the execution startup signal.
 	start := time.Now()
 	var wg sync.WaitGroup
-	errCh := make(chan error, len(controllers))
 	for _, ac := range controllers {
 		wg.Add(1)
 		go func(ac *appController) {
 			defer wg.Done()
 			if err := ac.run(runCtx); err != nil {
-				errCh <- fmt.Errorf("task %d (%s): %w", ac.task.ID, ac.task.Name, err)
-				cancel() // one permanent failure aborts the application
+				// One permanent failure aborts the application.
+				run.fail(fmt.Errorf("task %d (%s): %w", ac.task.ID, ac.task.Name, err))
 			}
 		}(ac)
 	}
 	wg.Wait()
-	close(errCh)
-	run.closeAll(controllers)
-	if err := <-errCh; err != nil {
+	if err := run.failure(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -428,15 +458,38 @@ type appRun struct {
 	maxAttempts int
 	checkPeriod time.Duration
 	sink        func(Event) // optional recovery-event stream
+	cancel      context.CancelFunc
+	// dm and inputs are the run's Data Manager registration; both nil
+	// when the graph has no dataflow edges.
+	dm     *endpoint
+	inputs *runInputs
 
 	mu          sync.Mutex
+	err         error // the first failure; it aborts the run
 	placements  map[afg.TaskID]*core.Placement
 	outputs     map[afg.TaskID][]tasklib.Value
 	runs        []TaskRun
 	rescheduled int64
 	failedHosts []string
 	failedSeen  map[string]bool
-	addrs       sync.Map // afg.TaskID -> listen address
+}
+
+// fail records the run's first failure and cancels everything still
+// running or parked on inputs. Task controllers call it, and so does
+// the Data Manager when it rejects a delivery addressed to the run.
+func (r *appRun) fail(err error) {
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = err
+	}
+	r.mu.Unlock()
+	r.cancel()
+}
+
+func (r *appRun) failure() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
 }
 
 // emit streams one recovery event to the run's sink, if any.
@@ -498,10 +551,4 @@ func (r *appRun) storeOutputs(id afg.TaskID, vals []tasklib.Value) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.outputs[id] = vals
-}
-
-func (r *appRun) closeAll(controllers []*appController) {
-	for _, ac := range controllers {
-		ac.dm.close()
-	}
 }

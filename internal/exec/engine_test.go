@@ -46,16 +46,13 @@ func newRig(t *testing.T, hosts int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{
-		tb:   tb,
-		site: local,
-		net:  net,
-		engine: &Engine{
-			Reg:        tasklib.Default(),
-			TB:         tb,
-			Reschedule: NewRescheduler([]*core.LocalSite{local}),
-		},
+	engine := &Engine{
+		Reg:        tasklib.Default(),
+		TB:         tb,
+		Reschedule: NewRescheduler([]*core.LocalSite{local}),
 	}
+	t.Cleanup(engine.Close)
+	return &rig{tb: tb, site: local, net: net, engine: engine}
 }
 
 func (r *rig) schedule(t *testing.T, g *afg.Graph) *core.AllocationTable {

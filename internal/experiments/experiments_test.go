@@ -175,13 +175,19 @@ func TestE9Runs(t *testing.T) {
 }
 
 func TestE10MovesPayloads(t *testing.T) {
-	tbl, err := E10DataManager([]int{32, 128})
+	sizes := []int{32, 128}
+	tbl, err := E10DataManager(sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tbl.Rows {
+	for i, row := range tbl.Rows {
 		if atof(t, row[2]) <= 0 {
 			t.Fatalf("throughput row %v", row)
+		}
+		// The payload crossed the socket: the engine counted at least
+		// the matrix's n*n*8 bytes onto its stream for this row.
+		if wire, payload := atof(t, row[3]), float64(sizes[i]*sizes[i]*8); wire < payload {
+			t.Fatalf("row %v: %v wire bytes for a %v-byte payload", row, wire, payload)
 		}
 	}
 }

@@ -2,10 +2,9 @@
 // host-selection requests between Application Schedulers (the AFG
 // multicast of Fig. 2), monitoring and failure reports flowing from
 // Group Managers to Site Managers, execution records closing the
-// prediction feedback loop, and the envelope format Data Manager
-// channels use for inter-task payloads. Transport is Go's net/rpc over
-// TCP for control traffic and raw gob-framed TCP sockets for data
-// channels.
+// prediction feedback loop. Transport is Go's net/rpc over TCP. Data
+// Manager channels carry inter-task payloads in their own framing,
+// defined where it is used, in internal/exec.
 package protocol
 
 import (
@@ -83,17 +82,6 @@ type ResourceQuery struct {
 // ResourceList is the query result.
 type ResourceList struct {
 	Hosts []repository.ResourceInfo
-}
-
-// DataEnvelope frames one inter-task payload on a Data Manager channel:
-// which application run it belongs to, which graph edge it travels, and
-// the gob-encoded value.
-type DataEnvelope struct {
-	AppID    string
-	FromTask int
-	ToTask   int
-	ToPort   int
-	Payload  []byte
 }
 
 // DSMRequest is one distributed-shared-memory operation against a site's

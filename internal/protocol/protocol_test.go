@@ -61,15 +61,6 @@ func TestWorkloadBatchGob(t *testing.T) {
 	}
 }
 
-func TestDataEnvelopeGob(t *testing.T) {
-	in := DataEnvelope{AppID: "a", FromTask: 1, ToTask: 2, ToPort: 3, Payload: []byte{1, 2, 3}}
-	var out DataEnvelope
-	roundTrip(t, in, &out)
-	if out.AppID != "a" || out.ToPort != 3 || len(out.Payload) != 3 {
-		t.Fatalf("round trip lost data: %+v", out)
-	}
-}
-
 func TestNoticesGob(t *testing.T) {
 	var f FailureNotice
 	roundTrip(t, FailureNotice{Host: "h", Group: "g", Detected: time.Unix(1, 0).UTC()}, &f)

@@ -8,8 +8,6 @@
 package tasklib
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strconv"
@@ -20,44 +18,17 @@ import (
 )
 
 // Value is one unit of inter-task data: whatever flows along an AFG edge.
-// Concrete types are gob-registered so the Data Manager can move values
-// across TCP channels.
+// The concrete types the libraries exchange — *linalg.Matrix, *LUResult,
+// []float64, []Track, []Threat, float64, string, []byte, []dsp.Peak and
+// []complex128 — have a wire form (codec.go) so the Data Manager can
+// move them across TCP channels.
 type Value any
-
-func init() {
-	gob.Register(&linalg.Matrix{})
-	gob.Register(&LUResult{})
-	gob.Register([]float64(nil))
-	gob.Register([]Track(nil))
-	gob.Register([]Threat(nil))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register([]byte(nil))
-}
 
 // LUResult carries an LU decomposition between tasks.
 type LUResult struct {
 	L, U  *linalg.Matrix
 	Perm  []int
 	Swaps int
-}
-
-// EncodeValue gob-encodes a Value for transport.
-func EncodeValue(v Value) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, fmt.Errorf("tasklib: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeValue reverses EncodeValue.
-func DecodeValue(data []byte) (Value, error) {
-	var v Value
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("tasklib: decode: %w", err)
-	}
-	return v, nil
 }
 
 // Context is what a running task sees: its inputs (one per input port),

@@ -168,6 +168,26 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 			_, parked := env.Engine.RetryStats()
 			emit(float64(parked))
 		})
+	reg.CounterFunc("vdce_exec_frames_total",
+		"Edge deliveries written to a Data Manager stream.", nil,
+		func(emit func(v float64, labelVals ...string)) {
+			emit(float64(env.Engine.TransferStats().Frames))
+		})
+	reg.CounterFunc("vdce_exec_transfer_bytes_total",
+		"Encoded value bytes carried by Data Manager frames.", nil,
+		func(emit func(v float64, labelVals ...string)) {
+			emit(float64(env.Engine.TransferStats().Bytes))
+		})
+	reg.CounterFunc("vdce_exec_frames_dropped_total",
+		"Data Manager frames that arrived for a run no longer registered (aborted mid-delivery).", nil,
+		func(emit func(v float64, labelVals ...string)) {
+			emit(float64(env.Engine.TransferStats().Dropped))
+		})
+	reg.CounterFunc("vdce_exec_channel_redials_total",
+		"Data Manager streams re-established after a failed write.", nil,
+		func(emit func(v float64, labelVals ...string)) {
+			emit(float64(env.Engine.TransferStats().Redials))
+		})
 	reg.CounterFunc("vdce_scheduler_rankcache_total",
 		"Ranked-host cache counters summed across sites, by event.",
 		[]string{"event"},

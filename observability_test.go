@@ -234,6 +234,10 @@ func TestMetricsExpositionEndToEnd(t *testing.T) {
 		"vdce_job_phase_seconds_bucket",
 		"vdce_exec_dispatch_concurrency",
 		"vdce_exec_retries_total",
+		"vdce_exec_frames_total",
+		"vdce_exec_transfer_bytes_total",
+		"vdce_exec_frames_dropped_total",
+		"vdce_exec_channel_redials_total",
 		"vdce_breaker_hosts",
 		"vdce_wal_append_seconds_bucket",
 		"vdce_wal_fsync_batch_records_count",

@@ -506,6 +506,11 @@ func (env *Environment) shutdown(graceful bool) {
 	if env.pipe != nil {
 		env.pipe.stop()
 	}
+	// The pipeline has settled every job; what is left of the data plane
+	// is the Data Manager's listener, streams and readers.
+	if env.Engine != nil {
+		env.Engine.Close()
+	}
 	env.mu.Lock()
 	clients := env.remoteClients
 	env.remoteClients = nil

@@ -2,11 +2,13 @@ package vdce
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"vdce/internal/core"
+	"vdce/internal/exec"
 	"vdce/internal/repository"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
@@ -68,6 +70,51 @@ func TestEnvironmentEndToEndRPC(t *testing.T) {
 	report := res.Outputs[g.Exits()[0]][0].(string)
 	if !strings.Contains(report, "C3I THREAT REPORT") {
 		t.Fatalf("report = %q", report)
+	}
+}
+
+// TestShutdownReleasesTheDataManager: a run with dataflow edges opens
+// the engine's Data Manager; Close and Crash both leave no listener, no
+// stream and no reader goroutine behind. The evidence is the engine's
+// own tallies, which the /metrics series are bridged from.
+func TestShutdownReleasesTheDataManager(t *testing.T) {
+	for name, stop := range map[string]func(*Environment){
+		"close": (*Environment).Close, "crash": (*Environment).Crash,
+	} {
+		t.Run(name, func(t *testing.T) {
+			env := newEnv(t, Config{
+				Testbed: testbed.Config{Sites: 1, HostsPerGroup: 4, Seed: 24, BaseLoadMax: 0.2},
+			})
+			g, err := tasklib.BuildC3IPipeline(8, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := env.Run(context.Background(), g, 0); err != nil {
+				t.Fatal(err)
+			}
+			st := env.Engine.TransferStats()
+			if !st.Listening || st.Streams < 1 || st.Readers < 1 || st.Frames != int64(len(g.Edges)) || st.Bytes <= 0 {
+				t.Fatalf("after a %d-edge run: %+v", len(g.Edges), st)
+			}
+			for series, want := range map[string]int64{
+				"vdce_exec_frames_total":          st.Frames,
+				"vdce_exec_transfer_bytes_total":  st.Bytes,
+				"vdce_exec_frames_dropped_total":  0,
+				"vdce_exec_channel_redials_total": 0,
+			} {
+				if got := env.Obs.Total(series); got != float64(want) {
+					t.Errorf("%s = %v, want %d", series, got, want)
+				}
+			}
+			stop(env)
+			st = env.Engine.TransferStats()
+			if st.Listening || st.Streams != 0 || st.Readers != 0 {
+				t.Fatalf("after shutdown: %+v", st)
+			}
+			if _, _, err := env.Run(context.Background(), g, 0); !errors.Is(err, exec.ErrEngineClosed) {
+				t.Fatalf("run after shutdown: %v, want ErrEngineClosed", err)
+			}
+		})
 	}
 }
 
