@@ -270,10 +270,17 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 			_ = json.NewEncoder(w).Encode(map[string]string{"error": "editor: not authenticated"})
 			return
 		}
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"jobs":   env.Jobs(),
-			"counts": env.Board.Counts(),
-		})
+		// Statuses leave in their one wire form (the counts are not
+		// statuses); an empty board has always been "jobs":null here.
+		counts, _ := json.Marshal(env.Board.Counts()) // a map[string]int cannot fail
+		body := append([]byte(`{"counts":`), counts...)
+		body = append(body, `,"jobs":`...)
+		if jobs := env.Jobs(); len(jobs) == 0 {
+			body = append(body, "null"...)
+		} else {
+			body = jobsapi.AppendJobs(body, jobs)
+		}
+		_, _ = w.Write(append(body, "}\n"...))
 	})
 
 	// The debug listener is a second, separately-bindable surface so

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"vdce/internal/services"
 	"vdce/internal/tasklib"
 )
 
@@ -130,12 +132,24 @@ func TestServerServesSubmissionsAndJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var jobs struct {
-		Jobs   []map[string]any `json:"jobs"`
-		Counts map[string]int   `json:"counts"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var jobs struct {
+		Jobs   []services.JobStatus `json:"jobs"`
+		Counts map[string]int       `json:"counts"`
+	}
+	if err := json.Unmarshal(raw, &jobs); err != nil {
+		t.Fatal(err)
+	}
+	// The dump is byte for byte what encoding/json renders for it.
+	var ref bytes.Buffer
+	if err := json.NewEncoder(&ref).Encode(map[string]any{"jobs": jobs.Jobs, "counts": jobs.Counts}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, ref.Bytes()) {
+		t.Fatalf("/jobs dump\n got %s\nwant %s", raw, ref.Bytes())
 	}
 	if len(jobs.Jobs) != 1 {
 		t.Fatalf("jobs endpoint lists %d jobs, want 1: %+v", len(jobs.Jobs), jobs)

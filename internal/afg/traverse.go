@@ -6,43 +6,98 @@ import (
 )
 
 // TopoSort returns the task IDs in a topological order (Kahn's
-// algorithm; ties broken by ascending ID for determinism). It returns
-// ErrCycle if the graph is not a DAG.
+// algorithm; ties broken by ascending ID for determinism, so the result
+// is the lexicographically smallest order). It returns ErrCycle if the
+// graph is not a DAG.
 func (g *Graph) TopoSort() ([]TaskID, error) {
-	n := len(g.Tasks)
-	indeg := make([]int, n)
-	adj := make([][]TaskID, n)
+	order, _, _, err := g.kahn()
+	return order, err
+}
+
+// kahn computes the topological order together with the adjacency it
+// walked, in compressed sparse row form: the children of task i are
+// child[start[i]:start[i+1]], in edge insertion order. Everything lives
+// in one allocation — order, the ready heap, in-degrees, row starts and
+// children — so the returned slices keep each other alive.
+func (g *Graph) kahn() (order, start, child []TaskID, err error) {
+	n, m := len(g.Tasks), len(g.Edges)
+	buf := make([]TaskID, 4*n+2+m)
+	order, ready, indeg := buf[:0:n], buf[n:n:2*n], buf[2*n:3*n]
+	start, child = buf[3*n:4*n+2], buf[4*n+2:]
+	// Row sizes are counted two slots to the right, summed so that
+	// start[i+1] is where row i begins, and each placed child then
+	// advances start[i+1] to where row i ends — which is where row i+1
+	// begins, leaving start[i] the beginning of row i.
 	for _, e := range g.Edges {
 		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
-			return nil, fmt.Errorf("afg: edge %v out of range", e)
+			return nil, nil, nil, fmt.Errorf("afg: edge %v out of range", e)
 		}
 		indeg[e.To]++
-		adj[e.From] = append(adj[e.From], e.To)
+		start[e.From+2]++
 	}
-	// Min-heap-free deterministic Kahn: keep the frontier sorted.
-	var frontier []TaskID
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	for _, e := range g.Edges {
+		child[start[e.From+1]] = e.To
+		start[e.From+1]++
+	}
+	start = start[:n+1]
+	// Ascending IDs are already a valid min-heap.
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			frontier = append(frontier, TaskID(i))
+			ready = append(ready, TaskID(i))
 		}
 	}
-	order := make([]TaskID, 0, n)
-	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-		id := frontier[0]
-		frontier = frontier[1:]
+	for len(ready) > 0 {
+		id := ready[0]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		siftDown(ready)
 		order = append(order, id)
-		for _, c := range adj[id] {
+		for _, c := range child[start[id]:start[id+1]] {
 			indeg[c]--
 			if indeg[c] == 0 {
-				frontier = append(frontier, c)
+				ready = append(ready, c)
+				siftUp(ready)
 			}
 		}
 	}
 	if len(order) != n {
-		return nil, ErrCycle
+		return nil, nil, nil, ErrCycle
 	}
-	return order, nil
+	return order, start, child, nil
+}
+
+// siftUp restores the min-heap after an append.
+func siftUp(h []TaskID) {
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+// siftDown restores the min-heap after the root was replaced.
+func siftDown(h []TaskID) {
+	for i := 0; ; {
+		small := i
+		if l := 2*i + 1; l < len(h) && h[l] < h[small] {
+			small = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r] < h[small] {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
 }
 
 // CostFunc supplies the computation cost of a task "on the base
@@ -55,21 +110,17 @@ type CostFunc func(TaskID) float64
 // to computation costs, as the paper specifies). The node with the higher
 // level has the higher scheduling priority.
 func (g *Graph) Levels(cost CostFunc) ([]float64, error) {
-	order, err := g.TopoSort()
+	order, start, child, err := g.kahn()
 	if err != nil {
 		return nil, err
 	}
 	n := len(g.Tasks)
 	levels := make([]float64, n)
-	children := make([][]TaskID, n)
-	for _, e := range g.Edges {
-		children[e.From] = append(children[e.From], e.To)
-	}
 	// Walk in reverse topological order so children are final first.
 	for i := n - 1; i >= 0; i-- {
 		id := order[i]
 		var best float64
-		for _, c := range children[id] {
+		for _, c := range child[start[id]:start[id+1]] {
 			if levels[c] > best {
 				best = levels[c]
 			}

@@ -1,7 +1,11 @@
 package afg
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -241,5 +245,124 @@ func TestReadySetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(8))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// topoSortReference is the TopoSort this package shipped before the
+// CSR pass: Kahn with the frontier re-sorted before every pop. It stays
+// as the specification of the deterministic smallest-ID order.
+func topoSortReference(g *Graph) ([]TaskID, error) {
+	n := len(g.Tasks)
+	indeg := make([]int, n)
+	adj := make([][]TaskID, n)
+	for _, e := range g.Edges {
+		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+			return nil, fmt.Errorf("afg: edge %v out of range", e)
+		}
+		indeg[e.To]++
+		adj[e.From] = append(adj[e.From], e.To)
+	}
+	var frontier []TaskID
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			frontier = append(frontier, TaskID(i))
+		}
+	}
+	order := make([]TaskID, 0, n)
+	for len(frontier) > 0 {
+		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+		id := frontier[0]
+		frontier = frontier[1:]
+		order = append(order, id)
+		for _, c := range adj[id] {
+			indeg[c]--
+			if indeg[c] == 0 {
+				frontier = append(frontier, c)
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, ErrCycle
+	}
+	return order, nil
+}
+
+// scrambledGraph builds n tasks whose edges follow a random permutation
+// (so IDs carry no topological information), with parallel edges, and —
+// one time in four — a back edge or an out-of-range endpoint.
+func scrambledGraph(rng *rand.Rand, n int) *Graph {
+	g := NewGraph("scrambled")
+	for i := 0; i < n; i++ {
+		g.AddTask("T", "l", n, n)
+	}
+	rank := rng.Perm(n)
+	for e := rng.Intn(3*n + 1); e > 0; e-- {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if rank[a] == rank[b] {
+			continue
+		}
+		if rank[a] > rank[b] {
+			a, b = b, a
+		}
+		g.Edges = append(g.Edges, Edge{From: TaskID(a), To: TaskID(b)})
+	}
+	switch rng.Intn(8) {
+	case 0:
+		if len(g.Edges) > 0 { // close a cycle over an existing edge
+			e := g.Edges[rng.Intn(len(g.Edges))]
+			g.Edges = append(g.Edges, Edge{From: e.To, To: e.From})
+		}
+	case 1:
+		g.Edges = append(g.Edges, Edge{From: TaskID(rng.Intn(n)), To: TaskID(n + rng.Intn(2))})
+	}
+	return g
+}
+
+// Property: the CSR TopoSort is the reference TopoSort — same order on
+// every DAG, ErrCycle and the range error on the same inputs.
+func TestTopoSortMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var cycles, dags int
+	for i := 0; i < 2000; i++ {
+		g := scrambledGraph(rng, rng.Intn(40)+1)
+		want, wantErr := topoSortReference(g)
+		got, err := g.TopoSort()
+		switch {
+		case wantErr != nil:
+			if err == nil || err.Error() != wantErr.Error() || errors.Is(err, ErrCycle) != errors.Is(wantErr, ErrCycle) {
+				t.Fatalf("graph %d: error %v, reference %v", i, err, wantErr)
+			}
+			cycles++
+		case err != nil:
+			t.Fatalf("graph %d: %v, reference sorted it", i, err)
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("graph %d: order %v, reference %v (edges %v)", i, got, want, g.Edges)
+		default:
+			dags++
+		}
+	}
+	if cycles < 100 || dags < 1000 {
+		t.Fatalf("generator drifted: %d rejected, %d sorted", cycles, dags)
+	}
+	if order, err := NewGraph("empty").TopoSort(); err != nil || len(order) != 0 {
+		t.Fatalf("empty graph: %v, %v", order, err)
+	}
+}
+
+// TestTopoSortAllocBudget pins the one-buffer design: the whole pass —
+// order, heap, in-degrees, adjacency — is a single allocation whatever
+// the graph's size (the reference made one per task with children plus
+// one per sort call).
+func TestTopoSortAllocBudget(t *testing.T) {
+	for _, n := range []int{6, 200} {
+		g := randomDAG(rand.New(rand.NewSource(int64(n))), n)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := g.TopoSort(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("%d tasks: TopoSort allocates %.0f times, budget 2", n, allocs)
+		}
 	}
 }

@@ -8,22 +8,22 @@
 package editor
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-
 	"time"
 
 	"vdce/internal/afg"
+	"vdce/internal/jobsapi"
 	"vdce/internal/repository"
 	"vdce/internal/services"
 	"vdce/internal/tasklib"
@@ -132,9 +132,24 @@ type Server struct {
 	nextApp  int
 }
 
+// appInProgress is one application under construction. graph is what
+// edit requests mutate; frozen is the validated deep copy submissions
+// hand to the scheduler, made by the first submit after an edit and
+// shared, read-only, by every submit until the next edit drops it. edits
+// counts mutations so a copy made outside the lock is only kept if no
+// edit raced it. All fields but owner are guarded by Server.mu.
 type appInProgress struct {
-	owner string
-	graph *afg.Graph
+	owner  string
+	graph  *afg.Graph
+	frozen *afg.Graph
+	edits  uint64
+}
+
+// edited records a mutation of the application's graph; caller holds
+// Server.mu.
+func (a *appInProgress) edited() {
+	a.frozen = nil
+	a.edits++
 }
 
 // NewServer wires an editor over the given accounts database and task
@@ -148,6 +163,11 @@ func NewServer(users *repository.UserAccountsDB, reg *tasklib.Registry, submit S
 		apps:     make(map[string]*appInProgress),
 	}
 }
+
+// MaxBodyBytes bounds every request body the editor reads; a larger one
+// is answered 413. An imported flow graph is the largest legitimate body
+// (a 10,000-task graph is under 4 MiB).
+const MaxBodyBytes = 8 << 20
 
 // Handler returns the editor's HTTP mux.
 func (s *Server) Handler() http.Handler {
@@ -183,11 +203,17 @@ func (s *Server) Handler() http.Handler {
 		// owners) instead of a mux 404.
 		mux.Handle("PATCH /v1/owners/{owner}", s.Jobs)
 	}
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // --- helpers ---
 
+// writeJSON answers with anything that is not a job status; the one
+// status the editor emits (the submit answer) goes through
+// jobsapi.WriteJob.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -196,6 +222,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// writeBodyErr answers a request whose body could not be read or
+// parsed: 413 when it ran over MaxBodyBytes, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, err)
 }
 
 func newToken() string {
@@ -270,7 +307,7 @@ type loginRequest struct {
 func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 	var req loginRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeBodyErr(w, err)
 		return
 	}
 	acct, err := s.Users.Authenticate(req.User, req.Password)
@@ -324,7 +361,7 @@ func (s *Server) handleCreateApp(w http.ResponseWriter, r *http.Request, user st
 		Name string `json:"name"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeBodyErr(w, err)
 		return
 	}
 	if req.Name == "" {
@@ -378,9 +415,9 @@ func (s *Server) handleDeleteApp(w http.ResponseWriter, r *http.Request, user st
 // handleImport accepts a complete AFG as JSON (the format EncodeJSON
 // emits), validating it before registration — the CLI submission path.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, user string) {
-	body, err := json.Marshal(json.RawMessage(mustReadAll(r)))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeBodyErr(w, err)
 		return
 	}
 	g, err := afg.DecodeJSON(body)
@@ -395,12 +432,6 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request, user strin
 	s.apps[id] = &appInProgress{owner: user, graph: g}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, map[string]string{"id": id})
-}
-
-func mustReadAll(r *http.Request) []byte {
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(r.Body)
-	return buf.Bytes()
 }
 
 func (s *Server) handleGetApp(w http.ResponseWriter, r *http.Request, user string) {
@@ -422,7 +453,7 @@ func (s *Server) handleAddTask(w http.ResponseWriter, r *http.Request, user stri
 		Name string `json:"name"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeBodyErr(w, err)
 		return
 	}
 	spec, err := s.Registry.Get(req.Name)
@@ -432,6 +463,7 @@ func (s *Server) handleAddTask(w http.ResponseWriter, r *http.Request, user stri
 	}
 	s.mu.Lock()
 	id := app.graph.AddTask(spec.Name, spec.Library, spec.InPorts, spec.OutPorts)
+	app.edited()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, map[string]int{"task": int(id)})
 }
@@ -450,11 +482,12 @@ func (s *Server) handleAddEdge(w http.ResponseWriter, r *http.Request, user stri
 		Size     int64 `json:"size_bytes"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeBodyErr(w, err)
 		return
 	}
 	s.mu.Lock()
 	err = app.graph.Connect(afg.TaskID(req.From), req.FromPort, afg.TaskID(req.To), req.ToPort, req.Size)
+	app.edited()
 	s.mu.Unlock()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -474,11 +507,12 @@ func (s *Server) handleSetProps(w http.ResponseWriter, r *http.Request, user str
 		Props afg.Properties `json:"props"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeBodyErr(w, err)
 		return
 	}
 	s.mu.Lock()
 	err = app.graph.SetProps(afg.TaskID(req.Task), req.Props)
+	app.edited()
 	s.mu.Unlock()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -487,17 +521,37 @@ func (s *Server) handleSetProps(w http.ResponseWriter, r *http.Request, user str
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// snapshotGraph deep-copies an application's graph under the server
-// lock (via a JSON round trip), so the submission pipeline never shares
-// structure with a graph later edit requests keep mutating.
+// snapshotGraph returns the application's frozen graph: a validated
+// deep copy (one JSON round trip, the encode under the server lock) that
+// shares no structure with the graph edit requests keep mutating. The
+// copy is made once per edit; submissions of an unedited application all
+// receive the same pointer, which the pipeline only reads.
 func (s *Server) snapshotGraph(app *appInProgress) (*afg.Graph, error) {
 	s.mu.Lock()
+	if g := app.frozen; g != nil {
+		s.mu.Unlock()
+		return g, nil
+	}
+	edits := app.edits
 	data, err := app.graph.EncodeJSON()
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return afg.DecodeJSON(data)
+	g, err := afg.DecodeJSON(data) // validates
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if app.edits != edits {
+		// An edit landed meanwhile: g is this submission's private copy.
+		return g, nil
+	}
+	if app.frozen == nil {
+		app.frozen = g
+	}
+	return app.frozen, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, user string) {
@@ -508,10 +562,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, user strin
 	}
 	g, err := s.snapshotGraph(app)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := g.Validate(); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -553,7 +603,7 @@ func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request, user str
 	var req submitV1Request
 	if r.Body != nil && r.ContentLength != 0 {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeBodyErr(w, err)
 			return
 		}
 	}
@@ -563,10 +613,6 @@ func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request, user str
 	}
 	g, err := s.snapshotGraph(app)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := g.Validate(); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -602,5 +648,5 @@ func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request, user str
 		writeErr(w, code, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"job": status})
+	jobsapi.WriteJob(w, http.StatusAccepted, status)
 }

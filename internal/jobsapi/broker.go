@@ -1,6 +1,7 @@
 package jobsapi
 
 import (
+	"strconv"
 	"sync"
 
 	"vdce/internal/obs"
@@ -44,6 +45,17 @@ type StreamEvent struct {
 	Type string `json:"type"`
 	// Job is the job's full status at the time of the event.
 	Job services.JobStatus `json:"job"`
+}
+
+// AppendJSON appends the event as a JSON object — the data: payload of
+// an SSE frame — in the byte order the struct tags declare.
+func (ev StreamEvent) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"cursor":`...)
+	dst = strconv.AppendUint(dst, ev.Cursor, 10)
+	dst = append(dst, `,"type":`...)
+	dst = services.AppendJSONString(dst, ev.Type)
+	dst = append(dst, `,"job":`...)
+	return append(ev.Job.AppendJSON(dst), '}')
 }
 
 // DefaultEventBuffer sizes the broker's replay ring and each

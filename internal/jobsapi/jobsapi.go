@@ -46,6 +46,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"vdce/internal/obs"
@@ -91,8 +92,15 @@ func (c Cursor) Less(o Cursor) bool {
 }
 
 // Encode renders the cursor as the opaque token carried in next_cursor.
-func (c Cursor) Encode() string {
-	return base64.RawURLEncoding.EncodeToString([]byte(fmt.Sprintf("%d:%s", c.Submitted, c.ID)))
+func (c Cursor) Encode() string { return string(c.appendToken(nil)) }
+
+// appendToken appends the encoded cursor: base64url of "<nanos>:<id>".
+func (c Cursor) appendToken(dst []byte) []byte {
+	var scratch [64]byte
+	raw := strconv.AppendInt(scratch[:0], c.Submitted, 10)
+	raw = append(raw, ':')
+	raw = append(raw, c.ID...)
+	return base64.RawURLEncoding.AppendEncode(dst, raw)
 }
 
 // DecodeCursor parses a token produced by Encode. The empty token is
@@ -261,10 +269,42 @@ func (c Config) handleTrace(w http.ResponseWriter, r *http.Request, user string,
 	writeJSON(w, http.StatusOK, tr)
 }
 
+// writeJSON answers with anything that is not a job status; statuses
+// leave through writeBody in their hand-written wire form.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// bodyPool recycles the buffers status answers are assembled in.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody is the largest buffer bodyPool keeps; a full page of
+// MaxLimit rows fits, anything larger is left to the collector.
+const maxPooledBody = 1 << 20
+
+// writeBody sends a JSON body built by appending to a pooled buffer,
+// ending it with the newline json.Encoder has always written.
+func writeBody(w http.ResponseWriter, code int, build func([]byte) []byte) {
+	bp := bodyPool.Get().(*[]byte)
+	body := append(build((*bp)[:0]), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(body) // a failed write is the client hanging up
+	if cap(body) <= maxPooledBody {
+		*bp = body
+		bodyPool.Put(bp)
+	}
+}
+
+// WriteJob answers with {"job": <status>} — the body of GET and DELETE
+// /v1/jobs/{id} and of the editor's POST /v1/apps/{id}/submit.
+func WriteJob(w http.ResponseWriter, code int, s services.JobStatus) {
+	writeBody(w, code, func(dst []byte) []byte {
+		dst = append(dst, `{"job":`...)
+		return append(s.AppendJSON(dst), '}')
+	})
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {
@@ -296,17 +336,51 @@ func (c Config) auth(limiter *rateLimiter, h func(http.ResponseWriter, *http.Req
 // next_cursor; deprecated offset pages carry total and offset; the
 // limit=0 count-only form carries total alone.
 type listResponse struct {
-	Jobs  []services.JobStatus `json:"jobs"`
-	Limit int                  `json:"limit"`
+	Jobs  []services.JobStatus
+	Limit int
 	// NextCursor resumes the listing strictly after the last returned
-	// row; empty when the listing is exhausted. Cursor pages only.
-	NextCursor string `json:"next_cursor,omitempty"`
+	// row; zero when the listing is exhausted. Cursor pages only.
+	NextCursor Cursor
 	// Total is the filtered job count before pagination — offset pages
 	// and limit=0 count-only responses (computing it walks the whole
 	// filtered set, which is exactly why the cursor path omits it).
-	Total *int `json:"total,omitempty"`
+	Total *int
 	// Offset echoes the deprecated offset parameter when used.
-	Offset *int `json:"offset,omitempty"`
+	Offset *int
+}
+
+// AppendJobs appends statuses as a JSON array.
+func AppendJobs(dst []byte, jobs []services.JobStatus) []byte {
+	dst = append(dst, '[')
+	for i := range jobs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jobs[i].AppendJSON(dst)
+	}
+	return append(dst, ']')
+}
+
+// appendJSON appends the page: jobs, limit, then next_cursor, total and
+// offset when set.
+func (p listResponse) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"jobs":`...)
+	dst = AppendJobs(dst, p.Jobs)
+	dst = append(dst, `,"limit":`...)
+	dst = strconv.AppendInt(dst, int64(p.Limit), 10)
+	if !p.NextCursor.IsZero() {
+		dst = append(dst, `,"next_cursor":"`...)
+		dst = append(p.NextCursor.appendToken(dst), '"')
+	}
+	if p.Total != nil {
+		dst = append(dst, `,"total":`...)
+		dst = strconv.AppendInt(dst, int64(*p.Total), 10)
+	}
+	if p.Offset != nil {
+		dst = append(dst, `,"offset":`...)
+		dst = strconv.AppendInt(dst, int64(*p.Offset), 10)
+	}
+	return append(dst, '}')
 }
 
 // queryInt parses a non-negative integer query parameter.
@@ -364,9 +438,7 @@ func (c Config) handleList(w http.ResponseWriter, r *http.Request, user string) 
 		} else {
 			total = len(c.Source.ListJobs(owner, state))
 		}
-		writeJSON(w, http.StatusOK, listResponse{
-			Jobs: []services.JobStatus{}, Limit: 0, Total: &total,
-		})
+		writeBody(w, http.StatusOK, listResponse{Total: &total}.appendJSON)
 		return
 	}
 	if limit == 0 {
@@ -386,14 +458,11 @@ func (c Config) handleList(w http.ResponseWriter, r *http.Request, user string) 
 		return
 	}
 	jobs, more := c.Source.ListJobsAfter(owner, state, after, limit)
-	if jobs == nil {
-		jobs = []services.JobStatus{}
-	}
 	resp := listResponse{Jobs: jobs, Limit: limit}
 	if more && len(jobs) > 0 {
-		resp.NextCursor = CursorOf(jobs[len(jobs)-1]).Encode()
+		resp.NextCursor = CursorOf(jobs[len(jobs)-1])
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, resp.appendJSON)
 }
 
 // handleListOffset is the deprecated offset pagination path, kept as an
@@ -416,9 +485,9 @@ func (c Config) handleListOffset(w http.ResponseWriter, r *http.Request, owner, 
 		end = total
 	}
 	w.Header().Set("Deprecation", "true")
-	writeJSON(w, http.StatusOK, listResponse{
+	writeBody(w, http.StatusOK, listResponse{
 		Jobs: jobs[offset:end], Limit: limit, Total: &total, Offset: &offset,
-	})
+	}.appendJSON)
 }
 
 // handleOwners serves GET /v1/owners: each owner's fair-share weight,
@@ -511,7 +580,7 @@ func (c Config) handleGet(w http.ResponseWriter, r *http.Request, user string) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"job": s})
+	WriteJob(w, http.StatusOK, s)
 }
 
 func (c Config) handleCancel(w http.ResponseWriter, r *http.Request, user string) {
@@ -531,5 +600,5 @@ func (c Config) handleCancel(w http.ResponseWriter, r *http.Request, user string
 	if cur, found := c.Source.Job(id); found {
 		s = cur
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"job": s})
+	WriteJob(w, http.StatusOK, s)
 }

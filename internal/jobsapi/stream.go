@@ -1,7 +1,6 @@
 package jobsapi
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -48,9 +47,12 @@ func resumeCursor(r *http.Request) (uint64, error) {
 }
 
 // sseWriter emits Server-Sent Events frames with immediate flushing.
+// Each frame is assembled in buf, which the connection reuses, and
+// leaves in one Write.
 type sseWriter struct {
-	w http.ResponseWriter
-	f http.Flusher
+	w   http.ResponseWriter
+	f   http.Flusher
+	buf []byte
 }
 
 func newSSEWriter(w http.ResponseWriter) (*sseWriter, bool) {
@@ -71,21 +73,27 @@ func newSSEWriter(w http.ResponseWriter) (*sseWriter, bool) {
 // event writes one frame: id is the resume cursor, the event name is
 // the StreamEvent type, and data is the JSON-encoded event.
 func (s *sseWriter) event(ev StreamEvent) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(s.w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Cursor, ev.Type, data); err != nil {
-		return err
-	}
-	s.f.Flush()
-	return nil
+	b := append(s.buf[:0], "id: "...)
+	b = strconv.AppendUint(b, ev.Cursor, 10)
+	b = append(b, "\nevent: "...)
+	b = append(b, ev.Type...)
+	b = append(b, "\ndata: "...)
+	b = ev.AppendJSON(b)
+	return s.send(append(b, "\n\n"...))
 }
 
 // comment writes an SSE comment line (ignored by event dispatch,
 // visible to diagnostics).
 func (s *sseWriter) comment(text string) error {
-	if _, err := fmt.Fprintf(s.w, ": %s\n\n", text); err != nil {
+	b := append(s.buf[:0], ": "...)
+	b = append(b, text...)
+	return s.send(append(b, "\n\n"...))
+}
+
+// send writes and flushes one assembled frame, keeping its buffer.
+func (s *sseWriter) send(frame []byte) error {
+	s.buf = frame
+	if _, err := s.w.Write(frame); err != nil {
 		return err
 	}
 	s.f.Flush()

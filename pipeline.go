@@ -124,6 +124,10 @@ const (
 	JobCanceled
 )
 
+// terminal reports whether s is done, failed or canceled — the states a
+// job never leaves.
+func (s JobState) terminal() bool { return s >= JobDone }
+
 // String returns the services-layer state name.
 func (s JobState) String() string {
 	switch s {
@@ -351,6 +355,13 @@ type Job struct {
 	// not yet reached a scheduler worker or a terminal state; it backs
 	// the pipeline's recovery-backlog gauge behind /readyz.
 	replayPending bool
+	// finalTimings is the timings block of a terminal job, derived by
+	// the first snapshot taken after the terminal transition (the one
+	// its terminal publish takes). Nothing mutates a terminal job's
+	// status fields, so every later snapshot — each retained row of
+	// every listing walk — reuses it instead of allocating its own. The
+	// board's row holds the same pointer: the memo retains nothing new.
+	finalTimings *services.JobTimings
 }
 
 // State returns the job's current lifecycle state.
@@ -431,7 +442,7 @@ func (j *Job) Wait(ctx context.Context) error {
 // is JobCanceled with Err() == ErrJobCanceled.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
+	if j.state.terminal() {
 		j.mu.Unlock()
 		return
 	}
@@ -609,9 +620,17 @@ func (j *Job) Trace() services.JobTrace {
 // still in flight. A reschedule's replacement host is charged against
 // the owner's held-hosts ledger so quota accounting tracks where the
 // job actually runs, not just where it was dispatched.
+//
+// Events that arrive after the job is terminal — a canceled run's
+// engine still unwinding — are dropped: a terminal status never changes
+// and nothing follows a job's terminal event on the stream.
 func (j *Job) execEvent(ev exec.Event) {
 	var typ string
 	j.mu.Lock()
+	if j.state.terminal() {
+		j.mu.Unlock()
+		return
+	}
 	switch ev.Type {
 	case exec.EventRescheduled:
 		j.reschedules++
@@ -671,6 +690,21 @@ func (j *Job) Status() services.JobStatus {
 // instead of one per job.
 func (j *Job) statusSnapshot() services.JobStatus {
 	j.mu.Lock()
+	terminal := j.state.terminal()
+	timings, failed := j.finalTimings, j.failedHosts
+	if timings == nil {
+		timings = j.timingsLocked()
+		if terminal {
+			j.finalTimings = timings
+		}
+	}
+	if terminal {
+		// Final, so readers share it; the capped slice keeps an append
+		// by one of them out of the shared array.
+		failed = failed[:len(failed):len(failed)]
+	} else {
+		failed = append([]string(nil), failed...)
+	}
 	s := services.JobStatus{
 		ID:          j.ID,
 		App:         j.Graph.Name,
@@ -681,12 +715,12 @@ func (j *Job) statusSnapshot() services.JobStatus {
 		HostsHeld:   j.hostsHeld,
 		Labels:      j.Labels,
 		Reschedules: j.reschedules,
-		FailedHosts: append([]string(nil), j.failedHosts...),
+		FailedHosts: failed,
 		Recovered:   j.recovered,
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
-		Timings:     j.timingsLocked(),
+		Timings:     timings,
 	}
 	if !j.deadline.IsZero() {
 		s.Deadline = j.deadline
@@ -799,7 +833,7 @@ func (j *Job) setTable(t *core.AllocationTable) {
 // no-ops. It reports whether this call won.
 func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
 	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
+	if j.state.terminal() {
 		j.mu.Unlock()
 		return false
 	}
@@ -1690,7 +1724,7 @@ func distinctHosts(table *core.AllocationTable) []string {
 // until terminalize zeroes it.
 func (j *Job) noteHostsHeld(n int) {
 	j.mu.Lock()
-	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
+	if j.state.terminal() {
 		// Lost a race with terminalize: the charge was already released.
 		j.mu.Unlock()
 		return
@@ -1907,7 +1941,10 @@ func (p *pipeline) pageAfter(owner, state string, after jobsapi.Cursor, limit in
 	}
 	var positions map[string]int
 	out := make([]services.JobStatus, 0, limit)
-	const chunk = 256
+	// One round of the loop serves an unfiltered page: limit rows plus
+	// the one beyond them that proves there is more. The floor keeps a
+	// tiny page with a selective filter from re-locking every few rows.
+	chunk := max(limit+1, 64)
 	buf := make([]*Job, 0, chunk)
 	for {
 		buf = buf[:0]
