@@ -149,9 +149,8 @@ type admitQueue struct {
 	// output — push (new job, possible weight change), pop (backlog and
 	// virtual clocks move), remove (backlog shrinks). posCache memoizes
 	// the last full position replay and is valid while posGen == gen, so
-	// a burst of Status()/ListJobs calls over an unchanged queue pays
-	// for one replay, not one per call (the PR 3 generation-validated
-	// cache pattern).
+	// a burst of Status()/listing calls over an unchanged queue pays
+	// for one replay, not one per call.
 	gen      uint64
 	posGen   uint64
 	posCache map[string]int
@@ -765,9 +764,8 @@ func (q *admitQueue) usageChanged(owner string) <-chan struct{} {
 // next to pop), or 0 when the job is not queued — served from the same
 // cached arbitration replay positions() serves, so the single-job and
 // listing surfaces can never disagree. The membership probe is an O(1)
-// location-index lookup: Status() asks for jobs that have already
-// popped (or are not yet pushed) all the time, and those must not pay
-// for a replay — or, at scale, even a backlog scan.
+// location-index lookup: Status() asks for jobs already popped (or not
+// yet pushed) all the time, and those must not pay for a replay.
 func (q *admitQueue) position(id string) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -791,7 +789,7 @@ func (q *admitQueue) positions() map[string]int {
 // when a push/pop/remove invalidated the cached one. Caller holds q.mu.
 func (q *admitQueue) positionsLocked() map[string]int {
 	if q.posCache == nil || q.posGen != q.gen {
-		q.posCache = q.replayPositions("")
+		q.posCache = q.replayPositions()
 		q.posGen = q.gen
 	}
 	return q.posCache
@@ -799,14 +797,13 @@ func (q *admitQueue) positionsLocked() map[string]int {
 
 // replayPositions replays the weighted-fair arbitration over the
 // current backlog with the live virtual clocks shadowed, assigning
-// each queued job the position pop would drain it at; a non-empty
-// target stops the replay as soon as that job is placed. In-flight
-// caps are ignored — a parked job reports the position it will
-// dispatch from once its owner frees up. The replay uses the same
-// chargePoint / wfqWins / wfqCost primitives as pickOwnerLocked, and
+// each queued job the position pop would drain it at. In-flight caps
+// are ignored — a parked job reports the position it will dispatch
+// from once its owner frees up. The replay uses the same chargePoint /
+// wfqWins / wfqCost primitives as pickOwnerLocked, and
 // TestAdmitPositionPredictsPopOrder pins the agreement. Caller holds
 // q.mu.
-func (q *admitQueue) replayPositions(target string) map[string]int {
+func (q *admitQueue) replayPositions() map[string]int {
 	type shadow struct {
 		os      *ownerShare
 		order   []admitEntry // within-owner dequeue order
@@ -841,12 +838,8 @@ func (q *admitQueue) replayPositions(target string) map[string]int {
 		}
 		vtime = bestCharge
 		best.vfinish = bestCharge + wfqCost(best.os.weight)
-		id := best.order[best.next].job.ID
-		out[id] = pos
+		out[best.order[best.next].job.ID] = pos
 		best.next++
-		if id == target {
-			break
-		}
 	}
 	return out
 }

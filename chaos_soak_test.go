@@ -139,9 +139,27 @@ func TestChaosSoakKillAndRecoverUnderConcurrentSubmissions(t *testing.T) {
 	}
 	t.Logf("killed %v", victims)
 
-	// Recover some of the dead mid-wave, as the scenario demands.
+	waitFor := func(cond func() bool) bool {
+		end := time.Now().Add(10 * time.Second)
+		for time.Now().Before(end) {
+			if cond() {
+				return true
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		return cond()
+	}
+	confirmed := func() bool {
+		_, confirmations, _, _ := env.Detector.Stats()
+		return int(confirmations) >= kills
+	}
+	// Recover some of the dead mid-wave, as the scenario demands — but
+	// not before the detector has confirmed them (~150 ms after the kill
+	// on an idle box): on a starved one a host back up inside its
+	// suspicion window is never counted dead at all.
 	go func() {
 		time.Sleep(300 * time.Millisecond)
+		waitFor(confirmed)
 		_, _ = inj.Apply(chaos.Event{Action: chaos.Recover,
 			Hosts: victims[:recovers]})
 	}()
@@ -199,24 +217,11 @@ func TestChaosSoakKillAndRecoverUnderConcurrentSubmissions(t *testing.T) {
 		t.Error("no job surfaced failed_hosts despite mid-run kills")
 	}
 
-	waitFor := func(cond func() bool) bool {
-		end := time.Now().Add(10 * time.Second)
-		for time.Now().Before(end) {
-			if cond() {
-				return true
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		return cond()
-	}
 	// The detector must confirm the kills. It does so a suspicion timeout
 	// plus a quorum of ticks after the kill, on its own clock: the wave —
 	// whose tasks the local watchdogs move off a crashed host within
 	// milliseconds — can drain before that.
-	if !waitFor(func() bool {
-		_, confirmations, _, _ := env.Detector.Stats()
-		return int(confirmations) >= kills
-	}) {
+	if !waitFor(confirmed) {
 		_, confirmations, _, _ := env.Detector.Stats()
 		t.Errorf("detector confirmed %d deaths, want >= %d", confirmations, kills)
 	}

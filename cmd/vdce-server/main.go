@@ -14,8 +14,8 @@
 // serves status and control; GET /v1/jobs/{id}/events and GET
 // /v1/events stream job transitions as Server-Sent Events so clients
 // subscribe instead of polling; -rate-rps adds a per-owner API request
-// rate limit (429 with Retry-After over it). The legacy GET /jobs dump
-// remains. With -store-dir the control plane is durable: job lifecycle,
+// rate limit (429 with Retry-After over it). With -store-dir the
+// control plane is durable: job lifecycle,
 // owner admin state, and learned performance history are logged to an
 // append-only store, and a restarted server re-admits queued jobs and
 // re-dispatches in-flight ones. With -shed-wait the admission queue
@@ -261,27 +261,6 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 		}
 		_ = json.NewEncoder(w).Encode(map[string]string{"status": "ready"})
 	})
-	// Legacy job lifecycle monitoring: every submission's state, straight
-	// off the environment's job board. Shares the editor's login model.
-	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if !editorSrv.Authenticated(r) {
-			w.WriteHeader(http.StatusUnauthorized)
-			_ = json.NewEncoder(w).Encode(map[string]string{"error": "editor: not authenticated"})
-			return
-		}
-		// Statuses leave in their one wire form (the counts are not
-		// statuses); an empty board has always been "jobs":null here.
-		counts, _ := json.Marshal(env.Board.Counts()) // a map[string]int cannot fail
-		body := append([]byte(`{"counts":`), counts...)
-		body = append(body, `,"jobs":`...)
-		if jobs := env.Jobs(); len(jobs) == 0 {
-			body = append(body, "null"...)
-		} else {
-			body = jobsapi.AppendJobs(body, jobs)
-		}
-		_, _ = w.Write(append(body, "}\n"...))
-	})
 
 	// The debug listener is a second, separately-bindable surface so
 	// pprof and raw metrics can stay off the public address (bind it to
@@ -324,7 +303,6 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 	fmt.Fprintf(out, "VDCE server for %s\n", env.TB.Sites[0].Name)
 	fmt.Fprintf(out, "  site manager RPC : %s\n", env.Managers[0].Addr())
 	fmt.Fprintf(out, "  application editor: http://%s (user_k / vdce)\n", addr)
-	fmt.Fprintf(out, "  jobs endpoint     : http://%s/jobs\n", addr)
 	fmt.Fprintf(out, "  job-control API   : http://%s/v1/jobs\n", addr)
 	fmt.Fprintf(out, "  event stream      : http://%s/v1/events (SSE; per-job: /v1/jobs/{id}/events)\n", addr)
 	fmt.Fprintf(out, "  owners API        : http://%s/v1/owners\n", addr)

@@ -96,10 +96,10 @@ func (d discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d discardWriter) WriteHeader(int)             {}
 
 // TestListPageAllocBudget: a page of terminal jobs costs the same
-// number of allocations whether it has 10 rows or 100 — each row reuses
-// its job's memoised timings block and is appended into a pooled
-// buffer, with no reflection or timestamp marshalling (21 allocations a
-// row before).
+// number of allocations whether it has 10 rows or 100 — each row is a
+// copy of the board's, sharing its timings block, and is appended into
+// a pooled buffer, with no reflection or timestamp marshalling (21
+// allocations a row before).
 func TestListPageAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

@@ -256,14 +256,6 @@ func (s *Server) sessionUser(r *http.Request) (string, bool) {
 	return user, ok
 }
 
-// Authenticated reports whether the request carries a valid session
-// token — for sibling endpoints mounted outside the editor's own mux
-// that should share its login model.
-func (s *Server) Authenticated(r *http.Request) bool {
-	_, ok := s.sessionUser(r)
-	return ok
-}
-
 // SessionUser resolves the request's bearer token to its logged-in user
 // — the authentication hook sibling mounts (the job-control API) plug
 // into so every surface shares one login model.

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -14,20 +13,15 @@ import (
 	"time"
 
 	"vdce/internal/afg"
-	"vdce/internal/store"
+	"vdce/internal/frame"
 	"vdce/internal/tasklib"
 )
 
-// Every edge delivery is one frame in the layout of the WAL records in
-// internal/store/record.go — a 4-byte little-endian payload length, a
-// 4-byte CRC-32 (IEEE) of the payload, the payload — decoded with that
-// package's DecodeWALRecord and bounded by its MaxRecordSize. The
-// payload is a routing header (run sequence, to-task, to-port) followed
-// by the value in tasklib's wire form, whose first byte is the type tag.
-const (
-	frameHeader = 8
-	routeHeader = 16 // run uint64, to-task uint32, to-port uint32
-)
+// Every edge delivery is one internal/frame frame (the WAL's record
+// layout). The payload is a routing header (run sequence, to-task,
+// to-port) followed by the value in tasklib's wire form, whose first
+// byte is the type tag.
+const routeHeader = 16 // run uint64, to-task uint32, to-port uint32
 
 // ErrEngineClosed is returned by Execute after Close, and fails every
 // run that is in flight when Close is called.
@@ -180,7 +174,7 @@ func (ep *endpoint) accept() {
 }
 
 // read is the receiving end of one stream. Any framing fault — a frame
-// cut short, a length beyond store.MaxRecordSize or too small to hold a
+// cut short, a length beyond frame.MaxPayload or too small to hold a
 // routing header, a checksum mismatch — tears the stream down: past it
 // no frame boundary can be trusted. The sender's next write fails and
 // redials.
@@ -197,23 +191,23 @@ func (ep *endpoint) read(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	var buf []byte
 	for {
-		var hdr [frameHeader]byte
+		var hdr [frame.HeaderSize]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
-		n := int(binary.LittleEndian.Uint32(hdr[0:4]))
-		if n > store.MaxRecordSize || n <= routeHeader {
+		n := frame.PayloadLen(hdr[:])
+		if n > frame.MaxPayload || n <= routeHeader {
 			return
 		}
-		if cap(buf) < frameHeader+n {
-			buf = make([]byte, frameHeader+n)
+		if cap(buf) < frame.HeaderSize+n {
+			buf = make([]byte, frame.HeaderSize+n)
 		}
-		frame := buf[:frameHeader+n]
-		copy(frame, hdr[:])
-		if _, err := io.ReadFull(br, frame[frameHeader:]); err != nil {
+		f := buf[:frame.HeaderSize+n]
+		copy(f, hdr[:])
+		if _, err := io.ReadFull(br, f[frame.HeaderSize:]); err != nil {
 			return
 		}
-		payload, _, err := store.DecodeWALRecord(frame)
+		payload, _, err := frame.Decode(f)
 		if err != nil {
 			return
 		}
@@ -373,18 +367,17 @@ func (s *stream) send(seq uint64, edges []afg.Edge, outs []tasklib.Value) error 
 		if e.FromPort < 0 || e.FromPort >= len(outs) {
 			return fmt.Errorf("exec: task %d produced no output for port %d", e.From, e.FromPort)
 		}
-		frame := append(s.buf[:0], make([]byte, frameHeader+routeHeader)...)
-		frame, err := tasklib.AppendValue(frame, outs[e.FromPort])
-		s.buf = frame
+		buf := append(s.buf[:0], make([]byte, frame.HeaderSize+routeHeader)...)
+		buf, err := tasklib.AppendValue(buf, outs[e.FromPort])
+		s.buf = buf
 		if err != nil {
 			return err
 		}
-		payload := frame[frameHeader:]
-		if len(payload) > store.MaxRecordSize {
+		payload := buf[frame.HeaderSize:]
+		if len(payload) > frame.MaxPayload {
 			return fmt.Errorf("exec: task %d port %d: %d-byte value exceeds the %d-byte frame limit",
-				e.From, e.FromPort, len(payload)-routeHeader, store.MaxRecordSize-routeHeader)
+				e.From, e.FromPort, len(payload)-routeHeader, frame.MaxPayload-routeHeader)
 		}
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 		binary.LittleEndian.PutUint64(payload[0:8], seq)
 		for _, f := range edges[i:] {
 			if f.FromPort != e.FromPort {
@@ -392,8 +385,8 @@ func (s *stream) send(seq uint64, edges []afg.Edge, outs []tasklib.Value) error 
 			}
 			binary.LittleEndian.PutUint32(payload[8:12], uint32(f.To))
 			binary.LittleEndian.PutUint32(payload[12:16], uint32(f.ToPort))
-			binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-			if err := s.write(frame); err != nil {
+			frame.Seal(buf)
+			if err := s.write(buf); err != nil {
 				return fmt.Errorf("exec: send to child %d: %w", f.To, err)
 			}
 			s.ep.tallies.frames.Add(1)
@@ -415,7 +408,7 @@ func sentEarlier(edges []afg.Edge, port int) bool {
 // write puts one frame on the wire, dialing if the stream is down. A
 // failed write closes the connection and is retried once on a fresh
 // one; the second failure is the caller's error.
-func (s *stream) write(frame []byte) error {
+func (s *stream) write(buf []byte) error {
 	for attempt := 0; ; attempt++ {
 		if s.conn == nil {
 			conn, err := net.Dial("tcp", s.ep.ln.Addr().String())
@@ -425,7 +418,7 @@ func (s *stream) write(frame []byte) error {
 			s.conn = conn
 			s.ep.tallies.streams.Add(1)
 		}
-		_, err := s.conn.Write(frame)
+		_, err := s.conn.Write(buf)
 		if err == nil {
 			return nil
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"net"
 	"os"
 	"strings"
@@ -13,7 +12,7 @@ import (
 
 	"vdce/internal/afg"
 	"vdce/internal/core"
-	"vdce/internal/store"
+	"vdce/internal/frame"
 	"vdce/internal/tasklib"
 )
 
@@ -31,12 +30,7 @@ func rawFrame(t *testing.T, seq uint64, task, port int, v tasklib.Value) []byte 
 	return sealFrame(append(payload, val...))
 }
 
-func sealFrame(payload []byte) []byte {
-	frame := make([]byte, frameHeader, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	return append(frame, payload...)
-}
+func sealFrame(payload []byte) []byte { return frame.Append(nil, payload) }
 
 // demuxRig is an endpoint with one hand-registered run — eight
 // producers feeding the eight ports of task 8, plus task 9 whose single
@@ -200,8 +194,8 @@ func TestFramingFaultTearsTheStreamDown(t *testing.T) {
 		"oversized": func(d *demuxRig) []byte {
 			// Only the header is sent: the reader must give up on the
 			// length alone, not wait for (or allocate) 16 MiB.
-			f := make([]byte, frameHeader)
-			binary.LittleEndian.PutUint32(f[0:4], store.MaxRecordSize+1)
+			f := make([]byte, frame.HeaderSize)
+			binary.LittleEndian.PutUint32(f[0:4], frame.MaxPayload+1)
 			return f
 		},
 		"too short for a routing header": func(d *demuxRig) []byte {

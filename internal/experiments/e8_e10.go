@@ -29,32 +29,16 @@ func E8Prediction(runs int) (*Table, error) {
 		Title:  "Prediction error before/after measurement calibration",
 		Header: []string{"round", "mean |err| %", "max |err| %"},
 	}
-	tb, err := testbed.Build(testbed.Config{
-		Sites: 1, HostsPerGroup: 3, Seed: 41,
-		SpeedMin: 0.5, SpeedMax: 3, BaseLoadMax: 0.05, LoadSigma: 0.001,
-	})
+	tb, local, g, id, err := e8Probe()
 	if err != nil {
 		return nil, err
 	}
 	site := tb.Sites[0]
-	names := make([]string, len(site.Hosts))
-	for i, h := range site.Hosts {
-		names[i] = h.Name
-	}
-	if err := tasklib.Default().InstallInto(site.Repo, names); err != nil {
-		return nil, err
-	}
-	local := core.NewLocalSite(site.Repo)
 	engine := &exec.Engine{
 		Reg: tasklib.Default(), TB: tb, DilationScale: 1,
 		Record: func(rec protocol.ExecutionRecord) {
 			_ = site.Repo.TaskPerf.RecordExecution(rec.Task, rec.Host, rec.Elapsed, rec.At)
 		},
-	}
-	g := afg.NewGraph("probe")
-	id := g.AddTask("Spin", "util", 0, 1)
-	if err := g.SetProps(id, afg.Properties{Args: map[string]string{"ms": "10"}}); err != nil {
-		return nil, err
 	}
 	for round := 0; round < runs; round++ {
 		var errSum, errMax float64
@@ -84,6 +68,33 @@ func E8Prediction(runs int) (*Table, error) {
 	}
 	t.Note("round 0 uses the static catalog parameters; later rounds blend per-host measurements")
 	return t, nil
+}
+
+// e8Probe builds E8's fixture: one site of hosts spanning a 6x speed
+// range with the task library installed, and a one-task graph (a 10 ms
+// Spin) to predict and place on each of them.
+func e8Probe() (tb *testbed.Testbed, local *core.LocalSite, g *afg.Graph, id afg.TaskID, err error) {
+	tb, err = testbed.Build(testbed.Config{
+		Sites: 1, HostsPerGroup: 3, Seed: 41,
+		SpeedMin: 0.5, SpeedMax: 3, BaseLoadMax: 0.05, LoadSigma: 0.001,
+	})
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
+	site := tb.Sites[0]
+	names := make([]string, len(site.Hosts))
+	for i, h := range site.Hosts {
+		names[i] = h.Name
+	}
+	if err := tasklib.Default().InstallInto(site.Repo, names); err != nil {
+		return nil, nil, nil, 0, err
+	}
+	g = afg.NewGraph("probe")
+	id = g.AddTask("Spin", "util", 0, 1)
+	if err := g.SetProps(id, afg.Properties{Args: map[string]string{"ms": "10"}}); err != nil {
+		return nil, nil, nil, 0, err
+	}
+	return tb, core.NewLocalSite(site.Repo), g, id, nil
 }
 
 // E9Scale reproduces the scalability direction of §1/§5: wall-clock

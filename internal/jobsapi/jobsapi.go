@@ -6,8 +6,8 @@
 // editor, generalized to a protocol both tools speak.
 //
 //	GET    /v1/jobs             list jobs (filter: owner, state;
-//	                            paginate: cursor, limit — offset is a
-//	                            deprecated alias; limit=0 is count-only)
+//	                            paginate: cursor, limit; limit=0 is
+//	                            count-only)
 //	GET    /v1/jobs/{id}        one job's status
 //	GET    /v1/jobs/{id}/events one job's lifecycle as SSE (resume with
 //	                            Last-Event-ID; ends at the terminal event)
@@ -66,8 +66,7 @@ const (
 // order — the keyset cursor of GET /v1/jobs. A page's next_cursor
 // encodes the last row returned; passing it back resumes strictly
 // after that row in O(page) time at any board depth, and stays correct
-// as earlier rows are evicted or later rows arrive (unlike offsets,
-// which shift whenever the set changes).
+// as earlier rows are evicted or later rows arrive.
 type Cursor struct {
 	// Submitted is the row's submission time in Unix nanoseconds.
 	Submitted int64
@@ -127,15 +126,16 @@ func DecodeCursor(token string) (Cursor, error) {
 // Source is the job store the API serves — implemented by
 // vdce.Environment.
 type Source interface {
-	// ListJobs returns statuses filtered by owner and state (empty
-	// strings match everything) in a stable, deterministic order.
-	ListJobs(owner, state string) []services.JobStatus
-	// ListJobsAfter returns up to limit filtered statuses strictly after
-	// the cursor position in the canonical (submit-time, then ID) order,
-	// and whether the page filled (more may remain). Implementations
-	// must be O(limit) in the board size, not O(board) — this is the
-	// pagination path that must stay flat on deep boards.
+	// ListJobsAfter returns up to limit statuses filtered by owner and
+	// state (empty strings match everything) strictly after the cursor
+	// position in the canonical (submit-time, then ID) order, and whether
+	// the page filled (more may remain). Implementations must be
+	// O(limit) in the board size, not O(board) — this is the pagination
+	// path that must stay flat on deep boards.
 	ListJobsAfter(owner, state string, after Cursor, limit int) (jobs []services.JobStatus, more bool)
+	// CountJobs returns the filtered total behind the count-only listing
+	// (explicit limit=0) without materializing a row.
+	CountJobs(owner, state string) int
 	// Job returns one job's current status.
 	Job(id string) (services.JobStatus, bool)
 	// CancelJob cancels a queued or running job; canceling a terminal
@@ -143,7 +143,7 @@ type Source interface {
 	CancelJob(id string) error
 	// Owners returns every known owner's fair-share weight, quota
 	// limits, and live usage counters, sorted by owner name. The usage
-	// counters must come from the same ground truth ListJobs serves.
+	// counters must come from the same ground truth the listing serves.
 	// Callers must not retain or mutate the returned slice's backing
 	// array beyond the request.
 	Owners() []services.OwnerStatus
@@ -152,16 +152,6 @@ type Source interface {
 	// admission queue immediately and persisted when the environment is
 	// durable. An empty update is an error.
 	UpdateOwner(owner string, upd services.OwnerUpdate) (services.OwnerStatus, error)
-}
-
-// CountSource is the optional Source extension behind the count-only
-// listing (explicit limit=0): the filtered total without materializing
-// a single row. Sources backed by a counting store (the sharded job
-// board keeps per-state and per-owner tallies) answer in O(shards)
-// instead of building and discarding an O(board) status slice; sources
-// that do not implement it fall back to len(ListJobs).
-type CountSource interface {
-	CountJobs(owner, state string) int
 }
 
 // HostSource is the optional Source extension behind GET /v1/hosts:
@@ -333,39 +323,28 @@ func (c Config) auth(limiter *rateLimiter, h func(http.ResponseWriter, *http.Req
 }
 
 // listResponse is one GET /v1/jobs page. Cursor pages carry
-// next_cursor; deprecated offset pages carry total and offset; the
-// limit=0 count-only form carries total alone.
+// next_cursor; the limit=0 count-only form carries total alone.
 type listResponse struct {
 	Jobs  []services.JobStatus
 	Limit int
 	// NextCursor resumes the listing strictly after the last returned
-	// row; zero when the listing is exhausted. Cursor pages only.
+	// row; zero when the listing is exhausted.
 	NextCursor Cursor
-	// Total is the filtered job count before pagination — offset pages
-	// and limit=0 count-only responses (computing it walks the whole
-	// filtered set, which is exactly why the cursor path omits it).
+	// Total is the filtered job count — limit=0 count-only responses.
 	Total *int
-	// Offset echoes the deprecated offset parameter when used.
-	Offset *int
 }
 
-// AppendJobs appends statuses as a JSON array.
-func AppendJobs(dst []byte, jobs []services.JobStatus) []byte {
-	dst = append(dst, '[')
-	for i := range jobs {
+// appendJSON appends the page: jobs, limit, then next_cursor and total
+// when set.
+func (p listResponse) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"jobs":[`...)
+	for i := range p.Jobs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = jobs[i].AppendJSON(dst)
+		dst = p.Jobs[i].AppendJSON(dst)
 	}
-	return append(dst, ']')
-}
-
-// appendJSON appends the page: jobs, limit, then next_cursor, total and
-// offset when set.
-func (p listResponse) appendJSON(dst []byte) []byte {
-	dst = append(dst, `{"jobs":`...)
-	dst = AppendJobs(dst, p.Jobs)
+	dst = append(dst, ']')
 	dst = append(dst, `,"limit":`...)
 	dst = strconv.AppendInt(dst, int64(p.Limit), 10)
 	if !p.NextCursor.IsZero() {
@@ -375,10 +354,6 @@ func (p listResponse) appendJSON(dst []byte) []byte {
 	if p.Total != nil {
 		dst = append(dst, `,"total":`...)
 		dst = strconv.AppendInt(dst, int64(*p.Total), 10)
-	}
-	if p.Offset != nil {
-		dst = append(dst, `,"offset":`...)
-		dst = strconv.AppendInt(dst, int64(*p.Offset), 10)
 	}
 	return append(dst, '}')
 }
@@ -396,12 +371,10 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 	return v, nil
 }
 
-// handleList serves GET /v1/jobs three ways, in precedence order:
+// handleList serves GET /v1/jobs two ways:
 //
 //   - limit=0: count-only — zero rows plus the filtered total. The
 //     explicit contract for "how many", with none of the rows.
-//   - offset present: the deprecated offset page (O(board) on the
-//     server; answers carry a Deprecation header).
 //   - otherwise: cursor (keyset) pagination — pass next_cursor back as
 //     cursor to resume; O(page) at any depth.
 func (c Config) handleList(w http.ResponseWriter, r *http.Request, user string) {
@@ -423,32 +396,11 @@ func (c Config) handleList(w http.ResponseWriter, r *http.Request, user string) 
 	}
 	state := q.Get("state")
 
-	if q.Has("cursor") && q.Has("offset") {
-		writeErr(w, http.StatusBadRequest,
-			errors.New("jobsapi: cursor and offset are mutually exclusive"))
-		return
-	}
-
-	// Count-only: an explicit limit=0 returns zero rows and the filtered
-	// total, regardless of pagination mode.
-	if limit == 0 && q.Get("limit") != "" {
-		var total int
-		if cs, ok := c.Source.(CountSource); ok {
-			total = cs.CountJobs(owner, state)
-		} else {
-			total = len(c.Source.ListJobs(owner, state))
-		}
-		writeBody(w, http.StatusOK, listResponse{Total: &total}.appendJSON)
-		return
-	}
+	// Count-only: an explicit limit=0 (an absent one took the default
+	// above) returns zero rows and the filtered total.
 	if limit == 0 {
-		// limit explicitly absent cannot reach here (default applies);
-		// guard against a Source misuse all the same.
-		limit = DefaultLimit
-	}
-
-	if q.Has("offset") {
-		c.handleListOffset(w, r, owner, state, limit)
+		total := c.Source.CountJobs(owner, state)
+		writeBody(w, http.StatusOK, listResponse{Total: &total}.appendJSON)
 		return
 	}
 
@@ -463,31 +415,6 @@ func (c Config) handleList(w http.ResponseWriter, r *http.Request, user string) 
 		resp.NextCursor = CursorOf(jobs[len(jobs)-1])
 	}
 	writeBody(w, http.StatusOK, resp.appendJSON)
-}
-
-// handleListOffset is the deprecated offset pagination path, kept as an
-// alias for pre-cursor clients. It materializes the whole filtered
-// listing per request — O(board) however deep the page — which is why
-// new clients should follow next_cursor instead.
-func (c Config) handleListOffset(w http.ResponseWriter, r *http.Request, owner, state string, limit int) {
-	offset, err := queryInt(r, "offset", 0)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	jobs := c.Source.ListJobs(owner, state)
-	total := len(jobs)
-	if offset > total {
-		offset = total
-	}
-	end := offset + limit
-	if end > total {
-		end = total
-	}
-	w.Header().Set("Deprecation", "true")
-	writeBody(w, http.StatusOK, listResponse{
-		Jobs: jobs[offset:end], Limit: limit, Total: &total, Offset: &offset,
-	}.appendJSON)
 }
 
 // handleOwners serves GET /v1/owners: each owner's fair-share weight,

@@ -1,14 +1,15 @@
 package services
 
-// Sharded-board scale suite (ISSUE 10): randomized aggregate
-// consistency against a brute-force recount, count/list equivalence,
-// board-side weight memory, a concurrent read/write soak over the
-// shards, and the million-job benchmarks EXPERIMENTS.md records — the
-// evidence that listing and publishing no longer serialize on one lock.
+// Job registry suite: one fixed-seed op stream holding order, paging,
+// eviction and aggregates to a model, count/list equivalence, board-side
+// weight memory, a concurrent read/write soak, and the million-job
+// benchmarks EXPERIMENTS.md records.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,45 +48,112 @@ func recountBoard(b *JobBoard) (counts map[string]int, usage map[string]OwnerUsa
 	return counts, usage
 }
 
-// TestJobBoardAggregatesMatchRecount drives a random update/delete
-// stream and asserts the incremental per-state and per-owner aggregates
-// never drift from a brute-force recount of the rows.
+// TestJobBoardAggregatesMatchRecount drives one fixed-seed
+// update/delete/evict stream and checks the registry's whole contract
+// after every step: List is the model's rows in canonical order (the
+// board never sorts: it inserts in place), PageAfter pages of 1, 7 and
+// 100 tile List exactly, a terminal row is final, EvictTerminal drops
+// exactly the oldest terminal rows and never a non-terminal one — a
+// running row older than everything else sits at the head throughout —
+// and the incremental aggregates equal a brute-force recount.
 func TestJobBoardAggregatesMatchRecount(t *testing.T) {
 	rng := rand.New(rand.NewSource(1010))
 	b := NewJobBoard()
 	base := time.Unix(40000, 0)
+	head := JobStatus{ID: "head", Owner: "own-0", State: JobStateRunning, SubmittedAt: base.Add(-time.Hour)}
+	b.Update(head)
+	model := map[string]JobStatus{head.ID: head}
 	live := []string{}
 	next := 0
-	for op := 0; op < 4000; op++ {
+	forget := func(id string) {
+		delete(model, id)
+		live = slices.DeleteFunc(live, func(l string) bool { return l == id })
+	}
+	for op := 0; op < 1200; op++ {
 		switch c := rng.Intn(10); {
-		case c < 5 || len(live) == 0: // insert
-			id := fmt.Sprintf("r%d", next)
-			next++
-			live = append(live, id)
-			b.Update(JobStatus{
-				ID: id, Owner: fmt.Sprintf("own-%d", rng.Intn(25)),
+		case c < 5 || len(live) == 0: // insert, usually out of order
+			s := JobStatus{
+				ID: fmt.Sprintf("r%d", next), Owner: fmt.Sprintf("own-%d", rng.Intn(25)),
 				State:       boardStates[rng.Intn(len(boardStates))],
 				HostsHeld:   rng.Intn(4),
 				ShareWeight: 1 + rng.Intn(5),
-				SubmittedAt: base.Add(time.Duration(rng.Intn(100000)) * time.Microsecond),
-			})
-		case c < 8: // mutate an existing row (state transition)
-			id := live[rng.Intn(len(live))]
-			s, ok := b.Get(id)
-			if !ok {
-				t.Fatalf("live row %q missing", id)
+				SubmittedAt: base.Add(time.Duration(rng.Intn(400)) * time.Microsecond),
 			}
+			next++
+			live = append(live, s.ID)
+			model[s.ID] = s
+			b.Update(s)
+		case c < 8: // state transition; dropped when the row is already terminal
+			id := live[rng.Intn(len(live))]
+			s := model[id]
+			wasTerminal := s.Terminal()
 			s.State = boardStates[rng.Intn(len(boardStates))]
 			s.HostsHeld = rng.Intn(4)
 			b.Update(s)
-		default: // retention eviction
-			i := rng.Intn(len(live))
-			b.Delete(live[i])
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
+			if !wasTerminal {
+				model[id] = s
+			}
+		case c < 9:
+			id := live[rng.Intn(len(live))]
+			b.Delete(id)
+			forget(id)
+		default: // retention
+			keep := len(model) - rng.Intn(4)
+			var want []string
+			for _, s := range b.List() {
+				if len(model)-len(want) > keep && s.Terminal() {
+					want = append(want, s.ID)
+				}
+			}
+			got := b.EvictTerminal(keep)
+			if !slices.Equal(got, want) {
+				t.Fatalf("op %d: EvictTerminal(%d) = %v, want the oldest terminal rows %v", op, keep, got, want)
+			}
+			for _, id := range got {
+				forget(id)
+			}
 		}
-		if op%500 != 0 {
-			continue
+
+		list := b.List()
+		want := make([]JobStatus, 0, len(model))
+		for _, s := range model {
+			want = append(want, s)
+		}
+		sort.Slice(want, func(i, j int) bool { return rowBefore(&want[i], &want[j]) })
+		if len(list) != len(want) || list[0].ID != head.ID {
+			t.Fatalf("op %d: List has %d rows headed by %s, model %d headed by %s", op, len(list), list[0].ID, len(want), head.ID)
+		}
+		for i := range want {
+			if list[i].ID != want[i].ID || list[i].State != want[i].State || list[i].HostsHeld != want[i].HostsHeld {
+				t.Fatalf("op %d: List[%d] = %+v, model %+v", op, i, list[i], want[i])
+			}
+		}
+		for _, size := range []int{1, 7, 100} {
+			var tiled []string
+			var nanos int64
+			var id string
+			for {
+				page, more := b.PageAfter("", "", nanos, id, size)
+				for _, s := range page {
+					tiled = append(tiled, s.ID)
+				}
+				if !more {
+					break
+				}
+				if len(page) != size {
+					t.Fatalf("op %d: a page of %d promised more after %d rows", op, size, len(page))
+				}
+				last := page[len(page)-1]
+				nanos, id = last.SubmittedAt.UnixNano(), last.ID
+			}
+			if len(tiled) != len(list) {
+				t.Fatalf("op %d: pages of %d tiled %d rows, List has %d", op, size, len(tiled), len(list))
+			}
+			for i := range list {
+				if tiled[i] != list[i].ID {
+					t.Fatalf("op %d: pages of %d: row %d = %s, List has %s", op, size, i, tiled[i], list[i].ID)
+				}
+			}
 		}
 		wantCounts, wantUsage := recountBoard(b)
 		gotCounts := b.Counts()
@@ -103,16 +171,57 @@ func TestJobBoardAggregatesMatchRecount(t *testing.T) {
 				t.Fatalf("op %d: OwnerUsages[%s] = %+v, recount %+v", op, owner, gotUsage[owner], want)
 			}
 		}
-		if got, want := b.Len(), len(live); got != want {
-			t.Fatalf("op %d: Len = %d, want %d", op, got, want)
+		if got := b.CountFiltered("", ""); got != len(model) {
+			t.Fatalf("op %d: CountFiltered = %d, want %d", op, got, len(model))
 		}
+	}
+	// Once the long-running head finishes it is the oldest terminal row.
+	head.State = JobStateDone
+	b.Update(head)
+	if got := b.EvictTerminal(len(model) - 1); len(got) != 1 || got[0] != head.ID {
+		t.Fatalf("EvictTerminal after the head finished = %v, want [head]", got)
+	}
+}
+
+// TestJobBoardEvictionAllocBudget pins what a submit costs the registry
+// at full retention: publishing a new row and evicting the oldest
+// terminal one allocate the row, the evicted-ID slice and (amortized)
+// index growth — nothing proportional to the 8,192 rows retained.
+func TestJobBoardEvictionAllocBudget(t *testing.T) {
+	const rows = 8192
+	b := NewJobBoard()
+	base := time.Unix(45000, 0)
+	row := func(i int) JobStatus {
+		return JobStatus{
+			ID: fmt.Sprintf("job-%d", i), Owner: fmt.Sprintf("own-%d", i%64), State: JobStateDone,
+			SubmittedAt: base.Add(time.Duration(i) * time.Microsecond),
+		}
+	}
+	next := 0
+	for ; next < rows; next++ {
+		b.Update(row(next))
+	}
+	fresh := make([]JobStatus, 2000)
+	for i := range fresh {
+		fresh[i] = row(rows + i)
+	}
+	allocs := testing.AllocsPerRun(len(fresh)-1, func() {
+		b.Update(fresh[next-rows])
+		next++
+		if got := b.EvictTerminal(rows); len(got) != 1 {
+			t.Fatalf("evicted %v, want one row", got)
+		}
+	})
+	t.Logf("Update of a new row + EvictTerminal at %d rows: %.1f allocs", rows, allocs)
+	if allocs > 4 {
+		t.Fatalf("Update of a new row + EvictTerminal at %d rows = %.1f allocs, budget 4", rows, allocs)
 	}
 }
 
 // TestJobBoardCountFilteredMatchesList pins CountFiltered (the
 // count-only listing backend) to len(ListFiltered) across every filter
-// shape, including the owner+in-flight-state combinations that fall
-// back to a snapshot scan.
+// shape, including the owner+in-flight-state combinations that count
+// rows.
 func TestJobBoardCountFilteredMatchesList(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	b := NewJobBoard()
@@ -154,8 +263,8 @@ func TestJobBoardOwnerWeights(t *testing.T) {
 	}
 	b.Delete("w2")
 	// w2 (the latest) evicted: the aggregate's weight sticks at the last
-	// value seen for the shard, which is still the latest submission the
-	// board knew about.
+	// value seen, which is still the latest submission the board knew
+	// about.
 	if w := b.OwnerWeights(); w["ana"] == 0 {
 		t.Fatalf("OwnerWeights after evicting latest row = %v, want ana retained", w)
 	}
@@ -165,11 +274,9 @@ func TestJobBoardOwnerWeights(t *testing.T) {
 	}
 }
 
-// TestJobBoardConcurrentReadersAndWriters is the -race soak for the
-// sharded read path: listing, counting, and usage readers run lock-free
-// against a write storm and must always observe internally consistent
-// snapshots (monotone generations are the board's job; this asserts no
-// torn reads or panics and a correct final recount).
+// TestJobBoardConcurrentReadersAndWriters is the -race soak: listing,
+// counting, and usage readers run against a write storm and must always
+// observe canonically ordered rows, with a correct final recount.
 func TestJobBoardConcurrentReadersAndWriters(t *testing.T) {
 	b := NewJobBoard()
 	base := time.Unix(43000, 0)
@@ -261,10 +368,8 @@ func getMillionBoard() (*JobBoard, []string) {
 }
 
 // BenchmarkJobBoardMillion measures the board at a million retained
-// jobs. The update/list sub-benchmarks run writes while a background
-// lister loops, which on the old single-mutex board serialized into
-// lock-convoy latencies; on the sharded board a write touches 1/32 of
-// the board and listings read immutable snapshots lock-free.
+// jobs; update-during-list runs writes beside two looping listers that
+// hold the board's one mutex for a whole filtered scan.
 func BenchmarkJobBoardMillion(b *testing.B) {
 	b.Run("update", func(b *testing.B) {
 		board, _ := getMillionBoard()
@@ -326,6 +431,31 @@ func BenchmarkJobBoardMillion(b *testing.B) {
 			board.ListFiltered(fmt.Sprintf("owner-%03d", i%1000), "")
 		}
 	})
+	// Keyset pages cost the same at any depth: a binary search to the
+	// resume point plus the page (the root package's
+	// BenchmarkListCursorDeepBoard rows, moved onto the registry that now
+	// serves them).
+	for _, depth := range []struct {
+		name  string
+		after int
+	}{{"page-first", 0}, {"page-last", 1_000_000 - 100}} {
+		b.Run(depth.name, func(b *testing.B) {
+			board, _ := getMillionBoard()
+			var nanos int64
+			var id string
+			if depth.after > 0 {
+				last := millionRow(depth.after - 1)
+				nanos, id = last.SubmittedAt.UnixNano(), last.ID
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if page, _ := board.PageAfter("", "", nanos, id, 100); len(page) != 100 {
+					b.Fatalf("page of %d rows", len(page))
+				}
+			}
+		})
+	}
 	b.Run("count-filtered", func(b *testing.B) {
 		board, _ := getMillionBoard()
 		b.ReportAllocs()

@@ -1,9 +1,11 @@
 package services
 
 import (
+	"maps"
+	"math"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -131,8 +133,7 @@ func (s JobStatus) Terminal() bool {
 }
 
 // Matches is the job-control API's filter predicate: empty filter
-// fields match everything. Every listing surface (board, live pipeline)
-// shares it so the /v1 data paths cannot diverge.
+// fields match everything.
 func (s JobStatus) Matches(owner, state string) bool {
 	if owner != "" && s.Owner != owner {
 		return false
@@ -141,18 +142,6 @@ func (s JobStatus) Matches(owner, state string) bool {
 		return false
 	}
 	return true
-}
-
-// SortJobs orders statuses stably by (submission time, then ID), the
-// canonical listing order of the job-control API — deterministic, so
-// paginated clients never see entries shift between pages.
-func SortJobs(jobs []JobStatus) {
-	sort.SliceStable(jobs, func(i, j int) bool {
-		if !jobs[i].SubmittedAt.Equal(jobs[j].SubmittedAt) {
-			return jobs[i].SubmittedAt.Before(jobs[j].SubmittedAt)
-		}
-		return jobs[i].ID < jobs[j].ID
-	})
 }
 
 // OwnerUsage is one owner's live aggregate over the job board: how
@@ -216,404 +205,276 @@ func (u OwnerUpdate) Empty() bool {
 	return u.Weight == nil && u.MaxQueued == nil && u.MaxInFlight == nil && u.MaxHosts == nil
 }
 
-// boardShards is the JobBoard's fixed shard count. Shards are selected
-// by job-ID hash (Delete and Get receive only an ID, so the ID is the
-// only key every write path shares); 32 keeps per-shard row counts in
-// cache-friendly territory at a million jobs while the array of
-// padded-ish shard structs stays trivial.
-const boardShards = 32
-
-// JobBoard is the monitoring view of the submission pipeline: the
-// current status of every job plus per-state counters. It is safe for
-// concurrent use by the pipeline workers and monitoring readers.
-//
-// The board is sharded by job-ID hash so submit/terminalize publishes
-// and monitoring reads stop serializing on one lock: each shard has its
-// own mutex, rows, and incrementally maintained per-state and per-owner
-// aggregates, plus a generation-validated copy-on-write snapshot of its
-// rows (the PR 3 pattern) that listing reads share without holding any
-// lock. Writers bump the shard generation; a read finding the cached
-// snapshot's generation current reuses it, so a burst of listings over
-// an unchanged board sorts nothing, and a write only invalidates 1/32
-// of the board.
+// JobBoard is the one registry of published job state: every retained
+// job's last published status in canonical (SubmittedAt, ID) order, plus
+// per-state and per-owner aggregates kept on every write. The pipeline
+// writes it; listings, counts and /v1/owners read it, under one mutex.
 type JobBoard struct {
-	shards [boardShards]boardShard
-	// snapHits/snapRebuilds count snapshot reads served from the cache
-	// versus rebuilt — the observability of the sharded read path.
-	snapHits     atomic.Uint64
-	snapRebuilds atomic.Uint64
-}
-
-// boardShard is one hash shard: rows plus aggregates under a private
-// mutex, and the lock-free row snapshot readers share.
-type boardShard struct {
-	mu   sync.Mutex
-	gen  atomic.Uint64
-	jobs map[string]JobStatus
-	// counts tallies rows by state, maintained on every write, so
-	// Counts/InFlight/CountFiltered never scan rows.
+	mu sync.Mutex
+	// rows is the canonical order: a new job carries the latest
+	// submission time and appends at the tail, retention drops the head.
+	rows []*JobStatus
+	byID map[string]*JobStatus
+	// counts and usage tally rows by state and by owner, so the counting
+	// reads never scan rows; an owner whose last row leaves is deleted.
 	counts map[string]int
-	// usage is the per-owner aggregate (the /v1/owners ground truth),
-	// maintained on every write; owners whose last retained row leaves
-	// the shard are deleted, so transient owners do not accrete.
-	usage map[string]ownerAgg
-	snap  atomic.Pointer[boardSnap]
+	usage  map[string]ownerAgg
 }
 
-// ownerAgg is one owner's aggregate within one shard: the public usage
-// counters plus the latest-submitted retained row's share weight. The
-// weight is what lets /v1/owners keep reporting an owner's
-// last-submitted weight after the admission queue pruned the drained
-// owner — the board rows are the surviving record, and they are bounded
-// by retention. lastAt/lastID order "latest" by the canonical
-// (SubmittedAt, ID) job order; if the latest row itself is evicted the
-// weight sticks at the last value seen, which is still the latest
-// submission the board knew about.
+// ownerAgg is one owner's usage counters plus the owner's
+// latest-submitted row (it stays so if evicted), whose share weight
+// /v1/owners reports once the admission queue pruned the drained owner.
 type ownerAgg struct {
 	usage  OwnerUsage
-	lastAt time.Time
-	lastID string
-	weight int
-}
-
-// boardSnap is one shard's immutable published row set, in canonical
-// (SubmittedAt, ID) order, valid while gen matches the shard's.
-type boardSnap struct {
-	gen  uint64
-	rows []JobStatus
+	latest *JobStatus
 }
 
 // NewJobBoard returns an empty board.
 func NewJobBoard() *JobBoard {
-	b := &JobBoard{}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.jobs = make(map[string]JobStatus)
-		sh.counts = make(map[string]int)
-		sh.usage = make(map[string]ownerAgg)
+	return &JobBoard{
+		byID:   make(map[string]*JobStatus),
+		counts: make(map[string]int),
+		usage:  make(map[string]ownerAgg),
 	}
-	return b
 }
 
-// shard maps a job ID to its home shard (FNV-1a).
-func (b *JobBoard) shard(id string) *boardShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= prime32
+// rowBefore is the canonical listing order: submission time, then ID.
+func rowBefore(a, b *JobStatus) bool {
+	if !a.SubmittedAt.Equal(b.SubmittedAt) {
+		return a.SubmittedAt.Before(b.SubmittedAt)
 	}
-	return &b.shards[h%boardShards]
+	return a.ID < b.ID
 }
 
-// apply folds one row into (sign=+1) or out of (sign=-1) the shard's
-// incremental aggregates. Caller holds sh.mu.
-func (sh *boardShard) apply(s JobStatus, sign int) {
-	sh.counts[s.State] += sign
-	if sh.counts[s.State] == 0 {
-		delete(sh.counts, s.State)
-	}
-	agg := sh.usage[s.Owner]
-	u := &agg.usage
-	switch s.State {
+// tally returns the counter a state feeds (scheduling, running: InFlight).
+func (u *OwnerUsage) tally(state string) *int {
+	switch state {
 	case JobStateQueued:
-		u.Queued += sign
+		return &u.Queued
 	case JobStateScheduling, JobStateRunning:
-		u.InFlight += sign
+		return &u.InFlight
 	case JobStateDone:
-		u.Done += sign
+		return &u.Done
 	case JobStateFailed:
-		u.Failed += sign
+		return &u.Failed
 	case JobStateCanceled:
-		u.Canceled += sign
+		return &u.Canceled
 	}
-	u.HostsHeld += sign * s.HostsHeld
+	return nil
+}
+
+// apply folds one row into (sign=+1) or out of (sign=-1) the
+// aggregates. Caller holds b.mu.
+func (b *JobBoard) apply(r *JobStatus, sign int) {
+	b.counts[r.State] += sign
+	if b.counts[r.State] == 0 {
+		delete(b.counts, r.State)
+	}
+	agg := b.usage[r.Owner]
+	u := &agg.usage
+	if t := u.tally(r.State); t != nil {
+		*t += sign
+	}
+	u.HostsHeld += sign * r.HostsHeld
 	u.Total += sign
 	if u.Total == 0 {
-		delete(sh.usage, s.Owner)
+		delete(b.usage, r.Owner)
 		return
 	}
-	if sign > 0 && (agg.weight == 0 || s.SubmittedAt.After(agg.lastAt) ||
-		(s.SubmittedAt.Equal(agg.lastAt) && s.ID >= agg.lastID)) {
-		agg.lastAt, agg.lastID, agg.weight = s.SubmittedAt, s.ID, s.ShareWeight
+	if sign > 0 && (agg.latest == nil || !rowBefore(r, agg.latest)) {
+		agg.latest = r
 	}
-	sh.usage[s.Owner] = agg
+	b.usage[r.Owner] = agg
 }
 
-// Update records the latest status of a job, inserting it on first sight.
+// index returns r's (would-be) position in rows. Caller holds b.mu.
+func (b *JobBoard) index(r *JobStatus) int {
+	return sort.Search(len(b.rows), func(i int) bool { return !rowBefore(b.rows[i], r) })
+}
+
+// Update records the latest status of a job, inserting it on first
+// sight. A terminal row is final: a late publish that lost a race with
+// the terminal one is dropped.
 func (b *JobBoard) Update(s JobStatus) {
-	sh := b.shard(s.ID)
-	sh.mu.Lock()
-	if old, ok := sh.jobs[s.ID]; ok {
-		sh.apply(old, -1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r, ok := b.byID[s.ID]
+	switch {
+	case ok && r.Terminal():
+		return
+	case ok && r.SubmittedAt.Equal(s.SubmittedAt):
+		b.apply(r, -1)
+		*r = s
+		b.apply(r, +1)
+		return
+	case ok:
+		b.remove(b.index(r)) // the sort key moved: reinsert
 	}
-	sh.jobs[s.ID] = s
-	sh.apply(s, +1)
-	sh.gen.Add(1)
-	sh.mu.Unlock()
+	r = new(JobStatus) // not &s: s would escape on the replace path too
+	*r = s
+	i := len(b.rows)
+	if i > 0 && rowBefore(r, b.rows[i-1]) {
+		i = b.index(r)
+	}
+	b.rows = slices.Insert(b.rows, i, r)
+	b.byID[s.ID] = r
+	b.apply(r, +1)
 }
 
-// Delete removes a job from the board (retention eviction). Unknown
-// IDs are a no-op.
-func (b *JobBoard) Delete(id string) {
-	sh := b.shard(id)
-	sh.mu.Lock()
-	if old, ok := sh.jobs[id]; ok {
-		delete(sh.jobs, id)
-		sh.apply(old, -1)
-		sh.gen.Add(1)
+// remove drops rows[i]: a reslice at the head, a move of pointers (not
+// rows) anywhere else. Caller holds b.mu.
+func (b *JobBoard) remove(i int) {
+	r := b.rows[i]
+	delete(b.byID, r.ID)
+	b.apply(r, -1)
+	if i == 0 {
+		b.rows[0] = nil
+		b.rows = b.rows[1:]
+	} else {
+		b.rows = slices.Delete(b.rows, i, i+1)
 	}
-	sh.mu.Unlock()
+}
+
+// Delete removes a job from the board. Unknown IDs are a no-op.
+func (b *JobBoard) Delete(id string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if r, ok := b.byID[id]; ok {
+		b.remove(b.index(r))
+	}
+}
+
+// EvictTerminal is retention: while the board holds more than keep rows
+// it drops the oldest terminal one, and returns the IDs it dropped.
+// Non-terminal rows are never dropped, however old.
+func (b *JobBoard) EvictTerminal(keep int) (evicted []string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	terminal := b.counts[JobStateDone] + b.counts[JobStateFailed] + b.counts[JobStateCanceled]
+	for i := 0; len(b.rows) > keep && terminal > 0; {
+		if r := b.rows[i]; r.Terminal() {
+			evicted = append(evicted, r.ID)
+			b.remove(i)
+			terminal--
+		} else {
+			i++
+		}
+	}
+	return evicted
 }
 
 // Get returns the last recorded status of one job.
 func (b *JobBoard) Get(id string) (JobStatus, bool) {
-	sh := b.shard(id)
-	sh.mu.Lock()
-	s, ok := sh.jobs[id]
-	sh.mu.Unlock()
-	return s, ok
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if r, ok := b.byID[id]; ok {
+		return *r, true
+	}
+	return JobStatus{}, false
 }
 
-// rows returns the shard's current sorted row snapshot, rebuilding it
-// only when a write invalidated the cached one. The returned slice is
-// immutable and shared: callers read, never mutate.
-func (sh *boardShard) rows(b *JobBoard) []JobStatus {
-	if s := sh.snap.Load(); s != nil && s.gen == sh.gen.Load() {
-		b.snapHits.Add(1)
-		return s.rows
+// PageAfter returns up to limit rows matching the owner and state
+// filters (empty strings match everything) that sort strictly after the
+// (afterNanos, afterID) position — zero is the start of the listing —
+// and whether more matches follow. The position is a key, not an index:
+// rows evicted since the cursor was issued are skipped, never served
+// twice. The cost is a binary search plus the rows scanned.
+func (b *JobBoard) PageAfter(owner, state string, afterNanos int64, afterID string, limit int) (page []JobStatus, more bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	i := 0
+	if afterNanos != 0 || afterID != "" {
+		after := &JobStatus{ID: afterID, SubmittedAt: time.Unix(0, afterNanos)}
+		i = sort.Search(len(b.rows), func(i int) bool { return rowBefore(after, b.rows[i]) })
 	}
-	sh.mu.Lock()
-	g := sh.gen.Load()
-	if s := sh.snap.Load(); s != nil && s.gen == g {
-		sh.mu.Unlock()
-		b.snapHits.Add(1)
-		return s.rows
+	page = make([]JobStatus, 0, min(limit, len(b.rows)-i))
+	for _, r := range b.rows[i:] {
+		if r.Matches(owner, state) {
+			if len(page) >= limit {
+				return page, true
+			}
+			page = append(page, *r)
+		}
 	}
-	rows := make([]JobStatus, 0, len(sh.jobs))
-	for _, s := range sh.jobs {
-		rows = append(rows, s)
-	}
-	SortJobs(rows)
-	sh.snap.Store(&boardSnap{gen: g, rows: rows})
-	sh.mu.Unlock()
-	b.snapRebuilds.Add(1)
+	return page, false
+}
+
+// List returns every job status in canonical order.
+func (b *JobBoard) List() []JobStatus { return b.ListFiltered("", "") }
+
+// ListFiltered is List narrowed by the owner and state filters.
+func (b *JobBoard) ListFiltered(owner, state string) []JobStatus {
+	rows, _ := b.PageAfter(owner, state, 0, "", math.MaxInt)
 	return rows
 }
 
-// List returns every job status in stable (submission time, then ID)
-// order.
-func (b *JobBoard) List() []JobStatus {
-	return b.ListFiltered("", "")
-}
-
-// ListFiltered returns the job statuses matching the owner and state
-// filters (empty strings match everything), in stable (submission time,
-// then ID) order — the deterministic base the job-control API paginates
-// over. The scan walks the shards' immutable snapshots, so it holds no
-// lock while filtering and merging and never blocks a publish.
-func (b *JobBoard) ListFiltered(owner, state string) []JobStatus {
-	var out []JobStatus
-	for i := range b.shards {
-		for _, s := range b.shards[i].rows(b) {
-			if s.Matches(owner, state) {
-				out = append(out, s)
-			}
-		}
-	}
-	SortJobs(out)
-	return out
-}
-
-// OwnerUsages aggregates the board by owner: per-phase job counts and
-// held hosts, keyed by owner name (the anonymous owner is ""). This is
-// the ground-truth source behind the /v1/owners counters. Served from
-// the shards' incremental aggregates — O(owners), not O(jobs), so a
-// million-job board answers in microseconds.
+// OwnerUsages reports per-phase job counts and held hosts by owner name
+// (the anonymous owner is ""): the ground truth behind the /v1/owners
+// counters, O(owners) not O(jobs).
 func (b *JobBoard) OwnerUsages() map[string]OwnerUsage {
-	out := make(map[string]OwnerUsage)
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		for owner, agg := range sh.usage {
-			u := out[owner]
-			u.Queued += agg.usage.Queued
-			u.InFlight += agg.usage.InFlight
-			u.HostsHeld += agg.usage.HostsHeld
-			u.Done += agg.usage.Done
-			u.Failed += agg.usage.Failed
-			u.Canceled += agg.usage.Canceled
-			u.Total += agg.usage.Total
-			out[owner] = u
-		}
-		sh.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[string]OwnerUsage, len(b.usage))
+	for owner, agg := range b.usage {
+		out[owner] = agg.usage
 	}
 	return out
 }
 
 // OwnerWeights reports, per owner with retained rows, the share weight
-// of the owner's latest-submitted row — the board-side weight memory
-// /v1/owners falls back to once the admission queue prunes a fully
-// drained owner. Owners whose rows carried no weight report 0.
+// of the owner's latest-submitted row: what /v1/owners falls back to
+// once the admission queue prunes a fully drained owner.
 func (b *JobBoard) OwnerWeights() map[string]int {
-	type latest struct {
-		at time.Time
-		id string
-	}
-	seen := make(map[string]latest)
-	out := make(map[string]int)
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		for owner, agg := range sh.usage {
-			l, ok := seen[owner]
-			if !ok || agg.lastAt.After(l.at) || (agg.lastAt.Equal(l.at) && agg.lastID > l.id) {
-				seen[owner] = latest{at: agg.lastAt, id: agg.lastID}
-				out[owner] = agg.weight
-			}
-		}
-		sh.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[string]int, len(b.usage))
+	for owner, agg := range b.usage {
+		out[owner] = agg.latest.ShareWeight
 	}
 	return out
 }
 
 // Counts returns how many jobs sit in each state, keyed by state name.
-// Served from the shards' incremental tallies — no row scan.
 func (b *JobBoard) Counts() map[string]int {
-	out := make(map[string]int)
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		for state, n := range sh.counts {
-			out[state] += n
-		}
-		sh.mu.Unlock()
-	}
-	return out
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return maps.Clone(b.counts)
 }
 
 // CountFiltered returns how many retained rows match the owner and
-// state filters — the count-only listing (limit=0) without
-// materializing a single row. Unfiltered and single-filter counts come
-// straight from the incremental aggregates; the owner+state combination
-// falls back to a snapshot scan only for the two states the aggregates
-// merge (scheduling/running).
+// state filters (the limit=0 listing) from the aggregates; only owner
+// plus scheduling or running, which share one counter, counts rows.
 func (b *JobBoard) CountFiltered(owner, state string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if owner == "" {
 		if state == "" {
-			n := 0
-			for i := range b.shards {
-				sh := &b.shards[i]
-				sh.mu.Lock()
-				for _, c := range sh.counts {
-					n += c
-				}
-				sh.mu.Unlock()
-			}
-			return n
+			return len(b.rows)
 		}
+		return b.counts[state]
+	}
+	u := b.usage[owner].usage
+	switch state {
+	case "":
+		return u.Total
+	case JobStateScheduling, JobStateRunning:
 		n := 0
-		for i := range b.shards {
-			sh := &b.shards[i]
-			sh.mu.Lock()
-			n += sh.counts[state]
-			sh.mu.Unlock()
-		}
-		return n
-	}
-	if state == "" {
-		n := 0
-		for i := range b.shards {
-			sh := &b.shards[i]
-			sh.mu.Lock()
-			if agg, ok := sh.usage[owner]; ok {
-				n += agg.usage.Total
-			}
-			sh.mu.Unlock()
-		}
-		return n
-	}
-	perState := func(u OwnerUsage) (int, bool) {
-		switch state {
-		case JobStateQueued:
-			return u.Queued, true
-		case JobStateDone:
-			return u.Done, true
-		case JobStateFailed:
-			return u.Failed, true
-		case JobStateCanceled:
-			return u.Canceled, true
-		}
-		return 0, false
-	}
-	n := 0
-	exact := true
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		if agg, ok := sh.usage[owner]; ok {
-			c, ok := perState(agg.usage)
-			if !ok {
-				exact = false
-			}
-			n += c
-		}
-		sh.mu.Unlock()
-		if !exact {
-			break
-		}
-	}
-	if exact {
-		return n
-	}
-	// scheduling/running share one aggregate counter; count those the
-	// slow way, over the lock-free snapshots.
-	n = 0
-	for i := range b.shards {
-		for _, s := range b.shards[i].rows(b) {
-			if s.Matches(owner, state) {
+		for _, r := range b.rows {
+			if r.Matches(owner, state) {
 				n++
 			}
 		}
+		return n
 	}
-	return n
+	if t := u.tally(state); t != nil {
+		return *t
+	}
+	return 0
 }
 
 // InFlight returns how many jobs have been admitted but not finished.
 func (b *JobBoard) InFlight() int {
-	n := 0
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		n += sh.counts[JobStateQueued] + sh.counts[JobStateScheduling] + sh.counts[JobStateRunning]
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Len returns how many rows the board retains.
-func (b *JobBoard) Len() int {
-	return b.CountFiltered("", "")
-}
-
-// SnapshotStats reports how many shard-snapshot reads were served from
-// the generation-validated cache versus rebuilt after a write —
-// exported for the vdce_board_snapshots_total series.
-func (b *JobBoard) SnapshotStats() (hits, rebuilds uint64) {
-	return b.snapHits.Load(), b.snapRebuilds.Load()
-}
-
-// States lists the state names present on the board, sorted — a
-// convenience for monitoring output.
-func (b *JobBoard) States() []string {
-	counts := b.Counts()
-	out := make([]string, 0, len(counts))
-	for s := range counts {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.counts[JobStateQueued] + b.counts[JobStateScheduling] + b.counts[JobStateRunning]
 }

@@ -9,7 +9,7 @@
 //
 // Layout of a store directory:
 //
-//	wal-00000003.log    append-only record segments (frames below)
+//	wal-00000003.log    append-only record segments (internal/frame frames)
 //	snap-00000003.json  compacted snapshot of everything before segment 3
 //
 // Recovery loads the highest parseable snapshot, then replays every
@@ -18,77 +18,22 @@
 // corruption anywhere before the tail surfaces as a *CorruptError.
 package store
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
-
-// Frame layout: a 4-byte little-endian payload length, a 4-byte
-// little-endian CRC-32 (IEEE) of the payload, then the payload itself.
-const frameHeader = 8
-
-// MaxRecordSize bounds one record's payload. No legitimate record comes
-// within orders of magnitude of it; a declared length beyond it is
-// corruption by definition, never a torn tail — which is what lets the
-// reader treat "frame extends past end of file" as a truncatable torn
-// write without a wild length field swallowing valid later records.
-const MaxRecordSize = 16 << 20
-
-// ErrShortFrame reports an incomplete frame: the buffer ends before the
-// declared frame does. At the end of the final segment this is a torn
-// write and the tail is truncated; anywhere else it is corruption.
-var ErrShortFrame = fmt.Errorf("store: incomplete record frame")
+import "fmt"
 
 // CorruptError is the typed mid-log corruption report: a record whose
 // declared length is impossible or whose checksum does not match, with
 // more valid bytes after it ruled out. Recovery refuses to guess past
 // it — the operator decides whether to restore or discard.
 type CorruptError struct {
-	// Path is the segment file, empty when decoding a raw buffer.
+	// Path is the segment file.
 	Path string
 	// Offset is the byte offset of the corrupt frame within it.
 	Offset int64
-	// Reason says what failed: "length" or "checksum".
+	// Reason says what failed: "length", "checksum", "payload" or
+	// "truncated mid-log".
 	Reason string
 }
 
 func (e *CorruptError) Error() string {
-	if e.Path == "" {
-		return fmt.Sprintf("store: corrupt record at offset %d (%s)", e.Offset, e.Reason)
-	}
 	return fmt.Sprintf("store: corrupt record in %s at offset %d (%s)", e.Path, e.Offset, e.Reason)
-}
-
-// appendFrame appends one framed payload to dst.
-func appendFrame(dst []byte, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// DecodeWALRecord decodes the first frame of buf, returning the payload
-// (aliasing buf, not a copy) and the total bytes the frame consumed.
-// ErrShortFrame means buf ends before the frame does (read more, or
-// treat as a torn tail at end of file); a *CorruptError means the frame
-// can never be valid no matter how many bytes follow.
-func DecodeWALRecord(buf []byte) (payload []byte, n int, err error) {
-	if len(buf) < frameHeader {
-		return nil, 0, ErrShortFrame
-	}
-	length := binary.LittleEndian.Uint32(buf[0:4])
-	if length > MaxRecordSize {
-		return nil, 0, &CorruptError{Reason: "length"}
-	}
-	end := frameHeader + int(length)
-	if len(buf) < end {
-		return nil, 0, ErrShortFrame
-	}
-	payload = buf[frameHeader:end]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return nil, 0, &CorruptError{Reason: "checksum"}
-	}
-	return payload, end, nil
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"vdce/internal/frame"
 	"vdce/internal/obs"
 )
 
@@ -296,18 +297,21 @@ func replaySegment(dir string, n uint64, st *State, final bool) error {
 	}
 	off := 0
 	for off < len(data) {
-		payload, consumed, err := DecodeWALRecord(data[off:])
+		payload, consumed, err := frame.Decode(data[off:])
 		if err != nil {
 			if final && tornTail(data[off:], err) {
 				// Torn tail: drop the partial frame and keep going from
 				// here on restart.
 				return os.Truncate(path, int64(off))
 			}
-			if ce, ok := err.(*CorruptError); ok {
-				ce.Path, ce.Offset = path, int64(off)
-				return ce
+			reason := "truncated mid-log"
+			switch err {
+			case frame.ErrLength:
+				reason = "length"
+			case frame.ErrChecksum:
+				reason = "checksum"
 			}
-			return &CorruptError{Path: path, Offset: int64(off), Reason: "truncated mid-log"}
+			return &CorruptError{Path: path, Offset: int64(off), Reason: reason}
 		}
 		var rec record
 		if jerr := json.Unmarshal(payload, &rec); jerr != nil {
@@ -326,15 +330,11 @@ func replaySegment(dir string, n uint64, st *State, final bool) error {
 // whose size landed before its data — delayed allocation). A checksum
 // or length failure with bytes beyond the frame is real corruption.
 func tornTail(rest []byte, err error) bool {
-	if err == ErrShortFrame {
+	if err == frame.ErrShort {
 		return true
 	}
-	ce, ok := err.(*CorruptError)
-	if !ok || ce.Reason != "checksum" || len(rest) < frameHeader {
-		return false
-	}
-	length := int(uint32(rest[0]) | uint32(rest[1])<<8 | uint32(rest[2])<<16 | uint32(rest[3])<<24)
-	return frameHeader+length == len(rest)
+	return err == frame.ErrChecksum && len(rest) >= frame.HeaderSize &&
+		frame.HeaderSize+frame.PayloadLen(rest) == len(rest)
 }
 
 // apply folds one record into the state. Unknown kinds are ignored.

@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"time"
 
+	"vdce/internal/frame"
 	"vdce/internal/obs"
 )
 
@@ -133,7 +134,7 @@ func (w *wal) appendInner(payload []byte) error {
 	if w.buf == nil && w.spare != nil {
 		w.buf, w.spare = w.spare, nil
 	}
-	w.buf = appendFrame(w.buf, payload)
+	w.buf = frame.Append(w.buf, payload)
 	w.nAppend++
 	w.batchRecs++
 	big := len(w.buf) >= kickBatchBytes

@@ -56,6 +56,9 @@ type envMetrics struct {
 	recoveryRedispatched *obs.Counter
 	recoveryTerminal     *obs.Counter
 	recoveryExpired      *obs.Counter
+
+	// Durable-store appends that failed, by operation (see storeErr).
+	storeErrors *obs.CounterVec
 }
 
 // newEnvMetrics registers the pipeline's metric families on reg and
@@ -103,7 +106,22 @@ func newEnvMetrics(reg *obs.Registry) *envMetrics {
 		recoveryRedispatched: recovery.With("redispatched"),
 		recoveryTerminal:     recovery.With("terminal-retained"),
 		recoveryExpired:      recovery.With("deadline-expired"),
+		storeErrors: reg.Counter("vdce_store_errors_total",
+			"Durable-store appends that failed while the in-memory pipeline kept serving, by operation.", "op"),
 	}
+}
+
+// storeErr is the one place a failed durable-store append goes: the
+// in-memory pipeline keeps serving (the job completes, the owner update
+// applies), so the failure is logged with its subject (key, val) and
+// counted by operation instead of vanishing. A nil err is a no-op and
+// costs the hot path nothing: plain string arguments, no boxing.
+func (env *Environment) storeErr(op string, err error, key, val string) {
+	if err == nil {
+		return
+	}
+	env.obsM.storeErrors.With(op).Inc()
+	env.log.Warn("store append failed", "op", op, key, val, "error", err.Error())
 }
 
 // registerDerived registers the scrape-time collectors that sample
@@ -129,17 +147,9 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 			emit(float64(pipe.admit.pruneCount()))
 		})
 	reg.GaugeFunc("vdce_board_jobs",
-		"Rows the sharded job board retains.", nil,
+		"Rows the job board retains.", nil,
 		func(emit func(v float64, labelVals ...string)) {
-			emit(float64(env.Board.Len()))
-		})
-	reg.CounterFunc("vdce_board_snapshots_total",
-		"Board shard-snapshot reads, by result: served from the generation cache or rebuilt after a write.",
-		[]string{"result"},
-		func(emit func(v float64, labelVals ...string)) {
-			hits, rebuilds := env.Board.SnapshotStats()
-			emit(float64(hits), "hit")
-			emit(float64(rebuilds), "rebuild")
+			emit(float64(env.Board.CountFiltered("", "")))
 		})
 	reg.GaugeFunc("vdce_jobs_inflight",
 		"Admitted jobs not yet terminal (board view).", nil,

@@ -19,90 +19,6 @@ import (
 	"vdce/internal/store"
 )
 
-// PipelineConfig sizes the concurrent submission pipeline. Zero fields
-// take the listed defaults.
-type PipelineConfig struct {
-	// QueueDepth bounds the admission queue; Submit blocks (up to its
-	// context) while the queue is full. Default 64.
-	QueueDepth int
-	// SchedulerWorkers is how many scheduler workers run core.Scheduler
-	// rounds concurrently. Each job carries a home site — round-robin
-	// across sites for anonymous submissions, the submitting site for
-	// owned ones — so concurrent rounds spread across sites regardless of
-	// worker count. Default 4.
-	SchedulerWorkers int
-	// MaxConcurrentRuns bounds how many applications the execution engine
-	// runs simultaneously. Default 2 * SchedulerWorkers.
-	MaxConcurrentRuns int
-	// MaxRetainedJobs bounds how many jobs the pipeline and the job
-	// board remember; the oldest *terminal* jobs are evicted first, so a
-	// long-running server does not grow without bound. Default 1024.
-	MaxRetainedJobs int
-	// AgingStep is the starvation-protection rate of the priority
-	// admission queue: a queued job's effective priority rises by one
-	// level per AgingStep of waiting, so a low-priority job eventually
-	// overtakes a stream of higher-priority arrivals. Default 30s.
-	AgingStep time.Duration
-	// Quota bounds each owner's simultaneous use of the pipeline:
-	// queued jobs (admission rejects with a QuotaError), in-flight jobs
-	// (excess parks in the queue while other owners dispatch past it),
-	// and concurrently held hosts (a scheduled job parks before
-	// execution). Zero fields are unlimited.
-	Quota QuotaConfig
-	// EventBuffer bounds the job event broker: the replay ring serving
-	// Last-Event-ID reconnects and each stream subscriber's delivery
-	// buffer (a subscriber that falls further behind is evicted, never
-	// allowed to block the board). Default jobsapi.DefaultEventBuffer.
-	EventBuffer int
-	// APIRate is the per-owner token-bucket request rate limit that
-	// jobsapi mounts over this environment enforce at the mux (requests
-	// over budget answer 429 with Retry-After). The zero value disables
-	// rate limiting.
-	APIRate jobsapi.RateLimitConfig
-	// Shed enables adaptive load shedding at admission: bounded queue
-	// waits, deadline-infeasibility estimates, and breaker-saturation
-	// rejection, all surfaced as typed *ShedError (HTTP 503 +
-	// Retry-After). The zero value keeps the legacy block-until-slot
-	// behavior.
-	Shed ShedConfig
-	// DispatchBatch is how many fairly-arbitrated jobs one scheduler
-	// worker drains from the admission queue per wakeup, amortizing the
-	// queue lock and the wake token across the batch — at scale, one
-	// terminal job no longer costs one lock round-trip and one wakeup
-	// per dispatched job. A worker that drains a full batch re-arms
-	// another idle worker before processing, so deep backlogs still
-	// spread across all workers; with fewer eligible jobs than the
-	// batch, one worker processes them in pop order (latency bounded by
-	// batch size, so keep it small). Default 8; 1 restores per-job
-	// handoff.
-	DispatchBatch int
-}
-
-func (c *PipelineConfig) fillDefaults() {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.SchedulerWorkers <= 0 {
-		c.SchedulerWorkers = 4
-	}
-	if c.MaxConcurrentRuns <= 0 {
-		c.MaxConcurrentRuns = 2 * c.SchedulerWorkers
-	}
-	if c.MaxRetainedJobs <= 0 {
-		c.MaxRetainedJobs = 1024
-	}
-	if c.AgingStep <= 0 {
-		c.AgingStep = 30 * time.Second
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = jobsapi.DefaultEventBuffer
-	}
-	if c.DispatchBatch <= 0 {
-		c.DispatchBatch = 8
-	}
-	c.Shed.fillDefaults()
-}
-
 // JobState is a job's position in the submission lifecycle.
 type JobState int32
 
@@ -311,7 +227,6 @@ type Job struct {
 	// incarnation of the control plane died and was re-adopted from the
 	// durable store on boot (immutable after registration).
 	recovered bool
-	board     *services.JobBoard
 	pipe      *pipeline
 	done      chan struct{}
 	// cancelCh closes on the first Cancel call, unblocking dispatch waits.
@@ -355,13 +270,6 @@ type Job struct {
 	// not yet reached a scheduler worker or a terminal state; it backs
 	// the pipeline's recovery-backlog gauge behind /readyz.
 	replayPending bool
-	// finalTimings is the timings block of a terminal job, derived by
-	// the first snapshot taken after the terminal transition (the one
-	// its terminal publish takes). Nothing mutates a terminal job's
-	// status fields, so every later snapshot — each retained row of
-	// every listing walk — reuses it instead of allocating its own. The
-	// board's row holds the same pointer: the memo retains nothing new.
-	finalTimings *services.JobTimings
 }
 
 // State returns the job's current lifecycle state.
@@ -488,7 +396,7 @@ func (j *Job) FailedHosts() []string {
 // metrics returns the pipeline's resolved metric handles, or nil for
 // jobs detached from a live pipeline (some tests).
 func (j *Job) metrics() *envMetrics {
-	if j.pipe == nil || j.pipe.env == nil {
+	if j.pipe == nil {
 		return nil
 	}
 	return j.pipe.env.obsM
@@ -496,7 +404,7 @@ func (j *Job) metrics() *envMetrics {
 
 // logger returns the pipeline's structured logger, or a discarding one.
 func (j *Job) logger() *slog.Logger {
-	if j.pipe == nil || j.pipe.env == nil || j.pipe.env.log == nil {
+	if j.pipe == nil {
 		return discardLog
 	}
 	return j.pipe.env.log
@@ -678,33 +586,7 @@ func (j *Job) execEvent(ev exec.Event) {
 // Status snapshots the job for the monitoring board and the job-control
 // API. Queued jobs carry their live admission-queue position.
 func (j *Job) Status() services.JobStatus {
-	s := j.statusSnapshot()
-	if s.State == services.JobStateQueued && j.pipe != nil {
-		s.QueuePosition = j.pipe.admit.position(j.ID)
-	}
-	return s
-}
-
-// statusSnapshot is Status without the admission-queue position lookup;
-// listing paths batch-compute positions in one arbitration replay
-// instead of one per job.
-func (j *Job) statusSnapshot() services.JobStatus {
 	j.mu.Lock()
-	terminal := j.state.terminal()
-	timings, failed := j.finalTimings, j.failedHosts
-	if timings == nil {
-		timings = j.timingsLocked()
-		if terminal {
-			j.finalTimings = timings
-		}
-	}
-	if terminal {
-		// Final, so readers share it; the capped slice keeps an append
-		// by one of them out of the shared array.
-		failed = failed[:len(failed):len(failed)]
-	} else {
-		failed = append([]string(nil), failed...)
-	}
 	s := services.JobStatus{
 		ID:          j.ID,
 		App:         j.Graph.Name,
@@ -715,12 +597,12 @@ func (j *Job) statusSnapshot() services.JobStatus {
 		HostsHeld:   j.hostsHeld,
 		Labels:      j.Labels,
 		Reschedules: j.reschedules,
-		FailedHosts: failed,
+		FailedHosts: append([]string(nil), j.failedHosts...),
 		Recovered:   j.recovered,
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
-		Timings:     timings,
+		Timings:     j.timingsLocked(),
 	}
 	if !j.deadline.IsZero() {
 		s.Deadline = j.deadline
@@ -729,6 +611,9 @@ func (j *Job) statusSnapshot() services.JobStatus {
 		s.Error = j.err.Error()
 	}
 	j.mu.Unlock()
+	if s.State == services.JobStateQueued && j.pipe != nil {
+		s.QueuePosition = j.pipe.admit.position(j.ID)
+	}
 	return s
 }
 
@@ -910,13 +795,127 @@ func (j *Job) publish() { j.publishEvent(jobsapi.EventState) }
 // broker (push: /v1/events and /v1/jobs/{id}/events), typed so stream
 // consumers can tell lifecycle transitions from mid-run recovery.
 func (j *Job) publishEvent(typ string) {
+	if j.pipe == nil {
+		return // detached from a pipeline (some tests)
+	}
 	s := j.Status()
-	if j.board != nil {
-		j.board.Update(s)
+	j.pipe.env.Board.Update(s)
+	j.pipe.events.Publish(typ, s)
+}
+
+// noteHostsHeld mirrors a successful host charge into the job's status
+// view and publishes it, so /v1/jobs and owner counters show the held
+// hosts live. The mirror only rises — concurrent reschedule events may
+// report their ledger counts out of order, and the count never shrinks
+// until terminalize zeroes it.
+func (j *Job) noteHostsHeld(n int) {
+	j.mu.Lock()
+	if j.state.terminal() {
+		// Lost a race with terminalize: the charge was already released.
+		j.mu.Unlock()
+		return
 	}
-	if j.pipe != nil && j.pipe.events != nil {
-		j.pipe.events.Publish(typ, s)
+	if n <= j.hostsHeld {
+		j.mu.Unlock()
+		return
 	}
+	j.hostsHeld = n
+	j.mu.Unlock()
+	j.publish()
+}
+
+// canceled reports whether Cancel has been requested.
+func (j *Job) canceled() bool {
+	select {
+	case <-j.cancelCh:
+		return true
+	default:
+		return false
+	}
+}
+
+// PipelineConfig sizes the concurrent submission pipeline. Zero fields
+// take the listed defaults.
+type PipelineConfig struct {
+	// QueueDepth bounds the admission queue; Submit blocks (up to its
+	// context) while the queue is full. Default 64.
+	QueueDepth int
+	// SchedulerWorkers is how many scheduler workers run core.Scheduler
+	// rounds concurrently. Each job carries a home site — round-robin
+	// across sites for anonymous submissions, the submitting site for
+	// owned ones — so concurrent rounds spread across sites regardless of
+	// worker count. Default 4.
+	SchedulerWorkers int
+	// MaxConcurrentRuns bounds how many applications the execution engine
+	// runs simultaneously. Default 2 * SchedulerWorkers.
+	MaxConcurrentRuns int
+	// MaxRetainedJobs bounds how many jobs the pipeline and the job
+	// board remember; the oldest *terminal* jobs are evicted first, so a
+	// long-running server does not grow without bound. Default 1024.
+	MaxRetainedJobs int
+	// AgingStep is the starvation-protection rate of the priority
+	// admission queue: a queued job's effective priority rises by one
+	// level per AgingStep of waiting, so a low-priority job eventually
+	// overtakes a stream of higher-priority arrivals. Default 30s.
+	AgingStep time.Duration
+	// Quota bounds each owner's simultaneous use of the pipeline:
+	// queued jobs (admission rejects with a QuotaError), in-flight jobs
+	// (excess parks in the queue while other owners dispatch past it),
+	// and concurrently held hosts (a scheduled job parks before
+	// execution). Zero fields are unlimited.
+	Quota QuotaConfig
+	// EventBuffer bounds the job event broker: the replay ring serving
+	// Last-Event-ID reconnects and each stream subscriber's delivery
+	// buffer (a subscriber that falls further behind is evicted, never
+	// allowed to block the board). Default jobsapi.DefaultEventBuffer.
+	EventBuffer int
+	// APIRate is the per-owner token-bucket request rate limit that
+	// jobsapi mounts over this environment enforce at the mux (requests
+	// over budget answer 429 with Retry-After). The zero value disables
+	// rate limiting.
+	APIRate jobsapi.RateLimitConfig
+	// Shed enables adaptive load shedding at admission: bounded queue
+	// waits, deadline-infeasibility estimates, and breaker-saturation
+	// rejection, all surfaced as typed *ShedError (HTTP 503 +
+	// Retry-After). The zero value keeps the legacy block-until-slot
+	// behavior.
+	Shed ShedConfig
+	// DispatchBatch is how many fairly-arbitrated jobs one scheduler
+	// worker drains from the admission queue per wakeup, amortizing the
+	// queue lock and the wake token across the batch — at scale, one
+	// terminal job no longer costs one lock round-trip and one wakeup
+	// per dispatched job. A worker that drains a full batch re-arms
+	// another idle worker before processing, so deep backlogs still
+	// spread across all workers; with fewer eligible jobs than the
+	// batch, one worker processes them in pop order (latency bounded by
+	// batch size, so keep it small). Default 8; 1 restores per-job
+	// handoff.
+	DispatchBatch int
+}
+
+func (c *PipelineConfig) fillDefaults() {
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 64
+	}
+	if c.SchedulerWorkers <= 0 {
+		c.SchedulerWorkers = 4
+	}
+	if c.MaxConcurrentRuns <= 0 {
+		c.MaxConcurrentRuns = 2 * c.SchedulerWorkers
+	}
+	if c.MaxRetainedJobs <= 0 {
+		c.MaxRetainedJobs = 1024
+	}
+	if c.AgingStep <= 0 {
+		c.AgingStep = 30 * time.Second
+	}
+	if c.EventBuffer <= 0 {
+		c.EventBuffer = jobsapi.DefaultEventBuffer
+	}
+	if c.DispatchBatch <= 0 {
+		c.DispatchBatch = 8
+	}
+	c.Shed.fillDefaults()
 }
 
 // pipeline is the multi-tenant submission machinery behind
@@ -969,9 +968,12 @@ type pipeline struct {
 	mu       sync.Mutex
 	nextID   int
 	nextHome int
-	jobs     []*Job          // every retained job, in submission order
-	byID     map[string]*Job // retained jobs indexed for the job API
-	closed   bool
+	// byID holds the handle of every job the board retains a row for —
+	// what cancel, trace, drain and shutdown act on. Published state
+	// lives on the board alone; retention trims this index by the IDs
+	// the board evicts.
+	byID   map[string]*Job
+	closed bool
 }
 
 // siteSvc is one home site's resolved scheduling services.
@@ -980,27 +982,16 @@ type siteSvc struct {
 	remotes []core.SiteService
 }
 
-// RecoveryReport summarizes what the boot replay of a durable store
-// did: how many queued jobs were re-admitted, how many in-flight jobs
-// were re-dispatched through the scheduling path, and how many terminal
-// jobs were retained for the listing surfaces.
-type RecoveryReport struct {
-	// QueuedRecovered is how many jobs that were queued at the crash
-	// were re-admitted with owner, priority, deadline, and share weight
-	// intact.
-	QueuedRecovered int
-	// InFlightRedispatched is how many scheduling/running jobs were
-	// re-adopted: re-queued at their original aging rank and
-	// re-dispatched through a fresh scheduling round (their previous
-	// partial progress died with the old incarnation's engine).
-	InFlightRedispatched int
-	// TerminalRetained is how many done/failed/canceled jobs were
-	// restored to the board and listing surfaces.
-	TerminalRetained int
-	// DeadlineExpiredAtReplay is how many in-flight-or-queued jobs whose
-	// deadline passed during the downtime were terminalized as
-	// deadline-exceeded at replay instead of being re-dispatched.
-	DeadlineExpiredAtReplay int
+// submitSpec is a fully resolved submission (options applied).
+type submitSpec struct {
+	owner       string
+	graph       *afg.Graph
+	k           int
+	home        int // < 0 picks sites round-robin
+	priority    int
+	shareWeight int
+	deadline    time.Time
+	labels      map[string]string
 }
 
 // startPipeline launches the worker pool. ctx is the environment's
@@ -1033,17 +1024,13 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 		// stream handlers re-synchronize the client) instead of silently
 		// replaying the wrong events.
 		p.events = jobsapi.NewBrokerAt(cfg.EventBuffer, st.EventCursor(), func(cur uint64) {
-			st.NoteEventCursor(cur)
+			env.storeErr("event-cursor", st.NoteEventCursor(cur), "record", "high-water mark")
 		})
-		if env.Obs != nil {
-			p.events.Instrument(env.Obs)
-		}
+		p.events.Instrument(env.Obs)
 		adopt = p.loadRecovered(st.Recovered())
 	} else {
 		p.events = jobsapi.NewBroker(cfg.EventBuffer)
-		if env.Obs != nil {
-			p.events.Instrument(env.Obs)
-		}
+		p.events.Instrument(env.Obs)
 	}
 	// Queue capacity: the configured depth plus one slot per re-adopted
 	// job, so recovery never deadlocks on its own backpressure when the
@@ -1084,209 +1071,6 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 	return p
 }
 
-// loadRecovered folds the store's recovered state into the pipeline:
-// owner-admin records into the admission queue, terminal jobs onto the
-// board, and queued/in-flight jobs into handles ready for adoption —
-// returned in canonical submission order. Runs before any worker
-// starts, so no locks race it.
-func (p *pipeline) loadRecovered(rs *store.State) []*Job {
-	for _, rec := range rs.Owners {
-		var caps *QuotaConfig
-		if rec.HasCaps {
-			caps = &QuotaConfig{
-				MaxQueuedPerOwner:   rec.MaxQueued,
-				MaxInFlightPerOwner: rec.MaxInFlight,
-				MaxHostsPerOwner:    rec.MaxHosts,
-			}
-		}
-		p.admit.setOwnerAdmin(rec.Owner, rec.Weight, caps)
-	}
-	var adopt []*Job
-	for _, rec := range rs.SortedJobs() {
-		job := &Job{
-			ID:          rec.ID,
-			Owner:       rec.Owner,
-			K:           rec.K,
-			Labels:      rec.Labels,
-			home:        rec.Home,
-			priority:    rec.Priority,
-			shareWeight: clampShareWeight(rec.ShareWeight),
-			deadline:    rec.Deadline,
-			board:       p.env.Board,
-			pipe:        p,
-			done:        make(chan struct{}),
-			cancelCh:    make(chan struct{}),
-			submitted:   rec.SubmittedAt,
-			enqueued:    rec.SubmittedAt,
-			started:     rec.StartedAt,
-			finished:    rec.FinishedAt,
-		}
-		if job.home < 0 || job.home >= len(p.env.Sites) {
-			// The testbed may be configured differently than the one the
-			// job was submitted to; fall back to the accounts site.
-			job.home = 0
-		}
-		g, gerr := afg.DecodeJSON(rec.Graph)
-		if g != nil {
-			job.Graph = g
-		} else {
-			// A handle must always carry a graph (statusSnapshot reads its
-			// name); an undecodable one terminalizes below.
-			job.Graph = afg.NewGraph(rec.ID)
-		}
-		terminal := true
-		expired := false
-		switch {
-		case gerr != nil:
-			job.state = JobFailed
-			job.err = fmt.Errorf("vdce: recovered job graph: %w", gerr)
-		case rec.State == services.JobStateDone:
-			// The result payload is not persisted — Result() is nil after
-			// a restart — but the terminal status survives.
-			job.state = JobDone
-		case rec.State == services.JobStateCanceled:
-			job.state = JobCanceled
-			job.err = ErrJobCanceled
-		case rec.State == services.JobStateFailed:
-			job.state = JobFailed
-			if rec.Error != "" {
-				job.err = errors.New(rec.Error)
-			} else {
-				job.err = errors.New("vdce: job failed before restart")
-			}
-		case !rec.Deadline.IsZero() && !time.Now().Before(rec.Deadline):
-			// The job's deadline expired while the control plane was down:
-			// re-admitting and dispatching it would burn scheduler and host
-			// capacity on work that is already lost. Terminalize it at
-			// replay instead — with a stream event, because unlike the
-			// terminal restores below this IS a lifecycle transition.
-			job.state = JobFailed
-			job.err = ErrJobDeadlineExceeded
-			job.finished = rec.Deadline
-			expired = true
-		default:
-			// Queued, scheduling, or running at the crash: re-adopt as
-			// queued. In-flight jobs lost their partial progress with the
-			// old engine; they re-schedule and re-execute from scratch.
-			terminal = false
-			job.state = JobQueued
-			job.recovered = rec.State != services.JobStateQueued
-			job.started = time.Time{}
-		}
-		// Seed the lifecycle trace: every recovered job's chain starts at
-		// its original submission; terminal restores get their terminal
-		// stamp synthesized so recovered traces satisfy the same
-		// complete-chain contract as live ones.
-		job.stampLocked(services.PhaseSubmitted, "", rec.SubmittedAt)
-		m := p.env.obsM
-		if terminal {
-			if job.finished.IsZero() {
-				job.finished = rec.SubmittedAt
-			}
-			detail := ""
-			if job.err != nil {
-				detail = job.err.Error()
-			}
-			job.finished = job.stampLocked(job.state.String(), detail, job.finished)
-			close(job.done)
-			if expired {
-				p.recovery.DeadlineExpiredAtReplay++
-				if m != nil {
-					m.recoveryExpired.Inc()
-				}
-				job.publish()
-				p.persistState(job)
-			} else {
-				p.recovery.TerminalRetained++
-				if m != nil {
-					m.recoveryTerminal.Inc()
-				}
-				// Restore the board row without publishing a stream event: a
-				// reboot is not a lifecycle transition.
-				p.env.Board.Update(job.statusSnapshot())
-			}
-		} else {
-			job.stampLocked("recovered", rec.State, time.Now())
-			if job.recovered {
-				p.recovery.InFlightRedispatched++
-				if m != nil {
-					m.recoveryRedispatched.Inc()
-				}
-			} else {
-				p.recovery.QueuedRecovered++
-				if m != nil {
-					m.recoveryRequeued.Inc()
-				}
-			}
-			adopt = append(adopt, job)
-		}
-		p.jobs = append(p.jobs, job)
-		p.byID[job.ID] = job
-	}
-	sort.Slice(p.jobs, func(i, j int) bool { return canonicalBefore(p.jobs[i], p.jobs[j]) })
-	sort.Slice(adopt, func(i, j int) bool { return canonicalBefore(adopt[i], adopt[j]) })
-	p.nextID = rs.MaxJobSeq
-	return adopt
-}
-
-// persistSubmitted appends a new job's full record to the durable log.
-// Store appends are best effort on this path: an I/O error is sticky in
-// the log and surfaces on Sync/Close, while the in-memory pipeline
-// keeps serving.
-func (p *pipeline) persistSubmitted(j *Job) {
-	if p.store == nil {
-		return
-	}
-	graph, err := json.Marshal(j.Graph)
-	if err != nil {
-		return
-	}
-	_ = p.store.JobSubmitted(store.JobRecord{
-		ID:          j.ID,
-		Owner:       j.Owner,
-		Graph:       graph,
-		K:           j.K,
-		Home:        j.home,
-		Priority:    j.priority,
-		ShareWeight: j.shareWeight,
-		Labels:      j.Labels,
-		Deadline:    j.deadline,
-		SubmittedAt: j.submitted,
-		State:       services.JobStateQueued,
-	})
-}
-
-// persistState appends a job's lifecycle transition to the durable log.
-// Suppressed while the pipeline is stopping: a graceful shutdown fails
-// in-flight jobs with ErrPipelineClosed, but durably they remain
-// queued/running — exactly the state the next boot re-adopts them from.
-func (p *pipeline) persistState(j *Job) {
-	if p.store == nil || p.stopping.Load() {
-		return
-	}
-	j.mu.Lock()
-	state := j.state.String()
-	errMsg := ""
-	if j.err != nil {
-		errMsg = j.err.Error()
-	}
-	started, finished := j.started, j.finished
-	j.mu.Unlock()
-	_ = p.store.JobState(j.ID, state, errMsg, started, finished)
-}
-
-// submitSpec is a fully resolved submission (options applied).
-type submitSpec struct {
-	owner       string
-	graph       *afg.Graph
-	k           int
-	home        int // < 0 picks sites round-robin
-	priority    int
-	shareWeight int
-	deadline    time.Time
-	labels      map[string]string
-}
-
 // submit admits a job into the fair-share priority queue, blocking
 // while it is full. An owner over its queued-jobs quota is rejected
 // with a typed QuotaError before consuming any shared queue capacity.
@@ -1314,10 +1098,8 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	// and is returned when the job pops, is removed, or dies before
 	// reaching the queue.
 	if err := p.admit.reserveQueued(spec.owner); err != nil {
-		if m := p.env.obsM; m != nil {
-			m.rejectQuota.Inc()
-		}
-		p.log().Info("submission rejected", "owner", spec.owner, "reason", "quota")
+		p.env.obsM.rejectQuota.Inc()
+		p.env.log.Info("submission rejected", "owner", spec.owner, "reason", "quota")
 		return nil, err
 	}
 	// With shedding on, the queue slot is claimed before the job handle
@@ -1353,7 +1135,6 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		priority:    spec.priority,
 		shareWeight: spec.shareWeight,
 		deadline:    spec.deadline,
-		board:       p.env.Board,
 		pipe:        p,
 		done:        make(chan struct{}),
 		cancelCh:    make(chan struct{}),
@@ -1375,26 +1156,35 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	job.home = spec.home
 	p.nextID++
 	job.ID = fmt.Sprintf("job-%d", p.nextID)
-	// Stamp the submission time under p.mu so p.jobs stays sorted in the
-	// canonical (submitted, ID) listing order: two concurrent submits
-	// cannot observe inverted clocks, and the insert below only has to
-	// bubble past timestamp ties (where string ID order, e.g. "job-10" <
-	// "job-9", can disagree with assignment order). Cursor pagination
-	// binary-searches this order.
+	// Stamp the submission time and publish the job's first row under
+	// p.mu: two concurrent submits cannot observe inverted clocks, so
+	// rows reach the board in its canonical (submitted, ID) order and
+	// append at the tail — only timestamp ties (where string ID order,
+	// e.g. "job-10" < "job-9", can disagree with assignment order) land
+	// one row earlier. Retention runs in the same critical section, so
+	// the handle index and the board always hold the same ID set.
 	now := time.Now()
 	job.submitted, job.enqueued = now, now
 	job.mu.Lock()
 	job.stampLocked(services.PhaseSubmitted, "", now)
 	job.mu.Unlock()
-	p.jobs = append(p.jobs, job)
-	for i := len(p.jobs) - 1; i > 0 && canonicalBefore(p.jobs[i], p.jobs[i-1]); i-- {
-		p.jobs[i], p.jobs[i-1] = p.jobs[i-1], p.jobs[i]
-	}
 	p.byID[job.ID] = job
+	status := job.Status()
+	p.env.Board.Update(status)
+	evicted := p.env.Board.EvictTerminal(p.cfg.MaxRetainedJobs)
+	for _, id := range evicted {
+		delete(p.byID, id)
+	}
 	p.mu.Unlock()
 	p.persistSubmitted(job)
-	p.pruneRetained()
-	job.publish()
+	if p.store != nil {
+		// Deletion records keep the durable log's mirror bounded by the
+		// same retention policy as the board.
+		for _, id := range evicted {
+			p.env.storeErr("job-deleted", p.store.JobDeleted(id), "job_id", id)
+		}
+	}
+	p.events.Publish(jobsapi.EventState, status)
 	p.gauge()
 	if !preSlot {
 		// Reserve a queue slot (backpressure), then enqueue. The job is
@@ -1427,11 +1217,9 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	wait := job.stampAdmitted(time.Now())
 	p.admit.push(job)
 	p.meter.record(false)
-	if m := p.env.obsM; m != nil {
-		m.submitWait.Observe(wait.Seconds())
-		m.accepted.Inc()
-	}
-	p.log().Debug("job admitted", "job_id", job.ID, "owner", job.Owner)
+	p.env.obsM.submitWait.Observe(wait.Seconds())
+	p.env.obsM.accepted.Inc()
+	p.env.log.Debug("job admitted", "job_id", job.ID, "owner", job.Owner)
 	if !job.deadline.IsZero() {
 		// Drop the job at its deadline if it is still queued then, so it
 		// does not pin a queue slot or block Wait callers until a worker
@@ -1448,28 +1236,18 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 // admission queue (popped by a worker or removed by Cancel).
 func (p *pipeline) releaseSlot() { <-p.slots }
 
-// log returns the environment's structured logger, or a discarding one.
-func (p *pipeline) log() *slog.Logger {
-	if p.env == nil || p.env.log == nil {
-		return discardLog
-	}
-	return p.env.log
-}
-
 // countShed feeds one admission rejection into the per-reason counter
 // and the structured log.
 func (p *pipeline) countShed(reason, owner string) {
-	if m := p.env.obsM; m != nil {
-		switch reason {
-		case ShedQueueFull:
-			m.rejectQueueFull.Inc()
-		case ShedDeadlineInfeasible:
-			m.rejectDeadline.Inc()
-		case ShedBreakerSaturated:
-			m.rejectBreaker.Inc()
-		}
+	switch m := p.env.obsM; reason {
+	case ShedQueueFull:
+		m.rejectQueueFull.Inc()
+	case ShedDeadlineInfeasible:
+		m.rejectDeadline.Inc()
+	case ShedBreakerSaturated:
+		m.rejectBreaker.Inc()
 	}
-	p.log().Info("submission shed", "owner", owner, "reason", reason)
+	p.env.log.Info("submission shed", "owner", owner, "reason", reason)
 }
 
 // services resolves the scheduling services for home site i, caching
@@ -1546,9 +1324,7 @@ func (p *pipeline) worker() {
 			}
 			continue
 		}
-		if m := p.env.obsM; m != nil {
-			m.batchPops.Observe(float64(len(batch)))
-		}
+		p.env.obsM.batchPops.Observe(float64(len(batch)))
 		if len(batch) == max {
 			p.wake()
 		}
@@ -1592,9 +1368,7 @@ func (p *pipeline) process(job *Job) {
 	}
 	roundStart := time.Now()
 	table, err := sched.Schedule(job.Graph, cost)
-	if m := p.env.obsM; m != nil {
-		m.roundLatency.Observe(time.Since(roundStart).Seconds())
-	}
+	p.env.obsM.roundLatency.Observe(time.Since(roundStart).Seconds())
 	if err != nil {
 		job.fail(err)
 		p.gauge()
@@ -1617,10 +1391,8 @@ func (p *pipeline) process(job *Job) {
 		// when its turn comes.
 		p.admit.setParked(job, true)
 		job.stampEvent("host-park", "")
-		if m := p.env.obsM; m != nil {
-			m.hostParks.Inc()
-		}
-		p.log().Debug("job parked on held-hosts quota", "job_id", job.ID, "owner", job.Owner)
+		p.env.obsM.hostParks.Inc()
+		p.env.log.Debug("job parked on held-hosts quota", "job_id", job.ID, "owner", job.Owner)
 		go p.parkForHosts(job, table, needed)
 		return
 	}
@@ -1635,10 +1407,9 @@ func (p *pipeline) process(job *Job) {
 // number of admitted-but-unfinished jobs stays bounded by QueueDepth +
 // SchedulerWorkers·DispatchBatch + MaxConcurrentRuns, plus hosts-parked
 // jobs (the pop-side parked gate bounds those per owner by the worker
-// count times the dispatch batch).
-// A job waiting for a slot
-// remains in the scheduling state (it is still in a worker's hands).
-// Jobs resuming from a hosts-quota park call this off-worker instead.
+// count times the dispatch batch). A job waiting for a slot remains in
+// the scheduling state (it is still in a worker's hands). Jobs resuming
+// from a hosts-quota park call this off-worker instead.
 func (p *pipeline) dispatch(job *Job, table *core.AllocationTable) {
 	select {
 	case p.runSem <- struct{}{}:
@@ -1717,27 +1488,6 @@ func distinctHosts(table *core.AllocationTable) []string {
 	return hosts
 }
 
-// noteHostsHeld mirrors a successful host charge into the job's status
-// view and publishes it, so /v1/jobs and owner counters show the held
-// hosts live. The mirror only rises — concurrent reschedule events may
-// report their ledger counts out of order, and the count never shrinks
-// until terminalize zeroes it.
-func (j *Job) noteHostsHeld(n int) {
-	j.mu.Lock()
-	if j.state.terminal() {
-		// Lost a race with terminalize: the charge was already released.
-		j.mu.Unlock()
-		return
-	}
-	if n <= j.hostsHeld {
-		j.mu.Unlock()
-		return
-	}
-	j.hostsHeld = n
-	j.mu.Unlock()
-	j.publish()
-}
-
 // wake hands one wakeup token to an idle scheduler worker.
 func (p *pipeline) wake() {
 	select {
@@ -1800,22 +1550,10 @@ func (p *pipeline) execute(job *Job, table *core.AllocationTable) {
 	p.gauge()
 }
 
-// canceled reports whether Cancel has been requested.
-func (j *Job) canceled() bool {
-	select {
-	case <-j.cancelCh:
-		return true
-	default:
-		return false
-	}
-}
-
 // gauge mirrors the in-flight job count into the visualization service,
 // the same channel the workload series use.
 func (p *pipeline) gauge() {
-	if p.env.Metrics != nil && p.env.Board != nil {
-		p.env.Metrics.Add("jobs:in-flight", time.Since(p.start), float64(p.env.Board.InFlight()))
-	}
+	p.env.Metrics.Add("jobs:in-flight", time.Since(p.start), float64(p.env.Board.InFlight()))
 }
 
 // stop fails every queued job and waits for in-flight work to settle.
@@ -1851,48 +1589,9 @@ func (p *pipeline) stop() {
 	}
 }
 
-// pruneRetained evicts the oldest terminal jobs beyond the retention
-// cap, from both the pipeline's registry and the job board, so a
-// long-running server does not accumulate finished jobs forever.
-// In-flight jobs are never evicted.
-func (p *pipeline) pruneRetained() {
-	var evicted []string
-	p.mu.Lock()
-	over := len(p.jobs) - p.cfg.MaxRetainedJobs
-	if over > 0 {
-		kept := make([]*Job, 0, len(p.jobs))
-		for _, j := range p.jobs {
-			if over > 0 {
-				select {
-				case <-j.done:
-					evicted = append(evicted, j.ID)
-					delete(p.byID, j.ID)
-					over--
-					continue
-				default:
-				}
-			}
-			kept = append(kept, j)
-		}
-		p.jobs = kept
-	}
-	p.mu.Unlock()
-	for _, id := range evicted {
-		p.env.Board.Delete(id)
-		if p.store != nil {
-			// Deletion records keep the durable log's mirror bounded by the
-			// same retention policy as the in-memory board.
-			_ = p.store.JobDeleted(id)
-		}
-	}
-}
-
 // allSettled reports whether every admitted job is terminal.
 func (p *pipeline) allSettled() bool {
-	p.mu.Lock()
-	jobs := append([]*Job(nil), p.jobs...)
-	p.mu.Unlock()
-	for _, j := range jobs {
+	for _, j := range p.handles() {
 		select {
 		case <-j.done:
 		default:
@@ -1910,85 +1609,15 @@ func (p *pipeline) job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// snapshot returns every retained job handle in submission order.
-func (p *pipeline) snapshot() []*Job {
+// handles returns every retained job handle, in no particular order.
+func (p *pipeline) handles() []*Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]*Job(nil), p.jobs...)
-}
-
-// canonicalBefore orders job handles exactly like services.SortJobs
-// orders their statuses: (submission time, then ID string). submit()
-// maintains p.jobs in this order so cursor pagination can binary-search
-// it; both fields are immutable after registration, so no job lock is
-// needed.
-func canonicalBefore(a, b *Job) bool {
-	if !a.submitted.Equal(b.submitted) {
-		return a.submitted.Before(b.submitted)
+	out := make([]*Job, 0, len(p.byID))
+	for _, j := range p.byID {
+		out = append(out, j)
 	}
-	return a.ID < b.ID
-}
-
-// pageAfter returns up to limit job statuses matching the owner/state
-// filters whose cursor strictly follows after, in canonical order, plus
-// whether more matching rows may follow. Cost is O(log n) to locate the
-// resume point plus O(rows scanned for this page) — independent of how
-// deep into the board the page sits, unlike offset pagination which
-// materializes every preceding row.
-func (p *pipeline) pageAfter(owner, state string, after jobsapi.Cursor, limit int) ([]services.JobStatus, bool) {
-	if limit <= 0 {
-		return nil, false
-	}
-	var positions map[string]int
-	out := make([]services.JobStatus, 0, limit)
-	// One round of the loop serves an unfiltered page: limit rows plus
-	// the one beyond them that proves there is more. The floor keeps a
-	// tiny page with a selective filter from re-locking every few rows.
-	chunk := max(limit+1, 64)
-	buf := make([]*Job, 0, chunk)
-	for {
-		buf = buf[:0]
-		p.mu.Lock()
-		// Resume strictly after the cursor. p.jobs is canonically ordered
-		// (see submit), so the first candidate is found by binary search —
-		// cursors name a (time, ID) position, not an index, which is why
-		// rows evicted by retention are simply skipped, never double-served.
-		i := sort.Search(len(p.jobs), func(i int) bool {
-			j := p.jobs[i]
-			return after.Less(jobsapi.Cursor{Submitted: j.submitted.UnixNano(), ID: j.ID})
-		})
-		for ; i < len(p.jobs) && len(buf) < chunk; i++ {
-			buf = append(buf, p.jobs[i])
-		}
-		done := i >= len(p.jobs)
-		p.mu.Unlock()
-		// Snapshot and filter outside the lock: statuses take each job's
-		// own mutex, and a page of snapshots under p.mu would stall submits.
-		for _, j := range buf {
-			s := j.statusSnapshot()
-			after = jobsapi.Cursor{Submitted: s.SubmittedAt.UnixNano(), ID: s.ID}
-			if !s.Matches(owner, state) {
-				continue
-			}
-			if s.State == services.JobStateQueued {
-				if positions == nil {
-					// One fair-queuing replay covers every queued row on the
-					// page, same as ListJobs.
-					positions = p.admit.positions()
-				}
-				s.QueuePosition = positions[s.ID]
-			}
-			if len(out) == limit {
-				// A row beyond the page proves there is more; it is re-served
-				// as the first row of the next page.
-				return out, true
-			}
-			out = append(out, s)
-		}
-		if done {
-			return out, false
-		}
-	}
+	return out
 }
 
 // Submit admits an application into the environment's concurrent
@@ -2047,69 +1676,249 @@ func (env *Environment) Submit(ctx context.Context, g *afg.Graph, opts ...Submit
 	return env.pipe.submit(ctx, spec)
 }
 
-// SubmitOwned is a thin wrapper over Submit for a named user at the
-// submitting site.
-//
-// Deprecated: use Submit with WithOwner and WithMaxHosts, which also
-// expose priority, deadline, and cancellation:
-//
-//	env.Submit(ctx, g, WithOwner(owner), WithMaxHosts(k))
-func (env *Environment) SubmitOwned(ctx context.Context, owner string, g *afg.Graph, k int) (*Job, error) {
-	return env.Submit(ctx, g, WithOwner(owner), WithMaxHosts(k))
+// RecoveryReport summarizes what the boot replay of a durable store
+// did: how many queued jobs were re-admitted, how many in-flight jobs
+// were re-dispatched through the scheduling path, and how many terminal
+// jobs were retained for the listing surfaces.
+type RecoveryReport struct {
+	// QueuedRecovered is how many jobs that were queued at the crash
+	// were re-admitted with owner, priority, deadline, and share weight
+	// intact.
+	QueuedRecovered int
+	// InFlightRedispatched is how many scheduling/running jobs were
+	// re-adopted: re-queued at their original aging rank and
+	// re-dispatched through a fresh scheduling round (their previous
+	// partial progress died with the old incarnation's engine).
+	InFlightRedispatched int
+	// TerminalRetained is how many done/failed/canceled jobs were
+	// restored to the board and listing surfaces.
+	TerminalRetained int
+	// DeadlineExpiredAtReplay is how many in-flight-or-queued jobs whose
+	// deadline passed during the downtime were terminalized as
+	// deadline-exceeded at replay instead of being re-dispatched.
+	DeadlineExpiredAtReplay int
 }
 
-// Jobs returns the status of every submitted job in stable order
-// (submission time, then ID).
+// loadRecovered folds the store's recovered state into the pipeline:
+// owner-admin records into the admission queue, terminal jobs onto the
+// board, and queued/in-flight jobs into handles ready for adoption —
+// returned in the store's submission order (time, then job sequence).
+// Runs before any worker starts, so no locks race it.
+func (p *pipeline) loadRecovered(rs *store.State) []*Job {
+	for _, rec := range rs.Owners {
+		var caps *QuotaConfig
+		if rec.HasCaps {
+			caps = &QuotaConfig{
+				MaxQueuedPerOwner:   rec.MaxQueued,
+				MaxInFlightPerOwner: rec.MaxInFlight,
+				MaxHostsPerOwner:    rec.MaxHosts,
+			}
+		}
+		p.admit.setOwnerAdmin(rec.Owner, rec.Weight, caps)
+	}
+	var adopt []*Job
+	for _, rec := range rs.SortedJobs() {
+		job := &Job{
+			ID:          rec.ID,
+			Owner:       rec.Owner,
+			K:           rec.K,
+			Labels:      rec.Labels,
+			home:        rec.Home,
+			priority:    rec.Priority,
+			shareWeight: clampShareWeight(rec.ShareWeight),
+			deadline:    rec.Deadline,
+			pipe:        p,
+			done:        make(chan struct{}),
+			cancelCh:    make(chan struct{}),
+			submitted:   rec.SubmittedAt,
+			enqueued:    rec.SubmittedAt,
+			started:     rec.StartedAt,
+			finished:    rec.FinishedAt,
+		}
+		if job.home < 0 || job.home >= len(p.env.Sites) {
+			// The testbed may be configured differently than the one the
+			// job was submitted to; fall back to the accounts site.
+			job.home = 0
+		}
+		g, gerr := afg.DecodeJSON(rec.Graph)
+		if g != nil {
+			job.Graph = g
+		} else {
+			// A handle must always carry a graph (Status reads its
+			// name); an undecodable one terminalizes below.
+			job.Graph = afg.NewGraph(rec.ID)
+		}
+		terminal := true
+		expired := false
+		switch {
+		case gerr != nil:
+			job.state = JobFailed
+			job.err = fmt.Errorf("vdce: recovered job graph: %w", gerr)
+		case rec.State == services.JobStateDone:
+			// The result payload is not persisted — Result() is nil after
+			// a restart — but the terminal status survives.
+			job.state = JobDone
+		case rec.State == services.JobStateCanceled:
+			job.state = JobCanceled
+			job.err = ErrJobCanceled
+		case rec.State == services.JobStateFailed:
+			job.state = JobFailed
+			if rec.Error != "" {
+				job.err = errors.New(rec.Error)
+			} else {
+				job.err = errors.New("vdce: job failed before restart")
+			}
+		case !rec.Deadline.IsZero() && !time.Now().Before(rec.Deadline):
+			// The job's deadline expired while the control plane was down:
+			// re-admitting and dispatching it would burn scheduler and host
+			// capacity on work that is already lost. Terminalize it at
+			// replay instead — with a stream event, because unlike the
+			// terminal restores below this IS a lifecycle transition.
+			job.state = JobFailed
+			job.err = ErrJobDeadlineExceeded
+			job.finished = rec.Deadline
+			expired = true
+		default:
+			// Queued, scheduling, or running at the crash: re-adopt as
+			// queued. In-flight jobs lost their partial progress with the
+			// old engine; they re-schedule and re-execute from scratch.
+			terminal = false
+			job.state = JobQueued
+			job.recovered = rec.State != services.JobStateQueued
+			job.started = time.Time{}
+		}
+		// Seed the lifecycle trace: every recovered job's chain starts at
+		// its original submission; terminal restores get their terminal
+		// stamp synthesized so recovered traces satisfy the same
+		// complete-chain contract as live ones.
+		job.stampLocked(services.PhaseSubmitted, "", rec.SubmittedAt)
+		m := p.env.obsM
+		if terminal {
+			if job.finished.IsZero() {
+				job.finished = rec.SubmittedAt
+			}
+			detail := ""
+			if job.err != nil {
+				detail = job.err.Error()
+			}
+			job.finished = job.stampLocked(job.state.String(), detail, job.finished)
+			close(job.done)
+			if expired {
+				p.recovery.DeadlineExpiredAtReplay++
+				m.recoveryExpired.Inc()
+				job.publish()
+				p.persistState(job)
+			} else {
+				p.recovery.TerminalRetained++
+				m.recoveryTerminal.Inc()
+				// Restore the board row without publishing a stream event: a
+				// reboot is not a lifecycle transition.
+				p.env.Board.Update(job.Status())
+			}
+		} else {
+			job.stampLocked("recovered", rec.State, time.Now())
+			if job.recovered {
+				p.recovery.InFlightRedispatched++
+				m.recoveryRedispatched.Inc()
+			} else {
+				p.recovery.QueuedRecovered++
+				m.recoveryRequeued.Inc()
+			}
+			adopt = append(adopt, job)
+		}
+		p.byID[job.ID] = job
+	}
+	p.nextID = rs.MaxJobSeq
+	return adopt
+}
+
+// persistSubmitted appends a new job's full record to the durable log.
+// Store appends do not fail the job: an I/O error is sticky in the log,
+// is reported through storeErr, and the in-memory pipeline keeps
+// serving.
+func (p *pipeline) persistSubmitted(j *Job) {
+	if p.store == nil {
+		return
+	}
+	graph, err := json.Marshal(j.Graph)
+	if err != nil {
+		return
+	}
+	err = p.store.JobSubmitted(store.JobRecord{
+		ID:          j.ID,
+		Owner:       j.Owner,
+		Graph:       graph,
+		K:           j.K,
+		Home:        j.home,
+		Priority:    j.priority,
+		ShareWeight: j.shareWeight,
+		Labels:      j.Labels,
+		Deadline:    j.deadline,
+		SubmittedAt: j.submitted,
+		State:       services.JobStateQueued,
+	})
+	p.env.storeErr("job-submitted", err, "job_id", j.ID)
+}
+
+// persistState appends a job's lifecycle transition to the durable log.
+// Suppressed while the pipeline is stopping: a graceful shutdown fails
+// in-flight jobs with ErrPipelineClosed, but durably they remain
+// queued/running — exactly the state the next boot re-adopts them from.
+func (p *pipeline) persistState(j *Job) {
+	if p.store == nil || p.stopping.Load() {
+		return
+	}
+	j.mu.Lock()
+	state := j.state.String()
+	errMsg := ""
+	if j.err != nil {
+		errMsg = j.err.Error()
+	}
+	started, finished := j.started, j.finished
+	j.mu.Unlock()
+	p.env.storeErr("job-state", p.store.JobState(j.ID, state, errMsg, started, finished), "job_id", j.ID)
+}
+
+// Jobs returns the last published status of every retained job in
+// canonical (submission time, then ID) order.
 func (env *Environment) Jobs() []services.JobStatus {
-	return env.Board.List()
-}
-
-// ListJobs returns live job statuses filtered by owner and state (empty
-// strings match everything), in stable (submission time, then ID) order.
-// Unlike the board's snapshots, queued jobs carry their current
-// admission-queue position — computed for the whole backlog in one
-// fair-queuing replay, not one per job.
-func (env *Environment) ListJobs(owner, state string) []services.JobStatus {
-	jobs := env.pipe.snapshot()
-	var positions map[string]int
-	if state == "" || state == services.JobStateQueued {
-		// Only filters that can list queued jobs pay for the replay.
-		positions = env.pipe.admit.positions()
-	}
-	out := make([]services.JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		s := j.statusSnapshot()
-		if s.State == services.JobStateQueued {
-			s.QueuePosition = positions[s.ID]
-		}
-		if s.Matches(owner, state) {
-			out = append(out, s)
-		}
-	}
-	services.SortJobs(out)
-	return out
+	return env.pipe.withPositions(env.Board.List())
 }
 
 // CountJobs returns how many retained jobs match the owner/state
-// filters — the jobsapi.CountSource backend of the count-only listing
-// (limit=0). It reads the job board's incremental per-state and
-// per-owner tallies, so a count over a million-job board costs
-// O(shards), never a status materialization per row. The board lags a
-// publish or a retention eviction by at most the instant between the
-// pipeline mutation and the matching board write, which a count-only
-// monitoring probe tolerates.
+// filters — the count-only listing (limit=0) — from the board's
+// incremental tallies, never a status materialization per row.
 func (env *Environment) CountJobs(owner, state string) int {
 	return env.Board.CountFiltered(owner, state)
 }
 
-// ListJobsAfter returns up to limit live job statuses matching the
+// ListJobsAfter returns up to limit job statuses matching the
 // owner/state filters that sort strictly after the cursor in canonical
-// (submission time, then ID) order, plus whether more matches may
-// follow. It is the keyset-pagination backend of GET /v1/jobs: cost is
-// proportional to the page, not to how deep the page sits, so the last
-// page of a 100k-job board costs the same as the first.
+// order, plus whether more matches follow. It is the keyset-pagination
+// backend of GET /v1/jobs: cost is proportional to the page, not to how
+// deep the page sits, so the last page of a 100k-job board costs the
+// same as the first.
 func (env *Environment) ListJobsAfter(owner, state string, after jobsapi.Cursor, limit int) ([]services.JobStatus, bool) {
-	return env.pipe.pageAfter(owner, state, after, limit)
+	page, more := env.Board.PageAfter(owner, state, after.Submitted, after.ID, limit)
+	return env.pipe.withPositions(page), more
+}
+
+// withPositions overlays the live admission-queue position on the
+// queued rows of a board read — the one field of a listed row that is
+// not the job's last published status. One fair-queuing replay covers
+// every queued row; reads without queued rows pay for none.
+func (p *pipeline) withPositions(rows []services.JobStatus) []services.JobStatus {
+	var positions map[string]int
+	for i := range rows {
+		if rows[i].State != services.JobStateQueued {
+			continue
+		}
+		if positions == nil {
+			positions = p.admit.positions()
+		}
+		rows[i].QueuePosition = positions[rows[i].ID]
+	}
+	return rows
 }
 
 // Owners reports every known owner's fair-share weight, configured
@@ -2205,18 +2014,19 @@ func (env *Environment) UpdateOwner(owner string, upd services.OwnerUpdate) (ser
 			rec.MaxInFlight = eff.MaxInFlightPerOwner
 			rec.MaxHosts = eff.MaxHostsPerOwner
 		}
-		_ = env.pipe.store.OwnerUpdated(rec)
+		env.storeErr("owner-updated", env.pipe.store.OwnerUpdated(rec), "owner", owner)
 	}
 	return env.ownerStatus(owner, env.Board.OwnerUsages()[owner], 0), nil
 }
 
-// Job returns the live status of one submitted job.
+// Job returns the last published status of one retained job, with its
+// live queue position while it is queued.
 func (env *Environment) Job(id string) (services.JobStatus, bool) {
-	if j, ok := env.pipe.job(id); ok {
-		return j.Status(), true
+	s, ok := env.Board.Get(id)
+	if ok && s.State == services.JobStateQueued {
+		s.QueuePosition = env.pipe.admit.position(id)
 	}
-	// Evicted jobs may linger on the board a moment longer.
-	return env.Board.Get(id)
+	return s, ok
 }
 
 // ErrUnknownJob is returned by CancelJob for IDs the pipeline does not
@@ -2239,7 +2049,7 @@ func (env *Environment) CancelJob(id string) error {
 // state, or ctx ends. Jobs submitted after Drain starts are not waited
 // for.
 func (env *Environment) Drain(ctx context.Context) error {
-	for _, j := range env.pipe.snapshot() {
+	for _, j := range env.pipe.handles() {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

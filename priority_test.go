@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vdce/internal/jobsapi"
 	"vdce/internal/services"
 	"vdce/internal/testbed"
 )
@@ -320,9 +321,24 @@ func TestWaitPrefersJobErrorOverContext(t *testing.T) {
 	}
 }
 
-// TestListJobsFiltersAndOrders covers Environment.ListJobs: owner/state
-// filtering and stable (submit time, then ID) ordering with live queue
-// positions.
+// walkJobs follows the keyset cursor to the end of the listing, a few
+// rows a page so every walk crosses page boundaries.
+func walkJobs(env *Environment, owner, state string) []services.JobStatus {
+	var all []services.JobStatus
+	var after jobsapi.Cursor
+	for {
+		page, more := env.ListJobsAfter(owner, state, after, 3)
+		all = append(all, page...)
+		if !more {
+			return all
+		}
+		after = jobsapi.CursorOf(page[len(page)-1])
+	}
+}
+
+// TestListJobsFiltersAndOrders covers Environment.ListJobsAfter:
+// owner/state filtering and stable (submit time, then ID) ordering with
+// live queue positions.
 func TestListJobsFiltersAndOrders(t *testing.T) {
 	env := saturatedEnv(t, 79, 0)
 	ctx := context.Background()
@@ -335,20 +351,20 @@ func TestListJobsFiltersAndOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	all := env.ListJobs("", "")
+	all := walkJobs(env, "", "")
 	if len(all) != 5 {
-		t.Fatalf("ListJobs(all) = %d entries, want 5", len(all))
+		t.Fatalf("listing (all) = %d entries, want 5", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i].SubmittedAt.Before(all[i-1].SubmittedAt) {
-			t.Fatalf("ListJobs out of submit order at %d: %+v", i, all)
+			t.Fatalf("listing out of submit order at %d: %+v", i, all)
 		}
 	}
-	owned := env.ListJobs("user_k", "")
+	owned := walkJobs(env, "user_k", "")
 	if len(owned) != 4 {
-		t.Fatalf("ListJobs(user_k) = %d entries, want 4", len(owned))
+		t.Fatalf("listing (user_k) = %d entries, want 4", len(owned))
 	}
-	queued := env.ListJobs("", services.JobStateQueued)
+	queued := walkJobs(env, "", services.JobStateQueued)
 	for _, s := range queued {
 		if s.QueuePosition == 0 {
 			t.Fatalf("queued job %s has no queue position: %+v", s.ID, s)
@@ -367,25 +383,6 @@ func TestListJobsFiltersAndOrders(t *testing.T) {
 	waitCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	if err := env.Drain(waitCtx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeprecatedSubmitOwnedStillWorks pins the migration wrapper: the
-// deprecated entrypoint must behave exactly like the options form it
-// forwards to (owner, account priority, domain-clamped k).
-func TestDeprecatedSubmitOwnedStillWorks(t *testing.T) {
-	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 80}})
-	ctx := context.Background()
-	//lint:ignore SA1019 the wrapper's behavior is exactly what is under test
-	job, err := env.SubmitOwned(ctx, "user_k", soakGraph(t, 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Owner != "user_k" || job.Priority() != 5 {
-		t.Fatalf("wrapper produced owner %q priority %d, want user_k/5", job.Owner, job.Priority())
-	}
-	if err := job.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

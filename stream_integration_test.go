@@ -2,7 +2,7 @@ package vdce
 
 // End-to-end coverage of the PR 6 streaming and pagination surface
 // through the editor's HTTP mount: SSE watch-to-done without a single
-// list poll, cursor/offset pagination equivalence over a live seeded
+// list poll, cursor pages tiling the canonical listing of a live seeded
 // board, and the generation-cached admission position replay.
 
 import (
@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -122,15 +121,15 @@ func TestStreamWatchJobToDone(t *testing.T) {
 	}
 }
 
-// TestCursorOffsetPaginationEquivalence tiles one live seeded board
-// both ways and requires identical row sequences: the keyset path is a
-// drop-in replacement for the deprecated offset path.
-func TestCursorOffsetPaginationEquivalence(t *testing.T) {
+// TestCursorPagesTileCanonicalListing tiles one live seeded board with
+// keyset pages over HTTP and requires exactly the rows, in the order,
+// that the environment's canonical listing holds.
+func TestCursorPagesTileCanonicalListing(t *testing.T) {
 	env := saturatedEnv(t, 96, 0)
 	ts := httptest.NewServer(env.EditorServer(true, 0).Handler())
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
-	const jobsN, page = 11, 3
+	const jobsN = 11
 	for i := 0; i < jobsN; i++ {
 		c.submitV1(t, c.importApp(t, i), nil)
 	}
@@ -152,20 +151,9 @@ func TestCursorOffsetPaginationEquivalence(t *testing.T) {
 		}
 	}
 
-	var viaOffset []string
-	for offset := 0; offset < jobsN; offset += page {
-		out := c.do("GET", "/v1/jobs?limit=3&offset="+strconv.Itoa(offset), nil, http.StatusOK)
-		for _, item := range out["jobs"].([]any) {
-			viaOffset = append(viaOffset, item.(map[string]any)["id"].(string))
-		}
-	}
-
-	if !reflect.DeepEqual(viaCursor, viaOffset) {
-		t.Fatalf("pagination modes disagree:\n cursor: %v\n offset: %v", viaCursor, viaOffset)
-	}
-	canonical := env.ListJobs("", "")
-	if len(canonical) != len(viaCursor) {
-		t.Fatalf("pages covered %d rows, canonical listing has %d", len(viaCursor), len(canonical))
+	canonical := env.Jobs()
+	if len(canonical) != jobsN || len(viaCursor) != jobsN {
+		t.Fatalf("pages covered %d rows, canonical listing has %d, submitted %d", len(viaCursor), len(canonical), jobsN)
 	}
 	for i, s := range canonical {
 		if viaCursor[i] != s.ID {
@@ -201,7 +189,7 @@ func TestQueuePositionCacheMatchesReplay(t *testing.T) {
 		t.Fatal("unchanged queue recomputed the position replay (cache miss)")
 	}
 	q.mu.Lock()
-	fresh := q.replayPositions("")
+	fresh := q.replayPositions()
 	q.mu.Unlock()
 	if !maps.Equal(p1, fresh) {
 		t.Fatalf("cached positions %v != fresh replay %v", p1, fresh)
@@ -233,7 +221,7 @@ func TestQueuePositionCacheMatchesReplay(t *testing.T) {
 	if _, ok := p3[victim]; ok {
 		t.Fatalf("canceled job %s still has a queue position", victim)
 	}
-	if !maps.Equal(p3, func() map[string]int { q.mu.Lock(); defer q.mu.Unlock(); return q.replayPositions("") }()) {
+	if !maps.Equal(p3, func() map[string]int { q.mu.Lock(); defer q.mu.Unlock(); return q.replayPositions() }()) {
 		t.Fatal("post-mutation cache disagrees with a fresh replay")
 	}
 

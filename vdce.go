@@ -361,9 +361,9 @@ func New(cfg Config) (*Environment, error) {
 			// Measurements feed the durable log too, so a restarted
 			// control plane schedules with learned estimates, not
 			// catalog defaults.
-			_ = env.Store.PerfMeasured(store.PerfRecord{
+			env.storeErr("perf-measured", env.Store.PerfMeasured(store.PerfRecord{
 				Task: rec.Task, Host: rec.Host, Elapsed: rec.Elapsed, At: rec.At,
-			})
+			}), "task", rec.Task)
 		}
 	}
 	if env.Detector != nil {
