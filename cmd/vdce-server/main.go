@@ -20,9 +20,10 @@
 // append-only store, and a restarted server re-admits queued jobs and
 // re-dispatches in-flight ones. With -shed-wait the admission queue
 // sheds instead of blocking under overload: submissions that cannot get
-// a slot in time are rejected with 503 + Retry-After, /readyz reports
-// not-ready while recovery replay drains or the shed rate is high, and
-// per-host circuit breakers (-breakers, on by default) quarantine
+// a slot in time are rejected with 503 + Retry-After (-shed-deadline,
+// on its own or with it, also sheds jobs that cannot meet their
+// deadline), /readyz reports not-ready while recovery replay drains or
+// the shed rate is high, and per-host circuit breakers (-breakers, on by default) quarantine
 // flapping hosts from placement until half-open probes succeed — state
 // visible on GET /v1/hosts. GET /metrics exposes the control plane's
 // Prometheus-text metrics (admission, scheduler, exec, breakers, WAL,
@@ -121,7 +122,7 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 	groups := fs.Int("groups", 2, "groups in the site")
 	httpAddr := fs.String("http", "127.0.0.1:8470", "Application Editor HTTP address")
 	seed := fs.Int64("seed", 1, "testbed seed")
-	execute := fs.Bool("execute", true, "execute submitted applications (not just schedule)")
+	execute := fs.Bool("execute", true, "execute submitted applications through POST /v1/apps/{id}/submit (false = schedule-only: POST /apps/{id}/submit answers with the allocation table)")
 	workers := fs.Int("workers", 0, "scheduler workers (0 = default)")
 	queue := fs.Int("queue", 0, "admission queue depth (0 = default)")
 	parallel := fs.Int("parallel", 0, "max concurrently executing applications (0 = default)")
@@ -133,11 +134,11 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 	rateBurst := fs.Int("rate-burst", 0, "per-owner API request burst capacity (0 = ceil of -rate-rps)")
 	eventBuffer := fs.Int("event-buffer", 0, "job-event replay ring size for SSE Last-Event-ID resume (0 = default 4096)")
 	storeDir := fs.String("store-dir", "", "durable control-plane store directory: job lifecycle, owner admin state, and performance history survive restarts (empty = in-memory only)")
-	shedWait := fs.Duration("shed-wait", 0, "max time a submission may wait for an admission-queue slot before it is shed with 503 + Retry-After (0 = never shed, block indefinitely)")
+	shedWait := fs.Duration("shed-wait", 0, "max time a submission may wait for an admission-queue slot before it is shed with 503 + Retry-After (0 = wait as long as the request lives)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 0, "Retry-After hint attached to shed responses (0 = default 1s)")
 	shedDeadline := fs.Bool("shed-deadline", false, "shed submissions whose deadline is infeasible even on an idle testbed (lower-bound critical-path estimate)")
 	breakers := fs.Bool("breakers", true, "run per-host circuit breakers: hosts with a high windowed failure rate are quarantined from placement until half-open probes succeed")
-	retryBudget := fs.Float64("retry-budget", 0, "engine-wide retry budget in retries/second; over-budget reschedules park until a token frees (0 = unlimited)")
+	retryBudget := fs.Float64("retry-budget", 0, "engine-wide retry budget in retries/second on top of the per-task jittered backoff; over-budget reschedules park until a token frees (0 = unlimited)")
 	chaosName := fs.String("chaos", "", "play a fault scenario against the live testbed: kill-quarter|rolling-restart|site-partition|flapping-host|brownout")
 	chaosSpan := fs.Duration("chaos-span", 30*time.Second, "duration the -chaos scenario is spread over")
 	logLevel := fs.String("log-level", "", "structured log level: debug|info|warn|error (empty = logging off)")

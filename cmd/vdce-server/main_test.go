@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -105,9 +106,46 @@ func TestServerServesSubmissionsAndJobs(t *testing.T) {
 	if id == "" {
 		t.Fatalf("import failed: %v", imported)
 	}
-	result := do("POST", fmt.Sprintf("/apps/%s/submit", id), nil)
-	if result["result"] == nil {
-		t.Fatalf("submission returned no result: %v", result)
+	// Jobs run through the versioned submit only; the sync route is the
+	// schedule-only server's.
+	accepted := do("POST", fmt.Sprintf("/v1/apps/%s/submit", id), nil)
+	job, _ := accepted["job"].(map[string]any)
+	jobID, _ := job["id"].(string)
+	if jobID == "" {
+		t.Fatalf("submission returned no job: %v", accepted)
+	}
+	// The job's event stream ends with its terminal event.
+	req, err := http.NewRequest("GET", base+"/v1/jobs/"+jobID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/jobs/%s/events: %d", jobID, resp.StatusCode)
+	}
+	last := ""
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		data, ok := strings.CutPrefix(sc.Text(), "data:")
+		if !ok {
+			continue
+		}
+		var ev struct {
+			Job struct {
+				State string `json:"state"`
+			} `json:"job"`
+		}
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("event frame %q: %v", data, err)
+		}
+		last = ev.Job.State
+	}
+	if last != services.JobStateDone {
+		t.Fatalf("stream ended with state %q, want done", last)
 	}
 
 	// The job-control API reflects the executed submission: one done row

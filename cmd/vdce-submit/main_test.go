@@ -27,8 +27,8 @@ func newEditorServer(t *testing.T, execute bool) (*httptest.Server, *vdce.Enviro
 }
 
 // TestRunSubmitsBuiltinApp covers the schedule-only server: the v1
-// endpoint answers 503, and the client falls back to the legacy
-// synchronous submit.
+// endpoint answers 503, and the client asks the synchronous submit for
+// the allocation table.
 func TestRunSubmitsBuiltinApp(t *testing.T) {
 	srv, _ := newEditorServer(t, false)
 	var out strings.Builder

@@ -21,6 +21,7 @@ import (
 	"vdce/internal/core"
 	"vdce/internal/netmodel"
 	"vdce/internal/repository"
+	"vdce/internal/services"
 	"vdce/internal/sim"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
@@ -84,12 +85,23 @@ func TestFullHTTPJourney(t *testing.T) {
 		map[string]any{"task": gen, "props": afg.Properties{Args: map[string]string{"n": "16"}}}, 200)
 	call("POST", "/apps/"+appID+"/edges", token,
 		map[string]any{"from": gen, "to": chk, "size_bytes": 2048}, 201)
-	result := call("POST", "/apps/"+appID+"/submit", token, nil, 200)["result"].(map[string]any)
-	if result["runs"].(float64) != 2 {
-		t.Fatalf("submit result = %v", result)
+	// Jobs run through the versioned submit; the sync route belongs to the
+	// schedule-only editor and refuses on an executing one.
+	call("POST", "/apps/"+appID+"/submit", token, nil, 503)
+	job := call("POST", "/v1/apps/"+appID+"/submit", token, nil, 202)["job"].(map[string]any)
+	jobID := job["id"].(string)
+	jc := &jobsClient{t: t, base: ts.URL, token: token}
+	done := jc.waitState(t, jobID, services.JobStateDone, time.Minute)
+	if done["app"] != "http-journey" || done["owner"] != "user_k" {
+		t.Fatalf("finished job = %v", done)
 	}
-	if result["makespan"].(string) == "" {
-		t.Fatal("no makespan reported")
+	// Both tasks ran: the handle holds the result the status summarizes.
+	h, ok := env.pipe.job(jobID)
+	if !ok {
+		t.Fatalf("no handle for %s", jobID)
+	}
+	if res := h.Result(); res == nil || len(res.Runs) != 2 || res.Makespan <= 0 {
+		t.Fatalf("result = %+v, want 2 runs and a makespan", res)
 	}
 }
 

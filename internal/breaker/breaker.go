@@ -300,20 +300,6 @@ func (s *Set) Excluded() []string {
 	return out
 }
 
-// OpenFraction reports what share of the known hosts is currently open.
-// total is the site's host count; known hosts the Set has never sampled
-// count as closed. total <= 0 returns 0.
-func (s *Set) OpenFraction(total int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	open := len(s.Excluded())
-	if open > total {
-		open = total
-	}
-	return float64(open) / float64(total)
-}
-
 // HostStatus is one host's breaker snapshot, for the /v1/hosts API and
 // simulator reports.
 type HostStatus struct {

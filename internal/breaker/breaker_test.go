@@ -117,7 +117,7 @@ func TestWindowAgesOutFailures(t *testing.T) {
 	}
 }
 
-func TestExcludedAndOpenFraction(t *testing.T) {
+func TestExcludedListsOpenHostsSorted(t *testing.T) {
 	clk := newClock()
 	s := newSet(clk, Config{MinSamples: 2})
 	s.ReportFailure("b")
@@ -128,12 +128,6 @@ func TestExcludedAndOpenFraction(t *testing.T) {
 	got := s.Excluded()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Excluded() = %v, want [a b]", got)
-	}
-	if f := s.OpenFraction(4); f != 0.5 {
-		t.Fatalf("OpenFraction(4) = %v, want 0.5", f)
-	}
-	if f := s.OpenFraction(0); f != 0 {
-		t.Fatalf("OpenFraction(0) = %v, want 0", f)
 	}
 }
 

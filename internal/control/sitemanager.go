@@ -40,16 +40,6 @@ type SiteManager struct {
 	// counters for the monitoring experiments
 	workloadUpdates atomic.Int64
 	failureReports  atomic.Int64
-
-	// hooks intercept echo-detected failure/recovery notices before they
-	// touch the repository (see InterceptFailureNotices).
-	hooks atomic.Pointer[failureHooks]
-}
-
-// failureHooks routes failure-detection notices to an external policy.
-type failureHooks struct {
-	onFailure  func(protocol.FailureNotice) bool
-	onRecovery func(protocol.RecoveryNotice) bool
 }
 
 // StartSiteManager serves the site's RPC interface on addr
@@ -137,52 +127,58 @@ func (sm *SiteManager) WorkloadUpdates() int64 { return sm.workloadUpdates.Load(
 // FailureReports reports how many failure/recovery notices arrived.
 func (sm *SiteManager) FailureReports() int64 { return sm.failureReports.Load() }
 
-// ApplyWorkloads is the local (non-RPC) path Group Managers in the same
-// process use: update the resource-performance database with the
-// monitoring information. The whole batch lands as one copy-on-write
-// epoch publish, so a monitor round costs schedulers one ranked-host
-// cache invalidation instead of one per host.
-func (sm *SiteManager) ApplyWorkloads(batch protocol.WorkloadBatch) error {
+// RepoReporter applies Group Manager reports straight to a site's
+// resource-performance database: the Reporter of a site that runs no
+// Site Manager, and the repository half of SiteManager's own Apply
+// methods.
+type RepoReporter struct{ Repo *repository.Repository }
+
+// applyWorkloads lands the whole batch as one copy-on-write epoch
+// publish, so a monitor round costs schedulers one ranked-host cache
+// invalidation instead of one per host. It reports how many hosts it
+// updated.
+func (r RepoReporter) applyWorkloads(batch protocol.WorkloadBatch) (int, error) {
 	samples := make([]repository.HostSample, len(batch.Samples))
 	for i, s := range batch.Samples {
 		samples[i] = repository.HostSample{Host: s.Host, Sample: s.Sample}
 	}
-	applied, err := sm.site.Repo.Resources.UpdateWorkloads(samples)
+	return r.Repo.Resources.UpdateWorkloads(samples)
+}
+
+// ApplyWorkloads updates the database with the monitoring information.
+func (r RepoReporter) ApplyWorkloads(batch protocol.WorkloadBatch) error {
+	_, err := r.applyWorkloads(batch)
+	return err
+}
+
+// ApplyFailure marks a host down.
+func (r RepoReporter) ApplyFailure(n protocol.FailureNotice) error {
+	return r.Repo.Resources.SetStatus(n.Host, repository.HostDown)
+}
+
+// ApplyRecovery marks a host up again.
+func (r RepoReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
+	return r.Repo.Resources.SetStatus(n.Host, repository.HostUp)
+}
+
+// ApplyWorkloads is the local (non-RPC) path Group Managers in the same
+// process use; the RPC surface calls it too.
+func (sm *SiteManager) ApplyWorkloads(batch protocol.WorkloadBatch) error {
+	applied, err := RepoReporter{sm.site.Repo}.applyWorkloads(batch)
 	sm.workloadUpdates.Add(int64(applied))
 	return err
 }
 
-// InterceptFailureNotices installs hooks that see every echo-detected
-// failure/recovery notice before the repository does; a hook returning
-// true consumes the notice (no direct status flip). The failure
-// detector installs these so echo reports become quorum votes — and
-// liveness flips happen in single batched epochs — instead of each
-// notice immediately rewriting the host's status.
-func (sm *SiteManager) InterceptFailureNotices(
-	onFailure func(protocol.FailureNotice) bool,
-	onRecovery func(protocol.RecoveryNotice) bool,
-) {
-	sm.hooks.Store(&failureHooks{onFailure: onFailure, onRecovery: onRecovery})
-}
-
-// ApplyFailure marks a host down in the resource-performance database,
-// unless an installed interceptor consumes the notice.
+// ApplyFailure marks a host down in the resource-performance database.
 func (sm *SiteManager) ApplyFailure(n protocol.FailureNotice) error {
 	sm.failureReports.Add(1)
-	if h := sm.hooks.Load(); h != nil && h.onFailure != nil && h.onFailure(n) {
-		return nil
-	}
-	return sm.site.Repo.Resources.SetStatus(n.Host, repository.HostDown)
+	return RepoReporter{sm.site.Repo}.ApplyFailure(n)
 }
 
-// ApplyRecovery marks a host up again, unless an installed interceptor
-// consumes the notice.
+// ApplyRecovery marks a host up again.
 func (sm *SiteManager) ApplyRecovery(n protocol.RecoveryNotice) error {
 	sm.failureReports.Add(1)
-	if h := sm.hooks.Load(); h != nil && h.onRecovery != nil && h.onRecovery(n) {
-		return nil
-	}
-	return sm.site.Repo.Resources.SetStatus(n.Host, repository.HostUp)
+	return RepoReporter{sm.site.Repo}.ApplyRecovery(n)
 }
 
 // RecordExecution updates the task-performance database with the

@@ -195,8 +195,7 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("GET /v1/jobs/{id}/events", s.Jobs)
 		mux.Handle("GET /v1/events", s.Jobs)
 		mux.Handle("/v1/owners", s.Jobs)
-		// Host health (breaker/detector state): answered by the jobs API
-		// when its source exposes hosts, 404 otherwise.
+		// Host health (breaker/detector state).
 		mux.Handle("GET /v1/hosts", s.Jobs)
 		// Owner administration is routed through so the owner-scoped API
 		// answers it with a clean 403 (the editor surface is read-only on

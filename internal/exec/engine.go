@@ -67,7 +67,7 @@ type Engine struct {
 	MaxAttempts int
 	// Retry shapes rescheduling retries: per-attempt jittered backoff
 	// plus the engine-wide token-bucket retry budget. The zero value
-	// preserves the legacy immediate-retry behavior.
+	// backs off from DefaultRetryBaseDelay with an unlimited budget.
 	Retry RetryConfig
 	// Breakers, when non-nil, is the per-host circuit-breaker set: the
 	// engine feeds it watchdog outcomes (failures open a flapping host's

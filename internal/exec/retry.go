@@ -8,17 +8,22 @@ import (
 	"time"
 )
 
-// RetryConfig shapes the engine's rescheduling retries. Before it
-// existed, executeWithRescheduling re-attempted with zero delay the
-// instant a watchdog killed an attempt — so a wave of host failures
-// (a quarter of the site dying at once) multiplied load exactly when
-// the site had the least capacity to absorb it. Backoff spaces the
-// retries of one task; the engine-wide token-bucket budget caps the
-// aggregate retry rate across every application the engine is running.
+// DefaultRetryBaseDelay is the first retry's backoff when
+// RetryConfig.BaseDelay is zero: long enough that the retries of a mass
+// host failure do not land on the scheduler in one instant, short
+// against a task that has to be placed and run again anyway.
+const DefaultRetryBaseDelay = 2 * time.Millisecond
+
+// RetryConfig shapes the engine's rescheduling retries. A wave of host
+// failures (a quarter of the site dying at once) multiplies load
+// exactly when the site has the least capacity to absorb it, so a
+// retry is never immediate: backoff spaces the retries of one task, and
+// the engine-wide token-bucket budget caps the aggregate retry rate
+// across every application the engine is running.
 type RetryConfig struct {
 	// BaseDelay is the first retry's backoff; attempt n waits a jittered
-	// BaseDelay * 2^(n-1), capped at MaxDelay. 0 disables backoff
-	// (legacy immediate retry).
+	// BaseDelay * 2^(n-1), capped at MaxDelay (default
+	// DefaultRetryBaseDelay).
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (default 64 * BaseDelay).
 	MaxDelay time.Duration
@@ -56,7 +61,10 @@ type retryGate struct {
 }
 
 func newRetryGate(cfg RetryConfig) *retryGate {
-	if cfg.BaseDelay > 0 && cfg.MaxDelay <= 0 {
+	if cfg.BaseDelay <= 0 {
+		cfg.BaseDelay = DefaultRetryBaseDelay
+	}
+	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 64 * cfg.BaseDelay
 	}
 	if cfg.BudgetPerSecond > 0 && cfg.BudgetBurst <= 0 {
@@ -70,9 +78,6 @@ func newRetryGate(cfg RetryConfig) *retryGate {
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = func(ctx context.Context, d time.Duration) error {
-			if d <= 0 {
-				return ctx.Err()
-			}
 			t := time.NewTimer(d)
 			defer t.Stop()
 			select {
@@ -98,11 +103,7 @@ func newRetryGate(cfg RetryConfig) *retryGate {
 // Full-jitter on the upper half keeps retries spread while preserving
 // the exponential floor: d/2 + rand[0, d/2).
 func (g *retryGate) backoff(attempt int) time.Duration {
-	base := g.cfg.BaseDelay
-	if base <= 0 {
-		return 0
-	}
-	d := base
+	d := g.cfg.BaseDelay
 	for i := 1; i < attempt && d < g.cfg.MaxDelay; i++ {
 		d *= 2
 	}
@@ -172,9 +173,6 @@ func (e *Engine) retryPause(ctx context.Context, attempt int) error {
 	if wait, _ := g.reserve(); wait > d {
 		// The budget park subsumes the backoff — both start now.
 		d = wait
-	}
-	if d <= 0 {
-		return ctx.Err()
 	}
 	return g.cfg.Sleep(ctx, d)
 }

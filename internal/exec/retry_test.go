@@ -32,13 +32,6 @@ func TestBackoffExponentialEnvelope(t *testing.T) {
 	}
 }
 
-func TestBackoffDisabledIsZero(t *testing.T) {
-	g := newRetryGate(RetryConfig{Seed: 1})
-	if d := g.backoff(3); d != 0 {
-		t.Fatalf("backoff with no BaseDelay = %v, want 0", d)
-	}
-}
-
 func TestBudgetParksOverBudgetRetries(t *testing.T) {
 	now := time.Unix(0, 0)
 	g := newRetryGate(RetryConfig{
@@ -115,15 +108,31 @@ func TestRetryPauseSleepsMaxOfBackoffAndPark(t *testing.T) {
 	}
 }
 
-func TestRetryPauseZeroConfigIsImmediate(t *testing.T) {
-	called := false
+// TestRetryPauseZeroConfigBacksOffFromDefault pins the zero config:
+// every retry sleeps, the first within [base/2, base] of
+// DefaultRetryBaseDelay, doubling per attempt and capped at 64x.
+func TestRetryPauseZeroConfigBacksOffFromDefault(t *testing.T) {
+	var slept []time.Duration
 	e := &Engine{Retry: RetryConfig{
-		Sleep: func(context.Context, time.Duration) error { called = true; return nil },
+		Seed:  1,
+		Sleep: func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil },
 	}}
-	if err := e.retryPause(context.Background(), 3); err != nil {
-		t.Fatal(err)
+	const base = DefaultRetryBaseDelay
+	want := []time.Duration{base, 2 * base, 4 * base, 8 * base, 16 * base, 32 * base, 64 * base, 64 * base, 64 * base}
+	for i := range want {
+		if err := e.retryPause(context.Background(), i+1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if called {
-		t.Fatal("zero-config retryPause must not sleep (legacy immediate retry)")
+	if len(slept) != len(want) {
+		t.Fatalf("slept %d times over %d retries: %v", len(slept), len(want), slept)
+	}
+	for i, d := range want {
+		if slept[i] < d/2 || slept[i] > d {
+			t.Fatalf("attempt %d: slept %v, outside [%v, %v]", i+1, slept[i], d/2, d)
+		}
+	}
+	if _, parked := e.RetryStats(); parked != 0 {
+		t.Fatalf("%d retries parked with no budget configured", parked)
 	}
 }

@@ -125,6 +125,20 @@ func (f *fakeSource) UpdateOwner(owner string, upd services.OwnerUpdate) (servic
 	return s, nil
 }
 
+// Hosts reports one healthy host.
+func (f *fakeSource) Hosts() []services.HostStatus {
+	return []services.HostStatus{{Host: "h0", Site: "s0", Up: true, Breaker: "closed"}}
+}
+
+// JobTrace answers a one-stamp trace for every known job.
+func (f *fakeSource) JobTrace(id string) (services.JobTrace, bool) {
+	s, ok := f.Job(id)
+	if !ok {
+		return services.JobTrace{}, false
+	}
+	return services.JobTrace{ID: id, Events: []services.TraceEvent{{At: s.SubmittedAt, Event: services.PhaseSubmitted}}}, true
+}
+
 func newTestAPI(t *testing.T, n int, ownerScoped bool) (*httptest.Server, *fakeSource) {
 	t.Helper()
 	src := &fakeSource{}
@@ -252,6 +266,29 @@ func TestGetAndAuth(t *testing.T) {
 	}
 	if _, code := call(t, ts, "GET", "/v1/jobs/job-404", "ana"); code != http.StatusNotFound {
 		t.Fatalf("get unknown = %d, want 404", code)
+	}
+}
+
+// TestHostsAndTraceEndpoints: both routes are part of every mount, and
+// the trace follows the status endpoint's authorization.
+func TestHostsAndTraceEndpoints(t *testing.T) {
+	ts, _ := newTestAPI(t, 4, true)
+	out, code := call(t, ts, "GET", "/v1/hosts", "ana")
+	if hosts, _ := out["hosts"].([]any); code != http.StatusOK || len(hosts) != 1 {
+		t.Fatalf("GET /v1/hosts = %d %v, want 200 with one host", code, out)
+	}
+	out, code = call(t, ts, "GET", "/v1/jobs/job-1/trace", "ana")
+	if events, _ := out["events"].([]any); code != http.StatusOK || out["id"] != "job-1" || len(events) != 1 {
+		t.Fatalf("own trace = %d %v, want 200 with one event", code, out)
+	}
+	if _, code := call(t, ts, "GET", "/v1/jobs/job-2/trace", "ana"); code != http.StatusForbidden {
+		t.Fatalf("another owner's trace on a scoped mount = %d, want 403", code)
+	}
+	if _, code := call(t, ts, "GET", "/v1/jobs/job-99/trace", "ana"); code != http.StatusNotFound {
+		t.Fatalf("unknown job's trace = %d, want 404", code)
+	}
+	if _, code := call(t, ts, "GET", "/v1/hosts", ""); code != http.StatusUnauthorized {
+		t.Fatalf("unauthenticated hosts = %d, want 401", code)
 	}
 }
 

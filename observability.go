@@ -20,15 +20,13 @@ type envMetrics struct {
 	accepted        *obs.Counter
 	rejectQueueFull *obs.Counter
 	rejectDeadline  *obs.Counter
-	rejectBreaker   *obs.Counter
 	rejectQuota     *obs.Counter
 
 	// Scheduler.
 	roundLatency *obs.Histogram
 	// batchPops is the batched-handoff observability: how many jobs one
-	// worker wakeup drained from the admission queue (1 = the pre-batch
-	// behavior; the distribution shifting right under load is the
-	// amortization working).
+	// worker wakeup drained from the admission queue (the distribution
+	// shifting right under load is the amortization working).
 	batchPops *obs.Histogram
 
 	// Job lifecycle phase durations, observed when each boundary is
@@ -80,7 +78,6 @@ func newEnvMetrics(reg *obs.Registry) *envMetrics {
 			"Submissions admitted into the queue.").With(),
 		rejectQueueFull: rejects.With(ShedQueueFull),
 		rejectDeadline:  rejects.With(ShedDeadlineInfeasible),
-		rejectBreaker:   rejects.With(ShedBreakerSaturated),
 		rejectQuota:     rejects.With("quota"),
 		roundLatency: reg.Histogram("vdce_scheduler_round_seconds",
 			"Site-scheduler round latency (Fig. 2 round per job).", obs.DefBuckets).With(),

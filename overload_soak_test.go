@@ -21,6 +21,7 @@ import (
 	"vdce/internal/breaker"
 	"vdce/internal/detect"
 	"vdce/internal/exec"
+	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
 
@@ -123,6 +124,52 @@ func TestOverloadShedsFastWithoutResidue(t *testing.T) {
 		if oc.err == nil && oc.job.State() != JobDone {
 			t.Errorf("accepted job %d ended %s, want done", i, oc.job.State())
 		}
+	}
+}
+
+// TestDeadlineShedNeedsNoSubmitWait pins that CheckDeadline is governed
+// by its own field: with no MaxSubmitWait configured, a job whose
+// deadline lies inside its critical-path estimate is shed as
+// deadline-infeasible — counted, and leaving no board row — while the
+// same graph with a feasible deadline is admitted and runs.
+func TestDeadlineShedNeedsNoSubmitWait(t *testing.T) {
+	env := newEnv(t, Config{
+		Testbed:  testbed.Config{Sites: 2, HostsPerGroup: 3, Seed: 21, BaseLoadMax: 0.2},
+		Pipeline: PipelineConfig{Shed: ShedConfig{CheckDeadline: true}},
+	})
+	ctx := context.Background()
+	g, err := tasklib.BuildLinearEquationSolver(64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, ok := env.pipe.minCompletionEstimate(g)
+	if !ok || est < 100*time.Millisecond {
+		t.Fatalf("critical-path estimate = %v (ok=%v); the test needs one well above its tight deadline", est, ok)
+	}
+
+	_, err = env.Submit(ctx, g, WithDeadline(time.Now().Add(est/4)))
+	var se *ShedError
+	if !errors.As(err, &se) || se.Reason != ShedDeadlineInfeasible {
+		t.Fatalf("submit with a deadline of a quarter of the estimate = %v, want a %s shed", err, ShedDeadlineInfeasible)
+	}
+	if got := env.obsM.rejectDeadline.Value(); got != 1 {
+		t.Errorf("deadline-infeasible reject counter = %v, want 1", got)
+	}
+	if _, shed := env.ShedStats(); shed != 1 {
+		t.Errorf("ShedStats shed = %d, want 1", shed)
+	}
+	if rows, n := env.Jobs(), env.CountJobs("", ""); len(rows) != 0 || n != 0 {
+		t.Fatalf("shed submission left residue: %d rows, count %d", len(rows), n)
+	}
+
+	job, err := env.Submit(ctx, g, WithDeadline(time.Now().Add(time.Minute)))
+	if err != nil {
+		t.Fatalf("submit with a feasible deadline: %v", err)
+	}
+	waitCtx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	if err := job.Wait(waitCtx); err != nil {
+		t.Fatalf("feasible job: %v", err)
 	}
 }
 
@@ -337,7 +384,6 @@ func TestReadyzGates(t *testing.T) {
 		Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 3},
 		Pipeline: PipelineConfig{Shed: ShedConfig{
 			MaxSubmitWait: 50 * time.Millisecond,
-			MeterWindow:   4 * time.Second,
 			Now:           func() time.Time { return now },
 		}},
 	})
@@ -369,8 +415,8 @@ func TestReadyzGates(t *testing.T) {
 	if ready, reason := env.Ready(); ready {
 		t.Fatalf("ready while shedding 80%% of recent submissions (%s)", reason)
 	}
-	// The synthetic clock slides the meter window past the storm.
-	now = now.Add(5 * time.Second)
+	// The synthetic clock slides the 5 s meter window past the storm.
+	now = now.Add(6 * time.Second)
 	if ready, reason := env.Ready(); !ready {
 		t.Fatalf("not ready after the shed window slid past: %s", reason)
 	}

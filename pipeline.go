@@ -56,24 +56,21 @@ type PipelineConfig struct {
 	// over budget answer 429 with Retry-After). The zero value disables
 	// rate limiting.
 	APIRate jobsapi.RateLimitConfig
-	// Shed enables adaptive load shedding at admission: bounded queue
-	// waits, deadline-infeasibility estimates, and breaker-saturation
-	// rejection, all surfaced as typed *ShedError (HTTP 503 +
-	// Retry-After). The zero value keeps the legacy block-until-slot
-	// behavior.
+	// Shed tunes load shedding at admission: the bound on the wait for
+	// a queue slot and the deadline-infeasibility estimate, both surfaced
+	// as typed *ShedError (HTTP 503 + Retry-After). The zero value never
+	// sheds: a full queue blocks Submit until its context ends.
 	Shed ShedConfig
-	// DispatchBatch is how many fairly-arbitrated jobs one scheduler
-	// worker drains from the admission queue per wakeup, amortizing the
-	// queue lock and the wake token across the batch — at scale, one
-	// terminal job no longer costs one lock round-trip and one wakeup
-	// per dispatched job. A worker that drains a full batch re-arms
-	// another idle worker before processing, so deep backlogs still
-	// spread across all workers; with fewer eligible jobs than the
-	// batch, one worker processes them in pop order (latency bounded by
-	// batch size, so keep it small). Default 8; 1 restores per-job
-	// handoff.
-	DispatchBatch int
 }
+
+// dispatchBatch is how many fairly-arbitrated jobs one scheduler worker
+// drains from the admission queue per wakeup, amortizing the queue lock
+// and the wake token across the batch. A worker that drains a full
+// batch re-arms another idle worker before processing, so deep backlogs
+// still spread across all workers; with fewer eligible jobs than the
+// batch, one worker processes them in pop order, so latency is bounded
+// by the batch size and the batch stays small.
+const dispatchBatch = 8
 
 func (c *PipelineConfig) fillDefaults() {
 	if c.QueueDepth <= 0 {
@@ -93,9 +90,6 @@ func (c *PipelineConfig) fillDefaults() {
 	}
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = jobsapi.DefaultEventBuffer
-	}
-	if c.DispatchBatch <= 0 {
-		c.DispatchBatch = 8
 	}
 	c.Shed.fillDefaults()
 }
@@ -117,8 +111,7 @@ type pipeline struct {
 	// lifecycle publication and engine recovery event fans out here with
 	// a monotonic cursor.
 	events *jobsapi.Broker
-	// store is the durable control-plane log (nil = in-memory only, the
-	// pre-StoreDir behavior byte for byte).
+	// store is the durable control-plane log (nil = in-memory only).
 	store *store.Store
 	// stopping suppresses persistence of shutdown-induced terminal
 	// transitions: jobs failed with ErrPipelineClosed by a graceful stop
@@ -128,10 +121,8 @@ type pipeline struct {
 	// recovery reports what the boot replay did (immutable after
 	// startPipeline returns).
 	recovery RecoveryReport
-	// shed/meter implement adaptive load shedding: shed is the
-	// normalized config, meter the sliding-window accept/shed counter
-	// behind the /readyz shed-rate gate.
-	shed  ShedConfig
+	// meter is the sliding-window accept/shed counter behind the /readyz
+	// shed-rate gate.
 	meter *shedMeter
 	// recoveryPending counts re-admitted jobs that have not yet reached
 	// a scheduler worker (or gone terminal); /readyz reports not-ready
@@ -139,13 +130,6 @@ type pipeline struct {
 	recoveryPending atomic.Int64
 
 	workerWG sync.WaitGroup // scheduler workers
-
-	// svc caches each home site's scheduling services (local + remotes,
-	// dialed over RPC when Site Managers run). Dial failures are not
-	// cached, so a transient failure only affects jobs scheduled while
-	// it persists.
-	svcMu sync.Mutex
-	svc   map[int]*siteSvc
 
 	mu       sync.Mutex
 	nextID   int
@@ -156,12 +140,6 @@ type pipeline struct {
 	// the board evicts.
 	byID   map[string]*Job
 	closed bool
-}
-
-// siteSvc is one home site's resolved scheduling services.
-type siteSvc struct {
-	local   core.SiteService
-	remotes []core.SiteService
 }
 
 // submitSpec is a fully resolved submission (options applied).
@@ -193,11 +171,9 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 		runSem: make(chan struct{}, cfg.MaxConcurrentRuns),
 		start:  time.Now(),
 		store:  st,
-		svc:    make(map[int]*siteSvc),
 		byID:   make(map[string]*Job),
-		shed:   cfg.Shed,
 	}
-	p.meter = newShedMeter(cfg.Shed.MeterWindow, cfg.Shed.Now)
+	p.meter = newShedMeter(cfg.Shed.Now)
 	var adopt []*Job
 	if st != nil {
 		// The broker resumes above the persisted high-water cursor, so
@@ -222,30 +198,7 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 	// otherwise leave a job queued while a worker sleeps. Stale tokens
 	// only cost an idle worker one empty pop.
 	p.notify = make(chan struct{}, cfg.QueueDepth+len(adopt))
-	// Seed the admission heaps before any worker starts: adopt in
-	// canonical submission order so seq tie-breaks reproduce the
-	// pre-crash within-owner order exactly.
-	p.recoveryPending.Store(int64(len(adopt)))
-	for _, job := range adopt {
-		job.mu.Lock()
-		job.replayPending = true
-		job.mu.Unlock()
-		p.slots <- struct{}{}
-		job.stampAdmitted(time.Now())
-		p.admit.adoptQueued(job)
-		if !job.deadline.IsZero() {
-			job.mu.Lock()
-			job.expiry = time.AfterFunc(time.Until(job.deadline), job.expireQueued)
-			job.mu.Unlock()
-		}
-		if job.recovered {
-			// In-flight at the crash: announce the re-adoption on the
-			// stream so subscribers see the job return to the queue.
-			job.publishEvent(jobsapi.EventRecovered)
-		} else {
-			job.publish()
-		}
-	}
+	p.adoptRecovered(adopt)
 	for w := 0; w < cfg.SchedulerWorkers; w++ {
 		p.workerWG.Add(1)
 		go p.worker()
@@ -253,13 +206,13 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 	return p
 }
 
-// submit admits a job into the fair-share priority queue, blocking
-// while it is full. An owner over its queued-jobs quota is rejected
-// with a typed QuotaError before consuming any shared queue capacity.
-// With shedding enabled the blocking is bounded: estimate-based checks
-// (breaker saturation, deadline infeasibility) reject before touching
-// the queue, and a full queue sheds with a typed *ShedError after
-// Shed.MaxSubmitWait instead of parking the submitter indefinitely.
+// submit admits a job into the fair-share priority queue. The order is
+// fixed: estimate-based shed checks, the owner's queued-jobs quota, the
+// queue slot, and only then the job itself — its ID, board row, WAL
+// record and first event. A submission that is shed, rejected, or whose
+// context ends while the queue is full therefore leaves no residue.
+// Shed.MaxSubmitWait bounds the wait for the slot (a typed *ShedError
+// after it); 0 leaves the wait bounded by ctx alone.
 func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	if err := spec.graph.Validate(); err != nil {
 		return nil, err
@@ -271,9 +224,7 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		return nil, ErrJobDeadlineExceeded
 	}
 	if serr := p.preAdmitShed(spec); serr != nil {
-		p.meter.record(true)
-		p.countShed(serr.Reason, spec.owner)
-		return nil, serr
+		return nil, p.shedSubmission(serr, spec.owner)
 	}
 	// Claim the owner's queued-jobs quota first: the reservation covers
 	// the whole queued phase (including the wait for a queue slot below)
@@ -284,30 +235,28 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		p.env.log.Info("submission rejected", "owner", spec.owner, "reason", "quota")
 		return nil, err
 	}
-	// With shedding on, the queue slot is claimed before the job handle
-	// is registered: a shed submission leaves no residue on the board,
-	// exactly like a quota rejection. The bounded wait is the shed
-	// threshold — a submitter is never blocked beyond it.
-	preSlot := false
-	if p.shed.enabled() {
-		timer := time.NewTimer(p.shed.MaxSubmitWait)
+	// A nil timeout channel never fires, so an unbounded wait costs no
+	// timer.
+	var timeout <-chan time.Time
+	if p.cfg.Shed.MaxSubmitWait > 0 {
+		timer := time.NewTimer(p.cfg.Shed.MaxSubmitWait)
 		defer timer.Stop()
-		select {
-		case p.slots <- struct{}{}:
-			preSlot = true
-		case <-timer.C:
-			p.admit.unreserveQueued(spec.owner)
-			p.meter.record(true)
-			p.countShed(ShedQueueFull, spec.owner)
-			return nil, p.shed.shedError(ShedQueueFull,
-				fmt.Sprintf("queue of %d full for %v", p.cfg.QueueDepth, p.shed.MaxSubmitWait))
-		case <-ctx.Done():
-			p.admit.unreserveQueued(spec.owner)
-			return nil, ctx.Err()
-		case <-p.ctx.Done():
-			p.admit.unreserveQueued(spec.owner)
-			return nil, ErrPipelineClosed
-		}
+		timeout = timer.C
+	}
+	var err error
+	select {
+	case p.slots <- struct{}{}:
+	case <-timeout:
+		err = p.shedSubmission(p.cfg.Shed.shedError(ShedQueueFull,
+			fmt.Sprintf("queue of %d full for %v", p.cfg.QueueDepth, p.cfg.Shed.MaxSubmitWait)), spec.owner)
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-p.ctx.Done():
+		err = ErrPipelineClosed
+	}
+	if err != nil {
+		p.admit.unreserveQueued(spec.owner)
+		return nil, err
 	}
 	job := &Job{
 		Owner:       spec.owner,
@@ -325,9 +274,7 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		if preSlot {
-			p.releaseSlot()
-		}
+		p.releaseSlot()
 		p.admit.unreserveQueued(spec.owner)
 		return nil, ErrPipelineClosed
 	}
@@ -368,29 +315,8 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	}
 	p.events.Publish(jobsapi.EventState, status)
 	p.gauge()
-	if !preSlot {
-		// Reserve a queue slot (backpressure), then enqueue. The job is
-		// visible on the board while its submitter waits, exactly like a
-		// sender blocked on a full channel.
-		select {
-		case p.slots <- struct{}{}:
-		case <-ctx.Done():
-			job.terminalize(JobFailed, ctx.Err(), nil)
-			p.admit.unreserveQueued(spec.owner)
-			return nil, ctx.Err()
-		case <-p.ctx.Done():
-			job.terminalize(JobFailed, ErrPipelineClosed, nil)
-			p.admit.unreserveQueued(spec.owner)
-			return nil, ErrPipelineClosed
-		case <-job.cancelCh:
-			// Cancel won while we waited for capacity; the job is terminal.
-			p.admit.unreserveQueued(spec.owner)
-			return nil, ErrJobCanceled
-		}
-	}
-	// A cancel may have landed in the same instant the slot freed
-	// (select picks ready cases at random) or while a pre-claimed slot's
-	// job registered: never enqueue a job that is already terminal.
+	// A cancel may have landed between the registration above and here:
+	// never enqueue a job that is already terminal.
 	if job.canceled() {
 		p.releaseSlot()
 		p.admit.unreserveQueued(spec.owner)
@@ -418,63 +344,33 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 // admission queue (popped by a worker or removed by Cancel).
 func (p *pipeline) releaseSlot() { <-p.slots }
 
-// countShed feeds one admission rejection into the per-reason counter
-// and the structured log.
-func (p *pipeline) countShed(reason, owner string) {
-	switch m := p.env.obsM; reason {
+// shedSubmission records one shed in the readiness meter, the
+// per-reason counter and the structured log, and returns it as the
+// submission's error.
+func (p *pipeline) shedSubmission(serr *ShedError, owner string) error {
+	p.meter.record(true)
+	switch m := p.env.obsM; serr.Reason {
 	case ShedQueueFull:
 		m.rejectQueueFull.Inc()
 	case ShedDeadlineInfeasible:
 		m.rejectDeadline.Inc()
-	case ShedBreakerSaturated:
-		m.rejectBreaker.Inc()
 	}
-	p.env.log.Info("submission shed", "owner", owner, "reason", reason)
-}
-
-// services resolves the scheduling services for home site i, caching
-// successes. Concurrent rounds from different home sites share nothing
-// but the internally locked repositories, so rounds on disjoint sites
-// proceed in parallel.
-func (p *pipeline) services(home int) (*siteSvc, error) {
-	p.svcMu.Lock()
-	if s, ok := p.svc[home]; ok {
-		p.svcMu.Unlock()
-		return s, nil
-	}
-	p.svcMu.Unlock()
-	// Dial outside the lock so one slow site's dial never stalls rounds
-	// for sites whose services are already cached. Two workers may race
-	// to dial the same site; the loser's clients stay registered with
-	// the environment and are released on Close.
-	local, remotes, err := p.env.siteServices(home)
-	if err != nil {
-		return nil, err
-	}
-	s := &siteSvc{local: local, remotes: remotes}
-	p.svcMu.Lock()
-	if cached, ok := p.svc[home]; ok {
-		s = cached
-	} else {
-		p.svc[home] = s
-	}
-	p.svcMu.Unlock()
-	return s, nil
+	p.env.log.Info("submission shed", "owner", owner, "reason", serr.Reason)
+	return serr
 }
 
 // worker drains batches of fairly-arbitrated jobs from the admission
 // queue and runs their scheduling rounds from each job's home site. One
-// wakeup token buys up to DispatchBatch pops under a single queue lock
+// wakeup token buys up to dispatchBatch pops under a single queue lock
 // acquisition (the batched handoff); a full batch means more work
 // likely remains, so the worker re-arms another idle worker before it
 // starts processing, keeping deep backlogs spread across the pool.
-// Each job's queue-capacity slot frees when its round starts, exactly
-// as per-job handoff did — jobs still waiting in a worker's batch keep
-// counting against QueueDepth, so batching never weakens Submit
-// backpressure or the shed threshold.
+// Each job's queue-capacity slot frees when its round starts — jobs
+// still waiting in a worker's batch keep counting against QueueDepth,
+// so batching never weakens Submit backpressure or the shed threshold.
 func (p *pipeline) worker() {
 	defer p.workerWG.Done()
-	batch := make([]*Job, 0, p.cfg.DispatchBatch)
+	batch := make([]*Job, 0, dispatchBatch)
 	for {
 		select {
 		case <-p.ctx.Done():
@@ -490,7 +386,7 @@ func (p *pipeline) worker() {
 		// fairness); with slots free the full batch amortizes the
 		// queue lock. The read is advisory — a slot freed or taken
 		// concurrently only shifts where the next batch cuts off.
-		max := p.cfg.DispatchBatch
+		max := dispatchBatch
 		if avail := cap(p.runSem) - len(p.runSem); avail < max {
 			max = avail
 			if max < 1 {
@@ -535,7 +431,7 @@ func (p *pipeline) process(job *Job) {
 		return
 	}
 	p.gauge()
-	svc, err := p.services(job.home)
+	svc, err := p.env.siteServices(job.home)
 	if err != nil {
 		job.fail(fmt.Errorf("vdce: scheduling services for site %d: %w", job.home, err))
 		p.gauge()
@@ -587,7 +483,7 @@ func (p *pipeline) process(job *Job) {
 // is deliberate backpressure: with the engine saturated, workers park
 // here, the admission queue fills, and Submit blocks — so the total
 // number of admitted-but-unfinished jobs stays bounded by QueueDepth +
-// SchedulerWorkers·DispatchBatch + MaxConcurrentRuns, plus hosts-parked
+// SchedulerWorkers·dispatchBatch + MaxConcurrentRuns, plus hosts-parked
 // jobs (the pop-side parked gate bounds those per owner by the worker
 // count times the dispatch batch). A job waiting for a slot remains in
 // the scheduling state (it is still in a worker's hands). Jobs resuming

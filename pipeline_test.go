@@ -2,6 +2,7 @@ package vdce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -229,30 +230,80 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 }
 
 // TestSubmitHonorsCallerContext verifies that a canceled admission
-// context aborts Submit even when the queue is saturated.
+// context aborts Submit even when the queue is saturated, and that the
+// blocked submission leaves no trace: the queue slot is claimed before
+// the job is registered, persisted or published, so a submission that
+// never got one has no board row, no count and no record in the store.
 func TestSubmitHonorsCallerContext(t *testing.T) {
-	env := newEnv(t, Config{
+	cfg := Config{
 		Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 36},
 		// One worker, minimal queue, single-run dispatch: easy to fill.
 		Pipeline: PipelineConfig{QueueDepth: 1, SchedulerWorkers: 1, MaxConcurrentRuns: 1},
-	})
+		StoreDir: t.TempDir(),
+	}
+	env, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			env.Console.Resume()
+			env.Close()
+		}
+	}()
 	// Suspend the console so running jobs park and the queue backs up.
 	env.Console.Suspend()
 	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		canceled, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-		defer cancel()
-		if _, err := env.Submit(canceled, soakGraph(t, i)); err != nil {
+	accepted := make(map[string]bool)
+	blocked := false
+	for i := 0; i < 6 && !blocked; i++ {
+		expiring, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		job, err := env.Submit(expiring, soakGraph(t, i))
+		cancel()
+		switch {
+		case err == nil:
+			accepted[job.ID] = true
+		case errors.Is(err, context.DeadlineExceeded):
 			// The queue filled and the context expired: the expected path.
-			if canceled.Err() == nil {
-				t.Fatalf("submit %d failed before ctx expiry: %v", i, err)
-			}
-			env.Console.Resume()
-			return
+			blocked = true
+		default:
+			t.Fatalf("submit %d failed before ctx expiry: %v", i, err)
 		}
 	}
+	if !blocked {
+		t.Fatal("queue never backpressured with a suspended console")
+	}
+	sameIDs := func(what string, rows []services.JobStatus) {
+		t.Helper()
+		if len(rows) != len(accepted) {
+			t.Fatalf("%s lists %d jobs, want the %d accepted", what, len(rows), len(accepted))
+		}
+		for _, r := range rows {
+			if !accepted[r.ID] {
+				t.Fatalf("%s lists %s, which Submit never returned", what, r.ID)
+			}
+		}
+	}
+	sameIDs("the board", env.Jobs())
+	if n := env.CountJobs("", ""); n != len(accepted) {
+		t.Fatalf("CountJobs = %d, want the %d accepted", n, len(accepted))
+	}
+
 	env.Console.Resume()
-	t.Fatal("queue never backpressured with a suspended console")
+	drainCtx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	if err := env.Drain(drainCtx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	env.Close()
+	closed = true
+	reopened, err := New(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reopened.Close()
+	sameIDs("the reopened store", reopened.Jobs())
 }
 
 // TestJobStateStrings pins the services-layer names the board publishes.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vdce/internal/afg"
+	"vdce/internal/jobsapi"
 	"vdce/internal/services"
 	"vdce/internal/store"
 )
@@ -165,6 +166,34 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 	}
 	p.nextID = rs.MaxJobSeq
 	return adopt
+}
+
+// adoptRecovered seeds the admission heaps with the jobs loadRecovered
+// returned, before any worker starts: in canonical submission order, so
+// seq tie-breaks reproduce the pre-crash within-owner order exactly.
+// Each takes one of the queue slots startPipeline sized for it.
+func (p *pipeline) adoptRecovered(adopt []*Job) {
+	p.recoveryPending.Store(int64(len(adopt)))
+	for _, job := range adopt {
+		job.mu.Lock()
+		job.replayPending = true
+		job.mu.Unlock()
+		p.slots <- struct{}{}
+		job.stampAdmitted(time.Now())
+		p.admit.adoptQueued(job)
+		if !job.deadline.IsZero() {
+			job.mu.Lock()
+			job.expiry = time.AfterFunc(time.Until(job.deadline), job.expireQueued)
+			job.mu.Unlock()
+		}
+		if job.recovered {
+			// In-flight at the crash: announce the re-adoption on the
+			// stream so subscribers see the job return to the queue.
+			job.publishEvent(jobsapi.EventRecovered)
+		} else {
+			job.publish()
+		}
+	}
 }
 
 // persistSubmitted appends a new job's full record to the durable log.

@@ -9,14 +9,13 @@ import (
 	"vdce/internal/afg"
 )
 
-// Adaptive load shedding. Before this layer existed, Submit on a full
-// queue blocked until a slot freed or the caller's context expired — so
-// a sustained overload turned every submitter into a parked goroutine
-// and an HTTP client into a hung request. With shedding enabled
-// (ShedConfig.MaxSubmitWait > 0) the admission path fails fast instead:
-// a typed *ShedError names why the submission was refused and how long
-// the client should wait before retrying. The editor maps it to
-// 503 + Retry-After, next to the 429 + Retry-After quota vocabulary.
+// Load shedding at admission. A full queue blocks Submit until a slot
+// frees or the caller's context ends; ShedConfig.MaxSubmitWait bounds
+// that wait, and ShedConfig.CheckDeadline refuses work that cannot meet
+// its deadline. Either refusal is a typed *ShedError naming why the
+// submission was shed and how long the client should wait before
+// retrying; the editor maps it to 503 + Retry-After, next to the
+// 429 + Retry-After quota vocabulary.
 
 // Shed reasons carried by ShedError.
 const (
@@ -28,9 +27,14 @@ const (
 	// critical path at catalog/learned base times), so admitting it
 	// would only burn capacity on work that is already lost.
 	ShedDeadlineInfeasible = "deadline-infeasible"
-	// ShedBreakerSaturated: too large a fraction of the site's hosts sit
-	// behind open circuit breakers to place new work responsibly.
-	ShedBreakerSaturated = "breaker-saturated"
+)
+
+// The /readyz shed-rate gate: the environment reports not-ready while
+// more than unreadyShedRate of the submissions in the last shedWindow
+// were shed.
+const (
+	unreadyShedRate = 0.5
+	shedWindow      = 5 * time.Second
 )
 
 // ErrShed matches every shed rejection via errors.Is.
@@ -43,8 +47,7 @@ type ShedError struct {
 	// RetryAfter is the suggested client backoff; HTTP surfaces emit it
 	// as a Retry-After header.
 	RetryAfter time.Duration
-	// Detail elaborates (queue depth, estimate vs deadline, open-host
-	// fraction).
+	// Detail elaborates (queue depth, estimate vs deadline).
 	Detail string
 }
 
@@ -58,12 +61,12 @@ func (e *ShedError) Error() string {
 // Is lets errors.Is(err, ErrShed) match the typed rejection.
 func (e *ShedError) Is(target error) bool { return target == ErrShed }
 
-// ShedConfig tunes adaptive load shedding at admission. The zero value
-// disables shedding entirely, preserving the legacy block-until-slot
-// behavior.
+// ShedConfig tunes load shedding at admission. Each check is governed
+// by its own field; the zero value never sheds.
 type ShedConfig struct {
 	// MaxSubmitWait bounds how long Submit may wait for a queue slot
-	// before shedding with reason queue-full. 0 disables shedding.
+	// before shedding with reason queue-full. 0 leaves the wait bounded
+	// by the caller's context alone.
 	MaxSubmitWait time.Duration
 	// RetryAfter is the backoff hint carried by ShedError (default 1s).
 	RetryAfter time.Duration
@@ -71,17 +74,6 @@ type ShedConfig struct {
 	// submission whose deadline is closer than the graph's critical-path
 	// lower bound (task-performance base times) sheds immediately.
 	CheckDeadline bool
-	// BreakerSaturation sheds new submissions while at least this
-	// fraction of the testbed's hosts have open circuit breakers
-	// (0 disables; sensible values sit around 0.5–0.75).
-	BreakerSaturation float64
-	// UnreadyShedRate is the /readyz threshold: the environment reports
-	// not-ready while more than this fraction of recent submissions was
-	// shed (default 0.5, over MeterWindow).
-	UnreadyShedRate float64
-	// MeterWindow is the sliding window of the shed-rate meter
-	// (default 5s).
-	MeterWindow time.Duration
 	// Now supplies the meter clock (default time.Now); tests inject a
 	// synthetic one.
 	Now func() time.Time
@@ -91,19 +83,10 @@ func (c *ShedConfig) fillDefaults() {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.UnreadyShedRate <= 0 {
-		c.UnreadyShedRate = 0.5
-	}
-	if c.MeterWindow <= 0 {
-		c.MeterWindow = 5 * time.Second
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 }
-
-// enabled reports whether the admission path sheds at all.
-func (c *ShedConfig) enabled() bool { return c.MaxSubmitWait > 0 }
 
 // shedMeter measures the recent shed rate over a two-bucket sliding
 // window: cheap, lock-scoped, and exact enough for a readiness gate.
@@ -125,8 +108,8 @@ type meterBucket struct {
 	shed     int
 }
 
-func newShedMeter(window time.Duration, now func() time.Time) *shedMeter {
-	return &shedMeter{now: now, half: window / 2, curStart: now()}
+func newShedMeter(now func() time.Time) *shedMeter {
+	return &shedMeter{now: now, half: shedWindow / 2, curStart: now()}
 }
 
 // roll ages the buckets; callers hold m.mu.
@@ -182,28 +165,20 @@ func (c *ShedConfig) shedError(reason, detail string) *ShedError {
 	return &ShedError{Reason: reason, RetryAfter: c.RetryAfter, Detail: detail}
 }
 
-// preAdmitShed runs the estimate-based shed checks that need no queue
-// slot: breaker saturation and deadline infeasibility. It returns nil
-// when the submission may proceed to admission.
+// preAdmitShed runs the estimate-based shed check that needs no queue
+// slot: deadline infeasibility. It returns nil when the submission may
+// proceed to admission.
 func (p *pipeline) preAdmitShed(spec submitSpec) *ShedError {
-	cfg := &p.shed
-	if !cfg.enabled() {
+	if !p.cfg.Shed.CheckDeadline || spec.deadline.IsZero() {
 		return nil
 	}
-	if cfg.BreakerSaturation > 0 && p.env.Breakers != nil {
-		total := len(p.env.TB.AllHosts())
-		if frac := p.env.Breakers.OpenFraction(total); frac >= cfg.BreakerSaturation {
-			return cfg.shedError(ShedBreakerSaturated,
-				fmt.Sprintf("%.0f%% of %d hosts quarantined", frac*100, total))
-		}
+	est, ok := p.minCompletionEstimate(spec.graph)
+	if !ok {
+		return nil
 	}
-	if cfg.CheckDeadline && !spec.deadline.IsZero() {
-		if est, ok := p.minCompletionEstimate(spec.graph); ok {
-			if remaining := time.Until(spec.deadline); remaining < est {
-				return cfg.shedError(ShedDeadlineInfeasible,
-					fmt.Sprintf("critical-path estimate %v exceeds remaining %v", est, remaining.Round(time.Millisecond)))
-			}
-		}
+	if remaining := time.Until(spec.deadline); remaining < est {
+		return p.cfg.Shed.shedError(ShedDeadlineInfeasible,
+			fmt.Sprintf("critical-path estimate %v exceeds remaining %v", est, remaining.Round(time.Millisecond)))
 	}
 	return nil
 }
@@ -238,17 +213,15 @@ func (env *Environment) ShedStats() (accepted, shed int64) {
 // environment is not ready while the recovery replay of a durable store
 // still has re-admitted jobs waiting to reach a scheduler (the backlog
 // belongs to the previous incarnation, not new clients) and while the
-// admission path is shedding more than the configured fraction of
-// recent submissions.
+// admission path is shedding more than unreadyShedRate of recent
+// submissions.
 func (env *Environment) Ready() (bool, string) {
 	p := env.pipe
 	if n := p.recoveryPending.Load(); n > 0 {
 		return false, fmt.Sprintf("recovery replay: %d re-admitted jobs pending", n)
 	}
-	if p.shed.enabled() {
-		if rate, total := p.meter.rate(); total >= 4 && rate > p.shed.UnreadyShedRate {
-			return false, fmt.Sprintf("shedding %.0f%% of recent submissions", rate*100)
-		}
+	if rate, total := p.meter.rate(); total >= 4 && rate > unreadyShedRate {
+		return false, fmt.Sprintf("shedding %.0f%% of recent submissions", rate*100)
 	}
 	p.mu.Lock()
 	closed := p.closed

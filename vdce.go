@@ -103,13 +103,14 @@ type Config struct {
 	// Retry shapes the execution engine's rescheduling retries: jittered
 	// exponential backoff per attempt plus an engine-wide token-bucket
 	// retry budget, so a mass host failure cannot multiply load into a
-	// retry storm. The zero value keeps the legacy immediate retries.
+	// retry storm. The zero value takes the exec defaults: backoff from
+	// exec.DefaultRetryBaseDelay, unlimited budget.
 	Retry exec.RetryConfig
 	// StartBreakers runs per-host circuit breakers (internal/breaker):
 	// watchdog failures and detector suspicions open a flapping host's
 	// breaker, quarantining it from placements until half-open probes
 	// succeed. Surfaced on GET /v1/hosts and consulted by the
-	// rescheduler and the admission path's breaker-saturation shed.
+	// rescheduler.
 	StartBreakers bool
 	// Breaker tunes the circuit breakers when StartBreakers is set; the
 	// zero value takes the breaker defaults.
@@ -121,7 +122,7 @@ type Config struct {
 	// replays it — queued jobs re-enter the admission queue with owner,
 	// priority, deadline, and share weight intact; in-flight jobs are
 	// re-adopted and re-dispatched; terminal jobs reappear on the board.
-	// Empty keeps today's purely in-memory behavior.
+	// Empty keeps the control plane in memory only.
 	StoreDir string
 	// Store tunes the durable store (flush interval, compaction cadence)
 	// when StoreDir is set; the zero value takes the store defaults.
@@ -163,10 +164,11 @@ type Environment struct {
 	// counters, gauges, and histograms. Always non-nil.
 	Obs *obs.Registry
 
-	mu            sync.Mutex // guards remoteClients
-	remoteClients []*control.RemoteSite
-	cancel        context.CancelFunc
-	pipe          *pipeline
+	// svc caches each home site's scheduling services; svcMu guards it.
+	svcMu  sync.Mutex
+	svc    map[int]*siteSvc
+	cancel context.CancelFunc
+	pipe   *pipeline
 	// obsM holds the pre-resolved hot-path metric handles; log is the
 	// structured logger (discarding when Config.Logger was nil).
 	obsM *envMetrics
@@ -188,6 +190,7 @@ func New(cfg Config) (*Environment, error) {
 		Board:    services.NewJobBoard(),
 		Obs:      cfg.Obs,
 		log:      cfg.Logger,
+		svc:      make(map[int]*siteSvc),
 	}
 	if env.Obs == nil {
 		env.Obs = obs.NewRegistry()
@@ -271,44 +274,24 @@ func New(cfg Config) (*Environment, error) {
 		for _, site := range tb.Sites {
 			env.Detector.AddSite(site.Name, site.Repo.Resources)
 		}
-		// Echo-detected failures arriving over RPC become quorum votes;
-		// echo-observed recoveries count as heartbeats.
-		for _, sm := range env.Managers {
-			sm.InterceptFailureNotices(
-				func(n protocol.FailureNotice) bool {
-					env.Detector.ReportFailure(n.Host, n.Detected)
-					return true
-				},
-				func(n protocol.RecoveryNotice) bool {
-					env.Detector.Observe(n.Host, n.Detected)
-					return true
-				},
-			)
-		}
 	}
 	if cfg.StartDaemons {
 		start := time.Now()
 		for si, site := range tb.Sites {
-			var reporter control.Reporter
+			// One reporter per site: workloads and notices are mirrored
+			// into the visualization service (the paper's "workload
+			// visualizations"), echo notices become detector votes when
+			// a detector runs, and the rest lands in the repository —
+			// through the Site Manager when one runs.
+			reporter := monitorReporter{
+				metrics: env.Metrics,
+				start:   start,
+				det:     env.Detector,
+				next:    control.RepoReporter{Repo: site.Repo},
+			}
 			if cfg.UseRPC {
-				reporter = env.Managers[si]
-			} else {
-				// In-process reporter without RPC: a SiteManager is not
-				// running, so apply updates directly.
-				reporter = directReporter{repo: site.Repo}
+				reporter.next = env.Managers[si]
 			}
-			if env.Detector != nil && !cfg.UseRPC {
-				// Failure detection is the detector's call now: echo
-				// notices become suspicion votes and recovery notices
-				// heartbeats, while workload batches flow through. In
-				// RPC mode the Site Manager's installed interceptors
-				// play this role instead (covering remote leaders too),
-				// so exactly one interception layer exists per wiring.
-				reporter = detectReporter{next: reporter, det: env.Detector}
-			}
-			// Every forwarded workload also lands in the visualization
-			// service, the paper's "workload visualizations".
-			reporter = teeReporter{next: reporter, metrics: env.Metrics, start: start}
 			for _, gname := range site.GroupNames() {
 				gm := control.NewGroupManager(site.Name, gname, site.GroupHosts(gname), reporter, period)
 				gm.EchoPeriod = period
@@ -410,72 +393,41 @@ func New(cfg Config) (*Environment, error) {
 	return env, nil
 }
 
-// detectReporter routes a Group Manager's failure-detection notices to
-// the failure detector — echo timeouts are votes, not verdicts — while
-// workload batches pass through to the repository untouched.
-type detectReporter struct {
-	next control.Reporter
-	det  *detect.Detector
-}
-
-func (d detectReporter) ApplyWorkloads(b protocol.WorkloadBatch) error {
-	return d.next.ApplyWorkloads(b)
-}
-
-func (d detectReporter) ApplyFailure(n protocol.FailureNotice) error {
-	d.det.ReportFailure(n.Host, n.Detected)
-	return nil
-}
-
-func (d detectReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
-	d.det.Observe(n.Host, n.Detected)
-	return nil
-}
-
-// teeReporter forwards Group Manager updates and mirrors workloads into
-// the visualization service.
-type teeReporter struct {
-	next    control.Reporter
+// monitorReporter is the one path a Group Manager's reports take into
+// a site. Everything is mirrored into the visualization service; with a
+// failure detector running, echo timeouts are votes and echo recoveries
+// heartbeats — the detector, not the notice, flips a host's status —
+// and whatever is left is applied by next.
+type monitorReporter struct {
 	metrics *services.Metrics
 	start   time.Time
+	det     *detect.Detector // nil without a failure detector
+	next    control.Reporter
 }
 
-func (t teeReporter) ApplyWorkloads(b protocol.WorkloadBatch) error {
+func (r monitorReporter) ApplyWorkloads(b protocol.WorkloadBatch) error {
 	for _, s := range b.Samples {
-		t.metrics.Add("load:"+s.Host, time.Since(t.start), s.Sample.CPULoad)
+		r.metrics.Add("load:"+s.Host, time.Since(r.start), s.Sample.CPULoad)
 	}
-	return t.next.ApplyWorkloads(b)
+	return r.next.ApplyWorkloads(b)
 }
 
-func (t teeReporter) ApplyFailure(n protocol.FailureNotice) error {
-	t.metrics.Add("failures:"+n.Group, time.Since(t.start), 1)
-	return t.next.ApplyFailure(n)
-}
-
-func (t teeReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
-	t.metrics.Add("failures:"+n.Group, time.Since(t.start), 0)
-	return t.next.ApplyRecovery(n)
-}
-
-// directReporter applies Group Manager updates straight to a repository
-// (the no-RPC wiring).
-type directReporter struct{ repo *repository.Repository }
-
-func (d directReporter) ApplyWorkloads(b protocol.WorkloadBatch) error {
-	samples := make([]repository.HostSample, len(b.Samples))
-	for i, s := range b.Samples {
-		samples[i] = repository.HostSample{Host: s.Host, Sample: s.Sample}
+func (r monitorReporter) ApplyFailure(n protocol.FailureNotice) error {
+	r.metrics.Add("failures:"+n.Group, time.Since(r.start), 1)
+	if r.det != nil {
+		r.det.ReportFailure(n.Host, n.Detected)
+		return nil
 	}
-	_, err := d.repo.Resources.UpdateWorkloads(samples)
-	return err
+	return r.next.ApplyFailure(n)
 }
 
-func (d directReporter) ApplyFailure(n protocol.FailureNotice) error {
-	return d.repo.Resources.SetStatus(n.Host, repository.HostDown)
-}
-
-func (d directReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
-	return d.repo.Resources.SetStatus(n.Host, repository.HostUp)
+func (r monitorReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
+	r.metrics.Add("failures:"+n.Group, time.Since(r.start), 0)
+	if r.det != nil {
+		r.det.Observe(n.Host, n.Detected)
+		return nil
+	}
+	return r.next.ApplyRecovery(n)
 }
 
 // Close stops the submission pipeline, daemons, RPC servers, and client
@@ -511,13 +463,12 @@ func (env *Environment) shutdown(graceful bool) {
 	if env.Engine != nil {
 		env.Engine.Close()
 	}
-	env.mu.Lock()
-	clients := env.remoteClients
-	env.remoteClients = nil
-	env.mu.Unlock()
-	for _, rc := range clients {
-		rc.Close()
+	env.svcMu.Lock()
+	for _, s := range env.svc {
+		s.close()
 	}
+	clear(env.svc)
+	env.svcMu.Unlock()
 	for _, sm := range env.Managers {
 		sm.Close()
 	}
@@ -538,44 +489,65 @@ func (env *Environment) Recovery() RecoveryReport {
 	return env.pipe.recovery
 }
 
-// siteServices resolves site index i's scheduling services: its local
-// site plus every other site as a remote (over RPC when the environment
-// runs Site Managers). Dialed clients are owned by the environment and
-// released on Close.
-func (env *Environment) siteServices(i int) (core.SiteService, []core.SiteService, error) {
-	if i < 0 || i >= len(env.Sites) {
-		return nil, nil, fmt.Errorf("vdce: no site %d", i)
+// siteSvc is one home site's resolved scheduling services.
+type siteSvc struct {
+	local   core.SiteService
+	remotes []core.SiteService
+	dialed  []*control.RemoteSite // the RPC clients among remotes
+}
+
+// close releases the RPC clients.
+func (s *siteSvc) close() {
+	for _, rc := range s.dialed {
+		rc.Close()
 	}
-	var remotes []core.SiteService
-	for j, s := range env.Sites {
+}
+
+// siteServices resolves site index i's scheduling services — its local
+// site plus every other site as a remote, dialed over RPC when the
+// environment runs Site Managers — once per home site: the pipeline's
+// rounds, SchedulerAt, Schedule and Run share the result. A failed dial
+// is not cached, so it only affects rounds made while it persists. The
+// clients are released on Close.
+func (env *Environment) siteServices(i int) (*siteSvc, error) {
+	if i < 0 || i >= len(env.Sites) {
+		return nil, fmt.Errorf("vdce: no site %d", i)
+	}
+	env.svcMu.Lock()
+	defer env.svcMu.Unlock()
+	if s, ok := env.svc[i]; ok {
+		return s, nil
+	}
+	s := &siteSvc{local: env.Sites[i]}
+	for j, site := range env.Sites {
 		if j == i {
 			continue
 		}
-		if len(env.Managers) == len(env.Sites) {
-			rc, err := control.DialSite(s.SiteName(), env.Managers[j].Addr())
-			if err != nil {
-				return nil, nil, err
-			}
-			env.mu.Lock()
-			env.remoteClients = append(env.remoteClients, rc)
-			env.mu.Unlock()
-			remotes = append(remotes, rc)
-		} else {
-			remotes = append(remotes, s)
+		if len(env.Managers) != len(env.Sites) {
+			s.remotes = append(s.remotes, site)
+			continue
 		}
+		rc, err := control.DialSite(site.SiteName(), env.Managers[j].Addr())
+		if err != nil {
+			s.close()
+			return nil, err
+		}
+		s.dialed = append(s.dialed, rc)
+		s.remotes = append(s.remotes, rc)
 	}
-	return env.Sites[i], remotes, nil
+	env.svc[i] = s
+	return s, nil
 }
 
 // SchedulerAt returns the Application Scheduler of site index i: its
 // local site plus every other site as a remote (over RPC when the
 // environment runs Site Managers).
 func (env *Environment) SchedulerAt(i int, k int) (*core.Scheduler, error) {
-	local, remotes, err := env.siteServices(i)
+	svc, err := env.siteServices(i)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewScheduler(local, remotes, env.Net, k), nil
+	return core.NewScheduler(svc.local, svc.remotes, env.Net, k), nil
 }
 
 // CostFunc derives the level-computation cost function for g from site
@@ -646,39 +618,25 @@ func (env *Environment) ClampK(owner string, k int) int {
 	}
 }
 
-// EditorServer returns an Application Editor wired to site 0's accounts
-// and a submitter that schedules (and optionally executes) submissions.
-// The submitting user's access domain bounds how many neighbor sites the
-// scheduler may use. Executed submissions go through the concurrent
-// submission pipeline, so simultaneous editor clients are served
-// simultaneously.
+// EditorServer returns an Application Editor wired to site 0's
+// accounts. The submitting user's access domain bounds how many
+// neighbor sites the scheduler may use.
 //
-// When execute is true the editor also speaks the versioned job-control
-// API: POST /v1/apps/{id}/submit enqueues with per-job priority,
-// deadline, and max-hosts, and /v1/jobs (mounted owner-scoped, so users
-// cancel only their own jobs) serves status and cancellation.
+// When execute is true, submissions run through the versioned
+// job-control API alone: POST /v1/apps/{id}/submit enqueues into the
+// concurrent submission pipeline with per-job priority, deadline, and
+// max-hosts, and /v1/jobs (mounted owner-scoped, so users cancel only
+// their own jobs) serves status, events and cancellation. When it is
+// false the editor is schedule-only: POST /apps/{id}/submit answers
+// with the allocation table and nothing executes.
 func (env *Environment) EditorServer(execute bool, k int) *editor.Server {
-	users := env.Sites[0].Repo.Users
-	srv := editor.NewServer(users, env.Registry, func(ctx context.Context, owner string, g *afg.Graph) (any, error) {
-		if !execute {
+	var schedule editor.Submitter
+	if !execute {
+		schedule = func(_ context.Context, owner string, g *afg.Graph) (any, error) {
 			return env.Schedule(g, env.ClampK(owner, k))
 		}
-		job, err := env.Submit(ctx, g, WithOwner(owner), WithMaxHosts(k))
-		if err != nil {
-			return nil, err
-		}
-		if err := job.Wait(ctx); err != nil {
-			return nil, err
-		}
-		res := job.Result()
-		return map[string]any{
-			"job":      job.ID,
-			"state":    job.State().String(),
-			"table":    job.Table(),
-			"makespan": res.Makespan.String(),
-			"runs":     len(res.Runs),
-		}, nil
-	})
+	}
+	srv := editor.NewServer(env.Sites[0].Repo.Users, env.Registry, schedule)
 	if execute {
 		srv.SubmitJob = func(ctx context.Context, owner string, g *afg.Graph, o editor.JobOptions) (services.JobStatus, error) {
 			opts := []SubmitOption{WithOwner(owner), WithMaxHosts(k)}
@@ -748,9 +706,8 @@ func (env *Environment) JobsHandler(cfg jobsapi.Config) http.Handler {
 	return jobsapi.Handler(cfg)
 }
 
-// JobTrace returns the lifecycle trace of one retained job. It
-// satisfies jobsapi.TraceSource, so mounting the jobs API on an
-// Environment exposes traces as GET /v1/jobs/{id}/trace.
+// JobTrace returns the lifecycle trace of one retained job, served as
+// GET /v1/jobs/{id}/trace.
 func (env *Environment) JobTrace(id string) (services.JobTrace, bool) {
 	j, ok := env.pipe.job(id)
 	if !ok {
@@ -761,9 +718,7 @@ func (env *Environment) JobTrace(id string) (services.JobTrace, bool) {
 
 // Hosts reports every testbed host's health snapshot — host-model
 // up/down, failure-detector state (when a detector runs), and
-// circuit-breaker state (when breakers run). It satisfies
-// jobsapi.HostSource, so mounting the jobs API on an Environment
-// exposes the snapshot as GET /v1/hosts.
+// circuit-breaker state (when breakers run) — served as GET /v1/hosts.
 func (env *Environment) Hosts() []services.HostStatus {
 	var brk map[string]breaker.HostStatus
 	if env.Breakers != nil {

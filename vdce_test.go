@@ -3,11 +3,13 @@ package vdce
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"vdce/internal/core"
+	"vdce/internal/detect"
 	"vdce/internal/exec"
 	"vdce/internal/repository"
 	"vdce/internal/tasklib"
@@ -234,6 +236,110 @@ func TestDaemonsFeedVisualization(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("no workload series reached the visualization service")
+}
+
+// TestEchoFailureIsADetectorVote drives one Group Manager by hand (the
+// hour-long period keeps the daemons and the wall-clock detector loop
+// idle) through the reporter New wired for it, with and without Site
+// Managers: a workload sample is mirrored into the visualization
+// service and lands in the repository, while an echo failure changes
+// nothing in the repository by itself — it is a vote, so the host's
+// first silent evaluation round already meets the quorum of two and the
+// detector, not the notice, publishes the down status.
+func TestEchoFailureIsADetectorVote(t *testing.T) {
+	for _, rpc := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rpc=%v", rpc), func(t *testing.T) {
+			env := newEnv(t, Config{
+				Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 26},
+				UseRPC:        rpc,
+				StartDaemons:  true,
+				StartDetector: true,
+				MonitorPeriod: time.Hour,
+			})
+			gm := env.Groups[0]
+			host := env.TB.Sites[0].GroupHosts(gm.Group)[0]
+			resources := env.Sites[0].Repo.Resources
+			status := func() repository.HostStatus {
+				v, ok := resources.View(host.Name)
+				if !ok {
+					t.Fatalf("no resource record for %s", host.Name)
+				}
+				return v.Status
+			}
+
+			t0 := time.Now()
+			if err := gm.Ingest(host.Name, repository.WorkloadSample{Time: t0, CPULoad: 0.75}); err != nil {
+				t.Fatal(err)
+			}
+			if series := env.Metrics.Series("load:" + host.Name); len(series) != 1 || series[0].V != 0.75 {
+				t.Fatalf("load:%s series = %v, want the one 0.75 sample", host.Name, series)
+			}
+			if v, _ := resources.View(host.Name); v.CPULoad != 0.75 {
+				t.Fatalf("repository load = %v, want the forwarded 0.75", v.CPULoad)
+			}
+
+			host.Fail()
+			if err := gm.EchoRound(t0.Add(time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if !gm.Down(host.Name) {
+				t.Fatal("the echo round did not notice the failed host")
+			}
+			if got := status(); got != repository.HostUp {
+				t.Fatalf("status after the echo notice = %s: the notice flipped it directly", got)
+			}
+			if _, err := env.Detector.Tick(t0.Add(5 * time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			if st, _ := env.Detector.State(host.Name); st != detect.Dead {
+				t.Fatalf("detector state after one silent round = %v, want dead (echo vote + silence = quorum)", st)
+			}
+			if got := status(); got != repository.HostDown {
+				t.Fatalf("status after the detector confirmed = %s, want down", got)
+			}
+		})
+	}
+}
+
+// TestSiteServicesAreDialedOncePerHome: in RPC mode every home site's
+// remotes are dialed once and shared by Schedule, SchedulerAt and the
+// pipeline, however many rounds run.
+func TestSiteServicesAreDialedOncePerHome(t *testing.T) {
+	const sites = 3
+	env := newEnv(t, Config{
+		Testbed: testbed.Config{Sites: sites, HostsPerGroup: 2, Seed: 29},
+		UseRPC:  true,
+	})
+	g, err := tasklib.BuildC3IPipeline(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := env.Schedule(g, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for home := 0; home < sites; home++ {
+		if _, err := env.SchedulerAt(home, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job, err := env.Submit(context.Background(), g, WithHomeSite(1), WithMaxHosts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dialed := 0
+	env.svcMu.Lock()
+	for _, s := range env.svc {
+		dialed += len(s.dialed)
+	}
+	env.svcMu.Unlock()
+	if dialed != sites*(sites-1) {
+		t.Fatalf("%d RPC clients dialed, want %d (one per ordered pair of sites)", dialed, sites*(sites-1))
+	}
 }
 
 func TestRefreshMonitoring(t *testing.T) {
