@@ -2,6 +2,7 @@ package afg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -10,7 +11,7 @@ import (
 // is the lexicographically smallest order). It returns ErrCycle if the
 // graph is not a DAG.
 func (g *Graph) TopoSort() ([]TaskID, error) {
-	order, _, _, err := g.kahn()
+	order, _, _, _, err := g.kahn()
 	return order, err
 }
 
@@ -18,8 +19,10 @@ func (g *Graph) TopoSort() ([]TaskID, error) {
 // walked, in compressed sparse row form: the children of task i are
 // child[start[i]:start[i+1]], in edge insertion order. Everything lives
 // in one allocation — order, the ready heap, in-degrees, row starts and
-// children — so the returned slices keep each other alive.
-func (g *Graph) kahn() (order, start, child []TaskID, err error) {
+// children — so the returned slices keep each other alive. spare is the
+// 2n words the sort is done with: the emptied heap, then the in-degrees,
+// all back at zero.
+func (g *Graph) kahn() (order, start, child, spare []TaskID, err error) {
 	n, m := len(g.Tasks), len(g.Edges)
 	buf := make([]TaskID, 4*n+2+m)
 	order, ready, indeg := buf[:0:n], buf[n:n:2*n], buf[2*n:3*n]
@@ -30,7 +33,7 @@ func (g *Graph) kahn() (order, start, child []TaskID, err error) {
 	// begins, leaving start[i] the beginning of row i.
 	for _, e := range g.Edges {
 		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
-			return nil, nil, nil, fmt.Errorf("afg: edge %v out of range", e)
+			return nil, nil, nil, nil, fmt.Errorf("afg: edge %v out of range", e)
 		}
 		indeg[e.To]++
 		start[e.From+2]++
@@ -65,9 +68,9 @@ func (g *Graph) kahn() (order, start, child []TaskID, err error) {
 		}
 	}
 	if len(order) != n {
-		return nil, nil, nil, ErrCycle
+		return nil, nil, nil, nil, ErrCycle
 	}
-	return order, start, child, nil
+	return order, start, child, buf[n : 3*n], nil
 }
 
 // siftUp restores the min-heap after an append.
@@ -110,7 +113,7 @@ type CostFunc func(TaskID) float64
 // to computation costs, as the paper specifies). The node with the higher
 // level has the higher scheduling priority.
 func (g *Graph) Levels(cost CostFunc) ([]float64, error) {
-	order, start, child, err := g.kahn()
+	order, start, child, _, err := g.kahn()
 	if err != nil {
 		return nil, err
 	}
@@ -188,51 +191,44 @@ func (g *Graph) CriticalPath(cost CostFunc) ([]TaskID, float64, error) {
 
 // ReadySet maintains the paper's ready-tasks set: tasks all of whose
 // parents have been scheduled. Initialize with the entry nodes, then
-// Complete tasks as the site scheduler assigns them.
+// Complete tasks as the site scheduler assigns them. Its state is
+// TaskID-indexed slices carved from kahn's one buffer.
 type ReadySet struct {
-	g         *Graph
-	remaining []int // unscheduled-parent count per task
-	ready     map[TaskID]bool
-	done      map[TaskID]bool
+	start, child []TaskID // children of task i: child[start[i]:start[i+1]]
+	remaining    []TaskID // in-edges from unscheduled parents, per task
+	ready        []TaskID // ascending IDs
+	done         int
 }
 
 // NewReadySet builds a ReadySet whose initial members are the graph's
-// entry nodes.
+// entry nodes. A graph that fails Validate has no ready tasks.
 func NewReadySet(g *Graph) *ReadySet {
-	rs := &ReadySet{
-		g:         g,
-		remaining: make([]int, len(g.Tasks)),
-		ready:     make(map[TaskID]bool),
-		done:      make(map[TaskID]bool),
+	_, start, child, spare, err := g.kahn()
+	if err != nil {
+		return &ReadySet{}
 	}
-	seen := make(map[[2]TaskID]bool)
+	n := len(g.Tasks)
+	rs := &ReadySet{start: start, child: child, remaining: spare[n:], ready: spare[:0:n]}
 	for _, e := range g.Edges {
-		key := [2]TaskID{e.From, e.To}
-		if !seen[key] { // count distinct parents, not edges
-			seen[key] = true
-			rs.remaining[e.To]++
-		}
+		rs.remaining[e.To]++
 	}
 	for i := range g.Tasks {
 		if rs.remaining[i] == 0 {
-			rs.ready[TaskID(i)] = true
+			rs.ready = append(rs.ready, TaskID(i))
 		}
 	}
 	return rs
 }
 
-// Ready returns the current ready tasks sorted by ID.
-func (rs *ReadySet) Ready() []TaskID {
-	out := make([]TaskID, 0, len(rs.ready))
-	for id := range rs.ready {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Ready returns the current ready tasks sorted by ID. The slice is the
+// set's own and holds until the next Complete: do not modify it.
+func (rs *ReadySet) Ready() []TaskID { return rs.ready }
 
 // Contains reports whether id is currently ready.
-func (rs *ReadySet) Contains(id TaskID) bool { return rs.ready[id] }
+func (rs *ReadySet) Contains(id TaskID) bool {
+	_, ok := slices.BinarySearch(rs.ready, id)
+	return ok
+}
 
 // Empty reports whether no tasks remain ready.
 func (rs *ReadySet) Empty() bool { return len(rs.ready) == 0 }
@@ -241,19 +237,21 @@ func (rs *ReadySet) Empty() bool { return len(rs.ready) == 0 }
 // parents are now all complete, mirroring step 7 of the site scheduler.
 // It returns an error if id was not ready (a scheduler bug).
 func (rs *ReadySet) Complete(id TaskID) error {
-	if !rs.ready[id] {
+	at, ok := slices.BinarySearch(rs.ready, id)
+	if !ok {
 		return fmt.Errorf("afg: task %d completed but not ready", id)
 	}
-	delete(rs.ready, id)
-	rs.done[id] = true
-	for _, c := range rs.g.Children(id) {
+	rs.ready = slices.Delete(rs.ready, at, at+1)
+	rs.done++
+	for _, c := range rs.child[rs.start[id]:rs.start[id+1]] {
 		rs.remaining[c]--
 		if rs.remaining[c] == 0 {
-			rs.ready[c] = true
+			at, _ := slices.BinarySearch(rs.ready, c)
+			rs.ready = slices.Insert(rs.ready, at, c)
 		}
 	}
 	return nil
 }
 
 // DoneCount returns how many tasks have been completed.
-func (rs *ReadySet) DoneCount() int { return len(rs.done) }
+func (rs *ReadySet) DoneCount() int { return rs.done }

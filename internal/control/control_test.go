@@ -2,6 +2,8 @@ package control
 
 import (
 	"context"
+	"net"
+	"net/rpc"
 	"strings"
 	"testing"
 	"time"
@@ -335,5 +337,52 @@ func TestSiteManagerDoubleClose(t *testing.T) {
 	}
 	if !strings.Contains(sm.Addr(), ":") {
 		t.Fatal("addr unreadable after close")
+	}
+}
+
+// bogusPeer is a Site service whose HostSelection answers for task IDs
+// the graph does not have, and not for all of those it has.
+type bogusPeer struct{}
+
+func (bogusPeer) HostSelection(_ protocol.HostSelectionRequest, resp *protocol.HostSelectionResponse) error {
+	c := core.HostChoice{Site: "peer", Hosts: []string{"h"}, Predicted: time.Millisecond}
+	resp.Choices = map[int]core.HostChoice{-1: c, 1: c, 99: c}
+	return nil
+}
+
+// TestRemoteHostSelectionBoundsChecksPeerIDs: task IDs in a peer's
+// answer are input. The dense Selection has exactly one choice per task
+// of the graph; an ID outside it is dropped, a missing one stays empty.
+func TestRemoteHostSelectionBoundsChecksPeerIDs(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	srv := rpc.NewServer()
+	if err := srv.RegisterName(protocol.SiteServiceName, bogusPeer{}); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Accept(lis)
+	remote, err := DialSite("peer", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	g, err := tasklib.BuildC3IPipeline(6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := remote.HostSelection(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sel) != len(g.Tasks) {
+		t.Fatalf("%d choices for %d tasks", len(sel), len(g.Tasks))
+	}
+	for id, c := range sel {
+		if got, want := len(c.Hosts), map[bool]int{true: 1, false: 0}[id == 1]; got != want {
+			t.Fatalf("task %d: %d hosts, want %d (%+v)", id, got, want, c)
+		}
 	}
 }

@@ -206,7 +206,7 @@ func (r *siteRPC) HostSelection(req protocol.HostSelectionRequest, resp *protoco
 	resp.Site = r.sm.SiteName()
 	resp.Choices = make(map[int]core.HostChoice, len(sel))
 	for id, c := range sel {
-		resp.Choices[int(id)] = c
+		resp.Choices[id] = c
 	}
 	return nil
 }
@@ -307,9 +307,13 @@ func (r *RemoteSite) HostSelection(g *afg.Graph) (core.Selection, error) {
 		protocol.HostSelectionRequest{GraphJSON: data}, &resp); err != nil {
 		return nil, err
 	}
-	sel := make(core.Selection, len(resp.Choices))
+	// The peer's task IDs are input: one outside g is dropped, and a
+	// task it left out keeps the empty choice no round places on.
+	sel := make(core.Selection, len(g.Tasks))
 	for id, c := range resp.Choices {
-		sel[afg.TaskID(id)] = c
+		if id >= 0 && id < len(sel) {
+			sel[id] = c
+		}
 	}
 	return sel, nil
 }

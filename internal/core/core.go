@@ -17,7 +17,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -28,16 +27,20 @@ import (
 // machine(s) within the site and the predicted execution time — exactly
 // the "mapping information" each remote site sends back in Fig. 2 step 5.
 type HostChoice struct {
-	Site      string        `json:"site"`
-	Hosts     []string      `json:"hosts"` // len > 1 for parallel tasks
+	Site string `json:"site"`
+	// Hosts has len > 1 for parallel tasks. It may alias the site's cached
+	// ranking, as may the Placement.Hosts copied from it: read-only.
+	Hosts     []string      `json:"hosts"`
 	Predicted time.Duration `json:"predicted"`
 	// Err is non-empty when the site has no eligible host for the task
 	// (constraint, preference, or availability); such sites are skipped.
 	Err string `json:"err,omitempty"`
 }
 
-// Selection is a full host-selection result: one choice per task.
-type Selection map[afg.TaskID]HostChoice
+// Selection is a full host-selection result: one choice per task,
+// indexed by task ID. A choice with no hosts is a task the site cannot
+// place.
+type Selection []HostChoice
 
 // SiteService is the scheduling interface one site exposes to another:
 // run the Host Selection Algorithm over the site's own repository. The
@@ -112,12 +115,12 @@ func (t *AllocationTable) Validate(g *afg.Graph) error {
 	if len(t.Entries) != len(g.Tasks) {
 		return fmt.Errorf("core: table has %d entries for %d tasks", len(t.Entries), len(g.Tasks))
 	}
-	pos := make(map[afg.TaskID]int, len(t.Entries))
+	pos := make([]int, len(g.Tasks)) // entry index + 1; 0 = not placed
 	for i, e := range t.Entries {
 		if g.Task(e.Task) == nil {
 			return fmt.Errorf("core: entry %d references missing task %d", i, e.Task)
 		}
-		if _, dup := pos[e.Task]; dup {
+		if pos[e.Task] != 0 {
 			return fmt.Errorf("core: task %d placed twice", e.Task)
 		}
 		if len(e.Hosts) == 0 {
@@ -132,9 +135,12 @@ func (t *AllocationTable) Validate(g *afg.Graph) error {
 		if len(e.Hosts) != want && len(e.Hosts) != 1 {
 			return fmt.Errorf("core: task %d has %d hosts, wants %d", e.Task, len(e.Hosts), want)
 		}
-		pos[e.Task] = i
+		pos[e.Task] = i + 1
 	}
 	for _, e := range g.Edges {
+		if g.Task(e.From) == nil || g.Task(e.To) == nil {
+			return fmt.Errorf("core: edge %v references missing task", e)
+		}
 		if pos[e.From] >= pos[e.To] {
 			return fmt.Errorf("core: table not topological: task %d placed before parent %d", e.To, e.From)
 		}
@@ -147,29 +153,3 @@ var (
 	ErrNoEligibleSite = errors.New("core: no site can run task")
 	ErrNoSites        = errors.New("core: scheduler has no sites")
 )
-
-// pickMin returns the index of the minimal duration with deterministic
-// tie-breaking by the order items were appended.
-func pickMin(durs []time.Duration) int {
-	best := 0
-	for i := 1; i < len(durs); i++ {
-		if durs[i] < durs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// sortCandidates orders candidate site names: local first, then
-// lexicographic, used only for tie-breaking.
-func sortCandidates(cands []string, local string) {
-	slices.SortStableFunc(cands, func(a, b string) int {
-		if (a == local) != (b == local) {
-			if a == local {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a, b)
-	})
-}

@@ -76,8 +76,8 @@ func (s *LocalSite) HostSelection(g *afg.Graph) (Selection, error) {
 func (s *LocalSite) hostSelectionValidated(g *afg.Graph) Selection {
 	snap := s.Repo.Snapshot()
 	sel := make(Selection, len(g.Tasks))
-	for _, task := range g.Tasks {
-		sel[task.ID] = s.chooseForAt(snap, task)
+	for i, task := range g.Tasks {
+		sel[i] = s.chooseForAt(snap, task)
 	}
 	return sel
 }
@@ -101,9 +101,15 @@ func (s *LocalSite) RankedHosts(task *afg.Task) []RankedHost {
 // are served from the generation-validated cache when no repository
 // write has touched the inputs since the last computation.
 func (s *LocalSite) RankedHostsAt(snap *repository.Snapshot, task *afg.Task) []RankedHost {
+	return s.rankAt(snap, task).ranked
+}
+
+// rankAt returns the task's ranking as of snap, from the cache when it
+// can; never nil.
+func (s *LocalSite) rankAt(snap *repository.Snapshot, task *afg.Task) *rankResult {
 	params, err := snap.TaskParams(task.Name)
 	if err != nil {
-		return nil
+		return &rankResult{}
 	}
 	taskGen, _ := snap.TaskGeneration(task.Name)
 	resGen := snap.ResourceGeneration()
@@ -119,7 +125,7 @@ func (s *LocalSite) RankedHostsAt(snap *repository.Snapshot, task *afg.Task) []R
 	// with a pointer load and three compares.
 	if r := e.cur.Load(); hit(r) {
 		s.cache.hits.Add(1)
-		return r.ranked
+		return r
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -127,20 +133,25 @@ func (s *LocalSite) RankedHostsAt(snap *repository.Snapshot, task *afg.Task) []R
 	// recomputed while we waited for the singleflight lock.
 	if r := e.cur.Load(); hit(r) {
 		s.cache.hits.Add(1)
-		return r.ranked
+		return r
 	}
 	prev := e.cur.Load()
-	ranked := s.computeRankedAt(snap, task, params)
+	r := &rankResult{resGen: resGen, taskGen: taskGen, consGen: consGen, pred: pred,
+		ranked: s.computeRankedAt(snap, task, params)}
+	r.names = make([]string, len(r.ranked))
+	for i, h := range r.ranked {
+		r.names[i] = h.Name
+	}
 	// A concurrent round holding a newer snapshot may already have stored
 	// a fresher ranking; never replace newer with older.
 	if prev == nil || (prev.resGen <= resGen && prev.taskGen <= taskGen && prev.consGen <= consGen) {
 		if prev != nil {
 			s.cache.invalidations.Add(1)
 		}
-		e.cur.Store(&rankResult{resGen: resGen, taskGen: taskGen, consGen: consGen, pred: pred, ranked: ranked})
+		e.cur.Store(r)
 	}
 	s.cache.misses.Add(1)
-	return ranked
+	return r
 }
 
 // computeRankedAt evaluates Predict(task, R) over the snapshot's up
@@ -241,31 +252,26 @@ func (s *LocalSite) PredictSetAt(snap *repository.Snapshot, task *afg.Task, host
 	return s.Oracle.P.Predict(params, worstHost, len(hosts), worstMeasured)
 }
 
-// chooseForAt runs the per-task body of Fig. 3 against one snapshot.
+// chooseForAt runs the per-task body of Fig. 3 against one snapshot. The
+// chosen hosts are a cap-clamped prefix of the cached ranking's name
+// list, so a cache hit allocates nothing.
 func (s *LocalSite) chooseForAt(snap *repository.Snapshot, task *afg.Task) HostChoice {
 	if _, err := snap.TaskParams(task.Name); err != nil {
 		return HostChoice{Site: s.SiteName(), Err: err.Error()}
 	}
-	ranked := s.RankedHostsAt(snap, task)
-	if len(ranked) == 0 {
+	r := s.rankAt(snap, task)
+	if len(r.ranked) == 0 {
 		return HostChoice{Site: s.SiteName(), Err: fmt.Sprintf("no eligible host for %s", task.Name)}
 	}
 	nodes := RequiredNodesAt(snap, task)
 	if nodes <= 1 {
-		return HostChoice{
-			Site:      s.SiteName(),
-			Hosts:     []string{ranked[0].Name},
-			Predicted: ranked[0].Single,
-		}
+		return HostChoice{Site: s.SiteName(), Hosts: r.names[:1:1], Predicted: r.ranked[0].Single}
 	}
-	if nodes > len(ranked) {
+	if nodes > len(r.ranked) {
 		return HostChoice{Site: s.SiteName(), Err: fmt.Sprintf(
-			"parallel task %s wants %d nodes, site has %d eligible", task.Name, nodes, len(ranked))}
+			"parallel task %s wants %d nodes, site has %d eligible", task.Name, nodes, len(r.ranked))}
 	}
-	names := make([]string, nodes)
-	for i := 0; i < nodes; i++ {
-		names[i] = ranked[i].Name
-	}
+	names := r.names[:nodes:nodes]
 	d, err := s.PredictSetAt(snap, task, names)
 	if err != nil {
 		return HostChoice{Site: s.SiteName(), Err: err.Error()}

@@ -61,8 +61,9 @@ func keyFor(task *afg.Task) rankKey {
 }
 
 // rankResult is one immutable memoized ranking plus the generations and
-// predictor constants it was computed from. Readers share ranked
-// without copying. pred is part of validity because Predictor fields
+// predictor constants it was computed from. Readers share ranked and
+// names (the ranked hosts' names, in order: a host choice is a prefix of
+// it) without copying. pred is part of validity because Predictor fields
 // are exported tuning knobs (the blend ablation flips them at runtime):
 // a constants change must recompute, not serve stale rankings.
 type rankResult struct {
@@ -71,6 +72,7 @@ type rankResult struct {
 	consGen uint64
 	pred    predict.Predictor
 	ranked  []RankedHost
+	names   []string
 }
 
 // rankEntry is one cache slot. Hits are a lock-free pointer load plus

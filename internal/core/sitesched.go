@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,64 +45,65 @@ func NewScheduler(local SiteService, remote []SiteService, net *netmodel.Network
 	return &Scheduler{Local: local, Remote: remote, Net: net, K: k}
 }
 
-// neighborServices resolves the K nearest remote sites that have a
-// reachable SiteService (Fig. 2 step 2).
-func (s *Scheduler) neighborServices() ([]SiteService, error) {
+// roundSites lists the sites of one scheduling round (Fig. 2 step 2) in
+// candidate order: the local site, then by name the K nearest remote
+// sites that have a reachable SiteService. Equal totals go to the
+// earlier site.
+func (s *Scheduler) roundSites() ([]SiteService, error) {
 	if s.K <= 0 || len(s.Remote) == 0 {
-		return nil, nil
+		return []SiteService{s.Local}, nil
 	}
-	byName := make(map[string]SiteService, len(s.Remote))
-	for _, r := range s.Remote {
-		byName[r.SiteName()] = r
-	}
-	names, err := s.Net.Nearest(s.Local.SiteName(), len(byName))
+	names, err := s.Net.Nearest(s.Local.SiteName(), len(s.Remote))
 	if err != nil {
 		return nil, err
 	}
-	var out []SiteService
-	for _, n := range names {
-		if svc, ok := byName[n]; ok {
-			out = append(out, svc)
-			if len(out) == s.K {
-				break
-			}
+	sites := make([]SiteService, 1, 1+min(s.K, len(s.Remote)))
+	sites[0] = s.Local
+	for _, name := range names {
+		i := slices.IndexFunc(s.Remote, func(r SiteService) bool { return r.SiteName() == name })
+		if i >= 0 && len(sites) <= s.K {
+			sites = append(sites, s.Remote[i])
 		}
 	}
-	return out, nil
+	slices.SortFunc(sites[1:], func(a, b SiteService) int { return strings.Compare(a.SiteName(), b.SiteName()) })
+	return sites, nil
 }
 
-// multicast runs HostSelection on every site concurrently (Fig. 2 steps
-// 3-5). Sites that error are dropped with their error recorded. The
+// multicast runs HostSelection on every site (Fig. 2 steps 3-5): wire
+// services concurrently, in-process sites inline on the caller. The
 // caller has already validated g, so in-process sites take the
 // no-revalidation fast path; remote sites validate on their own side of
-// the wire as always.
-func multicast(g *afg.Graph, sites []SiteService) (map[string]Selection, map[string]error) {
-	selections := make(map[string]Selection, len(sites))
-	errs := make(map[string]error)
-	var mu sync.Mutex
+// the wire as always. answers[i] stays nil for a site that errored or
+// did not answer for exactly g's tasks; errs[i] says why.
+func multicast(g *afg.Graph, sites []SiteService) (answers []Selection, errs []error) {
+	answers, errs = make([]Selection, len(sites)), make([]error, len(sites))
 	var wg sync.WaitGroup
-	for _, svc := range sites {
+	// Wire calls start first, so they overlap the inline selections.
+	for i, svc := range sites {
+		if _, ok := svc.(*LocalSite); ok {
+			continue
+		}
 		wg.Add(1)
-		go func(svc SiteService) {
+		go func(i int, svc SiteService) {
 			defer wg.Done()
-			var sel Selection
-			var err error
-			if ls, ok := svc.(*LocalSite); ok {
-				sel = ls.hostSelectionValidated(g)
-			} else {
-				sel, err = svc.HostSelection(g)
+			sel, err := svc.HostSelection(g)
+			if err == nil && len(sel) != len(g.Tasks) {
+				err = fmt.Errorf("%d choices for %d tasks", len(sel), len(g.Tasks))
 			}
-			mu.Lock()
-			defer mu.Unlock()
 			if err != nil {
-				errs[svc.SiteName()] = err
+				errs[i] = fmt.Errorf("site %s: %w", svc.SiteName(), err)
 				return
 			}
-			selections[svc.SiteName()] = sel
-		}(svc)
+			answers[i] = sel
+		}(i, svc)
+	}
+	for i, svc := range sites {
+		if ls, ok := svc.(*LocalSite); ok {
+			answers[i] = ls.hostSelectionValidated(g)
+		}
 	}
 	wg.Wait()
-	return selections, errs
+	return answers, errs
 }
 
 // Schedule runs the Site Scheduler Algorithm (Fig. 2) and returns the
@@ -120,76 +124,60 @@ func (s *Scheduler) Schedule(g *afg.Graph, cost afg.CostFunc) (*AllocationTable,
 
 	// Steps 2-5: gather host selections from the local site and the k
 	// nearest remote sites.
-	neighbors, err := s.neighborServices()
+	sites, err := s.roundSites()
 	if err != nil {
 		return nil, err
 	}
-	sites := append([]SiteService{s.Local}, neighbors...)
-	selections, siteErrs := multicast(g, sites)
-	if len(selections) == 0 {
-		return nil, fmt.Errorf("core: every site failed host selection: %v", siteErrs)
+	answers, siteErrs := multicast(g, sites)
+	if !slices.ContainsFunc(answers, func(sel Selection) bool { return sel != nil }) {
+		return nil, fmt.Errorf("core: every site failed host selection: %w", errors.Join(siteErrs...))
 	}
 
 	// Steps 6-7: walk the ready set in priority order.
-	table := &AllocationTable{App: g.Name}
-	assignedSite := make(map[afg.TaskID]string, len(g.Tasks))
+	table := &AllocationTable{App: g.Name, Entries: make([]Placement, 0, len(g.Tasks))}
+	assignedSite := make([]string, len(g.Tasks))
+	inStart, inEdge := g.InEdgeIndex()
 	rs := afg.NewReadySet(g)
-	local := s.Local.SiteName()
 
 	for !rs.Empty() {
 		id := s.nextReady(rs, levels)
-		task := g.Task(id)
+		task := g.Tasks[id]
+		inEdges := inEdge[inStart[id]:inStart[id+1]]
 
-		// Candidate sites: those whose host selection produced a real
-		// choice for this task.
-		var cands []string
-		for name, sel := range selections {
-			if c, ok := sel[id]; ok && c.Err == "" && len(c.Hosts) > 0 {
-				cands = append(cands, name)
-			}
-		}
-		if len(cands) == 0 {
-			return nil, fmt.Errorf("%w: task %d (%s)", ErrNoEligibleSite, id, task.Name)
-		}
-		sortCandidates(cands, local)
-
-		inEdges := g.InEdges(id)
-		noInput := len(inEdges) == 0 // entry task or no dataflow input
-
-		totals := make([]time.Duration, len(cands))
-		transfers := make([]time.Duration, len(cands))
-		for i, siteName := range cands {
-			choice := selections[siteName][id]
-			if noInput {
-				totals[i] = choice.Predicted
+		// Candidate sites are those whose host selection produced a real
+		// choice for this task; the first minimal total wins.
+		var chosen *HostChoice
+		var bestTotal, bestXfer time.Duration
+		for i, sel := range answers {
+			if sel == nil || sel[id].Err != "" || len(sel[id].Hosts) == 0 {
 				continue
 			}
 			// Time_total(task, Sj) = sum of transfer times from each
-			// parent's site + Predict(task, Rj).
+			// parent's site + Predict(task, Rj); an entry task or one
+			// with no dataflow input has no transfer.
 			var xfer time.Duration
-			for _, e := range inEdges {
-				parentSite, ok := assignedSite[e.From]
-				if !ok {
-					return nil, fmt.Errorf("core: parent %d of task %d not yet assigned", e.From, id)
-				}
-				t, err := s.Net.TransferTime(g.EdgeSize(e), parentSite, siteName)
+			for _, ei := range inEdges {
+				e := g.Edges[ei]
+				t, err := s.Net.TransferTime(g.EdgeSize(e), assignedSite[e.From], sites[i].SiteName())
 				if err != nil {
 					return nil, err
 				}
 				xfer += t
 			}
-			transfers[i] = xfer
-			totals[i] = choice.Predicted + xfer
+			if total := sel[id].Predicted + xfer; chosen == nil || total < bestTotal {
+				chosen, bestTotal, bestXfer = &sel[id], total, xfer
+			}
 		}
-		best := pickMin(totals)
-		chosen := selections[cands[best]][id]
+		if chosen == nil {
+			return nil, fmt.Errorf("%w: task %d (%s)", ErrNoEligibleSite, id, task.Name)
+		}
 		table.Entries = append(table.Entries, Placement{
 			Task:       id,
 			TaskName:   task.Name,
 			Site:       chosen.Site,
-			Hosts:      append([]string(nil), chosen.Hosts...),
+			Hosts:      chosen.Hosts,
 			Predicted:  chosen.Predicted,
-			TransferIn: transfers[best],
+			TransferIn: bestXfer,
 			Level:      levels[id],
 		})
 		assignedSite[id] = chosen.Site

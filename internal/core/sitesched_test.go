@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -253,4 +254,62 @@ func TestTotalPredictedAndOracleDefaults(t *testing.T) {
 		t.Fatalf("idle base-host prediction %v != BaseTime %v", got, params.BaseTime)
 	}
 	_ = predict.Default() // document the dependency
+}
+
+// answerSite is a wire-style SiteService that answers whatever it was
+// given, however long.
+type answerSite struct {
+	name string
+	sel  Selection
+}
+
+func (s answerSite) SiteName() string                            { return s.name }
+func (s answerSite) HostSelection(*afg.Graph) (Selection, error) { return s.sel, nil }
+
+// TestScheduleRejectsMisSizedAnswers: a peer whose answer is not one
+// choice per task — short or oversized — is that site's error. The
+// round neither panics indexing it nor places anything there, however
+// attractive its predictions.
+func TestScheduleRejectsMisSizedAnswers(t *testing.T) {
+	a, _, net := twoSiteCluster(t)
+	g, err := tasklib.BuildLinearEquationSolver(32, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bait := HostChoice{Site: "siteB", Hosts: []string{"b1"}, Predicted: time.Nanosecond}
+	for _, n := range []int{0, 1, len(g.Tasks) - 1, len(g.Tasks) + 1, 4 * len(g.Tasks)} {
+		sel := make(Selection, n)
+		for i := range sel {
+			sel[i] = bait
+		}
+		sched := NewScheduler(a, []SiteService{answerSite{"siteB", sel}}, net, 1)
+		table, err := sched.Schedule(g, costFrom(t, a, g))
+		if err != nil {
+			t.Fatalf("%d choices for %d tasks: %v", n, len(g.Tasks), err)
+		}
+		for _, e := range table.Entries {
+			if e.Site != "siteA" {
+				t.Fatalf("%d choices for %d tasks: task %d placed on %s", n, len(g.Tasks), e.Task, e.Site)
+			}
+		}
+	}
+	// A full-length answer with holes is usable: the round skips the
+	// empty choices and takes the bait for the rest.
+	sel := make(Selection, len(g.Tasks))
+	sel[0] = bait
+	sched := NewScheduler(a, []SiteService{answerSite{"siteB", sel}}, net, 1)
+	table, err := sched.Schedule(g, costFrom(t, a, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range table.Entries {
+		if want := map[bool]string{true: "siteB", false: "siteA"}[e.Task == 0]; e.Site != want {
+			t.Fatalf("task %d placed on %s, want %s", e.Task, e.Site, want)
+		}
+	}
+	// With every site mis-sized the round fails and says which and why.
+	sched = NewScheduler(answerSite{"siteA", nil}, nil, net, 0)
+	if _, err := sched.Schedule(g, costFrom(t, a, g)); err == nil || !strings.Contains(err.Error(), "site siteA: 0 choices for") {
+		t.Fatalf("every site mis-sized: %v", err)
+	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"vdce/internal/afg"
 	"vdce/internal/core"
-	"vdce/internal/protocol"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
@@ -81,17 +80,12 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 			return nil, err
 		}
 		outs, tr, err := ac.attempt(ctx, in, placement, primary, attempt)
-		ac.app.recordRun(tr)
+		ac.app.recordRun(tr, err == nil)
 		if err == nil {
 			if e.Breakers != nil {
 				for _, h := range placement.Hosts {
 					e.Breakers.ReportSuccess(h)
 				}
-			}
-			if e.Record != nil {
-				e.Record(protocol.ExecutionRecord{
-					Task: ac.task.Name, Host: primary.Name, Elapsed: tr.Elapsed, At: tr.End,
-				})
 			}
 			if e.Metrics != nil {
 				e.Metrics.Add("task:"+ac.task.Name, tr.End.Sub(tr.Start), tr.Elapsed.Seconds())

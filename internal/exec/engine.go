@@ -13,11 +13,11 @@
 // entered (the acknowledgment) the execution startup signal is given.
 // Tasks run, each output crosses TCP as one length-prefixed, checksummed
 // frame addressed to (run, task, port), the endpoint's readers decode it
-// into the slot the consuming controller waits on, and each completed
-// execution is reported so the Site Manager can update the
-// task-performance database. Leaving the run removes its slots: frames
-// still in flight for it are counted and dropped. A run whose graph has
-// no edges never touches the endpoint.
+// into the slot the consuming controller waits on, and when the run ends
+// its completed executions are reported together so the Site Manager can
+// update the task-performance database. Leaving the run removes its
+// slots: frames still in flight for it are counted and dropped. A run
+// whose graph has no edges never touches the endpoint.
 package exec
 
 import (
@@ -46,9 +46,11 @@ type Engine struct {
 	Reg *tasklib.Registry
 	// TB supplies the host models (dilation, load, failure, memory).
 	TB *testbed.Testbed
-	// Record receives one ExecutionRecord per successful task run;
-	// typically wired to SiteManager.RecordExecution. Optional.
-	Record func(protocol.ExecutionRecord)
+	// Record receives a run's measurements — one ExecutionRecord per
+	// successful task run, in completion order — in one call when the
+	// run ends, before Execute returns: on success, failure and cancel
+	// alike, and not at all when no task succeeded. Optional.
+	Record func([]protocol.ExecutionRecord)
 	// LoadThreshold is the Application Controller's termination trigger:
 	// if the primary host's load exceeds it mid-run, the task is killed
 	// and rescheduled. <= 0 disables the check.
@@ -383,6 +385,9 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		outputs:     make(map[afg.TaskID][]tasklib.Value, len(g.Tasks)),
 		failedSeen:  make(map[string]bool),
 	}
+	if e.Record != nil {
+		run.measured = make([]protocol.ExecutionRecord, 0, len(g.Tasks))
+	}
 	for i := range table.Entries {
 		p := table.Entries[i]
 		run.placements[p.Task] = &p
@@ -431,6 +436,11 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		}(ac)
 	}
 	wg.Wait()
+	// The controllers have joined: the write-back "after an application
+	// execution is completed", off every task's critical path.
+	if e.Record != nil && len(run.measured) > 0 {
+		e.Record(run.measured)
+	}
 	if err := run.failure(); err != nil {
 		return nil, err
 	}
@@ -469,6 +479,7 @@ type appRun struct {
 	placements  map[afg.TaskID]*core.Placement
 	outputs     map[afg.TaskID][]tasklib.Value
 	runs        []TaskRun
+	measured    []protocol.ExecutionRecord // successful runs, for Engine.Record
 	rescheduled int64
 	failedHosts []string
 	failedSeen  map[string]bool
@@ -541,10 +552,16 @@ func (r *appRun) setPlacement(id afg.TaskID, p *core.Placement) {
 	r.placements[id] = p
 }
 
-func (r *appRun) recordRun(tr TaskRun) {
+// recordRun logs one attempt; a successful one, which ran on host, is
+// also a measurement for the run's write-back.
+func (r *appRun) recordRun(tr TaskRun, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.runs = append(r.runs, tr)
+	if ok && r.measured != nil {
+		r.measured = append(r.measured, protocol.ExecutionRecord{
+			Task: tr.TaskName, Host: tr.Host, Elapsed: tr.Elapsed, At: tr.End})
+	}
 }
 
 func (r *appRun) storeOutputs(id afg.TaskID, vals []tasklib.Value) {

@@ -2,8 +2,8 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -83,13 +83,8 @@ func TestExecuteLESEndToEnd(t *testing.T) {
 	}
 	table := r.schedule(t, g)
 
-	var mu sync.Mutex
 	var records []protocol.ExecutionRecord
-	r.engine.Record = func(rec protocol.ExecutionRecord) {
-		mu.Lock()
-		records = append(records, rec)
-		mu.Unlock()
-	}
+	r.engine.Record = func(recs []protocol.ExecutionRecord) { records = append(records, recs...) }
 	res, err := r.engine.Execute(context.Background(), g, table)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +106,6 @@ func TestExecuteLESEndToEnd(t *testing.T) {
 	if len(res.Runs) != len(g.Tasks) {
 		t.Fatalf("runs = %d, want %d", len(res.Runs), len(g.Tasks))
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if len(records) != len(g.Tasks) {
 		t.Fatalf("records = %d, want %d", len(records), len(g.Tasks))
 	}
@@ -387,5 +380,92 @@ func TestWaitForLoadHelper(t *testing.T) {
 	}
 	if waitForLoad(10*time.Millisecond, func() bool { return false }) {
 		t.Fatal("impossible condition succeeded")
+	}
+}
+
+// TestRecordOncePerRun: the task-performance write-back is one Record
+// call per Execute, made when the run ends, carrying one record per
+// successful task — also when a later task fails or the context is
+// canceled mid-run — and no call at all when nothing succeeded.
+func TestRecordOncePerRun(t *testing.T) {
+	r := newRig(t, 2)
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	reg := tasklib.NewRegistry()
+	for _, spec := range []tasklib.Spec{
+		{Name: "Quick", OutPorts: 1, Fn: func(*tasklib.Context) ([]tasklib.Value, error) {
+			return []tasklib.Value{1.0}, nil
+		}},
+		{Name: "Boom", InPorts: 1, OutPorts: 1, Fn: func(*tasklib.Context) ([]tasklib.Value, error) {
+			return nil, errors.New("boom")
+		}},
+		{Name: "Gate", InPorts: 1, OutPorts: 1, Fn: func(*tasklib.Context) ([]tasklib.Value, error) {
+			close(started)
+			<-release
+			return []tasklib.Value{1.0}, nil
+		}},
+	} {
+		spec.Library = "test"
+		if err := reg.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.engine.Reg = reg
+	var calls [][]protocol.ExecutionRecord
+	r.engine.Record = func(recs []protocol.ExecutionRecord) { calls = append(calls, recs) }
+	host := r.tb.Sites[0].Hosts[0].Name
+	// chain builds a -> b -> ... on one host.
+	chain := func(names ...string) (*afg.Graph, *core.AllocationTable) {
+		g := afg.NewGraph(strings.Join(names, "-"))
+		table := &core.AllocationTable{App: g.Name}
+		for i, name := range names {
+			spec, _ := reg.Get(name)
+			id := g.AddTask(name, "test", spec.InPorts, 1)
+			if i > 0 && spec.InPorts > 0 {
+				if err := g.Connect(id-1, 0, id, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			table.Entries = append(table.Entries, core.Placement{
+				Task: id, TaskName: name, Site: "site0", Hosts: []string{host}, Predicted: time.Millisecond})
+		}
+		return g, table
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-started // Gate runs only after Quick's outputs reached it
+		cancel()
+	}()
+	for _, tc := range []struct {
+		tasks []string
+		ok    bool
+		want  []string // the one call's records; nil = no call
+	}{
+		{[]string{"Quick", "Quick"}, true, []string{"Quick", "Quick"}},
+		{[]string{"Quick", "Boom"}, false, []string{"Quick"}},
+		{[]string{"Boom"}, false, nil},
+		{[]string{"Quick", "Gate"}, false, []string{"Quick"}},
+	} {
+		g, table := chain(tc.tasks...)
+		calls = nil
+		_, err := r.engine.Execute(ctx, g, table)
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: Execute: %v", g.Name, err)
+		}
+		if tc.want == nil {
+			if len(calls) != 0 {
+				t.Fatalf("%s: nothing succeeded, yet Record got %v", g.Name, calls)
+			}
+			continue
+		}
+		if len(calls) != 1 || len(calls[0]) != len(tc.want) {
+			t.Fatalf("%s: Record calls %v, want one with %d records", g.Name, calls, len(tc.want))
+		}
+		for i, rec := range calls[0] {
+			if rec.Task != tc.want[i] || rec.Host != host || rec.At.IsZero() {
+				t.Fatalf("%s: record %d = %+v", g.Name, i, rec)
+			}
+		}
 	}
 }

@@ -36,9 +36,7 @@ func E8Prediction(runs int) (*Table, error) {
 	site := tb.Sites[0]
 	engine := &exec.Engine{
 		Reg: tasklib.Default(), TB: tb, DilationScale: 1,
-		Record: func(rec protocol.ExecutionRecord) {
-			_ = site.Repo.TaskPerf.RecordExecution(rec.Task, rec.Host, rec.Elapsed, rec.At)
-		},
+		Record: func(recs []protocol.ExecutionRecord) { site.Repo.RecordExecutions(recs) },
 	}
 	for round := 0; round < runs; round++ {
 		var errSum, errMax float64

@@ -61,12 +61,7 @@ type RecoveryNotice struct {
 
 // ExecutionRecord carries a completed task execution back to the Site
 // Manager, which updates the task-performance database.
-type ExecutionRecord struct {
-	Task    string
-	Host    string
-	Elapsed time.Duration
-	At      time.Time
-}
+type ExecutionRecord = repository.Execution
 
 // Ack is the empty reply used by notification-style RPCs.
 type Ack struct{}

@@ -28,6 +28,19 @@ func New(site string) *Repository {
 	}
 }
 
+// RecordExecutions is the site's share of a run's write-back: of recs,
+// the measurements taken on this site's hosts go into the
+// task-performance database as one epoch (TaskPerfDB.RecordExecutions).
+// It returns how many it applied; the rest belong to other sites or
+// could not be applied.
+func (r *Repository) RecordExecutions(recs []Execution) int {
+	applied, _ := r.TaskPerf.RecordExecutions(recs, func(host string) bool {
+		_, ok := r.Resources.View(host)
+		return ok
+	})
+	return applied
+}
+
 // persisted is the on-disk JSON layout.
 type persisted struct {
 	Site        string             `json:"site"`

@@ -3,6 +3,7 @@ package repository
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -174,37 +175,80 @@ func (db *TaskPerfDB) BaseTime(name string) (time.Duration, error) {
 	return p.BaseTime, nil
 }
 
-// RecordExecution folds a measured execution into the per-host smoothed
-// estimate — this is the Site Manager's "updates the task-performance
-// database with the execution time after an application execution is
-// completed".
+// Execution is one measured run of a task on a host: an element of a
+// RecordExecutions batch, and the record a completed task sends the
+// Site Manager (protocol.ExecutionRecord).
+type Execution struct {
+	Task    string
+	Host    string
+	Elapsed time.Duration
+	At      time.Time
+}
+
+// RecordExecution is RecordExecutions for one measurement; it returns
+// the error that kept the measurement out, if any.
 func (db *TaskPerfDB) RecordExecution(task, host string, elapsed time.Duration, at time.Time) error {
-	if elapsed < 0 {
-		return fmt.Errorf("repository: negative elapsed for %s on %s", task, host)
+	_, err := db.RecordExecutions([]Execution{{task, host, elapsed, at}}, nil)
+	return err
+}
+
+// RecordExecutions folds a run's measured executions, in order, into the
+// per-host smoothed estimates — this is the Site Manager's "updates the
+// task-performance database with the execution time after an application
+// execution is completed" — as ONE epoch, each distinct task cloned once.
+// A non-nil mine selects the records this site's database takes (by
+// host); the others are another site's. Of the selected ones, a record
+// naming an unknown task or a negative elapsed time is dropped: applied
+// counts the rest and err is the first drop's reason. With nothing
+// applied no epoch is published.
+func (db *TaskPerfDB) RecordExecutions(recs []Execution, mine func(host string) bool) (applied int, err error) {
+	if mine != nil && !slices.ContainsFunc(recs, func(r Execution) bool { return mine(r.Host) }) {
+		return 0, nil
 	}
-	return db.mutate(func(m map[string]*perTask, gen uint64) error {
-		t, ok := m[task]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownTask, task)
+	drop := func(e error) {
+		if err == nil {
+			err = e
 		}
-		c := clonePerTask(t, gen)
-		prev, seen := c.Smoothed[host]
-		if !seen {
-			c.Smoothed[host] = elapsed
-		} else {
-			a := db.Alpha
-			c.Smoothed[host] = time.Duration(a*float64(elapsed) + (1-a)*float64(prev))
+	}
+	_ = db.mutate(func(m map[string]*perTask, gen uint64) error {
+		for _, rec := range recs {
+			if mine != nil && !mine(rec.Host) {
+				continue
+			}
+			t, ok := m[rec.Task]
+			if !ok {
+				drop(fmt.Errorf("%w: %s", ErrUnknownTask, rec.Task))
+				continue
+			}
+			if rec.Elapsed < 0 {
+				drop(fmt.Errorf("repository: negative elapsed for %s on %s", rec.Task, rec.Host))
+				continue
+			}
+			if t.gen != gen { // first touch in this epoch
+				t = clonePerTask(t, gen)
+				m[rec.Task] = t
+			}
+			if prev, seen := t.Smoothed[rec.Host]; seen {
+				a := db.Alpha
+				t.Smoothed[rec.Host] = time.Duration(a*float64(rec.Elapsed) + (1-a)*float64(prev))
+			} else {
+				t.Smoothed[rec.Host] = rec.Elapsed
+			}
+			// Shared-tail chronicle append (see withSample in resources.go):
+			// older epochs' windows end at or before the current tail, so
+			// the append is invisible to them; trimming is a re-slice.
+			t.History = append(t.History, Measurement{Host: rec.Host, Elapsed: rec.Elapsed, Time: rec.At})
+			if len(t.History) > maxHistory {
+				t.History = t.History[len(t.History)-maxHistory:]
+			}
+			applied++
 		}
-		// Shared-tail chronicle append (see withSample in resources.go):
-		// older epochs' windows end at or before the current tail, so
-		// the append is invisible to them; trimming is a re-slice.
-		c.History = append(c.History, Measurement{Host: host, Elapsed: elapsed, Time: at})
-		if len(c.History) > maxHistory {
-			c.History = c.History[len(c.History)-maxHistory:]
+		if applied == 0 {
+			return err // nothing changed: publish nothing
 		}
-		m[task] = c
 		return nil
 	})
+	return applied, err
 }
 
 // MeasuredTime returns the smoothed measured execution time of task on

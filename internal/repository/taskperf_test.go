@@ -3,6 +3,7 @@ package repository
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -183,4 +184,107 @@ func TestTaskPerfConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// perfSites builds sites a (hosts a1, a2), b (b1) and c (c1), each with
+// tasks t1..t3 registered.
+func perfSites(t *testing.T) map[string]*Repository {
+	t.Helper()
+	sites := make(map[string]*Repository)
+	for site, hosts := range map[string][]string{"a": {"a1", "a2"}, "b": {"b1"}, "c": {"c1"}} {
+		r := New(site)
+		for _, h := range hosts {
+			if err := r.Resources.AddHost(ResourceInfo{HostName: h, ArchType: "SUN", OSType: "Solaris",
+				TotalMem: 1 << 30, Site: site, Group: site + "-g0", SpeedFactor: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, task := range []string{"t1", "t2", "t3"} {
+			if err := r.TaskPerf.RegisterTask(TaskParams{Name: task, BaseTime: time.Second}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sites[site] = r
+	}
+	return sites
+}
+
+// TestRecordExecutionsOneEpoch: a run's batch of six measurements over
+// two sites is one epoch per touched site and one generation per
+// touched task, leaves an untouched site alone, ends where six single
+// calls in order end, and is invisible to a snapshot taken before it.
+func TestRecordExecutionsOneEpoch(t *testing.T) {
+	at := time.Unix(100, 0)
+	batch := []Execution{
+		{"t1", "a1", 4 * time.Second, at},
+		{"t2", "b1", 6 * time.Second, at.Add(1)},
+		{"t1", "a1", 2 * time.Second, at.Add(2)}, // smooths with the first
+		{"t1", "a2", 8 * time.Second, at.Add(3)},
+		{"t3", "b1", 1 * time.Second, at.Add(4)},
+		{"t2", "b1", 2 * time.Second, at.Add(5)},
+		{"ghost", "a1", time.Second, at},   // dropped: unknown task
+		{"t1", "a1", -time.Second, at},     // dropped: negative elapsed
+		{"t1", "nowhere", time.Second, at}, // dropped: no site owns the host
+	}
+	sites, ref := perfSites(t), perfSites(t)
+	type gens struct{ epoch, t1, t2, t3 uint64 }
+	read := func(r *Repository) (g gens) {
+		g.epoch = r.TaskPerf.epoch.Load().gen
+		g.t1, _ = r.TaskPerf.TaskGeneration("t1")
+		g.t2, _ = r.TaskPerf.TaskGeneration("t2")
+		g.t3, _ = r.TaskPerf.TaskGeneration("t3")
+		return g
+	}
+	before := map[string]gens{}
+	snaps := map[string]*Snapshot{}
+	for name, r := range sites {
+		before[name], snaps[name] = read(r), r.Snapshot()
+	}
+	cEpoch := sites["c"].TaskPerf.epoch.Load()
+
+	applied := 0
+	for _, r := range sites {
+		applied += r.RecordExecutions(batch)
+	}
+	if applied != 6 {
+		t.Fatalf("applied %d of %d, want 6 (three cannot be applied)", applied, len(batch))
+	}
+	for _, rec := range batch { // the reference: single calls in order
+		for _, r := range ref {
+			if _, ok := r.Resources.View(rec.Host); ok {
+				_ = r.TaskPerf.RecordExecution(rec.Task, rec.Host, rec.Elapsed, rec.At)
+			}
+		}
+	}
+
+	a, b := before["a"], before["b"]
+	if got, want := read(sites["a"]), (gens{a.epoch + 1, a.epoch + 1, a.t2, a.t3}); got != want {
+		t.Fatalf("site a generations %+v, want %+v (one epoch, t1 cloned once)", got, want)
+	}
+	if got, want := read(sites["b"]), (gens{b.epoch + 1, b.t1, b.epoch + 1, b.epoch + 1}); got != want {
+		t.Fatalf("site b generations %+v, want %+v", got, want)
+	}
+	if sites["c"].TaskPerf.epoch.Load() != cEpoch {
+		t.Fatal("site c took no measurement, yet published an epoch")
+	}
+	for name, r := range sites {
+		for _, task := range []string{"t1", "t2", "t3"} {
+			if got, want := r.TaskPerf.History(task), ref[name].TaskPerf.History(task); !reflect.DeepEqual(got, want) {
+				t.Fatalf("site %s %s history %v, want %v", name, task, got, want)
+			}
+			for _, h := range []string{"a1", "a2", "b1", "c1"} {
+				got, gok := r.TaskPerf.MeasuredTime(task, h)
+				want, wok := ref[name].TaskPerf.MeasuredTime(task, h)
+				if got != want || gok != wok {
+					t.Fatalf("site %s %s on %s: smoothed %v/%v, want %v/%v", name, task, h, got, gok, want, wok)
+				}
+				if _, seen := snaps[name].MeasuredTime(task, h); seen {
+					t.Fatalf("snapshot of site %s taken before the batch sees %s on %s", name, task, h)
+				}
+			}
+		}
+	}
+	if d, _ := sites["a"].TaskPerf.MeasuredTime("t1", "a1"); d != 3*time.Second {
+		t.Fatalf("t1 on a1 smoothed to %v, want 3s", d)
+	}
 }

@@ -78,8 +78,8 @@ type OwnerRecord struct {
 }
 
 // PerfRecord is one task-performance measurement (the Site Manager's
-// write-back after a task execution). Replay feeds them back through
-// RecordExecution in order, rebuilding the smoothed estimates.
+// write-back after an application execution). Replay feeds them back
+// through RecordExecutions in order, rebuilding the smoothed estimates.
 type PerfRecord struct {
 	Task    string        `json:"task"`
 	Host    string        `json:"host"`
@@ -140,7 +140,8 @@ type record struct {
 	StartedAt  time.Time    `json:"started_at,omitzero"`
 	FinishedAt time.Time    `json:"finished_at,omitzero"`
 	Owner      *OwnerRecord `json:"owner,omitempty"`
-	Perf       *PerfRecord  `json:"perf,omitempty"`
+	Perf       *PerfRecord  `json:"perf,omitempty"` // read only: logs from before Perfs
+	Perfs      []PerfRecord `json:"perfs,omitempty"`
 	Cursor     uint64       `json:"cursor,omitempty"`
 }
 
@@ -372,6 +373,7 @@ func (st *State) apply(rec record) {
 		if rec.Perf != nil {
 			st.Perf = append(st.Perf, *rec.Perf)
 		}
+		st.Perf = append(st.Perf, rec.Perfs...)
 	case kindHWM:
 		if rec.Cursor > st.EventCursor {
 			st.EventCursor = rec.Cursor
@@ -497,9 +499,13 @@ func (s *Store) OwnerUpdated(o OwnerRecord) error {
 	return s.append(record{Kind: kindOwner, Owner: &o})
 }
 
-// PerfMeasured persists one task-performance measurement.
-func (s *Store) PerfMeasured(p PerfRecord) error {
-	return s.append(record{Kind: kindPerf, Perf: &p})
+// PerfMeasured persists one run's task-performance measurements, in
+// order, as one record.
+func (s *Store) PerfMeasured(ps ...PerfRecord) error {
+	if len(ps) == 0 {
+		return nil
+	}
+	return s.append(record{Kind: kindPerf, Perfs: ps})
 }
 
 // NoteEventCursor advances the persisted broker high-water mark: when

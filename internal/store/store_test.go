@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -360,5 +361,66 @@ func TestOpenRejectsWildLength(t *testing.T) {
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Open = %v, want *CorruptError for wild length", err)
+	}
+}
+
+// TestPerfBatchReplay: one record carrying a run's N measurements
+// replays to the same State.Perf, in order, as N one-measurement records
+// and as N records of the shape written before measurements were batched
+// ("perf":{…}, still read, never written) — after a crash and again
+// through compaction. PerfMeasured with nothing to say writes nothing.
+func TestPerfBatchReplay(t *testing.T) {
+	want := make([]PerfRecord, 6)
+	for i := range want {
+		want[i] = PerfRecord{Task: "t" + itoa(i%3), Host: "h" + itoa(i%2),
+			Elapsed: time.Duration(i+1) * time.Millisecond, At: t0.Add(time.Duration(i) * time.Second)}
+	}
+	writers := map[string]func(s *Store) error{
+		"one batch": func(s *Store) error { return s.PerfMeasured(want...) },
+		"singles": func(s *Store) error {
+			for _, p := range want {
+				if err := s.PerfMeasured(p); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		"old singles then a batch": func(s *Store) error {
+			for _, p := range want[:4] {
+				if err := s.append(record{Kind: kindPerf, Perf: &p}); err != nil {
+					return err
+				}
+			}
+			return s.PerfMeasured(want[4:]...)
+		},
+	}
+	for name, write := range writers {
+		dir := t.TempDir()
+		s := openT(t, dir, Options{})
+		if err := s.PerfMeasured(); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(s); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if name == "one batch" && s.appends != 1 {
+			t.Fatalf("a batch of %d took %d appends, want 1", len(want), s.appends)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		s.Abandon()
+		for _, stage := range []string{"after crash", "after compaction"} {
+			s = openT(t, dir, Options{})
+			if got := s.Recovered().Perf; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %s: replayed %+v, want %+v", name, stage, got, want)
+			}
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -57,6 +57,8 @@ type envMetrics struct {
 
 	// Durable-store appends that failed, by operation (see storeErr).
 	storeErrors *obs.CounterVec
+	// Task-performance measurements no site could apply (see recordPerf).
+	perfDropped *obs.Counter
 }
 
 // newEnvMetrics registers the pipeline's metric families on reg and
@@ -105,6 +107,8 @@ func newEnvMetrics(reg *obs.Registry) *envMetrics {
 		recoveryExpired:      recovery.With("deadline-expired"),
 		storeErrors: reg.Counter("vdce_store_errors_total",
 			"Durable-store appends that failed while the in-memory pipeline kept serving, by operation.", "op"),
+		perfDropped: reg.Counter("vdce_taskperf_dropped_total",
+			"Task-performance measurements dropped at write-back or boot replay: unknown task, negative elapsed time, or a host no site owns.").With(),
 	}
 }
 

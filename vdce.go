@@ -230,18 +230,16 @@ func New(cfg Config) (*Environment, error) {
 		}
 		env.Store = st
 		// Replay the recovered task-performance history into the site
-		// repositories, so the scheduler's execution-time estimates
-		// survive the restart instead of resetting to catalog base times.
-		// Records for hosts or tasks this testbed no longer has are
-		// skipped.
-		for _, rec := range st.Recovered().Perf {
-			for _, ls := range env.Sites {
-				if _, ok := ls.Repo.Resources.View(rec.Host); ok {
-					_ = ls.Repo.TaskPerf.RecordExecution(rec.Task, rec.Host, rec.Elapsed, rec.At)
-					break
-				}
-			}
+		// repositories — one epoch per site — so the scheduler's
+		// execution-time estimates survive the restart instead of
+		// resetting to catalog base times. Records for hosts or tasks
+		// this testbed no longer has are dropped and counted.
+		perf := st.Recovered().Perf
+		recs := make([]protocol.ExecutionRecord, len(perf))
+		for i, p := range perf {
+			recs[i] = protocol.ExecutionRecord(p)
 		}
+		env.recordPerf(recs)
 	}
 
 	if cfg.UseRPC {
@@ -331,23 +329,18 @@ func New(cfg Config) (*Environment, error) {
 		Metrics:       env.Metrics,
 		Log:           cfg.Logger,
 	}
-	env.Engine.Record = func(rec protocol.ExecutionRecord) {
-		// Route the record to the owning site's task-performance DB; the
-		// membership probe needs no history, so the slim view suffices.
-		for _, site := range env.Sites {
-			if _, ok := site.Repo.Resources.View(rec.Host); ok {
-				_ = site.Repo.TaskPerf.RecordExecution(rec.Task, rec.Host, rec.Elapsed, rec.At)
-				break
-			}
+	env.Engine.Record = func(recs []protocol.ExecutionRecord) {
+		env.recordPerf(recs)
+		if env.Store == nil || len(recs) == 0 {
+			return
 		}
-		if env.Store != nil {
-			// Measurements feed the durable log too, so a restarted
-			// control plane schedules with learned estimates, not
-			// catalog defaults.
-			env.storeErr("perf-measured", env.Store.PerfMeasured(store.PerfRecord{
-				Task: rec.Task, Host: rec.Host, Elapsed: rec.Elapsed, At: rec.At,
-			}), "task", rec.Task)
+		// Measurements feed the durable log too, so a restarted control
+		// plane schedules with learned estimates, not catalog defaults.
+		perf := make([]store.PerfRecord, len(recs))
+		for i, rec := range recs {
+			perf[i] = store.PerfRecord(rec)
 		}
+		env.storeErr("perf-measured", env.Store.PerfMeasured(perf...), "first_task", recs[0].Task)
 	}
 	if env.Detector != nil {
 		// Confirmed transitions drive execution: a death interrupts the
@@ -391,6 +384,22 @@ func New(cfg Config) (*Environment, error) {
 			"deadline_expired", r.DeadlineExpiredAtReplay)
 	}
 	return env, nil
+}
+
+// recordPerf is the task-performance write-back of one run (or of the
+// boot replay): each site's database takes the measurements made on its
+// hosts as one epoch. What no site could apply — an unknown task, a
+// negative elapsed time, a host no site owns — is counted, not lost
+// silently.
+func (env *Environment) recordPerf(recs []protocol.ExecutionRecord) {
+	dropped := len(recs)
+	for _, site := range env.Sites {
+		dropped -= site.Repo.RecordExecutions(recs)
+	}
+	if dropped > 0 {
+		env.obsM.perfDropped.Add(float64(dropped))
+		env.log.Debug("task-performance measurements dropped", "dropped", dropped, "of", len(recs))
+	}
 }
 
 // monitorReporter is the one path a Group Manager's reports take into
