@@ -175,17 +175,6 @@ func (g *Graph) InEdgeIndex() (start, at []int32) {
 	return start[:n+1], at
 }
 
-// OutEdges returns the edges out of id in insertion order.
-func (g *Graph) OutEdges(id TaskID) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.From == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Entries returns tasks with no parents — the paper's "entry nodes".
 func (g *Graph) Entries() []TaskID {
 	hasParent := make([]bool, len(g.Tasks))

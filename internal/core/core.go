@@ -17,6 +17,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -68,6 +69,18 @@ type Placement struct {
 	Level float64 `json:"level"`
 }
 
+// DuplicateHost returns a host the placement names more than once, or
+// "". A machine runs one task at a time, so a placement that asks for
+// one twice can never start.
+func (p *Placement) DuplicateHost() string {
+	for i, h := range p.Hosts {
+		if slices.Contains(p.Hosts[:i], h) {
+			return h
+		}
+	}
+	return ""
+}
+
 // AllocationTable is the scheduler's output artifact: the paper's
 // "resource allocation table ... generated and transferred to the Site
 // Manager". Entries appear in assignment order, which is topological.
@@ -110,7 +123,8 @@ func (t *AllocationTable) String() string {
 }
 
 // Validate checks that the table covers every task of g exactly once,
-// every entry names at least one host, and the order is topological.
+// every entry names at least one host and none twice, and the order is
+// topological.
 func (t *AllocationTable) Validate(g *afg.Graph) error {
 	if len(t.Entries) != len(g.Tasks) {
 		return fmt.Errorf("core: table has %d entries for %d tasks", len(t.Entries), len(g.Tasks))
@@ -125,6 +139,9 @@ func (t *AllocationTable) Validate(g *afg.Graph) error {
 		}
 		if len(e.Hosts) == 0 {
 			return fmt.Errorf("core: task %d has no hosts", e.Task)
+		}
+		if h := e.DuplicateHost(); h != "" {
+			return fmt.Errorf("core: task %d lists host %s twice", e.Task, h)
 		}
 		want := 1
 		if task := g.Task(e.Task); task.Props.Mode == afg.Parallel {

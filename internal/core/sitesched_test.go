@@ -313,3 +313,21 @@ func TestScheduleRejectsMisSizedAnswers(t *testing.T) {
 		t.Fatalf("every site mis-sized: %v", err)
 	}
 }
+
+// TestValidateRejectsDuplicateHost: a machine runs one task at a time,
+// so a placement that lists one host twice could never start.
+func TestValidateRejectsDuplicateHost(t *testing.T) {
+	g := afg.NewGraph("twice")
+	id := g.AddTask("Spin", "util", 0, 1)
+	if err := g.SetProps(id, afg.Properties{Mode: afg.Parallel, Nodes: 2}); err != nil {
+		t.Fatal(err)
+	}
+	table := &AllocationTable{App: g.Name, Entries: []Placement{{Task: id, TaskName: "Spin", Hosts: []string{"a", "b"}}}}
+	if err := table.Validate(g); err != nil {
+		t.Fatalf("two distinct hosts: %v", err)
+	}
+	table.Entries[0].Hosts = []string{"a", "a"}
+	if err := table.Validate(g); err == nil || !strings.Contains(err.Error(), "task 0 lists host a twice") {
+		t.Fatalf("err = %v, want the duplicate-host rejection", err)
+	}
+}

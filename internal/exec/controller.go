@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"sync"
 	"time"
 
 	"vdce/internal/afg"
@@ -15,20 +15,44 @@ import (
 
 // appController is the Application Controller for one task on its
 // assigned machine: it sets up the execution environment, waits for the
-// startup signal, monitors the execution, and requests rescheduling when
-// the current load exceeds the threshold or the machine fails.
+// startup signal, and requests rescheduling when the run's monitoring
+// loop terminates an attempt (load threshold, machine failure).
 type appController struct {
 	app  *appRun
 	task *afg.Task
 	spec *tasklib.Spec
+	// place is the task's entry in the run's table. While the run is live
+	// only this controller touches it: a reschedule patches it in place.
+	place *core.Placement
+	// watch is the machines of the placement being attempted, primary
+	// first; watchBuf backs it for the usual single host. The controller
+	// writes it only while out is nil, the monitoring loop reads it only
+	// while out is not.
+	watch    []*testbed.Host
+	watchBuf [1]*testbed.Host
+	// out is the outcome channel of the attempt under the monitoring
+	// loop's supervision, nil between attempts and once the verdict is
+	// delivered. Guarded by app.mu.
+	out chan outcome
 }
 
-func newAppController(run *appRun, task *afg.Task) (*appController, error) {
-	spec, err := run.engine.Reg.Get(task.Name)
-	if err != nil {
-		return nil, err
+// outcome is what ends an attempt's wait: the task function's result, or
+// the monitoring loop's verdict as a *terminationError in err.
+type outcome struct {
+	outs    []tasklib.Value
+	elapsed time.Duration
+	err     error
+}
+
+// main runs the controller: a permanent failure aborts the application,
+// and the last controller out ends its monitoring loop.
+func (ac *appController) main(ctx context.Context) {
+	if err := ac.run(ctx); err != nil {
+		ac.app.fail(fmt.Errorf("task %d (%s): %w", ac.task.ID, ac.task.Name, err))
 	}
-	return &appController{app: run, task: task, spec: spec}, nil
+	if ac.app.left.Add(-1) == 0 {
+		close(ac.app.done)
+	}
 }
 
 // run executes the controller's lifecycle to completion.
@@ -60,7 +84,9 @@ func (ac *appController) run(ctx context.Context) error {
 	if len(outs) != ac.task.OutPorts {
 		return fmt.Errorf("exec: produced %d outputs, declared %d", len(outs), ac.task.OutPorts)
 	}
-	ac.app.storeOutputs(ac.task.ID, outs)
+	ac.app.mu.Lock()
+	ac.app.outputs[ac.task.ID] = outs
+	ac.app.mu.Unlock()
 	return ac.sendOutputs(outs)
 }
 
@@ -69,26 +95,28 @@ func (ac *appController) run(ctx context.Context) error {
 // failure, or a detector-confirmed death).
 func (ac *appController) executeWithRescheduling(ctx context.Context, in []tasklib.Value) ([]tasklib.Value, error) {
 	e := ac.app.engine
-	excluded := make(map[string]bool)
+	var chased []string // hosts this task was terminated on
 	for attempt := 1; attempt <= ac.app.maxAttempts; attempt++ {
-		placement := ac.app.placement(ac.task.ID)
-		if placement == nil {
-			return nil, fmt.Errorf("exec: task %d has no placement", ac.task.ID)
+		// The monitoring loop supervises every machine of the placement: a
+		// parallel task dies with any of its nodes, not just the primary.
+		ac.watch = ac.watchBuf[:0]
+		for _, name := range ac.place.Hosts {
+			h, err := e.TB.Host(name)
+			if err != nil {
+				return nil, err
+			}
+			ac.watch = append(ac.watch, h)
 		}
-		primary, err := e.TB.Host(placement.Hosts[0])
-		if err != nil {
-			return nil, err
-		}
-		outs, tr, err := ac.attempt(ctx, in, placement, primary, attempt)
+		outs, tr, err := ac.attempt(ctx, in, attempt)
 		ac.app.recordRun(tr, err == nil)
 		if err == nil {
 			if e.Breakers != nil {
-				for _, h := range placement.Hosts {
+				for _, h := range ac.place.Hosts {
 					e.Breakers.ReportSuccess(h)
 				}
 			}
 			if e.Metrics != nil {
-				e.Metrics.Add("task:"+ac.task.Name, tr.End.Sub(tr.Start), tr.Elapsed.Seconds())
+				e.Metrics.Add(e.seriesKey(ac.spec), tr.End.Sub(tr.Start), tr.Elapsed.Seconds())
 			}
 			return outs, nil
 		}
@@ -127,29 +155,20 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 		if rerr := e.retryPause(ctx, attempt); rerr != nil {
 			return nil, rerr
 		}
-		excluded[term.host] = true
+		chased = append(chased, term.host)
 		ac.app.mu.Lock()
 		ac.app.rescheduled++
 		ac.app.mu.Unlock()
-		// The exclusion list carries every host this task was chased off
-		// plus every host the detector currently holds confirmed dead —
-		// the repository usually agrees already (the detector published
-		// the down status), but a death confirmed microseconds ago must
-		// not win the placement because the round's snapshot predates it.
-		// Open circuit breakers ride along: a flapping host the detector
-		// cannot confirm dead is quarantined from replacements too.
-		exclude := make([]string, 0, len(excluded))
-		for h := range excluded {
-			exclude = append(exclude, h)
+		np, rerr := e.Reschedule(ac.app.g, ac.task.ID, e.exclusions(chased))
+		if rerr == nil {
+			rerr = checkReplacement(np, ac.task.ID)
 		}
-		sort.Strings(exclude)
-		exclude = append(exclude, e.deadHostsExcept(excluded)...)
-		exclude = append(exclude, e.breakerExcluded(excluded)...)
-		np, rerr := e.Reschedule(ac.app.g, ac.task.ID, exclude)
 		if rerr != nil {
 			return nil, fmt.Errorf("exec: reschedule task %d: %w", ac.task.ID, rerr)
 		}
-		ac.app.setPlacement(ac.task.ID, np)
+		// Reschedules replace the placement, not the scheduling round's
+		// bookkeeping: TransferIn and Level stay.
+		ac.place.Site, ac.place.Hosts, ac.place.Predicted = np.Site, np.Hosts, np.Predicted
 		ac.app.emit(Event{Type: EventRescheduled, Task: ac.task.ID, TaskName: ac.task.Name,
 			Host: np.Hosts[0], Hosts: append([]string(nil), np.Hosts...)})
 		e.logger().Info("task rescheduled", "app", ac.app.appID,
@@ -158,79 +177,79 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 	return nil, fmt.Errorf("exec: task %d exhausted %d attempts", ac.task.ID, ac.app.maxAttempts)
 }
 
-// attempt performs one execution on the current placement, supervised by
-// the load/failure watchdog.
-func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, placement *core.Placement, primary *testbed.Host, attemptNo int) ([]tasklib.Value, TaskRun, error) {
-	e := ac.app.engine
-	// The watchdog supervises every machine of the placement: a parallel
-	// task dies with any of its nodes, not just the primary.
-	watch := make([]*testbed.Host, 0, len(placement.Hosts))
-	for _, name := range placement.Hosts {
-		h, err := e.TB.Host(name)
-		if err != nil {
-			return nil, TaskRun{Task: ac.task.ID, TaskName: ac.task.Name, Host: primary.Name,
-				Attempt: attemptNo, Start: time.Now(), End: time.Now()}, err
-		}
-		watch = append(watch, h)
+// checkReplacement vets a Reschedule answer — a hook's or a wire peer's
+// — before it becomes the task's placement.
+func checkReplacement(np *core.Placement, id afg.TaskID) error {
+	switch {
+	case np == nil:
+		return errors.New("no placement returned")
+	case np.Task != id:
+		return fmt.Errorf("placement is for task %d", np.Task)
+	case len(np.Hosts) == 0:
+		return errors.New("placement has no hosts")
 	}
+	if h := np.DuplicateHost(); h != "" {
+		return fmt.Errorf("placement lists host %s twice", h)
+	}
+	return nil
+}
+
+// supervise puts the attempt waiting on out under the run's monitoring
+// loop, or with nil takes the controller out from under it.
+func (ac *appController) supervise(out chan outcome) {
+	ac.app.mu.Lock()
+	ac.out = out
+	ac.app.mu.Unlock()
+}
+
+// compute runs the task function and reports on out.
+func (ac *appController) compute(in []tasklib.Value, nodes int, out chan<- outcome) {
+	t0 := time.Now()
+	outs, err := ac.spec.Fn(&tasklib.Context{In: in, Args: ac.task.Props.Args, Nodes: nodes})
+	out <- outcome{outs: outs, elapsed: time.Since(t0), err: err}
+}
+
+// attempt performs one execution on the current placement, supervised by
+// the run's monitoring loop.
+func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemptNo int) (outs []tasklib.Value, tr TaskRun, err error) {
+	e := ac.app.engine
+	primary := ac.watch[0]
 	// One task per machine at a time — engine-wide, so tasks of
 	// different applications serialize on shared hosts.
-	unlock := e.lockHosts(placement.Hosts)
-	defer unlock()
-	tr := TaskRun{
-		Task: ac.task.ID, TaskName: ac.task.Name,
-		Host: primary.Name, Attempt: attemptNo, Start: time.Now(),
+	var one [1]*sync.Mutex
+	defer unlockHosts(e.lockHosts(ac.place.Hosts, one[:0]))
+	tr = TaskRun{Task: ac.task.ID, TaskName: ac.task.Name,
+		Host: primary.Name, Attempt: attemptNo, Start: time.Now()}
+	defer func() {
+		tr.End = time.Now()
+		_, tr.Terminated = err.(*terminationError)
+	}()
+
+	// Set up the execution environment: reserve the task's memory (the
+	// catalog spec's requirement). A memory-starved host still runs the
+	// task — the prediction penalty models the resulting thrashing.
+	if mem := ac.spec.Params.RequiredMemBytes; mem > 0 && primary.ClaimMem(mem) == nil {
+		defer primary.ReleaseMem(mem)
 	}
 
-	// Set up the execution environment: reserve the task's memory.
-	params, perr := paramsFor(ac, primary)
-	if perr == nil && params > 0 {
-		if err := primary.ClaimMem(params); err == nil {
-			defer primary.ReleaseMem(params)
-		}
-		// A memory-starved host still runs the task — the prediction
-		// penalty models the resulting thrashing.
-	}
-
-	nodes := len(placement.Hosts)
+	nodes := len(ac.place.Hosts)
 	if ac.task.Props.Mode != afg.Parallel {
 		nodes = 1
 	}
 
-	type outcome struct {
-		outs    []tasklib.Value
-		elapsed time.Duration
-		err     error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		t0 := time.Now()
-		outs, err := ac.spec.Fn(&tasklib.Context{In: in, Args: ac.task.Props.Args, Nodes: nodes})
-		done <- outcome{outs: outs, elapsed: time.Since(t0), err: err}
-	}()
-
-	// The watchdog is the Application Controller's monitoring loop.
-	tick := time.NewTicker(ac.app.checkPeriod)
-	defer tick.Stop()
+	// Capacity 2: the task function's result and the monitoring loop's
+	// one verdict, so neither sender blocks on an attempt that moved on.
+	out := make(chan outcome, 2)
+	ac.supervise(out)
+	defer ac.supervise(nil)
+	go ac.compute(in, nodes, out)
 	var oc outcome
-compute:
-	for {
-		select {
-		case <-ctx.Done():
-			tr.End = time.Now()
-			return nil, tr, ctx.Err()
-		case oc = <-done:
-			break compute
-		case <-tick.C:
-			if term := ac.shouldTerminate(watch); term != nil {
-				tr.End = time.Now()
-				tr.Terminated = true
-				return nil, tr, term
-			}
-		}
+	select {
+	case <-ctx.Done():
+		return nil, tr, ctx.Err()
+	case oc = <-out:
 	}
 	if oc.err != nil {
-		tr.End = time.Now()
 		return nil, tr, oc.err
 	}
 
@@ -243,21 +262,12 @@ compute:
 		if extra > 0 {
 			timer := time.NewTimer(extra)
 			defer timer.Stop()
-		dilate:
-			for {
-				select {
-				case <-ctx.Done():
-					tr.End = time.Now()
-					return nil, tr, ctx.Err()
-				case <-timer.C:
-					break dilate
-				case <-tick.C:
-					if term := ac.shouldTerminate(watch); term != nil {
-						tr.End = time.Now()
-						tr.Terminated = true
-						return nil, tr, term
-					}
-				}
+			select {
+			case <-ctx.Done():
+				return nil, tr, ctx.Err()
+			case verdict := <-out: // the result is read: only a kill can follow
+				return nil, tr, verdict.err
+			case <-timer.C:
 			}
 			elapsed += extra
 		}
@@ -270,15 +280,11 @@ compute:
 	// detector confirms the silence — delivering data the network model
 	// says never arrived. (A load spike, by contrast, does not invalidate
 	// completed work, so the threshold is deliberately not re-checked.)
-	for _, h := range watch {
+	for _, h := range ac.watch {
 		if !h.Reachable() || e.hostDead(h.Name) {
-			tr.End = time.Now()
-			tr.Terminated = true
 			return nil, tr, &terminationError{host: h.Name, reason: "host unreachable at delivery"}
 		}
 	}
-
-	tr.End = time.Now()
 	tr.Elapsed = elapsed
 	return oc.outs, tr, nil
 }
@@ -291,10 +297,10 @@ compute:
 // a detector-confirmed death (MarkHostDead) — the only signal available
 // when the machine is partitioned but still computing. It returns nil
 // or the termination naming the offending machine.
-func (ac *appController) shouldTerminate(watch []*testbed.Host) *terminationError {
+func (ac *appController) shouldTerminate() *terminationError {
 	e := ac.app.engine
 	thr := e.LoadThreshold
-	for _, h := range watch {
+	for _, h := range ac.watch {
 		if h.Failed() {
 			return &terminationError{host: h.Name, reason: "host failed"}
 		}
@@ -312,11 +318,4 @@ func (ac *appController) shouldTerminate(watch []*testbed.Host) *terminationErro
 // than a failure: overloaded hosts are avoided, not reported failed.
 func (t *terminationError) overload() bool {
 	return t.reason == "load threshold exceeded"
-}
-
-// paramsFor returns the task's required memory on the host.
-func paramsFor(ac *appController, h *testbed.Host) (int64, error) {
-	// Memory requirements come from the catalog spec; the repository copy
-	// would be equivalent.
-	return ac.spec.Params.RequiredMemBytes, nil
 }

@@ -285,11 +285,15 @@ func (ep *endpoint) streamFor(host string) *stream {
 
 // runInputs is one run's entry in the demux table: a slot per input
 // port of every task, of which those with an in-edge expect a delivery.
+// Beside them sits the sending side's index: outEdges is the run's edges
+// grouped by source task, outEdges[outBase[t]:outBase[t+1]] leaving t.
 type runInputs struct {
-	seq   uint64
-	base  []int    // base[t] is the index in slots of task t's port 0
-	slots []inSlot // len(slots) == base[len(tasks)]
-	fail  func(error)
+	seq      uint64
+	base     []int    // base[t] is the index in slots of task t's port 0
+	slots    []inSlot // len(slots) == base[len(tasks)]
+	outBase  []int
+	outEdges []afg.Edge
+	fail     func(error)
 }
 
 // inSlot is the receiving end of one edge: a one-value buffer the
@@ -300,13 +304,20 @@ type inSlot struct {
 	val    tasklib.Value
 }
 
-// newRunInputs lays out the slots for g's edges.
+// newRunInputs lays out the slots and the out-edge index for g's edges,
+// whose endpoints must be tasks of g (AllocationTable.Validate checks).
 func newRunInputs(seq uint64, g *afg.Graph, fail func(error)) (*runInputs, error) {
-	ri := &runInputs{seq: seq, base: make([]int, len(g.Tasks)+1), fail: fail}
+	n := len(g.Tasks)
+	idx := make([]int, 2*n+3)
+	ri := &runInputs{seq: seq, base: idx[:n+1], outEdges: make([]afg.Edge, len(g.Edges)), fail: fail}
 	for i, t := range g.Tasks {
 		ri.base[i+1] = ri.base[i] + t.InPorts
 	}
-	ri.slots = make([]inSlot, ri.base[len(g.Tasks)])
+	ri.slots = make([]inSlot, ri.base[n])
+	// The out-edge index is a counting sort by source task, counted two
+	// slots to the right so that placing the edges leaves each task's
+	// start in its own slot.
+	start := idx[n+1:]
 	for _, e := range g.Edges {
 		slot := ri.slot(int(e.To), e.ToPort)
 		if slot == nil || slot.ready != nil {
@@ -314,7 +325,16 @@ func newRunInputs(seq uint64, g *afg.Graph, fail func(error)) (*runInputs, error
 				e.From, e.FromPort, e.To, e.ToPort)
 		}
 		slot.ready = make(chan struct{})
+		start[e.From+2]++
 	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	for _, e := range g.Edges {
+		ri.outEdges[start[e.From+1]] = e
+		start[e.From+1]++
+	}
+	ri.outBase = start[:n+1]
 	return ri, nil
 }
 
@@ -325,11 +345,6 @@ func (ri *runInputs) slot(task, port int) *inSlot {
 		return nil
 	}
 	return &ri.slots[ri.base[task]+port]
-}
-
-// inputsOf returns the slots of one task, indexed by port.
-func (ri *runInputs) inputsOf(task afg.TaskID) []inSlot {
-	return ri.slots[ri.base[task]:ri.base[task+1]]
 }
 
 // stream is one source host's persistent connection to the endpoint.
@@ -445,10 +460,11 @@ func (s *stream) drop() {
 // the endpoint rejecting a delivery addressed to this run.
 func (ac *appController) receiveInputs(ctx context.Context) ([]tasklib.Value, error) {
 	in := make([]tasklib.Value, ac.task.InPorts)
-	if ac.app.inputs == nil {
+	ri := ac.app.inputs
+	if ri == nil {
 		return in, nil
 	}
-	slots := ac.app.inputs.inputsOf(ac.task.ID)
+	slots := ri.slots[ri.base[ac.task.ID]:ri.base[ac.task.ID+1]] // by port
 	for port := range slots {
 		s := &slots[port]
 		if s.ready == nil {
@@ -467,16 +483,17 @@ func (ac *appController) receiveInputs(ctx context.Context) ([]tasklib.Value, er
 // sendOutputs delivers the produced values to the task's children over
 // the stream of the host the task ran on.
 func (ac *appController) sendOutputs(outs []tasklib.Value) error {
-	if ac.app.inputs == nil {
+	ri := ac.app.inputs
+	if ri == nil {
 		return nil // a graph without edges has no Data Manager
 	}
-	edges := ac.app.g.OutEdges(ac.task.ID)
+	edges := ri.outEdges[ri.outBase[ac.task.ID]:ri.outBase[ac.task.ID+1]]
 	if len(edges) == 0 {
 		return nil
 	}
-	s := ac.app.dm.streamFor(ac.app.placement(ac.task.ID).Hosts[0])
+	s := ac.app.dm.streamFor(ac.place.Hosts[0])
 	if s == nil {
 		return ErrEngineClosed
 	}
-	return s.send(ac.app.inputs.seq, edges, outs)
+	return s.send(ri.seq, edges, outs)
 }

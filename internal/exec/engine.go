@@ -11,8 +11,9 @@
 // edges pass through. Channel set-up for a run is entering its input
 // slots, one per in-edge, in the endpoint's demux table; when all are
 // entered (the acknowledgment) the execution startup signal is given.
-// Tasks run, each output crosses TCP as one length-prefixed, checksummed
-// frame addressed to (run, task, port), the endpoint's readers decode it
+// Tasks run, watched by the run's one monitoring loop on the goroutine
+// that called Execute; each output crosses TCP as one checksummed frame
+// addressed to (run, task, port), the endpoint's readers decode it
 // into the slot the consuming controller waits on, and when the run ends
 // its completed executions are reported together so the Site Manager can
 // update the task-performance database. Leaving the run removes its
@@ -25,7 +26,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +58,7 @@ type Engine struct {
 	// if the primary host's load exceeds it mid-run, the task is killed
 	// and rescheduled. <= 0 disables the check.
 	LoadThreshold float64
-	// LoadCheckPeriod is the watchdog cadence (default 5ms).
+	// LoadCheckPeriod is each run's monitoring cadence (default 5ms).
 	LoadCheckPeriod time.Duration
 	// DilationScale stretches task runtimes by the host model's dilation
 	// factor to emulate heterogeneous hardware: extra sleep =
@@ -94,8 +97,12 @@ type Engine struct {
 	lockMu    sync.Mutex
 	hostLocks map[string]*sync.Mutex
 
+	// seriesKeys holds each task's "task:<name>" Metrics series key by
+	// its *tasklib.Spec, built once instead of once per task run.
+	seriesKeys sync.Map
+
 	// liveMu guards dead, the failure detector's confirmed-dead set. The
-	// per-task watchdogs consult it every check period, so a confirmed
+	// monitoring loops consult it every check period, so a confirmed
 	// death interrupts every task running on the host even when the host
 	// model itself looks alive (a network partition: the machine computes
 	// on, but its results are unreachable).
@@ -123,26 +130,24 @@ type Engine struct {
 // task at a time — across every application the engine is executing —
 // exactly as the schedule simulator assumes. Locks are acquired in
 // sorted order so multi-host (parallel) tasks cannot deadlock against
-// each other. The returned function releases them.
-func (e *Engine) lockHosts(hosts []string) func() {
-	if len(hosts) == 1 {
-		l := e.hostLock(hosts[0])
+// each other, and no placement names a host twice (Validate,
+// checkReplacement). The locks taken are appended to held.
+func (e *Engine) lockHosts(hosts []string, held []*sync.Mutex) []*sync.Mutex {
+	if len(hosts) > 1 {
+		hosts = append([]string(nil), hosts...)
+		sort.Strings(hosts)
+	}
+	for _, h := range hosts {
+		l := e.hostLock(h)
 		l.Lock()
-		return l.Unlock
+		held = append(held, l)
 	}
-	sorted := append([]string(nil), hosts...)
-	sort.Strings(sorted)
-	locks := make([]*sync.Mutex, len(sorted))
-	for i, h := range sorted {
-		locks[i] = e.hostLock(h)
-	}
-	for _, l := range locks {
-		l.Lock()
-	}
-	return func() {
-		for i := len(locks) - 1; i >= 0; i-- {
-			locks[i].Unlock()
-		}
+	return held
+}
+
+func unlockHosts(held []*sync.Mutex) {
+	for i := len(held) - 1; i >= 0; i-- {
+		held[i].Unlock()
 	}
 }
 
@@ -159,6 +164,15 @@ func (e *Engine) hostLock(host string) *sync.Mutex {
 		e.hostLocks[host] = l
 	}
 	return l
+}
+
+// seriesKey returns the Metrics series a task's runs are charted under.
+func (e *Engine) seriesKey(spec *tasklib.Spec) string {
+	key, ok := e.seriesKeys.Load(spec)
+	if !ok {
+		key, _ = e.seriesKeys.LoadOrStore(spec, "task:"+spec.Name)
+	}
+	return key.(string)
 }
 
 // PeakConcurrency reports the maximum number of applications the engine
@@ -209,34 +223,27 @@ func (e *Engine) hostDead(host string) bool {
 	return e.dead[host]
 }
 
-// deadHostsExcept returns the confirmed-dead hosts not already in the
-// given set — the extra exclusions a rescheduling request carries so a
-// task is never re-placed onto a host the detector knows is gone.
-func (e *Engine) deadHostsExcept(already map[string]bool) []string {
+// exclusions is the host list a rescheduling request carries: the hosts
+// the task was chased off, the hosts the detector holds confirmed dead —
+// the repository usually agrees already, but a death confirmed
+// microseconds ago must not win the placement because the round's
+// snapshot predates it — and the open-breaker hosts, so a flapping host
+// the detector cannot confirm dead is quarantined too.
+func (e *Engine) exclusions(chased []string) []string {
+	out := append([]string(nil), chased...)
 	e.liveMu.RLock()
-	defer e.liveMu.RUnlock()
-	var out []string
 	for h := range e.dead {
-		if !already[h] {
+		if !slices.Contains(chased, h) {
 			out = append(out, h)
 		}
 	}
-	sort.Strings(out)
-	return out
-}
-
-// breakerExcluded returns the open-breaker hosts not already excluded:
-// the quarantine list a rescheduling request merges in so a flapping
-// host — never quiet long enough for the detector to confirm dead —
-// still stops winning placements.
-func (e *Engine) breakerExcluded(already map[string]bool) []string {
-	if e.Breakers == nil {
-		return nil
-	}
-	var out []string
-	for _, h := range e.Breakers.Excluded() {
-		if !already[h] {
-			out = append(out, h)
+	e.liveMu.RUnlock()
+	sort.Strings(out[len(chased):])
+	if e.Breakers != nil {
+		for _, h := range e.Breakers.Excluded() {
+			if !slices.Contains(chased, h) {
+				out = append(out, h)
+			}
 		}
 	}
 	return out
@@ -312,9 +319,9 @@ type Result struct {
 	// detector confirmation — not overload) forced a task off them, in
 	// first-observed order.
 	FailedHosts []string
-	// Table is the allocation table as actually executed: the input
-	// table with every mid-run rescheduling patch applied. It is a fresh
-	// copy — the caller's input table is never mutated.
+	// Table is the allocation table as actually executed: the run's own
+	// copy of the input with every mid-run rescheduling patch applied. The
+	// input is never mutated; unmoved entries share its Hosts, read-only.
 	Table *core.AllocationTable
 }
 
@@ -365,40 +372,39 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		}
 	}
 
-	var eo execOpts
-	for _, opt := range opts {
-		opt(&eo)
-	}
 	seq := e.appSeq.Add(1)
-	appID := fmt.Sprintf("%s-%d-%d", g.Name, time.Now().UnixNano(), seq)
+	var idBuf [64]byte
+	id := append(append(idBuf[:0], g.Name...), '-')
+	id = append(strconv.AppendInt(id, time.Now().UnixNano(), 10), '-')
+	id = strconv.AppendUint(id, seq, 10)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	run := &appRun{
 		engine:      e,
 		g:           g,
-		appID:       appID,
+		appID:       string(id),
 		maxAttempts: maxAttempts,
-		checkPeriod: checkPeriod,
-		sink:        eo.sink,
 		cancel:      cancel,
-		placements:  make(map[afg.TaskID]*core.Placement, len(table.Entries)),
+		entries:     append([]core.Placement(nil), table.Entries...),
+		ctl:         make([]appController, len(g.Tasks)),
+		done:        make(chan struct{}),
 		outputs:     make(map[afg.TaskID][]tasklib.Value, len(g.Tasks)),
-		failedSeen:  make(map[string]bool),
+		runs:        make([]TaskRun, 0, len(g.Tasks)),
+	}
+	for _, opt := range opts {
+		opt(&run.execOpts)
 	}
 	if e.Record != nil {
 		run.measured = make([]protocol.ExecutionRecord, 0, len(g.Tasks))
 	}
-	for i := range table.Entries {
-		p := table.Entries[i]
-		run.placements[p.Task] = &p
-	}
-	controllers := make([]*appController, 0, len(g.Tasks))
-	for _, task := range g.Tasks {
-		ac, err := newAppController(run, task)
+	for i := range run.entries { // every task once: Validate checked
+		p := &run.entries[i]
+		task := g.Tasks[p.Task]
+		spec, err := e.Reg.Get(task.Name)
 		if err != nil {
 			return nil, err
 		}
-		controllers = append(controllers, ac)
+		run.ctl[p.Task] = appController{app: run, task: task, spec: spec, place: p}
 	}
 
 	// Phase 1 (Data Manager set-up): every in-edge of the run gets its
@@ -422,26 +428,24 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		run.dm, run.inputs = dm, inputs
 	}
 
-	// Phase 2: the execution startup signal.
+	// Phase 2: the execution startup signal; this goroutine then monitors.
 	start := time.Now()
-	var wg sync.WaitGroup
-	for _, ac := range controllers {
-		wg.Add(1)
-		go func(ac *appController) {
-			defer wg.Done()
-			if err := ac.run(runCtx); err != nil {
-				// One permanent failure aborts the application.
-				run.fail(fmt.Errorf("task %d (%s): %w", ac.task.ID, ac.task.Name, err))
-			}
-		}(ac)
+	if len(run.ctl) > 0 {
+		run.left.Store(int32(len(run.ctl)))
+		for i := range run.ctl {
+			go run.ctl[i].main(runCtx)
+		}
+		run.monitor(checkPeriod)
 	}
-	wg.Wait()
 	// The controllers have joined: the write-back "after an application
 	// execution is completed", off every task's critical path.
 	if e.Record != nil && len(run.measured) > 0 {
 		e.Record(run.measured)
 	}
-	if err := run.failure(); err != nil {
+	run.mu.Lock() // a Data Manager reader may still be failing the run
+	err := run.err
+	run.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -449,40 +453,75 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	}
 
 	res := &Result{
-		AppID:       appID,
+		AppID:       run.appID,
 		Outputs:     run.outputs,
 		Runs:        run.runs,
 		Makespan:    time.Since(start),
-		Rescheduled: int(run.rescheduled),
+		Rescheduled: run.rescheduled,
 		FailedHosts: run.failedHosts,
-		Table:       run.patchedTable(table),
+		Table:       &core.AllocationTable{App: table.App, Entries: run.entries},
 	}
 	return res, nil
 }
 
-// appRun is the shared state of one application execution.
+// appRun is the state block of one application execution: the run's own
+// copy of the allocation table and one controller per task, both reached
+// by task ID, plus what the controllers report under mu.
 type appRun struct {
 	engine      *Engine
 	g           *afg.Graph
 	appID       string
 	maxAttempts int
-	checkPeriod time.Duration
-	sink        func(Event) // optional recovery-event stream
+	execOpts    // sink: the optional recovery-event stream
 	cancel      context.CancelFunc
 	// dm and inputs are the run's Data Manager registration; both nil
 	// when the graph has no dataflow edges.
 	dm     *endpoint
 	inputs *runInputs
 
+	// entries is the table as executed, handed out as Result.Table: a
+	// reschedule patches the task's entry in place. Hosts slices are
+	// shared with the caller's table until then, and never written.
+	entries []core.Placement
+	ctl     []appController // by task ID
+	// The last of the left controllers out closes done: the loop's end.
+	left atomic.Int32
+	done chan struct{}
+
 	mu          sync.Mutex
 	err         error // the first failure; it aborts the run
-	placements  map[afg.TaskID]*core.Placement
 	outputs     map[afg.TaskID][]tasklib.Value
 	runs        []TaskRun
 	measured    []protocol.ExecutionRecord // successful runs, for Engine.Record
-	rescheduled int64
+	rescheduled int
 	failedHosts []string
-	failedSeen  map[string]bool
+}
+
+// monitor is the Application Controller's monitoring loop, one per
+// application, on the goroutine that called Execute: every period it
+// applies the termination rule to each attempt under supervision.
+func (r *appRun) monitor(period time.Duration) {
+	tick := time.NewTicker(period)
+	defer tick.Stop()
+	for {
+		select {
+		case <-r.done:
+			return
+		case <-tick.C:
+		}
+		r.mu.Lock()
+		for i := range r.ctl {
+			ac := &r.ctl[i]
+			if ac.out == nil {
+				continue // between attempts, or already told
+			}
+			if term := ac.shouldTerminate(); term != nil {
+				ac.out <- outcome{err: term} // has room: see attempt
+				ac.out = nil
+			}
+		}
+		r.mu.Unlock()
+	}
 }
 
 // fail records the run's first failure and cancels everything still
@@ -497,12 +536,6 @@ func (r *appRun) fail(err error) {
 	r.cancel()
 }
 
-func (r *appRun) failure() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
 // emit streams one recovery event to the run's sink, if any.
 func (r *appRun) emit(ev Event) {
 	if r.sink != nil {
@@ -515,41 +548,9 @@ func (r *appRun) emit(ev Event) {
 func (r *appRun) recordFailedHost(host string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.failedSeen[host] {
-		r.failedSeen[host] = true
+	if !slices.Contains(r.failedHosts, host) {
 		r.failedHosts = append(r.failedHosts, host)
 	}
-}
-
-// patchedTable returns a copy of the input allocation table with the
-// run's final placements — every mid-run reschedule applied — so the
-// caller's record of "where did this actually run" is coherent.
-func (r *appRun) patchedTable(in *core.AllocationTable) *core.AllocationTable {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := &core.AllocationTable{App: in.App, Entries: append([]core.Placement(nil), in.Entries...)}
-	for i := range out.Entries {
-		e := &out.Entries[i]
-		if p := r.placements[e.Task]; p != nil {
-			// Keep the original TransferIn/Level: reschedules replace the
-			// placement, not the scheduling round's bookkeeping.
-			e.Site, e.Predicted = p.Site, p.Predicted
-			e.Hosts = append([]string(nil), p.Hosts...)
-		}
-	}
-	return out
-}
-
-func (r *appRun) placement(id afg.TaskID) *core.Placement {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.placements[id]
-}
-
-func (r *appRun) setPlacement(id afg.TaskID, p *core.Placement) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.placements[id] = p
 }
 
 // recordRun logs one attempt; a successful one, which ran on host, is
@@ -562,10 +563,4 @@ func (r *appRun) recordRun(tr TaskRun, ok bool) {
 		r.measured = append(r.measured, protocol.ExecutionRecord{
 			Task: tr.TaskName, Host: tr.Host, Elapsed: tr.Elapsed, At: tr.End})
 	}
-}
-
-func (r *appRun) storeOutputs(id afg.TaskID, vals []tasklib.Value) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.outputs[id] = vals
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,12 +274,8 @@ func TestTaskErrorAborts(t *testing.T) {
 
 func TestContextCancellation(t *testing.T) {
 	r := newRig(t, 2)
-	g := afg.NewGraph("spin")
-	id := g.AddTask("Spin", "util", 0, 1)
-	if err := g.SetProps(id, afg.Properties{Args: map[string]string{"ms": "500"}}); err != nil {
-		t.Fatal(err)
-	}
-	table := r.schedule(t, g)
+	useTasks(t, r, map[string]tasklib.Func{"Long": blockUntilCleanup(t)})
+	g, table := independent("Long", r.tb.Sites[0].Hosts[:1])
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -321,43 +318,51 @@ func TestDilationStretchesRuntime(t *testing.T) {
 	}
 }
 
+// TestSameHostTasksSerialize: a machine runs one task at a time. Two
+// tasks placed on one host have disjoint run intervals; placed on two
+// hosts they are inside their task functions at the same time — Meet
+// returns only once both instances have entered it.
 func TestSameHostTasksSerialize(t *testing.T) {
 	r := newRig(t, 2)
-	hostA := r.tb.Sites[0].Hosts[0].Name
-	hostB := r.tb.Sites[0].Hosts[1].Name
-	mkGraph := func() *afg.Graph {
-		g := afg.NewGraph("pair")
-		for i := 0; i < 2; i++ {
-			id := g.AddTask("Spin", "util", 0, 1)
-			if err := g.SetProps(id, afg.Properties{Args: map[string]string{"ms": "40"}}); err != nil {
-				t.Fatal(err)
+	hosts := r.tb.Sites[0].Hosts
+	var entered atomic.Int32
+	both := make(chan struct{})
+	useTasks(t, r, map[string]tasklib.Func{
+		"Work": func(*tasklib.Context) ([]tasklib.Value, error) {
+			time.Sleep(2 * time.Millisecond)
+			return []tasklib.Value{1.0}, nil
+		},
+		"Meet": func(*tasklib.Context) ([]tasklib.Value, error) {
+			if entered.Add(1) == 2 {
+				close(both)
 			}
-		}
-		return g
-	}
-	place := func(g *afg.Graph, hosts [2]string) *core.AllocationTable {
-		return &core.AllocationTable{App: g.Name, Entries: []core.Placement{
-			{Task: 0, TaskName: "Spin", Site: "site0", Hosts: []string{hosts[0]}, Predicted: time.Millisecond},
-			{Task: 1, TaskName: "Spin", Site: "site0", Hosts: []string{hosts[1]}, Predicted: time.Millisecond},
-		}}
-	}
-	// Same host: the two 40ms spins must serialize (>= ~75ms).
-	g1 := mkGraph()
-	res1, err := r.engine.Execute(context.Background(), g1, place(g1, [2]string{hostA, hostA}))
+			select {
+			case <-both:
+				return []tasklib.Value{1.0}, nil
+			case <-time.After(10 * time.Second):
+				return nil, errors.New("the other instance never started: hosts ran one at a time")
+			}
+		},
+	})
+	g, table := independent("Work", []*testbed.Host{hosts[0], hosts[0]})
+	res, err := r.engine.Execute(context.Background(), g, table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.Makespan < 75*time.Millisecond {
-		t.Fatalf("same-host makespan %v — tasks overlapped on one machine", res1.Makespan)
+	if len(res.Runs) != 2 {
+		t.Fatalf("runs = %+v", res.Runs)
 	}
-	// Different hosts: they overlap (well under the serial sum).
-	g2 := mkGraph()
-	res2, err := r.engine.Execute(context.Background(), g2, place(g2, [2]string{hostA, hostB}))
-	if err != nil {
+	first, second := res.Runs[0], res.Runs[1]
+	if second.Start.Before(first.Start) {
+		first, second = second, first
+	}
+	if second.Start.Before(first.End) {
+		t.Fatalf("tasks overlapped on one machine: %v..%v and %v..%v",
+			first.Start, first.End, second.Start, second.End)
+	}
+	g, table = independent("Meet", hosts[:2])
+	if _, err := r.engine.Execute(context.Background(), g, table); err != nil {
 		t.Fatal(err)
-	}
-	if res2.Makespan >= res1.Makespan {
-		t.Fatalf("two-host makespan %v not faster than one-host %v", res2.Makespan, res1.Makespan)
 	}
 }
 
@@ -372,6 +377,18 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := r.engine.Execute(context.Background(), g, &core.AllocationTable{}); err == nil {
 		t.Fatal("empty table accepted")
 	}
+}
+
+// waitForLoad polls until the condition holds or the timeout elapses.
+func waitForLoad(timeout time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return cond()
 }
 
 func TestWaitForLoadHelper(t *testing.T) {

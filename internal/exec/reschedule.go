@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"time"
 
 	"vdce/internal/afg"
 	"vdce/internal/breaker"
@@ -102,17 +101,4 @@ func rescheduleOnce(sites []*core.LocalSite, task *afg.Task, id afg.TaskID, bad 
 		}
 	}
 	return best
-}
-
-// waitForLoad is a small test helper shared by the experiments: it polls
-// until the condition holds or the timeout elapses.
-func waitForLoad(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return cond()
 }

@@ -27,18 +27,34 @@ func NewMetrics() *Metrics {
 	return &Metrics{series: make(map[string][]Point)}
 }
 
-// Add appends a sample to the named series.
+// seriesWindow is how many of its newest points a series keeps: the run
+// path adds one per task run, job transition and monitor sample, for the
+// life of the server.
+const seriesWindow = 4096
+
+// Add appends a sample to the named series, dropping the oldest once
+// the series is over seriesWindow.
 func (m *Metrics) Add(name string, t time.Duration, v float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.series[name] = append(m.series[name], Point{T: t, V: v})
+	s := append(m.series[name], Point{T: t, V: v})
+	if len(s) >= 2*seriesWindow {
+		// One slide per seriesWindow adds, not a shift on every add.
+		s = s[:copy(s, s[len(s)-seriesWindow:])]
+	}
+	m.series[name] = s
 }
 
-// Series returns a copy of the named series in insertion order.
+// Series returns a copy of the named series — its newest seriesWindow
+// points at most — in insertion order.
 func (m *Metrics) Series(name string) []Point {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]Point(nil), m.series[name]...)
+	s := m.series[name]
+	if len(s) > seriesWindow {
+		s = s[len(s)-seriesWindow:]
+	}
+	return append([]Point(nil), s...)
 }
 
 // Names lists the stored series, sorted.

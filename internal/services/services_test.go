@@ -104,6 +104,32 @@ func TestMetricsConcurrent(t *testing.T) {
 	}
 }
 
+// TestMetricsSeriesIsBounded: a series fed for the life of a server
+// stays at the window, in what Series returns and in what is held, and
+// the points kept are the newest, in order.
+func TestMetricsSeriesIsBounded(t *testing.T) {
+	m := NewMetrics()
+	const fed = 5*seriesWindow + 7
+	for i := 0; i < fed; i++ {
+		m.Add("task:Spin", time.Duration(i), float64(i))
+		if held := len(m.series["task:Spin"]); held >= 2*seriesWindow {
+			t.Fatalf("after %d adds the series holds %d points", i+1, held)
+		}
+	}
+	s := m.Series("task:Spin")
+	if len(s) != seriesWindow {
+		t.Fatalf("Series returned %d points, want the window of %d", len(s), seriesWindow)
+	}
+	for i, p := range s {
+		if want := float64(fed - seriesWindow + i); p.V != want {
+			t.Fatalf("point %d = %v, want %v: not the newest window in order", i, p.V, want)
+		}
+	}
+	if c := m.Chart("task:Spin", 20, 4); !strings.Contains(c, "*") {
+		t.Fatalf("chart of a wrapped series:\n%s", c)
+	}
+}
+
 func TestIOServiceFiles(t *testing.T) {
 	root := t.TempDir()
 	s := NewIOService(root)
