@@ -51,8 +51,6 @@ func BenchmarkE5_Monitoring(b *testing.B)    { benchExperiment(b, "E5") }
 func BenchmarkE6_FailureDetect(b *testing.B) { benchExperiment(b, "E6") }
 func BenchmarkE7_Reschedule(b *testing.B)    { benchExperiment(b, "E7") }
 func BenchmarkE8_Prediction(b *testing.B)    { benchExperiment(b, "E8") }
-func BenchmarkE9_Scale(b *testing.B)         { benchExperiment(b, "E9") }
-func BenchmarkE10_DataManager(b *testing.B)  { benchExperiment(b, "E10") }
 
 // --- micro-benchmarks / ablations ---
 

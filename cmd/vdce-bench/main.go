@@ -1,4 +1,4 @@
-// Command vdce-bench runs the reproduction experiment suite (E1-E10,
+// Command vdce-bench runs the reproduction experiment suite (E1-E8,
 // indexed in internal/experiments/runner.go) and prints each
 // experiment's table. These are the rows recorded in EXPERIMENTS.md.
 //
@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	runList := flag.String("run", "all", "comma-separated experiment IDs (E1..E10) or 'all'")
+	runList := flag.String("run", "all", "comma-separated experiment IDs (E1..E8) or 'all'")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast pass")
 	flag.Parse()
 

@@ -126,13 +126,16 @@ func TestWorkloadAndFailureRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	rep := RemoteReporter{Site: remote}
+	var ack protocol.Ack
+	report := func(method string, args any) error {
+		return remote.client.Call(protocol.SiteServiceName+"."+method, args, &ack)
+	}
 	host := tb.Sites[0].Hosts[0].Name
 
 	batch := protocol.WorkloadBatch{Site: "siteW", Group: "g", Samples: []protocol.HostSample{
 		{Host: host, Sample: repository.WorkloadSample{CPULoad: 0.42, AvailMemBytes: 123, Time: time.Unix(10, 0)}},
 	}}
-	if err := rep.ApplyWorkloads(batch); err != nil {
+	if err := report("ReportWorkloads", batch); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := sm.Repo().Resources.Host(host)
@@ -146,14 +149,14 @@ func TestWorkloadAndFailureRPC(t *testing.T) {
 		t.Fatalf("updates = %d", sm.WorkloadUpdates())
 	}
 
-	if err := rep.ApplyFailure(protocol.FailureNotice{Host: host, Detected: time.Now()}); err != nil {
+	if err := report("ReportFailure", protocol.FailureNotice{Host: host, Detected: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ = sm.Repo().Resources.Host(host)
 	if rec.Status != repository.HostDown {
 		t.Fatal("failure not applied")
 	}
-	if err := rep.ApplyRecovery(protocol.RecoveryNotice{Host: host, Detected: time.Now()}); err != nil {
+	if err := report("ReportRecovery", protocol.RecoveryNotice{Host: host, Detected: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ = sm.Repo().Resources.Host(host)
@@ -162,9 +165,8 @@ func TestWorkloadAndFailureRPC(t *testing.T) {
 	}
 
 	// Execution records flow into the task-performance database.
-	var ack protocol.Ack
-	err = remote.client.Call(protocol.SiteServiceName+".RecordExecution",
-		protocol.ExecutionRecord{Task: "LU_Decomposition", Host: host, Elapsed: time.Second, At: time.Now()}, &ack)
+	err = report("RecordExecution",
+		protocol.ExecutionRecord{Task: "LU_Decomposition", Host: host, Elapsed: time.Second, At: time.Now()})
 	if err != nil {
 		t.Fatal(err)
 	}

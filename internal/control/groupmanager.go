@@ -13,33 +13,11 @@ import (
 )
 
 // Reporter is where a Group Manager sends its updates: a SiteManager in
-// the same process, or an RPC-backed client for a remote VDCE server.
+// the same process, or a RepoReporter when the site runs none.
 type Reporter interface {
 	ApplyWorkloads(protocol.WorkloadBatch) error
 	ApplyFailure(protocol.FailureNotice) error
 	ApplyRecovery(protocol.RecoveryNotice) error
-}
-
-// RemoteReporter adapts a RemoteSite RPC client into a Reporter, for
-// groups whose leader machine is not the VDCE server.
-type RemoteReporter struct{ Site *RemoteSite }
-
-// ApplyWorkloads forwards a batch over RPC.
-func (r RemoteReporter) ApplyWorkloads(b protocol.WorkloadBatch) error {
-	var a protocol.Ack
-	return r.Site.client.Call(protocol.SiteServiceName+".ReportWorkloads", b, &a)
-}
-
-// ApplyFailure forwards a failure notice over RPC.
-func (r RemoteReporter) ApplyFailure(n protocol.FailureNotice) error {
-	var a protocol.Ack
-	return r.Site.client.Call(protocol.SiteServiceName+".ReportFailure", n, &a)
-}
-
-// ApplyRecovery forwards a recovery notice over RPC.
-func (r RemoteReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
-	var a protocol.Ack
-	return r.Site.client.Call(protocol.SiteServiceName+".ReportRecovery", n, &a)
 }
 
 // GroupManager runs on each group leader machine: it collects Monitor

@@ -212,6 +212,9 @@ func (ep *endpoint) read(conn net.Conn) {
 			return
 		}
 		ep.deliver(payload)
+		if cap(buf) > maxIdleFrameBuf {
+			buf = nil // deliver copied the value out; see maxIdleFrameBuf
+		}
 	}
 }
 
@@ -359,8 +362,9 @@ type stream struct {
 	buf  []byte
 }
 
-// maxIdleFrameBuf caps the frame buffer a stream keeps between sends,
-// so one bulk transfer does not pin its size on every host for good.
+// maxIdleFrameBuf caps the frame buffer a stream keeps between sends
+// and a reader between frames, so one bulk transfer does not pin its
+// size on every host for good.
 const maxIdleFrameBuf = 1 << 20
 
 // send delivers outs along edges (all leaving one task of run seq):

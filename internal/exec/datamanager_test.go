@@ -183,6 +183,28 @@ func TestDemuxRoutesDropsAndFailsWithoutBlocking(t *testing.T) {
 	d.wantFailure("unknown type tag")
 }
 
+// TestReaderReleasesABulkFrameBuffer sends one frame above
+// maxIdleFrameBuf and then a small one on the same stream: the reader
+// drops its buffer after the first (as stream.send does), and both
+// values still arrive intact.
+func TestReaderReleasesABulkFrameBuffer(t *testing.T) {
+	d := newDemuxRig(t)
+	bulk := make([]float64, maxIdleFrameBuf/8+1000)
+	for i := range bulk {
+		bulk[i] = float64(i)
+	}
+	got, ok := d.deliverTo(d.conn, 0, bulk).([]float64)
+	if !ok || len(got) != len(bulk) || got[1] != 1 || got[len(got)-1] != bulk[len(bulk)-1] {
+		t.Fatalf("bulk value arrived as %T of %d elements", got, len(got))
+	}
+	if got := d.deliverTo(d.conn, 1, "small"); got != "small" {
+		t.Fatalf("frame after the bulk one = %v", got)
+	}
+	if len(d.failed) != 0 {
+		t.Fatalf("run failed: %v", <-d.failed)
+	}
+}
+
 func TestFramingFaultTearsTheStreamDown(t *testing.T) {
 	good := func(d *demuxRig) []byte { return rawFrame(t, demuxSeq, demuxConsumer, 7, "late") }
 	faults := map[string]func(d *demuxRig) []byte{

@@ -308,10 +308,14 @@ type TaskRun struct {
 
 // Result is the outcome of Execute.
 type Result struct {
-	AppID    string
-	Outputs  map[afg.TaskID][]tasklib.Value
-	Runs     []TaskRun
-	Makespan time.Duration
+	AppID   string
+	Outputs map[afg.TaskID][]tasklib.Value
+	// OutputsEvicted marks a result whose Outputs were dropped by the
+	// owner that retained it (the submission pipeline bounds retained
+	// outputs in bytes); every other field is as the run left it.
+	OutputsEvicted bool
+	Runs           []TaskRun
+	Makespan       time.Duration
 	// Rescheduled counts reschedule requests the Application Controllers
 	// issued.
 	Rescheduled int

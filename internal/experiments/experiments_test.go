@@ -203,41 +203,8 @@ func TestE8Runs(t *testing.T) {
 	}
 }
 
-func TestE9Runs(t *testing.T) {
-	tbl, err := E9Scale([][3]int{{1, 4, 30}, {2, 4, 30}}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if atof(t, row[3]) <= 0 {
-			t.Fatal("non-positive decision time")
-		}
-	}
-}
-
-func TestE10MovesPayloads(t *testing.T) {
-	sizes := []int{32, 128}
-	tbl, err := E10DataManager(sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range tbl.Rows {
-		if atof(t, row[2]) <= 0 {
-			t.Fatalf("throughput row %v", row)
-		}
-		// The payload crossed the socket: the engine counted at least
-		// the matrix's n*n*8 bytes onto its stream for this row.
-		if wire, payload := atof(t, row[3]), float64(sizes[i]*sizes[i]*8); wire < payload {
-			t.Fatalf("row %v: %v wire bytes for a %v-byte payload", row, wire, payload)
-		}
-	}
-}
-
 func TestRegistryAndQuickMode(t *testing.T) {
-	if len(All()) != 10 {
+	if len(All()) != 8 {
 		t.Fatalf("suite has %d experiments", len(All()))
 	}
 	if _, err := ByID("E99"); err == nil {

@@ -13,7 +13,7 @@ type Experiment struct {
 	Run   func(quick bool) (*Table, error)
 }
 
-// All returns the full E1-E10 suite in order.
+// All returns the full E1-E8 suite in order.
 func All() []Experiment {
 	return []Experiment{
 		{ID: "E1", Title: "Fig. 1 LES application flow graph", Run: func(quick bool) (*Table, error) {
@@ -80,24 +80,6 @@ func All() []Experiment {
 				runs = 2
 			}
 			return E8Prediction(runs)
-		}},
-		{ID: "E9", Title: "Scheduler scalability", Run: func(quick bool) (*Table, error) {
-			shapes := [][3]int{
-				{1, 8, 100}, {2, 8, 100}, {4, 8, 100}, {8, 8, 100},
-				{4, 8, 250}, {4, 8, 500}, {4, 8, 1000},
-				{4, 16, 250}, {4, 32, 250},
-			}
-			if quick {
-				shapes = [][3]int{{2, 4, 50}, {4, 4, 100}}
-			}
-			return E9Scale(shapes, 29)
-		}},
-		{ID: "E10", Title: "Data Manager throughput", Run: func(quick bool) (*Table, error) {
-			sizes := []int{64, 256, 512, 1024}
-			if quick {
-				sizes = []int{64, 256}
-			}
-			return E10DataManager(sizes)
 		}},
 	}
 }

@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction harness: one runnable
 // experiment per figure and per quantitative claim of the paper, indexed
-// E1-E10 in runner.go. Each experiment returns a printable Table whose
+// E1-E8 in runner.go. Each experiment returns a printable Table whose
 // rows are also consumed by bench_test.go and cmd/vdce-bench, and whose
 // measured shapes are recorded in EXPERIMENTS.md.
 package experiments

@@ -61,9 +61,11 @@ func (e *RateError) Error() string {
 		e.Owner, e.Resource, e.Limit, e.Burst, e.RetryAfter.Round(time.Millisecond))
 }
 
-// rateLimiter holds one bucket per owner. Buckets are created on first
-// use; the map is bounded by the number of distinct authenticated
-// owners, the same population the admission quota ledger carries.
+// rateLimiter holds one bucket per owner with a deficit. Buckets are
+// created on first use and swept out once they have refilled to burst —
+// a full bucket is indistinguishable from an absent one — so the map is
+// bounded by the owners active within one refill time, not by every
+// owner ever seen.
 type rateLimiter struct {
 	cfg RateLimitConfig
 	now func() time.Time
@@ -76,6 +78,7 @@ type rateLimiter struct {
 
 	mu      sync.Mutex
 	buckets map[string]*rateBucket
+	swept   time.Time // last sweep of refilled buckets
 }
 
 type rateBucket struct {
@@ -93,7 +96,7 @@ func newRateLimiter(cfg RateLimitConfig, now func() time.Time) *rateLimiter {
 	if now == nil {
 		now = time.Now
 	}
-	l := &rateLimiter{cfg: cfg, now: now, buckets: make(map[string]*rateBucket)}
+	l := &rateLimiter{cfg: cfg, now: now, buckets: make(map[string]*rateBucket), swept: now()}
 	l.instrument(obs.NewRegistry())
 	return l
 }
@@ -114,6 +117,16 @@ func (l *rateLimiter) allow(owner string) *RateError {
 	now := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// Sweep at most once per refill time (burst/rate seconds): amortised
+	// O(1) a request, and no bucket outlives its deficit by more than that.
+	if idle := now.Sub(l.swept).Seconds(); idle*l.cfg.RequestsPerSecond >= burst {
+		l.swept = now
+		for o, b := range l.buckets {
+			if b.tokens+now.Sub(b.last).Seconds()*l.cfg.RequestsPerSecond >= burst {
+				delete(l.buckets, o)
+			}
+		}
+	}
 	b, ok := l.buckets[owner]
 	if !ok {
 		b = &rateBucket{tokens: burst, last: now, throttled: l.throttles.With(owner)}

@@ -3,14 +3,10 @@ package services
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"vdce/internal/afg"
 )
 
 func TestConsoleGate(t *testing.T) {
@@ -127,59 +123,6 @@ func TestMetricsSeriesIsBounded(t *testing.T) {
 	}
 	if c := m.Chart("task:Spin", 20, 4); !strings.Contains(c, "*") {
 		t.Fatalf("chart of a wrapped series:\n%s", c)
-	}
-}
-
-func TestIOServiceFiles(t *testing.T) {
-	root := t.TempDir()
-	s := NewIOService(root)
-	if err := s.Write("/users/VDCE/user_k/matrix_A.dat", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Exists("/users/VDCE/user_k/matrix_A.dat") {
-		t.Fatal("written file missing")
-	}
-	got, err := s.Read(afg.FileSpec{Path: "/users/VDCE/user_k/matrix_A.dat"})
-	if err != nil || string(got) != "data" {
-		t.Fatalf("Read = %q, %v", got, err)
-	}
-	// Escapes are clipped by the leading-slash clean, not allowed out.
-	if err := s.Write("../../etc/passwd", []byte("x")); err != nil {
-		t.Fatalf("relative escape should be confined, got error %v", err)
-	}
-	if s.Exists("../../etc/passwd") != true {
-		t.Fatal("confined path should exist under root")
-	}
-	if _, err := s.Read(afg.FileSpec{Path: "/missing.dat"}); err == nil {
-		t.Fatal("missing file read succeeded")
-	}
-	if _, err := s.Read(afg.FileSpec{Dataflow: true}); err == nil {
-		t.Fatal("dataflow spec read succeeded")
-	}
-	if _, err := s.Read(afg.FileSpec{}); err == nil {
-		t.Fatal("empty spec read succeeded")
-	}
-}
-
-func TestIOServiceURL(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/ok" {
-			fmt.Fprint(w, "payload")
-			return
-		}
-		http.NotFound(w, r)
-	}))
-	defer srv.Close()
-	s := NewIOService(t.TempDir())
-	got, err := s.Read(afg.FileSpec{Path: srv.URL + "/ok", URL: true})
-	if err != nil || string(got) != "payload" {
-		t.Fatalf("URL read = %q, %v", got, err)
-	}
-	if _, err := s.Read(afg.FileSpec{Path: srv.URL + "/missing", URL: true}); err == nil {
-		t.Fatal("404 fetch succeeded")
-	}
-	if _, err := s.Read(afg.FileSpec{Path: "http://127.0.0.1:1/none", URL: true}); err == nil {
-		t.Fatal("unreachable fetch succeeded")
 	}
 }
 

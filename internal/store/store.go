@@ -528,6 +528,16 @@ func (s *Store) EventCursor() uint64 {
 	return s.st.EventCursor
 }
 
+// Err returns the log's sticky first I/O error: once a write, fsync or
+// segment rotation has failed, nothing appended since is durable and
+// every later append fails with the same error. Nil on a healthy store
+// (a store that was merely closed has not failed).
+func (s *Store) Err() error {
+	s.w.mu.Lock()
+	defer s.w.mu.Unlock()
+	return s.w.err
+}
+
 // Sync blocks until every record appended so far is fsynced.
 func (s *Store) Sync() error { return s.w.sync() }
 

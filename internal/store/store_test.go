@@ -123,6 +123,51 @@ func TestSyncSurvivesAbandon(t *testing.T) {
 	}
 }
 
+// TestErrIsTheStickyIOFailure closes the segment file underneath the
+// log: the next flush fails, and from then on Err reports that first
+// failure and every append repeats it. A healthy store, and one that
+// was merely closed, report nil.
+func TestErrIsTheStickyIOFailure(t *testing.T) {
+	s := openT(t, t.TempDir(), Options{})
+	if err := s.JobSubmitted(jobN(1, "alice", "queued")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("healthy store: Err = %v", err)
+	}
+	s.w.ioMu.Lock()
+	cerr := s.w.f.Close()
+	s.w.ioMu.Unlock()
+	if cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err := s.JobSubmitted(jobN(2, "alice", "queued")); err != nil {
+		t.Fatalf("the append that precedes the failing flush: %v", err)
+	}
+	first := s.Sync()
+	if first == nil {
+		t.Fatal("Sync over a closed segment file succeeded")
+	}
+	if err := s.Err(); !errors.Is(err, first) {
+		t.Fatalf("Err = %v, want the flush failure %v", err, first)
+	}
+	if err := s.JobSubmitted(jobN(3, "alice", "queued")); !errors.Is(err, first) {
+		t.Fatalf("append after the failure = %v, want %v", err, first)
+	}
+	_ = s.Abandon() // reports the same failure
+
+	closed := openT(t, t.TempDir(), Options{})
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := closed.Err(); err != nil {
+		t.Fatalf("closed store: Err = %v, want nil (closing is not failing)", err)
+	}
+}
+
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})

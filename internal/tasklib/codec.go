@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"vdce/internal/dsp"
 	"vdce/internal/linalg"
@@ -108,6 +109,54 @@ func AppendValue(dst []byte, v Value) ([]byte, error) {
 		return b, nil
 	}
 	return dst, fmt.Errorf("tasklib: encode: unknown value type %T", v)
+}
+
+// ValueSize returns the bytes of memory v pins: the backing arrays,
+// string data and pointees of every type AppendValue encodes, not the
+// interface or slice headers. A value the codec refuses sizes as 0.
+// Matrices and numeric vectors cost O(1); nothing is allocated.
+func ValueSize(v Value) int {
+	switch x := v.(type) {
+	case *linalg.Matrix:
+		return matrixSize(x)
+	case *LUResult:
+		if x == nil {
+			return 0
+		}
+		return int(unsafe.Sizeof(*x)) + matrixSize(x.L) + matrixSize(x.U) + 8*cap(x.Perm)
+	case []float64:
+		return 8 * cap(x)
+	case []Track:
+		n := cap(x) * int(unsafe.Sizeof(Track{}))
+		for i := range x {
+			n += len(x[i].Class)
+		}
+		return n
+	case []Threat:
+		n := cap(x) * int(unsafe.Sizeof(Threat{}))
+		for i := range x {
+			n += len(x[i].Reason)
+		}
+		return n
+	case float64:
+		return 8
+	case string:
+		return len(x)
+	case []byte:
+		return cap(x)
+	case []dsp.Peak:
+		return cap(x) * int(unsafe.Sizeof(dsp.Peak{}))
+	case []complex128:
+		return 16 * cap(x)
+	}
+	return 0
+}
+
+func matrixSize(m *linalg.Matrix) int {
+	if m == nil {
+		return 0
+	}
+	return int(unsafe.Sizeof(*m)) + 8*cap(m.Data)
 }
 
 func appendLen(b []byte, n int, isNil bool) []byte {

@@ -102,6 +102,63 @@ func TestChecksumAgreesAcrossTheWire(t *testing.T) {
 	}
 }
 
+// TestValueSizeCoversEveryWireType pins ValueSize to AppendValue's type
+// switch: every type the codec encodes has a case (some corpus value of
+// it sizes above zero), a value the codec refuses sizes as 0, and
+// sizing allocates nothing.
+func TestValueSizeCoversEveryWireType(t *testing.T) {
+	sized := map[reflect.Type]bool{}
+	for _, v := range codecCorpus() {
+		if _, err := EncodeValue(v); err != nil {
+			t.Fatal(err)
+		}
+		typ := reflect.TypeOf(v)
+		sized[typ] = sized[typ] || ValueSize(v) > 0
+	}
+	for typ, ok := range sized {
+		if !ok {
+			t.Errorf("no %v in the corpus sizes above zero: ValueSize has no case for it", typ)
+		}
+	}
+	for _, c := range []struct {
+		v    Value
+		want int
+	}{
+		{linalg.Identity(3), 40 + 9*8},
+		{(*linalg.Matrix)(nil), 0},
+		{&LUResult{L: linalg.Identity(2), U: linalg.Identity(2), Perm: []int{1, 0}}, 48 + 2*(40+4*8) + 2*8},
+		{(*LUResult)(nil), 0},
+		{[]float64{1, 2, 3, 4}, 32},
+		{[]Track{{Class: "hostile"}, {}}, 2*64 + 7},
+		{[]Threat{{Reason: "closing fast"}}, 32 + 12},
+		{3.14, 8},
+		{"hello", 5},
+		{[]byte{1, 2, 3}, 3},
+		{[]dsp.Peak{{}, {}}, 32},
+		{[]complex128{1, 2}, 32},
+	} {
+		if got := ValueSize(c.v); got != c.want {
+			t.Errorf("ValueSize(%T %v) = %d, want %d", c.v, c.v, got, c.want)
+		}
+	}
+	for _, v := range []Value{nil, 7, []int{1}, struct{}{}, linalg.Matrix{}} {
+		if _, err := EncodeValue(v); err == nil {
+			t.Fatalf("%T encodes: it belongs in the corpus", v)
+		}
+		if got := ValueSize(v); got != 0 {
+			t.Errorf("ValueSize(%T) = %d for a value the codec refuses, want 0", v, got)
+		}
+	}
+	corpus, total := codecCorpus(), 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, v := range corpus {
+			total += ValueSize(v)
+		}
+	}); allocs != 0 {
+		t.Errorf("ValueSize allocates %v times over the corpus, want 0", allocs)
+	}
+}
+
 func TestEncodeUnknownType(t *testing.T) {
 	for _, v := range []Value{nil, 7, []int{1}, struct{}{}, linalg.Matrix{}} {
 		if _, err := EncodeValue(v); err == nil || !strings.Contains(err.Error(), "unknown value type") {

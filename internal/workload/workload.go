@@ -384,7 +384,7 @@ type Family struct {
 	Gen  func(Params) (*Graph, error)
 }
 
-// Families returns the standard set used by E2/E9.
+// Families returns the standard set used by E2.
 func Families() []Family {
 	return []Family{
 		{Name: "layered", Gen: Layered},

@@ -223,8 +223,13 @@ type Job struct {
 	// incarnation of the control plane died and was re-adopted from the
 	// durable store on boot (immutable after registration).
 	recovered bool
-	pipe      *pipeline
-	done      chan struct{}
+	// outBytes, outPrev and outNext are the job's link in the pipeline's
+	// output ledger (see retainOutputs), guarded by pipe.mu; outNext is
+	// nil while the job is not in it.
+	outBytes         int64
+	outPrev, outNext *Job
+	pipe             *pipeline
+	done             chan struct{}
 	// cancelCh closes on the first Cancel call, unblocking dispatch waits.
 	cancelCh chan struct{}
 	// expiry fires while the job is still queued at its deadline, so an
@@ -294,6 +299,9 @@ func (j *Job) Table() *core.AllocationTable {
 }
 
 // Result returns the execution result once the job is done, else nil.
+// Its Outputs are readable from Done until retainedOutputBytes of newer
+// results have completed; after that Result returns a copy with Outputs
+// nil and OutputsEvicted set, every other field intact.
 func (j *Job) Result() *exec.Result {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -769,6 +777,9 @@ func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
 	// job as still consuming capacity.
 	if j.pipe != nil {
 		j.pipe.jobReleased(j)
+		if res != nil {
+			j.pipe.retainOutputs(j, res)
+		}
 	}
 	j.publish()
 	if j.pipe != nil {

@@ -20,6 +20,7 @@ type envMetrics struct {
 	accepted        *obs.Counter
 	rejectQueueFull *obs.Counter
 	rejectDeadline  *obs.Counter
+	rejectStore     *obs.Counter
 	rejectQuota     *obs.Counter
 
 	// Scheduler.
@@ -39,6 +40,8 @@ type envMetrics struct {
 	completedFailed   *obs.Counter
 	completedCanceled *obs.Counter
 	hostParks         *obs.Counter
+	// outputsEvicted counts results whose Outputs the output ledger dropped.
+	outputsEvicted *obs.Counter
 
 	// Execution recovery (fed by the engine's per-job event stream).
 	reschedules  *obs.Counter
@@ -80,6 +83,7 @@ func newEnvMetrics(reg *obs.Registry) *envMetrics {
 			"Submissions admitted into the queue.").With(),
 		rejectQueueFull: rejects.With(ShedQueueFull),
 		rejectDeadline:  rejects.With(ShedDeadlineInfeasible),
+		rejectStore:     rejects.With(ShedStoreUnavailable),
 		rejectQuota:     rejects.With("quota"),
 		roundLatency: reg.Histogram("vdce_scheduler_round_seconds",
 			"Site-scheduler round latency (Fig. 2 round per job).", obs.DefBuckets).With(),
@@ -95,6 +99,8 @@ func newEnvMetrics(reg *obs.Registry) *envMetrics {
 		completedCanceled: completed.With(services.JobStateCanceled),
 		hostParks: reg.Counter("vdce_dispatch_host_parks_total",
 			"Scheduled jobs parked on the per-owner held-hosts quota.").With(),
+		outputsEvicted: reg.Counter("vdce_outputs_evicted_total",
+			"Finished jobs whose result outputs were dropped to keep retained outputs inside the byte budget.").With(),
 		reschedules: reg.Counter("vdce_exec_reschedules_total",
 			"Mid-run task reschedules across all jobs.").With(),
 		hostFailures: reg.Counter("vdce_exec_host_failures_total",
@@ -151,6 +157,13 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 		"Rows the job board retains.", nil,
 		func(emit func(v float64, labelVals ...string)) {
 			emit(float64(env.Board.CountFiltered("", "")))
+		})
+	reg.GaugeFunc("vdce_retained_output_bytes",
+		"In-memory bytes of task outputs that finished jobs still hold (bounded at 64 MiB plus the newest result).", nil,
+		func(emit func(v float64, labelVals ...string)) {
+			pipe.mu.Lock()
+			defer pipe.mu.Unlock()
+			emit(float64(pipe.outs.outBytes))
 		})
 	reg.GaugeFunc("vdce_jobs_inflight",
 		"Admitted jobs not yet terminal (board view).", nil,

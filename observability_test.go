@@ -230,6 +230,8 @@ func TestMetricsExpositionEndToEnd(t *testing.T) {
 		"vdce_scheduler_round_seconds_count",
 		"vdce_scheduler_rankcache_total",
 		"vdce_jobs_inflight",
+		"vdce_retained_output_bytes",
+		"vdce_outputs_evicted_total",
 		"vdce_jobs_completed_total",
 		"vdce_job_phase_seconds_bucket",
 		"vdce_exec_dispatch_concurrency",

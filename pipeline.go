@@ -14,6 +14,7 @@ import (
 	"vdce/internal/jobsapi"
 	"vdce/internal/services"
 	"vdce/internal/store"
+	"vdce/internal/tasklib"
 )
 
 // PipelineConfig sizes the concurrent submission pipeline. Zero fields
@@ -71,6 +72,11 @@ type PipelineConfig struct {
 // batch, one worker processes them in pop order, so latency is bounded
 // by the batch size and the batch stays small.
 const dispatchBatch = 8
+
+// retainedOutputBytes bounds the task outputs finished jobs keep
+// readable: past it the oldest results lose their Outputs (see
+// retainOutputs). Rows and handles are bounded by MaxRetainedJobs.
+const retainedOutputBytes = 64 << 20
 
 func (c *PipelineConfig) fillDefaults() {
 	if c.QueueDepth <= 0 {
@@ -138,8 +144,14 @@ type pipeline struct {
 	// what cancel, trace, drain and shutdown act on. Published state
 	// lives on the board alone; retention trims this index by the IDs
 	// the board evicts.
-	byID   map[string]*Job
-	closed bool
+	byID map[string]*Job
+	// outs is the sentinel of the output ledger: a ring, linked through
+	// the jobs themselves, of the jobs whose results still hold their
+	// Outputs, oldest completion first; outs.outBytes is the total they
+	// pin. retainOutputs and trimRetained are its only writers.
+	outs      Job
+	outBudget int64 // retainedOutputBytes; tests lower it
+	closed    bool
 }
 
 // submitSpec is a fully resolved submission (options applied).
@@ -172,7 +184,10 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 		start:  time.Now(),
 		store:  st,
 		byID:   make(map[string]*Job),
+
+		outBudget: retainedOutputBytes,
 	}
+	p.outs.outPrev, p.outs.outNext = &p.outs, &p.outs
 	p.meter = newShedMeter(cfg.Shed.Now)
 	var adopt []*Job
 	if st != nil {
@@ -300,10 +315,7 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	p.byID[job.ID] = job
 	status := job.Status()
 	p.env.Board.Update(status)
-	evicted := p.env.Board.EvictTerminal(p.cfg.MaxRetainedJobs)
-	for _, id := range evicted {
-		delete(p.byID, id)
-	}
+	evicted := p.trimRetained()
 	p.mu.Unlock()
 	p.persistSubmitted(job)
 	if p.store != nil {
@@ -340,6 +352,62 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	return job, nil
 }
 
+// trimRetained is count retention: the board evicts its oldest terminal
+// rows past MaxRetainedJobs, and each evicted job leaves the handle
+// index and the output ledger (a client still holding the handle keeps
+// its result). Caller holds p.mu.
+func (p *pipeline) trimRetained() []string {
+	evicted := p.env.Board.EvictTerminal(p.cfg.MaxRetainedJobs)
+	for _, id := range evicted {
+		if j := p.byID[id]; j.outNext != nil {
+			p.unlinkOutputs(j)
+		}
+		delete(p.byID, id)
+	}
+	return evicted
+}
+
+// retainOutputs is byte retention: a job that completed with a result
+// enters the output ledger with the in-memory size of its outputs, and
+// the oldest holders lose theirs until the total fits the budget —
+// never the newest, so a result larger than the whole budget stays
+// readable until the next one lands. A dropped result is replaced, under
+// its job's lock, by a copy without Outputs: a client that fetched the
+// old pointer keeps what it read. terminalize calls this before the
+// terminal status publishes, so count retention cannot evict the job
+// before it is in the ledger.
+func (p *pipeline) retainOutputs(j *Job, res *exec.Result) {
+	var size int64
+	for _, outs := range res.Outputs {
+		for _, v := range outs {
+			size += int64(tasklib.ValueSize(v))
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := &p.outs
+	j.outBytes, j.outPrev, j.outNext = size, s.outPrev, s
+	s.outPrev.outNext, s.outPrev = j, j
+	s.outBytes += size
+	for old := s.outNext; s.outBytes > p.outBudget && old != j; old = s.outNext {
+		p.unlinkOutputs(old)
+		old.mu.Lock()
+		kept := *old.result
+		kept.Outputs, kept.OutputsEvicted = nil, true
+		old.result = &kept
+		old.mu.Unlock()
+		p.env.obsM.outputsEvicted.Inc()
+	}
+}
+
+// unlinkOutputs takes j out of the output ledger, bytes included.
+// Caller holds p.mu.
+func (p *pipeline) unlinkOutputs(j *Job) {
+	j.outPrev.outNext, j.outNext.outPrev = j.outNext, j.outPrev
+	p.outs.outBytes -= j.outBytes
+	j.outBytes, j.outPrev, j.outNext = 0, nil, nil
+}
+
 // releaseSlot returns one unit of queue capacity after a job leaves the
 // admission queue (popped by a worker or removed by Cancel).
 func (p *pipeline) releaseSlot() { <-p.slots }
@@ -354,6 +422,8 @@ func (p *pipeline) shedSubmission(serr *ShedError, owner string) error {
 		m.rejectQueueFull.Inc()
 	case ShedDeadlineInfeasible:
 		m.rejectDeadline.Inc()
+	case ShedStoreUnavailable:
+		m.rejectStore.Inc()
 	}
 	p.env.log.Info("submission shed", "owner", owner, "reason", serr.Reason)
 	return serr

@@ -7,8 +7,11 @@ package vdce
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -184,5 +187,77 @@ func TestStoreFailureIsCountedNotSwallowed(t *testing.T) {
 	}
 	if errs("owner-updated") != 1 {
 		t.Fatalf("owner-updated errors = %v, want 1", errs("owner-updated"))
+	}
+}
+
+// TestDeadStoreFailsClosed takes the durable store's directory away so
+// the next segment rotation fails: from the log's first I/O error on,
+// new submissions are shed with store-unavailable and leave nothing
+// behind, Ready answers false, the job already in flight still
+// finishes (its lost appends counted), and an environment without a
+// store never notices.
+func TestDeadStoreFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	env := newEnv(t, Config{
+		Testbed:  testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 2104},
+		StoreDir: dir,
+	})
+	ctx := context.Background()
+	if ok, why := env.Ready(); !ok {
+		t.Fatalf("not ready on a healthy store: %s", why)
+	}
+	inflight, err := env.Submit(ctx, spinJobGraph("held", 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, inflight, JobRunning)
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Store.Compact(); err == nil {
+		t.Fatal("compaction rotated into a directory that is gone")
+	}
+	if env.Store.Err() == nil {
+		t.Fatal("the failed rotation left no sticky error")
+	}
+
+	rows, handles := env.CountJobs("", ""), len(env.pipe.handles())
+	_, err = env.Submit(ctx, soakGraph(t, 1))
+	var shed *ShedError
+	if !errors.As(err, &shed) || shed.Reason != ShedStoreUnavailable || shed.RetryAfter <= 0 {
+		t.Fatalf("submit over a failed store: %v, want a %s shed with a backoff", err, ShedStoreUnavailable)
+	}
+	if got := env.obsM.rejectStore.Value(); got != 1 {
+		t.Fatalf("vdce_admission_rejects_total{reason=%q} = %v, want 1", ShedStoreUnavailable, got)
+	}
+	if _, n := env.ShedStats(); n != 1 {
+		t.Fatalf("shed meter counted %d, want 1", n)
+	}
+	if env.CountJobs("", "") != rows || len(env.pipe.handles()) != handles {
+		t.Fatalf("the shed submission left residue: %d rows (was %d), %d handles (was %d)",
+			env.CountJobs("", ""), rows, len(env.pipe.handles()), handles)
+	}
+	if ok, why := env.Ready(); ok || !strings.HasPrefix(why, "durable store failed: ") {
+		t.Fatalf("Ready over a failed store = %v, %q", ok, why)
+	}
+
+	if err := inflight.Wait(ctx); err != nil {
+		t.Fatalf("the in-flight job did not survive the store: %v", err)
+	}
+	if n := env.obsM.storeErrors.Value("job-state"); n == 0 {
+		t.Fatal("the in-flight job's terminal append failed without moving vdce_store_errors_total")
+	}
+
+	plain := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 2104}})
+	if ok, why := plain.Ready(); !ok {
+		t.Fatalf("storeless environment not ready: %s", why)
+	}
+	job, err := plain.Submit(ctx, soakGraph(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

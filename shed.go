@@ -27,6 +27,9 @@ const (
 	// critical path at catalog/learned base times), so admitting it
 	// would only burn capacity on work that is already lost.
 	ShedDeadlineInfeasible = "deadline-infeasible"
+	// ShedStoreUnavailable: the durable store hit an I/O error, so a job
+	// accepted now would not survive a restart.
+	ShedStoreUnavailable = "store-unavailable"
 )
 
 // The /readyz shed-rate gate: the environment reports not-ready while
@@ -165,10 +168,13 @@ func (c *ShedConfig) shedError(reason, detail string) *ShedError {
 	return &ShedError{Reason: reason, RetryAfter: c.RetryAfter, Detail: detail}
 }
 
-// preAdmitShed runs the estimate-based shed check that needs no queue
-// slot: deadline infeasibility. It returns nil when the submission may
-// proceed to admission.
+// preAdmitShed runs the shed checks that need no queue slot: a failed
+// durable store and deadline infeasibility. It returns nil when the
+// submission may proceed to admission.
 func (p *pipeline) preAdmitShed(spec submitSpec) *ShedError {
+	if err := p.storeFailure(); err != nil {
+		return p.cfg.Shed.shedError(ShedStoreUnavailable, err.Error())
+	}
 	if !p.cfg.Shed.CheckDeadline || spec.deadline.IsZero() {
 		return nil
 	}
@@ -181,6 +187,15 @@ func (p *pipeline) preAdmitShed(spec submitSpec) *ShedError {
 			fmt.Sprintf("critical-path estimate %v exceeds remaining %v", est, remaining.Round(time.Millisecond)))
 	}
 	return nil
+}
+
+// storeFailure returns the durable store's sticky I/O error, nil for a
+// healthy store and for an environment without one.
+func (p *pipeline) storeFailure() error {
+	if p.store == nil {
+		return nil
+	}
+	return p.store.Err()
 }
 
 // minCompletionEstimate lower-bounds the graph's completion time from
@@ -214,9 +229,13 @@ func (env *Environment) ShedStats() (accepted, shed int64) {
 // still has re-admitted jobs waiting to reach a scheduler (the backlog
 // belongs to the previous incarnation, not new clients) and while the
 // admission path is shedding more than unreadyShedRate of recent
-// submissions.
+// submissions. A durable store that hit an I/O error makes it not ready
+// for good: in-flight jobs finish, new ones are shed.
 func (env *Environment) Ready() (bool, string) {
 	p := env.pipe
+	if err := p.storeFailure(); err != nil {
+		return false, "durable store failed: " + err.Error()
+	}
 	if n := p.recoveryPending.Load(); n > 0 {
 		return false, fmt.Sprintf("recovery replay: %d re-admitted jobs pending", n)
 	}
