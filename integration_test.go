@@ -1,9 +1,8 @@
 package vdce
 
 // Cross-module integration tests: the full user journey over HTTP, the
-// prediction feedback loop across runs, repository persistence across a
-// site restart, and concurrent application executions sharing one
-// environment.
+// prediction feedback loop across runs, and concurrent application
+// executions sharing one environment.
 
 import (
 	"bytes"
@@ -12,7 +11,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -147,56 +145,6 @@ func TestFeedbackImprovesPlacement(t *testing.T) {
 	}
 	if sel2[id].Hosts[0] != "honest" {
 		t.Fatalf("feedback ignored: still picking %v", sel2[id].Hosts)
-	}
-}
-
-// TestRepositorySurvivesRestart persists a site repository mid-flight
-// and verifies a scheduler over the reloaded copy makes identical
-// decisions.
-func TestRepositorySurvivesRestart(t *testing.T) {
-	env, err := New(Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 4, Seed: 62}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	repo := env.Sites[0].Repo
-	if err := env.RefreshMonitoring(time.Unix(100, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.TaskPerf.RecordExecution("Checksum", env.TB.Sites[0].Hosts[0].Name, 5*time.Millisecond, time.Now()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "site.json")
-	if err := repo.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := repository.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	g, err := tasklib.BuildC3IPipeline(16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := core.NewLocalSite(repo).HostSelection(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := core.NewLocalSite(reloaded).HostSelection(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, want := range before {
-		got := after[id]
-		if got.Err != want.Err || got.Predicted != want.Predicted {
-			t.Fatalf("task %d decisions diverged after restart: %+v vs %+v", id, got, want)
-		}
-		for i := range want.Hosts {
-			if got.Hosts[i] != want.Hosts[i] {
-				t.Fatalf("task %d hosts diverged: %v vs %v", id, got.Hosts, want.Hosts)
-			}
-		}
 	}
 }
 

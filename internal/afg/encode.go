@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+
+	"vdce/internal/jsonw"
 )
 
 // MarshalJSON-compatible encode/decode helpers. Graphs serialize to plain
@@ -14,6 +17,76 @@ import (
 // EncodeJSON returns the graph as indented JSON.
 func (g *Graph) EncodeJSON() ([]byte, error) {
 	return json.MarshalIndent(g, "", "  ")
+}
+
+// AppendJSON appends the graph as compact JSON, byte for byte what
+// json.Marshal(g) renders from the struct tags (nil Tasks or Edges as
+// null included) without reflecting over them: the durable store writes
+// a graph with every submission and finds a repeated one by these bytes.
+func (g *Graph) AppendJSON(dst []byte) []byte {
+	dst = jsonw.AppendString(append(dst, `{"name":`...), g.Name)
+	dst = jsonw.AppendStringField(dst, `"owner":`, g.Owner)
+	dst = append(dst, `,"tasks":`...)
+	if g.Tasks == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = jsonw.AppendList(dst, g.Tasks, appendTask)
+	}
+	dst = append(dst, `,"edges":`...)
+	if g.Edges == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = jsonw.AppendList(dst, g.Edges, appendEdge)
+	}
+	dst = jsonw.AppendIntField(dst, `"input_size_bytes":`, g.InputSizeBytes)
+	return append(dst, '}')
+}
+
+func appendTask(dst []byte, t *Task) []byte {
+	if t == nil {
+		return append(dst, "null"...)
+	}
+	dst = strconv.AppendInt(append(dst, `{"id":`...), int64(t.ID), 10)
+	dst = jsonw.AppendString(append(dst, `,"name":`...), t.Name)
+	dst = jsonw.AppendStringField(dst, `"library":`, t.Library)
+	dst = strconv.AppendInt(append(dst, `,"in_ports":`...), int64(t.InPorts), 10)
+	dst = strconv.AppendInt(append(dst, `,"out_ports":`...), int64(t.OutPorts), 10)
+	p := &t.Props
+	dst = strconv.AppendInt(append(dst, `,"props":{"mode":`...), int64(p.Mode), 10)
+	dst = strconv.AppendInt(append(dst, `,"nodes":`...), int64(p.Nodes), 10)
+	dst = jsonw.AppendStringField(dst, `"machine_type":`, p.MachineType)
+	dst = jsonw.AppendStringField(dst, `"host":`, p.Host)
+	if len(p.Inputs) > 0 {
+		dst = jsonw.AppendList(append(dst, `,"inputs":`...), p.Inputs, appendFileSpec)
+	}
+	if len(p.Outputs) > 0 {
+		dst = jsonw.AppendList(append(dst, `,"outputs":`...), p.Outputs, appendFileSpec)
+	}
+	if len(p.Services) > 0 {
+		dst = jsonw.AppendList(append(dst, `,"services":`...), p.Services, jsonw.AppendString)
+	}
+	if len(p.Args) > 0 {
+		dst = jsonw.AppendMap(append(dst, `,"args":`...), p.Args, jsonw.AppendString)
+	}
+	return append(dst, '}', '}')
+}
+
+func appendFileSpec(dst []byte, f FileSpec) []byte {
+	dst = append(dst, '{')
+	dst = jsonw.AppendStringField(dst, `"path":`, f.Path)
+	dst = jsonw.AppendIntField(dst, `"size_bytes":`, f.SizeBytes)
+	dst = jsonw.AppendTrueField(dst, `"dataflow":`, f.Dataflow)
+	dst = jsonw.AppendTrueField(dst, `"url":`, f.URL)
+	return append(dst, '}')
+}
+
+func appendEdge(dst []byte, e Edge) []byte {
+	dst = strconv.AppendInt(append(dst, `{"from":`...), int64(e.From), 10)
+	dst = strconv.AppendInt(append(dst, `,"from_port":`...), int64(e.FromPort), 10)
+	dst = strconv.AppendInt(append(dst, `,"to":`...), int64(e.To), 10)
+	dst = strconv.AppendInt(append(dst, `,"to_port":`...), int64(e.ToPort), 10)
+	dst = jsonw.AppendIntField(dst, `"size_bytes":`, e.SizeBytes)
+	return append(dst, '}')
 }
 
 // DecodeJSON parses a graph from JSON and validates it.

@@ -2,6 +2,8 @@ package afg
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -67,6 +69,8 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		[]byte(`{"name":"c","tasks":[{"id":0,"name":"A","in_ports":1,"out_ports":1}],"edges":[{"from":0,"to":0}]}`),
 		[]byte(`{"name":"neg","tasks":[{"id":0,"name":"A","in_ports":-1,"out_ports":1}]}`),
 		[]byte(`{"tasks":[{"id":0,"name":"A","props":{"mode":1,"nodes":0}}]}`),
+		[]byte(`{"name":"<a&b>","owner":"o\u2028","tasks":[{"id":0,"name":"A\"","library":"l","in_ports":1,"out_ports":2,"props":{"mode":1,"nodes":3,"machine_type":"SUN <Solaris>","host":"h","inputs":[{"path":"in.dat","size_bytes":9,"url":true}],"outputs":[{},{"dataflow":true}],"services":["io","<console>"],"args":{"n":"8","a":"","<k>":"&"}}}],"edges":[],"input_size_bytes":5}`),
+		[]byte(`{"name":"nil lists","tasks":[{"id":0,"name":"A","props":{"inputs":[],"services":[],"args":{}}}],"edges":null}`),
 		[]byte(`not json at all`),
 		[]byte(`[1,2,3]`),
 	)
@@ -75,7 +79,8 @@ func fuzzSeeds(f *testing.F) [][]byte {
 
 // FuzzDecodeGraph checks that DecodeJSON never panics on arbitrary
 // input, and that every graph it does accept survives an encode/decode
-// round trip unchanged in structure.
+// round trip unchanged in structure — and, through AppendJSON, unchanged
+// altogether, in the bytes json.Marshal would have written.
 func FuzzDecodeGraph(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -108,6 +113,38 @@ func FuzzDecodeGraph(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("encoding not stable:\nfirst:  %s\nsecond: %s", enc, enc2)
+		}
+		want, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := g.AppendJSON(nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON differs from json.Marshal:\ngot:  %s\nwant: %s", got, want)
+		}
+		g3, err := DecodeJSON(got)
+		if err != nil {
+			t.Fatalf("AppendJSON output does not decode: %v\n%s", err, got)
+		}
+		// omitempty drops an empty list or map, which then decodes as nil:
+		// the one difference a round trip is allowed.
+		for _, task := range g.Tasks {
+			p := &task.Props
+			if len(p.Inputs) == 0 {
+				p.Inputs = nil
+			}
+			if len(p.Outputs) == 0 {
+				p.Outputs = nil
+			}
+			if len(p.Services) == 0 {
+				p.Services = nil
+			}
+			if len(p.Args) == 0 {
+				p.Args = nil
+			}
+		}
+		if !reflect.DeepEqual(g3, g) {
+			t.Fatalf("AppendJSON round trip changed the graph:\n%s", got)
 		}
 	})
 }

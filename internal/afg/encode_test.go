@@ -1,6 +1,8 @@
 package afg
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,42 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if back.Task(ids[0]).Props.Mode != Parallel || back.Task(ids[0]).Props.Nodes != 2 {
 		t.Fatal("properties lost in round trip")
+	}
+}
+
+// TestAppendJSONMatchesEncodingJSON pins the hand-written encoder to the
+// struct tags on graphs a decoder would refuse too: nil and empty lists,
+// a nil task, every optional field set and unset.
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	full, ids := diamond(t)
+	full.Owner = "user <k>"
+	full.InputSizeBytes = 1 << 40
+	if err := full.SetProps(ids[1], Properties{
+		Mode: Parallel, Nodes: 4, MachineType: "SUN Solaris", Host: "serval",
+		Inputs:   []FileSpec{{Path: "a&b.dat", SizeBytes: 7, URL: true}},
+		Outputs:  []FileSpec{{}, {Dataflow: true}},
+		Services: []string{"io", "console"},
+		Args:     map[string]string{"n": "8", "seed": "\u2028", "<": ">"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{
+		full,
+		{},
+		{Name: "empty lists", Tasks: []*Task{}, Edges: []Edge{}},
+		{Name: "nil task", Tasks: []*Task{nil, {ID: 1, Name: "B"}}},
+		{Name: "bare", Tasks: []*Task{{Props: Properties{Inputs: []FileSpec{}, Args: map[string]string{}}}}, Edges: []Edge{{To: 1, SizeBytes: -1}}},
+	} {
+		want, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Errorf("%s:\ngot  %s\nwant %s", g.Name, got, want)
+		}
+		if got := g.AppendJSON([]byte("prefix")); !bytes.Equal(got[6:], want) {
+			t.Errorf("%s: appending after a prefix changed the encoding", g.Name)
+		}
 	}
 }
 

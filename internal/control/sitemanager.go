@@ -7,7 +7,6 @@
 package control
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -18,20 +17,16 @@ import (
 	"vdce/internal/core"
 	"vdce/internal/protocol"
 	"vdce/internal/repository"
-	"vdce/internal/services"
 )
 
 // SiteManager is the server software running on a VDCE Server: it
 // bridges VDCE modules to the site databases and handles inter-site
 // communication (the paper's description verbatim). It exposes the
-// local Application Scheduler's host selection to remote sites via RPC,
-// and hosts the site's distributed-shared-memory service (the paper's
-// §5 extension).
+// local Application Scheduler's host selection to remote sites via RPC.
 type SiteManager struct {
 	site  *core.LocalSite
 	lis   net.Listener
 	srv   *rpc.Server
-	dsm   *services.DSM
 	wg    sync.WaitGroup
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -54,12 +49,10 @@ func StartSiteManager(site *core.LocalSite, addr string) (*SiteManager, error) {
 		site:  site,
 		lis:   lis,
 		srv:   rpc.NewServer(),
-		dsm:   services.NewDSM(),
 		conns: make(map[net.Conn]struct{}),
 	}
 	if err := sm.srv.RegisterName(protocol.SiteServiceName, &siteRPC{sm: sm}); err != nil {
 		lis.Close()
-		sm.dsm.Close()
 		return nil, fmt.Errorf("control: register: %w", err)
 	}
 	sm.wg.Add(1)
@@ -113,12 +106,8 @@ func (sm *SiteManager) Close() error {
 	}
 	sm.mu.Unlock()
 	sm.wg.Wait()
-	sm.dsm.Close()
 	return err
 }
-
-// DSM exposes the site's shared-memory service to in-process callers.
-func (sm *SiteManager) DSM() *services.DSM { return sm.dsm }
 
 // WorkloadUpdates reports how many per-host workload writes the manager
 // has applied (E5 accounting).
@@ -251,31 +240,6 @@ func (r *siteRPC) Resources(q protocol.ResourceQuery, resp *protocol.ResourceLis
 // Ping answers liveness probes (inter-site coordination heartbeat).
 func (r *siteRPC) Ping(_ protocol.Ack, _ *protocol.Ack) error { return nil }
 
-// DSM serves the site's shared-memory pages to remote processes —
-// the sequentially consistent store of the paper's §5 extension.
-func (r *siteRPC) DSM(req protocol.DSMRequest, resp *protocol.DSMReply) error {
-	switch req.Op {
-	case "read":
-		v, found, err := r.sm.dsm.Read(req.Key)
-		if err != nil {
-			return err
-		}
-		resp.Value, resp.Found = v, found
-		return nil
-	case "write":
-		return r.sm.dsm.Write(req.Key, req.Value)
-	case "cas":
-		ok, cur, err := r.sm.dsm.CompareAndSwap(req.Key, req.Old, req.Value)
-		if err != nil {
-			return err
-		}
-		resp.Swapped, resp.Value = ok, cur
-		return nil
-	default:
-		return fmt.Errorf("control: unknown DSM op %q", req.Op)
-	}
-}
-
 // RemoteSite adapts a VDCE server's RPC endpoint to core.SiteService, so
 // a local Application Scheduler can multicast AFGs to remote sites
 // exactly as it calls its own host selection.
@@ -298,13 +262,9 @@ func (r *RemoteSite) SiteName() string { return r.name }
 
 // HostSelection implements core.SiteService over the wire.
 func (r *RemoteSite) HostSelection(g *afg.Graph) (core.Selection, error) {
-	data, err := json.Marshal(g)
-	if err != nil {
-		return nil, err
-	}
 	var resp protocol.HostSelectionResponse
 	if err := r.client.Call(protocol.SiteServiceName+".HostSelection",
-		protocol.HostSelectionRequest{GraphJSON: data}, &resp); err != nil {
+		protocol.HostSelectionRequest{GraphJSON: g.AppendJSON(nil)}, &resp); err != nil {
 		return nil, err
 	}
 	// The peer's task IDs are input: one outside g is dropped, and a
@@ -322,27 +282,6 @@ func (r *RemoteSite) HostSelection(g *afg.Graph) (core.Selection, error) {
 func (r *RemoteSite) Ping() error {
 	var a protocol.Ack
 	return r.client.Call(protocol.SiteServiceName+".Ping", protocol.Ack{}, &a)
-}
-
-// DSMRead fetches a shared-memory page from the remote site.
-func (r *RemoteSite) DSMRead(key string) ([]byte, bool, error) {
-	var resp protocol.DSMReply
-	err := r.client.Call(protocol.SiteServiceName+".DSM", protocol.DSMRequest{Op: "read", Key: key}, &resp)
-	return resp.Value, resp.Found, err
-}
-
-// DSMWrite stores a shared-memory page on the remote site.
-func (r *RemoteSite) DSMWrite(key string, value []byte) error {
-	var resp protocol.DSMReply
-	return r.client.Call(protocol.SiteServiceName+".DSM", protocol.DSMRequest{Op: "write", Key: key, Value: value}, &resp)
-}
-
-// DSMCompareAndSwap atomically replaces a page if it still equals old.
-func (r *RemoteSite) DSMCompareAndSwap(key string, old, value []byte) (bool, []byte, error) {
-	var resp protocol.DSMReply
-	err := r.client.Call(protocol.SiteServiceName+".DSM",
-		protocol.DSMRequest{Op: "cas", Key: key, Old: old, Value: value}, &resp)
-	return resp.Swapped, resp.Value, err
 }
 
 // Close releases the connection.

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"sync"
 
+	"vdce/internal/jsonw"
 	"vdce/internal/obs"
 	"vdce/internal/services"
 )
@@ -53,7 +54,7 @@ func (ev StreamEvent) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"cursor":`...)
 	dst = strconv.AppendUint(dst, ev.Cursor, 10)
 	dst = append(dst, `,"type":`...)
-	dst = services.AppendJSONString(dst, ev.Type)
+	dst = jsonw.AppendString(dst, ev.Type)
 	dst = append(dst, `,"job":`...)
 	return append(ev.Job.AppendJSON(dst), '}')
 }

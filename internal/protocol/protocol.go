@@ -78,22 +78,3 @@ type ResourceQuery struct {
 type ResourceList struct {
 	Hosts []repository.ResourceInfo
 }
-
-// DSMRequest is one distributed-shared-memory operation against a site's
-// DSM service (the paper's §5 shared-memory extension). Op is "read",
-// "write", or "cas".
-type DSMRequest struct {
-	Op    string
-	Key   string
-	Value []byte
-	Old   []byte // cas only
-}
-
-// DSMReply returns the operation outcome. For reads, Found reports
-// whether the page exists; for cas, Swapped reports success and Value
-// carries the current value on failure.
-type DSMReply struct {
-	Value   []byte
-	Found   bool
-	Swapped bool
-}

@@ -168,29 +168,3 @@ func (db *UserAccountsDB) Users() []UserAccount {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// snapshot/restore support persistence.
-func (db *UserAccountsDB) snapshot() ([]UserAccount, int) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]UserAccount, 0, len(db.users))
-	for _, a := range db.users {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].UserID < out[j].UserID })
-	return out, db.nextID
-}
-
-func (db *UserAccountsDB) restore(users []UserAccount, nextID int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.users = make(map[string]*UserAccount, len(users))
-	for i := range users {
-		u := users[i]
-		db.users[u.Name] = &u
-	}
-	db.nextID = nextID
-	if db.nextID < 1 {
-		db.nextID = 1
-	}
-}

@@ -101,43 +101,3 @@ func (db *ConstraintsDB) InstallEverywhere(task, path string, hosts []string) er
 	}
 	return nil
 }
-
-// constraintRow is the serialized form.
-type constraintRow struct {
-	Task string `json:"task"`
-	Host string `json:"host"`
-	Path string `json:"path"`
-}
-
-func (db *ConstraintsDB) snapshot() []constraintRow {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []constraintRow
-	for task, m := range db.locations {
-		for host, path := range m {
-			out = append(out, constraintRow{Task: task, Host: host, Path: path})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Task != out[j].Task {
-			return out[i].Task < out[j].Task
-		}
-		return out[i].Host < out[j].Host
-	})
-	return out
-}
-
-func (db *ConstraintsDB) restore(rows []constraintRow) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.locations = make(map[string]map[string]string)
-	for _, r := range rows {
-		m, ok := db.locations[r.Task]
-		if !ok {
-			m = make(map[string]string)
-			db.locations[r.Task] = m
-		}
-		m[r.Host] = r.Path
-	}
-	db.gen.Add(1)
-}

@@ -2,10 +2,7 @@ package repository
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 )
 
 func TestConstraints(t *testing.T) {
@@ -45,77 +42,5 @@ func TestConstraints(t *testing.T) {
 	}
 	if err := db.InstallEverywhere("mm", "", []string{"a"}); err == nil {
 		t.Fatal("empty path accepted")
-	}
-}
-
-func TestRepositoryRoundTrip(t *testing.T) {
-	r := New("site-1")
-	if _, err := r.Users.AddUser("user_k", "pw", 3, DomainGlobal); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Resources.AddHost(host("serval.cal.syr.edu", "site-1", "g1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Resources.UpdateWorkload("serval.cal.syr.edu",
-		WorkloadSample{CPULoad: 0.25, AvailMemBytes: 1 << 20, Time: time.Unix(5000, 0).UTC()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.TaskPerf.RegisterTask(TaskParams{Name: "lu", BaseTime: time.Second, ComputationOps: 1e6}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.TaskPerf.RecordExecution("lu", "serval.cal.syr.edu", 900*time.Millisecond, time.Unix(6000, 0).UTC()); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Constraints.SetLocation("lu", "serval.cal.syr.edu", "/opt/lu"); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "repo.json")
-	if err := r.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Site != "site-1" {
-		t.Fatalf("site = %q", back.Site)
-	}
-	if _, err := back.Users.Authenticate("user_k", "pw"); err != nil {
-		t.Fatalf("auth after reload: %v", err)
-	}
-	// New users must not collide with restored IDs.
-	id, err := back.Users.AddUser("new", "pw", 0, DomainLocal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 2 {
-		t.Fatalf("post-restore ID = %d, want 2", id)
-	}
-	h, err := back.Resources.Host("serval.cal.syr.edu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.CPULoad != 0.25 || len(h.RecentLoads) != 1 {
-		t.Fatalf("resource state lost: %+v", h)
-	}
-	if d, ok := back.TaskPerf.MeasuredTime("lu", "serval.cal.syr.edu"); !ok || d != 900*time.Millisecond {
-		t.Fatalf("taskperf lost: %v %v", d, ok)
-	}
-	if p, err := back.Constraints.Location("lu", "serval.cal.syr.edu"); err != nil || p != "/opt/lu" {
-		t.Fatalf("constraints lost: %q %v", p, err)
-	}
-}
-
-func TestLoadFileErrors(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(bad); err == nil {
-		t.Fatal("corrupt file accepted")
 	}
 }

@@ -455,19 +455,3 @@ func cloneResource(h *ResourceInfo) ResourceInfo {
 	c.RecentLoads = append([]WorkloadSample(nil), h.RecentLoads...)
 	return c
 }
-
-func (db *ResourceDB) snapshot() []ResourceInfo {
-	return db.Hosts()
-}
-
-func (db *ResourceDB) restore(hosts []ResourceInfo) {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	cur := db.epoch.Load()
-	m := make(map[string]*ResourceInfo, len(hosts))
-	for i := range hosts {
-		h := cloneResource(&hosts[i])
-		m[h.HostName] = &h
-	}
-	db.epoch.Store(buildHostEpoch(cur.gen+1, m))
-}

@@ -281,42 +281,3 @@ func (db *TaskPerfDB) TaskNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// taskPerfSnapshot is the serialized form of one task's record.
-type taskPerfSnapshot struct {
-	Params   TaskParams               `json:"params"`
-	Smoothed map[string]time.Duration `json:"smoothed,omitempty"`
-	History  []Measurement            `json:"history,omitempty"`
-}
-
-func (db *TaskPerfDB) snapshot() []taskPerfSnapshot {
-	e := db.epoch.Load()
-	out := make([]taskPerfSnapshot, 0, len(e.tasks))
-	for _, t := range e.tasks {
-		s := taskPerfSnapshot{Params: t.Params, Smoothed: make(map[string]time.Duration, len(t.Smoothed))}
-		for h, d := range t.Smoothed {
-			s.Smoothed[h] = d
-		}
-		s.History = append(s.History, t.History...)
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Params.Name < out[j].Params.Name })
-	return out
-}
-
-func (db *TaskPerfDB) restore(snaps []taskPerfSnapshot) {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	cur := db.epoch.Load()
-	gen := cur.gen + 1
-	m := make(map[string]*perTask, len(snaps))
-	for _, s := range snaps {
-		t := &perTask{gen: gen, Params: s.Params, Smoothed: make(map[string]time.Duration, len(s.Smoothed))}
-		for h, d := range s.Smoothed {
-			t.Smoothed[h] = d
-		}
-		t.History = append(t.History, s.History...)
-		m[s.Params.Name] = t
-	}
-	db.epoch.Store(&perfEpoch{gen: gen, tasks: m})
-}

@@ -125,75 +125,3 @@ func TestMetricsSeriesIsBounded(t *testing.T) {
 		t.Fatalf("chart of a wrapped series:\n%s", c)
 	}
 }
-
-func TestDSMSequential(t *testing.T) {
-	d := NewDSM()
-	defer d.Close()
-	if _, ok, err := d.Read("k"); err != nil || ok {
-		t.Fatalf("fresh read: %v %v", ok, err)
-	}
-	if err := d.Write("k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := d.Read("k")
-	if err != nil || !ok || string(v) != "v1" {
-		t.Fatalf("read after write: %q %v %v", v, ok, err)
-	}
-	// CAS success and failure.
-	swapped, _, err := d.CompareAndSwap("k", []byte("v1"), []byte("v2"))
-	if err != nil || !swapped {
-		t.Fatalf("cas: %v %v", swapped, err)
-	}
-	swapped, cur, err := d.CompareAndSwap("k", []byte("v1"), []byte("v3"))
-	if err != nil || swapped || string(cur) != "v2" {
-		t.Fatalf("stale cas: %v %q %v", swapped, cur, err)
-	}
-}
-
-func TestDSMCASIsAtomic(t *testing.T) {
-	d := NewDSM()
-	defer d.Close()
-	if err := d.Write("ctr", []byte("0")); err != nil {
-		t.Fatal(err)
-	}
-	// 8 workers x 50 CAS-increments must total exactly 400.
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				for {
-					cur, _, err := d.Read("ctr")
-					if err != nil {
-						t.Errorf("read: %v", err)
-						return
-					}
-					var n int
-					fmt.Sscanf(string(cur), "%d", &n)
-					ok, _, err := d.CompareAndSwap("ctr", cur, []byte(fmt.Sprint(n+1)))
-					if err != nil {
-						t.Errorf("cas: %v", err)
-						return
-					}
-					if ok {
-						break
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	v, _, _ := d.Read("ctr")
-	if string(v) != "400" {
-		t.Fatalf("counter = %s, want 400", v)
-	}
-}
-
-func TestDSMClosed(t *testing.T) {
-	d := NewDSM()
-	d.Close()
-	if err := d.Write("k", []byte("v")); err == nil {
-		t.Fatal("write after close succeeded")
-	}
-}

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"vdce/internal/jsonw"
 )
 
 // The reference for the wire form is encoding/json over the struct
@@ -213,7 +215,7 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendJSONString(nil, s); !bytes.Equal(got, want) {
+		if got := jsonw.AppendString(nil, s); !bytes.Equal(got, want) {
 			t.Errorf("%q: got %s want %s", s, got, want)
 		}
 	}

@@ -12,6 +12,10 @@
 //	wal-00000003.log    append-only record segments (internal/frame frames)
 //	snap-00000003.json  compacted snapshot of everything before segment 3
 //
+// A job's application flow graph is interned: written once, as a graph
+// record (and a row of the snapshot's graphs table), and cited by number
+// from every job submitted with the same bytes.
+//
 // Recovery loads the highest parseable snapshot, then replays every
 // segment numbered at or above it in order. A torn final record (the
 // crash window of an in-flight group commit) is truncated silently;

@@ -7,6 +7,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"testing"
 
 	"vdce/internal/frame"
@@ -64,7 +65,8 @@ func TestDecodeShortAndCorrupt(t *testing.T) {
 // FuzzDecodeWALRecord asserts the codec never panics and never returns
 // success for a frame whose checksum would not verify — arbitrary torn,
 // truncated, or bit-flipped input must land in one of the three typed
-// errors.
+// errors — and that every payload replay would accept as a record is
+// re-encoded by the append encoder to exactly what json.Marshal writes.
 func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame.Append(nil, []byte("seed")))
@@ -77,6 +79,12 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	var wild [frame.HeaderSize]byte
 	binary.LittleEndian.PutUint32(wild[0:4], ^uint32(0))
 	f.Add(wild[:])
+	corpus := encodeCorpus()
+	for i := range corpus {
+		f.Add(frame.Append(nil, appendRecord(nil, &corpus[i])))
+		f.Add(appendRecord(nil, &corpus[i]))
+	}
+	f.Add([]byte(`{"k":"submit","job":{"id":"job-1","graph": {"name" : "<g>"},"labels":{"b":"","a":"\u2028"},"deadline":"2026-08-01T12:00:03.5+05:30"}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, n, err := frame.Decode(data)
@@ -84,6 +92,9 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			if err != frame.ErrShort && err != frame.ErrLength && err != frame.ErrChecksum {
 				t.Fatalf("unexpected error type %T: %v", err, err)
 			}
+			// A mutation rarely keeps a checksum valid: let the input stand
+			// in for a payload too, so the record encoder is fuzzed as well.
+			checkRecordEncoding(t, data)
 			return
 		}
 		if n < frame.HeaderSize || n > len(data) {
@@ -96,5 +107,33 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		if !bytes.Equal(frame.Append(nil, payload), data[:n]) {
 			t.Fatal("decode/encode mismatch")
 		}
+		checkRecordEncoding(t, payload)
 	})
+}
+
+// checkRecordEncoding: a payload replay accepts as a record re-encodes,
+// through the append encoder, to what json.Marshal writes for it.
+func checkRecordEncoding(t *testing.T, payload []byte) {
+	var rec record
+	if json.Unmarshal(payload, &rec) != nil {
+		return
+	}
+	// A raw graph is carried verbatim where json.Marshal would compact
+	// and escape it; put it in that form first, as the writers do.
+	canonical := func(raw *json.RawMessage) {
+		if len(*raw) > 0 {
+			*raw, _ = json.Marshal(*raw)
+		}
+	}
+	canonical(&rec.Graph)
+	if rec.Job != nil {
+		canonical(&rec.Job.Graph)
+	}
+	want, err := json.Marshal(&rec)
+	if err != nil {
+		return // a time json refuses to write (year past 9999)
+	}
+	if got := appendRecord(nil, &rec); !bytes.Equal(got, want) {
+		t.Fatalf("append encoder differs from json.Marshal:\ngot  %s\nwant %s", got, want)
+	}
 }

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,10 +29,11 @@ type Options struct {
 	// compaction (snapshot + segment rotation + old-file cleanup).
 	// Default 4096.
 	CompactEvery int
-	// Metrics, when non-nil, receives the WAL's instrumentation:
+	// Metrics, when non-nil, receives the store's instrumentation:
 	// vdce_wal_append_seconds (hot-path framing latency, including any
-	// backpressure wait) and vdce_wal_fsync_batch_records (records per
-	// group-committed fsync).
+	// backpressure wait), vdce_wal_fsync_batch_records (records per
+	// group-committed fsync) and vdce_store_compactions_total{outcome}
+	// (background compactions that finished "ok" or failed with "error").
 	Metrics *obs.Registry
 }
 
@@ -48,10 +53,16 @@ func (o *Options) fillDefaults() {
 // persisted — a recovered in-flight job re-runs its scheduling round
 // against current resource state instead of trusting a pre-crash
 // placement.
+//
+// Graph is the application flow graph as JSON, as JobSubmitted takes it
+// and Recovered hands it back. On disk and in the mirror a job cites its
+// graph by GraphRef, an entry of the interned-graph table; only a log
+// from before interning carries the bytes inline.
 type JobRecord struct {
 	ID          string            `json:"id"`
 	Owner       string            `json:"owner,omitempty"`
-	Graph       json.RawMessage   `json:"graph"`
+	Graph       json.RawMessage   `json:"graph,omitempty"`
+	GraphRef    uint64            `json:"gref,omitempty"`
 	K           int               `json:"k,omitempty"`
 	Home        int               `json:"home,omitempty"`
 	Priority    int               `json:"priority,omitempty"`
@@ -87,6 +98,16 @@ type PerfRecord struct {
 	At      time.Time     `json:"at"`
 }
 
+// graphRecord is one entry of the interned-graph table: a graph's JSON
+// under the reference number the jobs submitted with it cite.
+type graphRecord struct {
+	Ref   uint64          `json:"ref"`
+	Graph json.RawMessage `json:"graph"`
+	// jobs counts the mirror's jobs citing Ref; the entry is dropped
+	// with the last of them.
+	jobs int
+}
+
 // maxPerfPerTask bounds the snapshot's retained measurement history per
 // task, mirroring the task-performance database's own history cap.
 const maxPerfPerTask = 128
@@ -105,6 +126,10 @@ type State struct {
 	// ("job-17" -> 17); the pipeline resumes its ID counter above it so
 	// recovered and new jobs never collide.
 	MaxJobSeq int `json:"max_job_seq,omitempty"`
+	// Graphs is the interned-graph table, ascending by Ref: every graph a
+	// retained job cites, once. Nil in the State Recovered returns, where
+	// each job carries its own Graph again.
+	Graphs []graphRecord `json:"graphs,omitempty"`
 	// Jobs holds every retained job by ID.
 	Jobs map[string]*JobRecord `json:"jobs,omitempty"`
 	// Owners holds per-owner admin state by owner name.
@@ -113,12 +138,22 @@ type State struct {
 	Perf []PerfRecord `json:"perf,omitempty"`
 	// EventCursor is the persisted broker high-water mark.
 	EventCursor uint64 `json:"event_cursor,omitempty"`
+
+	// byGraph finds a table entry's Ref by the graph bytes themselves and
+	// nextRef is the next number to hand out; both are rebuilt on load.
+	byGraph map[string]uint64
+	nextRef uint64
 }
 
 func newState() *State {
-	return &State{Jobs: make(map[string]*JobRecord), Owners: make(map[string]OwnerRecord)}
+	st := &State{}
+	st.normalize()
+	return st
 }
 
+// normalize completes a State decoded from a snapshot (or an empty one):
+// maps made, the graph table sorted and indexed, its entries' citation
+// counts taken from the jobs.
 func (st *State) normalize() {
 	if st.Jobs == nil {
 		st.Jobs = make(map[string]*JobRecord)
@@ -126,11 +161,22 @@ func (st *State) normalize() {
 	if st.Owners == nil {
 		st.Owners = make(map[string]OwnerRecord)
 	}
+	slices.SortFunc(st.Graphs, func(a, b graphRecord) int { return cmp.Compare(a.Ref, b.Ref) })
+	st.byGraph = make(map[string]uint64, len(st.Graphs))
+	st.nextRef = 1
+	for _, g := range st.Graphs {
+		st.byGraph[string(g.Graph)] = g.Ref
+		st.nextRef = g.Ref + 1
+	}
+	for _, j := range st.Jobs {
+		st.citeGraph(j.GraphRef, 1)
+	}
 }
 
 // record is the WAL's one on-disk record shape: a kind tag plus the
-// fields that kind uses. Unknown kinds are skipped on replay, so older
-// binaries can read logs written by newer ones.
+// fields that kind uses. Unknown kinds are skipped on replay — which is
+// why a binary from before graph records must not be pointed at a log
+// with them: it would skip them and recover jobs without graphs.
 type record struct {
 	Kind       string       `json:"k"`
 	Job        *JobRecord   `json:"job,omitempty"`
@@ -143,6 +189,9 @@ type record struct {
 	Perf       *PerfRecord  `json:"perf,omitempty"` // read only: logs from before Perfs
 	Perfs      []PerfRecord `json:"perfs,omitempty"`
 	Cursor     uint64       `json:"cursor,omitempty"`
+	// Ref and Graph are a graph record: one interned-graph table entry.
+	Ref   uint64          `json:"ref,omitempty"`
+	Graph json.RawMessage `json:"graph,omitempty"`
 }
 
 // Record kinds.
@@ -153,6 +202,7 @@ const (
 	kindOwner  = "owner"
 	kindPerf   = "perf"
 	kindHWM    = "hwm"
+	kindGraph  = "graph"
 )
 
 // Store is the durable control plane: typed appends fold into an
@@ -169,6 +219,17 @@ type Store struct {
 	appends    int
 	compacting bool
 	closed     bool
+	// enc is the scratch a record is encoded into before it is framed and
+	// snap the last snapshot's buffer, parked between compactions.
+	enc  []byte
+	snap []byte
+
+	// background is the compaction append started, if one is running;
+	// Close and Abandon wait for it, so its file deletions cannot land in
+	// a directory that has since been reopened. compactions counts them
+	// by outcome (nil on an un-instrumented store).
+	background  sync.WaitGroup
+	compactions *obs.CounterVec
 
 	// recovered is the deep copy of the state as of Open, handed to the
 	// boot path; the live mirror keeps evolving underneath it.
@@ -215,6 +276,10 @@ func Open(dir string, opt Options) (*Store, error) {
 			return nil, err
 		}
 	}
+	// A graph record whose submit was torn off the tail cites nothing.
+	for i := len(st.Graphs) - 1; i >= 0; i-- {
+		st.citeGraph(st.Graphs[i].Ref, 0)
+	}
 
 	// Open (or create) the current segment for appending.
 	cur := base
@@ -231,7 +296,13 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 
 	// Clean up files a crashed compaction left behind: segments and
-	// snapshots strictly below the loaded snapshot are dead weight.
+	// snapshots strictly below the loaded snapshot are dead weight, and so
+	// is a snapshot that was written but never renamed into place.
+	if tmps, err := filepath.Glob(filepath.Join(dir, "snap-*.json.tmp")); err == nil {
+		for _, tmp := range tmps {
+			os.Remove(tmp)
+		}
+	}
 	for _, n := range segs {
 		if n < base {
 			os.Remove(filepath.Join(dir, segmentName(n)))
@@ -249,6 +320,12 @@ func Open(dir string, opt Options) (*Store, error) {
 		w:         newWAL(dir, cur, f, opt.FlushInterval, opt.Metrics),
 		st:        st,
 		recovered: st.clone(),
+	}
+	if opt.Metrics != nil {
+		s.compactions = opt.Metrics.Counter("vdce_store_compactions_total",
+			"Background WAL compactions (snapshot + segment rotation) by outcome; an error leaves the log untrimmed.", "outcome")
+		s.compactions.With("ok")
+		s.compactions.With("error")
 	}
 	return s, nil
 }
@@ -318,7 +395,7 @@ func replaySegment(dir string, n uint64, st *State, final bool) error {
 		if jerr := json.Unmarshal(payload, &rec); jerr != nil {
 			return &CorruptError{Path: path, Offset: int64(off), Reason: "payload"}
 		}
-		st.apply(rec)
+		st.apply(&rec)
 		off += consumed
 	}
 	return nil
@@ -339,14 +416,28 @@ func tornTail(rest []byte, err error) bool {
 }
 
 // apply folds one record into the state. Unknown kinds are ignored.
-func (st *State) apply(rec record) {
+func (st *State) apply(rec *record) {
 	switch rec.Kind {
+	case kindGraph:
+		// A ref the table already holds is the same entry seen twice (the
+		// snapshot and the segment after it both carry it).
+		if i, held := st.findGraph(rec.Ref); !held && rec.Ref != 0 && len(rec.Graph) > 0 {
+			st.Graphs = slices.Insert(st.Graphs, i, graphRecord{Ref: rec.Ref, Graph: rec.Graph})
+			st.byGraph[string(rec.Graph)] = rec.Ref
+			st.nextRef = max(st.nextRef, rec.Ref+1)
+		}
 	case kindSubmit:
 		if rec.Job == nil || rec.Job.ID == "" {
 			return
 		}
-		j := *rec.Job
-		st.Jobs[j.ID] = &j
+		// The mirror adopts the record's job: every caller hands apply one
+		// it does not touch again.
+		j := rec.Job
+		st.citeGraph(j.GraphRef, 1)
+		if old, ok := st.Jobs[j.ID]; ok {
+			st.citeGraph(old.GraphRef, -1) // after the +1: both may cite one entry
+		}
+		st.Jobs[j.ID] = j
 		if seq, ok := jobSeq(j.ID); ok && seq > st.MaxJobSeq {
 			st.MaxJobSeq = seq
 		}
@@ -364,7 +455,10 @@ func (st *State) apply(rec record) {
 			j.FinishedAt = rec.FinishedAt
 		}
 	case kindDelete:
-		delete(st.Jobs, rec.JobID)
+		if j, ok := st.Jobs[rec.JobID]; ok {
+			st.citeGraph(j.GraphRef, -1)
+			delete(st.Jobs, rec.JobID)
+		}
 	case kindOwner:
 		if rec.Owner != nil && rec.Owner.Owner != "" {
 			st.Owners[rec.Owner.Owner] = *rec.Owner
@@ -381,6 +475,30 @@ func (st *State) apply(rec record) {
 	}
 }
 
+// findGraph returns where ref sits (or would be inserted) in the table.
+func (st *State) findGraph(ref uint64) (int, bool) {
+	return slices.BinarySearchFunc(st.Graphs, ref, func(g graphRecord, ref uint64) int { return cmp.Compare(g.Ref, ref) })
+}
+
+// citeGraph adds delta to the citation count of ref's entry and drops
+// the entry with its last citation. A ref that is zero (no interned
+// graph) or missing (the log lost it) counts nowhere.
+func (st *State) citeGraph(ref uint64, delta int) {
+	i, held := st.findGraph(ref)
+	if !held {
+		return
+	}
+	g := &st.Graphs[i]
+	if g.jobs += delta; g.jobs > 0 {
+		return
+	}
+	// A later entry with the same bytes keeps its place in the index.
+	if st.byGraph[string(g.Graph)] == ref {
+		delete(st.byGraph, string(g.Graph))
+	}
+	st.Graphs = slices.Delete(st.Graphs, i, i+1)
+}
+
 // jobSeq parses the numeric suffix of a pipeline job ID ("job-17").
 func jobSeq(id string) (int, bool) {
 	const prefix = "job-"
@@ -394,7 +512,9 @@ func jobSeq(id string) (int, bool) {
 	return n, true
 }
 
-// clone deep-copies the state.
+// clone deep-copies the state into its self-contained form: no graph
+// table, every job carrying the graph it cites (one shared, read-only
+// copy per table entry).
 func (st *State) clone() *State {
 	c := &State{
 		MaxJobSeq:   st.MaxJobSeq,
@@ -404,6 +524,10 @@ func (st *State) clone() *State {
 	}
 	for id, j := range st.Jobs {
 		cp := *j
+		if i, held := st.findGraph(cp.GraphRef); held {
+			cp.Graph = st.Graphs[i].Graph
+		}
+		cp.GraphRef = 0
 		c.Jobs[id] = &cp
 	}
 	for o, r := range st.Owners {
@@ -441,62 +565,103 @@ func (s *Store) Dir() string { return s.dir }
 // append folds the record into the mirror and frames it into the WAL
 // under one lock hold, keeping mirror order identical to log order,
 // then triggers a background compaction once enough records piled up.
-func (s *Store) append(rec record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
+func (s *Store) append(rec *record) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return errWALClosed
 	}
-	s.st.apply(rec)
-	if err := s.w.append(payload); err != nil {
+	if err := s.appendLocked(rec); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.appends++
 	compact := s.appends >= s.opt.CompactEvery && !s.compacting
 	if compact {
 		s.compacting = true
+		s.background.Add(1)
 	}
 	s.mu.Unlock()
 	if compact {
 		go func() {
-			defer func() {
-				s.mu.Lock()
-				s.compacting = false
-				s.mu.Unlock()
-			}()
-			_ = s.Compact()
+			defer s.background.Done()
+			// Nobody takes this error, so the counter is where a failed
+			// snapshot (and a log that stopped being trimmed) shows.
+			outcome := "ok"
+			if s.Compact() != nil {
+				outcome = "error"
+			}
+			s.mu.Lock()
+			s.compacting = false
+			s.mu.Unlock()
+			if s.compactions != nil {
+				s.compactions.With(outcome).Inc()
+			}
 		}()
 	}
 	return nil
 }
 
-// JobSubmitted persists a newly admitted job.
+// appendLocked is append's body, s.mu held: rec is encoded into the
+// store's scratch buffer and framed from there. A submit carrying its
+// graph inline is rewritten to cite the interned-graph table, behind —
+// in this same lock hold — the graph record that defines the entry if
+// the table did not have it.
+func (s *Store) appendLocked(rec *record) error {
+	if rec.Kind == kindSubmit && len(rec.Job.Graph) > 0 {
+		ref, err := s.internLocked(rec.Job.Graph)
+		if err != nil {
+			return err
+		}
+		rec.Job.Graph, rec.Job.GraphRef = nil, ref
+	}
+	s.st.apply(rec)
+	s.enc = appendRecord(s.enc[:0], rec)
+	if err := s.w.append(s.enc); err != nil {
+		return err
+	}
+	s.appends++
+	return nil
+}
+
+// internLocked returns the table reference for graph, found by the bytes
+// themselves (no digest stands in for them). One the table does not
+// hold is copied — the caller's buffer stays the caller's — and logged.
+func (s *Store) internLocked(graph []byte) (uint64, error) {
+	if ref, ok := s.st.byGraph[string(graph)]; ok {
+		return ref, nil
+	}
+	// Written verbatim, bytes that are not JSON would make the record
+	// unreadable at the next replay.
+	if !json.Valid(graph) {
+		return 0, errors.New("store: job graph is not valid JSON")
+	}
+	ref := s.st.nextRef
+	return ref, s.appendLocked(&record{Kind: kindGraph, Ref: ref, Graph: bytes.Clone(graph)})
+}
+
+// JobSubmitted persists a newly admitted job. j.Graph is read, not kept.
 func (s *Store) JobSubmitted(j JobRecord) error {
-	return s.append(record{Kind: kindSubmit, Job: &j})
+	j.GraphRef = 0
+	return s.append(&record{Kind: kindSubmit, Job: &j})
 }
 
 // JobState persists a lifecycle transition. Zero started/finished times
 // leave the previously recorded ones in place.
 func (s *Store) JobState(id, state, errMsg string, started, finished time.Time) error {
-	return s.append(record{Kind: kindState, JobID: id, State: state, Error: errMsg,
+	return s.append(&record{Kind: kindState, JobID: id, State: state, Error: errMsg,
 		StartedAt: started, FinishedAt: finished})
 }
 
 // JobDeleted persists a retention eviction, so the mirror does not grow
 // past what the pipeline itself retains.
 func (s *Store) JobDeleted(id string) error {
-	return s.append(record{Kind: kindDelete, JobID: id})
+	return s.append(&record{Kind: kindDelete, JobID: id})
 }
 
 // OwnerUpdated persists one owner's admin state (pinned weight and/or
 // quota caps); the record replaces any previous one for the owner.
 func (s *Store) OwnerUpdated(o OwnerRecord) error {
-	return s.append(record{Kind: kindOwner, Owner: &o})
+	return s.append(&record{Kind: kindOwner, Owner: &o})
 }
 
 // PerfMeasured persists one run's task-performance measurements, in
@@ -505,7 +670,7 @@ func (s *Store) PerfMeasured(ps ...PerfRecord) error {
 	if len(ps) == 0 {
 		return nil
 	}
-	return s.append(record{Kind: kindPerf, Perfs: ps})
+	return s.append(&record{Kind: kindPerf, Perfs: ps})
 }
 
 // NoteEventCursor advances the persisted broker high-water mark: when
@@ -518,7 +683,7 @@ func (s *Store) NoteEventCursor(cur uint64) error {
 		return nil
 	}
 	s.mu.Unlock()
-	return s.append(record{Kind: kindHWM, Cursor: cur + EventCursorSlack})
+	return s.append(&record{Kind: kindHWM, Cursor: cur + EventCursorSlack})
 }
 
 // EventCursor returns the mirror's current persisted high-water mark.
@@ -558,18 +723,37 @@ func (s *Store) Compact() error {
 		s.mu.Unlock()
 		return err
 	}
-	snap, err := json.Marshal(s.st)
+	// Jobs a log from before interning left with their graphs inline are
+	// appended again as they now stand, which interns the graph.
+	for _, j := range s.st.Jobs {
+		if len(j.Graph) == 0 {
+			continue
+		}
+		again := *j
+		if err := s.appendLocked(&record{Kind: kindSubmit, Job: &again}); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+	}
+	// Encoded under the lock every append takes, so: appended, into the
+	// previous snapshot's buffer.
+	snap := appendState(s.snap[:0], s.st)
+	s.snap = nil
 	s.appends = 0
 	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
+	defer func() {
+		s.mu.Lock()
+		s.snap = snap
+		s.mu.Unlock()
+	}()
 
 	tmp := filepath.Join(s.dir, snapshotName(seg)+".tmp")
-	if err := os.WriteFile(tmp, snap, 0o644); err != nil {
-		return err
+	err = os.WriteFile(tmp, snap, 0o644)
+	if err == nil {
+		err = renameDurable(tmp, filepath.Join(s.dir, snapshotName(seg)), s.dir)
 	}
-	if err := renameDurable(tmp, filepath.Join(s.dir, snapshotName(seg)), s.dir); err != nil {
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	snaps, segs, err := scanDir(s.dir)
@@ -652,6 +836,7 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
+	s.background.Wait()
 	werr := s.w.close()
 	if cerr != nil {
 		return cerr
@@ -667,5 +852,6 @@ func (s *Store) Abandon() error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
+	s.background.Wait()
 	return s.w.close()
 }

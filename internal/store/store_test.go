@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vdce/internal/frame"
+	"vdce/internal/obs"
 )
 
 var t0 = time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
@@ -322,6 +323,85 @@ func TestAutoCompaction(t *testing.T) {
 	}
 }
 
+// TestBackgroundCompactionOutcomeIsCounted: nobody waits on the
+// compaction an append starts, so its outcome is a counter — one "ok"
+// per threshold crossing on a healthy directory, and "error" once the
+// directory is gone and the rotation has nowhere to put its segment.
+func TestBackgroundCompactionOutcomeIsCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	dir := t.TempDir()
+	s := openT(t, dir, Options{CompactEvery: 8, Metrics: reg})
+	outcomes := reg.Counter("vdce_store_compactions_total", "", "outcome")
+	crossings := 0
+	submit := func(i int) error {
+		err := s.JobSubmitted(jobN(i, "o", "queued"))
+		s.mu.Lock()
+		started := s.compacting
+		s.mu.Unlock()
+		if started {
+			crossings++
+			s.background.Wait() // the test's own goroutine is the only appender
+		}
+		return err
+	}
+	for i := 1; i <= 40; i++ {
+		if err := submit(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, bad := outcomes.Value("ok"), outcomes.Value("error"); crossings < 3 || ok != float64(crossings) || bad != 0 {
+		t.Fatalf("healthy store: %d threshold crossings, %v ok, %v error", crossings, ok, bad)
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	ok := outcomes.Value("ok")
+	for i := 41; outcomes.Value("error") == 0; i++ {
+		if err := submit(i); err != nil && i < 48 {
+			t.Fatalf("append %d failed before any compaction could: %v", i, err)
+		}
+		if i > 60 {
+			t.Fatal("no background compaction failed in a directory that is gone")
+		}
+	}
+	if got := outcomes.Value("ok"); got != ok {
+		t.Fatalf("ok moved %v -> %v in a directory that is gone", ok, got)
+	}
+	if s.Err() == nil {
+		t.Fatal("the failed rotation left no sticky error")
+	}
+	s.Abandon()
+}
+
+// TestOpenCollectsStaleSnapshotTmp: a snapshot written but never renamed
+// into place (a crash, or a failed rename) is removed by the next Open,
+// and recovery does not look at it.
+func TestOpenCollectsStaleSnapshotTmp(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{})
+	for i := 1; i <= 3; i++ {
+		if err := s.JobSubmitted(jobN(i, "alice", "queued")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, snapshotName(9)+".tmp")
+	if err := os.WriteFile(stale, []byte(`{"jobs":{"job-99":{"id":"job-99"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = openT(t, dir, Options{})
+	defer s.Abandon()
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale %s survived Open (stat: %v)", filepath.Base(stale), err)
+	}
+	if jobs := s.Recovered().Jobs; len(jobs) != 3 || jobs["job-99"] != nil {
+		t.Fatalf("recovered %d jobs, want the 3 submitted", len(jobs))
+	}
+}
+
 func TestEventCursorOneWriteNeeded(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{})
@@ -432,7 +512,7 @@ func TestPerfBatchReplay(t *testing.T) {
 		},
 		"old singles then a batch": func(s *Store) error {
 			for _, p := range want[:4] {
-				if err := s.append(record{Kind: kindPerf, Perf: &p}); err != nil {
+				if err := s.append(&record{Kind: kindPerf, Perf: &p}); err != nil {
 					return err
 				}
 			}

@@ -243,6 +243,8 @@ func TestMetricsExpositionEndToEnd(t *testing.T) {
 		"vdce_breaker_hosts",
 		"vdce_wal_append_seconds_bucket",
 		"vdce_wal_fsync_batch_records_count",
+		`vdce_store_compactions_total{outcome="ok"}`,
+		`vdce_store_compactions_total{outcome="error"}`,
 		"vdce_events_published_total",
 		"vdce_events_subscribers",
 	} {

@@ -1,9 +1,9 @@
 package vdce
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"vdce/internal/afg"
@@ -196,22 +196,27 @@ func (p *pipeline) adoptRecovered(adopt []*Job) {
 	}
 }
 
+// graphBufs holds the buffers persistSubmitted encodes graphs into.
+var graphBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // persistSubmitted appends a new job's full record to the durable log.
-// Store appends do not fail the job: an I/O error is sticky in the log,
-// is reported through storeErr, and the in-memory pipeline keeps
-// serving.
+// The graph is encoded afresh each time — the store recognizes one it
+// has already written by its bytes, so an application edited between
+// two submissions is never mistaken for its earlier self — into a
+// pooled buffer the store reads and does not keep. Store appends do not
+// fail the job: an I/O error is sticky in the log, is reported through
+// storeErr, and the in-memory pipeline keeps serving.
 func (p *pipeline) persistSubmitted(j *Job) {
 	if p.store == nil {
 		return
 	}
-	graph, err := json.Marshal(j.Graph)
-	if err != nil {
-		return
-	}
-	err = p.store.JobSubmitted(store.JobRecord{
+	buf := graphBufs.Get().(*[]byte)
+	defer graphBufs.Put(buf)
+	*buf = j.Graph.AppendJSON((*buf)[:0])
+	err := p.store.JobSubmitted(store.JobRecord{
 		ID:          j.ID,
 		Owner:       j.Owner,
-		Graph:       graph,
+		Graph:       *buf,
 		K:           j.K,
 		Home:        j.home,
 		Priority:    j.priority,

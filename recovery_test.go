@@ -196,6 +196,81 @@ func TestCrashRestartRecovery(t *testing.T) {
 	}
 }
 
+// TestEditedGraphRecoversPerSubmission: the durable log recognizes a
+// graph it has already written by the graph's bytes, not by the pointer
+// a client submits. One *afg.Graph is submitted, edited once that job
+// has finished, and submitted twice more; after a crash the first job is
+// restored with the application as it was, the later two re-run the
+// edited one, and the log holds the two versions once each.
+func TestEditedGraphRecoversPerSubmission(t *testing.T) {
+	dir := t.TempDir()
+	env, err := New(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	app := spinJobGraph("edit-v1", 1)
+	first, err := env.Submit(ctx, app, WithOwner("alice"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	app.Name = "edit-v2"
+	extra := app.AddTask("Spin", "util", 0, 1)
+	app.Tasks[extra].Props.Args = map[string]string{"ms": "2"}
+
+	blocker, err := env.Submit(ctx, spinJobGraph("blocker", 2500), WithOwner("bob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, blocker, JobRunning)
+	var edited []*Job
+	for i := 0; i < 2; i++ {
+		j, err := env.Submit(ctx, app, WithOwner("alice"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited = append(edited, j)
+	}
+	env.Crash()
+
+	env2, err := New(durableCfg(dir))
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer env2.Close()
+	recovered := env2.Store.Recovered().Jobs
+	v1, v2 := recovered[first.ID].Graph, recovered[edited[0].ID].Graph
+	if len(v1) == 0 || len(v2) == 0 || string(v1) == string(v2) {
+		t.Fatalf("the two versions were recovered as\n%s\n%s", v1, v2)
+	}
+	if &v2[0] != &recovered[edited[1].ID].Graph[0] {
+		t.Error("two submissions of the edited graph were recovered as two copies, not one interned entry")
+	}
+
+	drainCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
+	defer cancel()
+	if err := env2.Drain(drainCtx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, c := range []struct {
+		id    string
+		app   string
+		tasks int
+	}{{first.ID, "edit-v1", 1}, {edited[0].ID, "edit-v2", 2}, {edited[1].ID, "edit-v2", 2}} {
+		status, ok := env2.Job(c.id)
+		if !ok || status.State != services.JobStateDone || status.App != c.app {
+			t.Fatalf("%s after restart = %+v (found %v), want %s done", c.id, status, ok, c.app)
+		}
+		if j, _ := env2.pipe.job(c.id); len(j.Graph.Tasks) != c.tasks {
+			t.Fatalf("%s (%s) came back with %d tasks, want %d", c.id, c.app, len(j.Graph.Tasks), c.tasks)
+		}
+	}
+}
+
 func jobIDs(jobs []*Job) []string {
 	ids := make([]string, len(jobs))
 	for i, j := range jobs {
