@@ -279,31 +279,6 @@ func BenchmarkBlendAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerRound isolates one full core.Scheduler round
-// (Fig. 2) on a 200-task layered workload across 4 sites — the
-// scheduling hot path of the submission pipeline. ReportAllocs feeds
-// allocs/op into the BENCH_*.json records so allocation regressions on
-// this path stay visible to future PRs.
-func BenchmarkSchedulerRound(b *testing.B) {
-	w, err := workload.Layered(workload.Params{Tasks: 200, CCR: 1, Seed: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := newBenchCluster(b, 4, 8, 6)
-	if err := env.install(b, w); err != nil {
-		b.Fatal(err)
-	}
-	cost := w.CostFunc()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched := core.NewScheduler(env.sites[0], env.remotes(), env.net, 3)
-		if _, err := sched.Schedule(w.G, cost); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestSchedulerRoundAllocationCeiling is the allocation guardrail for
 // the scheduling hot path: one scheduler round on the benchmark
 // workload must stay under a fixed allocation budget. Epoch-snapshot
@@ -615,75 +590,4 @@ func BenchmarkRepoSnapshotContention(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	writerDone.Wait()
-}
-
-// BenchmarkRankedHostsCached measures the generation-validated
-// ranked-host cache on both sides: "warm" rounds where no repository
-// write lands between lookups (pure hits), and "invalidated" rounds
-// where every lookup follows a workload update (worst case: full
-// re-predict over the catalog). The gap between the two is what the
-// cache buys each unchanged-state scheduling round.
-func BenchmarkRankedHostsCached(b *testing.B) {
-	build := func(b *testing.B) (*core.LocalSite, *afg.Graph) {
-		b.Helper()
-		env, err := New(Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 32, Seed: 11}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(env.Close)
-		g, err := tasklibC3I(6, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return env.Sites[0], g
-	}
-
-	b.Run("warm", func(b *testing.B) {
-		site, g := build(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := site.HostSelection(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := site.CacheStats()
-		b.ReportMetric(st.HitRatio(), "hit-ratio")
-	})
-
-	b.Run("invalidated", func(b *testing.B) {
-		site, g := build(b)
-		host := site.Repo.Resources.Views()[0].HostName
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := site.Repo.Resources.UpdateWorkload(host, repository.WorkloadSample{
-				CPULoad: float64(i%10) / 100, AvailMemBytes: 1 << 30, Time: time.Unix(int64(i), 0),
-			}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := site.HostSelection(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := site.CacheStats()
-		b.ReportMetric(st.HitRatio(), "hit-ratio")
-	})
-}
-
-// BenchmarkAFGTopoSort exercises the structural core on a wide graph.
-func BenchmarkAFGTopoSort(b *testing.B) {
-	w, err := workload.FFT(workload.Params{Tasks: 2000, Seed: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.G.TopoSort(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -224,22 +224,12 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 	}
 
 	editorSrv := env.EditorServer(*execute, 0)
+	// The job-control API is mounted site-wide, not owner-scoped as an
+	// embedded editor's is: this is the server's administrative surface,
+	// so any authenticated user may cancel any job.
+	editorSrv.Jobs = env.JobsHandler(jobsapi.Config{Authenticate: editorSrv.SessionUser})
 	mux := http.NewServeMux()
 	mux.Handle("/", editorSrv.Handler())
-	// Versioned job-control API, mounted site-wide (not owner-scoped:
-	// this is the server's administrative surface, so any authenticated
-	// user may cancel any job). The editor's own /v1/jobs mount stays
-	// owner-scoped; this more specific registration shadows it here.
-	jobsV1 := env.JobsHandler(jobsapi.Config{Authenticate: editorSrv.SessionUser})
-	mux.Handle("GET /v1/jobs", jobsV1)
-	mux.Handle("GET /v1/jobs/{id}", jobsV1)
-	mux.Handle("GET /v1/jobs/{id}/events", jobsV1)
-	mux.Handle("GET /v1/jobs/{id}/trace", jobsV1)
-	mux.Handle("GET /v1/events", jobsV1)
-	mux.Handle("DELETE /v1/jobs/{id}", jobsV1)
-	mux.Handle("GET /v1/owners", jobsV1)
-	mux.Handle("PATCH /v1/owners/{owner}", jobsV1)
-	mux.Handle("GET /v1/hosts", jobsV1)
 	// Prometheus text exposition, unauthenticated like the health probes:
 	// scrapers are infrastructure, not editor users, and the registry
 	// carries no per-job payloads — only aggregate series.

@@ -242,6 +242,13 @@ func TestServerServesJobControlAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("unauthenticated /v1/jobs = %d, want 401", resp.StatusCode)
 	}
+	// The job's lifecycle trace is served here too, and the mount is the
+	// site-wide one: owner administration, which an owner-scoped editor
+	// mount refuses with 403, is allowed.
+	if tr := do("GET", "/v1/jobs/"+jobID+"/trace", nil, http.StatusOK); tr["id"] != jobID {
+		t.Fatalf("trace = %v, want job %s", tr, jobID)
+	}
+	do("PATCH", "/v1/owners/user_k", []byte(`{"weight":7}`), http.StatusOK)
 	// Canceling a finished job is a no-op that reports the final state.
 	final := do("DELETE", "/v1/jobs/"+jobID, nil, http.StatusOK)
 	if state, _ := final["job"].(map[string]any)["state"].(string); state != "done" {

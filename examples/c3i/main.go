@@ -1,6 +1,6 @@
 // C3i runs the command-and-control application from the paper's C3I
 // task library: two radar feeds fused, smoothed, threat-scored, and
-// reported — with the visualization service charting per-task runtimes.
+// reported — with the run's task timeline rendered as a Gantt chart.
 package main
 
 import (
@@ -12,6 +12,7 @@ import (
 	"vdce"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
+	"vdce/internal/trace"
 )
 
 func main() {
@@ -43,9 +44,7 @@ func main() {
 	fmt.Println(report)
 	fmt.Printf("makespan: %v\n\n", res.Makespan)
 
-	// Visualization service: one chart per task series recorded during
-	// the run.
-	for _, name := range env.Metrics.Names() {
-		fmt.Print(env.Metrics.Chart(name, 48, 6))
-	}
+	// The application-performance view: one row per host, one span per
+	// task run.
+	fmt.Print(trace.Gantt(trace.FromRuns(res.Runs), 64))
 }

@@ -133,7 +133,8 @@ func TestFeedbackImprovesPlacement(t *testing.T) {
 		t.Fatalf("cold selection picked %v, catalog says liar is 2x faster", sel[id].Hosts)
 	}
 	// Reality disagrees: executions on "liar" take 10x the base time.
-	base, _ := repo.TaskPerf.BaseTime("Matrix_Multiplication")
+	params, _ := repo.TaskPerf.Params("Matrix_Multiplication")
+	base := params.BaseTime
 	for i := 0; i < 4; i++ {
 		if err := repo.TaskPerf.RecordExecution("Matrix_Multiplication", "liar", 10*base, time.Now()); err != nil {
 			t.Fatal(err)

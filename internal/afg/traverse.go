@@ -197,7 +197,6 @@ type ReadySet struct {
 	start, child []TaskID // children of task i: child[start[i]:start[i+1]]
 	remaining    []TaskID // in-edges from unscheduled parents, per task
 	ready        []TaskID // ascending IDs
-	done         int
 }
 
 // NewReadySet builds a ReadySet whose initial members are the graph's
@@ -224,12 +223,6 @@ func NewReadySet(g *Graph) *ReadySet {
 // set's own and holds until the next Complete: do not modify it.
 func (rs *ReadySet) Ready() []TaskID { return rs.ready }
 
-// Contains reports whether id is currently ready.
-func (rs *ReadySet) Contains(id TaskID) bool {
-	_, ok := slices.BinarySearch(rs.ready, id)
-	return ok
-}
-
 // Empty reports whether no tasks remain ready.
 func (rs *ReadySet) Empty() bool { return len(rs.ready) == 0 }
 
@@ -242,7 +235,6 @@ func (rs *ReadySet) Complete(id TaskID) error {
 		return fmt.Errorf("afg: task %d completed but not ready", id)
 	}
 	rs.ready = slices.Delete(rs.ready, at, at+1)
-	rs.done++
 	for _, c := range rs.child[rs.start[id]:rs.start[id+1]] {
 		rs.remaining[c]--
 		if rs.remaining[c] == 0 {
@@ -252,6 +244,3 @@ func (rs *ReadySet) Complete(id TaskID) error {
 	}
 	return nil
 }
-
-// DoneCount returns how many tasks have been completed.
-func (rs *ReadySet) DoneCount() int { return rs.done }

@@ -129,20 +129,20 @@ func TestReadySetDiamond(t *testing.T) {
 	if err := rs.Complete(ids[1]); err != nil {
 		t.Fatal(err)
 	}
-	if rs.Contains(ids[3]) {
-		t.Fatal("D ready with only one parent done")
+	if r := rs.Ready(); len(r) != 1 || r[0] != ids[2] {
+		t.Fatalf("ready = %v with only one parent of D done, want C alone", r)
 	}
 	if err := rs.Complete(ids[2]); err != nil {
 		t.Fatal(err)
 	}
-	if !rs.Contains(ids[3]) {
-		t.Fatal("D not ready after both parents done")
+	if r := rs.Ready(); len(r) != 1 || r[0] != ids[3] {
+		t.Fatalf("ready = %v after both parents done, want D", r)
 	}
 	if err := rs.Complete(ids[3]); err != nil {
 		t.Fatal(err)
 	}
-	if !rs.Empty() || rs.DoneCount() != 4 {
-		t.Fatalf("final state wrong: empty=%v done=%d", rs.Empty(), rs.DoneCount())
+	if !rs.Empty() {
+		t.Fatalf("final state wrong: ready = %v", rs.Ready())
 	}
 }
 

@@ -110,7 +110,6 @@ type Injector struct {
 
 	mu  sync.Mutex
 	rng *rand.Rand
-	log []Applied
 	// browned remembers per-host injected brownout load so BrownoutEnd
 	// restores exactly the hosts (and amounts) Brownout degraded.
 	browned map[string]float64
@@ -255,9 +254,7 @@ func (in *Injector) apply(e Event) (Applied, error) {
 			return Applied{}, fmt.Errorf("chaos: unknown action %q", e.Action)
 		}
 	}
-	a := Applied{Event: e, Targets: names, Wall: time.Now()}
-	in.log = append(in.log, a)
-	return a, nil
+	return Applied{Event: e, Targets: names, Wall: time.Now()}, nil
 }
 
 // Run plays the scenario as a background actor: it sleeps to each
@@ -287,13 +284,6 @@ func (in *Injector) Run(ctx context.Context, sc Scenario) ([]Applied, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// Log returns every event applied so far, in application order.
-func (in *Injector) Log() []Applied {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Applied(nil), in.log...)
 }
 
 // KillQuarter kills 25% of the up hosts at kill and recovers half of
@@ -351,28 +341,6 @@ func BrownoutScenario(start, end time.Duration, frac, load float64) Scenario {
 		{At: start, Action: Brownout, Fraction: frac, Load: load},
 		{At: end, Action: BrownoutEnd},
 	}}
-}
-
-// Randomized generates a reproducible random script: n events spread
-// uniformly over span, drawn from kill/recover/degrade with small
-// fractions. The same seed always yields the same script.
-func Randomized(seed int64, span time.Duration, n int) Scenario {
-	if span <= 0 {
-		span = 4 * time.Second
-	}
-	rng := rand.New(rand.NewSource(seed))
-	actions := []Action{Kill, Recover, Degrade}
-	sc := Scenario{Name: fmt.Sprintf("randomized-%d", seed)}
-	for i := 0; i < n; i++ {
-		sc.Events = append(sc.Events, Event{
-			At:       time.Duration(rng.Int63n(int64(span))),
-			Action:   actions[rng.Intn(len(actions))],
-			Fraction: 0.1 + rng.Float64()*0.15,
-			Load:     0.3 + rng.Float64()*0.4,
-		})
-	}
-	sortEvents(sc.Events)
-	return sc
 }
 
 // sortEvents orders a script by offset, keeping same-offset events in

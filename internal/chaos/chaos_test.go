@@ -131,9 +131,6 @@ func TestApplyActions(t *testing.T) {
 	if _, err := in.Apply(Event{Action: Kill, Hosts: []string{"no-such-host"}}); err == nil {
 		t.Fatal("unknown host accepted")
 	}
-	if got := len(in.Log()); got != 6 {
-		t.Fatalf("log has %d entries, want 6 successful applies", got)
-	}
 }
 
 func TestRunPlaysScriptInOrderAndHonorsCancel(t *testing.T) {
@@ -179,19 +176,6 @@ func TestScenarioBuilders(t *testing.T) {
 	sp := SitePartition("s1", 0, time.Millisecond)
 	if sp.Events[0].Action != PartitionSite || sp.Events[1].Action != HealSite {
 		t.Fatalf("site-partition = %+v", sp.Events)
-	}
-
-	r1, r2 := Randomized(3, time.Second, 8), Randomized(3, time.Second, 8)
-	if len(r1.Events) != 8 {
-		t.Fatalf("randomized produced %d events", len(r1.Events))
-	}
-	for i := range r1.Events {
-		if r1.Events[i].At != r2.Events[i].At || r1.Events[i].Action != r2.Events[i].Action {
-			t.Fatal("randomized scenario not reproducible from seed")
-		}
-		if i > 0 && r1.Events[i].At < r1.Events[i-1].At {
-			t.Fatal("randomized events not time-sorted")
-		}
 	}
 
 	tb := build(t, 2, 2)

@@ -17,8 +17,8 @@ import (
 	"vdce/internal/testbed"
 )
 
-// startSite builds a one-site testbed and serves its Site Manager.
-func startSite(t *testing.T, name string, hosts int) (*SiteManager, *testbed.Testbed) {
+// buildSite builds a one-site testbed with the task catalog installed.
+func buildSite(t *testing.T, name string, hosts int) (*core.LocalSite, *testbed.Testbed) {
 	t.Helper()
 	tb, err := testbed.Build(testbed.Config{Sites: 1, HostsPerGroup: hosts, Seed: 77})
 	if err != nil {
@@ -33,16 +33,23 @@ func startSite(t *testing.T, name string, hosts int) (*SiteManager, *testbed.Tes
 	if err := tasklib.Default().InstallInto(site.Repo, names); err != nil {
 		t.Fatal(err)
 	}
-	sm, err := StartSiteManager(core.NewLocalSite(site.Repo), "127.0.0.1:0")
+	return core.NewLocalSite(site.Repo), tb
+}
+
+// startSite builds a one-site testbed and serves its Site Manager.
+func startSite(t *testing.T, name string, hosts int) (*SiteManager, *core.LocalSite, *testbed.Testbed) {
+	t.Helper()
+	local, tb := buildSite(t, name, hosts)
+	sm, err := StartSiteManager(local, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sm.Close() })
-	return sm, tb
+	return sm, local, tb
 }
 
 func TestRemoteHostSelectionMatchesLocal(t *testing.T) {
-	sm, _ := startSite(t, "siteX", 4)
+	sm, local, _ := startSite(t, "siteX", 4)
 	remote, err := DialSite("siteX", sm.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +70,7 @@ func TestRemoteHostSelectionMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := sm.Local().HostSelection(g)
+	direct, err := local.HostSelection(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +93,8 @@ func TestRemoteHostSelectionMatchesLocal(t *testing.T) {
 func TestRemoteSiteInScheduler(t *testing.T) {
 	// Local site is slow; remote site (over real TCP RPC) is identical.
 	// The distributed scheduler must function with a wire remote.
-	smA, _ := startSite(t, "siteA", 2)
-	smB, _ := startSite(t, "siteB", 2)
+	localA, _ := buildSite(t, "siteA", 2)
+	smB, _, _ := startSite(t, "siteB", 2)
 	remoteB, err := DialSite("siteB", smB.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -102,9 +109,9 @@ func TestRemoteSiteInScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := core.NewScheduler(smA.Local(), []core.SiteService{remoteB}, net, 1)
+	sched := core.NewScheduler(localA, []core.SiteService{remoteB}, net, 1)
 	cost := func(id afg.TaskID) float64 {
-		d, err := smA.Local().Oracle.BaseTimeFor(g.Task(id).Name)
+		d, err := localA.Oracle.BaseTimeFor(g.Task(id).Name)
 		if err != nil {
 			t.Fatalf("cost: %v", err)
 		}
@@ -119,76 +126,67 @@ func TestRemoteSiteInScheduler(t *testing.T) {
 	}
 }
 
+// TestWorkloadAndFailureRPC: what a Group Manager's reports put into the
+// site's resource-performance database is what the Resources RPC — the
+// workload view vdce-monitor prints — serves.
 func TestWorkloadAndFailureRPC(t *testing.T) {
-	sm, tb := startSite(t, "siteW", 2)
+	sm, local, tb := startSite(t, "siteW", 2)
 	remote, err := DialSite("siteW", sm.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	var ack protocol.Ack
-	report := func(method string, args any) error {
-		return remote.client.Call(protocol.SiteServiceName+"."+method, args, &ack)
+	resources := func(q protocol.ResourceQuery) []repository.ResourceInfo {
+		t.Helper()
+		var list protocol.ResourceList
+		if err := remote.client.Call(protocol.SiteServiceName+".Resources", q, &list); err != nil {
+			t.Fatal(err)
+		}
+		return list.Hosts
 	}
+	reporter := RepoReporter{Repo: local.Repo}
 	host := tb.Sites[0].Hosts[0].Name
 
 	batch := protocol.WorkloadBatch{Site: "siteW", Group: "g", Samples: []protocol.HostSample{
 		{Host: host, Sample: repository.WorkloadSample{CPULoad: 0.42, AvailMemBytes: 123, Time: time.Unix(10, 0)}},
 	}}
-	if err := report("ReportWorkloads", batch); err != nil {
+	if err := reporter.ApplyWorkloads(batch); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := sm.Repo().Resources.Host(host)
-	if err != nil {
-		t.Fatal(err)
+	seen := false
+	for _, rec := range resources(protocol.ResourceQuery{}) {
+		if rec.HostName == host {
+			seen = rec.CPULoad == 0.42 && rec.AvailMem == 123
+		}
 	}
-	if rec.CPULoad != 0.42 || rec.AvailMem != 123 {
-		t.Fatalf("workload not applied: %+v", rec)
-	}
-	if sm.WorkloadUpdates() != 1 {
-		t.Fatalf("updates = %d", sm.WorkloadUpdates())
+	if !seen {
+		t.Fatal("the forwarded workload is not in the Resources answer")
 	}
 
-	if err := report("ReportFailure", protocol.FailureNotice{Host: host, Detected: time.Now()}); err != nil {
+	if err := reporter.ApplyFailure(protocol.FailureNotice{Host: host, Detected: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ = sm.Repo().Resources.Host(host)
-	if rec.Status != repository.HostDown {
-		t.Fatal("failure not applied")
+	if up := resources(protocol.ResourceQuery{UpOnly: true}); len(up) != 1 || up[0].HostName == host {
+		t.Fatalf("up hosts after the failure notice = %+v, want only the other host", up)
 	}
-	if err := report("ReportRecovery", protocol.RecoveryNotice{Host: host, Detected: time.Now()}); err != nil {
+	if all := resources(protocol.ResourceQuery{}); len(all) != 2 {
+		t.Fatalf("resources = %d hosts, want 2", len(all))
+	}
+	if err := reporter.ApplyRecovery(protocol.RecoveryNotice{Host: host, Detected: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ = sm.Repo().Resources.Host(host)
-	if rec.Status != repository.HostUp {
-		t.Fatal("recovery not applied")
+	if up := resources(protocol.ResourceQuery{UpOnly: true}); len(up) != 2 {
+		t.Fatalf("up hosts after the recovery notice = %d, want 2", len(up))
 	}
-
-	// Execution records flow into the task-performance database.
-	err = report("RecordExecution",
-		protocol.ExecutionRecord{Task: "LU_Decomposition", Host: host, Elapsed: time.Second, At: time.Now()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, ok := sm.Repo().TaskPerf.MeasuredTime("LU_Decomposition", host); !ok || d != time.Second {
-		t.Fatalf("execution record lost: %v %v", d, ok)
-	}
-
-	// Resource queries.
-	var list protocol.ResourceList
-	if err := remote.client.Call(protocol.SiteServiceName+".Resources",
-		protocol.ResourceQuery{UpOnly: true}, &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Hosts) != 2 {
-		t.Fatalf("resources = %d hosts", len(list.Hosts))
+	if other := resources(protocol.ResourceQuery{Group: "no-such-group"}); len(other) != 0 {
+		t.Fatalf("group filter let %d hosts through", len(other))
 	}
 }
 
 func TestGroupManagerFiltering(t *testing.T) {
-	sm, tb := startSite(t, "siteF", 1)
+	local, tb := buildSite(t, "siteF", 1)
 	h := tb.Sites[0].Hosts[0]
-	gm := NewGroupManager("siteF", "g0", []*testbed.Host{h}, sm, time.Hour)
+	gm := NewGroupManager("siteF", "g0", []*testbed.Host{h}, RepoReporter{Repo: local.Repo}, time.Hour)
 	gm.Threshold = 0.1
 	gm.MemThreshold = 1 << 40 // effectively disable the memory trigger
 
@@ -211,22 +209,20 @@ func TestGroupManagerFiltering(t *testing.T) {
 	if recv != 3 || fwd != 2 {
 		t.Fatalf("received=%d forwarded=%d, want 3/2", recv, fwd)
 	}
-	if sm.WorkloadUpdates() != 2 {
-		t.Fatalf("site saw %d updates, want 2", sm.WorkloadUpdates())
-	}
-	// The suppressed value never reached the repository.
-	rec, _ := sm.Repo().Resources.Host(h.Name)
-	if rec.CPULoad != 0.55 {
-		t.Fatalf("repo load = %g", rec.CPULoad)
+	// The suppressed value never reached the repository: two samples in
+	// the host's history ring, the last one current.
+	rec, _ := local.Repo.Resources.Host(h.Name)
+	if rec.CPULoad != 0.55 || len(rec.RecentLoads) != 2 {
+		t.Fatalf("repo load = %g after %d updates, want 0.55 after 2", rec.CPULoad, len(rec.RecentLoads))
 	}
 }
 
 func TestGroupManagerCumulativeDrift(t *testing.T) {
 	// Regression guard: the filter compares against the last REPORTED
 	// value, so a slow drift must eventually be reported.
-	sm, tb := startSite(t, "siteD", 1)
+	local, tb := buildSite(t, "siteD", 1)
 	h := tb.Sites[0].Hosts[0]
-	gm := NewGroupManager("siteD", "g0", []*testbed.Host{h}, sm, time.Hour)
+	gm := NewGroupManager("siteD", "g0", []*testbed.Host{h}, RepoReporter{Repo: local.Repo}, time.Hour)
 	gm.Threshold = 0.1
 	gm.MemThreshold = 1 << 40
 	load := 0.0
@@ -243,14 +239,18 @@ func TestGroupManagerCumulativeDrift(t *testing.T) {
 }
 
 func TestGroupManagerEchoDetection(t *testing.T) {
-	sm, tb := startSite(t, "siteE", 3)
+	local, tb := buildSite(t, "siteE", 3)
 	hosts := tb.Sites[0].Hosts
-	gm := NewGroupManager("siteE", "g0", hosts, sm, time.Hour)
+	resources := local.Repo.Resources
+	gm := NewGroupManager("siteE", "g0", hosts, RepoReporter{Repo: local.Repo}, time.Hour)
 
+	// Every notice is one repository write, so the database's generation
+	// counts them.
+	before := resources.Generation()
 	if err := gm.EchoRound(time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if sm.FailureReports() != 0 {
+	if resources.Generation() != before {
 		t.Fatal("healthy round produced reports")
 	}
 	hosts[1].Fail()
@@ -260,16 +260,16 @@ func TestGroupManagerEchoDetection(t *testing.T) {
 	if !gm.Down(hosts[1].Name) {
 		t.Fatal("failure not detected")
 	}
-	rec, _ := sm.Repo().Resources.Host(hosts[1].Name)
+	rec, _ := resources.Host(hosts[1].Name)
 	if rec.Status != repository.HostDown {
 		t.Fatal("repo not updated on failure")
 	}
 	// No duplicate reports while still down.
-	before := sm.FailureReports()
+	before = resources.Generation()
 	if err := gm.EchoRound(time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if sm.FailureReports() != before {
+	if resources.Generation() != before {
 		t.Fatal("duplicate failure report")
 	}
 	// Recovery flips it back.
@@ -280,16 +280,17 @@ func TestGroupManagerEchoDetection(t *testing.T) {
 	if gm.Down(hosts[1].Name) {
 		t.Fatal("recovery not detected")
 	}
-	rec, _ = sm.Repo().Resources.Host(hosts[1].Name)
+	rec, _ = resources.Host(hosts[1].Name)
 	if rec.Status != repository.HostUp {
 		t.Fatal("repo not updated on recovery")
 	}
 }
 
 func TestGroupManagerRunLoop(t *testing.T) {
-	sm, tb := startSite(t, "siteR", 2)
+	local, tb := buildSite(t, "siteR", 2)
 	hosts := tb.Sites[0].Hosts
-	gm := NewGroupManager("siteR", "g0", hosts, sm, 5*time.Millisecond)
+	resources := local.Repo.Resources
+	gm := NewGroupManager("siteR", "g0", hosts, RepoReporter{Repo: local.Repo}, 5*time.Millisecond)
 	gm.EchoPeriod = 5 * time.Millisecond
 	gm.Threshold = 0 // forward everything
 
@@ -302,7 +303,7 @@ func TestGroupManagerRunLoop(t *testing.T) {
 	hosts[0].Fail()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		rec, _ := sm.Repo().Resources.Host(hosts[0].Name)
+		rec, _ := resources.Host(hosts[0].Name)
 		if rec.Status == repository.HostDown {
 			break
 		}
@@ -310,16 +311,16 @@ func TestGroupManagerRunLoop(t *testing.T) {
 	}
 	cancel()
 	<-done
-	rec, _ := sm.Repo().Resources.Host(hosts[0].Name)
+	rec, _ := resources.Host(hosts[0].Name)
 	if rec.Status != repository.HostDown {
 		t.Fatal("run loop never detected the failure")
 	}
-	if sm.WorkloadUpdates() == 0 {
+	if rec, _ := resources.Host(hosts[1].Name); len(rec.RecentLoads) == 0 {
 		t.Fatal("run loop forwarded no workloads")
 	}
-	recv, _, echoes := gm.Stats()
-	if recv == 0 || echoes == 0 {
-		t.Fatalf("stats: recv=%d echoes=%d", recv, echoes)
+	recv, fwd, echoes := gm.Stats()
+	if recv == 0 || fwd == 0 || echoes == 0 {
+		t.Fatalf("stats: recv=%d forwarded=%d echoes=%d", recv, fwd, echoes)
 	}
 }
 
@@ -330,7 +331,7 @@ func TestDialSiteFailure(t *testing.T) {
 }
 
 func TestSiteManagerDoubleClose(t *testing.T) {
-	sm, _ := startSite(t, "siteC", 1)
+	sm, _, _ := startSite(t, "siteC", 1)
 	if err := sm.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 	"vdce/internal/testbed"
 )
 
-// Reporter is where a Group Manager sends its updates: a SiteManager in
-// the same process, or a RepoReporter when the site runs none.
+// Reporter is where a Group Manager sends its updates: a RepoReporter,
+// or a wrapper that routes failure notices elsewhere first.
 type Reporter interface {
 	ApplyWorkloads(protocol.WorkloadBatch) error
 	ApplyFailure(protocol.FailureNotice) error

@@ -1,9 +1,9 @@
 // Package control implements the VDCE Control Manager's Resource
-// Controller: the Site Manager that owns a site's repository, serves the
-// site's Application Scheduler interface over TCP RPC, and applies
-// monitoring/failure updates; and the Group Manager that aggregates
-// Monitor daemon measurements, forwards only significant changes, and
-// detects host failures with periodic echoes.
+// Controller: the Site Manager that serves a site's Application
+// Scheduler interface and resource queries over TCP RPC; and the Group
+// Manager that aggregates Monitor daemon measurements, forwards only
+// significant changes to the site's repository, and detects host
+// failures with periodic echoes.
 package control
 
 import (
@@ -20,9 +20,9 @@ import (
 )
 
 // SiteManager is the server software running on a VDCE Server: it
-// bridges VDCE modules to the site databases and handles inter-site
-// communication (the paper's description verbatim). It exposes the
-// local Application Scheduler's host selection to remote sites via RPC.
+// handles inter-site communication, exposing the local Application
+// Scheduler's host selection and the site's resource-performance
+// database to remote sites and tools via RPC.
 type SiteManager struct {
 	site  *core.LocalSite
 	lis   net.Listener
@@ -32,9 +32,6 @@ type SiteManager struct {
 	conns map[net.Conn]struct{}
 
 	closed atomic.Bool
-	// counters for the monitoring experiments
-	workloadUpdates atomic.Int64
-	failureReports  atomic.Int64
 }
 
 // StartSiteManager serves the site's RPC interface on addr
@@ -88,12 +85,6 @@ func (sm *SiteManager) Addr() string { return sm.lis.Addr().String() }
 // SiteName returns the managed site's name.
 func (sm *SiteManager) SiteName() string { return sm.site.SiteName() }
 
-// Repo exposes the site repository (local components share it).
-func (sm *SiteManager) Repo() *repository.Repository { return sm.site.Repo }
-
-// Local returns the site's in-process scheduler service.
-func (sm *SiteManager) Local() *core.LocalSite { return sm.site }
-
 // Close stops serving and waits for in-flight connections to finish.
 func (sm *SiteManager) Close() error {
 	if sm.closed.Swap(true) {
@@ -109,34 +100,19 @@ func (sm *SiteManager) Close() error {
 	return err
 }
 
-// WorkloadUpdates reports how many per-host workload writes the manager
-// has applied (E5 accounting).
-func (sm *SiteManager) WorkloadUpdates() int64 { return sm.workloadUpdates.Load() }
-
-// FailureReports reports how many failure/recovery notices arrived.
-func (sm *SiteManager) FailureReports() int64 { return sm.failureReports.Load() }
-
-// RepoReporter applies Group Manager reports straight to a site's
-// resource-performance database: the Reporter of a site that runs no
-// Site Manager, and the repository half of SiteManager's own Apply
-// methods.
+// RepoReporter applies Group Manager reports to a site's
+// resource-performance database.
 type RepoReporter struct{ Repo *repository.Repository }
 
-// applyWorkloads lands the whole batch as one copy-on-write epoch
+// ApplyWorkloads lands the whole batch as one copy-on-write epoch
 // publish, so a monitor round costs schedulers one ranked-host cache
-// invalidation instead of one per host. It reports how many hosts it
-// updated.
-func (r RepoReporter) applyWorkloads(batch protocol.WorkloadBatch) (int, error) {
+// invalidation instead of one per host.
+func (r RepoReporter) ApplyWorkloads(batch protocol.WorkloadBatch) error {
 	samples := make([]repository.HostSample, len(batch.Samples))
 	for i, s := range batch.Samples {
 		samples[i] = repository.HostSample{Host: s.Host, Sample: s.Sample}
 	}
-	return r.Repo.Resources.UpdateWorkloads(samples)
-}
-
-// ApplyWorkloads updates the database with the monitoring information.
-func (r RepoReporter) ApplyWorkloads(batch protocol.WorkloadBatch) error {
-	_, err := r.applyWorkloads(batch)
+	_, err := r.Repo.Resources.UpdateWorkloads(samples)
 	return err
 }
 
@@ -148,32 +124,6 @@ func (r RepoReporter) ApplyFailure(n protocol.FailureNotice) error {
 // ApplyRecovery marks a host up again.
 func (r RepoReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
 	return r.Repo.Resources.SetStatus(n.Host, repository.HostUp)
-}
-
-// ApplyWorkloads is the local (non-RPC) path Group Managers in the same
-// process use; the RPC surface calls it too.
-func (sm *SiteManager) ApplyWorkloads(batch protocol.WorkloadBatch) error {
-	applied, err := RepoReporter{sm.site.Repo}.applyWorkloads(batch)
-	sm.workloadUpdates.Add(int64(applied))
-	return err
-}
-
-// ApplyFailure marks a host down in the resource-performance database.
-func (sm *SiteManager) ApplyFailure(n protocol.FailureNotice) error {
-	sm.failureReports.Add(1)
-	return RepoReporter{sm.site.Repo}.ApplyFailure(n)
-}
-
-// ApplyRecovery marks a host up again.
-func (sm *SiteManager) ApplyRecovery(n protocol.RecoveryNotice) error {
-	sm.failureReports.Add(1)
-	return RepoReporter{sm.site.Repo}.ApplyRecovery(n)
-}
-
-// RecordExecution updates the task-performance database with the
-// execution time after an application execution completes.
-func (sm *SiteManager) RecordExecution(rec protocol.ExecutionRecord) error {
-	return sm.site.Repo.TaskPerf.RecordExecution(rec.Task, rec.Host, rec.Elapsed, rec.At)
 }
 
 // siteRPC is the RPC surface; kept separate so only intended methods are
@@ -198,26 +148,6 @@ func (r *siteRPC) HostSelection(req protocol.HostSelectionRequest, resp *protoco
 		resp.Choices[id] = c
 	}
 	return nil
-}
-
-// ReportWorkloads applies a Group Manager's filtered batch.
-func (r *siteRPC) ReportWorkloads(batch protocol.WorkloadBatch, _ *protocol.Ack) error {
-	return r.sm.ApplyWorkloads(batch)
-}
-
-// ReportFailure applies an echo-detected failure.
-func (r *siteRPC) ReportFailure(n protocol.FailureNotice, _ *protocol.Ack) error {
-	return r.sm.ApplyFailure(n)
-}
-
-// ReportRecovery applies a detected recovery.
-func (r *siteRPC) ReportRecovery(n protocol.RecoveryNotice, _ *protocol.Ack) error {
-	return r.sm.ApplyRecovery(n)
-}
-
-// RecordExecution feeds the task-performance database.
-func (r *siteRPC) RecordExecution(rec protocol.ExecutionRecord, _ *protocol.Ack) error {
-	return r.sm.RecordExecution(rec)
 }
 
 // Resources answers resource queries (used by tools and tests).

@@ -77,7 +77,7 @@ func (s *LocalSite) hostSelectionValidated(g *afg.Graph) Selection {
 	snap := s.Repo.Snapshot()
 	sel := make(Selection, len(g.Tasks))
 	for i, task := range g.Tasks {
-		sel[i] = s.chooseForAt(snap, task)
+		sel[i] = s.ChooseAt(snap, task, nil)
 	}
 	return sel
 }
@@ -252,26 +252,42 @@ func (s *LocalSite) PredictSetAt(snap *repository.Snapshot, task *afg.Task, host
 	return s.Oracle.P.Predict(params, worstHost, len(hosts), worstMeasured)
 }
 
-// chooseForAt runs the per-task body of Fig. 3 against one snapshot. The
-// chosen hosts are a cap-clamped prefix of the cached ranking's name
-// list, so a cache hit allocates nothing.
-func (s *LocalSite) chooseForAt(snap *repository.Snapshot, task *afg.Task) HostChoice {
+// ChooseAt runs the per-task body of Fig. 3 against one snapshot: rank
+// the eligible hosts, cut the ranking at the node count, predict the
+// set. A non-nil skip drops hosts from the ranking before the cut — the
+// rescheduling request's exclusions. With skip nil the chosen hosts are
+// a cap-clamped prefix of the cached ranking's name list, so a cache hit
+// allocates nothing; either way the slice may be shared: do not modify.
+func (s *LocalSite) ChooseAt(snap *repository.Snapshot, task *afg.Task, skip func(host string) bool) HostChoice {
 	if _, err := snap.TaskParams(task.Name); err != nil {
 		return HostChoice{Site: s.SiteName(), Err: err.Error()}
 	}
 	r := s.rankAt(snap, task)
-	if len(r.ranked) == 0 {
+	usable, best := r.names, 0 // best indexes the first usable host in r.ranked
+	if skip != nil {
+		usable = make([]string, 0, len(r.names))
+		for i, h := range r.names {
+			if skip(h) {
+				continue
+			}
+			if len(usable) == 0 {
+				best = i
+			}
+			usable = append(usable, h)
+		}
+	}
+	if len(usable) == 0 {
 		return HostChoice{Site: s.SiteName(), Err: fmt.Sprintf("no eligible host for %s", task.Name)}
 	}
 	nodes := RequiredNodesAt(snap, task)
 	if nodes <= 1 {
-		return HostChoice{Site: s.SiteName(), Hosts: r.names[:1:1], Predicted: r.ranked[0].Single}
+		return HostChoice{Site: s.SiteName(), Hosts: usable[:1:1], Predicted: r.ranked[best].Single}
 	}
-	if nodes > len(r.ranked) {
+	if nodes > len(usable) {
 		return HostChoice{Site: s.SiteName(), Err: fmt.Sprintf(
-			"parallel task %s wants %d nodes, site has %d eligible", task.Name, nodes, len(r.ranked))}
+			"parallel task %s wants %d nodes, site has %d eligible", task.Name, nodes, len(usable))}
 	}
-	names := r.names[:nodes:nodes]
+	names := usable[:nodes:nodes]
 	d, err := s.PredictSetAt(snap, task, names)
 	if err != nil {
 		return HostChoice{Site: s.SiteName(), Err: err.Error()}

@@ -243,3 +243,48 @@ func TestPredictSetErrors(t *testing.T) {
 		t.Fatal("unknown host accepted")
 	}
 }
+
+// TestChooseAtSkipMatchesFilteredRanking: Fig. 3's one body serves the
+// scheduling round (skip nil: a prefix of the cached ranking, nothing
+// allocated on a cache hit) and the rescheduling request (skip set: the
+// same cut over the ranking with the skipped hosts taken out first).
+func TestChooseAtSkipMatchesFilteredRanking(t *testing.T) {
+	s := mkSite(t, "s1", []hostSpec{
+		{name: "a", speed: 1}, {name: "b", speed: 4}, {name: "c", speed: 2},
+		{name: "d", speed: 3, load: 0.5}, {name: "e", speed: 0.5},
+	})
+	for _, props := range []afg.Properties{{}, {Mode: afg.Parallel, Nodes: 2}} {
+		g, id := oneTaskGraph(t, "LU_Decomposition", props)
+		task := g.Task(id)
+		snap := s.Snapshot()
+		nodes := RequiredNodesAt(snap, task)
+		ranked := s.RankedHostsAt(snap, task)
+		// (The parallel cut pays for PredictSetAt; the ranking prefix is
+		// free either way.)
+		if allocs := testing.AllocsPerRun(50, func() { s.ChooseAt(snap, task, nil) }); nodes == 1 && allocs != 0 {
+			t.Errorf("ChooseAt with no skip allocates %.0f objects on a cache hit", allocs)
+		}
+		for mask := 0; mask < 1<<len(ranked); mask++ {
+			skipped := func(host string) bool { return mask&(1<<(host[0]-'a')) != 0 }
+			var want []string
+			for _, r := range ranked {
+				if !skipped(r.Name) && len(want) < nodes {
+					want = append(want, r.Name)
+				}
+			}
+			c := s.ChooseAt(snap, task, skipped)
+			if len(want) < nodes {
+				if c.Err == "" {
+					t.Fatalf("nodes=%d mask=%05b: chose %v with %d usable hosts", nodes, mask, c.Hosts, len(want))
+				}
+				continue
+			}
+			if c.Err != "" || strings.Join(c.Hosts, ",") != strings.Join(want, ",") {
+				t.Fatalf("nodes=%d mask=%05b: chose %v (%s), want %v", nodes, mask, c.Hosts, c.Err, want)
+			}
+			if pred, err := s.PredictSetAt(snap, task, want); err != nil || pred != c.Predicted {
+				t.Fatalf("nodes=%d mask=%05b: predicted %v, want %v (%v)", nodes, mask, c.Predicted, pred, err)
+			}
+		}
+	}
+}

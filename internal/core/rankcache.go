@@ -19,14 +19,6 @@ type RankCacheStats struct {
 	Invalidations int64 `json:"invalidations"`
 }
 
-// HitRatio is Hits / (Hits + Misses), or 0 with no lookups.
-func (s RankCacheStats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // rankCache memoizes RankedHosts results per (task, preference) key,
 // validated by the repository generations that feed a ranking: the
 // resource epoch (workload updates, failures, host churn), the task's

@@ -314,7 +314,7 @@ func TestRankCacheSteadyStateHitRatio(t *testing.T) {
 		}
 	}
 	st := s.CacheStats()
-	if ratio := st.HitRatio(); ratio < 0.95 {
+	if ratio := float64(st.Hits) / float64(st.Hits+st.Misses); ratio < 0.95 {
 		t.Fatalf("steady-state hit ratio %.3f (%+v), want >= 0.95", ratio, st)
 	}
 	if st.Invalidations == 0 {

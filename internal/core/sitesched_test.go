@@ -246,7 +246,8 @@ func TestTotalPredictedAndOracleDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Oracle.Predict("Matrix_Multiplication", "h", 1)
+	g, id := oneTaskGraph(t, "Matrix_Multiplication", afg.Properties{})
+	got, err := s.PredictSet(g.Task(id), []string{"h"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,9 +121,9 @@ type Server struct {
 	// SubmitJob backs POST /v1/apps/{id}/submit; nil disables the
 	// endpoint (503), e.g. on schedule-only servers.
 	SubmitJob JobSubmitter
-	// Jobs, when non-nil, is mounted under /v1/jobs — the shared
-	// job-control API (internal/jobsapi), owner-scoped by the embedding
-	// environment so editor users manage their own jobs.
+	// Jobs, when non-nil, serves the rest of /v1 — the shared job-control
+	// API (internal/jobsapi), owner-scoped by the embedding environment
+	// so editor users manage their own jobs. Set it before Handler.
 	Jobs http.Handler
 
 	mu       sync.Mutex
@@ -188,19 +188,9 @@ func (s *Server) Handler() http.Handler {
 	// priority/deadline/max-hosts, plus the shared /v1/jobs API.
 	mux.HandleFunc("POST /v1/apps/{id}/submit", s.auth(s.handleSubmitV1))
 	if s.Jobs != nil {
-		mux.Handle("/v1/jobs", s.Jobs)
-		mux.Handle("/v1/jobs/{id}", s.Jobs)
-		// {id} matches exactly one path segment, so the streaming
-		// endpoints need their own mounts.
-		mux.Handle("GET /v1/jobs/{id}/events", s.Jobs)
-		mux.Handle("GET /v1/events", s.Jobs)
-		mux.Handle("/v1/owners", s.Jobs)
-		// Host health (breaker/detector state).
-		mux.Handle("GET /v1/hosts", s.Jobs)
-		// Owner administration is routed through so the owner-scoped API
-		// answers it with a clean 403 (the editor surface is read-only on
-		// owners) instead of a mux 404.
-		mux.Handle("PATCH /v1/owners/{owner}", s.Jobs)
+		// The job-control API is a mux that knows its own routes: the
+		// rest of /v1 is its.
+		mux.Handle("/v1/", s.Jobs)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)

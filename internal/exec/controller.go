@@ -115,9 +115,6 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 					e.Breakers.ReportSuccess(h)
 				}
 			}
-			if e.Metrics != nil {
-				e.Metrics.Add(e.seriesKey(ac.spec), tr.End.Sub(tr.Start), tr.Elapsed.Seconds())
-			}
 			return outs, nil
 		}
 		var term *terminationError

@@ -81,8 +81,6 @@ type Engine struct {
 	Breakers *breaker.Set
 	// Console gates task dispatch (suspend/resume). Optional.
 	Console *services.Console
-	// Metrics receives the task timeline for visualization. Optional.
-	Metrics *services.Metrics
 	// Log receives structured recovery events (host failures, task
 	// reschedules) correlated by app ID. Optional; nil discards.
 	Log *slog.Logger
@@ -96,10 +94,6 @@ type Engine struct {
 	// independent applications contend for the same simulated hardware.
 	lockMu    sync.Mutex
 	hostLocks map[string]*sync.Mutex
-
-	// seriesKeys holds each task's "task:<name>" Metrics series key by
-	// its *tasklib.Spec, built once instead of once per task run.
-	seriesKeys sync.Map
 
 	// liveMu guards dead, the failure detector's confirmed-dead set. The
 	// monitoring loops consult it every check period, so a confirmed
@@ -164,15 +158,6 @@ func (e *Engine) hostLock(host string) *sync.Mutex {
 		e.hostLocks[host] = l
 	}
 	return l
-}
-
-// seriesKey returns the Metrics series a task's runs are charted under.
-func (e *Engine) seriesKey(spec *tasklib.Spec) string {
-	key, ok := e.seriesKeys.Load(spec)
-	if !ok {
-		key, _ = e.seriesKeys.LoadOrStore(spec, "task:"+spec.Name)
-	}
-	return key.(string)
 }
 
 // PeakConcurrency reports the maximum number of applications the engine

@@ -44,13 +44,13 @@ func NewRescheduler(sites []*core.LocalSite, opts ...ReschedulerOption) func(*af
 		for _, h := range exclude {
 			bad[h] = true
 		}
-		if best := rescheduleOnce(sites, task, id, bad, o.breakers); best != nil {
+		if best := rescheduleOnce(sites, task, bad, o.breakers); best != nil {
 			return best, nil
 		}
 		if o.breakers != nil {
 			// Advisory fallback: every candidate was quarantined. Place on
 			// a breaker-excluded host anyway rather than failing the task.
-			if best := rescheduleOnce(sites, task, id, bad, nil); best != nil {
+			if best := rescheduleOnce(sites, task, bad, nil); best != nil {
 				return best, nil
 			}
 		}
@@ -58,45 +58,21 @@ func NewRescheduler(sites []*core.LocalSite, opts ...ReschedulerOption) func(*af
 	}
 }
 
-// rescheduleOnce runs one cross-site selection pass for task, skipping
-// hosts in bad and (when breakers is non-nil) hosts whose breaker is
-// open. It returns nil when no site can place the task.
-func rescheduleOnce(sites []*core.LocalSite, task *afg.Task, id afg.TaskID, bad map[string]bool, breakers *breaker.Set) *core.Placement {
+// rescheduleOnce asks every site's Fig. 3 for task, skipping hosts in
+// bad and (when breakers is non-nil) hosts whose breaker is open, and
+// keeps the first minimal prediction. It returns nil when no site can
+// place the task.
+func rescheduleOnce(sites []*core.LocalSite, task *afg.Task, bad map[string]bool, breakers *breaker.Set) *core.Placement {
+	skip := func(host string) bool {
+		return bad[host] || (breakers != nil && !breakers.Allow(host))
+	}
 	var best *core.Placement
 	for _, site := range sites {
-		// One snapshot per site keeps the exclusion scan and the
-		// final prediction on the same view.
-		snap := site.Snapshot()
-		ranked := site.RankedHostsAt(snap, task)
-		var usable []core.RankedHost
-		for _, r := range ranked {
-			if bad[r.Name] {
-				continue
-			}
-			if breakers != nil && !breakers.Allow(r.Name) {
-				continue
-			}
-			usable = append(usable, r)
-		}
-		if len(usable) == 0 {
-			continue
-		}
-		nodes := core.RequiredNodesAt(snap, task)
-		if len(usable) < nodes {
-			continue
-		}
-		hosts := make([]string, nodes)
-		for i := 0; i < nodes; i++ {
-			hosts[i] = usable[i].Name
-		}
-		pred, err := site.PredictSetAt(snap, task, hosts)
-		if err != nil {
-			continue
-		}
-		if best == nil || pred < best.Predicted {
+		c := site.ChooseAt(site.Snapshot(), task, skip)
+		if c.Err == "" && (best == nil || c.Predicted < best.Predicted) {
 			best = &core.Placement{
-				Task: id, TaskName: task.Name, Site: site.SiteName(),
-				Hosts: hosts, Predicted: pred,
+				Task: task.ID, TaskName: task.Name, Site: c.Site,
+				Hosts: c.Hosts, Predicted: c.Predicted,
 			}
 		}
 	}

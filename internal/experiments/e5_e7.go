@@ -33,12 +33,7 @@ func E5Monitoring(thresholds []float64, hosts, rounds int, seed int64) (*Table, 
 			return nil, err
 		}
 		site := tb.Sites[0]
-		local := core.NewLocalSite(site.Repo)
-		sm, err := control.StartSiteManager(local, "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		gm := control.NewGroupManager(site.Name, "g0", site.Hosts, sm, time.Hour)
+		gm := control.NewGroupManager(site.Name, "g0", site.Hosts, control.RepoReporter{Repo: site.Repo}, time.Hour)
 		gm.Threshold = thr
 		gm.MemThreshold = 1 << 40 // isolate the load trigger
 
@@ -47,7 +42,6 @@ func E5Monitoring(thresholds []float64, hosts, rounds int, seed int64) (*Table, 
 			for _, h := range site.Hosts {
 				s := h.Sample(now)
 				if err := gm.Ingest(h.Name, s); err != nil {
-					sm.Close()
 					return nil, err
 				}
 			}
@@ -57,13 +51,11 @@ func E5Monitoring(thresholds []float64, hosts, rounds int, seed int64) (*Table, 
 		for _, h := range site.Hosts {
 			rec, err := site.Repo.Resources.Host(h.Name)
 			if err != nil {
-				sm.Close()
 				return nil, err
 			}
 			errSum += math.Abs(rec.CPULoad - h.CurrentLoad())
 		}
 		recv, fwd, _ := gm.Stats()
-		sm.Close()
 		t.Add(thr, fwd, fmt.Sprintf("%.1f", float64(fwd)/float64(recv)*100),
 			fmt.Sprintf("%.4f", errSum/float64(hosts)))
 	}
@@ -88,12 +80,7 @@ func E6FailureDetect(periods []time.Duration, trials int, seed int64) (*Table, e
 			return nil, err
 		}
 		site := tb.Sites[0]
-		local := core.NewLocalSite(site.Repo)
-		sm, err := control.StartSiteManager(local, "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		gm := control.NewGroupManager(site.Name, "g0", site.Hosts, sm, time.Hour)
+		gm := control.NewGroupManager(site.Name, "g0", site.Hosts, control.RepoReporter{Repo: site.Repo}, time.Hour)
 		var latSum, latMax time.Duration
 		detected := 0
 		rng := newRng(seed)
@@ -109,7 +96,6 @@ func E6FailureDetect(periods []time.Duration, trials int, seed int64) (*Table, e
 			for r := 1; r <= 3; r++ {
 				roundTime := time.Unix(int64(trial)*1000, 0).Add(time.Duration(r) * period)
 				if err := gm.EchoRound(roundTime); err != nil {
-					sm.Close()
 					return nil, err
 				}
 				if gm.Down(victim.Name) {
@@ -127,21 +113,17 @@ func E6FailureDetect(periods []time.Duration, trials int, seed int64) (*Table, e
 				// The repository must agree (Fig. 4 step 3).
 				rec, err := site.Repo.Resources.Host(victim.Name)
 				if err != nil {
-					sm.Close()
 					return nil, err
 				}
 				if rec.Status != "down" {
-					sm.Close()
 					return nil, fmt.Errorf("E6: repo missed the failure")
 				}
 			}
 			victim.Recover()
 			if err := gm.EchoRound(time.Unix(int64(trial)*1000+500, 0)); err != nil {
-				sm.Close()
 				return nil, err
 			}
 		}
-		sm.Close()
 		mean := time.Duration(0)
 		if detected > 0 {
 			mean = latSum / time.Duration(detected)

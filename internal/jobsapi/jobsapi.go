@@ -151,7 +151,8 @@ type Source interface {
 	// durable. An empty update is an error.
 	UpdateOwner(owner string, upd services.OwnerUpdate) (services.OwnerStatus, error)
 	// Hosts returns every testbed host's health snapshot, including
-	// circuit-breaker state, sorted by host name (GET /v1/hosts).
+	// circuit-breaker state, in testbed order: site by site, each site's
+	// hosts as built (GET /v1/hosts).
 	Hosts() []services.HostStatus
 	// JobTrace returns one retained job's ordered lifecycle trace: phase
 	// boundaries plus park/reschedule/failure point events

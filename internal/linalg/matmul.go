@@ -36,43 +36,6 @@ func mulRange(a, b, c *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulBlocked returns a*b using cache blocking with the given block
-// size. A non-positive block size selects a reasonable default.
-func MatMulBlocked(a, b *Matrix, block int) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("linalg: MatMulBlocked dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if block <= 0 {
-		block = 64
-	}
-	m, n, p := a.Rows, a.Cols, b.Cols
-	c := New(m, p)
-	for ii := 0; ii < m; ii += block {
-		iMax := min(ii+block, m)
-		for kk := 0; kk < n; kk += block {
-			kMax := min(kk+block, n)
-			for jj := 0; jj < p; jj += block {
-				jMax := min(jj+block, p)
-				for i := ii; i < iMax; i++ {
-					crow := c.Data[i*p : (i+1)*p]
-					arow := a.Data[i*n : (i+1)*n]
-					for k := kk; k < kMax; k++ {
-						aik := arow[k]
-						if aik == 0 {
-							continue
-						}
-						brow := b.Data[k*p : (k+1)*p]
-						for j := jj; j < jMax; j++ {
-							crow[j] += aik * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-	return c, nil
-}
-
 // MatMulParallel returns a*b computed by nWorkers goroutines splitting
 // the rows of a. nWorkers <= 0 selects GOMAXPROCS. This is the "parallel
 // computation mode" implementation used when an AFG task requests more

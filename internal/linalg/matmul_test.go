@@ -34,9 +34,6 @@ func TestMatMulShapeError(t *testing.T) {
 	if _, err := MatMul(New(2, 3), New(2, 3)); err == nil {
 		t.Fatal("expected shape error")
 	}
-	if _, err := MatMulBlocked(New(2, 3), New(2, 3), 8); err == nil {
-		t.Fatal("expected shape error")
-	}
 	if _, err := MatMulParallel(New(2, 3), New(2, 3), 2); err == nil {
 		t.Fatal("expected shape error")
 	}
@@ -49,15 +46,6 @@ func TestMatMulVariantsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, block := range []int{0, 1, 8, 64, 1000} {
-		got, err := MatMulBlocked(a, b, block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := MaxAbsDiff(ref, got); d > 1e-10 {
-			t.Fatalf("blocked(%d) differs by %g", block, d)
-		}
-	}
 	for _, workers := range []int{-1, 1, 2, 4, 100} {
 		got, err := MatMulParallel(a, b, workers)
 		if err != nil {
@@ -69,7 +57,7 @@ func TestMatMulVariantsAgree(t *testing.T) {
 	}
 }
 
-// Property: sequential, blocked, and parallel matmul agree on random
+// Property: sequential and parallel matmul agree on random
 // shapes — the invariant the runtime relies on when it swaps computation
 // modes for a task.
 func TestMatMulAgreementProperty(t *testing.T) {
@@ -83,15 +71,11 @@ func TestMatMulAgreementProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bl, err := MatMulBlocked(a, b, 4)
-		if err != nil {
-			return false
-		}
 		pl, err := MatMulParallel(a, b, 3)
 		if err != nil {
 			return false
 		}
-		return MaxAbsDiff(ref, bl) < 1e-10 && MaxAbsDiff(ref, pl) < 1e-10
+		return MaxAbsDiff(ref, pl) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(44))}); err != nil {
 		t.Fatal(err)
@@ -105,18 +89,6 @@ func BenchmarkMatMul128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := MatMul(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMatMulBlocked128(b *testing.B) {
-	x := RandomMatrix(128, 128, 1)
-	y := RandomMatrix(128, 128, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MatMulBlocked(x, y, 64); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear-algebra kernels that back the
 // VDCE matrix-algebra task library: LU decomposition with partial
-// pivoting, triangular solves, and sequential, blocked, and parallel
-// matrix multiplication.
+// pivoting, triangular solves, and sequential and parallel matrix
+// multiplication.
 //
 // The kernels are deliberately self-contained (stdlib only) and
 // deterministic so that the task-performance database measurements taken
@@ -90,27 +90,6 @@ func Add(a, b *Matrix) (*Matrix, error) {
 	return c, nil
 }
 
-// Sub returns a-b. Dimensions must match.
-func Sub(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("linalg: Sub dimension mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	c := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		c.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return c, nil
-}
-
-// Scale returns s*m as a new matrix.
-func Scale(s float64, m *Matrix) *Matrix {
-	c := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		c.Data[i] = s * m.Data[i]
-	}
-	return c
-}
-
 // Equalish reports whether a and b have the same shape and all entries
 // within tol of one another.
 func Equalish(a, b *Matrix, tol float64) bool {
@@ -166,22 +145,6 @@ func (m *Matrix) String() string {
 		b.WriteString("]\n")
 	}
 	return b.String()
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
 }
 
 // swapRows exchanges rows i and j in place.

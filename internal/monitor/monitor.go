@@ -6,7 +6,6 @@ package monitor
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"vdce/internal/repository"
@@ -20,8 +19,6 @@ type Sink func(host string, s repository.WorkloadSample)
 type Daemon struct {
 	Host   *testbed.Host
 	Period time.Duration
-	// samples counts measurements taken (for overhead accounting in E5).
-	samples atomic.Int64
 }
 
 // NewDaemon returns a daemon for the host with the given period
@@ -33,9 +30,6 @@ func NewDaemon(h *testbed.Host, period time.Duration) *Daemon {
 	return &Daemon{Host: h, Period: period}
 }
 
-// Samples returns how many measurements the daemon has taken.
-func (d *Daemon) Samples() int64 { return d.samples.Load() }
-
 // MeasureOnce takes a single measurement immediately and delivers it,
 // reporting whether a sample went out. Unreachable hosts produce
 // nothing — the daemon dies with its machine, and a partitioned
@@ -45,9 +39,7 @@ func (d *Daemon) MeasureOnce(now time.Time, sink Sink) bool {
 	if !d.Host.Reachable() {
 		return false
 	}
-	s := d.Host.Sample(now)
-	d.samples.Add(1)
-	sink(d.Host.Name, s)
+	sink(d.Host.Name, d.Host.Sample(now))
 	return true
 }
 

@@ -67,12 +67,6 @@ func New(sites []string) (*Network, error) {
 	return n, nil
 }
 
-// Sites returns the site names in construction order.
-func (n *Network) Sites() []string { return append([]string(nil), n.sites...) }
-
-// Has reports whether the named site exists.
-func (n *Network) Has(site string) bool { _, ok := n.index[site]; return ok }
-
 // SetLink sets the symmetric link between sites a and b (a may equal b to
 // set a site's internal LAN characteristics).
 func (n *Network) SetLink(a, b string, l Link) error {

@@ -44,11 +44,8 @@ func TestDefaults(t *testing.T) {
 	if wan != DefaultWANLink {
 		t.Fatalf("inter-site link = %+v", wan)
 	}
-	if !n.Has("a") || n.Has("zz") {
-		t.Fatal("Has wrong")
-	}
-	if s := n.Sites(); len(s) != 2 || s[0] != "a" {
-		t.Fatalf("Sites = %v", s)
+	if _, err := n.LinkBetween("a", "zz"); err == nil {
+		t.Fatal("link to an unknown site")
 	}
 }
 
@@ -177,9 +174,9 @@ func TestRandomizeDeterministic(t *testing.T) {
 // Property: TransferTime is symmetric, monotone in size, and never less
 // than the link latency.
 func TestTransferTimeProperty(t *testing.T) {
-	n := mustNew(t, "a", "b", "c", "d")
+	sites := []string{"a", "b", "c", "d"}
+	n := mustNew(t, sites...)
 	n.Randomize(11, time.Millisecond, 40*time.Millisecond, 1e5, 1e7)
-	sites := n.Sites()
 	f := func(szRaw uint32, iRaw, jRaw uint8) bool {
 		size := int64(szRaw % 10_000_000)
 		i := int(iRaw) % len(sites)

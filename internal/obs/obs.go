@@ -1,5 +1,5 @@
 // Package obs is the repo's pure-stdlib metrics substrate: atomic
-// counters, gauges, and fixed-bucket histograms with label support,
+// counters, scrape-time gauges, and fixed-bucket histograms with labels,
 // collected into a Registry that renders Prometheus text exposition
 // format. It exists so every subsystem (admission, scheduler, exec,
 // breakers, WAL, broker) reports through one shared surface instead of
@@ -82,11 +82,10 @@ type family struct {
 type series struct {
 	vals []string
 
-	// counter/gauge payload: counters are monotonically increased
-	// float64 bit patterns; gauges are set/added the same way.
+	// counter payload: a monotonically increased float64 bit pattern.
 	bits atomic.Uint64
 
-	// histogram payload (nil for counters/gauges): counts[i] tallies
+	// histogram payload (nil for counters): counts[i] tallies
 	// observations <= buckets[i]; counts[len] is the +Inf bucket.
 	counts []atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-added
@@ -119,11 +118,6 @@ func (r *Registry) family(name, help string, k kind, keys []string, buckets []fl
 // and keep the handle.
 func (r *Registry) Counter(name, help string, labelKeys ...string) *CounterVec {
 	return &CounterVec{r.family(name, help, kindCounter, labelKeys, nil)}
-}
-
-// Gauge registers a gauge family.
-func (r *Registry) Gauge(name, help string, labelKeys ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, kindGauge, labelKeys, nil)}
 }
 
 // Histogram registers a fixed-bucket histogram family. Buckets are
@@ -227,28 +221,6 @@ func (c *Counter) Add(v float64) {
 
 // Value reads the current total.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.s.bits.Load()) }
-
-// GaugeVec is a gauge family; With resolves one series.
-type GaugeVec struct{ f *family }
-
-// With returns the series for the given label values.
-func (v *GaugeVec) With(labelVals ...string) *Gauge { return &Gauge{v.f.with(labelVals)} }
-
-// Gauge is an instantaneous value that can go up and down.
-type Gauge struct{ s *series }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.s.bits.Store(math.Float64bits(v)) }
-
-// Add shifts the gauge by v (may be negative).
-func (g *Gauge) Add(v float64) { addFloatBits(&g.s.bits, v) }
-
-// Inc adds one; Dec subtracts one.
-func (g *Gauge) Inc() { g.Add(1) }
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.bits.Load()) }
 
 // HistogramVec is a histogram family; With resolves one series.
 type HistogramVec struct{ f *family }

@@ -19,8 +19,8 @@ func TestExpositionGolden(t *testing.T) {
 	sheds := r.Counter("vdce_sheds_total", "Submissions shed at admission.", "reason")
 	sheds.With("queue-full").Add(3)
 	sheds.With("deadline-infeasible").Inc()
-	depth := r.Gauge("vdce_queue_depth", "Jobs waiting in admission.")
-	depth.With().Set(7)
+	r.GaugeFunc("vdce_queue_depth", "Jobs waiting in admission.", nil,
+		func(emit func(v float64, labelVals ...string)) { emit(7) })
 	lat := r.Histogram("vdce_wait_seconds", "Submit wait.", []float64{0.01, 0.1, 1})
 	h := lat.With()
 	h.Observe(0.005) // le=0.01
@@ -117,22 +117,14 @@ func TestSeriesIdentityAndValue(t *testing.T) {
 	if a1.Value() != 3 {
 		t.Fatalf("counter moved backwards: %g", a1.Value())
 	}
-	g := r.Gauge("g", "").With()
-	g.Set(10)
-	g.Add(-4)
-	g.Dec()
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %g, want 5", g.Value())
-	}
 }
 
-// TestConcurrentRecording hammers one counter, gauge, and histogram
+// TestConcurrentRecording hammers one counter and one histogram
 // from many goroutines (run under -race in CI) and checks the totals
 // survive without loss.
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c", "").With()
-	g := r.Gauge("g", "").With()
 	h := r.Histogram("h", "", []float64{0.5}).With()
 	const workers, per = 8, 2000
 	var wg sync.WaitGroup
@@ -142,7 +134,6 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Inc()
 				h.Observe(0.25)
 			}
 		}()
@@ -150,9 +141,6 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*per {
 		t.Fatalf("counter = %g, want %d", c.Value(), workers*per)
-	}
-	if g.Value() != workers*per {
-		t.Fatalf("gauge = %g, want %d", g.Value(), workers*per)
 	}
 	if h.Count() != workers*per {
 		t.Fatalf("hist count = %d, want %d", h.Count(), workers*per)

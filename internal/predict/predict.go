@@ -132,10 +132,9 @@ func (p *Predictor) Predict(task repository.TaskParams, host repository.HostView
 	return model, nil
 }
 
-// Oracle binds a Predictor to a site repository so callers can predict by
-// task and host name, pulling parameters and measurements from the
-// databases exactly as the host selection algorithm's steps 1-2 retrieve
-// them.
+// Oracle binds a Predictor to a site repository: host selection reads
+// the constants from P, and BaseTimeFor derives a task's level cost from
+// the task-performance database.
 type Oracle struct {
 	P    Predictor
 	Repo *repository.Repository
@@ -144,32 +143,6 @@ type Oracle struct {
 // NewOracle returns an Oracle over repo with Default constants.
 func NewOracle(repo *repository.Repository) *Oracle {
 	return &Oracle{P: Default(), Repo: repo}
-}
-
-// Predict estimates task's execution time on host using nodes
-// processors. It reads one coherent repository snapshot; callers holding
-// a snapshot for a whole round should use PredictAt instead.
-func (o *Oracle) Predict(taskName, hostName string, nodes int) (time.Duration, error) {
-	return o.PredictAt(o.Repo.Snapshot(), taskName, hostName, nodes)
-}
-
-// PredictAt estimates task's execution time on host against the given
-// snapshot, so repeated predictions within one scheduling round share a
-// single frozen view of the databases.
-func (o *Oracle) PredictAt(snap *repository.Snapshot, taskName, hostName string, nodes int) (time.Duration, error) {
-	task, err := snap.TaskParams(taskName)
-	if err != nil {
-		return 0, err
-	}
-	host, ok := snap.View(hostName)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", repository.ErrUnknownHost, hostName)
-	}
-	var measured *time.Duration
-	if d, ok := snap.MeasuredTime(taskName, hostName); ok {
-		measured = &d
-	}
-	return o.P.Predict(task, host, nodes, measured)
 }
 
 // BaseTimeFor returns the level-computation cost of a task: the stored

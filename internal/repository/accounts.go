@@ -54,14 +54,13 @@ func NewUserAccountsDB() *UserAccountsDB {
 
 // Errors returned by account operations.
 var (
-	ErrUserExists   = errors.New("repository: user already exists")
-	ErrUnknownUser  = errors.New("repository: unknown user")
-	ErrBadPassword  = errors.New("repository: bad password")
-	ErrEmptyName    = errors.New("repository: empty user name")
-	ErrBadDomain    = errors.New("repository: invalid access domain")
-	ErrEmptySecret  = errors.New("repository: empty password")
-	ErrBadPriority  = errors.New("repository: priority must be non-negative")
-	ErrNotPersisted = errors.New("repository: no path configured")
+	ErrUserExists  = errors.New("repository: user already exists")
+	ErrUnknownUser = errors.New("repository: unknown user")
+	ErrBadPassword = errors.New("repository: bad password")
+	ErrEmptyName   = errors.New("repository: empty user name")
+	ErrBadDomain   = errors.New("repository: invalid access domain")
+	ErrEmptySecret = errors.New("repository: empty password")
+	ErrBadPriority = errors.New("repository: priority must be non-negative")
 )
 
 func validDomain(d AccessDomain) bool {
@@ -144,17 +143,6 @@ func (db *UserAccountsDB) Lookup(name string) (UserAccount, error) {
 		return UserAccount{}, ErrUnknownUser
 	}
 	return *acct, nil
-}
-
-// RemoveUser deletes the named account.
-func (db *UserAccountsDB) RemoveUser(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.users[name]; !ok {
-		return ErrUnknownUser
-	}
-	delete(db.users, name)
-	return nil
 }
 
 // Users returns all accounts sorted by name (copies).

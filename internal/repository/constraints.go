@@ -2,8 +2,6 @@ package repository
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -29,9 +27,6 @@ func NewConstraintsDB() *ConstraintsDB {
 	return &ConstraintsDB{locations: make(map[string]map[string]string)}
 }
 
-// ErrNoLocation is returned when a task has no executable on a host.
-var ErrNoLocation = errors.New("repository: no executable location")
-
 // SetLocation registers the executable path of task on host.
 func (db *ConstraintsDB) SetLocation(task, host, path string) error {
 	if task == "" || host == "" || path == "" {
@@ -49,35 +44,12 @@ func (db *ConstraintsDB) SetLocation(task, host, path string) error {
 	return nil
 }
 
-// Location returns the executable path of task on host.
-func (db *ConstraintsDB) Location(task, host string) (string, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if p, ok := db.locations[task][host]; ok {
-		return p, nil
-	}
-	return "", fmt.Errorf("%w: task %s on host %s", ErrNoLocation, task, host)
-}
-
 // HasTask reports whether host can run task.
 func (db *ConstraintsDB) HasTask(task, host string) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	_, ok := db.locations[task][host]
 	return ok
-}
-
-// HostsWithTask returns the hosts where task is installed, sorted.
-func (db *ConstraintsDB) HostsWithTask(task string) []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	m := db.locations[task]
-	out := make([]string, 0, len(m))
-	for h := range m {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RemoveHost drops every location on the given host (host
@@ -89,15 +61,4 @@ func (db *ConstraintsDB) RemoveHost(host string) {
 		delete(m, host)
 	}
 	db.gen.Add(1)
-}
-
-// InstallEverywhere registers task at path on every listed host — a
-// convenience for testbed setup.
-func (db *ConstraintsDB) InstallEverywhere(task, path string, hosts []string) error {
-	for _, h := range hosts {
-		if err := db.SetLocation(task, h, path); err != nil {
-			return err
-		}
-	}
-	return nil
 }

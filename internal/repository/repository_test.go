@@ -1,9 +1,6 @@
 package repository
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func TestConstraints(t *testing.T) {
 	db := NewConstraintsDB()
@@ -13,19 +10,8 @@ func TestConstraints(t *testing.T) {
 	if err := db.SetLocation("lu", "h2", "/usr/local/bin/lu"); err != nil {
 		t.Fatal(err)
 	}
-	p, err := db.Location("lu", "h1")
-	if err != nil || p != "/opt/vdce/bin/lu" {
-		t.Fatalf("Location = %q, %v", p, err)
-	}
-	if _, err := db.Location("lu", "h3"); !errors.Is(err, ErrNoLocation) {
-		t.Fatalf("missing location: %v", err)
-	}
 	if !db.HasTask("lu", "h2") || db.HasTask("lu", "h3") || db.HasTask("nope", "h1") {
 		t.Fatal("HasTask wrong")
-	}
-	hs := db.HostsWithTask("lu")
-	if len(hs) != 2 || hs[0] != "h1" || hs[1] != "h2" {
-		t.Fatalf("HostsWithTask = %v", hs)
 	}
 	db.RemoveHost("h1")
 	if db.HasTask("lu", "h1") {
@@ -34,13 +20,7 @@ func TestConstraints(t *testing.T) {
 	if err := db.SetLocation("", "h", "p"); err == nil {
 		t.Fatal("empty task accepted")
 	}
-	if err := db.InstallEverywhere("mm", "/bin/mm", []string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if !db.HasTask("mm", "a") || !db.HasTask("mm", "b") {
-		t.Fatal("InstallEverywhere incomplete")
-	}
-	if err := db.InstallEverywhere("mm", "", []string{"a"}); err == nil {
+	if err := db.SetLocation("mm", "a", ""); err == nil {
 		t.Fatal("empty path accepted")
 	}
 }

@@ -53,12 +53,6 @@ type ResourceInfo struct {
 	RecentLoads []WorkloadSample `json:"recent_loads,omitempty"`
 }
 
-// MachineType is the editor-facing "machine type" label for preference
-// matching: "<arch> <os>", e.g. "SUN Solaris".
-func (r *ResourceInfo) MachineType() string {
-	return r.ArchType + " " + r.OSType
-}
-
 // View returns the slim scheduling-path view of the record.
 func (r *ResourceInfo) View() HostView {
 	return HostView{

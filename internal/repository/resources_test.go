@@ -36,8 +36,8 @@ func TestAddHostDefaults(t *testing.T) {
 
 func TestMachineType(t *testing.T) {
 	h := host("x", "s", "g")
-	if h.MachineType() != "SUN Solaris" {
-		t.Fatalf("MachineType = %q", h.MachineType())
+	if mt := h.View().MachineType(); mt != "SUN Solaris" {
+		t.Fatalf("MachineType = %q", mt)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 // Slices returned by Snapshot methods are shared with the underlying
 // epoch and must not be modified.
 type Snapshot struct {
-	site string
 	res  *hostEpoch
 	perf *perfEpoch
 }
@@ -28,14 +27,10 @@ type Snapshot struct {
 // snapshot's lifetime.
 func (r *Repository) Snapshot() *Snapshot {
 	return &Snapshot{
-		site: r.Site,
 		res:  r.Resources.epoch.Load(),
 		perf: r.TaskPerf.epoch.Load(),
 	}
 }
-
-// Site returns the owning site's name.
-func (s *Snapshot) Site() string { return s.site }
 
 // ResourceGeneration is the resource epoch number: any host add/remove,
 // status flip, or workload update observed by this snapshot bumps it.

@@ -165,16 +165,6 @@ func (db *TaskPerfDB) Params(name string) (TaskParams, error) {
 	return t.Params, nil
 }
 
-// BaseTime returns the base-processor execution time used as the level
-// cost, or an error for unknown tasks.
-func (db *TaskPerfDB) BaseTime(name string) (time.Duration, error) {
-	p, err := db.Params(name)
-	if err != nil {
-		return 0, err
-	}
-	return p.BaseTime, nil
-}
-
 // Execution is one measured run of a task on a host: an element of a
 // RecordExecutions batch, and the record a completed task sends the
 // Site Manager (protocol.ExecutionRecord).

@@ -24,15 +24,8 @@ func TestRegisterAndParams(t *testing.T) {
 	if got != p {
 		t.Fatalf("Params = %+v, want %+v", got, p)
 	}
-	bt, err := db.BaseTime("LU_Decomposition")
-	if err != nil || bt != 2*time.Second {
-		t.Fatalf("BaseTime = %v, %v", bt, err)
-	}
 	if _, err := db.Params("missing"); !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("unknown: %v", err)
-	}
-	if _, err := db.BaseTime("missing"); err == nil {
-		t.Fatal("BaseTime on missing task should fail")
 	}
 }
 
@@ -67,7 +60,7 @@ func TestReRegisterKeepsMeasurements(t *testing.T) {
 	if d, ok := db.MeasuredTime("t", "h1"); !ok || d != 3*time.Second {
 		t.Fatalf("measurement lost after re-register: %v %v", d, ok)
 	}
-	if bt, _ := db.BaseTime("t"); bt != 2*time.Second {
+	if p, _ := db.Params("t"); p.BaseTime != 2*time.Second {
 		t.Fatal("re-register did not update params")
 	}
 }

@@ -1,9 +1,10 @@
-// Package services implements the user-requested runtime services of
-// §4.2: the I/O service (file or URL inputs), the console service
-// (suspend and restart a running application), and the visualization
-// service (application performance and workload time series). It also
-// hosts the distributed-shared-memory extension the paper's conclusion
-// announces as future work.
+// Package services holds what is implemented of the user-requested
+// runtime services of §4.2 — the console service (suspend and restart a
+// running application) — and the job registry with its wire forms
+// (JobBoard, JobStatus, JobTrace, HostStatus) behind the /v1 API. The
+// visualization service is /metrics (internal/obs), vdce-monitor and
+// trace.Gantt; the I/O service and the distributed shared memory the
+// paper's conclusion announces are not implemented.
 package services
 
 import (
@@ -42,13 +43,6 @@ func (c *Console) Resume() {
 		close(c.wake)
 		c.wake = make(chan struct{})
 	}
-}
-
-// Suspended reports the current state.
-func (c *Console) Suspended() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.paused
 }
 
 // Gate blocks while the console is suspended. It returns ctx.Err() if

@@ -559,9 +559,6 @@ func (st *State) SortedJobs() []*JobRecord {
 // single-threaded; it does not track later appends.
 func (s *Store) Recovered() *State { return s.recovered }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // append folds the record into the mirror and frames it into the WAL
 // under one lock hold, keeping mirror order identical to log order,
 // then triggers a background compaction once enough records piled up.

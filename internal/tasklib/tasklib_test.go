@@ -1,7 +1,6 @@
 package tasklib
 
 import (
-	"strings"
 	"testing"
 
 	"vdce/internal/linalg"
@@ -148,11 +147,7 @@ func TestInstallInto(t *testing.T) {
 	if _, err := repo.TaskPerf.Params("LU_Decomposition"); err != nil {
 		t.Fatalf("params not installed: %v", err)
 	}
-	p, err := repo.Constraints.Location("Matrix_Multiplication", "h2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(p, "/opt/vdce/tasks/") {
-		t.Fatalf("location = %q", p)
+	if !repo.Constraints.HasTask("Matrix_Multiplication", "h2") {
+		t.Fatal("task not installed on h2")
 	}
 }

@@ -163,13 +163,6 @@ func (h *Host) Heal() {
 	h.partitioned = false
 }
 
-// Partitioned reports whether the host is currently cut off.
-func (h *Host) Partitioned() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.partitioned
-}
-
 // Reachable reports whether monitoring traffic (samples, echoes) gets
 // through: the host is neither failed nor partitioned.
 func (h *Host) Reachable() bool {

@@ -45,8 +45,8 @@ func TestBuildDefaults(t *testing.T) {
 			}
 		}
 	}
-	if !tb.Net.Has("site0") || !tb.Net.Has("site1") {
-		t.Fatal("network missing sites")
+	if _, err := tb.Net.LinkBetween("site0", "site1"); err != nil {
+		t.Fatalf("network missing sites: %v", err)
 	}
 }
 

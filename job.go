@@ -621,6 +621,23 @@ func (j *Job) Status() services.JobStatus {
 	return s
 }
 
+// armExpiry drops a job with a deadline at that deadline if it is still
+// queued then, so it does not pin a queue slot or block Wait callers
+// until a worker happens to pop it. Called after the push, when a worker
+// may already have run the job to its end: a terminal job arms nothing —
+// its terminalize has passed and would never stop the timer, which would
+// hold the job, graph and result until the deadline.
+func (j *Job) armExpiry() {
+	if j.deadline.IsZero() {
+		return
+	}
+	j.mu.Lock()
+	if !j.state.terminal() {
+		j.expiry = time.AfterFunc(time.Until(j.deadline), j.expireQueued)
+	}
+	j.mu.Unlock()
+}
+
 // expireQueued is the deadline timer's callback: a job still queued at
 // its deadline is dropped — removed from the admission queue, its slot
 // released — exactly like an eager Cancel, but terminalizing as failed

@@ -415,3 +415,31 @@ func TestHTTPQuotaRejectionAndOwners(t *testing.T) {
 func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
+
+// TestEditorMountServesJobTrace: the editor's owner-scoped /v1 mount is
+// the job-control API's own route table, so the trace route answers
+// there with the status route's rules — the owner's job 200, another
+// owner's 403, an unknown job 404 — not a mux 404.
+func TestEditorMountServesJobTrace(t *testing.T) {
+	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 95}})
+	if _, err := env.Sites[0].Repo.Users.AddUser("rival", "secret", 3, repository.DomainGlobal); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(env.EditorServer(true, 0).Handler())
+	defer ts.Close()
+	c := newJobsClient(t, ts.URL, "user_k", "vdce")
+	id := c.submitV1(t, c.importApp(t, 1), nil)
+	c.waitState(t, id, services.JobStateDone, 30*time.Second)
+
+	out := c.do("GET", "/v1/jobs/"+id+"/trace", nil, http.StatusOK)
+	if events, _ := out["events"].([]any); out["id"] != id || len(events) == 0 {
+		t.Fatalf("trace of %s = %v, want its lifecycle events", id, out)
+	}
+	rival := newJobsClient(t, ts.URL, "rival", "secret")
+	if _, code := rival.try("GET", "/v1/jobs/"+id+"/trace", nil); code != http.StatusForbidden {
+		t.Fatalf("another owner's trace = %d, want 403", code)
+	}
+	if _, code := c.try("GET", "/v1/jobs/job-404/trace", nil); code != http.StatusNotFound {
+		t.Fatalf("unknown job's trace = %d, want 404", code)
+	}
+}

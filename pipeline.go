@@ -112,7 +112,6 @@ type pipeline struct {
 	slots  chan struct{} // queue-capacity semaphore (cap QueueDepth)
 	notify chan struct{} // wakes idle workers after pushes (cap QueueDepth)
 	runSem chan struct{}
-	start  time.Time
 	// events is the job event broker behind the streaming API: every
 	// lifecycle publication and engine recovery event fans out here with
 	// a monotonic cursor.
@@ -181,7 +180,6 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 		ctx:    ctx,
 		admit:  newAdmitQueue(cfg.AgingStep, cfg.Quota),
 		runSem: make(chan struct{}, cfg.MaxConcurrentRuns),
-		start:  time.Now(),
 		store:  st,
 		byID:   make(map[string]*Job),
 
@@ -326,7 +324,6 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		}
 	}
 	p.events.Publish(jobsapi.EventState, status)
-	p.gauge()
 	// A cancel may have landed between the registration above and here:
 	// never enqueue a job that is already terminal.
 	if job.canceled() {
@@ -340,14 +337,7 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	p.env.obsM.submitWait.Observe(wait.Seconds())
 	p.env.obsM.accepted.Inc()
 	p.env.log.Debug("job admitted", "job_id", job.ID, "owner", job.Owner)
-	if !job.deadline.IsZero() {
-		// Drop the job at its deadline if it is still queued then, so it
-		// does not pin a queue slot or block Wait callers until a worker
-		// happens to pop it.
-		job.mu.Lock()
-		job.expiry = time.AfterFunc(time.Until(job.deadline), job.expireQueued)
-		job.mu.Unlock()
-	}
+	job.armExpiry()
 	p.wake()
 	return job, nil
 }
@@ -497,21 +487,17 @@ func (p *pipeline) process(job *Job) {
 		// terminalize ran too early to see the charge, so return it
 		// explicitly — jobReleased is idempotent.
 		p.jobReleased(job)
-		p.gauge()
 		return
 	}
-	p.gauge()
 	svc, err := p.env.siteServices(job.home)
 	if err != nil {
 		job.fail(fmt.Errorf("vdce: scheduling services for site %d: %w", job.home, err))
-		p.gauge()
 		return
 	}
 	sched := core.NewScheduler(svc.local, svc.remotes, p.env.Net, job.K)
 	cost, err := p.env.CostFunc(job.Graph)
 	if err != nil {
 		job.fail(err)
-		p.gauge()
 		return
 	}
 	roundStart := time.Now()
@@ -519,7 +505,6 @@ func (p *pipeline) process(job *Job) {
 	p.env.obsM.roundLatency.Observe(time.Since(roundStart).Seconds())
 	if err != nil {
 		job.fail(err)
-		p.gauge()
 		return
 	}
 	job.setTable(table)
@@ -563,11 +548,9 @@ func (p *pipeline) dispatch(job *Job, table *core.AllocationTable) {
 	case p.runSem <- struct{}{}:
 	case <-job.cancelCh:
 		job.terminalize(JobCanceled, ErrJobCanceled, nil)
-		p.gauge()
 		return
 	case <-p.ctx.Done():
 		job.fail(ErrPipelineClosed)
-		p.gauge()
 		return
 	}
 	go p.execute(job, table)
@@ -606,15 +589,12 @@ func (p *pipeline) parkForHosts(job *Job, table *core.AllocationTable, needed []
 		case <-changed:
 		case <-deadlineCh:
 			job.terminalize(JobFailed, ErrJobDeadlineExceeded, nil)
-			p.gauge()
 			return
 		case <-job.cancelCh:
 			job.terminalize(JobCanceled, ErrJobCanceled, nil)
-			p.gauge()
 			return
 		case <-p.ctx.Done():
 			job.fail(ErrPipelineClosed)
-			p.gauge()
 			return
 		}
 	}
@@ -674,11 +654,9 @@ func (p *pipeline) execute(job *Job, table *core.AllocationTable) {
 	}()
 	if !job.setRunCancel(cancel) {
 		job.terminalize(JobCanceled, ErrJobCanceled, nil)
-		p.gauge()
 		return
 	}
 	job.transition(JobRunning)
-	p.gauge()
 	res, err := p.env.Engine.Execute(runCtx, job.Graph, table, exec.WithEventSink(job.execEvent))
 	switch {
 	case err == nil:
@@ -695,13 +673,6 @@ func (p *pipeline) execute(job *Job, table *core.AllocationTable) {
 	default:
 		job.fail(err)
 	}
-	p.gauge()
-}
-
-// gauge mirrors the in-flight job count into the visualization service,
-// the same channel the workload series use.
-func (p *pipeline) gauge() {
-	p.env.Metrics.Add("jobs:in-flight", time.Since(p.start), float64(p.env.Board.InFlight()))
 }
 
 // stop fails every queued job and waits for in-flight work to settle.

@@ -114,9 +114,6 @@ func TestConcurrentSubmissionSoak(t *testing.T) {
 	if peak := env.Engine.PeakConcurrency(); peak < 2 {
 		t.Errorf("engine peak concurrency = %d, want > 1", peak)
 	}
-	if len(env.Metrics.Series("jobs:in-flight")) == 0 {
-		t.Error("pipeline published no in-flight gauge samples")
-	}
 }
 
 // TestConcurrentSubmissionOverRPC runs a smaller concurrent batch with

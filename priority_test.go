@@ -386,3 +386,29 @@ func TestListJobsFiltersAndOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeadlineTimerNeverOutlivesTheJob: submit arms the deadline timer
+// after the push, when a worker may already have run the job to its
+// end. A timer armed then is one no terminalize will stop; it would hold
+// the job — graph, table, result — until the deadline, outside both
+// retention bounds. After Done, every job's timer is unarmed or stopped.
+func TestDeadlineTimerNeverOutlivesTheJob(t *testing.T) {
+	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 78}})
+	g := spinJobGraph("one-task", 0)
+	for i := 0; i < 200; i++ {
+		job, err := env.Submit(context.Background(), g, WithDeadline(time.Now().Add(time.Hour)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		// Submit's own arm lands either side of Done; this one is the
+		// late arm every time.
+		job.armExpiry()
+		job.mu.Lock()
+		expiry := job.expiry
+		job.mu.Unlock()
+		if expiry != nil && expiry.Stop() {
+			t.Fatalf("job %d is %s and its deadline timer was still armed", i, job.State())
+		}
+	}
+}

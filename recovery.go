@@ -181,11 +181,7 @@ func (p *pipeline) adoptRecovered(adopt []*Job) {
 		p.slots <- struct{}{}
 		job.stampAdmitted(time.Now())
 		p.admit.adoptQueued(job)
-		if !job.deadline.IsZero() {
-			job.mu.Lock()
-			job.expiry = time.AfterFunc(time.Until(job.deadline), job.expireQueued)
-			job.mu.Unlock()
-		}
+		job.armExpiry()
 		if job.recovered {
 			// In-flight at the crash: announce the re-adoption on the
 			// stream so subscribers see the job return to the queue.

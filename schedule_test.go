@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"vdce/internal/afg"
+	"vdce/internal/breaker"
+	"vdce/internal/core"
+	"vdce/internal/exec"
 	"vdce/internal/protocol"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
@@ -96,6 +99,87 @@ func TestScheduleGoldenDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); tables != 432 || got != want {
 		t.Fatalf("%d tables, digest %s; want 432 tables, digest %s", tables, got, want)
+	}
+}
+
+// TestRescheduleGoldenDigest pins the Application Controller's
+// rescheduling answers: the sha256 over the placement (or error text)
+// exec.NewRescheduler returns for every C3I and LES task — the 2-node
+// parallel ones included — on a 2- and a 3-site testbed, under
+// exclusion sets of none, one, half, all but one and all of the hosts,
+// with no breakers, the preferred host's breaker open, and every
+// breaker open (the advisory fallback). Captured while the rescheduler
+// still carried its own copy of Fig. 3; asking LocalSite.ChooseAt
+// instead may not place anything differently.
+func TestRescheduleGoldenDigest(t *testing.T) {
+	const want = "4f0d88ac23c08ac61654fdeefecba47d9563bab00fbb2876c1b40773359a024f"
+	h := sha256.New()
+	answers := 0
+	for _, sites := range []int{2, 3} {
+		env := newEnv(t, Config{Testbed: testbed.Config{Sites: sites, HostsPerGroup: 3, Seed: 41, BaseLoadMax: 0.2}})
+		all := env.TB.HostNames()
+		oneOpen := breaker.New(breaker.Config{MinSamples: 1})
+		allOpen := breaker.New(breaker.Config{MinSamples: 1})
+		for _, host := range all {
+			allOpen.ReportFailure(host)
+		}
+		c3i, err := tasklib.BuildC3IPipeline(6, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		les, err := tasklib.BuildLinearEquationSolver(32, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		free, err := tasklib.BuildLinearEquationSolver(32, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range free.Tasks {
+			task.Props.MachineType = ""
+		}
+		plain := exec.NewRescheduler(env.Sites)
+		for _, g := range []*afg.Graph{c3i, les, free} {
+			for _, task := range g.Tasks {
+				// The host an unconstrained request prefers is the one
+				// whose breaker the second rescheduler sees open.
+				if p, err := plain(g, task.ID, nil); err == nil {
+					oneOpen.ReportFailure(p.Hosts[0])
+				}
+			}
+		}
+		for _, resched := range []func(*afg.Graph, afg.TaskID, []string) (*core.Placement, error){
+			plain,
+			exec.NewRescheduler(env.Sites, exec.WithBreakers(oneOpen)),
+			exec.NewRescheduler(env.Sites, exec.WithBreakers(allOpen)),
+		} {
+			for _, g := range []*afg.Graph{c3i, les, free} {
+				for _, task := range g.Tasks {
+					for _, n := range []int{0, 1, len(all) / 2, len(all) - 1, len(all)} {
+						for _, from := range []int{0, len(all) / 3} {
+							exclude := make([]string, n)
+							for i := range exclude {
+								exclude[i] = all[(from+i)%len(all)]
+							}
+							p, err := resched(g, task.ID, exclude)
+							if err != nil {
+								h.Write([]byte(err.Error()))
+							} else {
+								data, err := json.Marshal(p)
+								if err != nil {
+									t.Fatal(err)
+								}
+								h.Write(data)
+							}
+							answers++
+						}
+					}
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); answers != 1080 || got != want {
+		t.Fatalf("%d answers, digest %s; want 1080 answers, digest %s", answers, got, want)
 	}
 }
 

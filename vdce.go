@@ -148,7 +148,6 @@ type Environment struct {
 	Groups   []*control.GroupManager
 	Engine   *exec.Engine
 	Console  *services.Console
-	Metrics  *services.Metrics
 	// Detector is the failure-detection service (non-nil when
 	// Config.StartDetector).
 	Detector *detect.Detector
@@ -186,7 +185,6 @@ func New(cfg Config) (*Environment, error) {
 		Net:      tb.Net,
 		Registry: tasklib.Default(),
 		Console:  services.NewConsole(),
-		Metrics:  services.NewMetrics(),
 		Board:    services.NewJobBoard(),
 		Obs:      cfg.Obs,
 		log:      cfg.Logger,
@@ -274,22 +272,11 @@ func New(cfg Config) (*Environment, error) {
 		}
 	}
 	if cfg.StartDaemons {
-		start := time.Now()
-		for si, site := range tb.Sites {
-			// One reporter per site: workloads and notices are mirrored
-			// into the visualization service (the paper's "workload
-			// visualizations"), echo notices become detector votes when
-			// a detector runs, and the rest lands in the repository —
-			// through the Site Manager when one runs.
-			reporter := monitorReporter{
-				metrics: env.Metrics,
-				start:   start,
-				det:     env.Detector,
-				next:    control.RepoReporter{Repo: site.Repo},
-			}
-			if cfg.UseRPC {
-				reporter.next = env.Managers[si]
-			}
+		for _, site := range tb.Sites {
+			// One reporter per site: echo notices become detector votes
+			// when a detector runs, and the rest lands in the site's
+			// resource-performance database.
+			reporter := monitorReporter{env.Detector, control.RepoReporter{Repo: site.Repo}}
 			for _, gname := range site.GroupNames() {
 				gm := control.NewGroupManager(site.Name, gname, site.GroupHosts(gname), reporter, period)
 				gm.EchoPeriod = period
@@ -326,7 +313,6 @@ func New(cfg Config) (*Environment, error) {
 		Retry:         cfg.Retry,
 		Breakers:      env.Breakers,
 		Console:       env.Console,
-		Metrics:       env.Metrics,
 		Log:           cfg.Logger,
 	}
 	env.Engine.Record = func(recs []protocol.ExecutionRecord) {
@@ -403,40 +389,28 @@ func (env *Environment) recordPerf(recs []protocol.ExecutionRecord) {
 }
 
 // monitorReporter is the one path a Group Manager's reports take into
-// a site. Everything is mirrored into the visualization service; with a
-// failure detector running, echo timeouts are votes and echo recoveries
-// heartbeats — the detector, not the notice, flips a host's status —
-// and whatever is left is applied by next.
+// a site: with a failure detector running, echo timeouts are votes and
+// echo recoveries heartbeats — the detector, not the notice, flips a
+// host's status — and whatever is left lands in the site's repository.
 type monitorReporter struct {
-	metrics *services.Metrics
-	start   time.Time
-	det     *detect.Detector // nil without a failure detector
-	next    control.Reporter
-}
-
-func (r monitorReporter) ApplyWorkloads(b protocol.WorkloadBatch) error {
-	for _, s := range b.Samples {
-		r.metrics.Add("load:"+s.Host, time.Since(r.start), s.Sample.CPULoad)
-	}
-	return r.next.ApplyWorkloads(b)
+	det *detect.Detector // nil without a failure detector
+	control.RepoReporter
 }
 
 func (r monitorReporter) ApplyFailure(n protocol.FailureNotice) error {
-	r.metrics.Add("failures:"+n.Group, time.Since(r.start), 1)
 	if r.det != nil {
 		r.det.ReportFailure(n.Host, n.Detected)
 		return nil
 	}
-	return r.next.ApplyFailure(n)
+	return r.RepoReporter.ApplyFailure(n)
 }
 
 func (r monitorReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
-	r.metrics.Add("failures:"+n.Group, time.Since(r.start), 0)
 	if r.det != nil {
 		r.det.Observe(n.Host, n.Detected)
 		return nil
 	}
-	return r.next.ApplyRecovery(n)
+	return r.RepoReporter.ApplyRecovery(n)
 }
 
 // Close stops the submission pipeline, daemons, RPC servers, and client

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/rpc"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"vdce/internal/core"
 	"vdce/internal/detect"
 	"vdce/internal/exec"
+	"vdce/internal/protocol"
 	"vdce/internal/repository"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
@@ -220,32 +222,44 @@ func TestAccessDomainClampsK(t *testing.T) {
 	}
 }
 
+// TestDaemonsFeedVisualization: the workload view is the site's
+// resource-performance database as vdce-monitor reads it, over the Site
+// Manager's Resources RPC; a daemon sample must show up there.
 func TestDaemonsFeedVisualization(t *testing.T) {
 	env := newEnv(t, Config{
 		Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 26},
+		UseRPC:        true,
 		StartDaemons:  true,
 		MonitorPeriod: 5 * time.Millisecond,
 	})
+	client, err := rpc.Dial("tcp", env.Managers[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, name := range env.Metrics.Names() {
-			if len(name) > 5 && name[:5] == "load:" && len(env.Metrics.Series(name)) > 0 {
+		var list protocol.ResourceList
+		if err := client.Call(protocol.SiteServiceName+".Resources", protocol.ResourceQuery{}, &list); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range list.Hosts {
+			if len(h.RecentLoads) > 0 {
 				return
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("no workload series reached the visualization service")
+	t.Fatal("no workload sample reached the resource-performance database")
 }
 
 // TestEchoFailureIsADetectorVote drives one Group Manager by hand (the
 // hour-long period keeps the daemons and the wall-clock detector loop
 // idle) through the reporter New wired for it, with and without Site
-// Managers: a workload sample is mirrored into the visualization
-// service and lands in the repository, while an echo failure changes
-// nothing in the repository by itself — it is a vote, so the host's
-// first silent evaluation round already meets the quorum of two and the
-// detector, not the notice, publishes the down status.
+// Managers: a workload sample lands in the repository, while an echo
+// failure changes nothing in the repository by itself — it is a vote, so
+// the host's first silent evaluation round already meets the quorum of
+// two and the detector, not the notice, publishes the down status.
 func TestEchoFailureIsADetectorVote(t *testing.T) {
 	for _, rpc := range []bool{false, true} {
 		t.Run(fmt.Sprintf("rpc=%v", rpc), func(t *testing.T) {
@@ -270,9 +284,6 @@ func TestEchoFailureIsADetectorVote(t *testing.T) {
 			t0 := time.Now()
 			if err := gm.Ingest(host.Name, repository.WorkloadSample{Time: t0, CPULoad: 0.75}); err != nil {
 				t.Fatal(err)
-			}
-			if series := env.Metrics.Series("load:" + host.Name); len(series) != 1 || series[0].V != 0.75 {
-				t.Fatalf("load:%s series = %v, want the one 0.75 sample", host.Name, series)
 			}
 			if v, _ := resources.View(host.Name); v.CPULoad != 0.75 {
 				t.Fatalf("repository load = %v, want the forwarded 0.75", v.CPULoad)
