@@ -445,7 +445,7 @@ func (q *admitQueue) pushLocked(os *ownerShare, j *Job) {
 	if j.shareWeight >= 1 && !os.pinned {
 		os.weight = clampShareWeight(j.shareWeight)
 	}
-	os.jobs = append(os.jobs, admitEntry{job: j, rank: q.rank(j.priority, j.enqueued), seq: q.seq})
+	os.jobs = append(os.jobs, admitEntry{job: j, rank: q.rank(j.priority, j.timings.SubmittedAt), seq: q.seq})
 	os.up(len(os.jobs) - 1)
 	q.queued++
 	q.reindexLocked(os)

@@ -6,11 +6,13 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"vdce/internal/services"
 )
 
 // mkAdmitJob builds a bare queue-test job (never dispatched).
 func mkAdmitJob(id, owner string, prio, weight int, at time.Time) *Job {
-	return &Job{ID: id, Owner: owner, priority: prio, shareWeight: weight, enqueued: at}
+	return &Job{ID: id, Owner: owner, priority: prio, shareWeight: weight, timings: &services.JobTimings{SubmittedAt: at}}
 }
 
 // checkHeapInvariant asserts every owner sub-queue is a valid

@@ -21,6 +21,7 @@ import (
 	"vdce/internal/netmodel"
 	"vdce/internal/predict"
 	"vdce/internal/repository"
+	"vdce/internal/services"
 	"vdce/internal/sim"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
@@ -408,7 +409,7 @@ func BenchmarkPriorityAdmission(b *testing.B) {
 			jobs[i] = &Job{
 				ID:       fmt.Sprintf("job-%d", i),
 				priority: i % 7,
-				enqueued: base.Add(time.Duration(i) * time.Microsecond),
+				timings:  &services.JobTimings{SubmittedAt: base.Add(time.Duration(i) * time.Microsecond)},
 			}
 		}
 		return jobs
@@ -463,7 +464,7 @@ func BenchmarkFairShareAdmission(b *testing.B) {
 				Owner:       fmt.Sprintf("owner-%d", i%owners),
 				priority:    i % 7,
 				shareWeight: 1 + i%4,
-				enqueued:    base.Add(time.Duration(i) * time.Microsecond),
+				timings:     &services.JobTimings{SubmittedAt: base.Add(time.Duration(i) * time.Microsecond)},
 			}
 		}
 		return jobs
@@ -489,7 +490,7 @@ func TestAdmitQueueOrdering(t *testing.T) {
 	q := newAdmitQueue(step, QuotaConfig{})
 	t0 := time.Unix(1000, 0)
 	mk := func(id string, prio int, at time.Time) *Job {
-		return &Job{ID: id, priority: prio, enqueued: at}
+		return &Job{ID: id, priority: prio, timings: &services.JobTimings{SubmittedAt: at}}
 	}
 	// old-low waited 3 steps longer than new-mid (priority +2): aging wins.
 	q.push(mk("new-high", 9, t0.Add(3*step)))

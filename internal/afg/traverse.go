@@ -3,7 +3,6 @@ package afg
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // TopoSort returns the task IDs in a topological order (Kahn's
@@ -131,23 +130,6 @@ func (g *Graph) Levels(cost CostFunc) ([]float64, error) {
 		levels[id] = cost(id) + best
 	}
 	return levels, nil
-}
-
-// ByLevelDesc returns all task IDs sorted by descending level, breaking
-// ties by ascending ID. This is the list-scheduling priority order.
-func ByLevelDesc(levels []float64) []TaskID {
-	ids := make([]TaskID, len(levels))
-	for i := range ids {
-		ids[i] = TaskID(i)
-	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		la, lb := levels[ids[a]], levels[ids[b]]
-		if la != lb {
-			return la > lb
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
 }
 
 // CriticalPath returns the task sequence realizing the maximum level from

@@ -76,17 +76,6 @@ func TestLevelsWeighted(t *testing.T) {
 	}
 }
 
-func TestByLevelDesc(t *testing.T) {
-	order := ByLevelDesc([]float64{3, 1, 3, 2})
-	// Levels 3,3,2,1 -> IDs 0,2,3,1 (ties by ascending ID).
-	want := []TaskID{0, 2, 3, 1}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("ByLevelDesc = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestCriticalPath(t *testing.T) {
 	g := NewGraph("cp")
 	a := g.AddTask("A", "l", 0, 2)

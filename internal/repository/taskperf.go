@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -259,15 +258,4 @@ func (db *TaskPerfDB) History(task string) []Measurement {
 		return nil
 	}
 	return append([]Measurement(nil), t.History...)
-}
-
-// TaskNames returns the registered task names, sorted.
-func (db *TaskPerfDB) TaskNames() []string {
-	e := db.epoch.Load()
-	out := make([]string, 0, len(e.tasks))
-	for n := range e.tasks {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -119,19 +119,6 @@ func TestHistoryBounded(t *testing.T) {
 	}
 }
 
-func TestTaskNamesSorted(t *testing.T) {
-	db := NewTaskPerfDB()
-	for _, n := range []string{"zz", "aa", "mm"} {
-		if err := db.RegisterTask(TaskParams{Name: n}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	names := db.TaskNames()
-	if len(names) != 3 || names[0] != "aa" || names[2] != "zz" {
-		t.Fatalf("TaskNames = %v", names)
-	}
-}
-
 // Property: smoothing always lands between the previous estimate and the
 // new measurement (a convexity invariant of exponential smoothing).
 func TestSmoothingConvexProperty(t *testing.T) {

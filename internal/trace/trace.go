@@ -143,24 +143,3 @@ func Gantt(spans []Span, width int) string {
 	}
 	return b.String()
 }
-
-// Utilization sums busy time per host over the spans and returns
-// host -> fraction of the makespan spent busy.
-func Utilization(spans []Span) map[string]float64 {
-	var makespan time.Duration
-	busy := make(map[string]time.Duration)
-	for _, s := range spans {
-		busy[s.Host] += s.End - s.Start
-		if s.End > makespan {
-			makespan = s.End
-		}
-	}
-	out := make(map[string]float64, len(busy))
-	if makespan <= 0 {
-		return out
-	}
-	for h, d := range busy {
-		out[h] = float64(d) / float64(makespan)
-	}
-	return out
-}

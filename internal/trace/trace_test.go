@@ -38,20 +38,6 @@ func TestGanttBasic(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	spans := []Span{
-		{Host: "a", Start: 0, End: time.Second},
-		{Host: "b", Start: 0, End: 2 * time.Second},
-	}
-	u := Utilization(spans)
-	if u["a"] != 0.5 || u["b"] != 1.0 {
-		t.Fatalf("utilization = %v", u)
-	}
-	if len(Utilization(nil)) != 0 {
-		t.Fatal("empty spans produced utilization")
-	}
-}
-
 func TestFromSim(t *testing.T) {
 	g := afg.NewGraph("x")
 	a := g.AddTask("A", "l", 0, 1)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -214,11 +216,6 @@ type Job struct {
 	hostParked bool
 	// deadline bounds the job's lifetime; zero means none.
 	deadline time.Time
-	// enqueued is when the job entered the admission queue. For jobs
-	// re-adopted from the durable store this is the original submission
-	// time, so the aging rank — and with it the within-owner dequeue
-	// order — carries across the restart unchanged.
-	enqueued time.Time
 	// recovered marks a job that was in flight when a previous
 	// incarnation of the control plane died and was re-adopted from the
 	// durable store on boot (immutable after registration).
@@ -244,25 +241,24 @@ type Job struct {
 	table           *core.AllocationTable
 	result          *exec.Result
 	err             error
-	submitted       time.Time
-	started         time.Time
-	finished        time.Time
-	// admitted/scheduled/dispatched complete the phase-boundary set
-	// (submitted/started/finished above): admission-queue entry, schedule
-	// completion, and run-slot dispatch. Zero until crossed.
-	admitted   time.Time
-	scheduled  time.Time
-	dispatched time.Time
-	// trace is the append-ordered lifecycle trace behind
-	// GET /v1/jobs/{id}/trace: every phase boundary plus park, reschedule,
-	// and failure point events, timestamps clamped non-decreasing.
-	trace []services.TraceEvent
+	// timings is the one copy of the job's lifecycle stamps. Its
+	// SubmittedAt is also the admission queue's aging origin, the original
+	// submission even for a job re-adopted from the durable store, so the
+	// within-owner dequeue order carries across a restart. While the job
+	// is live, Status and Trace hand out copies; terminalize seals it, and
+	// from then on the handle, the board row and the trace share it.
+	timings *services.JobTimings
+	// phases has one bit per phase the trace shows (a terminal restore
+	// keeps its running_at as a timing, not as a trace event).
+	phases uint8
+	// points are the trace's point events in order; nil for a job that
+	// never parked, moved, lost a host or was recovered.
+	points []pointEvent
 	// recovery observability, fed live by the engine's event stream:
 	// how many times a task of this job was rescheduled mid-run, and the
 	// distinct hosts lost to failure (first-observed order).
 	reschedules int
 	failedHosts []string
-	failedSeen  map[string]bool
 	// hostsHeld mirrors hostsCharged under j.mu for Status snapshots:
 	// the distinct testbed hosts this job's placement holds while it is
 	// dispatched, zeroed when it terminalizes.
@@ -414,102 +410,158 @@ func (j *Job) logger() *slog.Logger {
 	return j.pipe.env.log
 }
 
-// stampLocked appends one trace event under j.mu, clamping the
-// timestamp so the trace is non-decreasing even across wall-clock
-// steps (recovered jobs mix persisted wall times with fresh monotonic
-// readings). Returns the timestamp actually recorded.
-func (j *Job) stampLocked(event, detail string, at time.Time) time.Time {
-	if n := len(j.trace); n > 0 && at.Before(j.trace[n-1].At) {
-		at = j.trace[n-1].At
+// Lifecycle phases in pipeline order: a phase's bit in Job.phases and
+// its place in the trace.
+const (
+	phSubmitted = iota
+	phAdmitted
+	phScheduled
+	phDispatched
+	phRunning
+	phTerminal
+)
+
+// phaseNames name the phases before the terminal one, which is named
+// after the job's final state.
+var phaseNames = [phTerminal]string{
+	services.PhaseSubmitted, services.PhaseAdmitted, services.PhaseScheduled,
+	services.PhaseDispatched, services.PhaseRunning,
+}
+
+// pointEvent is a trace event outside the phase chain (host-park,
+// host-unpark, rescheduled, host-failure, recovered).
+type pointEvent struct {
+	services.TraceEvent
+	after int // phases stamped before it
+}
+
+// phaseAt returns the timings field phase ph is stamped in.
+func phaseAt(t *services.JobTimings, ph int) *time.Time {
+	return [...]*time.Time{&t.SubmittedAt, &t.AdmittedAt, &t.ScheduledAt,
+		&t.DispatchedAt, &t.RunningAt, &t.FinishedAt}[ph]
+}
+
+// traceLocked walks the trace — stamped phases in lifecycle order, each
+// point event after the phases stamped before it — clamping timestamps
+// to the running maximum, so it is non-decreasing even across wall-clock
+// steps. It appends the events to *dst unless dst is nil and returns the
+// last timestamp. Caller holds j.mu.
+func (j *Job) traceLocked(dst *[]services.TraceEvent) (last time.Time) {
+	emit := func(e services.TraceEvent) {
+		if e.At.Before(last) {
+			e.At = last
+		}
+		last = e.At
+		if dst != nil {
+			*dst = append(*dst, e)
+		}
 	}
-	j.trace = append(j.trace, services.TraceEvent{At: at, Event: event, Detail: detail})
-	return at
+	points, stamped := j.points, 0
+	for ph := phSubmitted; ph <= phTerminal; ph++ {
+		if j.phases&(1<<ph) == 0 {
+			continue
+		}
+		for ; len(points) > 0 && points[0].after == stamped; points = points[1:] {
+			emit(points[0].TraceEvent)
+		}
+		e := services.TraceEvent{At: *phaseAt(j.timings, ph), Event: j.state.String()}
+		if ph < phTerminal {
+			e.Event = phaseNames[ph]
+		} else if j.err != nil {
+			e.Detail = j.err.Error()
+		}
+		emit(e)
+		stamped++
+	}
+	for _, p := range points {
+		emit(p.TraceEvent)
+	}
+	return last
 }
 
-// stampEvent appends a point event (park, unpark, reschedule, failure)
-// to the trace.
-func (j *Job) stampEvent(event, detail string) {
-	j.mu.Lock()
-	j.stampLocked(event, detail, time.Now())
-	j.mu.Unlock()
+// stampLocked records phase ph at the given instant and reports whether
+// it did: a terminal job's timings are sealed. The running stamp keeps
+// its clamped trace instant, the waits before it the raw one. Caller
+// holds j.mu.
+func (j *Job) stampLocked(ph int, at time.Time) bool {
+	if j.state.terminal() {
+		return false
+	}
+	j.phases |= 1 << ph
+	*phaseAt(j.timings, ph) = at
+	if ph == phRunning {
+		j.timings.RunningAt = j.traceLocked(nil)
+	}
+	return true
 }
 
-// stampAdmitted records admission-queue entry at the given instant and
-// returns the submit-wait duration (zero when unknowable).
-func (j *Job) stampAdmitted(at time.Time) time.Duration {
+// stampPhase records the admitted, scheduled or dispatched phase at the
+// given instant and returns the wait since the phase before it (zero
+// when that is unset or the job is terminal).
+func (j *Job) stampPhase(ph int, at time.Time) time.Duration {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.admitted = at
-	j.stampLocked(services.PhaseAdmitted, "", at)
-	if j.submitted.IsZero() {
+	prev := *phaseAt(j.timings, ph-1)
+	if !j.stampLocked(ph, at) || prev.IsZero() {
 		return 0
 	}
-	if d := at.Sub(j.submitted); d > 0 {
-		return d
-	}
-	return 0
+	return max(at.Sub(prev), 0)
 }
 
-// stampScheduled records schedule completion and observes the
-// queue-wait phase (admitted → scheduled).
-func (j *Job) stampScheduled() {
-	now := time.Now()
-	j.mu.Lock()
-	j.scheduled = now
-	j.stampLocked(services.PhaseScheduled, "", now)
-	wait := time.Duration(0)
-	if !j.admitted.IsZero() {
-		wait = now.Sub(j.admitted)
-	}
-	j.mu.Unlock()
-	if m := j.metrics(); m != nil && wait > 0 {
-		m.phaseQueueWait.Observe(wait.Seconds())
-	}
+// sealLocked stamps the terminal phase at the given instant, clamped
+// into the trace, and fills the derived seconds once: from here on the
+// block is read-only. Caller holds j.mu and has set the terminal state.
+func (j *Job) sealLocked(at time.Time) {
+	j.phases |= 1 << phTerminal
+	j.timings.FinishedAt = at
+	j.timings.FinishedAt = j.traceLocked(nil)
+	fillSeconds(j.timings)
 }
 
-// stampDispatched records run-slot dispatch and observes the
-// dispatch-wait phase (scheduled → dispatched, including host-quota
-// parks and run-slot waits).
-func (j *Job) stampDispatched() {
-	now := time.Now()
-	j.mu.Lock()
-	j.dispatched = now
-	j.stampLocked(services.PhaseDispatched, "", now)
-	wait := time.Duration(0)
-	if !j.scheduled.IsZero() {
-		wait = now.Sub(j.scheduled)
-	}
-	j.mu.Unlock()
-	if m := j.metrics(); m != nil && wait > 0 {
-		m.phaseDispatchWait.Observe(wait.Seconds())
-	}
+// fillSeconds derives t's phase durations from its stamps.
+func fillSeconds(t *services.JobTimings) {
+	t.SubmitWaitSeconds = secondsBetween(t.SubmittedAt, t.AdmittedAt)
+	t.QueueWaitSeconds = secondsBetween(t.AdmittedAt, t.ScheduledAt)
+	t.DispatchWaitSeconds = secondsBetween(t.ScheduledAt, t.DispatchedAt)
+	t.RunSeconds = secondsBetween(t.RunningAt, t.FinishedAt)
+	t.TotalSeconds = secondsBetween(t.SubmittedAt, t.FinishedAt)
 }
 
-// timingsLocked derives the phase-boundary block from the stamps;
-// caller holds j.mu.
+// secondsBetween is to - from in seconds: zero when either is unset or
+// to is not after from.
+func secondsBetween(from, to time.Time) float64 {
+	if from.IsZero() || to.IsZero() {
+		return 0
+	}
+	return max(to.Sub(from), 0).Seconds()
+}
+
+// timingsLocked is the block a status or trace carries: the sealed one
+// itself once the job is terminal, a copy with the seconds derived while
+// it is live. Caller holds j.mu.
 func (j *Job) timingsLocked() *services.JobTimings {
-	secs := func(from, to time.Time) float64 {
-		if from.IsZero() || to.IsZero() {
-			return 0
-		}
-		if d := to.Sub(from); d > 0 {
-			return d.Seconds()
-		}
-		return 0
+	if j.state.terminal() {
+		return j.timings
 	}
-	return &services.JobTimings{
-		SubmittedAt:         j.submitted,
-		AdmittedAt:          j.admitted,
-		ScheduledAt:         j.scheduled,
-		DispatchedAt:        j.dispatched,
-		RunningAt:           j.started,
-		FinishedAt:          j.finished,
-		SubmitWaitSeconds:   secs(j.submitted, j.admitted),
-		QueueWaitSeconds:    secs(j.admitted, j.scheduled),
-		DispatchWaitSeconds: secs(j.scheduled, j.dispatched),
-		RunSeconds:          secs(j.started, j.finished),
-		TotalSeconds:        secs(j.submitted, j.finished),
+	t := *j.timings
+	fillSeconds(&t)
+	return &t
+}
+
+// pointLocked appends a point event at the given instant; a terminal
+// job takes none. Caller holds j.mu.
+func (j *Job) pointLocked(event, detail string, at time.Time) {
+	if !j.state.terminal() {
+		j.points = append(j.points, pointEvent{services.TraceEvent{At: at, Event: event, Detail: detail}, bits.OnesCount8(j.phases)})
 	}
+}
+
+// stampEvent appends a detail-less point event (host-park, host-unpark)
+// to the trace.
+func (j *Job) stampEvent(event string) {
+	j.mu.Lock()
+	j.pointLocked(event, "", time.Now())
+	j.mu.Unlock()
 }
 
 // Trace returns the job's ordered lifecycle trace: every phase
@@ -518,11 +570,13 @@ func (j *Job) timingsLocked() *services.JobTimings {
 func (j *Job) Trace() services.JobTrace {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	events := make([]services.TraceEvent, 0, bits.OnesCount8(j.phases)+len(j.points))
+	j.traceLocked(&events)
 	return services.JobTrace{
 		ID:      j.ID,
 		Owner:   j.Owner,
 		State:   j.state.String(),
-		Events:  append([]services.TraceEvent(nil), j.trace...),
+		Events:  events,
 		Timings: j.timingsLocked(),
 	}
 }
@@ -546,17 +600,13 @@ func (j *Job) execEvent(ev exec.Event) {
 	switch ev.Type {
 	case exec.EventRescheduled:
 		j.reschedules++
-		j.stampLocked("rescheduled", ev.Host, time.Now())
+		j.pointLocked("rescheduled", ev.Host, time.Now())
 		typ = jobsapi.EventRescheduled
 	case exec.EventHostFailure:
-		if j.failedSeen == nil {
-			j.failedSeen = make(map[string]bool)
-		}
-		if !j.failedSeen[ev.Host] {
-			j.failedSeen[ev.Host] = true
+		if !slices.Contains(j.failedHosts, ev.Host) {
 			j.failedHosts = append(j.failedHosts, ev.Host)
 		}
-		j.stampLocked("host-failure", ev.Host, time.Now())
+		j.pointLocked("host-failure", ev.Host, time.Now())
 		typ = jobsapi.EventHostFailure
 	default:
 		j.mu.Unlock()
@@ -591,6 +641,7 @@ func (j *Job) execEvent(ev exec.Event) {
 // API. Queued jobs carry their live admission-queue position.
 func (j *Job) Status() services.JobStatus {
 	j.mu.Lock()
+	t := j.timingsLocked()
 	s := services.JobStatus{
 		ID:          j.ID,
 		App:         j.Graph.Name,
@@ -603,10 +654,10 @@ func (j *Job) Status() services.JobStatus {
 		Reschedules: j.reschedules,
 		FailedHosts: append([]string(nil), j.failedHosts...),
 		Recovered:   j.recovered,
-		SubmittedAt: j.submitted,
-		StartedAt:   j.started,
-		FinishedAt:  j.finished,
-		Timings:     j.timingsLocked(),
+		SubmittedAt: t.SubmittedAt,
+		StartedAt:   t.RunningAt,
+		FinishedAt:  t.FinishedAt,
+		Timings:     t,
 	}
 	if !j.deadline.IsZero() {
 		s.Deadline = j.deadline
@@ -713,13 +764,15 @@ func (j *Job) setRunCancel(c context.CancelFunc) bool {
 	return true
 }
 
-// transition moves the job to a non-terminal state and publishes it.
-func (j *Job) transition(s JobState) {
+// markRunning moves a dispatched job to running at the given instant
+// and publishes it; a terminal job stays as it is.
+func (j *Job) markRunning(at time.Time) {
 	j.mu.Lock()
-	j.state = s
-	if s == JobRunning && j.started.IsZero() {
-		j.started = j.stampLocked(services.PhaseRunning, "", time.Now())
+	if !j.stampLocked(phRunning, at) {
+		j.mu.Unlock()
+		return
 	}
+	j.state = JobRunning
 	j.mu.Unlock()
 	j.publish()
 	if j.pipe != nil {
@@ -746,31 +799,23 @@ func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
 	j.state = state
 	j.err = err
 	j.result = res
-	detail := ""
-	if err != nil {
-		detail = err.Error()
-	}
-	j.finished = j.stampLocked(state.String(), detail, time.Now())
+	j.sealLocked(time.Now())
+	runSecs, totalSecs := j.timings.RunSeconds, j.timings.TotalSeconds
 	j.hostsHeld = 0
+	// Nothing of the run outlives it: its context and the deadline timer
+	// go with the terminal state.
 	expiry := j.expiry
-	runDur := time.Duration(0)
-	if !j.started.IsZero() {
-		runDur = j.finished.Sub(j.started)
-	}
-	totalDur := time.Duration(0)
-	if !j.submitted.IsZero() {
-		totalDur = j.finished.Sub(j.submitted)
-	}
+	j.runCancel, j.expiry = nil, nil
 	j.mu.Unlock()
 	if expiry != nil {
 		expiry.Stop()
 	}
 	if m := j.metrics(); m != nil {
-		if runDur > 0 {
-			m.phaseRun.Observe(runDur.Seconds())
+		if runSecs > 0 {
+			m.phaseRun.Observe(runSecs)
 		}
-		if totalDur > 0 {
-			m.phaseTotal.Observe(totalDur.Seconds())
+		if totalSecs > 0 {
+			m.phaseTotal.Observe(totalSecs)
 		}
 		switch state {
 		case JobDone:
@@ -783,10 +828,10 @@ func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
 	}
 	if err != nil {
 		j.logger().Warn("job finished", "job_id", j.ID, "owner", j.Owner,
-			"state", state.String(), "error", err.Error(), "total_seconds", totalDur.Seconds())
+			"state", state.String(), "error", err.Error(), "total_seconds", totalSecs)
 	} else {
 		j.logger().Info("job finished", "job_id", j.ID, "owner", j.Owner,
-			"state", state.String(), "total_seconds", totalDur.Seconds())
+			"state", state.String(), "total_seconds", totalSecs)
 	}
 	j.noteReplayDone()
 	// Return the job's in-flight and held-host quota charges before the

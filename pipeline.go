@@ -283,6 +283,8 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		done:        make(chan struct{}),
 		cancelCh:    make(chan struct{}),
 		state:       JobQueued,
+		timings:     new(services.JobTimings),
+		phases:      1 << phSubmitted,
 	}
 	p.mu.Lock()
 	if p.closed {
@@ -305,11 +307,7 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	// e.g. "job-10" < "job-9", can disagree with assignment order) land
 	// one row earlier. Retention runs in the same critical section, so
 	// the handle index and the board always hold the same ID set.
-	now := time.Now()
-	job.submitted, job.enqueued = now, now
-	job.mu.Lock()
-	job.stampLocked(services.PhaseSubmitted, "", now)
-	job.mu.Unlock()
+	job.timings.SubmittedAt = time.Now()
 	p.byID[job.ID] = job
 	status := job.Status()
 	p.env.Board.Update(status)
@@ -331,7 +329,7 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		p.admit.unreserveQueued(spec.owner)
 		return nil, ErrJobCanceled
 	}
-	wait := job.stampAdmitted(time.Now())
+	wait := job.stampPhase(phAdmitted, time.Now())
 	p.admit.push(job)
 	p.meter.record(false)
 	p.env.obsM.submitWait.Observe(wait.Seconds())
@@ -508,7 +506,9 @@ func (p *pipeline) process(job *Job) {
 		return
 	}
 	job.setTable(table)
-	job.stampScheduled()
+	if wait := job.stampPhase(phScheduled, time.Now()); wait > 0 {
+		p.env.obsM.phaseQueueWait.Observe(wait.Seconds())
+	}
 
 	// Held-hosts quota: charge the placement's distinct hosts against
 	// the owner. An owner at its cap does not hold the worker hostage —
@@ -523,7 +523,7 @@ func (p *pipeline) process(job *Job) {
 		// waits in the queue — scheduled against fresh resource state
 		// when its turn comes.
 		p.admit.setParked(job, true)
-		job.stampEvent("host-park", "")
+		job.stampEvent("host-park")
 		p.env.obsM.hostParks.Inc()
 		p.env.log.Debug("job parked on held-hosts quota", "job_id", job.ID, "owner", job.Owner)
 		go p.parkForHosts(job, table, needed)
@@ -580,7 +580,7 @@ func (p *pipeline) parkForHosts(job *Job, table *core.AllocationTable, needed []
 		if p.admit.tryChargeHosts(job, needed) {
 			p.admit.setParked(job, false)
 			p.wake()
-			job.stampEvent("host-unpark", "")
+			job.stampEvent("host-unpark")
 			job.noteHostsHeld(len(needed))
 			p.dispatch(job, table)
 			return
@@ -638,7 +638,9 @@ func (p *pipeline) jobReleased(j *Job) {
 // terminalizes it.
 func (p *pipeline) execute(job *Job, table *core.AllocationTable) {
 	defer func() { <-p.runSem }()
-	job.stampDispatched()
+	if wait := job.stampPhase(phDispatched, time.Now()); wait > 0 {
+		p.env.obsM.phaseDispatchWait.Observe(wait.Seconds())
+	}
 	runCtx := p.ctx
 	var cancels []context.CancelFunc
 	if !job.deadline.IsZero() {
@@ -656,7 +658,7 @@ func (p *pipeline) execute(job *Job, table *core.AllocationTable) {
 		job.terminalize(JobCanceled, ErrJobCanceled, nil)
 		return
 	}
-	job.transition(JobRunning)
+	job.markRunning(time.Now())
 	res, err := p.env.Engine.Execute(runCtx, job.Graph, table, exec.WithEventSink(job.execEvent))
 	switch {
 	case err == nil:

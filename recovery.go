@@ -66,10 +66,11 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 			pipe:        p,
 			done:        make(chan struct{}),
 			cancelCh:    make(chan struct{}),
-			submitted:   rec.SubmittedAt,
-			enqueued:    rec.SubmittedAt,
-			started:     rec.StartedAt,
-			finished:    rec.FinishedAt,
+			timings: &services.JobTimings{
+				SubmittedAt: rec.SubmittedAt, RunningAt: rec.StartedAt, FinishedAt: rec.FinishedAt,
+			},
+			// Every recovered job's chain starts at its original submission.
+			phases: 1 << phSubmitted,
 		}
 		if job.home < 0 || job.home >= len(p.env.Sites) {
 			// The testbed may be configured differently than the one the
@@ -112,7 +113,7 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 			// terminal restores below this IS a lifecycle transition.
 			job.state = JobFailed
 			job.err = ErrJobDeadlineExceeded
-			job.finished = rec.Deadline
+			job.timings.FinishedAt = rec.Deadline
 			expired = true
 		default:
 			// Queued, scheduling, or running at the crash: re-adopt as
@@ -121,23 +122,18 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 			terminal = false
 			job.state = JobQueued
 			job.recovered = rec.State != services.JobStateQueued
-			job.started = time.Time{}
+			job.timings.RunningAt = time.Time{}
 		}
-		// Seed the lifecycle trace: every recovered job's chain starts at
-		// its original submission; terminal restores get their terminal
-		// stamp synthesized so recovered traces satisfy the same
-		// complete-chain contract as live ones.
-		job.stampLocked(services.PhaseSubmitted, "", rec.SubmittedAt)
 		m := p.env.obsM
 		if terminal {
-			if job.finished.IsZero() {
-				job.finished = rec.SubmittedAt
+			// Terminal restores get their terminal stamp synthesized so
+			// their traces satisfy the same complete-chain contract as live
+			// ones, and their timings are sealed like a live terminal's.
+			at := job.timings.FinishedAt
+			if at.IsZero() {
+				at = rec.SubmittedAt
 			}
-			detail := ""
-			if job.err != nil {
-				detail = job.err.Error()
-			}
-			job.finished = job.stampLocked(job.state.String(), detail, job.finished)
+			job.sealLocked(at)
 			close(job.done)
 			if expired {
 				p.recovery.DeadlineExpiredAtReplay++
@@ -152,7 +148,7 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 				p.env.Board.Update(job.Status())
 			}
 		} else {
-			job.stampLocked("recovered", rec.State, time.Now())
+			job.pointLocked("recovered", rec.State, time.Now())
 			if job.recovered {
 				p.recovery.InFlightRedispatched++
 				m.recoveryRedispatched.Inc()
@@ -179,7 +175,7 @@ func (p *pipeline) adoptRecovered(adopt []*Job) {
 		job.replayPending = true
 		job.mu.Unlock()
 		p.slots <- struct{}{}
-		job.stampAdmitted(time.Now())
+		job.stampPhase(phAdmitted, time.Now())
 		p.admit.adoptQueued(job)
 		job.armExpiry()
 		if job.recovered {
@@ -219,7 +215,7 @@ func (p *pipeline) persistSubmitted(j *Job) {
 		ShareWeight: j.shareWeight,
 		Labels:      j.Labels,
 		Deadline:    j.deadline,
-		SubmittedAt: j.submitted,
+		SubmittedAt: j.timings.SubmittedAt,
 		State:       services.JobStateQueued,
 	})
 	p.env.storeErr("job-submitted", err, "job_id", j.ID)
@@ -239,7 +235,7 @@ func (p *pipeline) persistState(j *Job) {
 	if j.err != nil {
 		errMsg = j.err.Error()
 	}
-	started, finished := j.started, j.finished
+	started, finished := j.timings.RunningAt, j.timings.FinishedAt
 	j.mu.Unlock()
 	p.env.storeErr("job-state", p.store.JobState(j.ID, state, errMsg, started, finished), "job_id", j.ID)
 }

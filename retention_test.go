@@ -17,6 +17,7 @@ import (
 
 	"vdce/internal/afg"
 	"vdce/internal/exec"
+	"vdce/internal/services"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
@@ -153,8 +154,8 @@ func TestOutputLedgerMatchesModel(t *testing.T) {
 		at := base.Add(time.Duration(rng.Intn(1_000_000)) * time.Microsecond)
 		j := &Job{
 			ID: res.AppID, Graph: g, pipe: p, state: JobDone, result: res,
-			submitted: at, finished: at,
-			done: settled, cancelCh: make(chan struct{}),
+			timings: &services.JobTimings{SubmittedAt: at, FinishedAt: at},
+			done:    settled, cancelCh: make(chan struct{}),
 		}
 		p.mu.Lock()
 		p.byID[j.ID] = j
@@ -365,5 +366,57 @@ func TestRetainedResultsRaceFree(t *testing.T) {
 	ring, sum := ledgerRing(env.pipe)
 	if total := retainedBytes(env.pipe); total != sum || (total > budget && len(ring) != 1) {
 		t.Fatalf("ledger after the wave: %d holders, total %d, links sum to %d", len(ring), total, sum)
+	}
+}
+
+// TestRetainedJobFootprint: a finished job the pipeline retains keeps one
+// copy of its history — one timings block shared by handle, board row and
+// trace, no phase-event slice, nothing of its run. 2,048 single-task jobs
+// at MaxRetainedJobs 2,048; the heap they leave after a GC, divided by
+// the jobs, must stay under the budget — the change's 2,300 B plus 10 %;
+// the parent measured 3,115 B (EXPERIMENTS.md, PR 25).
+func TestRetainedJobFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes what the heap holds")
+	}
+	const jobs, burst, budget = 2048, 64, 2530
+	env := newEnv(t, Config{
+		Testbed:  testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2501},
+		Pipeline: PipelineConfig{MaxRetainedJobs: jobs},
+	})
+	g := spinJobGraph("footprint", 0)
+	ctx := context.Background()
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	wave := make([]*Job, 0, burst)
+	before := heap()
+	for n := 0; n < jobs; n += burst {
+		wave = wave[:0]
+		for range burst {
+			job, err := env.Submit(ctx, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wave = append(wave, job)
+		}
+		for _, job := range wave {
+			if err := job.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	clear(wave)
+	grew := heap() - before
+	per := grew / jobs
+	t.Logf("%d retained jobs: heap +%d B, %d B a job (budget %d)", jobs, grew, per, budget)
+	if n := env.Board.CountFiltered("", ""); n != jobs {
+		t.Fatalf("board retains %d rows, want %d", n, jobs)
+	}
+	if per > budget {
+		t.Fatalf("a retained job costs %d B of heap, over the %d B budget", per, budget)
 	}
 }
