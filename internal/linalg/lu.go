@@ -79,18 +79,6 @@ func (lu *LU) PermuteRows(m *Matrix) *Matrix {
 	return out
 }
 
-// Det returns the determinant of the decomposed matrix.
-func (lu *LU) Det() float64 {
-	d := 1.0
-	for i := 0; i < lu.U.Rows; i++ {
-		d *= lu.U.At(i, i)
-	}
-	if lu.Swaps%2 == 1 {
-		d = -d
-	}
-	return d
-}
-
 // ForwardSub solves L*y = b for unit lower-triangular L.
 func ForwardSub(l *Matrix, b []float64) ([]float64, error) {
 	n := l.Rows
@@ -172,17 +160,6 @@ func MatVec(a *Matrix, x []float64) ([]float64, error) {
 		y[i] = s
 	}
 	return y, nil
-}
-
-// VecNormInf returns the infinity norm of v.
-func VecNormInf(v []float64) float64 {
-	var max float64
-	for _, x := range v {
-		if a := math.Abs(x); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // Residual returns ||A*x - b||_inf, a convenience for solver validation.

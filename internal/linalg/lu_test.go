@@ -72,26 +72,6 @@ func TestLUStructure(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a, _ := FromRows([][]float64{{2, 0}, {0, 3}})
-	lu, err := Decompose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := lu.Det(); math.Abs(d-6) > 1e-12 {
-		t.Fatalf("Det = %g, want 6", d)
-	}
-	// A matrix that needs a pivot swap: det should keep its sign right.
-	b, _ := FromRows([][]float64{{0, 1}, {1, 0}})
-	lub, err := Decompose(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := lub.Det(); math.Abs(d+1) > 1e-12 {
-		t.Fatalf("Det(antidiag) = %g, want -1", d)
-	}
-}
-
 func TestForwardBackSub(t *testing.T) {
 	l, _ := FromRows([][]float64{{1, 0}, {0.5, 1}})
 	y, err := ForwardSub(l, []float64{2, 3})
@@ -152,15 +132,6 @@ func TestMatVec(t *testing.T) {
 	}
 	if _, err := MatVec(a, []float64{1}); err == nil {
 		t.Fatal("expected shape error")
-	}
-}
-
-func TestVecNormInf(t *testing.T) {
-	if VecNormInf([]float64{-3, 2}) != 3 {
-		t.Fatal("VecNormInf wrong")
-	}
-	if VecNormInf(nil) != 0 {
-		t.Fatal("VecNormInf(nil) should be 0")
 	}
 }
 

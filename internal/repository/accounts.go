@@ -11,7 +11,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -143,16 +142,4 @@ func (db *UserAccountsDB) Lookup(name string) (UserAccount, error) {
 		return UserAccount{}, ErrUnknownUser
 	}
 	return *acct, nil
-}
-
-// Users returns all accounts sorted by name (copies).
-func (db *UserAccountsDB) Users() []UserAccount {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]UserAccount, 0, len(db.users))
-	for _, a := range db.users {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

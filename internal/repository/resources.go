@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,7 +105,6 @@ type hostEpoch struct {
 	byName map[string]*ResourceInfo // records never mutate after publish
 	views  []HostView               // all hosts, name-sorted
 	up     []HostView               // up hosts, name-sorted
-	groups []string                 // distinct group names, sorted
 }
 
 // ResourceDB is the resource-performance database of one site. Writers
@@ -128,10 +126,8 @@ func NewResourceDB() *ResourceDB {
 func buildHostEpoch(gen uint64, byName map[string]*ResourceInfo) *hostEpoch {
 	e := &hostEpoch{gen: gen, byName: byName}
 	e.views = make([]HostView, 0, len(byName))
-	groupSet := make(map[string]bool)
 	for _, h := range byName {
 		e.views = append(e.views, h.View())
-		groupSet[h.Group] = true
 	}
 	slices.SortFunc(e.views, func(a, b HostView) int { return strings.Compare(a.HostName, b.HostName) })
 	e.up = make([]HostView, 0, len(e.views))
@@ -140,18 +136,13 @@ func buildHostEpoch(gen uint64, byName map[string]*ResourceInfo) *hostEpoch {
 			e.up = append(e.up, v)
 		}
 	}
-	e.groups = make([]string, 0, len(groupSet))
-	for g := range groupSet {
-		e.groups = append(e.groups, g)
-	}
-	sort.Strings(e.groups)
 	return e
 }
 
 // nextHostEpoch builds the epoch following cur for record map m. Writes
 // that keep the host set intact (workload updates, status flips — the
-// monitor hot path) reuse cur's name order and group list, skipping the
-// sort; membership changes fall back to the full rebuild.
+// monitor hot path) reuse cur's name order, skipping the sort;
+// membership changes fall back to the full rebuild.
 func nextHostEpoch(cur *hostEpoch, gen uint64, m map[string]*ResourceInfo) *hostEpoch {
 	if len(m) != len(cur.byName) {
 		return buildHostEpoch(gen, m)
@@ -164,7 +155,7 @@ func nextHostEpoch(cur *hostEpoch, gen uint64, m map[string]*ResourceInfo) *host
 		}
 		views[i] = h.View()
 	}
-	e := &hostEpoch{gen: gen, byName: m, views: views, groups: cur.groups}
+	e := &hostEpoch{gen: gen, byName: m, views: views}
 	e.up = make([]HostView, 0, len(views))
 	for _, v := range views {
 		if v.Status == HostUp {
@@ -413,24 +404,6 @@ func (db *ResourceDB) UpHosts() []ResourceInfo {
 // shared with the current epoch: callers must not modify it.
 func (db *ResourceDB) Views() []HostView {
 	return db.epoch.Load().views
-}
-
-// GroupHosts returns the up hosts in the given group, sorted by name.
-func (db *ResourceDB) GroupHosts(group string) []ResourceInfo {
-	e := db.epoch.Load()
-	var out []ResourceInfo
-	for _, v := range e.up {
-		if v.Group == group {
-			out = append(out, cloneResource(e.byName[v.HostName]))
-		}
-	}
-	return out
-}
-
-// Groups returns the distinct group names, sorted. The slice is shared
-// with the current epoch: callers must not modify it.
-func (db *ResourceDB) Groups() []string {
-	return db.epoch.Load().groups
 }
 
 // RemoveHost deletes a host record.

@@ -92,27 +92,6 @@ func TestStatusTransitions(t *testing.T) {
 	}
 }
 
-func TestGroupQueries(t *testing.T) {
-	db := NewResourceDB()
-	for _, spec := range []struct{ n, g string }{{"a", "g1"}, {"b", "g1"}, {"c", "g2"}} {
-		if err := db.AddHost(host(spec.n, "s1", spec.g)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if gs := db.Groups(); len(gs) != 2 || gs[0] != "g1" || gs[1] != "g2" {
-		t.Fatalf("Groups = %v", gs)
-	}
-	if hs := db.GroupHosts("g1"); len(hs) != 2 {
-		t.Fatalf("GroupHosts(g1) = %v", hs)
-	}
-	if err := db.SetStatus("a", HostDown); err != nil {
-		t.Fatal(err)
-	}
-	if hs := db.GroupHosts("g1"); len(hs) != 1 || hs[0].HostName != "b" {
-		t.Fatalf("GroupHosts(g1) after failure = %v", hs)
-	}
-}
-
 func TestRemoveHost(t *testing.T) {
 	db := NewResourceDB()
 	if err := db.AddHost(host("h", "s", "g")); err != nil {

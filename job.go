@@ -65,13 +65,12 @@ func (s JobState) String() string {
 // Pipeline errors.
 var (
 	// ErrPipelineClosed is returned by Submit after the environment shut
-	// down.
+	// down, and is the terminal error of a job Close ended.
 	ErrPipelineClosed = errors.New("vdce: submission pipeline closed")
 	// ErrJobCanceled is the terminal error of a job ended by Cancel.
 	ErrJobCanceled = errors.New("vdce: job canceled")
 	// ErrJobDeadlineExceeded is the terminal error of a job whose
-	// WithDeadline expired before it could finish. Deadline-expired
-	// queued jobs are dropped before they reach a scheduler worker.
+	// WithDeadline expired before it could finish (see WithDeadline).
 	ErrJobDeadlineExceeded = errors.New("vdce: job deadline exceeded")
 )
 
@@ -137,10 +136,13 @@ func clampShareWeight(w int) int {
 	return w
 }
 
-// WithDeadline bounds the job's whole lifetime: a job still queued at the
-// deadline is dropped before it reaches a scheduler worker, and a running
-// job is aborted through the execution engine's cancellation path. The
-// terminal error is ErrJobDeadlineExceeded.
+// WithDeadline bounds the job's whole lifetime, every wait included: a
+// job still queued at the deadline is dropped before it reaches a
+// scheduler worker, a scheduled job parked on its owner's held hosts or
+// waiting for a run slot is ended there (freeing the worker), and a
+// running job is aborted through the execution engine's cancellation
+// path. The job fails with ErrJobDeadlineExceeded, followed by the
+// engine's error when the run had started.
 func WithDeadline(t time.Time) SubmitOption {
 	return func(o *submitOptions) { o.deadline = t }
 }
@@ -227,20 +229,21 @@ type Job struct {
 	outPrev, outNext *Job
 	pipe             *pipeline
 	done             chan struct{}
-	// cancelCh closes on the first Cancel call, unblocking dispatch waits.
-	cancelCh chan struct{}
-	// expiry fires while the job is still queued at its deadline, so an
-	// expired job releases its queue slot and its waiters immediately
-	// instead of lingering until a worker pops it.
-	expiry *time.Timer
 
-	mu              sync.Mutex
-	state           JobState
-	cancelRequested bool
-	runCancel       context.CancelFunc
-	table           *core.AllocationTable
-	result          *exec.Result
-	err             error
+	mu    sync.Mutex
+	state JobState
+	// ctx is the job's one end signal, live from registration to the
+	// terminal state: Cancel, the deadline and shutdown all end it, and
+	// its cause picks the terminal state (see end). cancel is its
+	// CancelCauseFunc. stop unregisters the hook that drops the job while
+	// it is queued; it is nil before the job is enqueued and after the
+	// claim takes it. terminalize drops all three.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	stop   func() bool
+	table  *core.AllocationTable
+	result *exec.Result
+	err    error
 	// timings is the one copy of the job's lifecycle stamps. Its
 	// SubmittedAt is also the admission queue's aging origin, the original
 	// submission even for a job re-adopted from the durable store, so the
@@ -347,33 +350,15 @@ func (j *Job) Wait(ctx context.Context) error {
 // admission queue immediately; a scheduling or running job is aborted
 // through the execution engine's cancellation path and terminalizes
 // shortly after. Canceling a terminal job is a no-op. The terminal state
-// is JobCanceled with Err() == ErrJobCanceled.
+// is JobCanceled with Err() == ErrJobCanceled, unless the deadline or
+// shutdown ended the job first.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	if j.state.terminal() {
-		j.mu.Unlock()
-		return
-	}
-	already := j.cancelRequested
-	j.cancelRequested = true
-	if !already {
-		close(j.cancelCh)
-	}
-	queued := j.state == JobQueued
-	cancel := j.runCancel
+	cancel := j.cancel
 	j.mu.Unlock()
-	if queued {
-		// Drop it from the admission queue eagerly, freeing its slot. If
-		// a worker popped it first, the worker's claim check observes the
-		// cancel request instead and exactly one of us terminalizes.
-		if j.pipe != nil && j.pipe.admit.remove(j.ID) {
-			j.pipe.releaseSlot()
-		}
-		j.terminalize(JobCanceled, ErrJobCanceled, nil)
-		return
-	}
 	if cancel != nil {
-		cancel()
+		cancel(ErrJobCanceled)
+		j.pipe.drop(j)
 	}
 }
 
@@ -672,70 +657,41 @@ func (j *Job) Status() services.JobStatus {
 	return s
 }
 
-// armExpiry drops a job with a deadline at that deadline if it is still
-// queued then, so it does not pin a queue slot or block Wait callers
-// until a worker happens to pop it. Called after the push, when a worker
-// may already have run the job to its end: a terminal job arms nothing —
-// its terminalize has passed and would never stop the timer, which would
-// hold the job, graph and result until the deadline.
-func (j *Job) armExpiry() {
-	if j.deadline.IsZero() {
-		return
-	}
+// claim moves a popped job from queued to scheduling and returns its
+// context, which the worker carries through the round, the dispatch and
+// the run. Stopping the drop hook is the claim: when the hook has
+// already started — the job's context ended while it was queued — the
+// claim fails and the hook ends the job, so it never reaches a
+// scheduling round.
+func (j *Job) claim() (context.Context, bool) {
 	j.mu.Lock()
-	if !j.state.terminal() {
-		j.expiry = time.AfterFunc(time.Until(j.deadline), j.expireQueued)
-	}
-	j.mu.Unlock()
-}
-
-// expireQueued is the deadline timer's callback: a job still queued at
-// its deadline is dropped — removed from the admission queue, its slot
-// released — exactly like an eager Cancel, but terminalizing as failed
-// with ErrJobDeadlineExceeded. Jobs already claimed by a worker are
-// covered by the run context's deadline instead.
-func (j *Job) expireQueued() {
-	j.mu.Lock()
-	if j.state != JobQueued || j.cancelRequested {
+	if j.stop == nil || !j.stop() {
 		j.mu.Unlock()
-		return
+		return nil, false
 	}
-	j.mu.Unlock()
-	if j.pipe != nil && j.pipe.admit.remove(j.ID) {
-		j.pipe.releaseSlot()
-	}
-	j.terminalize(JobFailed, ErrJobDeadlineExceeded, nil)
-}
-
-// claimForScheduling atomically moves a popped job from queued to
-// scheduling. It returns false — terminalizing the job as appropriate —
-// when the job was canceled while queued or its deadline already
-// expired, so such jobs never reach a scheduling round.
-func (j *Job) claimForScheduling() bool {
-	j.mu.Lock()
-	if j.state != JobQueued {
-		// Cancel terminalized it between pop and claim.
-		j.mu.Unlock()
-		return false
-	}
-	if j.cancelRequested {
-		j.mu.Unlock()
-		j.terminalize(JobCanceled, ErrJobCanceled, nil)
-		return false
-	}
-	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-		j.mu.Unlock()
-		j.terminalize(JobFailed, ErrJobDeadlineExceeded, nil)
-		return false
-	}
+	j.stop = nil
 	j.state = JobScheduling
+	ctx := j.ctx
 	j.mu.Unlock()
 	j.noteReplayDone()
 	j.publish()
-	if j.pipe != nil {
-		j.pipe.persistState(j)
+	j.pipe.persistState(j)
+	return ctx, true
+}
+
+// end terminalizes a job whose context ended, by the context's cause:
+// Cancel leaves it canceled, the deadline and shutdown fail it with
+// their own error. runErr is the engine's error when the run had
+// started; it is kept after the cause.
+func (j *Job) end(ctx context.Context, runErr error) {
+	state, err := JobFailed, context.Cause(ctx)
+	switch {
+	case errors.Is(err, ErrJobCanceled):
+		state = JobCanceled
+	case runErr != nil:
+		err = fmt.Errorf("%w: %v", err, runErr)
 	}
-	return true
+	j.terminalize(state, err, nil)
 }
 
 // noteReplayDone clears the job's recovery-replay pending mark and
@@ -749,19 +705,6 @@ func (j *Job) noteReplayDone() {
 	if pending && j.pipe != nil {
 		j.pipe.recoveryPending.Add(-1)
 	}
-}
-
-// setRunCancel installs the running phase's cancel function. It returns
-// false when cancellation was already requested, in which case the
-// caller must not start the execution.
-func (j *Job) setRunCancel(c context.CancelFunc) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.cancelRequested {
-		return false
-	}
-	j.runCancel = c
-	return true
 }
 
 // markRunning moves a dispatched job to running at the given instant
@@ -802,13 +745,17 @@ func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
 	j.sealLocked(time.Now())
 	runSecs, totalSecs := j.timings.RunSeconds, j.timings.TotalSeconds
 	j.hostsHeld = 0
-	// Nothing of the run outlives it: its context and the deadline timer
-	// go with the terminal state.
-	expiry := j.expiry
-	j.runCancel, j.expiry = nil, nil
+	// Nothing of the job's lifetime outlives it: the hook is stopped and
+	// the context canceled, which detaches it (deadline timer included)
+	// from the environment's.
+	stop, cancel := j.stop, j.cancel
+	j.ctx, j.cancel, j.stop = nil, nil, nil
 	j.mu.Unlock()
-	if expiry != nil {
-		expiry.Stop()
+	if stop != nil {
+		stop()
+	}
+	if cancel != nil {
+		cancel(nil)
 	}
 	if m := j.metrics(); m != nil {
 		if runSecs > 0 {
@@ -891,14 +838,4 @@ func (j *Job) noteHostsHeld(n int) {
 	j.hostsHeld = n
 	j.mu.Unlock()
 	j.publish()
-}
-
-// canceled reports whether Cancel has been requested.
-func (j *Job) canceled() bool {
-	select {
-	case <-j.cancelCh:
-		return true
-	default:
-		return false
-	}
 }

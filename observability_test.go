@@ -151,7 +151,8 @@ func TestJobLifecycleTraceAcrossRestart(t *testing.T) {
 	if err := done.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	running, err := env.Submit(ctx, spinJobGraph("pre-running", 2500), WithOwner("bob"))
+	env.Console.Suspend()
+	running, err := env.Submit(ctx, spinJobGraph("pre-running", 1), WithOwner("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,8 @@ func TestOverloadShedsFastWithoutResidue(t *testing.T) {
 	defer env.Close()
 	ctx := context.Background()
 
-	hold, err := env.Submit(ctx, spinJobGraph("hold", 2500))
+	env.Console.Suspend()
+	hold, err := env.Submit(ctx, spinJobGraph("hold", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +116,7 @@ func TestOverloadShedsFastWithoutResidue(t *testing.T) {
 		t.Fatalf("ShedStats = %d/%d, want %d accepted, %d shed", acc, sh, accepted+1, shed)
 	}
 
+	env.Console.Resume()
 	drainCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	if err := env.Drain(drainCtx); err != nil {
@@ -434,7 +436,8 @@ func TestReadyzDuringRecoveryReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	long, err := env.Submit(ctx, spinJobGraph("long", 2500), WithOwner("bob"))
+	env.Console.Suspend()
+	long, err := env.Submit(ctx, gatedJobGraph("long"), WithOwner("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,14 +454,16 @@ func TestReadyzDuringRecoveryReplay(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer env2.Close()
-	// The single worker re-dispatches the long job onto the one run slot
-	// and parks behind it, so at least one re-admitted job sits in the
-	// replay backlog for the length of the long job's re-run.
+	env2.Console.Suspend()
+	// The single worker re-dispatches the long job onto the one run slot,
+	// where it waits at the suspended console, and parks behind it, so at
+	// least one re-admitted job sits in the replay backlog.
 	if ready, reason := env2.Ready(); ready {
 		t.Fatal("ready while the recovery replay backlog is still queued")
 	} else if reason == "" {
 		t.Fatal("not-ready verdict carries no reason")
 	}
+	env2.Console.Resume()
 	drainCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	if err := env2.Drain(drainCtx); err != nil {
@@ -493,7 +498,8 @@ func TestEditorShed503RetryAfter(t *testing.T) {
 
 	// Saturate: the run slot held, the worker parked behind it, the
 	// queue full.
-	hold, err := env.Submit(ctx, spinJobGraph("hold", 2500), WithOwner("user_k"))
+	env.Console.Suspend()
+	hold, err := env.Submit(ctx, spinJobGraph("hold", 1), WithOwner("user_k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,6 +553,7 @@ func TestEditorShed503RetryAfter(t *testing.T) {
 		}
 	}
 
+	env.Console.Resume()
 	drainCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	if err := env.Drain(drainCtx); err != nil {

@@ -2,7 +2,6 @@ package vdce
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -249,12 +248,10 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		return nil, err
 	}
 	// A nil timeout channel never fires, so an unbounded wait costs no
-	// timer.
+	// timer; an unfired one is garbage once submit returns (go 1.23+).
 	var timeout <-chan time.Time
 	if p.cfg.Shed.MaxSubmitWait > 0 {
-		timer := time.NewTimer(p.cfg.Shed.MaxSubmitWait)
-		defer timer.Stop()
-		timeout = timer.C
+		timeout = time.After(p.cfg.Shed.MaxSubmitWait)
 	}
 	var err error
 	select {
@@ -281,7 +278,6 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		deadline:    spec.deadline,
 		pipe:        p,
 		done:        make(chan struct{}),
-		cancelCh:    make(chan struct{}),
 		state:       JobQueued,
 		timings:     new(services.JobTimings),
 		phases:      1 << phSubmitted,
@@ -308,6 +304,7 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	// one row earlier. Retention runs in the same critical section, so
 	// the handle index and the board always hold the same ID set.
 	job.timings.SubmittedAt = time.Now()
+	p.begin(job)
 	p.byID[job.ID] = job
 	status := job.Status()
 	p.env.Board.Update(status)
@@ -322,22 +319,69 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		}
 	}
 	p.events.Publish(jobsapi.EventState, status)
-	// A cancel may have landed between the registration above and here:
-	// never enqueue a job that is already terminal.
-	if job.canceled() {
-		p.releaseSlot()
-		p.admit.unreserveQueued(spec.owner)
-		return nil, ErrJobCanceled
-	}
 	wait := job.stampPhase(phAdmitted, time.Now())
-	p.admit.push(job)
+	p.enqueue(job, false)
 	p.meter.record(false)
 	p.env.obsM.submitWait.Observe(wait.Seconds())
 	p.env.obsM.accepted.Inc()
 	p.env.log.Debug("job admitted", "job_id", job.ID, "owner", job.Owner)
-	job.armExpiry()
 	p.wake()
 	return job, nil
+}
+
+// begin gives a registered job its one context: the environment's, with
+// the job's deadline when it has one. Cancel, the deadline and shutdown
+// all end the job through it, and end reads which one did from its
+// cause. This is the only place the pipeline makes a context.
+func (p *pipeline) begin(j *Job) {
+	ctx, cancel := context.WithCancelCause(p.ctx)
+	if !j.deadline.IsZero() {
+		// Canceling the parent already stops the deadline's timer; the
+		// job's cancel calls both so no CancelFunc is dropped.
+		var stopTimer context.CancelFunc
+		ctx, stopTimer = context.WithDeadlineCause(ctx, j.deadline, ErrJobDeadlineExceeded)
+		withCause := cancel
+		cancel = func(cause error) {
+			withCause(cause)
+			stopTimer()
+		}
+	}
+	j.ctx, j.cancel = ctx, cancel
+}
+
+// enqueue pushes a job onto the admission queue — a recovered one
+// without the queued-jobs quota (see adoptQueued) — and arms the hook
+// that drops it once its context ends there. Both happen under j.mu, so
+// a worker that pops the job claims it only after the hook is armed,
+// and a Cancel that came before is carried out by the hook.
+func (p *pipeline) enqueue(j *Job, recovered bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if recovered {
+		p.admit.adoptQueued(j)
+	} else {
+		p.admit.push(j)
+	}
+	j.stop = context.AfterFunc(j.ctx, func() { p.drop(j) })
+}
+
+// drop ends a queued job whose context ended: the job leaves the
+// admission queue if it is still in it, its slot frees, and end
+// terminalizes it. Cancel calls it synchronously, the hook enqueue arms
+// calls it at the deadline or shutdown. A job the claim took is left to
+// the waits that carry its context; a job not yet enqueued is left to
+// its hook, which fires as soon as enqueue arms it.
+func (p *pipeline) drop(j *Job) {
+	j.mu.Lock()
+	ctx, armed := j.ctx, j.stop != nil
+	j.mu.Unlock()
+	if !armed {
+		return
+	}
+	if p.admit.remove(j.ID) {
+		p.releaseSlot()
+	}
+	j.end(ctx, nil)
 }
 
 // trimRetained is count retention: the board evicts its oldest terminal
@@ -477,15 +521,9 @@ func (p *pipeline) worker() {
 // a goroutine gated by the run semaphore so the worker can keep
 // scheduling while earlier jobs still execute.
 func (p *pipeline) process(job *Job) {
-	// Canceled and deadline-expired queued jobs are dropped here, before
-	// any scheduling work happens.
-	if !job.claimForScheduling() {
-		// The job may have been terminal before the pop even charged it
-		// (a cancel that landed between submit's check and push): its
-		// terminalize ran too early to see the charge, so return it
-		// explicitly — jobReleased is idempotent.
-		p.jobReleased(job)
-		return
+	ctx, ok := job.claim()
+	if !ok {
+		return // its context ended while it was queued: the drop hook ends it
 	}
 	svc, err := p.env.siteServices(job.home)
 	if err != nil {
@@ -526,11 +564,11 @@ func (p *pipeline) process(job *Job) {
 		job.stampEvent("host-park")
 		p.env.obsM.hostParks.Inc()
 		p.env.log.Debug("job parked on held-hosts quota", "job_id", job.ID, "owner", job.Owner)
-		go p.parkForHosts(job, table, needed)
+		go p.parkForHosts(ctx, job, table, needed)
 		return
 	}
 	job.noteHostsHeld(len(needed))
-	p.dispatch(job, table)
+	p.dispatch(ctx, job, table)
 }
 
 // dispatch hands a scheduled job to its execution goroutine once a run
@@ -541,36 +579,27 @@ func (p *pipeline) process(job *Job) {
 // SchedulerWorkers·dispatchBatch + MaxConcurrentRuns, plus hosts-parked
 // jobs (the pop-side parked gate bounds those per owner by the worker
 // count times the dispatch batch). A job waiting for a slot remains in
-// the scheduling state (it is still in a worker's hands). Jobs resuming
-// from a hosts-quota park call this off-worker instead.
-func (p *pipeline) dispatch(job *Job, table *core.AllocationTable) {
+// the scheduling state (it is still in a worker's hands) until its
+// context ends, which frees the worker. Jobs resuming from a hosts-quota
+// park call this off-worker instead.
+func (p *pipeline) dispatch(ctx context.Context, job *Job, table *core.AllocationTable) {
 	select {
 	case p.runSem <- struct{}{}:
-	case <-job.cancelCh:
-		job.terminalize(JobCanceled, ErrJobCanceled, nil)
-		return
-	case <-p.ctx.Done():
-		job.fail(ErrPipelineClosed)
+	case <-ctx.Done():
+		job.end(ctx, nil)
 		return
 	}
-	go p.execute(job, table)
+	go p.execute(ctx, job, table)
 }
 
 // parkForHosts waits until the job's owner frees enough held hosts for
 // this placement, then dispatches it. The park lives off-worker so a
 // capped owner's excess never blocks other owners' dispatch (and is
-// bounded per owner by the pop-side parked gate); it ends early
-// on cancellation, deadline expiry (WithDeadline bounds the whole
-// lifetime, parked time included), or pipeline shutdown. Terminal
-// exits leave the parked gate to release(); the success path clears it
-// and wakes a worker, since the owner just became poppable again.
-func (p *pipeline) parkForHosts(job *Job, table *core.AllocationTable, needed []string) {
-	var deadlineCh <-chan time.Time
-	if dl, ok := job.Deadline(); ok {
-		timer := time.NewTimer(time.Until(dl))
-		defer timer.Stop()
-		deadlineCh = timer.C
-	}
+// bounded per owner by the pop-side parked gate); it ends early when
+// the job's context does. Terminal exits leave the parked gate to
+// release(); the success path clears it and wakes a worker, since the
+// owner just became poppable again.
+func (p *pipeline) parkForHosts(ctx context.Context, job *Job, table *core.AllocationTable, needed []string) {
 	for {
 		// Fetch the owner's broadcast channel before re-checking, so a
 		// release landing between the check and the wait still wakes us.
@@ -582,19 +611,13 @@ func (p *pipeline) parkForHosts(job *Job, table *core.AllocationTable, needed []
 			p.wake()
 			job.stampEvent("host-unpark")
 			job.noteHostsHeld(len(needed))
-			p.dispatch(job, table)
+			p.dispatch(ctx, job, table)
 			return
 		}
 		select {
 		case <-changed:
-		case <-deadlineCh:
-			job.terminalize(JobFailed, ErrJobDeadlineExceeded, nil)
-			return
-		case <-job.cancelCh:
-			job.terminalize(JobCanceled, ErrJobCanceled, nil)
-			return
-		case <-p.ctx.Done():
-			job.fail(ErrPipelineClosed)
+		case <-ctx.Done():
+			job.end(ctx, nil)
 			return
 		}
 	}
@@ -633,33 +656,19 @@ func (p *pipeline) jobReleased(j *Job) {
 	}
 }
 
-// execute runs the job's task graph under its own cancelable (and
-// deadline-bounded, when WithDeadline was given) context, then
+// execute runs the job's task graph under the job's context, then
 // terminalizes it.
-func (p *pipeline) execute(job *Job, table *core.AllocationTable) {
+func (p *pipeline) execute(ctx context.Context, job *Job, table *core.AllocationTable) {
 	defer func() { <-p.runSem }()
 	if wait := job.stampPhase(phDispatched, time.Now()); wait > 0 {
 		p.env.obsM.phaseDispatchWait.Observe(wait.Seconds())
 	}
-	runCtx := p.ctx
-	var cancels []context.CancelFunc
-	if !job.deadline.IsZero() {
-		ctx, cancel := context.WithDeadline(runCtx, job.deadline)
-		runCtx, cancels = ctx, append(cancels, cancel)
-	}
-	runCtx, cancel := context.WithCancel(runCtx)
-	cancels = append(cancels, cancel)
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-	if !job.setRunCancel(cancel) {
-		job.terminalize(JobCanceled, ErrJobCanceled, nil)
+	if ctx.Err() != nil {
+		job.end(ctx, nil)
 		return
 	}
 	job.markRunning(time.Now())
-	res, err := p.env.Engine.Execute(runCtx, job.Graph, table, exec.WithEventSink(job.execEvent))
+	res, err := p.env.Engine.Execute(ctx, job.Graph, table, exec.WithEventSink(job.execEvent))
 	switch {
 	case err == nil:
 		// The run may have rescheduled tasks mid-flight: adopt the
@@ -668,58 +677,32 @@ func (p *pipeline) execute(job *Job, table *core.AllocationTable) {
 			job.setTable(res.Table)
 		}
 		job.complete(res)
-	case job.canceled():
-		job.terminalize(JobCanceled, ErrJobCanceled, nil)
-	case errors.Is(runCtx.Err(), context.DeadlineExceeded):
-		job.terminalize(JobFailed, fmt.Errorf("%w: %v", ErrJobDeadlineExceeded, err), nil)
+	case ctx.Err() != nil:
+		job.end(ctx, err)
 	default:
 		job.fail(err)
 	}
 }
 
-// stop fails every queued job and waits for in-flight work to settle.
-// The environment context must already be canceled.
-func (p *pipeline) stop() {
+// stop ends every live job through the environment's context and waits
+// until each is terminal. cancelRoot cancels that context.
+func (p *pipeline) stop(cancelRoot context.CancelCauseFunc) {
 	// Durability first: from here on, shutdown-induced terminal states
 	// (ErrPipelineClosed) are not persisted — queued and running jobs
 	// remain recoverable in the log, which is what the next boot
 	// re-adopts.
 	p.stopping.Store(true)
-	// Refuse new admissions first: any job registered before this point
-	// is visible to allSettled below, so the drain loop will fail it.
+	// Refuse new admissions: every job registered before this point is
+	// one of the handles waited on below, and its context ends with the
+	// environment's.
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
+	cancelRoot(ErrPipelineClosed)
 	p.workerWG.Wait()
-	// Workers are gone; anything left in the queue will never be
-	// scheduled. A submitter racing with shutdown may still enqueue after
-	// a drain pass, so keep draining until every admitted job has reached
-	// a terminal state.
-	for {
-		for job := p.admit.pop(); job != nil; job = p.admit.pop() {
-			p.releaseSlot()
-			job.terminalize(JobFailed, ErrPipelineClosed, nil)
-			// Already-terminal jobs (canceled pre-push) missed the pop
-			// charge in their own terminalize; idempotent re-release.
-			p.jobReleased(job)
-		}
-		if p.allSettled() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// allSettled reports whether every admitted job is terminal.
-func (p *pipeline) allSettled() bool {
 	for _, j := range p.handles() {
-		select {
-		case <-j.done:
-		default:
-			return false
-		}
+		<-j.done
 	}
-	return true
 }
 
 // job returns a retained job handle by ID.

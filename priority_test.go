@@ -387,11 +387,12 @@ func TestListJobsFiltersAndOrders(t *testing.T) {
 	}
 }
 
-// TestDeadlineTimerNeverOutlivesTheJob: submit arms the deadline timer
-// after the push, when a worker may already have run the job to its
-// end. A timer armed then is one no terminalize will stop; it would hold
-// the job — graph, table, result — until the deadline, outside both
-// retention bounds. After Done, every job's timer is unarmed or stopped.
+// TestDeadlineTimerNeverOutlivesTheJob: a job's context carries its
+// deadline timer and is a child of the environment's, and its drop hook
+// is registered on it; either, left behind, would hold the job — graph,
+// table, result — until the deadline, outside both retention bounds.
+// After Done, the job holds no context, cancel function or hook: its
+// terminalize canceled the context, detaching it and the timer.
 func TestDeadlineTimerNeverOutlivesTheJob(t *testing.T) {
 	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 78}})
 	g := spinJobGraph("one-task", 0)
@@ -401,14 +402,12 @@ func TestDeadlineTimerNeverOutlivesTheJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-job.Done()
-		// Submit's own arm lands either side of Done; this one is the
-		// late arm every time.
-		job.armExpiry()
 		job.mu.Lock()
-		expiry := job.expiry
+		ctx, cancel, stop := job.ctx, job.cancel, job.stop
 		job.mu.Unlock()
-		if expiry != nil && expiry.Stop() {
-			t.Fatalf("job %d is %s and its deadline timer was still armed", i, job.State())
+		if ctx != nil || cancel != nil || stop != nil {
+			t.Fatalf("job %d is %s and still holds its context (%v), cancel (%v) or hook (%v)",
+				i, job.State(), ctx != nil, cancel != nil, stop != nil)
 		}
 	}
 }

@@ -65,7 +65,6 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 			deadline:    rec.Deadline,
 			pipe:        p,
 			done:        make(chan struct{}),
-			cancelCh:    make(chan struct{}),
 			timings: &services.JobTimings{
 				SubmittedAt: rec.SubmittedAt, RunningAt: rec.StartedAt, FinishedAt: rec.FinishedAt,
 			},
@@ -176,8 +175,8 @@ func (p *pipeline) adoptRecovered(adopt []*Job) {
 		job.mu.Unlock()
 		p.slots <- struct{}{}
 		job.stampPhase(phAdmitted, time.Now())
-		p.admit.adoptQueued(job)
-		job.armExpiry()
+		p.begin(job)
+		p.enqueue(job, true)
 		if job.recovered {
 			// In-flight at the crash: announce the re-adoption on the
 			// stream so subscribers see the job return to the queue.

@@ -23,6 +23,19 @@ func spinJobGraph(name string, ms int) *afg.Graph {
 	return g
 }
 
+// gatedJobGraph is a job a restarted environment re-runs at once that a
+// test can still catch running there: a 50 ms Spin feeds a Pass_Through,
+// which waits at the console gate when the console was suspended while
+// the spin ran.
+func gatedJobGraph(name string) *afg.Graph {
+	g := spinJobGraph(name, 50)
+	pass := g.AddTask("Pass_Through", "util", 1, 1)
+	if err := g.Connect(0, 0, pass, 0, 8); err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // durableCfg is the restart tests' shared configuration: a small
 // two-site testbed and a deliberately serialized pipeline (one worker,
 // one run slot) so the pre-crash mix of queued/in-flight jobs is
@@ -73,8 +86,10 @@ func TestCrashRestartRecovery(t *testing.T) {
 		t.Fatalf("pre-crash job: %v", err)
 	}
 
-	// One job held in the running state across the crash window.
-	runningJob, err := env.Submit(ctx, spinJobGraph("pre-running", 2500), WithOwner("bob"))
+	// One job held in the running state, at the suspended console, across
+	// the crash window; the restarted environment re-runs it at once.
+	env.Console.Suspend()
+	runningJob, err := env.Submit(ctx, spinJobGraph("pre-running", 1), WithOwner("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +237,8 @@ func TestEditedGraphRecoversPerSubmission(t *testing.T) {
 	extra := app.AddTask("Spin", "util", 0, 1)
 	app.Tasks[extra].Props.Args = map[string]string{"ms": "2"}
 
-	blocker, err := env.Submit(ctx, spinJobGraph("blocker", 2500), WithOwner("bob"))
+	env.Console.Suspend()
+	blocker, err := env.Submit(ctx, spinJobGraph("blocker", 1), WithOwner("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +311,8 @@ func TestGracefulRestartRecovery(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	runningJob, err := env.Submit(ctx, spinJobGraph("g-running", 2500), WithOwner("bob"))
+	env.Console.Suspend()
+	runningJob, err := env.Submit(ctx, spinJobGraph("g-running", 1), WithOwner("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,6 +332,8 @@ func TestGracefulRestartRecovery(t *testing.T) {
 	// queued/running.
 	if err := runningJob.Err(); err == nil {
 		t.Fatal("running job reported success despite shutdown")
+	} else if !errors.Is(err, ErrPipelineClosed) {
+		t.Fatalf("running job failed with %v at Close, want ErrPipelineClosed", err)
 	}
 
 	env2, err := New(durableCfg(dir))
@@ -398,7 +417,8 @@ func TestOwnerAdminPersistsAcrossRestart(t *testing.T) {
 	// The recovered cap is live: hold the single worker busy so alice's
 	// submissions stay queued, then exceed the recovered MaxQueued of 2.
 	ctx := context.Background()
-	hold, err := env2.Submit(ctx, spinJobGraph("hold", 2500), WithOwner("bob"))
+	env2.Console.Suspend()
+	hold, err := env2.Submit(ctx, spinJobGraph("hold", 1), WithOwner("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,6 +431,7 @@ func TestOwnerAdminPersistsAcrossRestart(t *testing.T) {
 	if _, err := env2.Submit(ctx, spinJobGraph("over-cap", 1), WithOwner("alice")); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("over-cap submission error = %v, want ErrQuotaExceeded", err)
 	}
+	env2.Console.Resume()
 	drainCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	if err := env2.Drain(drainCtx); err != nil {
@@ -433,7 +454,8 @@ func TestDeadlineExpiredAtReplay(t *testing.T) {
 	ctx := context.Background()
 
 	// Hold the single run slot so the deadline job stays queued.
-	hold, err := env.Submit(ctx, spinJobGraph("hold", 2500), WithOwner("bob"))
+	env.Console.Suspend()
+	hold, err := env.Submit(ctx, spinJobGraph("hold", 1), WithOwner("bob"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func TestOutputLedgerMatchesModel(t *testing.T) {
 		j := &Job{
 			ID: res.AppID, Graph: g, pipe: p, state: JobDone, result: res,
 			timings: &services.JobTimings{SubmittedAt: at, FinishedAt: at},
-			done:    settled, cancelCh: make(chan struct{}),
+			done:    settled,
 		}
 		p.mu.Lock()
 		p.byID[j.ID] = j

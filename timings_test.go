@@ -148,7 +148,7 @@ func TestTraceMatchesReferenceModel(t *testing.T) {
 			// What pipeline.submit builds.
 			j = &Job{
 				ID: fmt.Sprintf("m-%d", stream), Owner: "model", Graph: g,
-				done: make(chan struct{}), cancelCh: make(chan struct{}), state: JobQueued,
+				done: make(chan struct{}), state: JobQueued,
 				timings: new(services.JobTimings), phases: 1 << phSubmitted,
 			}
 			at := tick()
@@ -338,7 +338,11 @@ func TestTraceAcrossRestartMatchesReference(t *testing.T) {
 	if err := done.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	running := submit(env, "pre-running", 2500, "bob")
+	env.Console.Suspend()
+	running, err := env.Submit(ctx, gatedJobGraph("pre-running"), WithOwner("bob"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	waitState(t, running, JobRunning)
 	queued := submit(env, "backlog", 1, "alice")
 	env.Crash()
@@ -354,13 +358,28 @@ func TestTraceAcrossRestartMatchesReference(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s was not re-adopted", running.ID)
 	}
+	// alice's backlog runs first; the re-run then stops at the console
+	// once its spin ends.
 	waitState(t, inFlight, JobRunning)
+	env2.Console.Suspend()
 	inFlight.execEvent(exec.Event{Type: exec.EventRescheduled, Host: "h-moved"})
 	inFlight.execEvent(exec.Event{Type: exec.EventHostFailure, Host: "h-lost"})
-	holder := submit(env2, "holder", 1000, "carol")
-	parked := submit(env2, "parked", 1, "carol")
 	drainCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
+	env2.Console.Resume()
+	if err := env2.Drain(drainCtx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	// The holder keeps carol's one host at the suspended console while
+	// parked is scheduled.
+	env2.Console.Suspend()
+	holder := submit(env2, "holder", 1, "carol")
+	waitState(t, holder, JobRunning)
+	parked := submit(env2, "parked", 1, "carol")
+	for !hasEvent(parked, "host-park") {
+		time.Sleep(time.Millisecond)
+	}
+	env2.Console.Resume()
 	if err := env2.Drain(drainCtx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}

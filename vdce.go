@@ -166,7 +166,7 @@ type Environment struct {
 	// svc caches each home site's scheduling services; svcMu guards it.
 	svcMu  sync.Mutex
 	svc    map[int]*siteSvc
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 	pipe   *pipeline
 	// obsM holds the pre-resolved hot-path metric handles; log is the
 	// structured logger (discarding when Config.Logger was nil).
@@ -251,7 +251,7 @@ func New(cfg Config) (*Environment, error) {
 		}
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancelCause(context.Background())
 	env.cancel = cancel
 	period := cfg.MonitorPeriod
 	if period <= 0 {
@@ -414,8 +414,11 @@ func (r monitorReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
 }
 
 // Close stops the submission pipeline, daemons, RPC servers, and client
-// connections. Queued jobs fail with ErrPipelineClosed; running jobs are
-// canceled. With a durable store configured, Close is the graceful
+// connections. Every job not yet terminal fails with ErrPipelineClosed,
+// wherever it waits; a running job is aborted through the execution
+// engine's cancellation path and its error reads "ErrPipelineClosed:
+// <engine error>". Close returns once every job is terminal. With a
+// durable store configured, Close is the graceful
 // shutdown: the store compacts and fsyncs, and the shutdown-induced
 // terminal states are not persisted — durably, queued and in-flight
 // jobs remain queued/running, exactly what the next boot re-adopts.
@@ -435,11 +438,10 @@ func (env *Environment) Crash() {
 }
 
 func (env *Environment) shutdown(graceful bool) {
-	if env.cancel != nil {
-		env.cancel()
-	}
 	if env.pipe != nil {
-		env.pipe.stop()
+		env.pipe.stop(env.cancel)
+	} else if env.cancel != nil {
+		env.cancel(ErrPipelineClosed)
 	}
 	// The pipeline has settled every job; what is left of the data plane
 	// is the Data Manager's listener, streams and readers.
