@@ -39,6 +39,8 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"vdce"
@@ -47,6 +49,7 @@ import (
 	"vdce/internal/chaos"
 	"vdce/internal/core"
 	"vdce/internal/detect"
+	"vdce/internal/experiments"
 	"vdce/internal/obs"
 	"vdce/internal/services"
 	"vdce/internal/sim"
@@ -71,7 +74,11 @@ func run(args []string, out io.Writer) error {
 	sites := fs.Int("sites", 2, "number of sites")
 	hosts := fs.Int("hosts", 4, "hosts per site")
 	k := fs.Int("k", -1, "nearest-neighbor sites (-1 = all)")
-	policy := fs.String("policy", "vdce", "vdce|fifo|random|rrobin|minmin")
+	var policies []string
+	for _, p := range experiments.Policies {
+		policies = append(policies, p.Name)
+	}
+	policy := fs.String("policy", "vdce", strings.Join(policies, "|"))
 	seed := fs.Int64("seed", 1, "seed")
 	ganttWidth := fs.Int("gantt-width", 80, "gantt chart width")
 	chaosName := fs.String("chaos", "", "fault scenario: kill-quarter|rolling-restart|site-partition|flapping-host|brownout|server-restart")
@@ -88,6 +95,11 @@ func run(args []string, out io.Writer) error {
 		// schedule-and-simulate path below entirely.
 		return runServerRestart(out, *sites, *hosts, *seed)
 	}
+	at := slices.Index(policies, *policy)
+	if at < 0 {
+		return fmt.Errorf("unknown policy %q", *policy)
+	}
+	pol := experiments.Policies[at]
 
 	tb, err := testbed.Build(testbed.Config{
 		Sites: *sites, HostsPerGroup: *hosts, Seed: *seed, BaseLoadMax: 0.4,
@@ -137,32 +149,11 @@ func run(args []string, out io.Writer) error {
 	// Schedule. The closure re-runs the SAME policy against the current
 	// repository state, so the chaos path's post-failure reallocation
 	// measures fault recovery rather than a policy switch.
-	scheduleOnce := func() (*core.AllocationTable, error) {
-		switch *policy {
-		case "vdce", "fifo":
-			kk := *k
-			if kk < 0 {
-				kk = *sites - 1
-			}
-			var remotes []core.SiteService
-			for _, s := range locals[1:] {
-				remotes = append(remotes, s)
-			}
-			sched := core.NewScheduler(locals[0], remotes, tb.Net, kk)
-			if *policy == "fifo" {
-				sched.Priority = core.FIFOPriority
-			}
-			return sched.Schedule(w.G, w.CostFunc())
-		case "random":
-			return core.ScheduleRandom(w.G, locals, tb.Net, *seed)
-		case "rrobin":
-			return core.ScheduleRoundRobin(w.G, locals, tb.Net)
-		case "minmin":
-			return core.ScheduleMinMin(w.G, locals, tb.Net)
-		default:
-			return nil, fmt.Errorf("unknown policy %q", *policy)
-		}
+	round := experiments.Round{Sites: locals, Net: tb.Net, K: *k, Seed: *seed}
+	if round.K < 0 {
+		round.K = *sites - 1
 	}
+	scheduleOnce := func() (*core.AllocationTable, error) { return pol.Schedule(round, w) }
 	table, err := scheduleOnce()
 	if err != nil {
 		return err

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"vdce/internal/experiments"
 )
 
 func TestRunProducesScheduleReport(t *testing.T) {
@@ -20,7 +22,8 @@ func TestRunProducesScheduleReport(t *testing.T) {
 }
 
 func TestRunEveryPolicy(t *testing.T) {
-	for _, policy := range []string{"vdce", "fifo", "random", "rrobin", "minmin"} {
+	for _, pol := range experiments.Policies {
+		policy := pol.Name
 		t.Run(policy, func(t *testing.T) {
 			var out strings.Builder
 			err := run([]string{"-family", "fft", "-tasks", "8", "-policy", policy, "-seed", "3"}, &out)

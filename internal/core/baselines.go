@@ -1,263 +1,134 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
-	"time"
 
 	"vdce/internal/afg"
 	"vdce/internal/netmodel"
 	"vdce/internal/repository"
 )
 
-// The baseline policies the evaluation compares the VDCE scheduler
-// against (experiment E2). All of them fill the same AllocationTable
-// structure, computing Predicted values with the same prediction oracle
-// so that simulated comparisons isolate the placement policy.
+// The comparators experiment E2 runs beside the VDCE scheduler: random,
+// round-robin, min-min and ScheduleQueueAware. Each is the shared plan
+// with its own task order and host choice, over every given site (there
+// is no multicast), and predicts with the same oracle, so simulated
+// comparisons isolate the placement policy.
 
-// baselineEnv bundles what every baseline needs. check() freezes one
-// snapshot per site so the whole baseline run reads a coherent view.
-type baselineEnv struct {
-	g     *afg.Graph
-	sites []*LocalSite
-	snaps []*repository.Snapshot
-	net   *netmodel.Network
+// snapshots validates g and freezes one snapshot per site, so a whole
+// run reads a coherent view.
+func snapshots(g *afg.Graph, sites []*LocalSite) ([]*repository.Snapshot, error) {
+	if len(sites) == 0 {
+		return nil, ErrNoSites
+	}
+	snaps := make([]*repository.Snapshot, len(sites))
+	for i, s := range sites {
+		snaps[i] = s.Snapshot()
+	}
+	return snaps, g.Validate()
 }
 
-func (e *baselineEnv) check() error {
-	if len(e.sites) == 0 {
-		return ErrNoSites
-	}
-	e.snaps = make([]*repository.Snapshot, len(e.sites))
-	for i, s := range e.sites {
-		e.snaps[i] = s.Snapshot()
-	}
-	return e.g.Validate()
-}
-
-// transferFor sums the input transfer times of task id if placed on
-// destSite, given prior placements.
-func (e *baselineEnv) transferFor(id afg.TaskID, destSite string, placedSite map[afg.TaskID]string) (time.Duration, error) {
-	var xfer time.Duration
-	for _, edge := range e.g.InEdges(id) {
-		src, ok := placedSite[edge.From]
-		if !ok {
-			return 0, fmt.Errorf("core: parent %d of %d unplaced", edge.From, id)
-		}
-		t, err := e.net.TransferTime(e.g.EdgeSize(edge), src, destSite)
-		if err != nil {
-			return 0, err
-		}
-		xfer += t
-	}
-	return xfer, nil
-}
-
-// siteOptions lists, per site, the host set a task would get there (best
-// hosts for the deterministic policies, or all ranked hosts for random).
+// siteOption is one site's ranked eligible hosts for a task and how many
+// of them the task needs there.
 type siteOption struct {
-	site   *LocalSite
-	snap   *repository.Snapshot
-	ranked []RankedHost
-	nodes  int
+	site  *LocalSite
+	snap  *repository.Snapshot
+	hosts []string // best first; the rank cache's own: read-only
+	nodes int
 }
 
-func (e *baselineEnv) optionsFor(task *afg.Task) []siteOption {
+// eligible lists the sites that can run task.
+func eligible(sites []*LocalSite, snaps []*repository.Snapshot, task *afg.Task) []siteOption {
 	var out []siteOption
-	for i, s := range e.sites {
-		snap := e.snaps[i]
-		ranked := s.RankedHostsAt(snap, task)
-		nodes := RequiredNodesAt(snap, task)
-		if len(ranked) < nodes || len(ranked) == 0 {
+	for i, s := range sites {
+		hosts := s.rankAt(snaps[i], task).names
+		nodes := RequiredNodesAt(snaps[i], task)
+		if len(hosts) < nodes || len(hosts) == 0 {
 			continue
 		}
-		out = append(out, siteOption{site: s, snap: snap, ranked: ranked, nodes: nodes})
+		out = append(out, siteOption{site: s, snap: snaps[i], hosts: hosts, nodes: nodes})
 	}
 	return out
+}
+
+// offer predicts task id on hosts of o's site and offers the placement.
+func (o siteOption) offer(p *plan, id afg.TaskID, hosts []string) error {
+	pred, err := o.site.PredictSetAt(o.snap, p.g.Tasks[id], hosts)
+	if err != nil {
+		return err
+	}
+	return p.offer(id, o.site.SiteName(), hosts, pred)
 }
 
 // ScheduleRandom places every task on a uniformly random eligible site
 // and random eligible host set within it.
 func ScheduleRandom(g *afg.Graph, sites []*LocalSite, net *netmodel.Network, seed int64) (*AllocationTable, error) {
-	env := &baselineEnv{g: g, sites: sites, net: net}
-	if err := env.check(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	order, err := g.TopoSort()
+	snaps, err := snapshots(g, sites)
 	if err != nil {
 		return nil, err
 	}
-	table := &AllocationTable{App: g.Name + " [random]"}
-	placed := make(map[afg.TaskID]string)
-	for _, id := range order {
-		task := g.Task(id)
-		opts := env.optionsFor(task)
+	rng := rand.New(rand.NewSource(seed))
+	p := newPlan(g, net, g.Name+" [random]")
+	p.rule = lowestID
+	return p.run(func(id afg.TaskID) error {
+		opts := eligible(sites, snaps, g.Tasks[id])
 		if len(opts) == 0 {
-			return nil, fmt.Errorf("%w: task %d (%s)", ErrNoEligibleSite, id, task.Name)
+			return nil
 		}
-		opt := opts[rng.Intn(len(opts))]
-		perm := rng.Perm(len(opt.ranked))[:opt.nodes]
-		hosts := make([]string, opt.nodes)
-		for i, pi := range perm {
-			hosts[i] = opt.ranked[pi].Name
+		o := opts[rng.Intn(len(opts))]
+		hosts := make([]string, o.nodes)
+		for i, pi := range rng.Perm(len(o.hosts))[:o.nodes] {
+			hosts[i] = o.hosts[pi]
 		}
-		pred, err := opt.site.PredictSetAt(opt.snap, task, hosts)
-		if err != nil {
-			return nil, err
-		}
-		xfer, err := env.transferFor(id, opt.site.SiteName(), placed)
-		if err != nil {
-			return nil, err
-		}
-		table.Entries = append(table.Entries, Placement{
-			Task: id, TaskName: task.Name, Site: opt.site.SiteName(),
-			Hosts: hosts, Predicted: pred, TransferIn: xfer,
-		})
-		placed[id] = opt.site.SiteName()
-	}
-	return table, table.Validate(g)
+		return o.offer(&p, id, hosts)
+	})
 }
 
 // ScheduleRoundRobin deals tasks across sites in rotation, and across
 // each site's eligible hosts in rotation, ignoring predictions entirely.
 func ScheduleRoundRobin(g *afg.Graph, sites []*LocalSite, net *netmodel.Network) (*AllocationTable, error) {
-	env := &baselineEnv{g: g, sites: sites, net: net}
-	if err := env.check(); err != nil {
-		return nil, err
-	}
-	order, err := g.TopoSort()
+	snaps, err := snapshots(g, sites)
 	if err != nil {
 		return nil, err
 	}
-	table := &AllocationTable{App: g.Name + " [round-robin]"}
-	placed := make(map[afg.TaskID]string)
 	siteCursor := 0
 	hostCursor := make(map[string]int)
-	for _, id := range order {
-		task := g.Task(id)
-		opts := env.optionsFor(task)
+	p := newPlan(g, net, g.Name+" [round-robin]")
+	p.rule = lowestID
+	return p.run(func(id afg.TaskID) error {
+		opts := eligible(sites, snaps, g.Tasks[id])
 		if len(opts) == 0 {
-			return nil, fmt.Errorf("%w: task %d (%s)", ErrNoEligibleSite, id, task.Name)
+			return nil
 		}
-		opt := opts[siteCursor%len(opts)]
+		o := opts[siteCursor%len(opts)]
 		siteCursor++
-		name := opt.site.SiteName()
-		hosts := make([]string, opt.nodes)
+		// A site has at least nodes eligible hosts, so nodes consecutive
+		// ones, wrapping around its ranking, are distinct.
+		name := o.site.SiteName()
+		hosts := make([]string, o.nodes)
 		for i := range hosts {
-			hosts[i] = opt.ranked[(hostCursor[name]+i)%len(opt.ranked)].Name
+			hosts[i] = o.hosts[(hostCursor[name]+i)%len(o.hosts)]
 		}
-		// Distinct hosts are required for multi-node placements; with
-		// wraparound collisions, fall back to the first nodes hosts.
-		if opt.nodes > 1 {
-			seen := make(map[string]bool)
-			distinct := true
-			for _, h := range hosts {
-				if seen[h] {
-					distinct = false
-					break
-				}
-				seen[h] = true
-			}
-			if !distinct {
-				for i := range hosts {
-					hosts[i] = opt.ranked[i].Name
-				}
-			}
-		}
-		hostCursor[name] += opt.nodes
-		pred, err := opt.site.PredictSetAt(opt.snap, task, hosts)
-		if err != nil {
-			return nil, err
-		}
-		xfer, err := env.transferFor(id, name, placed)
-		if err != nil {
-			return nil, err
-		}
-		table.Entries = append(table.Entries, Placement{
-			Task: id, TaskName: task.Name, Site: name,
-			Hosts: hosts, Predicted: pred, TransferIn: xfer,
-		})
-		placed[id] = name
-	}
-	return table, table.Validate(g)
+		hostCursor[name] += o.nodes
+		return o.offer(&p, id, hosts)
+	})
 }
 
 // ScheduleMinMin implements the classic min-min heuristic: repeatedly
 // compute, for every ready task, its minimal estimated completion time
-// over all sites (host availability + data arrival + prediction), then
-// commit the task achieving the overall minimum.
+// (host availability + data arrival + prediction) over every site's
+// Fig. 3 choice, then commit the task achieving the overall minimum.
 func ScheduleMinMin(g *afg.Graph, sites []*LocalSite, net *netmodel.Network) (*AllocationTable, error) {
-	env := &baselineEnv{g: g, sites: sites, net: net}
-	if err := env.check(); err != nil {
+	if len(sites) == 0 {
+		return nil, ErrNoSites
+	}
+	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	table := &AllocationTable{App: g.Name + " [min-min]"}
-	placed := make(map[afg.TaskID]string)
-	finish := make(map[afg.TaskID]time.Duration)
-	hostFree := make(map[string]time.Duration)
-	rs := afg.NewReadySet(g)
-
-	for !rs.Empty() {
-		type best struct {
-			id    afg.TaskID
-			site  *LocalSite
-			hosts []string
-			pred  time.Duration
-			xfer  time.Duration
-			ect   time.Duration
-		}
-		var pick *best
-		for _, id := range rs.Ready() {
-			task := g.Task(id)
-			for _, opt := range env.optionsFor(task) {
-				hosts := make([]string, opt.nodes)
-				for i := 0; i < opt.nodes; i++ {
-					hosts[i] = opt.ranked[i].Name
-				}
-				pred, err := opt.site.PredictSetAt(opt.snap, task, hosts)
-				if err != nil {
-					continue
-				}
-				var dataReady time.Duration
-				var xferSum time.Duration
-				for _, edge := range g.InEdges(id) {
-					t, err := net.TransferTime(g.EdgeSize(edge), placed[edge.From], opt.site.SiteName())
-					if err != nil {
-						continue
-					}
-					xferSum += t
-					if arr := finish[edge.From] + t; arr > dataReady {
-						dataReady = arr
-					}
-				}
-				start := dataReady
-				for _, h := range hosts {
-					if hostFree[h] > start {
-						start = hostFree[h]
-					}
-				}
-				ect := start + pred
-				if pick == nil || ect < pick.ect {
-					pick = &best{id: id, site: opt.site, hosts: hosts, pred: pred, xfer: xferSum, ect: ect}
-				}
-			}
-		}
-		if pick == nil {
-			return nil, fmt.Errorf("%w: no ready task schedulable", ErrNoEligibleSite)
-		}
-		table.Entries = append(table.Entries, Placement{
-			Task: pick.id, TaskName: g.Task(pick.id).Name, Site: pick.site.SiteName(),
-			Hosts: pick.hosts, Predicted: pick.pred, TransferIn: pick.xfer,
-		})
-		placed[pick.id] = pick.site.SiteName()
-		finish[pick.id] = pick.ect
-		for _, h := range pick.hosts {
-			hostFree[h] = pick.ect
-		}
-		if err := rs.Complete(pick.id); err != nil {
-			return nil, err
-		}
+	answers := make([]Selection, len(sites))
+	for i, s := range sites {
+		answers[i] = s.hostSelectionValidated(g)
 	}
-	return table, table.Validate(g)
+	p := newPlan(g, net, g.Name+" [min-min]")
+	p.rule, p.timed = everyReady, true
+	return p.run(func(id afg.TaskID) error { return p.offerChoices(answers, id) })
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"vdce/internal/afg"
@@ -136,6 +137,35 @@ func TestBaselinesEmptySites(t *testing.T) {
 	}
 	if _, err := ScheduleMinMin(g, nil, net); err == nil {
 		t.Fatal("no sites accepted")
+	}
+}
+
+// TestUnpriceableInputFailsEveryPolicy: on a site the network model does
+// not know, a task's input cannot be priced. Every policy fails the round
+// with the network model's error; none skips the site or prices the
+// input at zero.
+func TestUnpriceableInputFailsEveryPolicy(t *testing.T) {
+	s := mkSite(t, "siteA", []hostSpec{{name: "a1", speed: 1}, {name: "a2", speed: 2}})
+	net, err := netmodel.New([]string{"siteB"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := lesGraph(t)
+	cost := costFrom(t, s, g)
+	sites := []*LocalSite{s}
+	for _, tc := range []struct {
+		name     string
+		schedule func() (*AllocationTable, error)
+	}{
+		{"vdce", func() (*AllocationTable, error) { return NewScheduler(s, nil, net, 0).Schedule(g, cost) }},
+		{"vdce+q", func() (*AllocationTable, error) { return ScheduleQueueAware(g, sites, net, cost) }},
+		{"minmin", func() (*AllocationTable, error) { return ScheduleMinMin(g, sites, net) }},
+		{"rrobin", func() (*AllocationTable, error) { return ScheduleRoundRobin(g, sites, net) }},
+		{"random", func() (*AllocationTable, error) { return ScheduleRandom(g, sites, net, 1) }},
+	} {
+		if _, err := tc.schedule(); err == nil || !strings.Contains(err.Error(), `netmodel: unknown site "siteA"`) {
+			t.Errorf("%s: err = %v, want the network model's unknown-site error", tc.name, err)
+		}
 	}
 }
 

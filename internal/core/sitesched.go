@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"vdce/internal/afg"
 	"vdce/internal/netmodel"
@@ -73,8 +72,9 @@ func (s *Scheduler) roundSites() ([]SiteService, error) {
 // services concurrently, in-process sites inline on the caller. The
 // caller has already validated g, so in-process sites take the
 // no-revalidation fast path; remote sites validate on their own side of
-// the wire as always. answers[i] stays nil for a site that errored or
-// did not answer for exactly g's tasks; errs[i] says why.
+// the wire as always. answers[i] stays nil for a site that errored, did
+// not answer for exactly g's tasks, or offered hosts under another
+// site's name; errs[i] says why.
 func multicast(g *afg.Graph, sites []SiteService) (answers []Selection, errs []error) {
 	answers, errs = make([]Selection, len(sites)), make([]error, len(sites))
 	var wg sync.WaitGroup
@@ -89,6 +89,13 @@ func multicast(g *afg.Graph, sites []SiteService) (answers []Selection, errs []e
 			sel, err := svc.HostSelection(g)
 			if err == nil && len(sel) != len(g.Tasks) {
 				err = fmt.Errorf("%d choices for %d tasks", len(sel), len(g.Tasks))
+			}
+			// The round records and prices a placement on the site its
+			// choice names, so a peer answers for itself only.
+			for id := 0; err == nil && id < len(sel); id++ {
+				if c := sel[id]; len(c.Hosts) > 0 && c.Site != svc.SiteName() {
+					err = fmt.Errorf("task %d offered on site %q", id, c.Site)
+				}
 			}
 			if err != nil {
 				errs[i] = fmt.Errorf("site %s: %w", svc.SiteName(), err)
@@ -133,78 +140,14 @@ func (s *Scheduler) Schedule(g *afg.Graph, cost afg.CostFunc) (*AllocationTable,
 		return nil, fmt.Errorf("core: every site failed host selection: %w", errors.Join(siteErrs...))
 	}
 
-	// Steps 6-7: walk the ready set in priority order.
-	table := &AllocationTable{App: g.Name, Entries: make([]Placement, 0, len(g.Tasks))}
-	assignedSite := make([]string, len(g.Tasks))
-	inStart, inEdge := g.InEdgeIndex()
-	rs := afg.NewReadySet(g)
-
-	for !rs.Empty() {
-		id := s.nextReady(rs, levels)
-		task := g.Tasks[id]
-		inEdges := inEdge[inStart[id]:inStart[id+1]]
-
-		// Candidate sites are those whose host selection produced a real
-		// choice for this task; the first minimal total wins.
-		var chosen *HostChoice
-		var bestTotal, bestXfer time.Duration
-		for i, sel := range answers {
-			if sel == nil || sel[id].Err != "" || len(sel[id].Hosts) == 0 {
-				continue
-			}
-			// Time_total(task, Sj) = sum of transfer times from each
-			// parent's site + Predict(task, Rj); an entry task or one
-			// with no dataflow input has no transfer.
-			var xfer time.Duration
-			for _, ei := range inEdges {
-				e := g.Edges[ei]
-				t, err := s.Net.TransferTime(g.EdgeSize(e), assignedSite[e.From], sites[i].SiteName())
-				if err != nil {
-					return nil, err
-				}
-				xfer += t
-			}
-			if total := sel[id].Predicted + xfer; chosen == nil || total < bestTotal {
-				chosen, bestTotal, bestXfer = &sel[id], total, xfer
-			}
-		}
-		if chosen == nil {
-			return nil, fmt.Errorf("%w: task %d (%s)", ErrNoEligibleSite, id, task.Name)
-		}
-		table.Entries = append(table.Entries, Placement{
-			Task:       id,
-			TaskName:   task.Name,
-			Site:       chosen.Site,
-			Hosts:      chosen.Hosts,
-			Predicted:  chosen.Predicted,
-			TransferIn: bestXfer,
-			Level:      levels[id],
-		})
-		assignedSite[id] = chosen.Site
-		if err := rs.Complete(id); err != nil {
-			return nil, err
-		}
+	// Steps 6-7: walk the ready set in priority order. A task's candidates
+	// are the sites whose host selection produced a real choice for it,
+	// each at Time_total(task, Sj) = Predict(task, Rj) + the transfer
+	// times from its parents' sites; the first minimal total wins.
+	p := newPlan(g, s.Net, g.Name)
+	p.levels = levels
+	if s.Priority == FIFOPriority {
+		p.rule = lowestID
 	}
-	if err := table.Validate(g); err != nil {
-		return nil, err
-	}
-	return table, nil
-}
-
-// nextReady picks the next task from the ready set according to the
-// configured priority mode.
-func (s *Scheduler) nextReady(rs *afg.ReadySet, levels []float64) afg.TaskID {
-	ready := rs.Ready()
-	switch s.Priority {
-	case FIFOPriority:
-		return ready[0] // Ready() is ID-sorted
-	default:
-		best := ready[0]
-		for _, cand := range ready[1:] {
-			if levels[cand] > levels[best] || (levels[cand] == levels[best] && cand < best) {
-				best = cand
-			}
-		}
-		return best
-	}
+	return p.run(func(id afg.TaskID) error { return p.offerChoices(answers, id) })
 }

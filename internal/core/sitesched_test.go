@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -268,7 +269,8 @@ func (s answerSite) SiteName() string                            { return s.name
 func (s answerSite) HostSelection(*afg.Graph) (Selection, error) { return s.sel, nil }
 
 // TestScheduleRejectsMisSizedAnswers: a peer whose answer is not one
-// choice per task — short or oversized — is that site's error. The
+// choice per task — short or oversized — or that offers hosts under
+// another site's name is that site's error. The
 // round neither panics indexing it nor places anything there, however
 // attractive its predictions.
 func TestScheduleRejectsMisSizedAnswers(t *testing.T) {
@@ -307,6 +309,27 @@ func TestScheduleRejectsMisSizedAnswers(t *testing.T) {
 		if want := map[bool]string{true: "siteB", false: "siteA"}[e.Task == 0]; e.Site != want {
 			t.Fatalf("task %d placed on %s, want %s", e.Task, e.Site, want)
 		}
+	}
+	// A peer that offers hosts under another site's name — here the
+	// submitting site's, whose own transfers are free — answers for no
+	// task: its bait is neither recorded nor priced anywhere.
+	sel = make(Selection, len(g.Tasks))
+	sel[0] = bait
+	sel[0].Site = "siteA"
+	sched = NewScheduler(a, []SiteService{answerSite{"siteB", sel}}, net, 1)
+	table, err = sched.Schedule(g, costFrom(t, a, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range table.Entries {
+		if e.Site != "siteA" || slices.Contains(e.Hosts, "b1") {
+			t.Fatalf("task %d placed on %s %v from a peer answering as another site", e.Task, e.Site, e.Hosts)
+		}
+	}
+	sel[0].Site = "siteB"
+	sched = NewScheduler(answerSite{"siteA", sel}, nil, net, 0)
+	if _, err := sched.Schedule(g, costFrom(t, a, g)); err == nil || !strings.Contains(err.Error(), `site siteA: task 0 offered on site "siteB"`) {
+		t.Fatalf("every site answering as another: %v", err)
 	}
 	// With every site mis-sized the round fails and says which and why.
 	sched = NewScheduler(answerSite{"siteA", nil}, nil, net, 0)

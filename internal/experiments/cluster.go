@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"vdce/internal/core"
 	"vdce/internal/netmodel"
-	"vdce/internal/sim"
 	"vdce/internal/testbed"
 	"vdce/internal/workload"
 )
@@ -53,61 +51,62 @@ func (c *cluster) install(w *workload.Graph) error {
 	return nil
 }
 
-// policy names one scheduling strategy for E2-style comparisons.
-type policy struct {
-	name string
-	run  func(*cluster, *workload.Graph) (*core.AllocationTable, error)
+// Round is what a Policy schedules on: the sites (Sites[0] submits),
+// the network between them, how many nearest peers Fig. 2 multicasts to,
+// and the seed the random policy draws from.
+type Round struct {
+	Sites []*core.LocalSite
+	Net   *netmodel.Network
+	K     int
+	Seed  int64
 }
 
-func vdcePolicy(k int, prio core.PriorityMode) policy {
-	name := fmt.Sprintf("vdce(k=%d)", k)
-	if prio == core.FIFOPriority {
-		name = "fifo-order"
+// round is the cluster's Round with Fig. 2 multicasting to k peers.
+func (c *cluster) round(k int, seed int64) Round {
+	return Round{Sites: c.sites, Net: c.net, K: k, Seed: seed}
+}
+
+// Policy is one placement policy: an E2 column, and a vdce-sim -policy.
+type Policy struct {
+	Name     string
+	Schedule func(Round, *workload.Graph) (*core.AllocationTable, error)
+}
+
+// fig2 runs the VDCE scheduler from Sites[0] with its K nearest peers.
+func fig2(r Round, w *workload.Graph, prio core.PriorityMode) (*core.AllocationTable, error) {
+	remotes := make([]core.SiteService, len(r.Sites)-1)
+	for i, s := range r.Sites[1:] {
+		remotes[i] = s
 	}
-	return policy{name: name, run: func(c *cluster, w *workload.Graph) (*core.AllocationTable, error) {
-		var remotes []core.SiteService
-		for _, s := range c.sites[1:] {
-			remotes = append(remotes, s)
-		}
-		sched := core.NewScheduler(c.sites[0], remotes, c.net, k)
-		sched.Priority = prio
-		return sched.Schedule(w.G, w.CostFunc())
-	}}
+	sched := core.NewScheduler(r.Sites[0], remotes, r.Net, r.K)
+	sched.Priority = prio
+	return sched.Schedule(w.G, w.CostFunc())
 }
 
-func randomPolicy(seed int64) policy {
-	return policy{name: "random", run: func(c *cluster, w *workload.Graph) (*core.AllocationTable, error) {
-		return core.ScheduleRandom(w.G, c.sites, c.net, seed)
-	}}
-}
-
-func roundRobinPolicy() policy {
-	return policy{name: "round-robin", run: func(c *cluster, w *workload.Graph) (*core.AllocationTable, error) {
-		return core.ScheduleRoundRobin(w.G, c.sites, c.net)
-	}}
-}
-
-func minMinPolicy() policy {
-	return policy{name: "min-min", run: func(c *cluster, w *workload.Graph) (*core.AllocationTable, error) {
-		return core.ScheduleMinMin(w.G, c.sites, c.net)
-	}}
-}
-
-func queueAwarePolicy() policy {
-	return policy{name: "vdce+q", run: func(c *cluster, w *workload.Graph) (*core.AllocationTable, error) {
-		return core.ScheduleQueueAware(w.G, c.sites, c.net, w.CostFunc())
-	}}
-}
-
-// makespan schedules with the policy and simulates the result.
-func (p policy) makespan(c *cluster, w *workload.Graph) (time.Duration, *sim.Result, error) {
-	table, err := p.run(c, w)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%s: %w", p.name, err)
-	}
-	res, err := sim.Run(w.G, table, c.net)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%s: %w", p.name, err)
-	}
-	return res.Makespan, res, nil
+// Policies is the one policy table, in E2's column order: the published
+// scheduler, its FIFO-priority ablation, its local-only (k = 0) round,
+// the three baselines, and the queue-aware extension.
+var Policies = []Policy{
+	{"vdce", func(r Round, w *workload.Graph) (*core.AllocationTable, error) {
+		return fig2(r, w, core.LevelPriority)
+	}},
+	{"fifo", func(r Round, w *workload.Graph) (*core.AllocationTable, error) {
+		return fig2(r, w, core.FIFOPriority)
+	}},
+	{"local", func(r Round, w *workload.Graph) (*core.AllocationTable, error) {
+		r.K = 0
+		return fig2(r, w, core.LevelPriority)
+	}},
+	{"random", func(r Round, w *workload.Graph) (*core.AllocationTable, error) {
+		return core.ScheduleRandom(w.G, r.Sites, r.Net, r.Seed)
+	}},
+	{"rrobin", func(r Round, w *workload.Graph) (*core.AllocationTable, error) {
+		return core.ScheduleRoundRobin(w.G, r.Sites, r.Net)
+	}},
+	{"minmin", func(r Round, w *workload.Graph) (*core.AllocationTable, error) {
+		return core.ScheduleMinMin(w.G, r.Sites, r.Net)
+	}},
+	{"vdce+q", func(r Round, w *workload.Graph) (*core.AllocationTable, error) {
+		return core.ScheduleQueueAware(w.G, r.Sites, r.Net, w.CostFunc())
+	}},
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,7 +65,9 @@ type E2Params struct {
 	Seed                int64
 }
 
-// DefaultE2 is the sweep used in EXPERIMENTS.md.
+// DefaultE2 is the full sweep `vdce-bench -run E2` prints: five DAG
+// families x {20, 100, 300} tasks x CCR {0.1, 1, 10} on 4 sites of 8
+// hosts, seed 7.
 func DefaultE2() E2Params {
 	return E2Params{
 		Sites: 4, HostsPerSite: 8,
@@ -74,60 +77,83 @@ func DefaultE2() E2Params {
 	}
 }
 
-// E2Schedulers reproduces the paper's central claim (Fig. 2 + §3): the
-// level-priority site scheduler minimizes schedule length against
-// baseline policies. Cells are simulated makespans in milliseconds;
-// the last columns are ratios relative to the VDCE scheduler.
-func E2Schedulers(p E2Params) (*Table, error) {
-	t := &Table{
-		ID:    "E2",
-		Title: "Site Scheduler vs baselines — simulated schedule length (ms)",
-		Header: []string{"family", "tasks", "ccr", "vdce", "fifo", "local",
-			"random", "rrobin", "minmin", "vdce+q", "rand/vdce", "rr/vdce"},
-	}
-	policies := []policy{
-		vdcePolicy(p.Sites-1, core.LevelPriority),
-		vdcePolicy(p.Sites-1, core.FIFOPriority),
-		vdcePolicy(0, core.LevelPriority), // local-only
-		randomPolicy(p.Seed),
-		roundRobinPolicy(),
-		minMinPolicy(),
-		queueAwarePolicy(), // extension: Fig. 3 + host availability
-	}
-	var worseRandom, total int
+// e2Cells builds each cell of the sweep on a fresh cluster and hands it
+// to cell with the Round E2 schedules on: Fig. 2 multicasts to every
+// other site.
+func e2Cells(p E2Params, cell func(fam string, n int, ccr float64, r Round, w *workload.Graph) error) error {
 	for _, fam := range workload.Families() {
 		for _, n := range p.TaskCounts {
 			for _, ccr := range p.CCRs {
 				c, err := newCluster(p.Sites, p.HostsPerSite, p.Seed)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				w, err := fam.Gen(workload.Params{Tasks: n, CCR: ccr, Seed: p.Seed})
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if err := c.install(w); err != nil {
-					return nil, err
+					return err
 				}
-				ms := make([]time.Duration, len(policies))
-				for i, pol := range policies {
-					d, _, err := pol.makespan(c, w)
-					if err != nil {
-						return nil, err
-					}
-					ms[i] = d
-				}
-				vd := ms[0]
-				t.Add(fam.Name, n, ccr,
-					msCell(ms[0]), msCell(ms[1]), msCell(ms[2]),
-					msCell(ms[3]), msCell(ms[4]), msCell(ms[5]), msCell(ms[6]),
-					ratio(ms[3], vd), ratio(ms[4], vd))
-				total++
-				if ms[3] >= vd {
-					worseRandom++
+				if err := cell(fam.Name, n, ccr, c.round(p.Sites-1, p.Seed), w); err != nil {
+					return err
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// E2Schedulers sets the paper's Site Scheduler (Fig. 2 + §3, the vdce
+// column) against every other policy in Policies, one column each.
+// Cells are simulated makespans in milliseconds; the last columns are
+// ratios relative to the VDCE scheduler. The published scheduler does
+// not give the shortest schedule: of DefaultE2's 45 cells, vdce+q beats
+// it in 40, min-min in 38, round-robin in 21, random in 11, its own
+// FIFO ablation in 10 and local in none.
+func E2Schedulers(p E2Params) (*Table, error) {
+	t := &Table{
+		ID:     "E2",
+		Title:  "Site Scheduler vs baselines — simulated schedule length (ms)",
+		Header: []string{"family", "tasks", "ccr"},
+	}
+	for _, pol := range Policies {
+		t.Header = append(t.Header, pol.Name)
+	}
+	t.Header = append(t.Header, "rand/vdce", "rr/vdce")
+	col := func(name string) int {
+		return slices.IndexFunc(Policies, func(p Policy) bool { return p.Name == name })
+	}
+	iv, ir, irr := col("vdce"), col("random"), col("rrobin")
+	if min(iv, ir, irr) < 0 {
+		return nil, fmt.Errorf("experiments: E2 needs the vdce, random and rrobin policies")
+	}
+	var worseRandom, total int
+	err := e2Cells(p, func(fam string, n int, ccr float64, r Round, w *workload.Graph) error {
+		row := []any{fam, n, ccr}
+		ms := make([]time.Duration, len(Policies))
+		for i, pol := range Policies {
+			table, err := pol.Schedule(r, w)
+			if err != nil {
+				return fmt.Errorf("%s: %w", pol.Name, err)
+			}
+			res, err := sim.Run(w.G, table, r.Net)
+			if err != nil {
+				return fmt.Errorf("%s: %w", pol.Name, err)
+			}
+			ms[i] = res.Makespan
+			row = append(row, msCell(ms[i]))
+		}
+		vd, random, rrobin := ms[iv], ms[ir], ms[irr]
+		t.Add(append(row, ratio(random, vd), ratio(rrobin, vd))...)
+		total++
+		if random >= vd {
+			worseRandom++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("random >= vdce in %d/%d configurations", worseRandom, total)
 	return t, nil
@@ -269,8 +295,7 @@ func E4Locality(ks []int, tasks int, ccr float64, seed int64) (*Table, error) {
 		if err := c.install(w); err != nil {
 			return nil, err
 		}
-		pol := vdcePolicy(k, core.LevelPriority)
-		table, err := pol.run(c, w)
+		table, err := fig2(c.round(k, seed), w, core.LevelPriority)
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,18 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"vdce/internal/workload"
 )
 
 func TestE1Fidelity(t *testing.T) {
@@ -36,19 +43,65 @@ func TestE2ShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	col := func(name string) int {
+		i := slices.Index(tbl.Header, name)
+		if i < 0 {
+			t.Fatalf("no %q column in %v", name, tbl.Header)
+		}
+		return i
+	}
 	// Shape: the VDCE scheduler beats random and round-robin on average
-	// across families.
+	// across families, and the ratio columns divide the named columns.
 	var vdce, random, rrobin float64
 	for _, row := range tbl.Rows {
-		vdce += atof(t, row[3])
-		random += atof(t, row[6])
-		rrobin += atof(t, row[7])
+		v, r, rr := atof(t, row[col("vdce")]), atof(t, row[col("random")]), atof(t, row[col("rrobin")])
+		vdce, random, rrobin = vdce+v, random+r, rrobin+rr
+		for _, c := range []struct {
+			name string
+			want float64
+		}{{"rand/vdce", r / v}, {"rr/vdce", rr / v}} {
+			if got := atof(t, row[col(c.name)]); math.Abs(got-c.want) > 0.011 {
+				t.Fatalf("%v: %s = %.2f, want %.2f", row[:3], c.name, got, c.want)
+			}
+		}
 	}
 	if vdce >= random {
 		t.Fatalf("vdce (%f) not better than random (%f) in aggregate", vdce, random)
 	}
 	if vdce >= rrobin {
 		t.Fatalf("vdce (%f) not better than round-robin (%f) in aggregate", vdce, rrobin)
+	}
+}
+
+// TestE2PlacementDigest pins what every E2 column places: the sha256
+// over the JSON of the 315 allocation tables the full DefaultE2 sweep
+// produces, seven policies in E2's column order over its 45 cells.
+// Captured while each comparator still ran its own placement loop; the
+// loop may change shape, the placements may not.
+func TestE2PlacementDigest(t *testing.T) {
+	const want = "be3d9da1a09a438d1c5951744582918b3a3e2442532982f7c38e2bc3469d0e92"
+	h := sha256.New()
+	tables := 0
+	err := e2Cells(DefaultE2(), func(fam string, n int, ccr float64, r Round, w *workload.Graph) error {
+		for _, pol := range Policies {
+			table, err := pol.Schedule(r, w)
+			if err != nil {
+				return fmt.Errorf("%s %d/%g %s: %w", fam, n, ccr, pol.Name, err)
+			}
+			data, err := json.Marshal(table)
+			if err != nil {
+				return err
+			}
+			h.Write(data)
+			tables++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); tables != 315 || got != want {
+		t.Fatalf("%d tables, digest %s; want 315 tables, digest %s", tables, got, want)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"vdce/internal/core"
 	"vdce/internal/sim"
 	"vdce/internal/workload"
 )
@@ -32,16 +31,8 @@ func TestAllPoliciesProduceValidSchedulesProperty(t *testing.T) {
 		if err := c.install(w); err != nil {
 			return false
 		}
-		policies := []policy{
-			vdcePolicy(1, core.LevelPriority),
-			vdcePolicy(1, core.FIFOPriority),
-			randomPolicy(seed),
-			roundRobinPolicy(),
-			minMinPolicy(),
-			queueAwarePolicy(),
-		}
-		for _, pol := range policies {
-			table, err := pol.run(c, w)
+		for _, pol := range Policies {
+			table, err := pol.Schedule(c.round(1, seed), w)
 			if err != nil {
 				return false
 			}
