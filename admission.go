@@ -407,7 +407,7 @@ func (q *admitQueue) reserveQueued(owner string) error {
 // reservation and push in one step, bypassing the queued-jobs cap — the
 // job was already admitted in the previous incarnation, and rejecting
 // it now would silently drop accepted work.
-func (q *admitQueue) adoptQueued(j *Job) {
+func (q *admitQueue) adoptQueued(j *jobRecord) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	os := q.owner(j.Owner)
@@ -431,7 +431,7 @@ func (q *admitQueue) unreserveQueued(owner string) {
 // becomes the owner's weight (latest submission wins), saturated at
 // MaxShareWeight — the weight is client-settable over HTTP, so like
 // the rank() priority clamp this bounds what a hostile value can buy.
-func (q *admitQueue) push(j *Job) {
+func (q *admitQueue) push(j *jobRecord) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.pushLocked(q.owner(j.Owner), j)
@@ -439,7 +439,7 @@ func (q *admitQueue) push(j *Job) {
 
 // pushLocked is the shared body of push and adoptQueued. Caller holds
 // q.mu.
-func (q *admitQueue) pushLocked(os *ownerShare, j *Job) {
+func (q *admitQueue) pushLocked(os *ownerShare, j *jobRecord) {
 	q.seq++
 	q.gen++
 	if j.shareWeight >= 1 && !os.pinned {
@@ -481,7 +481,7 @@ func (q *admitQueue) eligible(os *ownerShare) bool {
 
 // setParked marks or clears a job's held-hosts park, gating the
 // owner's eligibility for further pops. Idempotent per job.
-func (q *admitQueue) setParked(j *Job, parked bool) {
+func (q *admitQueue) setParked(j *jobRecord, parked bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if j.hostParked == parked {
@@ -554,7 +554,7 @@ func (q *admitQueue) pickOwnerLocked() *ownerShare {
 // takeHeadLocked removes the head of an arbitrated owner's backlog
 // (nil when no owner was eligible), charging the owner's in-flight
 // ledger. Caller holds q.mu.
-func (q *admitQueue) takeHeadLocked(os *ownerShare) *Job {
+func (q *admitQueue) takeHeadLocked(os *ownerShare) *jobRecord {
 	if os == nil {
 		return nil
 	}
@@ -573,7 +573,7 @@ func (q *admitQueue) takeHeadLocked(os *ownerShare) *Job {
 // owner is at its in-flight cap — its jobs stay parked in place). The
 // popped job is charged against its owner's in-flight count; the
 // charge is released when the job terminalizes.
-func (q *admitQueue) pop() *Job {
+func (q *admitQueue) pop() *jobRecord {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.takeHeadLocked(q.pickOwnerLocked())
@@ -583,7 +583,7 @@ func (q *admitQueue) pop() *Job {
 // lock acquisition — the batched scheduler handoff: one worker wakeup
 // drains a batch instead of paying a lock round-trip and a wake token
 // per job. Semantically identical to max sequential pops.
-func (q *admitQueue) popBatch(buf []*Job, max int) []*Job {
+func (q *admitQueue) popBatch(buf []*jobRecord, max int) []*jobRecord {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(buf) < max {
@@ -620,7 +620,7 @@ func (q *admitQueue) remove(id string) bool {
 // its owner and wakes the owner's parked dispatches. It reports whether
 // anything was freed (callers use that to wake idle workers exactly
 // once). Idempotent: only the first call after a pop frees anything.
-func (q *admitQueue) release(j *Job) bool {
+func (q *admitQueue) release(j *jobRecord) bool {
 	q.mu.Lock()
 	if !j.usageCharged {
 		q.mu.Unlock()
@@ -657,7 +657,7 @@ func (q *admitQueue) release(j *Job) bool {
 // owner holding nothing may always dispatch one job — a single job
 // larger than the cap runs alone instead of parking forever. Returns
 // false when the job must park until hosts free.
-func (q *admitQueue) tryChargeHosts(j *Job, hosts []string) bool {
+func (q *admitQueue) tryChargeHosts(j *jobRecord, hosts []string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if !j.usageCharged {
@@ -689,7 +689,7 @@ func (q *admitQueue) tryChargeHosts(j *Job, hosts []string) bool {
 // failure stay charged until the job ends (other tasks of the job may
 // still run there), which errs on the side of under-admission. It
 // returns the job's updated host count and whether anything changed.
-func (q *admitQueue) chargeReplacementHost(j *Job, host string) (int, bool) {
+func (q *admitQueue) chargeReplacementHost(j *jobRecord, host string) (int, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if !j.usageCharged || host == "" || j.chargedHosts[host] {
@@ -894,7 +894,7 @@ func (os *ownerShare) removeAt(i int) admitEntry {
 	delete(os.q.loc, e.job.ID)
 	last := len(os.jobs) - 1
 	os.jobs[i] = os.jobs[last]
-	os.jobs[last] = admitEntry{} // release the *Job reference
+	os.jobs[last] = admitEntry{} // release the *jobRecord reference
 	os.jobs = os.jobs[:last]
 	if i < last {
 		os.setLoc(i)
@@ -943,7 +943,7 @@ func (os *ownerShare) down(i int) {
 
 // admitEntry is one queued job with its precomputed admission rank.
 type admitEntry struct {
-	job  *Job
+	job  *jobRecord
 	rank int64
 	seq  uint64 // FIFO tie-break for identical ranks
 }

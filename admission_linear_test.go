@@ -32,7 +32,7 @@ func (q *admitQueue) pickOwnerLinearLocked() *ownerShare {
 }
 
 // popLinear is pop arbitrated by the linear-scan reference.
-func (q *admitQueue) popLinear() *Job {
+func (q *admitQueue) popLinear() *jobRecord {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.takeHeadLocked(q.pickOwnerLinearLocked())

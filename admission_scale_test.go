@@ -14,11 +14,11 @@ import (
 	"time"
 )
 
-// twinJob is one logical job realized as two *Job instances, one per
+// twinJob is one logical job realized as two *jobRecord instances, one per
 // queue under comparison — pop and setParked mutate per-job fields
 // (usageCharged, hostParked), so the twin queues must never share an
 // instance.
-type twinJob struct{ a, b *Job }
+type twinJob struct{ a, b *jobRecord }
 
 // checkIndexInvariants asserts the eligible-owner index matches the
 // owner map exactly: every eligible owner sits in the heap its vfinish
@@ -374,7 +374,7 @@ func TestAdmitPopBatchMatchesSequentialPops(t *testing.T) {
 		}
 		want = append(want, j.ID)
 	}
-	buf := make([]*Job, 0, 6)
+	buf := make([]*jobRecord, 0, 6)
 	for {
 		buf = batched.popBatch(buf[:0], 6)
 		if len(buf) == 0 {

@@ -11,8 +11,8 @@ import (
 )
 
 // mkAdmitJob builds a bare queue-test job (never dispatched).
-func mkAdmitJob(id, owner string, prio, weight int, at time.Time) *Job {
-	return &Job{ID: id, Owner: owner, priority: prio, shareWeight: weight, timings: &services.JobTimings{SubmittedAt: at}}
+func mkAdmitJob(id, owner string, prio, weight int, at time.Time) *jobRecord {
+	return &jobRecord{ID: id, Owner: owner, priority: prio, shareWeight: weight, timings: services.JobTimings{SubmittedAt: at}}
 }
 
 // checkHeapInvariant asserts every owner sub-queue is a valid

@@ -402,14 +402,14 @@ func tasklibC3I(targets int, seed int64) (*afg.Graph, error) {
 // and starvation protection for a modest constant over the channel.
 func BenchmarkPriorityAdmission(b *testing.B) {
 	const batch = 1024
-	mkJobs := func() []*Job {
-		jobs := make([]*Job, batch)
+	mkJobs := func() []*jobRecord {
+		jobs := make([]*jobRecord, batch)
 		base := time.Now()
 		for i := range jobs {
-			jobs[i] = &Job{
+			jobs[i] = &jobRecord{
 				ID:       fmt.Sprintf("job-%d", i),
 				priority: i % 7,
-				timings:  &services.JobTimings{SubmittedAt: base.Add(time.Duration(i) * time.Microsecond)},
+				timings:  services.JobTimings{SubmittedAt: base.Add(time.Duration(i) * time.Microsecond)},
 			}
 		}
 		return jobs
@@ -417,7 +417,7 @@ func BenchmarkPriorityAdmission(b *testing.B) {
 
 	b.Run("fifo-channel", func(b *testing.B) {
 		jobs := mkJobs()
-		q := make(chan *Job, batch)
+		q := make(chan *jobRecord, batch)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -455,16 +455,16 @@ func BenchmarkPriorityAdmission(b *testing.B) {
 func BenchmarkFairShareAdmission(b *testing.B) {
 	const batch = 1024
 	const owners = 8
-	mkJobs := func() []*Job {
-		jobs := make([]*Job, batch)
+	mkJobs := func() []*jobRecord {
+		jobs := make([]*jobRecord, batch)
 		base := time.Now()
 		for i := range jobs {
-			jobs[i] = &Job{
+			jobs[i] = &jobRecord{
 				ID:          fmt.Sprintf("job-%d", i),
 				Owner:       fmt.Sprintf("owner-%d", i%owners),
 				priority:    i % 7,
 				shareWeight: 1 + i%4,
-				timings:     &services.JobTimings{SubmittedAt: base.Add(time.Duration(i) * time.Microsecond)},
+				timings:     services.JobTimings{SubmittedAt: base.Add(time.Duration(i) * time.Microsecond)},
 			}
 		}
 		return jobs
@@ -489,8 +489,8 @@ func TestAdmitQueueOrdering(t *testing.T) {
 	const step = time.Second
 	q := newAdmitQueue(step, QuotaConfig{})
 	t0 := time.Unix(1000, 0)
-	mk := func(id string, prio int, at time.Time) *Job {
-		return &Job{ID: id, priority: prio, timings: &services.JobTimings{SubmittedAt: at}}
+	mk := func(id string, prio int, at time.Time) *jobRecord {
+		return &jobRecord{ID: id, priority: prio, timings: services.JobTimings{SubmittedAt: at}}
 	}
 	// old-low waited 3 steps longer than new-mid (priority +2): aging wins.
 	q.push(mk("new-high", 9, t0.Add(3*step)))

@@ -8,7 +8,9 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
+	"weak"
 
 	"vdce/internal/afg"
 	"vdce/internal/core"
@@ -174,7 +176,10 @@ func WithLabels(labels map[string]string) SubmitOption {
 	}
 }
 
-// Job is one application moving through the submission pipeline.
+// Job is the caller's handle on one application moving through the
+// submission pipeline, and the only place its result lives. All else is
+// the pipeline's record of the job, which the handle embeds: a job whose
+// handle is gone keeps its status, table and trace, but no result.
 //
 // Lifecycle contract: Done returns a channel that is closed exactly once,
 // when the job reaches a terminal state (done, failed, or canceled); no
@@ -185,6 +190,15 @@ func WithLabels(labels map[string]string) SubmitOption {
 // first, Wait returns the ctx error, but a job that is already terminal
 // always reports its own error even if ctx is also done.
 type Job struct {
+	*jobRecord
+	result atomic.Pointer[exec.Result]
+}
+
+// jobRecord is the pipeline's record of a job: what the handle index,
+// the admission queue, recovery and the output ledger hold. It reaches
+// the caller's handle only through a weak pointer, so a result no caller
+// holds is garbage as soon as the job ends.
+type jobRecord struct {
 	// ID is the pipeline-assigned identifier ("job-<n>").
 	ID string
 	// Owner is the submitting user (may be empty for direct submissions).
@@ -197,6 +211,8 @@ type Job struct {
 	// Labels is the caller metadata attached with WithLabels (may be nil).
 	Labels map[string]string
 
+	// handle is the caller's handle; zero for a recovered job, which has none.
+	handle weak.Pointer[Job]
 	// home is the site index the scheduling round runs from.
 	home int
 	// priority is the base admission priority; the effective priority
@@ -226,7 +242,7 @@ type Job struct {
 	// output ledger (see retainOutputs), guarded by pipe.mu; outNext is
 	// nil while the job is not in it.
 	outBytes         int64
-	outPrev, outNext *Job
+	outPrev, outNext *jobRecord
 	pipe             *pipeline
 	done             chan struct{}
 
@@ -242,15 +258,14 @@ type Job struct {
 	cancel context.CancelCauseFunc
 	stop   func() bool
 	table  *core.AllocationTable
-	result *exec.Result
 	err    error
 	// timings is the one copy of the job's lifecycle stamps. Its
 	// SubmittedAt is also the admission queue's aging origin, the original
 	// submission even for a job re-adopted from the durable store, so the
 	// within-owner dequeue order carries across a restart. While the job
 	// is live, Status and Trace hand out copies; terminalize seals it, and
-	// from then on the handle, the board row and the trace share it.
-	timings *services.JobTimings
+	// from then on the record, the board row and the trace share it.
+	timings services.JobTimings
 	// phases has one bit per phase the trace shows (a terminal restore
 	// keeps its running_at as a timing, not as a trace event).
 	phases uint8
@@ -273,42 +288,39 @@ type Job struct {
 }
 
 // State returns the job's current lifecycle state.
-func (j *Job) State() JobState {
+func (j *jobRecord) State() JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
 }
 
 // Priority returns the job's base admission priority.
-func (j *Job) Priority() int { return j.priority }
+func (j *jobRecord) Priority() int { return j.priority }
 
 // ShareWeight returns the owner fair-share weight this submission
 // carried (>= 1).
-func (j *Job) ShareWeight() int { return j.shareWeight }
+func (j *jobRecord) ShareWeight() int { return j.shareWeight }
 
 // Deadline returns the job's deadline and whether one was set.
-func (j *Job) Deadline() (time.Time, bool) { return j.deadline, !j.deadline.IsZero() }
+func (j *jobRecord) Deadline() (time.Time, bool) { return j.deadline, !j.deadline.IsZero() }
 
 // Table returns the resource allocation table once scheduling finished,
 // else nil.
-func (j *Job) Table() *core.AllocationTable {
+func (j *jobRecord) Table() *core.AllocationTable {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.table
 }
 
 // Result returns the execution result once the job is done, else nil.
-// Its Outputs are readable from Done until retainedOutputBytes of newer
-// results have completed; after that Result returns a copy with Outputs
-// nil and OutputsEvicted set, every other field intact.
-func (j *Job) Result() *exec.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
+// It lives on this handle alone. Its Outputs are readable from Done
+// until retainedOutputBytes of newer results have completed; after that
+// Result returns a copy with Outputs nil and OutputsEvicted set, every
+// other field intact.
+func (j *Job) Result() *exec.Result { return j.result.Load() }
 
 // Err returns the terminal error of a failed or canceled job, else nil.
-func (j *Job) Err() error {
+func (j *jobRecord) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
@@ -317,7 +329,7 @@ func (j *Job) Err() error {
 // Done returns a channel closed when the job reaches a terminal state
 // (done, failed, or canceled). After it closes, State, Err, Table, and
 // Result are final.
-func (j *Job) Done() <-chan struct{} { return j.done }
+func (j *jobRecord) Done() <-chan struct{} { return j.done }
 
 // Wait blocks until the job reaches a terminal state or ctx ends. It
 // returns the job's own terminal error (nil when the job succeeded,
@@ -325,7 +337,7 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // a job that is already terminal reports its own error even when ctx is
 // also done. Only when ctx ends while the job is still in flight does
 // Wait return the ctx error.
-func (j *Job) Wait(ctx context.Context) error {
+func (j *jobRecord) Wait(ctx context.Context) error {
 	select {
 	case <-j.done:
 		return j.Err()
@@ -352,7 +364,7 @@ func (j *Job) Wait(ctx context.Context) error {
 // shortly after. Canceling a terminal job is a no-op. The terminal state
 // is JobCanceled with Err() == ErrJobCanceled, unless the deadline or
 // shutdown ended the job first.
-func (j *Job) Cancel() {
+func (j *jobRecord) Cancel() {
 	j.mu.Lock()
 	cancel := j.cancel
 	j.mu.Unlock()
@@ -364,7 +376,7 @@ func (j *Job) Cancel() {
 
 // Reschedules reports how many times the engine moved one of the job's
 // tasks mid-run; it grows live while the job executes.
-func (j *Job) Reschedules() int {
+func (j *jobRecord) Reschedules() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.reschedules
@@ -372,7 +384,7 @@ func (j *Job) Reschedules() int {
 
 // FailedHosts returns the distinct hosts whose failure forced one of
 // the job's tasks to move, in first-observed order.
-func (j *Job) FailedHosts() []string {
+func (j *jobRecord) FailedHosts() []string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return append([]string(nil), j.failedHosts...)
@@ -380,7 +392,7 @@ func (j *Job) FailedHosts() []string {
 
 // metrics returns the pipeline's resolved metric handles, or nil for
 // jobs detached from a live pipeline (some tests).
-func (j *Job) metrics() *envMetrics {
+func (j *jobRecord) metrics() *envMetrics {
 	if j.pipe == nil {
 		return nil
 	}
@@ -388,7 +400,7 @@ func (j *Job) metrics() *envMetrics {
 }
 
 // logger returns the pipeline's structured logger, or a discarding one.
-func (j *Job) logger() *slog.Logger {
+func (j *jobRecord) logger() *slog.Logger {
 	if j.pipe == nil {
 		return discardLog
 	}
@@ -431,7 +443,7 @@ func phaseAt(t *services.JobTimings, ph int) *time.Time {
 // to the running maximum, so it is non-decreasing even across wall-clock
 // steps. It appends the events to *dst unless dst is nil and returns the
 // last timestamp. Caller holds j.mu.
-func (j *Job) traceLocked(dst *[]services.TraceEvent) (last time.Time) {
+func (j *jobRecord) traceLocked(dst *[]services.TraceEvent) (last time.Time) {
 	emit := func(e services.TraceEvent) {
 		if e.At.Before(last) {
 			e.At = last
@@ -449,7 +461,7 @@ func (j *Job) traceLocked(dst *[]services.TraceEvent) (last time.Time) {
 		for ; len(points) > 0 && points[0].after == stamped; points = points[1:] {
 			emit(points[0].TraceEvent)
 		}
-		e := services.TraceEvent{At: *phaseAt(j.timings, ph), Event: j.state.String()}
+		e := services.TraceEvent{At: *phaseAt(&j.timings, ph), Event: j.state.String()}
 		if ph < phTerminal {
 			e.Event = phaseNames[ph]
 		} else if j.err != nil {
@@ -468,12 +480,12 @@ func (j *Job) traceLocked(dst *[]services.TraceEvent) (last time.Time) {
 // it did: a terminal job's timings are sealed. The running stamp keeps
 // its clamped trace instant, the waits before it the raw one. Caller
 // holds j.mu.
-func (j *Job) stampLocked(ph int, at time.Time) bool {
+func (j *jobRecord) stampLocked(ph int, at time.Time) bool {
 	if j.state.terminal() {
 		return false
 	}
 	j.phases |= 1 << ph
-	*phaseAt(j.timings, ph) = at
+	*phaseAt(&j.timings, ph) = at
 	if ph == phRunning {
 		j.timings.RunningAt = j.traceLocked(nil)
 	}
@@ -483,10 +495,10 @@ func (j *Job) stampLocked(ph int, at time.Time) bool {
 // stampPhase records the admitted, scheduled or dispatched phase at the
 // given instant and returns the wait since the phase before it (zero
 // when that is unset or the job is terminal).
-func (j *Job) stampPhase(ph int, at time.Time) time.Duration {
+func (j *jobRecord) stampPhase(ph int, at time.Time) time.Duration {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	prev := *phaseAt(j.timings, ph-1)
+	prev := *phaseAt(&j.timings, ph-1)
 	if !j.stampLocked(ph, at) || prev.IsZero() {
 		return 0
 	}
@@ -496,11 +508,11 @@ func (j *Job) stampPhase(ph int, at time.Time) time.Duration {
 // sealLocked stamps the terminal phase at the given instant, clamped
 // into the trace, and fills the derived seconds once: from here on the
 // block is read-only. Caller holds j.mu and has set the terminal state.
-func (j *Job) sealLocked(at time.Time) {
+func (j *jobRecord) sealLocked(at time.Time) {
 	j.phases |= 1 << phTerminal
 	j.timings.FinishedAt = at
 	j.timings.FinishedAt = j.traceLocked(nil)
-	fillSeconds(j.timings)
+	fillSeconds(&j.timings)
 }
 
 // fillSeconds derives t's phase durations from its stamps.
@@ -524,18 +536,18 @@ func secondsBetween(from, to time.Time) float64 {
 // timingsLocked is the block a status or trace carries: the sealed one
 // itself once the job is terminal, a copy with the seconds derived while
 // it is live. Caller holds j.mu.
-func (j *Job) timingsLocked() *services.JobTimings {
+func (j *jobRecord) timingsLocked() *services.JobTimings {
 	if j.state.terminal() {
-		return j.timings
+		return &j.timings
 	}
-	t := *j.timings
+	t := j.timings
 	fillSeconds(&t)
 	return &t
 }
 
 // pointLocked appends a point event at the given instant; a terminal
 // job takes none. Caller holds j.mu.
-func (j *Job) pointLocked(event, detail string, at time.Time) {
+func (j *jobRecord) pointLocked(event, detail string, at time.Time) {
 	if !j.state.terminal() {
 		j.points = append(j.points, pointEvent{services.TraceEvent{At: at, Event: event, Detail: detail}, bits.OnesCount8(j.phases)})
 	}
@@ -543,7 +555,7 @@ func (j *Job) pointLocked(event, detail string, at time.Time) {
 
 // stampEvent appends a detail-less point event (host-park, host-unpark)
 // to the trace.
-func (j *Job) stampEvent(event string) {
+func (j *jobRecord) stampEvent(event string) {
 	j.mu.Lock()
 	j.pointLocked(event, "", time.Now())
 	j.mu.Unlock()
@@ -552,7 +564,7 @@ func (j *Job) stampEvent(event string) {
 // Trace returns the job's ordered lifecycle trace: every phase
 // boundary crossed so far plus recovery point events, with the derived
 // timings block.
-func (j *Job) Trace() services.JobTrace {
+func (j *jobRecord) Trace() services.JobTrace {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	events := make([]services.TraceEvent, 0, bits.OnesCount8(j.phases)+len(j.points))
@@ -575,7 +587,7 @@ func (j *Job) Trace() services.JobTrace {
 // Events that arrive after the job is terminal — a canceled run's
 // engine still unwinding — are dropped: a terminal status never changes
 // and nothing follows a job's terminal event on the stream.
-func (j *Job) execEvent(ev exec.Event) {
+func (j *jobRecord) execEvent(ev exec.Event) {
 	var typ string
 	j.mu.Lock()
 	if j.state.terminal() {
@@ -624,7 +636,7 @@ func (j *Job) execEvent(ev exec.Event) {
 
 // Status snapshots the job for the monitoring board and the job-control
 // API. Queued jobs carry their live admission-queue position.
-func (j *Job) Status() services.JobStatus {
+func (j *jobRecord) Status() services.JobStatus {
 	j.mu.Lock()
 	t := j.timingsLocked()
 	s := services.JobStatus{
@@ -663,7 +675,7 @@ func (j *Job) Status() services.JobStatus {
 // already started — the job's context ended while it was queued — the
 // claim fails and the hook ends the job, so it never reaches a
 // scheduling round.
-func (j *Job) claim() (context.Context, bool) {
+func (j *jobRecord) claim() (context.Context, bool) {
 	j.mu.Lock()
 	if j.stop == nil || !j.stop() {
 		j.mu.Unlock()
@@ -683,7 +695,7 @@ func (j *Job) claim() (context.Context, bool) {
 // Cancel leaves it canceled, the deadline and shutdown fail it with
 // their own error. runErr is the engine's error when the run had
 // started; it is kept after the cause.
-func (j *Job) end(ctx context.Context, runErr error) {
+func (j *jobRecord) end(ctx context.Context, runErr error) {
 	state, err := JobFailed, context.Cause(ctx)
 	switch {
 	case errors.Is(err, ErrJobCanceled):
@@ -697,7 +709,7 @@ func (j *Job) end(ctx context.Context, runErr error) {
 // noteReplayDone clears the job's recovery-replay pending mark and
 // decrements the pipeline's replay-backlog gauge; idempotent, a no-op
 // for jobs the boot replay never touched.
-func (j *Job) noteReplayDone() {
+func (j *jobRecord) noteReplayDone() {
 	j.mu.Lock()
 	pending := j.replayPending
 	j.replayPending = false
@@ -709,7 +721,7 @@ func (j *Job) noteReplayDone() {
 
 // markRunning moves a dispatched job to running at the given instant
 // and publishes it; a terminal job stays as it is.
-func (j *Job) markRunning(at time.Time) {
+func (j *jobRecord) markRunning(at time.Time) {
 	j.mu.Lock()
 	if !j.stampLocked(phRunning, at) {
 		j.mu.Unlock()
@@ -724,7 +736,7 @@ func (j *Job) markRunning(at time.Time) {
 }
 
 // setTable records the scheduling artifact.
-func (j *Job) setTable(t *core.AllocationTable) {
+func (j *jobRecord) setTable(t *core.AllocationTable) {
 	j.mu.Lock()
 	j.table = t
 	j.mu.Unlock()
@@ -733,7 +745,10 @@ func (j *Job) setTable(t *core.AllocationTable) {
 // terminalize moves the job to a terminal state exactly once; later
 // calls (a Cancel racing a worker, shutdown racing a deadline) are
 // no-ops. It reports whether this call won.
-func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
+func (j *jobRecord) terminalize(state JobState, err error, res *exec.Result) bool {
+	// The result goes to the caller's handle if it is still alive, and
+	// nowhere else: with the handle gone it is garbage at once.
+	h := j.handle.Value()
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
@@ -741,7 +756,9 @@ func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
 	}
 	j.state = state
 	j.err = err
-	j.result = res
+	if h != nil {
+		h.result.Store(res)
+	}
 	j.sealLocked(time.Now())
 	runSecs, totalSecs := j.timings.RunSeconds, j.timings.TotalSeconds
 	j.hostsHeld = 0
@@ -773,20 +790,21 @@ func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
 			m.completedCanceled.Inc()
 		}
 	}
+	// Attrs, not key-value pairs: nothing is boxed. Handlers skip the
+	// empty error attr of a job that succeeded.
+	lvl, errAttr := slog.LevelInfo, slog.Attr{}
 	if err != nil {
-		j.logger().Warn("job finished", "job_id", j.ID, "owner", j.Owner,
-			"state", state.String(), "error", err.Error(), "total_seconds", totalSecs)
-	} else {
-		j.logger().Info("job finished", "job_id", j.ID, "owner", j.Owner,
-			"state", state.String(), "total_seconds", totalSecs)
+		lvl, errAttr = slog.LevelWarn, slog.String("error", err.Error())
 	}
+	j.logger().LogAttrs(context.Background(), lvl, "job finished", slog.String("job_id", j.ID), slog.String("owner", j.Owner),
+		slog.String("state", state.String()), errAttr, slog.Float64("total_seconds", totalSecs))
 	j.noteReplayDone()
 	// Return the job's in-flight and held-host quota charges before the
 	// final status publishes, so owner counters never show a terminal
 	// job as still consuming capacity.
 	if j.pipe != nil {
 		j.pipe.jobReleased(j)
-		if res != nil {
+		if h != nil && res != nil {
 			j.pipe.retainOutputs(j, res)
 		}
 	}
@@ -799,18 +817,18 @@ func (j *Job) terminalize(state JobState, err error, res *exec.Result) bool {
 }
 
 // complete marks the job done with its execution result.
-func (j *Job) complete(res *exec.Result) { j.terminalize(JobDone, nil, res) }
+func (j *jobRecord) complete(res *exec.Result) { j.terminalize(JobDone, nil, res) }
 
 // fail marks the job failed.
-func (j *Job) fail(err error) { j.terminalize(JobFailed, err, nil) }
+func (j *jobRecord) fail(err error) { j.terminalize(JobFailed, err, nil) }
 
-func (j *Job) publish() { j.publishEvent(jobsapi.EventState) }
+func (j *jobRecord) publish() { j.publishEvent(jobsapi.EventState) }
 
 // publishEvent snapshots the job once and pushes the status to both
 // monitoring surfaces: the job board (pull: /v1/jobs) and the event
 // broker (push: /v1/events and /v1/jobs/{id}/events), typed so stream
 // consumers can tell lifecycle transitions from mid-run recovery.
-func (j *Job) publishEvent(typ string) {
+func (j *jobRecord) publishEvent(typ string) {
 	if j.pipe == nil {
 		return // detached from a pipeline (some tests)
 	}
@@ -824,7 +842,7 @@ func (j *Job) publishEvent(typ string) {
 // hosts live. The mirror only rises — concurrent reschedule events may
 // report their ledger counts out of order, and the count never shrinks
 // until terminalize zeroes it.
-func (j *Job) noteHostsHeld(n int) {
+func (j *jobRecord) noteHostsHeld(n int) {
 	j.mu.Lock()
 	if j.state.terminal() {
 		// Lost a race with terminalize: the charge was already released.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"vdce/internal/afg"
 	"vdce/internal/repository"
 	"vdce/internal/services"
 	"vdce/internal/testbed"
@@ -75,7 +76,12 @@ func (c *jobsClient) try(method, path string, body any) (map[string]any, int) {
 // importApp registers a soak graph and returns its app ID.
 func (c *jobsClient) importApp(t *testing.T, i int) string {
 	t.Helper()
-	g := soakGraph(t, i)
+	return c.importGraph(t, soakGraph(t, i))
+}
+
+// importGraph registers g through POST /apps/import and returns its app ID.
+func (c *jobsClient) importGraph(t *testing.T, g *afg.Graph) string {
+	t.Helper()
 	data, err := g.EncodeJSON()
 	if err != nil {
 		t.Fatal(err)

@@ -181,7 +181,7 @@ func (env *Environment) CancelJob(id string) error {
 // state, or ctx ends. Jobs submitted after Drain starts are not waited
 // for.
 func (env *Environment) Drain(ctx context.Context) error {
-	for _, j := range env.pipe.handles() {
+	for _, j := range env.pipe.records() {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

@@ -159,7 +159,7 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 			emit(float64(env.Board.CountFiltered("", "")))
 		})
 	reg.GaugeFunc("vdce_retained_output_bytes",
-		"In-memory bytes of task outputs that finished jobs still hold (bounded at 64 MiB plus the newest result).", nil,
+		"In-memory bytes of task outputs delivered to a live handle and not yet evicted; a handle dropped since still counts until its entry leaves (bounded at 64 MiB plus the newest result).", nil,
 		func(emit func(v float64, labelVals ...string)) {
 			pipe.mu.Lock()
 			defer pipe.mu.Unlock()

@@ -3,15 +3,17 @@ package vdce
 import (
 	"context"
 	"fmt"
+	"log/slog"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"vdce/internal/afg"
 	"vdce/internal/core"
 	"vdce/internal/exec"
 	"vdce/internal/jobsapi"
-	"vdce/internal/services"
 	"vdce/internal/store"
 	"vdce/internal/tasklib"
 )
@@ -74,7 +76,7 @@ const dispatchBatch = 8
 
 // retainedOutputBytes bounds the task outputs finished jobs keep
 // readable: past it the oldest results lose their Outputs (see
-// retainOutputs). Rows and handles are bounded by MaxRetainedJobs.
+// retainOutputs). Rows and records are bounded by MaxRetainedJobs.
 const retainedOutputBytes = 64 << 20
 
 func (c *PipelineConfig) fillDefaults() {
@@ -138,16 +140,17 @@ type pipeline struct {
 	mu       sync.Mutex
 	nextID   int
 	nextHome int
-	// byID holds the handle of every job the board retains a row for —
+	// byID holds the record of every job the board retains a row for —
 	// what cancel, trace, drain and shutdown act on. Published state
 	// lives on the board alone; retention trims this index by the IDs
 	// the board evicts.
-	byID map[string]*Job
+	byID map[string]*jobRecord
 	// outs is the sentinel of the output ledger: a ring, linked through
-	// the jobs themselves, of the jobs whose results still hold their
-	// Outputs, oldest completion first; outs.outBytes is the total they
-	// pin. retainOutputs and trimRetained are its only writers.
-	outs      Job
+	// the records themselves, of the jobs whose results were delivered to
+	// a live handle and still hold their Outputs, oldest completion first;
+	// outs.outBytes is their total. retainOutputs and trimRetained are its
+	// only writers.
+	outs      jobRecord
 	outBudget int64 // retainedOutputBytes; tests lower it
 	closed    bool
 }
@@ -180,13 +183,13 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 		admit:  newAdmitQueue(cfg.AgingStep, cfg.Quota),
 		runSem: make(chan struct{}, cfg.MaxConcurrentRuns),
 		store:  st,
-		byID:   make(map[string]*Job),
+		byID:   make(map[string]*jobRecord),
 
 		outBudget: retainedOutputBytes,
 	}
 	p.outs.outPrev, p.outs.outNext = &p.outs, &p.outs
 	p.meter = newShedMeter(cfg.Shed.Now)
-	var adopt []*Job
+	var adopt []*jobRecord
 	if st != nil {
 		// The broker resumes above the persisted high-water cursor, so
 		// every cursor issued before the crash is strictly below every new
@@ -268,7 +271,7 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		p.admit.unreserveQueued(spec.owner)
 		return nil, err
 	}
-	job := &Job{
+	job := &jobRecord{
 		Owner:       spec.owner,
 		Graph:       spec.graph,
 		K:           spec.k,
@@ -279,9 +282,10 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		pipe:        p,
 		done:        make(chan struct{}),
 		state:       JobQueued,
-		timings:     new(services.JobTimings),
 		phases:      1 << phSubmitted,
 	}
+	h := &Job{jobRecord: job}
+	job.handle = weak.Make(h)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -295,14 +299,15 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	}
 	job.home = spec.home
 	p.nextID++
-	job.ID = fmt.Sprintf("job-%d", p.nextID)
+	var id [24]byte
+	job.ID = string(strconv.AppendInt(append(id[:0], "job-"...), int64(p.nextID), 10))
 	// Stamp the submission time and publish the job's first row under
 	// p.mu: two concurrent submits cannot observe inverted clocks, so
 	// rows reach the board in its canonical (submitted, ID) order and
 	// append at the tail — only timestamp ties (where string ID order,
 	// e.g. "job-10" < "job-9", can disagree with assignment order) land
 	// one row earlier. Retention runs in the same critical section, so
-	// the handle index and the board always hold the same ID set.
+	// the record index and the board always hold the same ID set.
 	job.timings.SubmittedAt = time.Now()
 	p.begin(job)
 	p.byID[job.ID] = job
@@ -324,16 +329,16 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	p.meter.record(false)
 	p.env.obsM.submitWait.Observe(wait.Seconds())
 	p.env.obsM.accepted.Inc()
-	p.env.log.Debug("job admitted", "job_id", job.ID, "owner", job.Owner)
+	p.env.log.LogAttrs(ctx, slog.LevelDebug, "job admitted", slog.String("job_id", job.ID), slog.String("owner", job.Owner))
 	p.wake()
-	return job, nil
+	return h, nil
 }
 
 // begin gives a registered job its one context: the environment's, with
 // the job's deadline when it has one. Cancel, the deadline and shutdown
 // all end the job through it, and end reads which one did from its
 // cause. This is the only place the pipeline makes a context.
-func (p *pipeline) begin(j *Job) {
+func (p *pipeline) begin(j *jobRecord) {
 	ctx, cancel := context.WithCancelCause(p.ctx)
 	if !j.deadline.IsZero() {
 		// Canceling the parent already stops the deadline's timer; the
@@ -354,7 +359,7 @@ func (p *pipeline) begin(j *Job) {
 // that drops it once its context ends there. Both happen under j.mu, so
 // a worker that pops the job claims it only after the hook is armed,
 // and a Cancel that came before is carried out by the hook.
-func (p *pipeline) enqueue(j *Job, recovered bool) {
+func (p *pipeline) enqueue(j *jobRecord, recovered bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if recovered {
@@ -371,7 +376,7 @@ func (p *pipeline) enqueue(j *Job, recovered bool) {
 // calls it at the deadline or shutdown. A job the claim took is left to
 // the waits that carry its context; a job not yet enqueued is left to
 // its hook, which fires as soon as enqueue arms it.
-func (p *pipeline) drop(j *Job) {
+func (p *pipeline) drop(j *jobRecord) {
 	j.mu.Lock()
 	ctx, armed := j.ctx, j.stop != nil
 	j.mu.Unlock()
@@ -385,7 +390,7 @@ func (p *pipeline) drop(j *Job) {
 }
 
 // trimRetained is count retention: the board evicts its oldest terminal
-// rows past MaxRetainedJobs, and each evicted job leaves the handle
+// rows past MaxRetainedJobs, and each evicted job leaves the record
 // index and the output ledger (a client still holding the handle keeps
 // its result). Caller holds p.mu.
 func (p *pipeline) trimRetained() []string {
@@ -399,16 +404,16 @@ func (p *pipeline) trimRetained() []string {
 	return evicted
 }
 
-// retainOutputs is byte retention: a job that completed with a result
-// enters the output ledger with the in-memory size of its outputs, and
-// the oldest holders lose theirs until the total fits the budget —
-// never the newest, so a result larger than the whole budget stays
-// readable until the next one lands. A dropped result is replaced, under
-// its job's lock, by a copy without Outputs: a client that fetched the
-// old pointer keeps what it read. terminalize calls this before the
+// retainOutputs is byte retention: a job whose result was delivered to
+// a live handle enters the output ledger with the in-memory size of its
+// outputs, and the oldest holders lose theirs until the total fits the
+// budget — never the newest. A dropped result is replaced on its live
+// handle by a copy without Outputs: a client that fetched the old pointer
+// keeps what it read; a handle dropped since took its outputs along, but
+// its entry counts until it leaves. terminalize calls this before the
 // terminal status publishes, so count retention cannot evict the job
 // before it is in the ledger.
-func (p *pipeline) retainOutputs(j *Job, res *exec.Result) {
+func (p *pipeline) retainOutputs(j *jobRecord, res *exec.Result) {
 	var size int64
 	for _, outs := range res.Outputs {
 		for _, v := range outs {
@@ -423,18 +428,18 @@ func (p *pipeline) retainOutputs(j *Job, res *exec.Result) {
 	s.outBytes += size
 	for old := s.outNext; s.outBytes > p.outBudget && old != j; old = s.outNext {
 		p.unlinkOutputs(old)
-		old.mu.Lock()
-		kept := *old.result
-		kept.Outputs, kept.OutputsEvicted = nil, true
-		old.result = &kept
-		old.mu.Unlock()
+		if h := old.handle.Value(); h != nil {
+			kept := *h.result.Load()
+			kept.Outputs, kept.OutputsEvicted = nil, true
+			h.result.Store(&kept)
+		}
 		p.env.obsM.outputsEvicted.Inc()
 	}
 }
 
 // unlinkOutputs takes j out of the output ledger, bytes included.
 // Caller holds p.mu.
-func (p *pipeline) unlinkOutputs(j *Job) {
+func (p *pipeline) unlinkOutputs(j *jobRecord) {
 	j.outPrev.outNext, j.outNext.outPrev = j.outNext, j.outPrev
 	p.outs.outBytes -= j.outBytes
 	j.outBytes, j.outPrev, j.outNext = 0, nil, nil
@@ -472,7 +477,7 @@ func (p *pipeline) shedSubmission(serr *ShedError, owner string) error {
 // so batching never weakens Submit backpressure or the shed threshold.
 func (p *pipeline) worker() {
 	defer p.workerWG.Done()
-	batch := make([]*Job, 0, dispatchBatch)
+	batch := make([]*jobRecord, 0, dispatchBatch)
 	for {
 		select {
 		case <-p.ctx.Done():
@@ -520,7 +525,7 @@ func (p *pipeline) worker() {
 // The scheduling phase completes on the worker; execution is handed to
 // a goroutine gated by the run semaphore so the worker can keep
 // scheduling while earlier jobs still execute.
-func (p *pipeline) process(job *Job) {
+func (p *pipeline) process(job *jobRecord) {
 	ctx, ok := job.claim()
 	if !ok {
 		return // its context ended while it was queued: the drop hook ends it
@@ -582,7 +587,7 @@ func (p *pipeline) process(job *Job) {
 // the scheduling state (it is still in a worker's hands) until its
 // context ends, which frees the worker. Jobs resuming from a hosts-quota
 // park call this off-worker instead.
-func (p *pipeline) dispatch(ctx context.Context, job *Job, table *core.AllocationTable) {
+func (p *pipeline) dispatch(ctx context.Context, job *jobRecord, table *core.AllocationTable) {
 	select {
 	case p.runSem <- struct{}{}:
 	case <-ctx.Done():
@@ -599,7 +604,7 @@ func (p *pipeline) dispatch(ctx context.Context, job *Job, table *core.Allocatio
 // the job's context does. Terminal exits leave the parked gate to
 // release(); the success path clears it and wakes a worker, since the
 // owner just became poppable again.
-func (p *pipeline) parkForHosts(ctx context.Context, job *Job, table *core.AllocationTable, needed []string) {
+func (p *pipeline) parkForHosts(ctx context.Context, job *jobRecord, table *core.AllocationTable, needed []string) {
 	for {
 		// Fetch the owner's broadcast channel before re-checking, so a
 		// release landing between the check and the wait still wakes us.
@@ -650,7 +655,7 @@ func (p *pipeline) wake() {
 // jobReleased returns a terminal job's quota charges and, when
 // anything freed, wakes an idle worker — a parked owner may have just
 // dropped below its in-flight cap.
-func (p *pipeline) jobReleased(j *Job) {
+func (p *pipeline) jobReleased(j *jobRecord) {
 	if p.admit.release(j) {
 		p.wake()
 	}
@@ -658,7 +663,7 @@ func (p *pipeline) jobReleased(j *Job) {
 
 // execute runs the job's task graph under the job's context, then
 // terminalizes it.
-func (p *pipeline) execute(ctx context.Context, job *Job, table *core.AllocationTable) {
+func (p *pipeline) execute(ctx context.Context, job *jobRecord, table *core.AllocationTable) {
 	defer func() { <-p.runSem }()
 	if wait := job.stampPhase(phDispatched, time.Now()); wait > 0 {
 		p.env.obsM.phaseDispatchWait.Observe(wait.Seconds())
@@ -693,31 +698,31 @@ func (p *pipeline) stop(cancelRoot context.CancelCauseFunc) {
 	// re-adopts.
 	p.stopping.Store(true)
 	// Refuse new admissions: every job registered before this point is
-	// one of the handles waited on below, and its context ends with the
+	// one of the records waited on below, and its context ends with the
 	// environment's.
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
 	cancelRoot(ErrPipelineClosed)
 	p.workerWG.Wait()
-	for _, j := range p.handles() {
+	for _, j := range p.records() {
 		<-j.done
 	}
 }
 
-// job returns a retained job handle by ID.
-func (p *pipeline) job(id string) (*Job, bool) {
+// job returns a retained job's record by ID.
+func (p *pipeline) job(id string) (*jobRecord, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	j, ok := p.byID[id]
 	return j, ok
 }
 
-// handles returns every retained job handle, in no particular order.
-func (p *pipeline) handles() []*Job {
+// records returns every retained job's record, in no particular order.
+func (p *pipeline) records() []*jobRecord {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*Job, 0, len(p.byID))
+	out := make([]*jobRecord, 0, len(p.byID))
 	for _, j := range p.byID {
 		out = append(out, j)
 	}

@@ -319,3 +319,38 @@ func TestJobStateStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitAllocBudget pins what one job costs from Submit to Done: a
+// single-task job, every allocation the admission queue, the scheduling
+// round, the engine, the board and the broker make for it. The caller's
+// handle and its weak link from the pipeline's record cost two; a job ID
+// appended into a stack buffer instead of fmt.Sprintf, a timings block
+// inside the record and attribute-typed log lines paid them back. A job
+// cost 85 before the handle split from the record and 81 after; the
+// budget stays at 85.
+func TestSubmitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const budget = 85
+	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2801}})
+	g := spinJobGraph("alloc", 0)
+	ctx := context.Background()
+	run := func() {
+		job, err := env.Submit(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 64 {
+		run() // warm the rank cache, the pools and the board
+	}
+	allocs := testing.AllocsPerRun(200, run)
+	t.Logf("Submit+Wait of a one-task job: %.0f allocations (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Fatalf("a job costs %.0f allocations from Submit to Done, over the %d budget", allocs, budget)
+	}
+}

@@ -37,10 +37,10 @@ type RecoveryReport struct {
 
 // loadRecovered folds the store's recovered state into the pipeline:
 // owner-admin records into the admission queue, terminal jobs onto the
-// board, and queued/in-flight jobs into handles ready for adoption —
+// board, and queued/in-flight jobs into records ready for adoption —
 // returned in the store's submission order (time, then job sequence).
 // Runs before any worker starts, so no locks race it.
-func (p *pipeline) loadRecovered(rs *store.State) []*Job {
+func (p *pipeline) loadRecovered(rs *store.State) []*jobRecord {
 	for _, rec := range rs.Owners {
 		var caps *QuotaConfig
 		if rec.HasCaps {
@@ -52,9 +52,9 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 		}
 		p.admit.setOwnerAdmin(rec.Owner, rec.Weight, caps)
 	}
-	var adopt []*Job
+	var adopt []*jobRecord
 	for _, rec := range rs.SortedJobs() {
-		job := &Job{
+		job := &jobRecord{
 			ID:          rec.ID,
 			Owner:       rec.Owner,
 			K:           rec.K,
@@ -65,7 +65,7 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 			deadline:    rec.Deadline,
 			pipe:        p,
 			done:        make(chan struct{}),
-			timings: &services.JobTimings{
+			timings: services.JobTimings{
 				SubmittedAt: rec.SubmittedAt, RunningAt: rec.StartedAt, FinishedAt: rec.FinishedAt,
 			},
 			// Every recovered job's chain starts at its original submission.
@@ -80,7 +80,7 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 		if g != nil {
 			job.Graph = g
 		} else {
-			// A handle must always carry a graph (Status reads its
+			// A record must always carry a graph (Status reads its
 			// name); an undecodable one terminalizes below.
 			job.Graph = afg.NewGraph(rec.ID)
 		}
@@ -91,8 +91,8 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 			job.state = JobFailed
 			job.err = fmt.Errorf("vdce: recovered job graph: %w", gerr)
 		case rec.State == services.JobStateDone:
-			// The result payload is not persisted — Result() is nil after
-			// a restart — but the terminal status survives.
+			// The result payload is not persisted and a recovered job has
+			// no handle to hold one, but the terminal status survives.
 			job.state = JobDone
 		case rec.State == services.JobStateCanceled:
 			job.state = JobCanceled
@@ -167,7 +167,7 @@ func (p *pipeline) loadRecovered(rs *store.State) []*Job {
 // returned, before any worker starts: in canonical submission order, so
 // seq tie-breaks reproduce the pre-crash within-owner order exactly.
 // Each takes one of the queue slots startPipeline sized for it.
-func (p *pipeline) adoptRecovered(adopt []*Job) {
+func (p *pipeline) adoptRecovered(adopt []*jobRecord) {
 	p.recoveryPending.Store(int64(len(adopt)))
 	for _, job := range adopt {
 		job.mu.Lock()
@@ -197,7 +197,7 @@ var graphBufs = sync.Pool{New: func() any { return new([]byte) }}
 // pooled buffer the store reads and does not keep. Store appends do not
 // fail the job: an I/O error is sticky in the log, is reported through
 // storeErr, and the in-memory pipeline keeps serving.
-func (p *pipeline) persistSubmitted(j *Job) {
+func (p *pipeline) persistSubmitted(j *jobRecord) {
 	if p.store == nil {
 		return
 	}
@@ -224,7 +224,7 @@ func (p *pipeline) persistSubmitted(j *Job) {
 // Suppressed while the pipeline is stopping: a graceful shutdown fails
 // in-flight jobs with ErrPipelineClosed, but durably they remain
 // queued/running — exactly the state the next boot re-adopts them from.
-func (p *pipeline) persistState(j *Job) {
+func (p *pipeline) persistState(j *jobRecord) {
 	if p.store == nil || p.stopping.Load() {
 		return
 	}

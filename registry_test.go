@@ -120,17 +120,17 @@ func TestFourReadsOneAnswer(t *testing.T) {
 			t.Fatalf("round %d: board retains %d rows, cap %d", round, len(walk), retain)
 		}
 
-		var handles, rows []string
-		for _, j := range env.pipe.handles() {
-			handles = append(handles, j.ID)
+		var records, rows []string
+		for _, j := range env.pipe.records() {
+			records = append(records, j.ID)
 		}
 		for _, s := range jobs {
 			rows = append(rows, s.ID)
 		}
-		slices.Sort(handles)
+		slices.Sort(records)
 		slices.Sort(rows)
-		if !slices.Equal(handles, rows) {
-			t.Fatalf("round %d: handle index %v, board %v", round, handles, rows)
+		if !slices.Equal(records, rows) {
+			t.Fatalf("round %d: record index %v, board %v", round, records, rows)
 		}
 	}
 }
@@ -222,7 +222,7 @@ func TestDeadStoreFailsClosed(t *testing.T) {
 		t.Fatal("the failed rotation left no sticky error")
 	}
 
-	rows, handles := env.CountJobs("", ""), len(env.pipe.handles())
+	rows, records := env.CountJobs("", ""), len(env.pipe.records())
 	_, err = env.Submit(ctx, soakGraph(t, 1))
 	var shed *ShedError
 	if !errors.As(err, &shed) || shed.Reason != ShedStoreUnavailable || shed.RetryAfter <= 0 {
@@ -234,9 +234,9 @@ func TestDeadStoreFailsClosed(t *testing.T) {
 	if _, n := env.ShedStats(); n != 1 {
 		t.Fatalf("shed meter counted %d, want 1", n)
 	}
-	if env.CountJobs("", "") != rows || len(env.pipe.handles()) != handles {
-		t.Fatalf("the shed submission left residue: %d rows (was %d), %d handles (was %d)",
-			env.CountJobs("", ""), rows, len(env.pipe.handles()), handles)
+	if env.CountJobs("", "") != rows || len(env.pipe.records()) != records {
+		t.Fatalf("the shed submission left residue: %d rows (was %d), %d records (was %d)",
+			env.CountJobs("", ""), rows, len(env.pipe.records()), records)
 	}
 	if ok, why := env.Ready(); ok || !strings.HasPrefix(why, "durable store failed: ") {
 		t.Fatalf("Ready over a failed store = %v, %q", ok, why)

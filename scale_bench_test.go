@@ -19,7 +19,7 @@ import (
 func benchPopOwners(b *testing.B, owners int, linear bool) {
 	const perOwner = 4
 	base := time.Unix(30000, 0)
-	jobs := make([]*Job, 0, owners*perOwner)
+	jobs := make([]*jobRecord, 0, owners*perOwner)
 	for o := 0; o < owners; o++ {
 		owner := fmt.Sprintf("bench-%d", o)
 		weight := 1 + o%4
@@ -46,7 +46,7 @@ func benchPopOwners(b *testing.B, owners int, linear bool) {
 			refill()
 			b.StartTimer()
 		}
-		var j *Job
+		var j *jobRecord
 		if linear {
 			j = q.popLinear()
 		} else {
@@ -82,7 +82,7 @@ func BenchmarkAdmissionCancelStorm(b *testing.B) {
 		owners = 1_000
 	)
 	base := time.Unix(31000, 0)
-	jobs := make([]*Job, jobsN)
+	jobs := make([]*jobRecord, jobsN)
 	for i := range jobs {
 		jobs[i] = mkAdmitJob(fmt.Sprintf("c%d", i), fmt.Sprintf("storm-%d", i%owners), i%5, 1+i%3,
 			base.Add(time.Duration(i)*time.Microsecond))

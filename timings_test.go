@@ -141,15 +141,15 @@ func TestTraceMatchesReferenceModel(t *testing.T) {
 	for stream := 0; stream < 3000; stream++ {
 		clock = base.Add(-time.Duration(rng.Intn(1_000_000)) * time.Microsecond)
 		var r refTrace
-		var j *Job
+		var j *jobRecord
 		state := services.JobStateQueued
 		if rng.Intn(3) > 0 {
 			kinds["fresh"]++
 			// What pipeline.submit builds.
-			j = &Job{
+			j = &jobRecord{
 				ID: fmt.Sprintf("m-%d", stream), Owner: "model", Graph: g,
 				done: make(chan struct{}), state: JobQueued,
-				timings: new(services.JobTimings), phases: 1 << phSubmitted,
+				phases: 1 << phSubmitted,
 			}
 			at := tick()
 			j.timings.SubmittedAt = at
@@ -281,7 +281,7 @@ func TestTraceMatchesReferenceModel(t *testing.T) {
 // order the test made them happen — into the reference model, each phase
 // at the instant the job's timings hold and each point event at the one
 // its point list holds.
-func refFromJob(t *testing.T, j *Job, chain []string) []byte {
+func refFromJob(t *testing.T, j *jobRecord, chain []string) []byte {
 	t.Helper()
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -290,7 +290,7 @@ func refFromJob(t *testing.T, j *Job, chain []string) []byte {
 	points := j.points
 	for _, ev := range chain {
 		if ph, ok := phaseIndexOf(ev); ok {
-			r.phase(ph, ev, "", *phaseAt(j.timings, ph))
+			r.phase(ph, ev, "", *phaseAt(&j.timings, ph))
 			continue
 		}
 		if ev == j.state.String() {
@@ -360,7 +360,7 @@ func TestTraceAcrossRestartMatchesReference(t *testing.T) {
 	}
 	// alice's backlog runs first; the re-run then stops at the console
 	// once its spin ends.
-	waitState(t, inFlight, JobRunning)
+	waitState(t, &Job{jobRecord: inFlight}, JobRunning) // a recovered job has no handle of its own
 	env2.Console.Suspend()
 	inFlight.execEvent(exec.Event{Type: exec.EventRescheduled, Host: "h-moved"})
 	inFlight.execEvent(exec.Event{Type: exec.EventHostFailure, Host: "h-lost"})
