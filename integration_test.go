@@ -93,18 +93,15 @@ func TestFullHTTPJourney(t *testing.T) {
 	if done["app"] != "http-journey" || done["owner"] != "user_k" {
 		t.Fatalf("finished job = %v", done)
 	}
-	// Both tasks ran. An HTTP submission has no handle to hold a result,
-	// so check what a client or operator sees: the record's table places
-	// both tasks, and its sealed timings show a run.
-	rec, ok := env.pipe.job(jobID)
-	if !ok {
-		t.Fatalf("no record for %s", jobID)
+	// An HTTP submission has no handle to hold a result, so check what a
+	// client or operator sees: the row's sealed timings show a run, and the
+	// trace ends running -> done.
+	if s, ok := env.Job(jobID); !ok || s.Timings == nil || s.Timings.RunSeconds <= 0 {
+		t.Fatalf("row = %+v (found %v), want a run", s, ok)
 	}
-	if table := rec.Table(); table == nil || len(table.Entries) != 2 {
-		t.Fatalf("table = %+v, want 2 placements", table)
-	}
-	if tm := rec.Status().Timings; tm == nil || tm.RunSeconds <= 0 {
-		t.Fatalf("timings = %+v, want a run", tm)
+	tr, ok := env.JobTrace(jobID)
+	if n := len(tr.Events); !ok || n < 2 || tr.Events[n-2].Event != "running" || tr.Events[n-1].Event != "done" {
+		t.Fatalf("trace = %+v (found %v), want running -> done", tr, ok)
 	}
 }
 

@@ -67,6 +67,11 @@ type JobStatus struct {
 	// durations. Nil only for statuses predating the tracing layer
 	// (store records persisted by older incarnations).
 	Timings *JobTimings `json:"timings,omitempty"`
+	// Phases and Points are what the job's trace renders from besides
+	// Timings, off the wire: one bit per lifecycle phase the trace shows,
+	// and the point events in order (nil for a job that had none).
+	Phases uint8        `json:"-"`
+	Points []TracePoint `json:"-"`
 }
 
 // Lifecycle phase names, in pipeline order. These are both the trace
@@ -113,6 +118,14 @@ type TraceEvent struct {
 	// Detail carries the event's subject when it has one: the host for
 	// rescheduled/host-failure, the error for failed.
 	Detail string `json:"detail,omitempty"`
+}
+
+// TracePoint is a trace event outside the phase chain (host-park,
+// host-unpark, rescheduled, host-failure, recovered) with the number of
+// phases stamped before it.
+type TracePoint struct {
+	TraceEvent
+	After int
 }
 
 // JobTrace is the full ordered lifecycle trace of one job, served by
@@ -208,13 +221,14 @@ func (u OwnerUpdate) Empty() bool {
 // JobBoard is the one registry of published job state: every retained
 // job's last published status in canonical (SubmittedAt, ID) order, plus
 // per-state and per-owner aggregates kept on every write. The pipeline
-// writes it; listings, counts and /v1/owners read it, under one mutex.
+// writes it; listings, counts, /v1/owners and a finished job's trace
+// read it, under one mutex.
 type JobBoard struct {
 	mu sync.Mutex
 	// rows is the canonical order: a new job carries the latest
 	// submission time and appends at the tail, retention drops the head.
-	rows []*JobStatus
-	byID map[string]*JobStatus
+	rows []*boardRow
+	byID map[string]*boardRow
 	// counts and usage tally rows by state and by owner, so the counting
 	// reads never scan rows; an owner whose last row leaves is deleted.
 	counts map[string]int
@@ -229,10 +243,18 @@ type ownerAgg struct {
 	latest *JobStatus
 }
 
+// boardRow is one retained job in one allocation: its last published
+// status and, once that is terminal, the sealed timings block the status
+// points at.
+type boardRow struct {
+	JobStatus
+	timings JobTimings
+}
+
 // NewJobBoard returns an empty board.
 func NewJobBoard() *JobBoard {
 	return &JobBoard{
-		byID:   make(map[string]*JobStatus),
+		byID:   make(map[string]*boardRow),
 		counts: make(map[string]int),
 		usage:  make(map[string]ownerAgg),
 	}
@@ -287,38 +309,45 @@ func (b *JobBoard) apply(r *JobStatus, sign int) {
 	b.usage[r.Owner] = agg
 }
 
-// index returns r's (would-be) position in rows. Caller holds b.mu.
-func (b *JobBoard) index(r *JobStatus) int {
-	return sort.Search(len(b.rows), func(i int) bool { return !rowBefore(b.rows[i], r) })
+// index returns s's (would-be) position in rows. Caller holds b.mu.
+func (b *JobBoard) index(s *JobStatus) int {
+	return sort.Search(len(b.rows), func(i int) bool { return !rowBefore(&b.rows[i].JobStatus, s) })
 }
 
 // Update records the latest status of a job, inserting it on first
-// sight. A terminal row is final: a late publish that lost a race with
-// the terminal one is dropped.
-func (b *JobBoard) Update(s JobStatus) {
+// sight, and returns it as the row holds it. A terminal row is final (a
+// late publish that lost a race with it is dropped) and keeps its own
+// copy of the sealed timings block.
+func (b *JobBoard) Update(s JobStatus) JobStatus {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	r, ok := b.byID[s.ID]
 	switch {
 	case ok && r.Terminal():
-		return
+		return s
 	case ok && r.SubmittedAt.Equal(s.SubmittedAt):
-		b.apply(r, -1)
-		*r = s
-		b.apply(r, +1)
-		return
-	case ok:
-		b.remove(b.index(r)) // the sort key moved: reinsert
+		b.apply(&r.JobStatus, -1) // replaced in place
+	default:
+		if ok {
+			b.remove(b.index(&r.JobStatus)) // the sort key moved: reinsert
+		}
+		r = &boardRow{JobStatus: s} // not &s: s would escape on the replace path too
+		i := len(b.rows)
+		if i > 0 && rowBefore(&r.JobStatus, &b.rows[i-1].JobStatus) {
+			i = b.index(&r.JobStatus)
+		}
+		b.rows = slices.Insert(b.rows, i, r)
+		b.byID[s.ID] = r
 	}
-	r = new(JobStatus) // not &s: s would escape on the replace path too
-	*r = s
-	i := len(b.rows)
-	if i > 0 && rowBefore(r, b.rows[i-1]) {
-		i = b.index(r)
+	r.JobStatus = s
+	if s.Terminal() && s.Timings != nil {
+		// Only a sealed block moves in: a live one is replaced by the next
+		// publish while readers may still hold it.
+		r.timings = *s.Timings
+		r.Timings = &r.timings
 	}
-	b.rows = slices.Insert(b.rows, i, r)
-	b.byID[s.ID] = r
-	b.apply(r, +1)
+	b.apply(&r.JobStatus, +1)
+	return r.JobStatus
 }
 
 // remove drops rows[i]: a reslice at the head, a move of pointers (not
@@ -326,7 +355,7 @@ func (b *JobBoard) Update(s JobStatus) {
 func (b *JobBoard) remove(i int) {
 	r := b.rows[i]
 	delete(b.byID, r.ID)
-	b.apply(r, -1)
+	b.apply(&r.JobStatus, -1)
 	if i == 0 {
 		b.rows[0] = nil
 		b.rows = b.rows[1:]
@@ -340,7 +369,7 @@ func (b *JobBoard) Delete(id string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if r, ok := b.byID[id]; ok {
-		b.remove(b.index(r))
+		b.remove(b.index(&r.JobStatus))
 	}
 }
 
@@ -368,7 +397,7 @@ func (b *JobBoard) Get(id string) (JobStatus, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if r, ok := b.byID[id]; ok {
-		return *r, true
+		return r.JobStatus, true
 	}
 	return JobStatus{}, false
 }
@@ -385,7 +414,7 @@ func (b *JobBoard) PageAfter(owner, state string, afterNanos int64, afterID stri
 	i := 0
 	if afterNanos != 0 || afterID != "" {
 		after := &JobStatus{ID: afterID, SubmittedAt: time.Unix(0, afterNanos)}
-		i = sort.Search(len(b.rows), func(i int) bool { return rowBefore(after, b.rows[i]) })
+		i = sort.Search(len(b.rows), func(i int) bool { return rowBefore(after, &b.rows[i].JobStatus) })
 	}
 	page = make([]JobStatus, 0, min(limit, len(b.rows)-i))
 	for _, r := range b.rows[i:] {
@@ -393,7 +422,7 @@ func (b *JobBoard) PageAfter(owner, state string, afterNanos int64, afterID stri
 			if len(page) >= limit {
 				return page, true
 			}
-			page = append(page, *r)
+			page = append(page, r.JobStatus)
 		}
 	}
 	return page, false

@@ -179,7 +179,7 @@ func WithLabels(labels map[string]string) SubmitOption {
 // Job is the caller's handle on one application moving through the
 // submission pipeline, and the only place its result lives. All else is
 // the pipeline's record of the job, which the handle embeds: a job whose
-// handle is gone keeps its status, table and trace, but no result.
+// handle is gone keeps its status and trace, but no result.
 //
 // Lifecycle contract: Done returns a channel that is closed exactly once,
 // when the job reaches a terminal state (done, failed, or canceled); no
@@ -194,10 +194,11 @@ type Job struct {
 	result atomic.Pointer[exec.Result]
 }
 
-// jobRecord is the pipeline's record of a job: what the handle index,
-// the admission queue, recovery and the output ledger hold. It reaches
-// the caller's handle only through a weak pointer, so a result no caller
-// holds is garbage as soon as the job ends.
+// jobRecord is the pipeline's record of a live job: what the handle
+// index, the admission queue and recovery hold. It reaches the caller's
+// handle only through a weak pointer, so a result no caller holds is
+// garbage as soon as the job ends, and the pipeline lets go of the record
+// then too: a finished job lives on as its board row.
 type jobRecord struct {
 	// ID is the pipeline-assigned identifier ("job-<n>").
 	ID string
@@ -238,13 +239,8 @@ type jobRecord struct {
 	// incarnation of the control plane died and was re-adopted from the
 	// durable store on boot (immutable after registration).
 	recovered bool
-	// outBytes, outPrev and outNext are the job's link in the pipeline's
-	// output ledger (see retainOutputs), guarded by pipe.mu; outNext is
-	// nil while the job is not in it.
-	outBytes         int64
-	outPrev, outNext *jobRecord
-	pipe             *pipeline
-	done             chan struct{}
+	pipe      *pipeline
+	done      chan struct{}
 
 	mu    sync.Mutex
 	state JobState
@@ -264,14 +260,15 @@ type jobRecord struct {
 	// submission even for a job re-adopted from the durable store, so the
 	// within-owner dequeue order carries across a restart. While the job
 	// is live, Status and Trace hand out copies; terminalize seals it, and
-	// from then on the record, the board row and the trace share it.
+	// from then on the record's Status and Trace share it, while the board
+	// row keeps its own copy.
 	timings services.JobTimings
 	// phases has one bit per phase the trace shows (a terminal restore
 	// keeps its running_at as a timing, not as a trace event).
 	phases uint8
 	// points are the trace's point events in order; nil for a job that
 	// never parked, moved, lost a host or was recovered.
-	points []pointEvent
+	points []services.TracePoint
 	// recovery observability, fed live by the engine's event stream:
 	// how many times a task of this job was rescheduled mid-run, and the
 	// distinct hosts lost to failure (first-observed order).
@@ -390,24 +387,7 @@ func (j *jobRecord) FailedHosts() []string {
 	return append([]string(nil), j.failedHosts...)
 }
 
-// metrics returns the pipeline's resolved metric handles, or nil for
-// jobs detached from a live pipeline (some tests).
-func (j *jobRecord) metrics() *envMetrics {
-	if j.pipe == nil {
-		return nil
-	}
-	return j.pipe.env.obsM
-}
-
-// logger returns the pipeline's structured logger, or a discarding one.
-func (j *jobRecord) logger() *slog.Logger {
-	if j.pipe == nil {
-		return discardLog
-	}
-	return j.pipe.env.log
-}
-
-// Lifecycle phases in pipeline order: a phase's bit in Job.phases and
+// Lifecycle phases in pipeline order: a phase's bit in a job's phases and
 // its place in the trace.
 const (
 	phSubmitted = iota
@@ -425,25 +405,19 @@ var phaseNames = [phTerminal]string{
 	services.PhaseDispatched, services.PhaseRunning,
 }
 
-// pointEvent is a trace event outside the phase chain (host-park,
-// host-unpark, rescheduled, host-failure, recovered).
-type pointEvent struct {
-	services.TraceEvent
-	after int // phases stamped before it
-}
-
 // phaseAt returns the timings field phase ph is stamped in.
 func phaseAt(t *services.JobTimings, ph int) *time.Time {
 	return [...]*time.Time{&t.SubmittedAt, &t.AdmittedAt, &t.ScheduledAt,
 		&t.DispatchedAt, &t.RunningAt, &t.FinishedAt}[ph]
 }
 
-// traceLocked walks the trace — stamped phases in lifecycle order, each
-// point event after the phases stamped before it — clamping timestamps
-// to the running maximum, so it is non-decreasing even across wall-clock
-// steps. It appends the events to *dst unless dst is nil and returns the
-// last timestamp. Caller holds j.mu.
-func (j *jobRecord) traceLocked(dst *[]services.TraceEvent) (last time.Time) {
+// walkTrace walks a job's trace — stamped phases in lifecycle order, each
+// point event after the phases stamped before it, the terminal event
+// named state with detail — clamping timestamps to the running maximum,
+// so it is non-decreasing even across wall-clock steps. It appends the
+// events to *dst unless dst is nil and returns the last timestamp.
+func walkTrace(dst *[]services.TraceEvent, t *services.JobTimings, phases uint8, points []services.TracePoint,
+	state, detail string) (last time.Time) {
 	emit := func(e services.TraceEvent) {
 		if e.At.Before(last) {
 			e.At = last
@@ -453,19 +427,17 @@ func (j *jobRecord) traceLocked(dst *[]services.TraceEvent) (last time.Time) {
 			*dst = append(*dst, e)
 		}
 	}
-	points, stamped := j.points, 0
+	stamped := 0
 	for ph := phSubmitted; ph <= phTerminal; ph++ {
-		if j.phases&(1<<ph) == 0 {
+		if phases&(1<<ph) == 0 {
 			continue
 		}
-		for ; len(points) > 0 && points[0].after == stamped; points = points[1:] {
+		for ; len(points) > 0 && points[0].After == stamped; points = points[1:] {
 			emit(points[0].TraceEvent)
 		}
-		e := services.TraceEvent{At: *phaseAt(&j.timings, ph), Event: j.state.String()}
+		e := services.TraceEvent{At: *phaseAt(t, ph), Event: state, Detail: detail}
 		if ph < phTerminal {
-			e.Event = phaseNames[ph]
-		} else if j.err != nil {
-			e.Detail = j.err.Error()
+			e.Event, e.Detail = phaseNames[ph], ""
 		}
 		emit(e)
 		stamped++
@@ -474,6 +446,22 @@ func (j *jobRecord) traceLocked(dst *[]services.TraceEvent) (last time.Time) {
 		emit(p.TraceEvent)
 	}
 	return last
+}
+
+// traceOf renders a job's status as its trace, through walkTrace: a live
+// record's status and a finished job's board row go the same way.
+func traceOf(s services.JobStatus) services.JobTrace {
+	events := make([]services.TraceEvent, 0, bits.OnesCount8(s.Phases)+len(s.Points))
+	walkTrace(&events, s.Timings, s.Phases, s.Points, s.State, s.Error)
+	return services.JobTrace{ID: s.ID, Owner: s.Owner, State: s.State, Events: events, Timings: s.Timings}
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // stampLocked records phase ph at the given instant and reports whether
@@ -487,7 +475,7 @@ func (j *jobRecord) stampLocked(ph int, at time.Time) bool {
 	j.phases |= 1 << ph
 	*phaseAt(&j.timings, ph) = at
 	if ph == phRunning {
-		j.timings.RunningAt = j.traceLocked(nil)
+		j.timings.RunningAt = walkTrace(nil, &j.timings, j.phases, j.points, "", "")
 	}
 	return true
 }
@@ -511,7 +499,7 @@ func (j *jobRecord) stampPhase(ph int, at time.Time) time.Duration {
 func (j *jobRecord) sealLocked(at time.Time) {
 	j.phases |= 1 << phTerminal
 	j.timings.FinishedAt = at
-	j.timings.FinishedAt = j.traceLocked(nil)
+	j.timings.FinishedAt = walkTrace(nil, &j.timings, j.phases, j.points, "", "")
 	fillSeconds(&j.timings)
 }
 
@@ -549,7 +537,8 @@ func (j *jobRecord) timingsLocked() *services.JobTimings {
 // job takes none. Caller holds j.mu.
 func (j *jobRecord) pointLocked(event, detail string, at time.Time) {
 	if !j.state.terminal() {
-		j.points = append(j.points, pointEvent{services.TraceEvent{At: at, Event: event, Detail: detail}, bits.OnesCount8(j.phases)})
+		j.points = append(j.points, services.TracePoint{TraceEvent: services.TraceEvent{At: at, Event: event, Detail: detail},
+			After: bits.OnesCount8(j.phases)})
 	}
 }
 
@@ -565,17 +554,7 @@ func (j *jobRecord) stampEvent(event string) {
 // boundary crossed so far plus recovery point events, with the derived
 // timings block.
 func (j *jobRecord) Trace() services.JobTrace {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	events := make([]services.TraceEvent, 0, bits.OnesCount8(j.phases)+len(j.points))
-	j.traceLocked(&events)
-	return services.JobTrace{
-		ID:      j.ID,
-		Owner:   j.Owner,
-		State:   j.state.String(),
-		Events:  events,
-		Timings: j.timingsLocked(),
-	}
+	return traceOf(j.Status())
 }
 
 // execEvent consumes the engine's recovery event stream for this job,
@@ -594,31 +573,25 @@ func (j *jobRecord) execEvent(ev exec.Event) {
 		j.mu.Unlock()
 		return
 	}
-	switch ev.Type {
+	switch m := j.pipe.env.obsM; ev.Type {
 	case exec.EventRescheduled:
 		j.reschedules++
 		j.pointLocked("rescheduled", ev.Host, time.Now())
 		typ = jobsapi.EventRescheduled
+		m.reschedules.Inc()
 	case exec.EventHostFailure:
 		if !slices.Contains(j.failedHosts, ev.Host) {
 			j.failedHosts = append(j.failedHosts, ev.Host)
 		}
 		j.pointLocked("host-failure", ev.Host, time.Now())
 		typ = jobsapi.EventHostFailure
+		m.hostFailures.Inc()
 	default:
 		j.mu.Unlock()
 		return
 	}
 	j.mu.Unlock()
-	if m := j.metrics(); m != nil {
-		switch ev.Type {
-		case exec.EventRescheduled:
-			m.reschedules.Inc()
-		case exec.EventHostFailure:
-			m.hostFailures.Inc()
-		}
-	}
-	if ev.Type == exec.EventRescheduled && j.pipe != nil {
+	if ev.Type == exec.EventRescheduled {
 		hosts := ev.Hosts
 		if len(hosts) == 0 {
 			hosts = []string{ev.Host}
@@ -654,16 +627,14 @@ func (j *jobRecord) Status() services.JobStatus {
 		SubmittedAt: t.SubmittedAt,
 		StartedAt:   t.RunningAt,
 		FinishedAt:  t.FinishedAt,
+		Deadline:    j.deadline,
+		Error:       errText(j.err),
 		Timings:     t,
-	}
-	if !j.deadline.IsZero() {
-		s.Deadline = j.deadline
-	}
-	if j.err != nil {
-		s.Error = j.err.Error()
+		Phases:      j.phases,
+		Points:      j.points,
 	}
 	j.mu.Unlock()
-	if s.State == services.JobStateQueued && j.pipe != nil {
+	if s.State == services.JobStateQueued {
 		s.QueuePosition = j.pipe.admit.position(j.ID)
 	}
 	return s
@@ -714,7 +685,7 @@ func (j *jobRecord) noteReplayDone() {
 	pending := j.replayPending
 	j.replayPending = false
 	j.mu.Unlock()
-	if pending && j.pipe != nil {
+	if pending {
 		j.pipe.recoveryPending.Add(-1)
 	}
 }
@@ -730,9 +701,7 @@ func (j *jobRecord) markRunning(at time.Time) {
 	j.state = JobRunning
 	j.mu.Unlock()
 	j.publish()
-	if j.pipe != nil {
-		j.pipe.persistState(j)
-	}
+	j.pipe.persistState(j)
 }
 
 // setTable records the scheduling artifact.
@@ -774,21 +743,20 @@ func (j *jobRecord) terminalize(state JobState, err error, res *exec.Result) boo
 	if cancel != nil {
 		cancel(nil)
 	}
-	if m := j.metrics(); m != nil {
-		if runSecs > 0 {
-			m.phaseRun.Observe(runSecs)
-		}
-		if totalSecs > 0 {
-			m.phaseTotal.Observe(totalSecs)
-		}
-		switch state {
-		case JobDone:
-			m.completedDone.Inc()
-		case JobFailed:
-			m.completedFailed.Inc()
-		case JobCanceled:
-			m.completedCanceled.Inc()
-		}
+	p, m := j.pipe, j.pipe.env.obsM
+	if runSecs > 0 {
+		m.phaseRun.Observe(runSecs)
+	}
+	if totalSecs > 0 {
+		m.phaseTotal.Observe(totalSecs)
+	}
+	switch state {
+	case JobDone:
+		m.completedDone.Inc()
+	case JobFailed:
+		m.completedFailed.Inc()
+	case JobCanceled:
+		m.completedCanceled.Inc()
 	}
 	// Attrs, not key-value pairs: nothing is boxed. Handlers skip the
 	// empty error attr of a job that succeeded.
@@ -796,22 +764,22 @@ func (j *jobRecord) terminalize(state JobState, err error, res *exec.Result) boo
 	if err != nil {
 		lvl, errAttr = slog.LevelWarn, slog.String("error", err.Error())
 	}
-	j.logger().LogAttrs(context.Background(), lvl, "job finished", slog.String("job_id", j.ID), slog.String("owner", j.Owner),
+	p.env.log.LogAttrs(context.Background(), lvl, "job finished", slog.String("job_id", j.ID), slog.String("owner", j.Owner),
 		slog.String("state", state.String()), errAttr, slog.Float64("total_seconds", totalSecs))
 	j.noteReplayDone()
 	// Return the job's in-flight and held-host quota charges before the
 	// final status publishes, so owner counters never show a terminal
 	// job as still consuming capacity.
-	if j.pipe != nil {
-		j.pipe.jobReleased(j)
-		if h != nil && res != nil {
-			j.pipe.retainOutputs(j, res)
-		}
+	p.jobReleased(j)
+	if h != nil && res != nil {
+		p.retainOutputs(j.handle, res)
 	}
 	j.publish()
-	if j.pipe != nil {
-		j.pipe.persistState(j)
-	}
+	p.persistState(j)
+	// The terminal row is published: from here on the job is its row.
+	p.mu.Lock()
+	delete(p.byID, j.ID)
+	p.mu.Unlock()
 	close(j.done)
 	return true
 }
@@ -827,14 +795,11 @@ func (j *jobRecord) publish() { j.publishEvent(jobsapi.EventState) }
 // publishEvent snapshots the job once and pushes the status to both
 // monitoring surfaces: the job board (pull: /v1/jobs) and the event
 // broker (push: /v1/events and /v1/jobs/{id}/events), typed so stream
-// consumers can tell lifecycle transitions from mid-run recovery.
+// consumers can tell lifecycle transitions from mid-run recovery. The
+// broker gets the status as the board row holds it: a terminal one then
+// points at the row's timings, not the record's.
 func (j *jobRecord) publishEvent(typ string) {
-	if j.pipe == nil {
-		return // detached from a pipeline (some tests)
-	}
-	s := j.Status()
-	j.pipe.env.Board.Update(s)
-	j.pipe.events.Publish(typ, s)
+	j.pipe.events.Publish(typ, j.pipe.env.Board.Update(j.Status()))
 }
 
 // noteHostsHeld mirrors a successful host charge into the job's status

@@ -161,7 +161,7 @@ func (env *Environment) Job(id string) (services.JobStatus, bool) {
 	return s, ok
 }
 
-// ErrUnknownJob is returned by CancelJob for IDs the pipeline does not
+// ErrUnknownJob is returned by CancelJob for IDs the job board does not
 // retain.
 var ErrUnknownJob = errors.New("vdce: unknown job")
 
@@ -169,11 +169,11 @@ var ErrUnknownJob = errors.New("vdce: unknown job")
 // admission queue, running jobs are aborted through the execution
 // engine's cancellation path. Canceling a terminal job is a no-op.
 func (env *Environment) CancelJob(id string) error {
-	j, ok := env.pipe.job(id)
-	if !ok {
+	if j, ok := env.pipe.job(id); ok {
+		j.Cancel()
+	} else if _, ok := env.Board.Get(id); !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
-	j.Cancel()
 	return nil
 }
 

@@ -163,7 +163,7 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 		func(emit func(v float64, labelVals ...string)) {
 			pipe.mu.Lock()
 			defer pipe.mu.Unlock()
-			emit(float64(pipe.outs.outBytes))
+			emit(float64(pipe.outBytes))
 		})
 	reg.GaugeFunc("vdce_jobs_inflight",
 		"Admitted jobs not yet terminal (board view).", nil,

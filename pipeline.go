@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -33,9 +34,9 @@ type PipelineConfig struct {
 	// MaxConcurrentRuns bounds how many applications the execution engine
 	// runs simultaneously. Default 2 * SchedulerWorkers.
 	MaxConcurrentRuns int
-	// MaxRetainedJobs bounds how many jobs the pipeline and the job
-	// board remember; the oldest *terminal* jobs are evicted first, so a
-	// long-running server does not grow without bound. Default 1024.
+	// MaxRetainedJobs bounds how many jobs the job board remembers; the
+	// oldest *terminal* jobs are evicted first, so a long-running server
+	// does not grow without bound. Default 1024.
 	MaxRetainedJobs int
 	// AgingStep is the starvation-protection rate of the priority
 	// admission queue: a queued job's effective priority rises by one
@@ -76,7 +77,7 @@ const dispatchBatch = 8
 
 // retainedOutputBytes bounds the task outputs finished jobs keep
 // readable: past it the oldest results lose their Outputs (see
-// retainOutputs). Rows and records are bounded by MaxRetainedJobs.
+// retainOutputs). Rows are bounded by MaxRetainedJobs.
 const retainedOutputBytes = 64 << 20
 
 func (c *PipelineConfig) fillDefaults() {
@@ -140,19 +141,25 @@ type pipeline struct {
 	mu       sync.Mutex
 	nextID   int
 	nextHome int
-	// byID holds the record of every job the board retains a row for —
-	// what cancel, trace, drain and shutdown act on. Published state
-	// lives on the board alone; retention trims this index by the IDs
-	// the board evicts.
+	// byID holds the record of every live job — what cancel, trace,
+	// drain and shutdown act on. terminalize deletes a job's entry once
+	// its terminal row is published: a finished job lives on the board
+	// alone.
 	byID map[string]*jobRecord
-	// outs is the sentinel of the output ledger: a ring, linked through
-	// the records themselves, of the jobs whose results were delivered to
-	// a live handle and still hold their Outputs, oldest completion first;
-	// outs.outBytes is their total. retainOutputs and trimRetained are its
-	// only writers.
-	outs      jobRecord
+	// outs is the output ledger: the handles whose results still hold
+	// their Outputs, oldest completion first; outBytes is their total.
+	// retainOutputs and trimRetained are its only writers.
+	outs      []outEntry
+	outBytes  int64
 	outBudget int64 // retainedOutputBytes; tests lower it
 	closed    bool
+}
+
+// outEntry is one output ledger entry: the handle a result was delivered
+// to and the in-memory size of the result's outputs.
+type outEntry struct {
+	h     weak.Pointer[Job]
+	bytes int64
 }
 
 // submitSpec is a fully resolved submission (options applied).
@@ -187,7 +194,6 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 
 		outBudget: retainedOutputBytes,
 	}
-	p.outs.outPrev, p.outs.outNext = &p.outs, &p.outs
 	p.meter = newShedMeter(cfg.Shed.Now)
 	var adopt []*jobRecord
 	if st != nil {
@@ -306,8 +312,8 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 	// rows reach the board in its canonical (submitted, ID) order and
 	// append at the tail — only timestamp ties (where string ID order,
 	// e.g. "job-10" < "job-9", can disagree with assignment order) land
-	// one row earlier. Retention runs in the same critical section, so
-	// the record index and the board always hold the same ID set.
+	// one row earlier. The record enters the index in the same critical
+	// section, so every job the index holds has a row.
 	job.timings.SubmittedAt = time.Now()
 	p.begin(job)
 	p.byID[job.ID] = job
@@ -390,30 +396,35 @@ func (p *pipeline) drop(j *jobRecord) {
 }
 
 // trimRetained is count retention: the board evicts its oldest terminal
-// rows past MaxRetainedJobs, and each evicted job leaves the record
-// index and the output ledger (a client still holding the handle keeps
-// its result). Caller holds p.mu.
+// rows past MaxRetainedJobs, and each evicted job leaves the output
+// ledger (a client still holding the handle keeps its result), with
+// every entry whose handle is gone: those outputs went with the handle.
+// Caller holds p.mu.
 func (p *pipeline) trimRetained() []string {
 	evicted := p.env.Board.EvictTerminal(p.cfg.MaxRetainedJobs)
-	for _, id := range evicted {
-		if j := p.byID[id]; j.outNext != nil {
-			p.unlinkOutputs(j)
-		}
-		delete(p.byID, id)
+	if len(evicted) > 0 {
+		p.outs = slices.DeleteFunc(p.outs, func(e outEntry) bool {
+			h := e.h.Value()
+			if h == nil || slices.Contains(evicted, h.ID) {
+				p.outBytes -= e.bytes
+				return true
+			}
+			return false
+		})
 	}
 	return evicted
 }
 
-// retainOutputs is byte retention: a job whose result was delivered to
-// a live handle enters the output ledger with the in-memory size of its
-// outputs, and the oldest holders lose theirs until the total fits the
-// budget — never the newest. A dropped result is replaced on its live
-// handle by a copy without Outputs: a client that fetched the old pointer
-// keeps what it read; a handle dropped since took its outputs along, but
-// its entry counts until it leaves. terminalize calls this before the
-// terminal status publishes, so count retention cannot evict the job
-// before it is in the ledger.
-func (p *pipeline) retainOutputs(j *jobRecord, res *exec.Result) {
+// retainOutputs is byte retention: a result delivered to a live handle
+// enters the output ledger with the in-memory size of its outputs, and
+// the oldest holders lose theirs until the total fits the budget — never
+// the newest. A dropped result is replaced on its live handle by a copy
+// without Outputs: a client that fetched the old pointer keeps what it
+// read; a handle dropped since took its outputs along, but its entry
+// counts until it leaves. terminalize calls this before the terminal
+// status publishes, so count retention cannot evict the job before it is
+// in the ledger.
+func (p *pipeline) retainOutputs(h weak.Pointer[Job], res *exec.Result) {
 	var size int64
 	for _, outs := range res.Outputs {
 		for _, v := range outs {
@@ -422,27 +433,19 @@ func (p *pipeline) retainOutputs(j *jobRecord, res *exec.Result) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := &p.outs
-	j.outBytes, j.outPrev, j.outNext = size, s.outPrev, s
-	s.outPrev.outNext, s.outPrev = j, j
-	s.outBytes += size
-	for old := s.outNext; s.outBytes > p.outBudget && old != j; old = s.outNext {
-		p.unlinkOutputs(old)
-		if h := old.handle.Value(); h != nil {
+	p.outs = append(p.outs, outEntry{h, size})
+	p.outBytes += size
+	for p.outBytes > p.outBudget && len(p.outs) > 1 {
+		old := p.outs[0]
+		p.outs = p.outs[1:]
+		p.outBytes -= old.bytes
+		if h := old.h.Value(); h != nil {
 			kept := *h.result.Load()
 			kept.Outputs, kept.OutputsEvicted = nil, true
 			h.result.Store(&kept)
 		}
 		p.env.obsM.outputsEvicted.Inc()
 	}
-}
-
-// unlinkOutputs takes j out of the output ledger, bytes included.
-// Caller holds p.mu.
-func (p *pipeline) unlinkOutputs(j *jobRecord) {
-	j.outPrev.outNext, j.outNext.outPrev = j.outNext, j.outPrev
-	p.outs.outBytes -= j.outBytes
-	j.outBytes, j.outPrev, j.outNext = 0, nil, nil
 }
 
 // releaseSlot returns one unit of queue capacity after a job leaves the
@@ -710,7 +713,7 @@ func (p *pipeline) stop(cancelRoot context.CancelCauseFunc) {
 	}
 }
 
-// job returns a retained job's record by ID.
+// job returns a live job's record by ID.
 func (p *pipeline) job(id string) (*jobRecord, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -718,7 +721,7 @@ func (p *pipeline) job(id string) (*jobRecord, bool) {
 	return j, ok
 }
 
-// records returns every retained job's record, in no particular order.
+// records returns every live job's record, in no particular order.
 func (p *pipeline) records() []*jobRecord {
 	p.mu.Lock()
 	defer p.mu.Unlock()

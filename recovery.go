@@ -37,7 +37,7 @@ type RecoveryReport struct {
 
 // loadRecovered folds the store's recovered state into the pipeline:
 // owner-admin records into the admission queue, terminal jobs onto the
-// board, and queued/in-flight jobs into records ready for adoption —
+// board alone, and queued/in-flight jobs into records ready for adoption —
 // returned in the store's submission order (time, then job sequence).
 // Runs before any worker starts, so no locks race it.
 func (p *pipeline) loadRecovered(rs *store.State) []*jobRecord {
@@ -133,7 +133,6 @@ func (p *pipeline) loadRecovered(rs *store.State) []*jobRecord {
 				at = rec.SubmittedAt
 			}
 			job.sealLocked(at)
-			close(job.done)
 			if expired {
 				p.recovery.DeadlineExpiredAtReplay++
 				m.recoveryExpired.Inc()
@@ -156,8 +155,8 @@ func (p *pipeline) loadRecovered(rs *store.State) []*jobRecord {
 				m.recoveryRequeued.Inc()
 			}
 			adopt = append(adopt, job)
+			p.byID[job.ID] = job
 		}
-		p.byID[job.ID] = job
 	}
 	p.nextID = rs.MaxJobSeq
 	return adopt
@@ -229,11 +228,7 @@ func (p *pipeline) persistState(j *jobRecord) {
 		return
 	}
 	j.mu.Lock()
-	state := j.state.String()
-	errMsg := ""
-	if j.err != nil {
-		errMsg = j.err.Error()
-	}
+	state, errMsg := j.state.String(), errText(j.err)
 	started, finished := j.timings.RunningAt, j.timings.FinishedAt
 	j.mu.Unlock()
 	p.env.storeErr("job-state", p.store.JobState(j.ID, state, errMsg, started, finished), "job_id", j.ID)

@@ -174,7 +174,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, clash := env.pipe.byID[fresh.ID]; clash {
+	if _, clash := env.Job(fresh.ID); clash {
 		t.Fatalf("post-restart job reused ID %s", fresh.ID)
 	}
 
@@ -281,8 +281,8 @@ func TestEditedGraphRecoversPerSubmission(t *testing.T) {
 		if !ok || status.State != services.JobStateDone || status.App != c.app {
 			t.Fatalf("%s after restart = %+v (found %v), want %s done", c.id, status, ok, c.app)
 		}
-		if j, _ := env2.pipe.job(c.id); len(j.Graph.Tasks) != c.tasks {
-			t.Fatalf("%s (%s) came back with %d tasks, want %d", c.id, c.app, len(j.Graph.Tasks), c.tasks)
+		if g, err := afg.DecodeJSON(recovered[c.id].Graph); err != nil || len(g.Tasks) != c.tasks {
+			t.Fatalf("%s (%s) came back as %v, want %d tasks", c.id, c.app, err, c.tasks)
 		}
 	}
 }
@@ -514,15 +514,11 @@ func TestDeadlineExpiredAtReplay(t *testing.T) {
 		t.Fatal("deadline-expired terminalization produced no stream event")
 	}
 
-	// The expired job is terminal now: Wait returns the deadline error
-	// without the job ever dispatching, and the rest of the recovered
-	// workload drains to done around it.
-	recovered, ok := env2.pipe.byID[doomed.ID]
-	if !ok {
-		t.Fatalf("expired job %s missing from pipeline", doomed.ID)
-	}
-	if err := recovered.Wait(ctx); !errors.Is(err, ErrJobDeadlineExceeded) {
-		t.Fatalf("Wait on expired job = %v, want ErrJobDeadlineExceeded", err)
+	// The expired job is terminal now, a row and no live record, without
+	// ever dispatching, and the rest of the recovered workload drains to
+	// done around it.
+	if _, live := env2.pipe.job(doomed.ID); live {
+		t.Fatalf("expired job %s is still live in the pipeline", doomed.ID)
 	}
 	if !s.StartedAt.IsZero() {
 		t.Fatalf("expired job has a start time %v: it was dispatched", s.StartedAt)

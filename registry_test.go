@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,7 @@ import (
 // every read path; at each quiescent point CountJobs, a full
 // ListJobsAfter walk, Jobs() and the sum of Owners() usage agree row for
 // row, and after retention has wrapped the board three times over the
-// handle index and the board hold the same ID set.
+// handle index is empty: every finished job lives on the board alone.
 func TestFourReadsOneAnswer(t *testing.T) {
 	const owners, perOwner, retain, rounds = 8, 5, 32, 4 // 160 jobs through 32 rows
 	env := newEnv(t, Config{
@@ -120,17 +119,8 @@ func TestFourReadsOneAnswer(t *testing.T) {
 			t.Fatalf("round %d: board retains %d rows, cap %d", round, len(walk), retain)
 		}
 
-		var records, rows []string
-		for _, j := range env.pipe.records() {
-			records = append(records, j.ID)
-		}
-		for _, s := range jobs {
-			rows = append(rows, s.ID)
-		}
-		slices.Sort(records)
-		slices.Sort(rows)
-		if !slices.Equal(records, rows) {
-			t.Fatalf("round %d: record index %v, board %v", round, records, rows)
+		if n := len(env.pipe.records()); n != 0 {
+			t.Fatalf("round %d: %d records with every job finished", round, n)
 		}
 	}
 }

@@ -24,13 +24,18 @@ import (
 	"vdce/internal/testbed"
 )
 
-// ledgerRing walks the output ledger oldest first.
+// ledgerRing walks the output ledger oldest first; an entry whose
+// handle is gone reads "".
 func ledgerRing(p *pipeline) (ids []string, sum int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for j := p.outs.outNext; j != &p.outs; j = j.outNext {
-		ids = append(ids, j.ID)
-		sum += j.outBytes
+	for _, e := range p.outs {
+		id := ""
+		if h := e.h.Value(); h != nil {
+			id = h.ID
+		}
+		ids = append(ids, id)
+		sum += e.bytes
 	}
 	return ids, sum
 }
@@ -38,7 +43,7 @@ func ledgerRing(p *pipeline) (ids []string, sum int64) {
 func retainedBytes(p *pipeline) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.outs.outBytes
+	return p.outBytes
 }
 
 func setOutputBudget(p *pipeline, budget int64) {
@@ -161,10 +166,7 @@ func TestOutputLedgerMatchesModel(t *testing.T) {
 		}}
 		j.handle = weak.Make(j)
 		j.result.Store(res)
-		p.mu.Lock()
-		p.byID[j.ID] = j.jobRecord
-		p.mu.Unlock()
-		p.retainOutputs(j.jobRecord, res)
+		p.retainOutputs(j.handle, res)
 		env.Board.Update(j.Status())
 		e := &entry{job: j, size: size, holder: true}
 		retained = append(retained, e)
@@ -375,8 +377,8 @@ func TestRetainedResultsRaceFree(t *testing.T) {
 
 // TestResultFollowsTheHandle: a result lives on the caller's handle and
 // nowhere else. A held handle reads its outputs across a GC; a dropped
-// one takes its result with it, while the pipeline keeps the job's
-// record — state, table, trace — and the record's weak link reads nil.
+// one takes its result with it, while the job's board row keeps its
+// state and trace.
 func TestResultFollowsTheHandle(t *testing.T) {
 	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2801}})
 	g := lesGraph(t, 32)
@@ -413,15 +415,10 @@ func TestResultFollowsTheHandle(t *testing.T) {
 	if result.Value() != nil {
 		t.Fatal("the dropped handle's result survived a GC: the pipeline still holds it")
 	}
-	rec, ok := env.pipe.job(id)
-	if !ok {
-		t.Fatalf("the pipeline dropped the record of %s with its handle", id)
-	}
-	if rec.handle.Value() != nil {
-		t.Fatal("the record's weak handle still reads a handle")
-	}
-	if rec.State() != JobDone || rec.Table() == nil || len(rec.Trace().Events) != 6 {
-		t.Fatalf("the record lost its state, table or trace: %v %v %+v", rec.State(), rec.Table(), rec.Trace())
+	s, ok := env.Job(id)
+	tr, traced := env.JobTrace(id)
+	if !ok || !traced || s.State != services.JobStateDone || s.Timings.RunSeconds <= 0 || len(tr.Events) != 6 {
+		t.Fatalf("%s lost its row or trace with its handle: %+v (found %v), %+v (found %v)", id, s, ok, tr, traced)
 	}
 	runtime.KeepAlive(held)
 }
@@ -468,19 +465,20 @@ func TestHTTPSubmissionsRetainNoOutputs(t *testing.T) {
 	}
 }
 
-// TestRetainedJobFootprint: a finished job the pipeline retains keeps one
-// copy of its history — one timings block inside the record, shared by
-// board row and trace, no phase-event slice, nothing of its run, and no
-// result once its handle is dropped. 2,048 single-task jobs at
+// TestRetainedJobFootprint: a finished job is its board row alone — one
+// allocation holding the last status, with what its trace renders from,
+// and its own sealed timings block — with nothing of its run, no record
+// and no result once its handle is dropped. 2,048 single-task jobs at
 // MaxRetainedJobs 2,048; the heap they leave after a GC, divided by the
-// jobs, must stay under the budget: 1,600 B measured plus 10 %. One
-// copy of the history brought it from 3,115 B to 2,189 B; leaving the
-// result to the handle, to 1,600 B (EXPERIMENTS.md).
+// jobs, must stay under the budget: 895 B measured plus 10 %. One copy
+// of the history brought it from 3,115 B to 2,189 B; leaving the result
+// to the handle, to 1,600 B; leaving the record, to 895 B
+// (EXPERIMENTS.md).
 func TestRetainedJobFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what the heap holds")
 	}
-	const jobs, burst, budget = 2048, 64, 1760
+	const jobs, burst, budget = 2048, 64, 985
 	env := newEnv(t, Config{
 		Testbed:  testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2501},
 		Pipeline: PipelineConfig{MaxRetainedJobs: jobs},

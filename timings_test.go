@@ -147,7 +147,7 @@ func TestTraceMatchesReferenceModel(t *testing.T) {
 			kinds["fresh"]++
 			// What pipeline.submit builds.
 			j = &jobRecord{
-				ID: fmt.Sprintf("m-%d", stream), Owner: "model", Graph: g,
+				ID: fmt.Sprintf("m-%d", stream), Owner: "model", Graph: g, pipe: env.pipe,
 				done: make(chan struct{}), state: JobQueued,
 				phases: 1 << phSubmitted,
 			}
@@ -183,13 +183,10 @@ func TestTraceMatchesReferenceModel(t *testing.T) {
 			}
 			kinds[[]string{"restored terminal", "expired at replay", "re-adopted", "re-adopted"}[kind]+" "+rec.State]++
 			adopt := env.pipe.loadRecovered(&store.State{Jobs: map[string]*store.JobRecord{rec.ID: rec}})
-			j, _ = env.pipe.job(rec.ID)
-			env.pipe.mu.Lock()
-			delete(env.pipe.byID, rec.ID) // model jobs never settle; Close must not wait for them
-			env.pipe.mu.Unlock()
 			r.phase(phSubmitted, services.PhaseSubmitted, "", rec.SubmittedAt)
 			r.t.RunningAt, r.t.FinishedAt = rec.StartedAt, rec.FinishedAt
 			if len(adopt) == 0 {
+				// Restored to the board alone: the row serves the trace.
 				at := rec.FinishedAt
 				if kind == 1 {
 					at = rec.Deadline
@@ -197,16 +194,21 @@ func TestTraceMatchesReferenceModel(t *testing.T) {
 				if at.IsZero() {
 					at = rec.SubmittedAt
 				}
-				state = j.State().String()
-				detail := ""
-				if err := j.Err(); err != nil {
-					detail = err.Error()
+				row, _ := env.Job(rec.ID)
+				r.phase(phTerminal, row.State, row.Error, at)
+				tr, ok := env.JobTrace(rec.ID)
+				if got, want := mustJSON(t, tr), r.json(t, rec.ID, "model", row.State); !ok || !bytes.Equal(got, want) {
+					t.Fatalf("stream %d: restored trace differs from the reference\nrow %s\nref %s", stream, got, want)
 				}
-				r.phase(phTerminal, state, detail, at)
-			} else {
-				r.t.RunningAt = time.Time{}
-				r.stamp("recovered", rec.State, j.points[0].At)
+				kinds["terminal"]++
+				continue
 			}
+			j = adopt[0]
+			env.pipe.mu.Lock()
+			delete(env.pipe.byID, rec.ID) // model jobs never settle; Close must not wait for them
+			env.pipe.mu.Unlock()
+			r.t.RunningAt = time.Time{}
+			r.stamp("recovered", rec.State, j.points[0].At)
 		}
 
 		next := phAdmitted
@@ -260,6 +262,11 @@ func TestTraceMatchesReferenceModel(t *testing.T) {
 			continue
 		}
 		kinds["terminal"]++
+		// The terminal row renders the same trace.
+		env.Board.Update(j.Status())
+		if tr, _ := env.JobTrace(j.ID); !bytes.Equal(mustJSON(t, tr), want) {
+			t.Fatalf("stream %d: the board row's trace differs from the reference\nrow %s\nref %s", stream, mustJSON(t, tr), want)
+		}
 		status := mustJSON(t, j.Status())
 		at := tick()
 		j.stampPhase(phAdmitted, at)
@@ -277,40 +284,34 @@ func TestTraceMatchesReferenceModel(t *testing.T) {
 	t.Logf("streams by kind: %v", kinds)
 }
 
-// refFromJob replays chain — the events a live job went through, in the
+// refFromRow replays chain — the events a job went through, in the
 // order the test made them happen — into the reference model, each phase
-// at the instant the job's timings hold and each point event at the one
-// its point list holds.
-func refFromJob(t *testing.T, j *jobRecord, chain []string) []byte {
+// at the instant the finished job's row holds and each point event at
+// the one its marks hold.
+func refFromRow(t *testing.T, s services.JobStatus, chain []string) []byte {
 	t.Helper()
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	var r refTrace
-	r.t.RunningAt = j.timings.RunningAt // a terminal restore's, outside its chain
-	points := j.points
+	r.t.RunningAt = s.Timings.RunningAt // a terminal restore's, outside its chain
+	points := s.Points
 	for _, ev := range chain {
 		if ph, ok := phaseIndexOf(ev); ok {
-			r.phase(ph, ev, "", *phaseAt(&j.timings, ph))
+			r.phase(ph, ev, "", *phaseAt(s.Timings, ph))
 			continue
 		}
-		if ev == j.state.String() {
-			detail := ""
-			if j.err != nil {
-				detail = j.err.Error()
-			}
-			r.phase(phTerminal, ev, detail, j.timings.FinishedAt)
+		if ev == s.State {
+			r.phase(phTerminal, ev, s.Error, s.Timings.FinishedAt)
 			continue
 		}
 		if len(points) == 0 || points[0].Event != ev {
-			t.Fatalf("job %s: chain %v expects point event %q, the job holds %+v", j.ID, chain, ev, j.points)
+			t.Fatalf("job %s: chain %v expects point event %q, the row holds %+v", s.ID, chain, ev, s.Points)
 		}
 		r.stamp(ev, points[0].Detail, points[0].At)
 		points = points[1:]
 	}
 	if len(points) != 0 {
-		t.Fatalf("job %s: point events %+v are not in the chain %v", j.ID, points, chain)
+		t.Fatalf("job %s: point events %+v are not in the chain %v", s.ID, points, chain)
 	}
-	return r.json(t, j.ID, j.Owner, j.state.String())
+	return r.json(t, s.ID, s.Owner, s.State)
 }
 
 // TestTraceAcrossRestartMatchesReference asserts the equivalence live on
@@ -394,17 +395,23 @@ func TestTraceAcrossRestartMatchesReference(t *testing.T) {
 	}
 	srv := env2.JobsHandler(jobsapi.Config{Authenticate: func(*http.Request) (string, bool) { return "admin", true }})
 	for id, chain := range chains {
-		j, ok := env2.pipe.job(id)
-		if !ok {
-			t.Fatalf("no handle for %s", id)
+		s, ok := env2.Board.Get(id)
+		if !ok || !s.Terminal() {
+			t.Fatalf("no finished row for %s: %+v", id, s)
 		}
-		got, want := mustJSON(t, j.Trace()), refFromJob(t, j, chain)
+		tr, _ := env2.JobTrace(id)
+		got, want := mustJSON(t, tr), refFromRow(t, s, chain)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("job %s: trace differs from the reference\njob %s\nref %s", id, got, want)
 		}
 		served := serveTrace(t, srv, id)
 		if !bytes.Equal(bytes.TrimSpace(served), got) {
-			t.Fatalf("job %s: /v1 trace route differs from Trace()\nroute %s\ntrace %s", id, served, got)
+			t.Fatalf("job %s: /v1 trace route differs from JobTrace\nroute %s\ntrace %s", id, served, got)
+		}
+	}
+	for _, j := range []*Job{holder, parked} {
+		if tr, _ := env2.JobTrace(j.ID); !bytes.Equal(mustJSON(t, j.Trace()), mustJSON(t, tr)) {
+			t.Fatalf("job %s: the handle's trace differs from the row's", j.ID)
 		}
 	}
 	if tr, _ := env2.JobTrace(done.ID); tr.Timings.RunningAt.IsZero() {
@@ -470,9 +477,10 @@ func TestLateStampLeavesTerminalTimingsAlone(t *testing.T) {
 
 // TestTerminalTimingsAreShared pins the Timings contract: a live job
 // hands out a fresh copy on every Status, and changing one changes
-// nothing the job reports later; a finished job's block is one object —
-// the same pointer from every Status, the board row, a listing row and
-// Trace.
+// nothing the job reports later; a finished job's block is shared — the
+// handle's Status and Trace carry the record's, the board row, a listing
+// row and the trace route the row's own copy, equal to it and never the
+// same pointer, so the row outlives the record.
 func TestTerminalTimingsAreShared(t *testing.T) {
 	env := newEnv(t, Config{
 		Testbed:  testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2506},
@@ -515,13 +523,17 @@ func TestTerminalTimingsAreShared(t *testing.T) {
 		if len(page) != 1 {
 			t.Fatalf("listing of %s has %d rows", j.State(), len(page))
 		}
-		for name, got := range map[string]*services.JobTimings{
-			"second Status": j.Status().Timings, "board row": row.Timings,
-			"listing row": page[0].Timings, "Trace": j.Trace().Timings,
+		tr, _ := env.JobTrace(j.ID)
+		for name, got := range map[string][2]*services.JobTimings{
+			"second Status": {j.Status().Timings, shared}, "Trace": {j.Trace().Timings, shared},
+			"listing row": {page[0].Timings, row.Timings}, "trace route": {tr.Timings, row.Timings},
 		} {
-			if got != shared {
+			if got[0] != got[1] {
 				t.Fatalf("%s (%s): %s carries its own timings block", j.ID, j.State(), name)
 			}
+		}
+		if row.Timings == shared || *row.Timings != *shared {
+			t.Fatalf("%s: the row's block %p %+v, the record's %p %+v", j.ID, row.Timings, *row.Timings, shared, *shared)
 		}
 		if shared.SubmittedAt != j.timings.SubmittedAt || shared.FinishedAt.IsZero() || shared.TotalSeconds <= 0 {
 			t.Fatalf("%s: sealed block %+v", j.ID, shared)

@@ -692,13 +692,17 @@ func (env *Environment) JobsHandler(cfg jobsapi.Config) http.Handler {
 }
 
 // JobTrace returns the lifecycle trace of one retained job, served as
-// GET /v1/jobs/{id}/trace.
+// GET /v1/jobs/{id}/trace: a live job's from its record, a finished
+// job's from its board row.
 func (env *Environment) JobTrace(id string) (services.JobTrace, bool) {
-	j, ok := env.pipe.job(id)
+	if j, ok := env.pipe.job(id); ok {
+		return j.Trace(), true
+	}
+	s, ok := env.Board.Get(id)
 	if !ok {
 		return services.JobTrace{}, false
 	}
-	return j.Trace(), true
+	return traceOf(s), true
 }
 
 // Hosts reports every testbed host's health snapshot — host-model
