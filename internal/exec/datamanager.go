@@ -188,34 +188,40 @@ func (ep *endpoint) read(conn net.Conn) {
 		ep.tallies.readers.Add(-1)
 		ep.wg.Done()
 	}()
-	br := bufio.NewReaderSize(conn, 32<<10)
-	var buf []byte
+	br := bufio.NewReader(conn) // a payload larger than its buffer bypasses it
 	for {
 		var hdr [frame.HeaderSize]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
 		n := frame.PayloadLen(hdr[:])
-		if n > frame.MaxPayload || n <= routeHeader {
+		if n > frame.MaxPayload || n <= routeHeader || !ep.readFrame(br, hdr, n) {
 			return
-		}
-		if cap(buf) < frame.HeaderSize+n {
-			buf = make([]byte, frame.HeaderSize+n)
-		}
-		f := buf[:frame.HeaderSize+n]
-		copy(f, hdr[:])
-		if _, err := io.ReadFull(br, f[frame.HeaderSize:]); err != nil {
-			return
-		}
-		payload, _, err := frame.Decode(f)
-		if err != nil {
-			return
-		}
-		ep.deliver(payload)
-		if cap(buf) > maxIdleFrameBuf {
-			buf = nil // deliver copied the value out; see maxIdleFrameBuf
 		}
 	}
+}
+
+// readFrame reads the rest of a frame whose header is hdr into a pooled
+// buffer, checks it and delivers it, and reports whether the stream can
+// go on. deliver copies the value out, so the buffer goes back to the
+// pool before the next frame.
+func (ep *endpoint) readFrame(br *bufio.Reader, hdr [frame.HeaderSize]byte, n int) bool {
+	p := framePool.Get().(*[]byte)
+	defer putFrameBuf(p)
+	if cap(*p) < frame.HeaderSize+n {
+		*p = make([]byte, frame.HeaderSize+n)
+	}
+	f := (*p)[:frame.HeaderSize+n]
+	copy(f, hdr[:])
+	if _, err := io.ReadFull(br, f[frame.HeaderSize:]); err != nil {
+		return false
+	}
+	payload, _, err := frame.Decode(f)
+	if err != nil {
+		return false
+	}
+	ep.deliver(payload)
+	return true
 }
 
 // deliver routes one checked payload to its input slot. It never
@@ -352,33 +358,39 @@ func (ri *runInputs) slot(task, port int) *inSlot {
 
 // stream is one source host's persistent connection to the endpoint.
 // Tasks on a host run one at a time but deliver after releasing the
-// host, so writes are serialized by mu; buf is the frame under
-// construction, reused from send to send.
+// host, so writes are serialized by mu. A stream keeps no frame buffer:
+// each send takes one from framePool and returns it.
 type stream struct {
 	ep *endpoint
 
 	mu   sync.Mutex
 	conn net.Conn // nil until the first send and after a failed write
-	buf  []byte
 }
 
-// maxIdleFrameBuf caps the frame buffer a stream keeps between sends
-// and a reader between frames, so one bulk transfer does not pin its
-// size on every host for good.
+// framePool holds the frame buffers of sends and of frames being read,
+// shared by every stream and reader, so a host or reader that goes idle
+// holds none.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxIdleFrameBuf caps the frame buffer framePool keeps, so one bulk
+// transfer does not pin its size for good.
 const maxIdleFrameBuf = 1 << 20
 
+func putFrameBuf(p *[]byte) {
+	if cap(*p) <= maxIdleFrameBuf {
+		framePool.Put(p)
+	}
+}
+
 // send delivers outs along edges (all leaving one task of run seq):
-// each out-port is encoded once into the stream's frame buffer, and the
+// each out-port is encoded once into a pooled frame buffer, and the
 // routing header and checksum are rewritten in place for every edge
 // that fans out from it.
 func (s *stream) send(seq uint64, edges []afg.Edge, outs []tasklib.Value) error {
+	p := framePool.Get().(*[]byte)
+	defer putFrameBuf(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer func() {
-		if cap(s.buf) > maxIdleFrameBuf {
-			s.buf = nil
-		}
-	}()
 	for i, e := range edges {
 		if sentEarlier(edges[:i], e.FromPort) {
 			continue
@@ -386,9 +398,9 @@ func (s *stream) send(seq uint64, edges []afg.Edge, outs []tasklib.Value) error 
 		if e.FromPort < 0 || e.FromPort >= len(outs) {
 			return fmt.Errorf("exec: task %d produced no output for port %d", e.From, e.FromPort)
 		}
-		buf := append(s.buf[:0], make([]byte, frame.HeaderSize+routeHeader)...)
+		buf := append((*p)[:0], make([]byte, frame.HeaderSize+routeHeader)...)
 		buf, err := tasklib.AppendValue(buf, outs[e.FromPort])
-		s.buf = buf
+		*p = buf
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -202,6 +203,59 @@ func TestReaderReleasesABulkFrameBuffer(t *testing.T) {
 	}
 	if len(d.failed) != 0 {
 		t.Fatalf("run failed: %v", <-d.failed)
+	}
+}
+
+// TestIdleHostsPinNoFrameBuffer runs a 160x160 linear solver with its
+// tasks spread over eight hosts, so five source hosts each carry a
+// stream and a reader, and then checks what the idle endpoint keeps:
+// frame buffers go back to one pool, which two collections empty, so
+// no stream or reader still holds the size of the largest matrix it
+// moved.
+func TestIdleHostsPinNoFrameBuffer(t *testing.T) {
+	r := newRig(t, 8)
+	run := func(n int) {
+		t.Helper()
+		g, err := tasklib.BuildLinearEquationSolver(n, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := &core.AllocationTable{App: g.Name}
+		hosts := r.tb.Sites[0].Hosts
+		next := 0
+		for _, task := range g.Tasks {
+			task.Props.MachineType = "" // random testbed arch mix
+			p := core.Placement{Task: task.ID, TaskName: task.Name, Site: "site0", Predicted: time.Millisecond}
+			for i := 0; i < max(task.Props.Nodes, 1); i++ {
+				p.Hosts = append(p.Hosts, hosts[next].Name)
+				next++
+			}
+			table.Entries = append(table.Entries, p)
+		}
+		if next != 8 {
+			t.Fatalf("the solver spans %d hosts, want 8", next)
+		}
+		if _, err := r.engine.Execute(context.Background(), g, table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	run(8) // opens the endpoint and dials the same five streams
+	before := heap()
+	run(160)
+	delta := heap() - before
+	t.Logf("heap after an LES-160 run on idle hosts: %+d bytes", delta)
+	if st := r.engine.TransferStats(); st.Streams != 5 || st.Readers != 5 {
+		t.Fatalf("streams = %d, readers = %d, want 5 and 5", st.Streams, st.Readers)
+	}
+	if delta >= 512<<10 {
+		t.Fatalf("idle hosts keep %d bytes after the run, budget %d", delta, 512<<10)
 	}
 }
 

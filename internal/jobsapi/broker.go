@@ -3,6 +3,7 @@ package jobsapi
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"vdce/internal/jsonw"
 	"vdce/internal/obs"
@@ -59,25 +60,28 @@ func (ev StreamEvent) AppendJSON(dst []byte) []byte {
 	return append(ev.Job.AppendJSON(dst), '}')
 }
 
-// DefaultEventBuffer sizes the broker's replay ring and each
-// subscriber's delivery buffer when the caller passes 0.
+// DefaultEventBuffer sizes the broker's replay ring when the caller
+// passes 0.
 const DefaultEventBuffer = 4096
+
+// pumpBatch is how many events a subscriber copies per lock hold.
+const pumpBatch = 8
 
 // Broker is the bounded fan-out hub between the job pipeline and the
 // streaming API: publishers (job lifecycle transitions, the execution
 // engine's recovery sink) push events in, and any number of HTTP
 // subscribers receive them with monotonic cursors.
 //
-// Both sides are bounded so the board can never be blocked by a slow
-// reader: Publish never waits — a subscriber whose delivery buffer is
-// full is evicted (its channel closes) rather than backpressuring the
-// pipeline — and a replay ring of the most recent events serves
-// Last-Event-ID reconnects without holding per-client state.
+// Each event is stored once, in a ring of the most recent events. The
+// ring serves Last-Event-ID reconnects, and every live subscriber reads
+// it at its own cursor, so a subscriber holds no events of its own.
+// Publish never waits: a subscriber that falls too far behind is
+// evicted (its channel closes) rather than backpressuring the pipeline.
 type Broker struct {
 	mu   sync.Mutex
 	next uint64 // cursor of the next event to publish (first is 1)
-	// ring holds the most recent events for reconnect replay; len(ring)
-	// is the bound, start indexes the oldest retained event.
+	// ring holds the most recent events; len(ring) is the bound, start
+	// indexes the oldest retained event.
 	ring  []StreamEvent
 	start int
 	count int
@@ -101,7 +105,7 @@ func (b *Broker) Instrument(reg *obs.Registry) {
 	b.published = reg.Counter("vdce_events_published_total",
 		"Events published to the job event broker.").With()
 	b.evictedCnt = reg.Counter("vdce_events_subscribers_evicted_total",
-		"Slow subscribers evicted because their delivery buffer overflowed.").With()
+		"Slow subscribers evicted because they fell too far behind the stream.").With()
 	b.overwritten = reg.Counter("vdce_events_dropped_total",
 		"Replay-ring events overwritten before any reconnect could replay them.").With()
 	reg.GaugeFunc("vdce_events_subscribers",
@@ -137,51 +141,77 @@ func NewBrokerAt(buffer int, start uint64, onPublish func(uint64)) *Broker {
 }
 
 // Subscriber is one live event consumer. Receive from C; a closed C
-// means the subscription ended (broker shut down, or this consumer fell
+// means the subscription ended (Close was called, or this consumer fell
 // behind and was evicted — check Evicted). Always call Close when done.
+//
+// A subscriber holds a cursor into the broker's ring, not a copy of the
+// stream: its goroutine copies the events it is owed out of the ring, a
+// batch per lock hold, and hands them over on the unbuffered C.
 type Subscriber struct {
 	// C delivers matched events in cursor order.
 	C <-chan StreamEvent
 
-	broker  *Broker
-	ch      chan StreamEvent
-	match   func(StreamEvent) bool
+	broker *Broker
+	ch     chan StreamEvent
+	wake   chan struct{} // one slot; closed by Close
+	match  func(StreamEvent) bool
+	start  uint64 // the broker's cursor when the subscription began
+	bound  int64  // owed events past which the subscriber is evicted
+	// owed counts matched events not yet received from C. The goroutine
+	// lowers it right after each handover, so Publish sees the room as
+	// soon as a reader makes it.
+	owed atomic.Int64
+
+	// Guarded by broker.mu: queued counts the owed events the goroutine
+	// has not copied out of the ring yet; oldest is the first one's cursor.
+	queued  int
+	oldest  uint64
 	evicted bool
 	closed  bool
 }
 
-// Evicted reports whether the broker dropped this subscriber because
-// its delivery buffer overflowed (the slow-consumer policy: the board
-// is never blocked; the reader must resubscribe with its last cursor).
+// Start returns the broker's cursor when the subscription began: every
+// event C delivers has a higher one.
+func (s *Subscriber) Start() uint64 { return s.start }
+
+// Evicted reports whether the broker dropped this subscriber because it
+// fell too far behind (the slow-consumer policy: the board is never
+// blocked; the reader must resubscribe with its last cursor).
 func (s *Subscriber) Evicted() bool {
 	s.broker.mu.Lock()
 	defer s.broker.mu.Unlock()
 	return s.evicted
 }
 
-// Close detaches the subscriber. Idempotent; safe while the broker
+// Close detaches the subscriber and ends delivery at once: C closes
+// without the events still owed. Idempotent; safe while the broker
 // publishes concurrently.
 func (s *Subscriber) Close() {
 	s.broker.mu.Lock()
 	defer s.broker.mu.Unlock()
-	s.broker.dropLocked(s)
-}
-
-// dropLocked removes a subscriber and closes its channel exactly once.
-// Caller holds b.mu — which is what makes close safe: every send to
-// s.ch also happens under b.mu, so no send can race the close.
-func (b *Broker) dropLocked(s *Subscriber) {
-	if s.closed {
-		return
+	if !s.closed {
+		s.closed = true
+		delete(s.broker.subs, s)
+		close(s.wake)
 	}
-	s.closed = true
-	delete(b.subs, s)
-	close(s.ch)
 }
 
-// Publish assigns the next cursor to a job event, retains it for
-// replay, and fans it out to every matching subscriber. It never
-// blocks: a subscriber without buffer space is evicted instead.
+// evictLocked detaches a subscriber that fell behind; its goroutine
+// still hands over what it was owed, while the ring holds it, before
+// closing C. The caller holds b.mu.
+func (b *Broker) evictLocked(s *Subscriber) {
+	s.evicted = true
+	delete(b.subs, s)
+	if b.evictedCnt != nil {
+		b.evictedCnt.Inc()
+	}
+}
+
+// Publish assigns the next cursor to a job event, stores it in the
+// ring, and queues it for every matching subscriber without copying it.
+// It never blocks. A subscriber is evicted when it would owe more than
+// its bound, or when the ring overwrites an event it was owed and has
+// not copied out.
 func (b *Broker) Publish(typ string, job services.JobStatus) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -189,35 +219,103 @@ func (b *Broker) Publish(typ string, job services.JobStatus) {
 	if b.onPublish != nil {
 		b.onPublish(b.next)
 	}
-	ev := StreamEvent{Cursor: b.next, Type: typ, Job: job}
 	if b.published != nil {
 		b.published.Inc()
 	}
-	// Retain in the ring, overwriting the oldest once full.
+	// Store in the ring, overwriting the oldest once full. Cursors start
+	// at 1, so lost stays 0 while the ring fills.
+	var lost uint64
 	i := (b.start + b.count) % len(b.ring)
-	b.ring[i] = ev
 	if b.count < len(b.ring) {
 		b.count++
 	} else {
+		lost = b.ring[i].Cursor
 		b.start = (b.start + 1) % len(b.ring)
 		if b.overwritten != nil {
 			b.overwritten.Inc()
 		}
 	}
+	b.ring[i] = StreamEvent{Cursor: b.next, Type: typ, Job: job}
 	for s := range b.subs {
-		if s.match != nil && !s.match(ev) {
+		if s.queued > 0 && s.oldest == lost {
+			b.evictLocked(s)
 			continue
 		}
-		select {
-		case s.ch <- ev:
-		default:
-			// Slow consumer: drop it rather than block the pipeline. The
-			// closed channel tells the reader to resubscribe from its last
-			// processed cursor (the replay ring bridges the gap).
-			s.evicted = true
-			b.dropLocked(s)
-			if b.evictedCnt != nil {
-				b.evictedCnt.Inc()
+		if s.match != nil && !s.match(b.ring[i]) {
+			continue
+		}
+		if s.owed.Add(1) > s.bound {
+			s.owed.Add(-1)
+			b.evictLocked(s)
+			continue
+		}
+		if s.queued++; s.queued == 1 {
+			// The goroutine sleeps only with nothing queued.
+			s.oldest = b.next
+			select {
+			case s.wake <- struct{}{}:
+			default:
+			}
+		}
+	}
+}
+
+// take copies into batch the next events s is owed, oldest first, and
+// returns how many. done reports that none will follow: s is closed, or
+// evicted with nothing owed left in the ring.
+func (b *Broker) take(s *Subscriber, batch []StreamEvent) (n int, done bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	first := b.next - uint64(b.count) + 1 // the oldest cursor in the ring
+	switch {
+	case s.closed:
+		return 0, true
+	case s.queued == 0 || s.oldest < first:
+		// Only an evicted subscriber can find its oldest event overwritten.
+		return 0, s.evicted
+	}
+	for c := s.oldest; ; c++ {
+		ev := &b.ring[(b.start+int(c-first))%len(b.ring)]
+		if s.match != nil && !s.match(*ev) {
+			continue
+		}
+		if n == len(batch) {
+			s.oldest = c
+			return n, false
+		}
+		batch[n] = *ev
+		n++
+		if s.queued--; s.queued == 0 {
+			return n, false
+		}
+	}
+}
+
+// pump is the subscriber's goroutine. Its batch is the only copy of an
+// event the subscriber holds, and only while the event is in flight.
+func (s *Subscriber) pump() {
+	defer close(s.ch)
+	var batch [pumpBatch]StreamEvent
+	for {
+		n, done := s.broker.take(s, batch[:])
+		if done {
+			return
+		}
+		if n == 0 {
+			if _, open := <-s.wake; !open {
+				return
+			}
+		}
+		for i := 0; i < n; {
+			select {
+			case s.ch <- batch[i]:
+				s.owed.Add(-1)
+				batch[i] = StreamEvent{}
+				i++
+			case _, open := <-s.wake:
+				if !open {
+					return
+				}
 			}
 		}
 	}
@@ -237,6 +335,8 @@ func (b *Broker) Cursor() uint64 {
 // that match — are returned in order; events published later arrive on
 // the subscriber's channel. The replay capture and the registration
 // happen atomically, so no event is ever both missed and unreplayed.
+// buffer bounds how many published events the subscriber may owe
+// before it is evicted (0 means the ring's length).
 //
 // missed reports whether events between `after` and the oldest retained
 // event were already evicted from the replay ring — the subscriber
@@ -244,7 +344,7 @@ func (b *Broker) Cursor() uint64 {
 // current state (the SSE handlers send a snapshot event).
 func (b *Broker) Subscribe(after uint64, buffer int, match func(StreamEvent) bool) (sub *Subscriber, replay []StreamEvent, missed bool) {
 	if buffer <= 0 {
-		buffer = DefaultEventBuffer
+		buffer = len(b.ring)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -278,11 +378,15 @@ func (b *Broker) Subscribe(after uint64, buffer int, match func(StreamEvent) boo
 	}
 	s := &Subscriber{
 		broker: b,
-		ch:     make(chan StreamEvent, buffer),
+		ch:     make(chan StreamEvent),
+		wake:   make(chan struct{}, 1),
 		match:  match,
+		start:  b.next,
+		bound:  int64(buffer),
 	}
 	s.C = s.ch
 	b.subs[s] = struct{}{}
+	go s.pump()
 	return s, replay, missed
 }
 

@@ -176,10 +176,6 @@ type Config struct {
 	// Events feeds the streaming endpoints (/v1/jobs/{id}/events and
 	// /v1/events); nil answers them 503.
 	Events *Broker
-	// EventBuffer bounds each subscriber's delivery buffer (0 =
-	// DefaultEventBuffer). A subscriber that falls this far behind is
-	// evicted rather than allowed to block the pipeline.
-	EventBuffer int
 	// RateLimit enforces a per-owner request token bucket across the
 	// whole mount; the zero value disables it.
 	RateLimit RateLimitConfig

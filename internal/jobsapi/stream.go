@@ -25,9 +25,9 @@ import (
 // status) or a "reset" comment (firehose: re-list, then continue), so
 // clients converge instead of silently missing transitions.
 //
-// Subscribers are bounded: a client that cannot drain its delivery
-// buffer is evicted — the stream closes and the client reconnects with
-// its last cursor — so a stalled reader can never block the job board.
+// Subscribers read the broker's replay ring at their own cursor: one a
+// ring's length behind is evicted — the stream closes and the client
+// reconnects with its last cursor — so it can never block the board.
 
 // resumeCursor extracts the client's resume position: the standard SSE
 // Last-Event-ID header, or the after query parameter (header wins).
@@ -117,7 +117,7 @@ func (c Config) handleJobEvents(w http.ResponseWriter, r *http.Request, user str
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	sub, replay, missed := c.Events.Subscribe(after, c.EventBuffer, func(ev StreamEvent) bool {
+	sub, replay, missed := c.Events.Subscribe(after, 0, func(ev StreamEvent) bool {
 		return ev.Job.ID == id
 	})
 	defer sub.Close()
@@ -128,14 +128,14 @@ func (c Config) handleJobEvents(w http.ResponseWriter, r *http.Request, user str
 	}
 	// A fresh subscriber (or one that outran the replay ring) starts
 	// from the job's current status; a clean resume starts from its
-	// replayed backlog. The snapshot is stamped with the cursor of the
-	// last event preceding the subscription, so the client's
-	// Last-Event-ID stays valid for the next reconnect.
+	// replayed backlog. The snapshot is stamped with the subscription's
+	// start cursor: every event delivered after it has a higher id, and
+	// as Last-Event-ID it resumes before all of them.
 	if after == 0 || missed {
 		if s, found := c.Source.Job(id); found {
-			snap := StreamEvent{Cursor: c.Events.Cursor(), Type: EventSnapshot, Job: s}
-			// Events that raced in between subscribe and snapshot also sit
-			// in sub's buffer; dropping the replay avoids duplicating them.
+			snap := StreamEvent{Cursor: sub.Start(), Type: EventSnapshot, Job: s}
+			// Events that raced in between subscribe and snapshot also come
+			// through sub; dropping the replay avoids duplicating them.
 			replay = nil
 			if err := out.event(snap); err != nil {
 				return
@@ -173,7 +173,7 @@ func (c Config) handleFirehose(w http.ResponseWriter, r *http.Request, user stri
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	sub, replay, missed := c.Events.Subscribe(after, c.EventBuffer, func(ev StreamEvent) bool {
+	sub, replay, missed := c.Events.Subscribe(after, 0, func(ev StreamEvent) bool {
 		return ev.Job.Matches(owner, state)
 	})
 	defer sub.Close()

@@ -2,6 +2,7 @@ package jobsapi
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,7 +26,13 @@ type streamConn struct {
 // openStream starts an SSE request; lastEventID zero omits the header.
 func openStream(t *testing.T, url, user string, lastEventID uint64) *streamConn {
 	t.Helper()
-	req, err := http.NewRequest("GET", url, nil)
+	return openStreamCtx(t, context.Background(), url, user, lastEventID)
+}
+
+// openStreamCtx is openStream with the request bound to ctx.
+func openStreamCtx(t *testing.T, ctx context.Context, url, user string, lastEventID uint64) *streamConn {
+	t.Helper()
+	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +204,74 @@ func TestJobEventsReconnectResumesWithoutLoss(t *testing.T) {
 	want := []string{services.JobStateRunning, services.JobStateDone}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("resumed states = %v, want %v", got, want)
+	}
+}
+
+// racingSource publishes its job's terminal event from inside the
+// second Job call — the per-job stream's snapshot read; the first is
+// the existence check — and returns the status it read before, as a
+// board read racing the job's last transition does.
+type racingSource struct {
+	*fakeSource
+	events *Broker
+	calls  atomic.Int32
+}
+
+func (r *racingSource) Job(id string) (services.JobStatus, bool) {
+	s, ok := r.fakeSource.Job(id)
+	if r.calls.Add(1) == 2 {
+		done := s
+		done.State = services.JobStateDone
+		r.events.Publish(EventState, done)
+	}
+	return s, ok
+}
+
+// TestSnapshotRacingTheTerminalEvent: an event that lands between the
+// subscription and the snapshot's read must still follow the snapshot
+// with a higher id, so that a client resuming at the snapshot's id gets
+// it. Stamping the snapshot with the broker's cursor read after the
+// snapshot gave both the same id, and such a resume waited forever.
+func TestSnapshotRacingTheTerminalEvent(t *testing.T) {
+	broker := NewBroker(64)
+	queued := services.JobStatus{ID: "job-1", App: "app", Owner: "ana",
+		State: services.JobStateQueued, SubmittedAt: time.Unix(1000, 0)}
+	broker.Publish(EventState, queued) // the snapshot's id is then not 0
+	src := &racingSource{fakeSource: &fakeSource{jobs: []services.JobStatus{queued}}, events: broker}
+	ts := httptest.NewServer(Handler(Config{
+		Source: src,
+		Events: broker,
+		Authenticate: func(r *http.Request) (string, bool) {
+			u := r.Header.Get("X-User")
+			return u, u != ""
+		},
+	}))
+	t.Cleanup(ts.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	conn := openStreamCtx(t, ctx, ts.URL+"/v1/jobs/job-1/events", "ana", 0)
+	snap, ok := conn.next(t)
+	if !ok || snap.Type != EventSnapshot {
+		t.Fatalf("first frame = %+v ok=%v, want the snapshot", snap, ok)
+	}
+	last, ok := conn.next(t)
+	conn.close()
+	if !ok || last.Job.State != services.JobStateDone {
+		t.Fatalf("frame after the snapshot = %+v ok=%v, want the terminal event", last, ok)
+	}
+	if last.Cursor <= snap.Cursor {
+		t.Fatalf("terminal event id %d after snapshot id %d: ids must rise", last.Cursor, snap.Cursor)
+	}
+
+	re := openStreamCtx(t, ctx, ts.URL+"/v1/jobs/job-1/events", "ana", snap.Cursor)
+	defer re.close()
+	ev, ok := re.next(t)
+	if !ok || ev.Cursor != last.Cursor || ev.Job.State != services.JobStateDone {
+		t.Fatalf("resume at the snapshot's id %d = %+v ok=%v, want the terminal event %d", snap.Cursor, ev, ok, last.Cursor)
+	}
+	if ev, ok := re.next(t); ok {
+		t.Fatalf("resumed stream continued past the terminal event with %+v", ev)
 	}
 }
 

@@ -195,12 +195,16 @@ func exactlyOnceRound(t *testing.T, seed int64, phases, outcomes map[string]int)
 	env.Close() // ends whatever no fired cause did
 
 	stream := map[string][]string{}
-	for drained := false; !drained; {
+	for last, final := sub.Start(), env.pipe.events.Cursor(); last < final; {
 		select {
-		case ev := <-sub.C:
+		case ev, open := <-sub.C:
+			if !open {
+				t.Fatalf("seed %d: the subscriber was evicted at cursor %d of %d", seed, last, final)
+			}
 			stream[ev.Job.ID] = append(stream[ev.Job.ID], ev.Job.State)
-		default:
-			drained = true
+			last = ev.Cursor
+		case <-time.After(5 * time.Second):
+			t.Fatalf("seed %d: the event stream stopped at cursor %d of %d", seed, last, final)
 		}
 	}
 	for _, v := range victims {

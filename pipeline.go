@@ -49,10 +49,10 @@ type PipelineConfig struct {
 	// and concurrently held hosts (a scheduled job parks before
 	// execution). Zero fields are unlimited.
 	Quota QuotaConfig
-	// EventBuffer bounds the job event broker: the replay ring serving
-	// Last-Event-ID reconnects and each stream subscriber's delivery
-	// buffer (a subscriber that falls further behind is evicted, never
-	// allowed to block the board). Default jobsapi.DefaultEventBuffer.
+	// EventBuffer sizes the job event broker's ring, which serves
+	// Last-Event-ID reconnects and which every stream subscriber reads at
+	// its own cursor (one a ring's length behind is evicted, never allowed
+	// to block the board). Default jobsapi.DefaultEventBuffer.
 	EventBuffer int
 	// APIRate is the per-owner token-bucket request rate limit that
 	// jobsapi mounts over this environment enforce at the mux (requests

@@ -57,6 +57,7 @@ func TestStreamingSoak32SubscribersUnderChaos(t *testing.T) {
 	}
 	reports := make([]subReport, subsN)
 	stop := make(chan struct{})
+	var final uint64 // the broker's cursor once the wave drained, set before stop closes
 	var wg sync.WaitGroup
 	for i := 0; i < subsN; i++ {
 		// A spread of buffer sizes: the smallest are meant to fall behind
@@ -87,14 +88,20 @@ func TestStreamingSoak32SubscribersUnderChaos(t *testing.T) {
 						time.Sleep(2 * time.Millisecond)
 					}
 				case <-stop:
-					sub.Close()
-					for ev := range sub.C {
+					// Close ends delivery at once: read what the wave
+					// published first. C closes early only on eviction.
+					for last < final {
+						ev, open := <-sub.C
+						if !open {
+							break
+						}
 						if ev.Cursor <= last {
 							rep.ordered = false
 						}
 						last = ev.Cursor
 						rep.events++
 					}
+					sub.Close()
 					rep.evicted = sub.Evicted()
 					reports[i] = rep
 					return
@@ -133,10 +140,11 @@ func TestStreamingSoak32SubscribersUnderChaos(t *testing.T) {
 		t.Fatalf("drain with %d subscribers attached: %v", subsN, err)
 	}
 
+	final = env.pipe.events.Cursor()
 	close(stop)
 	wg.Wait()
 
-	total := int(env.pipe.events.Cursor())
+	total := int(final)
 	if total == 0 {
 		t.Fatal("no events were published during the wave")
 	}
