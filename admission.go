@@ -186,7 +186,8 @@ type ownerShare struct {
 	// inFlight counts the owner's scheduling+running jobs (charged at
 	// pop, released when the job terminalizes).
 	inFlight int
-	// hostsHeld counts the testbed hosts the owner's running jobs hold.
+	// hostsHeld sums the held sets of the owner's dispatched jobs
+	// (jobRecord.heldHosts), so a host two of its jobs hold counts twice.
 	hostsHeld int
 	// parked counts the owner's jobs parked on the held-hosts cap.
 	// While any is parked the owner is ineligible for pops, so parked
@@ -629,9 +630,8 @@ func (q *admitQueue) release(j *jobRecord) bool {
 	j.usageCharged = false
 	os := q.owner(j.Owner)
 	os.inFlight--
-	os.hostsHeld -= j.hostsCharged
-	j.hostsCharged = 0
-	j.chargedHosts = nil
+	os.hostsHeld -= len(j.heldHosts)
+	j.heldHosts = nil
 	if j.hostParked {
 		// A parked job that terminalized (cancel, shutdown) un-gates its
 		// owner here, whatever its park goroutine is still doing.
@@ -651,54 +651,49 @@ func (q *admitQueue) release(j *jobRecord) bool {
 	return true
 }
 
-// tryChargeHosts attempts to charge the placement's distinct hosts
-// against the job's owner, recording the usage (always, so /v1/owners
-// counters stay live) and enforcing MaxHostsPerOwner when set. An
-// owner holding nothing may always dispatch one job — a single job
-// larger than the cap runs alone instead of parking forever. Returns
-// false when the job must park until hosts free.
-func (q *admitQueue) tryChargeHosts(j *jobRecord, hosts []string) bool {
+// holdHosts adds hosts to the job's held set and charges each host new
+// to the set to the owner. The first call is the job's dispatch and the
+// only one MaxHostsPerOwner gates: it refuses (ok false, nothing held)
+// when the owner already holds hosts and the placement's distinct hosts
+// would take it past the cap; an owner holding nothing may always
+// dispatch one job, so a job larger than the cap runs alone instead of
+// parking forever. Later calls add the hosts a mid-run reschedule moved
+// a task onto, past the cap: a running job cannot park. A host lost to
+// failure stays held until the job ends, since other tasks of the job
+// may still run there. grew reports whether the set gained a host. A
+// released job charges nothing, as nothing would return it: ok only.
+func (q *admitQueue) holdHosts(j *jobRecord, hosts []string) (ok, grew bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if !j.usageCharged {
-		// The job already terminalized and returned its charges; report
-		// success without charging — the dispatch path observes the
-		// cancellation and goes no further, and hosts charged here would
-		// never be released.
-		return true
+		return true, false
 	}
 	os := q.owner(j.Owner)
-	n := len(hosts)
-	if cap := q.capsFor(os).MaxHostsPerOwner; cap > 0 && os.hostsHeld > 0 && os.hostsHeld+n > cap {
-		return false
+	held := j.heldHosts
+	if held == nil {
+		held = make(map[string]struct{}, len(hosts))
 	}
-	os.hostsHeld += n
-	j.hostsCharged = n
-	j.chargedHosts = make(map[string]bool, n)
+	n := len(held)
 	for _, h := range hosts {
-		j.chargedHosts[h] = true
+		held[h] = struct{}{}
 	}
-	return true
+	if j.heldHosts == nil {
+		if cap := q.capsFor(os).MaxHostsPerOwner; cap > 0 && os.hostsHeld > 0 && os.hostsHeld+len(held) > cap {
+			return false, false
+		}
+		j.heldHosts = held
+	}
+	os.hostsHeld += len(held) - n
+	return true, len(held) > n
 }
 
-// chargeReplacementHost adds a host the engine rescheduled one of the
-// job's tasks onto mid-run, keeping the owner's held-hosts ledger
-// truthful as the placement drifts from the dispatched table. The
-// charge bypasses the cap — a running job cannot park — but inflates
-// the owner's usage so subsequent dispatches see it; hosts lost to
-// failure stay charged until the job ends (other tasks of the job may
-// still run there), which errs on the side of under-admission. It
-// returns the job's updated host count and whether anything changed.
-func (q *admitQueue) chargeReplacementHost(j *jobRecord, host string) (int, bool) {
+// heldCount is how many distinct hosts the job holds: its dispatched
+// placement plus any replacement hosts, 0 before dispatch and once it
+// ended.
+func (q *admitQueue) heldCount(j *jobRecord) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if !j.usageCharged || host == "" || j.chargedHosts[host] {
-		return j.hostsCharged, false
-	}
-	j.chargedHosts[host] = true
-	j.hostsCharged++
-	q.owner(j.Owner).hostsHeld++
-	return j.hostsCharged, true
+	return len(j.heldHosts)
 }
 
 // usageChanged returns the owner's current usage broadcast channel: it

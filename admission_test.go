@@ -142,10 +142,10 @@ func TestAdmitInFlightCapParksOwnerInPlace(t *testing.T) {
 }
 
 // TestAdmitReplacementHostChargesLedger pins the mid-run accounting:
-// a host the engine reschedules onto is charged to the owner's
-// held-hosts ledger exactly once (even past the cap — a running job
-// cannot park), and release returns the dispatch charge and every
-// replacement charge together.
+// a host the engine reschedules onto joins the job's held set and is
+// charged to the owner's held-hosts ledger exactly once (even past the
+// cap — a running job cannot park), and release returns the dispatch
+// charge and every replacement charge together.
 func TestAdmitReplacementHostChargesLedger(t *testing.T) {
 	q := newAdmitQueue(time.Second, QuotaConfig{MaxHostsPerOwner: 2})
 	j := mkAdmitJob("a-0", "a", 0, 1, time.Unix(1, 0))
@@ -153,17 +153,21 @@ func TestAdmitReplacementHostChargesLedger(t *testing.T) {
 	if got := q.pop(); got != j {
 		t.Fatalf("pop = %v, want a-0", got)
 	}
-	if !q.tryChargeHosts(j, []string{"h1", "h2"}) {
-		t.Fatal("dispatch charge refused (owner held nothing)")
+	hold := func(j *jobRecord, hosts ...string) (ok, grew bool, n int) {
+		ok, grew = q.holdHosts(j, hosts)
+		return ok, grew, q.heldCount(j)
 	}
-	if n, changed := q.chargeReplacementHost(j, "h3"); !changed || n != 3 {
-		t.Fatalf("replacement charge = (%d, %v), want (3, true)", n, changed)
+	if ok, grew, n := hold(j, "h1", "h2", "h1"); !ok || !grew || n != 2 {
+		t.Fatalf("dispatch charge = (%v, %v, %d), want (true, true, 2): the owner held nothing", ok, grew, n)
 	}
-	if n, changed := q.chargeReplacementHost(j, "h3"); changed || n != 3 {
-		t.Fatalf("duplicate replacement charge = (%d, %v), want (3, false)", n, changed)
+	if ok, grew, n := hold(j, "h3"); !ok || !grew || n != 3 {
+		t.Fatalf("replacement charge = (%v, %v, %d), want (true, true, 3)", ok, grew, n)
 	}
-	if n, changed := q.chargeReplacementHost(j, "h1"); changed || n != 3 {
-		t.Fatalf("already-placed host charge = (%d, %v), want (3, false)", n, changed)
+	if ok, grew, n := hold(j, "h3"); !ok || grew || n != 3 {
+		t.Fatalf("duplicate replacement charge = (%v, %v, %d), want (true, false, 3)", ok, grew, n)
+	}
+	if ok, grew, n := hold(j, "h1"); !ok || grew || n != 3 {
+		t.Fatalf("already-placed host charge = (%v, %v, %d), want (true, false, 3)", ok, grew, n)
 	}
 	q.mu.Lock()
 	held := q.owners["a"].hostsHeld
@@ -177,8 +181,8 @@ func TestAdmitReplacementHostChargesLedger(t *testing.T) {
 	if q.pop() != j2 {
 		t.Fatal("pop did not return a-1")
 	}
-	if q.tryChargeHosts(j2, []string{"h4"}) {
-		t.Fatal("dispatch charged past the inflated ledger; should park")
+	if ok, grew, n := hold(j2, "h4"); ok || grew || n != 0 {
+		t.Fatalf("dispatch past the inflated ledger = (%v, %v, %d), want (false, false, 0): it should park", ok, grew, n)
 	}
 	if !q.release(j) {
 		t.Fatal("release freed nothing")
@@ -190,8 +194,8 @@ func TestAdmitReplacementHostChargesLedger(t *testing.T) {
 		t.Fatalf("owner holds %d hosts after release, want 0", held)
 	}
 	// Terminal jobs never charge (the late-event race).
-	if n, changed := q.chargeReplacementHost(j, "h9"); changed || n != 0 {
-		t.Fatalf("post-release replacement charge = (%d, %v), want (0, false)", n, changed)
+	if ok, grew, n := hold(j, "h9"); !ok || grew || n != 0 {
+		t.Fatalf("post-release replacement charge = (%v, %v, %d), want (true, false, 0)", ok, grew, n)
 	}
 }
 

@@ -297,7 +297,18 @@ func TestHostsQuotaParksUntilHostsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	// Submit returns with h3 in the admission queue. The cause, not a
+	// timing, keeps it there: alice's share is ineligible for pops while
+	// h2 is parked, so the one worker cannot take h3.
+	waitForState(t, h3, func(s JobState) bool { return s == JobQueued })
+	q := env.pipe.admit
+	q.mu.Lock()
+	share := q.owners["alice"]
+	parked, eligible := share.parked, q.eligible(share)
+	q.mu.Unlock()
+	if parked != 1 || eligible {
+		t.Fatalf("alice's share: parked %d, eligible %v while h2 is parked; want 1, false", parked, eligible)
+	}
 	if got := h3.State(); got != JobQueued {
 		t.Fatalf("h3 state = %v while h2 is parked, want queued (pop skips parked owners)", got)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"vdce/internal/afg"
@@ -25,9 +24,9 @@ type appController struct {
 	// only this controller touches it: a reschedule patches it in place.
 	place *core.Placement
 	// watch is the machines of the placement being attempted, primary
-	// first; watchBuf backs it for the usual single host. The controller
-	// writes it only while out is nil, the monitoring loop reads it only
-	// while out is not.
+	// first, whose run locks the attempt holds; watchBuf backs it for the
+	// usual single host. The controller writes it only while out is nil,
+	// the monitoring loop reads it only while out is not.
 	watch    []*testbed.Host
 	watchBuf [1]*testbed.Host
 	// out is the outcome channel of the attempt under the monitoring
@@ -211,10 +210,7 @@ func (ac *appController) compute(in []tasklib.Value, nodes int, out chan<- outco
 func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemptNo int) (outs []tasklib.Value, tr TaskRun, err error) {
 	e := ac.app.engine
 	primary := ac.watch[0]
-	// One task per machine at a time — engine-wide, so tasks of
-	// different applications serialize on shared hosts.
-	var one [1]*sync.Mutex
-	defer unlockHosts(e.lockHosts(ac.place.Hosts, one[:0]))
+	defer unlockHosts(lockHosts(ac.watch))
 	tr = TaskRun{Task: ac.task.ID, TaskName: ac.task.Name,
 		Host: primary.Name, Attempt: attemptNo, Start: time.Now()}
 	defer func() {

@@ -29,6 +29,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,12 +90,6 @@ type Engine struct {
 	retryOnce sync.Once
 	retry     *retryGate
 
-	// lockMu guards hostLocks, the engine-wide table serializing task
-	// execution per machine. It is shared by every concurrent Execute so
-	// independent applications contend for the same simulated hardware.
-	lockMu    sync.Mutex
-	hostLocks map[string]*sync.Mutex
-
 	// liveMu guards dead, the failure detector's confirmed-dead set. The
 	// monitoring loops consult it every check period, so a confirmed
 	// death interrupts every task running on the host even when the host
@@ -120,44 +115,28 @@ type Engine struct {
 	peakInFlight atomic.Int32
 }
 
-// lockHosts serializes execution on the given machines: a host runs one
-// task at a time — across every application the engine is executing —
-// exactly as the schedule simulator assumes. Locks are acquired in
-// sorted order so multi-host (parallel) tasks cannot deadlock against
-// each other, and no placement names a host twice (Validate,
-// checkReplacement). The locks taken are appended to held.
-func (e *Engine) lockHosts(hosts []string, held []*sync.Mutex) []*sync.Mutex {
+// lockHosts takes the run lock of every machine of a placement: a host
+// runs one task at a time — across every application and every engine
+// placing work on it — exactly as the schedule simulator assumes. Locks
+// are taken in host-name order so multi-host (parallel) tasks cannot
+// deadlock against each other, and no placement names a host twice
+// (Validate, checkReplacement). It returns the hosts in locking order
+// for unlockHosts; hosts itself is not reordered.
+func lockHosts(hosts []*testbed.Host) []*testbed.Host {
 	if len(hosts) > 1 {
-		hosts = append([]string(nil), hosts...)
-		sort.Strings(hosts)
+		hosts = slices.Clone(hosts)
+		slices.SortFunc(hosts, func(a, b *testbed.Host) int { return strings.Compare(a.Name, b.Name) })
 	}
 	for _, h := range hosts {
-		l := e.hostLock(h)
-		l.Lock()
-		held = append(held, l)
+		h.RunLock.Lock()
 	}
-	return held
+	return hosts
 }
 
-func unlockHosts(held []*sync.Mutex) {
-	for i := len(held) - 1; i >= 0; i-- {
-		held[i].Unlock()
+func unlockHosts(hosts []*testbed.Host) {
+	for i := len(hosts) - 1; i >= 0; i-- {
+		hosts[i].RunLock.Unlock()
 	}
-}
-
-// hostLock returns the machine's lock, creating it on first use.
-func (e *Engine) hostLock(host string) *sync.Mutex {
-	e.lockMu.Lock()
-	defer e.lockMu.Unlock()
-	l, ok := e.hostLocks[host]
-	if !ok {
-		if e.hostLocks == nil {
-			e.hostLocks = make(map[string]*sync.Mutex)
-		}
-		l = &sync.Mutex{}
-		e.hostLocks[host] = l
-	}
-	return l
 }
 
 // PeakConcurrency reports the maximum number of applications the engine

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -319,7 +320,8 @@ func TestDilationStretchesRuntime(t *testing.T) {
 }
 
 // TestSameHostTasksSerialize: a machine runs one task at a time. Two
-// tasks placed on one host have disjoint run intervals; placed on two
+// tasks placed on one host have disjoint run intervals, whether one run
+// or two engines over the same testbed placed them there; placed on two
 // hosts they are inside their task functions at the same time — Meet
 // returns only once both instances have entered it.
 func TestSameHostTasksSerialize(t *testing.T) {
@@ -329,7 +331,7 @@ func TestSameHostTasksSerialize(t *testing.T) {
 	both := make(chan struct{})
 	useTasks(t, r, map[string]tasklib.Func{
 		"Work": func(*tasklib.Context) ([]tasklib.Value, error) {
-			time.Sleep(2 * time.Millisecond)
+			time.Sleep(20 * time.Millisecond)
 			return []tasklib.Value{1.0}, nil
 		},
 		"Meet": func(*tasklib.Context) ([]tasklib.Value, error) {
@@ -352,14 +354,43 @@ func TestSameHostTasksSerialize(t *testing.T) {
 	if len(res.Runs) != 2 {
 		t.Fatalf("runs = %+v", res.Runs)
 	}
-	first, second := res.Runs[0], res.Runs[1]
-	if second.Start.Before(first.Start) {
-		first, second = second, first
+	disjoint := func(first, second TaskRun) {
+		t.Helper()
+		if second.Start.Before(first.Start) {
+			first, second = second, first
+		}
+		if second.Start.Before(first.End) {
+			t.Fatalf("tasks overlapped on one machine: %v..%v and %v..%v",
+				first.Start, first.End, second.Start, second.End)
+		}
 	}
-	if second.Start.Before(first.End) {
-		t.Fatalf("tasks overlapped on one machine: %v..%v and %v..%v",
-			first.Start, first.End, second.Start, second.End)
+	disjoint(res.Runs[0], res.Runs[1])
+
+	// The machine, not the engine, holds the run lock: a second engine
+	// over the same testbed waits for the first one's task.
+	other := &Engine{Reg: r.engine.Reg, TB: r.tb}
+	t.Cleanup(other.Close)
+	var wg sync.WaitGroup
+	runs := make([]TaskRun, 2)
+	for i, e := range []*Engine{r.engine, other} {
+		g, table := independent("Work", hosts[:1])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := e.Execute(context.Background(), g, table)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			runs[i] = res.Runs[0]
+		}()
 	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	disjoint(runs[0], runs[1])
+
 	g, table = independent("Meet", hosts[:2])
 	if _, err := r.engine.Execute(context.Background(), g, table); err != nil {
 		t.Fatal(err)

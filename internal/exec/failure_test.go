@@ -1,6 +1,6 @@
 package exec
 
-// Mid-run failure and recovery regressions: per-host engine locks must
+// Mid-run failure and recovery regressions: per-host run locks must
 // be released when a task is rescheduled off a locked host, a
 // detector-confirmed death must interrupt tasks on a host the local
 // watchdog cannot see failing (a partition), and the recovery event
@@ -31,8 +31,8 @@ func spinTable(t *testing.T, g *afg.Graph, host string, ms string) *core.Allocat
 }
 
 // TestHostLocksReleasedAfterMidRunReschedule is the lock-leak
-// regression: when the watchdog chases a task off a host, the host's
-// engine-wide lock must be free the moment the task moves — both while
+// regression: when the watchdog chases a task off a host, the machine's
+// run lock must be free the moment the task moves — both while
 // the rescheduled attempt still runs elsewhere and after the run ends.
 func TestHostLocksReleasedAfterMidRunReschedule(t *testing.T) {
 	r := newRig(t, 2)
@@ -50,16 +50,9 @@ func TestHostLocksReleasedAfterMidRunReschedule(t *testing.T) {
 		if ev.Type != EventRescheduled {
 			return
 		}
-		r.engine.lockMu.Lock()
-		l := r.engine.hostLocks[hostA.Name]
-		r.engine.lockMu.Unlock()
-		if l == nil {
-			freeDuringRun <- false
-			return
-		}
-		ok := l.TryLock()
+		ok := hostA.RunLock.TryLock()
 		if ok {
-			l.Unlock()
+			hostA.RunLock.Unlock()
 		}
 		select {
 		case freeDuringRun <- ok:
@@ -86,15 +79,13 @@ func TestHostLocksReleasedAfterMidRunReschedule(t *testing.T) {
 	default:
 		t.Error("no reschedule event observed")
 	}
-	// After the run, every lock the engine ever created must be free.
-	r.engine.lockMu.Lock()
-	defer r.engine.lockMu.Unlock()
-	for name, l := range r.engine.hostLocks {
-		if !l.TryLock() {
-			t.Errorf("lock for %s leaked", name)
+	// After the run, every machine's run lock must be free.
+	for _, h := range r.tb.Sites[0].Hosts {
+		if !h.RunLock.TryLock() {
+			t.Errorf("run lock of %s leaked", h.Name)
 			continue
 		}
-		l.Unlock()
+		h.RunLock.Unlock()
 	}
 }
 

@@ -222,13 +222,13 @@ type jobRecord struct {
 	// shareWeight is the owner's resolved fair-share weight carried by
 	// this submission (>= 1; the owner's latest submission wins).
 	shareWeight int
-	// usageCharged, hostsCharged, and chargedHosts are the admission
-	// queue's quota ledger for this job (in-flight charge from pop, host
-	// charges from dispatch plus any mid-run replacement hosts); all are
-	// guarded by the admission queue's lock, not j.mu.
+	// usageCharged and heldHosts are the admission queue's ledger for
+	// this job, guarded by its lock, not j.mu: the in-flight charge from
+	// pop to release, and the distinct hosts the job holds from dispatch
+	// to release — its placement plus any host a reschedule moved a task
+	// onto (holdHosts). Status reports the set's size as hosts_held.
 	usageCharged bool
-	hostsCharged int
-	chargedHosts map[string]bool
+	heldHosts    map[string]struct{}
 	// hostParked marks a job parked on the held-hosts cap (guarded by
 	// the admission queue's lock); while set, the owner is skipped by
 	// pop so parked dispatches stay bounded at one per owner.
@@ -274,10 +274,6 @@ type jobRecord struct {
 	// distinct hosts lost to failure (first-observed order).
 	reschedules int
 	failedHosts []string
-	// hostsHeld mirrors hostsCharged under j.mu for Status snapshots:
-	// the distinct testbed hosts this job's placement holds while it is
-	// dispatched, zeroed when it terminalizes.
-	hostsHeld int
 	// replayPending marks a job re-admitted by the boot replay that has
 	// not yet reached a scheduler worker or a terminal state; it backs
 	// the pipeline's recovery-backlog gauge behind /readyz.
@@ -559,9 +555,9 @@ func (j *jobRecord) Trace() services.JobTrace {
 
 // execEvent consumes the engine's recovery event stream for this job,
 // keeping the status' reschedule/failed-host view live while the run is
-// still in flight. A reschedule's replacement host is charged against
-// the owner's held-hosts ledger so quota accounting tracks where the
-// job actually runs, not just where it was dispatched.
+// still in flight. A reschedule's replacement hosts join the job's held
+// set (holdHosts), so quota accounting tracks where the job actually
+// runs, not just where it was dispatched.
 //
 // Events that arrive after the job is terminal — a canceled run's
 // engine still unwinding — are dropped: a terminal status never changes
@@ -592,14 +588,8 @@ func (j *jobRecord) execEvent(ev exec.Event) {
 	}
 	j.mu.Unlock()
 	if ev.Type == exec.EventRescheduled {
-		hosts := ev.Hosts
-		if len(hosts) == 0 {
-			hosts = []string{ev.Host}
-		}
-		for _, h := range hosts {
-			if n, changed := j.pipe.admit.chargeReplacementHost(j, h); changed {
-				j.noteHostsHeld(n)
-			}
+		if _, grew := j.pipe.admit.holdHosts(j, ev.Hosts); grew {
+			j.publishHeld()
 		}
 	}
 	// Recovery flows to the stream typed, so subscribers see "a task
@@ -619,7 +609,6 @@ func (j *jobRecord) Status() services.JobStatus {
 		State:       j.state.String(),
 		Priority:    j.priority,
 		ShareWeight: j.shareWeight,
-		HostsHeld:   j.hostsHeld,
 		Labels:      j.Labels,
 		Reschedules: j.reschedules,
 		FailedHosts: append([]string(nil), j.failedHosts...),
@@ -634,8 +623,11 @@ func (j *jobRecord) Status() services.JobStatus {
 		Points:      j.points,
 	}
 	j.mu.Unlock()
-	if s.State == services.JobStateQueued {
+	switch s.State {
+	case services.JobStateQueued:
 		s.QueuePosition = j.pipe.admit.position(j.ID)
+	case services.JobStateScheduling, services.JobStateRunning:
+		s.HostsHeld = j.pipe.admit.heldCount(j)
 	}
 	return s
 }
@@ -730,7 +722,6 @@ func (j *jobRecord) terminalize(state JobState, err error, res *exec.Result) boo
 	}
 	j.sealLocked(time.Now())
 	runSecs, totalSecs := j.timings.RunSeconds, j.timings.TotalSeconds
-	j.hostsHeld = 0
 	// Nothing of the job's lifetime outlives it: the hook is stopped and
 	// the context canceled, which detaches it (deadline timer included)
 	// from the environment's.
@@ -802,23 +793,10 @@ func (j *jobRecord) publishEvent(typ string) {
 	j.pipe.events.Publish(typ, j.pipe.env.Board.Update(j.Status()))
 }
 
-// noteHostsHeld mirrors a successful host charge into the job's status
-// view and publishes it, so /v1/jobs and owner counters show the held
-// hosts live. The mirror only rises — concurrent reschedule events may
-// report their ledger counts out of order, and the count never shrinks
-// until terminalize zeroes it.
-func (j *jobRecord) noteHostsHeld(n int) {
-	j.mu.Lock()
-	if j.state.terminal() {
-		// Lost a race with terminalize: the charge was already released.
-		j.mu.Unlock()
-		return
+// publishHeld publishes the job after its held set grew, unless it has
+// ended meanwhile: nothing follows a job's terminal event.
+func (j *jobRecord) publishHeld() {
+	if !j.State().terminal() {
+		j.publish()
 	}
-	if n <= j.hostsHeld {
-		j.mu.Unlock()
-		return
-	}
-	j.hostsHeld = n
-	j.mu.Unlock()
-	j.publish()
 }

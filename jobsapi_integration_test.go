@@ -225,8 +225,12 @@ func TestHTTPCancelQueuedAndRunning(t *testing.T) {
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
 
-	// First job: runs immediately and parks at the suspended console.
+	// First job: runs immediately and parks at the suspended console. It
+	// must hold the one run slot before the backlog arrives, or the one
+	// worker may pop the priority-10 job first and leave it waiting for
+	// the slot in scheduling.
 	runningID := c.submitV1(t, c.importApp(t, 1), nil)
+	c.waitState(t, runningID, services.JobStateRunning, 30*time.Second)
 	// Backlog so the next jobs stay queued.
 	c.submitV1(t, c.importApp(t, 1), map[string]any{"priority": 10})
 	queuedID := c.submitV1(t, c.importApp(t, 1), nil)
@@ -252,7 +256,6 @@ func TestHTTPCancelQueuedAndRunning(t *testing.T) {
 	}
 
 	// Cancel the running job: it aborts through the engine.
-	c.waitState(t, runningID, services.JobStateRunning, 30*time.Second)
 	c.do("DELETE", "/v1/jobs/"+runningID, nil, http.StatusOK)
 	got := c.waitState(t, runningID, services.JobStateCanceled, 30*time.Second)
 	if got["error"] == "" {

@@ -560,8 +560,12 @@ func (p *pipeline) process(job *jobRecord) {
 	// the owner. An owner at its cap does not hold the worker hostage —
 	// the job parks in its own goroutine (other owners keep dispatching
 	// through this worker) until enough of the owner's hosts free.
-	needed := distinctHosts(table)
-	if !p.admit.tryChargeHosts(job, needed) {
+	needed := make([]string, 0, len(table.Entries))
+	for _, e := range table.Entries {
+		needed = append(needed, e.Hosts...)
+	}
+	ok, grew := p.admit.holdHosts(job, needed)
+	if !ok {
 		// Gate the owner before parking: pop skips owners with a parked
 		// job, so park goroutines per owner are bounded by the worker
 		// count (concurrent workers may each park one job they popped
@@ -575,7 +579,9 @@ func (p *pipeline) process(job *jobRecord) {
 		go p.parkForHosts(ctx, job, table, needed)
 		return
 	}
-	job.noteHostsHeld(len(needed))
+	if grew {
+		job.publishHeld()
+	}
 	p.dispatch(ctx, job, table)
 }
 
@@ -614,11 +620,13 @@ func (p *pipeline) parkForHosts(ctx context.Context, job *jobRecord, table *core
 		// The channel is per owner: other owners' terminal jobs cannot
 		// wake this park.
 		changed := p.admit.usageChanged(job.Owner)
-		if p.admit.tryChargeHosts(job, needed) {
+		if ok, grew := p.admit.holdHosts(job, needed); ok {
 			p.admit.setParked(job, false)
 			p.wake()
 			job.stampEvent("host-unpark")
-			job.noteHostsHeld(len(needed))
+			if grew {
+				job.publishHeld()
+			}
 			p.dispatch(ctx, job, table)
 			return
 		}
@@ -629,22 +637,6 @@ func (p *pipeline) parkForHosts(ctx context.Context, job *jobRecord, table *core
 			return
 		}
 	}
-}
-
-// distinctHosts lists the distinct hosts a placement table uses — the
-// unit the held-hosts quota charges.
-func distinctHosts(table *core.AllocationTable) []string {
-	seen := make(map[string]struct{})
-	var hosts []string
-	for _, e := range table.Entries {
-		for _, h := range e.Hosts {
-			if _, ok := seen[h]; !ok {
-				seen[h] = struct{}{}
-				hosts = append(hosts, h)
-			}
-		}
-	}
-	return hosts
 }
 
 // wake hands one wakeup token to an idle scheduler worker.

@@ -316,10 +316,12 @@ func refFromRow(t *testing.T, s services.JobStatus, chain []string) []byte {
 
 // TestTraceAcrossRestartMatchesReference asserts the equivalence live on
 // a durable environment: a terminal restore, a queued and an in-flight
-// job re-adopted after Crash(), an injected reschedule and host failure
-// on the re-dispatched run, and a hosts-quota park after the restart —
-// each job's trace (and the /v1 trace route's) reads byte for byte what
-// the parent's append-and-clamp trace would have.
+// job re-adopted after Crash(), two injected reschedules and a host
+// failure on the re-dispatched run (the first reschedule grows the job's
+// held hosts everywhere they are read, the second does not), and a
+// hosts-quota park after the restart — each job's trace (and the /v1
+// trace route's) reads byte for byte what the parent's append-and-clamp
+// trace would have.
 func TestTraceAcrossRestartMatchesReference(t *testing.T) {
 	dir := t.TempDir()
 	env, err := New(durableCfg(dir))
@@ -363,7 +365,44 @@ func TestTraceAcrossRestartMatchesReference(t *testing.T) {
 	// once its spin ends.
 	waitState(t, &Job{jobRecord: inFlight}, JobRunning) // a recovered job has no handle of its own
 	env2.Console.Suspend()
-	inFlight.execEvent(exec.Event{Type: exec.EventRescheduled, Host: "h-moved"})
+	// The held set is the one count of the job's hosts: a reschedule onto
+	// a new host raises the status, the board row and the owner's usage by
+	// one each, publishing a state event before the rescheduled one; a
+	// reschedule onto a host the job already holds moves none of them and
+	// publishes only itself.
+	jobEvents := func(after uint64) []jobsapi.StreamEvent {
+		sub, replay, _ := env2.pipe.events.Subscribe(after, 0,
+			func(ev jobsapi.StreamEvent) bool { return ev.Job.ID == running.ID })
+		sub.Close()
+		return replay
+	}
+	for evs := jobEvents(1); len(evs) == 0 || evs[len(evs)-1].Job.State != services.JobStateRunning; evs = jobEvents(1) {
+		time.Sleep(time.Millisecond) // the running event is published after the state changes
+	}
+	held := func() [3]int {
+		row, _ := env2.Board.Get(running.ID)
+		return [3]int{inFlight.Status().HostsHeld, row.HostsHeld, env2.Board.OwnerUsages()["bob"].HostsHeld}
+	}
+	before, cursor := held(), env2.pipe.events.Cursor()
+	if before[0] < 1 || before != [3]int{before[0], before[0], before[0]} {
+		t.Fatalf("held hosts (status, row, owner) = %v before the reschedule", before)
+	}
+	placed := inFlight.Table().Entries[0].Hosts[0]
+	inFlight.execEvent(exec.Event{Type: exec.EventRescheduled, Host: "h-moved", Hosts: []string{"h-moved"}})
+	grown := held()
+	inFlight.execEvent(exec.Event{Type: exec.EventRescheduled, Host: placed, Hosts: []string{placed}})
+	want := [3]int{before[0] + 1, before[1] + 1, before[2] + 1}
+	if grown != want || held() != want {
+		t.Fatalf("held hosts (status, row, owner): %v, then %v after a new host, then %v after a held one; want %v twice",
+			before, grown, held(), want)
+	}
+	var types []string
+	for _, ev := range jobEvents(cursor) {
+		types = append(types, ev.Type)
+	}
+	if fmt.Sprint(types) != "[state rescheduled rescheduled]" {
+		t.Fatalf("the two reschedules published %v, want [state rescheduled rescheduled]", types)
+	}
 	inFlight.execEvent(exec.Event{Type: exec.EventHostFailure, Host: "h-lost"})
 	drainCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
@@ -389,7 +428,7 @@ func TestTraceAcrossRestartMatchesReference(t *testing.T) {
 	chains := map[string][]string{
 		done.ID:    {"submitted", "done"},
 		queued.ID:  append([]string{"submitted", "recovered"}, full...),
-		running.ID: {"submitted", "recovered", "admitted", "scheduled", "dispatched", "running", "rescheduled", "host-failure", "done"},
+		running.ID: {"submitted", "recovered", "admitted", "scheduled", "dispatched", "running", "rescheduled", "rescheduled", "host-failure", "done"},
 		holder.ID:  append([]string{"submitted"}, full...),
 		parked.ID:  {"submitted", "admitted", "scheduled", "host-park", "host-unpark", "dispatched", "running", "done"},
 	}
