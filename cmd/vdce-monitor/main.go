@@ -39,10 +39,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-28s %-8s %-6s %-7s %-9s %s\n",
+		fmt.Printf("%-28s %-8s %-11s %-7s %-9s %s\n",
 			"HOST", "GROUP", "STATUS", "LOAD", "MEM(MB)", "MACHINE")
 		for _, h := range list.Hosts {
-			fmt.Printf("%-28s %-8s %-6s %-7.2f %-9d %s %s (x%.2f)\n",
+			fmt.Printf("%-28s %-8s %-11s %-7.2f %-9d %s %s (x%.2f)\n",
 				h.HostName, h.Group, h.Status, h.CPULoad, h.AvailMem>>20,
 				h.ArchType, h.OSType, h.SpeedFactor)
 		}

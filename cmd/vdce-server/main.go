@@ -22,11 +22,9 @@
 // sheds instead of blocking under overload: submissions that cannot get
 // a slot in time are rejected with 503 + Retry-After (-shed-deadline,
 // on its own or with it, also sheds jobs that cannot meet their
-// deadline), /readyz reports not-ready while recovery replay drains or
-// the shed rate is high, and per-host circuit breakers (-breakers, on by default) quarantine
-// flapping hosts from placement until half-open probes succeed — state
-// visible on GET /v1/hosts. GET /metrics exposes the control plane's
-// Prometheus-text metrics (admission, scheduler, exec, breakers, WAL,
+// deadline), and /readyz reports not-ready while recovery replay drains
+// or the shed rate is high. GET /metrics exposes the control plane's
+// Prometheus-text metrics (admission, scheduler, exec, quarantine, WAL,
 // events), GET /v1/jobs/{id}/trace returns a job's lifecycle trace,
 // -debug-addr serves net/http/pprof on a second listener, and
 // -log-level/-log-format enable structured slog output on stderr.
@@ -38,7 +36,9 @@
 // disables it), so crashed or partitioned hosts are confirmed dead,
 // marked down in the repository, and their running tasks rescheduled
 // mid-flight; per-job recovery is visible as reschedules/failed_hosts
-// on /v1/jobs. With -chaos a fault-injection scenario plays against the
+// on /v1/jobs. The detector also quarantines flapping hosts — marked
+// quarantined in the repository, so no placement picks them — until
+// half-open probes succeed; GET /v1/hosts shows each host's state. With -chaos a fault-injection scenario plays against the
 // live testbed while submissions execute:
 //
 //	vdce-server -hosts 8 -chaos kill-quarter -chaos-span 30s
@@ -126,7 +126,7 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 	workers := fs.Int("workers", 0, "scheduler workers (0 = default)")
 	queue := fs.Int("queue", 0, "admission queue depth (0 = default)")
 	parallel := fs.Int("parallel", 0, "max concurrently executing applications (0 = default)")
-	detector := fs.Bool("detector", true, "run the heartbeat failure detector")
+	detector := fs.Bool("detector", true, "run the heartbeat failure detector, which also quarantines hosts with a high windowed failure rate from placement until half-open probes succeed")
 	quotaQueued := fs.Int("quota-queued", 0, "max queued jobs per owner (0 = unlimited)")
 	quotaInflight := fs.Int("quota-inflight", 0, "max scheduling+running jobs per owner (0 = unlimited; excess parks in the queue — pair with -quota-queued so a throttled owner's backlog cannot fill the shared queue)")
 	quotaHosts := fs.Int("quota-hosts", 0, "max concurrently held hosts per owner (0 = unlimited; excess parks before execution)")
@@ -137,7 +137,6 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 	shedWait := fs.Duration("shed-wait", 0, "max time a submission may wait for an admission-queue slot before it is shed with 503 + Retry-After (0 = wait as long as the request lives)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 0, "Retry-After hint attached to shed responses (0 = default 1s)")
 	shedDeadline := fs.Bool("shed-deadline", false, "shed submissions whose deadline is infeasible even on an idle testbed (lower-bound critical-path estimate)")
-	breakers := fs.Bool("breakers", true, "run per-host circuit breakers: hosts with a high windowed failure rate are quarantined from placement until half-open probes succeed")
 	retryBudget := fs.Float64("retry-budget", 0, "engine-wide retry budget in retries/second on top of the per-task jittered backoff; over-budget reschedules park until a token frees (0 = unlimited)")
 	chaosName := fs.String("chaos", "", "play a fault scenario against the live testbed: kill-quarter|rolling-restart|site-partition|flapping-host|brownout")
 	chaosSpan := fs.Duration("chaos-span", 30*time.Second, "duration the -chaos scenario is spread over")
@@ -184,10 +183,9 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 				CheckDeadline: *shedDeadline,
 			},
 		},
-		StoreDir:      *storeDir,
-		StartBreakers: *breakers,
-		Retry:         exec.RetryConfig{BudgetPerSecond: *retryBudget},
-		Logger:        logger,
+		StoreDir: *storeDir,
+		Retry:    exec.RetryConfig{BudgetPerSecond: *retryBudget},
+		Logger:   logger,
 	})
 	if err != nil {
 		return err

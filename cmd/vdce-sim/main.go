@@ -16,10 +16,10 @@
 //	vdce-sim -chaos flapping-host -sites 2 -hosts 4
 //	vdce-sim -chaos brownout -sites 2 -hosts 4
 //
-// Chaos runs also feed a per-host circuit-breaker set from the same
-// observations the detector sees and report which hosts' breakers
-// opened — flapping-host shows the breaker quarantining a host that
-// the up/down detector alone keeps re-admitting.
+// Chaos runs also feed the detector each round's per-host outcomes and
+// report which hosts it quarantined (breakers open) — flapping-host
+// shows quarantine holding out a host that liveness alone keeps
+// re-admitting, and the post-chaos reschedule places nothing on it.
 //
 // The server-restart scenario exercises the control plane instead of
 // the hosts: it boots a durable environment (Config.StoreDir), runs a
@@ -45,7 +45,6 @@ import (
 
 	"vdce"
 	"vdce/internal/afg"
-	"vdce/internal/breaker"
 	"vdce/internal/chaos"
 	"vdce/internal/core"
 	"vdce/internal/detect"
@@ -307,38 +306,32 @@ func runChaos(out io.Writer, tb *testbed.Testbed, before *core.AllocationTable, 
 		det.AddSite(s.Name, s.Repo.Resources)
 	}
 	inj := chaos.NewInjector(tb, seed)
+	reg := obs.NewRegistry()
+	opens := reg.Counter("vdce_breaker_opens_total",
+		"Circuit-breaker transitions into the open state, per host.", "host")
+	det.Subscribe(func(tr detect.Transition) {
+		if tr.To == detect.Open {
+			opens.With(tr.Host).Inc()
+		}
+	})
 
 	fmt.Fprintf(out, "chaos scenario %q (seed %d): %d events\n", sc.Name, seed, len(sc.Events))
 	// Synthetic clock: heartbeats land at now, then the clock jumps past
 	// the suspicion timeout before each detector round, so silence is
-	// judged instantly instead of in wall time.
+	// judged instantly instead of in wall time. Each round also records
+	// one outcome per host — a reachable host a success, a dark one a
+	// failure — so a host that flaps accumulates a mixed window whose
+	// failure rate quarantines it even though liveness keeps flipping it
+	// back to healthy.
 	now := time.Unix(0, 0)
-	// Per-host circuit breakers ride the same synthetic clock and see
-	// the same per-round observations the detector does: a reachable
-	// host is a success, a dark one a failure. A host that flaps
-	// accumulates a mixed window whose failure rate trips the breaker
-	// even though the detector keeps flipping it back to healthy.
-	reg := obs.NewRegistry()
-	opens := reg.Counter("vdce_breaker_opens_total",
-		"Circuit-breaker transitions into the open state, per host.", "host")
-	brk := breaker.New(breaker.Config{
-		Now: func() time.Time { return now },
-		OnTransition: func(host string, _, to breaker.State) {
-			if to == breaker.Open {
-				opens.With(host).Inc()
-			}
-		},
-	})
 	detection := func() error {
 		for round := 0; round < 3; round++ {
 			now = now.Add(25 * time.Millisecond)
 			for _, h := range tb.AllHosts() {
 				if h.Reachable() {
 					det.Observe(h.Name, now)
-					brk.ReportSuccess(h.Name)
-				} else {
-					brk.ReportFailure(h.Name)
 				}
+				det.RecordOutcome(h.Name, h.Reachable())
 			}
 			trs, err := det.Tick(now)
 			if err != nil {
@@ -367,16 +360,19 @@ func runChaos(out io.Writer, tb *testbed.Testbed, before *core.AllocationTable, 
 		i = j
 	}
 
-	dead := det.Counts()[detect.Dead]
+	counts := det.Counts()
+	dead := counts[detect.Dead]
 	sus, conf, rec, rounds := det.Stats()
 	fmt.Fprintf(out, "detector stats: %d suspicions, %d confirmations, %d recoveries over %d rounds\n",
 		sus, conf, rec, rounds)
-	open := brk.Excluded()
-	fmt.Fprintf(out, "breakers: %d/%d open\n", len(open), len(tb.AllHosts()))
-	for _, hs := range brk.Snapshot() {
-		if hs.State != breaker.Closed.String() || hs.Opens > 0 {
-			fmt.Fprintf(out, "  breaker: %-28s %-9s rate=%.2f samples=%d opens=%d\n",
-				hs.Host, hs.State, hs.FailureRate, hs.Samples, hs.Opens)
+	names := tb.HostNames()
+	fmt.Fprintf(out, "breakers: %d/%d open\n", counts[detect.Open], len(names))
+	slices.Sort(names)
+	for _, name := range names {
+		hs, _ := det.Health(name)
+		if n := opens.Value(name); hs.Phase != detect.Closed || n > 0 {
+			fmt.Fprintf(out, "  breaker: %-28s %-9s rate=%.2f samples=%d opens=%g\n",
+				name, hs.Phase, hs.FailureRate, hs.Samples, n)
 		}
 	}
 

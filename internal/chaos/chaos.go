@@ -46,7 +46,8 @@ const (
 	HealSite Action = "heal-site"
 	// Flap toggles each target: up hosts crash, crashed hosts restart.
 	// A repeated Flap on one host scripts the oscillating alive/dead
-	// pattern that per-host circuit breakers exist to quarantine.
+	// pattern the failure detector's quarantine exists to hold out of
+	// placement.
 	Flap Action = "flap"
 	// Brownout degrades the targets by Event.Load and remembers exactly
 	// which hosts it hit; BrownoutEnd restores those same hosts with the
@@ -321,7 +322,7 @@ func SitePartition(site string, cut, heal time.Duration) Scenario {
 }
 
 // FlappingHost toggles one host up/down count times, once per period —
-// the canonical circuit-breaker workload: the host keeps coming back
+// the canonical quarantine workload: the host keeps coming back
 // just long enough to attract placements before dying again.
 func FlappingHost(host string, period time.Duration, count int) Scenario {
 	sc := Scenario{Name: "flapping-host"}

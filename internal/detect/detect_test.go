@@ -329,3 +329,255 @@ func TestSubscribersSeeOrderedTransitions(t *testing.T) {
 		t.Fatalf("counts = %v", c)
 	}
 }
+
+// qrig drives one site's quarantine on a synthetic clock: every round
+// heartbeats all hosts, so only the recorded outcomes move phases.
+type qrig struct {
+	t     *testing.T
+	d     *Detector
+	db    *repository.ResourceDB
+	hosts []string
+	now   time.Time
+}
+
+func newQrig(t *testing.T, cfg Config, hosts ...string) *qrig {
+	t.Helper()
+	d, db, t0 := fixture(t, cfg, hosts...)
+	q := &qrig{t: t, d: d, db: db, hosts: hosts, now: t0}
+	q.round(0) // anchors every window at t0
+	return q
+}
+
+// outcomes records n outcomes for host.
+func (q *qrig) outcomes(host string, ok bool, n int) {
+	for i := 0; i < n; i++ {
+		q.d.RecordOutcome(host, ok)
+	}
+}
+
+// round advances the clock by dt and runs one heartbeating round.
+func (q *qrig) round(dt time.Duration) []Transition {
+	q.t.Helper()
+	q.now = q.now.Add(dt)
+	for _, h := range q.hosts {
+		q.d.Observe(h, q.now)
+	}
+	trs, err := q.d.Tick(q.now)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return trs
+}
+
+// want checks host's quarantine phase and the repository status it
+// implies.
+func (q *qrig) want(host string, phase State) {
+	q.t.Helper()
+	hs, _ := q.d.Health(host)
+	if hs.Phase != phase {
+		q.t.Fatalf("%s phase = %v, want %v (%+v)", host, hs.Phase, phase, hs)
+	}
+	st := repository.HostUp
+	if phase == Open {
+		st = repository.HostQuarantined
+	}
+	if got := status(q.t, q.db, host); got != st {
+		q.t.Fatalf("%s %v but marked %s, want %s", host, phase, got, st)
+	}
+}
+
+// TestQuarantine walks the failure-rate window and its phases through
+// Tick on a synthetic clock.
+func TestQuarantine(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		hosts []string // default: one host, "h"
+		run   func(q *qrig)
+	}{
+		{"ClosedUntilMinSamples", Config{MinSamples: 4}, nil, func(q *qrig) {
+			// Three straight failures: rate 1.0 but below the sample floor.
+			q.outcomes("h", false, 3)
+			q.round(time.Second)
+			q.want("h", Closed)
+			// The fourth meets MinSamples at rate 1.0 >= 0.5: quarantined.
+			q.outcomes("h", false, 1)
+			q.round(time.Second)
+			q.want("h", Open)
+		}},
+		{"RateBelowThresholdStaysClosed", Config{FailureThreshold: 0.5, MinSamples: 4}, nil, func(q *qrig) {
+			q.outcomes("h", true, 7)
+			q.outcomes("h", false, 3)
+			q.round(time.Second)
+			q.want("h", Closed)
+		}},
+		{"OpenToHalfOpenAfterTimeout", Config{MinSamples: 2, OpenTimeout: 10 * time.Second}, nil, func(q *qrig) {
+			q.outcomes("h", false, 2)
+			q.round(time.Second)
+			q.want("h", Open)
+			// A millisecond short of the timeout: still quarantined.
+			q.round(10*time.Second - time.Millisecond)
+			q.want("h", Open)
+			// Half-open hosts are listed up again for probe work.
+			q.round(time.Millisecond)
+			q.want("h", HalfOpen)
+		}},
+		{"HalfOpenProbeSuccessesClose", Config{MinSamples: 2, OpenTimeout: time.Second, ProbeSuccesses: 2}, nil, func(q *qrig) {
+			q.outcomes("h", false, 2)
+			q.round(time.Second)
+			q.round(time.Second)
+			q.want("h", HalfOpen)
+			q.outcomes("h", true, 1)
+			q.round(time.Millisecond)
+			q.want("h", HalfOpen) // one probe is not enough
+			q.outcomes("h", true, 1)
+			q.round(time.Millisecond)
+			q.want("h", Closed)
+			// The close wiped the failure history: one new failure beside
+			// the two re-seeded successes must not quarantine again.
+			q.outcomes("h", false, 1)
+			q.round(time.Millisecond)
+			q.want("h", Closed)
+		}},
+		{"HalfOpenFailureReopens", Config{MinSamples: 2, OpenTimeout: time.Second}, nil, func(q *qrig) {
+			q.outcomes("h", false, 2)
+			q.round(time.Second)
+			q.round(time.Second)
+			q.want("h", HalfOpen)
+			q.outcomes("h", true, 1)
+			q.outcomes("h", false, 1)
+			q.round(time.Millisecond)
+			q.want("h", Open)
+			// The quarantine restarted in full from the failed probe.
+			q.round(time.Second - time.Millisecond)
+			q.want("h", Open)
+			q.round(time.Millisecond)
+			q.want("h", HalfOpen)
+		}},
+		{"WindowAgesOutFailures", Config{MinSamples: 4}, nil, func(q *qrig) {
+			q.outcomes("h", false, 3)
+			q.round(time.Second)
+			// A full window later the old failures are gone: the next
+			// failure is one sample, below MinSamples.
+			q.round(window + time.Second)
+			q.outcomes("h", false, 1)
+			q.round(time.Millisecond)
+			q.want("h", Closed)
+			if hs, _ := q.d.Health("h"); hs.Samples != 1 || hs.FailureRate != 1 {
+				q.t.Fatalf("windowed rate = %.2f over %d samples, want 1.00 over 1", hs.FailureRate, hs.Samples)
+			}
+		}},
+		{"OpenHostsLeaveTheUpList", Config{MinSamples: 2}, []string{"a", "b", "c"}, func(q *qrig) {
+			q.outcomes("b", false, 2)
+			q.outcomes("a", false, 2)
+			q.outcomes("c", true, 1)
+			gen := q.db.Generation()
+			q.round(time.Second)
+			if got := q.db.Generation(); got != gen+1 {
+				q.t.Fatalf("two quarantines moved the epoch %d times, want 1", got-gen)
+			}
+			var up []string
+			for _, h := range q.db.UpHosts() {
+				up = append(up, h.HostName)
+			}
+			if len(up) != 1 || up[0] != "c" {
+				q.t.Fatalf("up hosts = %v, want [c]", up)
+			}
+			if c := q.d.Counts(); c[Open] != 2 || c[Closed] != 1 || c[Healthy] != 3 {
+				q.t.Fatalf("counts = %v", c)
+			}
+		}},
+		{"QuietRoundPublishesNothing", Config{}, nil, func(q *qrig) {
+			gen := q.db.Generation()
+			q.outcomes("h", true, 5)
+			q.outcomes("h", false, 1)
+			if trs := q.round(time.Second); len(trs) != 0 {
+				q.t.Fatalf("quiet round transitions = %+v", trs)
+			}
+			if got := q.db.Generation(); got != gen {
+				q.t.Fatalf("a round that changed no status moved the epoch %d times", got-gen)
+			}
+		}},
+		{"SuspicionsAreFailures", Config{SuspicionTimeout: time.Second, ConfirmQuorum: 5, MinSamples: 2}, []string{"g", "h"}, func(q *qrig) {
+			// h flaps: silent past the timeout, back, silent again. Each
+			// suspicion is a failure; no outcome is ever recorded.
+			for i := 0; i < 2; i++ {
+				q.now = q.now.Add(2 * time.Second)
+				q.d.Observe("g", q.now)
+				if _, err := q.d.Tick(q.now); err != nil {
+					q.t.Fatal(err)
+				}
+				if st, _ := q.d.State("h"); st != Suspect {
+					q.t.Fatalf("h %v, want suspect", st)
+				}
+				q.round(time.Millisecond)
+			}
+			q.want("h", Open)
+			q.want("g", Closed)
+		}},
+		{"UnknownHostIsClosed", Config{}, nil, func(q *qrig) {
+			q.d.RecordOutcome("never-seen", false)
+			hs, ok := q.d.Health("never-seen")
+			if ok || hs.State != Healthy || hs.Phase != Closed {
+				q.t.Fatalf("unknown host health = %+v, %v", hs, ok)
+			}
+		}},
+		{"TransitionsObserved", Config{MinSamples: 2, OpenTimeout: time.Second, ProbeSuccesses: 1}, nil, func(q *qrig) {
+			var seen []Transition
+			q.d.Subscribe(func(tr Transition) { seen = append(seen, tr) })
+			q.outcomes("h", false, 2)
+			q.round(time.Second) // closed -> open
+			q.round(time.Second) // open -> half-open
+			q.outcomes("h", true, 1)
+			q.round(time.Second) // half-open -> closed
+			want := [][2]State{{Closed, Open}, {Open, HalfOpen}, {HalfOpen, Closed}}
+			if len(seen) != len(want) {
+				q.t.Fatalf("transitions = %+v, want %v", seen, want)
+			}
+			for i, w := range want {
+				if tr := seen[i]; tr.Host != "h" || tr.From != w[0] || tr.To != w[1] || !tr.To.Quarantine() {
+					q.t.Fatalf("transition %d = %+v, want h %v -> %v", i, tr, w[0], w[1])
+				}
+			}
+		}},
+		{"OpensCounted", Config{MinSamples: 2, OpenTimeout: time.Second, ProbeSuccesses: 1}, nil, func(q *qrig) {
+			opens := 0
+			for cycle := 0; cycle < 2; cycle++ {
+				q.outcomes("h", false, 2)
+				for _, step := range []time.Duration{time.Second, time.Second, time.Second} {
+					for _, tr := range q.round(step) {
+						if tr.To == Open {
+							opens++
+						}
+					}
+					q.outcomes("h", true, 1)
+				}
+			}
+			if opens != 2 {
+				q.t.Fatalf("opens = %d, want 2", opens)
+			}
+			q.want("h", Closed)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hosts := tc.hosts
+			if hosts == nil {
+				hosts = []string{"h"}
+			}
+			tc.run(newQrig(t, tc.cfg, hosts...))
+		})
+	}
+}
+
+// TestRecordOutcomeAllocFree: the engine records one outcome per task
+// attempt, on the task's own goroutine; it may cost no allocation.
+func TestRecordOutcomeAllocFree(t *testing.T) {
+	q := newQrig(t, Config{}, "h")
+	ok := false
+	if n := testing.AllocsPerRun(1000, func() {
+		q.d.RecordOutcome("h", ok)
+		ok = !ok
+	}); n != 0 {
+		t.Fatalf("RecordOutcome allocates %.1f times a call, want 0", n)
+	}
+}

@@ -109,9 +109,9 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 		outs, tr, err := ac.attempt(ctx, in, attempt)
 		ac.app.recordRun(tr, err == nil)
 		if err == nil {
-			if e.Breakers != nil {
+			if e.Health != nil {
 				for _, h := range ac.place.Hosts {
-					e.Breakers.ReportSuccess(h)
+					e.Health.RecordOutcome(h, true)
 				}
 			}
 			return outs, nil
@@ -131,8 +131,8 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 				Host: term.host, Reason: term.reason})
 		} else {
 			ac.app.recordFailedHost(term.host)
-			if e.Breakers != nil {
-				e.Breakers.ReportFailure(term.host)
+			if e.Health != nil {
+				e.Health.RecordOutcome(term.host, false)
 			}
 			ac.app.emit(Event{Type: EventHostFailure, Task: ac.task.ID, TaskName: ac.task.Name,
 				Host: term.host, Reason: term.reason})
@@ -155,7 +155,7 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 		ac.app.mu.Lock()
 		ac.app.rescheduled++
 		ac.app.mu.Unlock()
-		np, rerr := e.Reschedule(ac.app.g, ac.task.ID, e.exclusions(chased))
+		np, rerr := e.Reschedule(ac.app.g, ac.task.ID, chased)
 		if rerr == nil {
 			rerr = checkReplacement(np, ac.task.ID)
 		}
@@ -274,7 +274,7 @@ func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemp
 	// says never arrived. (A load spike, by contrast, does not invalidate
 	// completed work, so the threshold is deliberately not re-checked.)
 	for _, h := range ac.watch {
-		if !h.Reachable() || e.hostDead(h.Name) {
+		if !h.Reachable() || e.confirmedDead(h.Name) {
 			return nil, tr, &terminationError{host: h.Name, reason: "host unreachable at delivery"}
 		}
 	}
@@ -287,7 +287,7 @@ func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemp
 // Application Controller terminates the task execution ... and sends a
 // task rescheduling request". Host failure is treated the same way, in
 // two flavors: a crash the local controller sees directly (Failed), and
-// a detector-confirmed death (MarkHostDead) — the only signal available
+// a detector-confirmed death (Engine.Health) — the only signal available
 // when the machine is partitioned but still computing. It returns nil
 // or the termination naming the offending machine.
 func (ac *appController) shouldTerminate() *terminationError {
@@ -297,7 +297,7 @@ func (ac *appController) shouldTerminate() *terminationError {
 		if h.Failed() {
 			return &terminationError{host: h.Name, reason: "host failed"}
 		}
-		if e.hostDead(h.Name) {
+		if e.confirmedDead(h.Name) {
 			return &terminationError{host: h.Name, reason: "host confirmed dead"}
 		}
 		if thr > 0 && h.CurrentLoad() > thr {

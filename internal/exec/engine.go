@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,8 +34,8 @@ import (
 	"time"
 
 	"vdce/internal/afg"
-	"vdce/internal/breaker"
 	"vdce/internal/core"
+	"vdce/internal/detect"
 	"vdce/internal/protocol"
 	"vdce/internal/services"
 	"vdce/internal/tasklib"
@@ -66,8 +65,10 @@ type Engine struct {
 	// elapsed * (dilation-1) * DilationScale. 0 disables dilation.
 	DilationScale float64
 	// Reschedule supplies a replacement placement when a task must move
-	// (load threshold or host failure), excluding the listed hosts. Nil
-	// makes such events fatal.
+	// (load threshold or host failure), excluding the hosts the task was
+	// chased off; a host the repository does not list up — confirmed
+	// dead, quarantined — is not a candidate anyway. Nil makes such
+	// events fatal.
 	Reschedule func(g *afg.Graph, id afg.TaskID, exclude []string) (*core.Placement, error)
 	// MaxAttempts bounds per-task executions (default 3).
 	MaxAttempts int
@@ -75,11 +76,14 @@ type Engine struct {
 	// plus the engine-wide token-bucket retry budget. The zero value
 	// backs off from DefaultRetryBaseDelay with an unlimited budget.
 	Retry RetryConfig
-	// Breakers, when non-nil, is the per-host circuit-breaker set: the
-	// engine feeds it watchdog outcomes (failures open a flapping host's
-	// breaker, successes close it again) and merges its open hosts into
-	// every rescheduling exclusion list.
-	Breakers *breaker.Set
+	// Health, when non-nil, is the failure detector: every attempt's
+	// outcome is recorded there (a completed run a success, a watchdog
+	// host failure a failure — quarantine's evidence), and the monitoring
+	// loops ask it every check period whether a watched host is confirmed
+	// dead, so a death interrupts every task on the host even when the
+	// host model itself looks alive (a network partition: the machine
+	// computes on, but its results are unreachable).
+	Health *detect.Detector
 	// Console gates task dispatch (suspend/resume). Optional.
 	Console *services.Console
 	// Log receives structured recovery events (host failures, task
@@ -89,14 +93,6 @@ type Engine struct {
 	// retryOnce/retry materialize Retry into the shared gate.
 	retryOnce sync.Once
 	retry     *retryGate
-
-	// liveMu guards dead, the failure detector's confirmed-dead set. The
-	// monitoring loops consult it every check period, so a confirmed
-	// death interrupts every task running on the host even when the host
-	// model itself looks alive (a network partition: the machine computes
-	// on, but its results are unreachable).
-	liveMu sync.RWMutex
-	dead   map[string]bool
 
 	// dmMu guards dm, the Data Manager endpoint (datamanager.go): nil
 	// until a run with dataflow edges needs it and again after Close.
@@ -161,56 +157,14 @@ func (e *Engine) logger() *slog.Logger {
 	return discardLog
 }
 
-// MarkHostDead records a failure-detector confirmation: every running
-// task placed on the host is interrupted at its next watchdog check and
-// flows through the rescheduler with the host excluded.
-func (e *Engine) MarkHostDead(host string) {
-	e.liveMu.Lock()
-	if e.dead == nil {
-		e.dead = make(map[string]bool)
+// confirmedDead reports whether the failure detector holds the host
+// confirmed dead.
+func (e *Engine) confirmedDead(host string) bool {
+	if e.Health == nil {
+		return false
 	}
-	e.dead[host] = true
-	e.liveMu.Unlock()
-}
-
-// MarkHostAlive clears a detector confirmation after recovery.
-func (e *Engine) MarkHostAlive(host string) {
-	e.liveMu.Lock()
-	delete(e.dead, host)
-	e.liveMu.Unlock()
-}
-
-// hostDead reports whether the detector has confirmed the host dead.
-func (e *Engine) hostDead(host string) bool {
-	e.liveMu.RLock()
-	defer e.liveMu.RUnlock()
-	return e.dead[host]
-}
-
-// exclusions is the host list a rescheduling request carries: the hosts
-// the task was chased off, the hosts the detector holds confirmed dead —
-// the repository usually agrees already, but a death confirmed
-// microseconds ago must not win the placement because the round's
-// snapshot predates it — and the open-breaker hosts, so a flapping host
-// the detector cannot confirm dead is quarantined too.
-func (e *Engine) exclusions(chased []string) []string {
-	out := append([]string(nil), chased...)
-	e.liveMu.RLock()
-	for h := range e.dead {
-		if !slices.Contains(chased, h) {
-			out = append(out, h)
-		}
-	}
-	e.liveMu.RUnlock()
-	sort.Strings(out[len(chased):])
-	if e.Breakers != nil {
-		for _, h := range e.Breakers.Excluded() {
-			if !slices.Contains(chased, h) {
-				out = append(out, h)
-			}
-		}
-	}
-	return out
+	st, _ := e.Health.State(host)
+	return st == detect.Dead
 }
 
 // EventType tags an execution progress event.

@@ -15,6 +15,7 @@ import (
 
 	"vdce/internal/afg"
 	"vdce/internal/core"
+	"vdce/internal/detect"
 )
 
 // spinTable places one Spin task (of ms milliseconds) on the host.
@@ -92,13 +93,19 @@ func TestHostLocksReleasedAfterMidRunReschedule(t *testing.T) {
 // TestConfirmedDeathInterruptsPartitionedHost exercises the
 // detector-driven path end to end at the engine boundary: the host is
 // partitioned (still computing, so the watchdog's Failed() check stays
-// false) and only MarkHostDead — what the detector calls on a confirmed
-// transition — moves the task.
+// false) and only the failure detector confirming its silence — the
+// engine's Health — moves the task.
 func TestConfirmedDeathInterruptsPartitionedHost(t *testing.T) {
 	r := newRig(t, 2)
 	hostA := r.tb.Sites[0].Hosts[0]
 	hostB := r.tb.Sites[0].Hosts[1]
 	r.engine.LoadCheckPeriod = time.Millisecond
+	det := detect.New(detect.Config{SuspicionTimeout: time.Second, ConfirmQuorum: 1})
+	det.AddSite(r.tb.Sites[0].Name, r.tb.Sites[0].Repo.Resources)
+	r.engine.Health = det
+	t0 := time.Unix(1000, 0)
+	det.Observe(hostA.Name, t0)
+	det.Observe(hostB.Name, t0)
 
 	g := afg.NewGraph("spin")
 	g.AddTask("Spin", "util", 0, 1)
@@ -110,8 +117,11 @@ func TestConfirmedDeathInterruptsPartitionedHost(t *testing.T) {
 		if hostA.Failed() {
 			t.Error("partitioned host reports Failed — watchdog would short-circuit the detector path")
 		}
-		// What the failure detector does on a confirmed transition.
-		r.engine.MarkHostDead(hostA.Name)
+		// hostA's heartbeats stop; the next round confirms it dead.
+		det.Observe(hostB.Name, t0.Add(2*time.Second))
+		if _, err := det.Tick(t0.Add(2 * time.Second)); err != nil {
+			t.Error(err)
+		}
 	}()
 	res, err := r.engine.Execute(context.Background(), g, table)
 	if err != nil {
@@ -125,9 +135,13 @@ func TestConfirmedDeathInterruptsPartitionedHost(t *testing.T) {
 		t.Fatalf("first run not terminated: %+v", res.Runs[0])
 	}
 	// Recovery restores the host for future placements.
-	r.engine.MarkHostAlive(hostA.Name)
-	if r.engine.hostDead(hostA.Name) {
-		t.Fatal("MarkHostAlive did not clear the dead set")
+	det.Observe(hostA.Name, t0.Add(3*time.Second))
+	det.Observe(hostB.Name, t0.Add(3*time.Second))
+	if _, err := det.Tick(t0.Add(3 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if r.engine.confirmedDead(hostA.Name) {
+		t.Fatal("a recovered host still reads confirmed dead")
 	}
 }
 

@@ -22,9 +22,9 @@
 //	                            mounts answer 403 — the editor surface
 //	                            stays read-only)
 //	GET    /v1/hosts            per-host health: up/down, failure-
-//	                            detector state, and circuit-breaker
-//	                            state (closed/open/half-open with the
-//	                            windowed failure rate)
+//	                            detector state, and its quarantine
+//	                            phase (breaker closed/open/half-open
+//	                            with the windowed failure rate)
 //	GET    /v1/jobs/{id}/trace  one job's lifecycle trace: phase
 //	                            boundary timestamps plus park,
 //	                            reschedule, and failure point events
@@ -151,7 +151,7 @@ type Source interface {
 	// durable. An empty update is an error.
 	UpdateOwner(owner string, upd services.OwnerUpdate) (services.OwnerStatus, error)
 	// Hosts returns every testbed host's health snapshot, including
-	// circuit-breaker state, in testbed order: site by site, each site's
+	// its quarantine phase, in testbed order: site by site, each site's
 	// hosts as built (GET /v1/hosts).
 	Hosts() []services.HostStatus
 	// JobTrace returns one retained job's ordered lifecycle trace: phase

@@ -20,6 +20,11 @@ const (
 	// the host "is then marked as down at the site's
 	// resource-performance database".
 	HostDown HostStatus = "down"
+	// HostQuarantined means the host answers, but the failure detector
+	// holds it out of placement: its recent task outcomes fail too often.
+	// Like a down host it is missing from the up list every placement
+	// path reads.
+	HostQuarantined HostStatus = "quarantined"
 )
 
 // WorkloadSample is one monitor measurement of a host.
@@ -343,7 +348,7 @@ func (db *ResourceDB) ApplyRound(updates []RoundUpdate) (int, error) {
 	return applied, nil
 }
 
-// SetStatus marks a host up or down (failure detection outcome).
+// SetStatus sets a host's status (a failure detection outcome).
 func (db *ResourceDB) SetStatus(host string, st HostStatus) error {
 	return db.mutate(func(m map[string]*ResourceInfo) error {
 		h, ok := m[host]

@@ -1,10 +1,10 @@
 package services
 
 // HostStatus is one testbed host's health snapshot, served by
-// GET /v1/hosts and the simulator reports: the host model's own
-// up/down, the failure detector's view (when a detector runs), and the
-// circuit breaker's state with its windowed failure rate (when breakers
-// run).
+// GET /v1/hosts: the host model's own up/down and, when a failure
+// detector runs, the detector's verdict — its liveness state and its
+// quarantine phase, reported in circuit-breaker terms with the windowed
+// failure rate behind it.
 type HostStatus struct {
 	// Host is the host name; Site the owning site.
 	Host string `json:"host"`
@@ -14,15 +14,15 @@ type HostStatus struct {
 	Up bool `json:"up"`
 	// Detector is the failure detector's state for the host
 	// (healthy/suspect/dead/recovered); empty when no detector runs or
-	// the detector has never observed the host.
+	// the detector does not watch the host.
 	Detector string `json:"detector,omitempty"`
-	// Breaker is the circuit-breaker state (closed/open/half-open);
-	// "closed" for hosts the breaker set has never sampled.
+	// Breaker is the detector's quarantine phase (closed/open/half-open);
+	// "closed" when no detector runs.
 	Breaker string `json:"breaker"`
-	// FailureRate and Samples are the breaker's windowed failure rate
-	// and sample count.
+	// FailureRate and Samples are the detector's windowed failure rate
+	// and outcome count.
 	FailureRate float64 `json:"failure_rate"`
 	Samples     int     `json:"samples"`
-	// BreakerOpens counts how many times the host's breaker has opened.
+	// BreakerOpens counts how many times the host was quarantined.
 	BreakerOpens int `json:"breaker_opens"`
 }

@@ -2,7 +2,8 @@ package vdce
 
 import (
 	"log/slog"
-	"vdce/internal/breaker"
+
+	"vdce/internal/detect"
 	"vdce/internal/obs"
 	"vdce/internal/services"
 )
@@ -47,9 +48,9 @@ type envMetrics struct {
 	reschedules  *obs.Counter
 	hostFailures *obs.Counter
 
-	// Breakers: opens per host, incremented from the OnTransition hook.
-	// This counter — not the breaker package's private tally — is what
-	// GET /v1/hosts reports, so the HTTP view and /metrics read one cell.
+	// Quarantine opens per host, incremented by the detector subscriber
+	// New installs. GET /v1/hosts reports this counter, so the HTTP view
+	// and /metrics read one cell.
 	breakerOpens *obs.CounterVec
 
 	// Boot replay outcomes.
@@ -133,7 +134,7 @@ func (env *Environment) storeErr(op string, err error, key, val string) {
 
 // registerDerived registers the scrape-time collectors that sample
 // subsystems which already answer cheaply on demand: queue depth,
-// in-flight counts, retry-gate totals, rank-cache counters, breaker
+// in-flight counts, retry-gate totals, rank-cache counters, quarantine
 // census, and broker subscribers. Called once from New after the
 // pipeline is running; nothing here touches a hot path.
 func (env *Environment) registerDerived(reg *obs.Registry) {
@@ -242,38 +243,14 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 			}
 			emit(float64(agg.hits) / float64(agg.hits+agg.misses))
 		})
-	if env.Breakers != nil {
+	if env.Detector != nil {
 		reg.GaugeFunc("vdce_breaker_hosts",
 			"Hosts per circuit-breaker state.", []string{"state"},
 			func(emit func(v float64, labelVals ...string)) {
-				counts := map[string]int{
-					breaker.Closed.String():   0,
-					breaker.Open.String():     0,
-					breaker.HalfOpen.String(): 0,
-				}
-				for _, hs := range env.Breakers.Snapshot() {
-					counts[hs.State]++
-				}
-				for state, n := range counts {
-					emit(float64(n), state)
+				counts := env.Detector.Counts()
+				for _, p := range []detect.State{detect.Closed, detect.Open, detect.HalfOpen} {
+					emit(float64(counts[p]), p.String())
 				}
 			})
-	}
-}
-
-// breakerHook returns the OnTransition callback New installs on the
-// breaker set: it feeds the shared opens counter (the cell /v1/hosts
-// and /metrics both read) and the structured log. next preserves any
-// caller-supplied hook.
-func breakerHook(m *envMetrics, log *slog.Logger,
-	next func(string, breaker.State, breaker.State)) func(string, breaker.State, breaker.State) {
-	return func(host string, from, to breaker.State) {
-		if to == breaker.Open {
-			m.breakerOpens.With(host).Inc()
-		}
-		log.Info("breaker transition", "host", host, "from", from.String(), "to", to.String())
-		if next != nil {
-			next(host, from, to)
-		}
 	}
 }

@@ -202,11 +202,11 @@ func TestJobLifecycleTraceAcrossRestart(t *testing.T) {
 
 // TestMetricsExpositionEndToEnd scrapes a live durable environment's
 // registry and asserts every instrumented subsystem shows up in the
-// Prometheus text: admission, scheduler, exec, breakers, WAL, events.
+// Prometheus text: admission, scheduler, exec, quarantine, WAL, events.
 func TestMetricsExpositionEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	cfg.StartBreakers = true
+	cfg.StartDetector = true
 	env, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"vdce/internal/breaker"
 	"vdce/internal/detect"
 	"vdce/internal/exec"
 	"vdce/internal/tasklib"
@@ -178,7 +177,7 @@ func TestDeadlineShedNeedsNoSubmitWait(t *testing.T) {
 // TestBrownoutSoakOverloadAndFlappingHost is the brownout soak the CI
 // runs under -race: a 4x overload wave while one placed host flaps
 // up/down. Submitters shed fast instead of blocking, the flapping
-// host's breaker opens and half-open probes re-admit it once it holds
+// host is quarantined and half-open probes re-admit it once it holds
 // still, retries stay inside the engine-wide budget, and the
 // environment is ready again once the storm passes.
 func TestBrownoutSoakOverloadAndFlappingHost(t *testing.T) {
@@ -191,12 +190,6 @@ func TestBrownoutSoakOverloadAndFlappingHost(t *testing.T) {
 		budgetPerSec = 50.0
 		budgetBurst  = 8
 	)
-	type transition struct {
-		host     string
-		from, to breaker.State
-	}
-	var trMu sync.Mutex
-	var transitions []transition
 	env, err := New(Config{
 		Testbed: testbed.Config{
 			Sites: 2, HostsPerGroup: 4, Seed: 77,
@@ -209,19 +202,11 @@ func TestBrownoutSoakOverloadAndFlappingHost(t *testing.T) {
 			SuspicionTimeout: 100 * time.Millisecond,
 			ConfirmQuorum:    2,
 			TickPeriod:       25 * time.Millisecond,
-		},
-		StartBreakers: true,
-		Breaker: breaker.Config{
 			// A flapping host mixes successes into its window, so the
 			// soak trips on a modest failure share and re-admits after a
 			// single good probe.
 			MinSamples: 2, FailureThreshold: 0.25,
 			OpenTimeout: 300 * time.Millisecond, ProbeSuccesses: 1,
-			OnTransition: func(h string, from, to breaker.State) {
-				trMu.Lock()
-				transitions = append(transitions, transition{h, from, to})
-				trMu.Unlock()
-			},
 		},
 		Retry: exec.RetryConfig{
 			BaseDelay: 2 * time.Millisecond, MaxDelay: 30 * time.Millisecond,
@@ -236,6 +221,15 @@ func TestBrownoutSoakOverloadAndFlappingHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
+	var trMu sync.Mutex
+	var transitions []detect.Transition
+	env.Detector.Subscribe(func(tr detect.Transition) {
+		if tr.To.Quarantine() {
+			trMu.Lock()
+			transitions = append(transitions, tr)
+			trMu.Unlock()
+		}
+	})
 	env.Engine.MaxAttempts = 8
 	env.Engine.LoadCheckPeriod = 2 * time.Millisecond
 	start := time.Now()
@@ -328,7 +322,7 @@ func TestBrownoutSoakOverloadAndFlappingHost(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	// Every accepted job had 7 healthy alternates: all must complete,
-	// with the flap absorbed by rescheduling and breaker quarantine.
+	// with the flap absorbed by rescheduling and quarantine.
 	for _, j := range jobs {
 		if err := j.Wait(context.Background()); err != nil {
 			t.Errorf("job %s (%s): %v [reschedules=%d failed_hosts=%v]",
@@ -347,27 +341,31 @@ func TestBrownoutSoakOverloadAndFlappingHost(t *testing.T) {
 	t.Logf("accepted=%d shed=%d trickle=%d retries=%d parked=%d over %v",
 		len(jobs), shed, trickle, retries, parked, elapsed.Round(time.Millisecond))
 
-	// The flapping host's breaker opened...
+	// The flapping host was quarantined...
 	trMu.Lock()
 	opened := false
 	for _, tr := range transitions {
-		if tr.host == victim && tr.to == breaker.Open {
+		if tr.Host == victim && tr.To == detect.Open {
 			opened = true
 		}
 	}
 	trMu.Unlock()
 	if !opened {
-		t.Errorf("breaker never opened for the flapping host %s (transitions: %v)", victim, transitions)
+		t.Errorf("quarantine never opened for the flapping host %s (transitions: %v)", victim, transitions)
 	}
 	// ...and with the host holding still, the open->half-open timeout
 	// re-admits it for probe traffic.
-	readmitted := func() bool { return env.Breakers.Allow(victim) }
+	readmitted := func() bool {
+		hs, _ := env.Detector.Health(victim)
+		return hs.Phase != detect.Open
+	}
 	admitDeadline := time.Now().Add(5 * time.Second)
 	for !readmitted() && time.Now().Before(admitDeadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if !readmitted() {
-		t.Errorf("host %s still quarantined (state %v) after the flap ended", victim, env.Breakers.State(victim))
+		hs, _ := env.Detector.Health(victim)
+		t.Errorf("host %s still quarantined (%+v) after the flap ended", victim, hs)
 	}
 
 	// The storm has passed: the environment reports ready.
@@ -485,7 +483,6 @@ func TestEditorShed503RetryAfter(t *testing.T) {
 			QueueDepth: 2, SchedulerWorkers: 1, MaxConcurrentRuns: 1,
 			Shed: ShedConfig{MaxSubmitWait: 50 * time.Millisecond, RetryAfter: 2 * time.Second},
 		},
-		StartBreakers: true,
 	})
 	if err != nil {
 		t.Fatal(err)

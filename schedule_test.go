@@ -5,14 +5,16 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"testing"
 	"time"
 
 	"vdce/internal/afg"
-	"vdce/internal/breaker"
 	"vdce/internal/core"
+	"vdce/internal/detect"
 	"vdce/internal/exec"
 	"vdce/internal/protocol"
+	"vdce/internal/repository"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 	"vdce/internal/workload"
@@ -107,21 +109,35 @@ func TestScheduleGoldenDigest(t *testing.T) {
 // exec.NewRescheduler returns for every C3I and LES task — the 2-node
 // parallel ones included — on a 2- and a 3-site testbed, under
 // exclusion sets of none, one, half, all but one and all of the hosts,
-// with no breakers, the preferred host's breaker open, and every
-// breaker open (the advisory fallback). Captured while the rescheduler
-// still carried its own copy of Fig. 3; asking LocalSite.ChooseAt
-// instead may not place anything differently.
+// in three passes with three digests: no host quarantined, the hosts
+// unconstrained requests prefer quarantined, and every host quarantined.
+// The first digest was captured while the rescheduler still carried its
+// own copy of Fig. 3; asking LocalSite.ChooseAt instead may not place
+// anything differently. Quarantine is the repository's host status,
+// the one verdict the rescheduler reads, and it is not advisory: the
+// second pass differs from the old breaker-filtered one in exactly the
+// 45 requests whose only unexcluded candidates were quarantined, which
+// now error instead of falling back onto a quarantined host, and with
+// every host quarantined every request errors.
 func TestRescheduleGoldenDigest(t *testing.T) {
-	const want = "4f0d88ac23c08ac61654fdeefecba47d9563bab00fbb2876c1b40773359a024f"
-	h := sha256.New()
+	want := [3]string{
+		"855efc7055f9de7b16550563d4426064f546529936f37b1b8f3d0cdcd2260349",
+		"95c9d01981ebc08cc0a028ccc6c1ee1e7d9701db425ab94a6c8fcbadebdb4507",
+		"e9bac1ba618e5aa791d4420778098196d61a65be17c8d7c3dca9daa8c36525d7",
+	}
+	digests := [3]hash.Hash{sha256.New(), sha256.New(), sha256.New()}
 	answers := 0
 	for _, sites := range []int{2, 3} {
 		env := newEnv(t, Config{Testbed: testbed.Config{Sites: sites, HostsPerGroup: 3, Seed: 41, BaseLoadMax: 0.2}})
 		all := env.TB.HostNames()
-		oneOpen := breaker.New(breaker.Config{MinSamples: 1})
-		allOpen := breaker.New(breaker.Config{MinSamples: 1})
-		for _, host := range all {
-			allOpen.ReportFailure(host)
+		quarantine := func(host string) {
+			for _, site := range env.TB.Sites {
+				if _, ok := site.Repo.Resources.View(host); ok {
+					if err := site.Repo.Resources.SetStatus(host, repository.HostQuarantined); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 		}
 		c3i, err := tasklib.BuildC3IPipeline(6, 1)
 		if err != nil {
@@ -138,21 +154,27 @@ func TestRescheduleGoldenDigest(t *testing.T) {
 		for _, task := range free.Tasks {
 			task.Props.MachineType = ""
 		}
-		plain := exec.NewRescheduler(env.Sites)
+		resched := exec.NewRescheduler(env.Sites)
+		var preferred []string
 		for _, g := range []*afg.Graph{c3i, les, free} {
 			for _, task := range g.Tasks {
-				// The host an unconstrained request prefers is the one
-				// whose breaker the second rescheduler sees open.
-				if p, err := plain(g, task.ID, nil); err == nil {
-					oneOpen.ReportFailure(p.Hosts[0])
+				if p, err := resched(g, task.ID, nil); err == nil {
+					preferred = append(preferred, p.Hosts[0])
 				}
 			}
 		}
-		for _, resched := range []func(*afg.Graph, afg.TaskID, []string) (*core.Placement, error){
-			plain,
-			exec.NewRescheduler(env.Sites, exec.WithBreakers(oneOpen)),
-			exec.NewRescheduler(env.Sites, exec.WithBreakers(allOpen)),
-		} {
+		for pass, h := range digests {
+			switch pass {
+			case 1:
+				// The hosts unconstrained requests prefer.
+				for _, host := range preferred {
+					quarantine(host)
+				}
+			case 2:
+				for _, host := range all {
+					quarantine(host)
+				}
+			}
 			for _, g := range []*afg.Graph{c3i, les, free} {
 				for _, task := range g.Tasks {
 					for _, n := range []int{0, 1, len(all) / 2, len(all) - 1, len(all)} {
@@ -178,8 +200,84 @@ func TestRescheduleGoldenDigest(t *testing.T) {
 			}
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); answers != 1080 || got != want {
-		t.Fatalf("%d answers, digest %s; want 1080 answers, digest %s", answers, got, want)
+	if answers != 1080 {
+		t.Fatalf("%d answers, want 1080", answers)
+	}
+	for pass, h := range digests {
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[pass] {
+			t.Errorf("pass %d digest %s, want %s", pass, got, want[pass])
+		}
+	}
+}
+
+// TestQuarantinedHostGetsNoFirstPlacement: a host the failure detector
+// quarantines leaves the repository's up list, so a fresh schedule —
+// Fig. 3's first placement, not only a reschedule — places nothing on
+// it; once OpenTimeout has passed, the next round lists it up again for
+// probe work and the schedule is the one it was before the quarantine.
+func TestQuarantinedHostGetsNoFirstPlacement(t *testing.T) {
+	const openTimeout = 10 * time.Second
+	env := newEnv(t, Config{
+		Testbed:       testbed.Config{Sites: 2, HostsPerGroup: 3, Seed: 41, BaseLoadMax: 0.2},
+		StartDetector: true,
+		Detect:        detect.Config{SuspicionTimeout: time.Second, OpenTimeout: openTimeout},
+	})
+	g, err := tasklib.BuildC3IPipeline(6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range g.Tasks {
+		task.Props.MachineType = ""
+	}
+	schedule := func() (*core.AllocationTable, []byte) {
+		t.Helper()
+		table, err := env.Schedule(g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return table, data
+	}
+	// Every host heartbeats each round: only the outcomes can quarantine.
+	tick := func(now time.Time) {
+		t.Helper()
+		for _, h := range env.TB.HostNames() {
+			env.Detector.Observe(h, now)
+		}
+		if _, err := env.Detector.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before, want := schedule()
+	victim := before.Entries[0].Hosts[0]
+	t0 := time.Unix(1000, 0)
+	tick(t0)
+	for i := 0; i < 4; i++ { // the default MinSamples, all failures
+		env.Detector.RecordOutcome(victim, false)
+	}
+	tick(t0.Add(time.Second))
+	if hs, _ := env.Detector.Health(victim); hs.Phase != detect.Open {
+		t.Fatalf("%s not quarantined after four failed outcomes: %+v", victim, hs)
+	}
+	table, _ := schedule()
+	for _, e := range table.Entries {
+		for _, h := range e.Hosts {
+			if h == victim {
+				t.Errorf("task %d (%s) placed on the quarantined host %s", e.Task, e.TaskName, h)
+			}
+		}
+	}
+
+	tick(t0.Add(time.Second + openTimeout))
+	if hs, _ := env.Detector.Health(victim); hs.Phase != detect.HalfOpen {
+		t.Fatalf("%s not half-open after OpenTimeout: %+v", victim, hs)
+	}
+	if _, got := schedule(); string(got) != string(want) {
+		t.Errorf("schedule after the quarantine lifted:\n%s\nwant the one before it:\n%s", got, want)
 	}
 }
 

@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"vdce/internal/afg"
-	"vdce/internal/breaker"
 	"vdce/internal/control"
 	"vdce/internal/core"
 	"vdce/internal/detect"
@@ -86,16 +85,20 @@ type Config struct {
 	// land in the site repositories as one epoch per round, and tasks
 	// running on a confirmed-dead host are interrupted and rescheduled
 	// mid-run. Echo-detected failures become quorum votes instead of
-	// immediate status flips. With StartDaemons the detector's
-	// evaluation loop runs on the wall clock against live heartbeats;
-	// without daemons no background loop starts (a wall-clock ticker
-	// would condemn hosts fed synthetic timestamps) — synchronous
-	// drivers feed heartbeats via RefreshMonitoring and call
+	// immediate status flips. Task outcomes and suspicions feed each
+	// host's failure-rate window, and a host failing too often is
+	// quarantined — listed out of placement — until half-open probes
+	// succeed (detect.Config's quarantine fields). With StartDaemons the
+	// detector's evaluation loop runs on the wall clock against live
+	// heartbeats; without daemons no background loop starts (a
+	// wall-clock ticker would condemn hosts fed synthetic timestamps) —
+	// synchronous drivers feed heartbeats via RefreshMonitoring and call
 	// Detector.Tick themselves with their own clock.
 	StartDetector bool
 	// Detect tunes the failure detector. Zero fields default relative to
 	// MonitorPeriod (suspicion after 4 missed periods, quorum 2, one
-	// evaluation round per period).
+	// evaluation round per period); the quarantine fields take the detect
+	// defaults.
 	Detect detect.Config
 	// Pipeline sizes the concurrent submission pipeline behind Submit.
 	// The zero value takes the PipelineConfig defaults.
@@ -106,15 +109,6 @@ type Config struct {
 	// retry storm. The zero value takes the exec defaults: backoff from
 	// exec.DefaultRetryBaseDelay, unlimited budget.
 	Retry exec.RetryConfig
-	// StartBreakers runs per-host circuit breakers (internal/breaker):
-	// watchdog failures and detector suspicions open a flapping host's
-	// breaker, quarantining it from placements until half-open probes
-	// succeed. Surfaced on GET /v1/hosts and consulted by the
-	// rescheduler.
-	StartBreakers bool
-	// Breaker tunes the circuit breakers when StartBreakers is set; the
-	// zero value takes the breaker defaults.
-	Breaker breaker.Config
 	// StoreDir, when non-empty, makes the control plane durable: job
 	// lifecycle, per-owner admin state, task-performance history, and the
 	// event stream's high-water mark are logged to an append-only store
@@ -128,7 +122,7 @@ type Config struct {
 	// when StoreDir is set; the zero value takes the store defaults.
 	Store store.Options
 	// Obs is the metrics registry every subsystem records into
-	// (admission, scheduler rounds, exec, breakers, WAL, event broker,
+	// (admission, scheduler rounds, exec, quarantine, WAL, event broker,
 	// job phase histograms). Nil creates a fresh registry — there is
 	// always one; pass a shared registry to aggregate several
 	// environments onto one /metrics page.
@@ -148,12 +142,9 @@ type Environment struct {
 	Groups   []*control.GroupManager
 	Engine   *exec.Engine
 	Console  *services.Console
-	// Detector is the failure-detection service (non-nil when
-	// Config.StartDetector).
+	// Detector is the failure-detection service, the one owner of host
+	// health (non-nil when Config.StartDetector).
 	Detector *detect.Detector
-	// Breakers is the per-host circuit-breaker set (non-nil when
-	// Config.StartBreakers).
-	Breakers *breaker.Set
 	// Board tracks every submitted job's lifecycle for monitoring.
 	Board *services.JobBoard
 	// Store is the durable control-plane log (non-nil when
@@ -295,23 +286,14 @@ func New(cfg Config) (*Environment, error) {
 		}
 	}
 
-	var reschedOpts []exec.ReschedulerOption
-	if cfg.StartBreakers {
-		// Breaker transitions feed the shared opens counter and the
-		// structured log on top of any caller-installed hook.
-		bcfg := cfg.Breaker
-		bcfg.OnTransition = breakerHook(env.obsM, env.log, cfg.Breaker.OnTransition)
-		env.Breakers = breaker.New(bcfg)
-		reschedOpts = append(reschedOpts, exec.WithBreakers(env.Breakers))
-	}
 	env.Engine = &exec.Engine{
 		Reg:           env.Registry,
 		TB:            tb,
 		LoadThreshold: cfg.LoadThreshold,
 		DilationScale: cfg.DilationScale,
-		Reschedule:    exec.NewRescheduler(env.Sites, reschedOpts...),
+		Reschedule:    exec.NewRescheduler(env.Sites),
 		Retry:         cfg.Retry,
-		Breakers:      env.Breakers,
+		Health:        env.Detector,
 		Console:       env.Console,
 		Log:           cfg.Logger,
 	}
@@ -329,28 +311,16 @@ func New(cfg Config) (*Environment, error) {
 		env.storeErr("perf-measured", env.Store.PerfMeasured(perf...), "first_task", recs[0].Task)
 	}
 	if env.Detector != nil {
-		// Confirmed transitions drive execution: a death interrupts the
-		// host's running tasks (they reschedule with the host excluded),
-		// a recovery readmits it. The repository side of the transition
-		// is already published when subscribers run.
+		// Quarantine transitions feed the opens counter /v1/hosts and
+		// /metrics share, and the structured log.
 		env.Detector.Subscribe(func(tr detect.Transition) {
-			switch tr.To {
-			case detect.Suspect:
-				// The suspect signal feeds the circuit breakers: a flapping
-				// host keeps re-entering suspicion without ever staying
-				// silent long enough to be confirmed dead, and the breaker
-				// is exactly the accumulator that notices the pattern.
-				if env.Breakers != nil {
-					env.Breakers.ReportFailure(tr.Host)
-				}
-			case detect.Dead:
-				env.Engine.MarkHostDead(tr.Host)
-				if env.Breakers != nil {
-					env.Breakers.ReportFailure(tr.Host)
-				}
-			case detect.Recovered:
-				env.Engine.MarkHostAlive(tr.Host)
+			if !tr.To.Quarantine() {
+				return
 			}
+			if tr.To == detect.Open {
+				env.obsM.breakerOpens.With(tr.Host).Inc()
+			}
+			env.log.Info("breaker transition", "host", tr.Host, "from", tr.From.String(), "to", tr.To.String())
 		})
 		if cfg.StartDaemons {
 			// The wall-clock evaluation loop only makes sense against
@@ -706,17 +676,9 @@ func (env *Environment) JobTrace(id string) (services.JobTrace, bool) {
 }
 
 // Hosts reports every testbed host's health snapshot — host-model
-// up/down, failure-detector state (when a detector runs), and
-// circuit-breaker state (when breakers run) — served as GET /v1/hosts.
+// up/down, and the failure detector's liveness state and quarantine
+// phase when a detector runs — served as GET /v1/hosts.
 func (env *Environment) Hosts() []services.HostStatus {
-	var brk map[string]breaker.HostStatus
-	if env.Breakers != nil {
-		snap := env.Breakers.Snapshot()
-		brk = make(map[string]breaker.HostStatus, len(snap))
-		for _, hs := range snap {
-			brk[hs.Host] = hs
-		}
-	}
 	var out []services.HostStatus
 	for _, s := range env.TB.Sites {
 		for _, h := range s.Hosts {
@@ -724,21 +686,17 @@ func (env *Environment) Hosts() []services.HostStatus {
 				Host:    h.Name,
 				Site:    s.Name,
 				Up:      h.Reachable() && !h.Failed(),
-				Breaker: breaker.Closed.String(),
+				Breaker: detect.Closed.String(),
+				// The counter the quarantine subscriber feeds, the same cell
+				// /metrics exposes, so the two surfaces cannot disagree.
+				BreakerOpens: int(env.obsM.breakerOpens.Value(h.Name)),
 			}
 			if env.Detector != nil {
-				if st, ok := env.Detector.State(h.Name); ok {
-					hs.Detector = st.String()
+				if v, ok := env.Detector.Health(h.Name); ok {
+					hs.Detector = v.State.String()
+					hs.Breaker = v.Phase.String()
+					hs.FailureRate, hs.Samples = v.FailureRate, v.Samples
 				}
-			}
-			if b, ok := brk[h.Name]; ok {
-				hs.Breaker = b.State
-				hs.FailureRate = b.FailureRate
-				hs.Samples = b.Samples
-				// Opens come from the shared registry counter (fed by the
-				// OnTransition hook), the same cell /metrics exposes, so the
-				// two surfaces cannot disagree.
-				hs.BreakerOpens = int(env.obsM.breakerOpens.Value(h.Name))
 			}
 			out = append(out, hs)
 		}
@@ -748,15 +706,26 @@ func (env *Environment) Hosts() []services.HostStatus {
 
 // RefreshMonitoring synchronously refreshes every site's resource DB
 // from the host models (one monitor round), for callers that do not run
-// the daemons. When the failure detector runs, the round's samples also
-// count as heartbeats, exactly as daemon-delivered ones would.
+// the daemons. Without a failure detector the round also writes each
+// host's up/down status, as RefreshRepos does. With one, the detector
+// owns status: the round's samples count as heartbeats and land in the
+// repository as workload samples only, exactly as daemon-delivered ones
+// would, and an unreachable host is left for Tick to judge.
 func (env *Environment) RefreshMonitoring(now time.Time) error {
-	if env.Detector != nil {
-		for _, h := range env.TB.AllHosts() {
+	if env.Detector == nil {
+		return env.TB.RefreshRepos(now)
+	}
+	for _, s := range env.TB.Sites {
+		batch := make([]repository.HostSample, 0, len(s.Hosts))
+		for _, h := range s.Hosts {
 			if h.Reachable() {
 				env.Detector.Observe(h.Name, now)
+				batch = append(batch, repository.HostSample{Host: h.Name, Sample: h.Sample(now)})
 			}
 		}
+		if _, err := s.Repo.Resources.UpdateWorkloads(batch); err != nil {
+			return err
+		}
 	}
-	return env.TB.RefreshRepos(now)
+	return nil
 }

@@ -367,3 +367,62 @@ func TestRefreshMonitoring(t *testing.T) {
 		t.Fatal("refresh recorded nothing")
 	}
 }
+
+// TestRefreshMonitoringLeavesStatusToTheDetector: with a failure
+// detector running, a synchronous monitor round writes workload samples
+// and heartbeats only. A failed host stays up until a detector round
+// confirms it, and a quarantined host stays quarantined across a
+// refresh.
+func TestRefreshMonitoringLeavesStatusToTheDetector(t *testing.T) {
+	env := newEnv(t, Config{
+		Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2},
+		StartDetector: true,
+		Detect:        detect.Config{SuspicionTimeout: time.Second, ConfirmQuorum: 1},
+	})
+	resources := env.Sites[0].Repo.Resources
+	view := func(h *testbed.Host) repository.HostView {
+		t.Helper()
+		v, ok := resources.View(h.Name)
+		if !ok {
+			t.Fatalf("no resource record for %s", h.Name)
+		}
+		return v
+	}
+	failed, flaky := env.TB.Sites[0].Hosts[0], env.TB.Sites[0].Hosts[1]
+	t0 := time.Unix(1000, 0)
+	if err := env.RefreshMonitoring(t0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Detector.Tick(t0); err != nil {
+		t.Fatal(err)
+	}
+
+	failed.Fail()
+	if err := env.RefreshMonitoring(t0.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := view(failed).Status; got != repository.HostUp {
+		t.Fatalf("failed host marked %s by a monitor round, before any detector round", got)
+	}
+	for i := 0; i < 4; i++ {
+		env.Detector.RecordOutcome(flaky.Name, false)
+	}
+	if _, err := env.Detector.Tick(t0.Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := view(failed).Status; got != repository.HostDown {
+		t.Fatalf("failed host marked %s after the detector confirmed it, want down", got)
+	}
+	if got := view(flaky).Status; got != repository.HostQuarantined {
+		t.Fatalf("flaky host marked %s, want quarantined", got)
+	}
+
+	at := t0.Add(3 * time.Second)
+	if err := env.RefreshMonitoring(at); err != nil {
+		t.Fatal(err)
+	}
+	if v := view(flaky); v.Status != repository.HostQuarantined || !v.LastSeen.Equal(at) {
+		t.Fatalf("after a refresh the flaky host reads %s, last seen %v; want quarantined, sampled at %v",
+			v.Status, v.LastSeen, at)
+	}
+}
