@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LU holds the result of an LU decomposition with partial pivoting:
@@ -35,10 +36,11 @@ func Decompose(a *Matrix) (*LU, error) {
 	}
 	swaps := 0
 	for k := 0; k < n; k++ {
+		// A stopped job's check belongs here: once per pivot column.
 		// Find pivot: largest |u[i][k]| for i >= k.
-		p, best := k, math.Abs(u.At(k, k))
+		p, best := k, math.Abs(u.Data[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if v := math.Abs(u.At(i, k)); v > best {
+			if v := math.Abs(u.Data[i*n+k]); v > best {
 				p, best = i, v
 			}
 		}
@@ -46,23 +48,18 @@ func Decompose(a *Matrix) (*LU, error) {
 			return nil, ErrSingular
 		}
 		if p != k {
-			u.swapRows(p, k)
+			u.swapRows(p, k, n)
+			l.swapRows(p, k, k) // the multipliers already computed (columns < k)
 			perm[p], perm[k] = perm[k], perm[p]
 			swaps++
-			// Swap the already-computed multipliers in L (columns < k).
-			for j := 0; j < k; j++ {
-				lp, lk := l.At(p, j), l.At(k, j)
-				l.Set(p, j, lk)
-				l.Set(k, j, lp)
-			}
 		}
-		pivot := u.At(k, k)
+		uk := u.Data[k*n+k : (k+1)*n]
 		for i := k + 1; i < n; i++ {
-			m := u.At(i, k) / pivot
-			l.Set(i, k, m)
-			u.Set(i, k, 0)
-			for j := k + 1; j < n; j++ {
-				u.Set(i, j, u.At(i, j)-m*u.At(k, j))
+			ui := u.Data[i*n+k:][:len(uk)]
+			m := ui[0] / uk[0]
+			l.Data[i*n+k], ui[0] = m, 0
+			for j := 1; j < len(uk); j++ {
+				ui[j] -= m * uk[j]
 			}
 		}
 	}
@@ -79,48 +76,101 @@ func (lu *LU) PermuteRows(m *Matrix) *Matrix {
 	return out
 }
 
-// ForwardSub solves L*y = b for unit lower-triangular L.
-func ForwardSub(l *Matrix, b []float64) ([]float64, error) {
-	n := l.Rows
-	if l.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("linalg: ForwardSub shape mismatch L=%dx%d len(b)=%d", l.Rows, l.Cols, len(b))
-	}
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= l.At(i, j) * y[j]
+// CheckLU reports whether L and U are n x n for some n >= 1 and perm is
+// a permutation of 0..n-1. Its O(n^2) scan costs no more than reading L.
+func CheckLU(l, u *Matrix, perm []int) error {
+	n := len(perm)
+	for _, m := range [2]*Matrix{l, u} {
+		if m == nil || m.Rows != n || m.Cols != n || len(m.Data) != n*n || n == 0 {
+			return fmt.Errorf("linalg: LU factors are not %dx%d for a %d-entry permutation", n, n, n)
 		}
-		// L is unit lower triangular: diagonal is 1, but divide anyway to
-		// support general lower-triangular systems.
-		d := l.At(i, i)
-		if d == 0 {
+	}
+	for i, p := range perm {
+		if p < 0 || p >= n || slices.Contains(perm[:i], p) {
+			return fmt.Errorf("linalg: LU permutation is not a permutation of 0..%d", n-1)
+		}
+	}
+	return nil
+}
+
+// InvertLU returns inv(A) from P*A = L*U, solving L*U*x = P*e for each
+// unit vector e in one scratch column. Column perm[r]'s P*e is zero above
+// row r, so its forward solve starts there: for finite factors the rows
+// skipped would only subtract zero products from zero.
+func InvertLU(l, u *Matrix, perm []int) (*Matrix, error) {
+	if err := CheckLU(l, u, perm); err != nil {
+		return nil, err
+	}
+	n := len(perm)
+	inv := New(n, n)
+	x := make([]float64, n)
+	for r, col := range perm {
+		// A stopped job's check belongs here: once per column.
+		clear(x)
+		x[r] = 1
+		if _, err := forwardSub(l, x, r); err != nil {
+			return nil, err
+		}
+		if _, err := backSub(u, x); err != nil {
+			return nil, err
+		}
+		for i, v := range x {
+			inv.Data[i*n+col] = v
+		}
+	}
+	return inv, nil
+}
+
+// forwardSub solves L*y = b in place (x holds b on entry, y on return)
+// for lower-triangular L, given that b is zero above row from.
+func forwardSub(l *Matrix, x []float64, from int) ([]float64, error) {
+	n := len(x)
+	for i := from; i < n; i++ {
+		row := l.Data[i*n:][:n]
+		s := x[i]
+		for j := from; j < i; j++ {
+			s -= row[j] * x[j]
+		}
+		// Divide even by a unit diagonal: SolveSPD passes a general L.
+		if row[i] == 0 {
 			return nil, ErrSingular
 		}
-		y[i] = s / d
+		x[i] = s / row[i]
 	}
-	return y, nil
+	return x, nil
+}
+
+// backSub solves U*x = y in place (x holds y on entry) for upper-triangular U.
+func backSub(u *Matrix, x []float64) ([]float64, error) {
+	n := len(x)
+	for i := n - 1; i >= 0; i-- {
+		row := u.Data[i*n:][:n]
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= row[j] * x[j]
+		}
+		if math.Abs(row[i]) < 1e-300 {
+			return nil, ErrSingular
+		}
+		x[i] = s / row[i]
+	}
+	return x, nil
+}
+
+// ForwardSub solves L*y = b for unit lower-triangular L.
+func ForwardSub(l *Matrix, b []float64) ([]float64, error) {
+	if l.Rows != len(b) || l.Cols != len(b) {
+		return nil, fmt.Errorf("linalg: ForwardSub shape mismatch L=%dx%d len(b)=%d", l.Rows, l.Cols, len(b))
+	}
+	return forwardSub(l, append([]float64(nil), b...), 0)
 }
 
 // BackSub solves U*x = y for upper-triangular U.
 func BackSub(u *Matrix, y []float64) ([]float64, error) {
-	n := u.Rows
-	if u.Cols != n || len(y) != n {
+	if u.Rows != len(y) || u.Cols != len(y) {
 		return nil, fmt.Errorf("linalg: BackSub shape mismatch U=%dx%d len(y)=%d", u.Rows, u.Cols, len(y))
 	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= u.At(i, j) * x[j]
-		}
-		d := u.At(i, i)
-		if math.Abs(d) < 1e-300 {
-			return nil, ErrSingular
-		}
-		x[i] = s / d
-	}
-	return x, nil
+	return backSub(u, append([]float64(nil), y...))
 }
 
 // Solve solves A*x = b using LU decomposition with partial pivoting.

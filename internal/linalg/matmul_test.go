@@ -105,14 +105,3 @@ func BenchmarkMatMulParallel128(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkLUDecompose128(b *testing.B) {
-	a := RandomDiagonallyDominant(128, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -3,9 +3,10 @@
 // pivoting, triangular solves, and sequential and parallel matrix
 // multiplication.
 //
-// The kernels are deliberately self-contained (stdlib only) and
-// deterministic so that the task-performance database measurements taken
-// by the runtime are reproducible across runs.
+// The kernels are self-contained (stdlib only) and deterministic: they
+// index row slices directly but keep the reference summation order, so
+// their results are bit-exact across changes and the task-performance
+// database measurements taken by the runtime are reproducible across runs.
 package linalg
 
 import (
@@ -147,13 +148,9 @@ func (m *Matrix) String() string {
 	return b.String()
 }
 
-// swapRows exchanges rows i and j in place.
-func (m *Matrix) swapRows(i, j int) {
-	if i == j {
-		return
-	}
-	ri := m.Data[i*m.Cols : (i+1)*m.Cols]
-	rj := m.Data[j*m.Cols : (j+1)*m.Cols]
+// swapRows exchanges the first w entries of rows i and j in place.
+func (m *Matrix) swapRows(i, j, w int) {
+	ri, rj := m.Data[i*m.Cols:i*m.Cols+w], m.Data[j*m.Cols:j*m.Cols+w]
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}

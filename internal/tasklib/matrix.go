@@ -250,29 +250,9 @@ func registerMatrixLibrary(reg func(Spec)) {
 			if err != nil {
 				return nil, err
 			}
-			n := lu.U.Rows
-			inv := linalg.New(n, n)
-			e := make([]float64, n)
-			for col := 0; col < n; col++ {
-				for i := range e {
-					e[i] = 0
-				}
-				e[col] = 1
-				pb := make([]float64, n)
-				for i, src := range lu.Perm {
-					pb[i] = e[src]
-				}
-				y, err := linalg.ForwardSub(lu.L, pb)
-				if err != nil {
-					return nil, err
-				}
-				x, err := linalg.BackSub(lu.U, y)
-				if err != nil {
-					return nil, err
-				}
-				for i := 0; i < n; i++ {
-					inv.Set(i, col, x[i])
-				}
+			inv, err := linalg.InvertLU(lu.L, lu.U, lu.Perm)
+			if err != nil {
+				return nil, err
 			}
 			return []Value{inv}, nil
 		},
@@ -376,8 +356,11 @@ func luInput(c *Context, i int) (*LUResult, error) {
 		return nil, fmt.Errorf("tasklib: no input %d", i)
 	}
 	lu, ok := c.In[i].(*LUResult)
-	if !ok {
-		return nil, fmt.Errorf("tasklib: input %d is %T, want *LUResult", i, c.In[i])
+	if !ok || lu == nil {
+		return nil, fmt.Errorf("tasklib: input %d is %T, want a non-nil *LUResult", i, c.In[i])
+	}
+	if err := linalg.CheckLU(lu.L, lu.U, lu.Perm); err != nil {
+		return nil, fmt.Errorf("tasklib: input %d: %w", i, err)
 	}
 	return lu, nil
 }
