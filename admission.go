@@ -3,6 +3,7 @@ package vdce
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -117,9 +118,10 @@ func (e *QuotaError) Is(target error) bool { return target == ErrQuotaExceeded }
 // capped owners' jobs park in place while other owners dispatch past
 // them.
 //
-// The sub-queue heaps are hand-rolled over slices (no container/heap)
-// so the Submit hot path does not pay an interface boxing allocation
-// per push and pop.
+// Every heap here is one slotHeap: the two halves of the eligible-owner
+// index and each owner's backlog. Its members record their own slot
+// (ownerShare.hidx, jobRecord.queue), so cancel and the position probe
+// find a queued job from its record, with no side index to keep current.
 type admitQueue struct {
 	mu    sync.Mutex
 	step  time.Duration
@@ -132,14 +134,10 @@ type admitQueue struct {
 	// owners do not grow the map, the position replay, or /v1/owners
 	// without bound.
 	owners map[string]*ownerShare
-	// loc maps every queued job ID to its owner and sub-heap slot,
-	// maintained through every heap swap — remove (cancel) and the
-	// position membership probe are O(1) lookups instead of scans over
-	// every owner's backlog.
-	loc map[string]jobLoc
-	// lagged/ahead: the eligible-owner index (see the type comment).
-	lagged ownerHeap
-	ahead  ownerHeap
+	// lagged/ahead: the eligible-owner index (see the type comment),
+	// ordered by name and by (vfinish, name).
+	lagged slotHeap[*ownerShare]
+	ahead  slotHeap[*ownerShare]
 	// queued is the total backlog across owners, so depth gauges do not
 	// iterate the owner map.
 	queued int
@@ -156,29 +154,20 @@ type admitQueue struct {
 	posCache map[string]int
 }
 
-// jobLoc is one queued job's location: its owner's share and its index
-// in the owner's sub-heap slice.
-type jobLoc struct {
-	os  *ownerShare
-	idx int
-}
-
 // ownerShare is one owner's sub-queue plus its fair-share and quota
 // state. All fields are guarded by admitQueue.mu.
 type ownerShare struct {
 	name string
-	q    *admitQueue  // back-pointer for the job-location index
-	jobs []admitEntry // aging-rank max-heap
+	jobs slotHeap[*jobRecord] // backlog, a heap under queuedBefore
 	// weight is the owner's fair-share weight (>= 1); the latest
 	// submitted job's resolved weight wins.
 	weight int
 	// vfinish is the owner's virtual finish time: the charge point of
 	// its last pop plus 1/weight.
 	vfinish float64
-	// where/hidx: membership in the eligible-owner index — which heap
-	// (heapNone when ineligible) and at which slot.
-	where int8
-	hidx  int
+	// hidx is the owner's slot in whichever eligible-owner heap holds
+	// it; stale while it is in neither.
+	hidx int
 	// reserved counts the owner's queued jobs, from admission-quota
 	// reservation (before the submitter even waits for a queue slot)
 	// until pop or removal.
@@ -192,10 +181,9 @@ type ownerShare struct {
 	// parked counts the owner's jobs parked on the held-hosts cap.
 	// While any is parked the owner is ineligible for pops, so parked
 	// dispatch goroutines are bounded per owner by the scheduler's
-	// worker count times its dispatch batch (workers that popped before
-	// the first park landed can add up to a batch each) — a capped
-	// owner's backlog waits in the queue, not in a growing pile of
-	// goroutines holding stale placements.
+	// worker count (each worker that popped before the first park landed
+	// can add one) — a capped owner's backlog waits in the queue, not in
+	// a growing pile of goroutines holding stale placements.
 	parked int
 	// changed is this owner's usage broadcast: closed (and lazily
 	// remade) when the owner's in-flight or held-host usage frees or
@@ -212,84 +200,128 @@ type ownerShare struct {
 	caps *QuotaConfig
 }
 
-// Eligible-owner index heap identifiers.
-const (
-	heapNone int8 = iota
-	heapLagged
-	heapAhead
-)
+func (os *ownerShare) heapSlot() *int { return &os.hidx }
 
-// ownerHeap is one half of the eligible-owner index: a hand-rolled
-// min-heap of owner shares ordered by name (lagged group — every member
-// charges at the queue clock, so only the tie-break matters) or by
-// (vfinish, name) (ahead group). Members carry their slot in hidx so
-// arbitrary removal is O(log n).
-type ownerHeap struct {
-	id    int8
-	items []*ownerShare
-}
+// byName orders the lagged group: every member charges at the queue
+// clock, so only the tie-break matters.
+func byName(a, b *ownerShare) bool { return a.name < b.name }
 
-func (h *ownerHeap) less(a, b *ownerShare) bool {
-	if h.id == heapAhead && a.vfinish != b.vfinish {
+// byFinish orders the ahead group by charge point, then name.
+func byFinish(a, b *ownerShare) bool {
+	if a.vfinish != b.vfinish {
 		return a.vfinish < b.vfinish
 	}
 	return a.name < b.name
 }
 
-func (h *ownerHeap) push(os *ownerShare) {
-	os.where = h.id
-	os.hidx = len(h.items)
-	h.items = append(h.items, os)
-	h.up(os.hidx)
+// queueSlot is a queued job's place in its owner's backlog: the heap key
+// push computes once (see rank) and the job's heap index. Guarded by
+// admitQueue.mu, and stale once the job leaves the queue.
+type queueSlot struct {
+	rank int64
+	seq  uint64 // FIFO tie-break for identical ranks
+	idx  int
 }
 
-func (h *ownerHeap) removeAt(i int) *ownerShare {
-	os := h.items[i]
-	last := len(h.items) - 1
+func (j *jobRecord) heapSlot() *int { return &j.queue.idx }
+
+// queuedBefore reports whether a dequeues ahead of b within one owner.
+func queuedBefore(a, b *jobRecord) bool {
+	if a.queue.rank != b.queue.rank {
+		return a.queue.rank > b.queue.rank
+	}
+	return a.queue.seq < b.queue.seq
+}
+
+// slotted is what a slotHeap holds: a pointer that records its own index
+// in the heap.
+type slotted interface {
+	comparable
+	heapSlot() *int
+}
+
+// slotHeap is a binary min-heap under less whose members record their
+// own slot, so removing any member is O(log n) and membership is an
+// identity check at the recorded slot — a slot left stale when its
+// member departed names another element or none, never a false match.
+// Hand-rolled over a slice (no container/heap) so push and pop box
+// nothing.
+type slotHeap[E slotted] struct {
+	items []E
+	less  func(a, b E) bool
+}
+
+// has reports whether e is in the heap.
+func (h *slotHeap[E]) has(e E) bool {
+	i := *e.heapSlot()
+	return i >= 0 && i < len(h.items) && h.items[i] == e
+}
+
+func (h *slotHeap[E]) push(e E) {
+	h.items = append(h.items, e)
+	h.up(len(h.items) - 1)
+}
+
+// pop removes and returns the minimum; the heap must not be empty.
+func (h *slotHeap[E]) pop() E {
+	e := h.items[0]
+	h.remove(e)
+	return e
+}
+
+// remove deletes e, reporting whether it was in the heap.
+func (h *slotHeap[E]) remove(e E) bool {
+	if !h.has(e) {
+		return false
+	}
+	i, last := *e.heapSlot(), len(h.items)-1
 	h.items[i] = h.items[last]
-	h.items[last] = nil
+	var zero E
+	h.items[last] = zero // release the reference
 	h.items = h.items[:last]
 	if i < last {
-		h.items[i].hidx = i
 		h.down(i)
 		h.up(i)
 	}
-	os.where = heapNone
-	os.hidx = -1
-	return os
+	return true
 }
 
-func (h *ownerHeap) up(i int) {
+// set places e at slot i and records the slot on e.
+func (h *slotHeap[E]) set(i int, e E) {
+	h.items[i] = e
+	*e.heapSlot() = i
+}
+
+func (h *slotHeap[E]) up(i int) {
+	e := h.items[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		if !h.less(e, h.items[parent]) {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		h.items[i].hidx = i
+		h.set(i, h.items[parent])
 		i = parent
 	}
-	h.items[i].hidx = i
+	h.set(i, e)
 }
 
-func (h *ownerHeap) down(i int) {
-	n := len(h.items)
+func (h *slotHeap[E]) down(i int) {
+	e, n := h.items[i], len(h.items)
 	for {
-		best := i
-		if l := 2*i + 1; l < n && h.less(h.items[l], h.items[best]) {
-			best = l
-		}
-		if r := 2*i + 2; r < n && h.less(h.items[r], h.items[best]) {
-			best = r
-		}
-		if best == i {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		h.items[i], h.items[best] = h.items[best], h.items[i]
-		h.items[i].hidx = i
-		i = best
+		if r := child + 1; r < n && h.less(h.items[r], h.items[child]) {
+			child = r
+		}
+		if !h.less(h.items[child], e) {
+			break
+		}
+		h.set(i, h.items[child])
+		i = child
 	}
-	h.items[i].hidx = i
+	h.set(i, e)
 }
 
 func newAdmitQueue(step time.Duration, quota QuotaConfig) *admitQueue {
@@ -297,9 +329,8 @@ func newAdmitQueue(step time.Duration, quota QuotaConfig) *admitQueue {
 		step:   step,
 		quota:  quota,
 		owners: make(map[string]*ownerShare),
-		loc:    make(map[string]jobLoc),
-		lagged: ownerHeap{id: heapLagged},
-		ahead:  ownerHeap{id: heapAhead},
+		lagged: slotHeap[*ownerShare]{less: byName},
+		ahead:  slotHeap[*ownerShare]{less: byFinish},
 	}
 }
 
@@ -308,7 +339,7 @@ func newAdmitQueue(step time.Duration, quota QuotaConfig) *admitQueue {
 func (q *admitQueue) owner(name string) *ownerShare {
 	os, ok := q.owners[name]
 	if !ok {
-		os = &ownerShare{name: name, q: q, weight: 1, hidx: -1}
+		os = &ownerShare{name: name, weight: 1, jobs: slotHeap[*jobRecord]{less: queuedBefore}}
 		q.owners[name] = os
 	}
 	return os
@@ -333,11 +364,8 @@ func (q *admitQueue) reindexLocked(os *ownerShare) {
 // detachLocked removes an owner from whichever index heap holds it.
 // Caller holds q.mu.
 func (q *admitQueue) detachLocked(os *ownerShare) {
-	switch os.where {
-	case heapLagged:
-		q.lagged.removeAt(os.hidx)
-	case heapAhead:
-		q.ahead.removeAt(os.hidx)
+	if !q.lagged.remove(os) {
+		q.ahead.remove(os)
 	}
 }
 
@@ -348,7 +376,7 @@ func (q *admitQueue) detachLocked(os *ownerShare) {
 // owner, so the amortized cost stays O(log owners). Caller holds q.mu.
 func (q *admitQueue) migrateLocked() {
 	for len(q.ahead.items) > 0 && q.ahead.items[0].vfinish <= q.vtime {
-		q.lagged.push(q.ahead.removeAt(0))
+		q.lagged.push(q.ahead.pop())
 	}
 }
 
@@ -361,7 +389,7 @@ func (q *admitQueue) migrateLocked() {
 // un-elapsed virtual debt, which an owner can only shed by fully
 // draining first. Caller holds q.mu.
 func (q *admitQueue) maybePruneLocked(os *ownerShare) {
-	if len(os.jobs) != 0 || os.reserved != 0 || os.inFlight != 0 || os.hostsHeld != 0 ||
+	if len(os.jobs.items) != 0 || os.reserved != 0 || os.inFlight != 0 || os.hostsHeld != 0 ||
 		os.parked != 0 || os.pinned || os.caps != nil {
 		return
 	}
@@ -404,16 +432,15 @@ func (q *admitQueue) reserveQueued(owner string) error {
 	return nil
 }
 
-// adoptQueued re-enqueues a job recovered from the durable store:
-// reservation and push in one step, bypassing the queued-jobs cap — the
+// adoptQueued re-enqueues a job recovered from the durable store: a
+// reservation that bypasses the queued-jobs cap, then push — the
 // job was already admitted in the previous incarnation, and rejecting
 // it now would silently drop accepted work.
 func (q *admitQueue) adoptQueued(j *jobRecord) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	os := q.owner(j.Owner)
-	os.reserved++
-	q.pushLocked(os, j)
+	q.owner(j.Owner).reserved++
+	q.mu.Unlock()
+	q.push(j)
 }
 
 // unreserveQueued returns a reservation for a submission that never
@@ -435,19 +462,14 @@ func (q *admitQueue) unreserveQueued(owner string) {
 func (q *admitQueue) push(j *jobRecord) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.pushLocked(q.owner(j.Owner), j)
-}
-
-// pushLocked is the shared body of push and adoptQueued. Caller holds
-// q.mu.
-func (q *admitQueue) pushLocked(os *ownerShare, j *jobRecord) {
+	os := q.owner(j.Owner)
 	q.seq++
 	q.gen++
 	if j.shareWeight >= 1 && !os.pinned {
 		os.weight = clampShareWeight(j.shareWeight)
 	}
-	os.jobs = append(os.jobs, admitEntry{job: j, rank: q.rank(j.priority, j.timings.SubmittedAt), seq: q.seq})
-	os.up(len(os.jobs) - 1)
+	j.queue = queueSlot{rank: q.rank(j.priority, j.timings.SubmittedAt), seq: q.seq}
+	os.jobs.push(j)
 	q.queued++
 	q.reindexLocked(os)
 }
@@ -468,7 +490,7 @@ func (q *admitQueue) capsFor(os *ownerShare) QuotaConfig {
 // parked pile with a placement that goes stale while it waits).
 // Caller holds q.mu.
 func (q *admitQueue) eligible(os *ownerShare) bool {
-	if len(os.jobs) == 0 {
+	if len(os.jobs.items) == 0 {
 		return false
 	}
 	if cap := q.capsFor(os).MaxInFlightPerOwner; cap > 0 && os.inFlight >= cap {
@@ -536,16 +558,15 @@ func wfqCost(weight int) float64 { return 1 / float64(weight) }
 // owner can charge that low); otherwise the ahead heap's
 // (vfinish, name)-minimal top is.
 func (q *admitQueue) pickOwnerLocked() *ownerShare {
-	var best *ownerShare
-	if len(q.lagged.items) > 0 {
-		best = q.lagged.items[0]
-	} else if len(q.ahead.items) > 0 {
-		best = q.ahead.items[0]
-	} else {
+	h := &q.lagged
+	if len(h.items) == 0 {
+		h = &q.ahead
+	}
+	if len(h.items) == 0 {
 		return nil
 	}
+	best := h.pop()
 	charge := chargePoint(best.vfinish, q.vtime)
-	q.detachLocked(best)
 	q.vtime = charge
 	best.vfinish = charge + wfqCost(best.weight)
 	q.migrateLocked()
@@ -560,7 +581,7 @@ func (q *admitQueue) takeHeadLocked(os *ownerShare) *jobRecord {
 		return nil
 	}
 	q.gen++
-	j := os.removeAt(0).job
+	j := os.jobs.pop()
 	os.reserved--
 	os.inFlight++
 	q.queued--
@@ -580,40 +601,20 @@ func (q *admitQueue) pop() *jobRecord {
 	return q.takeHeadLocked(q.pickOwnerLocked())
 }
 
-// popBatch appends up to max fairly-arbitrated jobs to buf under one
-// lock acquisition — the batched scheduler handoff: one worker wakeup
-// drains a batch instead of paying a lock round-trip and a wake token
-// per job. Semantically identical to max sequential pops.
-func (q *admitQueue) popBatch(buf []*jobRecord, max int) []*jobRecord {
+// remove deletes a queued job, reporting whether it was queued. Used by
+// Cancel to free the job's queue slot eagerly, in O(log backlog).
+func (q *admitQueue) remove(j *jobRecord) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(buf) < max {
-		j := q.takeHeadLocked(q.pickOwnerLocked())
-		if j == nil {
-			break
-		}
-		buf = append(buf, j)
-	}
-	return buf
-}
-
-// remove deletes one job by ID, reporting whether it was found. Used by
-// Cancel to free the job's queue slot eagerly. O(log backlog) via the
-// job-location index — a cancel storm no longer scans every owner's
-// entire backlog per call.
-func (q *admitQueue) remove(id string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	l, ok := q.loc[id]
-	if !ok {
+	os := q.owners[j.Owner]
+	if os == nil || !os.jobs.remove(j) {
 		return false
 	}
 	q.gen++
-	l.os.removeAt(l.idx)
-	l.os.reserved--
+	os.reserved--
 	q.queued--
-	q.reindexLocked(l.os)
-	q.maybePruneLocked(l.os)
+	q.reindexLocked(os)
+	q.maybePruneLocked(os)
 	return true
 }
 
@@ -715,16 +716,17 @@ func (q *admitQueue) usageChanged(owner string) <-chan struct{} {
 // position returns the 1-based dequeue position of a queued job (1 =
 // next to pop), or 0 when the job is not queued — served from the same
 // cached arbitration replay positions() serves, so the single-job and
-// listing surfaces can never disagree. The membership probe is an O(1)
-// location-index lookup: Status() asks for jobs already popped (or not
-// yet pushed) all the time, and those must not pay for a replay.
-func (q *admitQueue) position(id string) int {
+// listing surfaces can never disagree. The membership probe is an
+// identity check at the job's recorded slot: Status() asks for jobs
+// already popped (or not yet pushed) all the time, and those must not
+// pay for a replay.
+func (q *admitQueue) position(j *jobRecord) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if _, ok := q.loc[id]; !ok {
+	if os := q.owners[j.Owner]; os == nil || !os.jobs.has(j) {
 		return 0
 	}
-	return q.positionsLocked()[id]
+	return q.positionsLocked()[j.ID]
 }
 
 // positions returns the 1-based dequeue position of every queued job
@@ -758,18 +760,18 @@ func (q *admitQueue) positionsLocked() map[string]int {
 func (q *admitQueue) replayPositions() map[string]int {
 	type shadow struct {
 		os      *ownerShare
-		order   []admitEntry // within-owner dequeue order
+		order   []*jobRecord // within-owner dequeue order
 		next    int
 		vfinish float64
 	}
 	total := 0
 	shadows := make([]shadow, 0, len(q.owners))
 	for _, os := range q.owners {
-		if len(os.jobs) == 0 {
+		if len(os.jobs.items) == 0 {
 			continue
 		}
-		order := append([]admitEntry(nil), os.jobs...)
-		sort.Slice(order, func(i, j int) bool { return order[i].before(order[j]) })
+		order := slices.Clone(os.jobs.items)
+		sort.Slice(order, func(i, j int) bool { return queuedBefore(order[i], order[j]) })
 		shadows = append(shadows, shadow{os: os, order: order, vfinish: os.vfinish})
 		total += len(order)
 	}
@@ -790,7 +792,7 @@ func (q *admitQueue) replayPositions() map[string]int {
 		}
 		vtime = bestCharge
 		best.vfinish = bestCharge + wfqCost(best.os.weight)
-		out[best.order[best.next].job.ID] = pos
+		out[best.order[best.next].ID] = pos
 		best.next++
 	}
 	return out
@@ -872,81 +874,4 @@ func (q *admitQueue) ownerWeights() map[string]int {
 		out[name] = os.weight
 	}
 	return out
-}
-
-// --- within-owner aging-rank heap ---
-
-// setLoc records the job at heap slot i in the queue's location index.
-// Caller holds the queue's mu.
-func (os *ownerShare) setLoc(i int) {
-	os.q.loc[os.jobs[i].job.ID] = jobLoc{os: os, idx: i}
-}
-
-// removeAt deletes index i, restoring the heap and the location index.
-// Caller holds the queue's mu.
-func (os *ownerShare) removeAt(i int) admitEntry {
-	e := os.jobs[i]
-	delete(os.q.loc, e.job.ID)
-	last := len(os.jobs) - 1
-	os.jobs[i] = os.jobs[last]
-	os.jobs[last] = admitEntry{} // release the *jobRecord reference
-	os.jobs = os.jobs[:last]
-	if i < last {
-		os.setLoc(i)
-		os.down(i)
-		os.up(i)
-	}
-	return e
-}
-
-// up sifts index i toward the root, keeping the location index current
-// through every swap.
-func (os *ownerShare) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !os.jobs[i].before(os.jobs[parent]) {
-			break
-		}
-		os.jobs[i], os.jobs[parent] = os.jobs[parent], os.jobs[i]
-		os.setLoc(i)
-		i = parent
-	}
-	os.setLoc(i)
-}
-
-// down sifts index i toward the leaves, keeping the location index
-// current through every swap.
-func (os *ownerShare) down(i int) {
-	n := len(os.jobs)
-	for {
-		best := i
-		if l := 2*i + 1; l < n && os.jobs[l].before(os.jobs[best]) {
-			best = l
-		}
-		if r := 2*i + 2; r < n && os.jobs[r].before(os.jobs[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		os.jobs[i], os.jobs[best] = os.jobs[best], os.jobs[i]
-		os.setLoc(i)
-		i = best
-	}
-	os.setLoc(i)
-}
-
-// admitEntry is one queued job with its precomputed admission rank.
-type admitEntry struct {
-	job  *jobRecord
-	rank int64
-	seq  uint64 // FIFO tie-break for identical ranks
-}
-
-// before reports whether e dequeues ahead of o within one owner.
-func (e admitEntry) before(o admitEntry) bool {
-	if e.rank != o.rank {
-		return e.rank > o.rank
-	}
-	return e.seq < o.seq
 }

@@ -3,9 +3,9 @@ package vdce
 // Scale suite for the O(log owners) admission rewrite: the randomized
 // indexed-vs-linear equivalence stream (the honesty check on the
 // eligible-owner index), the cancel-storm and transient-owner-churn
-// regressions for the location index and owner pruning, the per-owner
-// wake isolation pin, batch-pop equivalence, and the pop-path alloc
-// guard CI enforces.
+// regressions for the recorded slots and owner pruning, the stale-slot
+// pin, the per-owner wake isolation pin, and the pop-path alloc guard CI
+// enforces.
 
 import (
 	"fmt"
@@ -24,55 +24,59 @@ type twinJob struct{ a, b *jobRecord }
 // owner map exactly: every eligible owner sits in the heap its vfinish
 // dictates (vfinish <= vtime -> lagged, else ahead), every ineligible
 // owner in neither, hidx back-pointers are live, both heaps are valid
-// min-heaps, and the job-location index round-trips every queued job.
+// min-heaps, each queued record's slot is its index under its own
+// owner, and the backlog count is the sum of the backlogs.
 func checkIndexInvariants(t *testing.T, q *admitQueue) {
 	t.Helper()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	inHeap := make(map[*ownerShare]int8)
-	for _, h := range []*ownerHeap{&q.lagged, &q.ahead} {
+	const (
+		none = iota
+		lagged
+		ahead
+	)
+	inHeap := make(map[*ownerShare]int)
+	for id, h := range map[int]*slotHeap[*ownerShare]{lagged: &q.lagged, ahead: &q.ahead} {
 		for i, os := range h.items {
-			if os.where != h.id || os.hidx != i {
-				t.Fatalf("owner %q heap back-pointer stale: where=%d hidx=%d, at heap %d slot %d",
-					os.name, os.where, os.hidx, h.id, i)
+			if os.hidx != i {
+				t.Fatalf("owner %q heap back-pointer stale: hidx=%d at heap %d slot %d", os.name, os.hidx, id, i)
 			}
 			if i > 0 {
 				parent := (i - 1) / 2
 				if h.less(os, h.items[parent]) {
 					t.Fatalf("owner heap %d order broken at slot %d (%q before parent %q)",
-						h.id, i, os.name, h.items[parent].name)
+						id, i, os.name, h.items[parent].name)
 				}
 			}
-			inHeap[os] = h.id
+			if prev, dup := inHeap[os]; dup {
+				t.Fatalf("owner %q in heaps %d and %d", os.name, prev, id)
+			}
+			inHeap[os] = id
 		}
 	}
 	queued := 0
 	for name, os := range q.owners {
-		want := heapNone
+		want := none
 		if q.eligible(os) {
-			want = heapLagged
+			want = lagged
 			if os.vfinish > q.vtime {
-				want = heapAhead
+				want = ahead
 			}
 		}
 		if got := inHeap[os]; got != want {
 			t.Fatalf("owner %q in heap %d, want %d (vfinish=%v vtime=%v eligible=%v)",
 				name, got, want, os.vfinish, q.vtime, q.eligible(os))
 		}
-		queued += len(os.jobs)
-		for i, e := range os.jobs {
-			l, ok := q.loc[e.job.ID]
-			if !ok || l.os != os || l.idx != i {
-				t.Fatalf("location index wrong for %q: got %+v, want owner %q idx %d",
-					e.job.ID, l, name, i)
+		queued += len(os.jobs.items)
+		for i, j := range os.jobs.items {
+			if j.queue.idx != i || j.Owner != name {
+				t.Fatalf("queued %q records slot %d under owner %q, sits at %d under %q",
+					j.ID, j.queue.idx, j.Owner, i, name)
 			}
 		}
 	}
 	if queued != q.queued {
 		t.Fatalf("q.queued = %d, want %d (sum of backlogs)", q.queued, queued)
-	}
-	if len(q.loc) != queued {
-		t.Fatalf("location index holds %d jobs, want %d", len(q.loc), queued)
 	}
 }
 
@@ -148,7 +152,8 @@ func TestIndexedArbiterMatchesLinearReference(t *testing.T) {
 			i := rng.Intn(len(queuedIDs))
 			id := queuedIDs[i]
 			queuedIDs = removeID(queuedIDs, i)
-			fa, fb := qa.remove(id), qb.remove(id)
+			tj := jobs[id]
+			fa, fb := qa.remove(tj.a), qb.remove(tj.b)
 			if !fa || !fb {
 				t.Fatalf("cancel %q: indexed found=%v linear found=%v, want both true", id, fa, fb)
 			}
@@ -219,7 +224,7 @@ func TestIndexedArbiterMatchesLinearReference(t *testing.T) {
 
 // TestAdmitCancelStormUnderDeadline is the satellite-1 regression: a
 // cancel storm over a deep multi-owner backlog must run in near-linear
-// time via the job-location index. The pre-index remove scanned every
+// time via each record's own slot. The pre-index remove scanned every
 // owner's entire backlog per call — O(owners x jobs), ~10^8 entry
 // visits for this shape — so the wall-clock bound fails loudly on a
 // regression while staying far from flaky on a loaded CI runner.
@@ -230,27 +235,27 @@ func TestAdmitCancelStormUnderDeadline(t *testing.T) {
 	)
 	q := newAdmitQueue(time.Second, QuotaConfig{})
 	base := time.Unix(12000, 0)
-	ids := make([]string, jobsN)
+	jobs := make([]*jobRecord, jobsN)
 	for i := 0; i < jobsN; i++ {
 		owner := fmt.Sprintf("storm-%d", i%owners)
 		if err := q.reserveQueued(owner); err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = fmt.Sprintf("s%d", i)
-		q.push(mkAdmitJob(ids[i], owner, i%5, 1+i%3, base.Add(time.Duration(i)*time.Millisecond)))
+		jobs[i] = mkAdmitJob(fmt.Sprintf("s%d", i), owner, i%5, 1+i%3, base.Add(time.Duration(i)*time.Millisecond))
+		q.push(jobs[i])
 	}
-	rand.New(rand.NewSource(7)).Shuffle(jobsN, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	rand.New(rand.NewSource(7)).Shuffle(jobsN, func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
 
 	start := time.Now()
-	for _, id := range ids {
-		if !q.remove(id) {
-			t.Fatalf("remove(%q) did not find the queued job", id)
+	for _, j := range jobs {
+		if !q.remove(j) {
+			t.Fatalf("remove(%q) did not find the queued job", j.ID)
 		}
 	}
 	elapsed := time.Since(start)
 	const deadline = 5 * time.Second
 	if elapsed > deadline {
-		t.Fatalf("canceling %d queued jobs took %v, want < %v (location index regression)",
+		t.Fatalf("canceling %d queued jobs took %v, want < %v (slot lookup regression)",
 			jobsN, elapsed, deadline)
 	}
 	if n := q.queuedLen(); n != 0 {
@@ -351,46 +356,47 @@ func TestAdmitReleaseWakesOnlyOwner(t *testing.T) {
 	}
 }
 
-// TestAdmitPopBatchMatchesSequentialPops pins the batched scheduler
-// handoff's semantics: popBatch(k) is exactly k sequential pops under
-// one lock — same jobs, same order, same ledger charges.
-func TestAdmitPopBatchMatchesSequentialPops(t *testing.T) {
-	mk := func() *admitQueue {
-		q := newAdmitQueue(time.Second, QuotaConfig{})
-		base := time.Unix(17000, 0)
-		for i := 0; i < 40; i++ {
-			owner := fmt.Sprintf("b%d", i%7)
-			q.push(mkAdmitJob(fmt.Sprintf("seq-%d", i), owner, i%3, 1+i%3,
-				base.Add(time.Duration(i)*time.Millisecond)))
-		}
-		return q
+// TestAdmitStaleSlotNeverActsOnAnotherJob pins the identity check at a
+// record's slot: a job that left the queue keeps the index it last had,
+// and once another job sits there, remove and position must see through
+// it — they neither remove nor report the job that moved in.
+func TestAdmitStaleSlotNeverActsOnAnotherJob(t *testing.T) {
+	q := newAdmitQueue(time.Second, QuotaConfig{})
+	base := time.Unix(17000, 0)
+	a := mkAdmitJob("stale-a", "o", 2, 1, base)
+	b := mkAdmitJob("stale-b", "o", 1, 1, base)
+	c := mkAdmitJob("stale-c", "o", 0, 1, base)
+	for _, j := range []*jobRecord{a, b, c} {
+		q.push(j)
 	}
-	one, batched := mk(), mk()
-	var want, got []string
-	for {
-		j := one.pop()
-		if j == nil {
-			break
-		}
-		want = append(want, j.ID)
+	checkIndexInvariants(t, q)
+	if got := q.pop(); got != a {
+		t.Fatalf("pop = %v, want stale-a", got)
 	}
-	buf := make([]*jobRecord, 0, 6)
-	for {
-		buf = batched.popBatch(buf[:0], 6)
-		if len(buf) == 0 {
-			break
-		}
-		for _, j := range buf {
-			got = append(got, j.ID)
-		}
+	checkIndexInvariants(t, q)
+	if a.queue.idx != b.queue.idx {
+		t.Fatalf("stale-b sits at slot %d, not stale-a's old slot %d", b.queue.idx, a.queue.idx)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("batched drain popped %d jobs, sequential popped %d", len(got), len(want))
+	if q.remove(a) {
+		t.Fatal("remove(popped stale-a) removed the job in its old slot")
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop %d: batched=%q sequential=%q", i, got[i], want[i])
-		}
+	if pos := q.position(a); pos != 0 {
+		t.Fatalf("position(popped stale-a) = %d, want 0", pos)
+	}
+	checkIndexInvariants(t, q)
+	if pos := q.position(b); pos != 1 {
+		t.Fatalf("position(stale-b) = %d, want 1", pos)
+	}
+	if !q.remove(b) {
+		t.Fatal("remove(stale-b) missed a queued job")
+	}
+	checkIndexInvariants(t, q)
+	if q.remove(b) {
+		t.Fatal("second remove(stale-b) removed the job in its old slot")
+	}
+	checkIndexInvariants(t, q)
+	if pos := q.position(c); pos != 1 || q.queuedLen() != 1 {
+		t.Fatalf("stale-c at position %d with %d queued, want 1 and 1", pos, q.queuedLen())
 	}
 }
 

@@ -22,11 +22,12 @@ func checkHeapInvariant(t *testing.T, q *admitQueue) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for name, os := range q.owners {
-		for i := 1; i < len(os.jobs); i++ {
+		jobs := os.jobs.items
+		for i := 1; i < len(jobs); i++ {
 			parent := (i - 1) / 2
-			if os.jobs[i].before(os.jobs[parent]) {
+			if queuedBefore(jobs[i], jobs[parent]) {
 				t.Fatalf("owner %q heap invariant broken at index %d: %s before parent %s",
-					name, i, os.jobs[i].job.ID, os.jobs[parent].job.ID)
+					name, i, jobs[i].ID, jobs[parent].ID)
 			}
 		}
 	}
@@ -114,8 +115,9 @@ func TestAdmitInFlightCapParksOwnerInPlace(t *testing.T) {
 	q := newAdmitQueue(time.Second, QuotaConfig{MaxInFlightPerOwner: 1})
 	t0 := time.Unix(7000, 0)
 	a0 := mkAdmitJob("a-0", "a", 0, 1, t0)
+	a1 := mkAdmitJob("a-1", "a", 0, 1, t0)
 	q.push(a0)
-	q.push(mkAdmitJob("a-1", "a", 0, 1, t0))
+	q.push(a1)
 	q.push(mkAdmitJob("b-0", "b", 0, 1, t0))
 
 	if j := q.pop(); j == nil || j.ID != "a-0" {
@@ -127,7 +129,7 @@ func TestAdmitInFlightCapParksOwnerInPlace(t *testing.T) {
 	if j := q.pop(); j != nil {
 		t.Fatalf("third pop = %v, want nil (a capped, b empty)", j)
 	}
-	if pos := q.position("a-1"); pos != 1 {
+	if pos := q.position(a1); pos != 1 {
 		t.Fatalf("parked job position = %d, want 1 (next once the owner frees)", pos)
 	}
 	if !q.release(a0) {
@@ -252,6 +254,7 @@ func TestAdmitQueueRandomizedAgainstReference(t *testing.T) {
 		return false
 	}
 	var live []string
+	recs := make(map[string]*jobRecord)
 	t0 := time.Unix(9000, 0)
 	nextID := 0
 
@@ -266,7 +269,8 @@ func TestAdmitQueueRandomizedAgainstReference(t *testing.T) {
 			at := t0.Add(time.Duration(rng.Intn(10000)) * time.Millisecond)
 			id := fmt.Sprintf("r-%d", nextID)
 			nextID++
-			q.push(mkAdmitJob(id, owner, prio, weights[owner], at))
+			recs[id] = mkAdmitJob(id, owner, prio, weights[owner], at)
+			q.push(recs[id])
 			refSeq++
 			ref[owner] = append(ref[owner], &refEntry{id: id, rank: q.rank(prio, at), seq: refSeq})
 			live = append(live, id)
@@ -297,13 +301,13 @@ func TestAdmitQueueRandomizedAgainstReference(t *testing.T) {
 			}
 			i := rng.Intn(len(live))
 			id := live[i]
-			if !q.remove(id) {
+			if !q.remove(recs[id]) {
 				t.Fatalf("op %d: remove(%s) found nothing, reference disagrees", op, id)
 			}
 			if !refRemove(id) {
 				t.Fatalf("op %d: reference remove(%s) missing", op, id)
 			}
-			if q.remove(id) {
+			if q.remove(recs[id]) {
 				t.Fatalf("op %d: double remove(%s) succeeded", op, id)
 			}
 			live = append(live[:i], live[i+1:]...)
@@ -312,7 +316,7 @@ func TestAdmitQueueRandomizedAgainstReference(t *testing.T) {
 				continue
 			}
 			id := live[rng.Intn(len(live))]
-			pos := q.position(id)
+			pos := q.position(recs[id])
 			if pos < 1 || pos > len(live) {
 				t.Fatalf("op %d: position(%s) = %d with %d queued", op, id, pos, len(live))
 			}
@@ -328,7 +332,7 @@ func TestAdmitQueueRandomizedAgainstReference(t *testing.T) {
 	checkHeapInvariant(t, q)
 	positions := make([]int, 0, len(live))
 	for _, id := range live {
-		positions = append(positions, q.position(id))
+		positions = append(positions, q.position(recs[id]))
 	}
 	sort.Ints(positions)
 	for i, p := range positions {
@@ -359,18 +363,18 @@ func TestAdmitQueueRandomizedAgainstReference(t *testing.T) {
 func TestAdmitPositionPredictsPopOrder(t *testing.T) {
 	q := newAdmitQueue(time.Second, QuotaConfig{})
 	t0 := time.Unix(8000, 0)
-	ids := []string{}
+	var jobs []*jobRecord
 	for i := 0; i < 24; i++ {
 		owner := []string{"a", "b", "c"}[i%3]
 		weight := map[string]int{"a": 1, "b": 1, "c": 2}[owner]
-		id := fmt.Sprintf("%s-%d", owner, i)
-		q.push(mkAdmitJob(id, owner, i%5, weight, t0.Add(time.Duration(i)*time.Millisecond)))
-		ids = append(ids, id)
+		j := mkAdmitJob(fmt.Sprintf("%s-%d", owner, i), owner, i%5, weight, t0.Add(time.Duration(i)*time.Millisecond))
+		q.push(j)
+		jobs = append(jobs, j)
 	}
-	byPos := make(map[int]string, len(ids))
+	byPos := make(map[int]string, len(jobs))
 	batch := q.positions()
-	for _, id := range ids {
-		pos := q.position(id)
+	for _, j := range jobs {
+		id, pos := j.ID, q.position(j)
 		if prev, dup := byPos[pos]; dup {
 			t.Fatalf("position %d claimed by both %s and %s", pos, prev, id)
 		}
@@ -380,7 +384,7 @@ func TestAdmitPositionPredictsPopOrder(t *testing.T) {
 				id, batch[id], pos)
 		}
 	}
-	for i := 1; i <= len(ids); i++ {
+	for i := 1; i <= len(jobs); i++ {
 		j := q.pop()
 		if j == nil {
 			t.Fatalf("pop %d = nil", i)

@@ -493,12 +493,13 @@ func TestAdmitQueueOrdering(t *testing.T) {
 		return &jobRecord{ID: id, priority: prio, timings: services.JobTimings{SubmittedAt: at}}
 	}
 	// old-low waited 3 steps longer than new-mid (priority +2): aging wins.
+	oldLow := mk("old-low", 0, t0)
 	q.push(mk("new-high", 9, t0.Add(3*step)))
-	q.push(mk("old-low", 0, t0))
+	q.push(oldLow)
 	q.push(mk("new-mid", 2, t0.Add(3*step)))
 	q.push(mk("fifo-a", 2, t0.Add(3*step)))
 	want := []string{"new-high", "old-low", "new-mid", "fifo-a"}
-	if got := q.position("old-low"); got != 2 {
+	if got := q.position(oldLow); got != 2 {
 		t.Fatalf("position(old-low) = %d, want 2", got)
 	}
 	for _, id := range want {
@@ -510,10 +511,11 @@ func TestAdmitQueueOrdering(t *testing.T) {
 	if q.pop() != nil {
 		t.Fatal("queue not drained")
 	}
-	// remove deletes by ID.
-	q.push(mk("a", 1, t0))
+	// remove deletes a queued record, once.
+	a := mk("a", 1, t0)
+	q.push(a)
 	q.push(mk("b", 1, t0.Add(step)))
-	if !q.remove("a") || q.remove("a") {
+	if !q.remove(a) || q.remove(a) {
 		t.Fatal("remove misbehaved")
 	}
 	if j := q.pop(); j == nil || j.ID != "b" {

@@ -278,21 +278,6 @@ var WALBuckets = []float64{
 // SizeBuckets is a powers-of-two scale for batch/record counts.
 var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
-// ExponentialBuckets returns count buckets starting at start, each
-// factor times the previous. Panics on a non-positive start, a factor
-// <= 1, or count < 1.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	if start <= 0 || factor <= 1 || count < 1 {
-		panic("obs: ExponentialBuckets needs start > 0, factor > 1, count >= 1")
-	}
-	b := make([]float64, count)
-	for i := range b {
-		b[i] = start
-		start *= factor
-	}
-	return b
-}
-
 // Total sums every series of the named family across its label values:
 // counter and gauge families sum their values (Func families sample
 // their collector), histogram families sum observation counts. Unknown

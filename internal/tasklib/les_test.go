@@ -3,6 +3,7 @@ package tasklib
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"strings"
 	"testing"
 
@@ -154,6 +155,69 @@ func TestLUConsumersRejectMalformedInput(t *testing.T) {
 			in := []Value{lu, []float64{1, 2, 3}}[:spec.InPorts]
 			if _, err := spec.Fn(&Context{In: in}); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s on %s: err = %v, want one containing %q", task, tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestMatrixTasksRejectMalformedInput: a decoded matrix the codec
+// accepts but no kernel can index — nil, Data shorter than Rows*Cols, a
+// zero dimension — is an error from every task that reads one through
+// Context.Matrix, on every matrix port, never a panic.
+func TestMatrixTasksRejectMalformedInput(t *testing.T) {
+	r := Default()
+	a := linalg.RandomDiagonallyDominant(3, 1)
+	v := []float64{1, 2, 3}
+	// Well-formed inputs per task; the matrix ports are the ones probed.
+	tasks := map[string]struct {
+		in    []Value
+		ports []int
+	}{
+		"LU_Decomposition":       {[]Value{a}, []int{0}},
+		"Cholesky_Decomposition": {[]Value{linalg.RandomSPD(3, 1)}, []int{0}},
+		"Matrix_Multiplication":  {[]Value{a, a}, []int{0, 1}},
+		"Matrix_Vector_Multiply": {[]Value{a, v}, []int{0}},
+		"Matrix_Add":             {[]Value{a, a}, []int{0, 1}},
+		"Matrix_Transpose":       {[]Value{a}, []int{0}},
+		"Residual_Norm":          {[]Value{a, v, v}, []int{0}},
+	}
+	luConsumers := []string{"Matrix_Inversion", "Forward_Substitution", "Back_Substitution"}
+	for _, name := range r.Names("matrix") {
+		spec, err := r.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := tasks[name]; !ok && spec.InPorts > 0 && !slices.Contains(luConsumers, name) {
+			t.Errorf("matrix task %s takes input but is not probed here", name)
+		}
+	}
+	for _, bad := range []struct {
+		name string
+		m    *linalg.Matrix
+	}{
+		{"nil", nil},
+		{"short Data", &linalg.Matrix{Rows: 3, Cols: 3, Data: []float64{1, 2}}},
+		{"zero rows", &linalg.Matrix{Rows: 0, Cols: 3}},
+	} {
+		b, err := EncodeValue(bad.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := DecodeValue(b) // the codec does not judge the shape
+		if err != nil {
+			t.Fatalf("%s: %v", bad.name, err)
+		}
+		for name, tc := range tasks {
+			spec, err := r.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, port := range tc.ports {
+				in := slices.Clone(tc.in)
+				in[port] = m
+				if _, err := spec.Fn(&Context{In: in}); err == nil || !strings.Contains(err.Error(), "not a well-formed matrix") {
+					t.Errorf("%s with %s on port %d: err = %v, want a malformed-matrix error", name, bad.name, port, err)
+				}
 			}
 		}
 	}

@@ -79,7 +79,9 @@ func (c *Context) FloatArg(name string, def float64) (float64, error) {
 	return v, nil
 }
 
-// Matrix extracts input port i as a matrix.
+// Matrix extracts input port i as a matrix, refusing one no kernel can
+// index: nil, a zero dimension, or Data whose length is not Rows*Cols
+// (DecodeValue accepts all three).
 func (c *Context) Matrix(i int) (*linalg.Matrix, error) {
 	if i < 0 || i >= len(c.In) {
 		return nil, fmt.Errorf("tasklib: no input %d", i)
@@ -87,6 +89,11 @@ func (c *Context) Matrix(i int) (*linalg.Matrix, error) {
 	m, ok := c.In[i].(*linalg.Matrix)
 	if !ok {
 		return nil, fmt.Errorf("tasklib: input %d is %T, want *linalg.Matrix", i, c.In[i])
+	}
+	// Bounding each side by len(Data) keeps Rows*Cols from overflowing.
+	if m == nil || m.Rows < 1 || m.Cols < 1 || m.Rows > len(m.Data) || m.Cols > len(m.Data) ||
+		m.Rows*m.Cols != len(m.Data) {
+		return nil, fmt.Errorf("tasklib: input %d is not a well-formed matrix", i)
 	}
 	return m, nil
 }

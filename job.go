@@ -233,6 +233,9 @@ type jobRecord struct {
 	// the admission queue's lock); while set, the owner is skipped by
 	// pop so parked dispatches stay bounded at one per owner.
 	hostParked bool
+	// queue is the job's place in its owner's admission backlog (guarded
+	// by the admission queue's lock).
+	queue queueSlot
 	// deadline bounds the job's lifetime; zero means none.
 	deadline time.Time
 	// recovered marks a job that was in flight when a previous
@@ -625,7 +628,7 @@ func (j *jobRecord) Status() services.JobStatus {
 	j.mu.Unlock()
 	switch s.State {
 	case services.JobStateQueued:
-		s.QueuePosition = j.pipe.admit.position(j.ID)
+		s.QueuePosition = j.pipe.admit.position(j)
 	case services.JobStateScheduling, services.JobStateRunning:
 		s.HostsHeld = j.pipe.admit.heldCount(j)
 	}

@@ -156,7 +156,9 @@ func (env *Environment) UpdateOwner(owner string, upd services.OwnerUpdate) (ser
 func (env *Environment) Job(id string) (services.JobStatus, bool) {
 	s, ok := env.Board.Get(id)
 	if ok && s.State == services.JobStateQueued {
-		s.QueuePosition = env.pipe.admit.position(id)
+		if j, live := env.pipe.job(id); live {
+			s.QueuePosition = env.pipe.admit.position(j)
+		}
 	}
 	return s, ok
 }

@@ -26,10 +26,6 @@ type envMetrics struct {
 
 	// Scheduler.
 	roundLatency *obs.Histogram
-	// batchPops is the batched-handoff observability: how many jobs one
-	// worker wakeup drained from the admission queue (the distribution
-	// shifting right under load is the amortization working).
-	batchPops *obs.Histogram
 
 	// Job lifecycle phase durations, observed when each boundary is
 	// crossed or at terminalize.
@@ -88,9 +84,6 @@ func newEnvMetrics(reg *obs.Registry) *envMetrics {
 		rejectQuota:     rejects.With("quota"),
 		roundLatency: reg.Histogram("vdce_scheduler_round_seconds",
 			"Site-scheduler round latency (Fig. 2 round per job).", obs.DefBuckets).With(),
-		batchPops: reg.Histogram("vdce_admission_batch_pops",
-			"Jobs drained from the admission queue per worker wakeup (batched handoff).",
-			obs.ExponentialBuckets(1, 2, 6)).With(),
 		phaseQueueWait:    phase.With("queue_wait"),
 		phaseDispatchWait: phase.With("dispatch_wait"),
 		phaseRun:          phase.With("run"),

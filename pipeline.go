@@ -66,15 +66,6 @@ type PipelineConfig struct {
 	Shed ShedConfig
 }
 
-// dispatchBatch is how many fairly-arbitrated jobs one scheduler worker
-// drains from the admission queue per wakeup, amortizing the queue lock
-// and the wake token across the batch. A worker that drains a full
-// batch re-arms another idle worker before processing, so deep backlogs
-// still spread across all workers; with fewer eligible jobs than the
-// batch, one worker processes them in pop order, so latency is bounded
-// by the batch size and the batch stays small.
-const dispatchBatch = 8
-
 // retainedOutputBytes bounds the task outputs finished jobs keep
 // readable: past it the oldest results lose their Outputs (see
 // retainOutputs). Rows are bounded by MaxRetainedJobs.
@@ -389,7 +380,7 @@ func (p *pipeline) drop(j *jobRecord) {
 	if !armed {
 		return
 	}
-	if p.admit.remove(j.ID) {
+	if p.admit.remove(j) {
 		p.releaseSlot()
 	}
 	j.end(ctx, nil)
@@ -469,42 +460,23 @@ func (p *pipeline) shedSubmission(serr *ShedError, owner string) error {
 	return serr
 }
 
-// worker drains batches of fairly-arbitrated jobs from the admission
-// queue and runs their scheduling rounds from each job's home site. One
-// wakeup token buys up to dispatchBatch pops under a single queue lock
-// acquisition (the batched handoff); a full batch means more work
-// likely remains, so the worker re-arms another idle worker before it
-// starts processing, keeping deep backlogs spread across the pool.
-// Each job's queue-capacity slot frees when its round starts — jobs
-// still waiting in a worker's batch keep counting against QueueDepth,
-// so batching never weakens Submit backpressure or the shed threshold.
+// worker pops one fairly-arbitrated job at a time from the admission
+// queue and runs its scheduling round from the job's home site. Popping
+// only when it is ready to run the round keeps WFQ order late-bound: a
+// job submitted meanwhile competes for the next pop on equal terms, and
+// a popped job waits in no buffer. The job's queue-capacity slot frees
+// when its round starts. A worker sleeps only after a pop found nothing
+// eligible, so one wakeup token per push (or freed quota) is enough.
 func (p *pipeline) worker() {
 	defer p.workerWG.Done()
-	batch := make([]*jobRecord, 0, dispatchBatch)
 	for {
 		select {
 		case <-p.ctx.Done():
 			return
 		default:
 		}
-		// Bound the batch by free run capacity: popping a job commits
-		// its place in the dispatch order, so draining more jobs than
-		// the engine can start binds WFQ arbitration early — jobs
-		// submitted while the excess waits in this worker's buffer
-		// would be unfairly ordered behind it. With the engine choked
-		// this degrades to per-job handoff (late binding, exact
-		// fairness); with slots free the full batch amortizes the
-		// queue lock. The read is advisory — a slot freed or taken
-		// concurrently only shifts where the next batch cuts off.
-		max := dispatchBatch
-		if avail := cap(p.runSem) - len(p.runSem); avail < max {
-			max = avail
-			if max < 1 {
-				max = 1
-			}
-		}
-		batch = p.admit.popBatch(batch[:0], max)
-		if len(batch) == 0 {
+		job := p.admit.pop()
+		if job == nil {
 			select {
 			case <-p.ctx.Done():
 				return
@@ -512,15 +484,8 @@ func (p *pipeline) worker() {
 			}
 			continue
 		}
-		p.env.obsM.batchPops.Observe(float64(len(batch)))
-		if len(batch) == max {
-			p.wake()
-		}
-		for i, job := range batch {
-			batch[i] = nil // release the reference before the round runs
-			p.releaseSlot()
-			p.process(job)
-		}
+		p.releaseSlot()
+		p.process(job)
 	}
 }
 
@@ -590,12 +555,11 @@ func (p *pipeline) process(job *jobRecord) {
 // is deliberate backpressure: with the engine saturated, workers park
 // here, the admission queue fills, and Submit blocks — so the total
 // number of admitted-but-unfinished jobs stays bounded by QueueDepth +
-// SchedulerWorkers·dispatchBatch + MaxConcurrentRuns, plus hosts-parked
-// jobs (the pop-side parked gate bounds those per owner by the worker
-// count times the dispatch batch). A job waiting for a slot remains in
-// the scheduling state (it is still in a worker's hands) until its
-// context ends, which frees the worker. Jobs resuming from a hosts-quota
-// park call this off-worker instead.
+// SchedulerWorkers + MaxConcurrentRuns, plus hosts-parked jobs (the
+// pop-side parked gate bounds those per owner by the worker count). A
+// job waiting for a slot remains in the scheduling state (it is still
+// in a worker's hands) until its context ends, which frees the worker.
+// Jobs resuming from a hosts-quota park call this off-worker instead.
 func (p *pipeline) dispatch(ctx context.Context, job *jobRecord, table *core.AllocationTable) {
 	select {
 	case p.runSem <- struct{}{}:

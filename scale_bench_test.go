@@ -75,7 +75,7 @@ func BenchmarkAdmission10kOwners(b *testing.B) {
 
 // BenchmarkAdmissionCancelStorm measures one cancel against a deep
 // 10k-job, 1k-owner backlog — the satellite-1 hot path, O(log backlog)
-// via the location index.
+// from the record's own slot.
 func BenchmarkAdmissionCancelStorm(b *testing.B) {
 	const (
 		jobsN  = 10_000
@@ -106,7 +106,7 @@ func BenchmarkAdmissionCancelStorm(b *testing.B) {
 			b.StartTimer()
 		}
 		remaining--
-		if !q.remove(jobs[remaining].ID) {
+		if !q.remove(jobs[remaining]) {
 			b.Fatalf("remove(%q) missed a queued job", jobs[remaining].ID)
 		}
 	}

@@ -196,7 +196,11 @@ func TestQueuePositionCacheMatchesReplay(t *testing.T) {
 	}
 	// The single-job surface serves from the same cache.
 	for id, pos := range fresh {
-		if got := q.position(id); got != pos {
+		j, ok := env.pipe.job(id)
+		if !ok {
+			t.Fatalf("queued %s has no live record", id)
+		}
+		if got := q.position(j); got != pos {
 			t.Fatalf("position(%s) = %d, want %d", id, got, pos)
 		}
 	}

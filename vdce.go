@@ -64,8 +64,6 @@ import (
 type Config struct {
 	// Testbed shapes the fabricated hardware (sites, groups, hosts).
 	Testbed testbed.Config
-	// K is the scheduler's nearest-neighbor site count (Fig. 2 step 2).
-	K int
 	// LoadThreshold is the Application Controller's rescheduling trigger;
 	// 0 disables it.
 	LoadThreshold float64
@@ -523,8 +521,8 @@ func (env *Environment) CostFunc(g *afg.Graph) (afg.CostFunc, error) {
 	return func(id afg.TaskID) float64 { return costs[id] }, nil
 }
 
-// Schedule runs the distributed scheduler from site 0 with the
-// environment's K.
+// Schedule runs the distributed scheduler from site 0 with k
+// nearest-neighbor sites (Fig. 2 step 2).
 func (env *Environment) Schedule(g *afg.Graph, k int) (*core.AllocationTable, error) {
 	sched, err := env.SchedulerAt(0, k)
 	if err != nil {
