@@ -1,11 +1,14 @@
 package tasklib
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 
 	"vdce/internal/repository"
 )
@@ -31,6 +34,10 @@ type Threat struct {
 	Score   float64 // higher is more urgent
 	Reason  string
 }
+
+// rngPool recycles Sensor_Feed's generators: a source is ~4.9 KB, and
+// reseeding one gives the same sequence as rand.New(rand.NewSource(seed)).
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // registerC3ILibrary adds the C3I library tasks.
 func registerC3ILibrary(reg func(Spec)) {
@@ -61,7 +68,9 @@ func registerC3ILibrary(reg func(Spec)) {
 			if n < 0 {
 				return nil, fmt.Errorf("tasklib: Sensor_Feed targets=%d", n)
 			}
-			rng := rand.New(rand.NewSource(seed))
+			rng := rngPool.Get().(*rand.Rand)
+			defer rngPool.Put(rng)
+			rng.Seed(seed)
 			tracks := make([]Track, n)
 			for i := range tracks {
 				cls := "unknown"
@@ -165,16 +174,7 @@ func registerC3ILibrary(reg func(Spec)) {
 			if !ok {
 				return nil, fmt.Errorf("tasklib: input 0 is %T, want []Threat", c.In[0])
 			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "C3I THREAT REPORT: %d threats\n", len(threats))
-			for i, th := range threats {
-				if i >= 10 {
-					fmt.Fprintf(&b, "  ... %d more\n", len(threats)-10)
-					break
-				}
-				fmt.Fprintf(&b, "  track %3d score %6.2f (%s)\n", th.TrackID, th.Score, th.Reason)
-			}
-			return []Value{b.String()}, nil
+			return []Value{threatReport(threats)}, nil
 		},
 	})
 }
@@ -192,10 +192,14 @@ func trackInput(c *Context, i int) ([]Track, error) {
 
 // FuseTracks merges two observation sets: tracks within gate km of each
 // other are considered the same target and averaged weighted by strength;
-// unmatched tracks pass through. The result is sorted by ID.
+// unmatched tracks pass through. The result is sorted by ID, and nil
+// when both inputs are empty: the wire form tells nil from empty.
 func FuseTracks(a, b []Track, gate float64) []Track {
+	if len(a)+len(b) == 0 {
+		return nil
+	}
 	used := make([]bool, len(b))
-	var out []Track
+	out := make([]Track, 0, len(a)+len(b))
 	for _, ta := range a {
 		best, bestD := -1, gate
 		for j, tb := range b {
@@ -234,45 +238,103 @@ func FuseTracks(a, b []Track, gate float64) []Track {
 			out = append(out, tb)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(x, y Track) int { return cmp.Compare(x.ID, y.ID) })
 	return out
 }
 
 // EvaluateThreats scores tracks: hostile class, proximity to the origin
 // (the defended asset), and inbound velocity all raise the score. Tracks
-// scoring zero are omitted. Results are sorted by descending score.
+// scoring zero are omitted; if none scores, the result is nil. Results
+// are sorted by descending score.
 func EvaluateThreats(tracks []Track) []Threat {
 	var out []Threat
 	for _, t := range tracks {
 		var score float64
-		var reasons []string
+		var reasons int
 		if t.Class == "hostile" {
 			score += 50
-			reasons = append(reasons, "hostile")
+			reasons |= reasonHostile
 		}
 		dist := math.Hypot(t.X, t.Y)
 		if dist < 50 {
 			score += (50 - dist)
-			reasons = append(reasons, "close")
+			reasons |= reasonClose
 		}
 		// Closing velocity: negative radial speed means inbound.
 		if dist > 1e-9 {
 			radial := (t.X*t.VX + t.Y*t.VY) / dist
 			if radial < 0 {
 				score += -radial * 100
-				reasons = append(reasons, "inbound")
+				reasons |= reasonInbound
 			}
 		}
 		score *= t.Strength
 		if score > 0 {
-			out = append(out, Threat{TrackID: t.ID, Score: score, Reason: strings.Join(reasons, "+")})
+			if out == nil {
+				out = make([]Threat, 0, len(tracks))
+			}
+			out = append(out, Threat{TrackID: t.ID, Score: score, Reason: threatReasons[reasons]})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].TrackID < out[j].TrackID
+	// Every score here is > 0, so none is NaN and Compare agrees with < and >.
+	slices.SortFunc(out, func(x, y Threat) int {
+		return cmp.Or(cmp.Compare(y.Score, x.Score), cmp.Compare(x.TrackID, y.TrackID))
 	})
 	return out
+}
+
+// The reasons a track scores, as bits of an index into threatReasons.
+const (
+	reasonHostile = 1 << iota
+	reasonClose
+	reasonInbound
+)
+
+// threatReasons is every Threat.Reason, indexed by its reason bits: the
+// reasons present, joined by "+" in the order hostile, close, inbound.
+var threatReasons = [8]string{
+	"", "hostile", "close", "hostile+close",
+	"inbound", "hostile+inbound", "close+inbound", "hostile+close+inbound",
+}
+
+// threatReport renders Report_Generator's text: a header, the first ten
+// threats one a line, and a count of the rest. The fields are padded as
+// fmt's "%3d" and "%6.2f" pad them; the text is built in one buffer.
+func threatReport(threats []Threat) string {
+	shown := threats[:min(len(threats), 10)]
+	// The header and tail lines, and a line a threat with fields at their
+	// padded widths; a wider field only grows the buffer.
+	size := 80
+	for _, th := range shown {
+		size += 40 + len(th.Reason)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var num [32]byte
+	b.WriteString("C3I THREAT REPORT: ")
+	b.Write(strconv.AppendInt(num[:0], int64(len(threats)), 10))
+	b.WriteString(" threats\n")
+	for _, th := range shown {
+		b.WriteString("  track ")
+		writeRight(&b, strconv.AppendInt(num[:0], int64(th.TrackID), 10), 3)
+		b.WriteString(" score ")
+		writeRight(&b, strconv.AppendFloat(num[:0], th.Score, 'f', 2, 64), 6)
+		b.WriteString(" (")
+		b.WriteString(th.Reason)
+		b.WriteString(")\n")
+	}
+	if more := len(threats) - len(shown); more > 0 {
+		b.WriteString("  ... ")
+		b.Write(strconv.AppendInt(num[:0], int64(more), 10))
+		b.WriteString(" more\n")
+	}
+	return b.String()
+}
+
+// writeRight writes s right-aligned in a field of width bytes.
+func writeRight(b *strings.Builder, s []byte, width int) {
+	for i := len(s); i < width; i++ {
+		b.WriteByte(' ')
+	}
+	b.Write(s)
 }

@@ -198,6 +198,17 @@ func appendMatrix(b []byte, m *linalg.Matrix) []byte {
 
 var errMalformed = errors.New("malformed or truncated value")
 
+// The fewest wire bytes a Track and a Threat take besides their string:
+// one-byte varints, the floats and the string's length byte. The strings
+// of a list's n elements fit in the bytes that follow its length less n
+// times these, which sizes the one block they share: the list pins
+// little more than its strings, and length has already checked that n
+// elements fit.
+const (
+	trackWireMin  = 1 + 4*8 + 1 + 8
+	threatWireMin = 1 + 8 + 1
+)
+
 // DecodeValue reverses EncodeValue. The result shares no memory with
 // data. Malformed input — an unknown tag, a body that ends early, a
 // length that claims more elements than the remaining bytes could hold,
@@ -229,27 +240,30 @@ func DecodeValue(data []byte) (Value, error) {
 		v = d.floats()
 	case tagTracks:
 		var ts []Track
-		if n, isNil := d.length(42); !isNil {
+		if n, isNil := d.length(trackWireMin); !isNil {
 			ts = make([]Track, n)
+			block := make([]byte, 0, len(d.b)-n*trackWireMin)
 			for i := range ts {
 				ts[i] = Track{ID: d.int(), X: d.float(), Y: d.float(), VX: d.float(), VY: d.float(),
-					Class: d.string(), Strength: d.float()}
+					Class: d.stringIn(&block), Strength: d.float()}
 			}
 		}
 		v = ts
 	case tagThreats:
 		var ts []Threat
-		if n, isNil := d.length(10); !isNil {
+		if n, isNil := d.length(threatWireMin); !isNil {
 			ts = make([]Threat, n)
+			block := make([]byte, 0, len(d.b)-n*threatWireMin)
 			for i := range ts {
-				ts[i] = Threat{TrackID: d.int(), Score: d.float(), Reason: d.string()}
+				ts[i] = Threat{TrackID: d.int(), Score: d.float(), Reason: d.stringIn(&block)}
 			}
 		}
 		v = ts
 	case tagFloat:
 		v = d.float()
 	case tagString:
-		v = d.string()
+		block := make([]byte, 0, len(d.b))
+		v = d.stringIn(&block)
 	case tagBytes:
 		var bs []byte
 		if n, isNil := d.length(1); !isNil {
@@ -357,15 +371,23 @@ func (d *decoder) length(elemMin int) (n int, isNil bool) {
 	return int(u - 1), false
 }
 
-func (d *decoder) string() string {
+// stringIn reads a string into block and returns it as a substring of
+// the block. The block never grows and bytes appended to it are never
+// rewritten, so every string handed out stays intact and none shares
+// memory with the input.
+func (d *decoder) stringIn(block *[]byte) string {
 	n, isNil := d.length(1)
-	if isNil {
-		d.fail(errMalformed) // strings are never nil
+	if isNil || n > cap(*block)-len(*block) {
+		d.fail(errMalformed) // strings are never nil, nor longer than their body
 		return ""
 	}
-	s := string(d.b[:n])
+	if n == 0 {
+		return ""
+	}
+	start := len(*block)
+	*block = append(*block, d.b[:n]...)
 	d.b = d.b[n:]
-	return s
+	return unsafe.String(&(*block)[start], n)
 }
 
 func (d *decoder) floats() []float64 {

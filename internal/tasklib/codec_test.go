@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vdce/internal/dsp"
 	"vdce/internal/linalg"
@@ -247,4 +249,96 @@ func FuzzDecodeValue(f *testing.F) {
 			t.Fatalf("encoding is not a fixed point: %x then %x (%v)", enc, enc2, err)
 		}
 	})
+}
+
+// sensorTracks is a Sensor_Feed output of n targets.
+func sensorTracks(t testing.TB, n int) []Track {
+	t.Helper()
+	spec, err := Default().Get("Sensor_Feed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := spec.Fn(&Context{Args: map[string]string{"targets": strconv.Itoa(n), "seed": "5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[0].([]Track)
+}
+
+// TestDecodedStringsOwnTheirBytes: a decoded list's strings share one
+// block, and that block is the list's own. Overwriting the input — the
+// Data Manager reuses its frame buffers — and decoding another value
+// from the same buffer leave every Class and Reason as it was.
+func TestDecodedStringsOwnTheirBytes(t *testing.T) {
+	tracks := []Track{{ID: 1, Class: "hostile"}, {ID: 2}, {ID: -300, Class: "friendly"}}
+	threats := []Threat{{TrackID: 1, Reason: "hostile+close"}, {TrackID: 2}, {TrackID: 3, Reason: "inbound"}}
+	for _, v := range []Value{tracks, threats} {
+		data, err := EncodeValue(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeValue(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			data[i] = 'x'
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("%T after overwriting the input: %#v, want %#v", v, got, v)
+		}
+		other := []Threat{{TrackID: 9, Reason: "close+inbound"}, {TrackID: 8, Reason: "hostile+close+inbound"}}
+		data, err = AppendValue(data[:0], other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeValue(data); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("%T after decoding another value from its buffer: %#v, want %#v", v, got, v)
+		}
+	}
+}
+
+// TestDecodeTracksAllocBudget: decoding a 64-track list costs the list,
+// one block for all its strings and the interface box, not a string per
+// track; and ValueSize still counts every string byte the list holds.
+func TestDecodeTracksAllocBudget(t *testing.T) {
+	tracks := sensorTracks(t, 64)
+	data, err := EncodeValue(tracks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Value
+	allocs := testing.AllocsPerRun(100, func() {
+		if back, err = DecodeValue(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("DecodeValue of 64 tracks: %.0f allocs", allocs)
+	if allocs > 3 {
+		t.Errorf("DecodeValue of 64 tracks allocates %.0f times, want <= 3", allocs)
+	}
+	strs := 0
+	for _, tr := range back.([]Track) {
+		strs += len(tr.Class)
+	}
+	if got := ValueSize(back); got < strs+64*int(unsafe.Sizeof(Track{})) || got != ValueSize(tracks) {
+		t.Errorf("ValueSize of the decoded list = %d, want %d (the source's), covering %d string bytes", got, ValueSize(tracks), strs)
+	}
+}
+
+func BenchmarkDecodeTracks(b *testing.B) {
+	data, err := EncodeValue(sensorTracks(b, 64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := DecodeValue(data); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

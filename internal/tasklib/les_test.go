@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"vdce/internal/afg"
 	"vdce/internal/linalg"
 )
 
@@ -23,6 +24,13 @@ func lesDigest(t *testing.T, n int, seed int64, kind string) string {
 			task.Props.Args["kind"] = kind
 		}
 	}
+	return outputDigest(t, g)
+}
+
+// outputDigest runs g in-process and hashes every task output,
+// wire-encoded, in topological order.
+func outputDigest(t *testing.T, g *afg.Graph) string {
+	t.Helper()
 	results, err := RunLocal(g, Default())
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +171,9 @@ func TestLUConsumersRejectMalformedInput(t *testing.T) {
 // TestMatrixTasksRejectMalformedInput: a decoded matrix the codec
 // accepts but no kernel can index — nil, Data shorter than Rows*Cols, a
 // zero dimension — is an error from every task that reads one through
-// Context.Matrix, on every matrix port, never a panic.
+// Context.Matrix, on every matrix port, never a panic. So is a nil, an
+// empty or a short vector on every port a task reads through
+// Context.Vector.
 func TestMatrixTasksRejectMalformedInput(t *testing.T) {
 	r := Default()
 	a := linalg.RandomDiagonallyDominant(3, 1)
@@ -217,6 +227,50 @@ func TestMatrixTasksRejectMalformedInput(t *testing.T) {
 				in[port] = m
 				if _, err := spec.Fn(&Context{In: in}); err == nil || !strings.Contains(err.Error(), "not a well-formed matrix") {
 					t.Errorf("%s with %s on port %d: err = %v, want a malformed-matrix error", name, bad.name, port, err)
+				}
+			}
+		}
+	}
+	// Well-formed inputs per task; the vector ports are the ones probed.
+	lu := run(t, r, "LU_Decomposition", &Context{In: []Value{a}})[0]
+	vectorTasks := map[string]struct {
+		in    []Value
+		ports []int
+	}{
+		"Forward_Substitution":   {[]Value{lu, v}, []int{1}},
+		"Back_Substitution":      {[]Value{lu, v}, []int{1}},
+		"Matrix_Vector_Multiply": {[]Value{a, v}, []int{1}},
+		"Residual_Norm":          {[]Value{a, v, v}, []int{1, 2}},
+	}
+	for name, tc := range vectorTasks {
+		run(t, r, name, &Context{In: tc.in})
+	}
+	for _, bad := range []struct {
+		name string
+		v    []float64
+	}{
+		{"nil", nil},
+		{"empty", []float64{}},
+		{"short", []float64{1, 2}},
+	} {
+		b, err := EncodeValue(bad.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := DecodeValue(b)
+		if err != nil {
+			t.Fatalf("%s: %v", bad.name, err)
+		}
+		for name, tc := range vectorTasks {
+			spec, err := r.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, port := range tc.ports {
+				in := slices.Clone(tc.in)
+				in[port] = x
+				if _, err := spec.Fn(&Context{In: in}); err == nil {
+					t.Errorf("%s with a %s vector on port %d: no error", name, bad.name, port)
 				}
 			}
 		}

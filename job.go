@@ -766,7 +766,7 @@ func (j *jobRecord) terminalize(state JobState, err error, res *exec.Result) boo
 	// job as still consuming capacity.
 	p.jobReleased(j)
 	if h != nil && res != nil {
-		p.retainOutputs(j.handle, res)
+		p.retainOutputs(j.ID, j.handle, res)
 	}
 	j.publish()
 	p.persistState(j)

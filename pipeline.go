@@ -137,10 +137,13 @@ type pipeline struct {
 	// its terminal row is published: a finished job lives on the board
 	// alone.
 	byID map[string]*jobRecord
-	// outs is the output ledger: the handles whose results still hold
-	// their Outputs, oldest completion first; outBytes is their total.
+	// outs is the output ledger: by job ID, the handles whose results
+	// still hold their Outputs; outBytes is their total. outOrder is
+	// their IDs oldest completion first; an ID that has left is skipped,
+	// and compacted away once outOrder is over twice the ledger's size.
 	// retainOutputs and trimRetained are its only writers.
-	outs      []outEntry
+	outs      map[string]outEntry
+	outOrder  []string
 	outBytes  int64
 	outBudget int64 // retainedOutputBytes; tests lower it
 	closed    bool
@@ -183,6 +186,7 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 		store:  st,
 		byID:   make(map[string]*jobRecord),
 
+		outs:      make(map[string]outEntry),
 		outBudget: retainedOutputBytes,
 	}
 	p.meter = newShedMeter(cfg.Shed.Now)
@@ -388,19 +392,24 @@ func (p *pipeline) drop(j *jobRecord) {
 
 // trimRetained is count retention: the board evicts its oldest terminal
 // rows past MaxRetainedJobs, and each evicted job leaves the output
-// ledger (a client still holding the handle keeps its result), with
-// every entry whose handle is gone: those outputs went with the handle.
+// ledger (a client still holding the handle keeps its result). Entries
+// are found by job ID, never through their handles: reading a weak
+// handle while the GC marks keeps its target alive for that cycle, and
+// reading every entry on each completion would keep every job finished
+// since the last cycle, so the heap would grow with the GC period.
 // Caller holds p.mu.
 func (p *pipeline) trimRetained() []string {
 	evicted := p.env.Board.EvictTerminal(p.cfg.MaxRetainedJobs)
-	if len(evicted) > 0 {
-		p.outs = slices.DeleteFunc(p.outs, func(e outEntry) bool {
-			h := e.h.Value()
-			if h == nil || slices.Contains(evicted, h.ID) {
-				p.outBytes -= e.bytes
-				return true
-			}
-			return false
+	for _, id := range evicted {
+		if e, ok := p.outs[id]; ok {
+			delete(p.outs, id)
+			p.outBytes -= e.bytes
+		}
+	}
+	if len(p.outOrder) > 2*len(p.outs)+64 {
+		p.outOrder = slices.DeleteFunc(p.outOrder, func(id string) bool {
+			_, ok := p.outs[id]
+			return !ok
 		})
 	}
 	return evicted
@@ -415,7 +424,7 @@ func (p *pipeline) trimRetained() []string {
 // counts until it leaves. terminalize calls this before the terminal
 // status publishes, so count retention cannot evict the job before it is
 // in the ledger.
-func (p *pipeline) retainOutputs(h weak.Pointer[Job], res *exec.Result) {
+func (p *pipeline) retainOutputs(id string, h weak.Pointer[Job], res *exec.Result) {
 	var size int64
 	for _, outs := range res.Outputs {
 		for _, v := range outs {
@@ -424,11 +433,17 @@ func (p *pipeline) retainOutputs(h weak.Pointer[Job], res *exec.Result) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.outs = append(p.outs, outEntry{h, size})
+	p.outs[id] = outEntry{h, size}
+	p.outOrder = append(p.outOrder, id)
 	p.outBytes += size
 	for p.outBytes > p.outBudget && len(p.outs) > 1 {
-		old := p.outs[0]
-		p.outs = p.outs[1:]
+		oldest := p.outOrder[0]
+		p.outOrder = p.outOrder[1:]
+		old, ok := p.outs[oldest]
+		if !ok {
+			continue // evicted by count since
+		}
+		delete(p.outs, oldest)
 		p.outBytes -= old.bytes
 		if h := old.h.Value(); h != nil {
 			kept := *h.result.Load()

@@ -25,17 +25,24 @@ import (
 )
 
 // ledgerRing walks the output ledger oldest first; an entry whose
-// handle is gone reads "".
-func ledgerRing(p *pipeline) (ids []string, sum int64) {
+// handle is gone, or names another job, reads "".
+func ledgerRing(t *testing.T, p *pipeline) (ids []string, sum int64) {
+	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, e := range p.outs {
-		id := ""
-		if h := e.h.Value(); h != nil {
-			id = h.ID
+	for _, id := range p.outOrder {
+		e, ok := p.outs[id]
+		if !ok {
+			continue
+		}
+		if h := e.h.Value(); h == nil || h.ID != id {
+			id = ""
 		}
 		ids = append(ids, id)
 		sum += e.bytes
+	}
+	if len(ids) != len(p.outs) {
+		t.Fatalf("output ledger: %d IDs in completion order, %d entries", len(ids), len(p.outs))
 	}
 	return ids, sum
 }
@@ -91,7 +98,7 @@ func TestOutputLedgerMatchesModel(t *testing.T) {
 	check := func(step int) {
 		t.Helper()
 		want := holders()
-		ring, sum := ledgerRing(p)
+		ring, sum := ledgerRing(t, p)
 		if !slices.Equal(ring, want) {
 			t.Fatalf("step %d: ledger holds %v, model %v", step, ring, want)
 		}
@@ -166,7 +173,7 @@ func TestOutputLedgerMatchesModel(t *testing.T) {
 		}}
 		j.handle = weak.Make(j)
 		j.result.Store(res)
-		p.retainOutputs(j.handle, res)
+		p.retainOutputs(j.ID, j.handle, res)
 		env.Board.Update(j.Status())
 		e := &entry{job: j, size: size, holder: true}
 		retained = append(retained, e)
@@ -188,9 +195,49 @@ func TestOutputLedgerMatchesModel(t *testing.T) {
 	}
 	evict(0)
 	check(-1)
-	if ring, _ := ledgerRing(p); len(ring) != 0 || retainedBytes(p) != 0 || len(p.records()) != 0 {
+	if ring, _ := ledgerRing(t, p); len(ring) != 0 || retainedBytes(p) != 0 || len(p.records()) != 0 {
 		t.Fatalf("after evicting every row: ledger %v, %d bytes, %d records", ring, retainedBytes(p), len(p.records()))
 	}
+}
+
+// TestOutputLedgerStaysBoundedUnderCountRetention: results that never
+// reach the byte budget leave the ledger only by count retention, which
+// finds them by ID. The completion order it keeps beside them must not
+// grow with the jobs that have left: 5,000 empty results at
+// MaxRetainedJobs 8 leave at most 8 entries and 2*8+64 IDs.
+func TestOutputLedgerStaysBoundedUnderCountRetention(t *testing.T) {
+	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 2102}})
+	p := env.pipe
+	settled := make(chan struct{})
+	close(settled)
+	at := time.Now()
+	var held []*Job
+	for i := range 5000 {
+		res := &exec.Result{AppID: fmt.Sprintf("c-%05d", i), Runs: make([]exec.TaskRun, 1)}
+		at = at.Add(time.Microsecond)
+		j := &Job{jobRecord: &jobRecord{
+			ID: res.AppID, Graph: spinJobGraph("churn", 1), pipe: p, state: JobDone,
+			timings: services.JobTimings{SubmittedAt: at, FinishedAt: at},
+			done:    settled,
+		}}
+		j.handle = weak.Make(j)
+		j.result.Store(res)
+		held = append(held, j)
+		p.retainOutputs(j.ID, j.handle, res)
+		env.Board.Update(j.Status())
+		p.mu.Lock()
+		p.cfg.MaxRetainedJobs = 8
+		p.trimRetained()
+		entries, order := len(p.outs), len(p.outOrder)
+		p.mu.Unlock()
+		if entries > 8 || order > 2*8+64 {
+			t.Fatalf("after %d results: %d ledger entries, %d IDs in completion order", i+1, entries, order)
+		}
+	}
+	if ring, _ := ledgerRing(t, p); len(ring) != 8 || ring[7] != "c-04999" {
+		t.Fatalf("ledger holds %v, want the last 8 results", ring)
+	}
+	runtime.KeepAlive(held)
 }
 
 // lesGraph builds the Linear Equation Solver every host may run.
@@ -369,7 +416,7 @@ func TestRetainedResultsRaceFree(t *testing.T) {
 	if got := env.obsM.outputsEvicted.Value(); got < submitters*perSubmitter/2 {
 		t.Fatalf("only %v results dropped over %d jobs: the budget never bit", got, submitters*perSubmitter)
 	}
-	ring, sum := ledgerRing(env.pipe)
+	ring, sum := ledgerRing(t, env.pipe)
 	if total := retainedBytes(env.pipe); total != sum || (total > budget && len(ring) != 1) {
 		t.Fatalf("ledger after the wave: %d holders, total %d, links sum to %d", len(ring), total, sum)
 	}
