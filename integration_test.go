@@ -138,7 +138,7 @@ func TestFeedbackImprovesPlacement(t *testing.T) {
 	params, _ := repo.TaskPerf.Params("Matrix_Multiplication")
 	base := params.BaseTime
 	for i := 0; i < 4; i++ {
-		if err := repo.TaskPerf.RecordExecution("Matrix_Multiplication", "liar", 10*base, time.Now()); err != nil {
+		if _, err := repo.TaskPerf.RecordExecutions([]repository.Execution{{Task: "Matrix_Multiplication", Host: "liar", Elapsed: 10 * base, At: time.Now()}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -223,7 +223,7 @@ func TestMeasurementInfluencesSelection(t *testing.T) {
 	}
 	// A history of terrible runs on a flips the choice to b.
 	for i := 0; i < 4; i++ {
-		if err := s.Repo.TaskPerf.RecordExecution("Matrix_Multiplication", "a", time.Hour, time.Now()); err != nil {
+		if _, err := s.Repo.TaskPerf.RecordExecutions([]repository.Execution{{Task: "Matrix_Multiplication", Host: "a", Elapsed: time.Hour, At: time.Now()}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -110,7 +110,7 @@ func TestMeasurementInvalidatesOnlyItsTask(t *testing.T) {
 	s.RankedHosts(taskB)
 
 	// New measurement for A: A's ranking recomputes, B's stays cached.
-	if err := s.Repo.TaskPerf.RecordExecution("Matrix_Multiplication", "a", time.Hour, time.Now()); err != nil {
+	if _, err := s.Repo.TaskPerf.RecordExecutions([]repository.Execution{{Task: "Matrix_Multiplication", Host: "a", Elapsed: time.Hour, At: time.Now()}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	d := statsDelta(s, func() { s.RankedHosts(taskA) })
@@ -274,8 +274,7 @@ func TestRankedHostsConcurrentRoundsNeverServeStale(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 2:
-			if err := s.Repo.TaskPerf.RecordExecution("Matrix_Multiplication", victim,
-				time.Duration(i+1)*time.Millisecond, time.Now()); err != nil {
+			if _, err := s.Repo.TaskPerf.RecordExecutions([]repository.Execution{{Task: "Matrix_Multiplication", Host: victim, Elapsed: time.Duration(i+1) * time.Millisecond, At: time.Now()}}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

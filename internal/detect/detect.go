@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vdce/internal/rate"
 	"vdce/internal/repository"
 )
 
@@ -143,9 +144,8 @@ type Config struct {
 // The failure-rate window: outcomes of the last 30 s, aged out in six
 // buckets.
 const (
-	window    = 30 * time.Second
-	buckets   = 6
-	bucketDur = window / buckets
+	window  = 30 * time.Second
+	buckets = 6
 )
 
 func (c *Config) fillDefaults() {
@@ -172,9 +172,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// outcomes is one window bucket.
-type outcomes struct{ failures, successes int }
-
 // hostState is the detector's bookkeeping for one host.
 type hostState struct {
 	site     string
@@ -188,11 +185,8 @@ type hostState struct {
 	// half-open.
 	probeOK     int
 	probeFailed bool
-	// ring is the failure-rate window; outcomes land in ring[cur], the
-	// bucket starting at curStart (zero until the first Tick).
-	ring     [buckets]outcomes
-	cur      int
-	curStart time.Time
+	// Window is the failure rate's evidence; it anchors at the first Tick.
+	rate.Window
 }
 
 // status is the repository's verdict on the host.
@@ -208,50 +202,15 @@ func (h *hostState) status() repository.HostStatus {
 
 // record adds one outcome to the window.
 func (h *hostState) record(ok bool) {
-	b := &h.ring[h.cur]
-	if ok {
-		b.successes++
-		if h.phase == HalfOpen {
-			h.probeOK++
-		}
+	h.Add(!ok)
+	if h.phase != HalfOpen {
 		return
 	}
-	b.failures++
-	if h.phase == HalfOpen {
+	if ok {
+		h.probeOK++
+	} else {
 		h.probeFailed = true
 	}
-}
-
-// advance ages the window to now, zeroing the buckets that fell out.
-func (h *hostState) advance(now time.Time) {
-	if h.curStart.IsZero() {
-		h.curStart = now
-		return
-	}
-	steps := 0
-	for !now.Before(h.curStart.Add(bucketDur)) && steps < buckets {
-		h.cur = (h.cur + 1) % buckets
-		h.ring[h.cur] = outcomes{}
-		h.curStart = h.curStart.Add(bucketDur)
-		steps++
-	}
-	if steps == buckets {
-		// The whole window elapsed: re-anchor rather than spin.
-		h.curStart = now
-	}
-}
-
-// rate returns the windowed failure rate and outcome count.
-func (h *hostState) rate() (float64, int) {
-	var fail, total int
-	for _, b := range h.ring {
-		fail += b.failures
-		total += b.failures + b.successes
-	}
-	if total == 0 {
-		return 0, 0
-	}
-	return float64(fail) / float64(total), total
 }
 
 // Detector is the failure-detection service. One instance watches every
@@ -294,7 +253,7 @@ func (d *Detector) AddSite(site string, db *repository.ResourceDB) {
 	d.sites[site] = db
 	for _, v := range db.Views() {
 		if _, ok := d.hosts[v.HostName]; !ok {
-			d.hosts[v.HostName] = &hostState{site: site, phase: Closed}
+			d.hosts[v.HostName] = &hostState{site: site, phase: Closed, Window: rate.NewWindow(window, buckets)}
 		}
 	}
 }
@@ -463,11 +422,11 @@ func (d *Detector) live(name string, h *hostState, now time.Time, trs []Transiti
 // quarantine ages one host's window to now and moves its quarantine
 // phase. Callers hold d.mu.
 func (d *Detector) quarantine(name string, h *hostState, now time.Time, trs []Transition) []Transition {
-	h.advance(now)
+	h.Advance(now)
 	next := h.phase
 	switch h.phase {
 	case Closed:
-		if r, n := h.rate(); n >= d.cfg.MinSamples && r >= d.cfg.FailureThreshold {
+		if r, n := h.Rate(); n >= d.cfg.MinSamples && r >= d.cfg.FailureThreshold {
 			next = Open
 		}
 	case Open:
@@ -490,8 +449,10 @@ func (d *Detector) quarantine(name string, h *hostState, now time.Time, trs []Tr
 	case Closed:
 		// A lifted quarantine starts from a clean slate: it already paid
 		// for the recorded failures.
-		h.ring = [buckets]outcomes{}
-		h.ring[h.cur].successes = h.probeOK
+		h.Reset()
+		for range h.probeOK {
+			h.Add(false)
+		}
 	}
 	h.probeOK, h.probeFailed = 0, false
 	trs = append(trs, Transition{Host: name, Site: h.site, From: h.phase, To: next, At: now})
@@ -542,7 +503,7 @@ func (d *Detector) Health(host string) (Health, bool) {
 	if !ok {
 		return Health{State: Healthy, Phase: Closed}, false
 	}
-	r, n := h.rate()
+	r, n := h.Rate()
 	return Health{State: h.state, Phase: h.phase, FailureRate: r, Samples: n}, true
 }
 

@@ -433,6 +433,9 @@ func TestQuarantine(t *testing.T) {
 			q.outcomes("h", true, 1)
 			q.round(time.Millisecond)
 			q.want("h", Closed)
+			if hs, _ := q.d.Health("h"); hs.Samples != 2 || hs.FailureRate != 0 {
+				q.t.Fatalf("window after the close = %.2f over %d samples, want the two probe successes alone", hs.FailureRate, hs.Samples)
+			}
 			// The close wiped the failure history: one new failure beside
 			// the two re-seeded successes must not quarantine again.
 			q.outcomes("h", false, 1)

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"vdce/internal/rate"
 )
 
 // DefaultRetryBaseDelay is the first retry's backoff when
@@ -39,11 +41,6 @@ type RetryConfig struct {
 	// Seed makes the jitter deterministic for tests. 0 seeds from the
 	// clock.
 	Seed int64
-	// Now supplies the budget clock (default time.Now).
-	Now func() time.Time
-	// Sleep performs the backoff/park waits (default a ctx-aware real
-	// sleep). Tests inject a recorder to assert delays without waiting.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 // retryGate is the runtime form of RetryConfig: one per Engine, lazily
@@ -53,8 +50,7 @@ type retryGate struct {
 
 	mu     sync.Mutex
 	rng    *rand.Rand
-	tokens float64
-	last   time.Time
+	budget rate.Bucket
 
 	retries int64
 	parks   int64
@@ -73,29 +69,11 @@ func newRetryGate(cfg RetryConfig) *retryGate {
 			cfg.BudgetBurst = 1
 		}
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		}
-	}
 	seed := cfg.Seed
 	if seed == 0 {
-		seed = cfg.Now().UnixNano()
+		seed = time.Now().UnixNano()
 	}
-	g := &retryGate{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
-	g.tokens = float64(cfg.BudgetBurst)
-	g.last = cfg.Now()
-	return g
+	return &retryGate{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
 // backoff returns the jittered exponential delay before retry number
@@ -116,34 +94,22 @@ func (g *retryGate) backoff(attempt int) time.Duration {
 	return d/2 + j
 }
 
-// reserve takes one retry token, returning how long the caller must
-// park first. With tokens in the bucket the wait is 0; an empty bucket
-// reserves the next token to refill and returns the time until then,
-// so the aggregate retry rate never exceeds the budget.
-func (g *retryGate) reserve() (wait time.Duration, parked bool) {
-	if g.cfg.BudgetPerSecond <= 0 {
-		g.mu.Lock()
-		g.retries++
-		g.mu.Unlock()
-		return 0, false
-	}
-	now := g.cfg.Now()
+// reserve takes one retry token at now, returning how long the caller
+// must park first. With tokens in the bucket the wait is 0; an empty
+// bucket reserves the next token to refill and returns the time until
+// then, so the aggregate retry rate never exceeds the budget.
+func (g *retryGate) reserve(now time.Time) (wait time.Duration, parked bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	elapsed := now.Sub(g.last).Seconds()
-	if elapsed > 0 {
-		g.tokens = math.Min(float64(g.cfg.BudgetBurst), g.tokens+elapsed*g.cfg.BudgetPerSecond)
-		g.last = now
-	}
 	g.retries++
-	g.tokens--
-	if g.tokens >= 0 {
+	if g.cfg.BudgetPerSecond <= 0 {
 		return 0, false
 	}
-	// Over budget: this retry owns the (-tokens)'th future token; park
-	// until it exists.
-	g.parks++
-	return time.Duration(-g.tokens / g.cfg.BudgetPerSecond * float64(time.Second)), true
+	wait = g.budget.Take(now, g.cfg.BudgetPerSecond, float64(g.cfg.BudgetBurst))
+	if wait > 0 {
+		g.parks++
+	}
+	return wait, wait > 0
 }
 
 // RetryStats reports the engine's cumulative rescheduling retries and
@@ -163,16 +129,28 @@ func (e *Engine) retryGate() *retryGate {
 	return e.retry
 }
 
-// retryPause applies the retry policy before one rescheduling retry:
-// jittered exponential backoff for this task plus any budget park the
-// engine-wide token bucket imposes. It returns ctx's error if the wait
-// was interrupted.
+// retryPause applies the retry policy before one rescheduling retry and
+// waits it out. It returns ctx's error if the wait was interrupted.
 func (e *Engine) retryPause(ctx context.Context, attempt int) error {
+	t := time.NewTimer(e.retryDelay(attempt, time.Now()))
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
+// retryDelay is the pause before one rescheduling retry at now: the
+// jittered exponential backoff for this task, or the budget park the
+// engine-wide token bucket imposes if that is longer.
+func (e *Engine) retryDelay(attempt int, now time.Time) time.Duration {
 	g := e.retryGate()
 	d := g.backoff(attempt)
-	if wait, _ := g.reserve(); wait > d {
+	if wait, _ := g.reserve(now); wait > d {
 		// The budget park subsumes the backoff — both start now.
 		d = wait
 	}
-	return g.cfg.Sleep(ctx, d)
+	return d
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -34,19 +33,16 @@ func TestBackoffExponentialEnvelope(t *testing.T) {
 
 func TestBudgetParksOverBudgetRetries(t *testing.T) {
 	now := time.Unix(0, 0)
-	g := newRetryGate(RetryConfig{
-		BudgetPerSecond: 2, BudgetBurst: 2, Seed: 1,
-		Now: func() time.Time { return now },
-	})
+	g := newRetryGate(RetryConfig{BudgetPerSecond: 2, BudgetBurst: 2, Seed: 1})
 	// The burst drains free; every retry past it parks for its reserved
 	// token — the i'th over-budget retry waits i/rate seconds.
 	for i := 0; i < 2; i++ {
-		if wait, parked := g.reserve(); wait != 0 || parked {
+		if wait, parked := g.reserve(now); wait != 0 || parked {
 			t.Fatalf("burst retry %d parked (wait %v)", i, wait)
 		}
 	}
 	for i := 1; i <= 3; i++ {
-		wait, parked := g.reserve()
+		wait, parked := g.reserve(now)
 		if !parked {
 			t.Fatalf("over-budget retry %d not parked", i)
 		}
@@ -60,7 +56,7 @@ func TestBudgetParksOverBudgetRetries(t *testing.T) {
 	}
 	// Time passing refills the bucket; the reserved debt drains first.
 	now = now.Add(2 * time.Second) // +4 tokens onto -3 -> 1
-	if wait, parked := g.reserve(); wait != 0 || parked {
+	if wait, parked := g.reserve(now); wait != 0 || parked {
 		t.Fatalf("post-refill retry parked (wait %v)", wait)
 	}
 }
@@ -68,7 +64,7 @@ func TestBudgetParksOverBudgetRetries(t *testing.T) {
 func TestUnlimitedBudgetNeverParks(t *testing.T) {
 	g := newRetryGate(RetryConfig{Seed: 1})
 	for i := 0; i < 100; i++ {
-		if wait, parked := g.reserve(); wait != 0 || parked {
+		if wait, parked := g.reserve(time.Unix(0, 0)); wait != 0 || parked {
 			t.Fatalf("retry %d parked with no budget configured", i)
 		}
 	}
@@ -76,26 +72,14 @@ func TestUnlimitedBudgetNeverParks(t *testing.T) {
 
 func TestRetryPauseSleepsMaxOfBackoffAndPark(t *testing.T) {
 	now := time.Unix(0, 0)
-	var slept []time.Duration
 	e := &Engine{Retry: RetryConfig{
 		BaseDelay: 10 * time.Millisecond, MaxDelay: 10 * time.Millisecond,
 		BudgetPerSecond: 1, BudgetBurst: 1, Seed: 1,
-		Now:   func() time.Time { return now },
-		Sleep: func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil },
 	}}
-	ctx := context.Background()
 	// First retry spends the burst token: only the backoff sleeps
-	// (10ms envelope, so at most 10ms).
-	if err := e.retryPause(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Second retry is over budget: the 1s park dominates the 10ms backoff.
-	if err := e.retryPause(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("sleeps = %v, want 2 entries", slept)
-	}
+	// (10ms envelope, so at most 10ms). The second is over budget: the
+	// 1s park dominates the 10ms backoff.
+	slept := []time.Duration{e.retryDelay(1, now), e.retryDelay(1, now)}
 	if slept[0] > 10*time.Millisecond || slept[0] < 5*time.Millisecond {
 		t.Fatalf("first sleep %v outside backoff envelope [5ms, 10ms]", slept[0])
 	}
@@ -112,24 +96,12 @@ func TestRetryPauseSleepsMaxOfBackoffAndPark(t *testing.T) {
 // every retry sleeps, the first within [base/2, base] of
 // DefaultRetryBaseDelay, doubling per attempt and capped at 64x.
 func TestRetryPauseZeroConfigBacksOffFromDefault(t *testing.T) {
-	var slept []time.Duration
-	e := &Engine{Retry: RetryConfig{
-		Seed:  1,
-		Sleep: func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil },
-	}}
+	e := &Engine{Retry: RetryConfig{Seed: 1}}
 	const base = DefaultRetryBaseDelay
 	want := []time.Duration{base, 2 * base, 4 * base, 8 * base, 16 * base, 32 * base, 64 * base, 64 * base, 64 * base}
-	for i := range want {
-		if err := e.retryPause(context.Background(), i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %d times over %d retries: %v", len(slept), len(want), slept)
-	}
 	for i, d := range want {
-		if slept[i] < d/2 || slept[i] > d {
-			t.Fatalf("attempt %d: slept %v, outside [%v, %v]", i+1, slept[i], d/2, d)
+		if slept := e.retryDelay(i+1, time.Unix(0, 0)); slept < d/2 || slept > d {
+			t.Fatalf("attempt %d: slept %v, outside [%v, %v]", i+1, slept, d/2, d)
 		}
 	}
 	if _, parked := e.RetryStats(); parked != 0 {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"vdce/internal/repository"
 	"vdce/internal/workload"
 )
 
@@ -223,7 +224,7 @@ func TestE8CalibrationConverges(t *testing.T) {
 				t.Fatal(err)
 			}
 			sum += math.Abs(float64(pred-truth)) / float64(truth)
-			if err := site.Repo.TaskPerf.RecordExecution("Spin", h.Name, truth, at.Add(time.Duration(round)*time.Second)); err != nil {
+			if _, err := site.Repo.TaskPerf.RecordExecutions([]repository.Execution{{Task: "Spin", Host: h.Name, Elapsed: truth, At: at.Add(time.Duration(round) * time.Second)}}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

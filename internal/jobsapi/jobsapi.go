@@ -179,8 +179,6 @@ type Config struct {
 	// RateLimit enforces a per-owner request token bucket across the
 	// whole mount; the zero value disables it.
 	RateLimit RateLimitConfig
-	// Now overrides the rate limiter's clock (tests).
-	Now func() time.Time
 	// Metrics, when non-nil, receives the mount's per-owner throttle
 	// counters (vdce_api_rate_throttled_total{owner}) — the same cells
 	// GET /v1/owners reports as rate_throttled, so the two surfaces
@@ -190,27 +188,28 @@ type Config struct {
 
 // Handler returns the /v1 job-control mux.
 func Handler(cfg Config) http.Handler {
-	limiter := newRateLimiter(cfg.RateLimit, cfg.Now)
-	if limiter != nil && cfg.Metrics != nil {
-		limiter.instrument(cfg.Metrics)
-	}
+	return cfg.mux(newRateLimiter(cfg.RateLimit, cfg.Metrics))
+}
+
+// mux is Handler over a given limiter (nil: no rate limit).
+func (c Config) mux(limiter *rateLimiter) *http.ServeMux {
 	mux := http.NewServeMux()
 	handle := func(pattern string, h func(http.ResponseWriter, *http.Request, string)) {
-		mux.HandleFunc(pattern, cfg.auth(limiter, h))
+		mux.HandleFunc(pattern, c.auth(limiter, h))
 	}
-	handle("GET /v1/jobs", cfg.handleList)
-	handle("GET /v1/jobs/{id}", cfg.handleGet)
-	handle("GET /v1/jobs/{id}/events", cfg.handleJobEvents)
-	handle("GET /v1/events", cfg.handleFirehose)
-	handle("DELETE /v1/jobs/{id}", cfg.handleCancel)
+	handle("GET /v1/jobs", c.handleList)
+	handle("GET /v1/jobs/{id}", c.handleGet)
+	handle("GET /v1/jobs/{id}/events", c.handleJobEvents)
+	handle("GET /v1/events", c.handleFirehose)
+	handle("DELETE /v1/jobs/{id}", c.handleCancel)
 	handle("GET /v1/owners", func(w http.ResponseWriter, r *http.Request, user string) {
-		cfg.handleOwners(w, r, user, limiter)
+		c.handleOwners(w, r, user, limiter)
 	})
-	handle("PATCH /v1/owners/{owner}", cfg.handleOwnerPatch)
+	handle("PATCH /v1/owners/{owner}", c.handleOwnerPatch)
 	handle("GET /v1/hosts", func(w http.ResponseWriter, r *http.Request, _ string) {
-		writeJSON(w, http.StatusOK, map[string]any{"hosts": cfg.Source.Hosts()})
+		writeJSON(w, http.StatusOK, map[string]any{"hosts": c.Source.Hosts()})
 	})
-	handle("GET /v1/jobs/{id}/trace", cfg.handleTrace)
+	handle("GET /v1/jobs/{id}/trace", c.handleTrace)
 	return mux
 }
 
@@ -290,7 +289,7 @@ func (c Config) auth(limiter *rateLimiter, h func(http.ResponseWriter, *http.Req
 			return
 		}
 		if limiter != nil {
-			if rerr := limiter.allow(user); rerr != nil {
+			if rerr := limiter.allow(user, time.Now()); rerr != nil {
 				writeRateErr(w, rerr)
 				return
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vdce/internal/obs"
+	"vdce/internal/rate"
 )
 
 // RateLimitConfig is a per-owner token bucket enforced at the API mux,
@@ -68,12 +69,11 @@ func (e *RateError) Error() string {
 // owner ever seen.
 type rateLimiter struct {
 	cfg RateLimitConfig
-	now func() time.Time
 	// throttles is the per-owner 429 counter family
 	// (vdce_api_rate_throttled_total). It is the single tally behind both
 	// /v1/owners' rate_throttled and /metrics: the registry cell IS the
 	// count, so the two surfaces cannot disagree. A private registry
-	// backs un-instrumented mounts so allow() never branches.
+	// backs un-instrumented mounts so allow never branches.
 	throttles *obs.CounterVec
 
 	mu      sync.Mutex
@@ -82,69 +82,63 @@ type rateLimiter struct {
 }
 
 type rateBucket struct {
-	tokens float64
-	last   time.Time
+	rate.Bucket
 	// throttled is the owner's resolved 429 counter handle, from the
 	// limiter's throttles family.
 	throttled *obs.Counter
 }
 
-func newRateLimiter(cfg RateLimitConfig, now func() time.Time) *rateLimiter {
+// newRateLimiter returns the limiter cfg enforces, nil when it enforces
+// nothing. Its throttle counters live on reg, or on a private registry
+// when reg is nil.
+func newRateLimiter(cfg RateLimitConfig, reg *obs.Registry) *rateLimiter {
 	if !cfg.Enabled() {
 		return nil
 	}
-	if now == nil {
-		now = time.Now
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	l := &rateLimiter{cfg: cfg, now: now, buckets: make(map[string]*rateBucket), swept: now()}
-	l.instrument(obs.NewRegistry())
-	return l
+	return &rateLimiter{
+		cfg: cfg,
+		throttles: reg.Counter("vdce_api_rate_throttled_total",
+			"API requests answered 429 by the per-owner token bucket, by owner.", "owner"),
+		buckets: make(map[string]*rateBucket),
+	}
 }
 
-// instrument re-homes the limiter's throttle counters onto reg. Must be
-// called before the mount serves traffic (buckets resolve their handle
-// at creation).
-func (l *rateLimiter) instrument(reg *obs.Registry) {
-	l.throttles = reg.Counter("vdce_api_rate_throttled_total",
-		"API requests answered 429 by the per-owner token bucket, by owner.", "owner")
-}
-
-// allow spends one token from the owner's bucket, reporting nil on
-// success and a *RateError (with RetryAfter filled) when the bucket is
-// empty.
-func (l *rateLimiter) allow(owner string) *RateError {
-	burst := l.cfg.burst()
-	now := l.now()
+// allow spends one token from the owner's bucket at now, reporting nil
+// on success and a *RateError (with RetryAfter filled) when the bucket
+// is empty.
+func (l *rateLimiter) allow(owner string, now time.Time) *RateError {
+	rps, burst := l.cfg.RequestsPerSecond, l.cfg.burst()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// Sweep at most once per refill time (burst/rate seconds): amortised
 	// O(1) a request, and no bucket outlives its deficit by more than that.
-	if idle := now.Sub(l.swept).Seconds(); idle*l.cfg.RequestsPerSecond >= burst {
+	if idle := now.Sub(l.swept).Seconds(); idle*rps >= burst {
 		l.swept = now
 		for o, b := range l.buckets {
-			if b.tokens+now.Sub(b.last).Seconds()*l.cfg.RequestsPerSecond >= burst {
+			if b.Full(now, rps, burst) {
 				delete(l.buckets, o)
 			}
 		}
 	}
 	b, ok := l.buckets[owner]
 	if !ok {
-		b = &rateBucket{tokens: burst, last: now, throttled: l.throttles.With(owner)}
+		b = &rateBucket{throttled: l.throttles.With(owner)}
 		l.buckets[owner] = b
 	}
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens = math.Min(burst, b.tokens+dt*l.cfg.RequestsPerSecond)
-	}
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
+	wait := b.Take(now, rps, burst)
+	if wait == 0 {
 		return nil
 	}
+	// An empty bucket rejects rather than reserves: the request takes
+	// no token and is told when one will be there.
+	b.Refund()
 	b.throttled.Inc()
-	wait := time.Duration((1 - b.tokens) / l.cfg.RequestsPerSecond * float64(time.Second))
 	return &RateError{
 		Owner: owner, Resource: "api-requests",
-		Limit: l.cfg.RequestsPerSecond, Burst: int(burst), RetryAfter: wait,
+		Limit: rps, Burst: int(burst), RetryAfter: wait,
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // what its old one would have held.
 func TestRateLimiterSweepsRefilledBuckets(t *testing.T) {
 	clock := time.Unix(1_000_000, 0)
-	l := newRateLimiter(RateLimitConfig{RequestsPerSecond: 2, Burst: 4}, func() time.Time { return clock })
+	l := newRateLimiter(RateLimitConfig{RequestsPerSecond: 2, Burst: 4}, nil)
 	size := func() int {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -21,7 +21,7 @@ func TestRateLimiterSweepsRefilledBuckets(t *testing.T) {
 	}
 
 	for i := 0; i < 10_000; i++ {
-		if rerr := l.allow(fmt.Sprintf("one-shot-%d", i)); rerr != nil {
+		if rerr := l.allow(fmt.Sprintf("one-shot-%d", i), clock); rerr != nil {
 			t.Fatalf("first request of owner %d throttled: %v", i, rerr)
 		}
 	}
@@ -35,11 +35,11 @@ func TestRateLimiterSweepsRefilledBuckets(t *testing.T) {
 	// its bucket and is throttled.
 	clock = clock.Add(time.Second)
 	for i := 0; i < 4; i++ {
-		if rerr := l.allow("busy"); rerr != nil {
+		if rerr := l.allow("busy", clock); rerr != nil {
 			t.Fatalf("busy request %d throttled inside its burst: %v", i, rerr)
 		}
 	}
-	if l.allow("busy") == nil {
+	if l.allow("busy", clock) == nil {
 		t.Fatal("busy not throttled after its burst")
 	}
 	if size() != 10_001 {
@@ -49,7 +49,7 @@ func TestRateLimiterSweepsRefilledBuckets(t *testing.T) {
 	// Past the refill time the next request sweeps: only "busy" (two of
 	// four tokens back) and the requester itself remain.
 	clock = clock.Add(time.Second)
-	if rerr := l.allow("live"); rerr != nil {
+	if rerr := l.allow("live", clock); rerr != nil {
 		t.Fatal(rerr)
 	}
 	if size() != 2 {
@@ -57,11 +57,11 @@ func TestRateLimiterSweepsRefilledBuckets(t *testing.T) {
 	}
 	// busy kept its deficit: two tokens, not a fresh burst of four.
 	for i := 0; i < 2; i++ {
-		if rerr := l.allow("busy"); rerr != nil {
+		if rerr := l.allow("busy", clock); rerr != nil {
 			t.Fatalf("busy request %d after a 1 s refill throttled: %v", i, rerr)
 		}
 	}
-	if l.allow("busy") == nil {
+	if l.allow("busy", clock) == nil {
 		t.Fatal("the sweep handed busy a fresh bucket: its deficit is gone")
 	}
 	if got := l.throttledCount("busy"); got != 2 {
@@ -69,7 +69,7 @@ func TestRateLimiterSweepsRefilledBuckets(t *testing.T) {
 	}
 	// A swept owner returns to a full burst.
 	for i := 0; i < 4; i++ {
-		if rerr := l.allow("one-shot-7"); rerr != nil {
+		if rerr := l.allow("one-shot-7", clock); rerr != nil {
 			t.Fatalf("returning owner's request %d throttled: %v", i, rerr)
 		}
 	}

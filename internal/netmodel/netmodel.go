@@ -6,10 +6,11 @@
 package netmodel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -136,11 +137,12 @@ func (n *Network) Nearest(local string, k int) ([]string, error) {
 		}
 		cands = append(cands, cand{site: s, lat: n.links[il][i].Latency})
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].lat != cands[b].lat {
-			return cands[a].lat < cands[b].lat
+	// Latency then site name is a total order: no stable sort needed.
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(a.lat, b.lat); c != 0 {
+			return c
 		}
-		return cands[a].site < cands[b].site
+		return cmp.Compare(a.site, b.site)
 	})
 	if k > len(cands) {
 		k = len(cands)

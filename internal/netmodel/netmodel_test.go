@@ -131,6 +131,14 @@ func TestNearest(t *testing.T) {
 	if _, err := n.Nearest("zz", 1); err == nil {
 		t.Fatal("unknown site accepted")
 	}
+	// Equal latencies order by site name, whatever the site order.
+	tie := mustNew(t, "s0", "s3", "s1", "s2")
+	for _, s := range []string{"s3", "s1", "s2"} {
+		_ = tie.SetLink("s0", s, Link{Latency: 5 * time.Millisecond, BytesPerSec: 1e6})
+	}
+	if got, _ := tie.Nearest("s0", 3); len(got) != 3 || got[0] != "s1" || got[1] != "s2" || got[2] != "s3" {
+		t.Fatalf("tied Nearest = %v, want [s1 s2 s3]", got)
+	}
 }
 
 func TestRing(t *testing.T) {

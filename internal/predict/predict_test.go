@@ -193,7 +193,7 @@ func TestOracle(t *testing.T) {
 	if o.P != Default() || o.Repo != repo {
 		t.Fatalf("oracle = %+v, want the default constants over repo", o)
 	}
-	if err := repo.TaskPerf.RecordExecution("lu", "h1", 5*time.Second, time.Now()); err != nil {
+	if _, err := repo.TaskPerf.RecordExecutions([]repository.Execution{{Task: "lu", Host: "h1", Elapsed: 5 * time.Second, At: time.Now()}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d, err := o.BaseTimeFor("lu"); err != nil || d != 2*time.Second {

@@ -144,32 +144,6 @@ func buildHostEpoch(gen uint64, byName map[string]*ResourceInfo) *hostEpoch {
 	return e
 }
 
-// nextHostEpoch builds the epoch following cur for record map m. Writes
-// that keep the host set intact (workload updates, status flips — the
-// monitor hot path) reuse cur's name order, skipping the sort;
-// membership changes fall back to the full rebuild.
-func nextHostEpoch(cur *hostEpoch, gen uint64, m map[string]*ResourceInfo) *hostEpoch {
-	if len(m) != len(cur.byName) {
-		return buildHostEpoch(gen, m)
-	}
-	views := make([]HostView, len(cur.views))
-	for i, v := range cur.views {
-		h, ok := m[v.HostName]
-		if !ok {
-			return buildHostEpoch(gen, m) // renamed/replaced membership
-		}
-		views[i] = h.View()
-	}
-	e := &hostEpoch{gen: gen, byName: m, views: views}
-	e.up = make([]HostView, 0, len(views))
-	for _, v := range views {
-		if v.Status == HostUp {
-			e.up = append(e.up, v)
-		}
-	}
-	return e
-}
-
 // errNoChange aborts an epoch publish without error: f applied nothing,
 // so the current epoch (and its generation) stays in place and cached
 // derivations remain valid.
@@ -192,7 +166,7 @@ func (db *ResourceDB) mutate(f func(m map[string]*ResourceInfo) error) error {
 		}
 		return err
 	}
-	db.epoch.Store(nextHostEpoch(cur, cur.gen+1, m))
+	db.epoch.Store(buildHostEpoch(cur.gen+1, m))
 	return nil
 }
 
@@ -235,7 +209,7 @@ func (db *ResourceDB) AddHost(info ResourceInfo) error {
 }
 
 // withSample returns a fresh record extending h with one measurement.
-// The history ring is a shared-tail chronicle: every epoch's record
+// The RecentLoads ring is a shared-tail chronicle: every epoch's record
 // views a window [k:L] of one backing array, and new samples append at
 // the global tail L — an address no older window covers — so the append
 // is invisible to prior epochs. Only when capacity runs out does append

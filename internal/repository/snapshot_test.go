@@ -67,7 +67,7 @@ func TestSnapshotIsImmutableUnderWrites(t *testing.T) {
 	if err := r.Resources.SetStatus("h0", HostDown); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.TaskPerf.RecordExecution("t", "h0", time.Second, time.Unix(9, 0)); err != nil {
+	if err := recordOne(r.TaskPerf, "t", "h0", time.Second, time.Unix(9, 0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,7 +247,7 @@ func TestTaskGenerationPerTask(t *testing.T) {
 	}
 	genA, _ := db.TaskGeneration("a")
 	genB, _ := db.TaskGeneration("b")
-	if err := db.RecordExecution("a", "h0", time.Second, time.Unix(1, 0)); err != nil {
+	if err := recordOne(db, "a", "h0", time.Second, time.Unix(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if g, _ := db.TaskGeneration("a"); g == genA {
@@ -316,7 +316,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 2:
-			if err := r.TaskPerf.RecordExecution("t", h, time.Millisecond, time.Unix(int64(i), 0)); err != nil {
+			if err := recordOne(r.TaskPerf, "t", h, time.Millisecond, time.Unix(int64(i), 0)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -32,24 +32,16 @@ type TaskParams struct {
 	SerialFraction float64 `json:"serial_fraction,omitempty"`
 }
 
-// Measurement is one observed execution of a task on a host.
-type Measurement struct {
-	Host    string        `json:"host"`
-	Elapsed time.Duration `json:"elapsed"`
-	Time    time.Time     `json:"time"`
-}
-
 // perTask couples static parameters with the per-host exponentially
 // smoothed execution times the Site Manager writes back after runs.
 // Records are frozen once their epoch is published; writers replace a
 // record with a fresh copy and bump its generation.
 type perTask struct {
-	// gen changes whenever this task's record (params, smoothed times, or
-	// history) changes — the ranked-host cache invalidates per task on it.
+	// gen changes whenever this task's record (params or smoothed times)
+	// changes — the ranked-host cache invalidates per task on it.
 	gen      uint64
 	Params   TaskParams
 	Smoothed map[string]time.Duration // host -> smoothed measured time
-	History  []Measurement
 }
 
 // perfEpoch is one immutable copy-on-write snapshot of the database.
@@ -65,17 +57,14 @@ type perfEpoch struct {
 type TaskPerfDB struct {
 	wmu   sync.Mutex // serializes writers only
 	epoch atomic.Pointer[perfEpoch]
-	// Alpha is the exponential smoothing weight for new measurements.
-	Alpha float64
 }
 
-// maxHistory bounds the stored per-task measurement log.
-const maxHistory = 128
+// smoothing is the exponential smoothing weight of a new measurement.
+const smoothing = 0.5
 
-// NewTaskPerfDB returns an empty task-performance database with smoothing
-// weight 0.5.
+// NewTaskPerfDB returns an empty task-performance database.
 func NewTaskPerfDB() *TaskPerfDB {
-	db := &TaskPerfDB{Alpha: 0.5}
+	db := &TaskPerfDB{}
 	db.epoch.Store(&perfEpoch{tasks: map[string]*perTask{}})
 	return db
 }
@@ -139,15 +128,12 @@ func (db *TaskPerfDB) RegisterTask(p TaskParams) error {
 
 // clonePerTask copies a record so the copy can be modified without
 // touching the epochs that still reference the original. The smoothed
-// map is copied (maps cannot be shared with a mutator); History is
-// shared — appends go through the shared-tail chronicle in
-// RecordExecution, which older windows never observe.
+// map is copied: maps cannot be shared with a mutator.
 func clonePerTask(t *perTask, gen uint64) *perTask {
 	c := &perTask{
 		gen:      gen,
 		Params:   t.Params,
 		Smoothed: make(map[string]time.Duration, len(t.Smoothed)+1),
-		History:  t.History,
 	}
 	for h, d := range t.Smoothed {
 		c.Smoothed[h] = d
@@ -172,13 +158,6 @@ type Execution struct {
 	Host    string
 	Elapsed time.Duration
 	At      time.Time
-}
-
-// RecordExecution is RecordExecutions for one measurement; it returns
-// the error that kept the measurement out, if any.
-func (db *TaskPerfDB) RecordExecution(task, host string, elapsed time.Duration, at time.Time) error {
-	_, err := db.RecordExecutions([]Execution{{task, host, elapsed, at}}, nil)
-	return err
 }
 
 // RecordExecutions folds a run's measured executions, in order, into the
@@ -218,17 +197,9 @@ func (db *TaskPerfDB) RecordExecutions(recs []Execution, mine func(host string) 
 				m[rec.Task] = t
 			}
 			if prev, seen := t.Smoothed[rec.Host]; seen {
-				a := db.Alpha
-				t.Smoothed[rec.Host] = time.Duration(a*float64(rec.Elapsed) + (1-a)*float64(prev))
+				t.Smoothed[rec.Host] = time.Duration(smoothing*float64(rec.Elapsed) + (1-smoothing)*float64(prev))
 			} else {
 				t.Smoothed[rec.Host] = rec.Elapsed
-			}
-			// Shared-tail chronicle append (see withSample in resources.go):
-			// older epochs' windows end at or before the current tail, so
-			// the append is invisible to them; trimming is a re-slice.
-			t.History = append(t.History, Measurement{Host: rec.Host, Elapsed: rec.Elapsed, Time: rec.At})
-			if len(t.History) > maxHistory {
-				t.History = t.History[len(t.History)-maxHistory:]
 			}
 			applied++
 		}
@@ -249,13 +220,4 @@ func (db *TaskPerfDB) MeasuredTime(task, host string) (time.Duration, bool) {
 	}
 	d, ok := t.Smoothed[host]
 	return d, ok
-}
-
-// History returns a copy of the stored measurement log for a task.
-func (db *TaskPerfDB) History(task string) []Measurement {
-	t, ok := db.epoch.Load().tasks[task]
-	if !ok {
-		return nil
-	}
-	return append([]Measurement(nil), t.History...)
 }

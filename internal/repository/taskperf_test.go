@@ -3,12 +3,18 @@ package repository
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// recordOne folds one measurement into db, returning the error that kept
+// it out.
+func recordOne(db *TaskPerfDB, task, host string, elapsed time.Duration, at time.Time) error {
+	_, err := db.RecordExecutions([]Execution{{task, host, elapsed, at}}, nil)
+	return err
+}
 
 func TestRegisterAndParams(t *testing.T) {
 	db := NewTaskPerfDB()
@@ -51,7 +57,7 @@ func TestReRegisterKeepsMeasurements(t *testing.T) {
 	if err := db.RegisterTask(TaskParams{Name: "t", BaseTime: time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RecordExecution("t", "h1", 3*time.Second, time.Now()); err != nil {
+	if err := recordOne(db, "t", "h1", 3*time.Second, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.RegisterTask(TaskParams{Name: "t", BaseTime: 2 * time.Second}); err != nil {
@@ -66,27 +72,27 @@ func TestReRegisterKeepsMeasurements(t *testing.T) {
 }
 
 func TestRecordExecutionSmoothing(t *testing.T) {
-	db := NewTaskPerfDB() // Alpha = 0.5
+	db := NewTaskPerfDB() // smoothing weight 0.5
 	if err := db.RegisterTask(TaskParams{Name: "t", BaseTime: time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	if err := db.RecordExecution("t", "h", 4*time.Second, now); err != nil {
+	if err := recordOne(db, "t", "h", 4*time.Second, now); err != nil {
 		t.Fatal(err)
 	}
 	if d, _ := db.MeasuredTime("t", "h"); d != 4*time.Second {
 		t.Fatalf("first measurement should be taken as-is, got %v", d)
 	}
-	if err := db.RecordExecution("t", "h", 2*time.Second, now); err != nil {
+	if err := recordOne(db, "t", "h", 2*time.Second, now); err != nil {
 		t.Fatal(err)
 	}
 	if d, _ := db.MeasuredTime("t", "h"); d != 3*time.Second {
 		t.Fatalf("smoothed = %v, want 3s", d)
 	}
-	if err := db.RecordExecution("t", "h", -time.Second, now); err == nil {
+	if err := recordOne(db, "t", "h", -time.Second, now); err == nil {
 		t.Fatal("negative elapsed accepted")
 	}
-	if err := db.RecordExecution("ghost", "h", time.Second, now); !errors.Is(err, ErrUnknownTask) {
+	if err := recordOne(db, "ghost", "h", time.Second, now); !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("unknown task: %v", err)
 	}
 	if _, ok := db.MeasuredTime("t", "unmeasured-host"); ok {
@@ -94,28 +100,6 @@ func TestRecordExecutionSmoothing(t *testing.T) {
 	}
 	if _, ok := db.MeasuredTime("ghost", "h"); ok {
 		t.Fatal("measurement invented for unknown task")
-	}
-}
-
-func TestHistoryBounded(t *testing.T) {
-	db := NewTaskPerfDB()
-	if err := db.RegisterTask(TaskParams{Name: "t"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < maxHistory+20; i++ {
-		if err := db.RecordExecution("t", "h", time.Duration(i), time.Now()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := db.History("t")
-	if len(h) != maxHistory {
-		t.Fatalf("history length %d, want %d", len(h), maxHistory)
-	}
-	if h[len(h)-1].Elapsed != time.Duration(maxHistory+19) {
-		t.Fatal("history lost the newest measurement")
-	}
-	if db.History("ghost") != nil {
-		t.Fatal("history for unknown task should be nil")
 	}
 }
 
@@ -129,8 +113,8 @@ func TestSmoothingConvexProperty(t *testing.T) {
 		}
 		prev := time.Duration(prevMs) * time.Millisecond
 		next := time.Duration(nextMs) * time.Millisecond
-		_ = db.RecordExecution("t", "h", prev, time.Now())
-		_ = db.RecordExecution("t", "h", next, time.Now())
+		_ = recordOne(db, "t", "h", prev, time.Now())
+		_ = recordOne(db, "t", "h", next, time.Now())
 		got, _ := db.MeasuredTime("t", "h")
 		lo, hi := prev, next
 		if lo > hi {
@@ -154,12 +138,11 @@ func TestTaskPerfConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				if err := db.RecordExecution("t", "h", time.Millisecond, time.Now()); err != nil {
+				if err := recordOne(db, "t", "h", time.Millisecond, time.Now()); err != nil {
 					t.Errorf("record: %v", err)
 					return
 				}
 				_, _ = db.MeasuredTime("t", "h")
-				_ = db.History("t")
 			}
 		}()
 	}
@@ -232,7 +215,7 @@ func TestRecordExecutionsOneEpoch(t *testing.T) {
 	for _, rec := range batch { // the reference: single calls in order
 		for _, r := range ref {
 			if _, ok := r.Resources.View(rec.Host); ok {
-				_ = r.TaskPerf.RecordExecution(rec.Task, rec.Host, rec.Elapsed, rec.At)
+				_ = recordOne(r.TaskPerf, rec.Task, rec.Host, rec.Elapsed, rec.At)
 			}
 		}
 	}
@@ -249,9 +232,6 @@ func TestRecordExecutionsOneEpoch(t *testing.T) {
 	}
 	for name, r := range sites {
 		for _, task := range []string{"t1", "t2", "t3"} {
-			if got, want := r.TaskPerf.History(task), ref[name].TaskPerf.History(task); !reflect.DeepEqual(got, want) {
-				t.Fatalf("site %s %s history %v, want %v", name, task, got, want)
-			}
 			for _, h := range []string{"a1", "a2", "b1", "c1"} {
 				got, gok := r.TaskPerf.MeasuredTime(task, h)
 				want, wok := ref[name].TaskPerf.MeasuredTime(task, h)

@@ -111,8 +111,8 @@ func TestOverloadShedsFastWithoutResidue(t *testing.T) {
 	if got := len(env.Jobs()); got != accepted+1 {
 		t.Fatalf("board holds %d jobs, want %d accepted + 1 hold (shed residue?)", got, accepted+1)
 	}
-	if acc, sh := env.ShedStats(); acc != int64(accepted+1) || sh != int64(shed) {
-		t.Fatalf("ShedStats = %d/%d, want %d accepted, %d shed", acc, sh, accepted+1, shed)
+	if acc, sh := env.obsM.accepted.Value(), env.obsM.rejectQueueFull.Value(); acc != float64(accepted+1) || sh != float64(shed) {
+		t.Fatalf("admission counters = %v accepted / %v shed, want %d / %d", acc, sh, accepted+1, shed)
 	}
 
 	env.Console.Resume()
@@ -155,9 +155,6 @@ func TestDeadlineShedNeedsNoSubmitWait(t *testing.T) {
 	}
 	if got := env.obsM.rejectDeadline.Value(); got != 1 {
 		t.Errorf("deadline-infeasible reject counter = %v, want 1", got)
-	}
-	if _, shed := env.ShedStats(); shed != 1 {
-		t.Errorf("ShedStats shed = %d, want 1", shed)
 	}
 	if rows, n := env.Jobs(), env.CountJobs("", ""); len(rows) != 0 || n != 0 {
 		t.Fatalf("shed submission left residue: %d rows, count %d", len(rows), n)
@@ -381,43 +378,40 @@ func TestBrownoutSoakOverloadAndFlappingHost(t *testing.T) {
 func TestReadyzGates(t *testing.T) {
 	now := time.Unix(0, 0)
 	env, err := New(Config{
-		Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 3},
-		Pipeline: PipelineConfig{Shed: ShedConfig{
-			MaxSubmitWait: 50 * time.Millisecond,
-			Now:           func() time.Time { return now },
-		}},
+		Testbed:  testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 3},
+		Pipeline: PipelineConfig{Shed: ShedConfig{MaxSubmitWait: 50 * time.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
 
-	if ready, reason := env.Ready(); !ready {
+	if ready, reason := env.readyAt(now); !ready {
 		t.Fatalf("fresh environment not ready: %s", reason)
 	}
 	// Recovery replay pending: not ready until the last adopted job is
 	// claimed (noteReplayDone decrements the gauge).
 	env.pipe.recoveryPending.Store(2)
-	if ready, reason := env.Ready(); ready || reason == "" {
-		t.Fatalf("Ready() = %v (%q) with replay pending, want not-ready with a reason", ready, reason)
+	if ready, reason := env.readyAt(now); ready || reason == "" {
+		t.Fatalf("readyAt = %v (%q) with replay pending, want not-ready with a reason", ready, reason)
 	}
 	env.pipe.recoveryPending.Store(0)
-	if ready, _ := env.Ready(); !ready {
+	if ready, _ := env.readyAt(now); !ready {
 		t.Fatal("still not ready after replay drained")
 	}
 
 	// A shed storm: 4 sheds, 1 accept inside the window trips the
 	// default 0.5 threshold with the >= 4 sample floor.
 	for i := 0; i < 4; i++ {
-		env.pipe.meter.record(true)
+		env.pipe.meter.record(now, true)
 	}
-	env.pipe.meter.record(false)
-	if ready, reason := env.Ready(); ready {
+	env.pipe.meter.record(now, false)
+	if ready, reason := env.readyAt(now); ready {
 		t.Fatalf("ready while shedding 80%% of recent submissions (%s)", reason)
 	}
 	// The synthetic clock slides the 5 s meter window past the storm.
 	now = now.Add(6 * time.Second)
-	if ready, reason := env.Ready(); !ready {
+	if ready, reason := env.readyAt(now); !ready {
 		t.Fatalf("not ready after the shed window slid past: %s", reason)
 	}
 }

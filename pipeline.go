@@ -185,11 +185,11 @@ func startPipeline(ctx context.Context, env *Environment, cfg PipelineConfig, st
 		runSem: make(chan struct{}, cfg.MaxConcurrentRuns),
 		store:  st,
 		byID:   make(map[string]*jobRecord),
+		meter:  newShedMeter(),
 
 		outs:      make(map[string]outEntry),
 		outBudget: retainedOutputBytes,
 	}
-	p.meter = newShedMeter(cfg.Shed.Now)
 	var adopt []*jobRecord
 	if st != nil {
 		// The broker resumes above the persisted high-water cursor, so
@@ -325,9 +325,10 @@ func (p *pipeline) submit(ctx context.Context, spec submitSpec) (*Job, error) {
 		}
 	}
 	p.events.Publish(jobsapi.EventState, status)
-	wait := job.stampPhase(phAdmitted, time.Now())
+	now := time.Now()
+	wait := job.stampPhase(phAdmitted, now)
 	p.enqueue(job, false)
-	p.meter.record(false)
+	p.meter.record(now, false)
 	p.env.obsM.submitWait.Observe(wait.Seconds())
 	p.env.obsM.accepted.Inc()
 	p.env.log.LogAttrs(ctx, slog.LevelDebug, "job admitted", slog.String("job_id", job.ID), slog.String("owner", job.Owner))
@@ -462,7 +463,7 @@ func (p *pipeline) releaseSlot() { <-p.slots }
 // per-reason counter and the structured log, and returns it as the
 // submission's error.
 func (p *pipeline) shedSubmission(serr *ShedError, owner string) error {
-	p.meter.record(true)
+	p.meter.record(time.Now(), true)
 	switch m := p.env.obsM; serr.Reason {
 	case ShedQueueFull:
 		m.rejectQueueFull.Inc()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vdce/internal/afg"
+	"vdce/internal/rate"
 )
 
 // Load shedding at admission. A full queue blocks Submit until a slot
@@ -77,90 +78,36 @@ type ShedConfig struct {
 	// submission whose deadline is closer than the graph's critical-path
 	// lower bound (task-performance base times) sheds immediately.
 	CheckDeadline bool
-	// Now supplies the meter clock (default time.Now); tests inject a
-	// synthetic one.
-	Now func() time.Time
 }
 
 func (c *ShedConfig) fillDefaults() {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 }
 
-// shedMeter measures the recent shed rate over a two-bucket sliding
-// window: cheap, lock-scoped, and exact enough for a readiness gate.
+// shedMeter is the /readyz gate's evidence: accepted and shed
+// submissions over the last shedWindow, in two buckets.
 type shedMeter struct {
-	now  func() time.Time
-	half time.Duration
-
-	mu       sync.Mutex
-	curStart time.Time
-	cur      meterBucket
-	prev     meterBucket
-	// totals are lifetime counters for reports and tests.
-	totalAccepted int64
-	totalShed     int64
+	mu sync.Mutex
+	w  rate.Window
 }
 
-type meterBucket struct {
-	accepted int
-	shed     int
-}
+func newShedMeter() *shedMeter { return &shedMeter{w: rate.NewWindow(shedWindow, 2)} }
 
-func newShedMeter(now func() time.Time) *shedMeter {
-	return &shedMeter{now: now, half: shedWindow / 2, curStart: now()}
-}
-
-// roll ages the buckets; callers hold m.mu.
-func (m *shedMeter) roll(now time.Time) {
-	for !now.Before(m.curStart.Add(m.half)) {
-		m.prev, m.cur = m.cur, meterBucket{}
-		m.curStart = m.curStart.Add(m.half)
-		if now.Sub(m.curStart) > 2*m.half {
-			// Idle gap longer than the window: skip straight to now.
-			m.prev = meterBucket{}
-			m.curStart = now
-		}
-	}
-}
-
-func (m *shedMeter) record(shed bool) {
-	now := m.now()
+func (m *shedMeter) record(now time.Time, shed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.roll(now)
-	if shed {
-		m.cur.shed++
-		m.totalShed++
-	} else {
-		m.cur.accepted++
-		m.totalAccepted++
-	}
+	m.w.Advance(now)
+	m.w.Add(shed)
 }
 
-// rate returns the windowed shed fraction and sample count.
-func (m *shedMeter) rate() (float64, int) {
-	now := m.now()
+// rate returns the windowed shed fraction and sample count at now.
+func (m *shedMeter) rate(now time.Time) (float64, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.roll(now)
-	shed := m.cur.shed + m.prev.shed
-	total := shed + m.cur.accepted + m.prev.accepted
-	if total == 0 {
-		return 0, 0
-	}
-	return float64(shed) / float64(total), total
-}
-
-// totals returns the lifetime accepted/shed counters.
-func (m *shedMeter) totals() (accepted, shed int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.totalAccepted, m.totalShed
+	m.w.Advance(now)
+	return m.w.Rate()
 }
 
 // shedError builds one rejection with the configured backoff hint.
@@ -217,12 +164,6 @@ func (p *pipeline) minCompletionEstimate(g *afg.Graph) (time.Duration, bool) {
 	return time.Duration(seconds * float64(time.Second)), true
 }
 
-// ShedStats reports the pipeline's lifetime admission counters:
-// accepted submissions and shed rejections.
-func (env *Environment) ShedStats() (accepted, shed int64) {
-	return env.pipe.meter.totals()
-}
-
 // Ready reports whether the environment should receive traffic, with a
 // human-readable reason when it should not: the /readyz verdict. The
 // environment is not ready while the recovery replay of a durable store
@@ -231,7 +172,10 @@ func (env *Environment) ShedStats() (accepted, shed int64) {
 // admission path is shedding more than unreadyShedRate of recent
 // submissions. A durable store that hit an I/O error makes it not ready
 // for good: in-flight jobs finish, new ones are shed.
-func (env *Environment) Ready() (bool, string) {
+func (env *Environment) Ready() (bool, string) { return env.readyAt(time.Now()) }
+
+// readyAt is Ready with the shed-rate window read at now.
+func (env *Environment) readyAt(now time.Time) (bool, string) {
 	p := env.pipe
 	if err := p.storeFailure(); err != nil {
 		return false, "durable store failed: " + err.Error()
@@ -239,7 +183,7 @@ func (env *Environment) Ready() (bool, string) {
 	if n := p.recoveryPending.Load(); n > 0 {
 		return false, fmt.Sprintf("recovery replay: %d re-admitted jobs pending", n)
 	}
-	if rate, total := p.meter.rate(); total >= 4 && rate > unreadyShedRate {
+	if rate, total := p.meter.rate(now); total >= 4 && rate > unreadyShedRate {
 		return false, fmt.Sprintf("shedding %.0f%% of recent submissions", rate*100)
 	}
 	p.mu.Lock()
