@@ -64,14 +64,17 @@ func (e *Engine) TransferStats() TransferStats {
 	}
 }
 
-// endpoint is the engine's Data Manager: one loopback listener every
-// run's deliveries arrive at, one persistent stream per source host
-// dialed to it, and the demux table that routes an arriving frame to
-// the input slot of the run and task it is addressed to.
+// endpoint is the engine's Data Manager: the one place every run's
+// deliveries arrive at, one persistent stream per source host dialed to
+// it, and the demux table that routes an arriving frame to the input
+// slot of the run and task it is addressed to. Every host lives in this
+// process, so a stream is a net.Pipe (dial): the bytes are framed and
+// checked as on a socket, and what the network costs comes from the
+// testbed's model (receiveInputs), not from a loopback socket that
+// models no link.
 type endpoint struct {
 	tallies *transferTallies
-	ln      net.Listener
-	wg      sync.WaitGroup // the accept loop and every reader
+	wg      sync.WaitGroup // every reader
 
 	mu      sync.Mutex
 	closed  bool
@@ -88,20 +91,13 @@ func (e *Engine) dataManager() (*endpoint, error) {
 		return nil, ErrEngineClosed
 	}
 	if e.dm == nil {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("exec: data manager listen: %w", err)
-		}
 		ep := &endpoint{
 			tallies: &e.transfer,
-			ln:      ln,
 			runs:    make(map[uint64]*runInputs),
 			streams: make(map[string]*stream),
 			conns:   make(map[net.Conn]struct{}),
 		}
 		e.transfer.listening.Store(true)
-		ep.wg.Add(1)
-		go ep.accept()
 		e.dm = ep
 	}
 	return e.dm, nil
@@ -129,12 +125,11 @@ func (ep *endpoint) close() {
 	ep.runs, ep.streams, ep.conns = nil, nil, nil
 	ep.mu.Unlock()
 	// Runs fail first, so that ErrEngineClosed and not a sender's broken
-	// pipe is the error they report. With the listener gone no stream can
-	// redial once its connection is dropped.
+	// pipe is the error they report. With the endpoint closed no stream
+	// can redial once its connection is dropped.
 	for _, ri := range runs {
 		ri.fail(ErrEngineClosed)
 	}
-	ep.ln.Close()
 	for _, s := range streams {
 		s.mu.Lock()
 		s.drop()
@@ -147,30 +142,31 @@ func (ep *endpoint) close() {
 	ep.tallies.listening.Store(false)
 }
 
-func (ep *endpoint) accept() {
-	defer ep.wg.Done()
-	for {
-		conn, err := ep.ln.Accept()
-		if errors.Is(err, net.ErrClosed) {
-			return
-		}
-		if err != nil {
-			// Out of descriptors, most likely: streams dialed meanwhile
-			// wait in the backlog until one frees up.
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		ep.mu.Lock()
-		if ep.closed {
-			ep.mu.Unlock()
-			conn.Close()
-			return
-		}
-		ep.conns[conn] = struct{}{}
-		ep.wg.Add(1)
-		ep.mu.Unlock()
-		go ep.read(conn)
+// dial connects a new stream: one end of a net.Pipe, whose far end
+// accept hands to a reader. It fails with net.ErrClosed once the
+// endpoint is closed.
+func (ep *endpoint) dial() (net.Conn, error) {
+	near, far := net.Pipe()
+	if !ep.accept(far) {
+		near.Close()
+		return nil, net.ErrClosed
 	}
+	return near, nil
+}
+
+// accept starts the reader of a stream's far end; it closes conn and
+// reports false once the endpoint is closed.
+func (ep *endpoint) accept(conn net.Conn) bool {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.closed {
+		conn.Close()
+		return false
+	}
+	ep.conns[conn] = struct{}{}
+	ep.wg.Add(1)
+	go ep.read(conn)
+	return true
 }
 
 // read is the receiving end of one stream. Any framing fault — a frame
@@ -253,6 +249,7 @@ func (ep *endpoint) deliver(payload []byte) {
 		return
 	}
 	slot.val = val
+	slot.at, slot.bytes = time.Now(), len(payload)-routeHeader
 	close(slot.ready)
 }
 
@@ -281,11 +278,8 @@ func (ep *endpoint) unregister(seq uint64) {
 func (ep *endpoint) streamFor(host string) *stream {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.closed {
-		return nil
-	}
-	s := ep.streams[host]
-	if s == nil {
+	s := ep.streams[host] // close drops the map
+	if s == nil && !ep.closed {
 		s = &stream{ep: ep}
 		ep.streams[host] = s
 	}
@@ -311,6 +305,11 @@ type inSlot struct {
 	ready  chan struct{} // closed once val is set; nil if no edge feeds the port
 	filled atomic.Bool   // claimed by the first delivery
 	val    tasklib.Value
+	from   afg.TaskID // the producing task
+	// at and bytes are the delivery's instant and the value's encoded
+	// size, from which the network model prices the transfer.
+	at    time.Time
+	bytes int
 }
 
 // newRunInputs lays out the slots and the out-edge index for g's edges,
@@ -334,6 +333,7 @@ func newRunInputs(seq uint64, g *afg.Graph, fail func(error)) (*runInputs, error
 				e.From, e.FromPort, e.To, e.ToPort)
 		}
 		slot.ready = make(chan struct{})
+		slot.from = e.From
 		start[e.From+2]++
 	}
 	for i := 2; i < len(start); i++ {
@@ -442,7 +442,7 @@ func sentEarlier(edges []afg.Edge, port int) bool {
 func (s *stream) write(buf []byte) error {
 	for attempt := 0; ; attempt++ {
 		if s.conn == nil {
-			conn, err := net.Dial("tcp", s.ep.ln.Addr().String())
+			conn, err := s.ep.dial()
 			if err != nil {
 				return err
 			}
@@ -471,15 +471,22 @@ func (s *stream) drop() {
 }
 
 // receiveInputs waits for the task's dataflow inputs and returns them
-// indexed by input port; ports no edge feeds stay nil. It gives up only
-// when the run is canceled — by the caller, by a failing sibling, or by
-// the endpoint rejecting a delivery addressed to this run.
+// indexed by input port; ports no edge feeds stay nil. When the engine
+// emulates the testbed's hardware (DilationScale > 0) it also charges
+// the network: an input counts as arrived at its delivery plus the
+// testbed network's transfer time between the producer's site and this
+// task's, scaled alike, and the task starts at the latest such instant.
+// It gives up only when the run is canceled — by the caller, by a
+// failing sibling, or by the endpoint rejecting a delivery addressed to
+// this run.
 func (ac *appController) receiveInputs(ctx context.Context) ([]tasklib.Value, error) {
 	in := make([]tasklib.Value, ac.task.InPorts)
 	ri := ac.app.inputs
 	if ri == nil {
 		return in, nil
 	}
+	e := ac.app.engine
+	var arrived time.Time
 	slots := ri.slots[ri.base[ac.task.ID]:ri.base[ac.task.ID+1]] // by port
 	for port := range slots {
 		s := &slots[port]
@@ -492,8 +499,39 @@ func (ac *appController) receiveInputs(ctx context.Context) ([]tasklib.Value, er
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+		if e.DilationScale > 0 {
+			d, err := ac.transferTime(s)
+			if err != nil {
+				return nil, err
+			}
+			if at := s.at.Add(time.Duration(float64(d) * e.DilationScale)); at.After(arrived) {
+				arrived = at
+			}
+		}
+	}
+	if !arrived.IsZero() {
+		if err := sleep(ctx, time.Until(arrived)); err != nil {
+			return nil, err
+		}
 	}
 	return in, nil
+}
+
+// transferTime prices a delivered input on the testbed network: its
+// bytes from the site of the host its producer ran on to the site of
+// this task's host. The producer wrote its placement for the last time
+// before it delivered, so reading it here needs no lock.
+func (ac *appController) transferTime(s *inSlot) (time.Duration, error) {
+	tb := ac.app.engine.TB
+	from, err := tb.Host(ac.app.ctl[s.from].place.Hosts[0])
+	if err != nil {
+		return 0, err
+	}
+	to, err := tb.Host(ac.place.Hosts[0])
+	if err != nil {
+		return 0, err
+	}
+	return tb.Net.TransferTime(int64(s.bytes), from.Site, to.Site)
 }
 
 // sendOutputs delivers the produced values to the task's children over

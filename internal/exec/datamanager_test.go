@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +16,9 @@ import (
 	"vdce/internal/afg"
 	"vdce/internal/core"
 	"vdce/internal/frame"
+	"vdce/internal/netmodel"
 	"vdce/internal/tasklib"
+	"vdce/internal/testbed"
 )
 
 // rawFrame builds one data frame by hand, independently of stream.send.
@@ -35,7 +39,8 @@ func sealFrame(payload []byte) []byte { return frame.Append(nil, payload) }
 
 // demuxRig is an endpoint with one hand-registered run — eight
 // producers feeding the eight ports of task 8, plus task 9 whose single
-// port no edge feeds — and a raw client connection to inject frames on.
+// port no edge feeds — and a raw stream dialed to its listener to inject
+// frames on.
 type demuxRig struct {
 	t      *testing.T
 	e      *Engine
@@ -84,7 +89,7 @@ func newDemuxRig(t *testing.T) *demuxRig {
 
 func (d *demuxRig) dial() net.Conn {
 	d.t.Helper()
-	conn, err := net.Dial("tcp", d.dm.ln.Addr().String())
+	conn, err := d.dm.dial()
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -296,8 +301,12 @@ func TestFramingFaultTearsTheStreamDown(t *testing.T) {
 		d := newDemuxRig(t)
 		f := good(d)
 		d.write(d.conn, f[:len(f)-3])
-		d.conn.(*net.TCPConn).CloseWrite()
-		d.wantTornDown(d.conn)
+		d.conn.Close() // the writing end: the reader sees the stream end mid-frame
+		for deadline := time.Now().Add(5 * time.Second); d.e.TransferStats().Readers != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the reader of a stream that ended mid-frame never exited")
+			}
+		}
 		if d.ri.slot(demuxConsumer, 7).filled.Load() {
 			t.Fatal("a frame cut short was delivered")
 		}
@@ -373,11 +382,14 @@ func awaitRegistered(t *testing.T, e *Engine, seq uint64) {
 }
 
 // killStreams closes every dialed stream's connection under the
-// stream's feet, as a network fault would.
+// stream's feet, as a network fault would. It locks each stream only
+// after releasing the endpoint's lock: a redialing sender holds its
+// stream's lock while the listener takes the endpoint's.
 func killStreams(dm *endpoint) (killed int) {
 	dm.mu.Lock()
-	defer dm.mu.Unlock()
-	for _, s := range dm.streams {
+	streams := slices.Collect(maps.Values(dm.streams))
+	dm.mu.Unlock()
+	for _, s := range streams {
 		s.mu.Lock()
 		if s.conn != nil {
 			s.conn.Close()
@@ -413,11 +425,21 @@ func TestStreamKilledMidRunIsRedialedOnce(t *testing.T) {
 		t.Fatalf("redials = %d, open streams = %d, want 1 and 1", st.Redials, st.Streams)
 	}
 
-	// With the endpoint unreachable the one redial fails too, and the
-	// producing task reports it; the parked consumer is released.
-	r.engine.dm.ln.Close()
+	// With the endpoint refusing dials, as a closed one does, the one
+	// redial fails too, and the producing task reports it; the parked
+	// consumer is released. The run stays registered and host 0's stream
+	// stays in the table, so the failure is the send's.
+	next = r.engine.appSeq.Load() + 1
+	go func() {
+		_, err := r.engine.Execute(ctx, g, table)
+		errCh <- err
+	}()
+	awaitRegistered(t, r.engine, next)
+	r.engine.dm.mu.Lock()
+	r.engine.dm.closed = true
+	r.engine.dm.mu.Unlock()
 	killStreams(r.engine.dm)
-	_, err := r.engine.Execute(ctx, g, table)
+	err := <-errCh
 	if err == nil || !strings.Contains(err.Error(), "task 0 (Spin): exec: send to child 1") {
 		t.Fatalf("err = %v, want task 0's send failure", err)
 	}
@@ -574,6 +596,92 @@ func TestExecuteAllocBudget(t *testing.T) {
 		t.Logf("Execute(%s, %d tasks, %d edges): %.0f allocs/run", tc.g.Name, len(tc.g.Tasks), len(tc.g.Edges), allocs)
 		if allocs > tc.budget {
 			t.Fatalf("Execute(%s) allocates %.0f objects per run, budget %.0f", tc.g.Name, allocs, tc.budget)
+		}
+	}
+}
+
+// TestDilationChargesModeledTransfer runs a two-site chain at a
+// communication-to-computation ratio of 10 — a 10 ms Spin whose output
+// crosses a 100 ms link — and reads when the consumer started: with
+// dilation on, no earlier than the producer's end plus the transfer the
+// testbed network prices; with it off, without waiting for the link.
+func TestDilationChargesModeledTransfer(t *testing.T) {
+	tb, err := testbed.Build(testbed.Config{
+		Sites: 2, HostsPerGroup: 1, Seed: 11,
+		SpeedMin: 1, SpeedMax: 1, BaseLoadMax: 0.01, LoadSigma: 0.001,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := netmodel.Link{Latency: 100 * time.Millisecond, BytesPerSec: 1e9}
+	if err := tb.Net.SetLink("site0", "site1", link); err != nil {
+		t.Fatal(err)
+	}
+	// chain builds producer -> consumer with the producer on site0 and
+	// the consumer on site1. With consumerFirst the consumer has task ID
+	// 0, so the table, which lists a producer before its consumer, is not
+	// in task order: the producer's site must come from its task, not
+	// from the entry at its ID.
+	chain := func(consumerFirst bool) (g *afg.Graph, src afg.TaskID, table *core.AllocationTable) {
+		g = afg.NewGraph("ccr10")
+		var dst afg.TaskID
+		if consumerFirst {
+			dst = g.AddTask("Pass_Through", "util", 1, 1)
+			src = g.AddTask("Spin", "util", 0, 1)
+		} else {
+			src = g.AddTask("Spin", "util", 0, 1)
+			dst = g.AddTask("Pass_Through", "util", 1, 1)
+		}
+		if err := g.SetProps(src, afg.Properties{Args: map[string]string{"ms": "10"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Connect(src, 0, dst, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		table = &core.AllocationTable{App: g.Name}
+		for i, id := range []afg.TaskID{src, dst} {
+			site := tb.Sites[i]
+			table.Entries = append(table.Entries, core.Placement{Task: id, TaskName: g.Tasks[id].Name,
+				Site: site.Name, Hosts: []string{site.Hosts[0].Name}, Predicted: time.Millisecond})
+		}
+		return g, src, table
+	}
+	for _, run := range []struct {
+		scale         float64
+		consumerFirst bool
+	}{{1, false}, {1, true}, {0, false}} {
+		scale := run.scale
+		g, src, table := chain(run.consumerFirst)
+		e := &Engine{Reg: tasklib.Default(), TB: tb, DilationScale: scale}
+		res, err := e.Execute(context.Background(), g, table)
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prod, cons TaskRun
+		for _, r := range res.Runs {
+			if r.Task == src {
+				prod = r
+			} else {
+				cons = r
+			}
+		}
+		val, err := tasklib.EncodeValue(res.Outputs[src][0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		transfer, err := tb.Net.TransferTime(int64(len(val)), "site0", "site1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gap := cons.Start.Sub(prod.End)
+		t.Logf("DilationScale %g: producer ran %v, consumer started %v after it, modeled transfer %v",
+			scale, prod.End.Sub(prod.Start), gap, transfer)
+		if scale > 0 && gap < transfer {
+			t.Errorf("with dilation on, the consumer started %v after its producer ended, before the %v transfer", gap, transfer)
+		}
+		if scale == 0 && gap >= transfer {
+			t.Errorf("with dilation off, the consumer waited %v for a %v transfer", gap, transfer)
 		}
 	}
 }

@@ -2,19 +2,22 @@
 // Application Controller, which sets up the execution environment on
 // each assigned machine, monitors the run, and requests rescheduling
 // when a machine's load crosses the threshold; and the Data Manager, the
-// socket-based point-to-point communication system for inter-task data.
+// paper's socket-based point-to-point communication system for
+// inter-task data, over in-process streams.
 //
-// The lifecycle follows §4. An Engine has one Data Manager endpoint — a
-// loopback TCP listener opened by the first run that has dataflow edges
+// The lifecycle follows §4. An Engine has one Data Manager endpoint — an
+// in-process endpoint opened by the first run that has dataflow edges
 // and released by Close — and one persistent stream to it per source
 // host, so connections number O(hosts) however many runs, tasks and
 // edges pass through. Channel set-up for a run is entering its input
 // slots, one per in-edge, in the endpoint's demux table; when all are
 // entered (the acknowledgment) the execution startup signal is given.
 // Tasks run, watched by the run's one monitoring loop on the goroutine
-// that called Execute; each output crosses TCP as one checksummed frame
-// addressed to (run, task, port), the endpoint's readers decode it
-// into the slot the consuming controller waits on, and when the run ends
+// that called Execute; each output crosses its host's stream as one
+// checksummed frame addressed to (run, task, port), the endpoint's
+// readers decode it into the slot the consuming controller waits on,
+// which charges the network model's transfer time when the engine
+// emulates the testbed's hardware (DilationScale), and when the run ends
 // its completed executions are reported together so the Site Manager can
 // update the task-performance database. Leaving the run removes its
 // slots: frames still in flight for it are counted and dropped. A run
@@ -43,7 +46,7 @@ import (
 )
 
 // Engine executes scheduled applications on the simulated testbed with
-// real task code and real TCP data channels.
+// real task code and framed, checksummed data channels.
 type Engine struct {
 	// Reg resolves task names to implementations.
 	Reg *tasklib.Registry
@@ -62,7 +65,9 @@ type Engine struct {
 	LoadCheckPeriod time.Duration
 	// DilationScale stretches task runtimes by the host model's dilation
 	// factor to emulate heterogeneous hardware: extra sleep =
-	// elapsed * (dilation-1) * DilationScale. 0 disables dilation.
+	// elapsed * (dilation-1) * DilationScale. It scales the testbed
+	// network's transfer time an input waits for alike (receiveInputs).
+	// 0 disables both.
 	DilationScale float64
 	// Reschedule supplies a replacement placement when a task must move
 	// (load threshold or host failure), excluding the hosts the task was

@@ -132,7 +132,15 @@ func (e *Engine) retryGate() *retryGate {
 // retryPause applies the retry policy before one rescheduling retry and
 // waits it out. It returns ctx's error if the wait was interrupted.
 func (e *Engine) retryPause(ctx context.Context, attempt int) error {
-	t := time.NewTimer(e.retryDelay(attempt, time.Now()))
+	return sleep(ctx, e.retryDelay(attempt, time.Now()))
+}
+
+// sleep waits d and returns ctx's error if ctx has ended by then.
+func sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

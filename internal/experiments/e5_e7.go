@@ -137,7 +137,7 @@ func E6FailureDetect(periods []time.Duration, trials int, seed int64) (*Table, e
 // E7Reschedule reproduces §4.1's Application Controller threshold: a
 // contention burst lands on the host running a chain of tasks; with
 // rescheduling the work moves away, without it the run drags through the
-// overload. Real execution with real TCP channels.
+// overload. Real execution with framed data channels.
 func E7Reschedule(spinMs int, contention float64) (*Table, error) {
 	t := &Table{
 		ID:     "E7",

@@ -39,7 +39,7 @@ func (s *Snapshot) ResourceGeneration() uint64 { return s.res.gen }
 // TaskGeneration returns the per-task record generation (see
 // TaskPerfDB.TaskGeneration); ok is false for unknown tasks.
 func (s *Snapshot) TaskGeneration(name string) (gen uint64, ok bool) {
-	t, ok := s.perf.tasks[name]
+	t, ok := s.perf.task(name)
 	if !ok {
 		return 0, false
 	}
@@ -62,7 +62,7 @@ func (s *Snapshot) View(name string) (HostView, bool) {
 // TaskParams returns the static parameters of the named task as of this
 // snapshot.
 func (s *Snapshot) TaskParams(name string) (TaskParams, error) {
-	t, ok := s.perf.tasks[name]
+	t, ok := s.perf.task(name)
 	if !ok {
 		return TaskParams{}, fmt.Errorf("%w: %s", ErrUnknownTask, name)
 	}
@@ -72,10 +72,9 @@ func (s *Snapshot) TaskParams(name string) (TaskParams, error) {
 // MeasuredTime returns the smoothed measured execution time of task on
 // host as of this snapshot, and whether any measurement exists.
 func (s *Snapshot) MeasuredTime(task, host string) (time.Duration, bool) {
-	t, ok := s.perf.tasks[task]
+	t, ok := s.perf.task(task)
 	if !ok {
 		return 0, false
 	}
-	d, ok := t.Smoothed[host]
-	return d, ok
+	return t.measured(host)
 }

@@ -3,7 +3,9 @@ package repository
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,15 +41,45 @@ type TaskParams struct {
 type perTask struct {
 	// gen changes whenever this task's record (params or smoothed times)
 	// changes — the ranked-host cache invalidates per task on it.
-	gen      uint64
-	Params   TaskParams
-	Smoothed map[string]time.Duration // host -> smoothed measured time
+	gen    uint64
+	Params TaskParams
+	// smoothed is the measured hosts' smoothed times, sorted by host. A
+	// published slice is never written: records may share it.
+	smoothed []hostTime
+}
+
+// hostTime is one host's smoothed measured time of a task.
+type hostTime struct {
+	host string
+	d    time.Duration
+}
+
+func byHost(h hostTime, host string) int { return strings.Compare(h.host, host) }
+
+// measured returns the smoothed time on host and whether one exists.
+func (t *perTask) measured(host string) (time.Duration, bool) {
+	i, ok := slices.BinarySearchFunc(t.smoothed, host, byHost)
+	if !ok {
+		return 0, false
+	}
+	return t.smoothed[i].d, true
 }
 
 // perfEpoch is one immutable copy-on-write snapshot of the database.
 type perfEpoch struct {
-	gen   uint64
-	tasks map[string]*perTask // records never mutate after publish
+	gen uint64
+	// index maps a task name to its record in tasks. Epochs share it
+	// until a write registers a new task.
+	index map[string]int
+	tasks []*perTask // records never mutate after publish
+}
+
+func (ep *perfEpoch) task(name string) (*perTask, bool) {
+	i, ok := ep.index[name]
+	if !ok {
+		return nil, false
+	}
+	return ep.tasks[i], true
 }
 
 // TaskPerfDB is the task-performance database: performance
@@ -65,27 +97,8 @@ const smoothing = 0.5
 // NewTaskPerfDB returns an empty task-performance database.
 func NewTaskPerfDB() *TaskPerfDB {
 	db := &TaskPerfDB{}
-	db.epoch.Store(&perfEpoch{tasks: map[string]*perTask{}})
+	db.epoch.Store(&perfEpoch{index: map[string]int{}})
 	return db
-}
-
-// mutate runs f over a private copy of the task map and publishes the
-// result as a new epoch. f must replace (not modify) any record it
-// changes, stamping it with the new epoch's generation (passed as gen).
-func (db *TaskPerfDB) mutate(f func(m map[string]*perTask, gen uint64) error) error {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	cur := db.epoch.Load()
-	m := make(map[string]*perTask, len(cur.tasks)+1)
-	for k, v := range cur.tasks {
-		m[k] = v
-	}
-	gen := cur.gen + 1
-	if err := f(m, gen); err != nil {
-		return err
-	}
-	db.epoch.Store(&perfEpoch{gen: gen, tasks: m})
-	return nil
 }
 
 // TaskGeneration returns the named task's record generation: it changes
@@ -93,7 +106,7 @@ func (db *TaskPerfDB) mutate(f func(m map[string]*perTask, gen uint64) error) er
 // per-task derivations (ranked-host lists) invalidate on exactly the
 // writes that affect them. ok is false for unknown tasks.
 func (db *TaskPerfDB) TaskGeneration(name string) (gen uint64, ok bool) {
-	t, ok := db.epoch.Load().tasks[name]
+	t, ok := db.epoch.Load().task(name)
 	if !ok {
 		return 0, false
 	}
@@ -104,6 +117,7 @@ func (db *TaskPerfDB) TaskGeneration(name string) (gen uint64, ok bool) {
 var ErrUnknownTask = errors.New("repository: unknown task")
 
 // RegisterTask stores (or replaces) the static parameters of a task.
+// A replaced task keeps its measurements.
 func (db *TaskPerfDB) RegisterTask(p TaskParams) error {
 	if p.Name == "" {
 		return errors.New("repository: empty task name")
@@ -114,36 +128,26 @@ func (db *TaskPerfDB) RegisterTask(p TaskParams) error {
 	if p.SerialFraction < 0 || p.SerialFraction > 1 {
 		return fmt.Errorf("repository: serial fraction %g out of [0,1] for task %s", p.SerialFraction, p.Name)
 	}
-	return db.mutate(func(m map[string]*perTask, gen uint64) error {
-		if existing, ok := m[p.Name]; ok {
-			c := clonePerTask(existing, gen)
-			c.Params = p
-			m[p.Name] = c
-			return nil
-		}
-		m[p.Name] = &perTask{gen: gen, Params: p, Smoothed: map[string]time.Duration{}}
-		return nil
-	})
-}
-
-// clonePerTask copies a record so the copy can be modified without
-// touching the epochs that still reference the original. The smoothed
-// map is copied: maps cannot be shared with a mutator.
-func clonePerTask(t *perTask, gen uint64) *perTask {
-	c := &perTask{
-		gen:      gen,
-		Params:   t.Params,
-		Smoothed: make(map[string]time.Duration, len(t.Smoothed)+1),
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	cur := db.epoch.Load()
+	next := &perfEpoch{gen: cur.gen + 1, index: cur.index, tasks: slices.Clone(cur.tasks)}
+	t := &perTask{gen: next.gen, Params: p}
+	if i, ok := cur.index[p.Name]; ok {
+		t.smoothed = cur.tasks[i].smoothed
+		next.tasks[i] = t
+	} else {
+		next.index = maps.Clone(cur.index)
+		next.index[p.Name] = len(next.tasks)
+		next.tasks = append(next.tasks, t)
 	}
-	for h, d := range t.Smoothed {
-		c.Smoothed[h] = d
-	}
-	return c
+	db.epoch.Store(next)
+	return nil
 }
 
 // Params returns the static parameters of the named task.
 func (db *TaskPerfDB) Params(name string) (TaskParams, error) {
-	t, ok := db.epoch.Load().tasks[name]
+	t, ok := db.epoch.Load().task(name)
 	if !ok {
 		return TaskParams{}, fmt.Errorf("%w: %s", ErrUnknownTask, name)
 	}
@@ -163,61 +167,98 @@ type Execution struct {
 // RecordExecutions folds a run's measured executions, in order, into the
 // per-host smoothed estimates — this is the Site Manager's "updates the
 // task-performance database with the execution time after an application
-// execution is completed" — as ONE epoch, each distinct task cloned once.
-// A non-nil mine selects the records this site's database takes (by
-// host); the others are another site's. Of the selected ones, a record
-// naming an unknown task or a negative elapsed time is dropped: applied
-// counts the rest and err is the first drop's reason. With nothing
-// applied no epoch is published.
+// execution is completed" — as ONE epoch. The epoch shares the task
+// index and every record the batch does not touch, and the touched
+// records' clones and their smoothed times are one allocation each, so
+// a call allocates a fixed number of objects whatever the catalog size,
+// the hosts per task or the batch. A non-nil mine selects the records
+// this site's database takes (by host); the others are another site's.
+// Of the selected ones, a record naming an unknown task or a negative
+// elapsed time is dropped: applied counts the rest and err is the first
+// drop's reason. With nothing applied no epoch is published.
 func (db *TaskPerfDB) RecordExecutions(recs []Execution, mine func(host string) bool) (applied int, err error) {
-	if mine != nil && !slices.ContainsFunc(recs, func(r Execution) bool { return mine(r.Host) }) {
-		return 0, nil
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	cur := db.epoch.Load()
+	gen := cur.gen + 1
+	// First pass: check the records and clone each touched task once, its
+	// clone sharing the old smoothed times for now and counting in gen the
+	// records it takes.
+	var tasks []*perTask // the next epoch's records
+	var clones []perTask
+	cells := 0 // smoothed times the clones may hold between them
+	for k, rec := range recs {
+		i, e := cur.take(rec, mine)
+		if i < 0 {
+			if err == nil {
+				err = e
+			}
+			continue
+		}
+		if tasks == nil {
+			tasks = slices.Clone(cur.tasks)
+			clones = make([]perTask, 0, len(recs)-k) // never outgrown: tasks[i] points in
+		}
+		if old := cur.tasks[i]; tasks[i] == old {
+			clones = append(clones, perTask{Params: old.Params, smoothed: old.smoothed})
+			tasks[i] = &clones[len(clones)-1]
+			cells += len(old.smoothed)
+		}
+		tasks[i].gen++
+		cells++
+		applied++
 	}
-	drop := func(e error) {
-		if err == nil {
-			err = e
+	if applied == 0 {
+		return 0, err
+	}
+	// Each clone gets its share of one block of smoothed times.
+	block := make([]hostTime, cells)
+	for j := range clones {
+		c := &clones[j]
+		n := len(c.smoothed) + int(c.gen)
+		c.smoothed = append(block[:0:n], c.smoothed...)
+		block = block[n:]
+		c.gen = gen
+	}
+	for _, rec := range recs {
+		i, _ := cur.take(rec, mine)
+		if i < 0 {
+			continue
+		}
+		t := tasks[i]
+		if j, seen := slices.BinarySearchFunc(t.smoothed, rec.Host, byHost); seen {
+			t.smoothed[j].d = time.Duration(smoothing*float64(rec.Elapsed) + (1-smoothing)*float64(t.smoothed[j].d))
+		} else {
+			t.smoothed = slices.Insert(t.smoothed, j, hostTime{rec.Host, rec.Elapsed})
 		}
 	}
-	_ = db.mutate(func(m map[string]*perTask, gen uint64) error {
-		for _, rec := range recs {
-			if mine != nil && !mine(rec.Host) {
-				continue
-			}
-			t, ok := m[rec.Task]
-			if !ok {
-				drop(fmt.Errorf("%w: %s", ErrUnknownTask, rec.Task))
-				continue
-			}
-			if rec.Elapsed < 0 {
-				drop(fmt.Errorf("repository: negative elapsed for %s on %s", rec.Task, rec.Host))
-				continue
-			}
-			if t.gen != gen { // first touch in this epoch
-				t = clonePerTask(t, gen)
-				m[rec.Task] = t
-			}
-			if prev, seen := t.Smoothed[rec.Host]; seen {
-				t.Smoothed[rec.Host] = time.Duration(smoothing*float64(rec.Elapsed) + (1-smoothing)*float64(prev))
-			} else {
-				t.Smoothed[rec.Host] = rec.Elapsed
-			}
-			applied++
-		}
-		if applied == 0 {
-			return err // nothing changed: publish nothing
-		}
-		return nil
-	})
+	db.epoch.Store(&perfEpoch{gen: gen, index: cur.index, tasks: tasks})
 	return applied, err
+}
+
+// take returns the index of rec's task if this database takes rec, and
+// -1 if not: with a nil error when mine leaves rec to another site, and
+// with the reason when it is dropped.
+func (ep *perfEpoch) take(rec Execution, mine func(host string) bool) (int, error) {
+	if mine != nil && !mine(rec.Host) {
+		return -1, nil
+	}
+	i, ok := ep.index[rec.Task]
+	if !ok {
+		return -1, fmt.Errorf("%w: %s", ErrUnknownTask, rec.Task)
+	}
+	if rec.Elapsed < 0 {
+		return -1, fmt.Errorf("repository: negative elapsed for %s on %s", rec.Task, rec.Host)
+	}
+	return i, nil
 }
 
 // MeasuredTime returns the smoothed measured execution time of task on
 // host and whether any measurement exists.
 func (db *TaskPerfDB) MeasuredTime(task, host string) (time.Duration, bool) {
-	t, ok := db.epoch.Load().tasks[task]
+	t, ok := db.epoch.Load().task(task)
 	if !ok {
 		return 0, false
 	}
-	d, ok := t.Smoothed[host]
-	return d, ok
+	return t.measured(host)
 }

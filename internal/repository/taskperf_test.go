@@ -2,7 +2,9 @@ package repository
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -246,5 +248,154 @@ func TestRecordExecutionsOneEpoch(t *testing.T) {
 	}
 	if d, _ := sites["a"].TaskPerf.MeasuredTime("t1", "a1"); d != 3*time.Second {
 		t.Fatalf("t1 on a1 smoothed to %v, want 3s", d)
+	}
+}
+
+// perfCatalog builds a database of n tasks named t0.. and the host
+// names h0..h(hosts-1).
+func perfCatalog(t *testing.T, n, hosts int) (*TaskPerfDB, []string, []string) {
+	t.Helper()
+	db := NewTaskPerfDB()
+	tasks := make([]string, n)
+	for i := range tasks {
+		tasks[i] = fmt.Sprintf("t%d", i)
+		if err := db.RegisterTask(TaskParams{Name: tasks[i], BaseTime: time.Second}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hs := make([]string, hosts)
+	for i := range hs {
+		hs[i] = fmt.Sprintf("h%02d", i)
+	}
+	return db, tasks, hs
+}
+
+// TestRecordExecutionsAllocs pins a write-back's allocations: the next
+// epoch, its record list, the touched records' clones and their smoothed
+// times, one each, whatever the catalog size, the hosts per task or the
+// number of tasks touched. Copying the task map and a host map per
+// touched task cost 35 for six records on 26 tasks of 12 hosts.
+func TestRecordExecutionsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const budget = 4
+	for _, catalog := range []int{6, 26} {
+		for _, hosts := range []int{3, 12} {
+			db, tasks, hs := perfCatalog(t, catalog, hosts)
+			// Every task measured on every host, so a write-back updates
+			// estimates in place and a new host grows a full list.
+			for _, h := range hs {
+				for _, task := range tasks {
+					if err := recordOne(db, task, h, time.Second, time.Time{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, touched := range []int{1, 6, catalog} {
+				batch := make([]Execution, touched)
+				for i := range batch {
+					batch[i] = Execution{Task: tasks[i], Host: hs[i%hosts], Elapsed: time.Duration(i+1) * time.Millisecond}
+				}
+				mine := func(string) bool { return true }
+				n := testing.AllocsPerRun(50, func() { _, _ = db.RecordExecutions(batch, mine) })
+				t.Logf("%d tasks x %d hosts, %d touched: %v allocations", catalog, hosts, touched, n)
+				if n > budget {
+					t.Errorf("%d tasks x %d hosts, %d touched: %v allocations a write-back, budget %d", catalog, hosts, touched, n, budget)
+				}
+				// Each call measures t0 on a host it has no estimate for.
+				fresh := make([]string, 21)
+				for i := range fresh {
+					fresh[i] = fmt.Sprintf("new-%d-%d", touched, i)
+				}
+				n = testing.AllocsPerRun(len(fresh)-1, func() {
+					batch[0].Host, fresh = fresh[0], fresh[1:]
+					_, _ = db.RecordExecutions(batch, nil)
+				})
+				if n > budget {
+					t.Errorf("%d tasks x %d hosts, %d touched, a new host: %v allocations, budget %d", catalog, hosts, touched, n, budget)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotKeepsEstimatesAcrossWriteBacks: a snapshot taken before a
+// write-back reads the estimates and generations it was taken with,
+// although the next epoch shares its index and untouched records, and a
+// re-registration shares the smoothed times.
+func TestSnapshotKeepsEstimatesAcrossWriteBacks(t *testing.T) {
+	r := New("s")
+	db, tasks, hs := perfCatalog(t, 4, 3)
+	r.TaskPerf = db
+	first := []Execution{
+		{Task: tasks[0], Host: hs[0], Elapsed: 4 * time.Second},
+		{Task: tasks[0], Host: hs[2], Elapsed: 6 * time.Second},
+		{Task: tasks[1], Host: hs[1], Elapsed: 2 * time.Second},
+	}
+	if _, err := db.RecordExecutions(first, nil); err != nil {
+		t.Fatal(err)
+	}
+	type reading struct {
+		d      time.Duration
+		ok     bool
+		gen    uint64
+		genOK  bool
+		params TaskParams
+	}
+	read := func(s *Snapshot) map[[2]string]reading {
+		m := map[[2]string]reading{}
+		for _, task := range append(tasks, "ghost") {
+			for _, h := range append(hs, "h-new") {
+				var rd reading
+				rd.d, rd.ok = s.MeasuredTime(task, h)
+				rd.gen, rd.genOK = s.TaskGeneration(task)
+				rd.params, _ = s.TaskParams(task)
+				m[[2]string{task, h}] = rd
+			}
+		}
+		return m
+	}
+	snap := r.Snapshot()
+	before := read(snap)
+
+	second := []Execution{
+		{Task: tasks[0], Host: hs[0], Elapsed: 2 * time.Second}, // smooths in place
+		{Task: tasks[0], Host: hs[1], Elapsed: time.Second},     // inserts between two
+		{Task: tasks[0], Host: "h-new", Elapsed: time.Second},   // appends
+		{Task: tasks[2], Host: hs[2], Elapsed: time.Second},
+	}
+	if _, err := db.RecordExecutions(second, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterTask(TaskParams{Name: tasks[1], BaseTime: 9 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterTask(TaskParams{Name: "t-late"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RecordExecutions([]Execution{{Task: tasks[1], Host: hs[1], Elapsed: 4 * time.Second}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(snap); !reflect.DeepEqual(got, before) {
+		t.Fatalf("a snapshot changed under later writes:\nbefore %v\nafter  %v", before, got)
+	}
+	if _, ok := snap.TaskGeneration("t-late"); ok {
+		t.Fatal("a task registered after the snapshot is visible in it")
+	}
+	now := read(r.Snapshot())
+	for _, c := range []struct {
+		task, host string
+		want       time.Duration
+	}{
+		{tasks[0], hs[0], 3 * time.Second}, {tasks[0], hs[1], time.Second}, {tasks[0], hs[2], 6 * time.Second},
+		{tasks[0], "h-new", time.Second}, {tasks[1], hs[1], 3 * time.Second}, {tasks[2], hs[2], time.Second},
+	} {
+		if got := now[[2]string{c.task, c.host}]; !got.ok || got.d != c.want {
+			t.Errorf("%s on %s = %v (found %v), want %v", c.task, c.host, got.d, got.ok, c.want)
+		}
+	}
+	if now[[2]string{tasks[3], hs[0]}].gen != before[[2]string{tasks[3], hs[0]}].gen {
+		t.Error("an untouched task's generation moved")
 	}
 }

@@ -75,8 +75,7 @@ func appendOwner(dst []byte, o OwnerRecord) []byte {
 func appendPerf(dst []byte, p PerfRecord) []byte {
 	dst = jsonw.AppendString(append(dst, `{"task":`...), p.Task)
 	dst = jsonw.AppendString(append(dst, `,"host":`...), p.Host)
-	dst = strconv.AppendInt(append(dst, `,"elapsed":`...), int64(p.Elapsed), 10)
-	dst = jsonw.AppendTime(append(dst, `,"at":`...), p.At)
+	dst = strconv.AppendInt(append(dst, `,"smoothed":`...), int64(p.Smoothed), 10)
 	return append(dst, '}')
 }
 

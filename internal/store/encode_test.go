@@ -29,8 +29,8 @@ func encodeCorpus() []record {
 	}
 	inline := &JobRecord{ID: "job-8", Graph: json.RawMessage(`{"name":"g","tasks":null}`), State: "queued"}
 	perfs := []PerfRecord{
-		{Task: "Data_Fusion", Host: "h<1>", Elapsed: 1500 * time.Microsecond, At: at},
-		{Task: "", Host: "", Elapsed: -1},
+		{Task: "Data_Fusion", Host: "h<1>", Smoothed: 1500 * time.Microsecond},
+		{Task: "", Host: "", Smoothed: -1},
 	}
 	return []record{
 		{Kind: kindSubmit, Job: interned},
@@ -134,7 +134,7 @@ func TestPreInterningStoreReplays(t *testing.T) {
 			"job-3": {ID: "job-3", Owner: "alice", Graph: json.RawMessage(gA), Labels: map[string]string{"a": "b"}, SubmittedAt: at(3), State: "running", StartedAt: at(4)},
 		},
 		Owners:      map[string]OwnerRecord{"alice": {Owner: "alice", Weight: 3}},
-		Perf:        []PerfRecord{{Task: "T", Host: "h1", Elapsed: time.Millisecond, At: at(5)}},
+		Perf:        []PerfRecord{{Task: "T", Host: "h1", Smoothed: time.Millisecond}},
 		EventCursor: 65536,
 	}
 
@@ -250,7 +250,7 @@ func TestCrashEquivalenceInternedGraphs(t *testing.T) {
 			err = s.JobDeleted(live[i])
 			live = append(live[:i], live[i+1:]...)
 		case r < 9:
-			err = s.PerfMeasured(PerfRecord{Task: "T", Host: "h", Elapsed: time.Millisecond, At: t0})
+			err = s.PerfEstimated(PerfRecord{Task: "T", Host: "h", Smoothed: time.Millisecond})
 		default:
 			err = s.OwnerUpdated(OwnerRecord{Owner: "owner-" + itoa(rng.Intn(3)), Weight: 1 + rng.Intn(5)})
 		}
@@ -381,7 +381,7 @@ func TestStoreAppendAllocBudget(t *testing.T) {
 	rec := JobRecord{Owner: "user_k", Graph: graph, Priority: 5, ShareWeight: 5, SubmittedAt: now, State: "queued"}
 	perfs := make([]PerfRecord, 6)
 	for i := range perfs {
-		perfs[i] = PerfRecord{Task: g.Tasks[i].Name, Host: "host-" + itoa(i), Elapsed: time.Millisecond, At: now}
+		perfs[i] = PerfRecord{Task: g.Tasks[i].Name, Host: "host-" + itoa(i), Smoothed: time.Millisecond}
 	}
 	next := 0 // ids[:next] have been submitted
 	submit := func() {
@@ -397,7 +397,7 @@ func TestStoreAppendAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.PerfMeasured(perfs...); err != nil { // grows the scratch buffer to its largest record
+	if err := s.PerfEstimated(perfs...); err != nil { // grows the scratch buffer to its largest record
 		t.Fatal(err)
 	}
 
@@ -408,7 +408,7 @@ func TestStoreAppendAllocBudget(t *testing.T) {
 		op   func()
 	}{
 		{"JobState", 0, func() { s.JobState(ids[retained/2+i%64], "running", "", now, time.Time{}); i++ }},
-		{"PerfMeasured(6)", 0, func() { s.PerfMeasured(perfs...) }},
+		{"PerfEstimated(6)", 0, func() { s.PerfEstimated(perfs...) }},
 		{"JobDeleted", 0, func() { s.JobDeleted(ids[gone]); gone++ }},
 		{"JobSubmitted", 1, submit},
 	} {

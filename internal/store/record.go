@@ -3,7 +3,7 @@
 // fsync, periodic compacted snapshots, and startup replay. It persists the
 // three state families a server restart would otherwise forget — the job
 // lifecycle (submits, transitions, terminal states), per-owner fair-share
-// weights and quota caps, and the task-performance measurement history —
+// weights and quota caps, and the task-performance estimates —
 // plus the event broker's high-water cursor, so SSE resume cursors from a
 // previous incarnation are detected instead of silently replayed.
 //

@@ -88,15 +88,36 @@ type OwnerRecord struct {
 	MaxHosts    int    `json:"max_hosts,omitempty"`
 }
 
-// PerfRecord is one task-performance measurement (the Site Manager's
-// write-back after an application execution). Replay feeds them back
-// through RecordExecutions in order, rebuilding the smoothed estimates.
+// PerfRecord is one (task, host) estimate of the task-performance
+// database: the smoothed execution time the Site Manager's write-back
+// computed. The store keeps the newest record of each pair.
 type PerfRecord struct {
-	Task    string        `json:"task"`
-	Host    string        `json:"host"`
-	Elapsed time.Duration `json:"elapsed"`
-	At      time.Time     `json:"at"`
+	Task     string        `json:"task"`
+	Host     string        `json:"host"`
+	Smoothed time.Duration `json:"smoothed"`
 }
+
+// UnmarshalJSON reads a record of either shape. A log written before
+// estimates were stored holds raw measurements ("elapsed", beside an
+// ignored "at"), and each replays as its pair's estimate.
+func (p *PerfRecord) UnmarshalJSON(b []byte) error {
+	type plain PerfRecord // without this method
+	var r struct {
+		plain
+		Elapsed time.Duration `json:"elapsed"`
+	}
+	if err := json.Unmarshal(b, &r); err != nil {
+		return err
+	}
+	*p = PerfRecord(r.plain)
+	if r.Elapsed != 0 {
+		p.Smoothed = r.Elapsed
+	}
+	return nil
+}
+
+// perfKey names a (task, host) pair.
+type perfKey struct{ task, host string }
 
 // graphRecord is one entry of the interned-graph table: a graph's JSON
 // under the reference number the jobs submitted with it cite.
@@ -107,10 +128,6 @@ type graphRecord struct {
 	// with the last of them.
 	jobs int
 }
-
-// maxPerfPerTask bounds the snapshot's retained measurement history per
-// task, mirroring the task-performance database's own history cap.
-const maxPerfPerTask = 128
 
 // EventCursorSlack is how far beyond the observed broker cursor the
 // persisted high-water mark is advanced — one hwm record per slack
@@ -134,15 +151,18 @@ type State struct {
 	Jobs map[string]*JobRecord `json:"jobs,omitempty"`
 	// Owners holds per-owner admin state by owner name.
 	Owners map[string]OwnerRecord `json:"owners,omitempty"`
-	// Perf is the measurement history, oldest first, bounded per task.
+	// Perf holds the newest estimate of every (task, host) pair, in the
+	// order the pairs were first stored.
 	Perf []PerfRecord `json:"perf,omitempty"`
 	// EventCursor is the persisted broker high-water mark.
 	EventCursor uint64 `json:"event_cursor,omitempty"`
 
 	// byGraph finds a table entry's Ref by the graph bytes themselves and
-	// nextRef is the next number to hand out; both are rebuilt on load.
+	// nextRef is the next number to hand out; perfAt finds a pair's
+	// estimate in Perf. All are rebuilt on load.
 	byGraph map[string]uint64
 	nextRef uint64
+	perfAt  map[perfKey]int
 }
 
 func newState() *State {
@@ -171,6 +191,22 @@ func (st *State) normalize() {
 	for _, j := range st.Jobs {
 		st.citeGraph(j.GraphRef, 1)
 	}
+	perf := st.Perf
+	st.Perf, st.perfAt = nil, make(map[perfKey]int, len(perf))
+	for _, p := range perf {
+		st.setPerf(p)
+	}
+}
+
+// setPerf stores p as its pair's estimate.
+func (st *State) setPerf(p PerfRecord) {
+	k := perfKey{p.Task, p.Host}
+	if i, ok := st.perfAt[k]; ok {
+		st.Perf[i] = p
+		return
+	}
+	st.perfAt[k] = len(st.Perf)
+	st.Perf = append(st.Perf, p)
 }
 
 // record is the WAL's one on-disk record shape: a kind tag plus the
@@ -465,9 +501,11 @@ func (st *State) apply(rec *record) {
 		}
 	case kindPerf:
 		if rec.Perf != nil {
-			st.Perf = append(st.Perf, *rec.Perf)
+			st.setPerf(*rec.Perf)
 		}
-		st.Perf = append(st.Perf, rec.Perfs...)
+		for _, p := range rec.Perfs {
+			st.setPerf(p)
+		}
 	case kindHWM:
 		if rec.Cursor > st.EventCursor {
 			st.EventCursor = rec.Cursor
@@ -661,9 +699,9 @@ func (s *Store) OwnerUpdated(o OwnerRecord) error {
 	return s.append(&record{Kind: kindOwner, Owner: &o})
 }
 
-// PerfMeasured persists one run's task-performance measurements, in
-// order, as one record.
-func (s *Store) PerfMeasured(ps ...PerfRecord) error {
+// PerfEstimated persists the estimates one run's write-back left, as one
+// record; each replaces its pair's earlier estimate.
+func (s *Store) PerfEstimated(ps ...PerfRecord) error {
 	if len(ps) == 0 {
 		return nil
 	}
@@ -714,7 +752,6 @@ func (s *Store) Compact() error {
 		s.mu.Unlock()
 		return errWALClosed
 	}
-	s.prunePerfLocked()
 	seg, err := s.w.rotate()
 	if err != nil {
 		s.mu.Unlock()
@@ -786,41 +823,6 @@ func renameDurable(tmp, dst, dir string) error {
 		return err
 	}
 	return syncDir(dir)
-}
-
-// prunePerfLocked trims the mirror's measurement history to the last
-// maxPerfPerTask entries per task (what the task-performance database
-// itself retains), keeping snapshot size bounded. Caller holds s.mu.
-func (s *Store) prunePerfLocked() {
-	counts := make(map[string]int)
-	for _, p := range s.st.Perf {
-		counts[p.Task]++
-	}
-	over := false
-	for _, c := range counts {
-		if c > maxPerfPerTask {
-			over = true
-			break
-		}
-	}
-	if !over {
-		return
-	}
-	kept := make([]PerfRecord, 0, len(s.st.Perf))
-	taken := make(map[string]int, len(counts))
-	for i := len(s.st.Perf) - 1; i >= 0; i-- {
-		p := s.st.Perf[i]
-		if taken[p.Task] >= maxPerfPerTask {
-			continue
-		}
-		taken[p.Task]++
-		kept = append(kept, p)
-	}
-	// kept is newest-first; restore chronological order.
-	for i, j := 0, len(kept)-1; i < j; i, j = i+1, j-1 {
-		kept[i], kept[j] = kept[j], kept[i]
-	}
-	s.st.Perf = kept
 }
 
 // Close is the graceful shutdown: compact (final snapshot, including

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -66,8 +67,8 @@ func TestStoreRoundtrip(t *testing.T) {
 	if err := s.OwnerUpdated(OwnerRecord{Owner: "alice", Weight: 7, HasCaps: true, MaxQueued: 9}); err != nil {
 		t.Fatalf("OwnerUpdated: %v", err)
 	}
-	if err := s.PerfMeasured(PerfRecord{Task: "lu", Host: "h1", Elapsed: time.Second, At: t0}); err != nil {
-		t.Fatalf("PerfMeasured: %v", err)
+	if err := s.PerfEstimated(PerfRecord{Task: "lu", Host: "h1", Smoothed: time.Second}); err != nil {
+		t.Fatalf("PerfEstimated: %v", err)
 	}
 	if err := s.NoteEventCursor(5); err != nil {
 		t.Fatalf("NoteEventCursor: %v", err)
@@ -430,15 +431,19 @@ func TestEventCursorOneWriteNeeded(t *testing.T) {
 	}
 }
 
+// TestPerfHistoryBounded: the store keeps one estimate per (task, host)
+// pair, the newest, so what a snapshot holds is bounded by tasks x hosts
+// however many write-backs there were.
 func TestPerfHistoryBounded(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, Options{})
-	for i := 0; i < maxPerfPerTask+50; i++ {
-		if err := s.PerfMeasured(PerfRecord{Task: "lu", Host: "h", Elapsed: time.Duration(i), At: t0}); err != nil {
+	s := openT(t, dir, Options{CompactEvery: 64})
+	const writes = 500
+	for i := 0; i < writes; i++ {
+		if err := s.PerfEstimated(PerfRecord{Task: "lu", Host: "h" + itoa(i%3), Smoothed: time.Duration(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.PerfMeasured(PerfRecord{Task: "qr", Host: "h", Elapsed: 1, At: t0}); err != nil {
+	if err := s.PerfEstimated(PerfRecord{Task: "qr", Host: "h0", Smoothed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -446,29 +451,12 @@ func TestPerfHistoryBounded(t *testing.T) {
 	}
 	r := openT(t, dir, Options{})
 	defer r.Abandon()
-	counts := map[string]int{}
-	for _, p := range r.Recovered().Perf {
-		counts[p.Task]++
+	want := []PerfRecord{
+		{Task: "lu", Host: "h0", Smoothed: writes - 2}, {Task: "lu", Host: "h1", Smoothed: writes - 1},
+		{Task: "lu", Host: "h2", Smoothed: writes - 3}, {Task: "qr", Host: "h0", Smoothed: 1},
 	}
-	if counts["lu"] != maxPerfPerTask {
-		t.Fatalf("lu history = %d, want pruned to %d", counts["lu"], maxPerfPerTask)
-	}
-	if counts["qr"] != 1 {
-		t.Fatalf("qr history = %d, want 1", counts["qr"])
-	}
-	// Pruning keeps the newest measurements in order.
-	perf := r.Recovered().Perf
-	last := time.Duration(-1)
-	for _, p := range perf {
-		if p.Task == "lu" {
-			if p.Elapsed <= last {
-				t.Fatalf("pruned history out of order: %v after %v", p.Elapsed, last)
-			}
-			last = p.Elapsed
-		}
-	}
-	if last != time.Duration(maxPerfPerTask+49) {
-		t.Fatalf("newest lu measurement = %v, want %d", last, maxPerfPerTask+49)
+	if got := r.Recovered().Perf; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want one newest estimate per pair %+v", got, want)
 	}
 }
 
@@ -489,40 +477,65 @@ func TestOpenRejectsWildLength(t *testing.T) {
 	}
 }
 
-// TestPerfBatchReplay: one record carrying a run's N measurements
-// replays to the same State.Perf, in order, as N one-measurement records
-// and as N records of the shape written before measurements were batched
-// ("perf":{…}, still read, never written) — after a crash and again
-// through compaction. PerfMeasured with nothing to say writes nothing.
+// TestPerfBatchReplay: one record carrying a run's N estimates replays
+// to the same State.Perf, in order, as N one-estimate records, as records
+// that an estimate for the same pair supersedes, and as records of the
+// shapes a log written before estimates holds — raw measurements, one
+// per record ("perf":{…}) or batched ("perfs"), each read as its pair's
+// estimate — after a crash and again through compaction. PerfEstimated
+// with nothing to say writes nothing.
 func TestPerfBatchReplay(t *testing.T) {
 	want := make([]PerfRecord, 6)
+	raw := make([]string, 6) // the same values as measurements, in the old shape
 	for i := range want {
-		want[i] = PerfRecord{Task: "t" + itoa(i%3), Host: "h" + itoa(i%2),
-			Elapsed: time.Duration(i+1) * time.Millisecond, At: t0.Add(time.Duration(i) * time.Second)}
+		want[i] = PerfRecord{Task: "t" + itoa(i%3), Host: "h" + itoa(i%2), Smoothed: time.Duration(i+1) * time.Millisecond}
+		raw[i] = `{"task":"` + want[i].Task + `","host":"` + want[i].Host + `","elapsed":` +
+			itoa(int(want[i].Smoothed)) + `,"at":"2026-08-01T12:00:05Z"}`
+	}
+	// appendRaw logs payloads as the store's writer did before estimates.
+	appendRaw := func(s *Store, payloads ...string) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, p := range payloads {
+			if err := s.w.append([]byte(p)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	writers := map[string]func(s *Store) error{
-		"one batch": func(s *Store) error { return s.PerfMeasured(want...) },
+		"one batch": func(s *Store) error { return s.PerfEstimated(want...) },
 		"singles": func(s *Store) error {
 			for _, p := range want {
-				if err := s.PerfMeasured(p); err != nil {
+				if err := s.PerfEstimated(p); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
-		"old singles then a batch": func(s *Store) error {
-			for _, p := range want[:4] {
-				if err := s.append(&record{Kind: kindPerf, Perf: &p}); err != nil {
-					return err
-				}
+		"superseded": func(s *Store) error {
+			stale := slices.Clone(want)
+			for i := range stale {
+				stale[i].Smoothed = time.Hour
 			}
-			return s.PerfMeasured(want[4:]...)
+			if err := s.PerfEstimated(stale...); err != nil {
+				return err
+			}
+			return s.PerfEstimated(want...)
+		},
+		"raw singles, a raw batch, then estimates": func(s *Store) error {
+			err := appendRaw(s, `{"k":"perf","perf":`+raw[0]+`}`, `{"k":"perf","perf":`+raw[1]+`}`,
+				`{"k":"perf","perfs":[`+raw[2]+`,`+raw[3]+`]}`)
+			if err != nil {
+				return err
+			}
+			return s.PerfEstimated(want[4:]...)
 		},
 	}
 	for name, write := range writers {
 		dir := t.TempDir()
 		s := openT(t, dir, Options{})
-		if err := s.PerfMeasured(); err != nil {
+		if err := s.PerfEstimated(); err != nil {
 			t.Fatal(err)
 		}
 		if err := write(s); err != nil {

@@ -4,12 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
+	"vdce/internal/linalg"
 	"vdce/internal/repository"
 )
 
@@ -34,10 +33,6 @@ type Threat struct {
 	Score   float64 // higher is more urgent
 	Reason  string
 }
-
-// rngPool recycles Sensor_Feed's generators: a source is ~4.9 KB, and
-// reseeding one gives the same sequence as rand.New(rand.NewSource(seed)).
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // registerC3ILibrary adds the C3I library tasks.
 func registerC3ILibrary(reg func(Spec)) {
@@ -68,9 +63,8 @@ func registerC3ILibrary(reg func(Spec)) {
 			if n < 0 {
 				return nil, fmt.Errorf("tasklib: Sensor_Feed targets=%d", n)
 			}
-			rng := rngPool.Get().(*rand.Rand)
-			defer rngPool.Put(rng)
-			rng.Seed(seed)
+			rng := linalg.SeededRand(seed)
+			defer linalg.PutRand(rng)
 			tracks := make([]Track, n)
 			for i := range tracks {
 				cls := "unknown"

@@ -21,7 +21,7 @@ import (
 // The concrete types the libraries exchange — *linalg.Matrix, *LUResult,
 // []float64, []Track, []Threat, float64, string, []byte, []dsp.Peak and
 // []complex128 — have a wire form (codec.go) so the Data Manager can
-// move them across TCP channels.
+// move them across its channels.
 type Value any
 
 // LUResult carries an LU decomposition between tasks.

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -347,9 +349,11 @@ func TestPerfWriteBackDropsAreCounted(t *testing.T) {
 	}
 	env.Close()
 
+	// Only estimates are stored, so the same testbed drops nothing at
+	// boot.
 	env = newEnv(t, cfg)
-	if got := env.obsM.perfDropped.Value(); got != 3 {
-		t.Fatalf("boot replay: vdce_taskperf_dropped_total = %v, want 3", got)
+	if got := env.obsM.perfDropped.Value(); got != 0 {
+		t.Fatalf("boot replay: vdce_taskperf_dropped_total = %v, want 0", got)
 	}
 	perf := env.Sites[1].Repo.TaskPerf
 	if d, ok := perf.MeasuredTime("Checksum", host); !ok || d != 5*time.Millisecond {
@@ -360,5 +364,95 @@ func TestPerfWriteBackDropsAreCounted(t *testing.T) {
 	idle, _ := perf.TaskGeneration("Pass_Through")
 	if spin != sum || spin <= idle {
 		t.Fatalf("replay generations: Spin %d, Checksum %d, untouched %d; want one shared, newer epoch", spin, sum, idle)
+	}
+	env.Close()
+
+	// A testbed without the measured host drops its two estimates.
+	cfg.Testbed.Sites = 1
+	env = newEnv(t, cfg)
+	if got := env.obsM.perfDropped.Value(); got != 2 {
+		t.Fatalf("boot replay on a smaller testbed: vdce_taskperf_dropped_total = %v, want 2", got)
+	}
+}
+
+// TestPerfEstimatesSurviveRestart: what prediction reads survives a
+// restart. A host measured once, long before another host of the same
+// task was measured many times, keeps its estimate through compaction;
+// and after a random stream of write-backs with compactions between them
+// and a crash, every (task, host) estimate equals its value before the
+// crash, bit for bit.
+func TestPerfEstimatesSurviveRestart(t *testing.T) {
+	cfg := Config{Testbed: testbed.Config{Sites: 2, HostsPerGroup: 3, Seed: 19}, StoreDir: t.TempDir()}
+	env, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := env.TB.Sites[0].Hosts[0].Name, env.TB.Sites[0].Hosts[1].Name
+	env.Engine.Record([]protocol.ExecutionRecord{{Task: "LU_Decomposition", Host: a, Elapsed: 7 * time.Second}})
+	for i := 0; i < 128; i++ {
+		env.Engine.Record([]protocol.ExecutionRecord{{Task: "LU_Decomposition", Host: b, Elapsed: time.Second}})
+	}
+	env.Close()
+	env, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perf := env.Sites[0].Repo.TaskPerf
+	if d, ok := perf.MeasuredTime("LU_Decomposition", a); !ok || d != 7*time.Second {
+		t.Fatalf("host A's estimate after a restart = %v (found %v), want 7s", d, ok)
+	}
+	if d, ok := perf.MeasuredTime("LU_Decomposition", b); !ok || d != time.Second {
+		t.Fatalf("host B's estimate after a restart = %v (found %v), want 1s", d, ok)
+	}
+
+	tasks := []string{"LU_Decomposition", "Spin", "Checksum", "Pass_Through"}
+	var hosts []string
+	for _, site := range env.TB.Sites {
+		for _, h := range site.Hosts {
+			hosts = append(hosts, h.Name)
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 600; i++ {
+		recs := make([]protocol.ExecutionRecord, 1+rng.Intn(6))
+		for j := range recs {
+			recs[j] = protocol.ExecutionRecord{Task: tasks[rng.Intn(len(tasks))], Host: hosts[rng.Intn(len(hosts))],
+				Elapsed: time.Duration(rng.Int63n(int64(time.Second)))}
+		}
+		env.Engine.Record(recs)
+		if rng.Intn(100) == 0 {
+			if err := env.Store.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type pair struct{ task, host string }
+	want := map[pair]time.Duration{}
+	for _, site := range env.Sites {
+		for _, task := range tasks {
+			for _, h := range hosts {
+				if d, ok := site.Repo.TaskPerf.MeasuredTime(task, h); ok {
+					want[pair{task, h}] = d
+				}
+			}
+		}
+	}
+	if err := env.Store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	env.Crash()
+	env = newEnv(t, cfg)
+	got := map[pair]time.Duration{}
+	for _, site := range env.Sites {
+		for _, task := range tasks {
+			for _, h := range hosts {
+				if d, ok := site.Repo.TaskPerf.MeasuredTime(task, h); ok {
+					got[pair{task, h}] = d
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("estimates after a crash differ from before it:\ngot  %v\nwant %v", got, want)
 	}
 }

@@ -67,8 +67,8 @@ type Config struct {
 	// LoadThreshold is the Application Controller's rescheduling trigger;
 	// 0 disables it.
 	LoadThreshold float64
-	// DilationScale emulates heterogeneous host speeds during execution;
-	// 0 disables dilation.
+	// DilationScale emulates heterogeneous host speeds and the network's
+	// transfer times during execution; 0 disables both.
 	DilationScale float64
 	// UseRPC runs a Site Manager RPC server per site and routes remote
 	// host selection over real TCP. When false, sites talk in-process.
@@ -152,6 +152,8 @@ type Environment struct {
 	// counters, gauges, and histograms. Always non-nil.
 	Obs *obs.Registry
 
+	// perfMu serializes the task-performance write-backs.
+	perfMu sync.Mutex
 	// svc caches each home site's scheduling services; svcMu guards it.
 	svcMu  sync.Mutex
 	svc    map[int]*siteSvc
@@ -216,15 +218,17 @@ func New(cfg Config) (*Environment, error) {
 			return nil, err
 		}
 		env.Store = st
-		// Replay the recovered task-performance history into the site
+		// Set the recovered task-performance estimates in the site
 		// repositories — one epoch per site — so the scheduler's
 		// execution-time estimates survive the restart instead of
-		// resetting to catalog base times. Records for hosts or tasks
-		// this testbed no longer has are dropped and counted.
+		// resetting to catalog base times. The store holds one estimate
+		// per (task, host) and the fresh databases none, so each is taken
+		// as it stands. Estimates for hosts or tasks this testbed no
+		// longer has are dropped and counted.
 		perf := st.Recovered().Perf
 		recs := make([]protocol.ExecutionRecord, len(perf))
 		for i, p := range perf {
-			recs[i] = protocol.ExecutionRecord(p)
+			recs[i] = protocol.ExecutionRecord{Task: p.Task, Host: p.Host, Elapsed: p.Smoothed}
 		}
 		env.recordPerf(recs)
 	}
@@ -295,19 +299,7 @@ func New(cfg Config) (*Environment, error) {
 		Console:       env.Console,
 		Log:           cfg.Logger,
 	}
-	env.Engine.Record = func(recs []protocol.ExecutionRecord) {
-		env.recordPerf(recs)
-		if env.Store == nil || len(recs) == 0 {
-			return
-		}
-		// Measurements feed the durable log too, so a restarted control
-		// plane schedules with learned estimates, not catalog defaults.
-		perf := make([]store.PerfRecord, len(recs))
-		for i, rec := range recs {
-			perf[i] = store.PerfRecord(rec)
-		}
-		env.storeErr("perf-measured", env.Store.PerfMeasured(perf...), "first_task", recs[0].Task)
-	}
+	env.Engine.Record = env.writeBack
 	if env.Detector != nil {
 		// Quarantine transitions feed the opens counter /v1/hosts and
 		// /metrics share, and the structured log.
@@ -340,11 +332,44 @@ func New(cfg Config) (*Environment, error) {
 	return env, nil
 }
 
-// recordPerf is the task-performance write-back of one run (or of the
-// boot replay): each site's database takes the measurements made on its
-// hosts as one epoch. What no site could apply — an unknown task, a
-// negative elapsed time, a host no site owns — is counted, not lost
-// silently.
+// writeBack is the task-performance write-back of one run. With a
+// durable store, the estimates the databases computed are logged too, so
+// a restarted control plane schedules with learned estimates, not
+// catalog defaults; perfMu keeps the log's order of a pair's estimates
+// the order the databases computed them in.
+func (env *Environment) writeBack(recs []protocol.ExecutionRecord) {
+	env.perfMu.Lock()
+	defer env.perfMu.Unlock()
+	env.recordPerf(recs)
+	if env.Store == nil {
+		return
+	}
+	perf := make([]store.PerfRecord, 0, len(recs))
+	for _, rec := range recs {
+		// Only the site that owns the host holds the estimate; a record
+		// for a host no site owns was dropped, and counted, above.
+		h, err := env.TB.Host(rec.Host)
+		if err != nil {
+			continue
+		}
+		site, err := env.TB.Site(h.Site)
+		if err != nil {
+			continue
+		}
+		if d, ok := site.Repo.TaskPerf.MeasuredTime(rec.Task, rec.Host); ok {
+			perf = append(perf, store.PerfRecord{Task: rec.Task, Host: rec.Host, Smoothed: d})
+		}
+	}
+	if len(perf) > 0 {
+		env.storeErr("perf-measured", env.Store.PerfEstimated(perf...), "first_task", perf[0].Task)
+	}
+}
+
+// recordPerf folds one run's measurements (or the recovered estimates at
+// boot) into the task-performance databases: each site's database takes
+// those made on its hosts as one epoch. What no site could apply — an
+// unknown task, a negative elapsed time, a host no site owns — is
+// counted, not lost silently.
 func (env *Environment) recordPerf(recs []protocol.ExecutionRecord) {
 	dropped := len(recs)
 	for _, site := range env.Sites {
