@@ -1,13 +1,10 @@
 package exec
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,58 +26,40 @@ var ErrEngineClosed = errors.New("exec: engine closed")
 
 // TransferStats is a snapshot of the engine's Data Manager tallies.
 type TransferStats struct {
-	// Frames and Bytes count edge deliveries written to a stream and the
-	// encoded value bytes they carried.
+	// Frames and Bytes count edge deliveries the endpoint accepted and
+	// the encoded value bytes they carried.
 	Frames, Bytes int64
 	// Dropped counts frames that arrived for a run no longer (or never)
 	// registered: deliveries in flight when their run was aborted.
 	Dropped int64
-	// Redials counts streams re-established after a failed write.
-	Redials int64
-	// Listening, Streams and Readers describe what the endpoint holds
-	// right now: its listener, the per-source-host connections dialed
-	// to it, and the goroutines reading the accepted ends. All are zero
-	// before the first run with dataflow edges and after Close.
-	Listening        bool
-	Streams, Readers int
 }
 
 // transferTallies are the counters behind TransferStats. They live in
 // the Engine, not the endpoint, so they survive Close.
 type transferTallies struct {
-	frames, bytes, dropped, redials atomic.Int64
-	listening                       atomic.Bool
-	streams, readers                atomic.Int32
+	frames, bytes, dropped atomic.Int64
 }
 
 // TransferStats reports the Data Manager tallies.
 func (e *Engine) TransferStats() TransferStats {
 	t := &e.transfer
-	return TransferStats{
-		Frames: t.frames.Load(), Bytes: t.bytes.Load(),
-		Dropped: t.dropped.Load(), Redials: t.redials.Load(),
-		Listening: t.listening.Load(),
-		Streams:   int(t.streams.Load()), Readers: int(t.readers.Load()),
-	}
+	return TransferStats{Frames: t.frames.Load(), Bytes: t.bytes.Load(), Dropped: t.dropped.Load()}
 }
 
 // endpoint is the engine's Data Manager: the one place every run's
-// deliveries arrive at, one persistent stream per source host dialed to
-// it, and the demux table that routes an arriving frame to the input
-// slot of the run and task it is addressed to. Every host lives in this
-// process, so a stream is a net.Pipe (dial): the bytes are framed and
-// checked as on a socket, and what the network costs comes from the
-// testbed's model (receiveInputs), not from a loopback socket that
-// models no link.
+// deliveries arrive at, and the demux table that routes an arriving
+// frame to the input slot of the run and task it is addressed to.
+// Every host lives in this process, so a producer hands each frame to
+// the endpoint by call (send, receive): the bytes are framed and
+// checked as on a wire, and what the network costs comes from the
+// testbed's model (receiveInputs), not from a transport that models no
+// link.
 type endpoint struct {
 	tallies *transferTallies
-	wg      sync.WaitGroup // every reader
 
-	mu      sync.Mutex
-	closed  bool
-	runs    map[uint64]*runInputs // the demux table, by run sequence
-	streams map[string]*stream    // by source host
-	conns   map[net.Conn]struct{} // accepted ends, for close
+	mu     sync.Mutex
+	closed bool
+	runs   map[uint64]*runInputs // the demux table, by run sequence
 }
 
 // dataManager returns the engine's endpoint, opening it on first use.
@@ -91,22 +70,14 @@ func (e *Engine) dataManager() (*endpoint, error) {
 		return nil, ErrEngineClosed
 	}
 	if e.dm == nil {
-		ep := &endpoint{
-			tallies: &e.transfer,
-			runs:    make(map[uint64]*runInputs),
-			streams: make(map[string]*stream),
-			conns:   make(map[net.Conn]struct{}),
-		}
-		e.transfer.listening.Store(true)
-		e.dm = ep
+		e.dm = &endpoint{tallies: &e.transfer, runs: make(map[uint64]*runInputs)}
 	}
 	return e.dm, nil
 }
 
-// Close releases the Data Manager endpoint: the listener, every stream
-// and every reader goroutine are gone when it returns. Runs still in
-// flight fail with ErrEngineClosed, and so does every later Execute.
-// Close is idempotent.
+// Close releases the Data Manager endpoint. Runs still in flight fail
+// with ErrEngineClosed, and so does every later Execute and every send
+// to the endpoint. Close is idempotent.
 func (e *Engine) Close() {
 	e.dmMu.Lock()
 	ep := e.dm
@@ -121,136 +92,66 @@ func (e *Engine) Close() {
 func (ep *endpoint) close() {
 	ep.mu.Lock()
 	ep.closed = true
-	runs, streams, conns := ep.runs, ep.streams, ep.conns
-	ep.runs, ep.streams, ep.conns = nil, nil, nil
+	runs := ep.runs
+	ep.runs = nil
 	ep.mu.Unlock()
-	// Runs fail first, so that ErrEngineClosed and not a sender's broken
-	// pipe is the error they report. With the endpoint closed no stream
-	// can redial once its connection is dropped.
 	for _, ri := range runs {
 		ri.fail(ErrEngineClosed)
 	}
-	for _, s := range streams {
-		s.mu.Lock()
-		s.drop()
-		s.mu.Unlock()
-	}
-	for c := range conns {
-		c.Close()
-	}
-	ep.wg.Wait()
-	ep.tallies.listening.Store(false)
 }
 
-// dial connects a new stream: one end of a net.Pipe, whose far end
-// accept hands to a reader. It fails with net.ErrClosed once the
-// endpoint is closed.
-func (ep *endpoint) dial() (net.Conn, error) {
-	near, far := net.Pipe()
-	if !ep.accept(far) {
-		near.Close()
-		return nil, net.ErrClosed
-	}
-	return near, nil
-}
-
-// accept starts the reader of a stream's far end; it closes conn and
-// reports false once the endpoint is closed.
-func (ep *endpoint) accept(conn net.Conn) bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed {
-		conn.Close()
-		return false
-	}
-	ep.conns[conn] = struct{}{}
-	ep.wg.Add(1)
-	go ep.read(conn)
-	return true
-}
-
-// read is the receiving end of one stream. Any framing fault — a frame
-// cut short, a length beyond frame.MaxPayload or too small to hold a
-// routing header, a checksum mismatch — tears the stream down: past it
-// no frame boundary can be trusted. The sender's next write fails and
-// redials.
-func (ep *endpoint) read(conn net.Conn) {
-	ep.tallies.readers.Add(1)
-	defer func() {
-		conn.Close()
-		ep.mu.Lock()
-		delete(ep.conns, conn)
-		ep.mu.Unlock()
-		ep.tallies.readers.Add(-1)
-		ep.wg.Done()
-	}()
-	br := bufio.NewReader(conn) // a payload larger than its buffer bypasses it
-	for {
-		var hdr [frame.HeaderSize]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		n := frame.PayloadLen(hdr[:])
-		if n > frame.MaxPayload || n <= routeHeader || !ep.readFrame(br, hdr, n) {
-			return
-		}
-	}
-}
-
-// readFrame reads the rest of a frame whose header is hdr into a pooled
-// buffer, checks it and delivers it, and reports whether the stream can
-// go on. deliver copies the value out, so the buffer goes back to the
-// pool before the next frame.
-func (ep *endpoint) readFrame(br *bufio.Reader, hdr [frame.HeaderSize]byte, n int) bool {
-	p := framePool.Get().(*[]byte)
-	defer putFrameBuf(p)
-	if cap(*p) < frame.HeaderSize+n {
-		*p = make([]byte, frame.HeaderSize+n)
-	}
-	f := (*p)[:frame.HeaderSize+n]
-	copy(f, hdr[:])
-	if _, err := io.ReadFull(br, f[frame.HeaderSize:]); err != nil {
-		return false
-	}
+// receive checks one frame — its length, its checksum, room for a
+// routing header — and delivers its payload. A framing fault is the
+// sender's error and reaches no slot; so is a closed endpoint.
+func (ep *endpoint) receive(f []byte) error {
 	payload, _, err := frame.Decode(f)
 	if err != nil {
-		return false
+		return err
 	}
-	ep.deliver(payload)
-	return true
+	if len(payload) <= routeHeader {
+		return fmt.Errorf("exec: %d-byte payload holds no routing header and value", len(payload))
+	}
+	return ep.deliver(payload)
 }
 
 // deliver routes one checked payload to its input slot. It never
 // blocks: a slot is filled at most once, and a second delivery to it
-// fails the run instead of waiting for room.
-func (ep *endpoint) deliver(payload []byte) {
+// fails the run instead of waiting for room. What is wrong with a
+// delivery, rather than its frame, fails the run it is addressed to,
+// not the sender; the value is decoded into its own copy, so the frame
+// buffer can be reused as soon as deliver returns.
+func (ep *endpoint) deliver(payload []byte) error {
 	seq := binary.LittleEndian.Uint64(payload[0:8])
 	task := int(binary.LittleEndian.Uint32(payload[8:12]))
 	port := int(binary.LittleEndian.Uint32(payload[12:16]))
 	ep.mu.Lock()
-	ri := ep.runs[seq]
+	closed, ri := ep.closed, ep.runs[seq]
 	ep.mu.Unlock()
-	if ri == nil {
+	switch {
+	case closed:
+		return ErrEngineClosed
+	case ri == nil:
 		ep.tallies.dropped.Add(1)
-		return
+		return nil
 	}
 	slot := ri.slot(task, port)
 	if slot == nil || slot.ready == nil {
 		ri.fail(fmt.Errorf("exec: task %d got unexpected port %d", task, port))
-		return
+		return nil
 	}
 	if !slot.filled.CompareAndSwap(false, true) {
 		ri.fail(fmt.Errorf("exec: task %d got port %d twice", task, port))
-		return
+		return nil
 	}
 	val, err := tasklib.DecodeValue(payload[routeHeader:])
 	if err != nil {
 		ri.fail(fmt.Errorf("exec: task %d payload: %w", task, err))
-		return
+		return nil
 	}
 	slot.val = val
 	slot.at, slot.bytes = time.Now(), len(payload)-routeHeader
 	close(slot.ready)
+	return nil
 }
 
 // register enters a run's input slots in the demux table. Doing so for
@@ -273,19 +174,6 @@ func (ep *endpoint) unregister(seq uint64) {
 	ep.mu.Unlock()
 }
 
-// streamFor returns the source host's stream, creating it (undialed) on
-// first use; nil once the endpoint is closed.
-func (ep *endpoint) streamFor(host string) *stream {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	s := ep.streams[host] // close drops the map
-	if s == nil && !ep.closed {
-		s = &stream{ep: ep}
-		ep.streams[host] = s
-	}
-	return s
-}
-
 // runInputs is one run's entry in the demux table: a slot per input
 // port of every task, of which those with an in-edge expect a delivery.
 // Beside them sits the sending side's index: outEdges is the run's edges
@@ -300,7 +188,7 @@ type runInputs struct {
 }
 
 // inSlot is the receiving end of one edge: a one-value buffer the
-// reader fills and the consuming task's controller waits on.
+// endpoint fills and the consuming task's controller waits on.
 type inSlot struct {
 	ready  chan struct{} // closed once val is set; nil if no edge feeds the port
 	filled atomic.Bool   // claimed by the first delivery
@@ -356,20 +244,8 @@ func (ri *runInputs) slot(task, port int) *inSlot {
 	return &ri.slots[ri.base[task]+port]
 }
 
-// stream is one source host's persistent connection to the endpoint.
-// Tasks on a host run one at a time but deliver after releasing the
-// host, so writes are serialized by mu. A stream keeps no frame buffer:
-// each send takes one from framePool and returns it.
-type stream struct {
-	ep *endpoint
-
-	mu   sync.Mutex
-	conn net.Conn // nil until the first send and after a failed write
-}
-
-// framePool holds the frame buffers of sends and of frames being read,
-// shared by every stream and reader, so a host or reader that goes idle
-// holds none.
+// framePool holds the frame buffers of sends, shared by every host, so
+// a host that goes idle holds none.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxIdleFrameBuf caps the frame buffer framePool keeps, so one bulk
@@ -385,12 +261,10 @@ func putFrameBuf(p *[]byte) {
 // send delivers outs along edges (all leaving one task of run seq):
 // each out-port is encoded once into a pooled frame buffer, and the
 // routing header and checksum are rewritten in place for every edge
-// that fans out from it.
-func (s *stream) send(seq uint64, edges []afg.Edge, outs []tasklib.Value) error {
+// that fans out from it before the endpoint receives the frame.
+func (ep *endpoint) send(seq uint64, edges []afg.Edge, outs []tasklib.Value) error {
 	p := framePool.Get().(*[]byte)
 	defer putFrameBuf(p)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i, e := range edges {
 		if sentEarlier(edges[:i], e.FromPort) {
 			continue
@@ -417,11 +291,11 @@ func (s *stream) send(seq uint64, edges []afg.Edge, outs []tasklib.Value) error 
 			binary.LittleEndian.PutUint32(payload[8:12], uint32(f.To))
 			binary.LittleEndian.PutUint32(payload[12:16], uint32(f.ToPort))
 			frame.Seal(buf)
-			if err := s.write(buf); err != nil {
+			if err := ep.receive(buf); err != nil {
 				return fmt.Errorf("exec: send to child %d: %w", f.To, err)
 			}
-			s.ep.tallies.frames.Add(1)
-			s.ep.tallies.bytes.Add(int64(len(payload) - routeHeader))
+			ep.tallies.frames.Add(1)
+			ep.tallies.bytes.Add(int64(len(payload) - routeHeader))
 		}
 	}
 	return nil
@@ -434,40 +308,6 @@ func sentEarlier(edges []afg.Edge, port int) bool {
 		}
 	}
 	return false
-}
-
-// write puts one frame on the wire, dialing if the stream is down. A
-// failed write closes the connection and is retried once on a fresh
-// one; the second failure is the caller's error.
-func (s *stream) write(buf []byte) error {
-	for attempt := 0; ; attempt++ {
-		if s.conn == nil {
-			conn, err := s.ep.dial()
-			if err != nil {
-				return err
-			}
-			s.conn = conn
-			s.ep.tallies.streams.Add(1)
-		}
-		_, err := s.conn.Write(buf)
-		if err == nil {
-			return nil
-		}
-		s.drop()
-		if attempt == 1 {
-			return err
-		}
-		s.ep.tallies.redials.Add(1)
-	}
-}
-
-// drop closes the connection, if any. The caller holds mu.
-func (s *stream) drop() {
-	if s.conn != nil {
-		s.conn.Close()
-		s.conn = nil
-		s.ep.tallies.streams.Add(-1)
-	}
 }
 
 // receiveInputs waits for the task's dataflow inputs and returns them
@@ -534,8 +374,7 @@ func (ac *appController) transferTime(s *inSlot) (time.Duration, error) {
 	return tb.Net.TransferTime(int64(s.bytes), from.Site, to.Site)
 }
 
-// sendOutputs delivers the produced values to the task's children over
-// the stream of the host the task ran on.
+// sendOutputs delivers the produced values to the task's children.
 func (ac *appController) sendOutputs(outs []tasklib.Value) error {
 	ri := ac.app.inputs
 	if ri == nil {
@@ -545,9 +384,5 @@ func (ac *appController) sendOutputs(outs []tasklib.Value) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	s := ac.app.dm.streamFor(ac.place.Hosts[0])
-	if s == nil {
-		return ErrEngineClosed
-	}
-	return s.send(ri.seq, edges, outs)
+	return ac.app.dm.send(ri.seq, edges, outs)
 }

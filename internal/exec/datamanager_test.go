@@ -4,11 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"maps"
-	"net"
-	"os"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +17,7 @@ import (
 	"vdce/internal/testbed"
 )
 
-// rawFrame builds one data frame by hand, independently of stream.send.
+// rawFrame builds one data frame by hand, independently of endpoint.send.
 func rawFrame(t *testing.T, seq uint64, task, port int, v tasklib.Value) []byte {
 	t.Helper()
 	val, err := tasklib.EncodeValue(v)
@@ -39,15 +35,14 @@ func sealFrame(payload []byte) []byte { return frame.Append(nil, payload) }
 
 // demuxRig is an endpoint with one hand-registered run — eight
 // producers feeding the eight ports of task 8, plus task 9 whose single
-// port no edge feeds — and a raw stream dialed to its listener to inject
-// frames on.
+// port no edge feeds — that the tests hand raw frames to through
+// receive.
 type demuxRig struct {
 	t      *testing.T
 	e      *Engine
 	dm     *endpoint
 	ri     *runInputs
 	failed chan error
-	conn   net.Conn
 }
 
 const (
@@ -83,39 +78,29 @@ func newDemuxRig(t *testing.T) *demuxRig {
 	if err := dm.register(d.ri); err != nil {
 		t.Fatal(err)
 	}
-	d.conn = d.dial()
 	return d
 }
 
-func (d *demuxRig) dial() net.Conn {
+// receive hands one frame the endpoint must accept.
+func (d *demuxRig) receive(f []byte) {
 	d.t.Helper()
-	conn, err := d.dm.dial()
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	d.t.Cleanup(func() { conn.Close() })
-	return conn
-}
-
-func (d *demuxRig) write(conn net.Conn, b []byte) {
-	d.t.Helper()
-	if _, err := conn.Write(b); err != nil {
-		d.t.Fatal(err)
+	if err := d.dm.receive(f); err != nil {
+		d.t.Fatalf("endpoint refused a sound frame: %v", err)
 	}
 }
 
-// deliverTo sends a valid frame for the consumer's port on conn and
-// waits for the slot to fill. A reader handles its stream's frames in
-// order, so everything written to conn before it has been handled too.
-func (d *demuxRig) deliverTo(conn net.Conn, port int, v tasklib.Value) tasklib.Value {
+// deliverTo hands the endpoint a valid frame for the consumer's port
+// and returns what landed in the slot: receive fills it before it
+// returns, or never.
+func (d *demuxRig) deliverTo(port int, v tasklib.Value) tasklib.Value {
 	d.t.Helper()
-	d.write(conn, rawFrame(d.t, demuxSeq, demuxConsumer, port, v))
+	d.receive(rawFrame(d.t, demuxSeq, demuxConsumer, port, v))
 	slot := d.ri.slot(demuxConsumer, port)
 	select {
 	case <-slot.ready:
 		return slot.val
-	case <-time.After(5 * time.Second):
-		d.t.Fatalf("port %d never filled: the reader is blocked or gone", port)
+	default:
+		d.t.Fatalf("port %d not filled when receive returned", port)
 		return nil
 	}
 }
@@ -132,26 +117,16 @@ func (d *demuxRig) wantFailure(substr string) {
 	}
 }
 
-// wantTornDown asserts the endpoint closed its end of conn.
-func (d *demuxRig) wantTornDown(conn net.Conn) {
-	d.t.Helper()
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, err := conn.Read(make([]byte, 1))
-	if err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		d.t.Fatalf("stream still up after a framing fault (read: %v)", err)
-	}
-}
-
 func TestDemuxRoutesDropsAndFailsWithoutBlocking(t *testing.T) {
 	d := newDemuxRig(t)
 
-	if got := d.deliverTo(d.conn, 0, "zero"); got != "zero" {
+	if got := d.deliverTo(0, "zero"); got != "zero" {
 		t.Fatalf("port 0 = %v", got)
 	}
 
 	// A frame for a run the table does not hold is counted and dropped.
-	d.write(d.conn, rawFrame(t, demuxSeq+1, demuxConsumer, 1, "stray"))
-	d.deliverTo(d.conn, 1, 1.5)
+	d.receive(rawFrame(t, demuxSeq+1, demuxConsumer, 1, "stray"))
+	d.deliverTo(1, 1.5)
 	if got := d.e.TransferStats().Dropped; got != 1 {
 		t.Fatalf("dropped = %d, want 1", got)
 	}
@@ -159,10 +134,10 @@ func TestDemuxRoutesDropsAndFailsWithoutBlocking(t *testing.T) {
 		t.Fatalf("a stray frame failed the run: %v", <-d.failed)
 	}
 
-	// A second delivery to a filled port fails the run and the reader
-	// moves on: the next frame still lands.
-	d.write(d.conn, rawFrame(t, demuxSeq, demuxConsumer, 0, "again"))
-	d.deliverTo(d.conn, 2, []float64{1})
+	// A second delivery to a filled port fails the run, not the sender:
+	// the next frame still lands.
+	d.receive(rawFrame(t, demuxSeq, demuxConsumer, 0, "again"))
+	d.deliverTo(2, []float64{1})
 	d.wantFailure("port 0 twice")
 	if got := d.ri.slot(demuxConsumer, 0).val; got != "zero" {
 		t.Fatalf("duplicate overwrote the slot: %v", got)
@@ -171,27 +146,28 @@ func TestDemuxRoutesDropsAndFailsWithoutBlocking(t *testing.T) {
 	// Ports the run does not expect: beyond the task's ports, on a task
 	// beyond the graph, and a real port that no edge feeds.
 	for _, addr := range [][2]int{{demuxConsumer, demuxConsumer}, {99, 0}, {demuxUnfed, 0}} {
-		d.write(d.conn, rawFrame(t, demuxSeq, addr[0], addr[1], "x"))
+		d.receive(rawFrame(t, demuxSeq, addr[0], addr[1], "x"))
 	}
-	d.deliverTo(d.conn, 3, "three")
+	d.deliverTo(3, "three")
 	for i := 0; i < 3; i++ {
 		d.wantFailure("unexpected port")
 	}
 
 	// A sound frame around an undecodable value fails the run it is
-	// addressed to; the framing is intact, so the stream stays up.
+	// addressed to; the framing is intact, so the sender is not at fault.
 	bad := make([]byte, routeHeader, routeHeader+2)
 	binary.LittleEndian.PutUint64(bad[0:8], demuxSeq)
 	binary.LittleEndian.PutUint32(bad[8:12], demuxConsumer)
 	binary.LittleEndian.PutUint32(bad[12:16], 4)
-	d.write(d.conn, sealFrame(append(bad, 0xEE, 1)))
-	d.deliverTo(d.conn, 5, "five")
+	d.receive(sealFrame(append(bad, 0xEE, 1)))
+	d.deliverTo(5, "five")
 	d.wantFailure("unknown type tag")
 }
 
-// TestReaderReleasesABulkFrameBuffer sends one frame above
-// maxIdleFrameBuf and then a small one on the same stream: the reader
-// drops its buffer after the first (as stream.send does), and both
+// TestReaderReleasesABulkFrameBuffer hands the endpoint one frame above
+// maxIdleFrameBuf and then a small one: the slot holds its own copy of
+// the bulk value, so the frame buffer (which send does not keep at
+// that size) can be overwritten the moment receive returns, and both
 // values still arrive intact.
 func TestReaderReleasesABulkFrameBuffer(t *testing.T) {
 	d := newDemuxRig(t)
@@ -199,11 +175,14 @@ func TestReaderReleasesABulkFrameBuffer(t *testing.T) {
 	for i := range bulk {
 		bulk[i] = float64(i)
 	}
-	got, ok := d.deliverTo(d.conn, 0, bulk).([]float64)
+	f := rawFrame(t, demuxSeq, demuxConsumer, 0, bulk)
+	d.receive(f)
+	clear(f)
+	got, ok := d.ri.slot(demuxConsumer, 0).val.([]float64)
 	if !ok || len(got) != len(bulk) || got[1] != 1 || got[len(got)-1] != bulk[len(bulk)-1] {
 		t.Fatalf("bulk value arrived as %T of %d elements", got, len(got))
 	}
-	if got := d.deliverTo(d.conn, 1, "small"); got != "small" {
+	if got := d.deliverTo(1, "small"); got != "small" {
 		t.Fatalf("frame after the bulk one = %v", got)
 	}
 	if len(d.failed) != 0 {
@@ -212,11 +191,10 @@ func TestReaderReleasesABulkFrameBuffer(t *testing.T) {
 }
 
 // TestIdleHostsPinNoFrameBuffer runs a 160x160 linear solver with its
-// tasks spread over eight hosts, so five source hosts each carry a
-// stream and a reader, and then checks what the idle endpoint keeps:
-// frame buffers go back to one pool, which two collections empty, so
-// no stream or reader still holds the size of the largest matrix it
-// moved.
+// tasks spread over eight hosts, five of which send, and then checks
+// what the idle endpoint keeps: frame buffers go back to one pool,
+// which two collections empty, so no host still holds the size of the
+// largest matrix it moved.
 func TestIdleHostsPinNoFrameBuffer(t *testing.T) {
 	r := newRig(t, 8)
 	run := func(n int) {
@@ -251,66 +229,60 @@ func TestIdleHostsPinNoFrameBuffer(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	run(8) // opens the endpoint and dials the same five streams
+	run(8) // opens the endpoint
 	before := heap()
 	run(160)
 	delta := heap() - before
 	t.Logf("heap after an LES-160 run on idle hosts: %+d bytes", delta)
-	if st := r.engine.TransferStats(); st.Streams != 5 || st.Readers != 5 {
-		t.Fatalf("streams = %d, readers = %d, want 5 and 5", st.Streams, st.Readers)
-	}
 	if delta >= 512<<10 {
 		t.Fatalf("idle hosts keep %d bytes after the run, budget %d", delta, 512<<10)
 	}
 }
 
+// TestFramingFaultTearsTheStreamDown hands the endpoint frames that
+// fail their framing checks. What is torn down is the one frame's
+// delivery, not a connection: each is refused with an error for the
+// sender, reaches no slot and fails no run, and the next sound frame
+// still lands.
 func TestFramingFaultTearsTheStreamDown(t *testing.T) {
-	good := func(d *demuxRig) []byte { return rawFrame(t, demuxSeq, demuxConsumer, 7, "late") }
-	faults := map[string]func(d *demuxRig) []byte{
-		"checksum": func(d *demuxRig) []byte {
-			f := good(d)
+	good := func() []byte { return rawFrame(t, demuxSeq, demuxConsumer, 7, "late") }
+	for _, tc := range []struct {
+		name  string
+		frame func() []byte
+	}{
+		{"checksum", func() []byte {
+			f := good()
 			f[len(f)-1] ^= 1
 			return f
-		},
-		"oversized": func(d *demuxRig) []byte {
-			// Only the header is sent: the reader must give up on the
-			// length alone, not wait for (or allocate) 16 MiB.
+		}},
+		{"oversized", func() []byte {
+			// Only the header: the length alone must condemn it.
 			f := make([]byte, frame.HeaderSize)
 			binary.LittleEndian.PutUint32(f[0:4], frame.MaxPayload+1)
 			return f
-		},
-		"too short for a routing header": func(d *demuxRig) []byte {
+		}},
+		{"too short for a routing header", func() []byte {
 			return sealFrame(make([]byte, routeHeader))
-		},
-	}
-	for name, fault := range faults {
-		t.Run(name, func(t *testing.T) {
+		}},
+		{"truncated", func() []byte {
+			f := good()
+			return f[:len(f)-3]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			d := newDemuxRig(t)
-			d.deliverTo(d.conn, 0, "before")
-			d.write(d.conn, fault(d))
-			d.wantTornDown(d.conn)
-			// Other streams are unaffected, and nothing was delivered or
-			// failed on the strength of the bad frame.
-			d.deliverTo(d.dial(), 1, "other stream")
+			d.deliverTo(0, "before")
+			if err := d.dm.receive(tc.frame()); err == nil {
+				t.Fatal("the endpoint accepted a frame that fails its checks")
+			}
 			if len(d.failed) != 0 || d.ri.slot(demuxConsumer, 7).filled.Load() {
 				t.Fatal("a frame that failed its checks reached the demux table")
 			}
+			if got := d.deliverTo(1, "after"); got != "after" {
+				t.Fatalf("frame after the fault = %v", got)
+			}
 		})
 	}
-	t.Run("truncated", func(t *testing.T) {
-		d := newDemuxRig(t)
-		f := good(d)
-		d.write(d.conn, f[:len(f)-3])
-		d.conn.Close() // the writing end: the reader sees the stream end mid-frame
-		for deadline := time.Now().Add(5 * time.Second); d.e.TransferStats().Readers != 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("the reader of a stream that ended mid-frame never exited")
-			}
-		}
-		if d.ri.slot(demuxConsumer, 7).filled.Load() {
-			t.Fatal("a frame cut short was delivered")
-		}
-	})
 }
 
 // registerHold adds a "Hold" task to the rig's catalog: a source that
@@ -341,8 +313,7 @@ func onePerHost(r *rig, g *afg.Graph) *core.AllocationTable {
 	return table
 }
 
-// chain builds source -> Pass_Through on the rig's first two hosts, so
-// the stream the payload crosses is host 0's.
+// chain builds source -> Pass_Through on the rig's first two hosts.
 func chain(t *testing.T, r *rig, source string, args map[string]string) (*afg.Graph, *core.AllocationTable) {
 	t.Helper()
 	g := afg.NewGraph("chain")
@@ -381,70 +352,30 @@ func awaitRegistered(t *testing.T, e *Engine, seq uint64) {
 	}
 }
 
-// killStreams closes every dialed stream's connection under the
-// stream's feet, as a network fault would. It locks each stream only
-// after releasing the endpoint's lock: a redialing sender holds its
-// stream's lock while the listener takes the endpoint's.
-func killStreams(dm *endpoint) (killed int) {
-	dm.mu.Lock()
-	streams := slices.Collect(maps.Values(dm.streams))
-	dm.mu.Unlock()
-	for _, s := range streams {
-		s.mu.Lock()
-		if s.conn != nil {
-			s.conn.Close()
-			killed++
-		}
-		s.mu.Unlock()
-	}
-	return killed
-}
-
-func TestStreamKilledMidRunIsRedialedOnce(t *testing.T) {
+// TestSendToAClosedEndpointFailsTheProducer marks the endpoint closed
+// while a run is registered, as Close does: the producing task's send
+// is refused with ErrEngineClosed, which is that task's error, and the
+// parked consumer is released.
+func TestSendToAClosedEndpointFailsTheProducer(t *testing.T) {
 	r := newRig(t, 2)
 	g, table := chain(t, r, "Spin", map[string]string{"ms": "60"})
-	ctx := context.Background()
-	if _, err := r.engine.Execute(ctx, g, table); err != nil { // dials host 0's stream
-		t.Fatal(err)
-	}
-	next := r.engine.appSeq.Load() + 1
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := r.engine.Execute(ctx, g, table)
+		_, err := r.engine.Execute(context.Background(), g, table)
 		errCh <- err
 	}()
-	awaitRegistered(t, r.engine, next)
-	if n := killStreams(r.engine.dm); n != 1 {
-		t.Fatalf("killed %d streams, want host 0's one", n)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("run across a killed stream: %v", err)
-	}
-	st := r.engine.TransferStats()
-	if st.Redials != 1 || st.Streams != 1 {
-		t.Fatalf("redials = %d, open streams = %d, want 1 and 1", st.Redials, st.Streams)
-	}
-
-	// With the endpoint refusing dials, as a closed one does, the one
-	// redial fails too, and the producing task reports it; the parked
-	// consumer is released. The run stays registered and host 0's stream
-	// stays in the table, so the failure is the send's.
-	next = r.engine.appSeq.Load() + 1
-	go func() {
-		_, err := r.engine.Execute(ctx, g, table)
-		errCh <- err
-	}()
-	awaitRegistered(t, r.engine, next)
+	awaitRegistered(t, r.engine, 1)
 	r.engine.dm.mu.Lock()
 	r.engine.dm.closed = true
 	r.engine.dm.mu.Unlock()
-	killStreams(r.engine.dm)
-	err := <-errCh
-	if err == nil || !strings.Contains(err.Error(), "task 0 (Spin): exec: send to child 1") {
-		t.Fatalf("err = %v, want task 0's send failure", err)
+	var err error
+	select {
+	case err = <-errCh:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the run outlived its refused send")
 	}
-	if got := r.engine.TransferStats().Redials; got != 2 {
-		t.Fatalf("redials = %d, want 2 (one per failed write, never a loop)", got)
+	if !errors.Is(err, ErrEngineClosed) || !strings.Contains(err.Error(), "task 0 (Spin): exec: send to child 1") {
+		t.Fatalf("err = %v, want task 0's send refused with ErrEngineClosed", err)
 	}
 }
 
@@ -496,8 +427,9 @@ func TestNoEdgeRunTouchesNoSocket(t *testing.T) {
 }
 
 // TestConnectionsScaleWithHostsNotJobs runs many applications through
-// one engine and checks what is left open: at most one stream and one
-// reader per host beside the one listener.
+// one engine and checks what is left behind: every frame counted, none
+// dropped, and not one goroutine more than before the first run — the
+// data plane starts none.
 func TestConnectionsScaleWithHostsNotJobs(t *testing.T) {
 	const hosts = 8
 	jobs := 1000
@@ -510,17 +442,21 @@ func TestConnectionsScaleWithHostsNotJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := r.schedule(t, g)
+	before := runtime.NumGoroutine()
 	for i := 0; i < jobs; i++ {
 		if _, err := r.engine.Execute(context.Background(), g, table); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := r.engine.TransferStats()
-	if !st.Listening || st.Streams < 1 || st.Streams > hosts || st.Readers > hosts {
-		t.Fatalf("after %d jobs on %d hosts: %+v", jobs, hosts, st)
+	if want := int64(jobs * len(g.Edges)); st.Frames != want || st.Dropped != 0 {
+		t.Fatalf("frames = %d (want %d), dropped = %d", st.Frames, want, st.Dropped)
 	}
-	if want := int64(jobs * len(g.Edges)); st.Frames != want || st.Dropped != 0 || st.Redials != 0 {
-		t.Fatalf("frames = %d (want %d), dropped = %d, redials = %d", st.Frames, want, st.Dropped, st.Redials)
+	// A controller that has signalled its run may not have returned yet.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d jobs: %d goroutines, %d before the first", jobs, runtime.NumGoroutine(), before)
+		}
 	}
 }
 
@@ -534,6 +470,7 @@ func TestCloseReleasesEverythingAndFailsRuns(t *testing.T) {
 		errCh <- err
 	}()
 	awaitRegistered(t, r.engine, 1)
+	dm := r.engine.dm
 	r.engine.Close()
 	select {
 	case err := <-errCh:
@@ -544,9 +481,11 @@ func TestCloseReleasesEverythingAndFailsRuns(t *testing.T) {
 		t.Fatal("Close left a run parked on its inputs")
 	}
 	r.engine.Close() // idempotent
-	st := r.engine.TransferStats()
-	if st.Listening || st.Streams != 0 || st.Readers != 0 {
-		t.Fatalf("after Close: %+v", st)
+	if r.engine.dm != nil {
+		t.Fatal("Close left the endpoint in place")
+	}
+	if err := dm.receive(rawFrame(t, 1, 1, 0, "late")); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("send to a closed endpoint: %v, want ErrEngineClosed", err)
 	}
 	solo := afg.NewGraph("solo")
 	solo.AddTask("Spin", "util", 0, 1)
@@ -567,7 +506,8 @@ func TestCloseReleasesEverythingAndFailsRuns(t *testing.T) {
 // maps and heap copies cost 254 and 38; the state block measures 191
 // and 26. The C3I tasks building their results in place, and a decoded
 // track list's strings sharing one block, take the former from 190 to
-// 102.
+// 102; handing each frame to the endpoint by call, with no stream
+// between them, to 97.
 func TestExecuteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -586,7 +526,7 @@ func TestExecuteAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		g      *afg.Graph
 		budget float64
-	}{{c3i, 120}, {solo, 32}} {
+	}{{c3i, 100}, {solo, 32}} {
 		table := r.schedule(t, tc.g)
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := r.engine.Execute(ctx, tc.g, table); err != nil {

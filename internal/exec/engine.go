@@ -3,25 +3,25 @@
 // each assigned machine, monitors the run, and requests rescheduling
 // when a machine's load crosses the threshold; and the Data Manager, the
 // paper's socket-based point-to-point communication system for
-// inter-task data, over in-process streams.
+// inter-task data, here one in-process endpoint.
 //
-// The lifecycle follows §4. An Engine has one Data Manager endpoint — an
-// in-process endpoint opened by the first run that has dataflow edges
-// and released by Close — and one persistent stream to it per source
-// host, so connections number O(hosts) however many runs, tasks and
-// edges pass through. Channel set-up for a run is entering its input
-// slots, one per in-edge, in the endpoint's demux table; when all are
-// entered (the acknowledgment) the execution startup signal is given.
-// Tasks run, watched by the run's one monitoring loop on the goroutine
-// that called Execute; each output crosses its host's stream as one
-// checksummed frame addressed to (run, task, port), the endpoint's
-// readers decode it into the slot the consuming controller waits on,
-// which charges the network model's transfer time when the engine
-// emulates the testbed's hardware (DilationScale), and when the run ends
-// its completed executions are reported together so the Site Manager can
-// update the task-performance database. Leaving the run removes its
-// slots: frames still in flight for it are counted and dropped. A run
-// whose graph has no edges never touches the endpoint.
+// The lifecycle follows §4. An Engine has one Data Manager endpoint,
+// opened by the first run that has dataflow edges and released by
+// Close. Channel set-up for a run is entering its input slots, one per
+// in-edge, in the endpoint's demux table; when all are entered (the
+// acknowledgment) the execution startup signal is given. Tasks run,
+// watched by the run's one monitoring loop on the goroutine that called
+// Execute; each output is encoded into one checksummed frame addressed
+// to (run, task, port) and handed to the endpoint by call, which checks
+// the frame and decodes its value into the slot the consuming
+// controller waits on — no connection, stream or reader goroutine sits
+// between them. The consumer charges the network model's transfer time
+// when the engine emulates the testbed's hardware (DilationScale), and
+// when the run ends its completed executions are reported together so
+// the Site Manager can update the task-performance database. Leaving
+// the run removes its slots: frames still in flight for it are counted
+// and dropped. A run whose graph has no edges never touches the
+// endpoint.
 package exec
 
 import (
@@ -369,7 +369,7 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	if e.Record != nil && len(run.measured) > 0 {
 		e.Record(run.measured)
 	}
-	run.mu.Lock() // a Data Manager reader may still be failing the run
+	run.mu.Lock() // Close may still be failing the run
 	err := run.err
 	run.mu.Unlock()
 	if err != nil {

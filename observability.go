@@ -187,7 +187,7 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 			emit(float64(parked))
 		})
 	reg.CounterFunc("vdce_exec_frames_total",
-		"Edge deliveries written to a Data Manager stream.", nil,
+		"Edge deliveries the Data Manager accepted.", nil,
 		func(emit func(v float64, labelVals ...string)) {
 			emit(float64(env.Engine.TransferStats().Frames))
 		})
@@ -200,11 +200,6 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 		"Data Manager frames that arrived for a run no longer registered (aborted mid-delivery).", nil,
 		func(emit func(v float64, labelVals ...string)) {
 			emit(float64(env.Engine.TransferStats().Dropped))
-		})
-	reg.CounterFunc("vdce_exec_channel_redials_total",
-		"Data Manager streams re-established after a failed write.", nil,
-		func(emit func(v float64, labelVals ...string)) {
-			emit(float64(env.Engine.TransferStats().Redials))
 		})
 	reg.CounterFunc("vdce_scheduler_rankcache_total",
 		"Ranked-host cache counters summed across sites, by event.",

@@ -416,6 +416,9 @@ func TestOwnerAdminPersistsAcrossRestart(t *testing.T) {
 
 	// The recovered cap is live: hold the single worker busy so alice's
 	// submissions stay queued, then exceed the recovered MaxQueued of 2.
+	// A running job frees the worker, which would pop alice's first
+	// submission; so "hold" takes the one run slot (the suspended console
+	// keeps it running) and "wait" keeps the worker blocked on that slot.
 	ctx := context.Background()
 	env2.Console.Suspend()
 	hold, err := env2.Submit(ctx, spinJobGraph("hold", 1), WithOwner("bob"))
@@ -423,6 +426,11 @@ func TestOwnerAdminPersistsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, hold, JobRunning)
+	wait, err := env2.Submit(ctx, spinJobGraph("wait", 1), WithOwner("bob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, wait, JobScheduling)
 	for i := 0; i < 2; i++ {
 		if _, err := env2.Submit(ctx, spinJobGraph(fmt.Sprintf("capped-%d", i), 1), WithOwner("alice")); err != nil {
 			t.Fatalf("submission %d under the cap rejected: %v", i, err)
