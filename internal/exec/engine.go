@@ -3,25 +3,21 @@
 // each assigned machine, monitors the run, and requests rescheduling
 // when a machine's load crosses the threshold; and the Data Manager, the
 // paper's socket-based point-to-point communication system for
-// inter-task data, here one in-process endpoint.
+// inter-task data, here each run's own input slots.
 //
-// The lifecycle follows §4. An Engine has one Data Manager endpoint,
-// opened by the first run that has dataflow edges and released by
-// Close. Channel set-up for a run is entering its input slots, one per
-// in-edge, in the endpoint's demux table; when all are entered (the
-// acknowledgment) the execution startup signal is given. Tasks run,
-// watched by the run's one monitoring loop on the goroutine that called
-// Execute; each output is encoded into one checksummed frame addressed
-// to (run, task, port) and handed to the endpoint by call, which checks
-// the frame and decodes its value into the slot the consuming
-// controller waits on — no connection, stream or reader goroutine sits
-// between them. The consumer charges the network model's transfer time
-// when the engine emulates the testbed's hardware (DilationScale), and
-// when the run ends its completed executions are reported together so
-// the Site Manager can update the task-performance database. Leaving
-// the run removes its slots: frames still in flight for it are counted
-// and dropped. A run whose graph has no edges never touches the
-// endpoint.
+// The lifecycle follows §4. Channel set-up for a run is laying out its
+// input slots, one per in-edge, indexed by (task, port); when all are
+// laid out (the acknowledgment) the execution startup signal is given.
+// Tasks run, watched by the run's one monitoring loop on the goroutine
+// that called Execute; each output port is encoded into one checksummed
+// frame, which its producer hands by call to the slot of every edge
+// fanning out from the port, and each slot checks the frame and decodes
+// the value into its own copy for the consuming controller waiting on
+// it. The consumer charges the network model's transfer time when the
+// engine emulates the testbed's hardware (DilationScale), and when the
+// run ends its completed executions are reported together so the Site
+// Manager can update the task-performance database. A run whose graph
+// has no edges has no Data Manager.
 package exec
 
 import (
@@ -99,16 +95,11 @@ type Engine struct {
 	retryOnce sync.Once
 	retry     *retryGate
 
-	// dmMu guards dm, the Data Manager endpoint (datamanager.go): nil
-	// until a run with dataflow edges needs it and again after Close.
-	dmMu     sync.Mutex
-	dm       *endpoint
-	closed   atomic.Bool
+	closed   atomic.Bool // set by Close
 	transfer transferTallies
 
 	// appSeq numbers the runs: it disambiguates app IDs of same-named
-	// graphs submitted within the same nanosecond and is the run sequence
-	// data frames are addressed to.
+	// graphs submitted within the same nanosecond.
 	appSeq atomic.Uint64
 	// inFlight/peakInFlight gauge how many applications execute
 	// simultaneously.
@@ -335,24 +326,15 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	}
 
 	// Phase 1 (Data Manager set-up): every in-edge of the run gets its
-	// input slot in the endpoint's demux table — the receiving end of the
-	// channel, addressed by (run sequence, task, port), which is this
-	// transport's "socket number [and] IP address". All slots being
-	// registered is the paper's acknowledgment collection.
+	// input slot — the receiving end of the channel, addressed by (task,
+	// port), which is this transport's "socket number [and] IP address".
+	// All slots being laid out is the paper's acknowledgment collection.
 	if len(g.Edges) > 0 {
-		dm, err := e.dataManager()
+		inputs, err := newRunInputs(g)
 		if err != nil {
 			return nil, err
 		}
-		inputs, err := newRunInputs(seq, g, run.fail)
-		if err != nil {
-			return nil, err
-		}
-		if err := dm.register(inputs); err != nil {
-			return nil, err
-		}
-		defer dm.unregister(seq)
-		run.dm, run.inputs = dm, inputs
+		run.inputs = inputs
 	}
 
 	// Phase 2: the execution startup signal; this goroutine then monitors.
@@ -369,11 +351,8 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	if e.Record != nil && len(run.measured) > 0 {
 		e.Record(run.measured)
 	}
-	run.mu.Lock() // Close may still be failing the run
-	err := run.err
-	run.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if run.err != nil { // written before its controller left: see main
+		return nil, run.err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -401,9 +380,8 @@ type appRun struct {
 	maxAttempts int
 	execOpts    // sink: the optional recovery-event stream
 	cancel      context.CancelFunc
-	// dm and inputs are the run's Data Manager registration; both nil
-	// when the graph has no dataflow edges.
-	dm     *endpoint
+	// inputs is the run's Data Manager; nil when the graph has no
+	// dataflow edges.
 	inputs *runInputs
 
 	// entries is the table as executed, handed out as Result.Table: a
@@ -452,8 +430,7 @@ func (r *appRun) monitor(period time.Duration) {
 }
 
 // fail records the run's first failure and cancels everything still
-// running or parked on inputs. Task controllers call it, and so does
-// the Data Manager when it rejects a delivery addressed to the run.
+// running or parked on inputs. Task controllers call it.
 func (r *appRun) fail(err error) {
 	r.mu.Lock()
 	if r.err == nil {

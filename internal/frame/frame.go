@@ -1,8 +1,8 @@
 // Package frame is the record framing the durable log and the Data
 // Manager share: a 4-byte little-endian payload length, a 4-byte
 // little-endian CRC-32 (IEEE) of the payload, then the payload. The WAL
-// appends frames to its segments; the Data Manager builds one per edge
-// delivery and checks it on receipt.
+// appends frames to its segments; the Data Manager builds one frame per
+// out-port, checked on each receipt.
 package frame
 
 import (

@@ -6,11 +6,12 @@ import (
 )
 
 // TestSealInPlaceMatchesAppend pins the Data Manager's way of building a
-// frame — reserve the header, append the payload, Seal, patch the
-// payload, Seal again — to the WAL's Append, and PayloadLen to what a
-// reader needs before the payload has arrived.
+// frame — reserve the header, append the payload, Seal — to the WAL's
+// Append, and PayloadLen to what a reader needs before the payload has
+// arrived. A payload changed after sealing fails its checksum until it
+// is sealed again.
 func TestSealInPlaceMatchesAppend(t *testing.T) {
-	payload := []byte("routing header + value")
+	payload := []byte("type tag + value")
 	f := append(make([]byte, HeaderSize), payload...)
 	Seal(f)
 	if want := Append(nil, payload); !bytes.Equal(f, want) {

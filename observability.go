@@ -196,11 +196,6 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 		func(emit func(v float64, labelVals ...string)) {
 			emit(float64(env.Engine.TransferStats().Bytes))
 		})
-	reg.CounterFunc("vdce_exec_frames_dropped_total",
-		"Data Manager frames that arrived for a run no longer registered (aborted mid-delivery).", nil,
-		func(emit func(v float64, labelVals ...string)) {
-			emit(float64(env.Engine.TransferStats().Dropped))
-		})
 	reg.CounterFunc("vdce_scheduler_rankcache_total",
 		"Ranked-host cache counters summed across sites, by event.",
 		[]string{"event"},

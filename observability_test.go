@@ -239,7 +239,6 @@ func TestMetricsExpositionEndToEnd(t *testing.T) {
 		"vdce_exec_retries_total",
 		"vdce_exec_frames_total",
 		"vdce_exec_transfer_bytes_total",
-		"vdce_exec_frames_dropped_total",
 		"vdce_breaker_hosts",
 		"vdce_wal_append_seconds_bucket",
 		"vdce_wal_fsync_batch_records_count",

@@ -436,8 +436,8 @@ func (env *Environment) shutdown(graceful bool) {
 	} else if env.cancel != nil {
 		env.cancel(ErrPipelineClosed)
 	}
-	// The pipeline has settled every job; what is left of the data plane
-	// is the Data Manager's listener, streams and readers.
+	// The pipeline has settled every job, and with it every run's Data
+	// Manager: closing the engine only refuses later runs.
 	if env.Engine != nil {
 		env.Engine.Close()
 	}
