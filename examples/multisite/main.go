@@ -1,8 +1,9 @@
-// Multisite demonstrates the wide-area side of VDCE: four sites with
-// Site Managers on real TCP RPC, Monitor daemons and Group Managers
-// maintaining the resource databases, a host failure detected by echo
-// packets mid-run, and the Application Controller rescheduling work off
-// an overloaded machine.
+// Multisite demonstrates the wide-area side of VDCE: four sites whose
+// Application Schedulers share one scheduling round (the AFG multicast
+// of Fig. 2), Monitor daemons and Group Managers maintaining the
+// resource databases, a host failure detected by echo packets before
+// scheduling, and the Application Controller rescheduling work off an
+// overloaded machine.
 package main
 
 import (
@@ -23,7 +24,6 @@ func main() {
 		Testbed: testbed.Config{
 			Sites: 4, GroupsPerSite: 2, HostsPerGroup: 3, Seed: 9,
 		},
-		UseRPC:        true,
 		StartDaemons:  true,
 		MonitorPeriod: 50 * time.Millisecond,
 		LoadThreshold: 0.85,
@@ -36,9 +36,9 @@ func main() {
 	}
 	defer env.Close()
 
-	fmt.Println("sites and Site Manager endpoints:")
-	for i, sm := range env.Managers {
-		fmt.Printf("  %s -> %s (%d hosts)\n", sm.SiteName(), sm.Addr(), len(env.TB.Sites[i].Hosts))
+	fmt.Println("sites:")
+	for _, site := range env.TB.Sites {
+		fmt.Printf("  %s (%d hosts)\n", site.Name, len(site.Hosts))
 	}
 
 	// Fail a host and watch the Group Manager's echo detection mark it
@@ -115,7 +115,7 @@ func main() {
 		fwd += f
 	}
 	if recv > 0 {
-		fmt.Printf("monitoring: %d samples taken, %d forwarded to Site Managers (%.0f%% filtered)\n",
+		fmt.Printf("monitoring: %d samples taken, %d forwarded to the site repositories (%.0f%% filtered)\n",
 			recv, fwd, 100*(1-float64(fwd)/float64(recv)))
 	}
 }

@@ -2,149 +2,60 @@ package control
 
 import (
 	"context"
-	"net"
 	"net/rpc"
 	"strings"
 	"testing"
 	"time"
 
-	"vdce/internal/afg"
-	"vdce/internal/core"
-	"vdce/internal/netmodel"
 	"vdce/internal/protocol"
 	"vdce/internal/repository"
-	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
 
-// buildSite builds a one-site testbed with the task catalog installed.
-func buildSite(t *testing.T, name string, hosts int) (*core.LocalSite, *testbed.Testbed) {
+// buildSite builds a one-site testbed.
+func buildSite(t *testing.T, hosts int) (*repository.Repository, *testbed.Testbed) {
 	t.Helper()
 	tb, err := testbed.Build(testbed.Config{Sites: 1, HostsPerGroup: hosts, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	site := tb.Sites[0]
-	site.Repo.Site = name // align repo site name with caller's label
-	names := make([]string, len(site.Hosts))
-	for i, h := range site.Hosts {
-		names[i] = h.Name
-	}
-	if err := tasklib.Default().InstallInto(site.Repo, names); err != nil {
-		t.Fatal(err)
-	}
-	return core.NewLocalSite(site.Repo), tb
+	return tb.Sites[0].Repo, tb
 }
 
 // startSite builds a one-site testbed and serves its Site Manager.
-func startSite(t *testing.T, name string, hosts int) (*SiteManager, *core.LocalSite, *testbed.Testbed) {
+func startSite(t *testing.T, name string, hosts int) (*SiteManager, *repository.Repository, *testbed.Testbed) {
 	t.Helper()
-	local, tb := buildSite(t, name, hosts)
-	sm, err := StartSiteManager(local, "127.0.0.1:0")
+	repo, tb := buildSite(t, hosts)
+	sm, err := StartSiteManager(name, repo, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sm.Close() })
-	return sm, local, tb
-}
-
-func TestRemoteHostSelectionMatchesLocal(t *testing.T) {
-	sm, local, _ := startSite(t, "siteX", 4)
-	remote, err := DialSite("siteX", sm.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	if err := remote.Ping(); err != nil {
-		t.Fatal(err)
-	}
-
-	g, err := tasklib.BuildLinearEquationSolver(64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range g.Tasks {
-		task.Props.MachineType = "" // the random testbed may lack SUN Solaris
-	}
-	viaRPC, err := remote.HostSelection(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := local.HostSelection(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viaRPC) != len(direct) {
-		t.Fatalf("selection sizes differ: %d vs %d", len(viaRPC), len(direct))
-	}
-	for id, want := range direct {
-		got := viaRPC[id]
-		if got.Err != want.Err || got.Predicted != want.Predicted || len(got.Hosts) != len(want.Hosts) {
-			t.Fatalf("task %d: rpc %+v != local %+v", id, got, want)
-		}
-		for i := range want.Hosts {
-			if got.Hosts[i] != want.Hosts[i] {
-				t.Fatalf("task %d host %d: %s != %s", id, i, got.Hosts[i], want.Hosts[i])
-			}
-		}
-	}
-}
-
-func TestRemoteSiteInScheduler(t *testing.T) {
-	// Local site is slow; remote site (over real TCP RPC) is identical.
-	// The distributed scheduler must function with a wire remote.
-	localA, _ := buildSite(t, "siteA", 2)
-	smB, _, _ := startSite(t, "siteB", 2)
-	remoteB, err := DialSite("siteB", smB.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remoteB.Close()
-
-	net, err := netmodel.New([]string{"siteA", "siteB"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := tasklib.BuildC3IPipeline(32, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := core.NewScheduler(localA, []core.SiteService{remoteB}, net, 1)
-	cost := func(id afg.TaskID) float64 {
-		d, err := localA.Oracle.BaseTimeFor(g.Task(id).Name)
-		if err != nil {
-			t.Fatalf("cost: %v", err)
-		}
-		return d.Seconds()
-	}
-	table, err := sched.Schedule(g, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := table.Validate(g); err != nil {
-		t.Fatal(err)
-	}
+	return sm, repo, tb
 }
 
 // TestWorkloadAndFailureRPC: what a Group Manager's reports put into the
 // site's resource-performance database is what the Resources RPC — the
 // workload view vdce-monitor prints — serves.
 func TestWorkloadAndFailureRPC(t *testing.T) {
-	sm, local, tb := startSite(t, "siteW", 2)
-	remote, err := DialSite("siteW", sm.Addr())
+	sm, repo, tb := startSite(t, "siteW", 2)
+	if sm.SiteName() != "siteW" {
+		t.Fatalf("site name = %q", sm.SiteName())
+	}
+	client, err := rpc.Dial("tcp", sm.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer remote.Close()
+	defer client.Close()
 	resources := func(q protocol.ResourceQuery) []repository.ResourceInfo {
 		t.Helper()
 		var list protocol.ResourceList
-		if err := remote.client.Call(protocol.SiteServiceName+".Resources", q, &list); err != nil {
+		if err := client.Call(protocol.SiteServiceName+".Resources", q, &list); err != nil {
 			t.Fatal(err)
 		}
 		return list.Hosts
 	}
-	reporter := RepoReporter{Repo: local.Repo}
+	reporter := RepoReporter{Repo: repo}
 	host := tb.Sites[0].Hosts[0].Name
 
 	batch := protocol.WorkloadBatch{Site: "siteW", Group: "g", Samples: []protocol.HostSample{
@@ -184,9 +95,9 @@ func TestWorkloadAndFailureRPC(t *testing.T) {
 }
 
 func TestGroupManagerFiltering(t *testing.T) {
-	local, tb := buildSite(t, "siteF", 1)
+	repo, tb := buildSite(t, 1)
 	h := tb.Sites[0].Hosts[0]
-	gm := NewGroupManager("siteF", "g0", []*testbed.Host{h}, RepoReporter{Repo: local.Repo}, time.Hour)
+	gm := NewGroupManager("siteF", "g0", []*testbed.Host{h}, RepoReporter{Repo: repo}, time.Hour)
 	gm.Threshold = 0.1
 	gm.MemThreshold = 1 << 40 // effectively disable the memory trigger
 
@@ -211,7 +122,7 @@ func TestGroupManagerFiltering(t *testing.T) {
 	}
 	// The suppressed value never reached the repository: two samples in
 	// the host's history ring, the last one current.
-	rec, _ := local.Repo.Resources.Host(h.Name)
+	rec, _ := repo.Resources.Host(h.Name)
 	if rec.CPULoad != 0.55 || len(rec.RecentLoads) != 2 {
 		t.Fatalf("repo load = %g after %d updates, want 0.55 after 2", rec.CPULoad, len(rec.RecentLoads))
 	}
@@ -220,9 +131,9 @@ func TestGroupManagerFiltering(t *testing.T) {
 func TestGroupManagerCumulativeDrift(t *testing.T) {
 	// Regression guard: the filter compares against the last REPORTED
 	// value, so a slow drift must eventually be reported.
-	local, tb := buildSite(t, "siteD", 1)
+	repo, tb := buildSite(t, 1)
 	h := tb.Sites[0].Hosts[0]
-	gm := NewGroupManager("siteD", "g0", []*testbed.Host{h}, RepoReporter{Repo: local.Repo}, time.Hour)
+	gm := NewGroupManager("siteD", "g0", []*testbed.Host{h}, RepoReporter{Repo: repo}, time.Hour)
 	gm.Threshold = 0.1
 	gm.MemThreshold = 1 << 40
 	load := 0.0
@@ -239,10 +150,10 @@ func TestGroupManagerCumulativeDrift(t *testing.T) {
 }
 
 func TestGroupManagerEchoDetection(t *testing.T) {
-	local, tb := buildSite(t, "siteE", 3)
+	repo, tb := buildSite(t, 3)
 	hosts := tb.Sites[0].Hosts
-	resources := local.Repo.Resources
-	gm := NewGroupManager("siteE", "g0", hosts, RepoReporter{Repo: local.Repo}, time.Hour)
+	resources := repo.Resources
+	gm := NewGroupManager("siteE", "g0", hosts, RepoReporter{Repo: repo}, time.Hour)
 
 	// Every notice is one repository write, so the database's generation
 	// counts them.
@@ -287,10 +198,10 @@ func TestGroupManagerEchoDetection(t *testing.T) {
 }
 
 func TestGroupManagerRunLoop(t *testing.T) {
-	local, tb := buildSite(t, "siteR", 2)
+	repo, tb := buildSite(t, 2)
 	hosts := tb.Sites[0].Hosts
-	resources := local.Repo.Resources
-	gm := NewGroupManager("siteR", "g0", hosts, RepoReporter{Repo: local.Repo}, 5*time.Millisecond)
+	resources := repo.Resources
+	gm := NewGroupManager("siteR", "g0", hosts, RepoReporter{Repo: repo}, 5*time.Millisecond)
 	gm.EchoPeriod = 5 * time.Millisecond
 	gm.Threshold = 0 // forward everything
 
@@ -324,12 +235,6 @@ func TestGroupManagerRunLoop(t *testing.T) {
 	}
 }
 
-func TestDialSiteFailure(t *testing.T) {
-	if _, err := DialSite("x", "127.0.0.1:1"); err == nil {
-		t.Fatal("dial to closed port succeeded")
-	}
-}
-
 func TestSiteManagerDoubleClose(t *testing.T) {
 	sm, _, _ := startSite(t, "siteC", 1)
 	if err := sm.Close(); err != nil {
@@ -340,52 +245,5 @@ func TestSiteManagerDoubleClose(t *testing.T) {
 	}
 	if !strings.Contains(sm.Addr(), ":") {
 		t.Fatal("addr unreadable after close")
-	}
-}
-
-// bogusPeer is a Site service whose HostSelection answers for task IDs
-// the graph does not have, and not for all of those it has.
-type bogusPeer struct{}
-
-func (bogusPeer) HostSelection(_ protocol.HostSelectionRequest, resp *protocol.HostSelectionResponse) error {
-	c := core.HostChoice{Site: "peer", Hosts: []string{"h"}, Predicted: time.Millisecond}
-	resp.Choices = map[int]core.HostChoice{-1: c, 1: c, 99: c}
-	return nil
-}
-
-// TestRemoteHostSelectionBoundsChecksPeerIDs: task IDs in a peer's
-// answer are input. The dense Selection has exactly one choice per task
-// of the graph; an ID outside it is dropped, a missing one stays empty.
-func TestRemoteHostSelectionBoundsChecksPeerIDs(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(protocol.SiteServiceName, bogusPeer{}); err != nil {
-		t.Fatal(err)
-	}
-	go srv.Accept(lis)
-	remote, err := DialSite("peer", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	g, err := tasklib.BuildC3IPipeline(6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := remote.HostSelection(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != len(g.Tasks) {
-		t.Fatalf("%d choices for %d tasks", len(sel), len(g.Tasks))
-	}
-	for id, c := range sel {
-		if got, want := len(c.Hosts), map[bool]int{true: 1, false: 0}[id == 1]; got != want {
-			t.Fatalf("task %d: %d hosts, want %d (%+v)", id, got, want, c)
-		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package control implements the VDCE Control Manager's Resource
-// Controller: the Site Manager that serves a site's Application
-// Scheduler interface and resource queries over TCP RPC; and the Group
+// Controller: the Site Manager that serves a site's resource-performance
+// database over TCP RPC to tools such as vdce-monitor; and the Group
 // Manager that aggregates Monitor daemon measurements, forwards only
 // significant changes to the site's repository, and detects host
 // failures with periodic echoes.
@@ -13,18 +13,15 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vdce/internal/afg"
-	"vdce/internal/core"
 	"vdce/internal/protocol"
 	"vdce/internal/repository"
 )
 
 // SiteManager is the server software running on a VDCE Server: it
-// handles inter-site communication, exposing the local Application
-// Scheduler's host selection and the site's resource-performance
-// database to remote sites and tools via RPC.
+// exposes the site's resource-performance database to tools via RPC.
 type SiteManager struct {
-	site  *core.LocalSite
+	name  string
+	repo  *repository.Repository
 	lis   net.Listener
 	srv   *rpc.Server
 	wg    sync.WaitGroup
@@ -34,16 +31,17 @@ type SiteManager struct {
 	closed atomic.Bool
 }
 
-// StartSiteManager serves the site's RPC interface on addr
-// ("127.0.0.1:0" for an ephemeral port). The returned manager owns the
-// listener; Close releases it.
-func StartSiteManager(site *core.LocalSite, addr string) (*SiteManager, error) {
+// StartSiteManager serves the RPC interface of the site named name,
+// whose repository is repo, on addr ("127.0.0.1:0" for an ephemeral
+// port). The returned manager owns the listener; Close releases it.
+func StartSiteManager(name string, repo *repository.Repository, addr string) (*SiteManager, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("control: listen: %w", err)
 	}
 	sm := &SiteManager{
-		site:  site,
+		name:  name,
+		repo:  repo,
 		lis:   lis,
 		srv:   rpc.NewServer(),
 		conns: make(map[net.Conn]struct{}),
@@ -83,7 +81,7 @@ func (sm *SiteManager) acceptLoop() {
 func (sm *SiteManager) Addr() string { return sm.lis.Addr().String() }
 
 // SiteName returns the managed site's name.
-func (sm *SiteManager) SiteName() string { return sm.site.SiteName() }
+func (sm *SiteManager) SiteName() string { return sm.name }
 
 // Close stops serving and waits for in-flight connections to finish.
 func (sm *SiteManager) Close() error {
@@ -132,31 +130,13 @@ type siteRPC struct {
 	sm *SiteManager
 }
 
-// HostSelection runs the Host Selection Algorithm for a multicast AFG.
-func (r *siteRPC) HostSelection(req protocol.HostSelectionRequest, resp *protocol.HostSelectionResponse) error {
-	g, err := afg.DecodeJSON(req.GraphJSON)
-	if err != nil {
-		return err
-	}
-	sel, err := r.sm.site.HostSelection(g)
-	if err != nil {
-		return err
-	}
-	resp.Site = r.sm.SiteName()
-	resp.Choices = make(map[int]core.HostChoice, len(sel))
-	for id, c := range sel {
-		resp.Choices[id] = c
-	}
-	return nil
-}
-
 // Resources answers resource queries (used by tools and tests).
 func (r *siteRPC) Resources(q protocol.ResourceQuery, resp *protocol.ResourceList) error {
 	var hosts []repository.ResourceInfo
 	if q.UpOnly {
-		hosts = r.sm.site.Repo.Resources.UpHosts()
+		hosts = r.sm.repo.Resources.UpHosts()
 	} else {
-		hosts = r.sm.site.Repo.Resources.Hosts()
+		hosts = r.sm.repo.Resources.Hosts()
 	}
 	for _, h := range hosts {
 		if q.Group != "" && h.Group != q.Group {
@@ -166,53 +146,3 @@ func (r *siteRPC) Resources(q protocol.ResourceQuery, resp *protocol.ResourceLis
 	}
 	return nil
 }
-
-// Ping answers liveness probes (inter-site coordination heartbeat).
-func (r *siteRPC) Ping(_ protocol.Ack, _ *protocol.Ack) error { return nil }
-
-// RemoteSite adapts a VDCE server's RPC endpoint to core.SiteService, so
-// a local Application Scheduler can multicast AFGs to remote sites
-// exactly as it calls its own host selection.
-type RemoteSite struct {
-	name   string
-	client *rpc.Client
-}
-
-// DialSite connects to a remote Site Manager.
-func DialSite(name, addr string) (*RemoteSite, error) {
-	client, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("control: dial %s: %w", addr, err)
-	}
-	return &RemoteSite{name: name, client: client}, nil
-}
-
-// SiteName implements core.SiteService.
-func (r *RemoteSite) SiteName() string { return r.name }
-
-// HostSelection implements core.SiteService over the wire.
-func (r *RemoteSite) HostSelection(g *afg.Graph) (core.Selection, error) {
-	var resp protocol.HostSelectionResponse
-	if err := r.client.Call(protocol.SiteServiceName+".HostSelection",
-		protocol.HostSelectionRequest{GraphJSON: g.AppendJSON(nil)}, &resp); err != nil {
-		return nil, err
-	}
-	// The peer's task IDs are input: one outside g is dropped, and a
-	// task it left out keeps the empty choice no round places on.
-	sel := make(core.Selection, len(g.Tasks))
-	for id, c := range resp.Choices {
-		if id >= 0 && id < len(sel) {
-			sel[id] = c
-		}
-	}
-	return sel, nil
-}
-
-// Ping checks liveness.
-func (r *RemoteSite) Ping() error {
-	var a protocol.Ack
-	return r.client.Call(protocol.SiteServiceName+".Ping", protocol.Ack{}, &a)
-}
-
-// Close releases the connection.
-func (r *RemoteSite) Close() error { return r.client.Close() }

@@ -44,9 +44,9 @@ type HostChoice struct {
 type Selection []HostChoice
 
 // SiteService is the scheduling interface one site exposes to another:
-// run the Host Selection Algorithm over the site's own repository. The
-// in-process implementation is LocalSite; the wire implementation lives
-// in internal/control and carries the same semantics over RPC.
+// run the Host Selection Algorithm over the site's own repository.
+// LocalSite implements it; every site of one environment lives in the
+// same process, so a round calls its peers directly.
 type SiteService interface {
 	// SiteName returns the site's name (matching the network model).
 	SiteName() string

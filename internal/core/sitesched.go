@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"vdce/internal/afg"
 	"vdce/internal/netmodel"
@@ -68,48 +67,36 @@ func (s *Scheduler) roundSites() ([]SiteService, error) {
 	return sites, nil
 }
 
-// multicast runs HostSelection on every site (Fig. 2 steps 3-5): wire
-// services concurrently, in-process sites inline on the caller. The
-// caller has already validated g, so in-process sites take the
-// no-revalidation fast path; remote sites validate on their own side of
-// the wire as always. answers[i] stays nil for a site that errored, did
-// not answer for exactly g's tasks, or offered hosts under another
-// site's name; errs[i] says why.
+// multicast runs HostSelection on every site on the caller (Fig. 2
+// steps 3-5). The caller has already validated g, so an in-process site
+// takes the no-revalidation fast path. Any other service's answer is
+// checked: answers[i] stays nil for a site that errored, did not answer
+// for exactly g's tasks, or offered hosts under another site's name;
+// errs[i] says why.
 func multicast(g *afg.Graph, sites []SiteService) (answers []Selection, errs []error) {
 	answers, errs = make([]Selection, len(sites)), make([]error, len(sites))
-	var wg sync.WaitGroup
-	// Wire calls start first, so they overlap the inline selections.
-	for i, svc := range sites {
-		if _, ok := svc.(*LocalSite); ok {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, svc SiteService) {
-			defer wg.Done()
-			sel, err := svc.HostSelection(g)
-			if err == nil && len(sel) != len(g.Tasks) {
-				err = fmt.Errorf("%d choices for %d tasks", len(sel), len(g.Tasks))
-			}
-			// The round records and prices a placement on the site its
-			// choice names, so a peer answers for itself only.
-			for id := 0; err == nil && id < len(sel); id++ {
-				if c := sel[id]; len(c.Hosts) > 0 && c.Site != svc.SiteName() {
-					err = fmt.Errorf("task %d offered on site %q", id, c.Site)
-				}
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("site %s: %w", svc.SiteName(), err)
-				return
-			}
-			answers[i] = sel
-		}(i, svc)
-	}
 	for i, svc := range sites {
 		if ls, ok := svc.(*LocalSite); ok {
 			answers[i] = ls.hostSelectionValidated(g)
+			continue
 		}
+		sel, err := svc.HostSelection(g)
+		if err == nil && len(sel) != len(g.Tasks) {
+			err = fmt.Errorf("%d choices for %d tasks", len(sel), len(g.Tasks))
+		}
+		// The round records and prices a placement on the site its
+		// choice names, so a peer answers for itself only.
+		for id := 0; err == nil && id < len(sel); id++ {
+			if c := sel[id]; len(c.Hosts) > 0 && c.Site != svc.SiteName() {
+				err = fmt.Errorf("task %d offered on site %q", id, c.Site)
+			}
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("site %s: %w", svc.SiteName(), err)
+			continue
+		}
+		answers[i] = sel
 	}
-	wg.Wait()
 	return answers, errs
 }
 

@@ -173,8 +173,8 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 	return nil, fmt.Errorf("exec: task %d exhausted %d attempts", ac.task.ID, ac.app.maxAttempts)
 }
 
-// checkReplacement vets a Reschedule answer — a hook's or a wire peer's
-// — before it becomes the task's placement.
+// checkReplacement vets a Reschedule hook's answer before it becomes
+// the task's placement.
 func checkReplacement(np *core.Placement, id afg.TaskID) error {
 	switch {
 	case np == nil:

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"vdce/internal/core"
 	"vdce/internal/repository"
 )
 
@@ -19,27 +18,6 @@ func roundTrip(t *testing.T, v, out any) {
 	}
 	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHostSelectionResponseGob(t *testing.T) {
-	in := HostSelectionResponse{
-		Site: "s1",
-		Choices: map[int]core.HostChoice{
-			0: {Site: "s1", Hosts: []string{"h1", "h2"}, Predicted: 3 * time.Second},
-			1: {Site: "s1", Err: "no eligible host"},
-		},
-	}
-	var out HostSelectionResponse
-	roundTrip(t, in, &out)
-	if out.Site != "s1" || len(out.Choices) != 2 {
-		t.Fatalf("round trip lost data: %+v", out)
-	}
-	if c := out.Choices[0]; len(c.Hosts) != 2 || c.Predicted != 3*time.Second {
-		t.Fatalf("choice 0 = %+v", c)
-	}
-	if out.Choices[1].Err == "" {
-		t.Fatal("error choice lost")
 	}
 }
 

@@ -514,12 +514,7 @@ func (p *pipeline) process(job *jobRecord) {
 	if !ok {
 		return // its context ended while it was queued: the drop hook ends it
 	}
-	svc, err := p.env.siteServices(job.home)
-	if err != nil {
-		job.fail(fmt.Errorf("vdce: scheduling services for site %d: %w", job.home, err))
-		return
-	}
-	sched := core.NewScheduler(svc.local, svc.remotes, p.env.Net, job.K)
+	sched := core.NewScheduler(p.env.Sites[job.home], p.env.peers[job.home], p.env.Net, job.K)
 	cost, err := p.env.CostFunc(job.Graph)
 	if err != nil {
 		job.fail(err)

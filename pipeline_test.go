@@ -116,13 +116,13 @@ func TestConcurrentSubmissionSoak(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmissionOverRPC runs a smaller concurrent batch with
-// Site Manager RPC servers between the scheduler workers and the sites.
-func TestConcurrentSubmissionOverRPC(t *testing.T) {
+// TestConcurrentSubmissionAcrossSites runs a smaller concurrent batch
+// whose rounds span three sites: three scheduler workers, each round
+// multicast to two neighbours.
+func TestConcurrentSubmissionAcrossSites(t *testing.T) {
 	const jobs = 8
 	env := newEnv(t, Config{
 		Testbed:  testbed.Config{Sites: 3, HostsPerGroup: 2, Seed: 32, BaseLoadMax: 0.2},
-		UseRPC:   true,
 		Pipeline: PipelineConfig{SchedulerWorkers: 3},
 	})
 	ctx := context.Background()

@@ -70,9 +70,6 @@ type Config struct {
 	// DilationScale emulates heterogeneous host speeds and the network's
 	// transfer times during execution; 0 disables both.
 	DilationScale float64
-	// UseRPC runs a Site Manager RPC server per site and routes remote
-	// host selection over real TCP. When false, sites talk in-process.
-	UseRPC bool
 	// StartDaemons launches Monitor daemons and Group Managers; their
 	// cadence is MonitorPeriod.
 	StartDaemons  bool
@@ -136,7 +133,6 @@ type Environment struct {
 	Net      *netmodel.Network
 	Registry *tasklib.Registry
 	Sites    []*core.LocalSite
-	Managers []*control.SiteManager // non-nil when UseRPC
 	Groups   []*control.GroupManager
 	Engine   *exec.Engine
 	Console  *services.Console
@@ -154,9 +150,9 @@ type Environment struct {
 
 	// perfMu serializes the task-performance write-backs.
 	perfMu sync.Mutex
-	// svc caches each home site's scheduling services; svcMu guards it.
-	svcMu  sync.Mutex
-	svc    map[int]*siteSvc
+	// peers[i] lists every site but i: the remotes of site i's
+	// Application Scheduler. Built once by New.
+	peers  [][]core.SiteService
 	cancel context.CancelCauseFunc
 	pipe   *pipeline
 	// obsM holds the pre-resolved hot-path metric handles; log is the
@@ -179,7 +175,6 @@ func New(cfg Config) (*Environment, error) {
 		Board:    services.NewJobBoard(),
 		Obs:      cfg.Obs,
 		log:      cfg.Logger,
-		svc:      make(map[int]*siteSvc),
 	}
 	if env.Obs == nil {
 		env.Obs = obs.NewRegistry()
@@ -201,6 +196,15 @@ func New(cfg Config) (*Environment, error) {
 			return nil, err
 		}
 		env.Sites = append(env.Sites, core.NewLocalSite(site.Repo))
+	}
+	for i := range env.Sites {
+		peers := make([]core.SiteService, 0, len(env.Sites)-1)
+		for j, site := range env.Sites {
+			if j != i {
+				peers = append(peers, site)
+			}
+		}
+		env.peers = append(env.peers, peers)
 	}
 
 	// Open the durable store before anything that will write to it. An
@@ -231,17 +235,6 @@ func New(cfg Config) (*Environment, error) {
 			recs[i] = protocol.ExecutionRecord{Task: p.Task, Host: p.Host, Elapsed: p.Smoothed}
 		}
 		env.recordPerf(recs)
-	}
-
-	if cfg.UseRPC {
-		for _, ls := range env.Sites {
-			sm, err := control.StartSiteManager(ls, "127.0.0.1:0")
-			if err != nil {
-				env.Close()
-				return nil, err
-			}
-			env.Managers = append(env.Managers, sm)
-		}
 	}
 
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -406,8 +399,8 @@ func (r monitorReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
 	return r.RepoReporter.ApplyRecovery(n)
 }
 
-// Close stops the submission pipeline, daemons, RPC servers, and client
-// connections. Every job not yet terminal fails with ErrPipelineClosed,
+// Close stops the submission pipeline, the daemons and the execution
+// engine. Every job not yet terminal fails with ErrPipelineClosed,
 // wherever it waits; a running job is aborted through the execution
 // engine's cancellation path and its error reads "ErrPipelineClosed:
 // <engine error>". Close returns once every job is terminal. With a
@@ -441,15 +434,6 @@ func (env *Environment) shutdown(graceful bool) {
 	if env.Engine != nil {
 		env.Engine.Close()
 	}
-	env.svcMu.Lock()
-	for _, s := range env.svc {
-		s.close()
-	}
-	clear(env.svc)
-	env.svcMu.Unlock()
-	for _, sm := range env.Managers {
-		sm.Close()
-	}
 	if env.Store != nil {
 		if graceful {
 			env.Store.Close()
@@ -467,65 +451,13 @@ func (env *Environment) Recovery() RecoveryReport {
 	return env.pipe.recovery
 }
 
-// siteSvc is one home site's resolved scheduling services.
-type siteSvc struct {
-	local   core.SiteService
-	remotes []core.SiteService
-	dialed  []*control.RemoteSite // the RPC clients among remotes
-}
-
-// close releases the RPC clients.
-func (s *siteSvc) close() {
-	for _, rc := range s.dialed {
-		rc.Close()
-	}
-}
-
-// siteServices resolves site index i's scheduling services — its local
-// site plus every other site as a remote, dialed over RPC when the
-// environment runs Site Managers — once per home site: the pipeline's
-// rounds, SchedulerAt, Schedule and Run share the result. A failed dial
-// is not cached, so it only affects rounds made while it persists. The
-// clients are released on Close.
-func (env *Environment) siteServices(i int) (*siteSvc, error) {
+// SchedulerAt returns the Application Scheduler of site index i: its
+// local site plus every other site as a remote.
+func (env *Environment) SchedulerAt(i int, k int) (*core.Scheduler, error) {
 	if i < 0 || i >= len(env.Sites) {
 		return nil, fmt.Errorf("vdce: no site %d", i)
 	}
-	env.svcMu.Lock()
-	defer env.svcMu.Unlock()
-	if s, ok := env.svc[i]; ok {
-		return s, nil
-	}
-	s := &siteSvc{local: env.Sites[i]}
-	for j, site := range env.Sites {
-		if j == i {
-			continue
-		}
-		if len(env.Managers) != len(env.Sites) {
-			s.remotes = append(s.remotes, site)
-			continue
-		}
-		rc, err := control.DialSite(site.SiteName(), env.Managers[j].Addr())
-		if err != nil {
-			s.close()
-			return nil, err
-		}
-		s.dialed = append(s.dialed, rc)
-		s.remotes = append(s.remotes, rc)
-	}
-	env.svc[i] = s
-	return s, nil
-}
-
-// SchedulerAt returns the Application Scheduler of site index i: its
-// local site plus every other site as a remote (over RPC when the
-// environment runs Site Managers).
-func (env *Environment) SchedulerAt(i int, k int) (*core.Scheduler, error) {
-	svc, err := env.siteServices(i)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewScheduler(svc.local, svc.remotes, env.Net, k), nil
+	return core.NewScheduler(env.Sites[i], env.peers[i], env.Net, k), nil
 }
 
 // CostFunc derives the level-computation cost function for g from site

@@ -3,12 +3,12 @@ package vdce
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/rpc"
 	"strings"
 	"testing"
 	"time"
 
+	"vdce/internal/control"
 	"vdce/internal/core"
 	"vdce/internal/detect"
 	"vdce/internal/exec"
@@ -28,53 +28,54 @@ func newEnv(t *testing.T, cfg Config) *Environment {
 	return env
 }
 
+// TestEnvironmentEndToEndInProcess schedules and runs two applications
+// through Run: the linear equation solver from one of two sites, and
+// the C3I pipeline from one of three sites with two neighbours in the
+// round.
 func TestEnvironmentEndToEndInProcess(t *testing.T) {
-	env := newEnv(t, Config{
-		Testbed: testbed.Config{Sites: 2, HostsPerGroup: 3, Seed: 21, BaseLoadMax: 0.2},
+	t.Run("les", func(t *testing.T) {
+		env := newEnv(t, Config{
+			Testbed: testbed.Config{Sites: 2, HostsPerGroup: 3, Seed: 21, BaseLoadMax: 0.2},
+		})
+		g, err := tasklib.BuildLinearEquationSolver(32, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range g.Tasks {
+			task.Props.MachineType = ""
+		}
+		table, res, err := env.Run(context.Background(), g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := table.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+		residual := res.Outputs[g.Exits()[0]][0].(float64)
+		if residual > 1e-7 {
+			t.Fatalf("residual %g", residual)
+		}
 	})
-	g, err := tasklib.BuildLinearEquationSolver(32, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range g.Tasks {
-		task.Props.MachineType = ""
-	}
-	table, res, err := env.Run(context.Background(), g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := table.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	residual := res.Outputs[g.Exits()[0]][0].(float64)
-	if residual > 1e-7 {
-		t.Fatalf("residual %g", residual)
-	}
-}
-
-func TestEnvironmentEndToEndRPC(t *testing.T) {
-	env := newEnv(t, Config{
-		Testbed: testbed.Config{Sites: 3, HostsPerGroup: 2, Seed: 22, BaseLoadMax: 0.2},
-		UseRPC:  true,
+	t.Run("c3i", func(t *testing.T) {
+		env := newEnv(t, Config{
+			Testbed: testbed.Config{Sites: 3, HostsPerGroup: 2, Seed: 22, BaseLoadMax: 0.2},
+		})
+		g, err := tasklib.BuildC3IPipeline(16, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table, res, err := env.Run(context.Background(), g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := table.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+		report := res.Outputs[g.Exits()[0]][0].(string)
+		if !strings.Contains(report, "C3I THREAT REPORT") {
+			t.Fatalf("report = %q", report)
+		}
 	})
-	if len(env.Managers) != 3 {
-		t.Fatalf("managers = %d", len(env.Managers))
-	}
-	g, err := tasklib.BuildC3IPipeline(16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, res, err := env.Run(context.Background(), g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := table.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	report := res.Outputs[g.Exits()[0]][0].(string)
-	if !strings.Contains(report, "C3I THREAT REPORT") {
-		t.Fatalf("report = %q", report)
-	}
 }
 
 // TestShutdownReleasesTheDataManager: a run with dataflow edges counts
@@ -225,11 +226,16 @@ func TestAccessDomainClampsK(t *testing.T) {
 func TestDaemonsFeedVisualization(t *testing.T) {
 	env := newEnv(t, Config{
 		Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 26},
-		UseRPC:        true,
 		StartDaemons:  true,
 		MonitorPeriod: 5 * time.Millisecond,
 	})
-	client, err := rpc.Dial("tcp", env.Managers[0].Addr())
+	site := env.TB.Sites[0]
+	sm, err := control.StartSiteManager(site.Name, site.Repo, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Close()
+	client, err := rpc.Dial("tcp", sm.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,101 +258,55 @@ func TestDaemonsFeedVisualization(t *testing.T) {
 
 // TestEchoFailureIsADetectorVote drives one Group Manager by hand (the
 // hour-long period keeps the daemons and the wall-clock detector loop
-// idle) through the reporter New wired for it, with and without Site
-// Managers: a workload sample lands in the repository, while an echo
-// failure changes nothing in the repository by itself — it is a vote, so
-// the host's first silent evaluation round already meets the quorum of
-// two and the detector, not the notice, publishes the down status.
+// idle) through the reporter New wired for it: a workload sample lands
+// in the repository, while an echo failure changes nothing in the
+// repository by itself — it is a vote, so the host's first silent
+// evaluation round already meets the quorum of two and the detector, not
+// the notice, publishes the down status.
 func TestEchoFailureIsADetectorVote(t *testing.T) {
-	for _, rpc := range []bool{false, true} {
-		t.Run(fmt.Sprintf("rpc=%v", rpc), func(t *testing.T) {
-			env := newEnv(t, Config{
-				Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 26},
-				UseRPC:        rpc,
-				StartDaemons:  true,
-				StartDetector: true,
-				MonitorPeriod: time.Hour,
-			})
-			gm := env.Groups[0]
-			host := env.TB.Sites[0].GroupHosts(gm.Group)[0]
-			resources := env.Sites[0].Repo.Resources
-			status := func() repository.HostStatus {
-				v, ok := resources.View(host.Name)
-				if !ok {
-					t.Fatalf("no resource record for %s", host.Name)
-				}
-				return v.Status
-			}
-
-			t0 := time.Now()
-			if err := gm.Ingest(host.Name, repository.WorkloadSample{Time: t0, CPULoad: 0.75}); err != nil {
-				t.Fatal(err)
-			}
-			if v, _ := resources.View(host.Name); v.CPULoad != 0.75 {
-				t.Fatalf("repository load = %v, want the forwarded 0.75", v.CPULoad)
-			}
-
-			host.Fail()
-			if err := gm.EchoRound(t0.Add(time.Second)); err != nil {
-				t.Fatal(err)
-			}
-			if !gm.Down(host.Name) {
-				t.Fatal("the echo round did not notice the failed host")
-			}
-			if got := status(); got != repository.HostUp {
-				t.Fatalf("status after the echo notice = %s: the notice flipped it directly", got)
-			}
-			if _, err := env.Detector.Tick(t0.Add(5 * time.Hour)); err != nil {
-				t.Fatal(err)
-			}
-			if st, _ := env.Detector.State(host.Name); st != detect.Dead {
-				t.Fatalf("detector state after one silent round = %v, want dead (echo vote + silence = quorum)", st)
-			}
-			if got := status(); got != repository.HostDown {
-				t.Fatalf("status after the detector confirmed = %s, want down", got)
-			}
-		})
-	}
-}
-
-// TestSiteServicesAreDialedOncePerHome: in RPC mode every home site's
-// remotes are dialed once and shared by Schedule, SchedulerAt and the
-// pipeline, however many rounds run.
-func TestSiteServicesAreDialedOncePerHome(t *testing.T) {
-	const sites = 3
 	env := newEnv(t, Config{
-		Testbed: testbed.Config{Sites: sites, HostsPerGroup: 2, Seed: 29},
-		UseRPC:  true,
+		Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 26},
+		StartDaemons:  true,
+		StartDetector: true,
+		MonitorPeriod: time.Hour,
 	})
-	g, err := tasklib.BuildC3IPipeline(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := env.Schedule(g, 2); err != nil {
-			t.Fatal(err)
+	gm := env.Groups[0]
+	host := env.TB.Sites[0].GroupHosts(gm.Group)[0]
+	resources := env.Sites[0].Repo.Resources
+	status := func() repository.HostStatus {
+		v, ok := resources.View(host.Name)
+		if !ok {
+			t.Fatalf("no resource record for %s", host.Name)
 		}
+		return v.Status
 	}
-	for home := 0; home < sites; home++ {
-		if _, err := env.SchedulerAt(home, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	job, err := env.Submit(context.Background(), g, WithHomeSite(1), WithMaxHosts(2))
-	if err != nil {
+
+	t0 := time.Now()
+	if err := gm.Ingest(host.Name, repository.WorkloadSample{Time: t0, CPULoad: 0.75}); err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Wait(context.Background()); err != nil {
+	if v, _ := resources.View(host.Name); v.CPULoad != 0.75 {
+		t.Fatalf("repository load = %v, want the forwarded 0.75", v.CPULoad)
+	}
+
+	host.Fail()
+	if err := gm.EchoRound(t0.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	dialed := 0
-	env.svcMu.Lock()
-	for _, s := range env.svc {
-		dialed += len(s.dialed)
+	if !gm.Down(host.Name) {
+		t.Fatal("the echo round did not notice the failed host")
 	}
-	env.svcMu.Unlock()
-	if dialed != sites*(sites-1) {
-		t.Fatalf("%d RPC clients dialed, want %d (one per ordered pair of sites)", dialed, sites*(sites-1))
+	if got := status(); got != repository.HostUp {
+		t.Fatalf("status after the echo notice = %s: the notice flipped it directly", got)
+	}
+	if _, err := env.Detector.Tick(t0.Add(5 * time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := env.Detector.State(host.Name); st != detect.Dead {
+		t.Fatalf("detector state after one silent round = %v, want dead (echo vote + silence = quorum)", st)
+	}
+	if got := status(); got != repository.HostDown {
+		t.Fatalf("status after the detector confirmed = %s, want down", got)
 	}
 }
 
