@@ -264,50 +264,54 @@ func TestDaemonsFeedVisualization(t *testing.T) {
 // evaluation round already meets the quorum of two and the detector, not
 // the notice, publishes the down status.
 func TestEchoFailureIsADetectorVote(t *testing.T) {
-	env := newEnv(t, Config{
-		Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 26},
-		StartDaemons:  true,
-		StartDetector: true,
-		MonitorPeriod: time.Hour,
-	})
-	gm := env.Groups[0]
-	host := env.TB.Sites[0].GroupHosts(gm.Group)[0]
-	resources := env.Sites[0].Repo.Resources
-	status := func() repository.HostStatus {
-		v, ok := resources.View(host.Name)
-		if !ok {
-			t.Fatalf("no resource record for %s", host.Name)
+	// Sites call each other in process; the subtest keeps the name of
+	// that route from when a site could also be reached over RPC.
+	t.Run("rpc=false", func(t *testing.T) {
+		env := newEnv(t, Config{
+			Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 26},
+			StartDaemons:  true,
+			StartDetector: true,
+			MonitorPeriod: time.Hour,
+		})
+		gm := env.Groups[0]
+		host := env.TB.Sites[0].GroupHosts(gm.Group)[0]
+		resources := env.Sites[0].Repo.Resources
+		status := func() repository.HostStatus {
+			v, ok := resources.View(host.Name)
+			if !ok {
+				t.Fatalf("no resource record for %s", host.Name)
+			}
+			return v.Status
 		}
-		return v.Status
-	}
 
-	t0 := time.Now()
-	if err := gm.Ingest(host.Name, repository.WorkloadSample{Time: t0, CPULoad: 0.75}); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := resources.View(host.Name); v.CPULoad != 0.75 {
-		t.Fatalf("repository load = %v, want the forwarded 0.75", v.CPULoad)
-	}
+		t0 := time.Now()
+		if err := gm.Ingest(host.Name, repository.WorkloadSample{Time: t0, CPULoad: 0.75}); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := resources.View(host.Name); v.CPULoad != 0.75 {
+			t.Fatalf("repository load = %v, want the forwarded 0.75", v.CPULoad)
+		}
 
-	host.Fail()
-	if err := gm.EchoRound(t0.Add(time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if !gm.Down(host.Name) {
-		t.Fatal("the echo round did not notice the failed host")
-	}
-	if got := status(); got != repository.HostUp {
-		t.Fatalf("status after the echo notice = %s: the notice flipped it directly", got)
-	}
-	if _, err := env.Detector.Tick(t0.Add(5 * time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := env.Detector.State(host.Name); st != detect.Dead {
-		t.Fatalf("detector state after one silent round = %v, want dead (echo vote + silence = quorum)", st)
-	}
-	if got := status(); got != repository.HostDown {
-		t.Fatalf("status after the detector confirmed = %s, want down", got)
-	}
+		host.Fail()
+		if err := gm.EchoRound(t0.Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if !gm.Down(host.Name) {
+			t.Fatal("the echo round did not notice the failed host")
+		}
+		if got := status(); got != repository.HostUp {
+			t.Fatalf("status after the echo notice = %s: the notice flipped it directly", got)
+		}
+		if _, err := env.Detector.Tick(t0.Add(5 * time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := env.Detector.State(host.Name); st != detect.Dead {
+			t.Fatalf("detector state after one silent round = %v, want dead (echo vote + silence = quorum)", st)
+		}
+		if got := status(); got != repository.HostDown {
+			t.Fatalf("status after the detector confirmed = %s, want down", got)
+		}
+	})
 }
 
 func TestRefreshMonitoring(t *testing.T) {
