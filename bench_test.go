@@ -313,8 +313,8 @@ func TestSchedulerRoundAllocationCeiling(t *testing.T) {
 }
 
 // BenchmarkConcurrentSubmit measures aggregate throughput of the
-// submission pipeline against the serial one-shot path on the same
-// workload: a batch of 8 small C3I applications per iteration. The
+// submission pipeline with the batch in flight at once against one job
+// at a time on the same workload: a batch of 8 small C3I applications per iteration. The
 // pipeline variant additionally reports the engine's peak application
 // concurrency, demonstrating >1 application in flight.
 func BenchmarkConcurrentSubmit(b *testing.B) {
@@ -350,7 +350,7 @@ func BenchmarkConcurrentSubmit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, g := range graphs {
-				if _, _, err := env.Run(ctx, g, 2); err != nil {
+				if _, err := submitWait(ctx, env, g, 2); err != nil {
 					b.Fatal(err)
 				}
 			}

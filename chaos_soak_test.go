@@ -53,7 +53,6 @@ func TestChaosSoakKillAndRecoverUnderConcurrentSubmissions(t *testing.T) {
 		},
 		StartDaemons:  true,
 		MonitorPeriod: 10 * time.Millisecond,
-		StartDetector: true,
 		// Generous suspicion relative to the 10ms monitor period: a
 		// loaded race-mode CI must not confirm a live host dead just
 		// because its daemon tick slipped.
@@ -252,7 +251,6 @@ func TestDetectorRecoversPartitionedHostUnderLoad(t *testing.T) {
 		},
 		StartDaemons:  true,
 		MonitorPeriod: 10 * time.Millisecond,
-		StartDetector: true,
 		// Suspicion must stay far above the monitor period: a stalled
 		// daemon tick on a loaded CI machine must not read as death.
 		Detect: detect.Config{

@@ -1,12 +1,13 @@
 // Command vdce-server runs one VDCE site: the Site Manager RPC endpoint
 // that serves the site's resource-performance database to vdce-monitor,
 // plus the Application Editor HTTP API, over a fabricated testbed site.
-// Submissions flow through the environment's fair-share priority
-// admission pipeline: within one owner higher-priority jobs overtake a
-// saturated queue (with aging), while across owners the queue drains
-// by weighted fair queuing so no single user monopolizes the site; the
-// -quota-* flags add per-owner caps (queued submissions are rejected
-// with 429 over the cap, in-flight and held-host excess parks). The
+// Submissions (POST /v1/apps/{id}/submit, the one submit route) flow
+// through the environment's fair-share priority admission pipeline:
+// within one owner higher-priority jobs overtake a saturated queue (with
+// aging), while across owners the queue drains by weighted fair queuing
+// so no single user monopolizes the site; the -quota-* flags add
+// per-owner caps (queued submissions are rejected with 429 over the
+// cap, in-flight and held-host excess parks). The
 // versioned job-control API (GET /v1/jobs with owner/state filters and
 // cursor pagination, GET /v1/jobs/{id}, DELETE /v1/jobs/{id} to cancel,
 // GET /v1/owners for per-owner weights/quotas/usage, PATCH
@@ -32,14 +33,15 @@
 //	vdce-server -hosts 8 -http 127.0.0.1:8470 -workers 4 -parallel 8
 //	vdce-server -hosts 8 -quota-queued 32 -quota-inflight 4
 //
-// The heartbeat failure detector runs by default (-detector=false
-// disables it), so crashed or partitioned hosts are confirmed dead,
-// marked down in the repository, and their running tasks rescheduled
-// mid-flight; per-job recovery is visible as reschedules/failed_hosts
-// on /v1/jobs. The detector also quarantines flapping hosts — marked
-// quarantined in the repository, so no placement picks them — until
-// half-open probes succeed; GET /v1/hosts shows each host's state. With -chaos a fault-injection scenario plays against the
-// live testbed while submissions execute:
+// The heartbeat failure detector always runs: echo timeouts are its
+// votes, crashed or partitioned hosts are confirmed dead, marked down in
+// the repository, and their running tasks rescheduled mid-flight;
+// per-job recovery is visible as reschedules/failed_hosts on /v1/jobs.
+// The detector also quarantines flapping hosts — marked quarantined in
+// the repository, so no placement picks them — until half-open probes
+// succeed; GET /v1/hosts shows each host's state. With -chaos a
+// fault-injection scenario plays against the live testbed while
+// submissions execute:
 //
 //	vdce-server -hosts 8 -chaos kill-quarter -chaos-span 30s
 //
@@ -123,11 +125,9 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 	groups := fs.Int("groups", 2, "groups in the site")
 	httpAddr := fs.String("http", "127.0.0.1:8470", "Application Editor HTTP address")
 	seed := fs.Int64("seed", 1, "testbed seed")
-	execute := fs.Bool("execute", true, "execute submitted applications through POST /v1/apps/{id}/submit (false = schedule-only: POST /apps/{id}/submit answers with the allocation table)")
 	workers := fs.Int("workers", 0, "scheduler workers (0 = default)")
 	queue := fs.Int("queue", 0, "admission queue depth (0 = default)")
 	parallel := fs.Int("parallel", 0, "max concurrently executing applications (0 = default)")
-	detector := fs.Bool("detector", true, "run the heartbeat failure detector, which also quarantines hosts with a high windowed failure rate from placement until half-open probes succeed")
 	quotaQueued := fs.Int("quota-queued", 0, "max queued jobs per owner (0 = unlimited)")
 	quotaInflight := fs.Int("quota-inflight", 0, "max scheduling+running jobs per owner (0 = unlimited; excess parks in the queue — pair with -quota-queued so a throttled owner's backlog cannot fill the shared queue)")
 	quotaHosts := fs.Int("quota-hosts", 0, "max concurrently held hosts per owner (0 = unlimited; excess parks before execution)")
@@ -160,7 +160,6 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 			Sites: 1, GroupsPerSite: *groups, HostsPerGroup: *hosts, Seed: *seed,
 		},
 		StartDaemons:  true,
-		StartDetector: *detector,
 		DilationScale: 1,
 		LoadThreshold: 0.9,
 		Pipeline: vdce.PipelineConfig{
@@ -227,7 +226,7 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 		}()
 	}
 
-	editorSrv := env.EditorServer(*execute, 0)
+	editorSrv := env.EditorServer(0)
 	// The job-control API is mounted site-wide, not owner-scoped as an
 	// embedded editor's is: this is the server's administrative surface,
 	// so any authenticated user may cancel any job.

@@ -106,8 +106,7 @@ func TestServerServesSubmissionsAndJobs(t *testing.T) {
 	if id == "" {
 		t.Fatalf("import failed: %v", imported)
 	}
-	// Jobs run through the versioned submit only; the sync route is the
-	// schedule-only server's.
+	// Jobs run through the versioned submit, the one submit route.
 	accepted := do("POST", fmt.Sprintf("/v1/apps/%s/submit", id), nil)
 	job, _ := accepted["job"].(map[string]any)
 	jobID, _ := job["id"].(string)
@@ -257,8 +256,16 @@ func TestServerServesJobControlAPI(t *testing.T) {
 }
 
 func TestServerRejectsBadFlags(t *testing.T) {
-	var out strings.Builder
-	if err := run(context.Background(), []string{"-no-such-flag"}, &out, nil); err == nil {
-		t.Error("unknown flag accepted")
+	// A canceled context makes a run that did accept its flags return at
+	// once instead of serving.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	// The detector always runs and every submission executes: no flag
+	// turns either off.
+	for _, flag := range []string{"-no-such-flag", "-detector=false", "-execute=false"} {
+		var out strings.Builder
+		if err := run(ctx, []string{flag, "-http", "127.0.0.1:0"}, &out, nil); err == nil {
+			t.Errorf("%s accepted", flag)
+		}
 	}
 }

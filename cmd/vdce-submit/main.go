@@ -18,9 +18,8 @@
 // also distinct: the command waits out the server's Retry-After hint
 // once and retries; if the retry is shed too it exits with code 75
 // (EX_TEMPFAIL) so scripts can tell "server saturated, try later" from
-// a failed job. A schedule-only server (-execute=false) answers the
-// versioned submit with 503 and no Retry-After; the command then asks
-// POST /apps/{id}/submit for the allocation table instead.
+// a failed job. Any other refusal, a bare 503 included, fails the
+// submission at once.
 //
 //	vdce-submit -server http://127.0.0.1:8470 -app les -n 256
 //	vdce-submit -server http://127.0.0.1:8470 -app c3i -count 8 -priority 9
@@ -156,9 +155,8 @@ func run(args []string, out io.Writer) error {
 // submitOne imports the graph and submits it once through the versioned
 // async endpoint, watching the job to a terminal state. A shed
 // submission (503 carrying Retry-After or a shed_reason — the server's
-// overload control, as opposed to the bare 503 of a schedule-only
-// server) is retried exactly once after waiting out the server's hint;
-// a second shed returns errShed.
+// overload control) is retried exactly once after waiting out the
+// server's hint; a second shed returns errShed.
 func submitOne(server, token string, graph *afg.Graph, body map[string]any, say func(string, ...any)) error {
 	appID, err := importGraph(server, token, graph)
 	if err != nil {
@@ -202,19 +200,6 @@ func submitOne(server, token string, graph *afg.Graph, body map[string]any, say 
 			}
 			say("submission of %q rejected by owner quota: %s\n", graph.Name, msg)
 			return fmt.Errorf("owner quota exceeded: %s", msg)
-		case http.StatusServiceUnavailable:
-			// Schedule-only server: nothing runs, the synchronous submit
-			// answers with the allocation table.
-			sched, scode, _, serr := request(server, token, "POST", "/apps/"+appID+"/submit", nil)
-			if serr != nil {
-				return serr
-			}
-			if scode >= 300 {
-				return fmt.Errorf("POST /apps/%s/submit: %d %v", appID, scode, sched)
-			}
-			pretty, _ := json.MarshalIndent(sched["result"], "", "  ")
-			say("submitted %q as %s\n%s\n", graph.Name, appID, pretty)
-			return nil
 		default:
 			if err != nil {
 				return err

@@ -1,18 +1,21 @@
 package main
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"vdce"
+	"vdce/internal/editor"
 	"vdce/internal/testbed"
 )
 
 // newEditorServer spins an in-process VDCE environment plus its editor
 // HTTP API for the client to talk to.
-func newEditorServer(t *testing.T, execute bool) (*httptest.Server, *vdce.Environment) {
+func newEditorServer(t *testing.T) (*httptest.Server, *vdce.Environment) {
 	t.Helper()
 	env, err := vdce.New(vdce.Config{
 		Testbed: testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 11},
@@ -21,16 +24,15 @@ func newEditorServer(t *testing.T, execute bool) (*httptest.Server, *vdce.Enviro
 		t.Fatal(err)
 	}
 	t.Cleanup(env.Close)
-	srv := httptest.NewServer(env.EditorServer(execute, 0).Handler())
+	srv := httptest.NewServer(env.EditorServer(0).Handler())
 	t.Cleanup(srv.Close)
 	return srv, env
 }
 
-// TestRunSubmitsBuiltinApp covers the schedule-only server: the v1
-// endpoint answers 503, and the client asks the synchronous submit for
-// the allocation table.
+// TestRunSubmitsBuiltinApp: one copy of a built-in app is submitted,
+// confirmed and watched to done.
 func TestRunSubmitsBuiltinApp(t *testing.T) {
-	srv, _ := newEditorServer(t, false)
+	srv, _ := newEditorServer(t)
 	var out strings.Builder
 	err := run([]string{"-server", srv.URL, "-app", "c3i", "-n", "6"}, &out)
 	if err != nil {
@@ -39,10 +41,43 @@ func TestRunSubmitsBuiltinApp(t *testing.T) {
 	if !strings.Contains(out.String(), "submitted") {
 		t.Errorf("no submission confirmation in output:\n%s", out.String())
 	}
+	if !strings.Contains(out.String(), " done") {
+		t.Errorf("no done transition in output:\n%s", out.String())
+	}
+}
+
+// TestRunFailsOnBareUnavailable: a 503 with neither Retry-After nor a
+// shed_reason is no overload shed, so the client neither retries nor
+// looks for another route — it fails after exactly one submit request.
+func TestRunFailsOnBareUnavailable(t *testing.T) {
+	env, err := vdce.New(vdce.Config{
+		Testbed: testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 11},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(env.Close)
+	// An editor with no job pipeline answers every submit with a bare 503.
+	h := editor.NewServer(env.Sites[0].Repo.Users, env.Registry, nil).Handler()
+	var submits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == "POST" && strings.HasSuffix(r.URL.Path, "/submit") {
+			submits.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	var out strings.Builder
+	if err := run([]string{"-server", srv.URL, "-app", "c3i", "-n", "6"}, &out); err == nil {
+		t.Fatalf("run succeeded against a bare 503:\n%s", out.String())
+	}
+	if n := submits.Load(); n != 1 {
+		t.Fatalf("%d submit requests, want exactly 1:\n%s", n, out.String())
+	}
 }
 
 func TestRunSubmitsConcurrentCopies(t *testing.T) {
-	srv, _ := newEditorServer(t, true)
+	srv, _ := newEditorServer(t)
 	var out strings.Builder
 	err := run([]string{"-server", srv.URL, "-app", "c3i", "-n", "6", "-count", "4", "-priority", "8"}, &out)
 	if err != nil {
@@ -66,7 +101,7 @@ func TestRunSubmitsConcurrentCopies(t *testing.T) {
 // does not end done (here: its deadline expires while the environment's
 // console is suspended) makes run return an error.
 func TestRunExitsNonZeroOnCanceledJob(t *testing.T) {
-	srv, env := newEditorServer(t, true)
+	srv, env := newEditorServer(t)
 	env.Console.Suspend()
 	defer env.Console.Resume()
 	var out strings.Builder
@@ -96,7 +131,7 @@ func TestRunRendersQuotaRejectionDistinctly(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(env.Close)
-	srv := httptest.NewServer(env.EditorServer(true, 0).Handler())
+	srv := httptest.NewServer(env.EditorServer(0).Handler())
 	t.Cleanup(srv.Close)
 	// Suspend the console so nothing completes while the 6 copies
 	// submit: the first occupies the single in-flight slot, the second
@@ -135,7 +170,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 }
 
 func TestRunFailsOnBadCredentials(t *testing.T) {
-	srv, _ := newEditorServer(t, false)
+	srv, _ := newEditorServer(t)
 	var out strings.Builder
 	if err := run([]string{"-server", srv.URL, "-user", "ghost", "-pass", "nope", "-app", "c3i", "-n", "6"}, &out); err == nil {
 		t.Error("bad credentials accepted")

@@ -52,10 +52,15 @@ func main() {
 	}
 	defer env.Close()
 
-	table, res, err := env.Run(context.Background(), g, 1)
+	ctx := context.Background()
+	job, err := env.Submit(ctx, g, vdce.WithHomeSite(0), vdce.WithMaxHosts(1))
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := job.Wait(ctx); err != nil {
+		log.Fatal(err)
+	}
+	table, res := job.Table(), job.Result()
 	fmt.Println("=== Resource allocation table ===")
 	fmt.Println(table)
 

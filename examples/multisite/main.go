@@ -1,9 +1,10 @@
 // Multisite demonstrates the wide-area side of VDCE: four sites whose
 // Application Schedulers share one scheduling round (the AFG multicast
 // of Fig. 2), Monitor daemons and Group Managers maintaining the
-// resource databases, a host failure detected by echo packets before
-// scheduling, and the Application Controller rescheduling work off an
-// overloaded machine.
+// resource databases, a host failure caught before scheduling — the
+// Group Manager's echo timeout is a vote, and the failure detector
+// confirms the death once the host has also gone silent — and the
+// Application Controller rescheduling work off an overloaded machine.
 package main
 
 import (
@@ -41,8 +42,10 @@ func main() {
 		fmt.Printf("  %s (%d hosts)\n", site.Name, len(site.Hosts))
 	}
 
-	// Fail a host and watch the Group Manager's echo detection mark it
-	// down in the resource-performance database.
+	// Fail a host: the Group Manager's echo timeout votes, the failure
+	// detector confirms the death after four silent monitor periods
+	// (200 ms here) and marks the host down in the resource-performance
+	// database.
 	victim := env.TB.Sites[1].Hosts[0]
 	fmt.Printf("\ninjecting failure on %s\n", victim.Name)
 	victim.Fail()
@@ -53,7 +56,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if rec.Status == repository.HostDown {
-			fmt.Printf("echo detection marked %s down\n", victim.Name)
+			fmt.Printf("echo vote and failure detector confirmed %s down\n", victim.Name)
 			break
 		}
 		time.Sleep(20 * time.Millisecond)

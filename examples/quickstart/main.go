@@ -1,6 +1,6 @@
 // Quickstart: build a tiny application against the public vdce API,
-// schedule it across a two-site environment, execute it on real TCP
-// data channels, and print the resource allocation table.
+// submit it to a two-site environment, which schedules and executes it,
+// and print the resource allocation table.
 package main
 
 import (
@@ -36,11 +36,17 @@ func main() {
 	must(g.Connect(gen, 0, mul, 1, 64*64*8))
 	must(g.Connect(mul, 0, sum, 0, 64*64*8))
 
-	// Schedule (k = 1 nearest remote site) and execute.
-	table, res, err := env.Run(context.Background(), g, 1)
+	// Submit from site 0 with k = 1 nearest remote site, and wait for
+	// the run.
+	ctx := context.Background()
+	job, err := env.Submit(ctx, g, vdce.WithHomeSite(0), vdce.WithMaxHosts(1))
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := job.Wait(ctx); err != nil {
+		log.Fatal(err)
+	}
+	table, res := job.Table(), job.Result()
 	fmt.Println(table)
 	fmt.Printf("makespan: %v over %d task runs\n", res.Makespan, len(res.Runs))
 	fmt.Printf("product checksum: %s\n", res.Outputs[sum][0].(string)[:16]+"...")

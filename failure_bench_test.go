@@ -41,7 +41,6 @@ func benchFailureRecovery(b *testing.B, partition bool) {
 		},
 		StartDaemons:  true,
 		MonitorPeriod: 10 * time.Millisecond,
-		StartDetector: true,
 		// Suspicion sits well above the monitor period: the spin tasks
 		// are real busy loops, and a starved daemon tick must not read
 		// as a second host death mid-measurement.

@@ -36,7 +36,7 @@ func TestFullHTTPJourney(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	ts := httptest.NewServer(env.EditorServer(true, 1).Handler())
+	ts := httptest.NewServer(env.EditorServer(1).Handler())
 	defer ts.Close()
 
 	call := func(method, path, token string, body any, want int) map[string]any {
@@ -83,9 +83,8 @@ func TestFullHTTPJourney(t *testing.T) {
 		map[string]any{"task": gen, "props": afg.Properties{Args: map[string]string{"n": "16"}}}, 200)
 	call("POST", "/apps/"+appID+"/edges", token,
 		map[string]any{"from": gen, "to": chk, "size_bytes": 2048}, 201)
-	// Jobs run through the versioned submit; the sync route belongs to the
-	// schedule-only editor and refuses on an executing one.
-	call("POST", "/apps/"+appID+"/submit", token, nil, 503)
+	// Jobs run through the versioned submit alone.
+	call("POST", "/apps/"+appID+"/submit", token, nil, 404)
 	job := call("POST", "/v1/apps/"+appID+"/submit", token, nil, 202)["job"].(map[string]any)
 	jobID := job["id"].(string)
 	jc := &jobsClient{t: t, base: ts.URL, token: token}
@@ -181,7 +180,7 @@ func TestConcurrentApplications(t *testing.T) {
 				errs <- err
 				return
 			}
-			if _, _, err := env.Run(context.Background(), g, 1); err != nil {
+			if _, err := submitWait(context.Background(), env, g, 1); err != nil {
 				errs <- fmt.Errorf("app %d: %w", i, err)
 			}
 		}(i)

@@ -33,10 +33,8 @@ type GroupManager struct {
 	// everything.
 	Threshold    float64
 	MemThreshold int64
-	// EchoPeriod is the failure-detection cadence; EchoTimeout is how
-	// long a host may stay silent before being declared down.
-	EchoPeriod  time.Duration
-	EchoTimeout time.Duration
+	// EchoPeriod is the echo-round cadence.
+	EchoPeriod time.Duration
 	// Heartbeat, when set, receives every measurement the group's
 	// monitor daemons deliver — BEFORE the significant-change filter —
 	// so a failure detector can track per-host last-seen times from the
@@ -51,7 +49,6 @@ type GroupManager struct {
 
 	mu           sync.Mutex
 	lastReported map[string]repository.WorkloadSample
-	lastSeen     map[string]time.Time
 	down         map[string]bool
 
 	// counters for E5/E6
@@ -69,11 +66,9 @@ func NewGroupManager(site, group string, hosts []*testbed.Host, reporter Reporte
 		Threshold:    0.05,
 		MemThreshold: 16 << 20,
 		EchoPeriod:   time.Second,
-		EchoTimeout:  3 * time.Second,
 		hosts:        hosts,
 		reporter:     reporter,
 		lastReported: make(map[string]repository.WorkloadSample),
-		lastSeen:     make(map[string]time.Time),
 		down:         make(map[string]bool),
 	}
 	for _, h := range hosts {
@@ -103,7 +98,6 @@ func (gm *GroupManager) Ingest(host string, s repository.WorkloadSample) error {
 	if significant {
 		gm.lastReported[host] = s
 	}
-	gm.lastSeen[host] = s.Time
 	gm.mu.Unlock()
 	if !significant {
 		return nil

@@ -29,16 +29,6 @@ import (
 	"vdce/internal/tasklib"
 )
 
-// Submitter receives a finished application graph (Fig. 2 step 1:
-// "Receive application flow graph from Application Editor"). ctx is the
-// submitting request's context: it bounds how long the submitter may
-// block (admission backpressure, waiting for completion) so abandoned
-// requests do not pin handler goroutines — work already admitted to a
-// pipeline still runs to completion on the environment's own lifetime.
-// It returns an opaque JSON-encodable result shown to the user —
-// typically the resource allocation table.
-type Submitter func(ctx context.Context, owner string, g *afg.Graph) (any, error)
-
 // JobOptions carries the per-submission controls of the versioned
 // submit endpoint (POST /v1/apps/{id}/submit). Nil pointers mean "use
 // the server default".
@@ -55,10 +45,12 @@ type JobOptions struct {
 	ShareWeight *int
 }
 
-// JobSubmitter enqueues a validated application for asynchronous
-// execution and returns the job's admission status immediately — the
-// versioned counterpart of Submitter, wired to the environment's
-// priority submission pipeline.
+// JobSubmitter receives a finished application graph (Fig. 2 step 1:
+// "Receive application flow graph from Application Editor"), enqueues
+// it for asynchronous execution and returns the job's admission status
+// immediately. ctx is the submitting request's context: it bounds how
+// long admission may block, so abandoned requests do not pin handler
+// goroutines.
 type JobSubmitter func(ctx context.Context, owner string, g *afg.Graph, o JobOptions) (services.JobStatus, error)
 
 // ErrBadSubmission marks JobSubmitter failures caused by the request
@@ -117,9 +109,7 @@ func retryAfterSeconds(d time.Duration) string {
 type Server struct {
 	Users    *repository.UserAccountsDB
 	Registry *tasklib.Registry
-	Submit   Submitter
-	// SubmitJob backs POST /v1/apps/{id}/submit; nil disables the
-	// endpoint (503), e.g. on schedule-only servers.
+	// SubmitJob backs POST /v1/apps/{id}/submit; nil answers 503.
 	SubmitJob JobSubmitter
 	// Jobs, when non-nil, serves the rest of /v1 — the shared job-control
 	// API (internal/jobsapi), owner-scoped by the embedding environment
@@ -153,14 +143,14 @@ func (a *appInProgress) edited() {
 }
 
 // NewServer wires an editor over the given accounts database and task
-// catalog.
-func NewServer(users *repository.UserAccountsDB, reg *tasklib.Registry, submit Submitter) *Server {
+// catalog, handing submissions to submit.
+func NewServer(users *repository.UserAccountsDB, reg *tasklib.Registry, submit JobSubmitter) *Server {
 	return &Server{
-		Users:    users,
-		Registry: reg,
-		Submit:   submit,
-		sessions: make(map[string]string),
-		apps:     make(map[string]*appInProgress),
+		Users:     users,
+		Registry:  reg,
+		SubmitJob: submit,
+		sessions:  make(map[string]string),
+		apps:      make(map[string]*appInProgress),
 	}
 }
 
@@ -183,7 +173,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /apps/{id}/tasks", s.auth(s.handleAddTask))
 	mux.HandleFunc("POST /apps/{id}/edges", s.auth(s.handleAddEdge))
 	mux.HandleFunc("POST /apps/{id}/props", s.auth(s.handleSetProps))
-	mux.HandleFunc("POST /apps/{id}/submit", s.auth(s.handleSubmit))
 	// Versioned job-control surface: asynchronous submission with
 	// priority/deadline/max-hosts, plus the shared /v1/jobs API.
 	mux.HandleFunc("POST /v1/apps/{id}/submit", s.auth(s.handleSubmitV1))
@@ -533,29 +522,6 @@ func (s *Server) snapshotGraph(app *appInProgress) (*afg.Graph, error) {
 		app.frozen = g
 	}
 	return app.frozen, nil
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, user string) {
-	app, err := s.app(r.PathValue("id"), user)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	g, err := s.snapshotGraph(app)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.Submit == nil {
-		writeErr(w, http.StatusServiceUnavailable, errors.New("editor: no scheduler attached"))
-		return
-	}
-	result, err := s.Submit(r.Context(), user, g)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"result": result})
 }
 
 // submitV1Request is the body of POST /v1/apps/{id}/submit. All fields

@@ -11,6 +11,7 @@ import (
 
 	"vdce/internal/afg"
 	"vdce/internal/repository"
+	"vdce/internal/services"
 	"vdce/internal/tasklib"
 )
 
@@ -48,7 +49,7 @@ func (c *client) do(method, path string, body any, wantCode int) map[string]any 
 	return out
 }
 
-func newEditor(t *testing.T, submit Submitter) *client {
+func newEditor(t *testing.T, submit JobSubmitter) *client {
 	t.Helper()
 	users := repository.NewUserAccountsDB()
 	if _, err := users.AddUser("user_k", "pw", 3, repository.DomainGlobal); err != nil {
@@ -101,12 +102,12 @@ func TestLibraryMenus(t *testing.T) {
 
 func TestBuildAndSubmitApplication(t *testing.T) {
 	var submitted *afg.Graph
-	c := newEditor(t, func(_ context.Context, owner string, g *afg.Graph) (any, error) {
+	c := newEditor(t, func(_ context.Context, owner string, g *afg.Graph, _ JobOptions) (services.JobStatus, error) {
 		if owner != "user_k" {
 			t.Errorf("owner = %q", owner)
 		}
 		submitted = g
-		return map[string]string{"status": "scheduled"}, nil
+		return services.JobStatus{ID: "job-1", App: g.Name, Owner: owner, State: services.JobStateQueued}, nil
 	})
 	login(c)
 
@@ -130,7 +131,7 @@ func TestBuildAndSubmitApplication(t *testing.T) {
 		t.Fatalf("app graph = %v", got)
 	}
 
-	c.do("POST", fmt.Sprintf("/apps/%s/submit", appID), nil, 200)
+	c.do("POST", fmt.Sprintf("/v1/apps/%s/submit", appID), nil, 202)
 	if submitted == nil || len(submitted.Tasks) != 2 {
 		t.Fatal("submit did not deliver the graph")
 	}
@@ -153,11 +154,11 @@ func TestEditorValidation(t *testing.T) {
 	c.do("POST", "/apps/"+id+"/edges", map[string]any{"from": 0, "to": 1}, 400)
 	// Bad props target.
 	c.do("POST", "/apps/"+id+"/props", map[string]any{"task": 7}, 400)
-	// Submit with no scheduler → validation first (empty graph = 400).
-	c.do("POST", "/apps/"+id+"/submit", nil, 400)
-	// With one task but no Submitter → 503.
+	// Submit with no job pipeline → validation first (empty graph = 400).
+	c.do("POST", "/v1/apps/"+id+"/submit", nil, 400)
+	// With one task but no JobSubmitter → 503.
 	c.do("POST", "/apps/"+id+"/tasks", map[string]string{"name": "Spin"}, 201)
-	c.do("POST", "/apps/"+id+"/submit", nil, 503)
+	c.do("POST", "/v1/apps/"+id+"/submit", nil, 503)
 }
 
 func TestAppOwnershipIsolation(t *testing.T) {

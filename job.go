@@ -92,9 +92,9 @@ type submitOptions struct {
 
 // WithOwner submits on behalf of a named user: the job schedules from
 // the accounts site (site 0) unless WithHomeSite overrides it, the
-// owner's access domain clamps the neighbor-site count exactly as in the
-// one-shot path, and — unless WithPriority overrides it — the job's
-// priority defaults to the owner's user-account priority.
+// owner's access domain clamps the neighbor-site count (ClampK), and —
+// unless WithPriority overrides it — the job's priority defaults to the
+// owner's user-account priority.
 func WithOwner(owner string) SubmitOption {
 	return func(o *submitOptions) { o.owner = owner }
 }

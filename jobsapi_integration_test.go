@@ -150,7 +150,7 @@ func (c *jobsClient) waitState(t *testing.T, id, state string, timeout time.Dura
 // earlier-queued low-priority jobs, all observed over the HTTP surface.
 func TestHTTPPriorityOrderingEndToEnd(t *testing.T) {
 	env := saturatedEnv(t, 91, 0)
-	ts := httptest.NewServer(env.EditorServer(true, 0).Handler())
+	ts := httptest.NewServer(env.EditorServer(0).Handler())
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
 
@@ -221,7 +221,7 @@ func TestHTTPCancelQueuedAndRunning(t *testing.T) {
 	if _, err := users.AddUser("rival", "secret", 3, repository.DomainGlobal); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(env.EditorServer(true, 0).Handler())
+	ts := httptest.NewServer(env.EditorServer(0).Handler())
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
 
@@ -297,7 +297,7 @@ func TestHTTPCancelQueuedAndRunning(t *testing.T) {
 // submit endpoint: a queued job past its deadline never runs.
 func TestHTTPDeadlineSubmit(t *testing.T) {
 	env := saturatedEnv(t, 93, 0)
-	ts := httptest.NewServer(env.EditorServer(true, 0).Handler())
+	ts := httptest.NewServer(env.EditorServer(0).Handler())
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
 
@@ -341,7 +341,7 @@ func TestHTTPQuotaRejectionAndOwners(t *testing.T) {
 		},
 	})
 	env.Console.Suspend()
-	ts := httptest.NewServer(env.EditorServer(true, 0).Handler())
+	ts := httptest.NewServer(env.EditorServer(0).Handler())
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
 
@@ -434,7 +434,7 @@ func TestEditorMountServesJobTrace(t *testing.T) {
 	if _, err := env.Sites[0].Repo.Users.AddUser("rival", "secret", 3, repository.DomainGlobal); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(env.EditorServer(true, 0).Handler())
+	ts := httptest.NewServer(env.EditorServer(0).Handler())
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
 	id := c.submitV1(t, c.importApp(t, 1), nil)

@@ -226,14 +226,12 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 			}
 			emit(float64(agg.hits) / float64(agg.hits+agg.misses))
 		})
-	if env.Detector != nil {
-		reg.GaugeFunc("vdce_breaker_hosts",
-			"Hosts per circuit-breaker state.", []string{"state"},
-			func(emit func(v float64, labelVals ...string)) {
-				counts := env.Detector.Counts()
-				for _, p := range []detect.State{detect.Closed, detect.Open, detect.HalfOpen} {
-					emit(float64(counts[p]), p.String())
-				}
-			})
-	}
+	reg.GaugeFunc("vdce_breaker_hosts",
+		"Hosts per circuit-breaker state.", []string{"state"},
+		func(emit func(v float64, labelVals ...string)) {
+			counts := env.Detector.Counts()
+			for _, p := range []detect.State{detect.Closed, detect.Open, detect.HalfOpen} {
+				emit(float64(counts[p]), p.String())
+			}
+		})
 }

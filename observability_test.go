@@ -206,7 +206,6 @@ func TestJobLifecycleTraceAcrossRestart(t *testing.T) {
 func TestMetricsExpositionEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	cfg.StartDetector = true
 	env, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

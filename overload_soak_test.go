@@ -194,7 +194,6 @@ func TestBrownoutSoakOverloadAndFlappingHost(t *testing.T) {
 		},
 		StartDaemons:  true,
 		MonitorPeriod: 10 * time.Millisecond,
-		StartDetector: true,
 		Detect: detect.Config{
 			SuspicionTimeout: 100 * time.Millisecond,
 			ConfirmQuorum:    2,
@@ -468,8 +467,7 @@ func TestReadyzDuringRecoveryReplay(t *testing.T) {
 
 // TestEditorShed503RetryAfter pins the HTTP overload vocabulary: a shed
 // submission surfaces as 503 with a Retry-After header and a shed_reason
-// field — distinguishable from the bare 503 of a schedule-only server —
-// and GET /v1/hosts reports every host with its breaker state.
+// field, and GET /v1/hosts reports every host with its breaker state.
 func TestEditorShed503RetryAfter(t *testing.T) {
 	env, err := New(Config{
 		Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 11, BaseLoadMax: 0.2},
@@ -482,7 +480,7 @@ func TestEditorShed503RetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	ts := httptest.NewServer(env.EditorServer(true, 0).Handler())
+	ts := httptest.NewServer(env.EditorServer(0).Handler())
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
 	ctx := context.Background()

@@ -725,7 +725,7 @@ func (env *Environment) Submit(ctx context.Context, g *afg.Graph, opts ...Submit
 	}
 	if o.owner != "" {
 		if spec.home < 0 {
-			spec.home = 0 // the accounts site, as in the one-shot owned path
+			spec.home = 0 // the accounts site
 		}
 		spec.k = env.ClampK(o.owner, spec.k)
 	}

@@ -161,8 +161,7 @@ func TestOwnedSubmitRespectsAccessDomain(t *testing.T) {
 	if err := job.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// A local-domain user's tasks must all stay on the submitting site,
-	// exactly as in the one-shot path.
+	// A local-domain user's tasks must all stay on the submitting site.
 	home := env.Sites[0].SiteName()
 	for _, e := range job.Table().Entries {
 		if e.Site != home {

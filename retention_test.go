@@ -489,7 +489,7 @@ func TestHTTPSubmissionsRetainNoOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, holder, JobRunning)
-	ts := httptest.NewServer(env.EditorServer(true, 1).Handler())
+	ts := httptest.NewServer(env.EditorServer(1).Handler())
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
 	app := c.importGraph(t, lesGraph(t, 64))

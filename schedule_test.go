@@ -220,9 +220,8 @@ func TestRescheduleGoldenDigest(t *testing.T) {
 func TestQuarantinedHostGetsNoFirstPlacement(t *testing.T) {
 	const openTimeout = 10 * time.Second
 	env := newEnv(t, Config{
-		Testbed:       testbed.Config{Sites: 2, HostsPerGroup: 3, Seed: 41, BaseLoadMax: 0.2},
-		StartDetector: true,
-		Detect:        detect.Config{SuspicionTimeout: time.Second, OpenTimeout: openTimeout},
+		Testbed: testbed.Config{Sites: 2, HostsPerGroup: 3, Seed: 41, BaseLoadMax: 0.2},
+		Detect:  detect.Config{SuspicionTimeout: time.Second, OpenTimeout: openTimeout},
 	})
 	g, err := tasklib.BuildC3IPipeline(6, 1)
 	if err != nil {

@@ -54,7 +54,7 @@ func sseFrames(t *testing.T, body *bufio.Reader, fn func(jobsapi.StreamEvent) bo
 // it never lists or polls job status.
 func TestStreamWatchJobToDone(t *testing.T) {
 	env := saturatedEnv(t, 95, 0)
-	ts := httptest.NewServer(env.EditorServer(true, 0).Handler())
+	ts := httptest.NewServer(env.EditorServer(0).Handler())
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
 	// Backlog one job so ours observably waits in the queue.
@@ -126,7 +126,7 @@ func TestStreamWatchJobToDone(t *testing.T) {
 // that the environment's canonical listing holds.
 func TestCursorPagesTileCanonicalListing(t *testing.T) {
 	env := saturatedEnv(t, 96, 0)
-	ts := httptest.NewServer(env.EditorServer(true, 0).Handler())
+	ts := httptest.NewServer(env.EditorServer(0).Handler())
 	defer ts.Close()
 	c := newJobsClient(t, ts.URL, "user_k", "vdce")
 	const jobsN = 11

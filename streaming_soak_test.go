@@ -35,7 +35,6 @@ func TestStreamingSoak32SubscribersUnderChaos(t *testing.T) {
 		},
 		StartDaemons:  true,
 		MonitorPeriod: 10 * time.Millisecond,
-		StartDetector: true,
 		Detect: detect.Config{
 			SuspicionTimeout: 100 * time.Millisecond,
 			ConfirmQuorum:    2,

@@ -4,11 +4,11 @@
 // the execution engine, and the Application Editor into one Environment
 // that can build, schedule, and execute applications end to end.
 //
-// The Environment is multi-tenant: alongside the one-shot Run helper it
-// runs a concurrent submission pipeline. Submit admits an application
-// flow graph — configured with functional options (WithOwner,
-// WithPriority, WithDeadline, WithHomeSite, WithMaxHosts, WithLabels) —
-// into a bounded fair-share priority queue and returns a *Job handle
+// The Environment is multi-tenant: every application runs through its
+// concurrent submission pipeline. Submit admits an application flow
+// graph — configured with functional options (WithOwner, WithPriority,
+// WithDeadline, WithHomeSite, WithMaxHosts, WithLabels) — into a
+// bounded fair-share priority queue and returns a *Job handle
 // immediately. Within one owner, jobs dequeue by effective priority
 // (the owner's user-account priority unless overridden, aged upward
 // while the job waits so nothing starves); across owners the queue
@@ -74,23 +74,17 @@ type Config struct {
 	// cadence is MonitorPeriod.
 	StartDaemons  bool
 	MonitorPeriod time.Duration
-	// StartDetector runs the heartbeat failure-detection service: every
-	// monitor report feeds a per-host last-seen clock, silent hosts move
-	// through suspect -> confirmed-dead (quorum), confirmed transitions
-	// land in the site repositories as one epoch per round, and tasks
-	// running on a confirmed-dead host are interrupted and rescheduled
-	// mid-run. Echo-detected failures become quorum votes instead of
-	// immediate status flips. Task outcomes and suspicions feed each
+	// Detect tunes the heartbeat failure detector, which every
+	// Environment runs: monitor reports feed a per-host last-seen clock,
+	// echo timeouts are quorum votes, silent hosts move through suspect ->
+	// confirmed-dead, and confirmed transitions land in the site
+	// repositories as one epoch per round; tasks on a confirmed-dead host
+	// are interrupted and rescheduled mid-run. Task outcomes feed each
 	// host's failure-rate window, and a host failing too often is
-	// quarantined — listed out of placement — until half-open probes
-	// succeed (detect.Config's quarantine fields). With StartDaemons the
-	// detector's evaluation loop runs on the wall clock against live
-	// heartbeats; without daemons no background loop starts (a
-	// wall-clock ticker would condemn hosts fed synthetic timestamps) —
+	// quarantined from placement until half-open probes succeed. With
+	// StartDaemons the evaluation loop runs on the wall clock; without,
 	// synchronous drivers feed heartbeats via RefreshMonitoring and call
-	// Detector.Tick themselves with their own clock.
-	StartDetector bool
-	// Detect tunes the failure detector. Zero fields default relative to
+	// Detector.Tick on their own clock. Zero fields default relative to
 	// MonitorPeriod (suspicion after 4 missed periods, quorum 2, one
 	// evaluation round per period); the quarantine fields take the detect
 	// defaults.
@@ -137,7 +131,7 @@ type Environment struct {
 	Engine   *exec.Engine
 	Console  *services.Console
 	// Detector is the failure-detection service, the one owner of host
-	// health (non-nil when Config.StartDetector).
+	// health: only its rounds write a host's up/down status.
 	Detector *detect.Detector
 	// Board tracks every submitted job's lifecycle for monitoring.
 	Board *services.JobBoard
@@ -243,37 +237,33 @@ func New(cfg Config) (*Environment, error) {
 	if period <= 0 {
 		period = 250 * time.Millisecond
 	}
-	if cfg.StartDetector {
-		dcfg := cfg.Detect
-		if dcfg.SuspicionTimeout <= 0 {
-			// One dropped report must never raise suspicion.
-			dcfg.SuspicionTimeout = 4 * period
-		}
-		if dcfg.TickPeriod <= 0 {
-			dcfg.TickPeriod = period
-		}
-		env.Detector = detect.New(dcfg)
-		for _, site := range tb.Sites {
-			env.Detector.AddSite(site.Name, site.Repo.Resources)
-		}
+	dcfg := cfg.Detect
+	if dcfg.SuspicionTimeout <= 0 {
+		// One dropped report must never raise suspicion.
+		dcfg.SuspicionTimeout = 4 * period
+	}
+	if dcfg.TickPeriod <= 0 {
+		dcfg.TickPeriod = period
+	}
+	det := detect.New(dcfg)
+	env.Detector = det
+	for _, site := range tb.Sites {
+		det.AddSite(site.Name, site.Repo.Resources)
 	}
 	if cfg.StartDaemons {
 		for _, site := range tb.Sites {
-			// One reporter per site: echo notices become detector votes
-			// when a detector runs, and the rest lands in the site's
-			// resource-performance database.
-			reporter := monitorReporter{env.Detector, control.RepoReporter{Repo: site.Repo}}
+			// One reporter per site: echo notices become detector votes,
+			// and the rest lands in the site's resource-performance
+			// database.
+			reporter := monitorReporter{det, control.RepoReporter{Repo: site.Repo}}
 			for _, gname := range site.GroupNames() {
 				gm := control.NewGroupManager(site.Name, gname, site.GroupHosts(gname), reporter, period)
 				gm.EchoPeriod = period
-				if env.Detector != nil {
-					// Heartbeats come off the unfiltered daemon stream:
-					// the significant-change filter spares the site link,
-					// but a steady host must not look silent.
-					det := env.Detector
-					gm.Heartbeat = func(host string, s repository.WorkloadSample) {
-						det.Observe(host, s.Time)
-					}
+				// Heartbeats come off the unfiltered daemon stream: the
+				// significant-change filter spares the site link, but a
+				// steady host must not look silent.
+				gm.Heartbeat = func(host string, s repository.WorkloadSample) {
+					det.Observe(host, s.Time)
 				}
 				env.Groups = append(env.Groups, gm)
 				go gm.Run(ctx)
@@ -288,29 +278,27 @@ func New(cfg Config) (*Environment, error) {
 		DilationScale: cfg.DilationScale,
 		Reschedule:    exec.NewRescheduler(env.Sites),
 		Retry:         cfg.Retry,
-		Health:        env.Detector,
+		Health:        det,
 		Console:       env.Console,
 		Log:           cfg.Logger,
 	}
 	env.Engine.Record = env.writeBack
-	if env.Detector != nil {
-		// Quarantine transitions feed the opens counter /v1/hosts and
-		// /metrics share, and the structured log.
-		env.Detector.Subscribe(func(tr detect.Transition) {
-			if !tr.To.Quarantine() {
-				return
-			}
-			if tr.To == detect.Open {
-				env.obsM.breakerOpens.With(tr.Host).Inc()
-			}
-			env.log.Info("breaker transition", "host", tr.Host, "from", tr.From.String(), "to", tr.To.String())
-		})
-		if cfg.StartDaemons {
-			// The wall-clock evaluation loop only makes sense against
-			// live daemon heartbeats; synchronous drivers Tick the
-			// detector on their own clock instead.
-			go env.Detector.Run(ctx)
+	// Quarantine transitions feed the opens counter /v1/hosts and
+	// /metrics share, and the structured log.
+	det.Subscribe(func(tr detect.Transition) {
+		if !tr.To.Quarantine() {
+			return
 		}
+		if tr.To == detect.Open {
+			env.obsM.breakerOpens.With(tr.Host).Inc()
+		}
+		env.log.Info("breaker transition", "host", tr.Host, "from", tr.From.String(), "to", tr.To.String())
+	})
+	if cfg.StartDaemons {
+		// The wall-clock evaluation loop only makes sense against live
+		// daemon heartbeats; synchronous drivers Tick the detector on
+		// their own clock instead.
+		go det.Run(ctx)
 	}
 	env.pipe = startPipeline(ctx, env, cfg.Pipeline, st)
 	env.registerDerived(env.Obs)
@@ -375,28 +363,22 @@ func (env *Environment) recordPerf(recs []protocol.ExecutionRecord) {
 }
 
 // monitorReporter is the one path a Group Manager's reports take into
-// a site: with a failure detector running, echo timeouts are votes and
-// echo recoveries heartbeats — the detector, not the notice, flips a
-// host's status — and whatever is left lands in the site's repository.
+// a site: echo timeouts are detector votes and echo recoveries
+// heartbeats — the detector, not the notice, flips a host's status — and
+// workloads land in the site's repository.
 type monitorReporter struct {
-	det *detect.Detector // nil without a failure detector
+	det *detect.Detector
 	control.RepoReporter
 }
 
 func (r monitorReporter) ApplyFailure(n protocol.FailureNotice) error {
-	if r.det != nil {
-		r.det.ReportFailure(n.Host, n.Detected)
-		return nil
-	}
-	return r.RepoReporter.ApplyFailure(n)
+	r.det.ReportFailure(n.Host, n.Detected)
+	return nil
 }
 
 func (r monitorReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
-	if r.det != nil {
-		r.det.Observe(n.Host, n.Detected)
-		return nil
-	}
-	return r.RepoReporter.ApplyRecovery(n)
+	r.det.Observe(n.Host, n.Detected)
+	return nil
 }
 
 // Close stops the submission pipeline, the daemons and the execution
@@ -492,19 +474,6 @@ func (env *Environment) Schedule(g *afg.Graph, k int) (*core.AllocationTable, er
 	return sched.Schedule(g, cost)
 }
 
-// Run schedules and executes g, returning both artifacts.
-func (env *Environment) Run(ctx context.Context, g *afg.Graph, k int) (*core.AllocationTable, *exec.Result, error) {
-	table, err := env.Schedule(g, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := env.Engine.Execute(ctx, g, table)
-	if err != nil {
-		return table, nil, err
-	}
-	return table, res, nil
-}
-
 // ClampK applies the owner's access domain type (the fifth field of the
 // paper's user-account tuple) to a requested neighbor count: local users
 // stay on the submitting site, campus users reach at most the two
@@ -529,67 +498,54 @@ func (env *Environment) ClampK(owner string, k int) int {
 }
 
 // EditorServer returns an Application Editor wired to site 0's
-// accounts. The submitting user's access domain bounds how many
-// neighbor sites the scheduler may use.
-//
-// When execute is true, submissions run through the versioned
-// job-control API alone: POST /v1/apps/{id}/submit enqueues into the
-// concurrent submission pipeline with per-job priority, deadline, and
-// max-hosts, and /v1/jobs (mounted owner-scoped, so users cancel only
-// their own jobs) serves status, events and cancellation. When it is
-// false the editor is schedule-only: POST /apps/{id}/submit answers
-// with the allocation table and nothing executes.
-func (env *Environment) EditorServer(execute bool, k int) *editor.Server {
-	var schedule editor.Submitter
-	if !execute {
-		schedule = func(_ context.Context, owner string, g *afg.Graph) (any, error) {
-			return env.Schedule(g, env.ClampK(owner, k))
+// accounts. Submissions run through the versioned job-control API: POST
+// /v1/apps/{id}/submit enqueues into the concurrent submission pipeline
+// with per-job priority, deadline, and max-hosts (k unless the request
+// overrides it; the submitting user's access domain bounds it), and
+// /v1/jobs (mounted owner-scoped, so users cancel only their own jobs)
+// serves status, events and cancellation.
+func (env *Environment) EditorServer(k int) *editor.Server {
+	srv := editor.NewServer(env.Sites[0].Repo.Users, env.Registry, func(ctx context.Context, owner string, g *afg.Graph, o editor.JobOptions) (services.JobStatus, error) {
+		opts := []SubmitOption{WithOwner(owner), WithMaxHosts(k)}
+		if o.MaxHosts != nil {
+			opts = append(opts, WithMaxHosts(*o.MaxHosts))
 		}
-	}
-	srv := editor.NewServer(env.Sites[0].Repo.Users, env.Registry, schedule)
-	if execute {
-		srv.SubmitJob = func(ctx context.Context, owner string, g *afg.Graph, o editor.JobOptions) (services.JobStatus, error) {
-			opts := []SubmitOption{WithOwner(owner), WithMaxHosts(k)}
-			if o.MaxHosts != nil {
-				opts = append(opts, WithMaxHosts(*o.MaxHosts))
-			}
-			if o.Priority != nil {
-				opts = append(opts, WithPriority(*o.Priority))
-			}
-			if o.ShareWeight != nil {
-				opts = append(opts, WithShareWeight(*o.ShareWeight))
-			}
-			if o.Deadline > 0 {
-				opts = append(opts, WithDeadline(time.Now().Add(o.Deadline)))
-			}
-			job, err := env.Submit(ctx, g, opts...)
-			if err != nil {
-				var se *ShedError
-				switch {
-				case errors.As(err, &se):
-					// Adaptive load shedding: surface as 503 + Retry-After,
-					// carrying the shedder's reason and backoff hint.
-					err = &editor.OverloadedError{
-						RetryAfter: se.RetryAfter, Reason: se.Reason, Err: err,
-					}
-				case errors.Is(err, ErrQuotaExceeded):
-					// Per-owner admission quota: a 429, not a 400 — the
-					// request was fine, the owner must back off.
-					err = fmt.Errorf("%w: %v", editor.ErrQuotaExceeded, err)
-				case errors.Is(err, ErrJobDeadlineExceeded), errors.Is(err, ErrJobCanceled),
-					errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-					// Failures the request itself caused surface as 400s.
-					err = fmt.Errorf("%w: %v", editor.ErrBadSubmission, err)
+		if o.Priority != nil {
+			opts = append(opts, WithPriority(*o.Priority))
+		}
+		if o.ShareWeight != nil {
+			opts = append(opts, WithShareWeight(*o.ShareWeight))
+		}
+		if o.Deadline > 0 {
+			opts = append(opts, WithDeadline(time.Now().Add(o.Deadline)))
+		}
+		job, err := env.Submit(ctx, g, opts...)
+		if err != nil {
+			var se *ShedError
+			switch {
+			case errors.As(err, &se):
+				// Adaptive load shedding: surface as 503 + Retry-After,
+				// carrying the shedder's reason and backoff hint.
+				err = &editor.OverloadedError{
+					RetryAfter: se.RetryAfter, Reason: se.Reason, Err: err,
 				}
-				return services.JobStatus{}, err
+			case errors.Is(err, ErrQuotaExceeded):
+				// Per-owner admission quota: a 429, not a 400 — the
+				// request was fine, the owner must back off.
+				err = fmt.Errorf("%w: %v", editor.ErrQuotaExceeded, err)
+			case errors.Is(err, ErrJobDeadlineExceeded), errors.Is(err, ErrJobCanceled),
+				errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+				// Failures the request itself caused surface as 400s.
+				err = fmt.Errorf("%w: %v", editor.ErrBadSubmission, err)
 			}
-			return job.Status(), nil
+			return services.JobStatus{}, err
 		}
-		srv.Jobs = env.JobsHandler(jobsapi.Config{
-			Authenticate: srv.SessionUser,
-			OwnerScoped:  true,
-		})
-	}
+		return job.Status(), nil
+	})
+	srv.Jobs = env.JobsHandler(jobsapi.Config{
+		Authenticate: srv.SessionUser,
+		OwnerScoped:  true,
+	})
 	return srv
 }
 
@@ -632,7 +588,7 @@ func (env *Environment) JobTrace(id string) (services.JobTrace, bool) {
 
 // Hosts reports every testbed host's health snapshot — host-model
 // up/down, and the failure detector's liveness state and quarantine
-// phase when a detector runs — served as GET /v1/hosts.
+// phase — served as GET /v1/hosts.
 func (env *Environment) Hosts() []services.HostStatus {
 	var out []services.HostStatus
 	for _, s := range env.TB.Sites {
@@ -646,12 +602,10 @@ func (env *Environment) Hosts() []services.HostStatus {
 				// /metrics exposes, so the two surfaces cannot disagree.
 				BreakerOpens: int(env.obsM.breakerOpens.Value(h.Name)),
 			}
-			if env.Detector != nil {
-				if v, ok := env.Detector.Health(h.Name); ok {
-					hs.Detector = v.State.String()
-					hs.Breaker = v.Phase.String()
-					hs.FailureRate, hs.Samples = v.FailureRate, v.Samples
-				}
+			if v, ok := env.Detector.Health(h.Name); ok {
+				hs.Detector = v.State.String()
+				hs.Breaker = v.Phase.String()
+				hs.FailureRate, hs.Samples = v.FailureRate, v.Samples
 			}
 			out = append(out, hs)
 		}
@@ -661,15 +615,11 @@ func (env *Environment) Hosts() []services.HostStatus {
 
 // RefreshMonitoring synchronously refreshes every site's resource DB
 // from the host models (one monitor round), for callers that do not run
-// the daemons. Without a failure detector the round also writes each
-// host's up/down status, as RefreshRepos does. With one, the detector
-// owns status: the round's samples count as heartbeats and land in the
-// repository as workload samples only, exactly as daemon-delivered ones
-// would, and an unreachable host is left for Tick to judge.
+// the daemons. The detector owns status: the round's samples count as
+// heartbeats and land in the repository as workload samples only,
+// exactly as daemon-delivered ones would, and an unreachable host is
+// left for Tick to judge.
 func (env *Environment) RefreshMonitoring(now time.Time) error {
-	if env.Detector == nil {
-		return env.TB.RefreshRepos(now)
-	}
 	for _, s := range env.TB.Sites {
 		batch := make([]repository.HostSample, 0, len(s.Hosts))
 		for _, h := range s.Hosts {

@@ -8,9 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"vdce/internal/afg"
 	"vdce/internal/control"
-	"vdce/internal/core"
 	"vdce/internal/detect"
+	"vdce/internal/editor"
 	"vdce/internal/exec"
 	"vdce/internal/protocol"
 	"vdce/internal/repository"
@@ -28,10 +29,20 @@ func newEnv(t *testing.T, cfg Config) *Environment {
 	return env
 }
 
+// submitWait submits g from site 0 with k neighbor sites and waits for
+// the job to end: the examples' way to run one application.
+func submitWait(ctx context.Context, env *Environment, g *afg.Graph, k int) (*Job, error) {
+	job, err := env.Submit(ctx, g, WithHomeSite(0), WithMaxHosts(k))
+	if err != nil {
+		return nil, err
+	}
+	return job, job.Wait(ctx)
+}
+
 // TestEnvironmentEndToEndInProcess schedules and runs two applications
-// through Run: the linear equation solver from one of two sites, and
-// the C3I pipeline from one of three sites with two neighbours in the
-// round.
+// through the submission pipeline: the linear equation solver from one
+// of two sites, and the C3I pipeline from one of three sites with two
+// neighbours in the round.
 func TestEnvironmentEndToEndInProcess(t *testing.T) {
 	t.Run("les", func(t *testing.T) {
 		env := newEnv(t, Config{
@@ -44,13 +55,14 @@ func TestEnvironmentEndToEndInProcess(t *testing.T) {
 		for _, task := range g.Tasks {
 			task.Props.MachineType = ""
 		}
-		table, res, err := env.Run(context.Background(), g, 1)
+		job, err := submitWait(context.Background(), env, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := table.Validate(g); err != nil {
+		if err := job.Table().Validate(g); err != nil {
 			t.Fatal(err)
 		}
+		res := job.Result()
 		residual := res.Outputs[g.Exits()[0]][0].(float64)
 		if residual > 1e-7 {
 			t.Fatalf("residual %g", residual)
@@ -64,13 +76,14 @@ func TestEnvironmentEndToEndInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		table, res, err := env.Run(context.Background(), g, 2)
+		job, err := submitWait(context.Background(), env, g, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := table.Validate(g); err != nil {
+		if err := job.Table().Validate(g); err != nil {
 			t.Fatal(err)
 		}
+		res := job.Result()
 		report := res.Outputs[g.Exits()[0]][0].(string)
 		if !strings.Contains(report, "C3I THREAT REPORT") {
 			t.Fatalf("report = %q", report)
@@ -81,7 +94,8 @@ func TestEnvironmentEndToEndInProcess(t *testing.T) {
 // TestShutdownReleasesTheDataManager: a run with dataflow edges counts
 // its frames in the engine's tallies, which the /metrics series are
 // bridged from; Close and Crash both keep the tallies and refuse every
-// later run.
+// later run: the pipeline with ErrPipelineClosed, the engine with
+// ErrEngineClosed.
 func TestShutdownReleasesTheDataManager(t *testing.T) {
 	for name, stop := range map[string]func(*Environment){
 		"close": (*Environment).Close, "crash": (*Environment).Crash,
@@ -94,7 +108,8 @@ func TestShutdownReleasesTheDataManager(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := env.Run(context.Background(), g, 0); err != nil {
+			job, err := submitWait(context.Background(), env, g, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
 			st := env.Engine.TransferStats()
@@ -113,13 +128,19 @@ func TestShutdownReleasesTheDataManager(t *testing.T) {
 			if after := env.Engine.TransferStats(); after != st {
 				t.Fatalf("after shutdown: %+v, want the tallies kept at %+v", after, st)
 			}
-			if _, _, err := env.Run(context.Background(), g, 0); !errors.Is(err, exec.ErrEngineClosed) {
-				t.Fatalf("run after shutdown: %v, want ErrEngineClosed", err)
+			if _, err := env.Submit(context.Background(), g); !errors.Is(err, ErrPipelineClosed) {
+				t.Fatalf("submit after shutdown: %v, want ErrPipelineClosed", err)
+			}
+			if _, err := env.Engine.Execute(context.Background(), g, job.Table()); !errors.Is(err, exec.ErrEngineClosed) {
+				t.Fatalf("execute after shutdown: %v, want ErrEngineClosed", err)
 			}
 		})
 	}
 }
 
+// TestEnvironmentDaemonsMaintainRepos: with the daemons running, a
+// failed host's echo timeout is a vote, its silence confirms it to the
+// failure detector, and the detector's round marks it down.
 func TestEnvironmentDaemonsMaintainRepos(t *testing.T) {
 	env := newEnv(t, Config{
 		Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 23},
@@ -146,9 +167,9 @@ func TestEnvironmentEditorIntegration(t *testing.T) {
 	env := newEnv(t, Config{
 		Testbed: testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 24},
 	})
-	srv := env.EditorServer(false, 0)
+	srv := env.EditorServer(0)
 	// Authenticate against the pre-provisioned account and submit a tiny
-	// app through the same Submitter the HTTP handler uses.
+	// app through the same JobSubmitter the HTTP handler uses.
 	if _, err := env.Sites[0].Repo.Users.Authenticate("user_k", "vdce"); err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +177,19 @@ func TestEnvironmentEditorIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := srv.Submit(context.Background(), "user_k", g)
+	ctx := context.Background()
+	st, err := srv.SubmitJob(ctx, "user_k", g, editor.JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out == nil {
-		t.Fatal("no allocation table returned")
+	if st.ID == "" || st.Owner != "user_k" {
+		t.Fatalf("admission status %+v: want a job ID owned by user_k", st)
+	}
+	if err := env.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := env.Job(st.ID); !ok || got.State != JobDone.String() {
+		t.Fatalf("job %s after drain: %+v (found %v), want done", st.ID, got, ok)
 	}
 }
 
@@ -203,17 +231,19 @@ func TestAccessDomainClampsK(t *testing.T) {
 		}
 	}
 	// End to end: a local user's submission never leaves site 0.
-	srv := env.EditorServer(false, 3)
 	g, err := tasklib.BuildC3IPipeline(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := srv.Submit(context.Background(), "loc", g)
+	ctx := context.Background()
+	job, err := env.Submit(ctx, g, WithOwner("loc"), WithMaxHosts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := out.(*core.AllocationTable)
-	for _, e := range table.Entries {
+	if err := job.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range job.Table().Entries {
 		if e.Site != env.Sites[0].SiteName() {
 			t.Fatalf("local-domain task placed on %s", e.Site)
 		}
@@ -270,7 +300,6 @@ func TestEchoFailureIsADetectorVote(t *testing.T) {
 		env := newEnv(t, Config{
 			Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 26},
 			StartDaemons:  true,
-			StartDetector: true,
 			MonitorPeriod: time.Hour,
 		})
 		gm := env.Groups[0]
@@ -329,16 +358,14 @@ func TestRefreshMonitoring(t *testing.T) {
 	}
 }
 
-// TestRefreshMonitoringLeavesStatusToTheDetector: with a failure
-// detector running, a synchronous monitor round writes workload samples
-// and heartbeats only. A failed host stays up until a detector round
+// TestRefreshMonitoringLeavesStatusToTheDetector: a synchronous monitor
+// round writes workload samples and heartbeats only. A failed host stays up until a detector round
 // confirms it, and a quarantined host stays quarantined across a
 // refresh.
 func TestRefreshMonitoringLeavesStatusToTheDetector(t *testing.T) {
 	env := newEnv(t, Config{
-		Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2},
-		StartDetector: true,
-		Detect:        detect.Config{SuspicionTimeout: time.Second, ConfirmQuorum: 1},
+		Testbed: testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2},
+		Detect:  detect.Config{SuspicionTimeout: time.Second, ConfirmQuorum: 1},
 	})
 	resources := env.Sites[0].Repo.Resources
 	view := func(h *testbed.Host) repository.HostView {
