@@ -716,17 +716,17 @@ func (q *admitQueue) usageChanged(owner string) <-chan struct{} {
 // position returns the 1-based dequeue position of a queued job (1 =
 // next to pop), or 0 when the job is not queued — served from the same
 // cached arbitration replay positions() serves, so the single-job and
-// listing surfaces can never disagree. The membership probe is an
-// identity check at the job's recorded slot: Status() asks for jobs
-// already popped (or not yet pushed) all the time, and those must not
-// pay for a replay.
-func (q *admitQueue) position(j *jobRecord) int {
+// listing surfaces can never disagree; taken reports a popped job that
+// has not ended. The membership probe is an identity check at the job's
+// recorded slot: Status() asks for jobs already popped (or not yet
+// pushed) all the time, and those must not pay for a replay.
+func (q *admitQueue) position(j *jobRecord) (pos int, taken bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if os := q.owners[j.Owner]; os == nil || !os.jobs.has(j) {
-		return 0
+		return 0, j.usageCharged
 	}
-	return q.positionsLocked()[j.ID]
+	return q.positionsLocked()[j.ID], false
 }
 
 // positions returns the 1-based dequeue position of every queued job

@@ -380,11 +380,11 @@ func TestAdmitStaleSlotNeverActsOnAnotherJob(t *testing.T) {
 	if q.remove(a) {
 		t.Fatal("remove(popped stale-a) removed the job in its old slot")
 	}
-	if pos := q.position(a); pos != 0 {
-		t.Fatalf("position(popped stale-a) = %d, want 0", pos)
+	if pos, taken := q.position(a); pos != 0 || !taken {
+		t.Fatalf("position(popped stale-a) = %d, taken %v; want 0 and taken", pos, taken)
 	}
 	checkIndexInvariants(t, q)
-	if pos := q.position(b); pos != 1 {
+	if pos, _ := q.position(b); pos != 1 {
 		t.Fatalf("position(stale-b) = %d, want 1", pos)
 	}
 	if !q.remove(b) {
@@ -395,7 +395,7 @@ func TestAdmitStaleSlotNeverActsOnAnotherJob(t *testing.T) {
 		t.Fatal("second remove(stale-b) removed the job in its old slot")
 	}
 	checkIndexInvariants(t, q)
-	if pos := q.position(c); pos != 1 || q.queuedLen() != 1 {
+	if pos, _ := q.position(c); pos != 1 || q.queuedLen() != 1 {
 		t.Fatalf("stale-c at position %d with %d queued, want 1 and 1", pos, q.queuedLen())
 	}
 }

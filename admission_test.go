@@ -129,7 +129,7 @@ func TestAdmitInFlightCapParksOwnerInPlace(t *testing.T) {
 	if j := q.pop(); j != nil {
 		t.Fatalf("third pop = %v, want nil (a capped, b empty)", j)
 	}
-	if pos := q.position(a1); pos != 1 {
+	if pos, _ := q.position(a1); pos != 1 {
 		t.Fatalf("parked job position = %d, want 1 (next once the owner frees)", pos)
 	}
 	if !q.release(a0) {
@@ -316,7 +316,7 @@ func TestAdmitQueueRandomizedAgainstReference(t *testing.T) {
 				continue
 			}
 			id := live[rng.Intn(len(live))]
-			pos := q.position(recs[id])
+			pos, _ := q.position(recs[id])
 			if pos < 1 || pos > len(live) {
 				t.Fatalf("op %d: position(%s) = %d with %d queued", op, id, pos, len(live))
 			}
@@ -332,7 +332,8 @@ func TestAdmitQueueRandomizedAgainstReference(t *testing.T) {
 	checkHeapInvariant(t, q)
 	positions := make([]int, 0, len(live))
 	for _, id := range live {
-		positions = append(positions, q.position(recs[id]))
+		pos, _ := q.position(recs[id])
+		positions = append(positions, pos)
 	}
 	sort.Ints(positions)
 	for i, p := range positions {
@@ -374,7 +375,8 @@ func TestAdmitPositionPredictsPopOrder(t *testing.T) {
 	byPos := make(map[int]string, len(jobs))
 	batch := q.positions()
 	for _, j := range jobs {
-		id, pos := j.ID, q.position(j)
+		id := j.ID
+		pos, _ := q.position(j)
 		if prev, dup := byPos[pos]; dup {
 			t.Fatalf("position %d claimed by both %s and %s", pos, prev, id)
 		}

@@ -499,7 +499,7 @@ func TestAdmitQueueOrdering(t *testing.T) {
 	q.push(mk("new-mid", 2, t0.Add(3*step)))
 	q.push(mk("fifo-a", 2, t0.Add(3*step)))
 	want := []string{"new-high", "old-low", "new-mid", "fifo-a"}
-	if got := q.position(oldLow); got != 2 {
+	if got, _ := q.position(oldLow); got != 2 {
 		t.Fatalf("position(old-low) = %d, want 2", got)
 	}
 	for _, id := range want {

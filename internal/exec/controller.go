@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"vdce/internal/afg"
@@ -13,9 +14,9 @@ import (
 )
 
 // appController is the Application Controller for one task on its
-// assigned machine: it sets up the execution environment, waits for the
-// startup signal, and requests rescheduling when the run's monitoring
-// loop terminates an attempt (load threshold, machine failure).
+// assigned machine: started by its inputs' delivery, it sets up the
+// execution environment and requests rescheduling when the run's
+// monitoring loop terminates an attempt (load threshold, machine failure).
 type appController struct {
 	app  *appRun
 	task *afg.Task
@@ -29,10 +30,13 @@ type appController struct {
 	// the monitoring loop reads it only while out is not.
 	watch    []*testbed.Host
 	watchBuf [1]*testbed.Host
-	// out is the outcome channel of the attempt under the monitoring
-	// loop's supervision, nil between attempts and once the verdict is
-	// delivered. Guarded by app.mu.
-	out chan outcome
+	// out is the outcome channel of the attempt or wait under the
+	// monitoring loop's supervision, nil between attempts and once the
+	// loop has sent on it; a wait ends at wake. Guarded by app.mu.
+	out  chan outcome
+	wake time.Time
+	// pending counts the fed ports yet to be delivered, plus Execute's.
+	pending atomic.Int32
 }
 
 // outcome is what ends an attempt's wait: the task function's result, or
@@ -43,56 +47,60 @@ type outcome struct {
 	err     error
 }
 
-// main runs the controller: a permanent failure aborts the application,
-// and the last controller out ends its monitoring loop.
+// main runs the controller, then each child its delivery hands on: a
+// permanent failure aborts the application.
 func (ac *appController) main(ctx context.Context) {
-	if err := ac.run(ctx); err != nil {
-		ac.app.fail(fmt.Errorf("task %d (%s): %w", ac.task.ID, ac.task.Name, err))
-	}
-	if ac.app.left.Add(-1) == 0 {
-		close(ac.app.done)
+	for ac != nil {
+		next, err := ac.run(ctx)
+		if err != nil {
+			ac.app.fail(fmt.Errorf("task %d (%s): %w", ac.task.ID, ac.task.Name, err))
+		}
+		ac.app.leave()
+		ac = next
 	}
 }
 
-// run executes the controller's lifecycle to completion.
-func (ac *appController) run(ctx context.Context) error {
-	e := ac.app.engine
+// run executes the controller's lifecycle and returns a child to run next.
+func (ac *appController) run(ctx context.Context) (*appController, error) {
+	in, arrived, err := ac.receiveInputs()
+	if err != nil {
+		return nil, err
+	}
+	// The modeled transfer, on the channel the first attempt reuses.
+	var out chan outcome
+	if time.Until(arrived) > 0 {
+		out = make(chan outcome, 2)
+		ac.supervise(out)
+		if err := ac.await(ctx, out, arrived); err != nil {
+			return nil, err
+		}
+	}
 
 	// Console service: a suspended application dispatches no new tasks.
-	if e.Console != nil {
-		if err := e.Console.Gate(ctx); err != nil {
-			return err
+	if c := ac.app.engine.Console; c != nil {
+		if err := c.Gate(ctx); err != nil {
+			return nil, err
 		}
 	}
 
-	// Receive dataflow inputs (blocks until parents deliver).
-	in, err := ac.receiveInputs(ctx)
+	outs, err := ac.executeWithRescheduling(ctx, in, out)
 	if err != nil {
-		return err
-	}
-	if e.Console != nil { // re-check after possibly long waits
-		if err := e.Console.Gate(ctx); err != nil {
-			return err
-		}
-	}
-
-	outs, err := ac.executeWithRescheduling(ctx, in)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(outs) != ac.task.OutPorts {
-		return fmt.Errorf("exec: produced %d outputs, declared %d", len(outs), ac.task.OutPorts)
+		return nil, fmt.Errorf("exec: produced %d outputs, declared %d", len(outs), ac.task.OutPorts)
 	}
 	ac.app.mu.Lock()
 	ac.app.outputs[ac.task.ID] = outs
 	ac.app.mu.Unlock()
-	return ac.sendOutputs(outs)
+	return ac.sendOutputs(ctx, outs)
 }
 
 // executeWithRescheduling runs the task, moving it to a new host when
 // the Application Controller terminates it (load threshold, host
-// failure, or a detector-confirmed death).
-func (ac *appController) executeWithRescheduling(ctx context.Context, in []tasklib.Value) ([]tasklib.Value, error) {
+// failure, or a detector-confirmed death). The first attempt reports on
+// out if it is not nil.
+func (ac *appController) executeWithRescheduling(ctx context.Context, in []tasklib.Value, out chan outcome) ([]tasklib.Value, error) {
 	e := ac.app.engine
 	var chased []string // hosts this task was terminated on
 	for attempt := 1; attempt <= ac.app.maxAttempts; attempt++ {
@@ -106,7 +114,8 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 			}
 			ac.watch = append(ac.watch, h)
 		}
-		outs, tr, err := ac.attempt(ctx, in, attempt)
+		outs, tr, err := ac.attempt(ctx, in, attempt, out)
+		out = nil
 		ac.app.recordRun(tr, err == nil)
 		if err == nil {
 			if e.Health != nil {
@@ -190,12 +199,33 @@ func checkReplacement(np *core.Placement, id afg.TaskID) error {
 	return nil
 }
 
-// supervise puts the attempt waiting on out under the run's monitoring
+// supervise puts the attempt or wait on out under the run's monitoring
 // loop, or with nil takes the controller out from under it.
 func (ac *appController) supervise(out chan outcome) {
 	ac.app.mu.Lock()
-	ac.out = out
+	ac.out, ac.wake = out, time.Time{}
 	ac.app.mu.Unlock()
+}
+
+// await waits on out, under supervision, until at, holding no timer: the
+// monitoring loop sends outcome{} then, unless it sends a kill first.
+func (ac *appController) await(ctx context.Context, out chan outcome, at time.Time) error {
+	r := ac.app
+	r.mu.Lock()
+	if ac.out == out { // else the verdict is already on out
+		ac.wake = at
+	}
+	r.mu.Unlock()
+	select {
+	case r.kick <- struct{}{}:
+	default: // a kick is pending already
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case oc := <-out:
+		return oc.err
+	}
 }
 
 // compute runs the task function and reports on out.
@@ -206,8 +236,8 @@ func (ac *appController) compute(in []tasklib.Value, nodes int, out chan<- outco
 }
 
 // attempt performs one execution on the current placement, supervised by
-// the run's monitoring loop.
-func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemptNo int) (outs []tasklib.Value, tr TaskRun, err error) {
+// the run's monitoring loop, reporting on out if it is not nil.
+func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemptNo int, out chan outcome) (outs []tasklib.Value, tr TaskRun, err error) {
 	e := ac.app.engine
 	primary := ac.watch[0]
 	defer unlockHosts(lockHosts(ac.watch))
@@ -231,8 +261,10 @@ func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemp
 	}
 
 	// Capacity 2: the task function's result and the monitoring loop's
-	// one verdict, so neither sender blocks on an attempt that moved on.
-	out := make(chan outcome, 2)
+	// one message, so neither sender blocks on an attempt that moved on.
+	if out == nil {
+		out = make(chan outcome, 2)
+	}
 	ac.supervise(out)
 	defer ac.supervise(nil)
 	go ac.compute(in, nodes, out)
@@ -247,20 +279,14 @@ func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemp
 	}
 
 	// Dilation: stretch the observed runtime by the host model's factor
-	// to emulate slower/loaded hardware. The sleep remains supervised so
+	// to emulate slower/loaded hardware. The wait remains supervised so
 	// threshold kills still happen during the stretched window.
 	elapsed := oc.elapsed
 	if e.DilationScale > 0 {
 		extra := time.Duration(float64(oc.elapsed) * (primary.Dilation() - 1) * e.DilationScale)
 		if extra > 0 {
-			timer := time.NewTimer(extra)
-			defer timer.Stop()
-			select {
-			case <-ctx.Done():
-				return nil, tr, ctx.Err()
-			case verdict := <-out: // the result is read: only a kill can follow
-				return nil, tr, verdict.err
-			case <-timer.C:
+			if err := ac.await(ctx, out, time.Now().Add(extra)); err != nil {
+				return nil, tr, err
 			}
 			elapsed += extra
 		}
@@ -289,8 +315,8 @@ func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemp
 // two flavors: a crash the local controller sees directly (Failed), and
 // a detector-confirmed death (Engine.Health) — the only signal available
 // when the machine is partitioned but still computing. It returns nil
-// or the termination naming the offending machine.
-func (ac *appController) shouldTerminate() *terminationError {
+// or the *terminationError naming the offending machine.
+func (ac *appController) shouldTerminate() error {
 	e := ac.app.engine
 	thr := e.LoadThreshold
 	for _, h := range ac.watch {

@@ -40,29 +40,29 @@ func (e *Engine) Close() {
 	e.closed.Store(true)
 }
 
-// runInputs is one run's Data Manager: a slot per input port of every
-// task, of which those with an in-edge expect a delivery, and the
-// sending side's index: outEdges is the run's edges grouped by source
-// task, outEdges[outBase[t]:outBase[t+1]] leaving t. Every host lives
-// in this process, so a producer hands each frame to its consumer's
-// slot by call (send, receive): the bytes are framed and checked as on
-// a wire, and what the network costs comes from the testbed's model
+// runInputs is one run's Data Manager: a slot and a value per input port
+// of every task, of which those with an in-edge expect a delivery, and
+// the sending side's index: outEdges is the run's edges grouped by
+// source task, outEdges[outBase[t]:outBase[t+1]] leaving t. Every host
+// lives in this process, so a producer hands each frame to its consumer's
+// slot by call (send, receive): the bytes are framed and checked as on a
+// wire, and what the network costs comes from the testbed's model
 // (receiveInputs), not from a transport that models no link.
 type runInputs struct {
-	base     []int    // base[t] is the index in slots of task t's port 0
-	slots    []inSlot // len(slots) == base[len(tasks)]
+	base     []int           // base[t] is the index in slots of task t's port 0
+	slots    []inSlot        // len(slots) == base[len(tasks)]
+	vals     []tasklib.Value // vals[i] is the value slots[i] received
 	outBase  []int
 	outEdges []afg.Edge
 }
 
-// inSlot is the receiving end of one edge: a one-value buffer its
-// producer fills and the consuming task's controller waits on.
+// inSlot is the receiving end of one edge, filled once by its producer
+// before the consuming task's controller starts.
 type inSlot struct {
-	ready chan struct{} // closed once val is set; nil if no edge feeds the port
-	val   tasklib.Value
-	from  afg.TaskID // the producing task
-	// at and bytes are the delivery's instant and the value's encoded
-	// size, from which the network model prices the transfer.
+	fed  bool       // an edge feeds the port
+	from afg.TaskID // the producing task
+	// at (zero until filled) and bytes are the delivery's instant and the
+	// value's encoded size, from which the network model prices it.
 	at    time.Time
 	bytes int
 }
@@ -79,18 +79,18 @@ func newRunInputs(g *afg.Graph) (*runInputs, error) {
 		ri.base[i+1] = ri.base[i] + t.InPorts
 	}
 	ri.slots = make([]inSlot, ri.base[n])
+	ri.vals = make([]tasklib.Value, ri.base[n])
 	// The out-edge index is a counting sort by source task, counted two
 	// slots to the right so that placing the edges leaves each task's
 	// start in its own slot.
 	start := idx[n+1:]
 	for _, e := range g.Edges {
-		slot := ri.slot(int(e.To), e.ToPort)
-		if slot == nil || slot.ready != nil {
+		i := ri.slot(int(e.To), e.ToPort)
+		if i < 0 || ri.slots[i].fed {
 			return nil, fmt.Errorf("exec: edge %d:%d -> %d:%d has no free input port to land on",
 				e.From, e.FromPort, e.To, e.ToPort)
 		}
-		slot.ready = make(chan struct{})
-		slot.from = e.From
+		ri.slots[i].fed, ri.slots[i].from = true, e.From
 		start[e.From+2]++
 	}
 	for i := 2; i < len(start); i++ {
@@ -104,13 +104,13 @@ func newRunInputs(g *afg.Graph) (*runInputs, error) {
 	return ri, nil
 }
 
-// slot returns the slot of (task, port), or nil if the task has no such
-// port. A slot no edge feeds has a nil ready channel.
-func (ri *runInputs) slot(task, port int) *inSlot {
+// slot returns the index of (task, port) in slots and vals, or -1 if the
+// task has no such port.
+func (ri *runInputs) slot(task, port int) int {
 	if task < 0 || task >= len(ri.base)-1 || port < 0 || port >= ri.base[task+1]-ri.base[task] {
-		return nil
+		return -1
 	}
-	return &ri.slots[ri.base[task]+port]
+	return ri.base[task] + port
 }
 
 // framePool holds the frame buffers of sends, shared by every host, so
@@ -150,7 +150,7 @@ func (ri *runInputs) send(t *transferTallies, edges []afg.Edge, outs []tasklib.V
 			if f.FromPort != e.FromPort {
 				continue
 			}
-			if err := ri.slot(int(f.To), f.ToPort).receive(buf); err != nil {
+			if err := ri.receive(ri.slot(int(f.To), f.ToPort), buf); err != nil {
 				return fmt.Errorf("exec: send to child %d: %w", f.To, err)
 			}
 			t.frames.Add(1)
@@ -161,10 +161,10 @@ func (ri *runInputs) send(t *transferTallies, edges []afg.Edge, outs []tasklib.V
 }
 
 // receive checks one frame — its length and its checksum — and decodes
-// its value into the slot: the consumer's own copy, so the frame buffer
-// can be reused as soon as receive returns. A frame or value that does
-// not check fills nothing.
-func (s *inSlot) receive(f []byte) error {
+// its value into slot i: the consumer's own copy, so the frame buffer can
+// be reused as soon as receive returns. A frame or value that does not
+// check fills nothing.
+func (ri *runInputs) receive(i int, f []byte) error {
 	payload, _, err := frame.Decode(f)
 	if err != nil {
 		return err
@@ -173,8 +173,8 @@ func (s *inSlot) receive(f []byte) error {
 	if err != nil {
 		return err
 	}
-	s.val, s.at, s.bytes = val, time.Now(), len(payload)
-	close(s.ready)
+	ri.vals[i] = val
+	ri.slots[i].at, ri.slots[i].bytes = time.Now(), len(payload)
 	return nil
 }
 
@@ -187,78 +187,63 @@ func sentEarlier(edges []afg.Edge, port int) bool {
 	return false
 }
 
-// receiveInputs waits for the task's dataflow inputs and returns them
-// indexed by input port; ports no edge feeds stay nil. When the engine
-// emulates the testbed's hardware (DilationScale > 0) it also charges
-// the network: an input counts as arrived at its delivery plus the
-// testbed network's transfer time between the producer's site and this
-// task's, scaled alike, and the task starts at the latest such instant.
-// It gives up only when the run is canceled, by the caller or by a
-// failing sibling.
-func (ac *appController) receiveInputs(ctx context.Context) ([]tasklib.Value, error) {
-	in := make([]tasklib.Value, ac.task.InPorts)
-	ri := ac.app.inputs
+// receiveInputs returns the task's delivered inputs by port, nil where no
+// edge feeds one. With DilationScale > 0 it also returns when they
+// arrive: each at its delivery plus the network's transfer time for its
+// bytes from the site of its producer's host to this task's, scaled
+// alike. The producer wrote its placement for the last time before it
+// delivered, so reading it needs no lock.
+func (ac *appController) receiveInputs() (in []tasklib.Value, arrived time.Time, err error) {
+	ri, tb := ac.app.inputs, ac.app.engine.TB
 	if ri == nil {
-		return in, nil
+		return make([]tasklib.Value, ac.task.InPorts), arrived, nil
 	}
-	e := ac.app.engine
-	var arrived time.Time
-	slots := ri.slots[ri.base[ac.task.ID]:ri.base[ac.task.ID+1]] // by port
-	for port := range slots {
-		s := &slots[port]
-		if s.ready == nil {
-			continue
+	lo, hi := ri.base[ac.task.ID], ri.base[ac.task.ID+1]
+	if scale := ac.app.engine.DilationScale; scale > 0 {
+		to, err := tb.Host(ac.place.Hosts[0])
+		if err != nil {
+			return nil, arrived, err
 		}
-		select {
-		case <-s.ready:
-			in[port] = s.val
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if e.DilationScale > 0 {
-			d, err := ac.transferTime(s)
-			if err != nil {
-				return nil, err
+		for i := lo; i < hi; i++ {
+			s := &ri.slots[i]
+			if !s.fed {
+				continue
 			}
-			if at := s.at.Add(time.Duration(float64(d) * e.DilationScale)); at.After(arrived) {
+			from, err := tb.Host(ac.app.ctl[s.from].place.Hosts[0])
+			if err != nil {
+				return nil, arrived, err
+			}
+			d, err := tb.Net.TransferTime(int64(s.bytes), from.Site, to.Site)
+			if err != nil {
+				return nil, arrived, err
+			}
+			if at := s.at.Add(time.Duration(float64(d) * scale)); at.After(arrived) {
 				arrived = at
 			}
 		}
 	}
-	if !arrived.IsZero() {
-		if err := sleep(ctx, time.Until(arrived)); err != nil {
-			return nil, err
-		}
-	}
-	return in, nil
+	return ri.vals[lo:hi:hi], arrived, nil
 }
 
-// transferTime prices a delivered input on the testbed network: its
-// bytes from the site of the host its producer ran on to the site of
-// this task's host. The producer wrote its placement for the last time
-// before it delivered, so reading it here needs no lock.
-func (ac *appController) transferTime(s *inSlot) (time.Duration, error) {
-	tb := ac.app.engine.TB
-	from, err := tb.Host(ac.app.ctl[s.from].place.Hosts[0])
-	if err != nil {
-		return 0, err
-	}
-	to, err := tb.Host(ac.place.Hosts[0])
-	if err != nil {
-		return 0, err
-	}
-	return tb.Net.TransferTime(int64(s.bytes), from.Site, to.Site)
-}
-
-// sendOutputs delivers the produced values to the task's children.
-func (ac *appController) sendOutputs(outs []tasklib.Value) error {
-	ri := ac.app.inputs
+// sendOutputs delivers the produced values to the task's children and,
+// unless the run has ended, fires each child whose last input this was:
+// the first is returned to run next, every other starts beside it.
+func (ac *appController) sendOutputs(ctx context.Context, outs []tasklib.Value) (*appController, error) {
+	r, ri := ac.app, ac.app.inputs
 	if ri == nil {
-		return nil // a graph without edges has no Data Manager
+		return nil, nil // a graph without edges has no Data Manager
 	}
 	edges := ri.outEdges[ri.outBase[ac.task.ID]:ri.outBase[ac.task.ID+1]]
-	if len(edges) == 0 {
-		return nil
+	if err := ri.send(&r.engine.transfer, edges, outs); err != nil || ctx.Err() != nil {
+		return nil, err
 	}
-	return ri.send(&ac.app.engine.transfer, edges, outs)
+	var next *appController
+	for _, e := range edges {
+		if c := r.release(e.To); c != nil && next == nil {
+			next = c
+		} else if c != nil {
+			go c.main(ctx)
+		}
+	}
+	return next, nil
 }

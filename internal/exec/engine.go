@@ -7,17 +7,17 @@
 //
 // The lifecycle follows §4. Channel set-up for a run is laying out its
 // input slots, one per in-edge, indexed by (task, port); when all are
-// laid out (the acknowledgment) the execution startup signal is given.
-// Tasks run, watched by the run's one monitoring loop on the goroutine
-// that called Execute; each output port is encoded into one checksummed
-// frame, which its producer hands by call to the slot of every edge
-// fanning out from the port, and each slot checks the frame and decodes
-// the value into its own copy for the consuming controller waiting on
-// it. The consumer charges the network model's transfer time when the
-// engine emulates the testbed's hardware (DilationScale), and when the
-// run ends its completed executions are reported together so the Site
-// Manager can update the task-performance database. A run whose graph
-// has no edges has no Data Manager.
+// laid out (the acknowledgment) the execution startup signal starts the
+// tasks no edge feeds. Tasks run, watched by the run's one monitoring
+// loop on the goroutine that called Execute; each output port is encoded
+// into one checksummed frame, which its producer hands by call to the
+// slot of every edge fanning out from the port, where it is checked and
+// decoded into the consumer's own copy. The delivery that fills a task's
+// last slot starts it, next on the producer's goroutine or beside it;
+// with DilationScale it first waits out the network model's transfer
+// time on the loop's clock. When the run ends its completed executions
+// are reported together so the Site Manager can update the
+// task-performance database. A graph without edges has no Data Manager.
 package exec
 
 import (
@@ -60,10 +60,10 @@ type Engine struct {
 	// LoadCheckPeriod is each run's monitoring cadence (default 5ms).
 	LoadCheckPeriod time.Duration
 	// DilationScale stretches task runtimes by the host model's dilation
-	// factor to emulate heterogeneous hardware: extra sleep =
-	// elapsed * (dilation-1) * DilationScale. It scales the testbed
-	// network's transfer time an input waits for alike (receiveInputs).
-	// 0 disables both.
+	// factor to emulate heterogeneous hardware: extra wait =
+	// elapsed * (dilation-1) * DilationScale, and an input's modeled
+	// transfer time alike (receiveInputs). The run's monitoring loop ends
+	// both waits on its one timer. 0 disables both.
 	DilationScale float64
 	// Reschedule supplies a replacement placement when a task must move
 	// (load threshold or host failure), excluding the hosts the task was
@@ -323,6 +323,7 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 			return nil, err
 		}
 		run.ctl[p.Task] = appController{app: run, task: task, spec: spec, place: p}
+		run.ctl[p.Task].pending.Store(1) // Phase 2's hold
 	}
 
 	// Phase 1 (Data Manager set-up): every in-edge of the run gets its
@@ -335,17 +336,27 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 			return nil, err
 		}
 		run.inputs = inputs
+		for _, e := range g.Edges {
+			run.ctl[e.To].pending.Add(1)
+		}
+	}
+	if e.DilationScale > 0 {
+		run.kick = make(chan struct{}, 1)
 	}
 
-	// Phase 2: the execution startup signal; this goroutine then monitors.
+	// Phase 2: the execution startup signal. Whoever takes a task's count
+	// to zero starts it: here for a task no edge feeds, else its last
+	// producer. The loop counts as started itself, so no early finisher
+	// ends the run before it is done; this goroutine then monitors.
 	start := time.Now()
-	if len(run.ctl) > 0 {
-		run.left.Store(int32(len(run.ctl)))
-		for i := range run.ctl {
-			go run.ctl[i].main(runCtx)
+	run.left.Store(1)
+	for i := range run.ctl {
+		if ac := run.release(afg.TaskID(i)); ac != nil {
+			go ac.main(runCtx)
 		}
-		run.monitor(checkPeriod)
 	}
+	run.leave()
+	run.monitor(checkPeriod)
 	// The controllers have joined: the write-back "after an application
 	// execution is completed", off every task's critical path.
 	if e.Record != nil && len(run.measured) > 0 {
@@ -389,9 +400,11 @@ type appRun struct {
 	// shared with the caller's table until then, and never written.
 	entries []core.Placement
 	ctl     []appController // by task ID
-	// The last of the left controllers out closes done: the loop's end.
+	// left counts the started controllers still in; the last one out
+	// closes done: the loop's end.
 	left atomic.Int32
 	done chan struct{}
+	kick chan struct{} // a wait registered a wake-up; nil unless dilated
 
 	mu          sync.Mutex
 	err         error // the first failure; it aborts the run
@@ -403,34 +416,62 @@ type appRun struct {
 }
 
 // monitor is the Application Controller's monitoring loop, one per
-// application, on the goroutine that called Execute: every period it
-// applies the termination rule to each attempt under supervision.
+// application, on the goroutine that called Execute, and the run's one
+// clock: at least every period it applies the termination rule to each
+// attempt under supervision, and at each registered wake-up ends a wait.
 func (r *appRun) monitor(period time.Duration) {
-	tick := time.NewTicker(period)
-	defer tick.Stop()
+	clock := time.NewTimer(period)
+	defer clock.Stop()
 	for {
 		select {
 		case <-r.done:
 			return
-		case <-tick.C:
+		case <-r.kick:
+		case <-clock.C:
 		}
+		now := time.Now()
+		next := now.Add(period)
 		r.mu.Lock()
 		for i := range r.ctl {
 			ac := &r.ctl[i]
 			if ac.out == nil {
 				continue // between attempts, or already told
 			}
-			if term := ac.shouldTerminate(); term != nil {
-				ac.out <- outcome{err: term} // has room: see attempt
-				ac.out = nil
+			kill := ac.shouldTerminate()
+			if kill == nil && (ac.wake.IsZero() || now.Before(ac.wake)) {
+				if !ac.wake.IsZero() && ac.wake.Before(next) {
+					next = ac.wake
+				}
+				continue
 			}
+			ac.out <- outcome{err: kill} // has room: see attempt
+			ac.out, ac.wake = nil, time.Time{}
 		}
 		r.mu.Unlock()
+		clock.Reset(next.Sub(now))
+	}
+}
+
+// release counts down one of task id's holds and, if it was the last,
+// returns its controller, counted as started.
+func (r *appRun) release(id afg.TaskID) *appController {
+	ac := &r.ctl[id]
+	if ac.pending.Add(-1) != 0 {
+		return nil
+	}
+	r.left.Add(1)
+	return ac
+}
+
+// leave counts one started controller out; the last ends the loop.
+func (r *appRun) leave() {
+	if r.left.Add(-1) == 0 {
+		close(r.done)
 	}
 }
 
 // fail records the run's first failure and cancels everything still
-// running or parked on inputs. Task controllers call it.
+// running or waiting on the run's clock. Task controllers call it.
 func (r *appRun) fail(err error) {
 	r.mu.Lock()
 	if r.err == nil {

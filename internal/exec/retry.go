@@ -132,11 +132,7 @@ func (e *Engine) retryGate() *retryGate {
 // retryPause applies the retry policy before one rescheduling retry and
 // waits it out. It returns ctx's error if the wait was interrupted.
 func (e *Engine) retryPause(ctx context.Context, attempt int) error {
-	return sleep(ctx, e.retryDelay(attempt, time.Now()))
-}
-
-// sleep waits d and returns ctx's error if ctx has ended by then.
-func sleep(ctx context.Context, d time.Duration) error {
+	d := e.retryDelay(attempt, time.Now())
 	if d <= 0 {
 		return ctx.Err()
 	}

@@ -628,7 +628,7 @@ func (j *jobRecord) Status() services.JobStatus {
 	j.mu.Unlock()
 	switch s.State {
 	case services.JobStateQueued:
-		s.QueuePosition = j.pipe.admit.position(j)
+		j.pipe.liveQueued(&s, j)
 	case services.JobStateScheduling, services.JobStateRunning:
 		s.HostsHeld = j.pipe.admit.heldCount(j)
 	}

@@ -35,10 +35,10 @@ func (env *Environment) ListJobsAfter(owner, state string, after jobsapi.Cursor,
 	return env.pipe.withPositions(page), more
 }
 
-// withPositions overlays the live admission-queue position on the
-// queued rows of a board read — the one field of a listed row that is
-// not the job's last published status. One fair-queuing replay covers
-// every queued row; reads without queued rows pay for none.
+// withPositions overlays the live admission-queue view on the queued
+// rows of a board read — the one part of a listed row that is not the
+// job's last published status. One fair-queuing replay covers every
+// queued row; reads without queued rows pay for none.
 func (p *pipeline) withPositions(rows []services.JobStatus) []services.JobStatus {
 	var positions map[string]int
 	for i := range rows {
@@ -48,9 +48,21 @@ func (p *pipeline) withPositions(rows []services.JobStatus) []services.JobStatus
 		if positions == nil {
 			positions = p.admit.positions()
 		}
-		rows[i].QueuePosition = positions[rows[i].ID]
+		if pos, ok := positions[rows[i].ID]; ok {
+			rows[i].QueuePosition = pos
+		} else if j, live := p.job(rows[i].ID); live {
+			p.liveQueued(&rows[i], j)
+		}
 	}
 	return rows
+}
+
+// liveQueued gives j's queued row its position, or scheduling once popped.
+func (p *pipeline) liveQueued(s *services.JobStatus, j *jobRecord) {
+	var taken bool
+	if s.QueuePosition, taken = p.admit.position(j); taken {
+		s.State = services.JobStateScheduling
+	}
 }
 
 // Owners reports every known owner's fair-share weight, configured
@@ -157,7 +169,7 @@ func (env *Environment) Job(id string) (services.JobStatus, bool) {
 	s, ok := env.Board.Get(id)
 	if ok && s.State == services.JobStateQueued {
 		if j, live := env.pipe.job(id); live {
-			s.QueuePosition = env.pipe.admit.position(j)
+			env.pipe.liveQueued(&s, j)
 		}
 	}
 	return s, ok

@@ -338,7 +338,8 @@ func walkJobs(env *Environment, owner, state string) []services.JobStatus {
 
 // TestListJobsFiltersAndOrders covers Environment.ListJobsAfter:
 // owner/state filtering and stable (submit time, then ID) ordering with
-// live queue positions.
+// live queue positions, where a job popped but not yet claimed reads
+// scheduling, never queued at position 0.
 func TestListJobsFiltersAndOrders(t *testing.T) {
 	env := saturatedEnv(t, 79, 0)
 	ctx := context.Background()
@@ -364,9 +365,15 @@ func TestListJobsFiltersAndOrders(t *testing.T) {
 	if len(owned) != 4 {
 		t.Fatalf("listing (user_k) = %d entries, want 4", len(owned))
 	}
+	// A row the board still reads as queued whose job a worker has
+	// popped reports scheduling: the pop is the queued -> scheduling edge.
 	queued := walkJobs(env, "", services.JobStateQueued)
 	for _, s := range queued {
-		if s.QueuePosition == 0 {
+		switch {
+		case s.State == services.JobStateScheduling && s.QueuePosition == 0:
+		case s.State != services.JobStateQueued:
+			t.Fatalf("job %s of the queued listing reads %s: %+v", s.ID, s.State, s)
+		case s.QueuePosition == 0:
 			t.Fatalf("queued job %s has no queue position: %+v", s.ID, s)
 		}
 	}

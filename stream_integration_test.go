@@ -200,7 +200,7 @@ func TestQueuePositionCacheMatchesReplay(t *testing.T) {
 		if !ok {
 			t.Fatalf("queued %s has no live record", id)
 		}
-		if got := q.position(j); got != pos {
+		if got, _ := q.position(j); got != pos {
 			t.Fatalf("position(%s) = %d, want %d", id, got, pos)
 		}
 	}
