@@ -229,6 +229,16 @@ var ErrCycle = errors.New("afg: graph contains a cycle")
 // deserialized graphs), acyclicity, every non-dataflow input of a
 // non-entry task consistent, and parallel node counts positive.
 func (g *Graph) Validate() error {
+	if err := g.checkShape(); err != nil {
+		return err
+	}
+	_, _, _, _, err := g.kahn()
+	return err
+}
+
+// checkShape is Validate short of acyclicity: the checks that need no
+// topological pass.
+func (g *Graph) checkShape() error {
 	if len(g.Tasks) == 0 {
 		return errors.New("afg: graph has no tasks")
 	}
@@ -272,9 +282,6 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("afg: input port %d of task %d (%s) multiply connected", e.ToPort, e.To, tt.Name)
 		}
 		seenPort[key] = true
-	}
-	if _, err := g.TopoSort(); err != nil {
-		return err
 	}
 	return nil
 }

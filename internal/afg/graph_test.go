@@ -109,32 +109,35 @@ func TestValidateCatchesCycle(t *testing.T) {
 	}
 }
 
+// corruptions are the ways a diamond can be broken that Validate must
+// catch.
+var corruptions = []struct {
+	name string
+	mut  func(*Graph)
+}{
+	{"empty", func(g *Graph) { g.Tasks = nil; g.Edges = nil }},
+	{"bad id", func(g *Graph) { g.Tasks[1].ID = 7 }},
+	{"empty name", func(g *Graph) { g.Tasks[0].Name = "" }},
+	{"negative ports", func(g *Graph) { g.Tasks[0].InPorts = -1 }},
+	{"parallel zero nodes", func(g *Graph) {
+		g.Tasks[0].Props.Mode = Parallel
+		g.Tasks[0].Props.Nodes = 0
+	}},
+	{"edge missing task", func(g *Graph) { g.Edges[0].To = 99 }},
+	{"edge self loop", func(g *Graph) { g.Edges[0].To = g.Edges[0].From }},
+	{"edge bad from port", func(g *Graph) { g.Edges[0].FromPort = 9 }},
+	{"edge bad to port", func(g *Graph) { g.Edges[0].ToPort = 9 }},
+	{"double-connected port", func(g *Graph) { g.Edges[1] = g.Edges[0] }},
+	{"too many input specs", func(g *Graph) {
+		g.Tasks[0].Props.Inputs = make([]FileSpec, 10)
+	}},
+	{"too many output specs", func(g *Graph) {
+		g.Tasks[0].Props.Outputs = make([]FileSpec, 10)
+	}},
+}
+
 func TestValidateCatchesCorruption(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Graph)
-	}{
-		{"empty", func(g *Graph) { g.Tasks = nil; g.Edges = nil }},
-		{"bad id", func(g *Graph) { g.Tasks[1].ID = 7 }},
-		{"empty name", func(g *Graph) { g.Tasks[0].Name = "" }},
-		{"negative ports", func(g *Graph) { g.Tasks[0].InPorts = -1 }},
-		{"parallel zero nodes", func(g *Graph) {
-			g.Tasks[0].Props.Mode = Parallel
-			g.Tasks[0].Props.Nodes = 0
-		}},
-		{"edge missing task", func(g *Graph) { g.Edges[0].To = 99 }},
-		{"edge self loop", func(g *Graph) { g.Edges[0].To = g.Edges[0].From }},
-		{"edge bad from port", func(g *Graph) { g.Edges[0].FromPort = 9 }},
-		{"edge bad to port", func(g *Graph) { g.Edges[0].ToPort = 9 }},
-		{"double-connected port", func(g *Graph) { g.Edges[1] = g.Edges[0] }},
-		{"too many input specs", func(g *Graph) {
-			g.Tasks[0].Props.Inputs = make([]FileSpec, 10)
-		}},
-		{"too many output specs", func(g *Graph) {
-			g.Tasks[0].Props.Outputs = make([]FileSpec, 10)
-		}},
-	}
-	for _, c := range cases {
+	for _, c := range corruptions {
 		g, _ := diamond(t)
 		c.mut(g)
 		if err := g.Validate(); err == nil {

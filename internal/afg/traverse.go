@@ -116,7 +116,30 @@ func (g *Graph) Levels(cost CostFunc) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(g.Tasks)
+	return levelsOf(order, start, child, cost), nil
+}
+
+// Prepare is what a scheduling round needs of g before it places
+// anything, from one topological pass: it validates g (as Validate),
+// computes every task's level under cost (as Levels; none when cost is
+// nil) and returns a ReadySet over the entry nodes (as NewReadySet).
+func (g *Graph) Prepare(cost CostFunc) (levels []float64, rs *ReadySet, err error) {
+	if err := g.checkShape(); err != nil {
+		return nil, nil, err
+	}
+	order, start, child, spare, err := g.kahn()
+	if err != nil {
+		return nil, nil, err
+	}
+	if cost != nil {
+		levels = levelsOf(order, start, child, cost)
+	}
+	return levels, newReadySet(g, start, child, spare), nil
+}
+
+// levelsOf computes the levels over kahn's order and adjacency.
+func levelsOf(order, start, child []TaskID, cost CostFunc) []float64 {
+	n := len(order)
 	levels := make([]float64, n)
 	// Walk in reverse topological order so children are final first.
 	for i := n - 1; i >= 0; i-- {
@@ -129,7 +152,7 @@ func (g *Graph) Levels(cost CostFunc) ([]float64, error) {
 		}
 		levels[id] = cost(id) + best
 	}
-	return levels, nil
+	return levels
 }
 
 // CriticalPath returns the task sequence realizing the maximum level from
@@ -188,6 +211,11 @@ func NewReadySet(g *Graph) *ReadySet {
 	if err != nil {
 		return &ReadySet{}
 	}
+	return newReadySet(g, start, child, spare)
+}
+
+// newReadySet starts a ReadySet on kahn's adjacency and spare words.
+func newReadySet(g *Graph, start, child, spare []TaskID) *ReadySet {
 	n := len(g.Tasks)
 	rs := &ReadySet{start: start, child: child, remaining: spare[n:], ready: spare[:0:n]}
 	for _, e := range g.Edges {

@@ -355,3 +355,73 @@ func TestTopoSortAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// Property: Prepare is Validate, Levels and NewReadySet in one pass.
+// On every graph Validate rejects it fails with Validate's error; on
+// every graph Validate accepts its levels are Levels' and its ready set
+// drains in NewReadySet's order.
+func TestPrepareMatchesThePassesItReplaces(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	cost := func(id TaskID) float64 { return float64(id%7) + 0.5 }
+	var accepted, rejected int
+	check := func(what string, g *Graph) {
+		t.Helper()
+		levels, rs, err := g.Prepare(cost)
+		if want := g.Validate(); want != nil {
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("%s: Prepare error %v, Validate %v", what, err, want)
+			}
+			rejected++
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v, Validate accepted the graph", what, err)
+		}
+		if want, _ := g.Levels(cost); !reflect.DeepEqual(levels, want) {
+			t.Fatalf("%s: levels %v, Levels %v", what, levels, want)
+		}
+		if none, _, _ := g.Prepare(nil); none != nil {
+			t.Fatalf("%s: levels %v under a nil cost", what, none)
+		}
+		ref := NewReadySet(g)
+		for {
+			if got, want := rs.Ready(), ref.Ready(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ready %v, NewReadySet's %v", what, got, want)
+			}
+			if rs.Empty() {
+				break
+			}
+			id := rs.Ready()[rng.Intn(len(rs.Ready()))]
+			if err := rs.Complete(id); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if err := ref.Complete(id); err != nil {
+				t.Fatalf("%s: reference: %v", what, err)
+			}
+		}
+		accepted++
+	}
+	for i := 0; i < 1000; i++ {
+		check(fmt.Sprintf("randomDAG %d", i), randomDAG(rng, rng.Intn(40)+1))
+		g := scrambledGraph(rng, rng.Intn(40)+1)
+		if i%2 == 0 {
+			// Give each edge its own input port, so a cycle or an
+			// endpoint out of range is what Validate rejects.
+			next := make(map[TaskID]int)
+			for j := range g.Edges {
+				g.Edges[j].ToPort = next[g.Edges[j].To]
+				next[g.Edges[j].To]++
+			}
+		}
+		check(fmt.Sprintf("scrambledGraph %d", i), g)
+	}
+	for _, c := range corruptions {
+		g, _ := diamond(t)
+		c.mut(g)
+		check(c.name, g)
+	}
+	t.Logf("%d graphs accepted, %d rejected", accepted, rejected)
+	if accepted < 1000 || rejected < 500 {
+		t.Fatalf("generators drifted: %d graphs accepted, %d rejected", accepted, rejected)
+	}
+}

@@ -14,17 +14,24 @@ import (
 // is no multicast), and predicts with the same oracle, so simulated
 // comparisons isolate the placement policy.
 
-// snapshots validates g and freezes one snapshot per site, so a whole
-// run reads a coherent view.
-func snapshots(g *afg.Graph, sites []*LocalSite) ([]*repository.Snapshot, error) {
+// begin starts the plan named app over every given site: one pass over
+// g validates it and, under a non-nil cost, computes its levels, and
+// each site's snapshot is frozen, so a whole run reads a coherent view.
+func begin(g *afg.Graph, sites []*LocalSite, net *netmodel.Network, cost afg.CostFunc, app string) (plan, []*repository.Snapshot, error) {
 	if len(sites) == 0 {
-		return nil, ErrNoSites
+		return plan{}, nil, ErrNoSites
+	}
+	levels, rs, err := g.Prepare(cost)
+	if err != nil {
+		return plan{}, nil, err
 	}
 	snaps := make([]*repository.Snapshot, len(sites))
 	for i, s := range sites {
 		snaps[i] = s.Snapshot()
 	}
-	return snaps, g.Validate()
+	p := newPlan(g, net, rs, app)
+	p.levels = levels
+	return p, snaps, nil
 }
 
 // siteOption is one site's ranked eligible hosts for a task and how many
@@ -62,12 +69,11 @@ func (o siteOption) offer(p *plan, id afg.TaskID, hosts []string) error {
 // ScheduleRandom places every task on a uniformly random eligible site
 // and random eligible host set within it.
 func ScheduleRandom(g *afg.Graph, sites []*LocalSite, net *netmodel.Network, seed int64) (*AllocationTable, error) {
-	snaps, err := snapshots(g, sites)
+	p, snaps, err := begin(g, sites, net, nil, g.Name+" [random]")
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	p := newPlan(g, net, g.Name+" [random]")
 	p.rule = lowestID
 	return p.run(func(id afg.TaskID) error {
 		opts := eligible(sites, snaps, g.Tasks[id])
@@ -86,13 +92,12 @@ func ScheduleRandom(g *afg.Graph, sites []*LocalSite, net *netmodel.Network, see
 // ScheduleRoundRobin deals tasks across sites in rotation, and across
 // each site's eligible hosts in rotation, ignoring predictions entirely.
 func ScheduleRoundRobin(g *afg.Graph, sites []*LocalSite, net *netmodel.Network) (*AllocationTable, error) {
-	snaps, err := snapshots(g, sites)
+	p, snaps, err := begin(g, sites, net, nil, g.Name+" [round-robin]")
 	if err != nil {
 		return nil, err
 	}
 	siteCursor := 0
 	hostCursor := make(map[string]int)
-	p := newPlan(g, net, g.Name+" [round-robin]")
 	p.rule = lowestID
 	return p.run(func(id afg.TaskID) error {
 		opts := eligible(sites, snaps, g.Tasks[id])
@@ -118,17 +123,14 @@ func ScheduleRoundRobin(g *afg.Graph, sites []*LocalSite, net *netmodel.Network)
 // (host availability + data arrival + prediction) over every site's
 // Fig. 3 choice, then commit the task achieving the overall minimum.
 func ScheduleMinMin(g *afg.Graph, sites []*LocalSite, net *netmodel.Network) (*AllocationTable, error) {
-	if len(sites) == 0 {
-		return nil, ErrNoSites
-	}
-	if err := g.Validate(); err != nil {
+	p, _, err := begin(g, sites, net, nil, g.Name+" [min-min]")
+	if err != nil {
 		return nil, err
 	}
 	answers := make([]Selection, len(sites))
 	for i, s := range sites {
-		answers[i] = s.hostSelectionValidated(g)
+		answers[i] = s.selectInto(g, make(Selection, len(g.Tasks)))
 	}
-	p := newPlan(g, net, g.Name+" [min-min]")
 	p.rule, p.timed = everyReady, true
 	return p.run(func(id afg.TaskID) error { return p.offerChoices(answers, id) })
 }

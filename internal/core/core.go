@@ -12,6 +12,11 @@
 // placing each task on the site that minimizes predicted execution time
 // plus input transfer time. The result is the resource allocation table
 // handed to the Site Manager.
+//
+// A round does each piece of work once: one topological pass
+// (afg.Graph.Prepare) validates the graph, computes the levels and
+// starts the ready set; the k nearest sites are a prefix of the order
+// the network model keeps; the host selections share one block.
 package core
 
 import (

@@ -66,16 +66,15 @@ func (s *LocalSite) HostSelection(g *afg.Graph) (Selection, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return s.hostSelectionValidated(g), nil
+	return s.selectInto(g, make(Selection, len(g.Tasks))), nil
 }
 
-// hostSelectionValidated runs Fig. 3 without re-validating g — the
-// in-process fast path for schedulers that validated the graph at the
-// top of the round (validation walks the whole DAG; once per round is
-// enough).
-func (s *LocalSite) hostSelectionValidated(g *afg.Graph) Selection {
+// selectInto runs Fig. 3 into sel, one choice per task of g, without
+// re-validating g — the in-process fast path for schedulers that
+// validated the graph at the top of the round (validation walks the
+// whole DAG; once per round is enough).
+func (s *LocalSite) selectInto(g *afg.Graph, sel Selection) Selection {
 	snap := s.Repo.Snapshot()
-	sel := make(Selection, len(g.Tasks))
 	for i, task := range g.Tasks {
 		sel[i] = s.ChooseAt(snap, task, nil)
 	}
@@ -226,30 +225,36 @@ func (s *LocalSite) PredictSetAt(snap *repository.Snapshot, task *afg.Task, host
 	if err != nil {
 		return 0, err
 	}
-	var worst time.Duration
+	// By value: a pointer kept past its iteration escapes to the heap.
+	var worst, worstTime time.Duration
 	var worstHost repository.HostView
-	var worstMeasured *time.Duration
+	var worstMeasured bool
 	for _, name := range hosts {
 		h, ok := snap.View(name)
 		if !ok {
 			return 0, fmt.Errorf("%w: %s", repository.ErrUnknownHost, name)
 		}
+		m, ok := snap.MeasuredTime(task.Name, name)
 		var measured *time.Duration
-		if d, ok := snap.MeasuredTime(task.Name, name); ok {
-			measured = &d
+		if ok {
+			measured = &m
 		}
 		d, err := s.Oracle.P.Predict(params, h, 1, measured)
 		if err != nil {
 			return 0, err
 		}
 		if d >= worst {
-			worst, worstHost, worstMeasured = d, h, measured
+			worst, worstHost, worstTime, worstMeasured = d, h, m, ok
 		}
 	}
 	if len(hosts) == 1 {
 		return worst, nil
 	}
-	return s.Oracle.P.Predict(params, worstHost, len(hosts), worstMeasured)
+	var measured *time.Duration
+	if worstMeasured {
+		measured = &worstTime
+	}
+	return s.Oracle.P.Predict(params, worstHost, len(hosts), measured)
 }
 
 // ChooseAt runs the per-task body of Fig. 3 against one snapshot: rank

@@ -45,11 +45,12 @@ type plan struct {
 	haveBest  bool
 }
 
-// newPlan starts a plan over a validated graph; app names the table.
-func newPlan(g *afg.Graph, net *netmodel.Network, app string) plan {
+// newPlan starts a plan over a validated graph from its ready set (see
+// afg.Graph.Prepare); app names the table.
+func newPlan(g *afg.Graph, net *netmodel.Network, rs *afg.ReadySet, app string) plan {
 	inStart, inEdge := g.InEdgeIndex()
 	return plan{
-		g: g, net: net, rs: afg.NewReadySet(g), inStart: inStart, inEdge: inEdge,
+		g: g, net: net, rs: rs, inStart: inStart, inEdge: inEdge,
 		site:  make([]string, len(g.Tasks)),
 		table: &AllocationTable{App: app, Entries: make([]Placement, 0, len(g.Tasks))},
 	}

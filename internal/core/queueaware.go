@@ -18,16 +18,11 @@ import (
 // (`vdce-bench -run E2`) it beats the published scheduler in 40 of 45
 // cells; the five it loses are all at CCR 10.
 func ScheduleQueueAware(g *afg.Graph, sites []*LocalSite, net *netmodel.Network, cost afg.CostFunc) (*AllocationTable, error) {
-	snaps, err := snapshots(g, sites)
+	p, snaps, err := begin(g, sites, net, cost, g.Name+" [queue-aware]")
 	if err != nil {
 		return nil, err
 	}
-	levels, err := g.Levels(cost)
-	if err != nil {
-		return nil, err
-	}
-	p := newPlan(g, net, g.Name+" [queue-aware]")
-	p.levels, p.timed = levels, true
+	p.timed = true
 	return p.run(func(id afg.TaskID) error {
 		task := g.Tasks[id]
 		for _, o := range eligible(sites, snaps, task) {

@@ -69,15 +69,17 @@ func (s *Scheduler) roundSites() ([]SiteService, error) {
 
 // multicast runs HostSelection on every site on the caller (Fig. 2
 // steps 3-5). The caller has already validated g, so an in-process site
-// takes the no-revalidation fast path. Any other service's answer is
-// checked: answers[i] stays nil for a site that errored, did not answer
-// for exactly g's tasks, or offered hosts under another site's name;
-// errs[i] says why.
+// takes the no-revalidation fast path and writes its answer into its
+// own window of one block. Any other service's answer is checked:
+// answers[i] stays nil for a site that errored, did not answer for
+// exactly g's tasks, or offered hosts under another site's name;
+// errs[i] says why. errs is nil while every site answers.
 func multicast(g *afg.Graph, sites []SiteService) (answers []Selection, errs []error) {
-	answers, errs = make([]Selection, len(sites)), make([]error, len(sites))
+	n := len(g.Tasks)
+	answers, block := make([]Selection, len(sites)), make(Selection, len(sites)*n)
 	for i, svc := range sites {
 		if ls, ok := svc.(*LocalSite); ok {
-			answers[i] = ls.hostSelectionValidated(g)
+			answers[i] = ls.selectInto(g, block[i*n:(i+1)*n:(i+1)*n])
 			continue
 		}
 		sel, err := svc.HostSelection(g)
@@ -92,6 +94,9 @@ func multicast(g *afg.Graph, sites []SiteService) (answers []Selection, errs []e
 			}
 		}
 		if err != nil {
+			if errs == nil {
+				errs = make([]error, len(sites))
+			}
 			errs[i] = fmt.Errorf("site %s: %w", svc.SiteName(), err)
 			continue
 		}
@@ -103,15 +108,14 @@ func multicast(g *afg.Graph, sites []SiteService) (answers []Selection, errs []e
 // Schedule runs the Site Scheduler Algorithm (Fig. 2) and returns the
 // resource allocation table. cost supplies each task's level-computation
 // cost (the base-processor time from the task-performance database).
+// One topological pass validates g, computes the levels and finds the
+// entry nodes the placement loop starts from.
 func (s *Scheduler) Schedule(g *afg.Graph, cost afg.CostFunc) (*AllocationTable, error) {
 	if s.Local == nil {
 		return nil, ErrNoSites
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
 	// Priorities are computed before the scheduling run (§3).
-	levels, err := g.Levels(cost)
+	levels, rs, err := g.Prepare(cost)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +135,7 @@ func (s *Scheduler) Schedule(g *afg.Graph, cost afg.CostFunc) (*AllocationTable,
 	// are the sites whose host selection produced a real choice for it,
 	// each at Time_total(task, Sj) = Predict(task, Rj) + the transfer
 	// times from its parents' sites; the first minimal total wins.
-	p := newPlan(g, s.Net, g.Name)
+	p := newPlan(g, s.Net, rs, g.Name)
 	p.levels = levels
 	if s.Priority == FIFOPriority {
 		p.rule = lowestID

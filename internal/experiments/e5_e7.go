@@ -130,7 +130,8 @@ func E6FailureDetect(periods []time.Duration, trials int, seed int64) (*Table, e
 		}
 		t.Add(period.String(), mean.String(), latMax.String(), fmt.Sprintf("%d/%d", detected, trials))
 	}
-	t.Note("latency ≈ echo period − uniform failure offset; mean ≈ period/2, max ≤ period")
+	t.Note("the paper's bare echo: control.RepoReporter writes down on the first missed echo, so latency ≈ echo period − uniform failure offset; mean ≈ period/2, max ≤ period")
+	t.Note("the product makes a missed echo a detector vote and confirms the failure only after SuspicionTimeout of silence: these rows are not its detection latency")
 	return t, nil
 }
 

@@ -21,12 +21,16 @@ type Link struct {
 }
 
 // Network is a complete graph over named sites. Intra-site "links" model
-// the LAN inside one site. Networks are immutable after construction
-// aside from SetLink, and safe for concurrent reads once configured.
+// the LAN inside one site. SetLink, Ring and Randomize configure it;
+// once configured it is safe for concurrent reads, and Nearest neither
+// sorts nor allocates.
 type Network struct {
 	sites []string
 	index map[string]int
 	links [][]Link
+	// near[i] lists every other site by latency from site i, then by
+	// name; each configuring call recomputes it into fresh slices.
+	near [][]string
 }
 
 // Defaults applied by New for unspecified links.
@@ -65,6 +69,7 @@ func New(sites []string) (*Network, error) {
 			}
 		}
 	}
+	n.sortNear()
 	return n, nil
 }
 
@@ -84,6 +89,7 @@ func (n *Network) SetLink(a, b string, l Link) error {
 	}
 	n.links[ia][ib] = l
 	n.links[ib][ia] = l
+	n.sortNear()
 	return nil
 }
 
@@ -116,42 +122,31 @@ func (n *Network) TransferTime(bytes int64, a, b string) (time.Duration, error) 
 }
 
 // Nearest returns up to k remote sites sorted by ascending latency from
-// local — the paper's "select k nearest VDCE neighbor sites". The local
-// site itself is excluded.
+// local, ties by name — the paper's "select k nearest VDCE neighbor
+// sites". The local site itself is excluded. The result is a prefix of
+// the network's own order, shared by every caller: read it, do not
+// modify it.
 func (n *Network) Nearest(local string, k int) ([]string, error) {
 	il, ok := n.index[local]
 	if !ok {
 		return nil, fmt.Errorf("netmodel: unknown site %q", local)
 	}
-	if k <= 0 {
-		return nil, nil
+	k = min(max(k, 0), len(n.near[il]))
+	return n.near[il][:k:k], nil
+}
+
+// sortNear recomputes every site's nearest-first order after the links
+// changed.
+func (n *Network) sortNear() {
+	n.near = make([][]string, len(n.sites))
+	for il, row := range n.links {
+		near := slices.Delete(slices.Clone(n.sites), il, il+1)
+		// Latency then site name is a total order: no stable sort needed.
+		slices.SortFunc(near, func(a, b string) int {
+			return cmp.Or(cmp.Compare(row[n.index[a]].Latency, row[n.index[b]].Latency), cmp.Compare(a, b))
+		})
+		n.near[il] = near
 	}
-	type cand struct {
-		site string
-		lat  time.Duration
-	}
-	cands := make([]cand, 0, len(n.sites)-1)
-	for i, s := range n.sites {
-		if i == il {
-			continue
-		}
-		cands = append(cands, cand{site: s, lat: n.links[il][i].Latency})
-	}
-	// Latency then site name is a total order: no stable sort needed.
-	slices.SortFunc(cands, func(a, b cand) int {
-		if c := cmp.Compare(a.lat, b.lat); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.site, b.site)
-	})
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].site
-	}
-	return out, nil
 }
 
 // Ring rewires the network so sites form a latency ring: hop distance d
@@ -177,6 +172,7 @@ func (n *Network) Ring(hopLatency time.Duration, hopBytesPerSec float64) {
 			}
 		}
 	}
+	n.sortNear()
 }
 
 // Randomize assigns random WAN links (latency in [lo, hi], bandwidth in
@@ -193,4 +189,5 @@ func (n *Network) Randomize(seed int64, lo, hi time.Duration, bwLo, bwHi float64
 			n.links[j][i] = l
 		}
 	}
+	n.sortNear()
 }

@@ -1,7 +1,11 @@
 package netmodel
 
 import (
+	"cmp"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -139,6 +143,85 @@ func TestNearest(t *testing.T) {
 	if got, _ := tie.Nearest("s0", 3); len(got) != 3 || got[0] != "s1" || got[1] != "s2" || got[2] != "s3" {
 		t.Fatalf("tied Nearest = %v, want [s1 s2 s3]", got)
 	}
+}
+
+// nearestReference orders every other site by latency from local, then
+// by name, from the links alone.
+func nearestReference(t *testing.T, n *Network, sites []string, local string) []string {
+	t.Helper()
+	var out []string
+	for _, s := range sites {
+		if s != local {
+			out = append(out, s)
+		}
+	}
+	lat := func(s string) time.Duration {
+		l, err := n.LinkBetween(local, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.Latency
+	}
+	slices.SortFunc(out, func(a, b string) int { return cmp.Or(cmp.Compare(lat(a), lat(b)), cmp.Compare(a, b)) })
+	return out
+}
+
+// TestNearestFollowsTheLinks: the order a Network keeps for Nearest is
+// the one its links give after every call that changes them — SetLink,
+// Ring and Randomize — with ties by name, and concurrent readers share
+// it without a race.
+func TestNearestFollowsTheLinks(t *testing.T) {
+	sites := []string{"s4", "s0", "s5", "s2", "s1", "s3"} // not in name order
+	n := mustNew(t, sites...)
+	check := func(after string) {
+		t.Helper()
+		for _, local := range sites {
+			want := nearestReference(t, n, sites, local)
+			got, err := n.Nearest(local, len(sites))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %s: Nearest(%s) = %v, want %v", after, local, got, want)
+			}
+			if k3, _ := n.Nearest(local, 3); !reflect.DeepEqual(k3, want[:3]) {
+				t.Fatalf("after %s: Nearest(%s, 3) = %v, want %v", after, local, k3, want[:3])
+			}
+		}
+	}
+	check("New") // every WAN link ties: name order
+	for _, l := range []struct {
+		a, b string
+		lat  time.Duration
+	}{{"s0", "s3", time.Millisecond}, {"s3", "s5", 2 * time.Millisecond}, {"s5", "s0", time.Millisecond}} {
+		if err := n.SetLink(l.a, l.b, Link{Latency: l.lat, BytesPerSec: 1e6}); err != nil {
+			t.Fatal(err)
+		}
+		check("SetLink " + l.a + "-" + l.b)
+	}
+	n.Ring(2*time.Millisecond, 8e6) // two neighbors at each hop distance tie
+	check("Ring")
+	n.Randomize(5, time.Millisecond, 40*time.Millisecond, 1e5, 1e7)
+	check("Randomize")
+	n.Randomize(6, 3*time.Millisecond, 3*time.Millisecond, 1e5, 1e7) // every WAN link ties
+	check("Randomize to one latency")
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				local := sites[i%len(sites)]
+				if got, err := n.Nearest(local, 1+i%len(sites)); err != nil || len(got) == 0 {
+					t.Errorf("Nearest(%s) = %v, %v", local, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	check("concurrent reads")
 }
 
 func TestRing(t *testing.T) {

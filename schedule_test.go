@@ -24,7 +24,7 @@ import (
 
 // installEverywhere registers a synthetic graph's tasks on every host
 // of every site.
-func installEverywhere(t *testing.T, env *Environment, w *workload.Graph) {
+func installEverywhere(t testing.TB, env *Environment, w *workload.Graph) {
 	t.Helper()
 	for _, site := range env.TB.Sites {
 		hosts := make([]string, len(site.Hosts))
@@ -282,33 +282,55 @@ func TestQuarantinedHostGetsNoFirstPlacement(t *testing.T) {
 	}
 }
 
+// roundCase is one graph a scheduling round is measured on, with its
+// neighbor count and its allocation budget.
+type roundCase struct {
+	name   string
+	g      *afg.Graph
+	k      int
+	budget float64
+}
+
+// roundCases builds an environment of four sites and the graphs a round
+// is measured on: C3I-6 and LES-16 at K=2, a 200-task layered graph at
+// K=3.
+func roundCases(tb testing.TB) (*Environment, []roundCase) {
+	env := newEnv(tb, Config{Testbed: testbed.Config{Sites: 4, HostsPerGroup: 3, Seed: 41, BaseLoadMax: 0.2}})
+	c3i, err := tasklib.BuildC3IPipeline(6, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	les, err := tasklib.BuildLinearEquationSolver(16, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, g := range []*afg.Graph{c3i, les} {
+		for _, task := range g.Tasks {
+			task.Props.MachineType = ""
+		}
+	}
+	layered, err := workload.Layered(workload.Params{Tasks: 200, CCR: 1, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	installEverywhere(tb, env, layered)
+	return env, []roundCase{{"c3i-6", c3i, 2, 17}, {"les-16", les, 2, 17}, {"layered-200", layered.G, 3, 30}}
+}
+
 // TestScheduleRoundAllocBudget pins what one scheduling round costs
 // once the rank cache is warm: 125 allocations for the 6-task C3I graph
 // and 3,576 for a 200-task layered graph when the round ran over
 // per-task maps. Over TaskID-indexed slices the count may not scale
-// with the graph.
+// with the graph. One topological pass, one answer block for the
+// multicast and the network's own nearest-site order took C3I from 27
+// to 14, LES-16 from 33 to 14 (its parallel task's PredictSetAt keeps
+// no measurement on the heap) and the layered graph from 35 to 27.
 func TestScheduleRoundAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 4, HostsPerGroup: 3, Seed: 41, BaseLoadMax: 0.2}})
-	c3i, err := tasklib.BuildC3IPipeline(6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range c3i.Tasks {
-		task.Props.MachineType = ""
-	}
-	layered, err := workload.Layered(workload.Params{Tasks: 200, CCR: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	installEverywhere(t, env, layered)
-	for _, tc := range []struct {
-		g      *afg.Graph
-		k      int
-		budget float64
-	}{{c3i, 2, 40}, {layered.G, 3, 64}} {
+	env, cases := roundCases(t)
+	for _, tc := range cases {
 		round := func() {
 			if _, err := env.Schedule(tc.g, tc.k); err != nil {
 				t.Fatal(err)
@@ -320,6 +342,26 @@ func TestScheduleRoundAllocBudget(t *testing.T) {
 		if allocs > tc.budget {
 			t.Errorf("a round over %s allocates %.0f objects, budget %.0f", tc.g.Name, allocs, tc.budget)
 		}
+	}
+}
+
+// BenchmarkScheduleRound times one warm scheduling round (the rank
+// cache filled) over each graph of TestScheduleRoundAllocBudget: the
+// round's repeatable CPU cost.
+func BenchmarkScheduleRound(b *testing.B) {
+	env, cases := roundCases(b)
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			if _, err := env.Schedule(tc.g, tc.k); err != nil { // fill the rank cache
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := env.Schedule(tc.g, tc.k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

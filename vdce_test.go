@@ -19,7 +19,7 @@ import (
 	"vdce/internal/testbed"
 )
 
-func newEnv(t *testing.T, cfg Config) *Environment {
+func newEnv(t testing.TB, cfg Config) *Environment {
 	t.Helper()
 	env, err := New(cfg)
 	if err != nil {
