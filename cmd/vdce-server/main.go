@@ -1,6 +1,6 @@
-// Command vdce-server runs one VDCE site: the Site Manager RPC endpoint
-// that serves the site's resource-performance database to vdce-monitor,
-// plus the Application Editor HTTP API, over a fabricated testbed site.
+// Command vdce-server runs one VDCE site over a fabricated testbed: the
+// Application Editor HTTP API, the job-control API, and GET /v1/hosts,
+// which serves the site's resource-performance database to vdce-monitor.
 // Submissions (POST /v1/apps/{id}/submit, the one submit route) flow
 // through the environment's fair-share priority admission pipeline:
 // within one owner higher-priority jobs overtake a saturated queue (with
@@ -67,7 +67,6 @@ import (
 
 	"vdce"
 	"vdce/internal/chaos"
-	"vdce/internal/control"
 	"vdce/internal/exec"
 	"vdce/internal/jobsapi"
 	"vdce/internal/testbed"
@@ -190,12 +189,6 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 		return err
 	}
 	defer env.Close()
-	site := env.TB.Sites[0]
-	sm, err := control.StartSiteManager(site.Name, site.Repo, "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer sm.Close()
 	if *storeDir != "" {
 		rep := env.Recovery()
 		fmt.Fprintf(out, "store: %s (recovered: %d queued re-admitted, %d in-flight re-dispatched, %d terminal retained)\n",
@@ -295,7 +288,6 @@ func run(ctx context.Context, args []string, out io.Writer, notify func(addr str
 		notify(addr)
 	}
 	fmt.Fprintf(out, "VDCE server for %s\n", env.TB.Sites[0].Name)
-	fmt.Fprintf(out, "  site manager RPC : %s\n", sm.Addr())
 	fmt.Fprintf(out, "  application editor: http://%s (user_k / vdce)\n", addr)
 	fmt.Fprintf(out, "  job-control API   : http://%s/v1/jobs\n", addr)
 	fmt.Fprintf(out, "  event stream      : http://%s/v1/events (SSE; per-job: /v1/jobs/{id}/events)\n", addr)

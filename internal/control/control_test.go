@@ -2,102 +2,88 @@ package control
 
 import (
 	"context"
-	"net/rpc"
-	"strings"
 	"testing"
 	"time"
 
-	"vdce/internal/protocol"
+	"vdce/internal/detect"
 	"vdce/internal/repository"
 	"vdce/internal/testbed"
 )
 
-// buildSite builds a one-site testbed.
-func buildSite(t *testing.T, hosts int) (*repository.Repository, *testbed.Testbed) {
+// buildSite builds a one-site testbed and a detector watching it.
+func buildSite(t *testing.T, hosts int, cfg detect.Config) (*repository.Repository, *testbed.Testbed, *detect.Detector) {
 	t.Helper()
 	tb, err := testbed.Build(testbed.Config{Sites: 1, HostsPerGroup: hosts, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tb.Sites[0].Repo, tb
+	site := tb.Sites[0]
+	det := detect.New(cfg)
+	det.AddSite(site.Name, site.Repo.Resources)
+	return site.Repo, tb, det
 }
 
-// startSite builds a one-site testbed and serves its Site Manager.
-func startSite(t *testing.T, name string, hosts int) (*SiteManager, *repository.Repository, *testbed.Testbed) {
-	t.Helper()
-	repo, tb := buildSite(t, hosts)
-	sm, err := StartSiteManager(name, repo, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// upNames lists the hosts the repository serves to placement.
+func upNames(db *repository.ResourceDB) []string {
+	var out []string
+	for _, h := range db.UpHosts() {
+		out = append(out, h.HostName)
 	}
-	t.Cleanup(func() { sm.Close() })
-	return sm, repo, tb
+	return out
 }
 
-// TestWorkloadAndFailureRPC: what a Group Manager's reports put into the
-// site's resource-performance database is what the Resources RPC — the
-// workload view vdce-monitor prints — serves.
+// TestWorkloadAndFailureRPC: what a Group Manager reports lands in the
+// site's resource-performance database — a forwarded workload at once,
+// an echo failure once the detector's round confirms it, and a recovery
+// likewise.
 func TestWorkloadAndFailureRPC(t *testing.T) {
-	sm, repo, tb := startSite(t, "siteW", 2)
-	if sm.SiteName() != "siteW" {
-		t.Fatalf("site name = %q", sm.SiteName())
-	}
-	client, err := rpc.Dial("tcp", sm.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	resources := func(q protocol.ResourceQuery) []repository.ResourceInfo {
-		t.Helper()
-		var list protocol.ResourceList
-		if err := client.Call(protocol.SiteServiceName+".Resources", q, &list); err != nil {
-			t.Fatal(err)
-		}
-		return list.Hosts
-	}
-	reporter := RepoReporter{Repo: repo}
-	host := tb.Sites[0].Hosts[0].Name
+	repo, tb, det := buildSite(t, 2, detect.Config{SuspicionTimeout: time.Second})
+	db := repo.Resources
+	host := tb.Sites[0].Hosts[0]
+	gm := NewGroupManager("g0", tb.Sites[0].Hosts, db, det, time.Hour)
 
-	batch := protocol.WorkloadBatch{Site: "siteW", Group: "g", Samples: []protocol.HostSample{
-		{Host: host, Sample: repository.WorkloadSample{CPULoad: 0.42, AvailMemBytes: 123, Time: time.Unix(10, 0)}},
-	}}
-	if err := reporter.ApplyWorkloads(batch); err != nil {
+	t0 := time.Unix(10, 0)
+	if err := gm.Ingest(host.Name, repository.WorkloadSample{CPULoad: 0.42, AvailMemBytes: 123, Time: t0}); err != nil {
 		t.Fatal(err)
 	}
 	seen := false
-	for _, rec := range resources(protocol.ResourceQuery{}) {
-		if rec.HostName == host {
+	for _, rec := range db.Hosts() {
+		if rec.HostName == host.Name {
 			seen = rec.CPULoad == 0.42 && rec.AvailMem == 123
 		}
 	}
 	if !seen {
-		t.Fatal("the forwarded workload is not in the Resources answer")
+		t.Fatal("the forwarded workload is not in the database")
 	}
 
-	if err := reporter.ApplyFailure(protocol.FailureNotice{Host: host, Detected: time.Now()}); err != nil {
+	host.Fail()
+	gm.EchoRound(t0.Add(time.Second))
+	if up := upNames(db); len(up) != 2 {
+		t.Fatalf("up hosts after the echo vote alone = %v, want both: only the detector writes status", up)
+	}
+	if _, err := det.Tick(t0.Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if up := resources(protocol.ResourceQuery{UpOnly: true}); len(up) != 1 || up[0].HostName == host {
-		t.Fatalf("up hosts after the failure notice = %+v, want only the other host", up)
+	if up := upNames(db); len(up) != 1 || up[0] == host.Name {
+		t.Fatalf("up hosts after the detector's round = %v, want only the other host", up)
 	}
-	if all := resources(protocol.ResourceQuery{}); len(all) != 2 {
-		t.Fatalf("resources = %d hosts, want 2", len(all))
+	if all := db.Hosts(); len(all) != 2 {
+		t.Fatalf("database = %d hosts, want 2", len(all))
 	}
-	if err := reporter.ApplyRecovery(protocol.RecoveryNotice{Host: host, Detected: time.Now()}); err != nil {
+	host.Recover()
+	gm.EchoRound(t0.Add(3 * time.Second))
+	if _, err := det.Tick(t0.Add(3 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if up := resources(protocol.ResourceQuery{UpOnly: true}); len(up) != 2 {
-		t.Fatalf("up hosts after the recovery notice = %d, want 2", len(up))
-	}
-	if other := resources(protocol.ResourceQuery{Group: "no-such-group"}); len(other) != 0 {
-		t.Fatalf("group filter let %d hosts through", len(other))
+	if up := upNames(db); len(up) != 2 {
+		t.Fatalf("up hosts after the recovery = %v, want 2", up)
 	}
 }
 
 func TestGroupManagerFiltering(t *testing.T) {
-	repo, tb := buildSite(t, 1)
+	repo, tb, det := buildSite(t, 1, detect.Config{})
 	h := tb.Sites[0].Hosts[0]
-	gm := NewGroupManager("siteF", "g0", []*testbed.Host{h}, RepoReporter{Repo: repo}, time.Hour)
+	gm := NewGroupManager("g0", []*testbed.Host{h}, repo.Resources, det, time.Hour)
 	gm.Threshold = 0.1
 	gm.MemThreshold = 1 << 40 // effectively disable the memory trigger
 
@@ -131,9 +117,9 @@ func TestGroupManagerFiltering(t *testing.T) {
 func TestGroupManagerCumulativeDrift(t *testing.T) {
 	// Regression guard: the filter compares against the last REPORTED
 	// value, so a slow drift must eventually be reported.
-	repo, tb := buildSite(t, 1)
+	repo, tb, det := buildSite(t, 1, detect.Config{})
 	h := tb.Sites[0].Hosts[0]
-	gm := NewGroupManager("siteD", "g0", []*testbed.Host{h}, RepoReporter{Repo: repo}, time.Hour)
+	gm := NewGroupManager("g0", []*testbed.Host{h}, repo.Resources, det, time.Hour)
 	gm.Threshold = 0.1
 	gm.MemThreshold = 1 << 40
 	load := 0.0
@@ -149,67 +135,89 @@ func TestGroupManagerCumulativeDrift(t *testing.T) {
 	}
 }
 
+// TestGroupManagerEchoDetection: an echo miss is one detector vote, sent
+// once per failure — with a quorum of three, the vote and one silent
+// round leave the host suspect, and a second round confirms it — and an
+// answering host is a heartbeat the next round turns into a recovery.
 func TestGroupManagerEchoDetection(t *testing.T) {
-	repo, tb := buildSite(t, 3)
+	repo, tb, det := buildSite(t, 3, detect.Config{SuspicionTimeout: time.Second, ConfirmQuorum: 3})
 	hosts := tb.Sites[0].Hosts
 	resources := repo.Resources
-	gm := NewGroupManager("siteE", "g0", hosts, RepoReporter{Repo: repo}, time.Hour)
-
-	// Every notice is one repository write, so the database's generation
-	// counts them.
-	before := resources.Generation()
-	if err := gm.EchoRound(time.Now()); err != nil {
-		t.Fatal(err)
+	gm := NewGroupManager("g0", hosts, resources, det, time.Hour)
+	state := func(h *testbed.Host) detect.State {
+		st, _ := det.State(h.Name)
+		return st
 	}
-	if resources.Generation() != before {
-		t.Fatal("healthy round produced reports")
+	status := func(h *testbed.Host) repository.HostStatus {
+		v, _ := resources.View(h.Name)
+		return v.Status
+	}
+
+	t0 := time.Unix(100, 0)
+	for _, h := range hosts {
+		det.Observe(h.Name, t0)
+	}
+	gm.EchoRound(t0)
+	if trs, err := det.Tick(t0); err != nil || len(trs) != 0 {
+		t.Fatalf("healthy round: transitions %v, err %v", trs, err)
 	}
 	hosts[1].Fail()
-	if err := gm.EchoRound(time.Now()); err != nil {
-		t.Fatal(err)
-	}
+	gm.EchoRound(t0.Add(time.Second))
 	if !gm.Down(hosts[1].Name) {
-		t.Fatal("failure not detected")
+		t.Fatal("failure not noticed")
 	}
-	rec, _ := resources.Host(hosts[1].Name)
-	if rec.Status != repository.HostDown {
-		t.Fatal("repo not updated on failure")
+	// No second vote while the host stays down.
+	gm.EchoRound(t0.Add(1500 * time.Millisecond))
+	for _, h := range hosts {
+		if h != hosts[1] {
+			det.Observe(h.Name, t0.Add(2*time.Second))
+		}
 	}
-	// No duplicate reports while still down.
-	before = resources.Generation()
-	if err := gm.EchoRound(time.Now()); err != nil {
+	if _, err := det.Tick(t0.Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if resources.Generation() != before {
-		t.Fatal("duplicate failure report")
+	if st := state(hosts[1]); st != detect.Suspect {
+		t.Fatalf("after one echo vote and one silent round the host is %v, want suspect (a duplicate vote would confirm it)", st)
+	}
+	if got := status(hosts[1]); got != repository.HostUp {
+		t.Fatalf("a suspect host reads %s, want up", got)
+	}
+	if _, err := det.Tick(t0.Add(3 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if st, got := state(hosts[1]), status(hosts[1]); st != detect.Dead || got != repository.HostDown {
+		t.Fatalf("after the second silent round: %v / %s, want dead / down", st, got)
 	}
 	// Recovery flips it back.
 	hosts[1].Recover()
-	if err := gm.EchoRound(time.Now()); err != nil {
+	gm.EchoRound(t0.Add(4 * time.Second))
+	if gm.Down(hosts[1].Name) {
+		t.Fatal("recovery not noticed")
+	}
+	if _, err := det.Tick(t0.Add(4 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if gm.Down(hosts[1].Name) {
-		t.Fatal("recovery not detected")
-	}
-	rec, _ = resources.Host(hosts[1].Name)
-	if rec.Status != repository.HostUp {
-		t.Fatal("repo not updated on recovery")
+	if st, got := state(hosts[1]), status(hosts[1]); st != detect.Recovered || got != repository.HostUp {
+		t.Fatalf("after the recovery round: %v / %s, want recovered / up", st, got)
 	}
 }
 
 func TestGroupManagerRunLoop(t *testing.T) {
-	repo, tb := buildSite(t, 2)
+	period := 5 * time.Millisecond
+	repo, tb, det := buildSite(t, 2, detect.Config{SuspicionTimeout: 10 * period, TickPeriod: period})
 	hosts := tb.Sites[0].Hosts
 	resources := repo.Resources
-	gm := NewGroupManager("siteR", "g0", hosts, RepoReporter{Repo: repo}, 5*time.Millisecond)
-	gm.EchoPeriod = 5 * time.Millisecond
+	gm := NewGroupManager("g0", hosts, resources, det, period)
+	gm.EchoPeriod = period
 	gm.Threshold = 0 // forward everything
 
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { gm.Run(ctx); close(done) }()
+	done := make(chan struct{}, 2)
+	go func() { gm.Run(ctx); done <- struct{}{} }()
+	go func() { det.Run(ctx); done <- struct{}{} }()
 
-	// Fail one host mid-run, then wait for the daemon loops to act.
+	// Fail one host mid-run, then wait for the echo vote and the
+	// detector's rounds to act.
 	time.Sleep(30 * time.Millisecond)
 	hosts[0].Fail()
 	deadline := time.Now().Add(2 * time.Second)
@@ -222,9 +230,13 @@ func TestGroupManagerRunLoop(t *testing.T) {
 	}
 	cancel()
 	<-done
+	<-done
 	rec, _ := resources.Host(hosts[0].Name)
 	if rec.Status != repository.HostDown {
 		t.Fatal("run loop never detected the failure")
+	}
+	if !gm.Down(hosts[0].Name) {
+		t.Fatal("the echo loop never noticed the failure")
 	}
 	if rec, _ := resources.Host(hosts[1].Name); len(rec.RecentLoads) == 0 {
 		t.Fatal("run loop forwarded no workloads")
@@ -232,18 +244,5 @@ func TestGroupManagerRunLoop(t *testing.T) {
 	recv, fwd, echoes := gm.Stats()
 	if recv == 0 || fwd == 0 || echoes == 0 {
 		t.Fatalf("stats: recv=%d forwarded=%d echoes=%d", recv, fwd, echoes)
-	}
-}
-
-func TestSiteManagerDoubleClose(t *testing.T) {
-	sm, _, _ := startSite(t, "siteC", 1)
-	if err := sm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sm.Close(); err != nil {
-		t.Fatal("second close errored")
-	}
-	if !strings.Contains(sm.Addr(), ":") {
-		t.Fatal("addr unreadable after close")
 	}
 }

@@ -1,3 +1,11 @@
+// Package control implements the Group Manager of the VDCE Control
+// Manager's Resource Controller (Fig. 4): it aggregates its group's
+// Monitor daemon measurements, forwards only significant workload
+// changes to the site's resource-performance database, and checks its
+// hosts with periodic echoes. Every measurement is a heartbeat for the
+// failure detector (internal/detect) and every echo timeout a vote, so
+// the detector alone decides when a host is marked down. Tools read the
+// database over HTTP (GET /v1/hosts).
 package control
 
 import (
@@ -6,26 +14,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vdce/internal/detect"
 	"vdce/internal/monitor"
-	"vdce/internal/protocol"
 	"vdce/internal/repository"
 	"vdce/internal/testbed"
 )
 
-// Reporter is where a Group Manager sends its updates: a RepoReporter,
-// or a wrapper that routes failure notices elsewhere first.
-type Reporter interface {
-	ApplyWorkloads(protocol.WorkloadBatch) error
-	ApplyFailure(protocol.FailureNotice) error
-	ApplyRecovery(protocol.RecoveryNotice) error
-}
-
 // GroupManager runs on each group leader machine: it collects Monitor
-// daemon measurements, forwards to the Site Manager only the workloads
-// that changed considerably since the previous report, and periodically
-// checks all hosts in the group with echo packets, reporting failures.
+// daemon measurements, writes to the site's database only the workloads
+// that changed considerably since the previous write, and periodically
+// checks all hosts in the group with echo packets, reporting changes to
+// the failure detector.
 type GroupManager struct {
-	Site  string
 	Group string
 	// Threshold is the significant-change filter: a sample is forwarded
 	// only if |load - lastReported| >= Threshold or available memory
@@ -35,17 +35,11 @@ type GroupManager struct {
 	MemThreshold int64
 	// EchoPeriod is the echo-round cadence.
 	EchoPeriod time.Duration
-	// Heartbeat, when set, receives every measurement the group's
-	// monitor daemons deliver — BEFORE the significant-change filter —
-	// so a failure detector can track per-host last-seen times from the
-	// full stream. The filter exists to spare the Site Manager link;
-	// heartbeats must not be filtered or a steady host would look
-	// silent. Set it before Run starts.
-	Heartbeat monitor.Sink
 
-	hosts    []*testbed.Host
-	daemons  []*monitor.Daemon
-	reporter Reporter
+	hosts   []*testbed.Host
+	daemons []*monitor.Daemon
+	db      *repository.ResourceDB
+	det     *detect.Detector
 
 	mu           sync.Mutex
 	lastReported map[string]repository.WorkloadSample
@@ -53,21 +47,22 @@ type GroupManager struct {
 
 	// counters for E5/E6
 	received  atomic.Int64 // samples received from monitors
-	forwarded atomic.Int64 // samples forwarded to the site manager
+	forwarded atomic.Int64 // samples written to the database
 	echoes    atomic.Int64
 }
 
-// NewGroupManager builds a manager for the given hosts reporting to
-// reporter. monitorPeriod parameterizes the per-host daemons.
-func NewGroupManager(site, group string, hosts []*testbed.Host, reporter Reporter, monitorPeriod time.Duration) *GroupManager {
+// NewGroupManager builds a manager for the given hosts that writes
+// workloads to the site's resource database db and reports liveness to
+// det. monitorPeriod parameterizes the per-host daemons.
+func NewGroupManager(group string, hosts []*testbed.Host, db *repository.ResourceDB, det *detect.Detector, monitorPeriod time.Duration) *GroupManager {
 	gm := &GroupManager{
-		Site:         site,
 		Group:        group,
 		Threshold:    0.05,
 		MemThreshold: 16 << 20,
 		EchoPeriod:   time.Second,
 		hosts:        hosts,
-		reporter:     reporter,
+		db:           db,
+		det:          det,
 		lastReported: make(map[string]repository.WorkloadSample),
 		down:         make(map[string]bool),
 	}
@@ -82,14 +77,14 @@ func (gm *GroupManager) Stats() (received, forwarded, echoes int64) {
 	return gm.received.Load(), gm.forwarded.Load(), gm.echoes.Load()
 }
 
-// Ingest receives one monitor measurement, applies the
-// significant-change filter, and forwards when warranted. Exposed for
-// deterministic tests; Run wires it to the daemons.
+// Ingest receives one monitor measurement: it is a heartbeat for the
+// detector, and it reaches the database only when it passes the
+// significant-change filter — the filter spares the database, but a
+// steady host must not look silent. Exposed for deterministic tests;
+// Run wires it to the daemons.
 func (gm *GroupManager) Ingest(host string, s repository.WorkloadSample) error {
 	gm.received.Add(1)
-	if gm.Heartbeat != nil {
-		gm.Heartbeat(host, s)
-	}
+	gm.det.Observe(host, s.Time)
 	gm.mu.Lock()
 	prev, seen := gm.lastReported[host]
 	significant := !seen ||
@@ -103,47 +98,32 @@ func (gm *GroupManager) Ingest(host string, s repository.WorkloadSample) error {
 		return nil
 	}
 	gm.forwarded.Add(1)
-	return gm.reporter.ApplyWorkloads(protocol.WorkloadBatch{
-		Site: gm.Site, Group: gm.Group,
-		Samples: []protocol.HostSample{{Host: host, Sample: s}},
-	})
+	_, err := gm.db.UpdateWorkloads([]repository.HostSample{{Host: host, Sample: s}})
+	return err
 }
 
 // EchoRound sends one echo to every host in the group and reports
-// transitions: a newly unresponsive host is reported down, a recovered
-// one up. now stamps the notices.
-func (gm *GroupManager) EchoRound(now time.Time) error {
+// transitions to the detector: a newly unresponsive host is one
+// suspicion vote, a host answering again a heartbeat. Neither writes a
+// status; the detector's next round does. now stamps the reports.
+func (gm *GroupManager) EchoRound(now time.Time) {
 	for _, h := range gm.hosts {
 		gm.echoes.Add(1)
-		err := h.Echo()
+		failed := h.Echo() != nil
 		gm.mu.Lock()
-		wasDown := gm.down[h.Name]
+		changed := gm.down[h.Name] != failed
+		gm.down[h.Name] = failed
 		gm.mu.Unlock()
 		switch {
-		case err != nil && !wasDown:
-			gm.mu.Lock()
-			gm.down[h.Name] = true
-			gm.mu.Unlock()
-			if rerr := gm.reporter.ApplyFailure(protocol.FailureNotice{
-				Host: h.Name, Group: gm.Group, Detected: now,
-			}); rerr != nil {
-				return rerr
-			}
-		case err == nil && wasDown:
-			gm.mu.Lock()
-			gm.down[h.Name] = false
-			gm.mu.Unlock()
-			if rerr := gm.reporter.ApplyRecovery(protocol.RecoveryNotice{
-				Host: h.Name, Group: gm.Group, Detected: now,
-			}); rerr != nil {
-				return rerr
-			}
+		case changed && failed:
+			gm.det.ReportFailure(h.Name, now)
+		case changed:
+			gm.det.Observe(h.Name, now)
 		}
 	}
-	return nil
 }
 
-// Down reports whether the manager currently believes host is down.
+// Down reports whether the host failed the manager's last echo.
 func (gm *GroupManager) Down(host string) bool {
 	gm.mu.Lock()
 	defer gm.mu.Unlock()
@@ -158,8 +138,8 @@ func (gm *GroupManager) Run(ctx context.Context) {
 		go func(d *monitor.Daemon) {
 			defer wg.Done()
 			d.Run(ctx, func(host string, s repository.WorkloadSample) {
-				// Ingest errors indicate a dead site manager; the group
-				// manager keeps trying (inter-site links flap).
+				// An unknown host (membership gone stale) loses only its
+				// own sample; the daemons keep reporting.
 				_ = gm.Ingest(host, s)
 			})
 		}(d)
@@ -174,7 +154,7 @@ func (gm *GroupManager) Run(ctx context.Context) {
 			case <-ctx.Done():
 				return
 			case now := <-t.C:
-				_ = gm.EchoRound(now)
+				gm.EchoRound(now)
 			}
 		}
 	}()

@@ -118,10 +118,8 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 		out = nil
 		ac.app.recordRun(tr, err == nil)
 		if err == nil {
-			if e.Health != nil {
-				for _, h := range ac.place.Hosts {
-					e.Health.RecordOutcome(h, true)
-				}
+			for _, h := range ac.place.Hosts {
+				e.Health.RecordOutcome(h, true)
 			}
 			return outs, nil
 		}
@@ -140,9 +138,7 @@ func (ac *appController) executeWithRescheduling(ctx context.Context, in []taskl
 				Host: term.host, Reason: term.reason})
 		} else {
 			ac.app.recordFailedHost(term.host)
-			if e.Health != nil {
-				e.Health.RecordOutcome(term.host, false)
-			}
+			e.Health.RecordOutcome(term.host, false)
 			ac.app.emit(Event{Type: EventHostFailure, Task: ac.task.ID, TaskName: ac.task.Name,
 				Host: term.host, Reason: term.reason})
 			e.logger().Warn("host failure", "app", ac.app.appID,

@@ -12,6 +12,7 @@ import (
 
 	"vdce/internal/afg"
 	"vdce/internal/core"
+	"vdce/internal/detect"
 	"vdce/internal/frame"
 	"vdce/internal/netmodel"
 	"vdce/internal/tasklib"
@@ -573,7 +574,7 @@ func TestDilationChargesModeledTransfer(t *testing.T) {
 	}{{1, false}, {1, true}, {0, false}} {
 		scale := run.scale
 		g, src, table := chain(run.consumerFirst)
-		e := &Engine{Reg: tasklib.Default(), TB: tb, DilationScale: scale}
+		e := &Engine{Reg: tasklib.Default(), TB: tb, DilationScale: scale, Health: detect.New(detect.Config{})}
 		res, err := e.Execute(context.Background(), g, table)
 		e.Close()
 		if err != nil {

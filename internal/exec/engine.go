@@ -35,7 +35,7 @@ import (
 	"vdce/internal/afg"
 	"vdce/internal/core"
 	"vdce/internal/detect"
-	"vdce/internal/protocol"
+	"vdce/internal/repository"
 	"vdce/internal/services"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
@@ -52,7 +52,7 @@ type Engine struct {
 	// successful task run, in completion order — in one call when the
 	// run ends, before Execute returns: on success, failure and cancel
 	// alike, and not at all when no task succeeded. Optional.
-	Record func([]protocol.ExecutionRecord)
+	Record func([]repository.Execution)
 	// LoadThreshold is the Application Controller's termination trigger:
 	// if the primary host's load exceeds it mid-run, the task is killed
 	// and rescheduled. <= 0 disables the check.
@@ -77,13 +77,15 @@ type Engine struct {
 	// plus the engine-wide token-bucket retry budget. The zero value
 	// backs off from DefaultRetryBaseDelay with an unlimited budget.
 	Retry RetryConfig
-	// Health, when non-nil, is the failure detector: every attempt's
-	// outcome is recorded there (a completed run a success, a watchdog
-	// host failure a failure — quarantine's evidence), and the monitoring
-	// loops ask it every check period whether a watched host is confirmed
-	// dead, so a death interrupts every task on the host even when the
-	// host model itself looks alive (a network partition: the machine
-	// computes on, but its results are unreachable).
+	// Health is the failure detector, and it is required (a detector
+	// with no sites registered watches nothing and ignores outcomes for
+	// hosts it does not know): every attempt's outcome is recorded there
+	// (a completed run a success, a watchdog host failure a failure —
+	// quarantine's evidence), and the monitoring loops ask it every check
+	// period whether a watched host is confirmed dead, so a death
+	// interrupts every task on the host even when the host model itself
+	// looks alive (a network partition: the machine computes on, but its
+	// results are unreachable).
 	Health *detect.Detector
 	// Console gates task dispatch (suspend/resume). Optional.
 	Console *services.Console
@@ -156,9 +158,6 @@ func (e *Engine) logger() *slog.Logger {
 // confirmedDead reports whether the failure detector holds the host
 // confirmed dead.
 func (e *Engine) confirmedDead(host string) bool {
-	if e.Health == nil {
-		return false
-	}
 	st, _ := e.Health.State(host)
 	return st == detect.Dead
 }
@@ -313,7 +312,7 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		opt(&run.execOpts)
 	}
 	if e.Record != nil {
-		run.measured = make([]protocol.ExecutionRecord, 0, len(g.Tasks))
+		run.measured = make([]repository.Execution, 0, len(g.Tasks))
 	}
 	for i := range run.entries { // every task once: Validate checked
 		p := &run.entries[i]
@@ -410,7 +409,7 @@ type appRun struct {
 	err         error // the first failure; it aborts the run
 	outputs     map[afg.TaskID][]tasklib.Value
 	runs        []TaskRun
-	measured    []protocol.ExecutionRecord // successful runs, for Engine.Record
+	measured    []repository.Execution // successful runs, for Engine.Record
 	rescheduled int
 	failedHosts []string
 }
@@ -505,7 +504,7 @@ func (r *appRun) recordRun(tr TaskRun, ok bool) {
 	defer r.mu.Unlock()
 	r.runs = append(r.runs, tr)
 	if ok && r.measured != nil {
-		r.measured = append(r.measured, protocol.ExecutionRecord{
+		r.measured = append(r.measured, repository.Execution{
 			Task: tr.TaskName, Host: tr.Host, Elapsed: tr.Elapsed, At: tr.End})
 	}
 }

@@ -11,8 +11,9 @@ import (
 
 	"vdce/internal/afg"
 	"vdce/internal/core"
+	"vdce/internal/detect"
 	"vdce/internal/netmodel"
-	"vdce/internal/protocol"
+	"vdce/internal/repository"
 	"vdce/internal/services"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
@@ -52,6 +53,7 @@ func newRig(t *testing.T, hosts int) *rig {
 		Reg:        tasklib.Default(),
 		TB:         tb,
 		Reschedule: NewRescheduler([]*core.LocalSite{local}),
+		Health:     detect.New(detect.Config{}),
 	}
 	t.Cleanup(engine.Close)
 	return &rig{tb: tb, site: local, net: net, engine: engine}
@@ -85,8 +87,8 @@ func TestExecuteLESEndToEnd(t *testing.T) {
 	}
 	table := r.schedule(t, g)
 
-	var records []protocol.ExecutionRecord
-	r.engine.Record = func(recs []protocol.ExecutionRecord) { records = append(records, recs...) }
+	var records []repository.Execution
+	r.engine.Record = func(recs []repository.Execution) { records = append(records, recs...) }
 	res, err := r.engine.Execute(context.Background(), g, table)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +301,7 @@ func TestDilationStretchesRuntime(t *testing.T) {
 	if err := tasklib.Default().InstallInto(site.Repo, []string{site.Hosts[0].Name}); err != nil {
 		t.Fatal(err)
 	}
-	engine := &Engine{Reg: tasklib.Default(), TB: tb, DilationScale: 1}
+	engine := &Engine{Reg: tasklib.Default(), TB: tb, DilationScale: 1, Health: detect.New(detect.Config{})}
 	g := afg.NewGraph("spin")
 	id := g.AddTask("Spin", "util", 0, 1)
 	if err := g.SetProps(id, afg.Properties{Args: map[string]string{"ms": "20"}}); err != nil {
@@ -368,7 +370,7 @@ func TestSameHostTasksSerialize(t *testing.T) {
 
 	// The machine, not the engine, holds the run lock: a second engine
 	// over the same testbed waits for the first one's task.
-	other := &Engine{Reg: r.engine.Reg, TB: r.tb}
+	other := &Engine{Reg: r.engine.Reg, TB: r.tb, Health: r.engine.Health}
 	t.Cleanup(other.Close)
 	var wg sync.WaitGroup
 	runs := make([]TaskRun, 2)
@@ -459,8 +461,8 @@ func TestRecordOncePerRun(t *testing.T) {
 		}
 	}
 	r.engine.Reg = reg
-	var calls [][]protocol.ExecutionRecord
-	r.engine.Record = func(recs []protocol.ExecutionRecord) { calls = append(calls, recs) }
+	var calls [][]repository.Execution
+	r.engine.Record = func(recs []repository.Execution) { calls = append(calls, recs) }
 	host := r.tb.Sites[0].Hosts[0].Name
 	// chain builds a -> b -> ... on one host.
 	chain := func(names ...string) (*afg.Graph, *core.AllocationTable) {

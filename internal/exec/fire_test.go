@@ -17,8 +17,9 @@ import (
 
 	"vdce/internal/afg"
 	"vdce/internal/core"
+	"vdce/internal/detect"
 	"vdce/internal/netmodel"
-	"vdce/internal/protocol"
+	"vdce/internal/repository"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
@@ -106,8 +107,8 @@ func TestFiringCancelDuringModeledTransfer(t *testing.T) {
 			Site: site.Name, Hosts: []string{site.Hosts[0].Name}, Predicted: time.Millisecond})
 	}
 	var delivered atomic.Int64
-	e := &Engine{Reg: tasklib.Default(), TB: tb, DilationScale: 1,
-		Record: func(recs []protocol.ExecutionRecord) { delivered.Add(int64(len(recs))) }}
+	e := &Engine{Reg: tasklib.Default(), TB: tb, DilationScale: 1, Health: detect.New(detect.Config{}),
+		Record: func(recs []repository.Execution) { delivered.Add(int64(len(recs))) }}
 	t.Cleanup(e.Close)
 
 	before := runtime.NumGoroutine()

@@ -18,6 +18,7 @@ import (
 
 	"vdce/internal/afg"
 	"vdce/internal/core"
+	"vdce/internal/detect"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
@@ -186,7 +187,7 @@ func TestKillDuringDilationSleep(t *testing.T) {
 	}
 	hosts := tb.Sites[0].Hosts
 	r := &rig{tb: tb, engine: &Engine{TB: tb, DilationScale: 1, LoadCheckPeriod: time.Millisecond,
-		Reschedule: moveTo([]*testbed.Host{hosts[1]})}}
+		Health: detect.New(detect.Config{}), Reschedule: moveTo([]*testbed.Host{hosts[1]})}}
 	var calls atomic.Int32
 	returned := make(chan struct{})
 	useTasks(t, r, map[string]tasklib.Func{"Slow": func(*tasklib.Context) ([]tasklib.Value, error) {

@@ -9,16 +9,18 @@ import (
 	"vdce/internal/afg"
 	"vdce/internal/control"
 	"vdce/internal/core"
+	"vdce/internal/detect"
 	"vdce/internal/exec"
+	"vdce/internal/repository"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
 
 // E5Monitoring reproduces the Resource Controller pipeline of Fig. 4 and
 // quantifies the Group Manager's significant-change filter: for each
-// threshold, how many monitor samples reach the Site Manager, and how
-// stale the resource-performance database gets (mean absolute load error
-// versus ground truth at the end of the run).
+// threshold, how many monitor samples reach the site's
+// resource-performance database, and how stale the database gets (mean
+// absolute load error versus ground truth at the end of the run).
 func E5Monitoring(thresholds []float64, hosts, rounds int, seed int64) (*Table, error) {
 	t := &Table{
 		ID:     "E5",
@@ -33,7 +35,9 @@ func E5Monitoring(thresholds []float64, hosts, rounds int, seed int64) (*Table, 
 			return nil, err
 		}
 		site := tb.Sites[0]
-		gm := control.NewGroupManager(site.Name, "g0", site.Hosts, control.RepoReporter{Repo: site.Repo}, time.Hour)
+		det := detect.New(detect.Config{})
+		det.AddSite(site.Name, site.Repo.Resources)
+		gm := control.NewGroupManager("g0", site.Hosts, site.Repo.Resources, det, time.Hour)
 		gm.Threshold = thr
 		gm.MemThreshold = 1 << 40 // isolate the load trigger
 
@@ -63,16 +67,21 @@ func E5Monitoring(thresholds []float64, hosts, rounds int, seed int64) (*Table, 
 	return t, nil
 }
 
-// E6FailureDetect reproduces §4.1's echo-based failure detection:
-// detection latency as a function of the echo period. Time is modeled
-// in virtual rounds (failures occur uniformly inside an echo interval),
-// so the measured latency distribution is exact rather than
-// sleep-dependent; the database transition is verified on every trial.
+// E6FailureDetect measures the product's failure-detection chain of
+// §4.1 in virtual time: every echo period each reachable host's monitor
+// sample reaches the Group Manager (a heartbeat), the manager's echo
+// round turns a newly silent host into a suspicion vote, and the
+// detector, configured as vdce.New configures it, evaluates one round.
+// A failure lands uniformly inside an echo interval; its latency is the
+// time until the detector confirms it and the repository reads down.
+// Hosts that never failed count as false positives if the detector ever
+// suspects them.
 func E6FailureDetect(periods []time.Duration, trials int, seed int64) (*Table, error) {
 	t := &Table{
-		ID:     "E6",
-		Title:  "Echo-based failure detection latency",
-		Header: []string{"echo period", "mean latency", "max latency", "detected"},
+		ID:    "E6",
+		Title: "Echo failure detection latency (Group Manager + detector)",
+		Header: []string{"echo period", "suspicion timeout", "mean latency", "max latency",
+			"paper mean (period/2)", "detected", "false positives"},
 	}
 	for _, period := range periods {
 		tb, err := testbed.Build(testbed.Config{Sites: 1, HostsPerGroup: 8, Seed: seed})
@@ -80,58 +89,78 @@ func E6FailureDetect(periods []time.Duration, trials int, seed int64) (*Table, e
 			return nil, err
 		}
 		site := tb.Sites[0]
-		gm := control.NewGroupManager(site.Name, "g0", site.Hosts, control.RepoReporter{Repo: site.Repo}, time.Hour)
+		timeout := 4 * period
+		det := detect.New(detect.Config{SuspicionTimeout: timeout, TickPeriod: period})
+		det.AddSite(site.Name, site.Repo.Resources)
+		gm := control.NewGroupManager("g0", site.Hosts, site.Repo.Resources, det, time.Hour)
+		// round is one synthetic period: heartbeats, echoes, one
+		// detector round.
+		round := func(now time.Time) error {
+			for _, h := range site.Hosts {
+				if h.Reachable() {
+					if err := gm.Ingest(h.Name, h.Sample(now)); err != nil {
+						return err
+					}
+				}
+			}
+			gm.EchoRound(now)
+			_, err := det.Tick(now)
+			return err
+		}
+		var victim *testbed.Host
+		falsePos := 0
+		det.Subscribe(func(tr detect.Transition) {
+			if tr.Host != victim.Name && (tr.To == detect.Suspect || tr.To == detect.Dead) {
+				falsePos++
+			}
+		})
 		var latSum, latMax time.Duration
 		detected := 0
 		rng := newRng(seed)
 		for trial := 0; trial < trials; trial++ {
-			victim := site.Hosts[trial%len(site.Hosts)]
-			// The failure lands uniformly inside an echo interval.
-			offset := time.Duration(rng.Int63n(int64(period)))
-			failAt := time.Unix(int64(trial)*1000, 0).Add(offset)
+			victim = site.Hosts[trial%len(site.Hosts)]
+			// The victim's last heartbeat is the round at the trial
+			// epoch; the failure lands uniformly in the interval after it.
+			epoch := time.Unix(int64(trial)*1000, 0)
+			if err := round(epoch); err != nil {
+				return nil, err
+			}
+			failAt := epoch.Add(time.Duration(rng.Int63n(int64(period))))
 			victim.Fail()
-			// Next echo rounds happen at interval boundaries after the
-			// trial epoch.
 			var detectAt time.Time
-			for r := 1; r <= 3; r++ {
-				roundTime := time.Unix(int64(trial)*1000, 0).Add(time.Duration(r) * period)
-				if err := gm.EchoRound(roundTime); err != nil {
+			for r := 1; r <= int(timeout/period)+3 && detectAt.IsZero(); r++ {
+				now := epoch.Add(time.Duration(r) * period)
+				if err := round(now); err != nil {
 					return nil, err
 				}
-				if gm.Down(victim.Name) {
-					detectAt = roundTime
-					break
+				// Detected means the repository reads down (Fig. 4 step 3).
+				if v, _ := site.Repo.Resources.View(victim.Name); v.Status == repository.HostDown {
+					detectAt = now
 				}
 			}
 			if !detectAt.IsZero() {
 				detected++
 				lat := detectAt.Sub(failAt)
 				latSum += lat
-				if lat > latMax {
-					latMax = lat
-				}
-				// The repository must agree (Fig. 4 step 3).
-				rec, err := site.Repo.Resources.Host(victim.Name)
-				if err != nil {
-					return nil, err
-				}
-				if rec.Status != "down" {
-					return nil, fmt.Errorf("E6: repo missed the failure")
-				}
+				latMax = max(latMax, lat)
 			}
 			victim.Recover()
-			if err := gm.EchoRound(time.Unix(int64(trial)*1000+500, 0)); err != nil {
+			if err := round(epoch.Add(500 * time.Second)); err != nil {
 				return nil, err
+			}
+			if v, _ := site.Repo.Resources.View(victim.Name); v.Status != repository.HostUp {
+				return nil, fmt.Errorf("E6: %s reads %s after answering again", victim.Name, v.Status)
 			}
 		}
 		mean := time.Duration(0)
 		if detected > 0 {
 			mean = latSum / time.Duration(detected)
 		}
-		t.Add(period.String(), mean.String(), latMax.String(), fmt.Sprintf("%d/%d", detected, trials))
+		t.Add(period.String(), timeout.String(), mean.String(), latMax.String(), (period / 2).String(),
+			fmt.Sprintf("%d/%d", detected, trials), falsePos)
 	}
-	t.Note("the paper's bare echo: control.RepoReporter writes down on the first missed echo, so latency ≈ echo period − uniform failure offset; mean ≈ period/2, max ≤ period")
-	t.Note("the product makes a missed echo a detector vote and confirms the failure only after SuspicionTimeout of silence: these rows are not its detection latency")
+	t.Note("model: down comes in the first detector round more than the suspicion timeout after the last heartbeat (the echo vote and that round's silence meet the quorum of two), so latency lies in (timeout, timeout + period] when the timeout is a whole number of periods")
+	t.Note("the paper's bare echo marks a host down at the first missed echo (mean period/2); the product trades that for no false positive from one lost report")
 	return t, nil
 }
 
@@ -161,7 +190,7 @@ func E7Reschedule(spinMs int, contention float64) (*Table, error) {
 		local := core.NewLocalSite(site.Repo)
 		engine := &exec.Engine{
 			Reg: tasklib.Default(), TB: tb,
-			LoadCheckPeriod: time.Millisecond,
+			LoadCheckPeriod: time.Millisecond, Health: detect.New(detect.Config{}),
 		}
 		if withReschedule {
 			engine.LoadThreshold = 0.7

@@ -8,8 +8,9 @@ import (
 
 	"vdce/internal/afg"
 	"vdce/internal/core"
+	"vdce/internal/detect"
 	"vdce/internal/exec"
-	"vdce/internal/protocol"
+	"vdce/internal/repository"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
@@ -33,8 +34,8 @@ func E8Prediction(runs int) (*Table, error) {
 	}
 	site := tb.Sites[0]
 	engine := &exec.Engine{
-		Reg: tasklib.Default(), TB: tb, DilationScale: 1,
-		Record: func(recs []protocol.ExecutionRecord) { site.Repo.RecordExecutions(recs) },
+		Reg: tasklib.Default(), TB: tb, DilationScale: 1, Health: detect.New(detect.Config{}),
+		Record: func(recs []repository.Execution) { site.Repo.RecordExecutions(recs) },
 	}
 	for round := 0; round < runs; round++ {
 		var errSum, errMax float64

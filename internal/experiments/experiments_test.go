@@ -155,29 +155,40 @@ func TestE5FilteringReducesTraffic(t *testing.T) {
 	}
 }
 
+// TestE6LatencyBoundedByPeriod checks each E6 row against the model its
+// note states: with a suspicion timeout of four echo periods, down comes
+// in the fifth round after the last heartbeat, so every latency lies in
+// (timeout, timeout + period]; every failure is detected and no healthy
+// host is ever suspected.
 func TestE6LatencyBoundedByPeriod(t *testing.T) {
-	period := time.Second
-	tbl, err := E6FailureDetect([]time.Duration{period}, 32, 9)
+	periods := []time.Duration{250 * time.Millisecond, time.Second}
+	tbl, err := E6FailureDetect(periods, 32, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := tbl.Rows[0]
-	mean, err := time.ParseDuration(row[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	max, err := time.ParseDuration(row[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean <= 0 || mean > period {
-		t.Fatalf("mean latency %v out of (0, %v]", mean, period)
-	}
-	if max > period {
-		t.Fatalf("max latency %v exceeds the echo period", max)
-	}
-	if row[3] != "32/32" {
-		t.Fatalf("detected %s, want all", row[3])
+	for i, period := range periods {
+		row := tbl.Rows[i]
+		dur := func(col int) time.Duration {
+			t.Helper()
+			d, err := time.ParseDuration(row[col])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		timeout, mean, max := dur(1), dur(2), dur(3)
+		if timeout != 4*period {
+			t.Fatalf("suspicion timeout %v, want 4 periods of %v", timeout, period)
+		}
+		if mean <= timeout || max > timeout+period || mean > max {
+			t.Fatalf("period %v: mean %v / max %v outside the model's (%v, %v]", period, mean, max, timeout, timeout+period)
+		}
+		if row[5] != "32/32" {
+			t.Fatalf("period %v: detected %s, want all", period, row[5])
+		}
+		if row[6] != "0" {
+			t.Fatalf("period %v: %s false positives", period, row[6])
+		}
 	}
 }
 

@@ -21,10 +21,13 @@
 //	                            (site-wide mounts only; owner-scoped
 //	                            mounts answer 403 — the editor surface
 //	                            stays read-only)
-//	GET    /v1/hosts            per-host health: up/down, failure-
-//	                            detector state, and its quarantine
+//	GET    /v1/hosts            every host: up/down, failure-
+//	                            detector state, its quarantine
 //	                            phase (breaker closed/open/half-open
-//	                            with the windowed failure rate)
+//	                            with the windowed failure rate), and
+//	                            the repository row the scheduler
+//	                            reads (status, group, load, memory,
+//	                            machine)
 //	GET    /v1/jobs/{id}/trace  one job's lifecycle trace: phase
 //	                            boundary timestamps plus park,
 //	                            reschedule, and failure point events
@@ -150,8 +153,8 @@ type Source interface {
 	// admission queue immediately and persisted when the environment is
 	// durable. An empty update is an error.
 	UpdateOwner(owner string, upd services.OwnerUpdate) (services.OwnerStatus, error)
-	// Hosts returns every testbed host's health snapshot, including
-	// its quarantine phase, in testbed order: site by site, each site's
+	// Hosts returns every testbed host's snapshot, including its
+	// quarantine phase and repository row, in testbed order: site by site, each site's
 	// hosts as built (GET /v1/hosts).
 	Hosts() []services.HostStatus
 	// JobTrace returns one retained job's ordered lifecycle trace: phase

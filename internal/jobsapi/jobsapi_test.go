@@ -125,9 +125,10 @@ func (f *fakeSource) UpdateOwner(owner string, upd services.OwnerUpdate) (servic
 	return s, nil
 }
 
-// Hosts reports one healthy host.
+// Hosts reports one healthy host with its repository row.
 func (f *fakeSource) Hosts() []services.HostStatus {
-	return []services.HostStatus{{Host: "h0", Site: "s0", Up: true, Breaker: "closed"}}
+	return []services.HostStatus{{Host: "h0", Site: "s0", Up: true, Breaker: "closed",
+		Status: "up", Group: "g0", CPULoad: 0.25, AvailMemBytes: 64 << 20, Arch: "sparc", OS: "solaris", Speed: 1.5}}
 }
 
 // JobTrace answers a one-stamp trace for every known job.
@@ -276,6 +277,13 @@ func TestHostsAndTraceEndpoints(t *testing.T) {
 	out, code := call(t, ts, "GET", "/v1/hosts", "ana")
 	if hosts, _ := out["hosts"].([]any); code != http.StatusOK || len(hosts) != 1 {
 		t.Fatalf("GET /v1/hosts = %d %v, want 200 with one host", code, out)
+	}
+	row := out["hosts"].([]any)[0].(map[string]any)
+	for k, want := range map[string]any{"status": "up", "group": "g0", "cpu_load": 0.25,
+		"avail_mem_bytes": float64(64 << 20), "arch": "sparc", "os": "solaris", "speed": 1.5} {
+		if row[k] != want {
+			t.Errorf("GET /v1/hosts row[%q] = %v, want %v", k, row[k], want)
+		}
 	}
 	out, code = call(t, ts, "GET", "/v1/jobs/job-1/trace", "ana")
 	if events, _ := out["events"].([]any); code != http.StatusOK || out["id"] != "job-1" || len(events) != 1 {

@@ -357,8 +357,8 @@ func (db *ResourceDB) View(name string) (HostView, bool) {
 }
 
 // Hosts returns full-fidelity copies of all host records sorted by name
-// — the explicit history accessor (persistence, the resources RPC/HTTP
-// endpoint). The scheduling path reads Views instead.
+// — the explicit history accessor. The scheduling path and
+// GET /v1/hosts read Views instead.
 func (db *ResourceDB) Hosts() []ResourceInfo {
 	e := db.epoch.Load()
 	out := make([]ResourceInfo, 0, len(e.views))

@@ -155,8 +155,8 @@ func (db *TaskPerfDB) Params(name string) (TaskParams, error) {
 }
 
 // Execution is one measured run of a task on a host: an element of a
-// RecordExecutions batch, and the record a completed task sends the
-// Site Manager (protocol.ExecutionRecord).
+// RecordExecutions batch, and the record a completed task sends back
+// through exec.Engine.Record.
 type Execution struct {
 	Task    string
 	Host    string

@@ -1,10 +1,11 @@
 package services
 
-// HostStatus is one testbed host's health snapshot, served by
-// GET /v1/hosts: the host model's own up/down and the failure
-// detector's verdict — its liveness state and its quarantine phase,
-// reported in circuit-breaker terms with the windowed failure rate
-// behind it.
+// HostStatus is one testbed host's snapshot, served by GET /v1/hosts.
+// Its fields come from three owners: the testbed's host model (Up), the
+// failure detector (Detector, Breaker, FailureRate, Samples,
+// BreakerOpens) and the site's resource-performance database, which
+// holds the row the scheduler reads (Status, Group, CPULoad,
+// AvailMemBytes, Arch, OS, Speed).
 type HostStatus struct {
 	// Host is the host name; Site the owning site.
 	Host string `json:"host"`
@@ -24,4 +25,18 @@ type HostStatus struct {
 	Samples     int     `json:"samples"`
 	// BreakerOpens counts how many times the host was quarantined.
 	BreakerOpens int `json:"breaker_opens"`
+	// Status is the database's verdict (up/down/quarantined): a host
+	// not up is missing from every placement.
+	Status string `json:"status"`
+	// Group is the host's group within its site.
+	Group string `json:"group"`
+	// CPULoad and AvailMemBytes are the last workload the Group Manager
+	// wrote for the host.
+	CPULoad       float64 `json:"cpu_load"`
+	AvailMemBytes int64   `json:"avail_mem_bytes"`
+	// Arch, OS and Speed describe the machine: architecture, operating
+	// system and speed relative to the base processor.
+	Arch  string  `json:"arch"`
+	OS    string  `json:"os"`
+	Speed float64 `json:"speed"`
 }

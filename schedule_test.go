@@ -15,7 +15,6 @@ import (
 	"vdce/internal/core"
 	"vdce/internal/detect"
 	"vdce/internal/exec"
-	"vdce/internal/protocol"
 	"vdce/internal/repository"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
@@ -378,7 +377,7 @@ func TestPerfWriteBackDropsAreCounted(t *testing.T) {
 	}
 	host := env.TB.Sites[1].Hosts[0].Name
 	at := time.Now()
-	env.Engine.Record([]protocol.ExecutionRecord{
+	env.Engine.Record([]repository.Execution{
 		{Task: "Spin", Host: host, Elapsed: 3 * time.Millisecond, At: at},
 		{Task: "Checksum", Host: host, Elapsed: 5 * time.Millisecond, At: at},
 		{Task: "No_Such_Task", Host: host, Elapsed: time.Millisecond, At: at},
@@ -429,9 +428,9 @@ func TestPerfEstimatesSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := env.TB.Sites[0].Hosts[0].Name, env.TB.Sites[0].Hosts[1].Name
-	env.Engine.Record([]protocol.ExecutionRecord{{Task: "LU_Decomposition", Host: a, Elapsed: 7 * time.Second}})
+	env.Engine.Record([]repository.Execution{{Task: "LU_Decomposition", Host: a, Elapsed: 7 * time.Second}})
 	for i := 0; i < 128; i++ {
-		env.Engine.Record([]protocol.ExecutionRecord{{Task: "LU_Decomposition", Host: b, Elapsed: time.Second}})
+		env.Engine.Record([]repository.Execution{{Task: "LU_Decomposition", Host: b, Elapsed: time.Second}})
 	}
 	env.Close()
 	env, err = New(cfg)
@@ -455,9 +454,9 @@ func TestPerfEstimatesSurviveRestart(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 600; i++ {
-		recs := make([]protocol.ExecutionRecord, 1+rng.Intn(6))
+		recs := make([]repository.Execution, 1+rng.Intn(6))
 		for j := range recs {
-			recs[j] = protocol.ExecutionRecord{Task: tasks[rng.Intn(len(tasks))], Host: hosts[rng.Intn(len(hosts))],
+			recs[j] = repository.Execution{Task: tasks[rng.Intn(len(tasks))], Host: hosts[rng.Intn(len(hosts))],
 				Elapsed: time.Duration(rng.Int63n(int64(time.Second)))}
 		}
 		env.Engine.Record(recs)

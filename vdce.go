@@ -52,7 +52,6 @@ import (
 	"vdce/internal/jobsapi"
 	"vdce/internal/netmodel"
 	"vdce/internal/obs"
-	"vdce/internal/protocol"
 	"vdce/internal/repository"
 	"vdce/internal/services"
 	"vdce/internal/store"
@@ -224,9 +223,9 @@ func New(cfg Config) (*Environment, error) {
 		// as it stands. Estimates for hosts or tasks this testbed no
 		// longer has are dropped and counted.
 		perf := st.Recovered().Perf
-		recs := make([]protocol.ExecutionRecord, len(perf))
+		recs := make([]repository.Execution, len(perf))
 		for i, p := range perf {
-			recs[i] = protocol.ExecutionRecord{Task: p.Task, Host: p.Host, Elapsed: p.Smoothed}
+			recs[i] = repository.Execution{Task: p.Task, Host: p.Host, Elapsed: p.Smoothed}
 		}
 		env.recordPerf(recs)
 	}
@@ -252,19 +251,9 @@ func New(cfg Config) (*Environment, error) {
 	}
 	if cfg.StartDaemons {
 		for _, site := range tb.Sites {
-			// One reporter per site: echo notices become detector votes,
-			// and the rest lands in the site's resource-performance
-			// database.
-			reporter := monitorReporter{det, control.RepoReporter{Repo: site.Repo}}
 			for _, gname := range site.GroupNames() {
-				gm := control.NewGroupManager(site.Name, gname, site.GroupHosts(gname), reporter, period)
+				gm := control.NewGroupManager(gname, site.GroupHosts(gname), site.Repo.Resources, det, period)
 				gm.EchoPeriod = period
-				// Heartbeats come off the unfiltered daemon stream: the
-				// significant-change filter spares the site link, but a
-				// steady host must not look silent.
-				gm.Heartbeat = func(host string, s repository.WorkloadSample) {
-					det.Observe(host, s.Time)
-				}
 				env.Groups = append(env.Groups, gm)
 				go gm.Run(ctx)
 			}
@@ -318,7 +307,7 @@ func New(cfg Config) (*Environment, error) {
 // a restarted control plane schedules with learned estimates, not
 // catalog defaults; perfMu keeps the log's order of a pair's estimates
 // the order the databases computed them in.
-func (env *Environment) writeBack(recs []protocol.ExecutionRecord) {
+func (env *Environment) writeBack(recs []repository.Execution) {
 	env.perfMu.Lock()
 	defer env.perfMu.Unlock()
 	env.recordPerf(recs)
@@ -351,7 +340,7 @@ func (env *Environment) writeBack(recs []protocol.ExecutionRecord) {
 // those made on its hosts as one epoch. What no site could apply — an
 // unknown task, a negative elapsed time, a host no site owns — is
 // counted, not lost silently.
-func (env *Environment) recordPerf(recs []protocol.ExecutionRecord) {
+func (env *Environment) recordPerf(recs []repository.Execution) {
 	dropped := len(recs)
 	for _, site := range env.Sites {
 		dropped -= site.Repo.RecordExecutions(recs)
@@ -360,25 +349,6 @@ func (env *Environment) recordPerf(recs []protocol.ExecutionRecord) {
 		env.obsM.perfDropped.Add(float64(dropped))
 		env.log.Debug("task-performance measurements dropped", "dropped", dropped, "of", len(recs))
 	}
-}
-
-// monitorReporter is the one path a Group Manager's reports take into
-// a site: echo timeouts are detector votes and echo recoveries
-// heartbeats — the detector, not the notice, flips a host's status — and
-// workloads land in the site's repository.
-type monitorReporter struct {
-	det *detect.Detector
-	control.RepoReporter
-}
-
-func (r monitorReporter) ApplyFailure(n protocol.FailureNotice) error {
-	r.det.ReportFailure(n.Host, n.Detected)
-	return nil
-}
-
-func (r monitorReporter) ApplyRecovery(n protocol.RecoveryNotice) error {
-	r.det.Observe(n.Host, n.Detected)
-	return nil
 }
 
 // Close stops the submission pipeline, the daemons and the execution
@@ -586,9 +556,10 @@ func (env *Environment) JobTrace(id string) (services.JobTrace, bool) {
 	return traceOf(s), true
 }
 
-// Hosts reports every testbed host's health snapshot — host-model
-// up/down, and the failure detector's liveness state and quarantine
-// phase — served as GET /v1/hosts.
+// Hosts reports every testbed host's snapshot — host-model up/down,
+// the failure detector's liveness state and quarantine phase, and the
+// resource-performance database's row the scheduler reads — served as
+// GET /v1/hosts.
 func (env *Environment) Hosts() []services.HostStatus {
 	var out []services.HostStatus
 	for _, s := range env.TB.Sites {
@@ -606,6 +577,11 @@ func (env *Environment) Hosts() []services.HostStatus {
 				hs.Detector = v.State.String()
 				hs.Breaker = v.Phase.String()
 				hs.FailureRate, hs.Samples = v.FailureRate, v.Samples
+			}
+			if v, ok := s.Repo.Resources.View(h.Name); ok {
+				hs.Status, hs.Group = string(v.Status), v.Group
+				hs.CPULoad, hs.AvailMemBytes = v.CPULoad, v.AvailMem
+				hs.Arch, hs.OS, hs.Speed = v.ArchType, v.OSType, v.SpeedFactor
 			}
 			out = append(out, hs)
 		}

@@ -3,18 +3,16 @@ package vdce
 import (
 	"context"
 	"errors"
-	"net/rpc"
 	"strings"
 	"testing"
 	"time"
 
 	"vdce/internal/afg"
-	"vdce/internal/control"
 	"vdce/internal/detect"
 	"vdce/internal/editor"
 	"vdce/internal/exec"
-	"vdce/internal/protocol"
 	"vdce/internal/repository"
+	"vdce/internal/services"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
@@ -251,33 +249,22 @@ func TestAccessDomainClampsK(t *testing.T) {
 }
 
 // TestDaemonsFeedVisualization: the workload view is the site's
-// resource-performance database as vdce-monitor reads it, over the Site
-// Manager's Resources RPC; a daemon sample must show up there.
+// resource-performance database as vdce-monitor reads it, over
+// GET /v1/hosts (Environment.Hosts); a daemon sample must show up there.
 func TestDaemonsFeedVisualization(t *testing.T) {
 	env := newEnv(t, Config{
 		Testbed:       testbed.Config{Sites: 1, HostsPerGroup: 2, Seed: 26},
 		StartDaemons:  true,
 		MonitorPeriod: 5 * time.Millisecond,
 	})
-	site := env.TB.Sites[0]
-	sm, err := control.StartSiteManager(site.Name, site.Repo, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	registered := make(map[string]float64)
+	for _, h := range env.TB.Sites[0].Hosts {
+		registered[h.Name] = h.Info().CPULoad
 	}
-	defer sm.Close()
-	client, err := rpc.Dial("tcp", sm.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		var list protocol.ResourceList
-		if err := client.Call(protocol.SiteServiceName+".Resources", protocol.ResourceQuery{}, &list); err != nil {
-			t.Fatal(err)
-		}
-		for _, h := range list.Hosts {
-			if len(h.RecentLoads) > 0 {
+		for _, h := range env.Hosts() {
+			if h.CPULoad != registered[h.Host] {
 				return
 			}
 		}
@@ -286,13 +273,83 @@ func TestDaemonsFeedVisualization(t *testing.T) {
 	t.Fatal("no workload sample reached the resource-performance database")
 }
 
+// TestHostsRowIsWhatTheSchedulerSees: GET /v1/hosts serves the
+// repository row the scheduler reads. A host the detector confirms dead
+// (monitor rounds on a synthetic clock, then a detector round) reads
+// down and dead, and is missing from the site's up hosts; after it
+// reports again and the next round runs, it reads up.
+func TestHostsRowIsWhatTheSchedulerSees(t *testing.T) {
+	env := newEnv(t, Config{
+		Testbed: testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 5},
+		Detect:  detect.Config{SuspicionTimeout: time.Second, ConfirmQuorum: 1},
+	})
+	site := env.TB.Sites[0]
+	victim := site.Hosts[1]
+	row := func() services.HostStatus {
+		t.Helper()
+		for _, h := range env.Hosts() {
+			if h.Host == victim.Name {
+				return h
+			}
+		}
+		t.Fatalf("GET /v1/hosts has no row for %s", victim.Name)
+		return services.HostStatus{}
+	}
+	schedulable := func() bool {
+		for _, v := range site.Repo.Snapshot().UpHosts() {
+			if v.HostName == victim.Name {
+				return true
+			}
+		}
+		return false
+	}
+	t0 := time.Unix(2000, 0)
+	if err := env.RefreshMonitoring(t0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Detector.Tick(t0); err != nil {
+		t.Fatal(err)
+	}
+	r := row()
+	if r.Status != "up" || r.Detector != "healthy" || !schedulable() {
+		t.Fatalf("healthy row %+v (schedulable %v)", r, schedulable())
+	}
+	v, _ := site.Repo.Resources.View(victim.Name)
+	if r.Group != v.Group || r.CPULoad != v.CPULoad || r.AvailMemBytes != v.AvailMem ||
+		r.Arch != v.ArchType || r.OS != v.OSType || r.Speed != v.SpeedFactor {
+		t.Fatalf("row %+v does not match the repository's %+v", r, v)
+	}
+
+	victim.Fail()
+	if err := env.RefreshMonitoring(t0.Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Detector.Tick(t0.Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if r := row(); r.Status != "down" || r.Detector != "dead" || r.Up || schedulable() {
+		t.Fatalf("confirmed-dead row %+v (schedulable %v), want down, dead, not up, not schedulable", r, schedulable())
+	}
+
+	victim.Recover()
+	if err := env.RefreshMonitoring(t0.Add(3 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Detector.Tick(t0.Add(3 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if r := row(); r.Status != "up" || r.Detector != "recovered" || !r.Up || !schedulable() {
+		t.Fatalf("recovered row %+v (schedulable %v), want up, recovered, schedulable", r, schedulable())
+	}
+}
+
 // TestEchoFailureIsADetectorVote drives one Group Manager by hand (the
 // hour-long period keeps the daemons and the wall-clock detector loop
-// idle) through the reporter New wired for it: a workload sample lands
-// in the repository, while an echo failure changes nothing in the
-// repository by itself — it is a vote, so the host's first silent
-// evaluation round already meets the quorum of two and the detector, not
-// the notice, publishes the down status.
+// idle) as New wired it, to the site's repository and the detector: a
+// workload sample lands in the repository, while an echo failure
+// changes nothing in the repository by itself — it is a vote, so the
+// host's first silent evaluation round already meets the quorum of two
+// and the detector, not the echo, publishes the down status.
 func TestEchoFailureIsADetectorVote(t *testing.T) {
 	// Sites call each other in process; the subtest keeps the name of
 	// that route from when a site could also be reached over RPC.
@@ -322,14 +379,12 @@ func TestEchoFailureIsADetectorVote(t *testing.T) {
 		}
 
 		host.Fail()
-		if err := gm.EchoRound(t0.Add(time.Second)); err != nil {
-			t.Fatal(err)
-		}
+		gm.EchoRound(t0.Add(time.Second))
 		if !gm.Down(host.Name) {
 			t.Fatal("the echo round did not notice the failed host")
 		}
 		if got := status(); got != repository.HostUp {
-			t.Fatalf("status after the echo notice = %s: the notice flipped it directly", got)
+			t.Fatalf("status after the echo miss = %s: the echo flipped it directly", got)
 		}
 		if _, err := env.Detector.Tick(t0.Add(5 * time.Hour)); err != nil {
 			t.Fatal(err)
