@@ -8,7 +8,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -19,6 +18,7 @@ import (
 	"os"
 	"time"
 
+	"vdce/internal/editor"
 	"vdce/internal/services"
 )
 
@@ -44,7 +44,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return err
 	}
-	token, err := login(*server, *user, *pass)
+	token, err := editor.Login(*server, *user, *pass)
 	if err != nil {
 		return err
 	}
@@ -68,26 +68,6 @@ func run(args []string, out io.Writer) error {
 		time.Sleep(*watch)
 		fmt.Fprintln(out)
 	}
-}
-
-func login(base, user, pass string) (string, error) {
-	body, _ := json.Marshal(map[string]string{"user": user, "password": pass})
-	resp, err := http.Post(base+"/login", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Token string `json:"token"`
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", err
-	}
-	if out.Error != "" {
-		return "", fmt.Errorf("login: %s", out.Error)
-	}
-	return out.Token, nil
 }
 
 // readHosts fetches GET /v1/hosts: every site's hosts, site by site.

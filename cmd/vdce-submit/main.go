@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"vdce/internal/afg"
+	"vdce/internal/editor"
 	"vdce/internal/services"
 	"vdce/internal/tasklib"
 )
@@ -99,7 +100,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	token, err := login(*server, *user, *pass)
+	token, err := editor.Login(*server, *user, *pass)
 	if err != nil {
 		return err
 	}
@@ -372,26 +373,6 @@ func buildGraph(file, app string, n int) (*afg.Graph, error) {
 	default:
 		return nil, fmt.Errorf("unknown app %q", app)
 	}
-}
-
-func login(base, user, pass string) (string, error) {
-	body, _ := json.Marshal(map[string]string{"user": user, "password": pass})
-	resp, err := http.Post(base+"/login", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Token string `json:"token"`
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", err
-	}
-	if out.Error != "" {
-		return "", fmt.Errorf("login: %s", out.Error)
-	}
-	return out.Token, nil
 }
 
 func importGraph(base, token string, g *afg.Graph) (string, error) {

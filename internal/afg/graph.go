@@ -1,8 +1,10 @@
 package afg
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -262,8 +264,8 @@ func (g *Graph) checkShape() error {
 			return fmt.Errorf("afg: task %d (%s) has %d output specs for %d ports", i, t.Name, len(t.Props.Outputs), t.OutPorts)
 		}
 	}
-	seenPort := make(map[[2]int]bool)
-	for _, e := range g.Edges {
+	doubled := firstDoubledPort(g.Edges)
+	for i, e := range g.Edges {
 		ft, tt := g.Task(e.From), g.Task(e.To)
 		if ft == nil || tt == nil {
 			return fmt.Errorf("afg: edge %v references missing task", e)
@@ -277,11 +279,34 @@ func (g *Graph) checkShape() error {
 		if e.ToPort < 0 || e.ToPort >= tt.InPorts {
 			return fmt.Errorf("afg: edge to invalid port %d of task %d (%s)", e.ToPort, e.To, tt.Name)
 		}
-		key := [2]int{int(e.To), e.ToPort}
-		if seenPort[key] {
+		if i == doubled {
 			return fmt.Errorf("afg: input port %d of task %d (%s) multiply connected", e.ToPort, e.To, tt.Name)
 		}
-		seenPort[key] = true
 	}
 	return nil
+}
+
+// firstDoubledPort returns the index of the first edge that lands on an
+// input port an earlier edge lands on, or len(edges) if none does. The
+// landings (task, port, edge) sort in one block sized once, so each
+// port's run starts with the edge that took it first.
+func firstDoubledPort(edges []Edge) int {
+	var small [16][3]int // a small graph's landings stay on the stack
+	ls := small[:0]
+	if len(edges) > len(small) {
+		ls = make([][3]int, 0, len(edges))
+	}
+	for i, e := range edges {
+		ls = append(ls, [3]int{int(e.To), e.ToPort, i})
+	}
+	slices.SortFunc(ls, func(a, b [3]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]), cmp.Compare(a[2], b[2]))
+	})
+	first := len(edges)
+	for i := 1; i < len(ls); i++ {
+		if ls[i][0] == ls[i-1][0] && ls[i][1] == ls[i-1][1] {
+			first = min(first, ls[i][2])
+		}
+	}
+	return first
 }

@@ -110,38 +110,68 @@ func TestValidateCatchesCycle(t *testing.T) {
 }
 
 // corruptions are the ways a diamond can be broken that Validate must
-// catch.
+// catch, each with the error it must give.
 var corruptions = []struct {
 	name string
 	mut  func(*Graph)
+	want string
 }{
-	{"empty", func(g *Graph) { g.Tasks = nil; g.Edges = nil }},
-	{"bad id", func(g *Graph) { g.Tasks[1].ID = 7 }},
-	{"empty name", func(g *Graph) { g.Tasks[0].Name = "" }},
-	{"negative ports", func(g *Graph) { g.Tasks[0].InPorts = -1 }},
+	{"empty", func(g *Graph) { g.Tasks = nil; g.Edges = nil }, "afg: graph has no tasks"},
+	{"bad id", func(g *Graph) { g.Tasks[1].ID = 7 }, `afg: task "B" has ID 7 at index 1`},
+	{"empty name", func(g *Graph) { g.Tasks[0].Name = "" }, "afg: task 0 has empty name"},
+	{"negative ports", func(g *Graph) { g.Tasks[0].InPorts = -1 }, "afg: task 0 (A) has negative port count"},
 	{"parallel zero nodes", func(g *Graph) {
 		g.Tasks[0].Props.Mode = Parallel
 		g.Tasks[0].Props.Nodes = 0
-	}},
-	{"edge missing task", func(g *Graph) { g.Edges[0].To = 99 }},
-	{"edge self loop", func(g *Graph) { g.Edges[0].To = g.Edges[0].From }},
-	{"edge bad from port", func(g *Graph) { g.Edges[0].FromPort = 9 }},
-	{"edge bad to port", func(g *Graph) { g.Edges[0].ToPort = 9 }},
-	{"double-connected port", func(g *Graph) { g.Edges[1] = g.Edges[0] }},
+	}, "afg: parallel task 0 (A) has node count 0"},
+	{"edge missing task", func(g *Graph) { g.Edges[0].To = 99 }, "afg: edge {0 0 99 0 100} references missing task"},
+	{"edge self loop", func(g *Graph) { g.Edges[0].To = g.Edges[0].From }, "afg: self-loop on task 0"},
+	{"edge bad from port", func(g *Graph) { g.Edges[0].FromPort = 9 }, "afg: edge from invalid port 9 of task 0 (A)"},
+	{"edge bad to port", func(g *Graph) { g.Edges[0].ToPort = 9 }, "afg: edge to invalid port 9 of task 1 (B)"},
+	{"double-connected port", func(g *Graph) { g.Edges[1] = g.Edges[0] }, "afg: input port 0 of task 1 (B) multiply connected"},
 	{"too many input specs", func(g *Graph) {
 		g.Tasks[0].Props.Inputs = make([]FileSpec, 10)
-	}},
+	}, "afg: task 0 (A) has 10 input specs for 0 ports"},
 	{"too many output specs", func(g *Graph) {
 		g.Tasks[0].Props.Outputs = make([]FileSpec, 10)
-	}},
+	}, "afg: task 0 (A) has 10 output specs for 2 ports"},
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	for _, c := range corruptions {
 		g, _ := diamond(t)
 		c.mut(g)
-		if err := g.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted corrupt graph", c.name)
+		if err := g.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestValidateReportsTheFirstBadEdge: of several bad edges Validate
+// names the first in edge order, whether it is bad alone or for landing
+// on a port an earlier edge took.
+func TestValidateReportsTheFirstBadEdge(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mut  func(*Graph)
+		want string
+	}{
+		{"bad port before a doubled one", func(g *Graph) {
+			g.Edges[3] = g.Edges[2]
+			g.Edges[1].ToPort = 9
+		}, "afg: edge to invalid port 9 of task 2 (C)"},
+		{"doubled port before a bad one", func(g *Graph) {
+			g.Edges[1] = g.Edges[0]
+			g.Edges[3].ToPort = 9
+		}, "afg: input port 0 of task 1 (B) multiply connected"},
+		{"the later port doubled first", func(g *Graph) {
+			g.Edges = append(g.Edges, g.Edges[3], g.Edges[0])
+		}, "afg: input port 1 of task 3 (D) multiply connected"},
+	} {
+		g, _ := diamond(t)
+		c.mut(g)
+		if err := g.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
 		}
 	}
 }

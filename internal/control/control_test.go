@@ -26,8 +26,10 @@ func buildSite(t *testing.T, hosts int, cfg detect.Config) (*repository.Reposito
 // upNames lists the hosts the repository serves to placement.
 func upNames(db *repository.ResourceDB) []string {
 	var out []string
-	for _, h := range db.UpHosts() {
-		out = append(out, h.HostName)
+	for _, v := range db.Views() {
+		if v.Status == repository.HostUp {
+			out = append(out, v.HostName)
+		}
 	}
 	return out
 }
@@ -46,13 +48,7 @@ func TestWorkloadAndFailureRPC(t *testing.T) {
 	if err := gm.Ingest(host.Name, repository.WorkloadSample{CPULoad: 0.42, AvailMemBytes: 123, Time: t0}); err != nil {
 		t.Fatal(err)
 	}
-	seen := false
-	for _, rec := range db.Hosts() {
-		if rec.HostName == host.Name {
-			seen = rec.CPULoad == 0.42 && rec.AvailMem == 123
-		}
-	}
-	if !seen {
+	if v, ok := db.View(host.Name); !ok || v.CPULoad != 0.42 || v.AvailMem != 123 {
 		t.Fatal("the forwarded workload is not in the database")
 	}
 
@@ -67,7 +63,7 @@ func TestWorkloadAndFailureRPC(t *testing.T) {
 	if up := upNames(db); len(up) != 1 || up[0] == host.Name {
 		t.Fatalf("up hosts after the detector's round = %v, want only the other host", up)
 	}
-	if all := db.Hosts(); len(all) != 2 {
+	if all := db.Views(); len(all) != 2 {
 		t.Fatalf("database = %d hosts, want 2", len(all))
 	}
 	host.Recover()

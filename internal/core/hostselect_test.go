@@ -138,7 +138,7 @@ func TestHostSelectionRespectsConstraintsAndStatus(t *testing.T) {
 		t.Fatalf("constraints ignored: %v", got)
 	}
 	// Mark b down too: no eligible host.
-	if err := s.Repo.Resources.SetStatus("b", repository.HostDown); err != nil {
+	if _, err := s.Repo.Resources.ApplyRound([]repository.RoundUpdate{{Host: "b", Status: repository.HostDown}}); err != nil {
 		t.Fatal(err)
 	}
 	sel2, _ := s.HostSelection(g)

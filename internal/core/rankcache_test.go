@@ -81,7 +81,7 @@ func TestStatusDownInvalidatesRanking(t *testing.T) {
 	task := g.Task(id)
 
 	s.RankedHosts(task) // warm
-	if err := s.Repo.Resources.SetStatus("a", repository.HostDown); err != nil {
+	if _, err := s.Repo.Resources.ApplyRound([]repository.RoundUpdate{{Host: "a", Status: repository.HostDown}}); err != nil {
 		t.Fatal(err)
 	}
 	got := s.RankedHosts(task)
@@ -89,7 +89,7 @@ func TestStatusDownInvalidatesRanking(t *testing.T) {
 		t.Fatalf("downed host still ranked: %v", got)
 	}
 	// Recovery must invalidate again.
-	if err := s.Repo.Resources.SetStatus("a", repository.HostUp); err != nil {
+	if _, err := s.Repo.Resources.ApplyRound([]repository.RoundUpdate{{Host: "a", Status: repository.HostUp}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.RankedHosts(task); len(got) != 2 {
@@ -254,16 +254,16 @@ func TestRankedHostsConcurrentRoundsNeverServeStale(t *testing.T) {
 		victim := hosts[i%len(hosts)].name
 		switch i % 3 {
 		case 0:
-			if err := s.Repo.Resources.SetStatus(victim, repository.HostDown); err != nil {
+			if _, err := s.Repo.Resources.ApplyRound([]repository.RoundUpdate{{Host: victim, Status: repository.HostDown}}); err != nil {
 				t.Fatal(err)
 			}
 			// The write completed: a fresh ranking must exclude victim.
 			for _, r := range s.RankedHosts(task) {
 				if r.Name == victim {
-					t.Fatalf("stale ranking: %s served after SetStatus(down)", victim)
+					t.Fatalf("stale ranking: %s served after a status round set it down", victim)
 				}
 			}
-			if err := s.Repo.Resources.SetStatus(victim, repository.HostUp); err != nil {
+			if _, err := s.Repo.Resources.ApplyRound([]repository.RoundUpdate{{Host: victim, Status: repository.HostUp}}); err != nil {
 				t.Fatal(err)
 			}
 		case 1:

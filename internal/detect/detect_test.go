@@ -480,8 +480,10 @@ func TestQuarantine(t *testing.T) {
 				q.t.Fatalf("two quarantines moved the epoch %d times, want 1", got-gen)
 			}
 			var up []string
-			for _, h := range q.db.UpHosts() {
-				up = append(up, h.HostName)
+			for _, v := range q.db.Views() {
+				if v.Status == repository.HostUp {
+					up = append(up, v.HostName)
+				}
 			}
 			if len(up) != 1 || up[0] != "c" {
 				q.t.Fatalf("up hosts = %v, want [c]", up)

@@ -8,6 +8,7 @@
 package editor
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -272,6 +273,26 @@ func (s *Server) app(id, user string) (*appInProgress, error) {
 type loginRequest struct {
 	User     string `json:"user"`
 	Password string `json:"password"`
+}
+
+// Login authenticates user against the editor served at base (POST
+// /login) and returns the session token: the client side of handleLogin,
+// shared by the command-line tools.
+func Login(base, user, pass string) (string, error) {
+	body, _ := json.Marshal(loginRequest{User: user, Password: pass})
+	resp, err := http.Post(base+"/login", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	var out struct{ Token, Error string } // "token", or "error"
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return "", err
+	}
+	if out.Error != "" {
+		return "", fmt.Errorf("login: %s", out.Error)
+	}
+	return out.Token, nil
 }
 
 func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {

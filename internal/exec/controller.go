@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -15,8 +14,10 @@ import (
 
 // appController is the Application Controller for one task on its
 // assigned machine: started by its inputs' delivery, it sets up the
-// execution environment and requests rescheduling when the run's
-// monitoring loop terminates an attempt (load threshold, machine failure).
+// execution environment, calls the task function, and requests
+// rescheduling when the run's monitoring loop terminates an attempt
+// (load threshold, machine failure). A verdict during the function hands
+// the controller to a new goroutine; the old one is an orphan.
 type appController struct {
 	app  *appRun
 	task *afg.Task
@@ -25,157 +26,164 @@ type appController struct {
 	// only this controller touches it: a reschedule patches it in place.
 	place *core.Placement
 	// watch is the machines of the placement being attempted, primary
-	// first, whose run locks the attempt holds; watchBuf backs it for the
-	// usual single host. The controller writes it only while out is nil,
-	// the monitoring loop reads it only while out is not.
+	// first (watchBuf backs one); the monitoring loop reads it while the
+	// controller is supervised, the controller writes it only while not.
 	watch    []*testbed.Host
 	watchBuf [1]*testbed.Host
-	// out is the outcome channel of the attempt or wait under the
-	// monitoring loop's supervision, nil between attempts and once the
-	// loop has sent on it; a wait ends at wake. Guarded by app.mu.
-	out  chan outcome
-	wake time.Time
+	tr       TaskRun         // the attempt in progress
+	locked   []*testbed.Host // its run locks, in locking order
+	mem      int64           // the memory it claimed on its primary
+	chased   []string        // hosts this task was terminated on
+	tc       tasklib.Context // the task function's, until a take-over
+	// sup, token and wake are guarded by app.mu. token counts take-overs:
+	// an attempt that finds it moved when its function returns is an
+	// orphan. A wait ends by one send on woken (made at the first wait),
+	// after the loop writes its verdict: nil at wake.
+	sup     supervision
+	token   uint32
+	wake    time.Time
+	woken   chan struct{}
+	verdict error
 	// pending counts the fed ports yet to be delivered, plus Execute's.
 	pending atomic.Int32
 }
 
-// outcome is what ends an attempt's wait: the task function's result, or
-// the monitoring loop's verdict as a *terminationError in err.
-type outcome struct {
-	outs    []tasklib.Value
-	elapsed time.Duration
-	err     error
+// supervision is what the monitoring loop watches a controller do.
+type supervision uint8
+
+const (
+	unsupervised supervision = iota
+	computing                // in the task function: a verdict takes over
+	waiting                  // on woken, until wake
+)
+
+// errHandedOver ends an orphan: the controller went on elsewhere.
+var errHandedOver = errors.New("exec: attempt handed over")
+
+// main runs the controller from its inputs on.
+func (ac *appController) main() { ac.finish(ac.run()) }
+
+// resume takes the controller over from the attempt the monitoring loop
+// ended with verdict while its function still ran, and carries it on.
+func (ac *appController) resume(verdict error) {
+	ac.endAttempt(verdict)
+	ac.finish(ac.execute(verdict))
 }
 
-// main runs the controller, then each child its delivery hands on: a
-// permanent failure aborts the application.
-func (ac *appController) main(ctx context.Context) {
-	for ac != nil {
-		next, err := ac.run(ctx)
+// finish sends the task's outputs on, or fails the application with its
+// error, then runs the child its delivery hands on, and so on down the
+// chain. An orphan ends here without a trace.
+func (ac *appController) finish(outs []tasklib.Value, err error) {
+	for err != errHandedOver {
+		var next *appController
+		if err == nil {
+			next, err = ac.sendOutputs(outs)
+		}
 		if err != nil {
 			ac.app.fail(fmt.Errorf("task %d (%s): %w", ac.task.ID, ac.task.Name, err))
 		}
 		ac.app.leave()
+		if next == nil {
+			return
+		}
 		ac = next
+		outs, err = ac.run()
 	}
 }
 
-// run executes the controller's lifecycle and returns a child to run next.
-func (ac *appController) run(ctx context.Context) (*appController, error) {
+// run receives the task's inputs, waits out their modeled transfer and
+// the console gate, and executes the task.
+func (ac *appController) run() ([]tasklib.Value, error) {
 	in, arrived, err := ac.receiveInputs()
-	if err != nil {
-		return nil, err
+	if err == nil && time.Until(arrived) > 0 {
+		err = ac.await(arrived)
 	}
-	// The modeled transfer, on the channel the first attempt reuses.
-	var out chan outcome
-	if time.Until(arrived) > 0 {
-		out = make(chan outcome, 2)
-		ac.supervise(out)
-		if err := ac.await(ctx, out, arrived); err != nil {
-			return nil, err
-		}
-	}
-
 	// Console service: a suspended application dispatches no new tasks.
-	if c := ac.app.engine.Console; c != nil {
-		if err := c.Gate(ctx); err != nil {
-			return nil, err
-		}
+	if c := ac.app.engine.Console; err == nil && c != nil {
+		err = c.Gate(ac.app.ctx)
 	}
-
-	outs, err := ac.executeWithRescheduling(ctx, in, out)
 	if err != nil {
 		return nil, err
 	}
-	if len(outs) != ac.task.OutPorts {
-		return nil, fmt.Errorf("exec: produced %d outputs, declared %d", len(outs), ac.task.OutPorts)
-	}
-	ac.app.mu.Lock()
-	ac.app.outputs[ac.task.ID] = outs
-	ac.app.mu.Unlock()
-	return ac.sendOutputs(ctx, outs)
+	ac.tc = tasklib.Context{In: in, Args: ac.task.Props.Args}
+	return ac.execute(nil)
 }
 
-// executeWithRescheduling runs the task, moving it to a new host when
-// the Application Controller terminates it (load threshold, host
-// failure, or a detector-confirmed death). The first attempt reports on
-// out if it is not nil.
-func (ac *appController) executeWithRescheduling(ctx context.Context, in []tasklib.Value, out chan outcome) ([]tasklib.Value, error) {
-	e := ac.app.engine
-	var chased []string // hosts this task was terminated on
-	for attempt := 1; attempt <= ac.app.maxAttempts; attempt++ {
-		// The monitoring loop supervises every machine of the placement: a
-		// parallel task dies with any of its nodes, not just the primary.
-		ac.watch = ac.watchBuf[:0]
-		for _, name := range ac.place.Hosts {
-			h, err := e.TB.Host(name)
-			if err != nil {
-				return nil, err
-			}
-			ac.watch = append(ac.watch, h)
-		}
-		outs, tr, err := ac.attempt(ctx, in, attempt, out)
-		out = nil
-		ac.app.recordRun(tr, err == nil)
-		if err == nil {
-			for _, h := range ac.place.Hosts {
-				e.Health.RecordOutcome(h, true)
-			}
-			return outs, nil
-		}
-		var term *terminationError
-		if !errors.As(err, &term) {
+// execute runs the task from how its last attempt ended (nil before the
+// first), moving it to a new host each time the Application Controller
+// terminates one (load threshold, host failure, or a detector-confirmed
+// death).
+func (ac *appController) execute(ended error) ([]tasklib.Value, error) {
+	for {
+		if err := ac.reschedule(ended); err != nil {
 			return nil, err
 		}
-		// Task rescheduling request: ask for a new placement that avoids
-		// the machine that actually misbehaved.
-		if e.Reschedule == nil {
-			return nil, fmt.Errorf("exec: task %d terminated on %s (%s) and no rescheduler configured",
-				ac.task.ID, term.host, term.reason)
+		outs, err := ac.attempt()
+		if err == nil || err == errHandedOver {
+			return outs, err
 		}
-		if term.overload() {
-			ac.app.emit(Event{Type: EventOverload, Task: ac.task.ID, TaskName: ac.task.Name,
-				Host: term.host, Reason: term.reason})
-		} else {
-			ac.app.recordFailedHost(term.host)
-			e.Health.RecordOutcome(term.host, false)
-			ac.app.emit(Event{Type: EventHostFailure, Task: ac.task.ID, TaskName: ac.task.Name,
-				Host: term.host, Reason: term.reason})
-			e.logger().Warn("host failure", "app", ac.app.appID,
-				"task", ac.task.Name, "host", term.host, "reason", term.reason)
-		}
-		if attempt == ac.app.maxAttempts {
-			// No attempt left to use a new placement: skip the wasted
-			// scheduling pass (and its EventRescheduled — 'will re-run
-			// there' would be a lie) and report exhaustion.
-			break
-		}
-		// Retry policy: jittered exponential backoff for this task plus
-		// the engine-wide budget — a mass host failure must not turn into
-		// an immediate retry storm against the scheduler.
-		if rerr := e.retryPause(ctx, attempt); rerr != nil {
-			return nil, rerr
-		}
-		chased = append(chased, term.host)
-		ac.app.mu.Lock()
-		ac.app.rescheduled++
-		ac.app.mu.Unlock()
-		np, rerr := e.Reschedule(ac.app.g, ac.task.ID, chased)
-		if rerr == nil {
-			rerr = checkReplacement(np, ac.task.ID)
-		}
-		if rerr != nil {
-			return nil, fmt.Errorf("exec: reschedule task %d: %w", ac.task.ID, rerr)
-		}
-		// Reschedules replace the placement, not the scheduling round's
-		// bookkeeping: TransferIn and Level stay.
-		ac.place.Site, ac.place.Hosts, ac.place.Predicted = np.Site, np.Hosts, np.Predicted
-		ac.app.emit(Event{Type: EventRescheduled, Task: ac.task.ID, TaskName: ac.task.Name,
-			Host: np.Hosts[0], Hosts: append([]string(nil), np.Hosts...)})
-		e.logger().Info("task rescheduled", "app", ac.app.appID,
-			"task", ac.task.Name, "host", np.Hosts[0], "attempt", attempt)
+		ended = err
 	}
-	return nil, fmt.Errorf("exec: task %d exhausted %d attempts", ac.task.ID, ac.app.maxAttempts)
+}
+
+// reschedule handles how the last attempt ended: nil (no attempt yet)
+// needs nothing; an error that is no termination, or a termination with
+// no attempt left, ends the task; otherwise, after the retry pause, it
+// moves the task to a placement that avoids the machine that actually
+// misbehaved and returns nil.
+func (ac *appController) reschedule(err error) error {
+	term, ok := err.(*terminationError) // verdicts come unwrapped
+	if !ok {
+		return err
+	}
+	e := ac.app.engine
+	if e.Reschedule == nil {
+		return fmt.Errorf("exec: task %d terminated on %s (%s) and no rescheduler configured",
+			ac.task.ID, term.host, term.reason)
+	}
+	if term.overload() {
+		ac.app.emit(Event{Type: EventOverload, Task: ac.task.ID, TaskName: ac.task.Name,
+			Host: term.host, Reason: term.reason})
+	} else {
+		ac.app.recordFailedHost(term.host)
+		e.Health.RecordOutcome(term.host, false)
+		ac.app.emit(Event{Type: EventHostFailure, Task: ac.task.ID, TaskName: ac.task.Name,
+			Host: term.host, Reason: term.reason})
+		e.logger().Warn("host failure", "app", ac.app.appID,
+			"task", ac.task.Name, "host", term.host, "reason", term.reason)
+	}
+	attempt := ac.tr.Attempt
+	if attempt == ac.app.maxAttempts {
+		// No attempt left to use a new placement: skip the wasted
+		// scheduling pass (and its EventRescheduled — 'will re-run
+		// there' would be a lie) and report exhaustion.
+		return fmt.Errorf("exec: task %d exhausted %d attempts", ac.task.ID, ac.app.maxAttempts)
+	}
+	// Retry policy: jittered exponential backoff for this task plus
+	// the engine-wide budget — a mass host failure must not turn into
+	// an immediate retry storm against the scheduler.
+	if err := e.retryPause(ac.app.ctx, attempt); err != nil {
+		return err
+	}
+	ac.chased = append(ac.chased, term.host)
+	ac.app.mu.Lock()
+	ac.app.rescheduled++
+	ac.app.mu.Unlock()
+	np, err := e.Reschedule(ac.app.g, ac.task.ID, ac.chased)
+	if err == nil {
+		err = checkReplacement(np, ac.task.ID)
+	}
+	if err != nil {
+		return fmt.Errorf("exec: reschedule task %d: %w", ac.task.ID, err)
+	}
+	// Reschedules replace the placement, not the scheduling round's
+	// bookkeeping: TransferIn and Level stay.
+	ac.place.Site, ac.place.Hosts, ac.place.Predicted = np.Site, np.Hosts, np.Predicted
+	ac.app.emit(Event{Type: EventRescheduled, Task: ac.task.ID, TaskName: ac.task.Name,
+		Host: np.Hosts[0], Hosts: append([]string(nil), np.Hosts...)})
+	e.logger().Info("task rescheduled", "app", ac.app.appID,
+		"task", ac.task.Name, "host", np.Hosts[0], "attempt", attempt)
+	return nil
 }
 
 // checkReplacement vets a Reschedule hook's answer before it becomes
@@ -195,95 +203,83 @@ func checkReplacement(np *core.Placement, id afg.TaskID) error {
 	return nil
 }
 
-// supervise puts the attempt or wait on out under the run's monitoring
-// loop, or with nil takes the controller out from under it.
-func (ac *appController) supervise(out chan outcome) {
-	ac.app.mu.Lock()
-	ac.out, ac.wake = out, time.Time{}
-	ac.app.mu.Unlock()
-}
-
-// await waits on out, under supervision, until at, holding no timer: the
-// monitoring loop sends outcome{} then, unless it sends a kill first.
-func (ac *appController) await(ctx context.Context, out chan outcome, at time.Time) error {
+// await waits, under supervision, until at, holding no timer: the
+// monitoring loop wakes it then, unless a verdict (a kill, or the end of
+// the run's context) ends the wait first.
+func (ac *appController) await(at time.Time) error {
 	r := ac.app
-	r.mu.Lock()
-	if ac.out == out { // else the verdict is already on out
-		ac.wake = at
+	if ac.woken == nil {
+		ac.woken = make(chan struct{}, 1)
 	}
+	r.mu.Lock()
+	ac.sup, ac.wake = waiting, at
 	r.mu.Unlock()
 	select {
 	case r.kick <- struct{}{}:
 	default: // a kick is pending already
 	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case oc := <-out:
-		return oc.err
-	}
-}
-
-// compute runs the task function and reports on out.
-func (ac *appController) compute(in []tasklib.Value, nodes int, out chan<- outcome) {
-	t0 := time.Now()
-	outs, err := ac.spec.Fn(&tasklib.Context{In: in, Args: ac.task.Props.Args, Nodes: nodes})
-	out <- outcome{outs: outs, elapsed: time.Since(t0), err: err}
+	<-ac.woken
+	return ac.verdict
 }
 
 // attempt performs one execution on the current placement, supervised by
-// the run's monitoring loop, reporting on out if it is not nil.
-func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemptNo int, out chan outcome) (outs []tasklib.Value, tr TaskRun, err error) {
-	e := ac.app.engine
+// the run's monitoring loop. The task function runs on the caller's
+// goroutine; if the loop hands the controller over meanwhile, attempt
+// returns errHandedOver and the caller holds nothing of it any more.
+func (ac *appController) attempt() ([]tasklib.Value, error) {
+	r, e := ac.app, ac.app.engine
+	// The monitoring loop supervises every machine of the placement: a
+	// parallel task dies with any of its nodes, not just the primary.
+	ac.watch = ac.watchBuf[:0]
+	for _, name := range ac.place.Hosts {
+		h, err := e.TB.Host(name)
+		if err != nil {
+			return nil, err
+		}
+		ac.watch = append(ac.watch, h)
+	}
 	primary := ac.watch[0]
-	defer unlockHosts(lockHosts(ac.watch))
-	tr = TaskRun{Task: ac.task.ID, TaskName: ac.task.Name,
-		Host: primary.Name, Attempt: attemptNo, Start: time.Now()}
-	defer func() {
-		tr.End = time.Now()
-		_, tr.Terminated = err.(*terminationError)
-	}()
+	ac.locked = lockHosts(ac.watch)
+	ac.tr = TaskRun{Task: ac.task.ID, TaskName: ac.task.Name,
+		Host: primary.Name, Attempt: ac.tr.Attempt + 1, Start: time.Now()}
 
 	// Set up the execution environment: reserve the task's memory (the
 	// catalog spec's requirement). A memory-starved host still runs the
 	// task — the prediction penalty models the resulting thrashing.
+	ac.mem = 0
 	if mem := ac.spec.Params.RequiredMemBytes; mem > 0 && primary.ClaimMem(mem) == nil {
-		defer primary.ReleaseMem(mem)
+		ac.mem = mem
 	}
 
-	nodes := len(ac.place.Hosts)
+	tc := &ac.tc
+	if ac.token != 0 { // the orphan may still read ac.tc
+		tc = &tasklib.Context{In: ac.tc.In, Args: ac.tc.Args}
+	}
+	tc.Nodes = len(ac.place.Hosts)
 	if ac.task.Props.Mode != afg.Parallel {
-		nodes = 1
+		tc.Nodes = 1
 	}
-
-	// Capacity 2: the task function's result and the monitoring loop's
-	// one message, so neither sender blocks on an attempt that moved on.
-	if out == nil {
-		out = make(chan outcome, 2)
+	r.mu.Lock()
+	token := ac.token
+	ac.sup = computing
+	r.mu.Unlock()
+	t0 := time.Now()
+	outs, err := ac.spec.Fn(tc)
+	elapsed := time.Since(t0)
+	r.mu.Lock()
+	if ac.token != token {
+		r.mu.Unlock()
+		return nil, errHandedOver
 	}
-	ac.supervise(out)
-	defer ac.supervise(nil)
-	go ac.compute(in, nodes, out)
-	var oc outcome
-	select {
-	case <-ctx.Done():
-		return nil, tr, ctx.Err()
-	case oc = <-out:
-	}
-	if oc.err != nil {
-		return nil, tr, oc.err
-	}
+	ac.sup = unsupervised
+	r.mu.Unlock()
 
 	// Dilation: stretch the observed runtime by the host model's factor
 	// to emulate slower/loaded hardware. The wait remains supervised so
 	// threshold kills still happen during the stretched window.
-	elapsed := oc.elapsed
-	if e.DilationScale > 0 {
-		extra := time.Duration(float64(oc.elapsed) * (primary.Dilation() - 1) * e.DilationScale)
-		if extra > 0 {
-			if err := ac.await(ctx, out, time.Now().Add(extra)); err != nil {
-				return nil, tr, err
-			}
+	if err == nil && e.DilationScale > 0 {
+		if extra := time.Duration(float64(elapsed) * (primary.Dilation() - 1) * e.DilationScale); extra > 0 {
+			err = ac.await(time.Now().Add(extra))
 			elapsed += extra
 		}
 	}
@@ -296,12 +292,32 @@ func (ac *appController) attempt(ctx context.Context, in []tasklib.Value, attemp
 	// says never arrived. (A load spike, by contrast, does not invalidate
 	// completed work, so the threshold is deliberately not re-checked.)
 	for _, h := range ac.watch {
-		if !h.Reachable() || e.confirmedDead(h.Name) {
-			return nil, tr, &terminationError{host: h.Name, reason: "host unreachable at delivery"}
+		if err == nil && (!h.Reachable() || e.confirmedDead(h.Name)) {
+			err = &terminationError{host: h.Name, reason: "host unreachable at delivery"}
 		}
 	}
-	tr.Elapsed = elapsed
-	return oc.outs, tr, nil
+	if err != nil {
+		ac.endAttempt(err)
+		return nil, err
+	}
+	ac.tr.Elapsed = elapsed
+	ac.endAttempt(nil)
+	for _, h := range ac.place.Hosts {
+		e.Health.RecordOutcome(h, true)
+	}
+	return outs, nil
+}
+
+// endAttempt releases what the attempt held and logs it as ended by err:
+// a successful run is also a measurement for the run's write-back.
+func (ac *appController) endAttempt(err error) {
+	ac.tr.End = time.Now()
+	_, ac.tr.Terminated = err.(*terminationError)
+	if ac.mem > 0 {
+		ac.watch[0].ReleaseMem(ac.mem)
+	}
+	unlockHosts(ac.locked)
+	ac.app.recordRun(ac.tr, err == nil)
 }
 
 // shouldTerminate implements the paper's rule: "If the current load on

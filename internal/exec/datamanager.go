@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -225,16 +224,23 @@ func (ac *appController) receiveInputs() (in []tasklib.Value, arrived time.Time,
 	return ri.vals[lo:hi:hi], arrived, nil
 }
 
-// sendOutputs delivers the produced values to the task's children and,
-// unless the run has ended, fires each child whose last input this was:
-// the first is returned to run next, every other starts beside it.
-func (ac *appController) sendOutputs(ctx context.Context, outs []tasklib.Value) (*appController, error) {
+// sendOutputs keeps the produced values for the result, delivers them to
+// the task's children and, unless the run has ended, fires each child
+// whose last input this was: the first is returned to run next, every
+// other starts beside it.
+func (ac *appController) sendOutputs(outs []tasklib.Value) (*appController, error) {
 	r, ri := ac.app, ac.app.inputs
+	if len(outs) != ac.task.OutPorts {
+		return nil, fmt.Errorf("exec: produced %d outputs, declared %d", len(outs), ac.task.OutPorts)
+	}
+	r.mu.Lock()
+	r.outputs[ac.task.ID] = outs
+	r.mu.Unlock()
 	if ri == nil {
 		return nil, nil // a graph without edges has no Data Manager
 	}
 	edges := ri.outEdges[ri.outBase[ac.task.ID]:ri.outBase[ac.task.ID+1]]
-	if err := ri.send(&r.engine.transfer, edges, outs); err != nil || ctx.Err() != nil {
+	if err := ri.send(&r.engine.transfer, edges, outs); err != nil || r.ctx.Err() != nil {
 		return nil, err
 	}
 	var next *appController
@@ -242,7 +248,7 @@ func (ac *appController) sendOutputs(ctx context.Context, outs []tasklib.Value) 
 		if c := r.release(e.To); c != nil && next == nil {
 			next = c
 		} else if c != nil {
-			go c.main(ctx)
+			go c.main()
 		}
 	}
 	return next, nil

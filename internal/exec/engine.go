@@ -8,16 +8,19 @@
 // The lifecycle follows §4. Channel set-up for a run is laying out its
 // input slots, one per in-edge, indexed by (task, port); when all are
 // laid out (the acknowledgment) the execution startup signal starts the
-// tasks no edge feeds. Tasks run, watched by the run's one monitoring
-// loop on the goroutine that called Execute; each output port is encoded
-// into one checksummed frame, which its producer hands by call to the
-// slot of every edge fanning out from the port, where it is checked and
-// decoded into the consumer's own copy. The delivery that fills a task's
-// last slot starts it, next on the producer's goroutine or beside it;
-// with DilationScale it first waits out the network model's transfer
-// time on the loop's clock. When the run ends its completed executions
-// are reported together so the Site Manager can update the
-// task-performance database. A graph without edges has no Data Manager.
+// tasks no edge feeds. A task function runs on its controller's
+// goroutine, watched by the run's one monitoring loop on the goroutine
+// that called Execute, whose verdict hands the controller to a new
+// goroutine and leaves the function an orphan. Each output port is
+// encoded into one checksummed frame, which its producer hands by call
+// to the slot of every edge fanning out from the port, where it is
+// checked and decoded into the consumer's own copy. The delivery that
+// fills a task's last slot starts it, next on the producer's goroutine
+// or beside it; with DilationScale it first waits out the network
+// model's transfer time on the loop's clock. When the run ends its
+// completed executions are reported together so the Site Manager can
+// update the task-performance database. A graph without edges has no
+// Data Manager.
 package exec
 
 import (
@@ -301,6 +304,7 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		g:           g,
 		appID:       string(id),
 		maxAttempts: maxAttempts,
+		ctx:         runCtx,
 		cancel:      cancel,
 		entries:     append([]core.Placement(nil), table.Entries...),
 		ctl:         make([]appController, len(g.Tasks)),
@@ -351,7 +355,7 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	run.left.Store(1)
 	for i := range run.ctl {
 		if ac := run.release(afg.TaskID(i)); ac != nil {
-			go ac.main(runCtx)
+			go ac.main()
 		}
 	}
 	run.leave()
@@ -388,7 +392,8 @@ type appRun struct {
 	g           *afg.Graph
 	appID       string
 	maxAttempts int
-	execOpts    // sink: the optional recovery-event stream
+	execOpts                    // sink: the optional recovery-event stream
+	ctx         context.Context // the run's: its end is a verdict on every attempt
 	cancel      context.CancelFunc
 	// inputs is the run's Data Manager; nil when the graph has no
 	// dataflow edges.
@@ -416,8 +421,10 @@ type appRun struct {
 
 // monitor is the Application Controller's monitoring loop, one per
 // application, on the goroutine that called Execute, and the run's one
-// clock: at least every period it applies the termination rule to each
-// attempt under supervision, and at each registered wake-up ends a wait.
+// clock: at least every period it applies the run's end and the
+// termination rule to each controller under supervision, and at each
+// registered wake-up ends a wait. A verdict on a computing attempt
+// starts a goroutine that carries the controller on.
 func (r *appRun) monitor(period time.Duration) {
 	clock := time.NewTimer(period)
 	defer clock.Stop()
@@ -430,21 +437,27 @@ func (r *appRun) monitor(period time.Duration) {
 		}
 		now := time.Now()
 		next := now.Add(period)
+		ended := r.ctx.Err()
 		r.mu.Lock()
 		for i := range r.ctl {
 			ac := &r.ctl[i]
-			if ac.out == nil {
-				continue // between attempts, or already told
-			}
-			kill := ac.shouldTerminate()
-			if kill == nil && (ac.wake.IsZero() || now.Before(ac.wake)) {
-				if !ac.wake.IsZero() && ac.wake.Before(next) {
-					next = ac.wake
-				}
+			if ac.sup == unsupervised {
 				continue
 			}
-			ac.out <- outcome{err: kill} // has room: see attempt
-			ac.out, ac.wake = nil, time.Time{}
+			verdict := ended
+			if verdict == nil {
+				verdict = ac.shouldTerminate()
+			}
+			switch {
+			case ac.sup == computing && verdict != nil:
+				ac.sup, ac.token = unsupervised, ac.token+1
+				go ac.resume(verdict)
+			case ac.sup == waiting && (verdict != nil || !now.Before(ac.wake)):
+				ac.sup, ac.verdict = unsupervised, verdict
+				ac.woken <- struct{}{} // has room: one send per wait
+			case ac.sup == waiting && ac.wake.Before(next):
+				next = ac.wake
+			}
 		}
 		r.mu.Unlock()
 		clock.Reset(next.Sub(now))

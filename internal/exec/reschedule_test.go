@@ -74,7 +74,7 @@ func TestReschedulerSkipsDownHosts(t *testing.T) {
 	// A host the failure detector marked down must never win a
 	// rescheduling request, even when it would be the fastest choice.
 	site := siteWith(t, "s0", map[string]float64{"fast": 4, "slow": 1})
-	if err := site.Repo.Resources.SetStatus("fast", repository.HostDown); err != nil {
+	if _, err := site.Repo.Resources.ApplyRound([]repository.RoundUpdate{{Host: "fast", Status: repository.HostDown}}); err != nil {
 		t.Fatal(err)
 	}
 	g, id := spinGraph(t)
@@ -129,7 +129,7 @@ func TestReschedulerNoCapacityError(t *testing.T) {
 	}
 
 	// Same outcome when the last host is down rather than excluded.
-	if err := site.Repo.Resources.SetStatus("only", repository.HostDown); err != nil {
+	if _, err := site.Repo.Resources.ApplyRound([]repository.RoundUpdate{{Host: "only", Status: repository.HostDown}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := resched(g, id, nil); err == nil {

@@ -19,6 +19,7 @@ import (
 	"vdce/internal/afg"
 	"vdce/internal/core"
 	"vdce/internal/detect"
+	"vdce/internal/repository"
 	"vdce/internal/tasklib"
 	"vdce/internal/testbed"
 )
@@ -137,9 +138,9 @@ func TestOneMonitorPerRun(t *testing.T) {
 }
 
 // TestKillRacingFinishYieldsOneOutcome: the task function returns around
-// the moment its host fails. Whichever of the result and the verdict the
-// attempt reads first, it ends once — one terminated record, one re-run
-// — and nothing is left blocked on the outcome channel.
+// the moment its host fails. Whichever comes first, the function's
+// return or the monitoring loop's verdict, the attempt ends once — one
+// terminated record, one re-run — and no goroutine is left behind.
 func TestKillRacingFinishYieldsOneOutcome(t *testing.T) {
 	r := newRig(t, 2)
 	hosts := r.tb.Sites[0].Hosts
@@ -328,5 +329,128 @@ func TestRescheduleAnswerIsValidated(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "exec: reschedule task 0: ") || !strings.Contains(err.Error(), tc.name) {
 			t.Errorf("%s: err = %v", tc.name, err)
 		}
+	}
+}
+
+// TestTakeOverOutlivesTheOrphan: the host of a 60 ms computation fails
+// under it. The monitoring loop hands the controller to a new goroutine,
+// which re-runs the task on a spare and carries the chain on to the
+// consumer while the first function still computes; that function
+// returns only once the run has ended. The run holds one terminated and
+// one successful attempt of the task, the outputs and the write-back are
+// the re-run's, and the orphan leaves every run lock as it found it: an
+// unlock of a lock it no longer holds would crash the test.
+func TestTakeOverOutlivesTheOrphan(t *testing.T) {
+	r := newRig(t, 3)
+	hosts := r.tb.Sites[0].Hosts
+	r.engine.LoadCheckPeriod = time.Millisecond
+	r.engine.Reschedule = moveTo([]*testbed.Host{hosts[2]})
+	var records []repository.Execution
+	r.engine.Record = func(recs []repository.Execution) { records = append(records, recs...) }
+	runEnded := make(chan struct{})
+	var calls atomic.Int32
+	reg := tasklib.NewRegistry()
+	for _, spec := range []tasklib.Spec{
+		{Name: "Work", OutPorts: 1, Fn: func(*tasklib.Context) ([]tasklib.Value, error) {
+			if calls.Add(1) > 1 {
+				return []tasklib.Value{2.0}, nil // the re-run
+			}
+			time.AfterFunc(10*time.Millisecond, hosts[0].Fail)
+			for end := time.Now().Add(60 * time.Millisecond); time.Now().Before(end); {
+			}
+			<-runEnded
+			return []tasklib.Value{1.0}, nil
+		}},
+		{Name: "Pass", InPorts: 1, OutPorts: 1, Fn: func(c *tasklib.Context) ([]tasklib.Value, error) {
+			return []tasklib.Value{c.In[0]}, nil
+		}},
+	} {
+		spec.Library = "test"
+		if err := reg.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.engine.Reg = reg
+	g := afg.NewGraph("orphan")
+	work := g.AddTask("Work", "test", 0, 1)
+	pass := g.AddTask("Pass", "test", 1, 1)
+	if err := g.Connect(work, 0, pass, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	res, err := r.engine.Execute(context.Background(), g, onePerHost(r, g))
+	close(runEnded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var killed, finished []TaskRun
+	for _, tr := range res.Runs {
+		if tr.Task != work {
+			continue
+		}
+		if tr.Terminated {
+			killed = append(killed, tr)
+		} else {
+			finished = append(finished, tr)
+		}
+	}
+	if len(killed) != 1 || killed[0].Host != hosts[0].Name || len(finished) != 1 || finished[0].Host != hosts[2].Name {
+		t.Fatalf("runs %+v, want one kill on %s and one finish on %s", res.Runs, hosts[0].Name, hosts[2].Name)
+	}
+	if w, p := res.Outputs[work], res.Outputs[pass]; len(w) != 1 || w[0] != 2.0 || len(p) != 1 || p[0] != 2.0 {
+		t.Fatalf("outputs %v and %v, want the re-run's 2", w, p)
+	}
+	if len(records) != 2 || records[0].Host != hosts[2].Name || records[1].Host != hosts[1].Name {
+		t.Fatalf("write-back %+v, want the re-run on %s and the consumer on %s", records, hosts[2].Name, hosts[1].Name)
+	}
+	// The orphan returns now; once it is gone, every lock must be free.
+	if !waitForLoad(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+		t.Fatalf("goroutines: %d before the run, %d after", before, runtime.NumGoroutine())
+	}
+	for _, h := range hosts {
+		if !h.RunLock.TryLock() {
+			t.Fatalf("run lock of %s held after the run", h.Name)
+		}
+		h.RunLock.Unlock()
+	}
+	if len(records) != 2 || len(res.Runs) != 3 {
+		t.Fatalf("the orphan changed the run: %d records, %d runs", len(records), len(res.Runs))
+	}
+}
+
+// TestOrphanLeavesNoGoroutine: a caller's cancel ends a run whose task
+// function blocks. Execute returns without waiting for the function and
+// the machine's run lock is free at once; the function, an orphan now,
+// is the one goroutine of the run still alive, and once it returns the
+// count is back where it was before the run.
+func TestOrphanLeavesNoGoroutine(t *testing.T) {
+	r := newRig(t, 1)
+	host := r.tb.Sites[0].Hosts[0]
+	started, release := make(chan struct{}), make(chan struct{})
+	useTasks(t, r, map[string]tasklib.Func{"Block": func(*tasklib.Context) ([]tasklib.Value, error) {
+		close(started)
+		<-release
+		return []tasklib.Value{1.0}, nil
+	}})
+	g, table := independent("Block", []*testbed.Host{host})
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-started
+		cancel()
+	}()
+	if _, err := r.engine.Execute(ctx, g, table); !errors.Is(err, context.Canceled) {
+		close(release)
+		t.Fatalf("Execute = %v, want the caller's cancel", err)
+	}
+	if !host.RunLock.TryLock() {
+		close(release)
+		t.Fatal("the canceled attempt still holds its machine")
+	}
+	host.RunLock.Unlock()
+	close(release)
+	if !waitForLoad(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+		t.Fatalf("goroutines: %d before the run, %d after the orphan returned", before, runtime.NumGoroutine())
 	}
 }

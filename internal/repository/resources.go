@@ -171,7 +171,7 @@ func (db *ResourceDB) mutate(f func(m map[string]*ResourceInfo) error) error {
 }
 
 // Generation returns the current epoch number. It increases on every
-// successful write (AddHost, UpdateWorkload, SetStatus, RemoveHost,
+// successful write (AddHost, UpdateWorkload, ApplyRound, RemoveHost,
 // batch updates, restore), so an unchanged generation guarantees an
 // unchanged host catalog.
 func (db *ResourceDB) Generation() uint64 {
@@ -322,20 +322,6 @@ func (db *ResourceDB) ApplyRound(updates []RoundUpdate) (int, error) {
 	return applied, nil
 }
 
-// SetStatus sets a host's status (a failure detection outcome).
-func (db *ResourceDB) SetStatus(host string, st HostStatus) error {
-	return db.mutate(func(m map[string]*ResourceInfo) error {
-		h, ok := m[host]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownHost, host)
-		}
-		c := *h // RecentLoads backing is shared; both records are frozen
-		c.Status = st
-		m[host] = &c
-		return nil
-	})
-}
-
 // Host returns a full-fidelity copy of the named host's record,
 // including the workload history ring. Scheduling-path callers that
 // never read history should use View instead.
@@ -354,29 +340,6 @@ func (db *ResourceDB) View(name string) (HostView, bool) {
 		return HostView{}, false
 	}
 	return h.View(), true
-}
-
-// Hosts returns full-fidelity copies of all host records sorted by name
-// — the explicit history accessor. The scheduling path and
-// GET /v1/hosts read Views instead.
-func (db *ResourceDB) Hosts() []ResourceInfo {
-	e := db.epoch.Load()
-	out := make([]ResourceInfo, 0, len(e.views))
-	for _, v := range e.views {
-		out = append(out, cloneResource(e.byName[v.HostName]))
-	}
-	return out
-}
-
-// UpHosts returns full copies of all hosts currently marked up, sorted
-// by name.
-func (db *ResourceDB) UpHosts() []ResourceInfo {
-	e := db.epoch.Load()
-	out := make([]ResourceInfo, 0, len(e.up))
-	for _, v := range e.up {
-		out = append(out, cloneResource(e.byName[v.HostName]))
-	}
-	return out
 }
 
 // Views returns the slim views of all hosts sorted by name. The slice is

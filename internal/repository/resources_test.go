@@ -75,21 +75,38 @@ func TestStatusTransitions(t *testing.T) {
 	if err := db.AddHost(host("h1", "s1", "g1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SetStatus("h1", HostDown); err != nil {
+	if err := setStatus(db, "h1", HostDown); err != nil {
 		t.Fatal(err)
 	}
-	if up := db.UpHosts(); len(up) != 0 {
-		t.Fatalf("down host still in UpHosts: %v", up)
+	if up := upViews(db); len(up) != 0 {
+		t.Fatalf("down host still listed up: %v", up)
 	}
-	if err := db.SetStatus("h1", HostUp); err != nil {
+	if err := setStatus(db, "h1", HostUp); err != nil {
 		t.Fatal(err)
 	}
-	if up := db.UpHosts(); len(up) != 1 {
+	if up := upViews(db); len(up) != 1 {
 		t.Fatal("host not restored")
 	}
-	if err := db.SetStatus("ghost", HostDown); !errors.Is(err, ErrUnknownHost) {
+	if err := setStatus(db, "ghost", HostDown); !errors.Is(err, ErrUnknownHost) {
 		t.Fatalf("unknown host: %v", err)
 	}
+}
+
+// setStatus sets one host's status by a one-entry monitor round.
+func setStatus(db *ResourceDB, host string, st HostStatus) error {
+	_, err := db.ApplyRound([]RoundUpdate{{Host: host, Status: st}})
+	return err
+}
+
+// upViews lists the views of the hosts marked up.
+func upViews(db *ResourceDB) []HostView {
+	var up []HostView
+	for _, v := range db.Views() {
+		if v.Status == HostUp {
+			up = append(up, v)
+		}
+	}
+	return up
 }
 
 func TestRemoveHost(t *testing.T) {
@@ -141,8 +158,12 @@ func TestResourcesConcurrent(t *testing.T) {
 					t.Errorf("update: %v", err)
 					return
 				}
-				_ = db.UpHosts()
-				if err := db.SetStatus(n, HostUp); err != nil {
+				_ = upViews(db)
+				st := HostUp // alternate, so every round writes
+				if j%2 == 0 {
+					st = HostDown
+				}
+				if err := setStatus(db, n, st); err != nil {
 					t.Errorf("status: %v", err)
 					return
 				}

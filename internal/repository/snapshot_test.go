@@ -31,7 +31,7 @@ func TestGenerationBumpsOnEveryWrite(t *testing.T) {
 	if db.Generation() != g0+1 {
 		t.Fatalf("UpdateWorkload: gen %d, want %d", db.Generation(), g0+1)
 	}
-	if err := db.SetStatus("h0", HostDown); err != nil {
+	if err := setStatus(db, "h0", HostDown); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.RemoveHost("h1"); err != nil {
@@ -64,7 +64,7 @@ func TestSnapshotIsImmutableUnderWrites(t *testing.T) {
 	if err := r.Resources.UpdateWorkload("h0", WorkloadSample{CPULoad: 0.9, AvailMemBytes: 7, Time: time.Unix(9, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Resources.SetStatus("h0", HostDown); err != nil {
+	if err := setStatus(r.Resources, "h0", HostDown); err != nil {
 		t.Fatal(err)
 	}
 	if err := recordOne(r.TaskPerf, "t", "h0", time.Second, time.Unix(9, 0)); err != nil {
@@ -312,7 +312,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 			if i%2 == 0 {
 				st = HostUp
 			}
-			if err := r.Resources.SetStatus(h, st); err != nil {
+			if err := setStatus(r.Resources, h, st); err != nil {
 				t.Fatal(err)
 			}
 		case 2:

@@ -30,7 +30,7 @@ func TestBuildDefaults(t *testing.T) {
 			t.Fatalf("site %s hosts = %d", s.Name, len(s.Hosts))
 		}
 		// Repo pre-populated.
-		if got := len(s.Repo.Resources.Hosts()); got != 4 {
+		if got := len(s.Repo.Resources.Views()); got != 4 {
 			t.Fatalf("site %s repo hosts = %d", s.Name, got)
 		}
 		for _, h := range s.Hosts {

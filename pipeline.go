@@ -485,6 +485,7 @@ func (p *pipeline) shedSubmission(serr *ShedError, owner string) error {
 // eligible, so one wakeup token per push (or freed quota) is enough.
 func (p *pipeline) worker() {
 	defer p.workerWG.Done()
+	var costs []float64 // the scheduling rounds' task costs, reused
 	for {
 		select {
 		case <-p.ctx.Done():
@@ -501,27 +502,28 @@ func (p *pipeline) worker() {
 			continue
 		}
 		p.releaseSlot()
-		p.process(job)
+		p.process(job, &costs)
 	}
 }
 
 // process runs one job's scheduling round and dispatches its execution.
 // The scheduling phase completes on the worker; execution is handed to
 // a goroutine gated by the run semaphore so the worker can keep
-// scheduling while earlier jobs still execute.
-func (p *pipeline) process(job *jobRecord) {
+// scheduling while earlier jobs still execute. costs is the worker's
+// buffer for the round's task costs.
+func (p *pipeline) process(job *jobRecord, costs *[]float64) {
 	ctx, ok := job.claim()
 	if !ok {
 		return // its context ended while it was queued: the drop hook ends it
 	}
-	sched := core.NewScheduler(p.env.Sites[job.home], p.env.peers[job.home], p.env.Net, job.K)
-	cost, err := p.env.CostFunc(job.Graph)
-	if err != nil {
+	var err error
+	if *costs, err = p.env.taskCosts(job.Graph, *costs); err != nil {
 		job.fail(err)
 		return
 	}
+	sched := core.Scheduler{Local: p.env.Sites[job.home], Remote: p.env.peers[job.home], Net: p.env.Net, K: job.K}
 	roundStart := time.Now()
-	table, err := sched.Schedule(job.Graph, cost)
+	table, err := sched.Schedule(job.Graph, func(id afg.TaskID) float64 { return (*costs)[id] })
 	p.env.obsM.roundLatency.Observe(time.Since(roundStart).Seconds())
 	if err != nil {
 		job.fail(err)

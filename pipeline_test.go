@@ -326,12 +326,15 @@ func TestJobStateStrings(t *testing.T) {
 // appended into a stack buffer instead of fmt.Sprintf, a timings block
 // inside the record and attribute-typed log lines paid them back. A job
 // cost 85 before the handle split from the record and 81 after; the
-// budget stays at 85.
+// budget stayed at 85 while it fell to 71. A task function called on its
+// controller's goroutine and a scheduling round with its scheduler and
+// cost closure on the stack take it to 64, and the budget down by the
+// same 7 to 78.
 func TestSubmitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const budget = 85
+	const budget = 78
 	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2801}})
 	g := spinJobGraph("alloc", 0)
 	ctx := context.Background()

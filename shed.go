@@ -151,13 +151,13 @@ func (p *pipeline) storeFailure() error {
 // estimate omits only makes the true completion later, so a deadline
 // the estimate already misses is genuinely infeasible.
 func (p *pipeline) minCompletionEstimate(g *afg.Graph) (time.Duration, bool) {
-	cost, err := p.env.CostFunc(g)
+	costs, err := p.env.taskCosts(g, nil)
 	if err != nil {
 		// Unknown tasks fail later with a better error; never shed on a
 		// missing estimate.
 		return 0, false
 	}
-	_, seconds, err := g.CriticalPath(cost)
+	_, seconds, err := g.CriticalPath(func(id afg.TaskID) float64 { return costs[id] })
 	if err != nil || seconds <= 0 {
 		return 0, false
 	}

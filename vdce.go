@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -403,45 +404,36 @@ func (env *Environment) Recovery() RecoveryReport {
 	return env.pipe.recovery
 }
 
-// SchedulerAt returns the Application Scheduler of site index i: its
-// local site plus every other site as a remote.
-func (env *Environment) SchedulerAt(i int, k int) (*core.Scheduler, error) {
-	if i < 0 || i >= len(env.Sites) {
-		return nil, fmt.Errorf("vdce: no site %d", i)
-	}
-	return core.NewScheduler(env.Sites[i], env.peers[i], env.Net, k), nil
-}
-
-// CostFunc derives the level-computation cost function for g from site
-// 0's task-performance database (every site holds the same catalog).
-func (env *Environment) CostFunc(g *afg.Graph) (afg.CostFunc, error) {
+// taskCosts writes each task's level-computation cost, its time on the
+// base processor in seconds, by task ID from site 0's task-performance
+// database (every site holds the same catalog) into buf's backing array,
+// grown if short, and returns it.
+func (env *Environment) taskCosts(g *afg.Graph, buf []float64) ([]float64, error) {
 	if len(env.Sites) == 0 {
-		return nil, errors.New("vdce: no sites")
+		return buf, errors.New("vdce: no sites")
 	}
 	oracle := env.Sites[0].Oracle
-	costs := make([]float64, len(g.Tasks))
-	for i, task := range g.Tasks {
+	costs := slices.Grow(buf[:0], len(g.Tasks))
+	for _, task := range g.Tasks {
 		d, err := oracle.BaseTimeFor(task.Name)
 		if err != nil {
-			return nil, err
+			return costs, err
 		}
-		costs[i] = d.Seconds()
+		costs = append(costs, d.Seconds())
 	}
-	return func(id afg.TaskID) float64 { return costs[id] }, nil
+	return costs, nil
 }
 
 // Schedule runs the distributed scheduler from site 0 with k
 // nearest-neighbor sites (Fig. 2 step 2).
 func (env *Environment) Schedule(g *afg.Graph, k int) (*core.AllocationTable, error) {
-	sched, err := env.SchedulerAt(0, k)
+	var buf [16]float64 // a small graph's costs stay on the stack
+	costs, err := env.taskCosts(g, buf[:])
 	if err != nil {
 		return nil, err
 	}
-	cost, err := env.CostFunc(g)
-	if err != nil {
-		return nil, err
-	}
-	return sched.Schedule(g, cost)
+	sched := core.Scheduler{Local: env.Sites[0], Remote: env.peers[0], Net: env.Net, K: k}
+	return sched.Schedule(g, func(id afg.TaskID) float64 { return costs[id] })
 }
 
 // ClampK applies the owner's access domain type (the fifth field of the

@@ -195,11 +195,11 @@ func TestCostFuncErrorsOnUnknownTask(t *testing.T) {
 	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 1, Seed: 1}})
 	g, _ := tasklib.BuildC3IPipeline(4, 1)
 	g.Tasks[0].Name = "Unknown_Task"
-	if _, err := env.CostFunc(g); err == nil {
+	if _, err := env.taskCosts(g, nil); err == nil {
 		t.Fatal("unknown task cost accepted")
 	}
-	if _, err := env.SchedulerAt(99, 1); err == nil {
-		t.Fatal("bad site index accepted")
+	if _, err := env.Schedule(g, 1); err == nil {
+		t.Fatal("a round over an unknown task succeeded")
 	}
 }
 
