@@ -43,20 +43,19 @@ func NewScheduler(local SiteService, remote []SiteService, net *netmodel.Network
 	return &Scheduler{Local: local, Remote: remote, Net: net, K: k}
 }
 
-// roundSites lists the sites of one scheduling round (Fig. 2 step 2) in
-// candidate order: the local site, then by name the K nearest remote
-// sites that have a reachable SiteService. Equal totals go to the
-// earlier site.
-func (s *Scheduler) roundSites() ([]SiteService, error) {
+// roundSites appends to sites, empty, the sites of one scheduling round
+// (Fig. 2 step 2) in candidate order: the local site, then by name the K
+// nearest remote sites that have a reachable SiteService. Equal totals
+// go to the earlier site.
+func (s *Scheduler) roundSites(sites []SiteService) ([]SiteService, error) {
+	sites = append(sites, s.Local)
 	if s.K <= 0 || len(s.Remote) == 0 {
-		return []SiteService{s.Local}, nil
+		return sites, nil
 	}
 	names, err := s.Net.Nearest(s.Local.SiteName(), len(s.Remote))
 	if err != nil {
 		return nil, err
 	}
-	sites := make([]SiteService, 1, 1+min(s.K, len(s.Remote)))
-	sites[0] = s.Local
 	for _, name := range names {
 		i := slices.IndexFunc(s.Remote, func(r SiteService) bool { return r.SiteName() == name })
 		if i >= 0 && len(sites) <= s.K {
@@ -121,8 +120,9 @@ func (s *Scheduler) Schedule(g *afg.Graph, cost afg.CostFunc) (*AllocationTable,
 	}
 
 	// Steps 2-5: gather host selections from the local site and the k
-	// nearest remote sites.
-	sites, err := s.roundSites()
+	// nearest remote sites, up to seven of them listed on the stack.
+	var buf [8]SiteService
+	sites, err := s.roundSites(buf[:0])
 	if err != nil {
 		return nil, err
 	}

@@ -99,8 +99,9 @@ func (ac *appController) run() ([]tasklib.Value, error) {
 		err = ac.await(arrived)
 	}
 	// Console service: a suspended application dispatches no new tasks.
-	if c := ac.app.engine.Console; err == nil && c != nil {
-		err = c.Gate(ac.app.ctx)
+	// The task looks again at every check of the run's clock.
+	for c := ac.app.engine.Console; err == nil && c != nil && c.Suspended(); {
+		err = ac.await(time.Now().Add(ac.app.period))
 	}
 	if err != nil {
 		return nil, err
@@ -161,8 +162,10 @@ func (ac *appController) reschedule(err error) error {
 	}
 	// Retry policy: jittered exponential backoff for this task plus
 	// the engine-wide budget — a mass host failure must not turn into
-	// an immediate retry storm against the scheduler.
-	if err := e.retryPause(ac.app.ctx, attempt); err != nil {
+	// an immediate retry storm against the scheduler. The pause is a
+	// wait on the run's clock that watches no host.
+	ac.watch = nil
+	if err := ac.await(time.Now().Add(e.retryDelay(attempt, time.Now()))); err != nil {
 		return err
 	}
 	ac.chased = append(ac.chased, term.host)
@@ -214,10 +217,7 @@ func (ac *appController) await(at time.Time) error {
 	r.mu.Lock()
 	ac.sup, ac.wake = waiting, at
 	r.mu.Unlock()
-	select {
-	case r.kick <- struct{}{}:
-	default: // a kick is pending already
-	}
+	r.nudge()
 	<-ac.woken
 	return ac.verdict
 }

@@ -240,7 +240,7 @@ func (ac *appController) sendOutputs(outs []tasklib.Value) (*appController, erro
 		return nil, nil // a graph without edges has no Data Manager
 	}
 	edges := ri.outEdges[ri.outBase[ac.task.ID]:ri.outBase[ac.task.ID+1]]
-	if err := ri.send(&r.engine.transfer, edges, outs); err != nil || r.ctx.Err() != nil {
+	if err := ri.send(&r.engine.transfer, edges, outs); err != nil || r.ended() != nil {
 		return nil, err
 	}
 	var next *appController

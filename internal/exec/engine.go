@@ -102,6 +102,9 @@ type Engine struct {
 
 	closed   atomic.Bool // set by Close
 	transfer transferTallies
+	// clocks holds stopped monitoring-loop timers: a run takes one and
+	// puts it back stopped, so the timers outlive the runs.
+	clocks sync.Pool
 
 	// appSeq numbers the runs: it disambiguates app IDs of same-named
 	// graphs submitted within the same nanosecond.
@@ -297,18 +300,16 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	id := append(append(idBuf[:0], g.Name...), '-')
 	id = append(strconv.AppendInt(id, time.Now().UnixNano(), 10), '-')
 	id = strconv.AppendUint(id, seq, 10)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	run := &appRun{
 		engine:      e,
 		g:           g,
 		appID:       string(id),
 		maxAttempts: maxAttempts,
-		ctx:         runCtx,
-		cancel:      cancel,
+		period:      checkPeriod,
+		ctx:         ctx,
 		entries:     append([]core.Placement(nil), table.Entries...),
 		ctl:         make([]appController, len(g.Tasks)),
-		done:        make(chan struct{}),
+		kick:        make(chan struct{}, 1),
 		outputs:     make(map[afg.TaskID][]tasklib.Value, len(g.Tasks)),
 		runs:        make([]TaskRun, 0, len(g.Tasks)),
 	}
@@ -343,10 +344,6 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 			run.ctl[e.To].pending.Add(1)
 		}
 	}
-	if e.DilationScale > 0 {
-		run.kick = make(chan struct{}, 1)
-	}
-
 	// Phase 2: the execution startup signal. Whoever takes a task's count
 	// to zero starts it: here for a task no edge feeds, else its last
 	// producer. The loop counts as started itself, so no early finisher
@@ -359,7 +356,7 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 		}
 	}
 	run.leave()
-	run.monitor(checkPeriod)
+	run.monitor()
 	// The controllers have joined: the write-back "after an application
 	// execution is completed", off every task's critical path.
 	if e.Record != nil && len(run.measured) > 0 {
@@ -392,9 +389,9 @@ type appRun struct {
 	g           *afg.Graph
 	appID       string
 	maxAttempts int
+	period      time.Duration   // the monitoring loop's check period
 	execOpts                    // sink: the optional recovery-event stream
-	ctx         context.Context // the run's: its end is a verdict on every attempt
-	cancel      context.CancelFunc
+	ctx         context.Context // the caller's: its end is a verdict on every attempt
 	// inputs is the run's Data Manager; nil when the graph has no
 	// dataflow edges.
 	inputs *runInputs
@@ -404,11 +401,10 @@ type appRun struct {
 	// shared with the caller's table until then, and never written.
 	entries []core.Placement
 	ctl     []appController // by task ID
-	// left counts the started controllers still in; the last one out
-	// closes done: the loop's end.
+	// left counts the started controllers still in. kick wakes the loop:
+	// a wait registered a wake-up, or the last controller left.
 	left atomic.Int32
-	done chan struct{}
-	kick chan struct{} // a wait registered a wake-up; nil unless dilated
+	kick chan struct{}
 
 	mu          sync.Mutex
 	err         error // the first failure; it aborts the run
@@ -425,19 +421,26 @@ type appRun struct {
 // termination rule to each controller under supervision, and at each
 // registered wake-up ends a wait. A verdict on a computing attempt
 // starts a goroutine that carries the controller on.
-func (r *appRun) monitor(period time.Duration) {
-	clock := time.NewTimer(period)
-	defer clock.Stop()
+func (r *appRun) monitor() {
+	clock, _ := r.engine.clocks.Get().(*time.Timer)
+	if clock == nil {
+		clock = time.NewTimer(r.period)
+	} else {
+		clock.Reset(r.period)
+	}
+	defer r.engine.clocks.Put(clock)
+	defer clock.Stop() // since go 1.23 a stopped timer holds no stale tick
 	for {
 		select {
-		case <-r.done:
-			return
 		case <-r.kick:
 		case <-clock.C:
 		}
+		if r.left.Load() == 0 {
+			return
+		}
 		now := time.Now()
-		next := now.Add(period)
-		ended := r.ctx.Err()
+		next := now.Add(r.period)
+		ended := r.ended()
 		r.mu.Lock()
 		for i := range r.ctl {
 			ac := &r.ctl[i]
@@ -478,19 +481,39 @@ func (r *appRun) release(id afg.TaskID) *appController {
 // leave counts one started controller out; the last ends the loop.
 func (r *appRun) leave() {
 	if r.left.Add(-1) == 0 {
-		close(r.done)
+		r.nudge()
 	}
 }
 
-// fail records the run's first failure and cancels everything still
-// running or waiting on the run's clock. Task controllers call it.
+// nudge wakes the monitoring loop.
+func (r *appRun) nudge() {
+	select {
+	case r.kick <- struct{}{}:
+	default: // a kick is pending already
+	}
+}
+
+// fail records the run's first failure: the monitoring loop's next
+// check hands it as a verdict to everything still running or waiting on
+// the run's clock. Task controllers call it.
 func (r *appRun) fail(err error) {
 	r.mu.Lock()
 	if r.err == nil {
 		r.err = err
 	}
 	r.mu.Unlock()
-	r.cancel()
+}
+
+// ended is the run's end as a verdict: nil while it is live, the
+// caller's context's error once that ends, context.Canceled once a task
+// failed.
+func (r *appRun) ended() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err != nil {
+		return context.Canceled
+	}
+	return r.ctx.Err()
 }
 
 // emit streams one recovery event to the run's sink, if any.

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -127,23 +126,6 @@ func (e *Engine) retryGate() *retryGate {
 		e.retry = newRetryGate(e.Retry)
 	})
 	return e.retry
-}
-
-// retryPause applies the retry policy before one rescheduling retry and
-// waits it out. It returns ctx's error if the wait was interrupted.
-func (e *Engine) retryPause(ctx context.Context, attempt int) error {
-	d := e.retryDelay(attempt, time.Now())
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // retryDelay is the pause before one rescheduling retry at now: the

@@ -7,24 +7,20 @@
 // paper's conclusion announces are not implemented.
 package services
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // Console lets a user suspend and restart an application execution. The
-// Application Controllers consult Gate before starting each task, so a
-// suspended application stops dispatching new tasks; running tasks
+// Application Controllers consult Suspended before starting each task,
+// so a suspended application stops dispatching new tasks; running tasks
 // drain, matching the paper's console semantics.
 type Console struct {
 	mu     sync.Mutex
 	paused bool
-	wake   chan struct{}
 }
 
 // NewConsole returns a running (not suspended) console.
 func NewConsole() *Console {
-	return &Console{wake: make(chan struct{})}
+	return &Console{}
 }
 
 // Suspend pauses dispatch of new tasks.
@@ -38,28 +34,12 @@ func (c *Console) Suspend() {
 func (c *Console) Resume() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.paused {
-		c.paused = false
-		close(c.wake)
-		c.wake = make(chan struct{})
-	}
+	c.paused = false
 }
 
-// Gate blocks while the console is suspended. It returns ctx.Err() if
-// the context ends first, nil once dispatch may proceed.
-func (c *Console) Gate(ctx context.Context) error {
-	for {
-		c.mu.Lock()
-		if !c.paused {
-			c.mu.Unlock()
-			return nil
-		}
-		wake := c.wake
-		c.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-wake:
-		}
-	}
+// Suspended reports whether dispatch is paused.
+func (c *Console) Suspended() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.paused
 }

@@ -1,50 +1,28 @@
 package services
 
-import (
-	"context"
-	"testing"
-	"time"
-)
+import "testing"
 
-func TestConsoleGate(t *testing.T) {
+// TestConsoleSuspended: Suspend and Resume flip what Suspended reports —
+// what a task's controller reads before it starts — and a repeated
+// Suspend or Resume changes nothing.
+func TestConsoleSuspended(t *testing.T) {
 	c := NewConsole()
-	if err := c.Gate(context.Background()); err != nil {
-		t.Fatal(err)
+	steps := []struct {
+		name string
+		op   func()
+		want bool
+	}{
+		{"new", func() {}, false},
+		{"suspend", c.Suspend, true},
+		{"suspend again", c.Suspend, true},
+		{"resume", c.Resume, false},
+		{"resume again", c.Resume, false},
+		{"suspend after resume", c.Suspend, true},
 	}
-	c.Suspend()
-	// Gate blocks while suspended.
-	released := make(chan error, 1)
-	go func() { released <- c.Gate(context.Background()) }()
-	select {
-	case <-released:
-		t.Fatal("gate passed while suspended")
-	case <-time.After(20 * time.Millisecond):
-	}
-	c.Resume()
-	select {
-	case err := <-released:
-		if err != nil {
-			t.Fatal(err)
+	for _, s := range steps {
+		s.op()
+		if got := c.Suspended(); got != s.want {
+			t.Fatalf("after %s: Suspended() = %v, want %v", s.name, got, s.want)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("gate never released")
-	}
-	// Context cancellation unblocks a suspended gate.
-	c.Suspend()
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() { errCh <- c.Gate(ctx) }()
-	cancel()
-	if err := <-errCh; err == nil {
-		t.Fatal("cancelled gate returned nil")
-	}
-	// Double suspend / double resume are harmless.
-	c.Suspend()
-	c.Resume()
-	c.Resume()
-	ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := c.Gate(ctx); err != nil {
-		t.Fatal("resume lost")
 	}
 }

@@ -245,14 +245,14 @@ type jobRecord struct {
 	pipe      *pipeline
 	done      chan struct{}
 
-	mu    sync.Mutex
-	state JobState
+	mu     sync.Mutex
+	state  JobState
+	queued bool // in the admission queue until a claim or drop takes it
 	// ctx is the job's one end signal, live from registration to the
 	// terminal state: Cancel, the deadline and shutdown all end it, and
 	// its cause picks the terminal state (see end). cancel is its
-	// CancelCauseFunc. stop unregisters the hook that drops the job while
-	// it is queued; it is nil before the job is enqueued and after the
-	// claim takes it. terminalize drops all three.
+	// CancelCauseFunc; stop unregisters the drop hook of a job with a
+	// deadline. terminalize drops all three.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	stop   func() bool
@@ -355,16 +355,19 @@ func (j *jobRecord) Wait(ctx context.Context) error {
 }
 
 // Cancel requests cancellation. A queued job is dropped from the
-// admission queue immediately; a scheduling or running job is aborted
-// through the execution engine's cancellation path and terminalizes
-// shortly after. Canceling a terminal job is a no-op. The terminal state
-// is JobCanceled with Err() == ErrJobCanceled, unless the deadline or
-// shutdown ended the job first.
+// admission queue and is terminal when Cancel returns; a scheduling or
+// running job is aborted through the execution engine's cancellation
+// path and terminalizes shortly after. Canceling a terminal job is a
+// no-op. The terminal state is JobCanceled with Err() == ErrJobCanceled,
+// unless the deadline or shutdown ended the job first.
 func (j *jobRecord) Cancel() {
 	j.mu.Lock()
-	cancel := j.cancel
+	cancel, stop := j.cancel, j.stop
 	j.mu.Unlock()
 	if cancel != nil {
+		if stop != nil {
+			stop() // this drop, not the deadline hook's, ends a queued job
+		}
 		cancel(ErrJobCanceled)
 		j.pipe.drop(j)
 	}
@@ -637,17 +640,16 @@ func (j *jobRecord) Status() services.JobStatus {
 
 // claim moves a popped job from queued to scheduling and returns its
 // context, which the worker carries through the round, the dispatch and
-// the run. Stopping the drop hook is the claim: when the hook has
-// already started — the job's context ended while it was queued — the
-// claim fails and the hook ends the job, so it never reaches a
-// scheduling round.
+// the run. It fails for a job a drop took, and for one whose context
+// ended while it was queued: whatever ended the context drops the job,
+// so it never reaches a scheduling round.
 func (j *jobRecord) claim() (context.Context, bool) {
 	j.mu.Lock()
-	if j.stop == nil || !j.stop() {
+	if !j.queued || j.ctx.Err() != nil {
 		j.mu.Unlock()
 		return nil, false
 	}
-	j.stop = nil
+	j.queued = false
 	j.state = JobScheduling
 	ctx := j.ctx
 	j.mu.Unlock()

@@ -282,3 +282,46 @@ func hasEvent(j *Job, event string) bool {
 func causeFirst(err, cause error) bool {
 	return err == cause || strings.HasPrefix(err.Error(), cause.Error()+": ")
 }
+
+// TestCancelQueuedJobIsTerminalOnReturn: with the one worker held in a
+// wait for the run slot, so that nothing pops the queue, a queued job is
+// submitted and canceled 500 times. As soon as each Cancel returns, the
+// job's status and its board row read canceled with no queue position,
+// and the admission queue holds nothing: the Cancel itself ended the job.
+func TestCancelQueuedJobIsTerminalOnReturn(t *testing.T) {
+	env := saturatedEnv(t, 2610, 0)
+	ctx := context.Background()
+	holder, err := env.Submit(ctx, spinJobGraph("holder", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, holder, JobRunning)
+	waiter, err := env.Submit(ctx, spinJobGraph("waiter", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, waiter, JobScheduling)
+	g := spinJobGraph("victim", 1)
+	for i := 0; i < 500; i++ {
+		victim, err := env.Submit(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim.Cancel()
+		if s := victim.Status(); s.State != services.JobStateCanceled || s.QueuePosition != 0 {
+			t.Fatalf("cancel %d: status reads %s at position %d", i, s.State, s.QueuePosition)
+		}
+		if row, ok := env.Job(victim.ID); !ok || row.State != services.JobStateCanceled || row.QueuePosition != 0 {
+			t.Fatalf("cancel %d: board row reads %s at position %d (found %v)", i, row.State, row.QueuePosition, ok)
+		}
+		if n := env.pipe.admit.queuedLen(); n != 0 {
+			t.Fatalf("cancel %d: %d jobs left in the admission queue", i, n)
+		}
+	}
+	env.Console.Resume()
+	drainCtx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	if err := env.Drain(drainCtx); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -357,32 +357,36 @@ func (p *pipeline) begin(j *jobRecord) {
 }
 
 // enqueue pushes a job onto the admission queue — a recovered one
-// without the queued-jobs quota (see adoptQueued) — and arms the hook
-// that drops it once its context ends there. Both happen under j.mu, so
-// a worker that pops the job claims it only after the hook is armed,
-// and a Cancel that came before is carried out by the hook.
+// without the queued-jobs quota (see adoptQueued) — and marks it queued,
+// both under j.mu, so a worker that pops the job finds the mark. Only a
+// job with a deadline arms a hook that drops it when its context ends.
 func (p *pipeline) enqueue(j *jobRecord, recovered bool) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if recovered {
 		p.admit.adoptQueued(j)
 	} else {
 		p.admit.push(j)
 	}
-	j.stop = context.AfterFunc(j.ctx, func() { p.drop(j) })
+	j.queued = true
+	if !j.deadline.IsZero() {
+		j.stop = context.AfterFunc(j.ctx, func() { p.drop(j) })
+	}
+	j.mu.Unlock()
+	p.drop(j) // a Cancel or shutdown before the mark found nothing to drop
 }
 
 // drop ends a queued job whose context ended: the job leaves the
 // admission queue if it is still in it, its slot frees, and end
-// terminalizes it. Cancel calls it synchronously, the hook enqueue arms
-// calls it at the deadline or shutdown. A job the claim took is left to
-// the waits that carry its context; a job not yet enqueued is left to
-// its hook, which fires as soon as enqueue arms it.
+// terminalizes it. Whatever ends a job's context calls it — Cancel
+// synchronously, the deadline hook, stop — so a queued job is terminal
+// when the call returns. A job the claim took is left to the waits that
+// carry its context.
 func (p *pipeline) drop(j *jobRecord) {
 	j.mu.Lock()
-	ctx, armed := j.ctx, j.stop != nil
+	ctx, took := j.ctx, j.queued && j.ctx.Err() != nil
+	j.queued = j.queued && !took
 	j.mu.Unlock()
-	if !armed {
+	if !took {
 		return
 	}
 	if p.admit.remove(j) {
@@ -514,7 +518,7 @@ func (p *pipeline) worker() {
 func (p *pipeline) process(job *jobRecord, costs *[]float64) {
 	ctx, ok := job.claim()
 	if !ok {
-		return // its context ended while it was queued: the drop hook ends it
+		return // its context ended while it was queued: its drop ends it
 	}
 	var err error
 	if *costs, err = p.env.taskCosts(job.Graph, *costs); err != nil {
@@ -576,9 +580,13 @@ func (p *pipeline) process(job *jobRecord, costs *[]float64) {
 func (p *pipeline) dispatch(ctx context.Context, job *jobRecord, table *core.AllocationTable) {
 	select {
 	case p.runSem <- struct{}{}:
-	case <-ctx.Done():
-		job.end(ctx, nil)
-		return
+	default: // only a wait for a slot makes the context's Done channel
+		select {
+		case p.runSem <- struct{}{}:
+		case <-ctx.Done():
+			job.end(ctx, nil)
+			return
+		}
 	}
 	go p.execute(ctx, job, table)
 }
@@ -661,8 +669,9 @@ func (p *pipeline) execute(ctx context.Context, job *jobRecord, table *core.Allo
 	}
 }
 
-// stop ends every live job through the environment's context and waits
-// until each is terminal. cancelRoot cancels that context.
+// stop ends every live job through the environment's context, drops the
+// queued ones, and waits until each is terminal. cancelRoot cancels that
+// context.
 func (p *pipeline) stop(cancelRoot context.CancelCauseFunc) {
 	// Durability first: from here on, shutdown-induced terminal states
 	// (ErrPipelineClosed) are not persisted — queued and running jobs
@@ -678,6 +687,7 @@ func (p *pipeline) stop(cancelRoot context.CancelCauseFunc) {
 	cancelRoot(ErrPipelineClosed)
 	p.workerWG.Wait()
 	for _, j := range p.records() {
+		p.drop(j)
 		<-j.done
 	}
 }

@@ -3,6 +3,7 @@ package vdce
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -255,6 +256,13 @@ func TestDeadlineDropsQueuedJob(t *testing.T) {
 	defer cancelExp()
 	if err := doomed.Wait(expCtx); !errors.Is(err, ErrJobDeadlineExceeded) {
 		t.Fatalf("Wait = %v, want ErrJobDeadlineExceeded", err)
+	}
+	var chain []string
+	for _, ev := range doomed.Trace().Events {
+		chain = append(chain, ev.Event)
+	}
+	if got := strings.Join(chain, " "); got != "submitted admitted failed" {
+		t.Fatalf("trace %q, want the job to fail while still queued", got)
 	}
 	env.Console.Resume()
 	waitCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)

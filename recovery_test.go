@@ -325,6 +325,9 @@ func TestGracefulRestartRecovery(t *testing.T) {
 		}
 		queued = append(queued, j)
 	}
+	// The one worker holds the first backlog job, waiting for the run
+	// slot; the other two stay in the admission queue.
+	waitState(t, queued[0], JobScheduling)
 	preCursor := env.pipe.events.Cursor()
 	env.Close()
 
@@ -334,6 +337,11 @@ func TestGracefulRestartRecovery(t *testing.T) {
 		t.Fatal("running job reported success despite shutdown")
 	} else if !errors.Is(err, ErrPipelineClosed) {
 		t.Fatalf("running job failed with %v at Close, want ErrPipelineClosed", err)
+	}
+	for _, j := range queued[1:] {
+		if j.State() != JobFailed || j.Err() != ErrPipelineClosed {
+			t.Fatalf("queued job %s is %s with %v after Close, want failed with ErrPipelineClosed", j.ID, j.State(), j.Err())
+		}
 	}
 
 	env2, err := New(durableCfg(dir))

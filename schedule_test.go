@@ -313,7 +313,7 @@ func roundCases(tb testing.TB) (*Environment, []roundCase) {
 		tb.Fatal(err)
 	}
 	installEverywhere(tb, env, layered)
-	return env, []roundCase{{"c3i-6", c3i, 2, 14}, {"les-16", les, 2, 14}, {"layered-200", layered.G, 3, 16}}
+	return env, []roundCase{{"c3i-6", c3i, 2, 13}, {"les-16", les, 2, 13}, {"layered-200", layered.G, 3, 15}, {"c3i-6-local", c3i, 0, 10}}
 }
 
 // TestScheduleRoundAllocBudget pins what one scheduling round costs
@@ -326,7 +326,10 @@ func roundCases(tb testing.TB) (*Environment, []roundCase) {
 // no measurement on the heap) and the layered graph from 35 to 27. A
 // scheduler held as a value, the task costs in a block with no closure
 // on the heap, and a port check over one sorted block in place of a map
-// grown edge by edge take them to 11, 11 and 13.
+// grown edge by edge take them to 11, 11 and 13. The round's site list
+// on the caller's stack takes them to 10, 10 and 12, and the budgets
+// down by one; the local-only round (K = 0) reads 10 too, and its budget
+// of 10 leaves no room for a site list on the heap.
 func TestScheduleRoundAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
