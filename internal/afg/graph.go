@@ -1,11 +1,10 @@
 package afg
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"sync/atomic"
 )
 
 // Edge is a dataflow connection from one task's output port to another
@@ -23,7 +22,8 @@ type Edge struct {
 
 // Graph is an application flow graph under construction or ready to
 // schedule. Graphs are not safe for concurrent mutation; schedulers treat
-// them as immutable once validated.
+// them as immutable once validated. A Graph must not be copied once
+// analysed: it keeps its Shape.
 type Graph struct {
 	Name  string  `json:"name"`
 	Owner string  `json:"owner,omitempty"`
@@ -32,6 +32,8 @@ type Graph struct {
 	// InputSizeBytes is the application-level input size the paper says may
 	// be used as the transfer-size parameter when edge sizes are unknown.
 	InputSizeBytes int64 `json:"input_size_bytes,omitempty"`
+
+	shape atomic.Pointer[Shape] // the last analysis; Shape checks it fits
 }
 
 // NewGraph returns an empty named graph.
@@ -116,32 +118,26 @@ func (g *Graph) Connect(from TaskID, fromPort int, to TaskID, toPort int, sizeBy
 
 // Parents returns the IDs of tasks with an edge into id, deduplicated and
 // sorted.
-func (g *Graph) Parents(id TaskID) []TaskID {
-	seen := make(map[TaskID]bool)
-	var out []TaskID
-	for _, e := range g.Edges {
-		if e.To == id && !seen[e.From] {
-			seen[e.From] = true
-			out = append(out, e.From)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Graph) Parents(id TaskID) []TaskID { return g.linked(id, true) }
 
 // Children returns the IDs of tasks with an edge out of id, deduplicated
 // and sorted.
-func (g *Graph) Children(id TaskID) []TaskID {
-	seen := make(map[TaskID]bool)
+func (g *Graph) Children(id TaskID) []TaskID { return g.linked(id, false) }
+
+// linked returns the tasks at the far end of id's in-edges (in) or
+// out-edges, deduplicated and sorted.
+func (g *Graph) linked(id TaskID, in bool) []TaskID {
 	var out []TaskID
 	for _, e := range g.Edges {
-		if e.From == id && !seen[e.To] {
-			seen[e.To] = true
+		switch {
+		case in && e.To == id:
+			out = append(out, e.From)
+		case !in && e.From == id:
 			out = append(out, e.To)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // InEdges returns the edges into id in insertion order.
@@ -155,52 +151,25 @@ func (g *Graph) InEdges(id TaskID) []Edge {
 	return out
 }
 
-// InEdgeIndex is InEdges for every task at once, for walkers that would
-// otherwise rescan the edge list per task: the edges into task id are
-// g.Edges[at[j]] for j in [start[id], start[id+1]), in insertion order.
-// The graph must be valid.
-func (g *Graph) InEdgeIndex() (start, at []int32) {
-	n := len(g.Tasks)
-	buf := make([]int32, n+2+len(g.Edges))
-	start, at = buf[:n+2], buf[n+2:]
-	// The same two-slots-to-the-right counting sort as kahn's rows.
-	for _, e := range g.Edges {
-		start[e.To+2]++
-	}
-	for i := 2; i < len(start); i++ {
-		start[i] += start[i-1]
-	}
-	for i, e := range g.Edges {
-		at[start[e.To+1]] = int32(i)
-		start[e.To+1]++
-	}
-	return start[:n+1], at
-}
-
 // Entries returns tasks with no parents — the paper's "entry nodes".
-func (g *Graph) Entries() []TaskID {
-	hasParent := make([]bool, len(g.Tasks))
-	for _, e := range g.Edges {
-		hasParent[e.To] = true
-	}
-	var out []TaskID
-	for i := range g.Tasks {
-		if !hasParent[i] {
-			out = append(out, TaskID(i))
-		}
-	}
-	return out
-}
+func (g *Graph) Entries() []TaskID { return g.unlinked(true) }
 
 // Exits returns tasks with no children — the paper's "exit nodes".
-func (g *Graph) Exits() []TaskID {
-	hasChild := make([]bool, len(g.Tasks))
+func (g *Graph) Exits() []TaskID { return g.unlinked(false) }
+
+// unlinked returns the tasks with no in-edge (in) or no out-edge.
+func (g *Graph) unlinked(in bool) []TaskID {
+	linked := make([]bool, len(g.Tasks))
 	for _, e := range g.Edges {
-		hasChild[e.From] = true
+		if in {
+			linked[e.To] = true
+		} else {
+			linked[e.From] = true
+		}
 	}
 	var out []TaskID
-	for i := range g.Tasks {
-		if !hasChild[i] {
+	for i, l := range linked {
+		if !l {
 			out = append(out, TaskID(i))
 		}
 	}
@@ -229,84 +198,9 @@ var ErrCycle = errors.New("afg: graph contains a cycle")
 // Validate checks structural integrity: at least one task, all edge
 // endpoints and ports valid (enforced during Connect but re-checked for
 // deserialized graphs), acyclicity, every non-dataflow input of a
-// non-entry task consistent, and parallel node counts positive.
+// non-entry task consistent, and parallel node counts positive. It is
+// Shape without the analysis.
 func (g *Graph) Validate() error {
-	if err := g.checkShape(); err != nil {
-		return err
-	}
-	_, _, _, _, err := g.kahn()
+	_, err := g.Shape()
 	return err
-}
-
-// checkShape is Validate short of acyclicity: the checks that need no
-// topological pass.
-func (g *Graph) checkShape() error {
-	if len(g.Tasks) == 0 {
-		return errors.New("afg: graph has no tasks")
-	}
-	for i, t := range g.Tasks {
-		if t.ID != TaskID(i) {
-			return fmt.Errorf("afg: task %q has ID %d at index %d", t.Name, t.ID, i)
-		}
-		if t.Name == "" {
-			return fmt.Errorf("afg: task %d has empty name", i)
-		}
-		if t.InPorts < 0 || t.OutPorts < 0 {
-			return fmt.Errorf("afg: task %d (%s) has negative port count", i, t.Name)
-		}
-		if t.Props.Mode == Parallel && t.Props.Nodes < 1 {
-			return fmt.Errorf("afg: parallel task %d (%s) has node count %d", i, t.Name, t.Props.Nodes)
-		}
-		if len(t.Props.Inputs) > t.InPorts {
-			return fmt.Errorf("afg: task %d (%s) has %d input specs for %d ports", i, t.Name, len(t.Props.Inputs), t.InPorts)
-		}
-		if len(t.Props.Outputs) > t.OutPorts {
-			return fmt.Errorf("afg: task %d (%s) has %d output specs for %d ports", i, t.Name, len(t.Props.Outputs), t.OutPorts)
-		}
-	}
-	doubled := firstDoubledPort(g.Edges)
-	for i, e := range g.Edges {
-		ft, tt := g.Task(e.From), g.Task(e.To)
-		if ft == nil || tt == nil {
-			return fmt.Errorf("afg: edge %v references missing task", e)
-		}
-		if e.From == e.To {
-			return fmt.Errorf("afg: self-loop on task %d", e.From)
-		}
-		if e.FromPort < 0 || e.FromPort >= ft.OutPorts {
-			return fmt.Errorf("afg: edge from invalid port %d of task %d (%s)", e.FromPort, e.From, ft.Name)
-		}
-		if e.ToPort < 0 || e.ToPort >= tt.InPorts {
-			return fmt.Errorf("afg: edge to invalid port %d of task %d (%s)", e.ToPort, e.To, tt.Name)
-		}
-		if i == doubled {
-			return fmt.Errorf("afg: input port %d of task %d (%s) multiply connected", e.ToPort, e.To, tt.Name)
-		}
-	}
-	return nil
-}
-
-// firstDoubledPort returns the index of the first edge that lands on an
-// input port an earlier edge lands on, or len(edges) if none does. The
-// landings (task, port, edge) sort in one block sized once, so each
-// port's run starts with the edge that took it first.
-func firstDoubledPort(edges []Edge) int {
-	var small [16][3]int // a small graph's landings stay on the stack
-	ls := small[:0]
-	if len(edges) > len(small) {
-		ls = make([][3]int, 0, len(edges))
-	}
-	for i, e := range edges {
-		ls = append(ls, [3]int{int(e.To), e.ToPort, i})
-	}
-	slices.SortFunc(ls, func(a, b [3]int) int {
-		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]), cmp.Compare(a[2], b[2]))
-	})
-	first := len(edges)
-	for i := 1; i < len(ls); i++ {
-		if ls[i][0] == ls[i-1][0] && ls[i][1] == ls[i-1][1] {
-			first = min(first, ls[i][2])
-		}
-	}
-	return first
 }

@@ -117,6 +117,7 @@ var corruptions = []struct {
 	want string
 }{
 	{"empty", func(g *Graph) { g.Tasks = nil; g.Edges = nil }, "afg: graph has no tasks"},
+	{"null task", func(g *Graph) { g.Tasks[1] = nil }, "afg: task 1 is null"},
 	{"bad id", func(g *Graph) { g.Tasks[1].ID = 7 }, `afg: task "B" has ID 7 at index 1`},
 	{"empty name", func(g *Graph) { g.Tasks[0].Name = "" }, "afg: task 0 has empty name"},
 	{"negative ports", func(g *Graph) { g.Tasks[0].InPorts = -1 }, "afg: task 0 (A) has negative port count"},

@@ -19,42 +19,25 @@ type Stats struct {
 
 // ComputeStats derives Stats; it requires a valid DAG.
 func (g *Graph) ComputeStats() (Stats, error) {
-	order, err := g.TopoSort()
+	sh, err := g.Shape()
 	if err != nil {
 		return Stats{}, err
 	}
-	depth := make([]int, len(g.Tasks))
-	maxDepth := 0
-	for _, id := range order {
-		d := 0
-		for _, p := range g.Parents(id) {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
+	s := Stats{Tasks: sh.n, Edges: sh.m, AvgInDegree: float64(sh.m) / float64(sh.n)}
+	depth, width := make([]int, sh.n), make([]int, sh.n)
+	// In topological order a task's depth is final when it is reached.
+	for _, id := range sh.order {
+		for _, c := range sh.children(id) {
+			depth[c] = max(depth[c], depth[id]+1)
 		}
-		depth[id] = d
-		if d > maxDepth {
-			maxDepth = d
+		width[depth[id]]++
+		s.Depth, s.Width = max(s.Depth, depth[id]+1), max(s.Width, width[depth[id]])
+		if sh.inStart[id] == sh.inStart[id+1] {
+			s.Entries++
 		}
-	}
-	widths := make([]int, maxDepth+1)
-	maxWidth := 0
-	for _, d := range depth {
-		widths[d]++
-		if widths[d] > maxWidth {
-			maxWidth = widths[d]
+		if sh.outStart[id] == sh.outStart[id+1] {
+			s.Exits++
 		}
-	}
-	s := Stats{
-		Tasks:   len(g.Tasks),
-		Edges:   len(g.Edges),
-		Entries: len(g.Entries()),
-		Exits:   len(g.Exits()),
-		Depth:   maxDepth + 1,
-		Width:   maxWidth,
-	}
-	if s.Tasks > 0 {
-		s.AvgInDegree = float64(s.Edges) / float64(s.Tasks)
 	}
 	return s, nil
 }

@@ -3,6 +3,16 @@
 // ports and whose edges are dataflow connections. An AFG plus per-task
 // properties is exactly what the paper's Application Editor produces and
 // what the Application Scheduler consumes.
+//
+// A graph is analysed once: Graph.Shape makes one validated topological
+// pass — the order, the children and edges out of each task, the edges
+// into each task, the input port numbering — and keeps it on the graph,
+// so admission, every scheduling round and the runtime's Data Manager
+// read the same analysis. The kept analysis is checked against the
+// graph's tasks and edges on every use and made afresh when they changed.
+// Editing a graph while one of its jobs is admitted or running is still a
+// data race: the memo makes a submission see an edit, not a concurrent
+// one safe.
 package afg
 
 import (

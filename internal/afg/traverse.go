@@ -7,99 +7,19 @@ import (
 
 // TopoSort returns the task IDs in a topological order (Kahn's
 // algorithm; ties broken by ascending ID for determinism, so the result
-// is the lexicographically smallest order). It returns ErrCycle if the
+// is the lexicographically smallest order), a slice of the caller's own.
+// It returns Validate's error for a graph that fails it: ErrCycle if the
 // graph is not a DAG.
 func (g *Graph) TopoSort() ([]TaskID, error) {
-	order, _, _, _, err := g.kahn()
-	return order, err
-}
-
-// kahn computes the topological order together with the adjacency it
-// walked, in compressed sparse row form: the children of task i are
-// child[start[i]:start[i+1]], in edge insertion order. Everything lives
-// in one allocation — order, the ready heap, in-degrees, row starts and
-// children — so the returned slices keep each other alive. spare is the
-// 2n words the sort is done with: the emptied heap, then the in-degrees,
-// all back at zero.
-func (g *Graph) kahn() (order, start, child, spare []TaskID, err error) {
-	n, m := len(g.Tasks), len(g.Edges)
-	buf := make([]TaskID, 4*n+2+m)
-	order, ready, indeg := buf[:0:n], buf[n:n:2*n], buf[2*n:3*n]
-	start, child = buf[3*n:4*n+2], buf[4*n+2:]
-	// Row sizes are counted two slots to the right, summed so that
-	// start[i+1] is where row i begins, and each placed child then
-	// advances start[i+1] to where row i ends — which is where row i+1
-	// begins, leaving start[i] the beginning of row i.
-	for _, e := range g.Edges {
-		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
-			return nil, nil, nil, nil, fmt.Errorf("afg: edge %v out of range", e)
-		}
-		indeg[e.To]++
-		start[e.From+2]++
+	s, err := g.Shape()
+	if err != nil {
+		return nil, err
 	}
-	for i := 2; i < len(start); i++ {
-		start[i] += start[i-1]
+	order := make([]TaskID, s.n)
+	for i, id := range s.order {
+		order[i] = TaskID(id)
 	}
-	for _, e := range g.Edges {
-		child[start[e.From+1]] = e.To
-		start[e.From+1]++
-	}
-	start = start[:n+1]
-	// Ascending IDs are already a valid min-heap.
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, TaskID(i))
-		}
-	}
-	for len(ready) > 0 {
-		id := ready[0]
-		last := len(ready) - 1
-		ready[0] = ready[last]
-		ready = ready[:last]
-		siftDown(ready)
-		order = append(order, id)
-		for _, c := range child[start[id]:start[id+1]] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				ready = append(ready, c)
-				siftUp(ready)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, nil, nil, nil, ErrCycle
-	}
-	return order, start, child, buf[n : 3*n], nil
-}
-
-// siftUp restores the min-heap after an append.
-func siftUp(h []TaskID) {
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-// siftDown restores the min-heap after the root was replaced.
-func siftDown(h []TaskID) {
-	for i := 0; ; {
-		small := i
-		if l := 2*i + 1; l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r := 2*i + 2; r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
+	return order, nil
 }
 
 // CostFunc supplies the computation cost of a task "on the base
@@ -112,45 +32,54 @@ type CostFunc func(TaskID) float64
 // to computation costs, as the paper specifies). The node with the higher
 // level has the higher scheduling priority.
 func (g *Graph) Levels(cost CostFunc) ([]float64, error) {
-	order, start, child, _, err := g.kahn()
+	s, err := g.Shape()
 	if err != nil {
 		return nil, err
 	}
-	return levelsOf(order, start, child, cost), nil
+	return s.levels(cost, nil), nil
+}
+
+// Round is one scheduling round's per-task state: every task's level and
+// the ready set. Prepare refills it in the arrays it already has when
+// they are long enough, so a caller that keeps a Round from one round to
+// the next allocates nothing for it.
+type Round struct {
+	Levels []float64 // by task ID; nil when Prepare had no cost
+	Ready  ReadySet
 }
 
 // Prepare is what a scheduling round needs of g before it places
-// anything, from one topological pass: it validates g (as Validate),
-// computes every task's level under cost (as Levels; none when cost is
-// nil) and returns a ReadySet over the entry nodes (as NewReadySet).
-func (g *Graph) Prepare(cost CostFunc) (levels []float64, rs *ReadySet, err error) {
-	if err := g.checkShape(); err != nil {
-		return nil, nil, err
-	}
-	order, start, child, spare, err := g.kahn()
+// anything: g's Shape, so g is valid (as Validate), every task's level
+// under cost in r.Levels (as Levels; none when cost is nil) and r.Ready
+// over the entry nodes (as NewReadySet).
+func (g *Graph) Prepare(cost CostFunc, r *Round) (*Shape, error) {
+	s, err := g.Shape()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	buf := r.Levels[:cap(r.Levels)]
+	r.Levels = nil
 	if cost != nil {
-		levels = levelsOf(order, start, child, cost)
+		r.Levels = s.levels(cost, buf)
 	}
-	return levels, newReadySet(g, start, child, spare), nil
+	r.Ready.reset(s)
+	return s, nil
 }
 
-// levelsOf computes the levels over kahn's order and adjacency.
-func levelsOf(order, start, child []TaskID, cost CostFunc) []float64 {
-	n := len(order)
-	levels := make([]float64, n)
+// levels computes the levels into buf, grown if short.
+func (s *Shape) levels(cost CostFunc, buf []float64) []float64 {
+	if len(buf) < s.n {
+		buf = make([]float64, s.n)
+	}
+	levels := buf[:s.n]
 	// Walk in reverse topological order so children are final first.
-	for i := n - 1; i >= 0; i-- {
-		id := order[i]
+	for i := s.n - 1; i >= 0; i-- {
+		id := s.order[i]
 		var best float64
-		for _, c := range child[start[id]:start[id+1]] {
-			if levels[c] > best {
-				best = levels[c]
-			}
+		for _, c := range s.children(id) {
+			best = max(best, levels[c])
 		}
-		levels[id] = cost(id) + best
+		levels[id] = cost(TaskID(id)) + best
 	}
 	return levels
 }
@@ -159,74 +88,67 @@ func levelsOf(order, start, child []TaskID, cost CostFunc) []float64 {
 // any entry node, i.e. the computation-cost critical path, along with its
 // total cost.
 func (g *Graph) CriticalPath(cost CostFunc) ([]TaskID, float64, error) {
-	levels, err := g.Levels(cost)
+	s, err := g.Shape()
 	if err != nil {
 		return nil, 0, err
 	}
-	// Start at the entry (or any node) with the max level.
-	best := TaskID(-1)
-	for i := range g.Tasks {
-		if best == -1 || levels[i] > levels[best] {
-			best = TaskID(i)
+	levels := s.levels(cost, nil)
+	// Start at the lowest-ID task with the max level, and follow the
+	// lowest-ID child whose level dominates: level(cur) = cost(cur) + max
+	// child level.
+	cur := 0
+	for i := range levels {
+		if levels[i] > levels[cur] {
+			cur = i
 		}
 	}
-	if best == -1 {
-		return nil, 0, fmt.Errorf("afg: empty graph")
-	}
-	total := levels[best]
-	var path []TaskID
-	cur := best
-	for {
-		path = append(path, cur)
-		children := g.Children(cur)
-		if len(children) == 0 {
-			break
-		}
-		// Follow the child whose level dominates: level(cur) = cost(cur) + max child level.
-		next := children[0]
-		for _, c := range children[1:] {
-			if levels[c] > levels[next] {
-				next = c
+	path := []TaskID{TaskID(cur)}
+	for kids := s.children(cur); len(kids) > 0; kids = s.children(cur) {
+		cur = kids[0]
+		for _, c := range kids[1:] {
+			if levels[c] > levels[cur] || levels[c] == levels[cur] && c < cur {
+				cur = c
 			}
 		}
-		cur = next
+		path = append(path, TaskID(cur))
 	}
-	return path, total, nil
+	return path, levels[path[0]], nil
 }
 
 // ReadySet maintains the paper's ready-tasks set: tasks all of whose
 // parents have been scheduled. Initialize with the entry nodes, then
-// Complete tasks as the site scheduler assigns them. Its state is
-// TaskID-indexed slices carved from kahn's one buffer.
+// Complete tasks as the site scheduler assigns them. It walks its
+// graph's Shape; its own state is two TaskID-indexed arrays in one block.
 type ReadySet struct {
-	start, child []TaskID // children of task i: child[start[i]:start[i+1]]
-	remaining    []TaskID // in-edges from unscheduled parents, per task
-	ready        []TaskID // ascending IDs
+	shape     *Shape
+	remaining []TaskID // in-edges from unscheduled parents, per task
+	ready     []TaskID // ascending IDs
 }
 
 // NewReadySet builds a ReadySet whose initial members are the graph's
 // entry nodes. A graph that fails Validate has no ready tasks.
 func NewReadySet(g *Graph) *ReadySet {
-	_, start, child, spare, err := g.kahn()
-	if err != nil {
-		return &ReadySet{}
+	rs := &ReadySet{}
+	if s, err := g.Shape(); err == nil {
+		rs.reset(s)
 	}
-	return newReadySet(g, start, child, spare)
+	return rs
 }
 
-// newReadySet starts a ReadySet on kahn's adjacency and spare words.
-func newReadySet(g *Graph, start, child, spare []TaskID) *ReadySet {
-	n := len(g.Tasks)
-	rs := &ReadySet{start: start, child: child, remaining: spare[n:], ready: spare[:0:n]}
-	for _, e := range g.Edges {
-		rs.remaining[e.To]++
+// reset starts rs over s's entry nodes, in its own block if that is
+// long enough: remaining is the block's head, and its capacity the whole.
+func (rs *ReadySet) reset(s *Shape) {
+	block := rs.remaining[:cap(rs.remaining)]
+	if len(block) < 2*s.n {
+		block = make([]TaskID, 2*s.n)
 	}
-	for i := range g.Tasks {
+	rs.shape, rs.remaining, rs.ready = s, block[:s.n], block[s.n:s.n:2*s.n]
+	for i := range s.n {
+		rs.remaining[i] = TaskID(s.inStart[i+1] - s.inStart[i])
 		if rs.remaining[i] == 0 {
 			rs.ready = append(rs.ready, TaskID(i))
 		}
 	}
-	return rs
 }
 
 // Ready returns the current ready tasks sorted by ID. The slice is the
@@ -245,11 +167,11 @@ func (rs *ReadySet) Complete(id TaskID) error {
 		return fmt.Errorf("afg: task %d completed but not ready", id)
 	}
 	rs.ready = slices.Delete(rs.ready, at, at+1)
-	for _, c := range rs.child[rs.start[id]:rs.start[id+1]] {
+	for _, c := range rs.shape.children(int(id)) {
 		rs.remaining[c]--
 		if rs.remaining[c] == 0 {
-			at, _ := slices.BinarySearch(rs.ready, c)
-			rs.ready = slices.Insert(rs.ready, at, c)
+			at, _ := slices.BinarySearch(rs.ready, TaskID(c))
+			rs.ready = slices.Insert(rs.ready, at, TaskID(c))
 		}
 	}
 	return nil

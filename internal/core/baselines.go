@@ -21,7 +21,8 @@ func begin(g *afg.Graph, sites []*LocalSite, net *netmodel.Network, cost afg.Cos
 	if len(sites) == 0 {
 		return plan{}, nil, ErrNoSites
 	}
-	levels, rs, err := g.Prepare(cost)
+	r := new(afg.Round)
+	shape, err := g.Prepare(cost, r)
 	if err != nil {
 		return plan{}, nil, err
 	}
@@ -29,9 +30,7 @@ func begin(g *afg.Graph, sites []*LocalSite, net *netmodel.Network, cost afg.Cos
 	for i, s := range sites {
 		snaps[i] = s.Snapshot()
 	}
-	p := newPlan(g, net, rs, app)
-	p.levels = levels
-	return p, snaps, nil
+	return newPlan(g, shape, net, r, app), snaps, nil
 }
 
 // siteOption is one site's ranked eligible hosts for a task and how many

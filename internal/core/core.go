@@ -134,7 +134,11 @@ func (t *AllocationTable) Validate(g *afg.Graph) error {
 	if len(t.Entries) != len(g.Tasks) {
 		return fmt.Errorf("core: table has %d entries for %d tasks", len(t.Entries), len(g.Tasks))
 	}
-	pos := make([]int, len(g.Tasks)) // entry index + 1; 0 = not placed
+	var small [16]int // a small graph's positions stay on the stack
+	pos := small[:]   // entry index + 1 by task; 0 = not placed
+	if len(g.Tasks) > len(small) {
+		pos = make([]int, len(g.Tasks))
+	}
 	for i, e := range t.Entries {
 		if g.Task(e.Task) == nil {
 			return fmt.Errorf("core: entry %d references missing task %d", i, e.Task)

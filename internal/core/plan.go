@@ -22,11 +22,11 @@ const (
 // ready tasks the rule picks, the policy offers their candidate
 // placements, and the first cheapest candidate is placed.
 type plan struct {
-	g               *afg.Graph
-	net             *netmodel.Network
-	rs              *afg.ReadySet
-	inStart, inEdge []int32
-	site            []string // each placed task's site
+	g     *afg.Graph
+	shape *afg.Shape
+	net   *netmodel.Network
+	rs    *afg.ReadySet
+	site  []string // each placed task's site
 	// Each placed task's and host's estimated finish, in a timed plan.
 	finish   []time.Duration
 	hostFree map[string]time.Duration
@@ -45,12 +45,12 @@ type plan struct {
 	haveBest  bool
 }
 
-// newPlan starts a plan over a validated graph from its ready set (see
-// afg.Graph.Prepare); app names the table.
-func newPlan(g *afg.Graph, net *netmodel.Network, rs *afg.ReadySet, app string) plan {
-	inStart, inEdge := g.InEdgeIndex()
+// newPlan starts a plan over a validated graph, its shape and the
+// round's levels and ready set (see afg.Graph.Prepare); app names the
+// table.
+func newPlan(g *afg.Graph, shape *afg.Shape, net *netmodel.Network, r *afg.Round, app string) plan {
 	return plan{
-		g: g, net: net, rs: rs, inStart: inStart, inEdge: inEdge,
+		g: g, shape: shape, net: net, rs: &r.Ready, levels: r.Levels,
 		site:  make([]string, len(g.Tasks)),
 		table: &AllocationTable{App: app, Entries: make([]Placement, 0, len(g.Tasks))},
 	}
@@ -103,7 +103,7 @@ func (p *plan) next() []afg.TaskID {
 // time from its parents' sites, and, in a timed plan, when the last
 // input arrives.
 func (p *plan) inputs(id afg.TaskID, site string) (xfer, arrive time.Duration, err error) {
-	for _, ei := range p.inEdge[p.inStart[id]:p.inStart[id+1]] {
+	for _, ei := range p.shape.InEdges(id) {
 		e := p.g.Edges[ei]
 		t, err := p.net.TransferTime(p.g.EdgeSize(e), p.site[e.From], site)
 		if err != nil {

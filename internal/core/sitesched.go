@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"vdce/internal/afg"
 	"vdce/internal/netmodel"
@@ -104,6 +105,10 @@ func multicast(g *afg.Graph, sites []SiteService) (answers []Selection, errs []e
 	return answers, errs
 }
 
+// rounds holds the per-task state of finished scheduling rounds for the
+// next: the levels and the ready set.
+var rounds = sync.Pool{New: func() any { return new(afg.Round) }}
+
 // Schedule runs the Site Scheduler Algorithm (Fig. 2) and returns the
 // resource allocation table. cost supplies each task's level-computation
 // cost (the base-processor time from the task-performance database).
@@ -113,8 +118,11 @@ func (s *Scheduler) Schedule(g *afg.Graph, cost afg.CostFunc) (*AllocationTable,
 	if s.Local == nil {
 		return nil, ErrNoSites
 	}
-	// Priorities are computed before the scheduling run (§3).
-	levels, rs, err := g.Prepare(cost)
+	// Priorities are computed before the scheduling run (§3), in a
+	// round's state that rounds pass on to each other.
+	r := rounds.Get().(*afg.Round)
+	defer rounds.Put(r)
+	shape, err := g.Prepare(cost, r)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +143,7 @@ func (s *Scheduler) Schedule(g *afg.Graph, cost afg.CostFunc) (*AllocationTable,
 	// are the sites whose host selection produced a real choice for it,
 	// each at Time_total(task, Sj) = Predict(task, Rj) + the transfer
 	// times from its parents' sites; the first minimal total wins.
-	p := newPlan(g, s.Net, rs, g.Name)
-	p.levels = levels
+	p := newPlan(g, shape, s.Net, r, g.Name)
 	if s.Priority == FIFOPriority {
 		p.rule = lowestID
 	}

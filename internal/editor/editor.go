@@ -119,9 +119,15 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]string         // token -> user
+	logins   map[string][]string       // user -> live tokens, oldest first
 	apps     map[string]*appInProgress // app id -> builder state
 	nextApp  int
 }
+
+// maxSessionsPerUser bounds one user's live session tokens: a login past
+// it ends the user's oldest session, so a client that logs in for every
+// request cannot grow the session table without bound.
+const maxSessionsPerUser = 64
 
 // appInProgress is one application under construction. graph is what
 // edit requests mutate; frozen is the validated deep copy submissions
@@ -151,6 +157,7 @@ func NewServer(users *repository.UserAccountsDB, reg *tasklib.Registry, submit J
 		Registry:  reg,
 		SubmitJob: submit,
 		sessions:  make(map[string]string),
+		logins:    make(map[string][]string),
 		apps:      make(map[string]*appInProgress),
 	}
 }
@@ -309,6 +316,12 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 	tok := newToken()
 	s.mu.Lock()
 	s.sessions[tok] = acct.Name
+	live := append(s.logins[acct.Name], tok)
+	if len(live) > maxSessionsPerUser {
+		delete(s.sessions, live[0])
+		live = live[1:]
+	}
+	s.logins[acct.Name] = live
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"token": tok, "user_id": acct.UserID, "priority": acct.Priority, "domain": acct.Domain,

@@ -211,3 +211,29 @@ func TestListAndDeleteApps(t *testing.T) {
 		t.Fatalf("list after delete = %v", apps)
 	}
 }
+
+// TestSessionTableIsBoundedPerUser: a client that logs in over and over
+// leaves at most maxSessionsPerUser sessions behind; the newest token
+// works and the first, long evicted, is refused.
+func TestSessionTableIsBoundedPerUser(t *testing.T) {
+	users := repository.NewUserAccountsDB()
+	if _, err := users.AddUser("user_k", "pw", 3, repository.DomainGlobal); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(users, tasklib.Default(), nil)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	first, last := &client{t: t, base: ts.URL}, &client{t: t, base: ts.URL}
+	login(first)
+	for range 999 {
+		login(last)
+	}
+	srv.mu.Lock()
+	n := len(srv.sessions)
+	srv.mu.Unlock()
+	if n > maxSessionsPerUser {
+		t.Fatalf("1,000 logins left %d sessions, over the bound of %d", n, maxSessionsPerUser)
+	}
+	last.do("GET", "/libraries", nil, 200)
+	first.do("GET", "/libraries", nil, 401)
+}

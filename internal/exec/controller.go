@@ -31,7 +31,7 @@ type appController struct {
 	watch    []*testbed.Host
 	watchBuf [1]*testbed.Host
 	tr       TaskRun         // the attempt in progress
-	locked   []*testbed.Host // its run locks, in locking order
+	locked   []*testbed.Host // its run slots, in taking order
 	mem      int64           // the memory it claimed on its primary
 	chased   []string        // hosts this task was terminated on
 	tc       tasklib.Context // the task function's, until a take-over
@@ -210,6 +210,41 @@ func checkReplacement(np *core.Placement, id afg.TaskID) error {
 // monitoring loop wakes it then, unless a verdict (a kill, or the end of
 // the run's context) ends the wait first.
 func (ac *appController) await(at time.Time) error {
+	<-ac.supervise(at)
+	return ac.verdict
+}
+
+// awaitSlot waits, under supervision, for h's run slot; only the run's
+// end ends the wait, as it watches no host.
+func (ac *appController) awaitSlot(h *testbed.Host) error {
+	woken := ac.supervise(never)
+	select {
+	case h.RunSlot <- struct{}{}:
+	case <-woken:
+		return ac.verdict
+	}
+	r := ac.app
+	r.mu.Lock()
+	ended := ac.sup != waiting // the loop ended the wait as the slot came
+	ac.sup = unsupervised
+	r.mu.Unlock()
+	if ended {
+		<-woken
+		if ac.verdict != nil {
+			<-h.RunSlot
+			return ac.verdict
+		}
+	}
+	return nil
+}
+
+// never is a wake-up no wait reaches.
+var never = time.Unix(1<<62, 0)
+
+// supervise registers a wait until at with the monitoring loop and
+// returns the channel that ends it: after the loop writes its verdict
+// (nil at wake), it sends once. The channel is made at the first wait.
+func (ac *appController) supervise(at time.Time) chan struct{} {
 	r := ac.app
 	if ac.woken == nil {
 		ac.woken = make(chan struct{}, 1)
@@ -218,8 +253,7 @@ func (ac *appController) await(at time.Time) error {
 	ac.sup, ac.wake = waiting, at
 	r.mu.Unlock()
 	r.nudge()
-	<-ac.woken
-	return ac.verdict
+	return ac.woken
 }
 
 // attempt performs one execution on the current placement, supervised by
@@ -229,17 +263,22 @@ func (ac *appController) await(at time.Time) error {
 func (ac *appController) attempt() ([]tasklib.Value, error) {
 	r, e := ac.app, ac.app.engine
 	// The monitoring loop supervises every machine of the placement: a
-	// parallel task dies with any of its nodes, not just the primary.
-	ac.watch = ac.watchBuf[:0]
+	// parallel task dies with any of its nodes, not just the primary. It
+	// watches them once their run slots are taken.
+	hosts := ac.watchBuf[:0]
 	for _, name := range ac.place.Hosts {
 		h, err := e.TB.Host(name)
 		if err != nil {
 			return nil, err
 		}
-		ac.watch = append(ac.watch, h)
+		hosts = append(hosts, h)
 	}
-	primary := ac.watch[0]
-	ac.locked = lockHosts(ac.watch)
+	locked, err := ac.lockHosts(hosts)
+	if err != nil {
+		return nil, err
+	}
+	ac.locked, ac.watch = locked, hosts
+	primary := hosts[0]
 	ac.tr = TaskRun{Task: ac.task.ID, TaskName: ac.task.Name,
 		Host: primary.Name, Attempt: ac.tr.Attempt + 1, Start: time.Now()}
 

@@ -40,76 +40,43 @@ func (e *Engine) Close() {
 }
 
 // runInputs is one run's Data Manager: a slot and a value per input port
-// of every task, of which those with an in-edge expect a delivery, and
-// the sending side's index: outEdges is the run's edges grouped by
-// source task, outEdges[outBase[t]:outBase[t+1]] leaving t. Every host
-// lives in this process, so a producer hands each frame to its consumer's
-// slot by call (send, receive): the bytes are framed and checked as on a
-// wire, and what the network costs comes from the testbed's model
-// (receiveInputs), not from a transport that models no link.
+// of every task, numbered as the graph's Shape numbers them; the shape's
+// in-edges say which slots expect a delivery, and its out-edges are the
+// sending side's index. Every host lives in this process, so a producer
+// hands each frame to its consumer's slot by call (send, receive): the
+// bytes are framed and checked as on a wire, and what the network costs
+// comes from the testbed's model (receiveInputs), not from a transport
+// that models no link.
 type runInputs struct {
-	base     []int           // base[t] is the index in slots of task t's port 0
-	slots    []inSlot        // len(slots) == base[len(tasks)]
-	vals     []tasklib.Value // vals[i] is the value slots[i] received
-	outBase  []int
-	outEdges []afg.Edge
+	shape *afg.Shape
+	slots []inSlot        // one per input port of the graph
+	vals  []tasklib.Value // vals[i] is the value slots[i] received
 }
 
 // inSlot is the receiving end of one edge, filled once by its producer
-// before the consuming task's controller starts.
+// before the consuming task's controller starts: the shape holds each
+// edge to a port of its own. at (zero until filled) and bytes are the
+// delivery's instant and the value's encoded size, from which the
+// network model prices it.
 type inSlot struct {
-	fed  bool       // an edge feeds the port
-	from afg.TaskID // the producing task
-	// at (zero until filled) and bytes are the delivery's instant and the
-	// value's encoded size, from which the network model prices it.
 	at    time.Time
 	bytes int
 }
 
-// newRunInputs lays out the slots and the out-edge index for g's edges,
-// which must join tasks of g (AllocationTable.Validate checks).
-// An edge that lands on no port, or on a port another edge feeds, is
-// refused here, so each slot has one producer and is filled once.
-func newRunInputs(g *afg.Graph) (*runInputs, error) {
-	n := len(g.Tasks)
-	idx := make([]int, 2*n+3)
-	ri := &runInputs{base: idx[:n+1], outEdges: make([]afg.Edge, len(g.Edges))}
-	for i, t := range g.Tasks {
-		ri.base[i+1] = ri.base[i] + t.InPorts
-	}
-	ri.slots = make([]inSlot, ri.base[n])
-	ri.vals = make([]tasklib.Value, ri.base[n])
-	// The out-edge index is a counting sort by source task, counted two
-	// slots to the right so that placing the edges leaves each task's
-	// start in its own slot.
-	start := idx[n+1:]
-	for _, e := range g.Edges {
-		i := ri.slot(int(e.To), e.ToPort)
-		if i < 0 || ri.slots[i].fed {
-			return nil, fmt.Errorf("exec: edge %d:%d -> %d:%d has no free input port to land on",
-				e.From, e.FromPort, e.To, e.ToPort)
-		}
-		ri.slots[i].fed, ri.slots[i].from = true, e.From
-		start[e.From+2]++
-	}
-	for i := 2; i < len(start); i++ {
-		start[i] += start[i-1]
-	}
-	for _, e := range g.Edges {
-		ri.outEdges[start[e.From+1]] = e
-		start[e.From+1]++
-	}
-	ri.outBase = start[:n+1]
-	return ri, nil
+// newRunInputs lays out the slots over a graph's shape.
+func newRunInputs(shape *afg.Shape) runInputs {
+	n := shape.NumInputPorts()
+	return runInputs{shape: shape, slots: make([]inSlot, n), vals: make([]tasklib.Value, n)}
 }
 
 // slot returns the index of (task, port) in slots and vals, or -1 if the
-// task has no such port.
-func (ri *runInputs) slot(task, port int) int {
-	if task < 0 || task >= len(ri.base)-1 || port < 0 || port >= ri.base[task+1]-ri.base[task] {
+// task, one of the graph's, has no such port.
+func (ri *runInputs) slot(task afg.TaskID, port int) int {
+	lo, hi := ri.shape.InputPorts(task)
+	if port < 0 || port >= hi-lo {
 		return -1
 	}
-	return ri.base[task] + port
+	return lo + port
 }
 
 // framePool holds the frame buffers of sends, shared by every host, so
@@ -126,14 +93,16 @@ func putFrameBuf(p *[]byte) {
 	}
 }
 
-// send delivers outs along edges (all leaving one task): each out-port
-// is encoded once into a pooled frame buffer and sealed, and every edge
-// that fans out from it hands the frame to its consumer's slot.
-func (ri *runInputs) send(t *transferTallies, edges []afg.Edge, outs []tasklib.Value) error {
+// send delivers outs along the edges out of one task, edges[i] for i in
+// leaving: each out-port is encoded once into a pooled frame buffer and
+// sealed, and every edge that fans out from it hands the frame to its
+// consumer's slot.
+func (ri *runInputs) send(t *transferTallies, edges []afg.Edge, leaving []int, outs []tasklib.Value) error {
 	p := framePool.Get().(*[]byte)
 	defer putFrameBuf(p)
-	for i, e := range edges {
-		if sentEarlier(edges[:i], e.FromPort) {
+	for i, ei := range leaving {
+		e := edges[ei]
+		if sentEarlier(edges, leaving[:i], e.FromPort) {
 			continue
 		}
 		if e.FromPort < 0 || e.FromPort >= len(outs) {
@@ -145,11 +114,12 @@ func (ri *runInputs) send(t *transferTallies, edges []afg.Edge, outs []tasklib.V
 			return err
 		}
 		frame.Seal(buf)
-		for _, f := range edges[i:] {
+		for _, fi := range leaving[i:] {
+			f := edges[fi]
 			if f.FromPort != e.FromPort {
 				continue
 			}
-			if err := ri.receive(ri.slot(int(f.To), f.ToPort), buf); err != nil {
+			if err := ri.receive(ri.slot(f.To, f.ToPort), buf); err != nil {
 				return fmt.Errorf("exec: send to child %d: %w", f.To, err)
 			}
 			t.frames.Add(1)
@@ -177,9 +147,9 @@ func (ri *runInputs) receive(i int, f []byte) error {
 	return nil
 }
 
-func sentEarlier(edges []afg.Edge, port int) bool {
-	for _, e := range edges {
-		if e.FromPort == port {
+func sentEarlier(edges []afg.Edge, leaving []int, port int) bool {
+	for _, i := range leaving {
+		if edges[i].FromPort == port {
 			return true
 		}
 	}
@@ -193,22 +163,17 @@ func sentEarlier(edges []afg.Edge, port int) bool {
 // alike. The producer wrote its placement for the last time before it
 // delivered, so reading it needs no lock.
 func (ac *appController) receiveInputs() (in []tasklib.Value, arrived time.Time, err error) {
-	ri, tb := ac.app.inputs, ac.app.engine.TB
-	if ri == nil {
-		return make([]tasklib.Value, ac.task.InPorts), arrived, nil
-	}
-	lo, hi := ri.base[ac.task.ID], ri.base[ac.task.ID+1]
+	ri, tb := &ac.app.inputs, ac.app.engine.TB
+	lo, hi := ri.shape.InputPorts(ac.task.ID)
 	if scale := ac.app.engine.DilationScale; scale > 0 {
 		to, err := tb.Host(ac.place.Hosts[0])
 		if err != nil {
 			return nil, arrived, err
 		}
-		for i := lo; i < hi; i++ {
-			s := &ri.slots[i]
-			if !s.fed {
-				continue
-			}
-			from, err := tb.Host(ac.app.ctl[s.from].place.Hosts[0])
+		for _, k := range ri.shape.InEdges(ac.task.ID) {
+			e := &ac.app.g.Edges[k]
+			s := &ri.slots[lo+e.ToPort]
+			from, err := tb.Host(ac.app.ctl[e.From].place.Hosts[0])
 			if err != nil {
 				return nil, arrived, err
 			}
@@ -229,23 +194,23 @@ func (ac *appController) receiveInputs() (in []tasklib.Value, arrived time.Time,
 // whose last input this was: the first is returned to run next, every
 // other starts beside it.
 func (ac *appController) sendOutputs(outs []tasklib.Value) (*appController, error) {
-	r, ri := ac.app, ac.app.inputs
+	r, ri := ac.app, &ac.app.inputs
 	if len(outs) != ac.task.OutPorts {
 		return nil, fmt.Errorf("exec: produced %d outputs, declared %d", len(outs), ac.task.OutPorts)
 	}
 	r.mu.Lock()
 	r.outputs[ac.task.ID] = outs
 	r.mu.Unlock()
-	if ri == nil {
-		return nil, nil // a graph without edges has no Data Manager
+	leaving := ri.shape.OutEdges(ac.task.ID)
+	if len(leaving) == 0 {
+		return nil, nil
 	}
-	edges := ri.outEdges[ri.outBase[ac.task.ID]:ri.outBase[ac.task.ID+1]]
-	if err := ri.send(&r.engine.transfer, edges, outs); err != nil || r.ended() != nil {
+	if err := ri.send(&r.engine.transfer, r.g.Edges, leaving, outs); err != nil || r.ended() != nil {
 		return nil, err
 	}
 	var next *appController
-	for _, e := range edges {
-		if c := r.release(e.To); c != nil && next == nil {
+	for _, i := range leaving {
+		if c := r.release(r.g.Edges[i].To); c != nil && next == nil {
 			next = c
 		} else if c != nil {
 			go c.main()

@@ -55,11 +55,12 @@ func newSlotRig(t *testing.T) *slotRig {
 			t.Fatal(err)
 		}
 	}
-	ri, err := newRunInputs(g)
+	shape, err := g.Shape()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &slotRig{t: t, ri: ri}
+	ri := newRunInputs(shape)
+	return &slotRig{t: t, ri: &ri}
 }
 
 // deliverTo hands the consumer's port a sound frame of v and returns
@@ -90,8 +91,9 @@ func (d *slotRig) ready(port int) bool {
 // a slot of its own, receive fills it without waiting for the consumer,
 // and a port no edge feeds has no slot to fill. The run's edge index is
 // the whole routing: there is no run to look up, so nothing to drop,
-// and newRunInputs refuses an edge that lands on no port or on a port
-// another edge feeds, so no delivery can be unexpected or arrive twice.
+// and Execute refuses a graph whose Shape has an edge that lands on no
+// port or on a port another edge feeds, so no delivery can be unexpected
+// or arrive twice.
 func TestDemuxRoutesDropsAndFailsWithoutBlocking(t *testing.T) {
 	d := newSlotRig(t)
 	values := []tasklib.Value{"zero", 1.5, []float64{1, 2}, "three"}
@@ -110,22 +112,28 @@ func TestDemuxRoutesDropsAndFailsWithoutBlocking(t *testing.T) {
 			t.Fatalf("port %d filled with nothing sent to it", port)
 		}
 	}
-	if slot := d.ri.slot(rigUnfed, 0); slot < 0 || d.ri.slots[slot].fed {
+	if slot := d.ri.slot(rigUnfed, 0); slot < 0 || len(d.ri.shape.InEdges(rigUnfed)) > 0 {
 		t.Fatal("a port no edge feeds has a slot to fill")
 	}
-	for _, addr := range [][2]int{{rigConsumer, rigConsumer}, {99, 0}, {0, 0}} {
-		if d.ri.slot(addr[0], addr[1]) >= 0 {
+	for _, addr := range [][2]int{{rigConsumer, rigConsumer}, {rigConsumer, -1}, {0, 0}} {
+		if d.ri.slot(afg.TaskID(addr[0]), addr[1]) >= 0 {
 			t.Fatalf("slot(%d, %d) exists", addr[0], addr[1])
 		}
 	}
-	for _, toPorts := range [][]int{{1}, {0, 0}} { // no such port; one port twice
+	tb, err := testbed.Build(testbed.Config{Sites: 1, HostsPerGroup: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{Reg: tasklib.Default(), TB: tb}
+	for toPorts, want := range map[[2]int]string{{1, 1}: "invalid port", {0, 0}: "multiply connected"} { // no such port; one port twice
 		g := afg.NewGraph("misfit")
 		c := g.AddTask("Pass_Through", "util", 1, 1)
 		for _, port := range toPorts {
 			src := g.AddTask("Vector_Generate", "matrix", 0, 1)
 			g.Edges = append(g.Edges, afg.Edge{From: src, To: c, ToPort: port})
 		}
-		if _, err := newRunInputs(g); err == nil || !strings.Contains(err.Error(), "no free input port") {
+		// The graph is refused before its table is looked at.
+		if _, err := e.Execute(context.Background(), g, &core.AllocationTable{}); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("edges onto ports %v: err = %v", toPorts, err)
 		}
 	}
@@ -478,7 +486,10 @@ func TestCloseReleasesEverythingAndFailsRuns(t *testing.T) {
 // 15. The dilated C3I run waits out every modeled transfer and stretched
 // attempt on the monitoring loop's one timer: its budget is the
 // undilated run's count plus one wait channel per controller, which a
-// timer or a channel per wait would break.
+// timer or a channel per wait would break. The port numbering and the
+// out-edge index taken from the graph's kept analysis, the Data Manager
+// in the run's state block and the table check's positions on the stack
+// take them to 50, 60 and 14, and the budgets down by 4, 4 and 1.
 func TestExecuteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -506,7 +517,7 @@ func TestExecuteAllocBudget(t *testing.T) {
 		g        *afg.Graph
 		dilation float64
 		budget   float64
-	}{{c3i, 0, 57}, {les, 0, 67}, {solo, 0, 16}, {c3i, 1, 0}} {
+	}{{c3i, 0, 53}, {les, 0, 63}, {solo, 0, 15}, {c3i, 1, 0}} {
 		budget := tc.budget
 		if tc.dilation > 0 {
 			budget += measured[tc.g] + float64(len(tc.g.Tasks))

@@ -115,27 +115,36 @@ type Engine struct {
 	peakInFlight atomic.Int32
 }
 
-// lockHosts takes the run lock of every machine of a placement: a host
+// lockHosts takes the run slot of every machine of a placement: a host
 // runs one task at a time — across every application and every engine
-// placing work on it — exactly as the schedule simulator assumes. Locks
+// placing work on it — exactly as the schedule simulator assumes. Slots
 // are taken in host-name order so multi-host (parallel) tasks cannot
 // deadlock against each other, and no placement names a host twice
-// (Validate, checkReplacement). It returns the hosts in locking order
-// for unlockHosts; hosts itself is not reordered.
-func lockHosts(hosts []*testbed.Host) []*testbed.Host {
+// (Validate, checkReplacement). A slot that is free is taken at once; a
+// wait for one is supervised, so the run's end ends it (and frees the
+// slots taken). It returns the hosts in taking order for unlockHosts;
+// hosts itself is not reordered.
+func (ac *appController) lockHosts(hosts []*testbed.Host) ([]*testbed.Host, error) {
 	if len(hosts) > 1 {
 		hosts = slices.Clone(hosts)
 		slices.SortFunc(hosts, func(a, b *testbed.Host) int { return strings.Compare(a.Name, b.Name) })
 	}
-	for _, h := range hosts {
-		h.RunLock.Lock()
+	for i, h := range hosts {
+		select {
+		case h.RunSlot <- struct{}{}:
+		default:
+			if err := ac.awaitSlot(h); err != nil {
+				unlockHosts(hosts[:i])
+				return nil, err
+			}
+		}
 	}
-	return hosts
+	return hosts, nil
 }
 
 func unlockHosts(hosts []*testbed.Host) {
 	for i := len(hosts) - 1; i >= 0; i-- {
-		hosts[i].RunLock.Unlock()
+		<-hosts[i].RunSlot
 	}
 }
 
@@ -274,6 +283,10 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
 	}
+	shape, err := g.Shape()
+	if err != nil {
+		return nil, err
+	}
 	if err := table.Validate(g); err != nil {
 		return nil, err
 	}
@@ -327,23 +340,14 @@ func (e *Engine) Execute(ctx context.Context, g *afg.Graph, table *core.Allocati
 			return nil, err
 		}
 		run.ctl[p.Task] = appController{app: run, task: task, spec: spec, place: p}
-		run.ctl[p.Task].pending.Store(1) // Phase 2's hold
+		run.ctl[p.Task].pending.Store(int32(1 + len(shape.InEdges(p.Task)))) // its fed ports and Phase 2's hold
 	}
 
 	// Phase 1 (Data Manager set-up): every in-edge of the run gets its
 	// input slot — the receiving end of the channel, addressed by (task,
 	// port), which is this transport's "socket number [and] IP address".
 	// All slots being laid out is the paper's acknowledgment collection.
-	if len(g.Edges) > 0 {
-		inputs, err := newRunInputs(g)
-		if err != nil {
-			return nil, err
-		}
-		run.inputs = inputs
-		for _, e := range g.Edges {
-			run.ctl[e.To].pending.Add(1)
-		}
-	}
+	run.inputs = newRunInputs(shape)
 	// Phase 2: the execution startup signal. Whoever takes a task's count
 	// to zero starts it: here for a task no edge feeds, else its last
 	// producer. The loop counts as started itself, so no early finisher
@@ -392,9 +396,7 @@ type appRun struct {
 	period      time.Duration   // the monitoring loop's check period
 	execOpts                    // sink: the optional recovery-event stream
 	ctx         context.Context // the caller's: its end is a verdict on every attempt
-	// inputs is the run's Data Manager; nil when the graph has no
-	// dataflow edges.
-	inputs *runInputs
+	inputs      runInputs       // the run's Data Manager
 
 	// entries is the table as executed, handed out as Result.Table: a
 	// reschedule patches the task's entry in place. Hosts slices are

@@ -368,7 +368,7 @@ func TestSameHostTasksSerialize(t *testing.T) {
 	}
 	disjoint(res.Runs[0], res.Runs[1])
 
-	// The machine, not the engine, holds the run lock: a second engine
+	// The machine, not the engine, holds the run slot: a second engine
 	// over the same testbed waits for the first one's task.
 	other := &Engine{Reg: r.engine.Reg, TB: r.tb, Health: r.engine.Health}
 	t.Cleanup(other.Close)

@@ -1,6 +1,6 @@
 package exec
 
-// Mid-run failure and recovery regressions: per-host run locks must
+// Mid-run failure and recovery regressions: per-host run slots must
 // be released when a task is rescheduled off a locked host, a
 // detector-confirmed death must interrupt tasks on a host the local
 // watchdog cannot see failing (a partition), and the recovery event
@@ -33,7 +33,7 @@ func spinTable(t *testing.T, g *afg.Graph, host string, ms string) *core.Allocat
 
 // TestHostLocksReleasedAfterMidRunReschedule is the lock-leak
 // regression: when the watchdog chases a task off a host, the machine's
-// run lock must be free the moment the task moves — both while
+// run slot must be free the moment the task moves — both while
 // the rescheduled attempt still runs elsewhere and after the run ends.
 func TestHostLocksReleasedAfterMidRunReschedule(t *testing.T) {
 	r := newRig(t, 2)
@@ -44,17 +44,14 @@ func TestHostLocksReleasedAfterMidRunReschedule(t *testing.T) {
 	g.AddTask("Spin", "util", 0, 1)
 	table := spinTable(t, g, hostA.Name, "60")
 
-	// The moment the reschedule lands, the dead host's lock must be
-	// available: the terminated attempt released it on its way out.
+	// The moment the reschedule lands, the dead host's run slot must be
+	// free: the terminated attempt freed it on its way out.
 	freeDuringRun := make(chan bool, 1)
 	sink := func(ev Event) {
 		if ev.Type != EventRescheduled {
 			return
 		}
-		ok := hostA.RunLock.TryLock()
-		if ok {
-			hostA.RunLock.Unlock()
-		}
+		ok := slotFree(hostA)
 		select {
 		case freeDuringRun <- ok:
 		default:
@@ -75,18 +72,16 @@ func TestHostLocksReleasedAfterMidRunReschedule(t *testing.T) {
 	select {
 	case ok := <-freeDuringRun:
 		if !ok {
-			t.Error("failed host's lock still held while the task ran elsewhere")
+			t.Error("failed host's run slot still held while the task ran elsewhere")
 		}
 	default:
 		t.Error("no reschedule event observed")
 	}
-	// After the run, every machine's run lock must be free.
+	// After the run, every machine's run slot must be free.
 	for _, h := range r.tb.Sites[0].Hosts {
-		if !h.RunLock.TryLock() {
-			t.Errorf("run lock of %s leaked", h.Name)
-			continue
+		if !slotFree(h) {
+			t.Errorf("run slot of %s leaked", h.Name)
 		}
-		h.RunLock.Unlock()
 	}
 }
 

@@ -338,7 +338,7 @@ func TestRescheduleAnswerIsValidated(t *testing.T) {
 // consumer while the first function still computes; that function
 // returns only once the run has ended. The run holds one terminated and
 // one successful attempt of the task, the outputs and the write-back are
-// the re-run's, and the orphan leaves every run lock as it found it: an
+// the re-run's, and the orphan leaves every run slot as it found it: an
 // unlock of a lock it no longer holds would crash the test.
 func TestTakeOverOutlivesTheOrphan(t *testing.T) {
 	r := newRig(t, 3)
@@ -408,10 +408,9 @@ func TestTakeOverOutlivesTheOrphan(t *testing.T) {
 		t.Fatalf("goroutines: %d before the run, %d after", before, runtime.NumGoroutine())
 	}
 	for _, h := range hosts {
-		if !h.RunLock.TryLock() {
-			t.Fatalf("run lock of %s held after the run", h.Name)
+		if !slotFree(h) {
+			t.Fatalf("run slot of %s held after the run", h.Name)
 		}
-		h.RunLock.Unlock()
 	}
 	if len(records) != 2 || len(res.Runs) != 3 {
 		t.Fatalf("the orphan changed the run: %d records, %d runs", len(records), len(res.Runs))
@@ -420,7 +419,7 @@ func TestTakeOverOutlivesTheOrphan(t *testing.T) {
 
 // TestOrphanLeavesNoGoroutine: a caller's cancel ends a run whose task
 // function blocks. Execute returns without waiting for the function and
-// the machine's run lock is free at once; the function, an orphan now,
+// the machine's run slot is free at once; the function, an orphan now,
 // is the one goroutine of the run still alive, and once it returns the
 // count is back where it was before the run.
 func TestOrphanLeavesNoGoroutine(t *testing.T) {
@@ -444,13 +443,72 @@ func TestOrphanLeavesNoGoroutine(t *testing.T) {
 		close(release)
 		t.Fatalf("Execute = %v, want the caller's cancel", err)
 	}
-	if !host.RunLock.TryLock() {
+	if !slotFree(host) {
 		close(release)
 		t.Fatal("the canceled attempt still holds its machine")
 	}
-	host.RunLock.Unlock()
 	close(release)
 	if !waitForLoad(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
 		t.Fatalf("goroutines: %d before the run, %d after the orphan returned", before, runtime.NumGoroutine())
+	}
+}
+
+// slotFree reports whether h's run slot is free, by taking it without
+// waiting and freeing it again.
+func slotFree(h *testbed.Host) bool {
+	select {
+	case h.RunSlot <- struct{}{}:
+		<-h.RunSlot
+		return true
+	default:
+		return false
+	}
+}
+
+// TestCanceledRunQueuedBehindAHeldHostEnds: a run whose task waits for
+// a host another run holds for long ends within a check period of its
+// caller's cancel, without the host, which its holder keeps.
+func TestCanceledRunQueuedBehindAHeldHostEnds(t *testing.T) {
+	r := newRig(t, 1)
+	r.engine.LoadCheckPeriod = 20 * time.Millisecond
+	host := r.tb.Sites[0].Hosts[0]
+	started, hold := make(chan struct{}), blockUntilCleanup(t)
+	useTasks(t, r, map[string]tasklib.Func{
+		"Hold": func(c *tasklib.Context) ([]tasklib.Value, error) {
+			close(started)
+			return hold(c)
+		},
+		"Queued": func(*tasklib.Context) ([]tasklib.Value, error) { return []tasklib.Value{1.0}, nil },
+	})
+	holder, holdTable := independent("Hold", []*testbed.Host{host})
+	go func() { _, _ = r.engine.Execute(context.Background(), holder, holdTable) }() // until the test ends
+	<-started
+	g, table := independent("Queued", []*testbed.Host{host})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.engine.Execute(ctx, g, table)
+		done <- err
+	}()
+	time.Sleep(3 * r.engine.LoadCheckPeriod) // queued at the host's slot
+	cancel()
+	canceled := time.Now()
+	// One check period, and as long again for the goroutines to run on
+	// a loaded machine.
+	limit := 2 * r.engine.LoadCheckPeriod
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Execute = %v, want the caller's cancel", err)
+		}
+		if waited := time.Since(canceled); waited > limit {
+			t.Fatalf("the canceled run ended %v after its cancel, over %v", waited, limit)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the canceled run still waits for the held host 2 s after its cancel")
+	}
+	if slotFree(host) {
+		t.Fatal("the holder lost its host to the canceled run")
 	}
 }

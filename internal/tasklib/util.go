@@ -32,21 +32,16 @@ func registerUtilLibrary(reg func(Spec)) {
 			ComputationOps: 1e6,
 			BaseTime:       baseTimeFor(1e6),
 		},
-		// Spin busy-works for roughly ms_arg of base-processor time and
-		// outputs the iteration count. Used to generate measurable load.
+		// Spin holds its host for ms_arg milliseconds, waiting on a
+		// timer rather than burning a core, and outputs ms_arg. Used to
+		// occupy a host for a known time.
 		Fn: func(c *Context) ([]Value, error) {
 			ms, err := c.IntArg("ms", 1)
 			if err != nil {
 				return nil, err
 			}
-			deadline := time.Now().Add(time.Duration(ms) * time.Millisecond)
-			var iters float64
-			for time.Now().Before(deadline) {
-				for i := 0; i < 1000; i++ {
-					iters++
-				}
-			}
-			return []Value{iters}, nil
+			time.Sleep(time.Duration(ms) * time.Millisecond)
+			return []Value{float64(ms)}, nil
 		},
 	})
 

@@ -29,10 +29,11 @@ type Host struct {
 	Speed    float64 // relative to base processor
 	TotalMem int64
 
-	// RunLock is held by a task while it executes on the machine, so the
+	// RunSlot holds a token while a task executes on the machine, so the
 	// host runs one task at a time whichever engine or application placed
-	// it there. A holder of several takes them in host-name order.
-	RunLock sync.Mutex
+	// it there: a task takes the slot by sending and frees it by
+	// receiving. A holder of several takes them in host-name order.
+	RunSlot chan struct{}
 
 	mu       sync.Mutex
 	load     float64 // background CPU load random walk in [0, maxLoad]

@@ -157,6 +157,7 @@ func Build(cfg Config) (*Testbed, error) {
 					Group:    gname,
 					Speed:    cfg.SpeedMin + rng.Float64()*(cfg.SpeedMax-cfg.SpeedMin),
 					TotalMem: mem,
+					RunSlot:  make(chan struct{}, 1),
 					sigma:    cfg.LoadSigma,
 					maxLoad:  cfg.BaseLoadMax,
 					rng:      rand.New(rand.NewSource(cfg.Seed + int64(si*10000+gi*100+hi))),

@@ -313,7 +313,7 @@ func roundCases(tb testing.TB) (*Environment, []roundCase) {
 		tb.Fatal(err)
 	}
 	installEverywhere(tb, env, layered)
-	return env, []roundCase{{"c3i-6", c3i, 2, 13}, {"les-16", les, 2, 13}, {"layered-200", layered.G, 3, 15}, {"c3i-6-local", c3i, 0, 10}}
+	return env, []roundCase{{"c3i-6", c3i, 2, 8}, {"les-16", les, 2, 8}, {"layered-200", layered.G, 3, 10}, {"c3i-6-local", c3i, 0, 5}}
 }
 
 // TestScheduleRoundAllocBudget pins what one scheduling round costs
@@ -329,7 +329,11 @@ func roundCases(tb testing.TB) (*Environment, []roundCase) {
 // grown edge by edge take them to 11, 11 and 13. The round's site list
 // on the caller's stack takes them to 10, 10 and 12, and the budgets
 // down by one; the local-only round (K = 0) reads 10 too, and its budget
-// of 10 leaves no room for a site list on the heap.
+// of 10 leaves no room for a site list on the heap. The graph's analysis
+// kept on it (no topological pass or in-edge index per round), the
+// levels and the ready set in a round state rounds pass on, and the table
+// check's positions on the stack take all four down by 5, to 5, 5, 7 and
+// 5, and the budgets by the same 5.
 func TestScheduleRoundAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
