@@ -582,7 +582,7 @@ func BenchmarkRepoSnapshotContention(b *testing.B) {
 		for pb.Next() {
 			snap := repo.Snapshot()
 			for _, v := range snap.UpHosts() {
-				if d, ok := snap.MeasuredTime("t", v.HostName); ok {
+				if d, ok := snap.Measurements("t").On(v.HostName); ok {
 					sink += d.Seconds()
 				}
 				sink += v.CPULoad

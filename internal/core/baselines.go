@@ -46,7 +46,8 @@ type siteOption struct {
 func eligible(sites []*LocalSite, snaps []*repository.Snapshot, task *afg.Task) []siteOption {
 	var out []siteOption
 	for i, s := range sites {
-		hosts := s.rankAt(snaps[i], task).names
+		r, _ := s.sortedAt(snaps[i], task)
+		hosts := r.names
 		nodes := RequiredNodesAt(snaps[i], task)
 		if len(hosts) < nodes || len(hosts) == 0 {
 			continue

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"vdce/internal/afg"
@@ -36,9 +34,10 @@ import (
 // application registration) is read live: a concurrent install can make
 // tasks within one round see different install sets, but the
 // constraints write counter still invalidates affected cache entries.
-// Per-task rankings are memoized in a generation-validated cache (see
-// rankCache): an unchanged-state round is served from cache without
-// re-running Predict over the catalog.
+// Each task's eligible hosts and their model estimates are kept in a
+// cache (see rankCache) that no write-back invalidates: a round blends
+// the snapshot's measured times into them, so an unchanged site is
+// served without re-running Predict's model over the catalog.
 type LocalSite struct {
 	Repo   *repository.Repository
 	Oracle *predict.Oracle
@@ -90,74 +89,78 @@ type RankedHost struct {
 
 // RankedHosts returns the task's eligible hosts sorted by ascending
 // predicted single-node time (ties by name). An empty slice means the
-// site cannot run the task. The returned slice may be shared with the
-// cache and other callers: do not modify it.
+// site cannot run the task.
 func (s *LocalSite) RankedHosts(task *afg.Task) []RankedHost {
 	return s.RankedHostsAt(s.Repo.Snapshot(), task)
 }
 
-// RankedHostsAt is RankedHosts against a caller-held snapshot. Rankings
-// are served from the generation-validated cache when no repository
-// write has touched the inputs since the last computation.
+// RankedHostsAt is RankedHosts against a caller-held snapshot, read
+// from the same cached order as ChooseAt.
 func (s *LocalSite) RankedHostsAt(snap *repository.Snapshot, task *afg.Task) []RankedHost {
-	return s.rankAt(snap, task).ranked
+	r, m := s.sortedAt(snap, task)
+	out := make([]RankedHost, len(r.names))
+	for i, name := range r.names {
+		out[i] = RankedHost{Name: name, Single: r.single(i, m)}
+	}
+	return out
 }
 
-// rankAt returns the task's ranking as of snap, from the cache when it
-// can; never nil.
-func (s *LocalSite) rankAt(snap *repository.Snapshot, task *afg.Task) *rankResult {
+// sortedAt returns the task's eligible hosts as of snap in rank order,
+// and the measurements that ranked them; none for an unknown task.
+func (s *LocalSite) sortedAt(snap *repository.Snapshot, task *afg.Task) (*rankOrder, repository.Measurements) {
 	params, err := snap.TaskParams(task.Name)
 	if err != nil {
-		return &rankResult{}
+		return &rankOrder{}, repository.Measurements{}
 	}
-	taskGen, _ := snap.TaskGeneration(task.Name)
-	resGen := snap.ResourceGeneration()
-	consGen := s.Repo.Constraints.Generation()
-
-	e := s.cache.entry(keyFor(task))
-	pred := s.Oracle.P
-	hit := func(r *rankResult) bool {
-		return r != nil && r.resGen == resGen && r.taskGen == taskGen &&
-			r.consGen == consGen && r.pred == pred
-	}
-	// Lock-free fast path: a matching-generation result serves the round
-	// with a pointer load and three compares.
-	if r := e.cur.Load(); hit(r) {
-		s.cache.hits.Add(1)
-		return r
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Double-check: a concurrent miss on the same generations may have
-	// recomputed while we waited for the singleflight lock.
-	if r := e.cur.Load(); hit(r) {
-		s.cache.hits.Add(1)
-		return r
-	}
-	prev := e.cur.Load()
-	r := &rankResult{resGen: resGen, taskGen: taskGen, consGen: consGen, pred: pred,
-		ranked: s.computeRankedAt(snap, task, params)}
-	r.names = make([]string, len(r.ranked))
-	for i, h := range r.ranked {
-		r.names[i] = h.Name
-	}
-	// A concurrent round holding a newer snapshot may already have stored
-	// a fresher ranking; never replace newer with older.
-	if prev == nil || (prev.resGen <= resGen && prev.taskGen <= taskGen && prev.consGen <= consGen) {
-		if prev != nil {
-			s.cache.invalidations.Add(1)
-		}
-		e.cur.Store(r)
-	}
-	s.cache.misses.Add(1)
-	return r
+	m := snap.Measurements(task.Name)
+	return s.orderAt(snap, task, params, m, -1), m
 }
 
-// computeRankedAt evaluates Predict(task, R) over the snapshot's up
-// hosts — the uncached body of Fig. 3 steps 1-2+4.
-func (s *LocalSite) computeRankedAt(snap *repository.Snapshot, task *afg.Task, params repository.TaskParams) []RankedHost {
+// orderAt returns the task's eligible hosts as of snap, in an order
+// whose first n hosts (all of them for n < 0, none for 0) are its n best
+// under m, in order. A valid kept order that still leads is a hit; a
+// stale one is rebuilt, and one a measurement has reordered is re-sorted
+// and published.
+func (s *LocalSite) orderAt(snap *repository.Snapshot, task *afg.Task, params repository.TaskParams, m repository.Measurements, n int) *rankOrder {
+	like := rankOrder{resGen: snap.ResourceGeneration(), consGen: s.Repo.Constraints.Generation(), pred: s.Oracle.P, params: params}
+	valid := func(r *rankOrder) bool {
+		return r != nil && r.resGen == like.resGen && r.consGen == like.consGen && r.pred == like.pred && r.params == like.params
+	}
+	e := s.cache.entry(keyFor(task))
+	r := e.cur.Load()
+	if !valid(r) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		// Double-check: a concurrent miss on the same inputs may have
+		// rebuilt the entry while we waited for the singleflight lock.
+		if r = e.cur.Load(); !valid(r) {
+			like.hosts = s.eligibleAt(snap, task, &like)
+			next := like.sorted(m)
+			// Never replace an entry a round with a newer snapshot stored.
+			store := r == nil || r.resGen <= like.resGen && r.consGen <= like.consGen
+			if store {
+				e.cur.Store(next)
+			}
+			s.cache.miss(store && r != nil)
+			return next
+		}
+	}
+	if n == 0 || r.leads(m, n) {
+		s.cache.hits.Add(1)
+		return r
+	}
+	resort := *r
+	resort.hosts = slices.Clone(r.hosts)
+	next := resort.sorted(m)
+	s.cache.miss(e.cur.CompareAndSwap(r, next))
+	return next
+}
+
+// eligibleAt evaluates the model over the snapshot's up hosts for the
+// ones that can run task — the uncached body of Fig. 3 steps 1-2.
+func (s *LocalSite) eligibleAt(snap *repository.Snapshot, task *afg.Task, like *rankOrder) []candidate {
 	views := snap.UpHosts()
-	out := make([]RankedHost, 0, len(views))
+	hosts := make([]candidate, 0, len(views))
 	for _, h := range views {
 		// Eligibility: task installed on the host (task-constraints
 		// database) and editor machine-type / host-name preferences.
@@ -170,23 +173,13 @@ func (s *LocalSite) computeRankedAt(snap *repository.Snapshot, task *afg.Task, p
 		if hp := task.Props.Host; hp != "" && hp != afg.AnyMachine && h.HostName != hp {
 			continue
 		}
-		var measured *time.Duration
-		if d, ok := snap.MeasuredTime(task.Name, h.HostName); ok {
-			measured = &d
-		}
-		d, err := s.Oracle.P.Predict(params, h, 1, measured)
+		d, err := like.pred.Predict(like.params, h, 1, nil)
 		if err != nil {
 			continue // saturated or down hosts drop out
 		}
-		out = append(out, RankedHost{Name: h.HostName, Single: d})
+		hosts = append(hosts, candidate{name: h.HostName, model: d, load: h.CPULoad})
 	}
-	slices.SortStableFunc(out, func(a, b RankedHost) int {
-		if a.Single != b.Single {
-			return cmp.Compare(a.Single, b.Single)
-		}
-		return strings.Compare(a.Name, b.Name)
-	})
-	return out
+	return hosts
 }
 
 // RequiredNodesAt returns how many machines the task needs on a site,
@@ -225,68 +218,77 @@ func (s *LocalSite) PredictSetAt(snap *repository.Snapshot, task *afg.Task, host
 	if err != nil {
 		return 0, err
 	}
-	// By value: a pointer kept past its iteration escapes to the heap.
-	var worst, worstTime time.Duration
+	m := snap.Measurements(task.Name)
+	predict := func(h repository.HostView, nodes int) (time.Duration, error) {
+		if t, ok := m.On(h.HostName); ok {
+			return s.Oracle.P.Predict(params, h, nodes, &t)
+		}
+		return s.Oracle.P.Predict(params, h, nodes, nil)
+	}
+	var worst time.Duration
 	var worstHost repository.HostView
-	var worstMeasured bool
 	for _, name := range hosts {
 		h, ok := snap.View(name)
 		if !ok {
 			return 0, fmt.Errorf("%w: %s", repository.ErrUnknownHost, name)
 		}
-		m, ok := snap.MeasuredTime(task.Name, name)
-		var measured *time.Duration
-		if ok {
-			measured = &m
-		}
-		d, err := s.Oracle.P.Predict(params, h, 1, measured)
+		d, err := predict(h, 1)
 		if err != nil {
 			return 0, err
 		}
 		if d >= worst {
-			worst, worstHost, worstTime, worstMeasured = d, h, m, ok
+			worst, worstHost = d, h
 		}
 	}
 	if len(hosts) == 1 {
 		return worst, nil
 	}
-	var measured *time.Duration
-	if worstMeasured {
-		measured = &worstTime
-	}
-	return s.Oracle.P.Predict(params, worstHost, len(hosts), measured)
+	return predict(worstHost, len(hosts))
 }
 
 // ChooseAt runs the per-task body of Fig. 3 against one snapshot: rank
 // the eligible hosts, cut the ranking at the node count, predict the
 // set. A non-nil skip drops hosts from the ranking before the cut — the
-// rescheduling request's exclusions. With skip nil the chosen hosts are
-// a cap-clamped prefix of the cached ranking's name list, so a cache hit
-// allocates nothing; either way the slice may be shared: do not modify.
+// rescheduling request's exclusions. A sequential task takes the host of
+// least prediction (ties by name); a parallel one the kept order's
+// prefix, re-sorted first if a measurement moved its n best. The chosen
+// hosts may be a cap-clamped slice of the kept order's names, so a
+// sequential choice on a valid entry allocates nothing: do not modify.
 func (s *LocalSite) ChooseAt(snap *repository.Snapshot, task *afg.Task, skip func(host string) bool) HostChoice {
-	if _, err := snap.TaskParams(task.Name); err != nil {
+	params, err := snap.TaskParams(task.Name)
+	if err != nil {
 		return HostChoice{Site: s.SiteName(), Err: err.Error()}
 	}
-	r := s.rankAt(snap, task)
-	usable, best := r.names, 0 // best indexes the first usable host in r.ranked
+	m := snap.Measurements(task.Name)
+	nodes := RequiredNodesAt(snap, task)
+	if nodes <= 1 {
+		r, best, bestTime := s.orderAt(snap, task, params, m, 0), -1, time.Duration(0)
+		for i, name := range r.names {
+			if d := r.single(i, m); (skip == nil || !skip(name)) && (best < 0 || rankCompare(d, name, bestTime, r.names[best]) < 0) {
+				best, bestTime = i, d
+			}
+		}
+		if best < 0 {
+			return HostChoice{Site: s.SiteName(), Err: fmt.Sprintf("no eligible host for %s", task.Name)}
+		}
+		return HostChoice{Site: s.SiteName(), Hosts: r.names[best : best+1 : best+1], Predicted: bestTime}
+	}
+	lead := nodes
+	if skip != nil {
+		lead = -1 // the exclusions may take any host out of the prefix
+	}
+	r := s.orderAt(snap, task, params, m, lead)
+	usable := r.names
 	if skip != nil {
 		usable = make([]string, 0, len(r.names))
-		for i, h := range r.names {
-			if skip(h) {
-				continue
+		for _, h := range r.names {
+			if !skip(h) {
+				usable = append(usable, h)
 			}
-			if len(usable) == 0 {
-				best = i
-			}
-			usable = append(usable, h)
 		}
 	}
 	if len(usable) == 0 {
 		return HostChoice{Site: s.SiteName(), Err: fmt.Sprintf("no eligible host for %s", task.Name)}
-	}
-	nodes := RequiredNodesAt(snap, task)
-	if nodes <= 1 {
-		return HostChoice{Site: s.SiteName(), Hosts: usable[:1:1], Predicted: r.ranked[best].Single}
 	}
 	if nodes > len(usable) {
 		return HostChoice{Site: s.SiteName(), Err: fmt.Sprintf(

@@ -245,9 +245,10 @@ func TestPredictSetErrors(t *testing.T) {
 }
 
 // TestChooseAtSkipMatchesFilteredRanking: Fig. 3's one body serves the
-// scheduling round (skip nil: a prefix of the cached ranking, nothing
-// allocated on a cache hit) and the rescheduling request (skip set: the
-// same cut over the ranking with the skipped hosts taken out first).
+// scheduling round (skip nil: a slice of the cached order, nothing
+// allocated for a sequential task on a valid entry) and the rescheduling
+// request (skip set: the same cut over the ranking with the skipped
+// hosts taken out first).
 func TestChooseAtSkipMatchesFilteredRanking(t *testing.T) {
 	s := mkSite(t, "s1", []hostSpec{
 		{name: "a", speed: 1}, {name: "b", speed: 4}, {name: "c", speed: 2},
@@ -262,7 +263,7 @@ func TestChooseAtSkipMatchesFilteredRanking(t *testing.T) {
 		// (The parallel cut pays for PredictSetAt; the ranking prefix is
 		// free either way.)
 		if allocs := testing.AllocsPerRun(50, func() { s.ChooseAt(snap, task, nil) }); nodes == 1 && allocs != 0 {
-			t.Errorf("ChooseAt with no skip allocates %.0f objects on a cache hit", allocs)
+			t.Errorf("ChooseAt with no skip allocates %.0f objects on a valid entry", allocs)
 		}
 		for mask := 0; mask < 1<<len(ranked); mask++ {
 			skipped := func(host string) bool { return mask&(1<<(host[0]-'a')) != 0 }

@@ -1,34 +1,38 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"vdce/internal/afg"
 	"vdce/internal/predict"
+	"vdce/internal/repository"
 )
 
 // RankCacheStats reports the ranked-host cache counters of one site.
 type RankCacheStats struct {
-	// Hits counts lookups served from an unchanged-generation entry.
+	// Hits counts lookups served from a kept order as it stood.
 	Hits int64 `json:"hits"`
-	// Misses counts recomputations (first-time entries included).
+	// Misses counts rebuilds of a task's eligible hosts (first lookups
+	// included) and re-sorts after a measurement moved a host.
 	Misses int64 `json:"misses"`
-	// Invalidations counts recomputations that replaced an entry whose
-	// generations had been outrun by repository writes.
+	// Invalidations counts the misses that replaced a kept order.
 	Invalidations int64 `json:"invalidations"`
 }
 
-// rankCache memoizes RankedHosts results per (task, preference) key,
-// validated by the repository generations that feed a ranking: the
-// resource epoch (workload updates, failures, host churn), the task's
-// own performance record (new measurements, parameter changes), and the
-// constraints write counter (install/remove). A lookup whose generations
-// all match is a lock-free-read cache hit; any repository write that
-// could change the ranking bumps a generation and forces one
-// recomputation, which concurrent rounds share singleflight-style: the
-// per-entry mutex lets exactly one goroutine recompute while the rest
-// wait for its result.
+// rankCache keeps, per (task, preference) key, the task's eligible hosts
+// on the site in their last rank order, each with its model estimate
+// (Predict with no measurement) and load. No measurement is in it: an entry
+// is valid while the resource epoch, the constraints write counter, the
+// predictor constants and the task's parameters are those it was built
+// from, and every choice blends the snapshot's measured times in
+// (predict.Predictor.Blend), so a write-back reaches the next choice
+// without a rebuild. Lookups are lock-free; concurrent rounds share a
+// rebuild singleflight-style under the entry's mutex.
 type rankCache struct {
 	entries sync.Map     // rankKey -> *rankEntry; lock-free lookups
 	count   atomic.Int64 // approximate entry count for the eviction cap
@@ -38,7 +42,7 @@ type rankCache struct {
 	invalidations atomic.Int64
 }
 
-// rankKey identifies a cached ranking. Eligibility depends on the task's
+// rankKey identifies a cached order. Eligibility depends on the task's
 // editor preferences, not just its name — two graphs may share a task
 // name with different machine-type or host pins — so the preferences are
 // part of the key.
@@ -52,28 +56,71 @@ func keyFor(task *afg.Task) rankKey {
 	return rankKey{task: task.Name, machineType: task.Props.MachineType, hostPin: task.Props.Host}
 }
 
-// rankResult is one immutable memoized ranking plus the generations and
-// predictor constants it was computed from. Readers share ranked and
-// names (the ranked hosts' names, in order: a host choice is a prefix of
-// it) without copying. pred is part of validity because Predictor fields
-// are exported tuning knobs (the blend ablation flips them at runtime):
-// a constants change must recompute, not serve stale rankings.
-type rankResult struct {
-	resGen  uint64
-	taskGen uint64
-	consGen uint64
-	pred    predict.Predictor
-	ranked  []RankedHost
-	names   []string
+// rankOrder is one immutable published order of a task's eligible hosts
+// and what it was built from (the blend ablation flips Predictor fields
+// at runtime). Host choices are slices of names: read-only.
+type rankOrder struct {
+	resGen, consGen uint64
+	pred            predict.Predictor
+	params          repository.TaskParams
+	hosts           []candidate
+	names           []string // hosts' names, in order
 }
 
-// rankEntry is one cache slot. Hits are a lock-free pointer load plus
-// three generation compares; mu serializes only the recompute, so
-// concurrent rounds missing on the same task share one Predict sweep
-// instead of convoying every reader behind it.
+// candidate is one eligible host: its single-node model estimate, the
+// load Blend rescales its measurement by, and its sort key.
+type candidate struct {
+	name   string
+	model  time.Duration
+	load   float64
+	single time.Duration
+}
+
+// single is host i's single-node prediction under m: Predict's value.
+func (r *rankOrder) single(i int, m repository.Measurements) time.Duration {
+	h := &r.hosts[i]
+	if d, ok := m.On(h.name); ok {
+		return r.pred.Blend(h.model, h.load, d)
+	}
+	return h.model
+}
+
+// rankCompare is Fig. 3's order: ascending prediction, ties by name.
+func rankCompare(d time.Duration, name string, e time.Duration, other string) int {
+	return cmp.Or(cmp.Compare(d, e), strings.Compare(name, other))
+}
+
+// leads reports whether r's first n hosts (all of them for n < 0) are
+// its n best under m, in order; n must not be 0.
+func (r *rankOrder) leads(m repository.Measurements, n int) bool {
+	if n < 0 {
+		n = len(r.names)
+	}
+	for i := 1; i < len(r.names); i++ {
+		if j := min(i, n) - 1; rankCompare(r.single(j, m), r.names[j], r.single(i, m), r.names[i]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sorted returns r with its hosts, which it takes, in rank order under m.
+func (r rankOrder) sorted(m repository.Measurements) *rankOrder {
+	for i := range r.hosts {
+		r.hosts[i].single = r.single(i, m)
+	}
+	slices.SortFunc(r.hosts, func(a, b candidate) int { return rankCompare(a.single, a.name, b.single, b.name) })
+	r.names = make([]string, len(r.hosts))
+	for i, h := range r.hosts {
+		r.names[i] = h.name
+	}
+	return &r
+}
+
+// rankEntry is one cache slot; mu serializes only the rebuild.
 type rankEntry struct {
-	mu  sync.Mutex // singleflight recompute only
-	cur atomic.Pointer[rankResult]
+	mu  sync.Mutex // singleflight rebuild only
+	cur atomic.Pointer[rankOrder]
 }
 
 // maxRankEntries bounds the cache. Keys embed client-supplied editor
@@ -109,6 +156,14 @@ func (c *rankCache) entry(key rankKey) *rankEntry {
 		})
 	}
 	return v.(*rankEntry)
+}
+
+// miss counts a rebuild or a re-sort, and whether it replaced an order.
+func (c *rankCache) miss(replaced bool) {
+	c.misses.Add(1)
+	if replaced {
+		c.invalidations.Add(1)
+	}
 }
 
 // stats snapshots the counters.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +99,10 @@ func TestStatusDownInvalidatesRanking(t *testing.T) {
 	}
 }
 
+// TestMeasurementInvalidatesOnlyItsTask: a write-back invalidates no
+// cached order. The next choice blends the new measurement in, so it
+// moves the measured task off the host that ran badly on a hit, and an
+// unmeasured task's choice stays where it was.
 func TestMeasurementInvalidatesOnlyItsTask(t *testing.T) {
 	s := mkSite(t, "s1", []hostSpec{
 		{name: "a", speed: 2},
@@ -105,21 +111,81 @@ func TestMeasurementInvalidatesOnlyItsTask(t *testing.T) {
 	gA, idA := oneTaskGraph(t, "Matrix_Multiplication", afg.Properties{})
 	gB, idB := oneTaskGraph(t, "LU_Decomposition", afg.Properties{})
 	taskA, taskB := gA.Task(idA), gB.Task(idB)
+	for _, task := range []*afg.Task{taskA, taskB} { // warm both
+		if c := s.ChooseAt(s.Snapshot(), task, nil); c.Hosts[0] != "a" {
+			t.Fatalf("%s: baseline pick %v", task.Name, c.Hosts)
+		}
+	}
 
-	s.RankedHosts(taskA) // warm both
-	s.RankedHosts(taskB)
-
-	// New measurement for A: A's ranking recomputes, B's stays cached.
 	if _, err := s.Repo.TaskPerf.RecordExecutions([]repository.Execution{{Task: "Matrix_Multiplication", Host: "a", Elapsed: time.Hour, At: time.Now()}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	d := statsDelta(s, func() { s.RankedHosts(taskA) })
-	if d.Misses != 1 || d.Invalidations != 1 {
-		t.Fatalf("measured task: %+v, want one invalidating miss", d)
-	}
-	d = statsDelta(s, func() { s.RankedHosts(taskB) })
+	d := statsDelta(s, func() {
+		snap := s.Snapshot()
+		c := s.ChooseAt(snap, taskA, nil)
+		if c.Hosts[0] != "b" {
+			t.Fatalf("measured task still placed on %v", c.Hosts)
+		}
+		if want, _ := s.PredictSetAt(snap, taskA, []string{"b"}); c.Predicted != want {
+			t.Fatalf("measured task predicted %v, want %v", c.Predicted, want)
+		}
+	})
 	if d.Hits != 1 || d.Misses != 0 {
-		t.Fatalf("unrelated task: %+v, want pure hit", d)
+		t.Fatalf("measured task: %+v, want a pure hit", d)
+	}
+	d = statsDelta(s, func() {
+		if c := s.ChooseAt(s.Snapshot(), taskB, nil); c.Hosts[0] != "a" {
+			t.Fatalf("unrelated task moved to %v", c.Hosts)
+		}
+	})
+	if d.Hits != 1 || d.Misses != 0 {
+		t.Fatalf("unrelated task: %+v, want a pure hit", d)
+	}
+}
+
+// TestParallelChoiceResortsOnlyWhenItsLeadMoves: a parallel choice takes
+// the cached order's prefix while its n best still lead it. A
+// measurement that reorders hosts behind the prefix costs nothing; one
+// that moves a host into the prefix costs one re-sort, which is
+// published, so the next choice hits again.
+func TestParallelChoiceResortsOnlyWhenItsLeadMoves(t *testing.T) {
+	s := mkSite(t, "s1", []hostSpec{
+		{name: "a", speed: 4}, {name: "b", speed: 3}, {name: "c", speed: 2}, {name: "d", speed: 1.5},
+	})
+	g, id := oneTaskGraph(t, "LU_Decomposition", afg.Properties{Mode: afg.Parallel, Nodes: 2})
+	task := g.Task(id)
+	choose := func() HostChoice { return s.ChooseAt(s.Snapshot(), task, nil) }
+	record := func(host string, elapsed time.Duration) {
+		t.Helper()
+		if _, err := s.Repo.TaskPerf.RecordExecutions([]repository.Execution{{Task: task.Name, Host: host, Elapsed: elapsed}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := choose(); strings.Join(c.Hosts, ",") != "a,b" {
+		t.Fatalf("baseline pick %v", c.Hosts)
+	}
+	base := s.RankedHosts(task)
+
+	// d overtakes c, behind the prefix: the prefix still leads.
+	record("d", base[2].Single/2)
+	if d := statsDelta(s, func() {
+		if c := choose(); strings.Join(c.Hosts, ",") != "a,b" {
+			t.Fatalf("prefix moved to %v", c.Hosts)
+		}
+	}); d.Hits != 1 || d.Misses != 0 {
+		t.Fatalf("reorder behind the prefix: %+v, want a pure hit", d)
+	}
+	// c runs fastest of all: it enters the prefix, first.
+	record("c", time.Microsecond)
+	if d := statsDelta(s, func() {
+		if c := choose(); strings.Join(c.Hosts, ",") != "c,a" {
+			t.Fatalf("re-sorted prefix %v, want c,a", c.Hosts)
+		}
+	}); d.Hits != 0 || d.Misses != 1 || d.Invalidations != 1 {
+		t.Fatalf("reorder into the prefix: %+v, want one invalidating miss", d)
+	}
+	if d := statsDelta(s, func() { choose() }); d.Hits != 1 || d.Misses != 0 {
+		t.Fatalf("after the re-sort: %+v, want a pure hit", d)
 	}
 }
 
@@ -288,18 +354,20 @@ func TestRankedHostsConcurrentRoundsNeverServeStale(t *testing.T) {
 	}
 }
 
-// TestRankCacheSteadyStateHitRatio runs a soak of many scheduling rounds
-// with occasional updates: the cache must serve the overwhelming
-// majority of lookups from generation-validated entries.
+// TestRankCacheSteadyStateHitRatio runs a soak of many scheduling rounds,
+// each followed by its run's write-back of a measured time on the host
+// it chose, with an occasional monitor write: the cache must serve the
+// overwhelming majority of lookups from its kept orders.
 func TestRankCacheSteadyStateHitRatio(t *testing.T) {
 	var hosts []hostSpec
 	for i := 0; i < 8; i++ {
 		hosts = append(hosts, hostSpec{name: fmt.Sprintf("h%d", i), speed: float64(i%4 + 1)})
 	}
 	s := mkSite(t, "s1", hosts)
-	g, _ := oneTaskGraph(t, "Matrix_Multiplication", afg.Properties{})
+	g, id := oneTaskGraph(t, "Matrix_Multiplication", afg.Properties{})
 
 	const rounds = 500
+	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < rounds; i++ {
 		if i%100 == 50 { // a rare monitor write
 			if err := s.Repo.Resources.UpdateWorkload("h0", repository.WorkloadSample{
@@ -308,7 +376,14 @@ func TestRankCacheSteadyStateHitRatio(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.HostSelection(g); err != nil {
+		sel, err := s.HostSelection(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The run took its prediction give or take a quarter.
+		c := sel[id]
+		elapsed := time.Duration(float64(c.Predicted) * (0.75 + rng.Float64()/2))
+		if _, err := s.Repo.TaskPerf.RecordExecutions([]repository.Execution{{Task: g.Task(id).Name, Host: c.Hosts[0], Elapsed: elapsed}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -122,14 +122,24 @@ func (p *Predictor) Predict(task repository.TaskParams, host repository.HostView
 	}
 
 	model := time.Duration(seconds * float64(time.Second))
-	if measured != nil && p.MeasuredBlend > 0 {
-		// The smoothed measurement was taken under whatever load prevailed
-		// then; rescale it to the current load assuming it was near-idle.
-		adj := float64(*measured) / (1 - load)
-		blended := p.MeasuredBlend*adj + (1-p.MeasuredBlend)*float64(model)
-		return time.Duration(blended), nil
+	if measured != nil {
+		return p.Blend(model, load, *measured), nil
 	}
 	return model, nil
+}
+
+// Blend is how Predict folds the smoothed measured time of a task on a
+// host at CPU load into its estimate without one (measured nil): a
+// caller that keeps that estimate blends a newer measurement in here.
+func (p *Predictor) Blend(model time.Duration, load float64, measured time.Duration) time.Duration {
+	if !(p.MeasuredBlend > 0) {
+		return model
+	}
+	// The smoothed measurement was taken under whatever load prevailed
+	// then; rescale it to the current load assuming it was near-idle.
+	adj := float64(measured) / (1 - max(load, 0))
+	blended := p.MeasuredBlend*adj + (1-p.MeasuredBlend)*float64(model)
+	return time.Duration(blended)
 }
 
 // Oracle binds a Predictor to a site repository: host selection reads

@@ -36,16 +36,6 @@ func (r *Repository) Snapshot() *Snapshot {
 // status flip, or workload update observed by this snapshot bumps it.
 func (s *Snapshot) ResourceGeneration() uint64 { return s.res.gen }
 
-// TaskGeneration returns the per-task record generation (see
-// TaskPerfDB.TaskGeneration); ok is false for unknown tasks.
-func (s *Snapshot) TaskGeneration(name string) (gen uint64, ok bool) {
-	t, ok := s.perf.task(name)
-	if !ok {
-		return 0, false
-	}
-	return t.gen, true
-}
-
 // UpHosts returns the slim views of all up hosts, name-sorted. Shared
 // slice — do not modify.
 func (s *Snapshot) UpHosts() []HostView { return s.res.up }
@@ -69,12 +59,21 @@ func (s *Snapshot) TaskParams(name string) (TaskParams, error) {
 	return t.Params, nil
 }
 
-// MeasuredTime returns the smoothed measured execution time of task on
-// host as of this snapshot, and whether any measurement exists.
-func (s *Snapshot) MeasuredTime(task, host string) (time.Duration, bool) {
-	t, ok := s.perf.task(task)
-	if !ok {
+// Measurements returns the named task's smoothed measured times as of
+// this snapshot: one lookup of the task for a sweep over many hosts.
+func (s *Snapshot) Measurements(task string) Measurements {
+	t, _ := s.perf.task(task)
+	return Measurements{t}
+}
+
+// Measurements is one task's smoothed measured times in one epoch; the
+// zero value holds none.
+type Measurements struct{ t *perTask }
+
+// On returns the smoothed measured time on host and whether one exists.
+func (m Measurements) On(host string) (time.Duration, bool) {
+	if m.t == nil {
 		return 0, false
 	}
-	return t.measured(host)
+	return m.t.measured(host)
 }

@@ -81,7 +81,7 @@ func TestSnapshotIsImmutableUnderWrites(t *testing.T) {
 	if len(snap.UpHosts()) != 1 {
 		t.Fatal("snapshot up-set changed under writes")
 	}
-	if _, ok := snap.MeasuredTime("t", "h0"); ok {
+	if _, ok := snap.Measurements("t").On("h0"); ok {
 		t.Fatal("snapshot sees a measurement recorded after it")
 	}
 	// A fresh snapshot sees everything.
@@ -89,7 +89,7 @@ func TestSnapshotIsImmutableUnderWrites(t *testing.T) {
 	if v, _ := now.View("h0"); v.Status != HostDown || v.CPULoad != 0.9 {
 		t.Fatalf("fresh snapshot stale: %+v", v)
 	}
-	if d, ok := now.MeasuredTime("t", "h0"); !ok || d != time.Second {
+	if d, ok := now.Measurements("t").On("h0"); !ok || d != time.Second {
 		t.Fatalf("fresh snapshot measurement: %v %v", d, ok)
 	}
 }
@@ -237,7 +237,10 @@ func TestApplyRoundAtomicity(t *testing.T) {
 	}
 }
 
-func TestTaskGenerationPerTask(t *testing.T) {
+// TestMeasurementReplacesOnlyItsRecord: a write-back publishes the next
+// epoch with a fresh record for the measured task and the unmeasured
+// task's record shared, not copied.
+func TestMeasurementReplacesOnlyItsRecord(t *testing.T) {
 	db := NewTaskPerfDB()
 	if err := db.RegisterTask(TaskParams{Name: "a", ComputationOps: 1}); err != nil {
 		t.Fatal(err)
@@ -245,19 +248,25 @@ func TestTaskGenerationPerTask(t *testing.T) {
 	if err := db.RegisterTask(TaskParams{Name: "b", ComputationOps: 1}); err != nil {
 		t.Fatal(err)
 	}
-	genA, _ := db.TaskGeneration("a")
-	genB, _ := db.TaskGeneration("b")
+	gen := db.Generation()
+	before := db.epoch.Load()
+	a, _ := before.task("a")
+	b, _ := before.task("b")
 	if err := recordOne(db, "a", "h0", time.Second, time.Unix(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if g, _ := db.TaskGeneration("a"); g == genA {
-		t.Fatal("measured task's generation unchanged")
+	if db.Generation() != gen+1 {
+		t.Fatalf("generation %d after a write-back, want %d", db.Generation(), gen+1)
 	}
-	if g, _ := db.TaskGeneration("b"); g != genB {
-		t.Fatal("unmeasured task's generation moved")
+	after := db.epoch.Load()
+	if got, _ := after.task("a"); got == a {
+		t.Fatal("measured task's record not replaced")
 	}
-	if _, ok := db.TaskGeneration("ghost"); ok {
-		t.Fatal("unknown task has a generation")
+	if got, _ := after.task("b"); got != b {
+		t.Fatal("unmeasured task's record copied")
+	}
+	if _, ok := after.task("ghost"); ok {
+		t.Fatal("unknown task has a record")
 	}
 }
 
@@ -293,7 +302,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 						return
 					}
 				}
-				snap.MeasuredTime("t", "h0")
+				snap.Measurements("t").On("h0")
 				if rec, err := r.Resources.Host("h0"); err == nil {
 					_ = rec.RecentLoads // full clone walks the ring
 				}

@@ -37,11 +37,8 @@ type TaskParams struct {
 // perTask couples static parameters with the per-host exponentially
 // smoothed execution times the Site Manager writes back after runs.
 // Records are frozen once their epoch is published; writers replace a
-// record with a fresh copy and bump its generation.
+// record with a fresh copy.
 type perTask struct {
-	// gen changes whenever this task's record (params or smoothed times)
-	// changes — the ranked-host cache invalidates per task on it.
-	gen    uint64
 	Params TaskParams
 	// smoothed is the measured hosts' smoothed times, sorted by host. A
 	// published slice is never written: records may share it.
@@ -101,17 +98,9 @@ func NewTaskPerfDB() *TaskPerfDB {
 	return db
 }
 
-// TaskGeneration returns the named task's record generation: it changes
-// only when that task's parameters or measurements change, so cached
-// per-task derivations (ranked-host lists) invalidate on exactly the
-// writes that affect them. ok is false for unknown tasks.
-func (db *TaskPerfDB) TaskGeneration(name string) (gen uint64, ok bool) {
-	t, ok := db.epoch.Load().task(name)
-	if !ok {
-		return 0, false
-	}
-	return t.gen, true
-}
+// Generation is the epoch number: every registration and every
+// write-back that applied a measurement publishes the next one.
+func (db *TaskPerfDB) Generation() uint64 { return db.epoch.Load().gen }
 
 // ErrUnknownTask is returned when a task has no performance record.
 var ErrUnknownTask = errors.New("repository: unknown task")
@@ -132,7 +121,7 @@ func (db *TaskPerfDB) RegisterTask(p TaskParams) error {
 	defer db.wmu.Unlock()
 	cur := db.epoch.Load()
 	next := &perfEpoch{gen: cur.gen + 1, index: cur.index, tasks: slices.Clone(cur.tasks)}
-	t := &perTask{gen: next.gen, Params: p}
+	t := &perTask{Params: p}
 	if i, ok := cur.index[p.Name]; ok {
 		t.smoothed = cur.tasks[i].smoothed
 		next.tasks[i] = t
@@ -180,13 +169,14 @@ func (db *TaskPerfDB) RecordExecutions(recs []Execution, mine func(host string) 
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
 	cur := db.epoch.Load()
-	gen := cur.gen + 1
 	// First pass: check the records and clone each touched task once, its
-	// clone sharing the old smoothed times for now and counting in gen the
-	// records it takes.
+	// clone sharing the old smoothed times for now, and count the records
+	// each task takes.
 	var tasks []*perTask // the next epoch's records
 	var clones []perTask
-	cells := 0 // smoothed times the clones may hold between them
+	var countBuf [64]int32
+	var counts []int32 // records taken, by task index
+	cells := 0         // smoothed times the clones may hold between them
 	for k, rec := range recs {
 		i, e := cur.take(rec, mine)
 		if i < 0 {
@@ -198,13 +188,17 @@ func (db *TaskPerfDB) RecordExecutions(recs []Execution, mine func(host string) 
 		if tasks == nil {
 			tasks = slices.Clone(cur.tasks)
 			clones = make([]perTask, 0, len(recs)-k) // never outgrown: tasks[i] points in
+			if counts = countBuf[:]; len(tasks) > len(countBuf) {
+				counts = make([]int32, len(tasks))
+			}
 		}
-		if old := cur.tasks[i]; tasks[i] == old {
+		if counts[i] == 0 {
+			old := cur.tasks[i]
 			clones = append(clones, perTask{Params: old.Params, smoothed: old.smoothed})
 			tasks[i] = &clones[len(clones)-1]
 			cells += len(old.smoothed)
 		}
-		tasks[i].gen++
+		counts[i]++
 		cells++
 		applied++
 	}
@@ -213,12 +207,14 @@ func (db *TaskPerfDB) RecordExecutions(recs []Execution, mine func(host string) 
 	}
 	// Each clone gets its share of one block of smoothed times.
 	block := make([]hostTime, cells)
-	for j := range clones {
-		c := &clones[j]
-		n := len(c.smoothed) + int(c.gen)
+	for i, n := range counts {
+		if n == 0 {
+			continue
+		}
+		c := tasks[i]
+		n := len(c.smoothed) + int(n)
 		c.smoothed = append(block[:0:n], c.smoothed...)
 		block = block[n:]
-		c.gen = gen
 	}
 	for _, rec := range recs {
 		i, _ := cur.take(rec, mine)
@@ -232,7 +228,7 @@ func (db *TaskPerfDB) RecordExecutions(recs []Execution, mine func(host string) 
 			t.smoothed = slices.Insert(t.smoothed, j, hostTime{rec.Host, rec.Elapsed})
 		}
 	}
-	db.epoch.Store(&perfEpoch{gen: gen, index: cur.index, tasks: tasks})
+	db.epoch.Store(&perfEpoch{gen: cur.gen + 1, index: cur.index, tasks: tasks})
 	return applied, err
 }
 

@@ -192,12 +192,18 @@ func TestRecordExecutionsOneEpoch(t *testing.T) {
 		{"t1", "nowhere", time.Second, at}, // dropped: no site owns the host
 	}
 	sites, ref := perfSites(t), perfSites(t)
-	type gens struct{ epoch, t1, t2, t3 uint64 }
+	// An epoch's generation and its records: a touched task's record is
+	// replaced, an untouched one shared.
+	type gens struct {
+		epoch      uint64
+		t1, t2, t3 *perTask
+	}
 	read := func(r *Repository) (g gens) {
-		g.epoch = r.TaskPerf.epoch.Load().gen
-		g.t1, _ = r.TaskPerf.TaskGeneration("t1")
-		g.t2, _ = r.TaskPerf.TaskGeneration("t2")
-		g.t3, _ = r.TaskPerf.TaskGeneration("t3")
+		ep := r.TaskPerf.epoch.Load()
+		g.epoch = ep.gen
+		g.t1, _ = ep.task("t1")
+		g.t2, _ = ep.task("t2")
+		g.t3, _ = ep.task("t3")
 		return g
 	}
 	before := map[string]gens{}
@@ -223,11 +229,11 @@ func TestRecordExecutionsOneEpoch(t *testing.T) {
 	}
 
 	a, b := before["a"], before["b"]
-	if got, want := read(sites["a"]), (gens{a.epoch + 1, a.epoch + 1, a.t2, a.t3}); got != want {
-		t.Fatalf("site a generations %+v, want %+v (one epoch, t1 cloned once)", got, want)
+	if got := read(sites["a"]); got.epoch != a.epoch+1 || got.t1 == a.t1 || got.t2 != a.t2 || got.t3 != a.t3 {
+		t.Fatalf("site a %+v from %+v, want one epoch that replaced t1 alone", got, a)
 	}
-	if got, want := read(sites["b"]), (gens{b.epoch + 1, b.t1, b.epoch + 1, b.epoch + 1}); got != want {
-		t.Fatalf("site b generations %+v, want %+v", got, want)
+	if got := read(sites["b"]); got.epoch != b.epoch+1 || got.t1 != b.t1 || got.t2 == b.t2 || got.t3 == b.t3 {
+		t.Fatalf("site b %+v from %+v, want one epoch that replaced t2 and t3", got, b)
 	}
 	if sites["c"].TaskPerf.epoch.Load() != cEpoch {
 		t.Fatal("site c took no measurement, yet published an epoch")
@@ -240,7 +246,7 @@ func TestRecordExecutionsOneEpoch(t *testing.T) {
 				if got != want || gok != wok {
 					t.Fatalf("site %s %s on %s: smoothed %v/%v, want %v/%v", name, task, h, got, gok, want, wok)
 				}
-				if _, seen := snaps[name].MeasuredTime(task, h); seen {
+				if _, seen := snaps[name].Measurements(task).On(h); seen {
 					t.Fatalf("snapshot of site %s taken before the batch sees %s on %s", name, task, h)
 				}
 			}
@@ -321,7 +327,7 @@ func TestRecordExecutionsAllocs(t *testing.T) {
 }
 
 // TestSnapshotKeepsEstimatesAcrossWriteBacks: a snapshot taken before a
-// write-back reads the estimates and generations it was taken with,
+// write-back reads the estimates and parameters it was taken with,
 // although the next epoch shares its index and untouched records, and a
 // re-registration shares the smoothed times.
 func TestSnapshotKeepsEstimatesAcrossWriteBacks(t *testing.T) {
@@ -339,18 +345,18 @@ func TestSnapshotKeepsEstimatesAcrossWriteBacks(t *testing.T) {
 	type reading struct {
 		d      time.Duration
 		ok     bool
-		gen    uint64
-		genOK  bool
 		params TaskParams
+		err    bool
 	}
 	read := func(s *Snapshot) map[[2]string]reading {
 		m := map[[2]string]reading{}
 		for _, task := range append(tasks, "ghost") {
 			for _, h := range append(hs, "h-new") {
 				var rd reading
-				rd.d, rd.ok = s.MeasuredTime(task, h)
-				rd.gen, rd.genOK = s.TaskGeneration(task)
-				rd.params, _ = s.TaskParams(task)
+				rd.d, rd.ok = s.Measurements(task).On(h)
+				var err error
+				rd.params, err = s.TaskParams(task)
+				rd.err = err != nil
 				m[[2]string{task, h}] = rd
 			}
 		}
@@ -380,7 +386,7 @@ func TestSnapshotKeepsEstimatesAcrossWriteBacks(t *testing.T) {
 	if got := read(snap); !reflect.DeepEqual(got, before) {
 		t.Fatalf("a snapshot changed under later writes:\nbefore %v\nafter  %v", before, got)
 	}
-	if _, ok := snap.TaskGeneration("t-late"); ok {
+	if _, err := snap.TaskParams("t-late"); err == nil {
 		t.Fatal("a task registered after the snapshot is visible in it")
 	}
 	now := read(r.Snapshot())
@@ -395,7 +401,8 @@ func TestSnapshotKeepsEstimatesAcrossWriteBacks(t *testing.T) {
 			t.Errorf("%s on %s = %v (found %v), want %v", c.task, c.host, got.d, got.ok, c.want)
 		}
 	}
-	if now[[2]string{tasks[3], hs[0]}].gen != before[[2]string{tasks[3], hs[0]}].gen {
-		t.Error("an untouched task's generation moved")
+	untouched, _ := snap.perf.task(tasks[3])
+	if cur, _ := r.Snapshot().perf.task(tasks[3]); cur != untouched {
+		t.Error("an untouched task's record was copied")
 	}
 }

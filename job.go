@@ -76,19 +76,29 @@ var (
 	ErrJobDeadlineExceeded = errors.New("vdce: job deadline exceeded")
 )
 
-// SubmitOption configures one submission. Options compose left to right;
-// later options win on conflict.
-type SubmitOption func(*submitOptions)
-
-type submitOptions struct {
-	owner       string
-	priority    *int
-	shareWeight *int
-	deadline    time.Time
-	home        int // -1 = round-robin (or site 0 for owned jobs)
-	maxHosts    int
-	labels      map[string]string
+// SubmitOption configures one submission; the With functions make
+// them. Options compose left to right; later options win on conflict.
+// An option is a value: passing one allocates nothing.
+type SubmitOption struct {
+	set    optionField
+	n      int
+	owner  string
+	at     time.Time
+	labels map[string]string
 }
+
+// optionField is the submission field a SubmitOption sets.
+type optionField uint8
+
+const (
+	optOwner optionField = iota + 1
+	optPriority
+	optShareWeight
+	optDeadline
+	optHome
+	optMaxHosts
+	optLabels
+)
 
 // WithOwner submits on behalf of a named user: the job schedules from
 // the accounts site (site 0) unless WithHomeSite overrides it, the
@@ -96,7 +106,7 @@ type submitOptions struct {
 // unless WithPriority overrides it — the job's priority defaults to the
 // owner's user-account priority.
 func WithOwner(owner string) SubmitOption {
-	return func(o *submitOptions) { o.owner = owner }
+	return SubmitOption{set: optOwner, owner: owner}
 }
 
 // WithPriority sets the job's base admission priority explicitly. Higher
@@ -104,7 +114,7 @@ func WithOwner(owner string) SubmitOption {
 // Without it, owned jobs inherit the owner's user-account priority and
 // anonymous jobs default to 0.
 func WithPriority(p int) SubmitOption {
-	return func(o *submitOptions) { o.priority = &p }
+	return SubmitOption{set: optPriority, n: p}
 }
 
 // MaxShareWeight caps an owner's fair-share weight. The weight field
@@ -124,7 +134,7 @@ const MaxShareWeight = 100
 // user-account priority and anonymous jobs weigh 1. The owner's
 // latest submission's weight wins.
 func WithShareWeight(w int) SubmitOption {
-	return func(o *submitOptions) { o.shareWeight = &w }
+	return SubmitOption{set: optShareWeight, n: w}
 }
 
 // clampShareWeight saturates a weight into [1, MaxShareWeight].
@@ -146,13 +156,13 @@ func clampShareWeight(w int) int {
 // path. The job fails with ErrJobDeadlineExceeded, followed by the
 // engine's error when the run had started.
 func WithDeadline(t time.Time) SubmitOption {
-	return func(o *submitOptions) { o.deadline = t }
+	return SubmitOption{set: optDeadline, at: t}
 }
 
 // WithHomeSite pins the scheduling round to site index i instead of the
 // default (round-robin for anonymous jobs, site 0 for owned jobs).
 func WithHomeSite(i int) SubmitOption {
-	return func(o *submitOptions) { o.home = i }
+	return SubmitOption{set: optHome, n: i}
 }
 
 // WithMaxHosts sets k, the scheduler's nearest-neighbor site count
@@ -160,20 +170,13 @@ func WithHomeSite(i int) SubmitOption {
 // placed. Owned jobs still have k clamped by the owner's access domain.
 // Default 0 (home site only).
 func WithMaxHosts(k int) SubmitOption {
-	return func(o *submitOptions) { o.maxHosts = k }
+	return SubmitOption{set: optMaxHosts, n: k}
 }
 
 // WithLabels attaches caller metadata to the job; labels are carried on
 // the Job handle and surfaced verbatim by the job-control API.
 func WithLabels(labels map[string]string) SubmitOption {
-	return func(o *submitOptions) {
-		if o.labels == nil {
-			o.labels = make(map[string]string, len(labels))
-		}
-		for k, v := range labels {
-			o.labels[k] = v
-		}
-	}
+	return SubmitOption{set: optLabels, labels: labels}
 }
 
 // Job is the caller's handle on one application moving through the

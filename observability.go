@@ -212,7 +212,7 @@ func (env *Environment) registerDerived(reg *obs.Registry) {
 			emit(float64(inval), "invalidation")
 		})
 	reg.GaugeFunc("vdce_scheduler_rankcache_hit_ratio",
-		"Fraction of RankedHosts calls served from the generation cache.", nil,
+		"Fraction of Fig. 3 host lookups served from a site's kept order of eligible hosts, with no rebuild or re-sort.", nil,
 		func(emit func(v float64, labelVals ...string)) {
 			var agg struct{ hits, misses int64 }
 			for _, s := range env.Sites {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"maps"
 	"slices"
 	"strconv"
 	"sync"
@@ -712,7 +713,7 @@ func (p *pipeline) records() []*jobRecord {
 }
 
 // Submit admits an application into the environment's concurrent
-// submission pipeline and returns its Job handle immediately. Functional
+// submission pipeline and returns its Job handle immediately. The
 // options carry the submission's owner, priority, deadline, home site,
 // neighbor-site count, and labels; the zero configuration is an
 // anonymous, priority-0, home-site-only submission with round-robin home
@@ -722,47 +723,48 @@ func (p *pipeline) records() []*jobRecord {
 // completion and Job.Cancel to abort. Submit blocks only while the
 // bounded admission queue is full (backpressure), honoring ctx.
 func (env *Environment) Submit(ctx context.Context, g *afg.Graph, opts ...SubmitOption) (*Job, error) {
-	o := submitOptions{home: -1}
+	spec := submitSpec{graph: g, home: -1, shareWeight: 1}
+	var setPriority, setWeight bool
 	for _, opt := range opts {
-		opt(&o)
+		switch opt.set {
+		case optOwner:
+			spec.owner = opt.owner
+		case optPriority:
+			spec.priority, setPriority = opt.n, true
+		case optShareWeight:
+			spec.shareWeight, setWeight = opt.n, true
+		case optDeadline:
+			spec.deadline = opt.at
+		case optHome:
+			spec.home = opt.n
+		case optMaxHosts:
+			spec.k = opt.n
+		case optLabels:
+			if spec.labels == nil {
+				spec.labels = make(map[string]string, len(opt.labels))
+			}
+			maps.Copy(spec.labels, opt.labels)
+		}
 	}
-	spec := submitSpec{
-		owner:       o.owner,
-		graph:       g,
-		k:           o.maxHosts,
-		home:        o.home,
-		shareWeight: 1,
-		deadline:    o.deadline,
-		labels:      o.labels,
-	}
-	if o.owner != "" {
+	if spec.owner != "" {
 		if spec.home < 0 {
 			spec.home = 0 // the accounts site
 		}
-		spec.k = env.ClampK(o.owner, spec.k)
-	}
-	var acctPriority *int
-	if o.owner != "" {
-		if acct, err := env.Sites[0].Repo.Users.Lookup(o.owner); err == nil {
-			acctPriority = &acct.Priority
+		spec.k = env.ClampK(spec.owner, spec.k)
+		// Unless given, the priority and the fair-share weight are the
+		// owner's user-account priority (the paper's per-user resource
+		// entitlement).
+		if acct, err := env.Sites[0].Repo.Users.Lookup(spec.owner); err == nil {
+			if !setPriority {
+				spec.priority = acct.Priority
+			}
+			if !setWeight {
+				spec.shareWeight = acct.Priority
+			}
 		}
 	}
-	switch {
-	case o.priority != nil:
-		spec.priority = *o.priority
-	case acctPriority != nil:
-		spec.priority = *acctPriority
-	}
-	// Fair-share weight: WithShareWeight wins, else the owner's
-	// user-account priority (the paper's per-user resource entitlement),
-	// else 1; always saturated into [1, MaxShareWeight] so every owner
-	// progresses and no caller can buy an unbounded share.
-	switch {
-	case o.shareWeight != nil:
-		spec.shareWeight = *o.shareWeight
-	case acctPriority != nil:
-		spec.shareWeight = *acctPriority
-	}
+	// Saturated into [1, MaxShareWeight], so every owner progresses and
+	// no caller can buy an unbounded share.
 	spec.shareWeight = clampShareWeight(spec.shareWeight)
 	return env.pipe.submit(ctx, spec)
 }

@@ -336,12 +336,14 @@ func TestJobStateStrings(t *testing.T) {
 // kept on it and read by Submit, the round and the run (no topological
 // pass at Submit or in the round, no ready set or levels made per round,
 // no position scratch on the heap in the table checks), takes it to 45,
-// and the budget down by the same 7 to 59.
+// and the budget down by the same 7 to 59. A run's write-back no longer
+// invalidating the next round's ranking takes it to 41, and the budget
+// down by the same 4 to 55.
 func TestSubmitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const budget = 59
+	const budget = 55
 	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2801}})
 	g := spinJobGraph("alloc", 0)
 	ctx := context.Background()
@@ -361,5 +363,42 @@ func TestSubmitAllocBudget(t *testing.T) {
 	t.Logf("Submit+Wait of a one-task job: %.0f allocations (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Fatalf("a job costs %.0f allocations from Submit to Done, over the %d budget", allocs, budget)
+	}
+}
+
+// TestSubmitOptionsAllocateNothing: options are values, applied in
+// Submit's own frame. A job submitted with an owner, a neighbor count, a
+// priority and a share weight costs no more allocations from Submit to
+// Done than one submitted with none (each option was a closure on the
+// heap, and the options they filled escaped through the calls).
+func TestSubmitOptionsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	env := newEnv(t, Config{Testbed: testbed.Config{Sites: 1, HostsPerGroup: 3, Seed: 2801}})
+	g := spinJobGraph("alloc-opts", 0)
+	ctx := context.Background()
+	cost := func(submit func() (*Job, error)) float64 {
+		run := func() {
+			job, err := submit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := job.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 64 {
+			run() // warm the rank cache, the pools and the board
+		}
+		return testing.AllocsPerRun(200, run)
+	}
+	bare := cost(func() (*Job, error) { return env.Submit(ctx, g) })
+	optioned := cost(func() (*Job, error) {
+		return env.Submit(ctx, g, WithOwner("user_k"), WithMaxHosts(2), WithPriority(3), WithShareWeight(2))
+	})
+	t.Logf("Submit+Wait of a one-task job: %.0f allocations bare, %.0f with four options", bare, optioned)
+	if optioned > bare {
+		t.Fatalf("a job with four options costs %.0f allocations, %.0f more than one with none", optioned, optioned-bare)
 	}
 }
