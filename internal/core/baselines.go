@@ -46,8 +46,7 @@ type siteOption struct {
 func eligible(sites []*LocalSite, snaps []*repository.Snapshot, task *afg.Task) []siteOption {
 	var out []siteOption
 	for i, s := range sites {
-		r, _ := s.sortedAt(snaps[i], task)
-		hosts := r.names
+		hosts := s.sortedAt(snaps[i], task).ranked
 		nodes := RequiredNodesAt(snaps[i], task)
 		if len(hosts) < nodes || len(hosts) == 0 {
 			continue

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"vdce/internal/afg"
@@ -34,10 +33,9 @@ import (
 // application registration) is read live: a concurrent install can make
 // tasks within one round see different install sets, but the
 // constraints write counter still invalidates affected cache entries.
-// Each task's eligible hosts and their model estimates are kept in a
-// cache (see rankCache) that no write-back invalidates: a round blends
-// the snapshot's measured times into them, so an unchanged site is
-// served without re-running Predict's model over the catalog.
+// Each task's eligible hosts and model estimates are kept in a cache
+// (see rankCache) that no write-back invalidates: a round blends the
+// snapshot's measured times into them.
 type LocalSite struct {
 	Repo   *repository.Repository
 	Oracle *predict.Oracle
@@ -80,40 +78,14 @@ func (s *LocalSite) selectInto(g *afg.Graph, sel Selection) Selection {
 	return sel
 }
 
-// RankedHost is one eligible host with its predicted single-node
-// execution time for a task.
-type RankedHost struct {
-	Name   string
-	Single time.Duration
-}
-
-// RankedHosts returns the task's eligible hosts sorted by ascending
-// predicted single-node time (ties by name). An empty slice means the
-// site cannot run the task.
-func (s *LocalSite) RankedHosts(task *afg.Task) []RankedHost {
-	return s.RankedHostsAt(s.Repo.Snapshot(), task)
-}
-
-// RankedHostsAt is RankedHosts against a caller-held snapshot, read
-// from the same cached order as ChooseAt.
-func (s *LocalSite) RankedHostsAt(snap *repository.Snapshot, task *afg.Task) []RankedHost {
-	r, m := s.sortedAt(snap, task)
-	out := make([]RankedHost, len(r.names))
-	for i, name := range r.names {
-		out[i] = RankedHost{Name: name, Single: r.single(i, m)}
-	}
-	return out
-}
-
-// sortedAt returns the task's eligible hosts as of snap in rank order,
-// and the measurements that ranked them; none for an unknown task.
-func (s *LocalSite) sortedAt(snap *repository.Snapshot, task *afg.Task) (*rankOrder, repository.Measurements) {
+// sortedAt returns the task's eligible hosts as of snap in rank order;
+// none for an unknown task.
+func (s *LocalSite) sortedAt(snap *repository.Snapshot, task *afg.Task) *rankOrder {
 	params, err := snap.TaskParams(task.Name)
 	if err != nil {
-		return &rankOrder{}, repository.Measurements{}
+		return &rankOrder{}
 	}
-	m := snap.Measurements(task.Name)
-	return s.orderAt(snap, task, params, m, -1), m
+	return s.orderAt(snap, task, params, snap.Measurements(task.Name), -1)
 }
 
 // orderAt returns the task's eligible hosts as of snap, in an order
@@ -134,14 +106,16 @@ func (s *LocalSite) orderAt(snap *repository.Snapshot, task *afg.Task, params re
 		// Double-check: a concurrent miss on the same inputs may have
 		// rebuilt the entry while we waited for the singleflight lock.
 		if r = e.cur.Load(); !valid(r) {
-			like.hosts = s.eligibleAt(snap, task, &like)
+			s.eligibleAt(snap, task, &like)
 			next := like.sorted(m)
+			s.cache.misses.Add(1)
 			// Never replace an entry a round with a newer snapshot stored.
-			store := r == nil || r.resGen <= like.resGen && r.consGen <= like.consGen
-			if store {
+			if r == nil || r.resGen <= like.resGen && r.consGen <= like.consGen {
 				e.cur.Store(next)
+				if r != nil {
+					s.cache.invalidations.Add(1)
+				}
 			}
-			s.cache.miss(store && r != nil)
 			return next
 		}
 	}
@@ -149,18 +123,20 @@ func (s *LocalSite) orderAt(snap *repository.Snapshot, task *afg.Task, params re
 		s.cache.hits.Add(1)
 		return r
 	}
-	resort := *r
-	resort.hosts = slices.Clone(r.hosts)
-	next := resort.sorted(m)
-	s.cache.miss(e.cur.CompareAndSwap(r, next))
+	next := r.sorted(m)
+	s.cache.misses.Add(1)
+	if e.cur.CompareAndSwap(r, next) {
+		s.cache.invalidations.Add(1)
+	}
 	return next
 }
 
 // eligibleAt evaluates the model over the snapshot's up hosts for the
-// ones that can run task — the uncached body of Fig. 3 steps 1-2.
-func (s *LocalSite) eligibleAt(snap *repository.Snapshot, task *afg.Task, like *rankOrder) []candidate {
+// ones that can run task, into like in name order — the uncached body of
+// Fig. 3 steps 1-2.
+func (s *LocalSite) eligibleAt(snap *repository.Snapshot, task *afg.Task, like *rankOrder) {
 	views := snap.UpHosts()
-	hosts := make([]candidate, 0, len(views))
+	like.hosts, like.names = make([]candidate, 0, len(views)), make([]string, 0, len(views))
 	for _, h := range views {
 		// Eligibility: task installed on the host (task-constraints
 		// database) and editor machine-type / host-name preferences.
@@ -177,9 +153,9 @@ func (s *LocalSite) eligibleAt(snap *repository.Snapshot, task *afg.Task, like *
 		if err != nil {
 			continue // saturated or down hosts drop out
 		}
-		hosts = append(hosts, candidate{name: h.HostName, model: d, load: h.CPULoad})
+		like.hosts = append(like.hosts, candidate{model: d, load: h.CPULoad})
+		like.names = append(like.names, h.HostName)
 	}
-	return hosts
 }
 
 // RequiredNodesAt returns how many machines the task needs on a site,
@@ -263,8 +239,9 @@ func (s *LocalSite) ChooseAt(snap *repository.Snapshot, task *afg.Task, skip fun
 	nodes := RequiredNodesAt(snap, task)
 	if nodes <= 1 {
 		r, best, bestTime := s.orderAt(snap, task, params, m, 0), -1, time.Duration(0)
-		for i, name := range r.names {
-			if d := r.single(i, m); (skip == nil || !skip(name)) && (best < 0 || rankCompare(d, name, bestTime, r.names[best]) < 0) {
+		for i, name := range r.names { // in name order: a tie keeps the first
+			d, ok := m.Seek(name)
+			if d = r.single(i, d, ok); (skip == nil || !skip(name)) && (best < 0 || d < bestTime) {
 				best, bestTime = i, d
 			}
 		}
@@ -278,10 +255,10 @@ func (s *LocalSite) ChooseAt(snap *repository.Snapshot, task *afg.Task, skip fun
 		lead = -1 // the exclusions may take any host out of the prefix
 	}
 	r := s.orderAt(snap, task, params, m, lead)
-	usable := r.names
+	usable := r.ranked
 	if skip != nil {
-		usable = make([]string, 0, len(r.names))
-		for _, h := range r.names {
+		usable = make([]string, 0, len(r.ranked))
+		for _, h := range r.ranked {
 			if !skip(h) {
 				usable = append(usable, h)
 			}

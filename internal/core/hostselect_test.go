@@ -259,7 +259,7 @@ func TestChooseAtSkipMatchesFilteredRanking(t *testing.T) {
 		task := g.Task(id)
 		snap := s.Snapshot()
 		nodes := RequiredNodesAt(snap, task)
-		ranked := s.RankedHostsAt(snap, task)
+		ranked := rankedAt(s, snap, task)
 		// (The parallel cut pays for PredictSetAt; the ranking prefix is
 		// free either way.)
 		if allocs := testing.AllocsPerRun(50, func() { s.ChooseAt(snap, task, nil) }); nodes == 1 && allocs != 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,14 +24,14 @@ type RankCacheStats struct {
 }
 
 // rankCache keeps, per (task, preference) key, the task's eligible hosts
-// on the site in their last rank order, each with its model estimate
-// (Predict with no measurement) and load. No measurement is in it: an entry
-// is valid while the resource epoch, the constraints write counter, the
-// predictor constants and the task's parameters are those it was built
-// from, and every choice blends the snapshot's measured times in
-// (predict.Predictor.Blend), so a write-back reaches the next choice
-// without a rebuild. Lookups are lock-free; concurrent rounds share a
-// rebuild singleflight-style under the entry's mutex.
+// on the site in name order and in their last rank order, each with its
+// model estimate (Predict with no measurement) and load. No measurement
+// is in it: an entry is valid while the resource epoch, the constraints
+// write counter, the predictor constants and the task's parameters are
+// those it was built from, and every choice blends the snapshot's
+// measured times in (predict.Predictor.Blend), so a write-back reaches
+// the next choice without a rebuild. Lookups are lock-free; concurrent
+// rounds share a rebuild singleflight-style under the entry's mutex.
 type rankCache struct {
 	entries sync.Map     // rankKey -> *rankEntry; lock-free lookups
 	count   atomic.Int64 // approximate entry count for the eviction cap
@@ -63,56 +62,62 @@ type rankOrder struct {
 	resGen, consGen uint64
 	pred            predict.Predictor
 	params          repository.TaskParams
-	hosts           []candidate
-	names           []string // hosts' names, in order
+	// hosts and names are the eligible hosts in name order, so a choice
+	// blends the measured times in with one merge walk. Re-sorted orders
+	// share them.
+	hosts  []candidate
+	names  []string
+	rank   []int    // hosts' indexes in rank order
+	ranked []string // names in rank order
 }
 
-// candidate is one eligible host: its single-node model estimate, the
-// load Blend rescales its measurement by, and its sort key.
+// candidate is one eligible host's single-node model estimate and the
+// load Blend rescales its measurement by.
 type candidate struct {
-	name   string
-	model  time.Duration
-	load   float64
-	single time.Duration
+	model time.Duration
+	load  float64
 }
 
-// single is host i's single-node prediction under m: Predict's value.
-func (r *rankOrder) single(i int, m repository.Measurements) time.Duration {
-	h := &r.hosts[i]
-	if d, ok := m.On(h.name); ok {
-		return r.pred.Blend(h.model, h.load, d)
+// single is host i's single-node prediction given its measured time d,
+// if measured: Predict's value.
+func (r *rankOrder) single(i int, d time.Duration, measured bool) time.Duration {
+	if !measured {
+		return r.hosts[i].model
 	}
-	return h.model
+	return r.pred.Blend(r.hosts[i].model, r.hosts[i].load, d)
 }
 
-// rankCompare is Fig. 3's order: ascending prediction, ties by name.
-func rankCompare(d time.Duration, name string, e time.Duration, other string) int {
-	return cmp.Or(cmp.Compare(d, e), strings.Compare(name, other))
-}
-
-// leads reports whether r's first n hosts (all of them for n < 0) are
-// its n best under m, in order; n must not be 0.
+// leads reports whether r's first n ranked hosts (all of them for n < 0)
+// are its n best under m, in order; n must not be 0. Fig. 3's order is
+// ascending prediction, ties by name, which is index order.
 func (r *rankOrder) leads(m repository.Measurements, n int) bool {
 	if n < 0 {
-		n = len(r.names)
+		n = len(r.rank)
 	}
-	for i := 1; i < len(r.names); i++ {
-		if j := min(i, n) - 1; rankCompare(r.single(j, m), r.names[j], r.single(i, m), r.names[i]) > 0 {
+	at := func(i int) time.Duration {
+		d, ok := m.On(r.names[i])
+		return r.single(i, d, ok)
+	}
+	for k := 1; k < len(r.rank); k++ {
+		if i, j := r.rank[min(k, n)-1], r.rank[k]; cmp.Or(cmp.Compare(at(i), at(j)), cmp.Compare(i, j)) > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// sorted returns r with its hosts, which it takes, in rank order under m.
+// sorted returns r ranked under m.
 func (r rankOrder) sorted(m repository.Measurements) *rankOrder {
-	for i := range r.hosts {
-		r.hosts[i].single = r.single(i, m)
+	keys := make([]time.Duration, len(r.names))
+	r.rank = make([]int, len(r.names))
+	for i, name := range r.names {
+		d, ok := m.Seek(name)
+		keys[i], r.rank[i] = r.single(i, d, ok), i
 	}
-	slices.SortFunc(r.hosts, func(a, b candidate) int { return rankCompare(a.single, a.name, b.single, b.name) })
-	r.names = make([]string, len(r.hosts))
-	for i, h := range r.hosts {
-		r.names[i] = h.name
+	slices.SortFunc(r.rank, func(i, j int) int { return cmp.Or(cmp.Compare(keys[i], keys[j]), cmp.Compare(i, j)) })
+	r.ranked = make([]string, len(r.rank))
+	for k, i := range r.rank {
+		r.ranked[k] = r.names[i]
 	}
 	return &r
 }
@@ -156,14 +161,6 @@ func (c *rankCache) entry(key rankKey) *rankEntry {
 		})
 	}
 	return v.(*rankEntry)
-}
-
-// miss counts a rebuild or a re-sort, and whether it replaced an order.
-func (c *rankCache) miss(replaced bool) {
-	c.misses.Add(1)
-	if replaced {
-		c.invalidations.Add(1)
-	}
 }
 
 // stats snapshots the counters.

@@ -32,12 +32,12 @@ func TestRankedHostsCacheHitOnUnchangedState(t *testing.T) {
 	g, id := oneTaskGraph(t, "Matrix_Multiplication", afg.Properties{})
 	task := g.Task(id)
 
-	first := s.RankedHosts(task)
+	first := rankedAt(s, s.Snapshot(), task)
 	if len(first) != 2 {
 		t.Fatalf("ranked %d hosts, want 2", len(first))
 	}
 	d := statsDelta(s, func() {
-		second := s.RankedHosts(task)
+		second := rankedAt(s, s.Snapshot(), task)
 		if len(second) != len(first) || second[0] != first[0] {
 			t.Fatalf("cached ranking differs: %v vs %v", second, first)
 		}
@@ -55,7 +55,7 @@ func TestWorkloadUpdateInvalidatesRanking(t *testing.T) {
 	g, id := oneTaskGraph(t, "Matrix_Multiplication", afg.Properties{})
 	task := g.Task(id)
 
-	if got := s.RankedHosts(task); got[0].Name != "a" {
+	if got := rankedAt(s, s.Snapshot(), task); got[0].Name != "a" {
 		t.Fatalf("baseline pick %v", got)
 	}
 	// Load a heavily: the cached ranking must not survive the update.
@@ -65,7 +65,7 @@ func TestWorkloadUpdateInvalidatesRanking(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := statsDelta(s, func() {
-		if got := s.RankedHosts(task); got[0].Name != "b" {
+		if got := rankedAt(s, s.Snapshot(), task); got[0].Name != "b" {
 			t.Fatalf("stale ranking served after workload update: %v", got)
 		}
 	})
@@ -82,11 +82,11 @@ func TestStatusDownInvalidatesRanking(t *testing.T) {
 	g, id := oneTaskGraph(t, "Matrix_Multiplication", afg.Properties{})
 	task := g.Task(id)
 
-	s.RankedHosts(task) // warm
+	rankedAt(s, s.Snapshot(), task) // warm
 	if _, err := s.Repo.Resources.ApplyRound([]repository.RoundUpdate{{Host: "a", Status: repository.HostDown}}); err != nil {
 		t.Fatal(err)
 	}
-	got := s.RankedHosts(task)
+	got := rankedAt(s, s.Snapshot(), task)
 	if len(got) != 1 || got[0].Name != "b" {
 		t.Fatalf("downed host still ranked: %v", got)
 	}
@@ -94,7 +94,7 @@ func TestStatusDownInvalidatesRanking(t *testing.T) {
 	if _, err := s.Repo.Resources.ApplyRound([]repository.RoundUpdate{{Host: "a", Status: repository.HostUp}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.RankedHosts(task); len(got) != 2 {
+	if got := rankedAt(s, s.Snapshot(), task); len(got) != 2 {
 		t.Fatalf("recovered host missing: %v", got)
 	}
 }
@@ -164,7 +164,7 @@ func TestParallelChoiceResortsOnlyWhenItsLeadMoves(t *testing.T) {
 	if c := choose(); strings.Join(c.Hosts, ",") != "a,b" {
 		t.Fatalf("baseline pick %v", c.Hosts)
 	}
-	base := s.RankedHosts(task)
+	base := rankedAt(s, s.Snapshot(), task)
 
 	// d overtakes c, behind the prefix: the prefix still leads.
 	record("d", base[2].Single/2)
@@ -197,12 +197,12 @@ func TestPredictorChangeInvalidatesRanking(t *testing.T) {
 	g, id := oneTaskGraph(t, "Matrix_Multiplication", afg.Properties{})
 	task := g.Task(id)
 
-	first := s.RankedHosts(task)
+	first := rankedAt(s, s.Snapshot(), task)
 	// Tuning an exported predictor constant at runtime (as the blend
 	// ablation does) must not be served stale cached rankings.
 	s.Oracle.P.BaseOpsPerSec *= 2
 	d := statsDelta(s, func() {
-		second := s.RankedHosts(task)
+		second := rankedAt(s, s.Snapshot(), task)
 		if second[0].Single >= first[0].Single {
 			t.Fatalf("doubling throughput did not shrink prediction: %v vs %v", second[0], first[0])
 		}
@@ -218,14 +218,14 @@ func TestWriteOnOneSiteLeavesOtherSiteCached(t *testing.T) {
 	g, id := oneTaskGraph(t, "Matrix_Multiplication", afg.Properties{})
 	task := g.Task(id)
 
-	s1.RankedHosts(task)
-	s2.RankedHosts(task)
+	rankedAt(s1, s1.Snapshot(), task)
+	rankedAt(s2, s2.Snapshot(), task)
 	if err := s1.Repo.Resources.UpdateWorkload("s1-a", repository.WorkloadSample{
 		CPULoad: 0.5, AvailMemBytes: 1 << 30, Time: time.Now(),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	d := statsDelta(s2, func() { s2.RankedHosts(task) })
+	d := statsDelta(s2, func() { rankedAt(s2, s2.Snapshot(), task) })
 	if d.Hits != 1 || d.Misses != 0 {
 		t.Fatalf("cross-site invalidation leak: %+v, want pure hit on s2", d)
 	}
@@ -239,12 +239,12 @@ func TestConstraintChangeInvalidatesRanking(t *testing.T) {
 	g, id := oneTaskGraph(t, "Matrix_Multiplication", afg.Properties{})
 	task := g.Task(id)
 
-	if got := s.RankedHosts(task); got[0].Name != "a" {
+	if got := rankedAt(s, s.Snapshot(), task); got[0].Name != "a" {
 		t.Fatalf("baseline pick %v", got)
 	}
 	// Uninstalling the task from the fast host must drop it immediately.
 	s.Repo.Constraints.RemoveHost("a")
-	got := s.RankedHosts(task)
+	got := rankedAt(s, s.Snapshot(), task)
 	if len(got) != 1 || got[0].Name != "b" {
 		t.Fatalf("stale ranking after constraint change: %v", got)
 	}
@@ -260,8 +260,8 @@ func TestPreferencesGetDistinctCacheEntries(t *testing.T) {
 
 	// Same task name, different preferences: both must be computed (two
 	// misses) and neither may serve the other's host set.
-	anyRank := s.RankedHosts(gAny.Task(idAny))
-	sunRank := s.RankedHosts(gSun.Task(idSun))
+	anyRank := rankedAt(s, s.Snapshot(), gAny.Task(idAny))
+	sunRank := rankedAt(s, s.Snapshot(), gSun.Task(idSun))
 	if len(anyRank) != 2 {
 		t.Fatalf("unrestricted ranking %v", anyRank)
 	}
@@ -324,7 +324,7 @@ func TestRankedHostsConcurrentRoundsNeverServeStale(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The write completed: a fresh ranking must exclude victim.
-			for _, r := range s.RankedHosts(task) {
+			for _, r := range rankedAt(s, s.Snapshot(), task) {
 				if r.Name == victim {
 					t.Fatalf("stale ranking: %s served after a status round set it down", victim)
 				}
@@ -349,7 +349,7 @@ func TestRankedHostsConcurrentRoundsNeverServeStale(t *testing.T) {
 	wg.Wait()
 
 	// Final serial check: every host is up again; ranking covers all.
-	if got := s.RankedHosts(task); len(got) != len(hosts) {
+	if got := rankedAt(s, s.Snapshot(), task); len(got) != len(hosts) {
 		t.Fatalf("final ranking has %d hosts, want %d", len(got), len(hosts))
 	}
 }

@@ -14,14 +14,33 @@ import (
 	"vdce/internal/repository"
 )
 
+// rankedHost is one eligible host with its predicted single-node
+// execution time for a task.
+type rankedHost struct {
+	Name   string
+	Single time.Duration
+}
+
+// rankedAt is the site's full ranking of task as of snap, read from the
+// same kept order ChooseAt reads.
+func rankedAt(s *LocalSite, snap *repository.Snapshot, task *afg.Task) []rankedHost {
+	r, m := s.sortedAt(snap, task), snap.Measurements(task.Name)
+	out := make([]rankedHost, len(r.rank))
+	for k, i := range r.rank {
+		d, ok := m.On(r.names[i])
+		out[k] = rankedHost{Name: r.names[i], Single: r.single(i, d, ok)}
+	}
+	return out
+}
+
 // referenceRanking is Fig. 3's ranking with no cache: Predict on every
 // eligible up host of snap, stably sorted by (prediction, name).
-func referenceRanking(s *LocalSite, snap *repository.Snapshot, task *afg.Task) []RankedHost {
+func referenceRanking(s *LocalSite, snap *repository.Snapshot, task *afg.Task) []rankedHost {
 	params, err := snap.TaskParams(task.Name)
 	if err != nil {
 		return nil
 	}
-	var out []RankedHost
+	var out []rankedHost
 	for _, h := range snap.UpHosts() {
 		if !s.Repo.Constraints.HasTask(task.Name, h.HostName) {
 			continue
@@ -40,9 +59,9 @@ func referenceRanking(s *LocalSite, snap *repository.Snapshot, task *afg.Task) [
 		if err != nil {
 			continue
 		}
-		out = append(out, RankedHost{Name: h.HostName, Single: d})
+		out = append(out, rankedHost{Name: h.HostName, Single: d})
 	}
-	slices.SortStableFunc(out, func(a, b RankedHost) int {
+	slices.SortStableFunc(out, func(a, b rankedHost) int {
 		if c := cmp.Compare(a.Single, b.Single); c != 0 {
 			return c
 		}
@@ -204,8 +223,8 @@ func (f fig3Fixture) check(t *testing.T, rng *rand.Rand, seed int64, op int) {
 		}
 		// Last: a full ranking re-sorts what the choices above read in part.
 		want := referenceRanking(f.s, snap, task)
-		if got := f.s.RankedHostsAt(snap, task); !slices.Equal(got, want) {
-			t.Fatalf("seed %d op %d task %d (%s %+v): RankedHostsAt %v, reference %v", seed, op, id, task.Name, task.Props, got, want)
+		if got := rankedAt(f.s, snap, task); !slices.Equal(got, want) {
+			t.Fatalf("seed %d op %d task %d (%s %+v): rankedAt %v, reference %v", seed, op, id, task.Name, task.Props, got, want)
 		}
 	}
 }
@@ -213,7 +232,7 @@ func (f fig3Fixture) check(t *testing.T, rng *rand.Rand, seed int64, op int) {
 // TestFig3MatchesUncachedReference: after every write of a random
 // stream — write-backs with random elapsed times, workload samples,
 // status flips, installs and uninstalls, re-registrations and predictor
-// changes — ChooseAt (with and without exclusions) and RankedHostsAt
+// changes — ChooseAt (with and without exclusions) and the full ranking
 // answer exactly what Predict over every eligible host, sorted, answers:
 // the same hosts in the same order and the same predictions.
 func TestFig3MatchesUncachedReference(t *testing.T) {

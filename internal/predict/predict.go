@@ -138,8 +138,7 @@ func (p *Predictor) Blend(model time.Duration, load float64, measured time.Durat
 	// The smoothed measurement was taken under whatever load prevailed
 	// then; rescale it to the current load assuming it was near-idle.
 	adj := float64(measured) / (1 - max(load, 0))
-	blended := p.MeasuredBlend*adj + (1-p.MeasuredBlend)*float64(model)
-	return time.Duration(blended)
+	return time.Duration(p.MeasuredBlend*adj + (1-p.MeasuredBlend)*float64(model))
 }
 
 // Oracle binds a Predictor to a site repository: host selection reads

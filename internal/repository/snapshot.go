@@ -2,6 +2,7 @@ package repository
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -62,18 +63,34 @@ func (s *Snapshot) TaskParams(name string) (TaskParams, error) {
 // Measurements returns the named task's smoothed measured times as of
 // this snapshot: one lookup of the task for a sweep over many hosts.
 func (s *Snapshot) Measurements(task string) Measurements {
-	t, _ := s.perf.task(task)
-	return Measurements{t}
+	if t, ok := s.perf.task(task); ok {
+		return Measurements{t.smoothed}
+	}
+	return Measurements{}
 }
 
-// Measurements is one task's smoothed measured times in one epoch; the
-// zero value holds none.
-type Measurements struct{ t *perTask }
+// Measurements is one task's smoothed measured times in one epoch,
+// sorted by host; the zero value holds none.
+type Measurements struct{ s []hostTime }
 
 // On returns the smoothed measured time on host and whether one exists.
 func (m Measurements) On(host string) (time.Duration, bool) {
-	if m.t == nil {
+	i, ok := slices.BinarySearchFunc(m.s, host, byHost)
+	if !ok {
 		return 0, false
 	}
-	return m.t.measured(host)
+	return m.s[i].d, true
+}
+
+// Seek is On for hosts asked in ascending name order: it drops the
+// times of the hosts before host from m, so a sweep over name-sorted
+// hosts is one merge walk.
+func (m *Measurements) Seek(host string) (time.Duration, bool) {
+	for len(m.s) > 0 && m.s[0].host < host {
+		m.s = m.s[1:]
+	}
+	if len(m.s) == 0 || m.s[0].host != host {
+		return 0, false
+	}
+	return m.s[0].d, true
 }

@@ -248,17 +248,16 @@ func TestMeasurementReplacesOnlyItsRecord(t *testing.T) {
 	if err := db.RegisterTask(TaskParams{Name: "b", ComputationOps: 1}); err != nil {
 		t.Fatal(err)
 	}
-	gen := db.Generation()
 	before := db.epoch.Load()
 	a, _ := before.task("a")
 	b, _ := before.task("b")
 	if err := recordOne(db, "a", "h0", time.Second, time.Unix(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if db.Generation() != gen+1 {
-		t.Fatalf("generation %d after a write-back, want %d", db.Generation(), gen+1)
-	}
 	after := db.epoch.Load()
+	if after.gen != before.gen+1 {
+		t.Fatalf("generation %d after a write-back, want %d", after.gen, before.gen+1)
+	}
 	if got, _ := after.task("a"); got == a {
 		t.Fatal("measured task's record not replaced")
 	}
@@ -332,4 +331,35 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestMeasurementsSeekMatchesOn: a sweep of Seek over name-sorted hosts,
+// measured and not, reads what On reads, and the zero value holds none.
+func TestMeasurementsSeekMatchesOn(t *testing.T) {
+	db := NewTaskPerfDB()
+	if err := db.RegisterTask(TaskParams{Name: "t", ComputationOps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range []string{"g", "b", "e", "d"} {
+		if err := recordOne(db, "t", h, time.Duration(i+1)*time.Second, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := &Snapshot{perf: db.epoch.Load()}
+	m := snap.Measurements("t")
+	walk := m
+	for _, h := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
+		got, gotOK := walk.Seek(h)
+		want, wantOK := m.On(h)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("Seek(%s) = %v, %v; On = %v, %v", h, got, gotOK, want, wantOK)
+		}
+	}
+	var none Measurements
+	if _, ok := none.Seek("b"); ok {
+		t.Fatal("the zero Measurements holds a time")
+	}
+	if _, ok := snap.Measurements("ghost").On("b"); ok {
+		t.Fatal("an unknown task holds a time")
+	}
 }

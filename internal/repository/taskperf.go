@@ -43,6 +43,9 @@ type perTask struct {
 	// smoothed is the measured hosts' smoothed times, sorted by host. A
 	// published slice is never written: records may share it.
 	smoothed []hostTime
+	// taken counts the records a write-back folds into this clone; zero
+	// once published.
+	taken int
 }
 
 // hostTime is one host's smoothed measured time of a task.
@@ -52,15 +55,6 @@ type hostTime struct {
 }
 
 func byHost(h hostTime, host string) int { return strings.Compare(h.host, host) }
-
-// measured returns the smoothed time on host and whether one exists.
-func (t *perTask) measured(host string) (time.Duration, bool) {
-	i, ok := slices.BinarySearchFunc(t.smoothed, host, byHost)
-	if !ok {
-		return 0, false
-	}
-	return t.smoothed[i].d, true
-}
 
 // perfEpoch is one immutable copy-on-write snapshot of the database.
 type perfEpoch struct {
@@ -97,10 +91,6 @@ func NewTaskPerfDB() *TaskPerfDB {
 	db.epoch.Store(&perfEpoch{index: map[string]int{}})
 	return db
 }
-
-// Generation is the epoch number: every registration and every
-// write-back that applied a measurement publishes the next one.
-func (db *TaskPerfDB) Generation() uint64 { return db.epoch.Load().gen }
 
 // ErrUnknownTask is returned when a task has no performance record.
 var ErrUnknownTask = errors.New("repository: unknown task")
@@ -171,12 +161,10 @@ func (db *TaskPerfDB) RecordExecutions(recs []Execution, mine func(host string) 
 	cur := db.epoch.Load()
 	// First pass: check the records and clone each touched task once, its
 	// clone sharing the old smoothed times for now, and count the records
-	// each task takes.
+	// each clone takes.
 	var tasks []*perTask // the next epoch's records
 	var clones []perTask
-	var countBuf [64]int32
-	var counts []int32 // records taken, by task index
-	cells := 0         // smoothed times the clones may hold between them
+	cells := 0 // smoothed times the clones may hold between them
 	for k, rec := range recs {
 		i, e := cur.take(rec, mine)
 		if i < 0 {
@@ -188,17 +176,13 @@ func (db *TaskPerfDB) RecordExecutions(recs []Execution, mine func(host string) 
 		if tasks == nil {
 			tasks = slices.Clone(cur.tasks)
 			clones = make([]perTask, 0, len(recs)-k) // never outgrown: tasks[i] points in
-			if counts = countBuf[:]; len(tasks) > len(countBuf) {
-				counts = make([]int32, len(tasks))
-			}
 		}
-		if counts[i] == 0 {
-			old := cur.tasks[i]
+		if old := cur.tasks[i]; tasks[i] == old {
 			clones = append(clones, perTask{Params: old.Params, smoothed: old.smoothed})
 			tasks[i] = &clones[len(clones)-1]
 			cells += len(old.smoothed)
 		}
-		counts[i]++
+		tasks[i].taken++
 		cells++
 		applied++
 	}
@@ -207,13 +191,10 @@ func (db *TaskPerfDB) RecordExecutions(recs []Execution, mine func(host string) 
 	}
 	// Each clone gets its share of one block of smoothed times.
 	block := make([]hostTime, cells)
-	for i, n := range counts {
-		if n == 0 {
-			continue
-		}
-		c := tasks[i]
-		n := len(c.smoothed) + int(n)
-		c.smoothed = append(block[:0:n], c.smoothed...)
+	for i := range clones {
+		c := &clones[i]
+		n := len(c.smoothed) + c.taken
+		c.smoothed, c.taken = append(block[:0:n], c.smoothed...), 0
 		block = block[n:]
 	}
 	for _, rec := range recs {
@@ -247,14 +228,4 @@ func (ep *perfEpoch) take(rec Execution, mine func(host string) bool) (int, erro
 		return -1, fmt.Errorf("repository: negative elapsed for %s on %s", rec.Task, rec.Host)
 	}
 	return i, nil
-}
-
-// MeasuredTime returns the smoothed measured execution time of task on
-// host and whether any measurement exists.
-func (db *TaskPerfDB) MeasuredTime(task, host string) (time.Duration, bool) {
-	t, ok := db.epoch.Load().task(task)
-	if !ok {
-		return 0, false
-	}
-	return t.measured(host)
 }

@@ -65,7 +65,7 @@ func TestReRegisterKeepsMeasurements(t *testing.T) {
 	if err := db.RegisterTask(TaskParams{Name: "t", BaseTime: 2 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := db.MeasuredTime("t", "h1"); !ok || d != 3*time.Second {
+	if d, ok := measuredTime(db, "t", "h1"); !ok || d != 3*time.Second {
 		t.Fatalf("measurement lost after re-register: %v %v", d, ok)
 	}
 	if p, _ := db.Params("t"); p.BaseTime != 2*time.Second {
@@ -82,13 +82,13 @@ func TestRecordExecutionSmoothing(t *testing.T) {
 	if err := recordOne(db, "t", "h", 4*time.Second, now); err != nil {
 		t.Fatal(err)
 	}
-	if d, _ := db.MeasuredTime("t", "h"); d != 4*time.Second {
+	if d, _ := measuredTime(db, "t", "h"); d != 4*time.Second {
 		t.Fatalf("first measurement should be taken as-is, got %v", d)
 	}
 	if err := recordOne(db, "t", "h", 2*time.Second, now); err != nil {
 		t.Fatal(err)
 	}
-	if d, _ := db.MeasuredTime("t", "h"); d != 3*time.Second {
+	if d, _ := measuredTime(db, "t", "h"); d != 3*time.Second {
 		t.Fatalf("smoothed = %v, want 3s", d)
 	}
 	if err := recordOne(db, "t", "h", -time.Second, now); err == nil {
@@ -97,10 +97,10 @@ func TestRecordExecutionSmoothing(t *testing.T) {
 	if err := recordOne(db, "ghost", "h", time.Second, now); !errors.Is(err, ErrUnknownTask) {
 		t.Fatalf("unknown task: %v", err)
 	}
-	if _, ok := db.MeasuredTime("t", "unmeasured-host"); ok {
+	if _, ok := measuredTime(db, "t", "unmeasured-host"); ok {
 		t.Fatal("measurement invented for unmeasured host")
 	}
-	if _, ok := db.MeasuredTime("ghost", "h"); ok {
+	if _, ok := measuredTime(db, "ghost", "h"); ok {
 		t.Fatal("measurement invented for unknown task")
 	}
 }
@@ -117,7 +117,7 @@ func TestSmoothingConvexProperty(t *testing.T) {
 		next := time.Duration(nextMs) * time.Millisecond
 		_ = recordOne(db, "t", "h", prev, time.Now())
 		_ = recordOne(db, "t", "h", next, time.Now())
-		got, _ := db.MeasuredTime("t", "h")
+		got, _ := measuredTime(db, "t", "h")
 		lo, hi := prev, next
 		if lo > hi {
 			lo, hi = hi, lo
@@ -144,7 +144,7 @@ func TestTaskPerfConcurrent(t *testing.T) {
 					t.Errorf("record: %v", err)
 					return
 				}
-				_, _ = db.MeasuredTime("t", "h")
+				_, _ = measuredTime(db, "t", "h")
 			}
 		}()
 	}
@@ -241,8 +241,8 @@ func TestRecordExecutionsOneEpoch(t *testing.T) {
 	for name, r := range sites {
 		for _, task := range []string{"t1", "t2", "t3"} {
 			for _, h := range []string{"a1", "a2", "b1", "c1"} {
-				got, gok := r.TaskPerf.MeasuredTime(task, h)
-				want, wok := ref[name].TaskPerf.MeasuredTime(task, h)
+				got, gok := measuredTime(r.TaskPerf, task, h)
+				want, wok := measuredTime(ref[name].TaskPerf, task, h)
 				if got != want || gok != wok {
 					t.Fatalf("site %s %s on %s: smoothed %v/%v, want %v/%v", name, task, h, got, gok, want, wok)
 				}
@@ -252,7 +252,7 @@ func TestRecordExecutionsOneEpoch(t *testing.T) {
 			}
 		}
 	}
-	if d, _ := sites["a"].TaskPerf.MeasuredTime("t1", "a1"); d != 3*time.Second {
+	if d, _ := measuredTime(sites["a"].TaskPerf, "t1", "a1"); d != 3*time.Second {
 		t.Fatalf("t1 on a1 smoothed to %v, want 3s", d)
 	}
 }
@@ -276,6 +276,12 @@ func perfCatalog(t *testing.T, n, hosts int) (*TaskPerfDB, []string, []string) {
 	return db, tasks, hs
 }
 
+// measuredTime is the smoothed measured time of task on host in db's
+// current epoch.
+func measuredTime(db *TaskPerfDB, task, host string) (time.Duration, bool) {
+	return (&Snapshot{perf: db.epoch.Load()}).Measurements(task).On(host)
+}
+
 // TestRecordExecutionsAllocs pins a write-back's allocations: the next
 // epoch, its record list, the touched records' clones and their smoothed
 // times, one each, whatever the catalog size, the hosts per task or the
@@ -286,7 +292,7 @@ func TestRecordExecutionsAllocs(t *testing.T) {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	const budget = 4
-	for _, catalog := range []int{6, 26} {
+	for _, catalog := range []int{6, 26, 80} {
 		for _, hosts := range []int{3, 12} {
 			db, tasks, hs := perfCatalog(t, catalog, hosts)
 			// Every task measured on every host, so a write-back updates

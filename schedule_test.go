@@ -383,12 +383,18 @@ func TestScheduleRoundAllocBudget(t *testing.T) {
 	}
 }
 
+// estimate is the smoothed measured time of task on host that repo
+// holds now.
+func estimate(repo *repository.Repository, task, host string) (time.Duration, bool) {
+	return repo.Snapshot().Measurements(task).On(host)
+}
+
 // measuredOn is the smoothed estimate of task on host, from the site
 // that owns host.
 func measuredOn(t *testing.T, env *Environment, task, host string) time.Duration {
 	t.Helper()
 	for _, site := range env.Sites {
-		if d, ok := site.Repo.TaskPerf.MeasuredTime(task, host); ok {
+		if d, ok := estimate(site.Repo, task, host); ok {
 			return d
 		}
 	}
@@ -438,7 +444,8 @@ func BenchmarkScheduleRound(b *testing.B) {
 // TestPerfWriteBackDropsAreCounted: a measurement no site can apply —
 // unknown task, negative elapsed time, a host no site owns — moves
 // vdce_taskperf_dropped_total on the live write-back and on the boot
-// replay alike, and the replay lands as one epoch per site.
+// replay alike, and the replay lands on the site that owns the host.
+// (That one batch is one epoch per site is TestRecordExecutionsOneEpoch.)
 func TestPerfWriteBackDropsAreCounted(t *testing.T) {
 	cfg := Config{Testbed: testbed.Config{Sites: 2, HostsPerGroup: 2, Seed: 19}, StoreDir: t.TempDir()}
 	env, err := New(cfg)
@@ -465,13 +472,13 @@ func TestPerfWriteBackDropsAreCounted(t *testing.T) {
 	if got := env.obsM.perfDropped.Value(); got != 0 {
 		t.Fatalf("boot replay: vdce_taskperf_dropped_total = %v, want 0", got)
 	}
-	perf := env.Sites[1].Repo.TaskPerf
-	if d, ok := perf.MeasuredTime("Checksum", host); !ok || d != 5*time.Millisecond {
+	if d, ok := estimate(env.Sites[1].Repo, "Checksum", host); !ok || d != 5*time.Millisecond {
 		t.Fatalf("replayed Checksum estimate on %s = %v (found %v)", host, d, ok)
 	}
-	// Both sites registered the same catalog; only site 1 took estimates.
-	if got, idle := perf.Generation(), env.Sites[0].Repo.TaskPerf.Generation(); got != idle+1 {
-		t.Fatalf("replay: site 1 at epoch %d, the untouched site 0 at %d; want one epoch more", got, idle)
+	// Both sites registered the same catalog; only site 1, which owns
+	// the host, took estimates.
+	if d, ok := estimate(env.Sites[0].Repo, "Checksum", host); ok {
+		t.Fatalf("site 0 took site 1's estimate on %s: %v", host, d)
 	}
 	env.Close()
 
@@ -505,11 +512,11 @@ func TestPerfEstimatesSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perf := env.Sites[0].Repo.TaskPerf
-	if d, ok := perf.MeasuredTime("LU_Decomposition", a); !ok || d != 7*time.Second {
+	perf := env.Sites[0].Repo
+	if d, ok := estimate(perf, "LU_Decomposition", a); !ok || d != 7*time.Second {
 		t.Fatalf("host A's estimate after a restart = %v (found %v), want 7s", d, ok)
 	}
-	if d, ok := perf.MeasuredTime("LU_Decomposition", b); !ok || d != time.Second {
+	if d, ok := estimate(perf, "LU_Decomposition", b); !ok || d != time.Second {
 		t.Fatalf("host B's estimate after a restart = %v (found %v), want 1s", d, ok)
 	}
 
@@ -539,7 +546,7 @@ func TestPerfEstimatesSurviveRestart(t *testing.T) {
 	for _, site := range env.Sites {
 		for _, task := range tasks {
 			for _, h := range hosts {
-				if d, ok := site.Repo.TaskPerf.MeasuredTime(task, h); ok {
+				if d, ok := estimate(site.Repo, task, h); ok {
 					want[pair{task, h}] = d
 				}
 			}
@@ -554,7 +561,7 @@ func TestPerfEstimatesSurviveRestart(t *testing.T) {
 	for _, site := range env.Sites {
 		for _, task := range tasks {
 			for _, h := range hosts {
-				if d, ok := site.Repo.TaskPerf.MeasuredTime(task, h); ok {
+				if d, ok := estimate(site.Repo, task, h); ok {
 					got[pair{task, h}] = d
 				}
 			}

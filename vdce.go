@@ -327,7 +327,7 @@ func (env *Environment) writeBack(recs []repository.Execution) {
 		if err != nil {
 			continue
 		}
-		if d, ok := site.Repo.TaskPerf.MeasuredTime(rec.Task, rec.Host); ok {
+		if d, ok := site.Repo.Snapshot().Measurements(rec.Task).On(rec.Host); ok {
 			perf = append(perf, store.PerfRecord{Task: rec.Task, Host: rec.Host, Smoothed: d})
 		}
 	}
