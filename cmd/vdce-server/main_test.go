@@ -261,8 +261,9 @@ func TestServerRejectsBadFlags(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// The detector always runs and every submission executes: no flag
-	// turns either off.
-	for _, flag := range []string{"-no-such-flag", "-detector=false", "-execute=false"} {
+	// turns either off. An unknown -chaos scenario is refused before the
+	// server starts.
+	for _, flag := range []string{"-no-such-flag", "-detector=false", "-execute=false", "-chaos=no-such-scenario"} {
 		var out strings.Builder
 		if err := run(ctx, []string{flag, "-http", "127.0.0.1:0"}, &out, nil); err == nil {
 			t.Errorf("%s accepted", flag)

@@ -9,7 +9,7 @@
 // deterministically from the injector's seed — the same seed always
 // hits the same hosts, so soak failures reproduce. Run plays a scenario
 // against the wall clock as a background actor; Apply executes one
-// event immediately for synchronous drivers (vdce-sim, benchmarks).
+// event immediately for synchronous drivers (the soak tests).
 package chaos
 
 import (
@@ -351,7 +351,7 @@ func sortEvents(events []Event) {
 }
 
 // Named resolves a CLI scenario name against a testbed, spreading the
-// script over span. The names are the vdce-sim -chaos vocabulary.
+// script over span. The names are the vdce-server -chaos vocabulary.
 func Named(name string, tb *testbed.Testbed, span time.Duration) (Scenario, error) {
 	if span <= 0 {
 		span = 4 * time.Second
@@ -364,8 +364,8 @@ func Named(name string, tb *testbed.Testbed, span time.Duration) (Scenario, erro
 		period := span / time.Duration(len(hosts)+1)
 		return RollingRestart(hosts, period, period/2), nil
 	case "site-partition":
-		// Partition the last site so the first (the scheduling home in
-		// vdce-sim) survives to host the rescheduled work. On a
+		// Partition the last site so the first (the usual scheduling
+		// home) survives to host the rescheduled work. On a
 		// single-site system that would cut off every host with nowhere
 		// left to recover onto — refuse instead of blacking out.
 		if len(tb.Sites) < 2 {

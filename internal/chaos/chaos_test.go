@@ -179,7 +179,7 @@ func TestScenarioBuilders(t *testing.T) {
 	}
 
 	tb := build(t, 2, 2)
-	for _, name := range []string{"kill-quarter", "rolling-restart", "site-partition"} {
+	for _, name := range []string{"kill-quarter", "rolling-restart", "site-partition", "flapping-host", "brownout"} {
 		if _, err := Named(name, tb, time.Second); err != nil {
 			t.Fatalf("Named(%s): %v", name, err)
 		}

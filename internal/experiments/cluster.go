@@ -66,7 +66,7 @@ func (c *cluster) round(k int, seed int64) Round {
 	return Round{Sites: c.sites, Net: c.net, K: k, Seed: seed}
 }
 
-// Policy is one placement policy: an E2 column, and a vdce-sim -policy.
+// Policy is one placement policy: an E2 column.
 type Policy struct {
 	Name     string
 	Schedule func(Round, *workload.Graph) (*core.AllocationTable, error)

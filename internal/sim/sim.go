@@ -15,7 +15,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"vdce/internal/afg"
@@ -36,36 +35,11 @@ type Result struct {
 	Makespan time.Duration
 	// Times maps each task to its interval.
 	Times map[afg.TaskID]TaskTimes
-	// HostBusy is the total execution time charged to each host.
-	HostBusy map[string]time.Duration
 	// InterSiteBytes is the total payload crossing site boundaries.
 	InterSiteBytes int64
 	// InterSiteTransfers counts edges whose endpoints sat on different
 	// sites.
 	InterSiteTransfers int
-	// TotalBytes is the total payload moved on all edges.
-	TotalBytes int64
-}
-
-// Utilization returns busy time divided by (makespan * number of hosts
-// that ran at least one task); 0 for an empty schedule.
-func (r *Result) Utilization() float64 {
-	if r.Makespan <= 0 || len(r.HostBusy) == 0 {
-		return 0
-	}
-	var busy time.Duration
-	for _, d := range r.HostBusy {
-		busy += d
-	}
-	return float64(busy) / (float64(r.Makespan) * float64(len(r.HostBusy)))
-}
-
-// String summarizes the result.
-func (r *Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "makespan=%v tasks=%d hosts=%d util=%.2f intersite=%dB/%d transfers\n",
-		r.Makespan, len(r.Times), len(r.HostBusy), r.Utilization(), r.InterSiteBytes, r.InterSiteTransfers)
-	return b.String()
 }
 
 // Run simulates table over g and net. Entries must be in topological
@@ -77,8 +51,7 @@ func Run(g *afg.Graph, table *core.AllocationTable, net *netmodel.Network) (*Res
 		return nil, err
 	}
 	res := &Result{
-		Times:    make(map[afg.TaskID]TaskTimes, len(table.Entries)),
-		HostBusy: make(map[string]time.Duration),
+		Times: make(map[afg.TaskID]TaskTimes, len(table.Entries)),
 	}
 	hostFree := make(map[string]time.Duration)
 	siteOf := make(map[afg.TaskID]string, len(table.Entries))
@@ -97,7 +70,6 @@ func Run(g *afg.Graph, table *core.AllocationTable, net *netmodel.Network) (*Res
 			if err != nil {
 				return nil, err
 			}
-			res.TotalBytes += size
 			if siteOf[edge.From] != e.Site {
 				res.InterSiteBytes += size
 				res.InterSiteTransfers++
@@ -116,7 +88,6 @@ func Run(g *afg.Graph, table *core.AllocationTable, net *netmodel.Network) (*Res
 		finish := start + e.Predicted
 		for _, h := range e.Hosts {
 			hostFree[h] = finish
-			res.HostBusy[h] += e.Predicted
 		}
 		res.Times[e.Task] = TaskTimes{Task: e.Task, Start: start, Finish: finish}
 		if finish > res.Makespan {

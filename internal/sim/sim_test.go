@@ -63,12 +63,6 @@ func TestChainSameHostSerializes(t *testing.T) {
 	if res.InterSiteTransfers != 0 || res.InterSiteBytes != 0 {
 		t.Fatal("phantom inter-site traffic")
 	}
-	if res.HostBusy["h"] != 6*time.Second {
-		t.Fatalf("host busy = %v", res.HostBusy["h"])
-	}
-	if u := res.Utilization(); u < 0.999 || u > 1.001 {
-		t.Fatalf("utilization = %g, want 1", u)
-	}
 }
 
 func TestChainCrossSitePaysTransfer(t *testing.T) {
@@ -91,9 +85,6 @@ func TestChainCrossSitePaysTransfer(t *testing.T) {
 	}
 	if res.InterSiteTransfers != 1 || res.InterSiteBytes != 1e6 {
 		t.Fatalf("inter-site accounting: %d transfers %dB", res.InterSiteTransfers, res.InterSiteBytes)
-	}
-	if res.TotalBytes != 2e6 {
-		t.Fatalf("total bytes = %d", res.TotalBytes)
 	}
 }
 

@@ -1,7 +1,6 @@
-// Package trace renders execution timelines — text Gantt charts of
-// simulated schedules and real runs, one row per host. It backs the
-// visualization service's "application performance" view and the
-// vdce-sim tool.
+// Package trace renders execution timelines — text Gantt charts of real
+// runs, one row per host: the visualization service's "application
+// performance" view, as examples/c3i and examples/multisite print it.
 package trace
 
 import (
@@ -10,10 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"vdce/internal/afg"
-	"vdce/internal/core"
 	"vdce/internal/exec"
-	"vdce/internal/sim"
 )
 
 // Span is one task occupying one host for an interval.
@@ -22,27 +18,6 @@ type Span struct {
 	Label string
 	Start time.Duration
 	End   time.Duration
-}
-
-// FromSim converts a simulated schedule into spans (one per task-host
-// pair; parallel tasks occupy all their hosts).
-func FromSim(g *afg.Graph, table *core.AllocationTable, res *sim.Result) []Span {
-	var out []Span
-	for _, e := range table.Entries {
-		tt, ok := res.Times[e.Task]
-		if !ok {
-			continue
-		}
-		for _, h := range e.Hosts {
-			out = append(out, Span{
-				Host:  h,
-				Label: fmt.Sprintf("%d", e.Task),
-				Start: tt.Start,
-				End:   tt.Finish,
-			})
-		}
-	}
-	return out
 }
 
 // FromRuns converts real execution runs into spans relative to the

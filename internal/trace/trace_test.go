@@ -5,11 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"vdce/internal/afg"
-	"vdce/internal/core"
 	"vdce/internal/exec"
-	"vdce/internal/netmodel"
-	"vdce/internal/sim"
 )
 
 func TestGanttBasic(t *testing.T) {
@@ -35,40 +31,6 @@ func TestGanttBasic(t *testing.T) {
 	}
 	if got := Gantt(nil, 40); !strings.Contains(got, "no spans") {
 		t.Fatalf("empty gantt = %q", got)
-	}
-}
-
-func TestFromSim(t *testing.T) {
-	g := afg.NewGraph("x")
-	a := g.AddTask("A", "l", 0, 1)
-	b := g.AddTask("B", "l", 1, 0)
-	if err := g.Connect(a, 0, b, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	net, err := netmodel.New([]string{"s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := &core.AllocationTable{App: "x", Entries: []core.Placement{
-		{Task: a, TaskName: "A", Site: "s", Hosts: []string{"h1"}, Predicted: time.Second},
-		{Task: b, TaskName: "B", Site: "s", Hosts: []string{"h1", "h2"}, Predicted: time.Second},
-	}}
-	// Make B parallel so its two hosts are legal.
-	if err := g.SetProps(b, afg.Properties{Mode: afg.Parallel, Nodes: 2}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(g, table, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := FromSim(g, table, res)
-	// A on h1, B on h1 and h2 -> 3 spans.
-	if len(spans) != 3 {
-		t.Fatalf("spans = %v", spans)
-	}
-	chart := Gantt(spans, 30)
-	if !strings.Contains(chart, "h2") {
-		t.Fatalf("parallel host missing:\n%s", chart)
 	}
 }
 
